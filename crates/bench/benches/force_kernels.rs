@@ -2,10 +2,12 @@
 //! model. The measured per-interaction cost on the host machine can be
 //! compared with the calibrated `gamma` of the Hopper/Intrepid models.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use nbody_physics::{
-    init, Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones,
-    RepulsiveInverseSquare,
+    init, Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
+    RepulsiveInverseSquare, Vec2,
 };
 
 fn bench_pair_kernels(c: &mut Criterion) {
@@ -37,26 +39,90 @@ fn bench_pair_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_block_kernel(c: &mut Criterion) {
-    let domain = Domain::unit();
-    let law = RepulsiveInverseSquare::default();
-    let mut group = c.benchmark_group("accumulate_block");
-    for size in [32usize, 128, 512] {
-        let sources = init::uniform(size, &domain, 7);
-        let mut targets = init::uniform(size, &domain, 8);
-        group.throughput(Throughput::Elements((size * size) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bench, _| {
-            bench.iter(|| {
-                ca_nbody::kernel::accumulate_block(
-                    black_box(&mut targets),
-                    black_box(&sources),
-                    &law,
-                    &domain,
-                    Boundary::Open,
-                )
-            })
-        });
+/// A law with no lane override: the kernel reaches `force` through the
+/// trait's per-lane default, as any user-defined law does.
+struct NoOverride(RepulsiveInverseSquare);
+
+impl ForceLaw for NoOverride {
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.0.force(target, source, disp)
     }
+}
+
+/// One row of the block-kernel table: `accumulate_block` on a `size` x
+/// `size` off-diagonal block pair, reported per interaction.
+fn bench_block<F: ForceLaw>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    law: &F,
+    size: usize,
+    domain: &Domain,
+    boundary: Boundary,
+) {
+    let sources = init::uniform(size, domain, 7);
+    let mut targets = init::uniform(size, domain, 8);
+    for t in &mut targets {
+        t.id += size as u64;
+    }
+    group.throughput(Throughput::Elements((size * size) as u64));
+    group.bench_with_input(BenchmarkId::new(name, size), &size, |bench, _| {
+        bench.iter(|| {
+            ca_nbody::kernel::accumulate_block(
+                black_box(&mut targets),
+                black_box(&sources),
+                law,
+                domain,
+                boundary,
+            )
+        })
+    });
+}
+
+/// Lane path vs. per-lane fallback, law by law, in one table. 2048 is the
+/// repo benchmark's block (`allpairs_compute`); the Lennard-Jones row uses
+/// its `cutoff1d_lj_periodic` geometry (box side 1.2 sigma per particle
+/// per axis, r_c = 2.5 sigma, minimum image).
+fn bench_block_kernel(c: &mut Criterion) {
+    let unit = Domain::unit();
+    let repulsive = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 1e-3,
+    };
+    let mut group = c.benchmark_group("accumulate_block");
+    for size in [32usize, 128, 512, 2048] {
+        bench_block(
+            &mut group,
+            "repulsive",
+            &repulsive,
+            size,
+            &unit,
+            Boundary::Reflective,
+        );
+    }
+    let gravity = Gravity {
+        g: 1e-3,
+        softening: 0.02,
+    };
+    bench_block(&mut group, "gravity", &gravity, 2048, &unit, Boundary::Open);
+    let lj_box = Domain::square((2.0 * 2048.0f64).sqrt() * 1.2);
+    let lj = Cutoff::new(LennardJones::default(), 2.5);
+    bench_block(
+        &mut group,
+        "cutoff_lj_periodic",
+        &lj,
+        2048,
+        &lj_box,
+        Boundary::Periodic,
+    );
+    let plain = NoOverride(repulsive);
+    bench_block(
+        &mut group,
+        "no_lane_override",
+        &plain,
+        2048,
+        &unit,
+        Boundary::Reflective,
+    );
     group.finish();
 }
 

@@ -10,7 +10,95 @@
 use std::time::Instant;
 
 use nbody_metrics::{Counter, MetricsRecorder};
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Vec2, Vec2x2};
+
+/// What the kernel's loop nest gathers per evaluated pair besides the
+/// force. A policy rather than a flag so that the plain kernel's copy of the
+/// nest carries no trace of the harvest: [`NoHarvest`] is a zero-sized no-op.
+trait Harvest {
+    fn pair<F: ForceLaw>(&mut self, law: &F, target: &Particle, source: &Particle, disp: Vec2);
+}
+
+/// Harvest nothing: the plain force sweep.
+struct NoHarvest;
+
+impl Harvest for NoHarvest {
+    #[inline(always)]
+    fn pair<F: ForceLaw>(&mut self, _: &F, _: &Particle, _: &Particle, _: Vec2) {}
+}
+
+/// Sum the pair potential of every evaluated interaction.
+struct PotentialSum(f64);
+
+impl Harvest for PotentialSum {
+    #[inline(always)]
+    fn pair<F: ForceLaw>(&mut self, law: &F, target: &Particle, source: &Particle, disp: Vec2) {
+        self.0 += law.potential(target, source, disp);
+    }
+}
+
+/// The one target x source loop nest behind [`accumulate_block`] and
+/// [`accumulate_block_potential`].
+///
+/// Targets advance two at a time, one per lane of a [`Vec2x2`] accumulator;
+/// sources stream through the pair and the law answers for both lanes at
+/// once ([`ForceLaw::force_x2`]). Per lane that is the scalar loop's
+/// sequence of operations — same displacement, same law arithmetic, sources
+/// added in the same order — so each target's force is bit for bit what the
+/// scalar loop (and `reference::accumulate_forces`) produces.
+///
+/// Two cases take the scalar path for one (pair, source) instead: the lone
+/// last target of an odd-length block (its partner lane is padding, which
+/// the law must never see), and a source whose id matches either target —
+/// only a diagonal block has those, at most two per pair. The law is never
+/// asked for a self pair; a computed self-force is not masked away, it is
+/// not computed.
+fn accumulate<F: ForceLaw, H: Harvest>(
+    targets: &mut [Particle],
+    sources: &[Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    harvest: &mut H,
+) -> u64 {
+    let mut skipped: u64 = 0;
+    for pair in targets.chunks_mut(2) {
+        let full = pair.len() == 2;
+        // Local copies: the inner loop reads positions, masses and ids from
+        // values nothing else can alias. The padding lane of an odd tail
+        // duplicates lane 0 and is only ever carried, never evaluated.
+        let (t0, t1) = (pair[0], pair[pair.len() - 1]);
+        let pos = Vec2x2::new(t0.pos, t1.pos);
+        let mut acc = Vec2x2::new(t0.force, t1.force);
+        for s in sources {
+            if !full || t0.id == s.id || t1.id == s.id {
+                let mut lanes = acc.to_lanes();
+                for (t, a) in pair.iter().zip(&mut lanes) {
+                    if t.id == s.id {
+                        skipped += 1;
+                        continue;
+                    }
+                    let disp = boundary.displacement(domain, t.pos, s.pos);
+                    *a += law.force(t, s, disp);
+                    harvest.pair(law, t, s, disp);
+                }
+                acc = Vec2x2::new(lanes[0], lanes[1]);
+                continue;
+            }
+            let disp = boundary.displacement_x2(domain, pos, Vec2x2::splat(s.pos));
+            acc += law.force_x2([&t0, &t1], s, disp);
+            let [d0, d1] = disp.to_lanes();
+            harvest.pair(law, &t0, s, d0);
+            harvest.pair(law, &t1, s, d1);
+        }
+        for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
+            t.force = a;
+        }
+    }
+    (targets.len() as u64)
+        .saturating_mul(sources.len() as u64)
+        .saturating_sub(skipped)
+}
 
 /// Accumulate the forces exerted by every particle in `sources` on every
 /// particle in `targets`. Self-interactions (matching ids) are skipped, so
@@ -27,22 +115,7 @@ pub fn accumulate_block<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> u64 {
-    let mut skipped: u64 = 0;
-    for t in targets.iter_mut() {
-        let mut acc = t.force;
-        for s in sources {
-            if t.id == s.id {
-                skipped += 1;
-                continue;
-            }
-            let disp = boundary.displacement(domain, t.pos, s.pos);
-            acc += law.force(t, s, disp);
-        }
-        t.force = acc;
-    }
-    (targets.len() as u64)
-        .saturating_mul(sources.len() as u64)
-        .saturating_sub(skipped)
+    accumulate(targets, sources, law, domain, boundary, &mut NoHarvest)
 }
 
 /// [`accumulate_block`], additionally harvesting the summed pair potential
@@ -51,9 +124,9 @@ pub fn accumulate_block<F: ForceLaw>(
 /// once globally, the world-reduced sum of these partials counts each
 /// unordered pair twice; the driver halves it.
 ///
-/// Kept separate from [`accumulate_block`] so plain (health-off) runs pay
-/// nothing: the potential evaluation is not free for laws like
-/// Lennard-Jones, and a dead second accumulator still costs a register.
+/// The same loop nest as [`accumulate_block`] under a different harvest
+/// policy: forces are bit-identical, and plain (health-off) runs pay
+/// nothing for the potential — it is not free for laws like Lennard-Jones.
 pub fn accumulate_block_potential<F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[Particle],
@@ -61,25 +134,9 @@ pub fn accumulate_block_potential<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> (u64, f64) {
-    let mut skipped: u64 = 0;
-    let mut potential = 0.0f64;
-    for t in targets.iter_mut() {
-        let mut acc = t.force;
-        for s in sources {
-            if t.id == s.id {
-                skipped += 1;
-                continue;
-            }
-            let disp = boundary.displacement(domain, t.pos, s.pos);
-            acc += law.force(t, s, disp);
-            potential += law.potential(t, s, disp);
-        }
-        t.force = acc;
-    }
-    let evals = (targets.len() as u64)
-        .saturating_mul(sources.len() as u64)
-        .saturating_sub(skipped);
-    (evals, potential)
+    let mut potential = PotentialSum(0.0);
+    let evals = accumulate(targets, sources, law, domain, boundary, &mut potential);
+    (evals, potential.0)
 }
 
 /// Number of force evaluations `accumulate_block` performs for the given
@@ -231,7 +288,7 @@ impl ComputeMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_physics::{init, reference, Counting, Vec2};
+    use nbody_physics::{init, reference, Counting};
 
     #[test]
     fn kernel_matches_reference_for_full_population() {

@@ -3,10 +3,16 @@
 //! Two seedable microbenchmarks, deliberately matched to the force
 //! kernel's character:
 //!
-//! * **Scalar FMA peak** — dependent chains of `mul_add` across a handful
-//!   of independent accumulators, the instruction mix of the inner force
-//!   loop without SIMD (the kernels are scalar today; when ROADMAP item 2
-//!   vectorizes them, this ceiling is the honest "before" bar).
+//! * **Multiply-add peak** — `a = a * x + y` as a separately rounded
+//!   multiply and add (what the force kernel issues: it never fuses) on
+//!   enough independent accumulators to fill the machine's floating-point
+//!   ports. The accumulators are a fixed-size array, which the compiler
+//!   packs two to a register at the baseline target — the same width the
+//!   lane kernel uses — so the ceiling is one no build of this workspace
+//!   can exceed and %-of-roofline is at most 100 by construction. (The
+//!   earlier `f64::mul_add` loop lowered to a libm `fma()` *call* without
+//!   the `fma` target feature and reported 0.66 GFLOP/s, a "ceiling" the
+//!   scalar kernel beat nearly five times over.)
 //! * **Stream bandwidth** — a large out-of-cache buffer copy, counting
 //!   read + write traffic, the classic STREAM-style bound for the
 //!   memory-bound side of the roofline.
@@ -22,17 +28,22 @@ use std::time::Instant;
 
 use nbody_trace::Json;
 
-/// Independent FMA accumulator lanes; enough to hide the FMA latency on
-/// any contemporary core without spilling registers.
-const LANES: usize = 8;
+/// Independent accumulators of the multiply-add loop: 14 two-lane
+/// registers' worth, which with the two constants fills the 16 SSE
+/// registers and is enough chains to cover multiply + add latency on two
+/// issue ports (measured on the reference box: 8.3 GFLOP/s at 8
+/// accumulators, 14.0 at 16, 18.2 at 28, 18.0 at 32).
+pub const LANES: usize = 28;
 
 /// Parameters of one calibration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// Seed for the deterministic initial values.
     pub seed: u64,
-    /// Iterations of the FMA loop (each iteration does `LANES` fused
-    /// multiply-adds, i.e. `2 * LANES` FLOPs).
+    /// Iterations of the multiply-add loop (each iteration does one
+    /// multiply and one add on each of the [`LANES`] accumulators, i.e.
+    /// `2 * LANES` FLOPs). The name predates the fix and is kept because
+    /// it is a key of the persisted JSON.
     pub fma_iters: u64,
     /// Size of each streaming buffer in MiB (two are allocated).
     pub stream_mib: usize,
@@ -74,13 +85,13 @@ impl Default for CalibrationConfig {
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineCalibration {
-    /// Scalar FMA peak in GFLOP/s (FLOPs per nanosecond).
+    /// Multiply-add peak in GFLOP/s (FLOPs per nanosecond).
     pub peak_gflops: f64,
     /// Streaming memory bandwidth in GB/s (bytes per nanosecond).
     pub mem_bw_gbytes: f64,
     /// Seed the measurement ran with.
     pub seed: u64,
-    /// FMA iterations of the measurement.
+    /// Multiply-add iterations of the measurement.
     pub fma_iters: u64,
     /// Bytes of one streaming buffer.
     pub stream_bytes: u64,
@@ -90,7 +101,7 @@ impl MachineCalibration {
     /// Run both microbenchmarks.
     pub fn measure(cfg: &CalibrationConfig) -> MachineCalibration {
         MachineCalibration {
-            peak_gflops: fma_peak_gflops(cfg),
+            peak_gflops: mul_add_peak_gflops(cfg),
             mem_bw_gbytes: stream_bandwidth_gbytes(cfg),
             seed: cfg.seed,
             fma_iters: cfg.fma_iters,
@@ -153,13 +164,13 @@ fn unit_f64(state: &mut u64) -> f64 {
     1.0 + (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn fma_peak_gflops(cfg: &CalibrationConfig) -> f64 {
+fn mul_add_peak_gflops(cfg: &CalibrationConfig) -> f64 {
     let mut state = cfg.seed;
     // x slightly below 1 and a small positive y keep every accumulator
-    // converging toward y/(1-x) ~ 1: no overflow, no denormals, and the
-    // compiler cannot fold the loop because the values are data-dependent.
-    let x = 0.999_999_9_f64;
-    let y = 1e-7_f64;
+    // converging toward y/(1-x) ~ 1: no overflow, no denormals. The
+    // constants pass through `black_box` so the loop cannot be folded.
+    let x = black_box(0.999_999_9_f64);
+    let y = black_box(1e-7_f64);
     let mut best_nanos = u64::MAX;
     for _ in 0..cfg.repeats.max(1) {
         let mut acc = [0.0f64; LANES];
@@ -169,14 +180,13 @@ fn fma_peak_gflops(cfg: &CalibrationConfig) -> f64 {
         let start = Instant::now();
         for _ in 0..cfg.fma_iters {
             for a in &mut acc {
-                *a = a.mul_add(x, y);
+                *a = *a * x + y;
             }
         }
         let nanos = start.elapsed().as_nanos() as u64;
         black_box(acc);
         best_nanos = best_nanos.min(nanos.max(1));
     }
-    // mul_add is one multiply + one add.
     let flops = cfg.fma_iters * LANES as u64 * 2;
     flops as f64 / best_nanos as f64
 }
@@ -219,6 +229,50 @@ mod tests {
         assert!(cal.mem_bw_gbytes > 0.0, "{cal:?}");
         assert_eq!(cal.seed, 7);
         assert_eq!(cal.stream_bytes, 1 << 20);
+    }
+
+    /// The point of the calibration: a ceiling the kernel cannot beat. Only
+    /// optimized code says anything about the machine, so the comparison
+    /// runs under `cargo test --release` (CI does) and is skipped in debug.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "compares optimized code; run with --release"
+    )]
+    fn calibrated_peak_is_at_least_the_kernels_achieved_gflops() {
+        use ca_nbody::kernel::accumulate_block;
+        use nbody_physics::{init, Boundary, Domain, ForceLaw, RepulsiveInverseSquare};
+
+        let cal = MachineCalibration::measure(&CalibrationConfig::quick());
+
+        // The benchmark's compute-bound shape: the paper's law on blocks
+        // that sit in cache. Best of several calls, like the calibration.
+        let domain = Domain::unit();
+        let law = RepulsiveInverseSquare {
+            strength: 1e-3,
+            softening: 1e-3,
+        };
+        let sources = init::uniform(1024, &domain, 7);
+        let mut targets = init::uniform(1024, &domain, 8);
+        let mut best_nanos = u64::MAX;
+        let mut evals = 0;
+        for _ in 0..7 {
+            let start = Instant::now();
+            evals = accumulate_block(
+                black_box(&mut targets),
+                black_box(&sources),
+                &law,
+                &domain,
+                Boundary::Reflective,
+            );
+            best_nanos = best_nanos.min((start.elapsed().as_nanos() as u64).max(1));
+        }
+        let achieved = (evals * law.flops_per_interaction()) as f64 / best_nanos as f64;
+        assert!(
+            cal.peak_gflops >= achieved,
+            "kernel at {achieved:.2} GFLOP/s beats the calibrated peak {:.2}",
+            cal.peak_gflops
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! peaks.
 //!
 //! * [`calibrate`] — seedable microbenchmarks measuring the machine's
-//!   scalar FMA peak (GFLOP/s) and stream-style memory bandwidth (GB/s),
+//!   multiply-add peak (GFLOP/s) and stream-style memory bandwidth (GB/s),
 //!   persisted to `bench_results/machine_calibration.json` so CI gates
 //!   compare against a recorded calibration instead of re-measuring on a
 //!   noisy runner.

@@ -5,6 +5,7 @@
 //! and periodic boundaries; periodic boundaries use minimum-image
 //! displacements in force evaluation, matching common MD practice.
 
+use crate::lanes::{F64x2, Vec2x2};
 use crate::vec2::Vec2;
 
 /// An axis-aligned rectangular simulation domain.
@@ -173,6 +174,30 @@ impl Boundary {
             _ => d,
         }
     }
+
+    /// [`displacement`](Boundary::displacement) for two `from` points at
+    /// once, bit for bit per lane: the minimum-image `if`/`else if` chain
+    /// becomes two compares and two selects per axis.
+    #[inline]
+    pub fn displacement_x2(&self, domain: &Domain, from: Vec2x2, to: Vec2x2) -> Vec2x2 {
+        let d = to - from;
+        match self {
+            Boundary::Periodic => {
+                let ext = domain.extent();
+                let wrap = |d: F64x2, ext: f64| {
+                    let above = d.lanes_gt(F64x2::splat(0.5 * ext));
+                    let below = d.lanes_lt(F64x2::splat(-0.5 * ext));
+                    let ext = F64x2::splat(ext);
+                    above.select(d - ext, below.select(d + ext, d))
+                };
+                Vec2x2 {
+                    x: wrap(d.x, ext.x),
+                    y: wrap(d.y, ext.y),
+                }
+            }
+            _ => d,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +265,36 @@ mod tests {
         let disp =
             Boundary::Periodic.displacement(&d, Vec2::new(0.05, 0.5), Vec2::new(0.95, 0.5));
         assert!((disp.x - -0.1).abs() < 1e-12, "wrapped displacement, got {disp:?}");
+    }
+
+    #[test]
+    fn lane_displacement_matches_scalar_bit_for_bit() {
+        let d = Domain::new(Vec2::new(-1.0, 0.0), Vec2::new(2.0, 1.5));
+        // Interior points, both sides of the half-box threshold, and
+        // displacements exactly at +/- half the extent (kept, not wrapped).
+        let pts = [
+            Vec2::new(-1.0, 0.0),
+            Vec2::new(0.5, 0.75),
+            Vec2::new(1.9, 1.4),
+            Vec2::new(-0.9, 0.1),
+            Vec2::new(0.6, 0.8),
+            Vec2::new(f64::NAN, 0.3),
+        ];
+        // Which NaN comes back is the hardware's business; that it is one is not.
+        let bits = |v: Vec2| [v.x, v.y].map(|c| if c.is_nan() { u64::MAX } else { c.to_bits() });
+        for b in [Boundary::Periodic, Boundary::Reflective, Boundary::Open] {
+            for &to in &pts {
+                for &f0 in &pts {
+                    for &f1 in &pts {
+                        let got = b
+                            .displacement_x2(&d, Vec2x2::new(f0, f1), Vec2x2::splat(to))
+                            .to_lanes();
+                        let want = [b.displacement(&d, f0, to), b.displacement(&d, f1, to)];
+                        assert_eq!(got.map(bits), want.map(bits), "{b:?} {f0:?}/{f1:?} -> {to:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! exploit the symmetry"). The distributed algorithms in `ca-nbody` follow
 //! the same rule: every ordered pair `(i, j)` with `i != j` is evaluated.
 
+use crate::lanes::{F64x2, Vec2x2};
 use crate::particle::Particle;
 use crate::vec2::Vec2;
 
@@ -21,9 +22,48 @@ use crate::vec2::Vec2;
 /// for boundary conditions (minimum image under periodic boundaries). Passing
 /// the displacement instead of raw positions keeps boundary handling out of
 /// the force kernels.
+///
+/// # Giving a law a lane override
+///
+/// The block kernel evaluates two targets against one source per call of
+/// [`force_x2`](ForceLaw::force_x2). A law that implements only `force`
+/// gets the provided default — `force` once per lane — and is correct as
+/// it stands. A law whose cost is arithmetic (divides, square roots) should
+/// override `force_x2` with [`F64x2`]/[`Vec2x2`] arithmetic, which on
+/// `x86_64` retires both lanes per instruction. The override must keep the
+/// kernel's contract, *lane `i` of the result is bit for bit
+/// `self.force(targets[i], source, lane i of disp)`*:
+///
+/// * transcribe `force` operation by operation, in its order and
+///   association (`a * b * c / d` is `((a * b) * c) / d`); lane arithmetic
+///   never fuses or approximates, so equal expressions give equal bits;
+/// * every `if guard { return Vec2::zero() }` becomes a final
+///   [`Vec2x2::zero_where`] on the guard's mask — the guarded lane computes
+///   garbage (possibly `inf`/NaN) that the select then replaces with `+0.0`;
+/// * compares are false on NaN in both forms, so a NaN displacement flows
+///   through to a NaN force in the same components;
+/// * a wrapper forwards to `inner.force_x2` and may evaluate the inner law
+///   on a lane it then discards, so `force` must stay free of side effects
+///   that a caller could miss or double-count.
+///
+/// `tests/kernel_equivalence.rs` at the workspace root checks every
+/// built-in law against the scalar loop; add a new law to its list.
 pub trait ForceLaw: Sync {
     /// Force exerted **on** `target` **by** `source`.
     fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2;
+
+    /// Forces exerted on `targets[0]` and `targets[1]` by `source`, lane
+    /// `i` of `disp` being `source.pos - targets[i].pos`. Must equal
+    /// [`force`](ForceLaw::force) per lane bit for bit; the default calls
+    /// it once per lane. See the trait docs before overriding.
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        let [d0, d1] = disp.to_lanes();
+        Vec2x2::new(
+            self.force(targets[0], source, d0),
+            self.force(targets[1], source, d1),
+        )
+    }
 
     /// Pair potential energy, counted once per unordered pair.
     fn potential(&self, _target: &Particle, _source: &Particle, _disp: Vec2) -> f64 {
@@ -51,6 +91,12 @@ pub trait ForceLaw: Sync {
     fn flops_per_interaction(&self) -> u64 {
         20
     }
+}
+
+/// The masses of a target pair, one per lane.
+#[inline(always)]
+fn masses(targets: [&Particle; 2]) -> F64x2 {
+    F64x2::new(targets[0].mass, targets[1].mass)
 }
 
 /// The paper's force: repulsion with inverse-square falloff,
@@ -85,6 +131,13 @@ impl ForceLaw for RepulsiveInverseSquare {
         // Repulsive: push the target away from the source, i.e. opposite the
         // displacement toward the source.
         -disp.normalized() * mag
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        let r2 = disp.norm_sq() + F64x2::splat(self.softening * self.softening);
+        let mag = F64x2::splat(self.strength) * masses(targets) * F64x2::splat(source.mass) / r2;
+        (-disp.normalized() * mag).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
     }
 
     #[inline]
@@ -134,6 +187,13 @@ impl ForceLaw for Gravity {
     }
 
     #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        let r2 = disp.norm_sq() + F64x2::splat(self.softening * self.softening);
+        let mag = F64x2::splat(self.g) * masses(targets) * F64x2::splat(source.mass) / r2;
+        (disp.normalized() * mag).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
+    }
+
+    #[inline]
     fn potential(&self, target: &Particle, source: &Particle, disp: Vec2) -> f64 {
         let r = (disp.norm_sq() + self.softening * self.softening).sqrt();
         if r == 0.0 {
@@ -180,6 +240,16 @@ impl ForceLaw for LennardJones {
         // dU/dr resolved along the pair axis; positive magnitude = repulsion.
         let mag_over_r = 24.0 * self.epsilon * (2.0 * s12 - s6) / r2;
         -disp * mag_over_r
+    }
+
+    #[inline]
+    fn force_x2(&self, _targets: [&Particle; 2], _source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        let r2 = disp.norm_sq();
+        let s2 = F64x2::splat(self.sigma * self.sigma) / r2;
+        let s6 = s2 * s2 * s2;
+        let s12 = s6 * s6;
+        let mag_over_r = F64x2::splat(24.0 * self.epsilon) * (F64x2::splat(2.0) * s12 - s6) / r2;
+        (-disp * mag_over_r).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
     }
 
     #[inline]
@@ -267,6 +337,21 @@ impl<F: ForceLaw> ForceLaw for Cutoff<F> {
         } else {
             self.inner.force(target, source, disp)
         }
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        let beyond = disp.norm_sq().lanes_gt(F64x2::splat(self.r_c * self.r_c));
+        // Most vectors a cutoff kernel is shown are out of range in both
+        // lanes; skip the inner law for those. The kernel still adds the
+        // returned `+0.0`, exactly as the scalar path adds `Vec2::zero()`
+        // (which matters to an accumulator holding `-0.0`).
+        if beyond.all() {
+            return Vec2x2::zero();
+        }
+        self.inner
+            .force_x2(targets, source, disp)
+            .zero_where(beyond)
     }
 
     #[inline]
@@ -417,6 +502,69 @@ mod tests {
         let (a, b) = pair();
         let law = Cutoff::new(Gravity::default(), 1.0).with_tail_energy(-0.125);
         assert_eq!(law.potential(&a, &b, b.pos - a.pos), -0.125);
+    }
+
+    /// Lane `i` of `force_x2` against `force` on lane `i`'s inputs, by bits.
+    fn assert_lanes_match<F: ForceLaw>(law: &F, t: [&Particle; 2], s: &Particle, d: [Vec2; 2]) {
+        let got = law.force_x2(t, s, Vec2x2::new(d[0], d[1])).to_lanes();
+        for lane in 0..2 {
+            let want = law.force(t[lane], s, d[lane]);
+            assert_eq!(
+                [got[lane].x.to_bits(), got[lane].y.to_bits()],
+                [want.x.to_bits(), want.y.to_bits()],
+                "lane {lane}, disp {:?}: {:?} vs {want:?}",
+                d[lane],
+                got[lane]
+            );
+        }
+    }
+
+    #[test]
+    fn lane_overrides_match_scalar_force_bit_for_bit() {
+        let t0 = Particle::at(0, Vec2::zero()).with_mass(1.5);
+        let t1 = Particle::at(1, Vec2::zero()).with_mass(0.25);
+        let s = Particle::at(2, Vec2::zero()).with_mass(3.0);
+        // Generic, coincident (the `== 0.0` guards), exactly at r_c = 0.5,
+        // just beyond it, and far beyond it; every ordered pair of them so
+        // each guard fires in lane 0 only, lane 1 only, both and neither.
+        let disps = [
+            Vec2::new(0.3, -0.1),
+            Vec2::zero(),
+            Vec2::new(-0.0, 0.0),
+            Vec2::new(0.5, 0.0),
+            Vec2::new(0.0, 0.5000000000000001),
+            Vec2::new(-7.0, 2.0),
+        ];
+        let soft = RepulsiveInverseSquare {
+            strength: 1e-3,
+            softening: 1e-3,
+        };
+        let hard = RepulsiveInverseSquare {
+            strength: 2.0,
+            softening: 0.0,
+        };
+        let point_gravity = Gravity {
+            g: 1.0,
+            softening: 0.0,
+        };
+        let lj = LennardJones {
+            epsilon: 0.7,
+            sigma: 0.2,
+        };
+        for &d0 in &disps {
+            for &d1 in &disps {
+                let (t, d) = ([&t0, &t1], [d0, d1]);
+                assert_lanes_match(&soft, t, &s, d);
+                assert_lanes_match(&hard, t, &s, d);
+                assert_lanes_match(&point_gravity, t, &s, d);
+                assert_lanes_match(&Gravity::default(), t, &s, d);
+                assert_lanes_match(&lj, t, &s, d);
+                assert_lanes_match(&Cutoff::new(hard, 0.5), t, &s, d);
+                assert_lanes_match(&Cutoff::new(LennardJones::default(), 0.5), t, &s, d);
+                assert_lanes_match(&Cutoff::new(Counting, 0.5), t, &s, d);
+                assert_lanes_match(&Counting, t, &s, d);
+            }
+        }
     }
 
     #[test]

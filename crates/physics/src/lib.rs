@@ -22,6 +22,7 @@ pub mod force;
 pub mod force_ext;
 pub mod init;
 pub mod integrator;
+pub mod lanes;
 pub mod neighbor;
 pub mod particle;
 pub mod reference;
@@ -30,6 +31,7 @@ pub mod vec2;
 pub use domain::{Boundary, Domain};
 pub use force::{Counting, Cutoff, ForceLaw, Gravity, LennardJones, RepulsiveInverseSquare};
 pub use force_ext::{ShiftedForce, Yukawa};
+pub use lanes::{F64x2, Mask2, Vec2x2};
 pub use integrator::{ExplicitEuler, Integrator, SemiImplicitEuler, VelocityVerlet};
 pub use particle::{Particle, PARTICLE_WIRE_BYTES};
 pub use vec2::Vec2;

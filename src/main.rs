@@ -58,8 +58,8 @@
 //! `--roofline-out` and gated by `--roofline-baseline` (fails if the best
 //! rank falls below the recorded floor minus its tolerance).
 //!
-//! `calibrate` measures the machine ceilings the roofline uses (scalar
-//! FMA peak, stream bandwidth) with seedable microbenchmarks and writes
+//! `calibrate` measures the machine ceilings the roofline uses (packed
+//! multiply-add peak, stream bandwidth) with seedable microbenchmarks and writes
 //! them as JSON (`--full` for the long, checked-in variant).
 //!
 //! `--serve-metrics=<addr>` starts a dependency-free HTTP endpoint
@@ -178,7 +178,7 @@ use nbody_perfmon::{
 };
 use nbody_physics::{
     diagnostics, init, Boundary, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
-    RepulsiveInverseSquare, SemiImplicitEuler, Vec2, PARTICLE_WIRE_BYTES,
+    RepulsiveInverseSquare, SemiImplicitEuler, Vec2, Vec2x2, PARTICLE_WIRE_BYTES,
 };
 use nbody_trace::{ExecutionTrace, Json, ALL_PHASES};
 
@@ -279,6 +279,17 @@ impl ForceLaw for AnyLaw {
             AnyLaw::Lj(l) => l.force(target, source, disp),
             AnyLaw::RepulsiveCutoff(l) => l.force(target, source, disp),
             AnyLaw::GravityCutoff(l) => l.force(target, source, disp),
+        }
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        match self {
+            AnyLaw::Repulsive(l) => l.force_x2(targets, source, disp),
+            AnyLaw::Gravity(l) => l.force_x2(targets, source, disp),
+            AnyLaw::Lj(l) => l.force_x2(targets, source, disp),
+            AnyLaw::RepulsiveCutoff(l) => l.force_x2(targets, source, disp),
+            AnyLaw::GravityCutoff(l) => l.force_x2(targets, source, disp),
         }
     }
 
@@ -1493,10 +1504,10 @@ fn calibrate_cmd(opts: &HashMap<String, String>) -> ExitCode {
     };
     cfg.seed = get(opts, "seed", cfg.seed);
     println!(
-        "calibrating ({}): {} FMA iters x {} lanes, {} MiB stream, best of {}",
+        "calibrating ({}): {} multiply-add iters x {} lanes, {} MiB stream, best of {}",
         if full { "full" } else { "quick" },
         cfg.fma_iters,
-        8,
+        nbody_perfmon::calibrate::LANES,
         cfg.stream_mib,
         cfg.repeats
     );
@@ -1504,7 +1515,7 @@ fn calibrate_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let cal = MachineCalibration::measure(&cfg);
     let elapsed = start.elapsed();
     println!(
-        "  scalar FMA peak {:.3} GFLOP/s, stream bandwidth {:.3} GB/s ({elapsed:.2?})",
+        "  multiply-add peak {:.3} GFLOP/s, stream bandwidth {:.3} GB/s ({elapsed:.2?})",
         cal.peak_gflops, cal.mem_bw_gbytes
     );
     if let Some(path) = opts.get("out") {

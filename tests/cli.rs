@@ -52,6 +52,38 @@ fn verify_covers_every_method() {
 }
 
 #[test]
+fn verify_covers_every_law_variant() {
+    // The five runtime-selected `AnyLaw` variants (each forwards the lane
+    // call to its concrete law): law x whether the method wraps a cutoff.
+    for (law, method) in [
+        ("repulsive", "ca"),
+        ("repulsive", "ca-cutoff-1d"),
+        ("gravity", "ca"),
+        ("gravity", "ca-cutoff-1d"),
+        ("lj", "ca"),
+    ] {
+        let out = cli()
+            .args([
+                "verify",
+                &format!("law={law}"),
+                &format!("method={method}"),
+                "n=63",
+                "p=4",
+                "c=1",
+                "steps=3",
+            ])
+            .output()
+            .expect("failed to launch CLI");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("VERIFY OK"),
+            "law {law} method {method}: {stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn force_decomp_requires_square_p() {
     let out = cli()
         .args(["verify", "method=force-decomp", "n=32", "p=9", "steps=2"])
@@ -1835,11 +1867,14 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
         .expect("launch");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "NaN run must fail");
-    assert!(
-        stderr.contains("non-finite force at rank 0 step 1"),
-        "{stderr}"
-    );
+    // The whole blame record, particle included: the lane kernel must
+    // poison exactly the targets the scalar loop poisoned, or the sentinel
+    // would name a different one.
+    let blame = "non-finite force at rank 0 step 1 phase force: particle index 0 (id 0)";
+    assert!(stderr.contains(blame), "{stderr}");
     assert!(stderr.contains("postmortem bundle written"), "{stderr}");
+    let bundle = std::fs::read_to_string(&tl).expect("postmortem bundle");
+    assert!(bundle.contains(blame), "{bundle}");
 
     // The postmortem carries the blame and renders UNHEALTHY, exit 1.
     let out = cli().args(["health", &tl]).output().expect("launch");

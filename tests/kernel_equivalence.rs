@@ -1,0 +1,533 @@
+//! The lane-parallel block kernel against the scalar loop it replaced.
+//!
+//! `kernel::accumulate_block` walks targets two per vector and asks the law
+//! for both lanes at once; its contract is that every force it produces is
+//! bit for bit what the one-target-at-a-time loop produced, and that it
+//! evaluates exactly the same pairs. This file keeps a copy of that loop
+//! (`scalar_block`, verbatim from before the rewrite) and checks the
+//! kernel against it for every built-in law and wrapper, every boundary,
+//! every block shape, and the IEEE corners the lane overrides had to get
+//! right. `AnyLaw` lives in the CLI binary and is out of reach here; it
+//! only forwards to these laws, and `verify_covers_every_law_variant` in
+//! `tests/cli.rs` drives each of its variants against the serial reference.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ca_nbody::kernel::{accumulate_block, accumulate_block_potential, block_interactions};
+use nbody_physics::{
+    Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
+    RepulsiveInverseSquare, ShiftedForce, Vec2, Yukawa,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The kernel as it was before the lane rewrite: one target at a time,
+/// one scalar `force` per pair, sources in order.
+fn scalar_block<F: ForceLaw>(
+    targets: &mut [Particle],
+    sources: &[Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+) -> (u64, f64) {
+    let mut skipped: u64 = 0;
+    let mut potential = 0.0f64;
+    for t in targets.iter_mut() {
+        let mut acc = t.force;
+        for s in sources {
+            if t.id == s.id {
+                skipped += 1;
+                continue;
+            }
+            let disp = boundary.displacement(domain, t.pos, s.pos);
+            acc += law.force(t, s, disp);
+            potential += law.potential(t, s, disp);
+        }
+        t.force = acc;
+    }
+    let evals = (targets.len() as u64)
+        .saturating_mul(sources.len() as u64)
+        .saturating_sub(skipped);
+    (evals, potential)
+}
+
+/// A law that implements exactly what the benchmark harness's counting
+/// wrapper implements — no lane override — and counts its `force` calls.
+struct Plain<F> {
+    inner: F,
+    calls: AtomicU64,
+}
+
+impl<F> Plain<F> {
+    fn new(inner: F) -> Self {
+        Plain {
+            inner,
+            calls: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<F: ForceLaw> ForceLaw for Plain<F> {
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.force(target, source, disp)
+    }
+    fn potential(&self, target: &Particle, source: &Particle, disp: Vec2) -> f64 {
+        self.inner.potential(target, source, disp)
+    }
+    fn cutoff(&self) -> Option<f64> {
+        self.inner.cutoff()
+    }
+    fn is_symmetric(&self) -> bool {
+        self.inner.is_symmetric()
+    }
+    fn flops_per_interaction(&self) -> u64 {
+        self.inner.flops_per_interaction()
+    }
+}
+
+/// A particle compared by bit pattern, every NaN collapsed to one value
+/// (which NaN the hardware hands back is not part of the contract; which
+/// components are NaN is).
+fn bits(p: &Particle) -> [u64; 8] {
+    let b = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+    [
+        b(p.pos.x),
+        b(p.pos.y),
+        b(p.vel.x),
+        b(p.vel.y),
+        b(p.force.x),
+        b(p.force.y),
+        b(p.mass),
+        p.id,
+    ]
+}
+
+/// One law on one block pair: kernel ≡ scalar loop in forces and count,
+/// the potential variant ≡ the plain kernel in forces and ≡ the scalar
+/// loop's potential up to summation order, and a no-override wrapper of
+/// the same law sees exactly `count` calls and produces the same bits.
+fn check_law<F: ForceLaw + Copy>(
+    name: &str,
+    law: F,
+    targets: &[Particle],
+    sources: &[Particle],
+    domain: &Domain,
+    boundary: Boundary,
+) -> Result<(), String> {
+    let ctx = |what: &str| {
+        format!(
+            "{name} {boundary:?} {}x{}: {what}",
+            targets.len(),
+            sources.len()
+        )
+    };
+    let mut want = targets.to_vec();
+    let (want_evals, want_pe) = scalar_block(&mut want, sources, &law, domain, boundary);
+
+    let mut got = targets.to_vec();
+    let evals = accumulate_block(&mut got, sources, &law, domain, boundary);
+    if evals != want_evals {
+        return Err(ctx(&format!("count {evals} vs scalar {want_evals}")));
+    }
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        if bits(g) != bits(w) {
+            return Err(ctx(&format!("target {i}: kernel {g:?} vs scalar {w:?}")));
+        }
+    }
+
+    let mut harvested = targets.to_vec();
+    let (pe_evals, pe) =
+        accumulate_block_potential(&mut harvested, sources, &law, domain, boundary);
+    if pe_evals != want_evals {
+        return Err(ctx("potential variant changed the count"));
+    }
+    if harvested.iter().map(bits).ne(want.iter().map(bits)) {
+        return Err(ctx("potential variant changed the forces"));
+    }
+    // Targets advance in pairs, so the potential's summation order differs
+    // from the scalar loop's; its value may differ by rounding only.
+    let scale: f64 = want_pe.abs().max(1.0);
+    if want_pe.is_finite() && (pe - want_pe).abs() > 1e-9 * scale {
+        return Err(ctx(&format!("potential {pe} vs scalar {want_pe}")));
+    }
+
+    let plain = Plain::new(law);
+    let mut via_default = targets.to_vec();
+    let plain_evals = accumulate_block(&mut via_default, sources, &plain, domain, boundary);
+    let calls = plain.calls.load(Ordering::Relaxed);
+    if plain_evals != want_evals || calls != want_evals {
+        return Err(ctx(&format!(
+            "default path: {calls} force calls, count {plain_evals}, scalar {want_evals}"
+        )));
+    }
+    if via_default.iter().map(bits).ne(want.iter().map(bits)) {
+        return Err(ctx("default per-lane path and lane override disagree"));
+    }
+    Ok(())
+}
+
+/// Every built-in law and wrapper, sized for a box of order one. Zero
+/// softening variants keep the `r2 == 0` guards reachable.
+fn check_all_laws(
+    targets: &[Particle],
+    sources: &[Particle],
+    domain: &Domain,
+    boundary: Boundary,
+) -> Result<(), String> {
+    let soft = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 1e-3,
+    };
+    let hard = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 0.0,
+    };
+    let gravity = Gravity {
+        g: 1e-3,
+        softening: 0.02,
+    };
+    let point_gravity = Gravity {
+        g: 1.0,
+        softening: 0.0,
+    };
+    let lj = LennardJones {
+        epsilon: 1.0,
+        sigma: 0.05,
+    };
+    let (t, s, d, b) = (targets, sources, domain, boundary);
+    check_law("repulsive", soft, t, s, d, b)?;
+    check_law("repulsive eps=0", hard, t, s, d, b)?;
+    check_law("gravity", gravity, t, s, d, b)?;
+    check_law("gravity eps=0", point_gravity, t, s, d, b)?;
+    check_law("lj", lj, t, s, d, b)?;
+    check_law("cutoff<repulsive>", Cutoff::new(soft, 0.25), t, s, d, b)?;
+    check_law(
+        "cutoff<repulsive eps=0>",
+        Cutoff::new(hard, 0.5),
+        t,
+        s,
+        d,
+        b,
+    )?;
+    check_law("cutoff<gravity>", Cutoff::new(gravity, 0.25), t, s, d, b)?;
+    check_law(
+        "cutoff<lj>+tail",
+        Cutoff::new(lj, 0.125).with_tail_energy(-0.5),
+        t,
+        s,
+        d,
+        b,
+    )?;
+    check_law("cutoff<counting>", Cutoff::new(Counting, 0.3), t, s, d, b)?;
+    check_law(
+        "shifted<repulsive>",
+        ShiftedForce::new(soft, 0.3),
+        t,
+        s,
+        d,
+        b,
+    )?;
+    check_law("shifted<lj>", ShiftedForce::new(lj, 0.125), t, s, d, b)?;
+    check_law("yukawa", Yukawa::default(), t, s, d, b)?;
+    check_law(
+        "cutoff<yukawa>",
+        Cutoff::new(Yukawa::default(), 0.4),
+        t,
+        s,
+        d,
+        b,
+    )?;
+    check_law("counting", Counting, t, s, d, b)?;
+    Ok(())
+}
+
+const BOUNDARIES: [Boundary; 3] = [Boundary::Open, Boundary::Reflective, Boundary::Periodic];
+
+/// How the two blocks' ids relate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Overlap {
+    /// `sources` is `targets`: every target meets itself once.
+    Diagonal,
+    /// Disjoint ids: nothing is skipped.
+    OffDiagonal,
+    /// The source ids start part-way through the target ids.
+    Partial,
+}
+
+/// `nt` targets and `ns` sources in `domain` (a few outside it, which the
+/// kernel must not care about), random masses, and non-zero initial force
+/// accumulators with the odd `-0.0`.
+fn blocks(
+    seed: u64,
+    nt: usize,
+    ns: usize,
+    overlap: Overlap,
+    domain: &Domain,
+) -> (Vec<Particle>, Vec<Particle>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ext = domain.extent();
+    let mut particle = |id: u64| {
+        let mut at = |lo: f64, len: f64| lo + len * rng.gen_range(-0.05..1.05);
+        let pos = Vec2::new(at(domain.min.x, ext.x), at(domain.min.y, ext.y));
+        let mut p = Particle::at(id, pos).with_mass(rng.gen_range(0.25..4.0));
+        p.vel = Vec2::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        p.force = match rng.gen_range(0..4) {
+            0 => Vec2::zero(),
+            1 => Vec2::new(-0.0, -0.0),
+            _ => Vec2::new(rng.gen_range(-1e-2..1e-2), rng.gen_range(-1e-2..1e-2)),
+        };
+        p
+    };
+    let targets: Vec<Particle> = (0..nt as u64).map(&mut particle).collect();
+    let sources = match overlap {
+        Overlap::Diagonal => targets.clone(),
+        Overlap::OffDiagonal => (0..ns as u64).map(|i| particle(1000 + i)).collect(),
+        Overlap::Partial => (0..ns as u64)
+            .map(|i| {
+                let id = nt as u64 / 2 + i;
+                // A shared id is the same particle: same position too.
+                match targets.get(id as usize) {
+                    Some(t) => *t,
+                    None => particle(id),
+                }
+            })
+            .collect(),
+    };
+    (targets, sources)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn kernel_equals_scalar_loop_for_every_law_boundary_and_shape(
+        seed in 0u64..1_000_000,
+        nt in prop_oneof![Just(0usize), Just(1), Just(2), Just(3), 4usize..34],
+        ns in prop_oneof![Just(0usize), Just(1), Just(2), 3usize..34],
+        overlap in prop_oneof![
+            Just(Overlap::Diagonal),
+            Just(Overlap::OffDiagonal),
+            Just(Overlap::Partial),
+        ],
+        unit_box in any::<bool>(),
+    ) {
+        let domain = if unit_box {
+            Domain::unit()
+        } else {
+            Domain::new(Vec2::new(-1.0, 0.25), Vec2::new(0.5, 1.0))
+        };
+        let (targets, sources) = blocks(seed, nt, ns, overlap, &domain);
+        for boundary in BOUNDARIES {
+            if let Err(msg) = check_all_laws(&targets, &sources, &domain, boundary) {
+                prop_assert!(false, "seed {} {:?}: {}", seed, overlap, msg);
+            }
+        }
+        // The count is the schedule generators' closed form on the two
+        // shapes they cost.
+        let mut t = targets.clone();
+        let evals = accumulate_block(&mut t, &sources, &Counting, &domain, Boundary::Open);
+        match overlap {
+            Overlap::Diagonal => prop_assert_eq!(evals, block_interactions(nt, nt, true)),
+            Overlap::OffDiagonal => prop_assert_eq!(evals, block_interactions(nt, ns, false)),
+            Overlap::Partial => {
+                let shared = targets
+                    .iter()
+                    .filter(|t| sources.iter().any(|s| s.id == t.id))
+                    .count() as u64;
+                prop_assert_eq!(evals, (nt * ns) as u64 - shared);
+            }
+        }
+    }
+}
+
+/// The even / odd / tiny target counts by name, diagonal and not, so a
+/// failure says which shape broke without decoding a seed.
+#[test]
+fn named_target_counts_diagonal_and_off_diagonal() {
+    let domain = Domain::unit();
+    for nt in [0, 1, 2, 3, 7, 8, 31, 32] {
+        for overlap in [Overlap::Diagonal, Overlap::OffDiagonal, Overlap::Partial] {
+            let (targets, sources) = blocks(nt as u64 + 17, nt, 9, overlap, &domain);
+            for boundary in BOUNDARIES {
+                check_all_laws(&targets, &sources, &domain, boundary)
+                    .unwrap_or_else(|msg| panic!("nt={nt} {overlap:?}: {msg}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn coincident_particles_take_the_zero_guards_in_either_lane() {
+    // Distinct ids on the same spot: with zero softening the laws' `r2 ==
+    // 0` and `normalized` guards fire; with softening they do not. The
+    // coincident source sits first, last, and between ordinary ones, and
+    // the coincident target in lane 0, lane 1, and the odd tail.
+    let domain = Domain::unit();
+    let spot = Vec2::new(0.5, 0.5);
+    for lane in 0..3 {
+        let mut targets: Vec<Particle> = (0..3)
+            .map(|i| Particle::at(i, Vec2::new(0.1 + 0.2 * i as f64, 0.3)))
+            .collect();
+        targets[lane].pos = spot;
+        let sources = vec![
+            Particle::at(10, spot),
+            Particle::at(11, Vec2::new(0.9, 0.1)),
+            Particle::at(12, spot),
+            Particle::at(13, Vec2::new(0.2, 0.8)),
+            Particle::at(14, spot),
+        ];
+        for boundary in BOUNDARIES {
+            check_all_laws(&targets, &sources, &domain, boundary).unwrap();
+        }
+    }
+}
+
+#[test]
+fn rejected_pairs_add_positive_zero_to_a_negative_zero_accumulator() {
+    // Every pair is beyond r_c, so the scalar loop adds `+0.0` to each
+    // accumulator: `-0.0` becomes `+0.0`, anything else is unchanged. The
+    // lane path returns early on an all-rejected vector and must still
+    // leave the same bits behind.
+    let domain = Domain::square(10.0);
+    let law = Cutoff::new(LennardJones::default(), 0.5);
+    let mut targets: Vec<Particle> = (0..5)
+        .map(|i| Particle::at(i, Vec2::new(1.0 + i as f64, 1.0)))
+        .collect();
+    for t in &mut targets {
+        t.force = Vec2::new(-0.0, -0.0);
+    }
+    targets[3].force = Vec2::new(-0.0, 2.5);
+    let sources = vec![Particle::at(20, Vec2::new(1.0, 8.0))];
+    for boundary in [Boundary::Open, Boundary::Reflective] {
+        let mut got = targets.clone();
+        accumulate_block(&mut got, &sources, &law, &domain, boundary);
+        for (i, g) in got.iter().enumerate() {
+            assert_eq!(g.force.x.to_bits(), 0.0f64.to_bits(), "target {i} x");
+            let want_y = if i == 3 { 2.5f64 } else { 0.0 };
+            assert_eq!(g.force.y.to_bits(), want_y.to_bits(), "target {i} y");
+        }
+        check_law("cutoff<lj>", law, &targets, &sources, &domain, boundary).unwrap();
+    }
+    // No sources at all: nothing is added, `-0.0` stays `-0.0`.
+    let mut untouched = targets.clone();
+    accumulate_block(&mut untouched, &[], &law, &domain, Boundary::Open);
+    assert_eq!(untouched[0].force.x.to_bits(), (-0.0f64).to_bits());
+}
+
+#[test]
+fn pairs_exactly_at_the_cutoff_radius_are_kept() {
+    // |disp|^2 == r_c^2 exactly (r_c = 5/8 along an axis, and the 3-4-5
+    // triangle scaled by 1/8): `>` rejects, so these interact; one ulp
+    // further out they do not.
+    let domain = Domain::unit();
+    let targets = vec![
+        Particle::at(0, Vec2::new(0.25, 0.25)),
+        Particle::at(1, Vec2::new(0.25, 0.5)),
+        Particle::at(2, Vec2::new(0.5, 0.25)),
+    ];
+    let sources = vec![
+        Particle::at(10, Vec2::new(0.875, 0.25)),
+        Particle::at(11, Vec2::new(0.25, 0.875)),
+        Particle::at(12, Vec2::new(0.625, 0.75)),
+        Particle::at(13, Vec2::new(0.8750000000000001, 0.25)),
+    ];
+    let law = Cutoff::new(Counting, 0.625);
+    let mut got = targets.clone();
+    accumulate_block(&mut got, &sources, &law, &domain, Boundary::Open);
+    // Target 0 is exactly r_c from sources 10 and 11 and (3/8, 4/8) from 12.
+    assert_eq!(got[0].force.x, 3.0);
+    for boundary in BOUNDARIES {
+        check_law(
+            "cutoff<counting>",
+            law,
+            &targets,
+            &sources,
+            &domain,
+            boundary,
+        )
+        .unwrap();
+        let repulsive = RepulsiveInverseSquare::default();
+        let edge = Cutoff::new(repulsive, 0.625);
+        check_law(
+            "cutoff<repulsive>",
+            edge,
+            &targets,
+            &sources,
+            &domain,
+            boundary,
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn displacements_exactly_at_half_the_box_are_not_wrapped() {
+    // Minimum image wraps only strictly beyond half the extent: at exactly
+    // +/- half it keeps the raw displacement, per axis and per lane.
+    let domain = Domain::new(Vec2::new(0.0, 0.0), Vec2::new(2.0, 1.0));
+    let targets = vec![
+        Particle::at(0, Vec2::new(0.25, 0.125)),
+        Particle::at(1, Vec2::new(1.5, 0.75)),
+        Particle::at(2, Vec2::new(1.0, 0.5)),
+    ];
+    let sources = vec![
+        Particle::at(10, Vec2::new(1.25, 0.625)), // +half from target 0 on both axes
+        Particle::at(11, Vec2::new(0.5, 0.25)),   // -half from target 1 on both axes
+        Particle::at(12, Vec2::new(1.2500000000000002, 0.125)), // just beyond: wraps
+        Particle::at(13, Vec2::new(0.0, 0.0)),
+        Particle::at(14, Vec2::new(2.0, 1.0)),
+    ];
+    check_all_laws(&targets, &sources, &domain, Boundary::Periodic).unwrap();
+    // And the value itself: the unwrapped +1.0 displacement, not -1.0.
+    let pull = Gravity {
+        g: 1.0,
+        softening: 0.0,
+    };
+    let mut got = vec![Particle::at(0, Vec2::new(0.25, 0.5))];
+    let src = vec![Particle::at(10, Vec2::new(1.25, 0.5))];
+    accumulate_block(&mut got, &src, &pull, &domain, Boundary::Periodic);
+    assert_eq!(got[0].force, Vec2::new(1.0, 0.0));
+}
+
+#[test]
+fn nan_positions_poison_the_same_components_as_the_scalar_loop() {
+    // `nbody-simhealth` blames the first particle whose force is not
+    // finite; that lands on the same (rank, step, particle) only if a NaN
+    // spreads through the lane path exactly as through the scalar one:
+    // same targets, same components, neighbours in the other lane clean.
+    let domain = Domain::unit();
+    let nan = f64::NAN;
+    for (bad_target, bad_pos) in [
+        (Some(0), Vec2::new(nan, 0.4)),
+        (Some(1), Vec2::new(0.4, nan)),
+        (Some(2), Vec2::new(nan, nan)),
+        (None, Vec2::new(nan, 0.4)),
+    ] {
+        let mut targets: Vec<Particle> = (0..3)
+            .map(|i| Particle::at(i, Vec2::new(0.2 + 0.1 * i as f64, 0.3)))
+            .collect();
+        let mut sources: Vec<Particle> = (0..4)
+            .map(|i| Particle::at(10 + i, Vec2::new(0.6, 0.1 + 0.2 * i as f64)))
+            .collect();
+        match bad_target {
+            Some(i) => targets[i].pos = bad_pos,
+            None => sources[2].pos = bad_pos,
+        }
+        for boundary in BOUNDARIES {
+            check_all_laws(&targets, &sources, &domain, boundary).unwrap();
+        }
+        // The blame itself: which targets end up non-finite.
+        let law = RepulsiveInverseSquare {
+            strength: 1e-3,
+            softening: 1e-3,
+        };
+        let mut got = targets.clone();
+        accumulate_block(&mut got, &sources, &law, &domain, Boundary::Reflective);
+        for (i, g) in got.iter().enumerate() {
+            let poisoned = bad_target.is_none() || bad_target == Some(i);
+            assert_eq!(!g.force.is_finite(), poisoned, "target {i}: {:?}", g.force);
+        }
+    }
+}
