@@ -6,8 +6,8 @@ use criterion::{
     black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 use nbody_physics::{
-    init, Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
-    RepulsiveInverseSquare, Vec2,
+    init, Boundary, Counting, Cutoff, Domain, F64x2, ForceLaw, Gravity, LennardJones, Particle,
+    RepulsiveInverseSquare, Vec2, Vec2x2,
 };
 
 fn bench_pair_kernels(c: &mut Criterion) {
@@ -46,6 +46,37 @@ struct NoOverride(RepulsiveInverseSquare);
 impl ForceLaw for NoOverride {
     fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
         self.0.force(target, source, disp)
+    }
+}
+
+/// The paper's law as the textbook writes it and as the repo computed it
+/// before the one-divide rewrite: `-normalized(disp) * (k·m_t·m_s / r²)`,
+/// a square root and three divides per pair. Kept here, next to the shipped
+/// law, so the before/after ratio can be measured on any machine without
+/// checking out an old commit (DESIGN.md §13.5). Bench-local on purpose:
+/// the library has one law per name.
+struct TextbookRepulsive {
+    strength: f64,
+    softening: f64,
+}
+
+impl ForceLaw for TextbookRepulsive {
+    #[inline]
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        let r2 = disp.norm_sq() + self.softening * self.softening;
+        if r2 == 0.0 {
+            return Vec2::zero();
+        }
+        let mag = self.strength * target.mass * source.mass / r2;
+        -disp.normalized() * mag
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        let r2 = disp.norm_sq() + F64x2::splat(self.softening * self.softening);
+        let masses = F64x2::new(targets[0].mass, targets[1].mass);
+        let mag = F64x2::splat(self.strength) * masses * F64x2::splat(source.mass) / r2;
+        (-disp.normalized() * mag).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
     }
 }
 
@@ -113,6 +144,19 @@ fn bench_block_kernel(c: &mut Criterion) {
         2048,
         &lj_box,
         Boundary::Periodic,
+    );
+    // Before the rewrite: same lanes, same nest, three divides per pair.
+    let textbook = TextbookRepulsive {
+        strength: repulsive.strength,
+        softening: repulsive.softening,
+    };
+    bench_block(
+        &mut group,
+        "textbook_three_divides",
+        &textbook,
+        2048,
+        &unit,
+        Boundary::Reflective,
     );
     let plain = NoOverride(repulsive);
     bench_block(

@@ -30,13 +30,19 @@ use crate::vec2::Vec2;
 /// gets the provided default — `force` once per lane — and is correct as
 /// it stands. A law whose cost is arithmetic (divides, square roots) should
 /// override `force_x2` with [`F64x2`]/[`Vec2x2`] arithmetic, which on
-/// `x86_64` retires both lanes per instruction. The override must keep the
-/// kernel's contract, *lane `i` of the result is bit for bit
+/// `x86_64` retires both lanes per instruction. `force` is the definition
+/// of the law — the serial reference, the scalar path of the kernel and
+/// every test go through it — and the override must keep the kernel's
+/// contract, *lane `i` of the result is bit for bit
 /// `self.force(targets[i], source, lane i of disp)`*:
 ///
+/// * in `force` itself, prefer one reciprocal and multiplies over several
+///   divides: the divider is the kernel's bottleneck (DESIGN.md §13.3),
+///   and the built-in laws spend at most one `sqrt` and one `/` per pair;
 /// * transcribe `force` operation by operation, in its order and
-///   association (`a * b * c / d` is `((a * b) * c) / d`); lane arithmetic
-///   never fuses or approximates, so equal expressions give equal bits;
+///   association (`disp * inv * k` is `(disp * inv) * k`, and `k * m_t *
+///   m_s` is `(k * m_t) * m_s`); lane arithmetic never fuses or
+///   approximates, so equal expressions give equal bits;
 /// * every `if guard { return Vec2::zero() }` becomes a final
 ///   [`Vec2x2::zero_where`] on the guard's mask — the guarded lane computes
 ///   garbage (possibly `inf`/NaN) that the select then replaces with `+0.0`;
@@ -93,10 +99,45 @@ pub trait ForceLaw: Sync {
     }
 }
 
-/// The masses of a target pair, one per lane.
+/// `k·m_t·m_s` of a target pair against one source, one per lane, in the
+/// scalar association `(k·m_t)·m_s`.
 #[inline(always)]
-fn masses(targets: [&Particle; 2]) -> F64x2 {
-    F64x2::new(targets[0].mass, targets[1].mass)
+fn strength_x2(k: f64, targets: [&Particle; 2], source: &Particle) -> F64x2 {
+    F64x2::splat(k) * F64x2::new(targets[0].mass, targets[1].mass) * F64x2::splat(source.mass)
+}
+
+/// The softened inverse-square force both [`Gravity`] (`kmm = G·m_t·m_s`)
+/// and [`RepulsiveInverseSquare`] (`kmm = −k·m_t·m_s`) are made of, at one
+/// square root and one divide per pair: `disp · (1 / (r²·|d|)) · kmm` with
+/// `r² = |d|² + ε²`. Multiplying `disp` by the reciprocal *before* the
+/// strength keeps every intermediate no larger than `1/r²` or the force
+/// itself, so a finite displacement never yields NaN (`kmm/(r²·|d|)` can
+/// overflow where the force does not, and `0 · inf` across the
+/// displacement is NaN).
+///
+/// One guard: a denominator below the normal range returns `+0.0`. That is
+/// the coincident pair with `ε > 0` (`|d| = 0`, otherwise `0·inf`), the
+/// coincident pair with `ε = 0` (`r² = 0`), and a pair so close that
+/// `r²·|d|` is no longer a normal number (`|d| < 2.9e-103` at `ε = 0`).
+/// DESIGN.md §13.5 states the range and the ULP bound against the textbook
+/// `normalized() * (k·m·m/r²)`.
+#[inline(always)]
+fn inverse_square(kmm: f64, softening: f64, disp: Vec2) -> Vec2 {
+    let d2 = disp.norm_sq();
+    let denom = (d2 + softening * softening) * d2.sqrt();
+    if denom < f64::MIN_POSITIVE {
+        return Vec2::zero();
+    }
+    disp * (1.0 / denom) * kmm
+}
+
+/// [`inverse_square`] for a target pair, operation by operation.
+#[inline(always)]
+fn inverse_square_x2(kmm: F64x2, softening: f64, disp: Vec2x2) -> Vec2x2 {
+    let d2 = disp.norm_sq();
+    let denom = (d2 + F64x2::splat(softening * softening)) * d2.sqrt();
+    (disp * (F64x2::splat(1.0) / denom) * kmm)
+        .zero_where(denom.lanes_lt(F64x2::splat(f64::MIN_POSITIVE)))
 }
 
 /// The paper's force: repulsion with inverse-square falloff,
@@ -106,8 +147,8 @@ pub struct RepulsiveInverseSquare {
     /// Force constant `k`.
     pub strength: f64,
     /// Plummer-style softening length; avoids the singularity when particles
-    /// coincide. Zero is allowed (coincident particles then exert no force
-    /// because the direction is undefined — see [`Vec2::normalized`]).
+    /// approach. Zero is allowed. Coincident particles exert no force at any
+    /// softening, because the direction is undefined.
     pub softening: f64,
 }
 
@@ -121,23 +162,18 @@ impl Default for RepulsiveInverseSquare {
 }
 
 impl ForceLaw for RepulsiveInverseSquare {
+    // Repulsive: push the target away from the source, i.e. opposite the
+    // displacement toward the source — the negated strength.
     #[inline]
     fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
-        let r2 = disp.norm_sq() + self.softening * self.softening;
-        if r2 == 0.0 {
-            return Vec2::zero();
-        }
-        let mag = self.strength * target.mass * source.mass / r2;
-        // Repulsive: push the target away from the source, i.e. opposite the
-        // displacement toward the source.
-        -disp.normalized() * mag
+        let kmm = -self.strength * target.mass * source.mass;
+        inverse_square(kmm, self.softening, disp)
     }
 
     #[inline]
     fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
-        let r2 = disp.norm_sq() + F64x2::splat(self.softening * self.softening);
-        let mag = F64x2::splat(self.strength) * masses(targets) * F64x2::splat(source.mass) / r2;
-        (-disp.normalized() * mag).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
+        let kmm = strength_x2(-self.strength, targets, source);
+        inverse_square_x2(kmm, self.softening, disp)
     }
 
     #[inline]
@@ -149,10 +185,11 @@ impl ForceLaw for RepulsiveInverseSquare {
         self.strength * target.mass * source.mass / r
     }
 
-    // norm_sq (3) + softening (2) + magnitude (3) + normalize (6) +
-    // scale/negate (2) + accumulate (2) + compare (1) + guard slack.
+    // norm_sq (3) + softening (2) + sqrt (1) + denominator (1) +
+    // reciprocal (1) + strength (2) + scale twice (4) + accumulate (2) +
+    // compare (1). The sign rides on the strength.
     fn flops_per_interaction(&self) -> u64 {
-        20
+        17
     }
 }
 
@@ -178,19 +215,12 @@ impl Default for Gravity {
 impl ForceLaw for Gravity {
     #[inline]
     fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
-        let r2 = disp.norm_sq() + self.softening * self.softening;
-        if r2 == 0.0 {
-            return Vec2::zero();
-        }
-        let mag = self.g * target.mass * source.mass / r2;
-        disp.normalized() * mag
+        inverse_square(self.g * target.mass * source.mass, self.softening, disp)
     }
 
     #[inline]
     fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
-        let r2 = disp.norm_sq() + F64x2::splat(self.softening * self.softening);
-        let mag = F64x2::splat(self.g) * masses(targets) * F64x2::splat(source.mass) / r2;
-        (disp.normalized() * mag).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
+        inverse_square_x2(strength_x2(self.g, targets, source), self.softening, disp)
     }
 
     #[inline]
@@ -204,7 +234,7 @@ impl ForceLaw for Gravity {
 
     // Same operation mix as the repulsive law, opposite sign.
     fn flops_per_interaction(&self) -> u64 {
-        20
+        17
     }
 }
 
@@ -234,21 +264,25 @@ impl ForceLaw for LennardJones {
         if r2 == 0.0 {
             return Vec2::zero();
         }
-        let s2 = self.sigma * self.sigma / r2;
+        // One reciprocal, then multiplies: the divider is the bottleneck.
+        let inv_r2 = 1.0 / r2;
+        let s2 = self.sigma * self.sigma * inv_r2;
         let s6 = s2 * s2 * s2;
         let s12 = s6 * s6;
         // dU/dr resolved along the pair axis; positive magnitude = repulsion.
-        let mag_over_r = 24.0 * self.epsilon * (2.0 * s12 - s6) / r2;
+        let mag_over_r = 24.0 * self.epsilon * (2.0 * s12 - s6) * inv_r2;
         -disp * mag_over_r
     }
 
     #[inline]
     fn force_x2(&self, _targets: [&Particle; 2], _source: &Particle, disp: Vec2x2) -> Vec2x2 {
         let r2 = disp.norm_sq();
-        let s2 = F64x2::splat(self.sigma * self.sigma) / r2;
+        let inv_r2 = F64x2::splat(1.0) / r2;
+        let s2 = F64x2::splat(self.sigma * self.sigma) * inv_r2;
         let s6 = s2 * s2 * s2;
         let s12 = s6 * s6;
-        let mag_over_r = F64x2::splat(24.0 * self.epsilon) * (F64x2::splat(2.0) * s12 - s6) / r2;
+        let mag_over_r =
+            F64x2::splat(24.0 * self.epsilon) * (F64x2::splat(2.0) * s12 - s6) * inv_r2;
         (-disp * mag_over_r).zero_where(r2.lanes_eq(F64x2::splat(0.0)))
     }
 
@@ -263,10 +297,10 @@ impl ForceLaw for LennardJones {
         4.0 * self.epsilon * (s6 * s6 - s6)
     }
 
-    // norm_sq (3) + s2/s6/s12 ladder (6) + magnitude (5) + scale/negate
-    // (4) + accumulate (2) + compare (1) + guard slack.
+    // norm_sq (3) + reciprocal (1) + s2/s6/s12 ladder (5) + magnitude (5)
+    // + scale (2) + accumulate (2) + compare (1). Negation is a sign flip.
     fn flops_per_interaction(&self) -> u64 {
-        23
+        19
     }
 }
 
@@ -380,6 +414,7 @@ impl<F: ForceLaw> ForceLaw for Cutoff<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pair() -> (Particle, Particle) {
         (
@@ -505,7 +540,12 @@ mod tests {
     }
 
     /// Lane `i` of `force_x2` against `force` on lane `i`'s inputs, by bits.
-    fn assert_lanes_match<F: ForceLaw>(law: &F, t: [&Particle; 2], s: &Particle, d: [Vec2; 2]) {
+    fn assert_lanes_match<F: ForceLaw + ?Sized>(
+        law: &F,
+        t: [&Particle; 2],
+        s: &Particle,
+        d: [Vec2; 2],
+    ) {
         let got = law.force_x2(t, s, Vec2x2::new(d[0], d[1])).to_lanes();
         for lane in 0..2 {
             let want = law.force(t[lane], s, d[lane]);
@@ -534,6 +574,12 @@ mod tests {
             Vec2::new(0.5, 0.0),
             Vec2::new(0.0, 0.5000000000000001),
             Vec2::new(-7.0, 2.0),
+            // The edges of the one-divide range (DESIGN.md §13.5): `r²·|d|`
+            // just normal, subnormal (guarded although `|d| != 0`), and
+            // overflowing to `inf`.
+            Vec2::new(3e-103, 0.0),
+            Vec2::new(0.0, -2e-103),
+            Vec2::new(1e120, -1e120),
         ];
         let soft = RepulsiveInverseSquare {
             strength: 1e-3,
@@ -560,6 +606,8 @@ mod tests {
                 assert_lanes_match(&Gravity::default(), t, &s, d);
                 assert_lanes_match(&lj, t, &s, d);
                 assert_lanes_match(&Cutoff::new(hard, 0.5), t, &s, d);
+                assert_lanes_match(&Cutoff::new(soft, 0.5), t, &s, d);
+                assert_lanes_match(&Cutoff::new(Gravity::default(), 0.5), t, &s, d);
                 assert_lanes_match(&Cutoff::new(LennardJones::default(), 0.5), t, &s, d);
                 assert_lanes_match(&Cutoff::new(Counting, 0.5), t, &s, d);
                 assert_lanes_match(&Counting, t, &s, d);
@@ -567,9 +615,284 @@ mod tests {
         }
     }
 
+    /// Bit patterns of both components.
+    fn vec_bits(v: Vec2) -> [u64; 2] {
+        [v.x.to_bits(), v.y.to_bits()]
+    }
+
+    #[test]
+    fn coincident_pair_with_softening_is_positive_zero_in_both_forms() {
+        // `|d| == 0` with `eps > 0`: `r²` is fine but the direction is not
+        // (`0 · 1/0`). The guard answers `+0.0` — not the `-0.0` a negated
+        // zero would be — in `force`, in either lane, in both, and through
+        // `Cutoff`; the lane next to a guarded one is what `force` says.
+        let t0 = Particle::at(0, Vec2::zero()).with_mass(1.5);
+        let t1 = Particle::at(1, Vec2::zero()).with_mass(0.25);
+        let s = Particle::at(2, Vec2::zero()).with_mass(3.0);
+        let soft = RepulsiveInverseSquare {
+            strength: 1e-3,
+            softening: 1e-3,
+        };
+        let gravity = Gravity::default();
+
+        fn check<F: ForceLaw>(law: &F, t: [&Particle; 2], s: &Particle) {
+            let apart = Vec2::new(0.3, -0.1);
+            let zero = vec_bits(Vec2::zero());
+            for coincident in [Vec2::zero(), Vec2::new(-0.0, 0.0), Vec2::new(-0.0, -0.0)] {
+                assert_eq!(vec_bits(law.force(t[0], s, coincident)), zero);
+                let both = law.force_x2(t, s, Vec2x2::new(coincident, coincident));
+                assert_eq!(both.to_lanes().map(vec_bits), [zero, zero]);
+                let [g, o] = law
+                    .force_x2(t, s, Vec2x2::new(coincident, apart))
+                    .to_lanes();
+                assert_eq!(vec_bits(g), zero);
+                assert_eq!(vec_bits(o), vec_bits(law.force(t[1], s, apart)));
+                let [o, g] = law
+                    .force_x2(t, s, Vec2x2::new(apart, coincident))
+                    .to_lanes();
+                assert_eq!(vec_bits(g), zero);
+                assert_eq!(vec_bits(o), vec_bits(law.force(t[0], s, apart)));
+                assert!(o.norm() > 0.0, "the untouched lane still interacts");
+            }
+        }
+        let t = [&t0, &t1];
+        check(&soft, t, &s);
+        check(&gravity, t, &s);
+        check(&Cutoff::new(soft, 0.5), t, &s);
+        check(&Cutoff::new(gravity, 0.5), t, &s);
+    }
     #[test]
     #[should_panic(expected = "cutoff radius must be positive")]
     fn nonpositive_cutoff_rejected() {
         let _ = Cutoff::new(Counting, 0.0);
+    }
+
+    // ---- The one deliberate ULP step (DESIGN.md §13.5) -------------------
+    //
+    // `ForceLaw::force` is the definition of each law. What follows are
+    // test-only copies of the textbook expressions the laws computed before
+    // they went to one square root and one divide per pair, and the written
+    // bound on how far the definitions moved from them.
+
+    /// Largest per-component distance, in units in the last place, between
+    /// the inverse-square laws and [`textbook_inverse_square`] inside the
+    /// validity range. Both forms share `|d|²`, `r²`, `sqrt(|d|²)` and
+    /// `k·m_t·m_s`, then round three (textbook) and four (shipped) more
+    /// times at a relative 2⁻⁵³ each: at most 7·2⁻⁵³ apart, which is 3.5 to
+    /// 7 ulp depending on where the result sits in its binade. Measured
+    /// over 3·10⁷ samples of this test's distribution: 4 (106 times).
+    const INVERSE_SQUARE_ULPS: u64 = 7;
+
+    /// The same for Lennard-Jones against [`textbook_lj`], in ulps of the
+    /// *uncancelled* magnitude `|disp_c|·24ε·(2·s12 + s6)/r²`: near the
+    /// potential minimum `2·s12 − s6` cancels and amplifies the one extra
+    /// rounding in `s2` without limit, in ulps of the result. Measured over
+    /// 10⁷ samples: 2; the constant leaves room for the six-fold growth of
+    /// that rounding through `s12 = s2⁶`.
+    const LJ_ULPS: f64 = 8.0;
+
+    /// `normalized(disp) * (k·m_t·m_s / r²)`: a square root and three
+    /// divides. `k > 0` attracts, `k < 0` repels.
+    fn textbook_inverse_square(
+        k: f64,
+        softening: f64,
+        t: &Particle,
+        s: &Particle,
+        d: Vec2,
+    ) -> Vec2 {
+        let r2 = d.norm_sq() + softening * softening;
+        if r2 == 0.0 {
+            return Vec2::zero();
+        }
+        d.normalized() * (k * t.mass * s.mass / r2)
+    }
+
+    /// Lennard-Jones with its two divides.
+    fn textbook_lj(law: &LennardJones, d: Vec2) -> Vec2 {
+        let r2 = d.norm_sq();
+        if r2 == 0.0 {
+            return Vec2::zero();
+        }
+        let s2 = law.sigma * law.sigma / r2;
+        let s6 = s2 * s2 * s2;
+        -d * (24.0 * law.epsilon * (2.0 * s6 * s6 - s6) / r2)
+    }
+
+    /// Distance between two finite doubles in representable values.
+    fn ulps_apart(a: f64, b: f64) -> u64 {
+        // Map the bit patterns onto one monotone integer line (-0.0 and
+        // +0.0 both land on 0).
+        let line = |v: f64| {
+            let i = v.to_bits() as i64;
+            if i < 0 {
+                i64::MIN - i
+            } else {
+                i
+            }
+        };
+        line(a).abs_diff(line(b))
+    }
+
+    /// The spacing of doubles just above `|v|`.
+    fn ulp_of(v: f64) -> f64 {
+        let v = v.abs();
+        f64::from_bits(v.to_bits() + 1) - v
+    }
+
+    fn max_component_ulps(a: Vec2, b: Vec2) -> u64 {
+        ulps_apart(a.x, b.x).max(ulps_apart(a.y, b.y))
+    }
+
+    /// `force` on one pair, after checking that the lane form agrees with it
+    /// by bits with the pair in lane 0 and in lane 1 (an unrelated pair in
+    /// the other lane).
+    fn both_forms<F: ForceLaw + ?Sized>(law: &F, t: &Particle, s: &Particle, d: Vec2) -> Vec2 {
+        let other = Vec2::new(0.3, -0.1);
+        assert_lanes_match(law, [t, s], s, [d, other]);
+        assert_lanes_match(law, [s, t], s, [other, d]);
+        law.force(t, s, d)
+    }
+
+    #[test]
+    fn inverse_square_validity_range_by_name() {
+        // The bound holds while `r²·|d|` and its reciprocal are normal
+        // numbers: 2⁻¹⁰²² <= r²·|d| <= 2¹⁰²². At eps = 0 that is
+        // 2.82e-103 <= |d| <= 3.55e102. Outside it the laws stay finite.
+        let t = Particle::at(0, Vec2::zero()).with_mass(1.5);
+        let s = Particle::at(1, Vec2::zero()).with_mass(3.0);
+        let point = Gravity {
+            g: 1.0,
+            softening: 0.0,
+        };
+        let textbook = |d: Vec2| textbook_inverse_square(1.0, 0.0, &t, &s, d);
+        let zero = vec_bits(Vec2::zero());
+
+        // Smallest and largest |d| inside, along an axis (a zero component
+        // is where `0 · inf` would show) and off it.
+        for d in [
+            Vec2::new(2.9e-103, 0.0),
+            Vec2::new(0.0, -3e-103),
+            Vec2::new(2e-103, 2.1e-103),
+            Vec2::new(-3.5e102, 0.0),
+            Vec2::new(2.4e102, 2.5e102),
+        ] {
+            let got = both_forms(&point, &t, &s, d);
+            assert!(got.is_finite() && got != Vec2::zero(), "{d:?}: {got:?}");
+            assert!(
+                max_component_ulps(got, textbook(d)) <= INVERSE_SQUARE_ULPS,
+                "{d:?}: {got:?} vs {:?}",
+                textbook(d)
+            );
+        }
+        // Just below: the denominator is subnormal or zero, the guard
+        // answers +0.0 (the textbook form still resolves this pair).
+        for d in [Vec2::new(2.7e-103, 0.0), Vec2::new(0.0, 1e-110)] {
+            assert_eq!(vec_bits(both_forms(&point, &t, &s, d)), zero, "{d:?}");
+        }
+        // Just above: `1/(r²·|d|)` is subnormal and loses bits, the result
+        // is finite and right to 1e-12. Further out the denominator, then
+        // `|d|²` itself, overflow and the force flushes to zero.
+        let d = Vec2::new(5e102, 0.0);
+        let (got, want) = (both_forms(&point, &t, &s, d), textbook(d));
+        assert!((got.x - want.x).abs() <= 1e-12 * want.x.abs() && got.y == 0.0);
+        for d in [Vec2::new(1e103, 1e103), Vec2::new(-1e200, 3.0)] {
+            let got = both_forms(&point, &t, &s, d);
+            assert!(got.x == 0.0 && got.y == 0.0, "{d:?}: {got:?}");
+        }
+        // A force too large for a double is `inf` along the displacement
+        // and still zero across it, never NaN.
+        let huge = RepulsiveInverseSquare {
+            strength: 1e300,
+            softening: 0.0,
+        };
+        let got = both_forms(&huge, &t, &s, Vec2::new(1e-60, 0.0));
+        assert_eq!((got.x, got.y), (f64::NEG_INFINITY, 0.0));
+
+        // With softening the denominator's floor is eps²·|d|, so the
+        // guard only takes |d|² == 0 (|d| < 1.6e-162); a subnormal |d|²
+        // gives a finite force.
+        let soft = Gravity::default();
+        let got = both_forms(&soft, &t, &s, Vec2::new(1e-160, 0.0));
+        assert!(got.is_finite() && got.x > 0.0 && got.y == 0.0, "{got:?}");
+        let got = both_forms(&soft, &t, &s, Vec2::new(1e-170, 1e-170));
+        assert_eq!(vec_bits(got), zero);
+    }
+
+    #[test]
+    fn lennard_jones_validity_range_by_name() {
+        // Unchanged by the rewrite: both forms are finite while
+        // `24·eps·(2·s12 − s6)/r²` is, r/sigma >= 1.3e-22 at sigma = eps =
+        // 1, and at large r the ladder underflows to a zero force.
+        let lj = LennardJones::default();
+        let p = Particle::at(0, Vec2::zero());
+        for d in [
+            Vec2::new(1.3e-22, 0.0),
+            Vec2::new(0.0, 1e50),
+            Vec2::new(1e60, -1e60),
+        ] {
+            let got = both_forms(&lj, &p, &p, d);
+            let want = textbook_lj(&lj, d);
+            assert!(got.is_finite(), "{d:?}: {got:?}");
+            for (g, w) in [(got.x, want.x), (got.y, want.y)] {
+                assert!((g - w).abs() <= 1e-14 * w.abs(), "{d:?}: {g} vs {w}");
+            }
+        }
+        // Closer than that the magnitude overflows: `inf` along the
+        // displacement, NaN across it (`0 · inf`), exactly as the two-divide
+        // form answered. The force itself stops fitting a double at
+        // r/sigma = 2.6e-24.
+        let d = Vec2::new(1e-23, 0.0);
+        let (got, want) = (both_forms(&lj, &p, &p, d), textbook_lj(&lj, d));
+        assert_eq!(got.x, f64::NEG_INFINITY);
+        assert_eq!(want.x, f64::NEG_INFINITY);
+        assert!(got.y.is_nan() && want.y.is_nan());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn one_divide_laws_stay_within_the_stated_ulps_of_the_textbook(
+            // |d| over 16 decades, any direction, unequal masses.
+            exponent in -8.0..8.0f64,
+            angle in 0.0..std::f64::consts::TAU,
+            m_t in 0.25..4.0f64,
+            m_s in 0.25..4.0f64,
+            softening in prop_oneof![Just(0.0), Just(1e-6), Just(1e-3)],
+        ) {
+            let d = Vec2::new(angle.cos(), angle.sin()) * 10f64.powf(exponent);
+            let t = Particle::at(0, Vec2::zero()).with_mass(m_t);
+            let s = Particle::at(1, d).with_mass(m_s);
+
+            let repulsive = RepulsiveInverseSquare { strength: 1e-4, softening };
+            let gravity = Gravity { g: 1.0, softening };
+            let laws: [(&str, &dyn ForceLaw, f64); 2] =
+                [("repulsive", &repulsive, -1e-4), ("gravity", &gravity, 1.0)];
+            for (name, law, k) in laws {
+                let got = both_forms(law, &t, &s, d);
+                let want = textbook_inverse_square(k, softening, &t, &s, d);
+                prop_assert!(got.is_finite());
+                prop_assert!(
+                    max_component_ulps(got, want) <= INVERSE_SQUARE_ULPS,
+                    "{} eps={} d={:?}: {:?} vs textbook {:?}", name, softening, d, got, want
+                );
+            }
+
+            // sigma = 1: r/sigma over the same 16 decades, through the
+            // zero crossing at 2^(1/6).
+            let lj = LennardJones::default();
+            let got = both_forms(&lj, &t, &s, d);
+            let want = textbook_lj(&lj, d);
+            prop_assert!(got.is_finite());
+            let s2 = 1.0 / d.norm_sq();
+            let s6 = s2 * s2 * s2;
+            let uncancelled = 24.0 * (2.0 * s6 * s6 + s6) * s2;
+            for (g, w, c) in [(got.x, want.x, d.x), (got.y, want.y, d.y)] {
+                prop_assert!(
+                    (g - w).abs() <= LJ_ULPS * ulp_of(c * uncancelled),
+                    "lj d={:?}: {} vs textbook {}", d, g, w
+                );
+            }
+        }
     }
 }

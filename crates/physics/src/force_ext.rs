@@ -59,8 +59,8 @@ impl ForceLaw for Yukawa {
         self.strength * target.mass * source.mass * (-r / self.screening_length).exp() / r
     }
 
-    // The inverse-square mix plus a sqrt and an exp (costed at ~20 FLOPs
-    // for its polynomial expansion).
+    // The textbook inverse-square mix (normalize, then scale: ~20) plus a
+    // sqrt and an exp (costed at ~20 FLOPs for its polynomial expansion).
     fn flops_per_interaction(&self) -> u64 {
         45
     }

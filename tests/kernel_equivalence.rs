@@ -169,7 +169,8 @@ fn check_law<F: ForceLaw + Copy>(
 }
 
 /// Every built-in law and wrapper, sized for a box of order one. Zero
-/// softening variants keep the `r2 == 0` guards reachable.
+/// softening variants keep the `r2 == 0` guards reachable; the softened
+/// ones reach the `|d| == 0` guard on a coincident pair.
 fn check_all_laws(
     targets: &[Particle],
     sources: &[Particle],
@@ -360,10 +361,10 @@ fn named_target_counts_diagonal_and_off_diagonal() {
 
 #[test]
 fn coincident_particles_take_the_zero_guards_in_either_lane() {
-    // Distinct ids on the same spot: with zero softening the laws' `r2 ==
-    // 0` and `normalized` guards fire; with softening they do not. The
-    // coincident source sits first, last, and between ordinary ones, and
-    // the coincident target in lane 0, lane 1, and the odd tail.
+    // Distinct ids on the same spot: the laws' zero guards fire, with and
+    // without softening (a coincident pair has no direction either way).
+    // The coincident source sits first, last, and between ordinary ones,
+    // and the coincident target in lane 0, lane 1, and the odd tail.
     let domain = Domain::unit();
     let spot = Vec2::new(0.5, 0.5);
     for lane in 0..3 {
@@ -382,6 +383,64 @@ fn coincident_particles_take_the_zero_guards_in_either_lane() {
             check_all_laws(&targets, &sources, &domain, boundary).unwrap();
         }
     }
+}
+
+#[test]
+fn a_coincident_pair_with_softening_adds_positive_zero_and_nothing_else() {
+    // `|d| == 0` with `eps > 0`: the softened inverse-square laws cannot
+    // resolve a direction and answer `+0.0`. Every accumulator starts at
+    // `-0.0`, which only a `+0.0` contribution turns into `+0.0`, and the
+    // one source sits on one target at a time: lane 0 of the full pair,
+    // lane 1, then the odd tail. The other targets get exactly what the
+    // scalar `force` says for them.
+    let domain = Domain::unit();
+    let soft = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 1e-3,
+    };
+    let gravity = Gravity {
+        g: 1e-3,
+        softening: 0.02,
+    };
+    fn check<F: ForceLaw + Copy>(name: &str, law: F, domain: &Domain) {
+        let places = [
+            Vec2::new(0.25, 0.5),
+            Vec2::new(0.5, 0.25),
+            Vec2::new(0.625, 0.75),
+        ];
+        for hit in 0..3 {
+            let mut targets: Vec<Particle> = (0..3)
+                .map(|i| Particle::at(i, places[i as usize]).with_mass(1.0 + i as f64))
+                .collect();
+            for t in &mut targets {
+                t.force = Vec2::new(-0.0, -0.0);
+            }
+            let sources = vec![Particle::at(10, places[hit]).with_mass(0.5)];
+            for boundary in BOUNDARIES {
+                check_law(name, law, &targets, &sources, domain, boundary).unwrap();
+                let mut got = targets.clone();
+                accumulate_block(&mut got, &sources, &law, domain, boundary);
+                for (i, (g, t)) in got.iter().zip(&targets).enumerate() {
+                    let disp = boundary.displacement(domain, t.pos, sources[0].pos);
+                    let want = if i == hit {
+                        Vec2::zero()
+                    } else {
+                        Vec2::new(-0.0, -0.0) + law.force(t, &sources[0], disp)
+                    };
+                    assert_eq!(
+                        [g.force.x.to_bits(), g.force.y.to_bits()],
+                        [want.x.to_bits(), want.y.to_bits()],
+                        "{name} {boundary:?}: source on target {hit}, target {i}"
+                    );
+                    assert_eq!(g.force == Vec2::zero(), i == hit, "{name}: target {i}");
+                }
+            }
+        }
+    }
+    check("repulsive", soft, &domain);
+    check("gravity", gravity, &domain);
+    check("cutoff<repulsive>", Cutoff::new(soft, 0.75), &domain);
+    check("cutoff<gravity>", Cutoff::new(gravity, 0.75), &domain);
 }
 
 #[test]
