@@ -9,6 +9,7 @@ use nbody_physics::{
     init, Boundary, Counting, Cutoff, Domain, F64x2, ForceLaw, Gravity, LennardJones, Particle,
     RepulsiveInverseSquare, Vec2, Vec2x2,
 };
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn bench_pair_kernels(c: &mut Criterion) {
     let domain = Domain::unit();
@@ -80,6 +81,24 @@ impl ForceLaw for TextbookRepulsive {
     }
 }
 
+/// A cutoff law with its cutoff hidden from the kernel: the same answers
+/// (its `force` still rejects beyond `r_c`), but `accumulate_block` cannot
+/// rule anything out and runs the unculled nest. What the cull is measured
+/// against, on the same data.
+struct HideCutoff<F>(F);
+
+impl<F: ForceLaw> ForceLaw for HideCutoff<F> {
+    #[inline]
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.0.force(target, source, disp)
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        self.0.force_x2(targets, source, disp)
+    }
+}
+
 /// One row of the block-kernel table: `accumulate_block` on a `size` x
 /// `size` off-diagonal block pair, reported per interaction.
 fn bench_block<F: ForceLaw>(
@@ -95,18 +114,108 @@ fn bench_block<F: ForceLaw>(
     for t in &mut targets {
         t.id += size as u64;
     }
-    group.throughput(Throughput::Elements((size * size) as u64));
+    bench_block_pair(group, name, law, &mut targets, &sources, domain, boundary);
+}
+
+/// [`bench_block`] on given blocks, per pair presented to the kernel.
+fn bench_block_pair<F: ForceLaw>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    law: &F,
+    targets: &mut [Particle],
+    sources: &[Particle],
+    domain: &Domain,
+    boundary: Boundary,
+) {
+    let size = sources.len();
+    group.throughput(Throughput::Elements((targets.len() * size) as u64));
     group.bench_with_input(BenchmarkId::new(name, size), &size, |bench, _| {
         bench.iter(|| {
             ca_nbody::kernel::accumulate_block(
-                black_box(&mut targets),
-                black_box(&sources),
+                black_box(&mut *targets),
+                black_box(sources),
                 law,
                 domain,
                 boundary,
             )
         })
     });
+}
+
+/// The cutoff cull on one team's own block of the repo benchmark's
+/// `cutoff1d_lj_periodic` geometry (a quarter slab of the 8192-particle
+/// lattice: 2072 particles), in three orders: by lattice id (row-major over
+/// the whole lattice, which is how `reassign_particles` leaves it),
+/// shuffled (ids that say nothing about position, as after long mixing),
+/// and in `cell_order`, which is what the cutoff drivers hand the kernel.
+/// Each against the unculled nest on the same data, plus what the ordering
+/// itself costs per step, spread over the same presented pairs.
+fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
+    let n = 8192;
+    let domain = Domain::square((n as f64).sqrt() * 1.2);
+    let lj = Cutoff::new(LennardJones::default(), 2.5);
+    let lattice = init::lattice(n, &domain);
+    let by_id = ca_nbody::dist::spatial_subset_1d(&lattice, &domain, 4, 0);
+    let mut shuffled = by_id.clone();
+    let mut rng = StdRng::seed_from_u64(9);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut cell_ordered = by_id.clone();
+    ca_nbody::kernel::cell_order(&mut cell_ordered, &lj, &domain);
+    let unculled = HideCutoff(lj);
+    for (order, block) in [
+        ("lattice_id", &by_id),
+        ("shuffled", &shuffled),
+        ("cell_order", &cell_ordered),
+    ] {
+        let mut targets = block.clone();
+        let (d, b) = (&domain, Boundary::Periodic);
+        bench_block_pair(
+            group,
+            &format!("cull_{order}"),
+            &lj,
+            &mut targets,
+            block,
+            d,
+            b,
+        );
+        bench_block_pair(
+            group,
+            &format!("unculled_{order}"),
+            &unculled,
+            &mut targets,
+            block,
+            d,
+            b,
+        );
+    }
+    // The neighbouring slab's block against the same targets: most of them
+    // are further than `r_c` from all of it.
+    let mut east = ca_nbody::dist::spatial_subset_1d(&lattice, &domain, 4, 1);
+    ca_nbody::kernel::cell_order(&mut east, &lj, &domain);
+    let mut targets = cell_ordered.clone();
+    let (d, b) = (&domain, Boundary::Periodic);
+    bench_block_pair(
+        group,
+        "cull_cell_order_neighbour",
+        &lj,
+        &mut targets,
+        &east,
+        d,
+        b,
+    );
+    group.throughput(Throughput::Elements((by_id.len() * by_id.len()) as u64));
+    group.bench_function(
+        BenchmarkId::new("cell_order_from_id_order", by_id.len()),
+        |bench| {
+            bench.iter(|| {
+                let mut block = black_box(&by_id).clone();
+                ca_nbody::kernel::cell_order(&mut block, &lj, &domain);
+                block
+            })
+        },
+    );
 }
 
 /// Lane path vs. per-lane fallback, law by law, in one table. 2048 is the
@@ -145,6 +254,7 @@ fn bench_block_kernel(c: &mut Criterion) {
         &lj_box,
         Boundary::Periodic,
     );
+    bench_cutoff_cull(&mut group);
     // Before the rewrite: same lanes, same nest, three divides per pair.
     let textbook = TextbookRepulsive {
         strength: repulsive.strength,

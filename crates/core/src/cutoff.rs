@@ -37,7 +37,7 @@ use nbody_comm::{Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block, combine_forces, ComputeMeter};
+use crate::kernel::{accumulate_block, cell_order, combine_forces, ComputeMeter};
 use crate::window::Window;
 
 /// Tag for the skew message (line 4).
@@ -142,7 +142,9 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     let k = gc.row_index();
     debug_assert!(gc.is_leader() || st.is_empty());
 
-    // Line 2: broadcast the team subset down the column.
+    // Line 2: broadcast the team subset down the column, in the order the
+    // kernel's cull needs (every copy of the block then has it).
+    cell_order(st, law, domain);
     gc.col.set_phase(Phase::Broadcast);
     gc.col.bcast(0, st);
 

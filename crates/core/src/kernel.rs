@@ -10,12 +10,16 @@
 use std::time::Instant;
 
 use nbody_metrics::{Counter, MetricsRecorder};
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Vec2, Vec2x2};
+use nbody_physics::{Boundary, Domain, F64x2, ForceLaw, Particle, Vec2, Vec2x2};
 
 /// What the kernel's loop nest gathers per evaluated pair besides the
 /// force. A policy rather than a flag so that the plain kernel's copy of the
 /// nest carries no trace of the harvest: [`NoHarvest`] is a zero-sized no-op.
 trait Harvest {
+    /// Whether the nest may rule a pair out without asking the law. Only a
+    /// harvest that gathers nothing from a pair beyond `r_c` can allow it.
+    const CULLS: bool;
+
     fn pair<F: ForceLaw>(&mut self, law: &F, target: &Particle, source: &Particle, disp: Vec2);
 }
 
@@ -23,18 +27,122 @@ trait Harvest {
 struct NoHarvest;
 
 impl Harvest for NoHarvest {
+    const CULLS: bool = true;
+
     #[inline(always)]
     fn pair<F: ForceLaw>(&mut self, _: &F, _: &Particle, _: &Particle, _: Vec2) {}
 }
 
-/// Sum the pair potential of every evaluated interaction.
+/// Sum the pair potential of every evaluated interaction. It has to see
+/// every pair: `Cutoff::potential` is `tail_energy`, not zero, beyond `r_c`.
 struct PotentialSum(f64);
 
 impl Harvest for PotentialSum {
+    const CULLS: bool = false;
+
     #[inline(always)]
     fn pair<F: ForceLaw>(&mut self, law: &F, target: &Particle, source: &Particle, disp: Vec2) {
         self.0 += law.potential(target, source, disp);
     }
+}
+
+/// Sources per bounding box of the cutoff cull, and boxes per group box
+/// (the coarse level, tested first). DESIGN.md §14.7 has the measurements.
+const CHUNK: usize = 16;
+const GROUP: usize = 16;
+
+/// Relative widening of `r_c²` in the cull's test. The bound needs none
+/// (see [`Cull::beyond`]); it pays for a law whose own range test rounds
+/// differently from `Vec2::norm_sq`, e.g. through a fused multiply-add.
+const MARGIN: f64 = 1e-12;
+
+/// An axis-aligned box `(lo, hi)`.
+type Aabb = (Vec2, Vec2);
+
+/// The box around `points`, or the whole plane if a coordinate is NaN or
+/// infinite: such a source is shown to every target, as it always was.
+fn bounds(points: impl Iterator<Item = Vec2>) -> Aabb {
+    let inf = Vec2::new(f64::INFINITY, f64::INFINITY);
+    // `f64::min`/`max` step over a NaN, so finiteness is tracked apart.
+    let (lo, hi, finite) = points.fold((inf, -inf, true), |(lo, hi, ok), p| {
+        (lo.min(p), hi.max(p), ok && p.is_finite())
+    });
+    if finite {
+        (lo, hi)
+    } else {
+        (-inf, inf)
+    }
+}
+
+/// What one kernel call knows about where its sources are: a box per
+/// [`CHUNK`] consecutive sources and per [`GROUP`] consecutive chunks, built
+/// once in O(sources). Worth it when consecutive sources are neighbours
+/// ([`cell_order`]); on a shuffled block every box is the block's.
+struct Cull {
+    /// The law's `r_c * r_c`, widened by [`MARGIN`].
+    limit: f64,
+    /// The domain extent under `Boundary::Periodic`, zero otherwise (every
+    /// image of a point is then the point).
+    period: Vec2,
+    chunks: Vec<Aabb>,
+    groups: Vec<Aabb>,
+}
+
+impl Cull {
+    fn new(sources: &[Particle], r_c: f64, domain: &Domain, boundary: Boundary) -> Cull {
+        let boxes = |len: usize| -> Vec<Aabb> {
+            let chunks = sources.chunks(len);
+            chunks.map(|c| bounds(c.iter().map(|s| s.pos))).collect()
+        };
+        Cull {
+            limit: r_c * r_c * (1.0 + MARGIN),
+            period: match boundary {
+                Boundary::Periodic => domain.extent(),
+                _ => Vec2::zero(),
+            },
+            chunks: boxes(CHUNK),
+            groups: boxes(CHUNK * GROUP),
+        }
+    }
+
+    /// Whether every source inside a box is beyond `r_c` of *both* targets,
+    /// by the law's own test `disp.norm_sq() > r_c * r_c` on
+    /// `Boundary::displacement`'s own result. Targets must be finite.
+    ///
+    /// Rounding is monotone, so per axis `lo <= s <= hi` gives
+    /// `fl(lo - t) <= fl(s - t) <= fl(hi - t)`, and the same again after the
+    /// `± extent` of a wrap. The displacement the law is shown is one of the
+    /// three images `d`, `fl(d - ext)`, `fl(d + ext)` (single wrap, whatever
+    /// the positions), so its magnitude is at least the smallest distance
+    /// from zero to the three image intervals; `x*x + y*y` is monotone in
+    /// both magnitudes, so the law's `norm_sq` is at least the one below.
+    #[inline(always)]
+    fn beyond(&self, &(lo, hi): &Aabb, t: Vec2x2) -> bool {
+        let (dlo, dhi) = (Vec2x2::splat(lo) - t, Vec2x2::splat(hi) - t);
+        let image = |shift: Vec2| {
+            let shift = Vec2x2::splat(shift);
+            (dlo + shift).max(-(dhi + shift)).max(Vec2x2::zero())
+        };
+        let gap = image(Vec2::zero())
+            .min(image(-self.period))
+            .min(image(self.period));
+        gap.norm_sq().lanes_gt(F64x2::splat(self.limit)).all()
+    }
+}
+
+/// Put a block in the order the cull needs, consecutive particles being
+/// neighbours: by `r_c`-sized cell, row-major, ties by id (nothing moves
+/// under a law without a cutoff). It also puts the two lanes of a target
+/// pair next to each other. The cutoff drivers call it on the team leader
+/// before the broadcast. A total order on distinct ids, so the result does
+/// not depend on the order `block` arrives in.
+pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain) {
+    let Some(r_c) = law.cutoff() else { return };
+    block.sort_by_cached_key(|p| {
+        // `as i64` saturates and sends NaN to 0: any position gets some cell.
+        let cell = (p.pos - domain.min) / r_c;
+        (cell.y.floor() as i64, cell.x.floor() as i64, p.id)
+    });
 }
 
 /// The one target x source loop nest behind [`accumulate_block`] and
@@ -53,6 +161,18 @@ impl Harvest for PotentialSum {
 /// only a diagonal block has those, at most two per pair. The law is never
 /// asked for a self pair; a computed self-force is not masked away, it is
 /// not computed.
+///
+/// Under a law with a cutoff (and a harvest that allows it) the sources are
+/// walked in [`CHUNK`]s and a chunk whose box is [`Cull::beyond`] both
+/// targets is passed over: the law would have answered `+0.0` for each of
+/// its pairs ([`ForceLaw::cutoff`]). The chunks that remain run in source
+/// order, so each target still adds its non-zero terms in the scalar loop's
+/// sequence, and one final `+ 0.0` stands in for all the zeros passed over:
+/// adding `+0.0` changes an accumulator only from `-0.0` to `+0.0`, and
+/// once that has happened no sum returns to `-0.0`. A passed-over chunk
+/// cannot hold a target's own id, because a particle is where it is: the
+/// self source sits inside the box at distance zero. Without a cutoff the
+/// whole block is one chunk and the nest is the loop it always was.
 fn accumulate<F: ForceLaw, H: Harvest>(
     targets: &mut [Particle],
     sources: &[Particle],
@@ -61,6 +181,13 @@ fn accumulate<F: ForceLaw, H: Harvest>(
     boundary: Boundary,
     harvest: &mut H,
 ) -> u64 {
+    let cull = match law.cutoff() {
+        Some(r_c) if H::CULLS => Some(Cull::new(sources, r_c, domain, boundary)),
+        _ => None,
+    };
+    // Without a cull the whole block is one chunk of one group.
+    let chunk_len = if cull.is_some() { CHUNK } else { usize::MAX };
+    let group_len = chunk_len.saturating_mul(GROUP);
     let mut skipped: u64 = 0;
     for pair in targets.chunks_mut(2) {
         let full = pair.len() == 2;
@@ -70,26 +197,45 @@ fn accumulate<F: ForceLaw, H: Harvest>(
         let (t0, t1) = (pair[0], pair[pair.len() - 1]);
         let pos = Vec2x2::new(t0.pos, t1.pos);
         let mut acc = Vec2x2::new(t0.force, t1.force);
-        for s in sources {
-            if !full || t0.id == s.id || t1.id == s.id {
-                let mut lanes = acc.to_lanes();
-                for (t, a) in pair.iter().zip(&mut lanes) {
-                    if t.id == s.id {
-                        skipped += 1;
-                        continue;
-                    }
-                    let disp = boundary.displacement(domain, t.pos, s.pos);
-                    *a += law.force(t, s, disp);
-                    harvest.pair(law, t, s, disp);
-                }
-                acc = Vec2x2::new(lanes[0], lanes[1]);
+        // A NaN or infinite target is shown every source, as it always was.
+        let finite = t0.pos.is_finite() && t1.pos.is_finite();
+        let cull = cull.as_ref().filter(|_| finite);
+        let mut culled = false;
+        for (g, group) in sources.chunks(group_len).enumerate() {
+            if cull.is_some_and(|c| c.beyond(&c.groups[g], pos)) {
+                culled = true;
                 continue;
             }
-            let disp = boundary.displacement_x2(domain, pos, Vec2x2::splat(s.pos));
-            acc += law.force_x2([&t0, &t1], s, disp);
-            let [d0, d1] = disp.to_lanes();
-            harvest.pair(law, &t0, s, d0);
-            harvest.pair(law, &t1, s, d1);
+            for (j, chunk) in group.chunks(chunk_len).enumerate() {
+                if cull.is_some_and(|c| c.beyond(&c.chunks[g * GROUP + j], pos)) {
+                    culled = true;
+                    continue;
+                }
+                for s in chunk {
+                    if !full || t0.id == s.id || t1.id == s.id {
+                        let mut lanes = acc.to_lanes();
+                        for (t, a) in pair.iter().zip(&mut lanes) {
+                            if t.id == s.id {
+                                skipped += 1;
+                                continue;
+                            }
+                            let disp = boundary.displacement(domain, t.pos, s.pos);
+                            *a += law.force(t, s, disp);
+                            harvest.pair(law, t, s, disp);
+                        }
+                        acc = Vec2x2::new(lanes[0], lanes[1]);
+                        continue;
+                    }
+                    let disp = boundary.displacement_x2(domain, pos, Vec2x2::splat(s.pos));
+                    acc += law.force_x2([&t0, &t1], s, disp);
+                    let [d0, d1] = disp.to_lanes();
+                    harvest.pair(law, &t0, s, d0);
+                    harvest.pair(law, &t1, s, d1);
+                }
+            }
+        }
+        if culled {
+            acc += Vec2x2::zero();
         }
         for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
             t.force = a;
@@ -102,10 +248,13 @@ fn accumulate<F: ForceLaw, H: Harvest>(
 
 /// Accumulate the forces exerted by every particle in `sources` on every
 /// particle in `targets`. Self-interactions (matching ids) are skipped, so
-/// it is safe to pass a block to itself.
+/// it is safe to pass a block to itself; an id names a particle, so a
+/// source carrying a target's id is taken to be at that target's position.
 ///
-/// Returns the exact number of force evaluations performed — all ordered
-/// cross pairs minus the skipped same-id pairs. This count is the unit of
+/// Returns the exact number of pairs the call answered — all ordered cross
+/// pairs minus the skipped same-id pairs, whether the law was evaluated for
+/// a pair or the cutoff cull ruled it out — which is
+/// [`block_interactions`] of the two shapes. This count is the unit of
 /// "computation" in the paper's cost model (`F = n²` total for all-pairs,
 /// `F = nk` with a cutoff) and the basis of the FLOP accounting.
 pub fn accumulate_block<F: ForceLaw>(
@@ -127,6 +276,8 @@ pub fn accumulate_block<F: ForceLaw>(
 /// The same loop nest as [`accumulate_block`] under a different harvest
 /// policy: forces are bit-identical, and plain (health-off) runs pay
 /// nothing for the potential — it is not free for laws like Lennard-Jones.
+/// The harvest asks the law about every pair (a pair beyond `r_c` still
+/// has a potential, `Cutoff`'s tail energy), so this variant never culls.
 pub fn accumulate_block_potential<F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[Particle],
@@ -139,8 +290,8 @@ pub fn accumulate_block_potential<F: ForceLaw>(
     (evals, potential.0)
 }
 
-/// Number of force evaluations `accumulate_block` performs for the given
-/// block sizes (used by schedule generators to cost compute ops): all
+/// Number of pairs `accumulate_block` answers for the given block sizes
+/// (used by schedule generators to cost compute ops): all
 /// ordered cross pairs, minus the skipped self-pairs when the blocks are
 /// the same block.
 ///
@@ -169,10 +320,11 @@ pub fn combine_forces(dst: &mut Particle, src: &Particle) {
 /// over bytes for arithmetic intensity).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComputeStats {
-    /// Force evaluations performed.
+    /// Pairs answered (see [`accumulate_block`]).
     pub interactions: u64,
     /// Floating-point operations, `interactions` times the law's
-    /// per-evaluation constant.
+    /// per-evaluation constant: nominal for a law with a cutoff, which
+    /// answers most pairs by its range test or is never asked.
     pub flops: u64,
     /// Compulsory memory traffic: targets are read and written, sources
     /// read, at the in-memory particle size.
@@ -231,7 +383,8 @@ impl ComputeStats {
 /// registry as the `compute_interactions` / `compute_flops` /
 /// `compute_bytes` / `compute_nanos` counters (no phase label: the kernel
 /// always runs under the drivers' `Phase::Other`). Cheap to construct per
-/// force evaluation; a no-op when the recorder is disabled.
+/// force evaluation; a no-op when the recorder is disabled. `compute_flops`
+/// is nominal per answered pair ([`ComputeStats::flops`]).
 pub struct ComputeMeter {
     flops_per_interaction: u64,
     interactions: Counter,
@@ -288,7 +441,7 @@ impl ComputeMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_physics::{init, reference, Counting};
+    use nbody_physics::{init, reference, Counting, Cutoff};
 
     #[test]
     fn kernel_matches_reference_for_full_population() {
@@ -331,6 +484,132 @@ mod tests {
             (pe - 2.0 * reference).abs() <= 1e-12 * reference.abs().max(1.0),
             "harvested {pe} vs 2x reference {reference}"
         );
+    }
+
+    #[test]
+    fn the_cull_rules_out_what_is_beyond_r_c_and_nothing_nearer() {
+        let domain = Domain::unit();
+        let patch = (Vec2::new(0.6, 0.6), Vec2::new(0.7, 0.7));
+        let beyond = |r_c: f64, boundary: Boundary, b: &Aabb, t: Vec2| {
+            Cull::new(&[], r_c, &domain, boundary).beyond(b, Vec2x2::splat(t))
+        };
+        // Corner to corner: sqrt(0.5² + 0.5²) = 0.707.
+        let t = Vec2::new(0.1, 0.1);
+        for boundary in [Boundary::Open, Boundary::Reflective] {
+            assert!(beyond(0.7, boundary, &patch, t));
+            assert!(!beyond(0.71, boundary, &patch, t));
+        }
+        // Through the periodic wall the corner is 0.4 away on both axes.
+        assert!(beyond(0.56, Boundary::Periodic, &patch, t));
+        assert!(!beyond(0.57, Boundary::Periodic, &patch, t));
+        // Both lanes must be beyond; inside the box the gap is zero.
+        let near = Vec2::new(0.65, 0.65);
+        let cull = Cull::new(&[], 0.05, &domain, Boundary::Open);
+        assert!(!cull.beyond(&patch, Vec2x2::new(t, near)));
+        assert!(!cull.beyond(&patch, Vec2x2::new(near, t)));
+        // A box around a NaN or an infinity is the whole plane.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let sources = [
+                Particle::at(0, Vec2::new(0.9, 0.9)),
+                Particle::at(1, Vec2::new(0.9, bad)),
+            ];
+            let cull = Cull::new(&sources, 1e-3, &domain, Boundary::Periodic);
+            assert!(!cull.beyond(&cull.chunks[0], Vec2x2::splat(t)), "{bad}");
+            assert!(!cull.beyond(&cull.groups[0], Vec2x2::splat(t)), "{bad}");
+        }
+    }
+
+    /// The soundness of the bound, on the implemented arithmetic: whenever
+    /// [`Cull::beyond`] says a box can be passed over, the cutoff law's own
+    /// answer is `+0.0` for both targets against the box's corners and
+    /// random points inside it. Domains of every size and offset, targets
+    /// and boxes up to three extents outside them (the displacement wraps
+    /// once only), radii from a ten-thousandth of the extent to thrice it.
+    #[test]
+    fn a_box_the_cull_passes_over_holds_nothing_the_law_accepts() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut passed_over = [0u32; 3];
+        for case in 0..6000 {
+            let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
+            let ext = Vec2::new(
+                10f64.powf(rng.gen_range(-3.0..3.0)),
+                10f64.powf(rng.gen_range(-3.0..3.0)),
+            );
+            let domain = Domain::new(min, min + ext);
+            let boundary = [Boundary::Open, Boundary::Reflective, Boundary::Periodic][case % 3];
+            let r_c = ext.x.min(ext.y) * 10f64.powf(rng.gen_range(-4.0..0.5));
+            let mut point = || {
+                Vec2::new(
+                    min.x + ext.x * rng.gen_range(-2.5..3.5),
+                    min.y + ext.y * rng.gen_range(-2.5..3.5),
+                )
+            };
+            let (t0, centre) = (point(), point());
+            let t1 = if case % 2 == 0 {
+                point()
+            } else {
+                t0 + ext * 1e-3
+            };
+            let half = ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0);
+            let (lo, hi) = (centre - half, centre + half);
+            let cull = Cull::new(&[], r_c, &domain, boundary);
+            if !cull.beyond(&(lo, hi), Vec2x2::new(t0, t1)) {
+                continue;
+            }
+            passed_over[case % 3] += 1;
+            let law = Cutoff::new(Counting, r_c);
+            let corners = [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)];
+            let inside = (0..64).map(|_| {
+                let at = |lo: f64, hi: f64, u: f64| (lo + (hi - lo) * u).clamp(lo, hi);
+                Vec2::new(
+                    at(lo.x, hi.x, rng.gen_range(0.0..1.0)),
+                    at(lo.y, hi.y, rng.gen_range(0.0..1.0)),
+                )
+            });
+            for s in corners.into_iter().chain(inside.collect::<Vec<_>>()) {
+                for t in [t0, t1] {
+                    let disp = boundary.displacement(&domain, t, s);
+                    let f = law.force(&Particle::at(0, t), &Particle::at(1, s), disp);
+                    assert_eq!(
+                        [f.x.to_bits(), f.y.to_bits()],
+                        [0.0f64.to_bits(); 2],
+                        "case {case}: {boundary:?} {domain:?} r_c {r_c}: {t:?} <- {s:?} in {lo:?}..{hi:?}"
+                    );
+                }
+            }
+        }
+        // Not vacuous under any boundary.
+        assert!(passed_over.iter().all(|&n| n > 200), "{passed_over:?}");
+    }
+
+    #[test]
+    fn cell_order_is_row_major_by_cell_then_id_whatever_the_input_order() {
+        let domain = Domain::new(Vec2::new(-1.0, 2.0), Vec2::new(3.0, 6.0));
+        let law = Cutoff::new(Counting, 1.0);
+        let at = |id: u64, x: f64, y: f64| Particle::at(id, Vec2::new(x, y));
+        let mut block = vec![
+            at(5, 2.5, 2.1),      // cell (3, 0)
+            at(4, -0.5, 3.5),     // cell (0, 1)
+            at(3, -0.9, 2.9),     // cell (0, 0)
+            at(2, -0.1, 2.2),     // cell (0, 0), smaller id first
+            at(1, 0.5, 2.5),      // cell (1, 0)
+            at(0, f64::NAN, 5.5), // cell (0, 3): NaN counts as cell 0
+            at(6, -7.0, 1.0),     // outside: cell (-6, -1) comes first
+        ];
+        let mut reversed = block.clone();
+        reversed.reverse();
+        cell_order(&mut block, &law, &domain);
+        cell_order(&mut reversed, &law, &domain);
+        let ids = |b: &[Particle]| b.iter().map(|p| p.id).collect::<Vec<_>>();
+        assert_eq!(ids(&block), [6, 2, 3, 1, 5, 4, 0]);
+        assert_eq!(ids(&reversed), ids(&block));
+        // A law without a cutoff has no cell size: nothing moves.
+        cell_order(&mut reversed, &Counting, &domain);
+        assert_eq!(ids(&reversed), ids(&block));
+        block.reverse();
+        cell_order(&mut block, &Counting, &domain);
+        assert_eq!(ids(&block), [0, 4, 5, 1, 3, 2, 6]);
     }
 
     #[test]

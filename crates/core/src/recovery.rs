@@ -62,7 +62,7 @@ use crate::allpairs::{TAG_SHIFT, TAG_SKEW};
 use crate::cutoff::{row_steps, validate_cutoff, TAG_CSHIFT, TAG_CSKEW};
 use crate::grid::GridComms;
 use crate::kernel::{
-    accumulate_block, accumulate_block_potential, combine_forces, ComputeMeter,
+    accumulate_block, accumulate_block_potential, cell_order, combine_forces, ComputeMeter,
 };
 use crate::window::Window;
 
@@ -821,6 +821,8 @@ pub fn ca_cutoff_forces_ft_health<C: Communicator, W: Window, F: ForceLaw>(
     let k = gc.row_index();
     debug_assert!(gc.is_leader() || st.is_empty());
 
+    // As in the plain driver: cell order first, so every copy has it.
+    cell_order(st, law, domain);
     gc.col.set_phase(Phase::Broadcast);
     gc.col.bcast(0, st);
     // Owned block + home copy + exchange buffer + recovery checkpoint.

@@ -77,6 +77,14 @@ pub trait ForceLaw: Sync {
     }
 
     /// Interaction cutoff radius, if any. `None` means all-pairs.
+    ///
+    /// `Some(r_c)` is a promise the block kernel relies on: whenever
+    /// `disp.norm_sq() > r_c * r_c` (both sides as `f64` arithmetic writes
+    /// them), [`force`](ForceLaw::force) returns exactly `+0.0` in both
+    /// components, whatever the particles. The kernel may then not ask at
+    /// all about a pair it can prove is that far apart, and a law must not
+    /// count on being called for it. [`potential`](ForceLaw::potential) is
+    /// under no such promise ([`Cutoff`] returns its tail energy there).
     fn cutoff(&self) -> Option<f64> {
         None
     }
@@ -93,7 +101,10 @@ pub trait ForceLaw: Sync {
     /// divides, and square roots as one FLOP each, including the force
     /// accumulation; transcendental calls are costed at their typical
     /// polynomial expansion. An estimate, not a measurement — what matters
-    /// for roofline comparisons is that it is fixed per law.
+    /// for roofline comparisons is that it is fixed per law. It is charged
+    /// once per pair the kernel *answers*: under a cutoff most pairs are
+    /// answered by the range test alone, or by the kernel's cull without a
+    /// call, so a cutoff law's FLOP totals are nominal, not executed work.
     fn flops_per_interaction(&self) -> u64 {
         20
     }

@@ -37,8 +37,8 @@ pub use array::{F64x2, Mask2};
 mod sse2 {
     use core::arch::x86_64::{
         __m128d, _mm_add_pd, _mm_and_pd, _mm_andnot_pd, _mm_cmpeq_pd, _mm_cmpgt_pd, _mm_cmplt_pd,
-        _mm_cvtsd_f64, _mm_div_pd, _mm_movemask_pd, _mm_mul_pd, _mm_or_pd, _mm_set1_pd, _mm_set_pd,
-        _mm_sqrt_pd, _mm_sub_pd, _mm_unpackhi_pd, _mm_xor_pd,
+        _mm_cvtsd_f64, _mm_div_pd, _mm_max_pd, _mm_min_pd, _mm_movemask_pd, _mm_mul_pd, _mm_or_pd,
+        _mm_set1_pd, _mm_set_pd, _mm_sqrt_pd, _mm_sub_pd, _mm_unpackhi_pd, _mm_xor_pd,
     };
     use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -90,6 +90,22 @@ mod sse2 {
         pub fn sqrt(self) -> F64x2 {
             // SAFETY: SSE2 is enabled (module invariant).
             F64x2(unsafe { _mm_sqrt_pd(self.0) })
+        }
+
+        /// Per-lane `if self < rhs { self } else { rhs }`: `rhs` when
+        /// either is NaN or both are zeros.
+        #[inline(always)]
+        pub fn min(self, rhs: F64x2) -> F64x2 {
+            // SAFETY: SSE2 is enabled (module invariant).
+            F64x2(unsafe { _mm_min_pd(self.0, rhs.0) })
+        }
+
+        /// Per-lane `if self > rhs { self } else { rhs }`: `rhs` when
+        /// either is NaN or both are zeros.
+        #[inline(always)]
+        pub fn max(self, rhs: F64x2) -> F64x2 {
+            // SAFETY: SSE2 is enabled (module invariant).
+            F64x2(unsafe { _mm_max_pd(self.0, rhs.0) })
         }
 
         /// Per-lane `self == rhs` (false on NaN, true for `+0.0 == -0.0`).
@@ -200,6 +216,22 @@ mod array {
         #[inline(always)]
         pub fn sqrt(self) -> F64x2 {
             F64x2(self.0.map(f64::sqrt))
+        }
+
+        /// Per-lane `if self < rhs { self } else { rhs }`: `rhs` when
+        /// either is NaN or both are zeros.
+        #[inline(always)]
+        pub fn min(self, rhs: F64x2) -> F64x2 {
+            let pick = |a: f64, b: f64| if a < b { a } else { b };
+            F64x2([pick(self.0[0], rhs.0[0]), pick(self.0[1], rhs.0[1])])
+        }
+
+        /// Per-lane `if self > rhs { self } else { rhs }`: `rhs` when
+        /// either is NaN or both are zeros.
+        #[inline(always)]
+        pub fn max(self, rhs: F64x2) -> F64x2 {
+            let pick = |a: f64, b: f64| if a > b { a } else { b };
+            F64x2([pick(self.0[0], rhs.0[0]), pick(self.0[1], rhs.0[1])])
         }
 
         /// Per-lane `self == rhs` (false on NaN, true for `+0.0 == -0.0`).
@@ -327,6 +359,24 @@ impl Vec2x2 {
     pub fn normalized(self) -> Vec2x2 {
         let n = self.norm_sq().sqrt();
         (self / n).zero_where(n.lanes_eq(F64x2::splat(0.0)))
+    }
+
+    /// Component-wise [`F64x2::min`].
+    #[inline(always)]
+    pub fn min(self, rhs: Vec2x2) -> Vec2x2 {
+        Vec2x2 {
+            x: self.x.min(rhs.x),
+            y: self.y.min(rhs.y),
+        }
+    }
+
+    /// Component-wise [`F64x2::max`].
+    #[inline(always)]
+    pub fn max(self, rhs: Vec2x2) -> Vec2x2 {
+        Vec2x2 {
+            x: self.x.max(rhs.x),
+            y: self.y.max(rhs.y),
+        }
     }
 
     /// `self` with `+0.0` in both components of every lane `mask` selects:
@@ -468,6 +518,18 @@ mod tests {
                             assert_eq!(lanes(va - vb), [bits(a - b), bits(b - a)], "{a} - {b}");
                             assert_eq!(lanes(va * vb), [bits(a * b), bits(b * a)], "{a} * {b}");
                             assert_eq!(lanes(va / vb), [bits(a / b), bits(b / a)], "{a} / {b}");
+                            let lt = |a: f64, b: f64| if a < b { a } else { b };
+                            let gt = |a: f64, b: f64| if a > b { a } else { b };
+                            assert_eq!(
+                                lanes(va.min(vb)),
+                                [bits(lt(a, b)), bits(lt(b, a))],
+                                "min({a}, {b})"
+                            );
+                            assert_eq!(
+                                lanes(va.max(vb)),
+                                [bits(gt(a, b)), bits(gt(b, a))],
+                                "max({a}, {b})"
+                            );
                         }
                         let v = F::new(a, 2.0);
                         assert_eq!(lanes(v.sqrt()), [bits(a.sqrt()), bits(2f64.sqrt())]);
@@ -539,6 +601,8 @@ mod tests {
         let mut acc = v;
         acc += w;
         assert_eq!(acc.to_lanes(), [a + b, b + b]);
+        assert_eq!(v.min(w).to_lanes(), [Vec2::new(0.1, -4.0), b]);
+        assert_eq!(v.max(w).to_lanes(), [Vec2::new(3.0, 0.7), b]);
     }
 
     #[test]

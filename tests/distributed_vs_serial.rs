@@ -2,10 +2,16 @@
 //! serial reference trajectory across decompositions, replication factors,
 //! force laws, integrators, and boundary conditions.
 
-use ca_nbody::{run_distributed, run_serial, Method, SimConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ca_nbody::{
+    run_distributed, run_distributed_chaos, run_distributed_traced, run_serial, Method,
+    RetryPolicy, SimConfig,
+};
+use nbody_comm::FaultPlan;
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, ExplicitEuler, ForceLaw, Gravity, Integrator, Particle,
-    RepulsiveInverseSquare, SemiImplicitEuler, VelocityVerlet,
+    init, Boundary, Cutoff, Domain, ExplicitEuler, ForceLaw, Gravity, Integrator, LennardJones,
+    Particle, RepulsiveInverseSquare, SemiImplicitEuler, Vec2, VelocityVerlet,
 };
 
 fn max_deviation(a: &[Particle], b: &[Particle]) -> f64 {
@@ -227,6 +233,105 @@ fn cutoff_methods_match_serial_periodic() {
         (Method::SpatialHalo2d, 9),
     ] {
         check(&cfg, &initial, method, p, 1e-9);
+    }
+}
+
+/// The law it wraps, counting the pairs it is asked about (no lane
+/// override, so one `force` call is one pair).
+struct Asked<F> {
+    inner: F,
+    calls: AtomicU64,
+}
+
+impl<F: ForceLaw> ForceLaw for Asked<F> {
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.force(target, source, disp)
+    }
+    fn cutoff(&self) -> Option<f64> {
+        self.inner.cutoff()
+    }
+}
+
+#[test]
+fn cutoff_drivers_cell_order_their_blocks_whatever_the_id_order() {
+    // Counts, not timings. The kernel can only rule out a chunk of sources
+    // that sit together, and a team's block arrives sorted by id: on
+    // `init::uniform` input ids say nothing about position, on
+    // `init::lattice` input they are row-major already. Both cutoff
+    // drivers must hand the kernel cell-ordered blocks either way: the law
+    // is then asked about a small part of the pairs the kernel answers for
+    // (`compute_interactions`), the plain and fault-tolerant drivers agree
+    // bit for bit, and both still track the serial reference. Dropping the
+    // ordering from either driver fails the uniform rows (half are asked).
+    let n = 2048;
+    let domain = Domain::square((n as f64).sqrt() * 1.2);
+    let mut lattice = init::lattice(n, &domain);
+    init::thermalize(&mut lattice, 0.5, 7);
+    let inputs = [
+        // Random pairs get arbitrarily close: a small core and a short
+        // step keep Lennard-Jones finite on them.
+        ("uniform", init::uniform(n, &domain, 7), 0.05, 1e-4),
+        ("lattice", lattice, 1.0, 0.005),
+    ];
+    for (name, initial, sigma, dt) in inputs {
+        let lj = LennardJones {
+            epsilon: 1.0,
+            sigma,
+        };
+        let cfg = SimConfig {
+            law: Asked {
+                inner: Cutoff::new(lj, 2.5),
+                calls: AtomicU64::new(0),
+            },
+            integrator: SemiImplicitEuler,
+            domain,
+            boundary: Boundary::Periodic,
+            dt,
+            steps: 2,
+        };
+        let want = run_serial(&cfg, &initial);
+        for (method, p) in [
+            (Method::Ca1dCutoff { c: 1 }, 4),
+            (Method::Ca1dCutoff { c: 2 }, 8),
+            (Method::Ca2dCutoff { c: 1 }, 4),
+        ] {
+            let ctx = format!("{name} {method:?} p={p}");
+            cfg.law.calls.store(0, Ordering::Relaxed);
+            let (plain, _, metrics) = run_distributed_traced(&cfg, method, p, &initial);
+            let asked = cfg.law.calls.swap(0, Ordering::Relaxed);
+            let answered = metrics.sum_counter("compute_interactions", None);
+            assert!(
+                4 * asked < answered,
+                "{ctx}: plain driver asked {asked} of {answered}"
+            );
+
+            let (plan, policy) = (FaultPlan::empty(), RetryPolicy::default());
+            let ft = run_distributed_chaos(&cfg, method, p, &plan, &policy, &initial).unwrap();
+            let asked_ft = cfg.law.calls.swap(0, Ordering::Relaxed);
+            assert_eq!(
+                ft.metrics.sum_counter("compute_interactions", None),
+                answered,
+                "{ctx}"
+            );
+            assert_eq!(
+                asked_ft, asked,
+                "{ctx}: the two drivers ask about the same pairs"
+            );
+
+            let bits = |ps: &[Particle]| -> Vec<[u64; 6]> {
+                ps.iter()
+                    .map(|q| [q.pos.x, q.pos.y, q.vel.x, q.vel.y, q.force.x, q.force.y])
+                    .map(|v| v.map(f64::to_bits))
+                    .collect()
+            };
+            assert!(
+                bits(&plain.particles) == bits(&ft.particles),
+                "{ctx}: plain vs ft"
+            );
+            let dev = max_deviation(&plain.particles, &want);
+            assert!(dev <= 1e-9, "{ctx}: deviation {dev:.3e} from serial");
+        }
     }
 }
 

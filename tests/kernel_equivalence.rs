@@ -13,7 +13,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ca_nbody::kernel::{accumulate_block, accumulate_block_potential, block_interactions};
+use ca_nbody::kernel::{
+    accumulate_block, accumulate_block_potential, block_interactions, cell_order,
+};
 use nbody_physics::{
     Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
     RepulsiveInverseSquare, ShiftedForce, Vec2, Yukawa,
@@ -87,6 +89,27 @@ impl<F: ForceLaw> ForceLaw for Plain<F> {
     }
 }
 
+/// The non-self pairs a law with a cutoff cannot be spared: those its own
+/// test `|disp|² > r_c²` does not reject (a NaN displacement among them).
+/// `None` for a law without a cutoff, which is asked for every pair.
+fn must_ask<F: ForceLaw>(
+    law: &F,
+    targets: &[Particle],
+    sources: &[Particle],
+    domain: &Domain,
+    boundary: Boundary,
+) -> Option<u64> {
+    let r_c = law.cutoff()?;
+    let pairs = targets
+        .iter()
+        .flat_map(|t| sources.iter().map(move |s| (t, s)));
+    let in_range = pairs.filter(|(t, s)| {
+        let d2 = boundary.displacement(domain, t.pos, s.pos).norm_sq();
+        t.id != s.id && (d2 <= r_c * r_c || d2.is_nan())
+    });
+    Some(in_range.count() as u64)
+}
+
 /// A particle compared by bit pattern, every NaN collapsed to one value
 /// (which NaN the hardware hands back is not part of the contract; which
 /// components are NaN is).
@@ -107,7 +130,8 @@ fn bits(p: &Particle) -> [u64; 8] {
 /// One law on one block pair: kernel ≡ scalar loop in forces and count,
 /// the potential variant ≡ the plain kernel in forces and ≡ the scalar
 /// loop's potential up to summation order, and a no-override wrapper of
-/// the same law sees exactly `count` calls and produces the same bits.
+/// the same law produces the same bits from exactly `count` calls (from at
+/// least the in-range ones if the law has a cutoff the kernel can cull by).
 fn check_law<F: ForceLaw + Copy>(
     name: &str,
     law: F,
@@ -157,9 +181,14 @@ fn check_law<F: ForceLaw + Copy>(
     let mut via_default = targets.to_vec();
     let plain_evals = accumulate_block(&mut via_default, sources, &plain, domain, boundary);
     let calls = plain.calls.load(Ordering::Relaxed);
-    if plain_evals != want_evals || calls != want_evals {
+    // The count is every pair the call answered. The law itself is asked
+    // for each of them unless it has a cutoff, and then at least for each
+    // pair its own range test would not reject.
+    let must_ask = must_ask(&law, targets, sources, domain, boundary).unwrap_or(want_evals);
+    if plain_evals != want_evals || calls > want_evals || calls < must_ask {
         return Err(ctx(&format!(
-            "default path: {calls} force calls, count {plain_evals}, scalar {want_evals}"
+            "default path: {calls} force calls (at least {must_ask}), count {plain_evals}, \
+             scalar {want_evals}"
         )));
     }
     if via_default.iter().map(bits).ne(want.iter().map(bits)) {
@@ -306,20 +335,27 @@ proptest! {
     fn kernel_equals_scalar_loop_for_every_law_boundary_and_shape(
         seed in 0u64..1_000_000,
         nt in prop_oneof![Just(0usize), Just(1), Just(2), Just(3), 4usize..34],
-        ns in prop_oneof![Just(0usize), Just(1), Just(2), 3usize..34],
+        ns in prop_oneof![Just(0usize), Just(1), Just(2), 3usize..34, 34usize..150],
         overlap in prop_oneof![
             Just(Overlap::Diagonal),
             Just(Overlap::OffDiagonal),
             Just(Overlap::Partial),
         ],
         unit_box in any::<bool>(),
+        cell_ordered in any::<bool>(),
     ) {
         let domain = if unit_box {
             Domain::unit()
         } else {
             Domain::new(Vec2::new(-1.0, 0.25), Vec2::new(0.5, 1.0))
         };
-        let (targets, sources) = blocks(seed, nt, ns, overlap, &domain);
+        // In id order a chunk's box is most of the domain and little is
+        // culled; in cell order much is.
+        let (targets, sources) = if cell_ordered {
+            ordered_blocks(seed, nt, ns, overlap, &domain, 0.125)
+        } else {
+            blocks(seed, nt, ns, overlap, &domain)
+        };
         for boundary in BOUNDARIES {
             if let Err(msg) = check_all_laws(&targets, &sources, &domain, boundary) {
                 prop_assert!(false, "seed {} {:?}: {}", seed, overlap, msg);
@@ -354,6 +390,71 @@ fn named_target_counts_diagonal_and_off_diagonal() {
             for boundary in BOUNDARIES {
                 check_all_laws(&targets, &sources, &domain, boundary)
                     .unwrap_or_else(|msg| panic!("nt={nt} {overlap:?}: {msg}"));
+            }
+        }
+    }
+}
+
+/// `blocks` with both blocks in the order the cutoff drivers hand the
+/// kernel (`cell_order` at radius `r`), so that a chunk of consecutive
+/// sources is a compact patch and the cull has something to rule out.
+fn ordered_blocks(
+    seed: u64,
+    nt: usize,
+    ns: usize,
+    overlap: Overlap,
+    domain: &Domain,
+    r: f64,
+) -> (Vec<Particle>, Vec<Particle>) {
+    let (mut targets, mut sources) = blocks(seed, nt, ns, overlap, domain);
+    let order = Cutoff::new(Counting, r);
+    cell_order(&mut targets, &order, domain);
+    cell_order(&mut sources, &order, domain);
+    (targets, sources)
+}
+
+/// `force` calls a no-override wrapper of `law` sees for one kernel call.
+fn force_calls<F: ForceLaw>(
+    law: F,
+    targets: &[Particle],
+    sources: &[Particle],
+    domain: &Domain,
+    boundary: Boundary,
+) -> u64 {
+    let plain = Plain::new(law);
+    accumulate_block(&mut targets.to_vec(), sources, &plain, domain, boundary);
+    plain.calls.load(Ordering::Relaxed)
+}
+
+#[test]
+fn blocks_past_one_chunk_are_culled_and_still_equal_the_scalar_loop() {
+    // Source counts past one chunk and past one group of chunks, with a
+    // ragged last chunk; target counts odd and even. In cell order the
+    // cull does rule chunks out (asserted, or this test would only repeat
+    // the small shapes), and every law must not notice.
+    let domain = Domain::unit();
+    for (nt, ns) in [(37, 53), (2, 129), (129, 2), (40, 300)] {
+        for overlap in [Overlap::Diagonal, Overlap::OffDiagonal, Overlap::Partial] {
+            let (targets, sources) = ordered_blocks(
+                nt as u64 * 1000 + ns as u64,
+                nt,
+                ns,
+                overlap,
+                &domain,
+                0.125,
+            );
+            for boundary in BOUNDARIES {
+                check_all_laws(&targets, &sources, &domain, boundary)
+                    .unwrap_or_else(|msg| panic!("{nt}x{ns} {overlap:?}: {msg}"));
+            }
+            if sources.len() > 32 {
+                let law = Cutoff::new(Counting, 0.125);
+                let asked = force_calls(law, &targets, &sources, &domain, Boundary::Periodic);
+                let shown = force_calls(Counting, &targets, &sources, &domain, Boundary::Periodic);
+                assert!(
+                    asked < shown,
+                    "{nt}x{ns} {overlap:?}: asked {asked} of {shown}"
+                );
             }
         }
     }
@@ -473,6 +574,54 @@ fn rejected_pairs_add_positive_zero_to_a_negative_zero_accumulator() {
     let mut untouched = targets.clone();
     accumulate_block(&mut untouched, &[], &law, &domain, Boundary::Open);
     assert_eq!(untouched[0].force.x.to_bits(), (-0.0f64).to_bits());
+
+    // Every chunk ruled out without the law being asked once: the zeros
+    // nobody computed still turn `-0.0` into `+0.0`. (48 far sources are
+    // whole chunks at any power-of-two chunk length up to 16, so the near
+    // ones appended below start a chunk of their own.)
+    let far: Vec<Particle> = (0..48)
+        .map(|i| Particle::at(20 + i, Vec2::new(1.0 + 0.1 * i as f64, 8.0)))
+        .collect();
+    for boundary in BOUNDARIES {
+        assert_eq!(force_calls(law, &targets, &far, &domain, boundary), 0);
+        let mut got = targets.clone();
+        accumulate_block(&mut got, &far, &law, &domain, boundary);
+        for (i, g) in got.iter().enumerate() {
+            assert_eq!(g.force.x.to_bits(), 0.0f64.to_bits(), "target {i} x");
+        }
+        check_law("cutoff<lj>", law, &targets, &far, &domain, boundary).unwrap();
+    }
+
+    // Some chunks ruled out, and the accepted pairs answer `-0.0`: the
+    // scalar loop's `-0.0 + 0.0 + -0.0` is `+0.0`, so the kernel's
+    // `-0.0 + -0.0` needs its one closing `+ 0.0`. With every pair in range
+    // nothing is ruled out and `-0.0` stays.
+    #[derive(Clone, Copy)]
+    struct NegativeZero;
+    impl ForceLaw for NegativeZero {
+        fn force(&self, _: &Particle, _: &Particle, _: Vec2) -> Vec2 {
+            Vec2::new(-0.0, -0.0)
+        }
+    }
+    let law = Cutoff::new(NegativeZero, 0.5);
+    let near: Vec<Particle> = (0..20)
+        .map(|i| Particle::at(100 + i, Vec2::new(1.0 + 0.01 * i as f64, 1.1)))
+        .collect();
+    let mixed: Vec<Particle> = far.iter().chain(&near).copied().collect();
+    for boundary in BOUNDARIES {
+        for (sources, want) in [(&near, -0.0f64), (&mixed, 0.0)] {
+            let asked = force_calls(law, &targets[..1], sources, &domain, boundary);
+            assert_eq!(
+                asked,
+                near.len() as u64,
+                "only the near chunks are asked about"
+            );
+            let mut got = targets[..1].to_vec();
+            accumulate_block(&mut got, sources, &law, &domain, boundary);
+            assert_eq!(got[0].force.x.to_bits(), want.to_bits());
+            check_law("cutoff<-0>", law, &targets, sources, &domain, boundary).unwrap();
+        }
+    }
 }
 
 #[test]
@@ -587,6 +736,71 @@ fn nan_positions_poison_the_same_components_as_the_scalar_loop() {
         for (i, g) in got.iter().enumerate() {
             let poisoned = bad_target.is_none() || bad_target == Some(i);
             assert_eq!(!g.force.is_finite(), poisoned, "target {i}: {:?}", g.force);
+        }
+    }
+}
+
+#[test]
+fn a_nan_or_infinite_position_is_never_ruled_out() {
+    // Several chunks of sources in a patch far from the targets: the cull
+    // rules all of them out, and the law is not asked once. Then one source
+    // of the middle chunk gets a NaN or infinite coordinate. The scalar
+    // loop shows it to every target (NaN poisons; `inf` is rejected unless
+    // the target is at the same infinity, where `inf - inf` poisons), so
+    // the kernel must too, and likewise for a target that is not finite.
+    let domain = Domain::unit();
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let targets: Vec<Particle> = (0..5)
+        .map(|i| Particle::at(i, Vec2::new(0.1 + 0.01 * i as f64, 0.1)))
+        .collect();
+    let sources: Vec<Particle> = (0..48)
+        .map(|i| Particle::at(100 + i, Vec2::new(0.6 + 0.001 * i as f64, 0.6)))
+        .collect();
+    let law = Cutoff::new(Counting, 0.05);
+    for boundary in BOUNDARIES {
+        assert_eq!(force_calls(law, &targets, &sources, &domain, boundary), 0);
+    }
+    let bad = [
+        Vec2::new(nan, 0.6),
+        Vec2::new(0.6, nan),
+        Vec2::new(inf, 0.6),
+        Vec2::new(0.6, -inf),
+        Vec2::new(inf, inf),
+    ];
+    for bad_pos in bad {
+        let mut poisoned = sources.clone();
+        poisoned[20].pos = bad_pos;
+        for boundary in BOUNDARIES {
+            check_all_laws(&targets, &poisoned, &domain, boundary).unwrap();
+            // Every target is shown the bad source's chunk, and only it:
+            // the same few sources each, not all 48.
+            let asked = force_calls(law, &targets, &poisoned, &domain, boundary);
+            let (each, rest) = (asked / targets.len() as u64, asked % targets.len() as u64);
+            assert!(
+                rest == 0 && (1..=16).contains(&each),
+                "{bad_pos:?} {boundary:?}: asked {asked}"
+            );
+        }
+        for lane in [0, 1, 4] {
+            let mut strays = targets.clone();
+            strays[lane].pos = bad_pos;
+            for boundary in BOUNDARIES {
+                check_all_laws(&strays, &sources, &domain, boundary).unwrap();
+                check_all_laws(&strays, &poisoned, &domain, boundary).unwrap();
+            }
+        }
+        // The blame itself: a NaN source poisons every target.
+        if bad_pos.x.is_nan() || bad_pos.y.is_nan() {
+            let lj = Cutoff::new(
+                LennardJones {
+                    epsilon: 1.0,
+                    sigma: 0.02,
+                },
+                0.05,
+            );
+            let mut got = targets.clone();
+            accumulate_block(&mut got, &poisoned, &lj, &domain, Boundary::Periodic);
+            assert!(got.iter().all(|g| !g.force.is_finite()), "{bad_pos:?}");
         }
     }
 }
