@@ -1,7 +1,7 @@
 //! Wire-lens renderings: per-channel send→recv latency tables from a
-//! probed run's [`WireLog`]-derived [`WireReport`], and the schedule
-//! [`ConformanceReport`] table printed by `ca-nbody conformance` and
-//! `analyze --wire`.
+//! probed run's [`WireLog`](nbody_wireprobe::WireLog)-derived
+//! [`WireReport`], and the schedule [`ConformanceReport`] table printed by
+//! `ca-nbody conformance` and `analyze --wire`.
 
 use nbody_wireprobe::{ConformanceReport, WireReport};
 

@@ -74,6 +74,7 @@ fn bench_eval_chaos_empty(c: &mut Criterion) {
                     Boundary::Reflective,
                     &RetryPolicy::default(),
                     0,
+                    None,
                 )
                 .expect("no faults scheduled");
                 st.len()

@@ -15,7 +15,7 @@
 //!   JSON encoding from the gather and the filesystem.
 
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::sim::{run_distributed_durable, CheckpointConfig, Method, SimConfig};
+use ca_nbody::sim::{CheckpointConfig, Method, Run, SimConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbody_comm::FaultPlan;
 use nbody_durable::{CheckpointBundle, ColumnBlock};
@@ -43,15 +43,14 @@ fn cfg() -> SimConfig<RepulsiveInverseSquare, SemiImplicitEuler> {
 fn run_with(ckpt: Option<&CheckpointConfig>) -> usize {
     let cfg = cfg();
     let initial = init::uniform(N, &cfg.domain, 42);
-    let (res, _) = run_distributed_durable(
-        &cfg,
-        Method::CaAllPairs { c: C },
-        P,
-        &FaultPlan::empty(),
-        &RetryPolicy::default(),
-        ckpt,
-        &initial,
-    );
+    let (plan, policy) = (FaultPlan::empty(), RetryPolicy::default());
+    let mut run = Run::new(&cfg, Method::CaAllPairs { c: C }, P)
+        .trace()
+        .faults(&plan, &policy);
+    if let Some(ck) = ckpt {
+        run = run.checkpoint(ck);
+    }
+    let res = run.execute(&initial).result;
     res.expect("fault-free run").particles.len()
 }
 

@@ -14,16 +14,22 @@
 //! non-finite sentinel scans.
 
 use ca_nbody::dist::id_block_subset;
-use ca_nbody::recovery::{ca_all_pairs_forces_ft_health, HealthMonitor, RetryPolicy};
+use ca_nbody::recovery::{ca_all_pairs_forces_ft, HealthMonitor, RetryPolicy};
 use ca_nbody::{GridComms, ProcGrid};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nbody_comm::{run_ranks_silent, Communicator};
+use nbody_comm::{run_ranks_with, Communicator, Lenses};
 use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare};
 use nbody_simhealth::{scan_forces, scan_state, state_fingerprint};
 
 const P: usize = 4;
 const C: usize = 2;
 const N: usize = 128;
+/// No recorder at all: the monitors are priced against a silent baseline.
+const SILENT: Lenses = Lenses {
+    trace: false,
+    flight: false,
+    probe: false,
+};
 
 fn law() -> RepulsiveInverseSquare {
     RepulsiveInverseSquare {
@@ -46,7 +52,7 @@ fn eval_ft<C2: Communicator>(
         Vec::new()
     };
     let policy = RetryPolicy::with_timeout_ms(1000);
-    ca_all_pairs_forces_ft_health(
+    ca_all_pairs_forces_ft(
         &gc,
         &mut st,
         &law(),
@@ -64,7 +70,11 @@ fn bench_eval_health_off(c: &mut Criterion) {
     let grid = ProcGrid::new_all_pairs(P, C).unwrap();
     let initial = init::uniform(N, &Domain::unit(), 42);
     c.bench_function("allpairs_ft_eval_health_off", |b| {
-        b.iter(|| black_box(run_ranks_silent(P, |world| eval_ft(world, grid, &initial, None))))
+        b.iter(|| {
+            black_box(run_ranks_with(P, SILENT, |world| {
+                eval_ft(world, grid, &initial, None)
+            }))
+        })
     });
 }
 
@@ -73,7 +83,7 @@ fn bench_eval_health_on(c: &mut Criterion) {
     let initial = init::uniform(N, &Domain::unit(), 42);
     c.bench_function("allpairs_ft_eval_health_on", |b| {
         b.iter(|| {
-            black_box(run_ranks_silent(P, |world| {
+            black_box(run_ranks_with(P, SILENT, |world| {
                 let hm = HealthMonitor::new(true, None);
                 eval_ft(world, grid, &initial, Some(&hm))
             }))

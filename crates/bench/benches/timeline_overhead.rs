@@ -5,7 +5,8 @@
 //! ring on every rank while step sampling stays off, so the only cost a
 //! fault-free evaluation pays is the per-rank recorder allocation and the
 //! (never-taken) enabled checks. Comparing a full CA all-pairs evaluation
-//! through `run_ranks` (ring on) against `run_ranks_silent` (ring off)
+//! through `run_ranks` (ring on) against `run_ranks_with` with
+//! `Lenses::flight` off
 //! keeps that claim honest — the delta must stay within noise.
 //!
 //! The third benchmark prices the hot path itself: `step_mark` plus a
@@ -15,7 +16,7 @@
 use ca_nbody::dist::id_block_subset;
 use ca_nbody::{ca_all_pairs_forces, GridComms, ProcGrid};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nbody_comm::{run_ranks, run_ranks_silent, Communicator, EventKind};
+use nbody_comm::{run_ranks, run_ranks_with, Communicator, EventKind, Lenses};
 use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare};
 
 const P: usize = 4;
@@ -53,7 +54,15 @@ fn bench_eval_flight_off(c: &mut Criterion) {
     let grid = ProcGrid::new_all_pairs(P, C).unwrap();
     let initial = init::uniform(N, &Domain::unit(), 42);
     c.bench_function("allpairs_eval_flight_recorder_off", |b| {
-        b.iter(|| black_box(run_ranks_silent(P, |world| eval(world, grid, &initial))))
+        let silent = Lenses {
+            flight: false,
+            ..Lenses::default()
+        };
+        b.iter(|| {
+            black_box(run_ranks_with(P, silent, |world| {
+                eval(world, grid, &initial)
+            }))
+        })
     });
 }
 

@@ -1,14 +1,14 @@
 //! Overhead of the wire-probe message observability layer.
 //!
 //! The wireprobe design claims probes are strictly pay-per-use: every
-//! entry point except the `*_probed` ones hands ranks a disabled
+//! execution except those launched with `Lenses::probe` hands ranks a disabled
 //! [`ProbeRecorder`], whose probe calls are a single `Option` check, so a
 //! probes-off run must stay within noise of the plain baseline. Three
 //! comparisons keep that honest:
 //!
 //! * a full CA all-pairs evaluation through `run_ranks` (probes off, the
-//!   default every caller gets) vs. `run_ranks_probed` (every
-//!   point-to-point send/recv stamped into the per-rank ring) — the delta
+//!   default every caller gets) vs. `run_ranks_with` under `Lenses::probe`
+//!   (every point-to-point send/recv stamped into the per-rank ring) — the delta
 //!   is the whole per-message probe cost a `--wire-probe` run pays, and
 //!   the probes-off side must be indistinguishable from the historical
 //!   baseline (the CI `regress` gate checks the end-to-end version of the
@@ -23,7 +23,7 @@ use std::time::Instant;
 use ca_nbody::dist::id_block_subset;
 use ca_nbody::{ca_all_pairs_forces, GridComms, ProcGrid};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nbody_comm::{run_ranks, run_ranks_probed, Communicator, Phase, ProbeRecorder};
+use nbody_comm::{run_ranks, run_ranks_with, Communicator, Lenses, Phase, ProbeRecorder};
 use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare};
 
 const P: usize = 4;
@@ -61,7 +61,15 @@ fn bench_eval_probes_on(c: &mut Criterion) {
     let grid = ProcGrid::new_all_pairs(P, C).unwrap();
     let initial = init::uniform(N, &Domain::unit(), 42);
     c.bench_function("allpairs_eval_wire_probes_on", |b| {
-        b.iter(|| black_box(run_ranks_probed(P, |world| eval(world, grid, &initial))))
+        let probed = Lenses {
+            probe: true,
+            ..Lenses::default()
+        };
+        b.iter(|| {
+            black_box(run_ranks_with(P, probed, |world| {
+                eval(world, grid, &initial)
+            }))
+        })
     });
 }
 

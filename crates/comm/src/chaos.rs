@@ -36,12 +36,11 @@ use rand::{Rng, SeedableRng};
 use crate::communicator::{CommData, Communicator};
 use crate::error::CommError;
 use crate::stats::{CommStats, Phase};
-use crate::thread_comm::{run_ranks_owned, ThreadComm};
-use nbody_metrics::{Counter, MetricsRecorder, MetricsSnapshot};
-use nbody_timeline::{EventKind, RunTimeline, TimelineRecorder};
-use nbody_trace::{ExecutionTrace, Tracer};
-use nbody_wireprobe::{FaultNote, ProbeKind, ProbeRecorder, WireLog};
-use std::time::Instant;
+use crate::thread_comm::{run_ranks_owned, Artifacts, Lenses, ThreadComm};
+use nbody_metrics::{Counter, MetricsRecorder};
+use nbody_timeline::{EventKind, TimelineRecorder};
+use nbody_trace::Tracer;
+use nbody_wireprobe::{FaultNote, ProbeKind, ProbeRecorder};
 
 /// What a scheduled fault does to the traffic it strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -513,86 +512,40 @@ where
     R: Send,
     F: Fn(&mut ChaosComm<ThreadComm>) -> R + Sync,
 {
-    run_ranks_owned(p, None, true, true, false, |comm| {
+    run_ranks_chaos_with(p, plan, Lenses::default(), f).0
+}
+
+/// [`run_ranks_chaos`] under the given [`Lenses`], mirroring
+/// [`run_ranks_with`](crate::run_ranks_with). With probes on, the merged
+/// wire log carries protocol sends/recvs *and* the chaos wrapper's injected
+/// faults as first-class events — everything a conformance pass needs to
+/// attribute discrepancies to the [`FaultPlan`].
+pub fn run_ranks_chaos_with<R, F>(
+    p: usize,
+    plan: &FaultPlan,
+    lenses: Lenses,
+    f: F,
+) -> (Vec<R>, Artifacts)
+where
+    R: Send,
+    F: Fn(&mut ChaosComm<ThreadComm>) -> R + Sync,
+{
+    run_ranks_owned(p, true, lenses, |comm| {
         let mut chaos = ChaosComm::new(comm, plan);
         f(&mut chaos)
     })
-    .into_iter()
-    .map(|(r, _, _, _, _)| r)
-    .collect()
-}
-
-/// [`run_ranks_chaos`] with per-rank wall-clock tracing, live metrics and
-/// a step timeline, mirroring [`run_ranks_traced`](crate::run_ranks_traced).
-pub fn run_ranks_chaos_traced<R, F>(
-    p: usize,
-    plan: &FaultPlan,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline)
-where
-    R: Send,
-    F: Fn(&mut ChaosComm<ThreadComm>) -> R + Sync,
-{
-    let (results, trace, metrics, timeline, _) = run_ranks_chaos_impl(p, plan, false, f);
-    (results, trace, metrics, timeline)
-}
-
-/// [`run_ranks_chaos_traced`] with wire probes on as well: every rank's
-/// probe ring records protocol sends/recvs *and* the chaos wrapper's
-/// injected faults as first-class events, so the merged [`WireLog`] carries
-/// everything a conformance pass needs to attribute discrepancies to the
-/// [`FaultPlan`].
-pub fn run_ranks_chaos_probed<R, F>(
-    p: usize,
-    plan: &FaultPlan,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
-where
-    R: Send,
-    F: Fn(&mut ChaosComm<ThreadComm>) -> R + Sync,
-{
-    run_ranks_chaos_impl(p, plan, true, f)
-}
-
-fn run_ranks_chaos_impl<R, F>(
-    p: usize,
-    plan: &FaultPlan,
-    probe: bool,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
-where
-    R: Send,
-    F: Fn(&mut ChaosComm<ThreadComm>) -> R + Sync,
-{
-    let epoch = Instant::now();
-    let out = run_ranks_owned(p, Some(epoch), true, true, probe, |comm| {
-        let mut chaos = ChaosComm::new(comm, plan);
-        f(&mut chaos)
-    });
-    let mut results = Vec::with_capacity(p);
-    let mut buffers = Vec::with_capacity(p);
-    let mut shards = Vec::with_capacity(p);
-    let mut timelines = Vec::with_capacity(p);
-    let mut wires = Vec::with_capacity(p);
-    for (r, spans, metrics, timeline, wire) in out {
-        results.push(r);
-        buffers.push(spans);
-        shards.push(metrics);
-        timelines.extend(timeline);
-        wires.extend(wire);
-    }
-    (
-        results,
-        ExecutionTrace::from_rank_buffers(buffers),
-        MetricsSnapshot::from_shards(shards),
-        RunTimeline::from_ranks(timelines),
-        WireLog::from_ranks(wires),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tracing and wire probes together.
+    const PROBED: Lenses = Lenses {
+        trace: true,
+        flight: true,
+        probe: true,
+    };
 
     #[test]
     fn plan_parse_roundtrips() {
@@ -764,7 +717,16 @@ mod tests {
     #[test]
     fn injection_metrics_are_recorded() {
         let plan = FaultPlan::parse("drop:0@1,kill:1@1").unwrap();
-        let (_, _, metrics, timeline) = run_ranks_chaos_traced(2, &plan, |comm| {
+        let traced = Lenses {
+            trace: true,
+            ..Lenses::default()
+        };
+        let (
+            _,
+            Artifacts {
+                metrics, timeline, ..
+            },
+        ) = run_ranks_chaos_with(2, &plan, traced, |comm| {
             comm.set_phase(Phase::Shift);
             let _ = comm.fault_step(1);
             if comm.rank() == 0 {
@@ -792,7 +754,7 @@ mod tests {
     fn injected_faults_are_first_class_probe_events() {
         use nbody_wireprobe::{FaultNote, ProbeKind};
         let plan = FaultPlan::parse("drop:0@1,dup:1@1").unwrap();
-        let (_, _, _, _, wire) = run_ranks_chaos_probed(2, &plan, |comm| {
+        let (_, Artifacts { wire, .. }) = run_ranks_chaos_with(2, &plan, PROBED, |comm| {
             comm.set_phase(Phase::Shift);
             comm.fault_step(1).unwrap();
             if comm.rank() == 0 {
@@ -847,7 +809,7 @@ mod tests {
     fn dead_rank_suppressed_sends_are_probed_as_kills() {
         use nbody_wireprobe::ProbeKind;
         let plan = FaultPlan::kill(0, 1);
-        let (_, _, _, _, wire) = run_ranks_chaos_probed(2, &plan, |comm| {
+        let (_, Artifacts { wire, .. }) = run_ranks_chaos_with(2, &plan, PROBED, |comm| {
             comm.set_phase(Phase::Shift);
             let dead = comm.fault_step(1).is_err();
             if comm.rank() == 0 {

@@ -53,9 +53,9 @@ pub trait Communicator: Sized {
     /// follows the rank, not the communicator).
     fn stats(&self) -> CommStats;
 
-    /// This rank's wall-clock span recorder. Like [`stats`]
-    /// (`Communicator::stats`), the tracer follows the rank: communicators
-    /// derived by `split` share it. Disabled (a no-op handle) unless the
+    /// This rank's wall-clock span recorder. Like
+    /// [`stats`](Communicator::stats), the tracer follows the rank:
+    /// communicators derived by `split` share it. Disabled (a no-op handle) unless the
     /// execution was started with tracing on.
     fn tracer(&self) -> Tracer {
         Tracer::disabled()

@@ -24,17 +24,13 @@ pub mod stats;
 pub mod thread_comm;
 
 pub use chaos::{
-    run_ranks_chaos, run_ranks_chaos_probed, run_ranks_chaos_traced, ChaosComm, FaultEvent,
-    FaultKind, FaultPlan,
+    run_ranks_chaos, run_ranks_chaos_with, ChaosComm, FaultEvent, FaultKind, FaultPlan,
 };
 pub use communicator::{sum_combine, CommData, Communicator};
 pub use error::CommError;
 pub use stats::{CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
 pub use self_comm::SelfComm;
-pub use thread_comm::{
-    run_ranks, run_ranks_probed, run_ranks_probed_traced, run_ranks_silent, run_ranks_traced,
-    validate_env, ThreadComm,
-};
+pub use thread_comm::{run_ranks, run_ranks_with, validate_env, Artifacts, Lenses, ThreadComm};
 pub use nbody_metrics::{MetricsRecorder, MetricsSnapshot, RankMetrics};
 pub use nbody_timeline::{
     EventKind, FlightEvent, RankTimeline, RunTimeline, StepSample, TimelineRecorder,

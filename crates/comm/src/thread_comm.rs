@@ -35,10 +35,10 @@ use crate::comm_metrics::CommMetrics;
 use crate::communicator::{CommData, Communicator};
 use crate::error::CommError;
 use crate::stats::{CommStats, Phase};
-use nbody_metrics::{MetricsRecorder, MetricsSnapshot, RankMetrics};
-use nbody_timeline::{RankTimeline, RunTimeline, TimelineRecorder};
-use nbody_trace::{ExecutionTrace, Span, Tracer};
-use nbody_wireprobe::{ProbeRecorder, RankWireLog, WireLog};
+use nbody_metrics::{MetricsRecorder, MetricsSnapshot};
+use nbody_timeline::{RunTimeline, TimelineRecorder};
+use nbody_trace::{ExecutionTrace, Tracer};
+use nbody_wireprobe::{ProbeRecorder, WireLog};
 
 /// Parse an `NBODY_RECV_TIMEOUT_SECS` value: a positive integer number of
 /// seconds, or `None` when the variable is unset (→ the 60 s default).
@@ -630,148 +630,86 @@ impl Communicator for ThreadComm {
     }
 }
 
+/// Which per-rank recorders an execution turns on. The default is what
+/// [`run_ranks`] runs with: only the always-on flight recorder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lenses {
+    /// Wall-clock span recording and live metrics against a shared epoch
+    /// taken just before the threads spawn, plus per-step timeline samples:
+    /// every rank's communicator carries an enabled [`Tracer`] and
+    /// [`MetricsRecorder`].
+    pub trace: bool,
+    /// The bounded flight-event ring behind postmortem bundles. Off only in
+    /// the overhead benches, which need a recording-free baseline to price
+    /// the recorders against; everything else keeps the crash forensics on.
+    pub flight: bool,
+    /// Wire probes: every rank's [`ProbeRecorder`] stamps each
+    /// point-to-point send/recv (and injected fault) against its own shared
+    /// epoch, so cross-rank send→recv latencies are comparable even in
+    /// untraced runs. The per-message ring is strictly opt-in.
+    pub probe: bool,
+}
+
+impl Default for Lenses {
+    fn default() -> Self {
+        Lenses {
+            trace: false,
+            flight: true,
+            probe: false,
+        }
+    }
+}
+
+/// What the recorders of one execution captured, merged across ranks. A
+/// lens that was off leaves its artifact empty.
+#[derive(Debug, Clone)]
+pub struct Artifacts {
+    /// Per-rank wall-clock spans ([`Lenses::trace`]).
+    pub trace: ExecutionTrace,
+    /// Live metrics shards ([`Lenses::trace`]).
+    pub metrics: MetricsSnapshot,
+    /// Flight events ([`Lenses::flight`]) and step samples
+    /// ([`Lenses::trace`]).
+    pub timeline: RunTimeline,
+    /// Per-message probe events ([`Lenses::probe`]).
+    pub wire: WireLog,
+}
+
 /// Spawn `p` rank threads, run `f` on each with its world communicator, and
 /// return the per-rank results in rank order.
 ///
 /// This is the entry point of every distributed execution in the
-/// reproduction — the analogue of `mpirun -np p`. Span recording is off
-/// (every rank's tracer is the no-op handle); use [`run_ranks_traced`] to
-/// capture wall-clock timelines.
+/// reproduction — the analogue of `mpirun -np p` — with the default
+/// [`Lenses`]; use [`run_ranks_with`] to turn recorders on and keep what
+/// they captured.
 pub fn run_ranks<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&mut ThreadComm) -> R + Sync,
 {
-    run_ranks_impl(p, None, false, true, false, f)
-        .into_iter()
-        .map(|(r, _, _, _, _)| r)
-        .collect()
+    run_ranks_with(p, Lenses::default(), f).0
 }
 
-/// [`run_ranks`] with the always-on flight recorder disabled. The only
-/// intended users are the `timeline_overhead` and `wireprobe_overhead`
-/// benches, which need a recording-free baseline to price the recorders
-/// against; everything else should keep the crash forensics on.
-pub fn run_ranks_silent<R, F>(p: usize, f: F) -> Vec<R>
+/// [`run_ranks`] under the given [`Lenses`], returning the merged
+/// [`Artifacts`] next to the per-rank results.
+pub fn run_ranks_with<R, F>(p: usize, lenses: Lenses, f: F) -> (Vec<R>, Artifacts)
 where
     R: Send,
     F: Fn(&mut ThreadComm) -> R + Sync,
 {
-    run_ranks_impl(p, None, false, false, false, f)
-        .into_iter()
-        .map(|(r, _, _, _, _)| r)
-        .collect()
+    run_ranks_owned(p, false, lenses, |mut comm| f(&mut comm))
 }
-
-/// [`run_ranks`] with wire probes on: every rank's communicator carries an
-/// enabled [`ProbeRecorder`] stamping each point-to-point send/recv against
-/// a shared epoch, and the drained per-rank rings are merged into a
-/// [`WireLog`] at join. Probes are off in every other entry point — the
-/// per-message ring is strictly opt-in.
-pub fn run_ranks_probed<R, F>(p: usize, f: F) -> (Vec<R>, WireLog)
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    let out = run_ranks_impl(p, None, false, true, true, f);
-    let mut results = Vec::with_capacity(p);
-    let mut wires = Vec::with_capacity(p);
-    for (r, _, _, _, wire) in out {
-        results.push(r);
-        wires.extend(wire);
-    }
-    (results, WireLog::from_ranks(wires))
-}
-
-/// [`run_ranks`] with per-rank wall-clock span recording and live metrics:
-/// every rank's communicator carries an enabled [`Tracer`] measuring
-/// against a shared epoch taken just before the threads spawn plus an
-/// enabled [`MetricsRecorder`] and step-sampling [`TimelineRecorder`], and
-/// the per-rank buffers/shards are merged into an [`ExecutionTrace`], a
-/// [`MetricsSnapshot`], and a [`RunTimeline`] at join.
-pub fn run_ranks_traced<R, F>(
-    p: usize,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline)
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    let (results, trace, metrics, timeline, _) = run_ranks_traced_impl(p, false, f);
-    (results, trace, metrics, timeline)
-}
-
-/// [`run_ranks_traced`] with wire probes on as well, returning the merged
-/// [`WireLog`] alongside the usual artifacts.
-pub fn run_ranks_probed_traced<R, F>(
-    p: usize,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    run_ranks_traced_impl(p, true, f)
-}
-
-fn run_ranks_traced_impl<R, F>(
-    p: usize,
-    probe: bool,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    let epoch = Instant::now();
-    let out = run_ranks_impl(p, Some(epoch), false, true, probe, f);
-    let mut results = Vec::with_capacity(p);
-    let mut buffers = Vec::with_capacity(p);
-    let mut shards = Vec::with_capacity(p);
-    let mut timelines = Vec::with_capacity(p);
-    let mut wires = Vec::with_capacity(p);
-    for (r, spans, metrics, timeline, wire) in out {
-        results.push(r);
-        buffers.push(spans);
-        shards.push(metrics);
-        timelines.extend(timeline);
-        wires.extend(wire);
-    }
-    (
-        results,
-        ExecutionTrace::from_rank_buffers(buffers),
-        MetricsSnapshot::from_shards(shards),
-        RunTimeline::from_ranks(timelines),
-        WireLog::from_ranks(wires),
-    )
-}
-
-/// Per-rank artifacts a joined rank thread hands back: the closure's
-/// result plus the rank's trace spans, metrics shard, timeline, and wire
-/// probe log.
-pub(crate) type RankOutput<R> = (
-    R,
-    Vec<Span>,
-    Option<RankMetrics>,
-    Option<RankTimeline>,
-    Option<RankWireLog>,
-);
 
 /// Shared body of every entry point: spawn `p` rank threads, hand each its
 /// world [`ThreadComm`] (owned, so wrappers like `ChaosComm` can absorb
-/// it), and join. `relaxed` selects the fabric's tag-matching mode;
-/// `flight` controls the always-on flight recorder (off only for overhead
-/// benchmarking baselines); `probe` turns on the per-message wire probe
-/// ring (timestamped against its own shared epoch so cross-rank send→recv
-/// latencies are comparable even in untraced runs).
+/// it), join, and merge the per-rank recorder buffers. `relaxed` selects
+/// the fabric's tag-matching mode.
 pub(crate) fn run_ranks_owned<R, F>(
     p: usize,
-    epoch: Option<Instant>,
     relaxed: bool,
-    flight: bool,
-    probe: bool,
+    lenses: Lenses,
     f: F,
-) -> Vec<RankOutput<R>>
+) -> (Vec<R>, Artifacts)
 where
     R: Send,
     F: Fn(ThreadComm) -> R + Sync,
@@ -793,11 +731,12 @@ where
         next_comm: AtomicU64::new(1),
         relaxed,
     });
+    let epoch = lenses.trace.then(Instant::now);
     // One epoch shared by every rank's probe ring: send and recv stamps
     // from different threads must be subtractable.
-    let probe_epoch = probe.then(Instant::now);
+    let probe_epoch = lenses.probe.then(Instant::now);
 
-    std::thread::scope(|scope| {
+    let joined = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for (rank, rx) in receivers.into_iter().enumerate() {
             let fabric = Arc::clone(&fabric);
@@ -817,7 +756,7 @@ where
                         Some(_) => MetricsRecorder::for_rank(rank),
                         None => MetricsRecorder::disabled(),
                     };
-                    let timeline = if flight {
+                    let timeline = if lenses.flight {
                         TimelineRecorder::for_rank(rank as u32, epoch)
                     } else {
                         TimelineRecorder::disabled()
@@ -861,29 +800,45 @@ where
                 h.join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
-            .collect()
-    })
-}
+            .collect::<Vec<_>>()
+    });
 
-fn run_ranks_impl<R, F>(
-    p: usize,
-    epoch: Option<Instant>,
-    relaxed: bool,
-    flight: bool,
-    probe: bool,
-    f: F,
-) -> Vec<RankOutput<R>>
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    run_ranks_owned(p, epoch, relaxed, flight, probe, |mut comm| f(&mut comm))
+    let mut results = Vec::with_capacity(p);
+    let mut buffers = Vec::with_capacity(p);
+    let mut shards = Vec::with_capacity(p);
+    let mut timelines = Vec::with_capacity(p);
+    let mut wires = Vec::with_capacity(p);
+    for (r, spans, metrics, timeline, wire) in joined {
+        results.push(r);
+        buffers.push(spans);
+        shards.push(metrics);
+        timelines.extend(timeline);
+        wires.extend(wire);
+    }
+    let artifacts = Artifacts {
+        trace: ExecutionTrace::from_rank_buffers(buffers),
+        metrics: MetricsSnapshot::from_shards(shards),
+        timeline: RunTimeline::from_ranks(timelines),
+        wire: WireLog::from_ranks(wires),
+    };
+    (results, artifacts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::communicator::sum_combine;
+
+    const TRACED: Lenses = Lenses {
+        trace: true,
+        flight: true,
+        probe: false,
+    };
+    const PROBED: Lenses = Lenses {
+        trace: false,
+        flight: true,
+        probe: true,
+    };
 
     #[test]
     fn world_ranks_and_sizes() {
@@ -1102,7 +1057,7 @@ mod tests {
     fn blocked_time_is_recorded_on_real_waits() {
         // Receiver posts its recv ~50 ms before the sender sends: both the
         // stats counter and the trace must capture the wait.
-        let (out, trace, _, _) = run_ranks_traced(2, |comm| {
+        let (out, Artifacts { trace, .. }) = run_ranks_with(2, TRACED, |comm| {
             comm.set_phase(Phase::Shift);
             if comm.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(50));
@@ -1149,7 +1104,15 @@ mod tests {
             buf[0]
         };
         let plain = run_ranks(4, body);
-        let (traced, trace, metrics, timeline) = run_ranks_traced(4, body);
+        let (
+            traced,
+            Artifacts {
+                trace,
+                metrics,
+                timeline,
+                ..
+            },
+        ) = run_ranks_with(4, TRACED, body);
         assert_eq!(plain, traced);
         assert_eq!(trace.ranks, 4);
         assert!(!trace.spans.is_empty());
@@ -1157,12 +1120,16 @@ mod tests {
         assert_eq!(timeline.ranks.len(), 4);
         assert!(!timeline.is_postmortem());
         // Silent runs (bench baseline) still compute the same results.
-        assert_eq!(run_ranks_silent(4, body), plain);
+        let silent = Lenses {
+            flight: false,
+            ..Lenses::default()
+        };
+        assert_eq!(run_ranks_with(4, silent, body).0, plain);
     }
 
     #[test]
     fn ranks_carry_a_live_timeline_recorder() {
-        let (enabled, _, _, timeline) = run_ranks_traced(2, |comm| {
+        let (enabled, Artifacts { timeline, .. }) = run_ranks_with(2, TRACED, |comm| {
             let tl = comm.timeline();
             tl.step_mark(comm.rank() as u64);
             let sub = comm.split(0, comm.rank());
@@ -1233,7 +1200,7 @@ mod tests {
     fn probed_run_collects_wire_events() {
         use nbody_trace::Phase;
         use nbody_wireprobe::{match_events, ProbeKind};
-        let (enabled, wire) = run_ranks_probed(2, |comm| {
+        let (enabled, Artifacts { wire, .. }) = run_ranks_with(2, PROBED, |comm| {
             comm.set_phase(Phase::Shift);
             if comm.rank() == 0 {
                 comm.send(1, 5, &[1u64, 2, 3]);
@@ -1269,7 +1236,7 @@ mod tests {
     fn wire_probes_follow_splits_and_skip_collectives() {
         use nbody_trace::Phase;
         use nbody_wireprobe::ProbeKind;
-        let (_, wire) = run_ranks_probed(4, |comm| {
+        let (_, Artifacts { wire, .. }) = run_ranks_with(4, PROBED, |comm| {
             comm.set_phase(Phase::Skew);
             // Point-to-point on a derived communicator: probed, with
             // global ranks and the split's comm id.
@@ -1351,7 +1318,7 @@ mod tests {
     #[test]
     fn traced_run_collects_live_metrics() {
         use nbody_trace::Phase;
-        let (_, _, metrics, _) = run_ranks_traced(2, |comm| {
+        let (_, Artifacts { metrics, .. }) = run_ranks_with(2, TRACED, |comm| {
             comm.set_phase(Phase::Shift);
             if comm.rank() == 0 {
                 comm.send(1, 1, &[7u64, 8, 9]);
@@ -1391,7 +1358,7 @@ mod tests {
     #[test]
     fn split_communicators_share_the_metrics_shard() {
         use nbody_trace::Phase;
-        let (_, _, metrics, _) = run_ranks_traced(2, |comm| {
+        let (_, Artifacts { metrics, .. }) = run_ranks_with(2, TRACED, |comm| {
             comm.set_phase(Phase::Skew);
             let sub = comm.split(0, comm.rank());
             if sub.rank() == 0 {
@@ -1411,7 +1378,7 @@ mod tests {
     fn phase_windows_follow_split_communicators() {
         // set_phase on a *derived* communicator must land on the rank's one
         // timeline — the converse of `stats_shared_across_split`.
-        let (_, trace, _, _) = run_ranks_traced(4, |comm| {
+        let (_, Artifacts { trace, .. }) = run_ranks_with(4, TRACED, |comm| {
             let sub = comm.split(comm.rank() % 2, comm.rank());
             sub.set_phase(Phase::Reduce);
             let mut buf = vec![comm.rank() as u64];

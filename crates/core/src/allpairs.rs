@@ -27,7 +27,8 @@ use nbody_comm::{Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block, combine_forces, ComputeMeter};
+use crate::kernel::{accumulate_block, accumulate_block_potential, combine_forces, ComputeMeter};
+use crate::link::{Link, Strict};
 
 /// Tag for the skew message (line 4).
 pub const TAG_SKEW: u64 = 0x10;
@@ -50,19 +51,43 @@ pub fn ca_all_pairs_forces<C: Communicator, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    let steps = gc.grid.all_pairs_steps();
-    let team = gc.team();
-    let k = gc.row_index();
     debug_assert!(gc.is_leader() || st.is_empty(), "only leaders contribute particles");
 
     // Line 2: broadcast the team subset down the column.
     gc.col.set_phase(Phase::Broadcast);
     gc.col.bcast(0, st);
 
+    Strict::infallible(shift_pipeline(gc, st, law, domain, boundary, &Strict, None));
+
+    // Line 9: sum-reduce the partial forces onto the leader.
+    gc.col.set_phase(Phase::Reduce);
+    gc.col.reduce(0, st, combine_forces);
+}
+
+/// Lines 3-8 of Algorithm 1 over the post-broadcast block `st`: copy, skew,
+/// `p/c²` shift+update steps. The one body behind
+/// [`ca_all_pairs_forces`] ([`Strict`] link) and
+/// [`ca_all_pairs_forces_ft`](crate::recovery::ca_all_pairs_forces_ft) (one
+/// [`Deadline`](crate::link::Deadline) link per recovery attempt). With
+/// `potential` set, the kernel also harvests the summed pair potential into
+/// it (the health monitors' potential-energy partial).
+pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
+    gc: &GridComms<C>,
+    st: &mut [Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    link: &L,
+    mut potential: Option<&mut f64>,
+) -> Result<(), L::Error> {
+    let teams = gc.grid.teams();
+    let c = gc.grid.c();
+    let steps = gc.grid.all_pairs_steps();
+    let team = gc.team();
+    let k = gc.row_index();
+
     // Line 3: copy to the exchange buffer.
-    let mut exch = st.clone();
+    let mut exch = st.to_vec();
     // The paper's M = cn/p replicated working set: the owned block plus the
     // exchange copy, the memory the Eq. 2 bounds are evaluated against.
     gc.col
@@ -73,37 +98,60 @@ pub fn ca_all_pairs_forces<C: Communicator, F: ForceLaw>(
     // the trace carry the step, so an analyzer can place every wait in the
     // skew/shift schedule and name the late sender.
     let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit.
+    // FLOP/byte accounting for the roofline audit; aborted attempts still
+    // count — the work was really done.
     let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
 
     // Line 4: skew — row k shifts its buffer k teams east. After this, the
     // row-k processor of team t holds the block of team (t - k) mod teams.
     gc.col.set_phase(Phase::Skew);
     tr.set_step(Some(0));
+    link.step(&gc.col, 0)?;
     if k > 0 {
         let dst = (team + k) % teams;
         let src = (team + teams - k) % teams;
-        exch = gc.row.sendrecv(dst, src, TAG_SKEW, &exch);
+        link.send(&gc.row, dst, TAG_SKEW, &exch);
+        exch = link.recv(&gc.row, src, TAG_SKEW)?;
     }
 
     // Lines 5-8: shift by c, then update.
     for s in 1..=steps {
         gc.col.set_phase(Phase::Shift);
         tr.set_step(Some(s as u32));
+        link.step(&gc.col, s)?;
         let dst = (team + c) % teams;
         let src = (team + teams - c) % teams;
-        exch = gc.row.sendrecv(dst, src, TAG_SHIFT + s as u64, &exch);
+        link.send(&gc.row, dst, TAG_SHIFT + s as u64, &exch);
+        exch = link.recv(&gc.row, src, TAG_SHIFT + s as u64)?;
 
         gc.col.set_phase(Phase::Other);
         meter.time(st.len(), exch.len(), || {
-            accumulate_block(st, &exch, law, domain, boundary)
+            update(st, &exch, law, domain, boundary, &mut potential)
         });
     }
     tr.set_step(None);
+    Ok(())
+}
 
-    // Line 9: sum-reduce the partial forces onto the leader.
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+/// Line 7 of both algorithms: update `st` from the block in `exch`,
+/// additionally harvesting the pair potential when an accumulator rides
+/// along. Returns the kernel's evaluation count.
+pub(crate) fn update<F: ForceLaw>(
+    st: &mut [Particle],
+    exch: &[Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    potential: &mut Option<&mut f64>,
+) -> u64 {
+    match potential {
+        Some(pe) => {
+            let (evals, dpe) = accumulate_block_potential(st, exch, law, domain, boundary);
+            **pe += dpe;
+            evals
+        }
+        None => accumulate_block(st, exch, law, domain, boundary),
+    }
 }
 
 #[cfg(test)]

@@ -36,8 +36,10 @@
 use nbody_comm::{Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
+use crate::allpairs::update;
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block, cell_order, combine_forces, ComputeMeter};
+use crate::kernel::{cell_order, combine_forces, ComputeMeter};
+use crate::link::{Link, Strict};
 use crate::window::Window;
 
 /// Tag for the skew message (line 4).
@@ -127,6 +129,27 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
+    team_broadcast(gc, window, st, law, domain, boundary);
+    Strict::infallible(shift_pipeline(
+        gc, window, st, law, domain, boundary, &Strict, None,
+    ));
+
+    // Line 9: sum-reduce the partial forces onto the leader.
+    gc.col.set_phase(Phase::Reduce);
+    gc.col.reduce(0, st, combine_forces);
+}
+
+/// Line 2 behind both cutoff entries: check the configuration, then
+/// broadcast the team subset down the column in the order the kernel's cull
+/// needs (every copy of the block then has it).
+pub(crate) fn team_broadcast<C: Communicator, W: Window, F: ForceLaw>(
+    gc: &GridComms<C>,
+    window: &W,
+    st: &mut Vec<Particle>,
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+) {
     assert_eq!(
         boundary == Boundary::Periodic,
         window.is_periodic(),
@@ -134,25 +157,42 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
          the paper's non-periodic domain; periodic boundaries need the \
          wrap-around windows from `window_periodic`"
     );
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    validate_cutoff(window, teams, c).expect("invalid cutoff configuration");
-    let w = window.len();
-    let t = gc.team();
-    let k = gc.row_index();
+    validate_cutoff(window, gc.grid.teams(), gc.grid.c()).expect("invalid cutoff configuration");
     debug_assert!(gc.is_leader() || st.is_empty());
-
-    // Line 2: broadcast the team subset down the column, in the order the
-    // kernel's cull needs (every copy of the block then has it).
     cell_order(st, law, domain);
     gc.col.set_phase(Phase::Broadcast);
     gc.col.bcast(0, st);
+}
+
+/// Lines 3-8 of Algorithm 2 over the post-broadcast block `st`: copy, skew,
+/// then shift+update modulo the window. The one body behind
+/// [`ca_cutoff_forces`] ([`Strict`] link) and
+/// [`ca_cutoff_forces_ft`](crate::recovery::ca_cutoff_forces_ft) (one
+/// [`Deadline`](crate::link::Deadline) link per recovery attempt, so the
+/// home copy is rebuilt from the checkpointed state on every retry). See
+/// [`allpairs::shift_pipeline`](crate::allpairs::shift_pipeline) for
+/// `potential`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
+    gc: &GridComms<C>,
+    window: &W,
+    st: &mut [Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    link: &L,
+    mut potential: Option<&mut f64>,
+) -> Result<(), L::Error> {
+    let c = gc.grid.c();
+    let w = window.len();
+    let t = gc.team();
+    let k = gc.row_index();
 
     // Line 3: the exchange buffer. `home` is the immutable copy used to
     // re-inject this team's block when a traversal wraps across the domain
     // boundary.
-    let home: Vec<Particle> = st.clone();
-    let mut exch: Vec<Particle> = st.clone();
+    let home: Vec<Particle> = st.to_vec();
+    let mut exch: Vec<Particle> = st.to_vec();
     // Replicated working set (owned block + home copy + exchange buffer):
     // the memory the Eq. 3 bounds are evaluated against.
     gc.col
@@ -170,13 +210,14 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     // Line 4: skew to position k. Own blocks move directly from their homes.
     gc.col.set_phase(Phase::Skew);
     tr.set_step(Some(0));
+    link.step(&gc.col, 0)?;
     if k > 0 {
         if let Some(dst) = window.apply(t, k) {
-            gc.row.send(dst, TAG_CSKEW, &exch);
+            link.send(&gc.row, dst, TAG_CSKEW, &exch);
         }
         cur_block = window.apply_back(t, k);
         exch = match cur_block {
-            Some(b) => gc.row.recv(b, TAG_CSKEW),
+            Some(b) => link.recv(&gc.row, b, TAG_CSKEW)?,
             None => Vec::new(),
         };
     }
@@ -187,6 +228,7 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     for s in 1..=steps {
         gc.col.set_phase(Phase::Shift);
         tr.set_step(Some(s as u32));
+        link.step(&gc.col, s)?;
         let tag = TAG_CSHIFT + s as u64;
         let j_prev = (k + (s - 1) * c) % w;
         let j_new = (k + s * c) % w;
@@ -197,7 +239,7 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
         // this step, so does it).
         if let Some(b) = cur_block {
             if let Some(holder) = window.apply(b, j_new) {
-                gc.row.send(holder, tag, &exch);
+                link.send(&gc.row, holder, tag, &exch);
             }
         }
         // Outgoing home-route: if the processor that needs *my team's*
@@ -205,7 +247,7 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
         // the grid), its home — me — re-injects the copy.
         if let Some(needy) = window.apply(t, j_new) {
             if window.apply(t, j_prev).is_none() {
-                gc.row.send(needy, tag, &home);
+                link.send(&gc.row, needy, tag, &home);
             }
         }
 
@@ -215,7 +257,7 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
         exch = match cur_block {
             Some(b) => {
                 let src = window.apply(b, j_prev).unwrap_or(b);
-                gc.row.recv(src, tag)
+                link.recv(&gc.row, src, tag)?
             }
             None => Vec::new(),
         };
@@ -224,15 +266,12 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
         if k + s * c < w + c && cur_block.is_some() {
             gc.col.set_phase(Phase::Other);
             meter.time(st.len(), exch.len(), || {
-                accumulate_block(st, &exch, law, domain, boundary)
+                update(st, &exch, law, domain, boundary, &mut potential)
             });
         }
     }
     tr.set_step(None);
-
-    // Line 9: sum-reduce the partial forces onto the leader.
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+    Ok(())
 }
 
 #[cfg(test)]

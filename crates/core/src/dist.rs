@@ -55,9 +55,13 @@ pub fn team_grid_dims(teams: usize) -> (usize, usize) {
 
 /// The team owning position `(x, y)` under a 2D spatial decomposition into a
 /// `tx x ty` grid of rectangles, linearized row-major (`t = cy * tx + cx`).
+/// With `ty = 1` this is [`team_of_x`] over `tx` slabs, at its cost: the
+/// drivers describe a 1D decomposition as the one-row grid.
 pub fn team_of_xy(domain: &Domain, tx: usize, ty: usize, x: f64, y: f64) -> usize {
-    let cx = (((x - domain.min.x) / domain.length_x() * tx as f64).floor() as isize)
-        .clamp(0, tx as isize - 1) as usize;
+    let cx = team_of_x(domain, tx, x);
+    if ty == 1 {
+        return cx;
+    }
     let cy = (((y - domain.min.y) / domain.length_y() * ty as f64).floor() as isize)
         .clamp(0, ty as isize - 1) as usize;
     cy * tx + cx

@@ -24,6 +24,7 @@ pub mod cutoff;
 pub mod dist;
 pub mod grid;
 pub mod kernel;
+mod link;
 pub mod midpoint;
 pub mod probe;
 pub mod reassign;
@@ -39,18 +40,14 @@ pub use cutoff::{ca_cutoff_forces, CutoffError};
 pub use allpairs::ca_all_pairs_forces;
 pub use grid::{GridComms, GridError, ProcGrid};
 pub use recovery::{
-    ca_all_pairs_forces_ft, ca_all_pairs_forces_ft_health, ca_cutoff_forces_ft,
-    ca_cutoff_forces_ft_health, FaultClass, FaultError, HealthMonitor, RecoveryReport,
-    RetryPolicy,
+    ca_all_pairs_forces_ft, ca_cutoff_forces_ft, FaultClass, FaultError, HealthMonitor,
+    RecoveryReport, RetryPolicy,
 };
 pub use probe::StepProbe;
 pub use sim::{
-    run_distributed, run_distributed_chaos, run_distributed_chaos_recorded,
-    run_distributed_chaos_wired, run_distributed_durable, run_distributed_health,
-    run_distributed_recorded, run_distributed_sampled, run_distributed_traced,
-    run_distributed_wired, run_serial, ChaosRunResult, CheckpointConfig, Method, RunResult,
-    SimConfig,
+    run_distributed, run_distributed_chaos, run_distributed_sampled, run_serial, ChaosRunResult,
+    CheckpointConfig, Method, Run, RunOutput, RunResult, SimConfig,
 };
-pub use window::{Window, Window1d, Window2d, Window3d};
+pub use window::{CutoffWindow, Window, Window1d, Window2d, Window3d};
 pub use window_periodic::{Window1dPeriodic, Window2dPeriodic};
 pub use wire::{expected_schedule, WireScheduleSpec};

@@ -1,4 +1,4 @@
-//! Fault-tolerant variants of the CA force drivers.
+//! The recovery protocol around the CA force drivers.
 //!
 //! The paper's algorithms assume a failure-free machine; at the scales its
 //! model targets (Hopper: 153k cores), rank loss during a force evaluation
@@ -8,14 +8,25 @@
 //! inputs can be reconstructed from a teammate and the evaluation re-run
 //! from its checkpoint.
 //!
+//! This module owns the *protocol* only: the retry/agreement/resync loop
+//! (`recovery_loop`), its [`RetryPolicy`], the [`HealthMonitor`] that rides
+//! on it, and the verdicts ([`FaultError`], [`RecoveryReport`]). The
+//! skew/shift pipelines it retries are not copied here: each
+//! fault-tolerant entry ([`ca_all_pairs_forces_ft`],
+//! [`ca_cutoff_forces_ft`]) hands the algorithm's one shift body
+//! (`allpairs::shift_pipeline`, `cutoff::shift_pipeline`) to the loop as
+//! its attempt, under a deadline link (`link::Deadline`) where the plain
+//! drivers run it under the strict one.
+//!
 //! The protocol wrapped around one force evaluation:
 //!
 //! 1. **Checkpoint.** After the team broadcast, every rank keeps an
 //!    immutable copy of its post-broadcast input block (`nc/p` particles —
 //!    the same replicated working set the paper's memory bound already
 //!    charges for).
-//! 2. **Attempt.** The skew/shift pipeline runs with deadline-bounded
-//!    receives ([`Communicator::try_recv_timeout`]); a missing message
+//! 2. **Attempt.** The skew/shift pipeline runs under the deadline link:
+//!    every step is announced to the fault injector and every receive is
+//!    bounded ([`Communicator::try_recv_timeout`]); a missing message
 //!    surfaces as [`CommError::Timeout`] instead of a hang, and a rank the
 //!    fault plan just killed observes [`CommError::PeerDead`] on itself.
 //! 3. **Agreement.** Every rank reduces its local attempt status
@@ -58,13 +69,11 @@ use nbody_metrics::Counter;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 use nbody_simhealth::state_fingerprint;
 
-use crate::allpairs::{TAG_SHIFT, TAG_SKEW};
-use crate::cutoff::{row_steps, validate_cutoff, TAG_CSHIFT, TAG_CSKEW};
 use crate::grid::GridComms;
-use crate::kernel::{
-    accumulate_block, accumulate_block_potential, cell_order, combine_forces, ComputeMeter,
-};
+use crate::kernel::combine_forces;
+use crate::link::Deadline;
 use crate::window::Window;
+use crate::{allpairs, cutoff};
 
 /// Tag distance between retry attempts of one evaluation. Attempt `a` of
 /// evaluation epoch `e` offsets every pipeline tag by
@@ -664,6 +673,39 @@ fn recovery_loop<C: Communicator>(
     }
 }
 
+/// Run one evaluation's shift pipeline under the recovery protocol: hand
+/// `pipeline` to [`recovery_loop`] as the attempt body (a fresh
+/// [`Deadline`] link per attempt), then sum-reduce onto the leader. `st`
+/// must hold the post-broadcast block; `copies` is how many block-sized
+/// buffers the evaluation keeps alive, checkpoint included. Returns the
+/// report and the harvested pair potential (0 without `health`).
+fn recovering<C: Communicator>(
+    gc: &GridComms<C>,
+    st: &mut Vec<Particle>,
+    policy: &RetryPolicy,
+    epoch: u64,
+    health: Option<&HealthMonitor>,
+    copies: usize,
+    mut pipeline: impl FnMut(&mut [Particle], &Deadline, Option<&mut f64>) -> Result<(), CommError>,
+) -> Result<(RecoveryReport, f64), FaultError> {
+    gc.col
+        .metrics()
+        .gauge_max("mem_particles_hwm", (copies * st.len()) as u64);
+    let mut pe = 0.0f64;
+    let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
+        // An aborted attempt's partial harvest must not double-count.
+        pe = 0.0;
+        pipeline(
+            st,
+            &Deadline { tag_base, deadline },
+            health.map(|_| &mut pe),
+        )
+    })?;
+    gc.col.set_phase(Phase::Reduce);
+    gc.col.reduce(0, st, combine_forces);
+    Ok((report, pe))
+}
+
 /// Fault-tolerant [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces):
 /// identical result (bit-for-bit, even across recoveries), but the shift
 /// pipeline detects failed peers by timeout and runs the recovery protocol
@@ -672,28 +714,14 @@ fn recovery_loop<C: Communicator>(
 /// `epoch` must be unique per force evaluation on one execution (the
 /// timestep index) — it namespaces message tags so traffic from an aborted
 /// attempt can never satisfy a later evaluation's receive.
-pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
-    gc: &GridComms<C>,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
-) -> Result<RecoveryReport, FaultError> {
-    ca_all_pairs_forces_ft_health(gc, st, law, domain, boundary, policy, epoch, None)
-        .map(|(report, _)| report)
-}
-
-/// [`ca_all_pairs_forces_ft`] with the numerical-health monitors threaded
-/// through: when `health` is set, the kernel harvests the summed pair
-/// potential (returned alongside the report — the rank's potential-energy
-/// partial, counting each unordered pair twice globally) and every
-/// recovery attempt starts with the replica fingerprint cross-check.
-/// With `health = None` this *is* the plain ft driver: same kernel, no
-/// harvesting, no cross-check traffic.
+///
+/// When `health` is set, the kernel harvests the summed pair potential
+/// (returned alongside the report — the rank's potential-energy partial,
+/// counting each unordered pair twice globally; 0 otherwise) and every
+/// recovery attempt starts with the replica fingerprint cross-check. With
+/// `health = None` there is no harvesting and no cross-check traffic.
 #[allow(clippy::too_many_arguments)]
-pub fn ca_all_pairs_forces_ft_health<C: Communicator, F: ForceLaw>(
+pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
     gc: &GridComms<C>,
     st: &mut Vec<Particle>,
     law: &F,
@@ -703,80 +731,25 @@ pub fn ca_all_pairs_forces_ft_health<C: Communicator, F: ForceLaw>(
     epoch: u64,
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    let steps = gc.grid.all_pairs_steps();
-    let team = gc.team();
-    let k = gc.row_index();
     debug_assert!(gc.is_leader() || st.is_empty());
-
     gc.col.set_phase(Phase::Broadcast);
     gc.col.bcast(0, st);
     // Owned block + exchange buffer + recovery checkpoint.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (3 * st.len()) as u64);
-
-    let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit; aborted attempts still
-    // count — the work was really done.
-    let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
-    let harvest = health.is_some();
-    let mut pe = 0.0f64;
-    let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
-        // An aborted attempt's partial harvest must not double-count.
-        pe = 0.0;
-        let mut exch = st.clone();
-        gc.col.set_phase(Phase::Skew);
-        tr.set_step(Some(0));
-        gc.col.fault_step(0)?;
-        if k > 0 {
-            let dst = (team + k) % teams;
-            let src = (team + teams - k) % teams;
-            gc.row.send(dst, TAG_SKEW + tag_base, &exch);
-            exch = gc
-                .row
-                .try_recv_timeout(src, TAG_SKEW + tag_base, deadline)?;
-        }
-        for s in 1..=steps {
-            gc.col.set_phase(Phase::Shift);
-            tr.set_step(Some(s as u32));
-            gc.col.fault_step(s)?;
-            let dst = (team + c) % teams;
-            let src = (team + teams - c) % teams;
-            let tag = TAG_SHIFT + tag_base + s as u64;
-            gc.row.send(dst, tag, &exch);
-            exch = gc.row.try_recv_timeout(src, tag, deadline)?;
-
-            gc.col.set_phase(Phase::Other);
-            meter.time(st.len(), exch.len(), || {
-                if harvest {
-                    let (evals, dpe) =
-                        accumulate_block_potential(st, &exch, law, domain, boundary);
-                    pe += dpe;
-                    evals
-                } else {
-                    accumulate_block(st, &exch, law, domain, boundary)
-                }
-            });
-        }
-        Ok(())
-    })?;
-    tr.set_step(None);
-
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
-    Ok((report, pe))
+    recovering(gc, st, policy, epoch, health, 3, |st, link, pe| {
+        allpairs::shift_pipeline(gc, st, law, domain, boundary, link, pe)
+    })
 }
 
 /// Fault-tolerant [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces):
 /// the window-modulo pipeline with deadline-bounded receives and the
-/// recovery protocol. See [`ca_all_pairs_forces_ft`] for the contract;
-/// `epoch` uniqueness is per-execution, shared with the all-pairs driver.
+/// recovery protocol. See [`ca_all_pairs_forces_ft`] for the contract
+/// (`epoch` uniqueness is per-execution, shared with the all-pairs driver);
+/// the harvested potential covers exactly the in-window pairs the cutoff
+/// schedule evaluates.
 ///
 /// Note that rows perform different step counts here
-/// ([`row_steps`]), so a kill scheduled at step `s` only fires on ranks
-/// whose row reaches that step.
+/// ([`row_steps`](crate::cutoff::row_steps)), so a kill scheduled at step
+/// `s` only fires on ranks whose row reaches that step.
 #[allow(clippy::too_many_arguments)]
 pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     gc: &GridComms<C>,
@@ -787,128 +760,13 @@ pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     boundary: Boundary,
     policy: &RetryPolicy,
     epoch: u64,
-) -> Result<RecoveryReport, FaultError> {
-    ca_cutoff_forces_ft_health(gc, window, st, law, domain, boundary, policy, epoch, None)
-        .map(|(report, _)| report)
-}
-
-/// [`ca_cutoff_forces_ft`] with the numerical-health monitors threaded
-/// through; see [`ca_all_pairs_forces_ft_health`] for the contract. The
-/// harvested potential covers exactly the in-window pairs the cutoff
-/// schedule evaluates.
-#[allow(clippy::too_many_arguments)]
-pub fn ca_cutoff_forces_ft_health<C: Communicator, W: Window, F: ForceLaw>(
-    gc: &GridComms<C>,
-    window: &W,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
-    assert_eq!(
-        boundary == Boundary::Periodic,
-        window.is_periodic(),
-        "boundary and window periodicity must agree"
-    );
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    validate_cutoff(window, teams, c).expect("invalid cutoff configuration");
-    let w = window.len();
-    let t = gc.team();
-    let k = gc.row_index();
-    debug_assert!(gc.is_leader() || st.is_empty());
-
-    // As in the plain driver: cell order first, so every copy has it.
-    cell_order(st, law, domain);
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
+    cutoff::team_broadcast(gc, window, st, law, domain, boundary);
     // Owned block + home copy + exchange buffer + recovery checkpoint.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (4 * st.len()) as u64);
-
-    let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit.
-    let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
-    let harvest = health.is_some();
-    let mut pe = 0.0f64;
-    let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
-        // An aborted attempt's partial harvest must not double-count.
-        pe = 0.0;
-        // The home copy is rebuilt from the checkpointed state each
-        // attempt, so home-route re-injection stays consistent on retries.
-        let home: Vec<Particle> = st.clone();
-        let mut exch: Vec<Particle> = st.clone();
-        let mut cur_block: Option<usize> = Some(t);
-
-        gc.col.set_phase(Phase::Skew);
-        tr.set_step(Some(0));
-        gc.col.fault_step(0)?;
-        if k > 0 {
-            let tag = TAG_CSKEW + tag_base;
-            if let Some(dst) = window.apply(t, k) {
-                gc.row.send(dst, tag, &exch);
-            }
-            cur_block = window.apply_back(t, k);
-            exch = match cur_block {
-                Some(b) => gc.row.try_recv_timeout(b, tag, deadline)?,
-                None => Vec::new(),
-            };
-        }
-
-        let steps = row_steps(w, c, k);
-        for s in 1..=steps {
-            gc.col.set_phase(Phase::Shift);
-            tr.set_step(Some(s as u32));
-            gc.col.fault_step(s)?;
-            let tag = TAG_CSHIFT + tag_base + s as u64;
-            let j_prev = (k + (s - 1) * c) % w;
-            let j_new = (k + s * c) % w;
-
-            if let Some(b) = cur_block {
-                if let Some(holder) = window.apply(b, j_new) {
-                    gc.row.send(holder, tag, &exch);
-                }
-            }
-            if let Some(needy) = window.apply(t, j_new) {
-                if window.apply(t, j_prev).is_none() {
-                    gc.row.send(needy, tag, &home);
-                }
-            }
-
-            cur_block = window.apply_back(t, j_new);
-            exch = match cur_block {
-                Some(b) => {
-                    let src = window.apply(b, j_prev).unwrap_or(b);
-                    gc.row.try_recv_timeout(src, tag, deadline)?
-                }
-                None => Vec::new(),
-            };
-
-            if k + s * c < w + c && cur_block.is_some() {
-                gc.col.set_phase(Phase::Other);
-                meter.time(st.len(), exch.len(), || {
-                    if harvest {
-                        let (evals, dpe) =
-                            accumulate_block_potential(st, &exch, law, domain, boundary);
-                        pe += dpe;
-                        evals
-                    } else {
-                        accumulate_block(st, &exch, law, domain, boundary)
-                    }
-                });
-            }
-        }
-        Ok(())
-    })?;
-    tr.set_step(None);
-
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
-    Ok((report, pe))
+    recovering(gc, st, policy, epoch, health, 4, |st, link, pe| {
+        cutoff::shift_pipeline(gc, window, st, law, domain, boundary, link, pe)
+    })
 }
 
 #[cfg(test)]
@@ -939,7 +797,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let rep = ca_all_pairs_forces_ft(
+            let (rep, _) = ca_all_pairs_forces_ft(
                 &gc,
                 &mut st,
                 &law(),
@@ -947,6 +805,7 @@ mod tests {
                 Boundary::Reflective,
                 &RetryPolicy::default(),
                 0,
+                None,
             )
             .expect("fault-free run cannot fail");
             assert_eq!(
@@ -1023,7 +882,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let rep = ca_all_pairs_forces_ft(
+            let (rep, _) = ca_all_pairs_forces_ft(
                 &gc,
                 &mut st,
                 &law(),
@@ -1031,6 +890,7 @@ mod tests {
                 Boundary::Reflective,
                 &RetryPolicy::with_timeout_ms(500),
                 0,
+                None,
             )
             .expect("c=2 must recover from a single kill");
             assert!(rep.recovered);
@@ -1067,6 +927,7 @@ mod tests {
                 Boundary::Reflective,
                 &RetryPolicy::with_timeout_ms(300),
                 0,
+                None,
             )
         });
         for err in errs {
@@ -1142,6 +1003,7 @@ mod tests {
                 Boundary::Reflective,
                 &policy,
                 0,
+                None,
             )
         });
         for err in errs {

@@ -1,4 +1,4 @@
-//! The end-to-end simulation driver.
+//! The end-to-end simulation driver: one run path.
 //!
 //! Runs multi-timestep N-body simulations with any of the paper's
 //! decompositions on the threaded message-passing runtime, handling the
@@ -6,36 +6,54 @@
 //! cutoff methods) per-step spatial re-assignment. The serial path uses the
 //! identical integrator/force code, so distributed trajectories can be
 //! validated against it step-for-step.
+//!
+//! A [`Run`] describes one distributed execution: the method and rank
+//! count, which lenses record it (`.trace()`, `.probe()`), and what rides
+//! along with the force evaluations (`.faults()`, `.checkpoint()`,
+//! `.health()`). [`run_distributed`] and [`run_distributed_chaos`] are
+//! shorthand for the two descriptions almost every caller wants.
+//!
+//! The CA methods share **one** timestep loop (`run_ca_rank`), generic over
+//!
+//! * the **decomposition** (`Layout`): which processor grid, how a leader
+//!   cuts its block out of a full particle set, which [`CutoffWindow`] the
+//!   shifts run modulo, whether leaders re-assign after integrating, and
+//!   — [`Method::shrunk_onto`] — which layout a degraded run continues on;
+//! * the **evaluation** (`Evaluation`): `Plain` calls the strict-link
+//!   drivers and has an uninhabited error type, so the shrink arm, the
+//!   health hooks and the checkpoint sink are erased from its
+//!   monomorphization; `Recovering` calls the fault-tolerant drivers of
+//!   [`recovery`](crate::recovery) under a [`RetryPolicy`], optionally with
+//!   a durable [`CheckpointConfig`] sink and the [`HealthConfig`] monitors.
+
+use std::convert::Infallible;
 
 use nbody_comm::{
-    run_ranks, run_ranks_chaos_probed, run_ranks_chaos_traced, run_ranks_probed_traced,
-    run_ranks_traced, CommStats, Communicator, EventKind, ExecutionTrace, FaultPlan,
-    MetricsSnapshot, Phase, RunTimeline, WireLog,
+    run_ranks_chaos_with, run_ranks_with, Artifacts, CommStats, Communicator, EventKind,
+    ExecutionTrace, FaultPlan, Lenses, MetricsSnapshot, Phase,
 };
 use nbody_durable::{write_atomic, CheckpointBundle, ColumnBlock};
 use nbody_physics::particle::reset_forces;
-use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle};
+use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle, Vec2};
 use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invariants};
 
+use crate::allpairs::ca_all_pairs_forces;
 use crate::baselines::{
     force_decomposition_forces, naive_allgather_forces, particle_ring_forces,
+    particle_ring_symmetric_forces,
 };
-use crate::cutoff::ca_cutoff_forces;
-use crate::dist::{
-    id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy,
-};
+use crate::cutoff::{ca_cutoff_forces, validate_cutoff};
+use crate::dist::{id_block_subset, spatial_subset_2d, team_grid_dims, team_of_xy};
 use crate::grid::{GridComms, ProcGrid};
 use crate::midpoint::midpoint_forces;
 use crate::probe::StepProbe;
 use crate::reassign::reassign_particles;
 use crate::recovery::{
-    ca_all_pairs_forces_ft_health, ca_cutoff_forces_ft_health, FaultError, HealthMonitor,
-    RecoveryReport, RetryPolicy,
+    ca_all_pairs_forces_ft, ca_cutoff_forces_ft, FaultError, HealthMonitor, RecoveryReport,
+    RetryPolicy,
 };
 use crate::spatial::spatial_halo_forces;
-use crate::window::{Window1d, Window2d};
-use crate::window_periodic::{Window1dPeriodic, Window2dPeriodic};
-use crate::{allpairs::ca_all_pairs_forces, cutoff::validate_cutoff};
+use crate::window::CutoffWindow;
 
 /// Which parallel decomposition evaluates forces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +116,39 @@ impl Method {
                 | Method::Midpoint2d
         )
     }
+
+    /// Whether the method is one of the paper's CA algorithms — the ones
+    /// with a fault-tolerant driver, checkpoints and health monitors.
+    pub fn is_ca(&self) -> bool {
+        matches!(
+            self,
+            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
+        )
+    }
+
+    /// The shrink policy of degraded runs: the method a run that lost
+    /// whole team columns continues with on its `p_new` survivors — the
+    /// same algorithm at the largest replication `c' ≤ c` that is valid
+    /// there (`c'² | p_new` for all-pairs; `c' | p_new` and `c'` inside the
+    /// window `r_c` cuts out of `domain` for the cutoff methods). `None`
+    /// when no replication fits, and for the non-CA methods.
+    pub fn shrunk_onto(
+        &self,
+        p_new: usize,
+        domain: &Domain,
+        boundary: Boundary,
+        r_c: Option<f64>,
+    ) -> Option<Method> {
+        (1..=self.replication())
+            .rev()
+            .map(|c| match *self {
+                Method::CaAllPairs { .. } => Method::CaAllPairs { c },
+                Method::Ca1dCutoff { .. } => Method::Ca1dCutoff { c },
+                Method::Ca2dCutoff { .. } => Method::Ca2dCutoff { c },
+                other => other,
+            })
+            .find(|m| Layout::new(*m, p_new, domain, boundary, r_c).is_ok())
+    }
 }
 
 /// Simulation parameters shared by serial and distributed runs.
@@ -124,6 +175,22 @@ pub struct RunResult {
     pub particles: Vec<Particle>,
     /// Per-world-rank communication statistics.
     pub stats: Vec<CommStats>,
+    /// Worst per-evaluation attempt count across all ranks and timesteps
+    /// (1 = no fault ever fired; always 1 without [`Run::faults`]).
+    pub max_attempts: usize,
+    /// Whether any evaluation recovered from a detected fault.
+    pub recovered: bool,
+    /// Times the world shrank onto the survivors (degraded mode; 0 on a
+    /// run that never lost a whole team column).
+    pub shrinks: usize,
+    /// Particles dropped with dead columns across all shrinks.
+    pub lost_particles: usize,
+    /// Ranks still computing when the run finished (`p` if never shrunk).
+    pub final_ranks: usize,
+    /// The health monitors' globally agreed verdict, identical on every
+    /// rank up to floating-point reduction order ([`Run::health`] runs
+    /// only).
+    pub health: Option<HealthReport>,
 }
 
 /// Run the serial reference simulation on a copy of `initial`.
@@ -146,7 +213,9 @@ pub fn run_serial<F: ForceLaw, I: Integrator>(
 }
 
 /// Run a distributed simulation of `initial` on `p` rank threads with the
-/// given method, returning the gathered final state and per-rank stats.
+/// given method, returning the gathered final state and per-rank stats:
+/// [`Run::new`]`(cfg, method, p).execute(initial)` with nothing riding
+/// along.
 ///
 /// Panics on invalid configurations (replication not dividing `p`, cutoff
 /// methods without a cutoff law, `c` exceeding the interaction window).
@@ -160,79 +229,14 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    validate_run(cfg, method);
-    let out = run_ranks(p, |world| run_rank(cfg, method, world, initial));
-    gather_results(out, initial.len())
+    Run::new(cfg, method, p)
+        .execute(initial)
+        .result
+        .expect("a run without faults, checkpoints or health monitors has no failure path")
 }
 
-/// [`run_distributed`] with per-rank wall-clock tracing enabled: every
-/// communication phase window, blocked wait, and driver section
-/// (`step` / `integrate` / `force` / `reassign`, per timestep) is recorded
-/// against a shared epoch and returned merged across ranks, together with
-/// the live metrics snapshot (per-rank communication counters, message-size
-/// histograms, and memory high-water marks) for optimality auditing.
-pub fn run_distributed_traced<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> (RunResult, ExecutionTrace, MetricsSnapshot)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    let (result, trace, metrics, _) = run_distributed_recorded(cfg, method, p, initial);
-    (result, trace, metrics)
-}
-
-/// [`run_distributed_traced`] returning the per-step [`RunTimeline`] as
-/// well: each rank samples its communication/compute deltas at every
-/// timestep boundary (decimated 2:1 when the series ring fills), feeding
-/// the live dashboard and the drift detector.
-pub fn run_distributed_recorded<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> (RunResult, ExecutionTrace, MetricsSnapshot, RunTimeline)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline) =
-        run_ranks_traced(p, |world| run_rank(cfg, method, world, initial));
-    (gather_results(out, initial.len()), trace, metrics, timeline)
-}
-
-/// [`run_distributed_recorded`] with wire probes on as well: every rank
-/// records each point-to-point protocol message (send/recv, rank pair,
-/// tag, phase, payload size, timestamp against the shared epoch) into a
-/// bounded ring, returned merged as a [`WireLog`] for latency attribution
-/// and schedule conformance checking.
-pub fn run_distributed_wired<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> (RunResult, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline, wire) =
-        run_ranks_probed_traced(p, |world| run_rank(cfg, method, world, initial));
-    (
-        gather_results(out, initial.len()),
-        trace,
-        metrics,
-        timeline,
-        wire,
-    )
-}
-
-/// Result of a distributed run under fault injection.
+/// [`RunResult`] of a run under fault injection, with the trace and the
+/// metrics [`run_distributed_chaos`] always records riding along.
 #[derive(Debug, Clone)]
 pub struct ChaosRunResult {
     /// Final particles, gathered from all owners and sorted by id.
@@ -242,20 +246,18 @@ pub struct ChaosRunResult {
     /// Live metrics snapshot (includes the `fault_*` and
     /// `recovery_bytes_total` counters).
     pub metrics: MetricsSnapshot,
-    /// Per-rank wall-clock trace (chaos runs always trace, so recovery
-    /// overhead shows up in `report` breakdowns).
+    /// Per-rank wall-clock trace (so recovery overhead shows up in
+    /// `report` breakdowns).
     pub trace: ExecutionTrace,
-    /// Worst per-evaluation attempt count across all ranks and timesteps
-    /// (1 = no fault ever fired).
+    /// See [`RunResult::max_attempts`].
     pub max_attempts: usize,
-    /// Whether any evaluation recovered from a detected fault.
+    /// See [`RunResult::recovered`].
     pub recovered: bool,
-    /// Times the world shrank onto the survivors (degraded mode; 0 on a
-    /// run that never lost a whole team column).
+    /// See [`RunResult::shrinks`].
     pub shrinks: usize,
-    /// Particles dropped with dead columns across all shrinks.
+    /// See [`RunResult::lost_particles`].
     pub lost_particles: usize,
-    /// Ranks still computing when the run finished (`p` if never shrunk).
+    /// See [`RunResult::final_ranks`].
     pub final_ranks: usize,
 }
 
@@ -286,8 +288,9 @@ pub struct CheckpointConfig {
 }
 
 /// Run a distributed simulation under a fault-injection [`FaultPlan`],
-/// using the fault-tolerant force drivers (the CA methods only:
-/// [`Method::CaAllPairs`], [`Method::Ca1dCutoff`], [`Method::Ca2dCutoff`]).
+/// using the fault-tolerant force drivers (the CA methods only):
+/// [`Run::new`]`(cfg, method, p).trace().faults(plan, policy)`, flattened
+/// into one success value.
 ///
 /// Completes with forces bit-identical to the fault-free run whenever
 /// replica recovery is possible. When whole team columns die (all `c`
@@ -307,178 +310,201 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    run_distributed_chaos_recorded(cfg, method, p, plan, policy, initial).0
+    let out = Run::new(cfg, method, p)
+        .trace()
+        .faults(plan, policy)
+        .execute(initial);
+    let res = out.result?;
+    Ok(ChaosRunResult {
+        particles: res.particles,
+        stats: res.stats,
+        metrics: out.artifacts.metrics,
+        trace: out.artifacts.trace,
+        max_attempts: res.max_attempts,
+        recovered: res.recovered,
+        shrinks: res.shrinks,
+        lost_particles: res.lost_particles,
+        final_ranks: res.final_ranks,
+    })
 }
 
-/// [`run_distributed_chaos`] returning the per-step [`RunTimeline`] as
-/// well. The timeline is produced **even when the run fails**: on an
-/// agreed [`FaultError`] it is a postmortem bundle
-/// ([`RunTimeline::is_postmortem`]) carrying each rank's final flight-ring
-/// events and the failure reason marked by the recovery layer.
-pub fn run_distributed_chaos_recorded<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    initial: &[Particle],
-) -> (Result<ChaosRunResult, FaultError>, RunTimeline)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    run_distributed_durable(cfg, method, p, plan, policy, None, initial)
-}
-
-/// [`run_distributed_chaos_recorded`] with a durable checkpoint sink: on
-/// the configured cadence the leaders' blocks are gathered and persisted
-/// as an atomic versioned bundle, so the run can be killed at any point
-/// and resumed from the last completed checkpoint (`run --resume`). With
-/// `ckpt = None` this *is* `run_distributed_chaos_recorded`.
-pub fn run_distributed_durable<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    ckpt: Option<&CheckpointConfig>,
-    initial: &[Particle],
-) -> (Result<ChaosRunResult, FaultError>, RunTimeline)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    let (res, timeline) = run_chaos_inner(cfg, method, p, plan, policy, ckpt, None, initial);
-    (res.map(|(r, _)| r), timeline)
-}
-
-/// [`run_distributed_chaos_recorded`] with the numerical-health monitors
-/// on: every step the ranks' partial kinetic/momentum/potential sums are
-/// reduced once world-wide into the timeline's energy/momentum series,
-/// non-finite sentinels scan forces and integrated state (aborting into a
-/// postmortem with the blamed rank/particle/field on first trigger), and
-/// every recovery attempt cross-checks replica state fingerprints down
-/// each column (a diverged replica is re-seeded from its column majority
-/// and counted in [`HealthReport::fingerprint_mismatches`]).
+/// One distributed run, described: what to run, which lenses record it,
+/// and what rides along with its force evaluations. Every toggle is
+/// independent of the others.
 ///
-/// CA methods only, like every chaos run. On success the returned
-/// [`HealthReport`] is the globally agreed verdict (identical on every
-/// rank up to floating-point reduction order).
-pub fn run_distributed_health<F, I>(
-    cfg: &SimConfig<F, I>,
+/// `faults`, `checkpoint` and `health` each select the fault-tolerant
+/// evaluation (CA methods only); a run with none of them takes the plain
+/// drivers and cannot fail.
+pub struct Run<'a, F, I> {
+    cfg: &'a SimConfig<F, I>,
     method: Method,
     p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    health: &HealthConfig,
-    initial: &[Particle],
-) -> (Result<(ChaosRunResult, HealthReport), FaultError>, RunTimeline)
+    lenses: Lenses,
+    faults: Option<(&'a FaultPlan, &'a RetryPolicy)>,
+    checkpoint: Option<&'a CheckpointConfig>,
+    health: Option<&'a HealthConfig>,
+}
+
+/// What a [`Run`] produced. The lens artifacts sit *outside* the `Result`
+/// because postmortem bundles must survive a [`FaultError`]: on an agreed
+/// failure the timeline is a postmortem bundle
+/// ([`RunTimeline::is_postmortem`](nbody_comm::RunTimeline::is_postmortem))
+/// carrying each rank's final flight-ring events and the failure reason
+/// marked by the recovery layer, and the wire log shows what actually
+/// crossed the wire.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The gathered final state, or the verdict every rank agreed on.
+    pub result: Result<RunResult, FaultError>,
+    /// What the lenses recorded. The trace carries the driver sections
+    /// (`step` / `integrate` / `force` / `reassign`, per timestep) next to
+    /// the phase windows and blocked waits; the metrics include the
+    /// `fault_*`, `checkpoint_*` and `health_*` counters; on
+    /// [`Run::health`] runs the timeline's samples carry the
+    /// energy/momentum series; the wire log holds every injected fault as
+    /// a first-class event.
+    pub artifacts: Artifacts,
+}
+
+impl<'a, F, I> Run<'a, F, I>
 where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    let (res, timeline) =
-        run_chaos_inner(cfg, method, p, plan, policy, None, Some(health), initial);
-    (
-        res.map(|(r, h)| (r, h.expect("health runs always produce a report"))),
-        timeline,
-    )
+    /// `method` on `p` rank threads, no lens on, nothing riding along.
+    pub fn new(cfg: &'a SimConfig<F, I>, method: Method, p: usize) -> Self {
+        Run {
+            cfg,
+            method,
+            p,
+            lenses: Lenses::default(),
+            faults: None,
+            checkpoint: None,
+            health: None,
+        }
+    }
+
+    /// Record per-rank wall-clock spans, live metrics and per-step
+    /// timeline samples against a shared epoch.
+    pub fn trace(mut self) -> Self {
+        self.lenses.trace = true;
+        self
+    }
+
+    /// Record every point-to-point message into the wire-probe rings.
+    pub fn probe(mut self) -> Self {
+        self.lenses.probe = true;
+        self
+    }
+
+    /// Inject `plan` and evaluate forces under the recovery protocol with
+    /// `policy`. (Without this, a checkpointed or health-monitored run
+    /// injects nothing and retries under [`RetryPolicy::default`].)
+    pub fn faults(mut self, plan: &'a FaultPlan, policy: &'a RetryPolicy) -> Self {
+        self.faults = Some((plan, policy));
+        self
+    }
+
+    /// Persist the leaders' blocks as an atomic versioned bundle on the
+    /// configured cadence, so the run can be killed at any point and
+    /// resumed from the last completed checkpoint (`run --resume`).
+    pub fn checkpoint(mut self, ckpt: &'a CheckpointConfig) -> Self {
+        self.checkpoint = Some(ckpt);
+        self
+    }
+
+    /// Turn the numerical-health monitors on: every checked step the
+    /// ranks' partial kinetic/momentum/potential sums are reduced once
+    /// world-wide into the timeline's energy/momentum series, non-finite
+    /// sentinels scan forces and integrated state (aborting into a
+    /// postmortem with the blamed rank/particle/field on first trigger),
+    /// and every recovery attempt cross-checks replica state fingerprints
+    /// down each column (a diverged replica is re-seeded from its column
+    /// majority and counted in [`HealthReport::fingerprint_mismatches`]).
+    pub fn health(mut self, health: &'a HealthConfig) -> Self {
+        self.health = Some(health);
+        self
+    }
+
+    /// Execute the run on `initial`.
+    ///
+    /// Panics on invalid configurations (replication not dividing `p`,
+    /// cutoff methods without a cutoff law, `c` exceeding the interaction
+    /// window, fault tolerance requested for a non-CA method).
+    pub fn execute(&self, initial: &[Particle]) -> RunOutput {
+        let (cfg, method) = (self.cfg, self.method);
+        validate_run(cfg, method);
+        let recovering =
+            self.faults.is_some() || self.checkpoint.is_some() || self.health.is_some();
+        let (out, artifacts) = if recovering {
+            let (no_faults, default_policy) = (FaultPlan::empty(), RetryPolicy::default());
+            let (plan, policy) = self.faults.unwrap_or((&no_faults, &default_policy));
+            run_ranks_chaos_with(self.p, plan, self.lenses, |world| {
+                let eval = Recovering::new(world, policy, self.checkpoint, self.health);
+                run_ca_rank(cfg, method, world, initial, eval)
+            })
+        } else {
+            let (out, artifacts) = run_ranks_with(self.p, self.lenses, |world| {
+                run_rank(cfg, method, world, initial)
+            });
+            (out.into_iter().map(Ok).collect(), artifacts)
+        };
+        let result = assemble(out, initial.len());
+        if let (true, Ok(run)) = (recovering, &result) {
+            // Recovery re-seeds blocks and shrinks re-deal them: a protocol
+            // bug there could duplicate particles, not only lose them.
+            assert!(
+                run.particles.windows(2).all(|w| w[0].id < w[1].id),
+                "duplicate particle ids in fault-tolerant run"
+            );
+        }
+        RunOutput { result, artifacts }
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_chaos_inner<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    ckpt: Option<&CheckpointConfig>,
-    health: Option<&HealthConfig>,
-    initial: &[Particle],
-) -> (
-    Result<(ChaosRunResult, Option<HealthReport>), FaultError>,
-    RunTimeline,
-)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline) = run_ranks_chaos_traced(p, plan, |world| {
-        run_rank_ft(cfg, method, world, initial, policy, ckpt, health)
-    });
-    (assemble_chaos(out, initial.len(), metrics, trace), timeline)
-}
+/// What one rank hands back: the particles it owns at the end, its
+/// statistics, and what its evaluations and monitors reported.
+type RankOutcome = (
+    Vec<Particle>,
+    CommStats,
+    RecoveryReport,
+    Option<HealthReport>,
+);
 
-/// [`run_distributed_chaos_recorded`] with wire probes on: the returned
-/// [`WireLog`] carries every protocol message *and* every injected fault
-/// as first-class events, so a conformance check can attribute each
-/// discrepancy between observed and scheduled traffic to the fault plan.
-/// Like the timeline, the log is produced even when the run fails.
-pub fn run_distributed_chaos_wired<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    initial: &[Particle],
-) -> (Result<ChaosRunResult, FaultError>, RunTimeline, WireLog)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline, wire) = run_ranks_chaos_probed(p, plan, |world| {
-        run_rank_ft(cfg, method, world, initial, policy, None, None)
-    });
-    (
-        assemble_chaos(out, initial.len(), metrics, trace).map(|(r, _)| r),
-        timeline,
-        wire,
-    )
-}
-
-/// Merge the per-rank outcomes of a fault-tolerant run into one
-/// [`ChaosRunResult`], accounting for blocks dropped by agreed shrinks:
-/// the gathered survivors plus the lost particles must tile the initial
-/// set exactly (sorted, unique ids), anything else is a protocol bug.
-type RankOutcome =
-    Result<(Vec<Particle>, CommStats, RecoveryReport, Option<HealthReport>), FaultError>;
-
-fn assemble_chaos(
-    out: Vec<RankOutcome>,
-    n: usize,
-    metrics: MetricsSnapshot,
-    trace: ExecutionTrace,
-) -> Result<(ChaosRunResult, Option<HealthReport>), FaultError> {
-    let p = out.len();
-    let mut particles = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(p);
-    let mut max_attempts = 1;
-    let mut recovered = false;
-    let mut shrinks = 0;
-    let mut lost_particles = 0;
-    let mut final_ranks = p;
-    let mut health: Option<HealthReport> = None;
+/// Merge the per-rank outcomes of a run into one [`RunResult`], accounting
+/// for blocks dropped by agreed shrinks: the gathered survivors plus the
+/// lost particles must number the initial set exactly, anything else is a
+/// protocol bug.
+fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunResult, FaultError> {
+    let mut run = RunResult {
+        particles: Vec::with_capacity(n),
+        stats: Vec::with_capacity(out.len()),
+        max_attempts: 1,
+        recovered: false,
+        shrinks: 0,
+        lost_particles: 0,
+        final_ranks: out.len(),
+        health: None,
+    };
     for r in out {
         let (mut ps, st, rep, hr) = r?;
-        particles.append(&mut ps);
-        stats.push(st);
-        max_attempts = max_attempts.max(rep.attempts);
-        recovered |= rep.recovered;
+        run.particles.append(&mut ps);
+        run.stats.push(st);
+        run.max_attempts = run.max_attempts.max(rep.attempts);
+        run.recovered |= rep.recovered;
         // Survivors carry the cumulative loss; ranks that left early hold
         // a prefix of it, so the max is the total.
-        shrinks = shrinks.max(rep.shrinks);
-        lost_particles = lost_particles.max(rep.lost_particles);
+        run.shrinks = run.shrinks.max(rep.shrinks);
+        run.lost_particles = run.lost_particles.max(rep.lost_particles);
         if rep.survivor_ranks > 0 {
-            final_ranks = final_ranks.min(rep.survivor_ranks);
+            run.final_ranks = run.final_ranks.min(rep.survivor_ranks);
         }
         if let Some(hr) = hr {
             // The reduced invariants are agreed on every surviving rank; a
             // rank that left the world early (shrink) holds a prefix. Keep
             // the longest view and fold the counters with max so nobody's
             // tally is truncated.
-            let merged = health.get_or_insert(hr);
+            let merged = run.health.get_or_insert(hr);
             if hr.steps_checked > merged.steps_checked {
                 let kept = *merged;
                 *merged = hr;
@@ -495,30 +521,308 @@ fn assemble_chaos(
             }
         }
     }
-    particles.sort_by_key(|q| q.id);
+    run.particles.sort_by_key(|q| q.id);
     assert_eq!(
-        particles.len() + lost_particles,
+        run.particles.len() + run.lost_particles,
         n,
-        "particles lost or duplicated in chaos run beyond the agreed shrinks"
+        "particles lost or duplicated in distributed run beyond the agreed shrinks"
     );
-    assert!(
-        particles.windows(2).all(|w| w[0].id < w[1].id),
-        "duplicate particle ids in chaos run"
-    );
-    Ok((
-        ChaosRunResult {
-            particles,
-            stats,
-            metrics,
-            trace,
-            max_attempts,
-            recovered,
-            shrinks,
-            lost_particles,
-            final_ranks,
-        },
-        health,
-    ))
+    Ok(run)
+}
+
+/// The decomposition of a CA method on a world of ranks: the processor
+/// grid and, for the cutoff methods, the team grid and the window the
+/// shifts run modulo — the paper's only difference between Algorithms 1
+/// and 2.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    grid: ProcGrid,
+    /// `tx × ty` team grid and window of the spatial decompositions (a 1-D
+    /// decomposition is the `ty = 1` grid); `None` for the id blocks of
+    /// all-pairs.
+    spatial: Option<((usize, usize), CutoffWindow)>,
+}
+
+impl Layout {
+    /// Lay `method` out on `p` ranks, or say why it does not fit.
+    fn new(
+        method: Method,
+        p: usize,
+        domain: &Domain,
+        boundary: Boundary,
+        r_c: Option<f64>,
+    ) -> Result<Layout, String> {
+        let (c, two_d) = match method {
+            Method::CaAllPairs { c } => {
+                let grid = ProcGrid::new_all_pairs(p, c).map_err(|e| e.to_string())?;
+                return Ok(Layout {
+                    grid,
+                    spatial: None,
+                });
+            }
+            Method::Ca1dCutoff { c } => (c, false),
+            Method::Ca2dCutoff { c } => (c, true),
+            other => {
+                return Err(format!(
+                    "{other:?} is not a CA method; fault tolerance, checkpoints and health \
+                     monitors support ca-all-pairs, ca-1d-cutoff and ca-2d-cutoff"
+                ))
+            }
+        };
+        let grid = ProcGrid::new(p, c).map_err(|e| e.to_string())?;
+        let teams = grid.teams();
+        let dims = if two_d {
+            team_grid_dims(teams)
+        } else {
+            (teams, 1)
+        };
+        let r_c =
+            r_c.ok_or_else(|| format!("{method:?} requires a force law with a cutoff radius"))?;
+        // Periodic boundaries take the wrap-around windows; the paper's
+        // non-periodic setting takes the clipped ones.
+        let window =
+            CutoffWindow::from_cutoff(domain, dims, two_d, boundary == Boundary::Periodic, r_c);
+        validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
+        Ok(Layout {
+            grid,
+            spatial: Some((dims, window)),
+        })
+    }
+
+    /// The block this rank owns out of the full set `all`: its team's id
+    /// block or spatial region on leaders, nothing elsewhere.
+    fn block<C: Communicator>(
+        &self,
+        gc: &GridComms<C>,
+        all: &[Particle],
+        domain: &Domain,
+    ) -> Vec<Particle> {
+        match self.spatial {
+            _ if !gc.is_leader() => Vec::new(),
+            None => id_block_subset(all, self.grid.teams(), gc.team()),
+            Some(((tx, ty), _)) => spatial_subset_2d(all, domain, tx, ty, gc.team()),
+        }
+    }
+}
+
+/// How one timestep's forces are evaluated, and what rides along with the
+/// evaluation. The hooks default to nothing, so an evaluation that does not
+/// override them pays nothing for them.
+trait Evaluation {
+    /// What an evaluation can end in instead of forces.
+    type Error;
+
+    /// One force evaluation of the layout's algorithm over `st`, and
+    /// whatever inspects the reduced forces before they are integrated.
+    /// Returns what it took and the rank's harvested pair potential (0
+    /// unless a health monitor asked for it).
+    fn forces<C: Communicator, F: ForceLaw, I>(
+        &mut self,
+        layout: &Layout,
+        gc: &GridComms<C>,
+        st: &mut Vec<Particle>,
+        cfg: &SimConfig<F, I>,
+        step: usize,
+    ) -> Result<(RecoveryReport, f64), Self::Error>;
+
+    /// Sort a failed evaluation: `Ok` with the agreed dead teams (and the
+    /// error to end with should no layout fit the survivors) when the
+    /// verdict is to shrink, `Err` with the terminal failure otherwise.
+    fn columns_lost(e: Self::Error, rank: usize) -> Result<(Vec<usize>, Self::Error), Self::Error>;
+
+    /// Hook at the end of the step, collective over `cur` (the current,
+    /// possibly shrunken, world `gc` was split from). Returns the step's globally reduced
+    /// `(total energy, momentum norm)`, zeros when unmeasured.
+    fn after_step<C: Communicator>(
+        &mut self,
+        _cur: &C,
+        _gc: &GridComms<C>,
+        _st: &[Particle],
+        _pe_partial: f64,
+        _step: usize,
+    ) -> Result<(f64, f64), Self::Error> {
+        Ok((0.0, 0.0))
+    }
+
+    /// The rank's health verdict, if monitors ran.
+    fn health_report(&self) -> Option<HealthReport> {
+        None
+    }
+}
+
+/// The paper's failure-free evaluation: the strict-link drivers, nothing
+/// riding along.
+struct Plain;
+
+impl Evaluation for Plain {
+    type Error = Infallible;
+
+    fn forces<C: Communicator, F: ForceLaw, I>(
+        &mut self,
+        layout: &Layout,
+        gc: &GridComms<C>,
+        st: &mut Vec<Particle>,
+        cfg: &SimConfig<F, I>,
+        _step: usize,
+    ) -> Result<(RecoveryReport, f64), Infallible> {
+        match &layout.spatial {
+            None => ca_all_pairs_forces(gc, st, &cfg.law, &cfg.domain, cfg.boundary),
+            Some((_, window)) => {
+                ca_cutoff_forces(gc, window, st, &cfg.law, &cfg.domain, cfg.boundary)
+            }
+        }
+        Ok((RecoveryReport::default(), 0.0))
+    }
+
+    fn columns_lost(e: Infallible, _rank: usize) -> Result<(Vec<usize>, Infallible), Infallible> {
+        match e {}
+    }
+}
+
+/// The fault-tolerant evaluation: the recovery protocol around every
+/// force evaluation (`epoch` = timestep index for tag namespacing), with
+/// the optional durable checkpoint sink on its cadence and the optional
+/// numerical-health monitors.
+struct Recovering<'a> {
+    policy: &'a RetryPolicy,
+    ckpt: Option<&'a CheckpointConfig>,
+    health: Option<&'a HealthConfig>,
+    /// The *launch* world rank, which every rank keeps across shrinks: the
+    /// monitor's injection identities and the sentinels' blame key off it,
+    /// so a seeded fault lands on the intended rank regardless of how the
+    /// grid has contracted by then.
+    rank: usize,
+    monitor: Option<HealthMonitor>,
+    nan_fired: bool,
+    /// This step's sentinel blame `(rank, detail)`, from the force scan
+    /// until the step's reduction consumes it.
+    blame: Option<(usize, String)>,
+    report: HealthReport,
+}
+
+impl<'a> Recovering<'a> {
+    fn new<C: Communicator>(
+        world: &C,
+        policy: &'a RetryPolicy,
+        ckpt: Option<&'a CheckpointConfig>,
+        health: Option<&'a HealthConfig>,
+    ) -> Self {
+        if let Some(ck) = ckpt {
+            assert!(ck.every >= 1, "checkpoint cadence must be >= 1");
+            if ck.base_step > 0 {
+                world.timeline().event(
+                    EventKind::Resume,
+                    Some(ck.base_step),
+                    &format!("resumed from checkpoint at global step {}", ck.base_step),
+                );
+            }
+        }
+        Recovering {
+            policy,
+            ckpt,
+            health,
+            rank: world.rank(),
+            monitor: health.map(|h| HealthMonitor::new(h.fingerprint, h.injection.corrupt)),
+            nan_fired: false,
+            blame: None,
+            report: HealthReport::default(),
+        }
+    }
+}
+
+impl Evaluation for Recovering<'_> {
+    type Error = FaultError;
+
+    fn forces<C: Communicator, F: ForceLaw, I>(
+        &mut self,
+        layout: &Layout,
+        gc: &GridComms<C>,
+        st: &mut Vec<Particle>,
+        cfg: &SimConfig<F, I>,
+        step: usize,
+    ) -> Result<(RecoveryReport, f64), FaultError> {
+        let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
+        let (epoch, monitor) = (step as u64, self.monitor.as_ref());
+        let (rep, pe) = match &layout.spatial {
+            None => {
+                ca_all_pairs_forces_ft(gc, st, law, domain, boundary, self.policy, epoch, monitor)
+            }
+            Some((_, window)) => ca_cutoff_forces_ft(
+                gc,
+                window,
+                st,
+                law,
+                domain,
+                boundary,
+                self.policy,
+                epoch,
+                monitor,
+            ),
+        }?;
+        self.report.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
+        // Post-reduction sentinel pass: apply the seeded NaN injection (fire
+        // once, on the target rank/step) and scan the freshly reduced force
+        // accumulators on leaders.
+        if let Some(h) = self.health.filter(|h| h.checks_step(epoch)) {
+            if h.injection.nan == Some((self.rank, epoch)) && !self.nan_fired {
+                self.nan_fired = true;
+                if let Some(q) = st.first_mut() {
+                    q.force.x = f64::NAN;
+                }
+            }
+            if gc.is_leader() {
+                self.blame =
+                    scan_forces(st).map(|b| (self.rank, b.detail(self.rank, epoch, "force")));
+            }
+        }
+        Ok((rep, pe))
+    }
+
+    fn columns_lost(e: FaultError, rank: usize) -> Result<(Vec<usize>, FaultError), FaultError> {
+        match e {
+            FaultError::ColumnsLost { dead_teams, c } => {
+                Ok((dead_teams, FaultError::Unrecoverable { rank, c }))
+            }
+            e => Err(e),
+        }
+    }
+
+    /// The post-integration sentinel pass over positions/velocities/masses
+    /// and the step's world reduction on checked steps, then the
+    /// checkpoint sink on its cadence.
+    fn after_step<C: Communicator>(
+        &mut self,
+        cur: &C,
+        gc: &GridComms<C>,
+        st: &[Particle],
+        pe_partial: f64,
+        step: usize,
+    ) -> Result<(f64, f64), FaultError> {
+        let mut sampled = (0.0, 0.0);
+        if self.health.is_some_and(|h| h.checks_step(step as u64)) {
+            let mut blame = self.blame.take();
+            let mut inv = Invariants::default();
+            if gc.is_leader() {
+                blame = blame.or_else(|| {
+                    scan_state(st)
+                        .map(|b| (self.rank, b.detail(self.rank, step as u64, "integrate")))
+                });
+                inv = Invariants::partial(st);
+            }
+            sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut self.report)?;
+        }
+        if let Some(ck) = self.ckpt {
+            let done = ck.base_step + step as u64 + 1;
+            if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
+                persist_checkpoint(cur, &gc.grid, gc.is_leader(), st, ck, done);
+            }
+        }
+        Ok(sampled)
+    }
+
+    fn health_report(&self) -> Option<HealthReport> {
+        self.health.map(|_| self.report)
+    }
 }
 
 /// Execute an agreed shrink: split the survivors off into a new world,
@@ -642,56 +946,12 @@ fn persist_checkpoint<C: Communicator>(
                 Some(global_step),
                 &format!("write failed: {e}"),
             );
-            rec_failed_checkpoint(cur);
+            cur.metrics().counter("checkpoint_failed_total", None).inc();
         }
     }
     if ck.crash_at == Some(global_step) {
         std::process::exit(137);
     }
-}
-
-fn rec_failed_checkpoint<C: Communicator>(cur: &C) {
-    cur.metrics().counter("checkpoint_failed_total", None).inc();
-}
-
-/// Post-reduction sentinel pass: apply the seeded NaN injection (fire
-/// once, on the target rank/step) and scan the freshly reduced force
-/// accumulators on leaders. Returns the local blame `(rank, detail)`.
-fn health_scan_forces<C: Communicator>(
-    world: &C,
-    hcfg: &HealthConfig,
-    nan_fired: &mut bool,
-    is_leader: bool,
-    st: &mut [Particle],
-    step: usize,
-) -> Option<(usize, String)> {
-    let rank = world.rank();
-    if let Some((r, s)) = hcfg.injection.nan {
-        if r == rank && s == step as u64 && !*nan_fired {
-            *nan_fired = true;
-            if let Some(q) = st.first_mut() {
-                q.force.x = f64::NAN;
-            }
-        }
-    }
-    if !is_leader {
-        return None;
-    }
-    scan_forces(st).map(|b| (rank, b.detail(rank, step as u64, "force")))
-}
-
-/// Post-integration sentinel pass over positions/velocities/masses.
-fn health_scan_state<C: Communicator>(
-    world: &C,
-    is_leader: bool,
-    st: &[Particle],
-    step: usize,
-) -> Option<(usize, String)> {
-    if !is_leader {
-        return None;
-    }
-    let rank = world.rank();
-    scan_state(st).map(|b| (rank, b.detail(rank, step as u64, "integrate")))
 }
 
 /// The once-per-checked-step world reduction of the health monitors: one
@@ -755,388 +1015,108 @@ fn health_reduce<C: Communicator>(
     Ok((energy, momentum))
 }
 
-/// Per-rank body of a chaos run: the CA drivers with fault-tolerant force
-/// evaluations (`epoch` = timestep index for tag namespacing), degraded
-/// shrinking when whole columns die, and the optional durable checkpoint
-/// sink on its cadence.
-fn run_rank_ft<F, I, C>(
+/// Per-rank body of a CA run: the one timestep loop of Algorithms 1 and 2.
+/// A `ColumnsLost` verdict from the evaluation shrinks the world onto the
+/// survivors and re-runs that step's evaluation there.
+fn run_ca_rank<F, I, C, E>(
     cfg: &SimConfig<F, I>,
-    method: Method,
+    mut method: Method,
     world: &mut C,
     initial: &[Particle],
-    policy: &RetryPolicy,
-    ckpt: Option<&CheckpointConfig>,
-    health: Option<&HealthConfig>,
-) -> Result<(Vec<Particle>, CommStats, RecoveryReport, Option<HealthReport>), FaultError>
+    mut eval: E,
+) -> Result<RankOutcome, E::Error>
 where
     F: ForceLaw,
     I: Integrator,
     C: Communicator,
+    E: Evaluation,
 {
-    let p = world.size();
     let domain = &cfg.domain;
+    let r_c = cfg.law.cutoff();
     let tr = world.tracer();
     let mut probe = StepProbe::new(world);
-    let mut agg = RecoveryReport {
-        attempts: 1,
-        ..RecoveryReport::default()
-    };
-    // Per-rank numerical-health state. The monitor's injection identities
-    // key off the *launch* world rank, which every rank keeps across
-    // shrinks, so a seeded fault lands on the intended rank regardless of
-    // how the grid has contracted by then.
-    let hm = health.map(|h| HealthMonitor::new(h.fingerprint, h.injection.corrupt));
-    let mut nan_fired = false;
-    let mut hreport = HealthReport::default();
-    if let Some(ck) = ckpt {
-        assert!(ck.every >= 1, "checkpoint cadence must be >= 1");
-        if ck.base_step > 0 {
-            world.timeline().event(
-                EventKind::Resume,
-                Some(ck.base_step),
-                &format!("resumed from checkpoint at global step {}", ck.base_step),
-            );
-        }
-    }
+    let mut agg = RecoveryReport::default();
     // Particles still alive across shrinks (the loss accounting base).
     let mut live_n = initial.len();
     // After a shrink the run continues on an owned survivor world; the
     // borrowed launch world stays behind only for rank-local telemetry
     // (stats and recorders are shared across splits).
     let mut shrunk: Option<C> = None;
-    match method {
-        Method::CaAllPairs { c } => {
-            let mut grid = ProcGrid::new_all_pairs(p, c).expect("invalid all-pairs grid");
-            let mut gc = GridComms::new(world, grid);
-            let mut st = if gc.is_leader() {
-                id_block_subset(initial, grid.teams(), gc.team())
-            } else {
-                Vec::new()
-            };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                // A ColumnsLost verdict shrinks the world onto the
-                // survivors and re-runs this step's evaluation there.
-                let (rep, pe_partial) = loop {
-                    let r = {
-                        let _g = tr.driver_span("force", step);
-                        ca_all_pairs_forces_ft_health(
-                            &gc,
-                            &mut st,
-                            &cfg.law,
-                            domain,
-                            cfg.boundary,
-                            policy,
-                            step as u64,
-                            hm.as_ref(),
-                        )
-                    };
-                    match r {
-                        Ok(rep) => break rep,
-                        Err(FaultError::ColumnsLost { dead_teams, .. }) => {
-                            let was_leader = gc.is_leader();
-                            let cur: &C = shrunk.as_ref().unwrap_or(world);
-                            match shrink_world(
-                                cur, &grid, &dead_teams, was_leader, &st, &mut live_n, &mut agg,
-                                step,
-                            ) {
-                                None => {
-                                    return Ok((
-                                        Vec::new(),
-                                        world.stats(),
-                                        agg,
-                                        health.map(|_| hreport),
-                                    ))
-                                }
-                                Some((next, full)) => {
-                                    let p_new = next.size();
-                                    // The largest replication the survivor
-                                    // count still supports (c' = 1 always
-                                    // qualifies: every rank its own team).
-                                    let c_new = (1..=grid.c())
-                                        .rev()
-                                        .find(|&cc| ProcGrid::new_all_pairs(p_new, cc).is_ok())
-                                        .expect("c = 1 is always a valid all-pairs grid");
-                                    grid = ProcGrid::new_all_pairs(p_new, c_new).unwrap();
-                                    gc = GridComms::new(&next, grid);
-                                    shrunk = Some(next);
-                                    st = if gc.is_leader() {
-                                        id_block_subset(&full, grid.teams(), gc.team())
-                                    } else {
-                                        Vec::new()
-                                    };
-                                }
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                agg.attempts = agg.attempts.max(rep.attempts);
-                agg.recovered |= rep.recovered;
-                hreport.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
-                let checked = health.is_some_and(|h| h.checks_step(step as u64));
-                let mut blame = None;
-                if let Some(h) = health {
-                    if checked {
-                        blame = health_scan_forces(
-                            world,
-                            h,
-                            &mut nan_fired,
-                            gc.is_leader(),
-                            &mut st,
-                            step,
-                        );
-                    }
-                }
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                } else {
-                    st.clear();
-                }
-                let mut sampled = (0.0, 0.0);
-                if checked {
-                    if blame.is_none() {
-                        blame = health_scan_state(world, gc.is_leader(), &st, step);
-                    }
-                    let inv = if gc.is_leader() {
-                        Invariants::partial(&st)
-                    } else {
-                        Invariants::default()
-                    };
-                    let cur: &C = shrunk.as_ref().unwrap_or(world);
-                    sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut hreport)?;
-                }
-                if let Some(ck) = ckpt {
-                    let done = ck.base_step + step as u64 + 1;
-                    if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
-                        let cur: &C = shrunk.as_ref().unwrap_or(world);
-                        persist_checkpoint(cur, &grid, gc.is_leader(), &st, ck, done);
-                    }
-                }
-                probe.sample_with(world, step, st.len(), sampled.0, sampled.1);
-            }
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            Ok((owned, world.stats(), agg, health.map(|_| hreport)))
+    let mut layout = Layout::new(method, world.size(), domain, cfg.boundary, r_c)
+        .unwrap_or_else(|e| panic!("invalid {method:?} run on {} ranks: {e}", world.size()));
+    let mut gc = GridComms::new(world, layout.grid);
+    let mut st = layout.block(&gc, initial, domain);
+    for step in 0..cfg.steps {
+        let _step_g = tr.driver_span("step", step);
+        if gc.is_leader() {
+            let _g = tr.driver_span("integrate", step);
+            cfg.integrator.pre_force(&mut st, cfg.dt);
+            reset_forces(&mut st);
         }
-        Method::Ca1dCutoff { c } | Method::Ca2dCutoff { c } => {
-            let two_d = matches!(method, Method::Ca2dCutoff { .. });
-            let mut grid = ProcGrid::new(p, c).expect("invalid cutoff grid");
-            let mut gc = GridComms::new(world, grid);
-            let mut teams = grid.teams();
-            let r_c = cfg.law.cutoff().unwrap();
-            let (mut tx, mut ty) = if two_d {
-                team_grid_dims(teams)
-            } else {
-                (teams, 1)
+        let pe_partial = loop {
+            let r = {
+                let _g = tr.driver_span("force", step);
+                eval.forces(&layout, &gc, &mut st, cfg, step)
             };
-            let mut st = if gc.is_leader() {
-                if two_d {
-                    spatial_subset_2d(initial, domain, tx, ty, gc.team())
-                } else {
-                    spatial_subset_1d(initial, domain, teams, gc.team())
+            let (dead_teams, no_layout) = match r {
+                Ok((rep, pe)) => {
+                    agg.attempts = agg.attempts.max(rep.attempts);
+                    agg.recovered |= rep.recovered;
+                    break pe;
                 }
-            } else {
-                Vec::new()
+                Err(e) => E::columns_lost(e, world.rank())?,
             };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            // Whether a shrunken grid with replication `cc` on `p_new`
-            // ranks still satisfies the cutoff constraint (c ≤ window).
-            let valid_c = |p_new: usize, cc: usize| -> bool {
-                if !p_new.is_multiple_of(cc) || ProcGrid::new(p_new, cc).is_err() {
-                    return false;
-                }
-                let tn = p_new / cc;
-                let (txn, tyn) = if two_d { team_grid_dims(tn) } else { (tn, 1) };
-                match (two_d, periodic) {
-                    (true, false) => {
-                        validate_cutoff(&Window2d::from_cutoff(domain, txn, tyn, r_c), tn, cc)
-                            .is_ok()
-                    }
-                    (true, true) => validate_cutoff(
-                        &Window2dPeriodic::from_cutoff(domain, txn, tyn, r_c),
-                        tn,
-                        cc,
-                    )
-                    .is_ok(),
-                    (false, false) => {
-                        validate_cutoff(&Window1d::from_cutoff(domain, tn, r_c), tn, cc).is_ok()
-                    }
-                    (false, true) => {
-                        validate_cutoff(&Window1dPeriodic::from_cutoff(domain, tn, r_c), tn, cc)
-                            .is_ok()
-                    }
-                }
+            let cur: &C = shrunk.as_ref().unwrap_or(world);
+            let Some((next, full)) = shrink_world(
+                cur,
+                &layout.grid,
+                &dead_teams,
+                gc.is_leader(),
+                &st,
+                &mut live_n,
+                &mut agg,
+                step,
+            ) else {
+                return Ok((Vec::new(), world.stats(), agg, eval.health_report()));
             };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                let (rep, pe_partial) = loop {
-                    let r = {
-                        let _g = tr.driver_span("force", step);
-                        match (two_d, periodic) {
-                            (true, false) => {
-                                let window = Window2d::from_cutoff(domain, tx, ty, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                            (true, true) => {
-                                let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                            (false, false) => {
-                                let window = Window1d::from_cutoff(domain, teams, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                            (false, true) => {
-                                let window = Window1dPeriodic::from_cutoff(domain, teams, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                        }
-                    };
-                    match r {
-                        Ok(rep) => break rep,
-                        Err(FaultError::ColumnsLost { dead_teams, .. }) => {
-                            let was_leader = gc.is_leader();
-                            let cur: &C = shrunk.as_ref().unwrap_or(world);
-                            match shrink_world(
-                                cur, &grid, &dead_teams, was_leader, &st, &mut live_n, &mut agg,
-                                step,
-                            ) {
-                                None => {
-                                    return Ok((
-                                        Vec::new(),
-                                        world.stats(),
-                                        agg,
-                                        health.map(|_| hreport),
-                                    ))
-                                }
-                                Some((next, full)) => {
-                                    let p_new = next.size();
-                                    let Some(c_new) =
-                                        (1..=grid.c()).rev().find(|&cc| valid_c(p_new, cc))
-                                    else {
-                                        // No shrunken grid satisfies the
-                                        // cutoff constraint: agreed, since
-                                        // every survivor evaluates the same
-                                        // deterministic predicate.
-                                        return Err(FaultError::Unrecoverable {
-                                            rank: world.rank(),
-                                            c: grid.c(),
-                                        });
-                                    };
-                                    grid = ProcGrid::new(p_new, c_new).unwrap();
-                                    gc = GridComms::new(&next, grid);
-                                    shrunk = Some(next);
-                                    teams = grid.teams();
-                                    (tx, ty) = if two_d {
-                                        team_grid_dims(teams)
-                                    } else {
-                                        (teams, 1)
-                                    };
-                                    st = if gc.is_leader() {
-                                        if two_d {
-                                            spatial_subset_2d(&full, domain, tx, ty, gc.team())
-                                        } else {
-                                            spatial_subset_1d(&full, domain, teams, gc.team())
-                                        }
-                                    } else {
-                                        Vec::new()
-                                    };
-                                }
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                agg.attempts = agg.attempts.max(rep.attempts);
-                agg.recovered |= rep.recovered;
-                hreport.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
-                let checked = health.is_some_and(|h| h.checks_step(step as u64));
-                let mut blame = None;
-                if let Some(h) = health {
-                    if checked {
-                        blame = health_scan_forces(
-                            world,
-                            h,
-                            &mut nan_fired,
-                            gc.is_leader(),
-                            &mut st,
-                            step,
-                        );
-                    }
-                }
-                if gc.is_leader() {
-                    {
-                        let _g = tr.driver_span("integrate", step);
-                        cfg.integrator
-                            .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                    }
-                    let _g = tr.driver_span("reassign", step);
-                    if two_d {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                        });
-                    } else {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_x(domain, teams, q.pos.x)
-                        });
-                    }
-                } else {
-                    st.clear();
-                }
-                let mut sampled = (0.0, 0.0);
-                if checked {
-                    if blame.is_none() {
-                        blame = health_scan_state(world, gc.is_leader(), &st, step);
-                    }
-                    let inv = if gc.is_leader() {
-                        Invariants::partial(&st)
-                    } else {
-                        Invariants::default()
-                    };
-                    let cur: &C = shrunk.as_ref().unwrap_or(world);
-                    sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut hreport)?;
-                }
-                if let Some(ck) = ckpt {
-                    let done = ck.base_step + step as u64 + 1;
-                    if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
-                        let cur: &C = shrunk.as_ref().unwrap_or(world);
-                        persist_checkpoint(cur, &grid, gc.is_leader(), &st, ck, done);
-                    }
-                }
-                probe.sample_with(world, step, st.len(), sampled.0, sampled.1);
+            // Agreed without a message: every survivor evaluates the same
+            // deterministic policy on the same survivor count.
+            let Some(shrunk_method) = method.shrunk_onto(next.size(), domain, cfg.boundary, r_c)
+            else {
+                return Err(no_layout);
+            };
+            method = shrunk_method;
+            layout = Layout::new(method, next.size(), domain, cfg.boundary, r_c)
+                .expect("shrunk_onto only returns methods that lay out");
+            gc = GridComms::new(&next, layout.grid);
+            shrunk = Some(next);
+            st = layout.block(&gc, &full, domain);
+        };
+        if gc.is_leader() {
+            {
+                let _g = tr.driver_span("integrate", step);
+                cfg.integrator
+                    .post_force(&mut st, cfg.dt, domain, cfg.boundary);
             }
-            world.set_phase(Phase::Other);
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            Ok((owned, world.stats(), agg, health.map(|_| hreport)))
+            if let Some(((tx, ty), _)) = layout.spatial {
+                // Keep the spatial decomposition valid for the next step.
+                let _g = tr.driver_span("reassign", step);
+                reassign_particles(&gc.row, &mut st, |q| {
+                    team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
+                });
+            }
+        } else {
+            st.clear();
         }
-        _ => panic!(
-            "{method:?} has no fault-tolerant driver; chaos runs support the CA methods \
-             (ca-all-pairs, ca-1d-cutoff, ca-2d-cutoff)"
-        ),
+        let cur: &C = shrunk.as_ref().unwrap_or(world);
+        let (energy, momentum) = eval.after_step(cur, &gc, &st, pe_partial, step)?;
+        probe.sample_with(world, step, st.len(), energy, momentum);
     }
+    if layout.spatial.is_some() {
+        world.set_phase(Phase::Other);
+    }
+    let owned = if gc.is_leader() { st } else { Vec::new() };
+    Ok((owned, world.stats(), agg, eval.health_report()))
 }
 
 fn validate_run<F: ForceLaw, I>(cfg: &SimConfig<F, I>, method: Method) {
@@ -1148,335 +1128,102 @@ fn validate_run<F: ForceLaw, I>(cfg: &SimConfig<F, I>, method: Method) {
     }
 }
 
-fn gather_results(out: Vec<(Vec<Particle>, CommStats)>, n: usize) -> RunResult {
-    let mut particles = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(out.len());
-    for (mut ps, st) in out {
-        particles.append(&mut ps);
-        stats.push(st);
-    }
-    particles.sort_by_key(|q| q.id);
-    assert_eq!(
-        particles.len(),
-        n,
-        "particles lost or duplicated in distributed run"
-    );
-    RunResult { particles, stats }
-}
-
-/// Per-rank body of a distributed run.
+/// Per-rank body of a plain run: the CA loop under the [`Plain`]
+/// evaluation, or one of the baselines.
 fn run_rank<F, I, C>(
     cfg: &SimConfig<F, I>,
     method: Method,
     world: &mut C,
     initial: &[Particle],
-) -> (Vec<Particle>, CommStats)
+) -> RankOutcome
 where
     F: ForceLaw,
     I: Integrator,
     C: Communicator,
 {
+    if method.is_ca() {
+        return match run_ca_rank(cfg, method, world, initial, Plain) {
+            Ok(outcome) => outcome,
+            Err(e) => match e {},
+        };
+    }
     let p = world.size();
     let domain = &cfg.domain;
     let tr = world.tracer();
     let mut probe = StepProbe::new(world);
-    match method {
-        Method::CaAllPairs { c } => {
-            let grid = ProcGrid::new_all_pairs(p, c).expect("invalid all-pairs grid");
-            let gc = GridComms::new(world, grid);
-            let mut st = if gc.is_leader() {
-                id_block_subset(initial, grid.teams(), gc.team())
-            } else {
-                Vec::new()
-            };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    ca_all_pairs_forces(&gc, &mut st, &cfg.law, domain, cfg.boundary);
-                }
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                } else {
-                    st.clear();
-                }
-                probe.sample(world, step, st.len());
-            }
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            (owned, world.stats())
-        }
-        Method::ParticleRing | Method::ParticleRingSymmetric | Method::NaiveAllgather => {
-            let mut my = id_block_subset(initial, p, world.rank());
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut my, cfg.dt);
-                    reset_forces(&mut my);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    match method {
-                        Method::ParticleRing => {
-                            particle_ring_forces(world, &mut my, &cfg.law, domain, cfg.boundary)
-                        }
-                        Method::ParticleRingSymmetric => {
-                            crate::baselines::particle_ring_symmetric_forces(
-                                world, &mut my, &cfg.law, domain, cfg.boundary,
-                            )
-                        }
-                        _ => {
-                            naive_allgather_forces(world, &mut my, &cfg.law, domain, cfg.boundary)
-                        }
-                    }
-                }
-                let _g = tr.driver_span("integrate", step);
-                cfg.integrator
-                    .post_force(&mut my, cfg.dt, domain, cfg.boundary);
-                probe.sample(world, step, my.len());
-            }
-            (my, world.stats())
-        }
-        Method::ForceDecomposition => {
-            let q = (p as f64).sqrt().round() as usize;
+    // The baselines replicate nothing: every rank is its own team, on a
+    // `tx × ty` team grid for the spatial ones (`ty = 1` in 1-D).
+    let two_d = matches!(method, Method::Midpoint2d | Method::SpatialHalo2d);
+    let midpoint = matches!(method, Method::Midpoint1d | Method::Midpoint2d);
+    let (tx, ty) = if two_d { team_grid_dims(p) } else { (p, 1) };
+    let team_of = |pos: Vec2| team_of_xy(domain, tx, ty, pos.x, pos.y);
+    // The midpoint method imports half the span the halo exchange does.
+    let window = method.needs_cutoff().then(|| {
+        let r_c = cfg.law.cutoff().expect("validate_run checked the law");
+        let reach = if midpoint { r_c / 2.0 } else { r_c };
+        CutoffWindow::from_cutoff(
+            domain,
+            (tx, ty),
+            two_d,
+            cfg.boundary == Boundary::Periodic,
+            reach,
+        )
+    });
+    // Force decomposition keeps particles on the diagonal of its √p × √p
+    // grid only; everywhere else every rank owns (and integrates) a block.
+    let q = (p as f64).sqrt().round() as usize;
+    let owner = method != Method::ForceDecomposition || world.rank() / q == world.rank() % q;
+    let mut my = match (method, window) {
+        (Method::ForceDecomposition, _) => {
             assert_eq!(q * q, p, "force decomposition needs square p");
-            let (i, j) = (world.rank() / q, world.rank() % q);
-            let mut st = if i == j {
-                id_block_subset(initial, q, i)
+            if owner {
+                id_block_subset(initial, q, world.rank() / q)
             } else {
                 Vec::new()
-            };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if i == j {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    force_decomposition_forces(world, &mut st, &cfg.law, domain, cfg.boundary);
-                }
-                if i == j {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                }
-                probe.sample(world, step, st.len());
             }
-            (st, world.stats())
         }
-        Method::Ca1dCutoff { c } | Method::Ca2dCutoff { c } => {
-            let two_d = matches!(method, Method::Ca2dCutoff { .. });
-            let grid = ProcGrid::new(p, c).expect("invalid cutoff grid");
-            let gc = GridComms::new(world, grid);
-            let teams = grid.teams();
-            let r_c = cfg.law.cutoff().unwrap();
-            let (tx, ty) = if two_d {
-                team_grid_dims(teams)
-            } else {
-                (teams, 1)
-            };
-            let mut st = if gc.is_leader() {
-                if two_d {
-                    spatial_subset_2d(initial, domain, tx, ty, gc.team())
-                } else {
-                    spatial_subset_1d(initial, domain, teams, gc.team())
+        (_, None) => id_block_subset(initial, p, world.rank()),
+        (_, Some(_)) => spatial_subset_2d(initial, domain, tx, ty, world.rank()),
+    };
+    for step in 0..cfg.steps {
+        let _step_g = tr.driver_span("step", step);
+        if owner {
+            let _g = tr.driver_span("integrate", step);
+            cfg.integrator.pre_force(&mut my, cfg.dt);
+            reset_forces(&mut my);
+        }
+        {
+            let _g = tr.driver_span("force", step);
+            let (law, boundary) = (&cfg.law, cfg.boundary);
+            match (method, &window) {
+                (Method::ParticleRing, _) => {
+                    particle_ring_forces(world, &mut my, law, domain, boundary)
                 }
-            } else {
-                Vec::new()
-            };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
+                (Method::ParticleRingSymmetric, _) => {
+                    particle_ring_symmetric_forces(world, &mut my, law, domain, boundary)
                 }
-                // Periodic boundaries take the wrap-around windows; the
-                // paper's non-periodic setting takes the clipped ones.
-                {
-                    let _g = tr.driver_span("force", step);
-                    match (two_d, periodic) {
-                        (true, false) => {
-                            let window = Window2d::from_cutoff(domain, tx, ty, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 2D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                        (true, true) => {
-                            let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 2D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                        (false, false) => {
-                            let window = Window1d::from_cutoff(domain, teams, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 1D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                        (false, true) => {
-                            let window = Window1dPeriodic::from_cutoff(domain, teams, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 1D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                    }
+                (Method::ForceDecomposition, _) => {
+                    force_decomposition_forces(world, &mut my, law, domain, boundary)
                 }
-                if gc.is_leader() {
-                    {
-                        let _g = tr.driver_span("integrate", step);
-                        cfg.integrator
-                            .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                    }
-                    // Keep the spatial decomposition valid for the next step.
-                    let _g = tr.driver_span("reassign", step);
-                    if two_d {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                        });
-                    } else {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_x(domain, teams, q.pos.x)
-                        });
-                    }
-                } else {
-                    st.clear();
+                (Method::Midpoint1d | Method::Midpoint2d, Some(w)) => {
+                    midpoint_forces(world, w, &mut my, law, domain, boundary, team_of)
                 }
-                probe.sample(world, step, st.len());
+                (_, Some(w)) => spatial_halo_forces(world, w, &mut my, law, domain, boundary),
+                (_, None) => naive_allgather_forces(world, &mut my, law, domain, boundary),
             }
-            world.set_phase(Phase::Other);
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            (owned, world.stats())
         }
-        Method::Midpoint1d | Method::Midpoint2d => {
-            let two_d = matches!(method, Method::Midpoint2d);
-            let r_c = cfg.law.cutoff().unwrap();
-            let (tx, ty) = if two_d { team_grid_dims(p) } else { (p, 1) };
-            let mut my = if two_d {
-                spatial_subset_2d(initial, domain, tx, ty, world.rank())
-            } else {
-                spatial_subset_1d(initial, domain, p, world.rank())
-            };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut my, cfg.dt);
-                    reset_forces(&mut my);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    match (two_d, periodic) {
-                        (true, false) => {
-                            let window = Window2d::from_cutoff(domain, tx, ty, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_xy(domain, tx, ty, pos.x, pos.y));
-                        }
-                        (true, true) => {
-                            let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_xy(domain, tx, ty, pos.x, pos.y));
-                        }
-                        (false, false) => {
-                            let window = Window1d::from_cutoff(domain, p, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_x(domain, p, pos.x));
-                        }
-                        (false, true) => {
-                            let window = Window1dPeriodic::from_cutoff(domain, p, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_x(domain, p, pos.x));
-                        }
-                    }
-                }
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut my, cfg.dt, domain, cfg.boundary);
-                }
-                let _g = tr.driver_span("reassign", step);
-                if two_d {
-                    reassign_particles(world, &mut my, |q| {
-                        team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                    });
-                } else {
-                    reassign_particles(world, &mut my, |q| team_of_x(domain, p, q.pos.x));
-                }
-                probe.sample(world, step, my.len());
-            }
-            (my, world.stats())
+        if owner {
+            let _g = tr.driver_span("integrate", step);
+            cfg.integrator
+                .post_force(&mut my, cfg.dt, domain, cfg.boundary);
         }
-        Method::SpatialHalo1d | Method::SpatialHalo2d => {
-            let two_d = matches!(method, Method::SpatialHalo2d);
-            let r_c = cfg.law.cutoff().unwrap();
-            let (tx, ty) = if two_d { team_grid_dims(p) } else { (p, 1) };
-            let mut my = if two_d {
-                spatial_subset_2d(initial, domain, tx, ty, world.rank())
-            } else {
-                spatial_subset_1d(initial, domain, p, world.rank())
-            };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut my, cfg.dt);
-                    reset_forces(&mut my);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    match (two_d, periodic) {
-                        (true, false) => {
-                            let window = Window2d::from_cutoff(domain, tx, ty, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                        (true, true) => {
-                            let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                        (false, false) => {
-                            let window = Window1d::from_cutoff(domain, p, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                        (false, true) => {
-                            let window = Window1dPeriodic::from_cutoff(domain, p, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                    }
-                }
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut my, cfg.dt, domain, cfg.boundary);
-                }
-                let _g = tr.driver_span("reassign", step);
-                if two_d {
-                    reassign_particles(world, &mut my, |q| {
-                        team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                    });
-                } else {
-                    reassign_particles(world, &mut my, |q| team_of_x(domain, p, q.pos.x));
-                }
-                probe.sample(world, step, my.len());
-            }
-            (my, world.stats())
+        if window.is_some() {
+            let _g = tr.driver_span("reassign", step);
+            reassign_particles(world, &mut my, |q| team_of(q.pos));
         }
+        probe.sample(world, step, my.len());
     }
+    (my, world.stats(), RecoveryReport::default(), None)
 }
 
 #[cfg(test)]
@@ -1683,8 +1430,14 @@ mod tests {
         // slightly after the shared epoch) is well under the 10% margin.
         let initial = init::uniform(600, &cfg.domain, 13);
         let plain = run_distributed(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
-        let (traced, trace, metrics) =
-            run_distributed_traced(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
+        let out = Run::new(&cfg, Method::Ca1dCutoff { c: 2 }, 8)
+            .trace()
+            .execute(&initial);
+        let (traced, trace, metrics) = (
+            out.result.unwrap(),
+            out.artifacts.trace,
+            out.artifacts.metrics,
+        );
         assert_eq!(plain.particles, traced.particles, "tracing must not perturb physics");
 
         // Live metrics ride along: every rank shipped shift messages, and
@@ -1740,21 +1493,18 @@ mod tests {
             seed: 9,
             crash_at: None,
         };
-        let (res, _) = run_distributed_durable(
-            &cfg,
-            Method::CaAllPairs { c: 2 },
-            4,
-            &FaultPlan::empty(),
-            &RetryPolicy::default(),
-            Some(&ck),
-            &initial,
-        );
-        let full = res.expect("fault-free durable run");
+        let out = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 4)
+            .trace()
+            .checkpoint(&ck)
+            .execute(&initial);
+        let full = out.result.expect("fault-free durable run");
         // Persisting must not perturb the physics.
         let plain = run_distributed(&cfg, Method::CaAllPairs { c: 2 }, 4, &initial);
         assert_eq!(full.particles, plain.particles);
         assert_eq!(
-            full.metrics.sum_counter("checkpoint_persisted_total", None),
+            out.artifacts
+                .metrics
+                .sum_counter("checkpoint_persisted_total", None),
             3,
             "cadence 2 over 6 steps lands bundles at steps 2, 4, 6"
         );
@@ -1779,7 +1529,11 @@ mod tests {
     fn traced_run_reports_driver_sections_per_step() {
         let cfg = all_pairs_cfg(4);
         let initial = init::uniform(24, &cfg.domain, 42);
-        let (_, trace, _) = run_distributed_traced(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial);
+        let trace = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 8)
+            .trace()
+            .execute(&initial)
+            .artifacts
+            .trace;
         let reports = trace.step_reports();
         assert_eq!(reports.len(), 4, "one report per timestep");
         for (i, r) in reports.iter().enumerate() {

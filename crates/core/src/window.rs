@@ -20,6 +20,8 @@
 
 use nbody_physics::Domain;
 
+use crate::window_periodic::{Window1dPeriodic, Window2dPeriodic};
+
 /// A traversal window over team offsets. Implementations must enumerate
 /// each needed offset exactly once, with position 0 being the zero offset.
 pub trait Window: Clone + Send + Sync {
@@ -199,6 +201,80 @@ impl Window for Window2d {
     fn apply_back(&self, team: usize, j: usize) -> Option<usize> {
         let (ox, oy) = self.offset2(j);
         self.shifted(team, -ox, -oy)
+    }
+}
+
+/// The window a run's configuration selects: 1-D or 2-D team grid, clipped
+/// (the paper's non-periodic domain) or wrapping. The one place the
+/// `(dimension, periodicity)` pair is turned into a window type; everything
+/// downstream routes through the [`Window`] impl. Routing only — a window
+/// never reaches the force kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutoffWindow {
+    /// 1-D slabs, clipped at the domain edge.
+    Clipped1d(Window1d),
+    /// 1-D slabs on a periodic team ring.
+    Periodic1d(Window1dPeriodic),
+    /// 2-D team grid, clipped at the domain edge.
+    Clipped2d(Window2d),
+    /// 2-D team grid on a periodic torus.
+    Periodic2d(Window2dPeriodic),
+}
+
+impl CutoffWindow {
+    /// The window for cutoff `r_c` over a `tx × ty` team grid (`ty = 1` and
+    /// `tx` = the team count when `two_d` is false).
+    pub fn from_cutoff(
+        domain: &Domain,
+        (tx, ty): (usize, usize),
+        two_d: bool,
+        periodic: bool,
+        r_c: f64,
+    ) -> Self {
+        match (two_d, periodic) {
+            (false, false) => CutoffWindow::Clipped1d(Window1d::from_cutoff(domain, tx, r_c)),
+            (false, true) => {
+                CutoffWindow::Periodic1d(Window1dPeriodic::from_cutoff(domain, tx, r_c))
+            }
+            (true, false) => CutoffWindow::Clipped2d(Window2d::from_cutoff(domain, tx, ty, r_c)),
+            (true, true) => {
+                CutoffWindow::Periodic2d(Window2dPeriodic::from_cutoff(domain, tx, ty, r_c))
+            }
+        }
+    }
+}
+
+/// Delegate a [`Window`] method to whichever window the enum holds.
+macro_rules! each_window {
+    ($self:ident, $w:ident => $body:expr) => {
+        match $self {
+            CutoffWindow::Clipped1d($w) => $body,
+            CutoffWindow::Periodic1d($w) => $body,
+            CutoffWindow::Clipped2d($w) => $body,
+            CutoffWindow::Periodic2d($w) => $body,
+        }
+    };
+}
+
+impl Window for CutoffWindow {
+    fn len(&self) -> usize {
+        each_window!(self, w => w.len())
+    }
+
+    fn teams(&self) -> usize {
+        each_window!(self, w => w.teams())
+    }
+
+    fn apply(&self, team: usize, j: usize) -> Option<usize> {
+        each_window!(self, w => w.apply(team, j))
+    }
+
+    fn apply_back(&self, team: usize, j: usize) -> Option<usize> {
+        each_window!(self, w => w.apply_back(team, j))
+    }
+
+    fn is_periodic(&self) -> bool {
+        each_window!(self, w => w.is_periodic())
     }
 }
 

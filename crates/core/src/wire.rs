@@ -19,8 +19,7 @@ use crate::dist::{block_range, team_grid_dims};
 use crate::grid::ProcGrid;
 use crate::schedule::{AllPairsParams, CutoffParams};
 use crate::sim::Method;
-use crate::window::{Window1d, Window2d};
-use crate::window_periodic::{Window1dPeriodic, Window2dPeriodic};
+use crate::window::CutoffWindow;
 
 /// Run parameters the expected schedule is derived from — the same inputs
 /// that configure [`run_distributed`](crate::sim::run_distributed), minus
@@ -117,39 +116,20 @@ fn cutoff_schedule(
     let grid = ProcGrid::new(spec.p, c).map_err(|e| e.to_string())?;
     let teams = grid.teams();
     let periodic = spec.boundary == Boundary::Periodic;
+    let dims = if two_d {
+        team_grid_dims(teams)
+    } else {
+        (teams, 1)
+    };
+    let window = CutoffWindow::from_cutoff(&spec.domain, dims, two_d, periodic, r_c);
+    validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
     // Block sizes are data-dependent (re-assignment); any placeholder
     // works because count-only mode ignores payload sizes.
     let block_sizes: Vec<usize> = (0..teams)
         .map(|b| block_range(spec.n, teams, b).len())
         .collect();
-    let msgs = match (two_d, periodic) {
-        (false, false) => {
-            let window = Window1d::from_cutoff(&spec.domain, teams, r_c);
-            validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
-            let params = CutoffParams::new(grid, window, block_sizes);
-            sends_per_step(spec.p, spec.steps, |rank| params.program(rank))
-        }
-        (false, true) => {
-            let window = Window1dPeriodic::from_cutoff(&spec.domain, teams, r_c);
-            validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
-            let params = CutoffParams::new(grid, window, block_sizes);
-            sends_per_step(spec.p, spec.steps, |rank| params.program(rank))
-        }
-        (true, false) => {
-            let (tx, ty) = team_grid_dims(teams);
-            let window = Window2d::from_cutoff(&spec.domain, tx, ty, r_c);
-            validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
-            let params = CutoffParams::new(grid, window, block_sizes);
-            sends_per_step(spec.p, spec.steps, |rank| params.program(rank))
-        }
-        (true, true) => {
-            let (tx, ty) = team_grid_dims(teams);
-            let window = Window2dPeriodic::from_cutoff(&spec.domain, tx, ty, r_c);
-            validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
-            let params = CutoffParams::new(grid, window, block_sizes);
-            sends_per_step(spec.p, spec.steps, |rank| params.program(rank))
-        }
-    };
+    let params = CutoffParams::new(grid, window, block_sizes);
+    let msgs = sends_per_step(spec.p, spec.steps, |rank| params.program(rank));
     Ok(ExpectedSchedule {
         msgs,
         size_checked: false,

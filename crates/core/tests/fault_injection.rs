@@ -11,7 +11,7 @@ use ca_nbody::recovery::{FaultError, RetryPolicy};
 use ca_nbody::sim::{run_distributed, run_distributed_chaos, run_serial, Method, SimConfig};
 use nbody_comm::{FaultKind, FaultPlan};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler,
+    init, Boundary, Cutoff, Domain, ForceLaw, RepulsiveInverseSquare, SemiImplicitEuler,
 };
 use proptest::prelude::*;
 
@@ -231,46 +231,56 @@ fn double_kill_same_column_shrinks_at_c2() {
 }
 
 /// The cutoff driver shrinks too: survivors re-derive the spatial
-/// decomposition and its interaction window for the smaller team count
-/// and keep tracking the serial reference on the surviving subset.
+/// decomposition and its interaction window (clipped or periodic) for the
+/// smaller team count and keep tracking the serial reference on the
+/// surviving subset — landing, bit for bit, where a clean run on the
+/// survivors at the method the shrink policy names lands.
 #[test]
 fn cutoff_c1_kill_shrinks_and_tracks_serial_reference() {
-    let cfg = cutoff_cfg(3);
-    let initial = init::uniform(40, &cfg.domain, 7);
-    let policy = RetryPolicy::with_timeout_ms(400);
-    let got = run_distributed_chaos(
-        &cfg,
-        Method::Ca1dCutoff { c: 1 },
-        4,
-        &FaultPlan::kill(1, 1),
-        &policy,
-        &initial,
-    )
-    .expect("a cutoff c=1 kill degrades to a shrink");
-    assert_eq!(got.shrinks, 1);
-    assert_eq!(got.final_ranks, 3);
-    // The dead team's slab (step-0 decomposition over 4 teams) is lost
-    // before any motion; the remainder follows the serial reference.
-    let dead: Vec<u64> = spatial_subset_1d(&initial, &cfg.domain, 4, 1)
-        .iter()
-        .map(|q| q.id)
-        .collect();
-    assert_eq!(got.lost_particles, dead.len());
-    let survivors: Vec<_> = initial
-        .iter()
-        .filter(|q| !dead.contains(&q.id))
-        .cloned()
-        .collect();
-    let want = run_serial(&cfg, &survivors);
-    assert_eq!(got.particles.len(), want.len());
-    for (g, w) in got.particles.iter().zip(&want) {
-        assert_eq!(g.id, w.id);
-        let dp = (g.pos - w.pos).norm();
-        let dv = (g.vel - w.vel).norm();
-        assert!(
-            dp <= 1e-9 && dv <= 1e-9,
-            "id={} dp={dp} dv={dv} after cutoff shrink",
-            g.id
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        let cfg = SimConfig {
+            boundary,
+            ..cutoff_cfg(3)
+        };
+        let initial = init::uniform(40, &cfg.domain, 7);
+        let policy = RetryPolicy::with_timeout_ms(400);
+        let method = Method::Ca1dCutoff { c: 1 };
+        let got = run_distributed_chaos(&cfg, method, 4, &FaultPlan::kill(1, 1), &policy, &initial)
+            .expect("a cutoff c=1 kill degrades to a shrink");
+        assert_eq!(got.shrinks, 1);
+        assert_eq!(got.final_ranks, 3);
+        // The dead team's slab (step-0 decomposition over 4 teams) is lost
+        // before any motion; the remainder follows the serial reference.
+        let dead: Vec<u64> = spatial_subset_1d(&initial, &cfg.domain, 4, 1)
+            .iter()
+            .map(|q| q.id)
+            .collect();
+        assert_eq!(got.lost_particles, dead.len());
+        let survivors: Vec<_> = initial
+            .iter()
+            .filter(|q| !dead.contains(&q.id))
+            .cloned()
+            .collect();
+        let want = run_serial(&cfg, &survivors);
+        assert_eq!(got.particles.len(), want.len());
+        for (g, w) in got.particles.iter().zip(&want) {
+            assert_eq!(g.id, w.id);
+            let dp = (g.pos - w.pos).norm();
+            let dv = (g.vel - w.vel).norm();
+            assert!(
+                dp <= 1e-9 && dv <= 1e-9,
+                "{boundary:?}: id={} dp={dp} dv={dv} after cutoff shrink",
+                g.id
+            );
+        }
+        let shrunk = method
+            .shrunk_onto(got.final_ranks, &cfg.domain, boundary, cfg.law.cutoff())
+            .expect("three survivors still hold a c = 1 cutoff grid");
+        assert_eq!(shrunk, method);
+        let clean = run_distributed(&cfg, shrunk, got.final_ranks, &survivors).particles;
+        assert_eq!(
+            got.particles, clean,
+            "{boundary:?}: degraded trajectory must equal the clean run on the survivors"
         );
     }
 }

@@ -5,10 +5,35 @@
 //! by the fingerprint cross-check and repaired from a clean row.
 
 use ca_nbody::recovery::{FaultError, RetryPolicy};
-use ca_nbody::sim::{run_distributed_health, Method, SimConfig};
-use nbody_comm::{EventKind, FaultPlan};
-use nbody_physics::{init, Boundary, Cutoff, Domain, Gravity, VelocityVerlet};
-use nbody_simhealth::HealthConfig;
+use ca_nbody::sim::{Method, Run, RunResult, SimConfig};
+use nbody_comm::{EventKind, FaultPlan, RunTimeline};
+use nbody_physics::{
+    init, Boundary, Cutoff, Domain, ForceLaw, Gravity, Integrator, Particle, VelocityVerlet,
+};
+use nbody_simhealth::{HealthConfig, HealthReport};
+
+/// A traced, health-monitored run under `plan`: the result with its health
+/// verdict split out, and the timeline (a postmortem bundle on failure).
+fn health_run<F: ForceLaw + Sync, I: Integrator + Sync>(
+    cfg: &SimConfig<F, I>,
+    method: Method,
+    p: usize,
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+    health: &HealthConfig,
+    initial: &[Particle],
+) -> (Result<(RunResult, HealthReport), FaultError>, RunTimeline) {
+    let out = Run::new(cfg, method, p)
+        .trace()
+        .faults(plan, policy)
+        .health(health)
+        .execute(initial);
+    let res = out.result.map(|run| {
+        let report = run.health.expect("health runs always produce a report");
+        (run, report)
+    });
+    (res, out.artifacts.timeline)
+}
 
 fn cfg(steps: usize) -> SimConfig<Gravity, VelocityVerlet> {
     SimConfig {
@@ -28,7 +53,7 @@ fn cfg(steps: usize) -> SimConfig<Gravity, VelocityVerlet> {
 fn clean_all_pairs_run_reports_clean_invariants() {
     let cfg = cfg(8);
     let initial = init::uniform(48, &cfg.domain, 7);
-    let (res, timeline) = run_distributed_health(
+    let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 2 },
         8,
@@ -66,7 +91,7 @@ fn health_cadence_checks_every_kth_step() {
         every: 3,
         ..HealthConfig::enabled()
     };
-    let (res, timeline) = run_distributed_health(
+    let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 1 },
         4,
@@ -88,7 +113,7 @@ fn injected_nan_is_blamed_at_the_seeded_rank_and_step() {
     let initial = init::uniform(48, &cfg.domain, 7);
     let mut health = HealthConfig::enabled();
     health.injection.nan = Some((0, 3));
-    let (res, timeline) = run_distributed_health(
+    let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 2 },
         8,
@@ -129,7 +154,7 @@ fn corrupted_replica_is_caught_and_repaired_by_the_cross_check() {
     let mut health = HealthConfig::enabled();
     // p=8, c=2: rank 4 is (team 0, row 1), a replica of leader rank 0.
     health.injection.corrupt = Some((4, 2));
-    let (res, timeline) = run_distributed_health(
+    let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 2 },
         8,
@@ -174,7 +199,7 @@ fn cutoff_driver_reports_health_too() {
         steps: 4,
     };
     let initial = init::uniform(40, &cfg.domain, 9);
-    let (res, timeline) = run_distributed_health(
+    let (res, timeline) = health_run(
         &cfg,
         Method::Ca1dCutoff { c: 2 },
         8,

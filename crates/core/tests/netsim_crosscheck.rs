@@ -8,10 +8,16 @@
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{AllPairsParams, CutoffParams};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, Window1d};
-use nbody_comm::{run_ranks_traced, CommStats, Communicator, MetricsSnapshot, Phase};
+use nbody_comm::{run_ranks_with, CommStats, Communicator, Lenses, MetricsSnapshot, Phase};
 use nbody_netsim::{hopper, simulate_traced, Trace, TraceKind};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{init, Boundary, Counting, Cutoff, Domain, Particle};
+
+const TRACED: Lenses = Lenses {
+    trace: true,
+    flight: true,
+    probe: false,
+};
 
 /// Force phases both sides attribute traffic to.
 const PHASES: [Phase; 4] = [Phase::Broadcast, Phase::Skew, Phase::Shift, Phase::Reduce];
@@ -85,7 +91,7 @@ fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
     let domain = Domain::unit();
     for (p, c, n) in [(4, 1, 16), (8, 2, 24), (16, 4, 33), (9, 3, 21)] {
         let grid = ProcGrid::new_all_pairs(p, c).unwrap();
-        let (stats, _, metrics, _) = run_ranks_traced(p, |world| {
+        let (stats, artifacts) = run_ranks_with(p, TRACED, |world| {
             let gc = GridComms::new(world, grid);
             let all = init::uniform(n, &domain, 5);
             let mut st = if gc.is_leader() {
@@ -98,7 +104,13 @@ fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
         });
         let params = AllPairsParams::new(p, c, n);
         let (_, sim) = simulate_traced(&hopper(), p, |r| params.program(r), 1_000_000);
-        assert_exact_agreement(p, &stats, &metrics, &sim, &format!("all-pairs p={p} c={c} n={n}"));
+        assert_exact_agreement(
+            p,
+            &stats,
+            &artifacts.metrics,
+            &sim,
+            &format!("all-pairs p={p} c={c} n={n}"),
+        );
     }
 }
 
@@ -116,7 +128,7 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
             .collect();
 
         let all_ref = &all;
-        let (stats, _, metrics, _) = run_ranks_traced(p, |world| {
+        let (stats, artifacts) = run_ranks_with(p, TRACED, |world| {
             let gc = GridComms::new(world, grid);
             let mut st = if gc.is_leader() {
                 spatial_subset_1d(all_ref, &domain, grid.teams(), gc.team())
@@ -128,6 +140,12 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
         });
         let params = CutoffParams::new(grid, window, block_sizes);
         let (_, sim) = simulate_traced(&hopper(), p, |r| params.program(r), 1_000_000);
-        assert_exact_agreement(p, &stats, &metrics, &sim, &format!("cutoff1d p={p} c={c} rc={r_c}"));
+        assert_exact_agreement(
+            p,
+            &stats,
+            &artifacts.metrics,
+            &sim,
+            &format!("cutoff1d p={p} c={c} rc={r_c}"),
+        );
     }
 }

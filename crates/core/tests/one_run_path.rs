@@ -1,0 +1,101 @@
+//! The merge guard of the one run path, made of counts, not timings: the
+//! plain drivers (strict link, plain evaluation) and the fault-tolerant
+//! drivers with no fault firing (deadline link, recovering evaluation) run
+//! the same shift pipeline and the same rank loop, so they must land on the
+//! same particles bit for bit and put the same traffic on the wire, phase
+//! by phase and rank by rank. The recovery protocol's only clean-path cost
+//! is its agreement: one column and one row all-reduce of one byte per
+//! evaluation, attributed to `Phase::Recovery`. If either loop body forks
+//! again, one of these counts moves.
+
+use ca_nbody::recovery::RetryPolicy;
+use ca_nbody::sim::{run_distributed, run_distributed_chaos, Method, SimConfig};
+use nbody_comm::{FaultPlan, Phase, PhaseCounters, ALL_PHASES};
+use nbody_physics::{init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler};
+
+const STEPS: usize = 2;
+
+/// Everything a phase counts except the wall-clock wait.
+fn counts(c: &PhaseCounters) -> [u64; 7] {
+    [
+        c.messages,
+        c.elements,
+        c.bytes,
+        c.collectives,
+        c.collective_elements,
+        c.collective_bytes,
+        c.collective_messages,
+    ]
+}
+
+#[test]
+fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
+    let table = [
+        (Method::CaAllPairs { c: 1 }, 4),
+        (Method::CaAllPairs { c: 2 }, 8),
+        (Method::Ca1dCutoff { c: 1 }, 4),
+        (Method::Ca1dCutoff { c: 2 }, 8),
+        (Method::Ca2dCutoff { c: 1 }, 4),
+        (Method::Ca2dCutoff { c: 2 }, 8),
+    ];
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        for (method, p) in table {
+            let ctx = format!("{method:?} p={p} {boundary:?}");
+            let cfg = SimConfig {
+                law: Cutoff::new(
+                    RepulsiveInverseSquare {
+                        strength: 1e-3,
+                        softening: 1e-3,
+                    },
+                    0.25,
+                ),
+                integrator: SemiImplicitEuler,
+                domain: Domain::unit(),
+                boundary,
+                dt: 0.01,
+                steps: STEPS,
+            };
+            let initial = init::uniform(40, &cfg.domain, 7);
+            let plain = run_distributed(&cfg, method, p, &initial);
+            let (plan, policy) = (FaultPlan::empty(), RetryPolicy::default());
+            let ft = run_distributed_chaos(&cfg, method, p, &plan, &policy, &initial)
+                .expect("no fault is scheduled");
+            assert_eq!(ft.max_attempts, 1, "{ctx}");
+            assert_eq!(plain.particles, ft.particles, "{ctx}: particles");
+
+            let c = method.replication();
+            let teams = p / c;
+            // One agreement: an all-reduce (reduce + broadcast) of one byte
+            // down the column and one along the row; a communicator of one
+            // rank has nothing to agree with.
+            let agree = 2 * u64::from(c > 1) + 2 * u64::from(teams > 1);
+            let agree_messages = (teams * 2 * (c - 1) + c * 2 * (teams - 1)) as u64;
+            let mut recovery_messages = 0;
+            for (rank, (a, b)) in plain.stats.iter().zip(&ft.stats).enumerate() {
+                for phase in ALL_PHASES {
+                    if phase != Phase::Recovery {
+                        assert_eq!(
+                            counts(a.phase(phase)),
+                            counts(b.phase(phase)),
+                            "{ctx}: rank {rank} {phase:?}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    counts(a.phase(Phase::Recovery)),
+                    [0; 7],
+                    "{ctx}: rank {rank}: the plain run has no recovery traffic"
+                );
+                let rec = b.phase(Phase::Recovery);
+                let per_step = STEPS as u64 * agree;
+                assert_eq!(
+                    counts(rec)[..6],
+                    [0, 0, 0, per_step, per_step, per_step],
+                    "{ctx}: rank {rank}: one agreement per evaluation and nothing else"
+                );
+                recovery_messages += rec.collective_messages;
+            }
+            assert_eq!(recovery_messages, STEPS as u64 * agree_messages, "{ctx}");
+        }
+    }
+}

@@ -4,9 +4,7 @@
 //! all be attributed to the fault plan.
 
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::sim::{
-    run_distributed, run_distributed_chaos_wired, run_distributed_wired, Method, SimConfig,
-};
+use ca_nbody::sim::{run_distributed, Method, Run, SimConfig};
 use ca_nbody::wire::{expected_schedule, WireScheduleSpec};
 use nbody_comm::{check_conformance, match_events, FaultNote, FaultPlan, Phase};
 use nbody_physics::{init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler};
@@ -61,7 +59,8 @@ fn clean_all_pairs_run_conforms_with_populated_latencies() {
     let cfg = all_pairs_cfg(3);
     let (n, p, method) = (24, 8, Method::CaAllPairs { c: 2 });
     let initial = init::uniform(n, &cfg.domain, 42);
-    let (result, _, _, _, wire) = run_distributed_wired(&cfg, method, p, &initial);
+    let out = Run::new(&cfg, method, p).trace().probe().execute(&initial);
+    let (result, wire) = (out.result.unwrap(), out.artifacts.wire);
     assert_eq!(result.particles.len(), n);
 
     // Probing must not perturb physics.
@@ -114,7 +113,8 @@ fn clean_cutoff_run_conforms_in_count_only_mode() {
     let cfg = cutoff_cfg(3);
     let (n, p, method) = (40, 8, Method::Ca1dCutoff { c: 2 });
     let initial = init::uniform(n, &cfg.domain, 7);
-    let (result, _, _, _, wire) = run_distributed_wired(&cfg, method, p, &initial);
+    let out = Run::new(&cfg, method, p).trace().probe().execute(&initial);
+    let (result, wire) = (out.result.unwrap(), out.artifacts.wire);
     assert_eq!(result.particles.len(), n);
 
     let mut spec = spec_for(&cfg, method, n, p);
@@ -140,14 +140,13 @@ fn chaos_drops_are_fully_attributed_to_the_fault_plan() {
     let (n, p, method) = (24, 8, Method::CaAllPairs { c: 2 });
     let initial = init::uniform(n, &cfg.domain, 13);
     let plan = FaultPlan::parse("drop:3@1,drop:6@0").unwrap();
-    let (result, _, wire) = run_distributed_chaos_wired(
-        &cfg,
-        method,
-        p,
-        &plan,
-        &RetryPolicy::with_timeout_ms(2000),
-        &initial,
-    );
+    let policy = RetryPolicy::with_timeout_ms(2000);
+    let out = Run::new(&cfg, method, p)
+        .trace()
+        .probe()
+        .faults(&plan, &policy)
+        .execute(&initial);
+    let (result, wire) = (out.result, out.artifacts.wire);
     let chaos = result.expect("drops are recoverable");
     assert!(chaos.recovered, "the injected drops must trigger recovery");
 

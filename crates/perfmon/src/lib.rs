@@ -15,7 +15,7 @@
 //!   persisted to `bench_results/machine_calibration.json` so CI gates
 //!   compare against a recorded calibration instead of re-measuring on a
 //!   noisy runner.
-//! * [`roofline`] — joins the `compute_*` counters a metered run records
+//! * [`mod@roofline`] — joins the `compute_*` counters a metered run records
 //!   (see `ca_nbody::kernel::ComputeMeter`) with a calibration into
 //!   per-rank roofline points: achieved GFLOP/s, arithmetic intensity,
 //!   and %-of-roofline, with table/CSV/JSON renderings and the CI gate.

@@ -9,7 +9,8 @@
 //! * `/timeseries` — the latest published [`RunTimeline`] as JSON (the
 //!   `nbody-timeline/v1` schema — per-rank step samples + flight events).
 //! * `/dashboard` — a self-contained HTML page with SVG sparklines and
-//!   drift windows over the same timeline ([`render_dashboard`]); when a
+//!   drift windows over the same timeline
+//!   ([`render_dashboard`](crate::render_dashboard)); when a
 //!   wire log has been published, it grows a channel-latency panel.
 //! * `/wire` — the latest published wire-probe log as JSON (the
 //!   `nbody-wireprobe/v1` schema — per-rank message events).

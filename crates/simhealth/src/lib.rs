@@ -21,7 +21,7 @@
 //!    resync, memory corruption, a nondeterministic kernel — visible
 //!    within one step via a single `u64` allgather down the column.
 //!
-//! The driver-side wiring lives in `ca-nbody` (`run_distributed_health`);
+//! The driver-side wiring lives in `ca-nbody` (`sim::Run::health`);
 //! this crate is the pure, transport-free layer: the math, the hash, the
 //! report/baseline formats, and the timeline post-processing.
 

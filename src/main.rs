@@ -151,10 +151,8 @@ use ca_nbody::cutoff::validate_cutoff;
 use ca_nbody::schedule::{count_ops, AllPairsParams};
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{
-    expected_schedule, run_distributed, run_distributed_chaos_recorded,
-    run_distributed_chaos_wired, run_distributed_durable, run_distributed_health,
-    run_distributed_recorded, run_distributed_traced, run_distributed_wired, run_serial,
-    CheckpointConfig, Method, ProcGrid, RunResult, SimConfig, Window, Window1d, WireScheduleSpec,
+    expected_schedule, run_distributed, run_serial, CheckpointConfig, Method, ProcGrid, Run,
+    RunResult, SimConfig, Window, Window1d, WireScheduleSpec,
 };
 use nbody_durable::{load_latest, RunFingerprint};
 use nbody_analyze::{
@@ -547,16 +545,17 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
     let ckpt_dir = opts.get("checkpoint-dir").cloned().or_else(|| resume_dir.clone());
     let mut base_step: u64 = 0;
     let mut resumed_from: Option<u64> = None;
+    // Each of the three selects the fault-tolerant evaluation; they compose
+    // freely with each other and with every lens.
+    let recovering = faults.is_some() || ckpt_dir.is_some() || health_cfg.is_some();
+    if recovering && !method.is_ca() {
+        eprintln!(
+            "each of --faults/--checkpoint-dir/--resume/--health requires a CA method \
+             (ca, ca-cutoff-1d, ca-cutoff-2d)"
+        );
+        return ExitCode::FAILURE;
+    }
     let ckpt: Option<CheckpointConfig> = if let Some(dir) = &ckpt_dir {
-        if !matches!(
-            method,
-            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
-        ) {
-            eprintln!(
-                "--checkpoint-dir/--resume require a CA method (ca, ca-cutoff-1d, ca-cutoff-2d)"
-            );
-            return ExitCode::FAILURE;
-        }
         let every: usize = get(
             opts,
             "checkpoint-every",
@@ -636,152 +635,90 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
 
     println!("{method:?} on {p} ranks: n={n}, steps={steps}, dt={dt}, law={law_name}");
     let start = std::time::Instant::now();
-    let mut health_report: Option<HealthReport> = None;
-    let (result, trace, metrics, chaos_info, timeline, wire) = if faults.is_some()
-        || ckpt.is_some()
-        || health_cfg.is_some()
-    {
-        if !matches!(
-            method,
-            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
-        ) {
-            eprintln!(
-                "each of --faults/--checkpoint-dir/--health requires a CA method \
-                 (ca, ca-cutoff-1d, ca-cutoff-2d)"
-            );
+    // One run, built from the flags.
+    let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
+    let mut run = Run::new(&cfg, method, p);
+    // Fault-tolerant runs always trace, so recovery overhead shows up in
+    // `report` breakdowns and the fault counters reach the summary.
+    let traced = tracing || recovering;
+    if traced {
+        run = run.trace();
+    }
+    if wire_path.is_some() {
+        run = run.probe();
+    }
+    if recovering {
+        run = run.faults(&plan, &policy);
+    }
+    if let Some(ck) = &ckpt {
+        run = run.checkpoint(ck);
+    }
+    if let Some(h) = &health_cfg {
+        run = run.health(h);
+    }
+    let out = run.execute(&initial);
+    let result = match out.result {
+        Ok(result) => result,
+        Err(e) => {
+            if health_cfg.is_some() && faults.is_none() {
+                eprintln!("health-instrumented run failed: {e}");
+            } else {
+                eprintln!("fault-injected run failed: {e}");
+            }
+            // The flight recorder was on the whole time: dump the
+            // postmortem bundle so the failure can be diagnosed.
+            if let Some(path) = &timeline_path {
+                let bundle = if out.artifacts.timeline.is_postmortem() {
+                    out.artifacts.timeline
+                } else {
+                    out.artifacts.timeline.with_failure(&e.to_string())
+                };
+                match std::fs::write(path, bundle.to_json()) {
+                    Ok(()) => eprintln!("postmortem bundle written to {path}"),
+                    Err(we) => eprintln!("cannot write postmortem to {path}: {we}"),
+                }
+            }
+            // The wire log survives the failure too: what actually
+            // crossed the wire is exactly what a postmortem needs.
+            if let Some(path) = &wire_path {
+                match std::fs::write(path, out.artifacts.wire.to_json()) {
+                    Ok(()) => eprintln!("wire-probe log written to {path}"),
+                    Err(we) => eprintln!("cannot write wire log to {path}: {we}"),
+                }
+            }
             return ExitCode::FAILURE;
         }
-        let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
-        // Wire probes are opt-in: the probed chaos runner records every
-        // protocol message *and* injected fault as first-class events.
-        // (The probed runner has no checkpoint sink, so checkpointing
-        // takes precedence when both are requested.)
-        let (res, timeline, wire) = if let Some(h) = &health_cfg {
-            // The health runner has no checkpoint sink: the durable lens
-            // and the health lens instrument the same recovery loop, so
-            // combining them is rejected rather than silently degraded.
-            if ckpt.is_some() {
-                eprintln!("--health cannot be combined with --checkpoint-dir/--resume");
-                return ExitCode::FAILURE;
-            }
-            if wire_path.is_some() {
-                eprintln!("note: --wire-probe is ignored on health runs");
-            }
-            let (res, timeline) =
-                run_distributed_health(&cfg, method, p, &plan, &policy, h, &initial);
-            (
-                res.map(|(r, hr)| {
-                    health_report = Some(hr);
-                    r
-                }),
-                timeline,
-                None,
-            )
-        } else if wire_path.is_some() && ckpt.is_none() {
-            let (res, timeline, wire) =
-                run_distributed_chaos_wired(&cfg, method, p, &plan, &policy, &initial);
-            (res, timeline, Some(wire))
-        } else {
-            if wire_path.is_some() {
-                eprintln!("note: --wire-probe is ignored on checkpointed runs");
-            }
-            let (res, timeline) =
-                run_distributed_durable(&cfg, method, p, &plan, &policy, ckpt.as_ref(), &initial);
-            (res, timeline, None)
-        };
-        match res {
-            Ok(res) => {
-                if let Some(plan) = &faults {
-                    println!(
-                        "  faults [{}]: max attempts {}, recovered: {}",
-                        plan.spec(),
-                        res.max_attempts,
-                        res.recovered
-                    );
-                }
-                if res.shrinks > 0 {
-                    println!(
-                        "  degraded: world shrank {}x onto {} ranks, {} particles lost",
-                        res.shrinks, res.final_ranks, res.lost_particles
-                    );
-                }
-                if let Some(hr) = &health_report {
-                    println!(
-                        "  health: {} steps checked, max |ΔE/E₀| {:.3e}, max |p| {:.3e}, \
-                         {} sentinel event(s), {} fingerprint mismatch(es)",
-                        hr.steps_checked,
-                        hr.max_rel_energy_drift,
-                        hr.max_momentum_norm,
-                        hr.sentinel_events,
-                        hr.fingerprint_mismatches
-                    );
-                }
-                (
-                    RunResult {
-                        particles: res.particles,
-                        stats: res.stats,
-                    },
-                    Some(res.trace),
-                    res.metrics,
-                    Some((
-                        res.max_attempts,
-                        res.recovered,
-                        res.shrinks,
-                        res.lost_particles,
-                        res.final_ranks,
-                    )),
-                    Some(timeline),
-                    wire,
-                )
-            }
-            Err(e) => {
-                if health_cfg.is_some() && faults.is_none() {
-                    eprintln!("health-instrumented run failed: {e}");
-                } else {
-                    eprintln!("fault-injected run failed: {e}");
-                }
-                // The flight recorder was on the whole time: dump the
-                // postmortem bundle so the failure can be diagnosed.
-                if let Some(path) = &timeline_path {
-                    let bundle = if timeline.is_postmortem() {
-                        timeline
-                    } else {
-                        timeline.with_failure(&e.to_string())
-                    };
-                    match std::fs::write(path, bundle.to_json()) {
-                        Ok(()) => eprintln!("postmortem bundle written to {path}"),
-                        Err(we) => eprintln!("cannot write postmortem to {path}: {we}"),
-                    }
-                }
-                // The wire log survives the failure too: what actually
-                // crossed the wire is exactly what a postmortem needs.
-                if let (Some(path), Some(w)) = (&wire_path, &wire) {
-                    match std::fs::write(path, w.to_json()) {
-                        Ok(()) => eprintln!("wire-probe log written to {path}"),
-                        Err(we) => eprintln!("cannot write wire log to {path}: {we}"),
-                    }
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if wire_path.is_some() {
-        let (result, trace, metrics, timeline, wire) =
-            run_distributed_wired(&cfg, method, p, &initial);
-        (result, Some(trace), metrics, None, Some(timeline), Some(wire))
-    } else if tracing {
-        let (result, trace, metrics, timeline) =
-            run_distributed_recorded(&cfg, method, p, &initial);
-        (result, Some(trace), metrics, None, Some(timeline), None)
-    } else {
-        (
-            run_distributed(&cfg, method, p, &initial),
-            None,
-            MetricsSnapshot::empty(),
-            None,
-            None,
-            None,
-        )
     };
+    if let Some(plan) = &faults {
+        println!(
+            "  faults [{}]: max attempts {}, recovered: {}",
+            plan.spec(),
+            result.max_attempts,
+            result.recovered
+        );
+    }
+    if result.shrinks > 0 {
+        println!(
+            "  degraded: world shrank {}x onto {} ranks, {} particles lost",
+            result.shrinks, result.final_ranks, result.lost_particles
+        );
+    }
+    let health_report: Option<HealthReport> = result.health;
+    if let Some(hr) = &health_report {
+        println!(
+            "  health: {} steps checked, max |ΔE/E₀| {:.3e}, max |p| {:.3e}, \
+             {} sentinel event(s), {} fingerprint mismatch(es)",
+            hr.steps_checked,
+            hr.max_rel_energy_drift,
+            hr.max_momentum_norm,
+            hr.sentinel_events,
+            hr.fingerprint_mismatches
+        );
+    }
+    let trace = traced.then_some(out.artifacts.trace);
+    let metrics = out.artifacts.metrics;
+    let timeline = traced.then_some(out.artifacts.timeline);
+    let wire = wire_path.is_some().then_some(out.artifacts.wire);
     let elapsed = start.elapsed();
     let kinetic = diagnostics::total_kinetic_energy(&result.particles);
     println!(
@@ -863,7 +800,7 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
     }
 
     let mut max_err = None;
-    let degraded = chaos_info.is_some_and(|(_, _, shrinks, lost, _)| shrinks > 0 || lost > 0);
+    let degraded = result.shrinks > 0 || result.lost_particles > 0;
     if verify && degraded {
         // A shrunken run dropped the dead columns' particles mid-flight;
         // the full-world serial trajectory is no longer the reference.
@@ -982,12 +919,21 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
             Json::Num(metrics.sum_counter("compute_flops", None) as f64),
         ));
     }
-    if let Some((attempts, recovered, shrinks, lost, final_ranks)) = chaos_info {
-        summary.push(("max_attempts".to_string(), Json::Num(attempts as f64)));
-        summary.push(("recovered".to_string(), Json::Bool(recovered)));
-        summary.push(("shrinks".to_string(), Json::Num(shrinks as f64)));
-        summary.push(("lost_particles".to_string(), Json::Num(lost as f64)));
-        summary.push(("final_ranks".to_string(), Json::Num(final_ranks as f64)));
+    if recovering {
+        summary.push((
+            "max_attempts".to_string(),
+            Json::Num(result.max_attempts as f64),
+        ));
+        summary.push(("recovered".to_string(), Json::Bool(result.recovered)));
+        summary.push(("shrinks".to_string(), Json::Num(result.shrinks as f64)));
+        summary.push((
+            "lost_particles".to_string(),
+            Json::Num(result.lost_particles as f64),
+        ));
+        summary.push((
+            "final_ranks".to_string(),
+            Json::Num(result.final_ranks as f64),
+        ));
         if let Some(plan) = &faults {
             summary.push(("faults".to_string(), Json::Str(plan.spec())));
             for key in [
@@ -1300,8 +1246,13 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
         // With --wire the same audited run also records message-level
         // probes, so the table can compare observed traffic against the
         // schedule's per-phase predictions.
-        let metrics = if wire_on {
-            let (_, _, metrics, _, log) = run_distributed_wired(&cfg, method, p, &initial);
+        let mut audited = Run::new(&cfg, method, p).trace();
+        if wire_on {
+            audited = audited.probe();
+        }
+        let out = audited.execute(&initial);
+        let (metrics, log) = (out.artifacts.metrics, out.artifacts.wire);
+        if wire_on {
             let spec = WireScheduleSpec {
                 method,
                 n,
@@ -1323,11 +1274,7 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            metrics
-        } else {
-            let (_, _, metrics) = run_distributed_traced(&cfg, method, p, &initial);
-            metrics
-        };
+        }
         // The same instrumented run feeds both sides of the audit: its
         // comm counters go to the optimality check, its compute counters
         // to the roofline.
@@ -1565,13 +1512,12 @@ fn calibrate_cmd(opts: &HashMap<String, String>) -> ExitCode {
 #[allow(clippy::too_many_arguments)]
 fn check_shrunk(
     label: &str,
-    res: &ca_nbody::ChaosRunResult,
+    res: &RunResult,
     cfg: &SimConfig<AnyLaw, SemiImplicitEuler>,
     method: Method,
     initial: &[Particle],
     n: usize,
     expect_ranks: usize,
-    r_c: f64,
     failures: &mut Vec<String>,
 ) {
     if res.shrinks == 0 {
@@ -1605,28 +1551,11 @@ fn check_shrunk(
         .cloned()
         .collect();
     let p2 = res.final_ranks;
-    // Mirror the driver's choice: the largest replication the survivor
-    // count still supports.
-    let reference = match method {
-        Method::CaAllPairs { c } => (1..=c)
-            .rev()
-            .find(|&cc| ProcGrid::new_all_pairs(p2, cc).is_ok())
-            .map(|c2| run_distributed(cfg, Method::CaAllPairs { c: c2 }, p2, &survivors).particles),
-        Method::Ca1dCutoff { c } => (1..=c)
-            .rev()
-            .find(|&cc| {
-                p2.is_multiple_of(cc)
-                    && ProcGrid::new(p2, cc).is_ok()
-                    && validate_cutoff(
-                        &Window1d::from_cutoff(&cfg.domain, p2 / cc, r_c),
-                        p2 / cc,
-                        cc,
-                    )
-                    .is_ok()
-            })
-            .map(|c2| run_distributed(cfg, Method::Ca1dCutoff { c: c2 }, p2, &survivors).particles),
-        _ => None,
-    };
+    // The driver's own shrink policy names the method the degraded run
+    // continued with.
+    let reference = method
+        .shrunk_onto(p2, &cfg.domain, cfg.boundary, cfg.law.cutoff())
+        .map(|m2| run_distributed(cfg, m2, p2, &survivors).particles);
     match reference {
         Some(reference) if res.particles == reference => {}
         Some(_) => failures.push(format!(
@@ -1740,6 +1669,14 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
     // The sweep asserts exact attempt counts, so it pins the fully
     // deterministic fixed-deadline policy (no backoff, no jitter).
     let policy = RetryPolicy::fixed(timeout_ms, 3);
+    // Every schedule of the sweep is the same traced fault-tolerant run.
+    let chaos_run = |method: Method, plan: &FaultPlan| {
+        let out = Run::new(&cfg, method, p)
+            .trace()
+            .faults(plan, &policy)
+            .execute(&initial);
+        (out.result, out.artifacts.timeline, out.artifacts.metrics)
+    };
     println!(
         "chaos sweep: {method_name} n={n} p={p} c={c} steps={steps}, \
          kill schedule 0..={pipeline_steps} x {p} ranks, timeout {timeout_ms} ms"
@@ -1790,10 +1727,10 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             &[FaultKind::Delay, FaultKind::Duplicate],
         );
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl, run_metrics) = chaos_run(method, &plan);
         match res {
             Ok(res) => {
-                sweep_metrics.absorb(&res.metrics);
+                sweep_metrics.absorb(&run_metrics);
                 if res.particles != want {
                     failures.push(format!("benign [{}]: forces diverged", plan.spec()));
                 }
@@ -1822,10 +1759,10 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         for rank in 0..p {
             let plan = FaultPlan::kill(rank, step);
             runs += 1;
-            let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+            let (res, tl, run_metrics) = chaos_run(method, &plan);
             match res {
                 Ok(res) => {
-                    sweep_metrics.absorb(&res.metrics);
+                    sweep_metrics.absorb(&run_metrics);
                     if res.particles != want {
                         failures.push(format!(
                             "kill:{rank}@{step}: forces diverged from fault-free run"
@@ -1833,13 +1770,13 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     }
                     // In the cutoff pipeline short rows never reach high
                     // steps, so some scheduled kills legitimately don't fire.
-                    if res.metrics.sum_counter("fault_injected_kill", None) > 0 {
+                    if run_metrics.sum_counter("fault_injected_kill", None) > 0 {
                         kills_fired += 1;
                         if !res.recovered {
                             failures.push(format!("kill:{rank}@{step}: fired but not recovered"));
                         }
                         worst_attempts = worst_attempts.max(res.max_attempts);
-                        let bytes = res.metrics.sum_counter("recovery_bytes_total", None) as f64;
+                        let bytes = run_metrics.sum_counter("recovery_bytes_total", None) as f64;
                         worst_bytes_factor = worst_bytes_factor.max(bytes / nominal_block_bytes);
                     }
                 }
@@ -1873,15 +1810,15 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl, run_metrics) = chaos_run(method, &plan);
         match res {
             Ok(res) => {
-                sweep_metrics.absorb(&res.metrics);
+                sweep_metrics.absorb(&run_metrics);
                 if res.particles != want {
                     failures
                         .push(format!("multi-kill [{spec}]: forces diverged from fault-free run"));
                 }
-                let fired = res.metrics.sum_counter("fault_injected_kill", None);
+                let fired = run_metrics.sum_counter("fault_injected_kill", None);
                 if fired > 0 && !res.recovered {
                     failures.push(format!("multi-kill [{spec}]: fired but not recovered"));
                 }
@@ -1902,7 +1839,6 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         }
     }
 
-    let r_c: f64 = get(opts, "cutoff", 0.25);
     let mut shrinks_observed = 0usize;
 
     // The second availability tier: kill *every* replica of one column,
@@ -1917,10 +1853,10 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl, run_metrics) = chaos_run(method, &plan);
         match res {
             Ok(res) => {
-                sweep_metrics.absorb(&res.metrics);
+                sweep_metrics.absorb(&run_metrics);
                 shrinks_observed += res.shrinks;
                 check_shrunk(
                     &format!("double-kill [{spec}]"),
@@ -1930,7 +1866,6 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     &initial,
                     n,
                     p - c,
-                    r_c,
                     &mut failures,
                 );
             }
@@ -1955,11 +1890,10 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         _ => unreachable!("chaos supports only CA methods"),
     };
     runs += 1;
-    let (res, tl) =
-        run_distributed_chaos_recorded(&cfg, m1, p, &FaultPlan::kill(p / 2, 0), &policy, &initial);
+    let (res, tl, run_metrics) = chaos_run(m1, &FaultPlan::kill(p / 2, 0));
     match res {
         Ok(res) => {
-            sweep_metrics.absorb(&res.metrics);
+            sweep_metrics.absorb(&run_metrics);
             shrinks_observed += res.shrinks;
             check_shrunk(
                 "c=1 kill",
@@ -1969,7 +1903,6 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                 &initial,
                 n,
                 p - 1,
-                r_c,
                 &mut failures,
             );
         }
@@ -1995,7 +1928,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl, _) = chaos_run(method, &plan);
         match res {
             Ok(_) => {
                 failures.push("total loss must be unrecoverable, but the run succeeded".into())
@@ -2184,6 +2117,13 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
         budget: std::time::Duration::from_secs(30),
         seed,
     };
+    let chaos_run = |method: Method, plan: &FaultPlan| {
+        let out = Run::new(&cfg, method, p)
+            .trace()
+            .faults(plan, &policy)
+            .execute(&initial);
+        (out.result, out.artifacts.timeline)
+    };
     let want = run_distributed(&cfg, method, p, &initial).particles;
     let postmortem_dir = opts.get("postmortem").cloned();
     println!(
@@ -2212,7 +2152,7 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
             ],
         );
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl) = chaos_run(method, &plan);
         match res {
             Ok(res) => {
                 if res.recovered {
@@ -2235,7 +2175,6 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
                         &initial,
                         n,
                         res.final_ranks,
-                        r_c,
                         &mut failures,
                     );
                 } else if res.particles.len() + res.lost_particles != n {

@@ -1916,22 +1916,91 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad rank"), "{stderr}");
 
+    // The health monitors compose with everything else a run can carry.
+    // Checkpointing: crash on cue with the monitors on, resume with them
+    // on, and land on the uninterrupted twin's exact state.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_health_ckpt");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let common = ["run", "n=64", "p=4", "c=2", "steps=6", "--health"];
+    let out = cli().args(common).output().expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let want_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
+
+    let ckpt = dir.join("ckpt");
     let out = cli()
+        .args(common)
         .args([
-            "run",
-            "n=32",
-            "p=4",
-            "c=2",
-            "steps=2",
-            "--health",
-            "--checkpoint-dir=/tmp/ca_nbody_cli_health_ckpt",
+            &format!("--checkpoint-dir={}", ckpt.display()),
+            "--checkpoint-every=2",
+            "--crash-at-step=4",
         ])
         .output()
         .expect("launch");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("cannot be combined with --checkpoint-dir"),
-        "{stderr}"
+    assert_eq!(
+        out.status.code(),
+        Some(137),
+        "crash-at-step must exit 137 under --health too: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    assert!(ckpt.join("ckpt-00000004.json").is_file());
+
+    let out = cli()
+        .args(common)
+        .arg(format!("--resume={}", ckpt.display()))
+        .output()
+        .expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    assert_eq!(doc.get("resumed_from_step").unwrap().as_f64(), Some(4.0));
+    assert_eq!(
+        doc.get("kinetic_energy").unwrap().as_f64().unwrap(),
+        want_energy,
+        "resumed health run must match the uninterrupted one exactly"
+    );
+    assert!(stdout.contains("\"health_sentinel_events\":0"), "{stdout}");
+    assert!(
+        stdout.contains("\"health_fingerprint_mismatches\":0"),
+        "{stdout}"
+    );
+
+    // Wire probes: a health run writes a non-empty log `analyze` reads.
+    let wire = dir.join("wire.json").display().to_string();
+    let out = cli()
+        .args(common)
+        .arg(format!("--wire-probe={wire}"))
+        .output()
+        .expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    assert!(
+        doc.get("wire_events").unwrap().as_f64().unwrap() > 0.0,
+        "{stdout}"
+    );
+    let out = cli()
+        .args(["analyze", &format!("--wire={wire}")])
+        .output()
+        .expect("launch");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,14 +3,37 @@
 //! across the fault paths (replica kill-and-recover, degraded shrink),
 //! where the online health monitors measure exactly what was lost.
 
-use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::{run_distributed, run_distributed_health, Method, SimConfig};
-use nbody_comm::FaultPlan;
+use ca_nbody::recovery::{FaultError, RetryPolicy};
+use ca_nbody::{run_distributed, Method, Run, RunResult, SimConfig};
+use nbody_comm::{FaultPlan, RunTimeline};
 use nbody_physics::{
     diagnostics, init, Boundary, Cutoff, Domain, Gravity, LennardJones, RepulsiveInverseSquare,
     SemiImplicitEuler, VelocityVerlet,
 };
-use nbody_simhealth::HealthConfig;
+use nbody_simhealth::{HealthConfig, HealthReport};
+
+/// A traced, health-monitored run under `plan`: the result with its health
+/// verdict split out, and the timeline.
+fn health_run(
+    cfg: &SimConfig<Gravity, VelocityVerlet>,
+    method: Method,
+    p: usize,
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+    health: &HealthConfig,
+    initial: &[nbody_physics::Particle],
+) -> (Result<(RunResult, HealthReport), FaultError>, RunTimeline) {
+    let out = Run::new(cfg, method, p)
+        .trace()
+        .faults(plan, policy)
+        .health(health)
+        .execute(initial);
+    let res = out.result.map(|run| {
+        let report = run.health.expect("health runs always produce a report");
+        (run, report)
+    });
+    (res, out.artifacts.timeline)
+}
 
 #[test]
 fn momentum_conserved_open_boundary_symmetric_law() {
@@ -114,7 +137,7 @@ fn invariants_hold_across_kill_and_recover() {
     // p=8, c=2: ranks 4..8 are the replica row; rank 5 backs team 1.
     let plan = FaultPlan::kill(5, 1);
     let policy = RetryPolicy::with_timeout_ms(200);
-    let (res, _tl) = run_distributed_health(
+    let (res, _tl) = health_run(
         &cfg,
         Method::CaAllPairs { c: 2 },
         8,
@@ -175,7 +198,7 @@ fn shrink_lost_particles_match_momentum_jump() {
     // lost particles leave with their initial momenta.
     let plan = FaultPlan::kill(1, 0);
     let policy = RetryPolicy::with_timeout_ms(200);
-    let (res, _tl) = run_distributed_health(
+    let (res, _tl) = health_run(
         &cfg,
         Method::CaAllPairs { c: 1 },
         4,

@@ -5,8 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ca_nbody::{
-    run_distributed, run_distributed_chaos, run_distributed_traced, run_serial, Method,
-    RetryPolicy, SimConfig,
+    run_distributed, run_distributed_chaos, run_serial, Method, RetryPolicy, Run, SimConfig,
 };
 use nbody_comm::FaultPlan;
 use nbody_physics::{
@@ -298,7 +297,8 @@ fn cutoff_drivers_cell_order_their_blocks_whatever_the_id_order() {
         ] {
             let ctx = format!("{name} {method:?} p={p}");
             cfg.law.calls.store(0, Ordering::Relaxed);
-            let (plain, _, metrics) = run_distributed_traced(&cfg, method, p, &initial);
+            let out = Run::new(&cfg, method, p).trace().execute(&initial);
+            let (plain, metrics) = (out.result.unwrap(), out.artifacts.metrics);
             let asked = cfg.law.calls.swap(0, Ordering::Relaxed);
             let answered = metrics.sum_counter("compute_interactions", None);
             assert!(
