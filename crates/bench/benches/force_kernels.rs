@@ -99,6 +99,17 @@ impl<F: ForceLaw> ForceLaw for HideCutoff<F> {
     }
 }
 
+/// The `(targets, sources)` of one row of the block-kernel table: a `size`
+/// x `size` off-diagonal block pair.
+fn off_diagonal_blocks(size: usize, domain: &Domain) -> (Vec<Particle>, Vec<Particle>) {
+    let sources = init::uniform(size, domain, 7);
+    let mut targets = init::uniform(size, domain, 8);
+    for t in &mut targets {
+        t.id += size as u64;
+    }
+    (targets, sources)
+}
+
 /// One row of the block-kernel table: `accumulate_block` on a `size` x
 /// `size` off-diagonal block pair, reported per interaction.
 fn bench_block<F: ForceLaw>(
@@ -109,11 +120,7 @@ fn bench_block<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
-    let sources = init::uniform(size, domain, 7);
-    let mut targets = init::uniform(size, domain, 8);
-    for t in &mut targets {
-        t.id += size as u64;
-    }
+    let (mut targets, sources) = off_diagonal_blocks(size, domain);
     bench_block_pair(group, name, law, &mut targets, &sources, domain, boundary);
 }
 
@@ -134,6 +141,33 @@ fn bench_block_pair<F: ForceLaw>(
             ca_nbody::kernel::accumulate_block(
                 black_box(&mut *targets),
                 black_box(sources),
+                law,
+                domain,
+                boundary,
+            )
+        })
+    });
+}
+
+/// [`bench_block`] with the sources as the CA drivers circulate them: the
+/// same particles as a compact `Source` block, through the instantiation of
+/// the loop nest that reads it directly.
+fn bench_block_compact<F: ForceLaw>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    law: &F,
+    size: usize,
+    domain: &Domain,
+    boundary: Boundary,
+) {
+    let (mut targets, sources) = off_diagonal_blocks(size, domain);
+    let sources = nbody_physics::particle::sources(&sources);
+    group.throughput(Throughput::Elements((size * size) as u64));
+    group.bench_with_input(BenchmarkId::new(name, size), &size, |bench, _| {
+        bench.iter(|| {
+            ca_nbody::kernel::accumulate_sources(
+                black_box(&mut targets[..]),
+                black_box(&sources[..]),
                 law,
                 domain,
                 boundary,
@@ -233,6 +267,17 @@ fn bench_block_kernel(c: &mut Criterion) {
         bench_block(
             &mut group,
             "repulsive",
+            &repulsive,
+            size,
+            &unit,
+            Boundary::Reflective,
+        );
+    }
+    // The repo benchmark's two all-pairs blocks, 32-byte sources.
+    for size in [32usize, 128, 512, 2048] {
+        bench_block_compact(
+            &mut group,
+            "repulsive_compact_sources",
             &repulsive,
             size,
             &unit,

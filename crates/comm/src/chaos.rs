@@ -374,6 +374,45 @@ impl<C: Communicator> ChaosComm<C> {
     pub fn inner(&self) -> &C {
         &self.inner
     }
+
+    /// Apply the plan to the point-to-point send about to happen — fire the
+    /// next event aimed here, record it, sit out a delay — and say how many
+    /// copies of the message reach the wire: none from a dead rank or under
+    /// a drop, two under a duplicate, one otherwise.
+    fn copies_to_send(&self, dst: usize, tag: u64, elements: usize, bytes: usize) -> usize {
+        // Injections land in the probe stream as first-class events so a
+        // conformance pass can attribute the resulting traffic anomalies
+        // to the fault plan instead of flagging them as protocol bugs.
+        let probe_fault = |kind: FaultKind| {
+            self.state.wire.fault(
+                kind.probe_kind(),
+                dst as u32,
+                tag,
+                self.state.phase.get(),
+                elements as u64,
+                bytes as u64,
+                self.state.step.get() as u64,
+            );
+        };
+        if self.state.dead.get() {
+            // A crashed rank's messages never reach the wire.
+            probe_fault(FaultKind::Kill);
+            return 0;
+        }
+        let Some(e) = self.state.take_p2p_event() else {
+            return 1;
+        };
+        probe_fault(e.kind);
+        match e.kind {
+            FaultKind::Drop => 0,
+            FaultKind::Delay => {
+                std::thread::sleep(Duration::from_millis(e.delay_ms));
+                1
+            }
+            FaultKind::Duplicate => 2,
+            FaultKind::Kill => unreachable!("take_p2p_event never hands out a kill"),
+        }
+    }
 }
 
 impl<C: Communicator> Communicator for ChaosComm<C> {
@@ -411,38 +450,20 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
     }
 
     fn send<T: CommData>(&self, dst: usize, tag: u64, data: &[T]) {
-        // Injections land in the probe stream as first-class events so a
-        // conformance pass can attribute the resulting traffic anomalies
-        // to the fault plan instead of flagging them as protocol bugs.
-        let probe_fault = |kind: FaultKind| {
-            self.state.wire.fault(
-                kind.probe_kind(),
-                dst as u32,
-                tag,
-                self.state.phase.get(),
-                data.len() as u64,
-                std::mem::size_of_val(data) as u64,
-                self.state.step.get() as u64,
-            );
-        };
-        if self.state.dead.get() {
-            // A crashed rank's messages never reach the wire.
-            probe_fault(FaultKind::Kill);
-            return;
+        for _ in 0..self.copies_to_send(dst, tag, data.len(), std::mem::size_of_val(data)) {
+            self.inner.send(dst, tag, data);
         }
-        match self.state.take_p2p_event() {
-            Some(e) if e.kind == FaultKind::Drop => probe_fault(FaultKind::Drop),
-            Some(e) if e.kind == FaultKind::Delay => {
-                probe_fault(FaultKind::Delay);
-                std::thread::sleep(Duration::from_millis(e.delay_ms));
-                self.inner.send(dst, tag, data);
-            }
-            Some(e) if e.kind == FaultKind::Duplicate => {
-                probe_fault(FaultKind::Duplicate);
-                self.inner.send(dst, tag, data);
-                self.inner.send(dst, tag, data);
-            }
-            _ => self.inner.send(dst, tag, data),
+    }
+
+    fn send_vec<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        let bytes = std::mem::size_of_val(data.as_slice());
+        let copies = self.copies_to_send(dst, tag, data.len(), bytes);
+        // Every copy but the last is one: the last is the buffer itself.
+        for _ in 1..copies {
+            self.inner.send(dst, tag, &data);
+        }
+        if copies > 0 {
+            self.inner.send_vec(dst, tag, data);
         }
     }
 
@@ -485,6 +506,15 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
 
     fn reduce<T: CommData>(&self, root: usize, buf: &mut Vec<T>, combine: fn(&mut T, &T)) {
         self.inner.reduce(root, buf, combine);
+    }
+
+    fn reduce_vec<T: CommData>(
+        &self,
+        root: usize,
+        buf: Vec<T>,
+        combine: fn(&mut T, &T),
+    ) -> Option<Vec<T>> {
+        self.inner.reduce_vec(root, buf, combine)
     }
 
     fn gather<T: CommData>(&self, root: usize, data: &[T]) -> Option<Vec<Vec<T>>> {
@@ -631,6 +661,36 @@ mod tests {
         });
         assert_eq!(out[0], vec![100]);
         assert_eq!(out[1], vec![101]);
+    }
+
+    #[test]
+    fn owned_sends_take_the_same_faults_and_a_duplicate_is_two_intact_copies() {
+        let plan = FaultPlan::parse("dup:0@1,drop:1@1").unwrap();
+        let out = run_ranks_chaos(2, &plan, |comm| {
+            comm.set_phase(Phase::Shift);
+            comm.fault_step(1).unwrap();
+            let other = 1 - comm.rank();
+            // Rank 0's buffer is duplicated, rank 1's dropped (one-shot).
+            comm.send_vec(other, 10, vec![comm.rank() as u64, 7, 8]);
+            comm.send_vec(other, 11, vec![comm.rank() as u64 + 100]);
+            let sent = comm.stats().phase(Phase::Shift).messages;
+            let got = if comm.rank() == 1 {
+                let first = comm.recv::<u64>(0, 10);
+                // The second copy is still queued under the same tag.
+                let second = comm.recv::<u64>(0, 10);
+                assert_eq!(first, second);
+                first
+            } else {
+                let lost = comm.try_recv_timeout::<u64>(1, 10, Duration::from_millis(50));
+                assert!(matches!(lost, Err(CommError::Timeout { .. })));
+                Vec::new()
+            };
+            (got, comm.recv::<u64>(other, 11), sent)
+        });
+        assert_eq!(out[1].0, vec![0, 7, 8]);
+        assert_eq!((out[0].1.clone(), out[1].1.clone()), (vec![101], vec![100]));
+        // Two copies plus one message from rank 0; one message from rank 1.
+        assert_eq!((out[0].2, out[1].2), (3, 1));
     }
 
     #[test]

@@ -87,6 +87,16 @@ pub trait Communicator: Sized {
     /// Buffered send of `data` to local rank `dst`.
     fn send<T: CommData>(&self, dst: usize, tag: u64, data: &[T]);
 
+    /// [`send`](Communicator::send) of a buffer the caller is done with:
+    /// the same message, counted the same, but a transport that moves
+    /// payloads by pointer hands `data`'s allocation to the receiver instead
+    /// of copying it. The default is the borrow path, so a communicator that
+    /// only implements `send` (a span-recording wrapper, say) sees every
+    /// owned send as the `send` it is.
+    fn send_vec<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        self.send(dst, tag, &data);
+    }
+
     /// Blocking receive from local rank `src`. The next message from `src`
     /// on this communicator must carry `tag`.
     fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T>;
@@ -142,9 +152,26 @@ pub trait Communicator: Sized {
 
     /// Element-wise tree reduction to `root`. Every rank contributes `buf`
     /// (all the same length); on `root`, `buf` ends up holding the combined
-    /// result; other ranks' buffers are left in an unspecified combined
-    /// state and should not be used. `combine` must be associative.
+    /// result; other ranks' buffers keep their length but are left in an
+    /// unspecified combined state and should not be read. `combine` must be
+    /// associative.
     fn reduce<T: CommData>(&self, root: usize, buf: &mut Vec<T>, combine: fn(&mut T, &T));
+
+    /// [`reduce`](Communicator::reduce) of a buffer the caller is done with:
+    /// the same collective, counted the same, returning the combined result
+    /// on `root` and `None` elsewhere. `reduce` leaves every rank a buffer
+    /// of the length it came with (callers loop it over one buffer), so off
+    /// the root it has to send a copy; this form lets a transport move the
+    /// buffer up the tree instead. The default is `reduce`.
+    fn reduce_vec<T: CommData>(
+        &self,
+        root: usize,
+        mut buf: Vec<T>,
+        combine: fn(&mut T, &T),
+    ) -> Option<Vec<T>> {
+        self.reduce(root, &mut buf, combine);
+        (self.rank() == root).then_some(buf)
+    }
 
     /// [`reduce`](Communicator::reduce) followed by a broadcast, leaving the
     /// combined result on every rank.
@@ -182,8 +209,9 @@ pub trait Communicator: Sized {
 
     /// Personalized all-to-all with variable counts: `buckets[r]` is sent
     /// to rank `r`; returns the per-source buckets received (index =
-    /// source rank; `out[rank()]` is this rank's own bucket, moved, not
-    /// copied). The workhorse of spatial re-assignment.
+    /// source rank). Every bucket is moved, not copied: this rank's own into
+    /// `out[rank()]`, the others into [`send_vec`](Communicator::send_vec).
+    /// The workhorse of spatial re-assignment.
     fn alltoallv<T: CommData>(&self, mut buckets: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let p = self.size();
         let me = self.rank();
@@ -194,7 +222,11 @@ pub trait Communicator: Sized {
         const TAG_A2A: u64 = 0x6000;
         for offset in 1..p {
             let dst = (me + offset) % p;
-            self.send(dst, TAG_A2A + offset as u64, &buckets[dst]);
+            self.send_vec(
+                dst,
+                TAG_A2A + offset as u64,
+                std::mem::take(&mut buckets[dst]),
+            );
         }
         for offset in 1..p {
             let src = (me + p - offset) % p;

@@ -467,6 +467,10 @@ impl Communicator for ThreadComm {
         self.send_raw(dst, tag, data.to_vec(), true);
     }
 
+    fn send_vec<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        self.send_raw(dst, tag, data, true);
+    }
+
     fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T> {
         self.recv_raw(src, tag, true)
     }
@@ -516,40 +520,58 @@ impl Communicator for ThreadComm {
     }
 
     fn reduce<T: CommData>(&self, root: usize, buf: &mut Vec<T>, combine: fn(&mut T, &T)) {
+        // A borrowed buffer stays with its rank: the root lends its own to
+        // the tree and takes the result back, the others contribute a copy.
+        if self.my_local == root {
+            *buf = self
+                .reduce_vec(root, std::mem::take(buf), combine)
+                .expect("the root keeps the combined buffer");
+        } else {
+            self.reduce_vec(root, buf.clone(), combine);
+        }
+    }
+
+    fn reduce_vec<T: CommData>(
+        &self,
+        root: usize,
+        mut buf: Vec<T>,
+        combine: fn(&mut T, &T),
+    ) -> Option<Vec<T>> {
         let size = self.size();
         assert!(root < size, "reduce root {root} out of range");
         if size == 1 {
-            return;
+            return Some(buf);
         }
         self.record_collective::<T>(buf.len());
         let tag = self.next_internal_tag();
         // Binomial tree reduction mirroring the broadcast: contributions from
         // higher virtual ranks are folded into lower ones, ending at vrank 0
-        // (= `root`). Combination order is deterministic.
+        // (= `root`). Combination order is deterministic. A rank's buffer
+        // moves to its parent once its own subtree is folded in.
         let vrank = (self.my_local + size - root) % size;
         let mut mask = 1usize;
         while mask < size {
-            if vrank & mask == 0 {
-                let partner = vrank | mask;
-                if partner < size {
-                    let src = (partner + root) % size;
-                    let incoming = self.recv_raw::<T>(src, tag, false);
-                    assert_eq!(
-                        incoming.len(),
-                        buf.len(),
-                        "reduce buffers must agree in length"
-                    );
-                    for (acc, x) in buf.iter_mut().zip(&incoming) {
-                        combine(acc, x);
-                    }
-                }
-            } else {
+            if vrank & mask != 0 {
                 let dst = (vrank - mask + root) % size;
-                self.send_raw(dst, tag, buf.clone(), false);
-                break;
+                self.send_raw(dst, tag, buf, false);
+                return None;
+            }
+            let partner = vrank | mask;
+            if partner < size {
+                let src = (partner + root) % size;
+                let incoming = self.recv_raw::<T>(src, tag, false);
+                assert_eq!(
+                    incoming.len(),
+                    buf.len(),
+                    "reduce buffers must agree in length"
+                );
+                for (acc, x) in buf.iter_mut().zip(&incoming) {
+                    combine(acc, x);
+                }
             }
             mask <<= 1;
         }
+        Some(buf)
     }
 
     fn gather<T: CommData>(&self, root: usize, data: &[T]) -> Option<Vec<Vec<T>>> {
@@ -863,6 +885,33 @@ mod tests {
     }
 
     #[test]
+    fn owned_send_hands_over_the_allocation_and_counts_like_send() {
+        let out = run_ranks(2, |comm| {
+            comm.set_phase(Phase::Shift);
+            if comm.rank() == 0 {
+                let data = vec![10u64, 20, 30];
+                let at = data.as_ptr() as usize;
+                comm.send_vec(1, 7, data);
+                let owned = comm.stats();
+                comm.send(1, 8, &[10u64, 20, 30]);
+                (at, owned, comm.stats())
+            } else {
+                let moved = comm.recv::<u64>(0, 7);
+                let copied = comm.recv::<u64>(0, 8);
+                assert_eq!(moved, copied);
+                (moved.as_ptr() as usize, comm.stats(), comm.stats())
+            }
+        });
+        // The receiver holds the very buffer the sender filled.
+        assert_eq!(out[0].0, out[1].0);
+        // One owned send is one message of three elements and 24 bytes, and
+        // the borrowed send after it counts exactly the same again.
+        let (owned, both) = (out[0].1.phase(Phase::Shift), out[0].2.phase(Phase::Shift));
+        assert_eq!((owned.messages, owned.elements, owned.bytes), (1, 3, 24));
+        assert_eq!((both.messages, both.elements, both.bytes), (2, 6, 48));
+    }
+
+    #[test]
     fn fifo_order_per_pair() {
         let out = run_ranks(2, |comm| {
             if comm.rank() == 0 {
@@ -922,6 +971,36 @@ mod tests {
             });
             let (_, buf) = &out[root];
             assert_eq!(*buf, vec![15, 6], "root {root}");
+        }
+    }
+
+    #[test]
+    fn owned_reduce_agrees_with_reduce_and_reduce_keeps_every_buffer_its_length() {
+        let p = 6;
+        for root in [0, 3, 5] {
+            let out = run_ranks(p, move |comm| {
+                let owned = comm.reduce_vec(root, vec![comm.rank() as u64, 1], sum_combine);
+                // Callers loop `reduce` over one buffer, off the root too.
+                let mut looped = vec![1u64, 1];
+                for _ in 0..3 {
+                    comm.reduce(root, &mut looped, sum_combine);
+                    assert_eq!(looped.len(), 2);
+                }
+                let mut buf = vec![comm.rank() as u64, 1];
+                comm.reduce(root, &mut buf, sum_combine);
+                (owned, buf, comm.stats())
+            });
+            for (rank, (owned, buf, stats)) in out.iter().enumerate() {
+                if rank == root {
+                    assert_eq!(owned.as_deref(), Some(&[15, 6][..]), "root {root}");
+                    assert_eq!(buf, &[15, 6], "root {root}");
+                } else {
+                    assert_eq!(*owned, None, "rank {rank}, root {root}");
+                }
+                // Five reductions of two 8-byte elements, either form.
+                let c = stats.phase(Phase::Other);
+                assert_eq!((c.collectives, c.collective_bytes), (5, 80));
+            }
         }
     }
 
@@ -1461,6 +1540,22 @@ mod alltoallv_tests {
             for (src, bucket) in received.iter().enumerate() {
                 assert_eq!(bucket.len(), me + 1, "me={me} src={src}");
                 assert!(bucket.iter().all(|&x| x == (src * 10 + me) as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn alltoallv_moves_every_bucket() {
+        let out = run_ranks(3, |comm| {
+            let buckets: Vec<Vec<u64>> = (0..3).map(|dst| vec![dst as u64; 4]).collect();
+            let sent: Vec<usize> = buckets.iter().map(|b| b.as_ptr() as usize).collect();
+            let got = comm.alltoallv(buckets);
+            let got: Vec<usize> = got.iter().map(|b| b.as_ptr() as usize).collect();
+            (sent, got)
+        });
+        for (me, (_, got)) in out.iter().enumerate() {
+            for (src, (sent, _)) in out.iter().enumerate() {
+                assert_eq!(got[src], sent[me], "bucket {src} -> {me}");
             }
         }
     }

@@ -20,14 +20,19 @@
 //! a team together cover every team's block exactly once. The final
 //! reduction sums the per-row partial forces on the team leader.
 //!
+//! Each phase ships what its receiver reads (DESIGN.md §16): lines 2-6 move
+//! blocks of [`Source`]s — position, mass, id — and line 9 sums bare force
+//! vectors. Velocities never leave the leader.
+//!
 //! Setting `c = 1` degenerates to Plimpton's particle decomposition
 //! (a ring pipeline); `c = √p` to his force decomposition.
 
-use nbody_comm::{Communicator, Phase};
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
+use nbody_comm::{sum_combine, Communicator, Phase};
+use nbody_physics::particle::sources;
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2};
 
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block, accumulate_block_potential, combine_forces, ComputeMeter};
+use crate::kernel::{accumulate_block_potential, accumulate_sources, ComputeMeter};
 use crate::link::{Link, Strict};
 
 /// Tag for the skew message (line 4).
@@ -52,28 +57,62 @@ pub fn ca_all_pairs_forces<C: Communicator, F: ForceLaw>(
     boundary: Boundary,
 ) {
     debug_assert!(gc.is_leader() || st.is_empty(), "only leaders contribute particles");
-
-    // Line 2: broadcast the team subset down the column.
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
-
-    Strict::infallible(shift_pipeline(gc, st, law, domain, boundary, &Strict, None));
-
-    // Line 9: sum-reduce the partial forces onto the leader.
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+    let exch = team_broadcast(gc, st);
+    Strict::infallible(shift_pipeline(gc, st, exch, law, domain, boundary, &Strict, None));
+    team_reduce(gc, st);
 }
 
-/// Lines 3-8 of Algorithm 1 over the post-broadcast block `st`: copy, skew,
-/// `p/c²` shift+update steps. The one body behind
-/// [`ca_all_pairs_forces`] ([`Strict`] link) and
+/// Line 2 of both algorithms without fault tolerance: the leader broadcasts
+/// its block as [`Source`]s down the column and the other rows build their
+/// target block from it (at rest, accumulators cleared — as the leader's
+/// are). Returns the broadcast buffer, which already is line 3's copy.
+pub(crate) fn team_broadcast<C: Communicator>(
+    gc: &GridComms<C>,
+    st: &mut Vec<Particle>,
+) -> Vec<Source> {
+    let mut block = sources(st);
+    gc.col.set_phase(Phase::Broadcast);
+    gc.col.bcast(0, &mut block);
+    if !gc.is_leader() {
+        st.clear();
+        st.extend(block.iter().map(Source::particle));
+    }
+    block
+}
+
+/// Line 9 of both algorithms: sum-reduce the partial forces onto the
+/// leader — the accumulators only, folded in the tree order a reduction of
+/// whole particles would take, so the sums are the same bits.
+pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle]) {
+    gc.col.set_phase(Phase::Reduce);
+    // A column of one has nothing to sum: skip building the buffer the
+    // transport would hand straight back.
+    if gc.col.size() == 1 {
+        return;
+    }
+    let partial: Vec<Vec2> = st.iter().map(|p| p.force).collect();
+    if let Some(total) = gc.col.reduce_vec(0, partial, sum_combine) {
+        for (p, force) in st.iter_mut().zip(total) {
+            p.force = force;
+        }
+    }
+}
+
+/// Lines 3-8 of Algorithm 1: skew, then `p/c²` shift+update steps of the
+/// targets `st` against the exchange buffer `exch`, this rank's copy of its
+/// team's block as [`Source`]s (line 3; the plain entry passes the broadcast
+/// buffer itself). The buffer is moved into every send and replaced by the
+/// one received. The one body behind [`ca_all_pairs_forces`] ([`Strict`]
+/// link) and
 /// [`ca_all_pairs_forces_ft`](crate::recovery::ca_all_pairs_forces_ft) (one
 /// [`Deadline`](crate::link::Deadline) link per recovery attempt). With
 /// `potential` set, the kernel also harvests the summed pair potential into
 /// it (the health monitors' potential-energy partial).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
     st: &mut [Particle],
+    mut exch: Vec<Source>,
     law: &F,
     domain: &Domain,
     boundary: Boundary,
@@ -86,8 +125,6 @@ pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
     let team = gc.team();
     let k = gc.row_index();
 
-    // Line 3: copy to the exchange buffer.
-    let mut exch = st.to_vec();
     // The paper's M = cn/p replicated working set: the owned block plus the
     // exchange copy, the memory the Eq. 2 bounds are evaluated against.
     gc.col
@@ -110,7 +147,7 @@ pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
     if k > 0 {
         let dst = (team + k) % teams;
         let src = (team + teams - k) % teams;
-        link.send(&gc.row, dst, TAG_SKEW, &exch);
+        link.send(&gc.row, dst, TAG_SKEW, exch);
         exch = link.recv(&gc.row, src, TAG_SKEW)?;
     }
 
@@ -121,7 +158,7 @@ pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
         link.step(&gc.col, s)?;
         let dst = (team + c) % teams;
         let src = (team + teams - c) % teams;
-        link.send(&gc.row, dst, TAG_SHIFT + s as u64, &exch);
+        link.send(&gc.row, dst, TAG_SHIFT + s as u64, exch);
         exch = link.recv(&gc.row, src, TAG_SHIFT + s as u64)?;
 
         gc.col.set_phase(Phase::Other);
@@ -138,7 +175,7 @@ pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
 /// along. Returns the kernel's evaluation count.
 pub(crate) fn update<F: ForceLaw>(
     st: &mut [Particle],
-    exch: &[Particle],
+    exch: &[Source],
     law: &F,
     domain: &Domain,
     boundary: Boundary,
@@ -150,7 +187,7 @@ pub(crate) fn update<F: ForceLaw>(
             **pe += dpe;
             evals
         }
-        None => accumulate_block(st, exch, law, domain, boundary),
+        None => accumulate_sources(st, exch, law, domain, boundary),
     }
 }
 

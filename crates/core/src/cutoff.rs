@@ -26,19 +26,23 @@
 //! usually moves `c` teams east — a point-to-point shift exactly as in the
 //! all-pairs algorithm. When the traversal wraps from the `+m` end of the
 //! window to the `−m` end, the buffer instead jumps `W − c` teams west
-//! (Fig. 4's "wrap around at the cutoff radius"). Because the simulation
-//! space is not periodic, a buffer's path can leave the team grid at the
-//! domain boundary; exchange buffers are immutable during the force phase,
-//! so the block's *home team* re-injects the copy on the other side
+//! (Fig. 4's "wrap around at the cutoff radius"). Because the paper's
+//! simulation space is not periodic, a buffer's path can leave the team grid
+//! at the domain boundary; exchange buffers are immutable during the force
+//! phase, so the block's *home team* re-injects a copy on the other side
 //! (`home-route` sends below). Boundary teams therefore hold empty buffers
 //! in some steps and idle — the load imbalance the paper reports in §IV.D.
+//! Under a periodic window no path leaves the grid and no home copy exists.
+//!
+//! The wire carries what [`allpairs`](crate::allpairs) says it does:
+//! [`Source`] blocks out, force vectors back.
 
 use nbody_comm::{Communicator, Phase};
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source};
 
-use crate::allpairs::update;
+use crate::allpairs::{team_broadcast, team_reduce, update};
 use crate::grid::GridComms;
-use crate::kernel::{cell_order, combine_forces, ComputeMeter};
+use crate::kernel::{cell_order, ComputeMeter};
 use crate::link::{Link, Strict};
 use crate::window::Window;
 
@@ -129,23 +133,21 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
-    team_broadcast(gc, window, st, law, domain, boundary);
+    prepare_block(gc, window, st, law, domain, boundary);
+    let exch = team_broadcast(gc, st);
     Strict::infallible(shift_pipeline(
-        gc, window, st, law, domain, boundary, &Strict, None,
+        gc, window, st, exch, law, domain, boundary, &Strict, None,
     ));
-
-    // Line 9: sum-reduce the partial forces onto the leader.
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+    team_reduce(gc, st);
 }
 
-/// Line 2 behind both cutoff entries: check the configuration, then
-/// broadcast the team subset down the column in the order the kernel's cull
-/// needs (every copy of the block then has it).
-pub(crate) fn team_broadcast<C: Communicator, W: Window, F: ForceLaw>(
+/// What both cutoff entries do before line 2: check the configuration and
+/// put the leader's block in the order the kernel's cull needs (every copy
+/// of the block then has it).
+pub(crate) fn prepare_block<C: Communicator, W: Window, F: ForceLaw>(
     gc: &GridComms<C>,
     window: &W,
-    st: &mut Vec<Particle>,
+    st: &mut [Particle],
     law: &F,
     domain: &Domain,
     boundary: Boundary,
@@ -160,23 +162,22 @@ pub(crate) fn team_broadcast<C: Communicator, W: Window, F: ForceLaw>(
     validate_cutoff(window, gc.grid.teams(), gc.grid.c()).expect("invalid cutoff configuration");
     debug_assert!(gc.is_leader() || st.is_empty());
     cell_order(st, law, domain);
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
 }
 
-/// Lines 3-8 of Algorithm 2 over the post-broadcast block `st`: copy, skew,
-/// then shift+update modulo the window. The one body behind
-/// [`ca_cutoff_forces`] ([`Strict`] link) and
-/// [`ca_cutoff_forces_ft`](crate::recovery::ca_cutoff_forces_ft) (one
+/// Lines 3-8 of Algorithm 2: skew, then shift+update modulo the window, of
+/// the targets `st` against the exchange buffer `exch` (this rank's copy of
+/// its team's block, see
+/// [`allpairs::shift_pipeline`](crate::allpairs::shift_pipeline), also for
+/// `potential`). The one body behind [`ca_cutoff_forces`] ([`Strict`] link)
+/// and [`ca_cutoff_forces_ft`](crate::recovery::ca_cutoff_forces_ft) (one
 /// [`Deadline`](crate::link::Deadline) link per recovery attempt, so the
-/// home copy is rebuilt from the checkpointed state on every retry). See
-/// [`allpairs::shift_pipeline`](crate::allpairs::shift_pipeline) for
-/// `potential`.
+/// home copy is rebuilt from the checkpointed state on every retry).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
     window: &W,
     st: &mut [Particle],
+    mut exch: Vec<Source>,
     law: &F,
     domain: &Domain,
     boundary: Boundary,
@@ -188,16 +189,19 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     let t = gc.team();
     let k = gc.row_index();
 
-    // Line 3: the exchange buffer. `home` is the immutable copy used to
-    // re-inject this team's block when a traversal wraps across the domain
-    // boundary.
-    let home: Vec<Particle> = st.to_vec();
-    let mut exch: Vec<Particle> = st.to_vec();
-    // Replicated working set (owned block + home copy + exchange buffer):
+    // `home` is the immutable copy used to re-inject this team's block when
+    // a traversal wraps across the domain boundary; a periodic window has
+    // no boundary to wrap across and keeps none.
+    let home: Vec<Source> = if window.is_periodic() {
+        Vec::new()
+    } else {
+        exch.clone()
+    };
+    // Replicated working set (owned block + exchange buffer + home copy):
     // the memory the Eq. 3 bounds are evaluated against.
     gc.col
         .metrics()
-        .gauge_max("mem_particles_hwm", (st.len() + home.len() + exch.len()) as u64);
+        .gauge_max("mem_particles_hwm", (st.len() + exch.len() + home.len()) as u64);
     // Window position and block currently held (None = fell off the edge).
     let mut cur_block: Option<usize> = Some(t);
 
@@ -213,7 +217,7 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     link.step(&gc.col, 0)?;
     if k > 0 {
         if let Some(dst) = window.apply(t, k) {
-            link.send(&gc.row, dst, TAG_CSKEW, &exch);
+            link.send(&gc.row, dst, TAG_CSKEW, std::mem::take(&mut exch));
         }
         cur_block = window.apply_back(t, k);
         exch = match cur_block {
@@ -239,7 +243,7 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
         // this step, so does it).
         if let Some(b) = cur_block {
             if let Some(holder) = window.apply(b, j_new) {
-                link.send(&gc.row, holder, tag, &exch);
+                link.send(&gc.row, holder, tag, std::mem::take(&mut exch));
             }
         }
         // Outgoing home-route: if the processor that needs *my team's*
@@ -247,7 +251,8 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
         // the grid), its home — me — re-injects the copy.
         if let Some(needy) = window.apply(t, j_new) {
             if window.apply(t, j_prev).is_none() {
-                link.send(&gc.row, needy, tag, &home);
+                debug_assert!(!window.is_periodic(), "periodic offsets are always valid");
+                link.send(&gc.row, needy, tag, home.clone());
             }
         }
 

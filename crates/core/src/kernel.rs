@@ -7,10 +7,70 @@
 //! calls and publishes their totals through the `nbody-metrics` registry as
 //! the `compute_*` counters.
 
+use std::borrow::Borrow;
 use std::time::Instant;
 
 use nbody_metrics::{Counter, MetricsRecorder};
-use nbody_physics::{Boundary, Domain, F64x2, ForceLaw, Particle, Vec2, Vec2x2};
+use nbody_physics::{Boundary, Domain, F64x2, ForceLaw, Particle, Source, Vec2, Vec2x2};
+
+/// An element of a source block: what the kernel's loop nest streams. A
+/// [`Particle`] block is read in place; so is one of the drivers' compact
+/// [`Source`] blocks, and the `&Particle` a [`ForceLaw`] takes is then built
+/// from the three fields ([`Source::particle`]) at the call that needs it,
+/// which the inlined lane form of a law resolves to registers.
+pub trait KernelSource {
+    /// What the law is shown for this source.
+    type Shown<'a>: Borrow<Particle>
+    where
+        Self: 'a;
+
+    /// Where the source is.
+    fn pos(&self) -> Vec2;
+
+    /// Which particle it is.
+    fn id(&self) -> u64;
+
+    /// The source as a law sees it.
+    fn shown(&self) -> Self::Shown<'_>;
+}
+
+impl KernelSource for Particle {
+    type Shown<'a> = &'a Particle;
+
+    #[inline(always)]
+    fn pos(&self) -> Vec2 {
+        self.pos
+    }
+
+    #[inline(always)]
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    #[inline(always)]
+    fn shown(&self) -> &Particle {
+        self
+    }
+}
+
+impl KernelSource for Source {
+    type Shown<'a> = Particle;
+
+    #[inline(always)]
+    fn pos(&self) -> Vec2 {
+        self.pos
+    }
+
+    #[inline(always)]
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    #[inline(always)]
+    fn shown(&self) -> Particle {
+        self.particle()
+    }
+}
 
 /// What the kernel's loop nest gathers per evaluated pair besides the
 /// force. A policy rather than a flag so that the plain kernel's copy of the
@@ -89,10 +149,10 @@ struct Cull {
 }
 
 impl Cull {
-    fn new(sources: &[Particle], r_c: f64, domain: &Domain, boundary: Boundary) -> Cull {
+    fn new<S: KernelSource>(sources: &[S], r_c: f64, domain: &Domain, boundary: Boundary) -> Cull {
         let boxes = |len: usize| -> Vec<Aabb> {
             let chunks = sources.chunks(len);
-            chunks.map(|c| bounds(c.iter().map(|s| s.pos))).collect()
+            chunks.map(|c| bounds(c.iter().map(S::pos))).collect()
         };
         Cull {
             limit: r_c * r_c * (1.0 + MARGIN),
@@ -145,8 +205,10 @@ pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain)
     });
 }
 
-/// The one target x source loop nest behind [`accumulate_block`] and
-/// [`accumulate_block_potential`].
+/// The one target x source loop nest behind [`accumulate_block`],
+/// [`accumulate_sources`] and [`accumulate_block_potential`], generic over
+/// the source element ([`KernelSource`]) so that each block layout gets its
+/// own copy of the same nest and none pays for the other.
 ///
 /// Targets advance two at a time, one per lane of a [`Vec2x2`] accumulator;
 /// sources stream through the pair and the law answers for both lanes at
@@ -173,9 +235,9 @@ pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain)
 /// cannot hold a target's own id, because a particle is where it is: the
 /// self source sits inside the box at distance zero. Without a cutoff the
 /// whole block is one chunk and the nest is the loop it always was.
-fn accumulate<F: ForceLaw, H: Harvest>(
+fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     targets: &mut [Particle],
-    sources: &[Particle],
+    sources: &[S],
     law: &F,
     domain: &Domain,
     boundary: Boundary,
@@ -212,7 +274,12 @@ fn accumulate<F: ForceLaw, H: Harvest>(
                     continue;
                 }
                 for s in chunk {
-                    if !full || t0.id == s.id || t1.id == s.id {
+                    if !full || t0.id == s.id() || t1.id == s.id() {
+                        // This path's `shown` is its own: a scalar `force`
+                        // the compiler leaves as a call needs it in memory,
+                        // and the lane path below must not pay for that.
+                        let shown = s.shown();
+                        let s: &Particle = shown.borrow();
                         let mut lanes = acc.to_lanes();
                         for (t, a) in pair.iter().zip(&mut lanes) {
                             if t.id == s.id {
@@ -226,7 +293,9 @@ fn accumulate<F: ForceLaw, H: Harvest>(
                         acc = Vec2x2::new(lanes[0], lanes[1]);
                         continue;
                     }
-                    let disp = boundary.displacement_x2(domain, pos, Vec2x2::splat(s.pos));
+                    let disp = boundary.displacement_x2(domain, pos, Vec2x2::splat(s.pos()));
+                    let shown = s.shown();
+                    let s: &Particle = shown.borrow();
                     acc += law.force_x2([&t0, &t1], s, disp);
                     let [d0, d1] = disp.to_lanes();
                     harvest.pair(law, &t0, s, d0);
@@ -267,20 +336,35 @@ pub fn accumulate_block<F: ForceLaw>(
     accumulate(targets, sources, law, domain, boundary, &mut NoHarvest)
 }
 
-/// [`accumulate_block`], additionally harvesting the summed pair potential
+/// [`accumulate_block`] over a block of any [`KernelSource`] — the compact
+/// [`Source`] blocks the CA drivers circulate. Forces and the returned count
+/// are bit for bit those of `accumulate_block` on the particles the sources
+/// were taken from, for any law that keeps to what a law may read
+/// ([`ForceLaw`]'s docs).
+pub fn accumulate_sources<S: KernelSource, F: ForceLaw>(
+    targets: &mut [Particle],
+    sources: &[S],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+) -> u64 {
+    accumulate(targets, sources, law, domain, boundary, &mut NoHarvest)
+}
+
+/// [`accumulate_sources`], additionally harvesting the summed pair potential
 /// of every evaluated interaction — the health monitors' potential-energy
 /// partial. Because the CA schedules evaluate every *ordered* pair exactly
 /// once globally, the world-reduced sum of these partials counts each
 /// unordered pair twice; the driver halves it.
 ///
-/// The same loop nest as [`accumulate_block`] under a different harvest
+/// The same loop nest as [`accumulate_sources`] under a different harvest
 /// policy: forces are bit-identical, and plain (health-off) runs pay
 /// nothing for the potential — it is not free for laws like Lennard-Jones.
 /// The harvest asks the law about every pair (a pair beyond `r_c` still
 /// has a potential, `Cutoff`'s tail energy), so this variant never culls.
-pub fn accumulate_block_potential<F: ForceLaw>(
+pub fn accumulate_block_potential<S: KernelSource, F: ForceLaw>(
     targets: &mut [Particle],
-    sources: &[Particle],
+    sources: &[S],
     law: &F,
     domain: &Domain,
     boundary: Boundary,
@@ -308,7 +392,8 @@ pub fn block_interactions(targets: usize, sources: usize, same_block: bool) -> u
 }
 
 /// Sum the force accumulators of `src` into `dst` element-wise: the combine
-/// function of the team reduction (Algorithm 1, line 9). Positions,
+/// function of a reduction over whole particles (the force-decomposition
+/// baseline's; the CA drivers reduce bare force vectors). Positions,
 /// velocities, ids are untouched — copies of the same subset agree on them.
 pub fn combine_forces(dst: &mut Particle, src: &Particle) {
     debug_assert_eq!(dst.id, src.id, "reducing mismatched particles");
@@ -326,8 +411,9 @@ pub struct ComputeStats {
     /// per-evaluation constant: nominal for a law with a cutoff, which
     /// answers most pairs by its range test or is never asked.
     pub flops: u64,
-    /// Compulsory memory traffic: targets are read and written, sources
-    /// read, at the in-memory particle size.
+    /// Compulsory memory traffic: targets are read and written at the
+    /// in-memory particle size, sources read at the compact [`Source`] size
+    /// the drivers stream them in.
     pub bytes: u64,
     /// Wall-clock nanoseconds spent inside the kernel.
     pub nanos: u64,
@@ -343,11 +429,14 @@ impl ComputeStats {
         sources: usize,
         nanos: u64,
     ) -> ComputeStats {
-        let particle = std::mem::size_of::<Particle>() as u64;
+        let read_and_written = 2 * std::mem::size_of::<Particle>() as u64;
+        let read = std::mem::size_of::<Source>() as u64;
         ComputeStats {
             interactions: evals,
             flops: evals.saturating_mul(flops_per_interaction),
-            bytes: (2 * targets as u64 + sources as u64).saturating_mul(particle),
+            bytes: (targets as u64)
+                .saturating_mul(read_and_written)
+                .saturating_add((sources as u64).saturating_mul(read)),
             nanos,
         }
     }
@@ -491,7 +580,7 @@ mod tests {
         let domain = Domain::unit();
         let patch = (Vec2::new(0.6, 0.6), Vec2::new(0.7, 0.7));
         let beyond = |r_c: f64, boundary: Boundary, b: &Aabb, t: Vec2| {
-            Cull::new(&[], r_c, &domain, boundary).beyond(b, Vec2x2::splat(t))
+            Cull::new::<Particle>(&[], r_c, &domain, boundary).beyond(b, Vec2x2::splat(t))
         };
         // Corner to corner: sqrt(0.5² + 0.5²) = 0.707.
         let t = Vec2::new(0.1, 0.1);
@@ -504,7 +593,7 @@ mod tests {
         assert!(!beyond(0.57, Boundary::Periodic, &patch, t));
         // Both lanes must be beyond; inside the box the gap is zero.
         let near = Vec2::new(0.65, 0.65);
-        let cull = Cull::new(&[], 0.05, &domain, Boundary::Open);
+        let cull = Cull::new::<Particle>(&[], 0.05, &domain, Boundary::Open);
         assert!(!cull.beyond(&patch, Vec2x2::new(t, near)));
         assert!(!cull.beyond(&patch, Vec2x2::new(near, t)));
         // A box around a NaN or an infinity is the whole plane.
@@ -553,7 +642,7 @@ mod tests {
             };
             let half = ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0);
             let (lo, hi) = (centre - half, centre + half);
-            let cull = Cull::new(&[], r_c, &domain, boundary);
+            let cull = Cull::new::<Particle>(&[], r_c, &domain, boundary);
             if !cull.beyond(&(lo, hi), Vec2x2::new(t0, t1)) {
                 continue;
             }
@@ -673,10 +762,10 @@ mod tests {
         let s = ComputeStats::for_block(100, 20, 10, 10, 2_000);
         assert_eq!(s.interactions, 100);
         assert_eq!(s.flops, 2_000);
-        let particle = std::mem::size_of::<Particle>() as u64;
-        assert_eq!(s.bytes, 30 * particle);
+        // Ten targets read and written at 64 B, ten sources read at 32 B.
+        assert_eq!(s.bytes, 10 * 2 * 64 + 10 * 32);
         assert_eq!(s.gflops(), 1.0, "2000 FLOPs in 2000 ns is 1 GFLOP/s");
-        assert!((s.intensity() - 2_000.0 / (30.0 * particle as f64)).abs() < 1e-12);
+        assert!((s.intensity() - 2_000.0 / 1_600.0).abs() < 1e-12);
 
         let mut total = s;
         total.merge(&s);

@@ -5,9 +5,9 @@
 //! body talks to its row neighbours is a [`Link`], chosen by type at the
 //! entry point:
 //!
-//! * [`Strict`] — blocking `send`/`recv` under the protocol's own tags.
-//!   Its error type is uninhabited, so in the plain drivers the `Result`,
-//!   every `?` and every recovery branch compile away.
+//! * [`Strict`] — buffered `send_vec` and blocking `recv` under the
+//!   protocol's own tags. Its error type is uninhabited, so in the plain
+//!   drivers the `Result`, every `?` and every recovery branch compile away.
 //! * [`Deadline`] — announces each pipeline step to the fault injector and
 //!   bounds every receive, under a per-attempt tag namespace. This is what
 //!   the recovery protocol ([`recovery`](crate::recovery)) runs the same
@@ -17,10 +17,11 @@ use std::convert::Infallible;
 use std::time::Duration;
 
 use nbody_comm::{CommError, Communicator};
-use nbody_physics::Particle;
+use nbody_physics::Source;
 
 /// How a shift pipeline announces its steps and moves exchange buffers
-/// along the row communicator.
+/// along the row communicator. A buffer is a block of [`Source`]s and
+/// changes hands whole: `send` takes it, `recv` returns the sender's.
 pub(crate) trait Link {
     /// What a step or a receive can fail with.
     type Error;
@@ -30,7 +31,7 @@ pub(crate) trait Link {
     fn step<C: Communicator>(&self, comm: &C, s: usize) -> Result<(), Self::Error>;
 
     /// Buffered send of an exchange buffer to row rank `dst`.
-    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: &[Particle]);
+    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: Vec<Source>);
 
     /// Receive the exchange buffer row rank `src` sent under `tag`.
     fn recv<C: Communicator>(
@@ -38,7 +39,7 @@ pub(crate) trait Link {
         row: &C,
         src: usize,
         tag: u64,
-    ) -> Result<Vec<Particle>, Self::Error>;
+    ) -> Result<Vec<Source>, Self::Error>;
 }
 
 /// The failure-free link of the paper's algorithms.
@@ -65,8 +66,8 @@ impl Link for Strict {
     }
 
     #[inline]
-    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: &[Particle]) {
-        row.send(dst, tag, data);
+    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: Vec<Source>) {
+        row.send_vec(dst, tag, data);
     }
 
     #[inline]
@@ -75,7 +76,7 @@ impl Link for Strict {
         row: &C,
         src: usize,
         tag: u64,
-    ) -> Result<Vec<Particle>, Infallible> {
+    ) -> Result<Vec<Source>, Infallible> {
         Ok(row.recv(src, tag))
     }
 }
@@ -95,8 +96,8 @@ impl Link for Deadline {
         comm.fault_step(s)
     }
 
-    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: &[Particle]) {
-        row.send(dst, tag + self.tag_base, data);
+    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: Vec<Source>) {
+        row.send_vec(dst, tag + self.tag_base, data);
     }
 
     fn recv<C: Communicator>(
@@ -104,7 +105,7 @@ impl Link for Deadline {
         row: &C,
         src: usize,
         tag: u64,
-    ) -> Result<Vec<Particle>, CommError> {
+    ) -> Result<Vec<Source>, CommError> {
         row.try_recv_timeout(src, tag + self.tag_base, self.deadline)
     }
 }

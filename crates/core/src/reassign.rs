@@ -17,27 +17,34 @@ pub const TAG_REASSIGN: u64 = 0x40;
 ///
 /// `leaders` must be a communicator containing exactly the team leaders,
 /// ranked by team (the row-0 row communicator). `assign` maps a particle to
-/// its owning team. On return, `st` holds exactly the particles assigned to
-/// this team, sorted by id for determinism.
+/// its owning team and is asked once per particle. On return, `st` holds
+/// exactly the particles assigned to this team, sorted by id for
+/// determinism. Particles that stay are not copied: only migrants leave
+/// `st`'s allocation, and only migrants are appended to it.
 pub fn reassign_particles<C: Communicator>(
     leaders: &C,
     st: &mut Vec<Particle>,
     assign: impl Fn(&Particle) -> usize,
 ) {
     leaders.set_phase(Phase::Reassign);
-    let teams = leaders.size();
+    let (teams, me) = (leaders.size(), leaders.rank());
 
     let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); teams];
-    for p in st.drain(..) {
-        let dst = assign(&p);
+    st.retain(|p| {
+        let dst = assign(p);
         debug_assert!(dst < teams, "assignment out of range");
-        buckets[dst].push(p);
-    }
+        if dst != me {
+            buckets[dst].push(*p);
+        }
+        dst == me
+    });
     // An alltoallv: empty buckets still cost one (empty) message; the
     // realized payload is neighbor-local for physical flows.
-    let mut keep: Vec<Particle> = leaders.alltoallv(buckets).into_iter().flatten().collect();
-    keep.sort_by_key(|p| p.id);
-    *st = keep;
+    for arrived in leaders.alltoallv(buckets) {
+        st.extend(arrived);
+    }
+    // Ids are unique, so the unstable sort has one possible outcome.
+    st.sort_unstable_by_key(|p| p.id);
 }
 
 /// Exchange arbitrary items among ranks by destination (a generic
@@ -56,7 +63,8 @@ pub fn exchange_by_destination<C: Communicator, T: CommData>(
     let mut out = std::mem::take(&mut buckets[me]);
     for offset in 1..p {
         let dst = (me + offset) % p;
-        comm.send(dst, TAG_REASSIGN + offset as u64, &buckets[dst]);
+        let bucket = std::mem::take(&mut buckets[dst]);
+        comm.send_vec(dst, TAG_REASSIGN + offset as u64, bucket);
     }
     for offset in 1..p {
         let src = (me + p - offset) % p;
@@ -106,7 +114,14 @@ mod tests {
             let mut st =
                 crate::dist::spatial_subset_1d(&all, &domain, teams, world.rank());
             let before = st.clone();
-            reassign_particles(world, &mut st, |p| team_of_x(&domain, teams, p.pos.x));
+            let (at, asked) = (st.as_ptr(), std::cell::Cell::new(0));
+            reassign_particles(world, &mut st, |p| {
+                asked.set(asked.get() + 1);
+                team_of_x(&domain, teams, p.pos.x)
+            });
+            // Nobody moved: nobody was copied, and each was asked about once.
+            assert_eq!(st.as_ptr(), at);
+            assert_eq!(asked.get(), before.len());
             (before, st)
         });
         for (before, after) in out {

@@ -20,10 +20,15 @@
 //!
 //! The protocol wrapped around one force evaluation:
 //!
-//! 1. **Checkpoint.** After the team broadcast, every rank keeps an
-//!    immutable copy of its post-broadcast input block (`nc/p` particles —
-//!    the same replicated working set the paper's memory bound already
-//!    charges for).
+//! 1. **Checkpoint.** The team broadcast of a fault-tolerant evaluation
+//!    carries whole particles, velocities included, where the plain drivers
+//!    broadcast 32-byte sources: this broadcast *is* the replicated
+//!    checkpoint, and a leader that dies gets its velocities back from it.
+//!    Every rank keeps an immutable copy of its post-broadcast input block
+//!    (`nc/p` particles — the same replicated working set the paper's
+//!    memory bound already charges for). The extra 32 bytes per particle
+//!    and evaluation are the protocol's second clean-path cost, next to the
+//!    agreement; skew, shift and reduce carry what the plain drivers' do.
 //! 2. **Attempt.** The skew/shift pipeline runs under the deadline link:
 //!    every step is announced to the fault injector and every receive is
 //!    bounded ([`Communicator::try_recv_timeout`]); a missing message
@@ -66,11 +71,12 @@ use std::time::{Duration, Instant};
 
 use nbody_comm::{CommError, Communicator, EventKind, Phase};
 use nbody_metrics::Counter;
+use nbody_physics::particle::sources;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 use nbody_simhealth::state_fingerprint;
 
+use crate::allpairs::team_reduce;
 use crate::grid::GridComms;
-use crate::kernel::combine_forces;
 use crate::link::Deadline;
 use crate::window::Window;
 use crate::{allpairs, cutoff};
@@ -701,9 +707,17 @@ fn recovering<C: Communicator>(
             health.map(|_| &mut pe),
         )
     })?;
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+    team_reduce(gc, st);
     Ok((report, pe))
+}
+
+/// Line 2 of both algorithms under fault tolerance: the leader's block goes
+/// down the column as whole particles, because what the replicas hold after
+/// it is the checkpoint [`recovery_loop`] restores from and re-seeds a dead
+/// leader with (module docs, step 1).
+fn checkpoint_broadcast<C: Communicator>(gc: &GridComms<C>, st: &mut Vec<Particle>) {
+    gc.col.set_phase(Phase::Broadcast);
+    gc.col.bcast(0, st);
 }
 
 /// Fault-tolerant [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces):
@@ -732,11 +746,11 @@ pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
     debug_assert!(gc.is_leader() || st.is_empty());
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
+    checkpoint_broadcast(gc, st);
     // Owned block + exchange buffer + recovery checkpoint.
     recovering(gc, st, policy, epoch, health, 3, |st, link, pe| {
-        allpairs::shift_pipeline(gc, st, law, domain, boundary, link, pe)
+        let exch = sources(st);
+        allpairs::shift_pipeline(gc, st, exch, law, domain, boundary, link, pe)
     })
 }
 
@@ -762,10 +776,14 @@ pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     epoch: u64,
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
-    cutoff::team_broadcast(gc, window, st, law, domain, boundary);
-    // Owned block + home copy + exchange buffer + recovery checkpoint.
-    recovering(gc, st, policy, epoch, health, 4, |st, link, pe| {
-        cutoff::shift_pipeline(gc, window, st, law, domain, boundary, link, pe)
+    cutoff::prepare_block(gc, window, st, law, domain, boundary);
+    checkpoint_broadcast(gc, st);
+    // Owned block + exchange buffer + recovery checkpoint, and the home
+    // copy a clipped window keeps.
+    let copies = 3 + usize::from(!window.is_periodic());
+    recovering(gc, st, policy, epoch, health, copies, |st, link, pe| {
+        let exch = sources(st);
+        cutoff::shift_pipeline(gc, window, st, exch, law, domain, boundary, link, pe)
     })
 }
 

@@ -11,7 +11,7 @@ use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, Windo
 use nbody_comm::{run_ranks_with, CommStats, Communicator, Lenses, MetricsSnapshot, Phase};
 use nbody_netsim::{hopper, simulate_traced, Trace, TraceKind};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
-use nbody_physics::{init, Boundary, Counting, Cutoff, Domain, Particle};
+use nbody_physics::{init, Boundary, Counting, Cutoff, Domain, Source, Vec2};
 
 const TRACED: Lenses = Lenses {
     trace: true,
@@ -21,6 +21,16 @@ const TRACED: Lenses = Lenses {
 
 /// Force phases both sides attribute traffic to.
 const PHASES: [Phase; 4] = [Phase::Broadcast, Phase::Skew, Phase::Shift, Phase::Reduce];
+
+/// Bytes of the element a force phase of the plain drivers carries: sources
+/// out, forces back.
+fn element_bytes(phase: Phase) -> u64 {
+    let bytes = match phase {
+        Phase::Reduce => std::mem::size_of::<Vec2>(),
+        _ => std::mem::size_of::<Source>(),
+    };
+    bytes as u64
+}
 
 /// Assert exact per-rank per-phase agreement between a live execution's
 /// counters and a simulated trace's events.
@@ -53,9 +63,9 @@ fn assert_exact_agreement(
                 live_msgs, des_sends,
                 "{label}: rank {rank} {phase:?}: live messages vs simulated sends"
             );
-            // The DES accounts bandwidth at the paper's 52-byte wire size;
-            // the live counter records in-memory bytes. Both must derive
-            // from the same element count.
+            // The DES accounts bandwidth at the paper's 52-byte record; the
+            // live counters record the phase's own element. Both must
+            // derive from the same element count.
             assert_eq!(
                 live_elems * PARTICLE_WIRE_BYTES as u64,
                 des_bytes,
@@ -63,8 +73,13 @@ fn assert_exact_agreement(
             );
             assert_eq!(
                 live_bytes,
-                live_elems * std::mem::size_of::<Particle>() as u64,
+                live_elems * element_bytes(phase),
                 "{label}: rank {rank} {phase:?}: live bytes"
+            );
+            assert_eq!(
+                rm.counter("comm_collective_bytes", Some(phase)),
+                rm.counter("comm_collective_elements", Some(phase)) * element_bytes(phase),
+                "{label}: rank {rank} {phase:?}: live collective bytes"
             );
             assert_eq!(
                 stats[rank].phase(phase).collectives,

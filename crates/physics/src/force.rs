@@ -23,6 +23,15 @@ use crate::vec2::Vec2;
 /// the displacement instead of raw positions keeps boundary handling out of
 /// the force kernels.
 ///
+/// # What a law may read of a particle
+///
+/// `mass` and `id` (and `pos`, though `disp` already carries it). The CA
+/// drivers circulate a block as [`Source`](crate::Source)s — position, mass,
+/// id — so a `source` that crossed the wire has `vel` and `force` zero, and
+/// so has a `target` on a replica row, whose block is rebuilt from the same
+/// broadcast; the serial reference shows the same particles with both set.
+/// A law that read either field would make the two disagree.
+///
 /// # Giving a law a lane override
 ///
 /// The block kernel evaluates two targets against one source per call of

@@ -5,8 +5,9 @@
 //! Koanantakool, Solomonik, Yelick — IPDPS 2013).
 //!
 //! This crate contains everything the distributed algorithms treat as a
-//! black box: particle representation (the paper's particles are 52 bytes on
-//! the wire — see [`particle::PARTICLE_WIRE_BYTES`]), pairwise force laws
+//! black box: particle representation (the [`particle`] module docs name
+//! every size: 64 bytes in memory, 32-byte sources and 16-byte forces on the
+//! wire, the paper's 52 in the models), pairwise force laws
 //! including the paper's inverse-square repulsion and finite-cutoff wrappers,
 //! time integrators, boundary conditions (the paper uses reflective walls),
 //! deterministic initial-condition generators, cell lists, and — crucially —
@@ -33,5 +34,5 @@ pub use force::{Counting, Cutoff, ForceLaw, Gravity, LennardJones, RepulsiveInve
 pub use force_ext::{ShiftedForce, Yukawa};
 pub use lanes::{F64x2, Mask2, Vec2x2};
 pub use integrator::{ExplicitEuler, Integrator, SemiImplicitEuler, VelocityVerlet};
-pub use particle::{Particle, PARTICLE_WIRE_BYTES};
+pub use particle::{Particle, Source, PARTICLE_WIRE_BYTES};
 pub use vec2::Vec2;

@@ -1,17 +1,31 @@
-//! The particle representation.
+//! The particle representation, and the one place that names its sizes.
+//!
+//! | record | bytes | fields | where it lives |
+//! |---|---|---|---|
+//! | [`Particle`] in memory | 64 | `pos`, `vel`, `force`, `mass`, `id` | every owned block; re-assignment, the fault-tolerant broadcast and its resync |
+//! | [`Source`] on the wire | 32 | `pos`, `mass`, `id` | broadcast, skew and shift of the CA drivers; what the block kernel streams |
+//! | force on the wire | 16 | one [`Vec2`] | the team reduce |
+//! | the paper's record | 52 | — | [`PARTICLE_WIRE_BYTES`]: the cost model and the network simulator only |
 //!
 //! The paper's experiments use a 52-byte particle record (§III.C: "The
-//! particles are 52 bytes in size"). Our in-memory representation keeps
-//! `f64` components for numerical quality, so it is larger than 52 bytes;
-//! all *communication-cost accounting* (the netsim machine model and the
-//! analytic cost model) instead uses [`PARTICLE_WIRE_BYTES`] so bandwidth
-//! terms match the paper's exactly.
+//! particles are 52 bytes in size"). Ours keeps `f64` components for
+//! numerical quality and ships each phase only what its receiver reads, so
+//! none of the three records the transport counts is 52 bytes long; the
+//! model and the simulator keep the paper's figure so their bandwidth terms
+//! match the paper's exactly.
 
 use crate::vec2::Vec2;
 
-/// Bytes per particle on the wire, matching the paper's 52-byte particles.
-/// Used by the cost model and the discrete-event network simulator.
+/// Bytes per particle in the *paper's* runs (§III.C), the unit of the
+/// analytic cost model and the discrete-event network simulator. It is the
+/// paper's record, not ours: the live transport counts the sizes in the
+/// module table, and only element counts are compared between the two.
 pub const PARTICLE_WIRE_BYTES: usize = 52;
+
+// The sizes the module table promises.
+const _: () = assert!(std::mem::size_of::<Particle>() == 64);
+const _: () = assert!(std::mem::size_of::<Source>() == 32);
+const _: () = assert!(std::mem::size_of::<Vec2>() == 16);
 
 /// A simulated particle.
 ///
@@ -84,6 +98,52 @@ impl Particle {
     }
 }
 
+/// What a force evaluation reads of a *source* particle, and all of it:
+/// the payload of the CA drivers' broadcast, skew and shift, and the element
+/// the block kernel streams. Velocity and the force accumulator belong to
+/// the owner of the particle and never travel with it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
+pub struct Source {
+    /// Position in simulation space.
+    pub pos: Vec2,
+    /// Particle mass.
+    pub mass: f64,
+    /// The particle's [`Particle::id`].
+    pub id: u64,
+}
+
+impl Source {
+    /// The particle a force law is shown for this source, and the target a
+    /// replica accumulates into: at rest, force accumulator cleared.
+    #[inline]
+    pub fn particle(&self) -> Particle {
+        Particle {
+            pos: self.pos,
+            vel: Vec2::zero(),
+            force: Vec2::zero(),
+            mass: self.mass,
+            id: self.id,
+        }
+    }
+}
+
+impl From<&Particle> for Source {
+    #[inline]
+    fn from(p: &Particle) -> Self {
+        Source {
+            pos: p.pos,
+            mass: p.mass,
+            id: p.id,
+        }
+    }
+}
+
+/// The [`Source`]s of a block, in its order.
+pub fn sources(block: &[Particle]) -> Vec<Source> {
+    block.iter().map(Source::from).collect()
+}
+
 /// Clear every force accumulator in a slice.
 pub fn reset_forces(particles: &mut [Particle]) {
     for p in particles {
@@ -106,6 +166,16 @@ mod tests {
     fn wire_size_matches_paper() {
         assert_eq!(PARTICLE_WIRE_BYTES, 52);
         assert_eq!(wire_bytes(196_608), 196_608 * 52);
+    }
+
+    #[test]
+    fn a_source_keeps_what_a_law_reads_and_nothing_else() {
+        let mut p = Particle::moving(7, Vec2::new(1.0, 2.0), Vec2::new(3.0, 4.0)).with_mass(2.5);
+        p.force = Vec2::new(-1.0, 0.5);
+        let s = Source::from(&p);
+        assert_eq!((s.pos, s.mass, s.id), (p.pos, 2.5, 7));
+        assert_eq!(s.particle(), Particle::at(7, p.pos).with_mass(2.5));
+        assert_eq!(sources(&[p, p]), [s, s]);
     }
 
     #[test]

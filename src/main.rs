@@ -148,6 +148,7 @@ use std::process::ExitCode;
 
 use ca_nbody::autotune::{autotune_all_pairs, autotune_cutoff_1d};
 use ca_nbody::cutoff::validate_cutoff;
+use ca_nbody::kernel::ComputeStats;
 use ca_nbody::schedule::{count_ops, AllPairsParams};
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{
@@ -1750,7 +1751,8 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         }
     }
 
-    // The kill sweep: every rank, every pipeline step (0 = skew).
+    // The kill sweep: every rank, every pipeline step (0 = skew). A resync
+    // re-seeds state, not sources: its unit is the whole particle.
     let nominal_block_bytes = ((n * c / p) * std::mem::size_of::<Particle>()) as f64;
     let mut kills_fired = 0usize;
     let mut worst_attempts = 1usize;
@@ -2353,10 +2355,11 @@ fn scale_cmd(opts: &HashMap<String, String>) -> ExitCode {
         };
         let params = AllPairsParams::new(mp, c, n);
         let rep = simulate(&machine, mp, |r| params.program(r));
-        // One kernel call touches its own block (read + write) and a
-        // visiting block (read): interactions * 3*block_bytes / block^2.
-        let block = (n * c / mp).max(1) as u64;
-        let particle_bytes = std::mem::size_of::<Particle>() as u64;
+        // What one block-on-block kernel call moves, as the live meter
+        // charges it; a rank's interactions are block² per call.
+        let block = (n * c / mp).max(1);
+        let call_bytes = ComputeStats::for_block(0, 0, block, block, 0).bytes;
+        let call_pairs = (block * block) as u64;
         // The synthesized kernel is the default repulsive law.
         let flops_per_interaction = RepulsiveInverseSquare {
             strength: 1e-3,
@@ -2383,7 +2386,7 @@ fn scale_cmd(opts: &HashMap<String, String>) -> ExitCode {
                 rec.counter("compute_flops", None)
                     .add(k.interactions.saturating_mul(flops_per_interaction));
                 rec.counter("compute_bytes", None)
-                    .add(k.interactions.saturating_mul(3 * particle_bytes) / block);
+                    .add(k.interactions.saturating_mul(call_bytes) / call_pairs);
                 let nanos = (rep.per_rank[r].compute * 1e9) as u64;
                 rec.counter("compute_nanos", None).add(nanos.max(1));
                 rec.finish()

@@ -336,6 +336,87 @@ fn cutoff_drivers_cell_order_their_blocks_whatever_the_id_order() {
 }
 
 #[test]
+fn velocities_and_masses_survive_a_wire_that_carries_neither_velocity_nor_force() {
+    // Sources cross the wire as (pos, mass, id) and forces come back bare:
+    // a leader must keep its own velocities through every evaluation, a
+    // replica row must never need them, and masses must ride along. Every
+    // particle moves and weighs differently, over several steps, on every
+    // CA layout; the fault-tolerant drivers broadcast whole particles, so
+    // their replicas *do* hold the velocities the plain ones lack, and the
+    // two must still agree bit for bit. A lost velocity or a unit mass is a
+    // deviation of order 1e-3 here.
+    let cutoff_law = Cutoff::new(
+        Gravity {
+            g: 1e-3,
+            softening: 0.05,
+        },
+        0.3,
+    );
+    let table = [
+        (Method::CaAllPairs { c: 1 }, 6),
+        (Method::CaAllPairs { c: 2 }, 8),
+        (Method::CaAllPairs { c: 3 }, 9),
+        (Method::Ca1dCutoff { c: 1 }, 6),
+        (Method::Ca1dCutoff { c: 2 }, 12),
+        (Method::Ca2dCutoff { c: 1 }, 6),
+        (Method::Ca2dCutoff { c: 2 }, 8),
+    ];
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        let cfg = SimConfig {
+            law: cutoff_law,
+            integrator: VelocityVerlet,
+            domain: Domain::unit(),
+            boundary,
+            dt: 0.01,
+            steps: 6,
+        };
+        let mut initial = init::uniform(48, &cfg.domain, 29);
+        init::thermalize(&mut initial, 0.02, 30);
+        for (i, q) in initial.iter_mut().enumerate() {
+            *q = q.with_mass(0.5 + (i % 7) as f64 * 0.25);
+        }
+        let want = run_serial(&cfg, &initial);
+        let all_pairs = SimConfig {
+            law: cutoff_law.inner,
+            integrator: VelocityVerlet,
+            domain: cfg.domain,
+            boundary,
+            dt: cfg.dt,
+            steps: cfg.steps,
+        };
+        let want_all_pairs = run_serial(&all_pairs, &initial);
+        for (method, p) in table {
+            let ctx = format!("{method:?} p={p} {boundary:?}");
+            let (plan, policy) = (FaultPlan::empty(), RetryPolicy::default());
+            let (plain, ft, want) = if method.needs_cutoff() {
+                (
+                    run_distributed(&cfg, method, p, &initial).particles,
+                    run_distributed_chaos(&cfg, method, p, &plan, &policy, &initial),
+                    &want,
+                )
+            } else {
+                (
+                    run_distributed(&all_pairs, method, p, &initial).particles,
+                    run_distributed_chaos(&all_pairs, method, p, &plan, &policy, &initial),
+                    &want_all_pairs,
+                )
+            };
+            let dev = max_deviation(&plain, want);
+            assert!(dev <= 1e-9, "{ctx}: deviation {dev:.3e} from serial");
+            assert!(
+                plain.iter().zip(want).all(|(g, w)| g.mass == w.mass),
+                "{ctx}: masses"
+            );
+            assert_eq!(
+                plain,
+                ft.unwrap().particles,
+                "{ctx}: plain vs fault-tolerant"
+            );
+        }
+    }
+}
+
+#[test]
 fn periodic_cutoff_counts_wrap_pairs_exactly() {
     use nbody_physics::Counting;
     // A large cutoff so wrap interactions matter everywhere.

@@ -7,15 +7,21 @@
 //! (`scalar_block`, verbatim from before the rewrite) and checks the
 //! kernel against it for every built-in law and wrapper, every boundary,
 //! every block shape, and the IEEE corners the lane overrides had to get
-//! right. `AnyLaw` lives in the CLI binary and is out of reach here; it
+//! right. The drivers hand the kernel compact `Source` blocks, not
+//! particles: `check_law` runs that instantiation of the loop nest next to
+//! the `Particle` one on every case in this file (the sources here carry
+//! velocities and non-zero accumulators, which a compact block drops) and
+//! holds it to the same bits and the same count. `AnyLaw` lives in the CLI binary and is out of reach here; it
 //! only forwards to these laws, and `verify_covers_every_law_variant` in
 //! `tests/cli.rs` drives each of its variants against the serial reference.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ca_nbody::kernel::{
-    accumulate_block, accumulate_block_potential, block_interactions, cell_order,
+    accumulate_block, accumulate_block_potential, accumulate_sources, block_interactions,
+    cell_order,
 };
+use nbody_physics::particle::sources as compact;
 use nbody_physics::{
     Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
     RepulsiveInverseSquare, ShiftedForce, Vec2, Yukawa,
@@ -129,9 +135,11 @@ fn bits(p: &Particle) -> [u64; 8] {
 
 /// One law on one block pair: kernel ≡ scalar loop in forces and count,
 /// the potential variant ≡ the plain kernel in forces and ≡ the scalar
-/// loop's potential up to summation order, and a no-override wrapper of
-/// the same law produces the same bits from exactly `count` calls (from at
-/// least the in-range ones if the law has a cutoff the kernel can cull by).
+/// loop's potential up to summation order, the compact-source instantiation
+/// of both ≡ the `Particle`-source one (the harvested potential by bits
+/// too: same nest, same order), and a no-override wrapper of the same law
+/// produces the same bits from exactly `count` calls (from at least the
+/// in-range ones if the law has a cutoff the kernel can cull by).
 fn check_law<F: ForceLaw + Copy>(
     name: &str,
     law: F,
@@ -177,6 +185,32 @@ fn check_law<F: ForceLaw + Copy>(
         return Err(ctx(&format!("potential {pe} vs scalar {want_pe}")));
     }
 
+    let wire = compact(sources);
+    let mut from_wire = targets.to_vec();
+    let wire_evals = accumulate_sources(&mut from_wire, &wire, &law, domain, boundary);
+    if wire_evals != want_evals {
+        return Err(ctx(&format!(
+            "compact sources: count {wire_evals} vs {want_evals}"
+        )));
+    }
+    if from_wire.iter().map(bits).ne(want.iter().map(bits)) {
+        return Err(ctx("compact sources changed the forces"));
+    }
+    let mut from_wire = targets.to_vec();
+    let (wire_evals, wire_pe) =
+        accumulate_block_potential(&mut from_wire, &wire, &law, domain, boundary);
+    let same_pe = wire_pe.to_bits() == pe.to_bits() || (wire_pe.is_nan() && pe.is_nan());
+    if wire_evals != want_evals || !same_pe {
+        return Err(ctx(&format!(
+            "compact sources, potential variant: count {wire_evals}, potential {wire_pe} vs {pe}"
+        )));
+    }
+    if from_wire.iter().map(bits).ne(want.iter().map(bits)) {
+        return Err(ctx(
+            "compact sources changed the potential variant's forces",
+        ));
+    }
+
     let plain = Plain::new(law);
     let mut via_default = targets.to_vec();
     let plain_evals = accumulate_block(&mut via_default, sources, &plain, domain, boundary);
@@ -193,6 +227,16 @@ fn check_law<F: ForceLaw + Copy>(
     }
     if via_default.iter().map(bits).ne(want.iter().map(bits)) {
         return Err(ctx("default per-lane path and lane override disagree"));
+    }
+    // The cull sees the same positions either way and rules out the same
+    // chunks: the law is asked about the same pairs.
+    let asked = Plain::new(law);
+    accumulate_sources(&mut targets.to_vec(), &wire, &asked, domain, boundary);
+    let wire_calls = asked.calls.load(Ordering::Relaxed);
+    if wire_calls != calls {
+        return Err(ctx(&format!(
+            "compact sources: {wire_calls} force calls vs {calls}"
+        )));
     }
     Ok(())
 }
