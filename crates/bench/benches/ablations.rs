@@ -16,9 +16,10 @@
 use ca_nbody::schedule::{
     AllPairsParams, AllgatherParams, CutoffParams, MidpointParams, SpatialHaloParams,
 };
-use ca_nbody::{ProcGrid, Window, Window1d};
+use ca_nbody::{Layout, Method, ProcGrid, TeamWindow, Window};
 use nbody_comm::Phase;
 use nbody_netsim::{intrepid, simulate, CollNet};
+use nbody_physics::{Boundary, Domain};
 
 fn main() {
     shift_transport();
@@ -121,25 +122,32 @@ fn window_constraint() {
     let n = 32768;
     println!("{:>6} {:>8} {:>8} {:>14}", "c", "teams", "W", "makespan (s)");
     for c in [1usize, 2, 4, 8, 16, 32, 64] {
-        if p % c != 0 {
-            continue;
-        }
-        let grid = ProcGrid::new(p, c).unwrap();
-        let teams = grid.teams();
-        let m = teams / 4 + 1;
-        let window = Window1d::new(teams, m);
-        if ca_nbody::cutoff::validate_cutoff(&window, teams, c).is_err() {
-            println!("{:>6} {:>8} {:>8} {:>14}", c, teams, window.len(), "invalid");
-            continue;
-        }
-        let sizes = vec![n / teams; teams];
-        let params = CutoffParams::new(grid, window, sizes);
+        // r_c = l/4 spans m = teams/4 + 1 slabs.
+        let teams = p / c;
+        let layout = match cutoff_layout(Method::Ca1dCutoff { c }, p, 0.25) {
+            Ok(layout) => layout,
+            Err(e) => {
+                println!("{c:>6} {teams:>8} invalid: {e}");
+                continue;
+            }
+        };
+        let params = layout.schedule(vec![n / teams; teams]);
         let rep = simulate(&intrepid(), p, |r| params.program(r));
-        println!("{:>6} {:>8} {:>8} {:>14.6}", c, teams, window.len(), rep.makespan);
+        println!(
+            "{:>6} {:>8} {:>8} {:>14.6}",
+            c,
+            teams,
+            layout.window.len(),
+            rep.makespan
+        );
     }
     println!("  (c must fit inside the interaction window: the paper's c <= 2m constraint)");
 }
 
+/// The run path's own layout of a CA cutoff method on the unit box.
+fn cutoff_layout(method: Method, p: usize, r_c: f64) -> Result<Layout, String> {
+    Layout::new(method, p, &Domain::unit(), Boundary::Open, Some(r_c))
+}
 
 /// §II.C/§II.D landscape, simulated: the spatial halo (no replication),
 /// the midpoint method (half import region + force return), and the CA
@@ -150,33 +158,30 @@ fn decomposition_families() {
     let machine = nbody_netsim::hopper();
     let p = 4096;
     let n = 65536;
-    let domain = nbody_physics::Domain::unit();
+    let domain = Domain::unit();
     let r_c = 0.25;
     let sizes = vec![n / p; p];
 
     let halo = SpatialHaloParams {
-        window: Window1d::from_cutoff(&domain, p, r_c),
+        window: TeamWindow::from_cutoff(&domain, (p, 1), false, r_c),
         block_sizes: sizes.clone(),
     };
     let t_halo = simulate(&machine, p, |r| halo.program(r)).makespan;
     println!("  spatial halo (c=1)    : {t_halo:.6} s");
 
     let midpoint = MidpointParams {
-        window: Window1d::from_cutoff(&domain, p, r_c / 2.0),
+        window: TeamWindow::from_cutoff(&domain, (p, 1), false, r_c / 2.0),
         block_sizes: sizes.clone(),
     };
     let t_mid = simulate(&machine, p, |r| midpoint.program(r)).makespan;
     println!("  midpoint method (c=1) : {t_mid:.6} s");
 
     for c in [2usize, 4, 8] {
-        let grid = ProcGrid::new(p, c).unwrap();
-        let teams = grid.teams();
-        let window = Window1d::from_cutoff(&domain, teams, r_c);
-        if ca_nbody::cutoff::validate_cutoff(&window, teams, c).is_err() {
+        let Ok(layout) = cutoff_layout(Method::Ca1dCutoff { c }, p, r_c) else {
             continue;
-        }
-        let team_sizes = vec![n / teams; teams];
-        let params = CutoffParams::new(grid, window, team_sizes);
+        };
+        let teams = layout.grid.teams();
+        let params = layout.schedule(vec![n / teams; teams]);
         let t = simulate(&machine, p, |r| params.program(r)).makespan;
         println!("  CA cutoff c={c:<2}        : {t:.6} s");
     }
@@ -189,8 +194,10 @@ fn decomposition_families() {
 /// §IV.C: communication across dimensionalities. Same p, same rc fraction;
 /// the neighbor count — and with it the shift traffic of the c=1
 /// algorithm — grows exponentially with d, and replication claws it back.
+/// The 1-D and 2-D rows are the run path's layouts; no `Method` lays teams
+/// out in 3-D, so that row builds its window directly — the same
+/// [`TeamWindow`] code with a third non-unit axis.
 fn dimensionality() {
-    use ca_nbody::{Window2d, Window3d};
     println!("\n=== Ablation 6: window dimensionality (Hopper model, p=4096, rc=l/8) ===");
     let machine = nbody_netsim::hopper();
     let p = 4096usize;
@@ -201,26 +208,25 @@ fn dimensionality() {
         "dim", "c", "window W", "shift msgs", "makespan (s)"
     );
     for c in [1usize, 4] {
-        let grid = ProcGrid::new(p, c).unwrap();
-        let teams = grid.teams();
+        let teams = p / c;
         let sizes = vec![n / teams; teams];
 
-        // 1D: teams slabs.
-        let w1 = Window1d::from_cutoff(&nbody_physics::Domain::unit(), teams, rc);
-        report_dim(&machine, 1, c, grid, &w1, &sizes);
-
-        // 2D: square grid of teams.
-        let side2 = (teams as f64).sqrt() as usize;
-        if side2 * side2 == teams {
-            let w2 = Window2d::from_cutoff(&nbody_physics::Domain::unit(), side2, side2, rc);
-            report_dim(&machine, 2, c, grid, &w2, &sizes);
+        // 1D: teams slabs. 2D: the near-square grid of teams.
+        for (dim, method) in [(1, Method::Ca1dCutoff { c }), (2, Method::Ca2dCutoff { c })] {
+            if let Ok(layout) = cutoff_layout(method, p, rc) {
+                report_dim(&machine, dim, c, &layout.schedule(sizes.clone()));
+            }
         }
 
-        // 3D: cubic grid of teams.
-        let side3 = (teams as f64).cbrt().round() as usize;
-        if side3 * side3 * side3 == teams {
-            let w3 = Window3d::from_cutoff([side3, side3, side3], rc);
-            report_dim(&machine, 3, c, grid, &w3, &sizes);
+        // 3D: cubic grid of teams on the unit cube.
+        let side = (teams as f64).cbrt().round() as usize;
+        if side * side * side == teams {
+            let m = (rc * side as f64).floor() as usize + 1;
+            let window = TeamWindow::clipped(&[side; 3], &[m; 3]);
+            if ca_nbody::cutoff::validate_cutoff(&window, teams, c).is_ok() {
+                let grid = ProcGrid::new(p, c).unwrap();
+                report_dim(&machine, 3, c, &CutoffParams::new(grid, window, sizes));
+            }
         }
     }
     println!(
@@ -229,18 +235,13 @@ fn dimensionality() {
     );
 }
 
-fn report_dim<W: Window>(
+fn report_dim(
     machine: &nbody_netsim::Machine,
     dim: u32,
     c: usize,
-    grid: ProcGrid,
-    window: &W,
-    sizes: &[usize],
+    params: &CutoffParams<TeamWindow>,
 ) {
-    if ca_nbody::cutoff::validate_cutoff(window, grid.teams(), c).is_err() {
-        return;
-    }
-    let params = CutoffParams::new(grid, window.clone(), sizes.to_vec());
+    let grid = params.grid;
     let rep = simulate(machine, grid.p(), |r| params.program(r));
     let shift_msgs = ca_nbody::schedule::count_ops(params.program(grid.teams() / 2))
         .sends[Phase::Shift.index()];
@@ -248,7 +249,7 @@ fn report_dim<W: Window>(
         "{:>4} {:>6} {:>10} {:>14} {:>14.6}",
         dim,
         c,
-        window.len(),
+        params.window.len(),
         shift_msgs,
         rep.makespan
     );

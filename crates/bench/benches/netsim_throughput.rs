@@ -2,7 +2,7 @@
 //! itself, which bounds how quickly the paper-scale figures regenerate.
 
 use ca_nbody::schedule::{AllPairsParams, CutoffParams};
-use ca_nbody::{ProcGrid, Window1d};
+use ca_nbody::{ProcGrid, TeamWindow};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nbody_comm::Phase;
 use nbody_netsim::{hopper, simulate, test_machine, Op};
@@ -58,7 +58,7 @@ fn bench_cutoff_schedule(c: &mut Criterion) {
     let m = hopper();
     let p = 1024;
     let grid = ProcGrid::new(p, 2).unwrap();
-    let window = Window1d::new(grid.teams(), grid.teams() / 4);
+    let window = TeamWindow::clipped(&[grid.teams()], &[grid.teams() / 4]);
     let params = CutoffParams::new(grid, window, vec![16; grid.teams()]);
     let mut group = c.benchmark_group("des_cutoff");
     group.sample_size(10);

@@ -13,14 +13,14 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use ca_nbody::dist::{block_range, team_grid_dims, team_of_x, team_of_xy};
-use ca_nbody::schedule::{AllPairsParams, AllgatherParams, CutoffParams, ReassignModel};
-use ca_nbody::{ProcGrid, Window1d, Window2d};
+use ca_nbody::dist::{block_range, team_of_x, team_of_xy};
+use ca_nbody::schedule::{AllPairsParams, AllgatherParams, ReassignModel};
+use ca_nbody::{Layout, Method, ProcGrid};
 use nbody_comm::Phase;
 use nbody_netsim::{simulate, CollNet, Machine, SimReport};
 use nbody_trace::schema::{breakdown_csv, breakdown_json, BreakdownRow};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
-use nbody_physics::{init, Domain};
+use nbody_physics::{init, Boundary, Domain};
 
 /// One data point of a breakdown figure (a stacked bar of Fig. 2/6).
 #[derive(Debug, Clone)]
@@ -124,9 +124,14 @@ pub fn run_cutoff_point(
     rc_fraction: f64,
 ) -> Option<FigRow> {
     let domain = Domain::unit();
-    let grid = ProcGrid::new(p, c).ok()?;
-    let teams = grid.teams();
     let r_c = rc_fraction * domain.length_x();
+    let method = if dim == 1 {
+        Method::Ca1dCutoff { c }
+    } else {
+        Method::Ca2dCutoff { c }
+    };
+    let layout = Layout::new(method, p, &domain, Boundary::Open, Some(r_c)).ok()?;
+    let teams = layout.grid.teams();
     let avg_block = n / teams.max(1);
     let reassign = ReassignModel {
         bytes: ((avg_block as f64 * MIGRATION_FRACTION) as u64).max(1)
@@ -135,20 +140,14 @@ pub fn run_cutoff_point(
 
     // Bin an actual sampled distribution so boundary windows and count
     // fluctuations produce the load imbalance the paper describes.
-    let rep = if dim == 1 {
-        let window = Window1d::from_cutoff(&domain, teams, r_c);
-        ca_nbody::cutoff::validate_cutoff(&window, teams, c).ok()?;
-        let sizes = sampled_block_sizes_1d(n, teams);
-        let params = CutoffParams::new(grid, window, sizes).with_reassign(reassign);
-        simulate(machine, p, |r| params.program(r))
+    let (tx, ty) = layout.cells.expect("the cutoff methods lay out spatially");
+    let sizes = if dim == 1 {
+        sampled_block_sizes_1d(n, tx)
     } else {
-        let (tx, ty) = team_grid_dims(teams);
-        let window = Window2d::from_cutoff(&domain, tx, ty, r_c);
-        ca_nbody::cutoff::validate_cutoff(&window, teams, c).ok()?;
-        let sizes = sampled_block_sizes_2d(n, tx, ty);
-        let params = CutoffParams::new(grid, window, sizes).with_reassign(reassign);
-        simulate(machine, p, |r| params.program(r))
+        sampled_block_sizes_2d(n, tx, ty)
     };
+    let params = layout.schedule(sizes).with_reassign(reassign);
+    let rep = simulate(machine, p, |r| params.program(r));
     Some(FigRow::from_report(format!("c={c}"), &rep))
 }
 

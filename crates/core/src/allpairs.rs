@@ -20,25 +20,24 @@
 //! a team together cover every team's block exactly once. The final
 //! reduction sums the per-row partial forces on the team leader.
 //!
-//! Each phase ships what its receiver reads (DESIGN.md §16): lines 2-6 move
-//! blocks of [`Source`]s — position, mass, id — and line 9 sums bare force
-//! vectors. Velocities never leave the leader.
+//! That listing is Algorithm 2's minus the words "modulo the cutoff
+//! window", and it is executed as such: the window is the full ring of
+//! `p/c` teams ([`TeamWindow::ring`]), on which position `j` *is* offset
+//! `j`, and the shift body, the broadcast and the reduction are
+//! [`cutoff`](crate::cutoff)'s. What stays Algorithm 1's own is the
+//! layout: id blocks that nobody re-orders or re-assigns, and a ring that
+//! wraps whatever the boundary condition of the physics (DESIGN.md §15.1).
+//! The tests below are its oracle.
 //!
 //! Setting `c = 1` degenerates to Plimpton's particle decomposition
 //! (a ring pipeline); `c = √p` to his force decomposition.
 
-use nbody_comm::{sum_combine, Communicator, Phase};
-use nbody_physics::particle::sources;
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2};
+use nbody_comm::Communicator;
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
+use crate::cutoff::ca_forces;
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block_potential, accumulate_sources, ComputeMeter};
-use crate::link::{Link, Strict};
-
-/// Tag for the skew message (line 4).
-pub const TAG_SKEW: u64 = 0x10;
-/// Base tag for shift step `s` (line 6): `TAG_SHIFT + s`.
-pub const TAG_SHIFT: u64 = 0x1000;
+use crate::window::TeamWindow;
 
 /// One force evaluation of Algorithm 1.
 ///
@@ -56,139 +55,8 @@ pub fn ca_all_pairs_forces<C: Communicator, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
-    debug_assert!(gc.is_leader() || st.is_empty(), "only leaders contribute particles");
-    let exch = team_broadcast(gc, st);
-    Strict::infallible(shift_pipeline(gc, st, exch, law, domain, boundary, &Strict, None));
-    team_reduce(gc, st);
-}
-
-/// Line 2 of both algorithms without fault tolerance: the leader broadcasts
-/// its block as [`Source`]s down the column and the other rows build their
-/// target block from it (at rest, accumulators cleared — as the leader's
-/// are). Returns the broadcast buffer, which already is line 3's copy.
-pub(crate) fn team_broadcast<C: Communicator>(
-    gc: &GridComms<C>,
-    st: &mut Vec<Particle>,
-) -> Vec<Source> {
-    let mut block = sources(st);
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, &mut block);
-    if !gc.is_leader() {
-        st.clear();
-        st.extend(block.iter().map(Source::particle));
-    }
-    block
-}
-
-/// Line 9 of both algorithms: sum-reduce the partial forces onto the
-/// leader — the accumulators only, folded in the tree order a reduction of
-/// whole particles would take, so the sums are the same bits.
-pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle]) {
-    gc.col.set_phase(Phase::Reduce);
-    // A column of one has nothing to sum: skip building the buffer the
-    // transport would hand straight back.
-    if gc.col.size() == 1 {
-        return;
-    }
-    let partial: Vec<Vec2> = st.iter().map(|p| p.force).collect();
-    if let Some(total) = gc.col.reduce_vec(0, partial, sum_combine) {
-        for (p, force) in st.iter_mut().zip(total) {
-            p.force = force;
-        }
-    }
-}
-
-/// Lines 3-8 of Algorithm 1: skew, then `p/c²` shift+update steps of the
-/// targets `st` against the exchange buffer `exch`, this rank's copy of its
-/// team's block as [`Source`]s (line 3; the plain entry passes the broadcast
-/// buffer itself). The buffer is moved into every send and replaced by the
-/// one received. The one body behind [`ca_all_pairs_forces`] ([`Strict`]
-/// link) and
-/// [`ca_all_pairs_forces_ft`](crate::recovery::ca_all_pairs_forces_ft) (one
-/// [`Deadline`](crate::link::Deadline) link per recovery attempt). With
-/// `potential` set, the kernel also harvests the summed pair potential into
-/// it (the health monitors' potential-energy partial).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn shift_pipeline<C: Communicator, F: ForceLaw, L: Link>(
-    gc: &GridComms<C>,
-    st: &mut [Particle],
-    mut exch: Vec<Source>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    link: &L,
-    mut potential: Option<&mut f64>,
-) -> Result<(), L::Error> {
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    let steps = gc.grid.all_pairs_steps();
-    let team = gc.team();
-    let k = gc.row_index();
-
-    // The paper's M = cn/p replicated working set: the owned block plus the
-    // exchange copy, the memory the Eq. 2 bounds are evaluated against.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (st.len() + exch.len()) as u64);
-
-    // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
-    // the trace carry the step, so an analyzer can place every wait in the
-    // skew/shift schedule and name the late sender.
-    let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit; aborted attempts still
-    // count — the work was really done.
-    let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
-
-    // Line 4: skew — row k shifts its buffer k teams east. After this, the
-    // row-k processor of team t holds the block of team (t - k) mod teams.
-    gc.col.set_phase(Phase::Skew);
-    tr.set_step(Some(0));
-    link.step(&gc.col, 0)?;
-    if k > 0 {
-        let dst = (team + k) % teams;
-        let src = (team + teams - k) % teams;
-        link.send(&gc.row, dst, TAG_SKEW, exch);
-        exch = link.recv(&gc.row, src, TAG_SKEW)?;
-    }
-
-    // Lines 5-8: shift by c, then update.
-    for s in 1..=steps {
-        gc.col.set_phase(Phase::Shift);
-        tr.set_step(Some(s as u32));
-        link.step(&gc.col, s)?;
-        let dst = (team + c) % teams;
-        let src = (team + teams - c) % teams;
-        link.send(&gc.row, dst, TAG_SHIFT + s as u64, exch);
-        exch = link.recv(&gc.row, src, TAG_SHIFT + s as u64)?;
-
-        gc.col.set_phase(Phase::Other);
-        meter.time(st.len(), exch.len(), || {
-            update(st, &exch, law, domain, boundary, &mut potential)
-        });
-    }
-    tr.set_step(None);
-    Ok(())
-}
-
-/// Line 7 of both algorithms: update `st` from the block in `exch`,
-/// additionally harvesting the pair potential when an accumulator rides
-/// along. Returns the kernel's evaluation count.
-pub(crate) fn update<F: ForceLaw>(
-    st: &mut [Particle],
-    exch: &[Source],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    potential: &mut Option<&mut f64>,
-) -> u64 {
-    match potential {
-        Some(pe) => {
-            let (evals, dpe) = accumulate_block_potential(st, exch, law, domain, boundary);
-            **pe += dpe;
-            evals
-        }
-        None => accumulate_sources(st, exch, law, domain, boundary),
-    }
+    let ring = TeamWindow::ring(gc.grid.teams());
+    ca_forces(gc, &ring, st, law, domain, boundary);
 }
 
 #[cfg(test)]
@@ -196,7 +64,7 @@ mod tests {
     use super::*;
     use crate::dist::id_block_subset;
     use crate::grid::ProcGrid;
-    use nbody_comm::run_ranks;
+    use nbody_comm::{run_ranks, Phase};
     use nbody_physics::{init, reference, Counting, Gravity, RepulsiveInverseSquare};
 
     /// Run the CA all-pairs force evaluation on `p` ranks with replication

@@ -13,11 +13,11 @@
 //!   winner, exactly the paper's "trying multiple factors" loop.
 
 use nbody_netsim::{simulate, Machine};
+use nbody_physics::{Boundary, Domain};
 
-use crate::dist::block_range;
 use crate::grid::ProcGrid;
-use crate::schedule::{AllPairsParams, CutoffParams};
-use crate::window::Window1d;
+use crate::schedule::{id_block_sizes, AllPairsParams};
+use crate::sim::{Layout, Method};
 
 /// One candidate's predicted cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,16 +80,13 @@ pub fn autotune_all_pairs(machine: &Machine, p: usize, n: usize) -> Autotune {
 /// particle distribution.
 pub fn autotune_cutoff_1d(machine: &Machine, p: usize, n: usize, rc_fraction: f64) -> Autotune {
     assert!(rc_fraction > 0.0 && rc_fraction <= 1.0);
-    let domain = nbody_physics::Domain::unit();
+    let domain = Domain::unit();
     let candidates: Vec<Candidate> = (1..=p)
         .filter(|c| p.is_multiple_of(*c))
         .filter_map(|c| {
-            let grid = ProcGrid::new(p, c).ok()?;
-            let teams = grid.teams();
-            let window = Window1d::from_cutoff(&domain, teams, rc_fraction);
-            crate::cutoff::validate_cutoff(&window, teams, c).ok()?;
-            let sizes: Vec<usize> = (0..teams).map(|t| block_range(n, teams, t).len()).collect();
-            let params = CutoffParams::new(grid, window, sizes);
+            let method = Method::Ca1dCutoff { c };
+            let layout = Layout::new(method, p, &domain, Boundary::Open, Some(rc_fraction)).ok()?;
+            let params = layout.schedule(id_block_sizes(n, layout.grid.teams()));
             let rep = simulate(machine, p, |r| params.program(r));
             Some(Candidate {
                 c,

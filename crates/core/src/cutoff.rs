@@ -1,5 +1,7 @@
-//! Algorithm 2 and its multi-dimensional generalization: the
-//! communication-avoiding algorithm for distance-limited interactions.
+//! Algorithm 2 and its multi-dimensional generalization — the
+//! communication-avoiding algorithm for distance-limited interactions — and
+//! with it **the one shift body** of this crate: Algorithm 1 is this
+//! algorithm on the full team ring.
 //!
 //! ```text
 //! S' = CA-1D-N-BODY(S, rc, c)
@@ -23,33 +25,43 @@
 //! first-wrap rule), which partitions positions across `(k, s)`.
 //!
 //! **Shifting modulo the window.** Between consecutive positions the buffer
-//! usually moves `c` teams east — a point-to-point shift exactly as in the
-//! all-pairs algorithm. When the traversal wraps from the `+m` end of the
-//! window to the `−m` end, the buffer instead jumps `W − c` teams west
-//! (Fig. 4's "wrap around at the cutoff radius"). Because the paper's
-//! simulation space is not periodic, a buffer's path can leave the team grid
-//! at the domain boundary; exchange buffers are immutable during the force
-//! phase, so the block's *home team* re-injects a copy on the other side
-//! (`home-route` sends below). Boundary teams therefore hold empty buffers
-//! in some steps and idle — the load imbalance the paper reports in §IV.D.
-//! Under a periodic window no path leaves the grid and no home copy exists.
+//! usually moves `c` teams east — a point-to-point shift. When the
+//! traversal wraps from the `+m` end of the window to the `−m` end, the
+//! buffer instead jumps `W − c` teams west (Fig. 4's "wrap around at the
+//! cutoff radius"). Because the paper's simulation space is not periodic, a
+//! buffer's path can leave the team grid at the domain boundary; exchange
+//! buffers are immutable during the force phase, so the block's *home team*
+//! re-injects a copy on the other side (`home-route` sends below). Boundary
+//! teams therefore hold empty buffers in some steps and idle — the load
+//! imbalance the paper reports in §IV.D. Under a wrapping window no path
+//! leaves the grid and no home copy exists.
 //!
-//! The wire carries what [`allpairs`](crate::allpairs) says it does:
-//! [`Source`] blocks out, force vectors back.
+//! **Algorithm 1 is the `W = teams` case.** The paper's two listings differ
+//! in the four words "modulo the cutoff window". On
+//! [`TeamWindow::ring`](crate::window::TeamWindow::ring) position `j` is
+//! offset `j` around the ring, so the skew sends `k` teams east, every
+//! shift `c` teams east, every row runs `teams/c = p/c²` steps and updates
+//! in each, and nothing is ever `None`:
+//! [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces) is
+//! `shift_pipeline` on that window (DESIGN.md §15.1).
+//!
+//! Each phase ships what its receiver reads (DESIGN.md §16): lines 2-6 move
+//! blocks of [`Source`]s — position, mass, id — and line 9 sums bare force
+//! vectors. Velocities never leave the leader.
 
-use nbody_comm::{Communicator, Phase};
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source};
+use nbody_comm::{sum_combine, Communicator, Phase};
+use nbody_physics::particle::sources;
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2};
 
-use crate::allpairs::{team_broadcast, team_reduce, update};
 use crate::grid::GridComms;
-use crate::kernel::{cell_order, ComputeMeter};
+use crate::kernel::{accumulate_block_potential, accumulate_sources, cell_order, ComputeMeter};
 use crate::link::{Link, Strict};
 use crate::window::Window;
 
 /// Tag for the skew message (line 4).
-pub const TAG_CSKEW: u64 = 0x30;
-/// Base tag for cutoff shift step `s` (line 6).
-pub const TAG_CSHIFT: u64 = 0x2000;
+pub const TAG_SKEW: u64 = 0x10;
+/// Base tag for shift step `s` (line 6): `TAG_SHIFT + s`.
+pub const TAG_SHIFT: u64 = 0x1000;
 
 /// Errors from invalid cutoff configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,9 +129,9 @@ pub fn row_steps(window_len: usize, c: usize, k: usize) -> usize {
     (window_len + c - k - 1) / c
 }
 
-/// One force evaluation of the CA cutoff algorithm (Algorithm 2 when the
-/// window is [`Window1d`](crate::window::Window1d); its Fig. 5
-/// generalization when it is [`Window2d`](crate::window::Window2d)).
+/// One force evaluation of the CA cutoff algorithm (Algorithm 2 on a 1-axis
+/// [`TeamWindow`](crate::window::TeamWindow); its Fig. 5 generalization on
+/// more axes).
 ///
 /// On entry, each team leader's `st` holds the particles of its *spatial*
 /// region with force accumulators cleared (empty on non-leaders). On exit
@@ -134,6 +146,25 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     boundary: Boundary,
 ) {
     prepare_block(gc, window, st, law, domain, boundary);
+    ca_forces(gc, window, st, law, domain, boundary);
+}
+
+/// Lines 2-9 of both algorithms without fault tolerance, on blocks that
+/// are already in the order their kernel wants: broadcast, the shift body
+/// under the [`Strict`] link, reduce. The communication schedule is
+/// *identical in shape on every rank* (as in the paper's SPMD code).
+pub(crate) fn ca_forces<C: Communicator, W: Window, F: ForceLaw>(
+    gc: &GridComms<C>,
+    window: &W,
+    st: &mut Vec<Particle>,
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+) {
+    debug_assert!(
+        gc.is_leader() || st.is_empty(),
+        "only leaders contribute particles"
+    );
     let exch = team_broadcast(gc, st);
     Strict::infallible(shift_pipeline(
         gc, window, st, exch, law, domain, boundary, &Strict, None,
@@ -141,9 +172,9 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     team_reduce(gc, st);
 }
 
-/// What both cutoff entries do before line 2: check the configuration and
-/// put the leader's block in the order the kernel's cull needs (every copy
-/// of the block then has it).
+/// What both public cutoff entries do before line 2: check the
+/// configuration and put the leader's block in the order the kernel's cull
+/// needs (every copy of the block then has it).
 pub(crate) fn prepare_block<C: Communicator, W: Window, F: ForceLaw>(
     gc: &GridComms<C>,
     window: &W,
@@ -156,22 +187,57 @@ pub(crate) fn prepare_block<C: Communicator, W: Window, F: ForceLaw>(
         boundary == Boundary::Periodic,
         window.is_periodic(),
         "boundary and window periodicity must agree: clipped windows model \
-         the paper's non-periodic domain; periodic boundaries need the \
-         wrap-around windows from `window_periodic`"
+         the paper's non-periodic domain; periodic boundaries need a \
+         wrapping one"
     );
     validate_cutoff(window, gc.grid.teams(), gc.grid.c()).expect("invalid cutoff configuration");
-    debug_assert!(gc.is_leader() || st.is_empty());
     cell_order(st, law, domain);
 }
 
-/// Lines 3-8 of Algorithm 2: skew, then shift+update modulo the window, of
-/// the targets `st` against the exchange buffer `exch` (this rank's copy of
-/// its team's block, see
-/// [`allpairs::shift_pipeline`](crate::allpairs::shift_pipeline), also for
-/// `potential`). The one body behind [`ca_cutoff_forces`] ([`Strict`] link)
-/// and [`ca_cutoff_forces_ft`](crate::recovery::ca_cutoff_forces_ft) (one
-/// [`Deadline`](crate::link::Deadline) link per recovery attempt, so the
-/// home copy is rebuilt from the checkpointed state on every retry).
+/// Line 2 without fault tolerance: the leader broadcasts its block as
+/// [`Source`]s down the column and the other rows build their target block
+/// from it (at rest, accumulators cleared — as the leader's are). Returns
+/// the broadcast buffer, which already is line 3's copy.
+fn team_broadcast<C: Communicator>(gc: &GridComms<C>, st: &mut Vec<Particle>) -> Vec<Source> {
+    let mut block = sources(st);
+    gc.col.set_phase(Phase::Broadcast);
+    gc.col.bcast(0, &mut block);
+    if !gc.is_leader() {
+        st.clear();
+        st.extend(block.iter().map(Source::particle));
+    }
+    block
+}
+
+/// Line 9: sum-reduce the partial forces onto the leader — the accumulators
+/// only, folded in the tree order a reduction of whole particles would
+/// take, so the sums are the same bits.
+pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle]) {
+    gc.col.set_phase(Phase::Reduce);
+    // A column of one has nothing to sum: skip building the buffer the
+    // transport would hand straight back.
+    if gc.col.size() == 1 {
+        return;
+    }
+    let partial: Vec<Vec2> = st.iter().map(|p| p.force).collect();
+    if let Some(total) = gc.col.reduce_vec(0, partial, sum_combine) {
+        for (p, force) in st.iter_mut().zip(total) {
+            p.force = force;
+        }
+    }
+}
+
+/// Lines 3-8 of both algorithms: skew, then shift+update modulo the window,
+/// of the targets `st` against the exchange buffer `exch`, this rank's copy
+/// of its team's block as [`Source`]s (line 3; the plain entry passes the
+/// broadcast buffer itself). The buffer is moved into every send and
+/// replaced by the one received. The one body behind every `ca_*_forces*`
+/// entry: [`Strict`] link in the plain ones, one
+/// [`Deadline`](crate::link::Deadline) link per recovery attempt in the
+/// fault-tolerant ones (so the home copy is rebuilt from the checkpointed
+/// state on every retry). With `potential` set, the kernel also harvests
+/// the summed pair potential into it (the health monitors'
+/// potential-energy partial).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
@@ -197,18 +263,21 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     } else {
         exch.clone()
     };
-    // Replicated working set (owned block + exchange buffer + home copy):
-    // the memory the Eq. 3 bounds are evaluated against.
+    // The paper's M = cn/p replicated working set (owned block + exchange
+    // buffer + home copy): the memory the Eq. 2/3 bounds are evaluated
+    // against.
     gc.col
         .metrics()
         .gauge_max("mem_particles_hwm", (st.len() + exch.len() + home.len()) as u64);
     // Window position and block currently held (None = fell off the edge).
     let mut cur_block: Option<usize> = Some(t);
 
-    // Pipeline-step tagging (0 = skew, s = shift step s) for blocked-wait
-    // attribution in the trace.
+    // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
+    // the trace carry the step, so an analyzer can place every wait in the
+    // skew/shift schedule and name the late sender.
     let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit.
+    // FLOP/byte accounting for the roofline audit; aborted attempts still
+    // count — the work was really done.
     let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
 
     // Line 4: skew to position k. Own blocks move directly from their homes.
@@ -217,11 +286,11 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     link.step(&gc.col, 0)?;
     if k > 0 {
         if let Some(dst) = window.apply(t, k) {
-            link.send(&gc.row, dst, TAG_CSKEW, std::mem::take(&mut exch));
+            link.send(&gc.row, dst, TAG_SKEW, std::mem::take(&mut exch));
         }
         cur_block = window.apply_back(t, k);
         exch = match cur_block {
-            Some(b) => link.recv(&gc.row, b, TAG_CSKEW)?,
+            Some(b) => link.recv(&gc.row, b, TAG_SKEW)?,
             None => Vec::new(),
         };
     }
@@ -233,7 +302,7 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
         gc.col.set_phase(Phase::Shift);
         tr.set_step(Some(s as u32));
         link.step(&gc.col, s)?;
-        let tag = TAG_CSHIFT + s as u64;
+        let tag = TAG_SHIFT + s as u64;
         let j_prev = (k + (s - 1) * c) % w;
         let j_new = (k + s * c) % w;
 
@@ -279,12 +348,33 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     Ok(())
 }
 
+/// Line 7: update `st` from the block in `exch`, additionally harvesting
+/// the pair potential when an accumulator rides along. Returns the kernel's
+/// evaluation count.
+fn update<F: ForceLaw>(
+    st: &mut [Particle],
+    exch: &[Source],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    potential: &mut Option<&mut f64>,
+) -> u64 {
+    match potential {
+        Some(pe) => {
+            let (evals, dpe) = accumulate_block_potential(st, exch, law, domain, boundary);
+            **pe += dpe;
+            evals
+        }
+        None => accumulate_sources(st, exch, law, domain, boundary),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{spatial_subset_1d, spatial_subset_2d, team_grid_dims};
     use crate::grid::ProcGrid;
-    use crate::window::{Window1d, Window2d};
+    use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
     use nbody_physics::{init, reference, Counting, Cutoff, Particle, RepulsiveInverseSquare};
 
@@ -303,7 +393,7 @@ mod tests {
     fn run_1d(p: usize, c: usize, n: usize, seed: u64, r_c: f64) -> Vec<Particle> {
         let domain = Domain::unit();
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         let law = Cutoff::new(Counting, r_c);
         let out = run_ranks(p, |world| {
             let gc = GridComms::new(world, grid);
@@ -369,7 +459,7 @@ mod tests {
         reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
 
         let grid = ProcGrid::new(8, 2).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         let out = run_ranks(8, |world| {
             let gc = GridComms::new(world, grid);
             let all = init::uniform_1d(n, &domain, 9);
@@ -402,7 +492,7 @@ mod tests {
         for (p, c) in [(4, 1), (8, 2), (16, 4), (12, 2)] {
             let grid = ProcGrid::new(p, c).unwrap();
             let (tx, ty) = team_grid_dims(grid.teams());
-            let window = Window2d::from_cutoff(&domain, tx, ty, r_c);
+            let window = TeamWindow::from_cutoff(&domain, (tx, ty), false, r_c);
             let law = Cutoff::new(Counting, r_c);
             let out = run_ranks(p, |world| {
                 let gc = GridComms::new(world, grid);
@@ -443,7 +533,7 @@ mod tests {
         reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
 
         let grid = ProcGrid::new(8, 2).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         let out = run_ranks(8, |world| {
             let gc = GridComms::new(world, grid);
             let all = init::gaussian_clusters(n, &domain, 2, 0.05, 3);
@@ -479,7 +569,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        let w = Window1d::new(8, 1); // W = 3
+        let w = TeamWindow::clipped(&[8], &[1]); // W = 3
         assert_eq!(
             validate_cutoff(&w, 8, 4),
             Err(CutoffError::ReplicationExceedsWindow { c: 4, window: 3 })
@@ -506,7 +596,7 @@ mod tests {
         for c in [1usize, 2, 4] {
             let p = 16;
             let grid = ProcGrid::new(p, c).unwrap();
-            let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+            let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
             let law = Cutoff::new(Counting, r_c);
             let stats = run_ranks(p, |world| {
                 let gc = GridComms::new(world, grid);
@@ -551,7 +641,7 @@ mod tests {
         reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
 
         let grid = ProcGrid::new(8, 2).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         let all_ref = &all;
         let out = run_ranks(8, |world| {
             let gc = GridComms::new(world, grid);

@@ -4,10 +4,11 @@
 //! Algorithm for Direct Interactions”* (Driscoll, Georganas, Koanantakool,
 //! Solomonik, Yelick — IPDPS 2013).
 //!
-//! * [`allpairs`] — Algorithm 1, the CA all-pairs force evaluation on a
-//!   `p/c × c` processor grid.
 //! * [`cutoff`] — Algorithm 2 (1D) and its Fig. 5 generalization (2D),
-//!   traversing interaction [`window`]s modulo the cutoff.
+//!   traversing interaction [`window`]s modulo the cutoff: the one shift
+//!   body of the crate.
+//! * [`allpairs`] — Algorithm 1, the CA all-pairs force evaluation on a
+//!   `p/c × c` processor grid: the same body on the full team ring.
 //! * [`baselines`] — Plimpton's particle and force decompositions and the
 //!   allgather ("tree") naive variant.
 //! * [`spatial`] — the non-replicating halo-exchange baseline (§II.C).
@@ -33,7 +34,6 @@ pub mod schedule;
 pub mod sim;
 pub mod spatial;
 pub mod window;
-pub mod window_periodic;
 pub mod wire;
 
 pub use cutoff::{ca_cutoff_forces, CutoffError};
@@ -46,8 +46,7 @@ pub use recovery::{
 pub use probe::StepProbe;
 pub use sim::{
     run_distributed, run_distributed_chaos, run_distributed_sampled, run_serial, ChaosRunResult,
-    CheckpointConfig, Method, Run, RunOutput, RunResult, SimConfig,
+    CheckpointConfig, Layout, Method, Run, RunOutput, RunResult, SimConfig,
 };
-pub use window::{CutoffWindow, Window, Window1d, Window2d, Window3d};
-pub use window_periodic::{Window1dPeriodic, Window2dPeriodic};
+pub use window::{TeamWindow, Window, Window1dPeriodic};
 pub use wire::{expected_schedule, WireScheduleSpec};

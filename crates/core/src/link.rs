@@ -1,9 +1,8 @@
-//! The link policy of the shift pipelines.
+//! The link policy of the shift pipeline.
 //!
-//! Algorithms 1 and 2 each have one skew/shift body
-//! ([`allpairs`](crate::allpairs), [`cutoff`](crate::cutoff)); *how* that
-//! body talks to its row neighbours is a [`Link`], chosen by type at the
-//! entry point:
+//! Algorithms 1 and 2 share one skew/shift body
+//! ([`cutoff`](crate::cutoff)); *how* that body talks to its row
+//! neighbours is a [`Link`], chosen by type at the entry point:
 //!
 //! * [`Strict`] — buffered `send_vec` and blocking `recv` under the
 //!   protocol's own tags. Its error type is uninhabited, so in the plain

@@ -142,14 +142,13 @@ pub fn midpoint_pool_interactions(pool: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::dist::{spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy};
-    use crate::window::{Window1d, Window2d};
-    use crate::window_periodic::Window1dPeriodic;
+    use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
     use nbody_physics::{init, reference, Counting, Cutoff};
 
     /// Halo span for the midpoint method: r_c/2 coverage.
-    fn half_window_1d(domain: &Domain, teams: usize, r_c: f64) -> Window1d {
-        Window1d::from_cutoff(domain, teams, r_c / 2.0)
+    fn half_window_1d(domain: &Domain, teams: usize, r_c: f64) -> TeamWindow {
+        TeamWindow::from_cutoff(domain, (teams, 1), false, r_c / 2.0)
     }
 
     #[test]
@@ -197,7 +196,7 @@ mod tests {
 
         let p = 8;
         let (tx, ty) = team_grid_dims(p);
-        let window = Window2d::from_cutoff(&domain, tx, ty, r_c / 2.0);
+        let window = TeamWindow::from_cutoff(&domain, (tx, ty), false, r_c / 2.0);
         let out = run_ranks(p, |world| {
             let all = init::uniform(n, &domain, 4);
             let mut mine = spatial_subset_2d(&all, &domain, tx, ty, world.rank());
@@ -229,7 +228,7 @@ mod tests {
         reference::accumulate_forces(&mut want, &law, &domain, Boundary::Periodic);
 
         let p = 8;
-        let window = Window1dPeriodic::from_cutoff(&domain, p, r_c / 2.0);
+        let window = TeamWindow::from_cutoff(&domain, (p, 1), true, r_c / 2.0);
         let out = run_ranks(p, |world| {
             let all = init::uniform_1d(n, &domain, 8);
             let mut mine = spatial_subset_1d(&all, &domain, p, world.rank());
@@ -292,13 +291,13 @@ mod tests {
         let domain = Domain::unit();
         let p = 32;
         let r_c = 0.25;
-        let full = Window1d::from_cutoff(&domain, p, r_c);
+        let full = TeamWindow::from_cutoff(&domain, (p, 1), false, r_c);
         let half = half_window_1d(&domain, p, r_c);
         assert!(
-            half.m() < full.m(),
+            half.spans()[0] < full.spans()[0],
             "midpoint halo {} vs spatial halo {}",
-            half.m(),
-            full.m()
+            half.spans()[0],
+            full.spans()[0]
         );
     }
 

@@ -11,12 +11,12 @@
 //! This module owns the *protocol* only: the retry/agreement/resync loop
 //! (`recovery_loop`), its [`RetryPolicy`], the [`HealthMonitor`] that rides
 //! on it, and the verdicts ([`FaultError`], [`RecoveryReport`]). The
-//! skew/shift pipelines it retries are not copied here: each
-//! fault-tolerant entry ([`ca_all_pairs_forces_ft`],
-//! [`ca_cutoff_forces_ft`]) hands the algorithm's one shift body
-//! (`allpairs::shift_pipeline`, `cutoff::shift_pipeline`) to the loop as
-//! its attempt, under a deadline link (`link::Deadline`) where the plain
-//! drivers run it under the strict one.
+//! skew/shift pipeline it retries is not copied here: the fault-tolerant
+//! entries ([`ca_all_pairs_forces_ft`], [`ca_cutoff_forces_ft`]) hand the
+//! one shift body (`cutoff::shift_pipeline`) and their window — the full
+//! team ring for all-pairs — to the loop as its attempt, under a deadline
+//! link (`link::Deadline`) where the plain drivers run it under the strict
+//! one.
 //!
 //! The protocol wrapped around one force evaluation:
 //!
@@ -75,11 +75,10 @@ use nbody_physics::particle::sources;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 use nbody_simhealth::state_fingerprint;
 
-use crate::allpairs::team_reduce;
+use crate::cutoff::{prepare_block, shift_pipeline, team_reduce};
 use crate::grid::GridComms;
 use crate::link::Deadline;
-use crate::window::Window;
-use crate::{allpairs, cutoff};
+use crate::window::{TeamWindow, Window};
 
 /// Tag distance between retry attempts of one evaluation. Attempt `a` of
 /// evaluation epoch `e` offsets every pipeline tag by
@@ -448,7 +447,7 @@ impl HealthMonitor {
     }
 }
 
-/// The retry/agreement/resync loop shared by both fault-tolerant drivers.
+/// The retry/agreement/resync loop of the fault-tolerant drivers.
 ///
 /// `st` must hold the post-broadcast input block; `attempt` runs one
 /// fallible pipeline pass over `st` under the given tag offset, with the
@@ -679,21 +678,32 @@ fn recovery_loop<C: Communicator>(
     }
 }
 
-/// Run one evaluation's shift pipeline under the recovery protocol: hand
-/// `pipeline` to [`recovery_loop`] as the attempt body (a fresh
-/// [`Deadline`] link per attempt), then sum-reduce onto the leader. `st`
-/// must hold the post-broadcast block; `copies` is how many block-sized
-/// buffers the evaluation keeps alive, checkpoint included. Returns the
-/// report and the harvested pair potential (0 without `health`).
-fn recovering<C: Communicator>(
+/// Lines 2-9 of both algorithms under the recovery protocol, on blocks that
+/// are already in the order their kernel wants. Line 2 sends the leader's
+/// block down the column as whole particles, because what the replicas
+/// hold after it is the checkpoint [`recovery_loop`] restores from and
+/// re-seeds a dead leader with (module docs, step 1); the shift body is
+/// the loop's attempt (a fresh [`Deadline`] link each time); the sum-reduce
+/// onto the leader follows. Returns the report and the harvested pair
+/// potential (0 without `health`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     gc: &GridComms<C>,
+    window: &W,
     st: &mut Vec<Particle>,
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
     policy: &RetryPolicy,
     epoch: u64,
     health: Option<&HealthMonitor>,
-    copies: usize,
-    mut pipeline: impl FnMut(&mut [Particle], &Deadline, Option<&mut f64>) -> Result<(), CommError>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
+    debug_assert!(gc.is_leader() || st.is_empty());
+    gc.col.set_phase(Phase::Broadcast);
+    gc.col.bcast(0, st);
+    // Owned block + exchange buffer + recovery checkpoint, and the home
+    // copy a clipped window keeps.
+    let copies = 3 + usize::from(!window.is_periodic());
     gc.col
         .metrics()
         .gauge_max("mem_particles_hwm", (copies * st.len()) as u64);
@@ -701,23 +711,15 @@ fn recovering<C: Communicator>(
     let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
         // An aborted attempt's partial harvest must not double-count.
         pe = 0.0;
-        pipeline(
-            st,
-            &Deadline { tag_base, deadline },
-            health.map(|_| &mut pe),
+        let link = Deadline { tag_base, deadline };
+        let potential = health.map(|_| &mut pe);
+        let exch = sources(st);
+        shift_pipeline(
+            gc, window, st, exch, law, domain, boundary, &link, potential,
         )
     })?;
     team_reduce(gc, st);
     Ok((report, pe))
-}
-
-/// Line 2 of both algorithms under fault tolerance: the leader's block goes
-/// down the column as whole particles, because what the replicas hold after
-/// it is the checkpoint [`recovery_loop`] restores from and re-seeds a dead
-/// leader with (module docs, step 1).
-fn checkpoint_broadcast<C: Communicator>(gc: &GridComms<C>, st: &mut Vec<Particle>) {
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
 }
 
 /// Fault-tolerant [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces):
@@ -745,13 +747,8 @@ pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
     epoch: u64,
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
-    debug_assert!(gc.is_leader() || st.is_empty());
-    checkpoint_broadcast(gc, st);
-    // Owned block + exchange buffer + recovery checkpoint.
-    recovering(gc, st, policy, epoch, health, 3, |st, link, pe| {
-        let exch = sources(st);
-        allpairs::shift_pipeline(gc, st, exch, law, domain, boundary, link, pe)
-    })
+    let ring = TeamWindow::ring(gc.grid.teams());
+    ca_forces_ft(gc, &ring, st, law, domain, boundary, policy, epoch, health)
 }
 
 /// Fault-tolerant [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces):
@@ -776,15 +773,8 @@ pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     epoch: u64,
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
-    cutoff::prepare_block(gc, window, st, law, domain, boundary);
-    checkpoint_broadcast(gc, st);
-    // Owned block + exchange buffer + recovery checkpoint, and the home
-    // copy a clipped window keeps.
-    let copies = 3 + usize::from(!window.is_periodic());
-    recovering(gc, st, policy, epoch, health, copies, |st, link, pe| {
-        let exch = sources(st);
-        cutoff::shift_pipeline(gc, window, st, exch, law, domain, boundary, link, pe)
-    })
+    prepare_block(gc, window, st, law, domain, boundary);
+    ca_forces_ft(gc, window, st, law, domain, boundary, policy, epoch, health)
 }
 
 #[cfg(test)]

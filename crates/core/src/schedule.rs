@@ -7,6 +7,12 @@
 //! these schedules at full paper scale (tens of thousands of ranks); the
 //! integration tests verify schedule-vs-execution equivalence by comparing
 //! per-phase message and byte counts against instrumented `ThreadComm` runs.
+//!
+//! The two CA algorithms have one twin, as they have one shift body:
+//! [`CutoffParams::program`] is the schedule modulo a [`Window`], and
+//! [`AllPairsParams`] is it on [`TeamWindow::ring`] with id-block sizes.
+//! Block sizes live in the params, never in a per-rank program — on the
+//! ring they are `O(p/c)` values, and there are `p` programs.
 
 use nbody_comm::{Phase, PHASE_COUNT};
 use nbody_netsim::{CollNet, Op, TeamSpec};
@@ -15,7 +21,7 @@ use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use crate::dist::block_range;
 use crate::grid::ProcGrid;
 use crate::kernel::block_interactions;
-use crate::window::Window;
+use crate::window::{TeamWindow, Window};
 
 /// Wire bytes of a block of `len` particles.
 #[inline]
@@ -23,100 +29,34 @@ fn bytes_of(len: usize) -> u64 {
     (len * PARTICLE_WIRE_BYTES) as u64
 }
 
-/// Parameters of the CA all-pairs schedule (Algorithm 1) under the
-/// id-block distribution of `n` particles.
-#[derive(Debug, Clone)]
-pub struct AllPairsParams {
-    /// Processor grid (validated for all-pairs).
-    pub grid: ProcGrid,
-    /// Total particles.
-    pub n: usize,
-    /// Network used by the team collectives.
-    pub coll_net: CollNet,
+/// Id-block sizes of `n` particles over `teams` teams (the all-pairs
+/// distribution).
+pub(crate) fn id_block_sizes(n: usize, teams: usize) -> Vec<usize> {
+    (0..teams).map(|b| block_range(n, teams, b).len()).collect()
 }
+
+/// Parameters of the CA all-pairs schedule (Algorithm 1) under the
+/// id-block distribution of `n` particles: the CA schedule on the full team
+/// ring with id-block sizes, built once here so that `program` stays lazy
+/// per rank.
+#[derive(Debug, Clone)]
+pub struct AllPairsParams(CutoffParams<TeamWindow>);
 
 impl AllPairsParams {
     /// Uniform all-pairs schedule on `p` ranks with replication `c`.
     pub fn new(p: usize, c: usize, n: usize) -> Self {
-        AllPairsParams {
-            grid: ProcGrid::new_all_pairs(p, c).expect("invalid all-pairs grid"),
-            n,
-            coll_net: CollNet::Torus,
-        }
-    }
-
-    fn block_len(&self, b: usize) -> usize {
-        block_range(self.n, self.grid.teams(), b).len()
+        let grid = ProcGrid::new_all_pairs(p, c).expect("invalid all-pairs grid");
+        let teams = grid.teams();
+        AllPairsParams(CutoffParams::new(
+            grid,
+            TeamWindow::ring(teams),
+            id_block_sizes(n, teams),
+        ))
     }
 
     /// The op stream of `rank`.
     pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
-        let grid = self.grid;
-        let teams = grid.teams();
-        let c = grid.c();
-        let steps = grid.all_pairs_steps();
-        let t = grid.team_of(rank);
-        let k = grid.row_of(rank);
-        let col_team = TeamSpec::new(t, teams, c);
-        let my_bytes = bytes_of(self.block_len(t));
-        let net = self.coll_net;
-
-        let mut prologue: Vec<Op> = Vec::new();
-        if c > 1 {
-            prologue.push(Op::Bcast {
-                team: col_team,
-                bytes: my_bytes,
-                phase: Phase::Broadcast,
-                net,
-            });
-        }
-        if k > 0 {
-            prologue.push(Op::Send {
-                to: grid.rank_at((t + k) % teams, k),
-                bytes: my_bytes,
-                phase: Phase::Skew,
-            });
-            prologue.push(Op::Recv {
-                from: grid.rank_at((t + teams - k) % teams, k),
-                phase: Phase::Skew,
-            });
-        }
-
-        let body = (1..=steps).flat_map(move |s| {
-            // Block held before the s-th shift: t - k - (s-1)c; after: - sc.
-            let cur = (t + 2 * teams - (k + (s - 1) * c) % teams) % teams;
-            let incoming = (t + 2 * teams - (k + s * c) % teams) % teams;
-            [
-                Op::Send {
-                    to: grid.rank_at((t + c) % teams, k),
-                    bytes: bytes_of(self.block_len(cur)),
-                    phase: Phase::Shift,
-                },
-                Op::Recv {
-                    from: grid.rank_at((t + teams - c) % teams, k),
-                    phase: Phase::Shift,
-                },
-                Op::Compute {
-                    interactions: block_interactions(
-                        self.block_len(t),
-                        self.block_len(incoming),
-                        incoming == t,
-                    ),
-                },
-            ]
-        });
-
-        let mut epilogue: Vec<Op> = Vec::new();
-        if c > 1 {
-            epilogue.push(Op::Reduce {
-                team: col_team,
-                bytes: my_bytes,
-                phase: Phase::Reduce,
-                net,
-            });
-        }
-
-        Box::new(prologue.into_iter().chain(body).chain(epilogue))
+        self.0.program(rank)
     }
 }
 
@@ -129,13 +69,15 @@ pub struct ReassignModel {
     pub bytes: u64,
 }
 
-/// Parameters of the CA cutoff schedule (Algorithm 2 and its 2D
-/// generalization) under a spatial distribution with per-team block sizes.
+/// Parameters of the CA schedule — Algorithm 2 and its multi-dimensional
+/// generalization under a spatial distribution with per-team block sizes,
+/// and Algorithm 1 as the same schedule on the full team ring
+/// ([`AllPairsParams`]).
 #[derive(Debug, Clone)]
 pub struct CutoffParams<W: Window> {
     /// Processor grid (cutoff grids only need `c | p`).
     pub grid: ProcGrid,
-    /// The interaction window.
+    /// The window the shifts run modulo.
     pub window: W,
     /// Particles owned by each team (load imbalance flows from here).
     pub block_sizes: Vec<usize>,
@@ -167,8 +109,12 @@ impl<W: Window> CutoffParams<W> {
         self
     }
 
-    /// The op stream of `rank`, mirroring
-    /// [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces) exactly.
+    /// The op stream of `rank`, mirroring the shift body behind
+    /// [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces) and
+    /// [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces) exactly.
+    /// A shift step emits at most four ops from a fixed array — no heap
+    /// allocation per step, which Fig. 2/3 at p = 24,576 would pay
+    /// `p/c²` times per rank.
     pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
         let grid = self.grid;
         let teams = grid.teams();
@@ -207,48 +153,40 @@ impl<W: Window> CutoffParams<W> {
         }
 
         let steps = crate::cutoff::row_steps(w, c, k);
+        // The block held after the skew (None = fell off the edge).
+        let mut cur = window.apply_back(t, k);
         let body = (1..=steps).flat_map(move |s| {
-            let mut ops: Vec<Op> = Vec::with_capacity(4);
             let j_prev = (k + (s - 1) * c) % w;
             let j_new = (k + s * c) % w;
-            let cur = window.apply_back(t, j_prev);
-
-            if let Some(b) = cur {
-                if let Some(holder) = window.apply(b, j_new) {
-                    ops.push(Op::Send {
-                        to: grid.rank_at(holder, k),
-                        bytes: bytes_of(self.block_sizes[b]),
-                        phase: Phase::Shift,
-                    });
-                }
-            }
-            if let Some(needy) = window.apply(t, j_new) {
-                if window.apply(t, j_prev).is_none() {
-                    ops.push(Op::Send {
-                        to: grid.rank_at(needy, k),
-                        bytes: my_bytes,
-                        phase: Phase::Shift,
-                    });
-                }
-            }
+            let send = |to: usize, block: usize| Op::Send {
+                to: grid.rank_at(to, k),
+                bytes: bytes_of(self.block_sizes[block]),
+                phase: Phase::Shift,
+            };
+            // Regular shift of the block held, then the home-route copy of
+            // the own block for a receiver whose regular source fell off
+            // the grid.
             let new_block = window.apply_back(t, j_new);
-            if let Some(b) = new_block {
-                let src = window.apply(b, j_prev).unwrap_or(b);
-                ops.push(Op::Recv {
-                    from: grid.rank_at(src, k),
-                    phase: Phase::Shift,
+            let held = std::mem::replace(&mut cur, new_block);
+            let shift = held.and_then(|b| window.apply(b, j_new).map(|holder| send(holder, b)));
+            let home_route = match window.apply(t, j_prev) {
+                None => window.apply(t, j_new).map(|needy| send(needy, t)),
+                Some(_) => None,
+            };
+            let recv = new_block.map(|b| Op::Recv {
+                from: grid.rank_at(window.apply(b, j_prev).unwrap_or(b), k),
+                phase: Phase::Shift,
+            });
+            let compute = new_block
+                .filter(|_| k + s * c < w + c)
+                .map(|b| Op::Compute {
+                    interactions: block_interactions(
+                        self.block_sizes[t],
+                        self.block_sizes[b],
+                        b == t,
+                    ),
                 });
-                if k + s * c < w + c {
-                    ops.push(Op::Compute {
-                        interactions: block_interactions(
-                            self.block_sizes[t],
-                            self.block_sizes[b],
-                            b == t,
-                        ),
-                    });
-                }
-            }
-            ops
+            [shift, home_route, recv, compute].into_iter().flatten()
         });
 
         let mut epilogue: Vec<Op> = Vec::new();
@@ -260,29 +198,20 @@ impl<W: Window> CutoffParams<W> {
                 net,
             });
         }
-        // Re-assignment: leaders trade migrants with both slab neighbors.
-        if let Some(model) = self.reassign {
-            if k == 0 {
-                for dir in [1i64, -1] {
-                    let nb = t as i64 + dir;
-                    if nb >= 0 && nb < teams as i64 {
-                        epilogue.push(Op::Send {
-                            to: grid.rank_at(nb as usize, 0),
-                            bytes: model.bytes,
-                            phase: Phase::Reassign,
-                        });
-                    }
-                }
-                for dir in [1i64, -1] {
-                    let nb = t as i64 + dir;
-                    if nb >= 0 && nb < teams as i64 {
-                        epilogue.push(Op::Recv {
-                            from: grid.rank_at(nb as usize, 0),
-                            phase: Phase::Reassign,
-                        });
-                    }
-                }
-            }
+        // Re-assignment: leaders trade migrants with both slab neighbors
+        // (east, then west; none across the domain edge).
+        if let (Some(model), 0) = (self.reassign, k) {
+            let slabs = TeamWindow::clipped(&[teams], &[1]);
+            let neighbors = || (1..slabs.len()).filter_map(move |j| slabs.apply(t, j));
+            epilogue.extend(neighbors().map(|nb| Op::Send {
+                to: grid.rank_at(nb, 0),
+                bytes: model.bytes,
+                phase: Phase::Reassign,
+            }));
+            epilogue.extend(neighbors().map(|nb| Op::Recv {
+                from: grid.rank_at(nb, 0),
+                phase: Phase::Reassign,
+            }));
         }
 
         Box::new(prologue.into_iter().chain(body).chain(epilogue))
@@ -491,7 +420,7 @@ pub fn count_ops(program: impl Iterator<Item = Op>) -> OpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{Window1d, Window2d};
+    use crate::window::TeamWindow;
 
     #[test]
     fn all_pairs_schedule_shape() {
@@ -548,7 +477,7 @@ mod tests {
         // Uniform blocks: total interactions = sum over team pairs within
         // the window of len_t * len_b (minus self pairs).
         let grid = ProcGrid::new(16, 2).unwrap();
-        let window = Window1d::new(8, 2);
+        let window = TeamWindow::clipped(&[8], &[2]);
         let sizes = vec![5usize; 8];
         let params = CutoffParams::new(grid, window, sizes.clone());
         let total: u64 = (0..16)
@@ -568,7 +497,7 @@ mod tests {
     #[test]
     fn cutoff_2d_schedule_interactions_match_window() {
         let grid = ProcGrid::new(18, 2).unwrap();
-        let window = Window2d::new(3, 3, 1, 1);
+        let window = TeamWindow::clipped(&[3, 3], &[1, 1]);
         let sizes: Vec<usize> = (0..9).map(|i| 3 + i % 4).collect();
         let params = CutoffParams::new(grid, window, sizes.clone());
         let total: u64 = (0..18)
@@ -590,7 +519,7 @@ mod tests {
     #[test]
     fn reassign_ops_only_on_leaders() {
         let grid = ProcGrid::new(8, 2).unwrap();
-        let window = Window1d::new(4, 1);
+        let window = TeamWindow::clipped(&[4], &[1]);
         let params = CutoffParams::new(grid, window, vec![4; 4])
             .with_reassign(ReassignModel { bytes: 100 });
         for rank in 0..8 {
@@ -640,7 +569,7 @@ mod tests {
 
     #[test]
     fn spatial_halo_schedule_totals() {
-        let window = Window1d::new(6, 2);
+        let window = TeamWindow::clipped(&[6], &[2]);
         let sizes = vec![7usize; 6];
         let params = SpatialHaloParams {
             window,
@@ -736,11 +665,11 @@ impl<W: Window> MidpointParams<W> {
 #[cfg(test)]
 mod midpoint_schedule_tests {
     use super::*;
-    use crate::window::Window1d;
+    use crate::window::TeamWindow;
 
     #[test]
     fn midpoint_message_counts_match_halo_structure() {
-        let window = Window1d::new(8, 1); // span 1 each side
+        let window = TeamWindow::clipped(&[8], &[1]); // span 1 each side
         let params = MidpointParams {
             window,
             block_sizes: vec![5; 8],
@@ -764,11 +693,11 @@ mod midpoint_schedule_tests {
         let teams = 16;
         let sizes = vec![8usize; teams];
         let full = SpatialHaloParams {
-            window: Window1d::from_cutoff(&domain, teams, r_c),
+            window: TeamWindow::from_cutoff(&domain, (teams, 1), false, r_c),
             block_sizes: sizes.clone(),
         };
         let half = MidpointParams {
-            window: Window1d::from_cutoff(&domain, teams, r_c / 2.0),
+            window: TeamWindow::from_cutoff(&domain, (teams, 1), false, r_c / 2.0),
             block_sizes: sizes,
         };
         let rank = teams / 2;

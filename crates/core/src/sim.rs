@@ -15,15 +15,18 @@
 //!
 //! The CA methods share **one** timestep loop (`run_ca_rank`), generic over
 //!
-//! * the **decomposition** (`Layout`): which processor grid, how a leader
-//!   cuts its block out of a full particle set, which [`CutoffWindow`] the
-//!   shifts run modulo, whether leaders re-assign after integrating, and
-//!   — [`Method::shrunk_onto`] — which layout a degraded run continues on;
-//! * the **evaluation** (`Evaluation`): `Plain` calls the strict-link
-//!   drivers and has an uninhabited error type, so the shrink arm, the
-//!   health hooks and the checkpoint sink are erased from its
-//!   monomorphization; `Recovering` calls the fault-tolerant drivers of
-//!   [`recovery`](crate::recovery) under a [`RetryPolicy`], optionally with
+//! * the **decomposition** ([`Layout`]): which processor grid, how a leader
+//!   cuts its block out of a full particle set and orders it, which
+//!   [`TeamWindow`] the shifts run modulo (the full team ring for
+//!   all-pairs), whether leaders re-assign after integrating, and —
+//!   [`Method::shrunk_onto`] — which layout a degraded run continues on. It
+//!   is built once, on the caller's thread, and it is the last place that
+//!   asks which algorithm is running;
+//! * the **evaluation** (`Evaluation`): `Plain` runs the one shift body
+//!   under the strict link and has an uninhabited error type, so the shrink
+//!   arm, the health hooks and the checkpoint sink are erased from its
+//!   monomorphization; `Recovering` runs it under the protocol of
+//!   [`recovery`](crate::recovery) and a [`RetryPolicy`], optionally with
 //!   a durable [`CheckpointConfig`] sink and the [`HealthConfig`] monitors.
 
 use std::convert::Infallible;
@@ -37,23 +40,21 @@ use nbody_physics::particle::reset_forces;
 use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle, Vec2};
 use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invariants};
 
-use crate::allpairs::ca_all_pairs_forces;
 use crate::baselines::{
     force_decomposition_forces, naive_allgather_forces, particle_ring_forces,
     particle_ring_symmetric_forces,
 };
-use crate::cutoff::{ca_cutoff_forces, validate_cutoff};
+use crate::cutoff::{ca_forces, row_steps, validate_cutoff};
 use crate::dist::{id_block_subset, spatial_subset_2d, team_grid_dims, team_of_xy};
 use crate::grid::{GridComms, ProcGrid};
+use crate::kernel::cell_order;
 use crate::midpoint::midpoint_forces;
 use crate::probe::StepProbe;
 use crate::reassign::reassign_particles;
-use crate::recovery::{
-    ca_all_pairs_forces_ft, ca_cutoff_forces_ft, FaultError, HealthMonitor, RecoveryReport,
-    RetryPolicy,
-};
+use crate::recovery::{ca_forces_ft, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
+use crate::schedule::CutoffParams;
 use crate::spatial::spatial_halo_forces;
-use crate::window::CutoffWindow;
+use crate::window::{TeamWindow, Window};
 
 /// Which parallel decomposition evaluates forces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,16 +437,24 @@ where
         validate_run(cfg, method);
         let recovering =
             self.faults.is_some() || self.checkpoint.is_some() || self.health.is_some();
+        // Built once, here: an invalid configuration is one panic on the
+        // caller's thread before any rank is spawned, not one per rank.
+        let lay_out = || {
+            Layout::new(method, self.p, &cfg.domain, cfg.boundary, cfg.law.cutoff())
+                .unwrap_or_else(|e| panic!("invalid {method:?} run on {} ranks: {e}", self.p))
+        };
         let (out, artifacts) = if recovering {
+            let layout = lay_out();
             let (no_faults, default_policy) = (FaultPlan::empty(), RetryPolicy::default());
             let (plan, policy) = self.faults.unwrap_or((&no_faults, &default_policy));
             run_ranks_chaos_with(self.p, plan, self.lenses, |world| {
                 let eval = Recovering::new(world, policy, self.checkpoint, self.health);
-                run_ca_rank(cfg, method, world, initial, eval)
+                run_ca_rank(cfg, method, layout, world, initial, eval)
             })
         } else {
+            let layout = method.is_ca().then(lay_out);
             let (out, artifacts) = run_ranks_with(self.p, self.lenses, |world| {
-                run_rank(cfg, method, world, initial)
+                run_rank(cfg, method, layout, world, initial)
             });
             (out.into_iter().map(Ok).collect(), artifacts)
         };
@@ -531,41 +540,59 @@ fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunRe
 }
 
 /// The decomposition of a CA method on a world of ranks: the processor
-/// grid and, for the cutoff methods, the team grid and the window the
-/// shifts run modulo — the paper's only difference between Algorithms 1
-/// and 2.
+/// grid, the window the shifts run modulo — the paper's only difference
+/// between Algorithms 1 and 2 — and what the leaders' blocks are. The one
+/// place `(method, p, domain, boundary, r_c)` becomes `(grid, team dims,
+/// window)`; after it nothing asks which algorithm is running.
+///
+/// [`Layout::new`] is the validating constructor; the fields are plain
+/// data for callers that report on a layout (`audit`, `chaos`, the figure
+/// and autotuning sweeps, the conformance checker).
 #[derive(Debug, Clone, Copy)]
-struct Layout {
-    grid: ProcGrid,
-    /// `tx × ty` team grid and window of the spatial decompositions (a 1-D
+pub struct Layout {
+    /// The library's name for the method laid out (`ca-all-pairs`,
+    /// `ca-1d-cutoff`, `ca-2d-cutoff`).
+    pub name: &'static str,
+    /// The `p/c × c` processor grid.
+    pub grid: ProcGrid,
+    /// `tx × ty` team grid of the spatial decompositions (a 1-D
     /// decomposition is the `ty = 1` grid); `None` for the id blocks of
     /// all-pairs.
-    spatial: Option<((usize, usize), CutoffWindow)>,
+    pub cells: Option<(usize, usize)>,
+    /// The window the shift body runs modulo: the one `r_c` cuts out of the
+    /// team grid — clipped, or wrapping under periodic boundaries — or, for
+    /// all-pairs, the full team ring (which wraps whatever the boundary:
+    /// the ring orders block ids, not space).
+    pub window: TeamWindow,
 }
 
 impl Layout {
     /// Lay `method` out on `p` ranks, or say why it does not fit.
-    fn new(
+    pub fn new(
         method: Method,
         p: usize,
         domain: &Domain,
         boundary: Boundary,
         r_c: Option<f64>,
     ) -> Result<Layout, String> {
-        let (c, two_d) = match method {
+        let (name, c, two_d) = match method {
             Method::CaAllPairs { c } => {
                 let grid = ProcGrid::new_all_pairs(p, c).map_err(|e| e.to_string())?;
                 return Ok(Layout {
+                    name: "ca-all-pairs",
                     grid,
-                    spatial: None,
+                    cells: None,
+                    window: TeamWindow::ring(grid.teams()),
                 });
             }
-            Method::Ca1dCutoff { c } => (c, false),
-            Method::Ca2dCutoff { c } => (c, true),
+            Method::Ca1dCutoff { c } => ("ca-1d-cutoff", c, false),
+            Method::Ca2dCutoff { c } => ("ca-2d-cutoff", c, true),
             other => {
                 return Err(format!(
-                    "{other:?} is not a CA method; fault tolerance, checkpoints and health \
-                     monitors support ca-all-pairs, ca-1d-cutoff and ca-2d-cutoff"
+                    "{other:?} is not a CA method: it has no processor-grid layout, and with \
+                     it no communication-schedule twin and no fault-tolerant driver (fault \
+                     tolerance, checkpoints, health monitors and conformance checking support \
+                     ca-all-pairs, ca-1d-cutoff and ca-2d-cutoff)"
                 ))
             }
         };
@@ -578,15 +605,34 @@ impl Layout {
         };
         let r_c =
             r_c.ok_or_else(|| format!("{method:?} requires a force law with a cutoff radius"))?;
-        // Periodic boundaries take the wrap-around windows; the paper's
-        // non-periodic setting takes the clipped ones.
-        let window =
-            CutoffWindow::from_cutoff(domain, dims, two_d, boundary == Boundary::Periodic, r_c);
+        // Periodic boundaries take a wrapping window; the paper's
+        // non-periodic setting a clipped one.
+        let window = TeamWindow::from_cutoff(domain, dims, boundary == Boundary::Periodic, r_c);
         validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
         Ok(Layout {
+            name,
             grid,
-            spatial: Some((dims, window)),
+            cells: Some(dims),
+            window,
         })
+    }
+
+    /// Shift steps of row 0, the longest pipeline: `p/c²` on the ring,
+    /// `⌈W/c⌉` under a cutoff.
+    pub fn pipeline_steps(&self) -> usize {
+        row_steps(self.window.len(), self.grid.c(), 0)
+    }
+
+    /// Whether leaders re-assign particles after integrating, so that
+    /// block sizes drift between steps (spatial blocks do, id blocks never).
+    pub fn reassigns(&self) -> bool {
+        self.cells.is_some()
+    }
+
+    /// The schedule twin of one force evaluation on this layout, given the
+    /// particles each team owns.
+    pub fn schedule(&self, block_sizes: Vec<usize>) -> CutoffParams<TeamWindow> {
+        CutoffParams::new(self.grid, self.window, block_sizes)
     }
 
     /// The block this rank owns out of the full set `all`: its team's id
@@ -597,10 +643,20 @@ impl Layout {
         all: &[Particle],
         domain: &Domain,
     ) -> Vec<Particle> {
-        match self.spatial {
+        match self.cells {
             _ if !gc.is_leader() => Vec::new(),
             None => id_block_subset(all, self.grid.teams(), gc.team()),
-            Some(((tx, ty), _)) => spatial_subset_2d(all, domain, tx, ty, gc.team()),
+            Some((tx, ty)) => spatial_subset_2d(all, domain, tx, ty, gc.team()),
+        }
+    }
+
+    /// Put a leader's block in the order its kernel wants before line 2:
+    /// cell order for spatial blocks (what the cutoff cull needs), id order
+    /// as they are for id blocks (their order is the summation order the
+    /// bit-identity oracle pins; ROADMAP 4c decides whether to trade it).
+    fn order<F: ForceLaw>(&self, st: &mut [Particle], law: &F, domain: &Domain) {
+        if self.cells.is_some() {
+            cell_order(st, law, domain);
         }
     }
 }
@@ -665,12 +721,8 @@ impl Evaluation for Plain {
         cfg: &SimConfig<F, I>,
         _step: usize,
     ) -> Result<(RecoveryReport, f64), Infallible> {
-        match &layout.spatial {
-            None => ca_all_pairs_forces(gc, st, &cfg.law, &cfg.domain, cfg.boundary),
-            Some((_, window)) => {
-                ca_cutoff_forces(gc, window, st, &cfg.law, &cfg.domain, cfg.boundary)
-            }
-        }
+        layout.order(st, &cfg.law, &cfg.domain);
+        ca_forces(gc, &layout.window, st, &cfg.law, &cfg.domain, cfg.boundary);
         Ok((RecoveryReport::default(), 0.0))
     }
 
@@ -743,22 +795,18 @@ impl Evaluation for Recovering<'_> {
     ) -> Result<(RecoveryReport, f64), FaultError> {
         let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
         let (epoch, monitor) = (step as u64, self.monitor.as_ref());
-        let (rep, pe) = match &layout.spatial {
-            None => {
-                ca_all_pairs_forces_ft(gc, st, law, domain, boundary, self.policy, epoch, monitor)
-            }
-            Some((_, window)) => ca_cutoff_forces_ft(
-                gc,
-                window,
-                st,
-                law,
-                domain,
-                boundary,
-                self.policy,
-                epoch,
-                monitor,
-            ),
-        }?;
+        layout.order(st, law, domain);
+        let (rep, pe) = ca_forces_ft(
+            gc,
+            &layout.window,
+            st,
+            law,
+            domain,
+            boundary,
+            self.policy,
+            epoch,
+            monitor,
+        )?;
         self.report.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
         // Post-reduction sentinel pass: apply the seeded NaN injection (fire
         // once, on the target rank/step) and scan the freshly reduced force
@@ -1021,6 +1069,7 @@ fn health_reduce<C: Communicator>(
 fn run_ca_rank<F, I, C, E>(
     cfg: &SimConfig<F, I>,
     mut method: Method,
+    mut layout: Layout,
     world: &mut C,
     initial: &[Particle],
     mut eval: E,
@@ -1042,8 +1091,6 @@ where
     // borrowed launch world stays behind only for rank-local telemetry
     // (stats and recorders are shared across splits).
     let mut shrunk: Option<C> = None;
-    let mut layout = Layout::new(method, world.size(), domain, cfg.boundary, r_c)
-        .unwrap_or_else(|e| panic!("invalid {method:?} run on {} ranks: {e}", world.size()));
     let mut gc = GridComms::new(world, layout.grid);
     let mut st = layout.block(&gc, initial, domain);
     for step in 0..cfg.steps {
@@ -1098,7 +1145,7 @@ where
                 cfg.integrator
                     .post_force(&mut st, cfg.dt, domain, cfg.boundary);
             }
-            if let Some(((tx, ty), _)) = layout.spatial {
+            if let Some((tx, ty)) = layout.cells {
                 // Keep the spatial decomposition valid for the next step.
                 let _g = tr.driver_span("reassign", step);
                 reassign_particles(&gc.row, &mut st, |q| {
@@ -1112,7 +1159,7 @@ where
         let (energy, momentum) = eval.after_step(cur, &gc, &st, pe_partial, step)?;
         probe.sample_with(world, step, st.len(), energy, momentum);
     }
-    if layout.spatial.is_some() {
+    if layout.reassigns() {
         world.set_phase(Phase::Other);
     }
     let owned = if gc.is_leader() { st } else { Vec::new() };
@@ -1129,10 +1176,11 @@ fn validate_run<F: ForceLaw, I>(cfg: &SimConfig<F, I>, method: Method) {
 }
 
 /// Per-rank body of a plain run: the CA loop under the [`Plain`]
-/// evaluation, or one of the baselines.
+/// evaluation on the layout a CA method has, or one of the baselines.
 fn run_rank<F, I, C>(
     cfg: &SimConfig<F, I>,
     method: Method,
+    layout: Option<Layout>,
     world: &mut C,
     initial: &[Particle],
 ) -> RankOutcome
@@ -1141,8 +1189,8 @@ where
     I: Integrator,
     C: Communicator,
 {
-    if method.is_ca() {
-        return match run_ca_rank(cfg, method, world, initial, Plain) {
+    if let Some(layout) = layout {
+        return match run_ca_rank(cfg, method, layout, world, initial, Plain) {
             Ok(outcome) => outcome,
             Err(e) => match e {},
         };
@@ -1161,13 +1209,7 @@ where
     let window = method.needs_cutoff().then(|| {
         let r_c = cfg.law.cutoff().expect("validate_run checked the law");
         let reach = if midpoint { r_c / 2.0 } else { r_c };
-        CutoffWindow::from_cutoff(
-            domain,
-            (tx, ty),
-            two_d,
-            cfg.boundary == Boundary::Periodic,
-            reach,
-        )
+        TeamWindow::from_cutoff(domain, (tx, ty), cfg.boundary == Boundary::Periodic, reach)
     });
     // Force decomposition keeps particles on the diagonal of its √p × √p
     // grid only; everywhere else every rank owns (and integrates) a block.

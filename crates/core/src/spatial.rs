@@ -69,7 +69,7 @@ pub fn spatial_halo_forces<C: Communicator, W: Window, F: ForceLaw>(
 mod tests {
     use super::*;
     use crate::dist::{spatial_subset_1d, spatial_subset_2d, team_grid_dims};
-    use crate::window::{Window1d, Window2d};
+    use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
     use nbody_physics::{init, reference, Counting, Cutoff};
 
@@ -83,7 +83,7 @@ mod tests {
         reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
 
         for p in [2, 4, 8] {
-            let window = Window1d::from_cutoff(&domain, p, r_c);
+            let window = TeamWindow::from_cutoff(&domain, (p, 1), false, r_c);
             let out = run_ranks(p, |world| {
                 let all = init::uniform_1d(n, &domain, 4);
                 let mut my = spatial_subset_1d(&all, &domain, p, world.rank());
@@ -110,7 +110,7 @@ mod tests {
 
         let p = 8;
         let (tx, ty) = team_grid_dims(p);
-        let window = Window2d::from_cutoff(&domain, tx, ty, r_c);
+        let window = TeamWindow::from_cutoff(&domain, (tx, ty), false, r_c);
         let out = run_ranks(p, |world| {
             let all = init::uniform(n, &domain, 6);
             let mut my = spatial_subset_2d(&all, &domain, tx, ty, world.rank());
@@ -129,7 +129,7 @@ mod tests {
         let domain = Domain::unit();
         let p = 8;
         let r_c = 0.2; // m = 2 on 8 slabs
-        let window = Window1d::from_cutoff(&domain, p, r_c);
+        let window = TeamWindow::from_cutoff(&domain, (p, 1), false, r_c);
         let law = Cutoff::new(Counting, r_c);
         let stats = run_ranks(p, |world| {
             let all = init::uniform_1d(40, &domain, 1);
@@ -138,7 +138,7 @@ mod tests {
             world.stats()
         });
         // Interior ranks send to all 2m neighbors; edges fewer.
-        let m = window.m() as u64;
+        let m = window.spans()[0] as u64;
         let max = stats.iter().map(|s| s.phase(Phase::Shift).messages).max();
         assert_eq!(max, Some(2 * m));
         let min = stats.iter().map(|s| s.phase(Phase::Shift).messages).min();

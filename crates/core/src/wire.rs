@@ -1,9 +1,11 @@
 //! Expected wire-traffic derivation for schedule conformance checking.
 //!
-//! The schedule generators in [`schedule`](crate::schedule) already emit
-//! each algorithm's exact per-rank operation stream for the discrete-event
-//! simulator. This module re-uses them to predict the point-to-point
-//! message multiset a *real* probed run should put on the wire, in the form
+//! The CA schedule generator in [`schedule`](crate::schedule) already emits
+//! the exact per-rank operation stream of a [`Layout`] for the
+//! discrete-event simulator (one generator: all-pairs is the cutoff
+//! schedule on the full team ring). This module re-uses it to predict the
+//! point-to-point message multiset a *real* probed run — laid out by the
+//! same `Layout::new` — should put on the wire, in the form
 //! the conformance checker in `nbody-wireprobe` consumes: one
 //! [`ExpectedMsg`] per skew/shift send, with payload sizes in particle
 //! counts (the unit both the schedule's 52-byte wire math and the
@@ -14,12 +16,8 @@ use nbody_netsim::Op;
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{Boundary, Domain};
 
-use crate::cutoff::validate_cutoff;
-use crate::dist::{block_range, team_grid_dims};
-use crate::grid::ProcGrid;
-use crate::schedule::{AllPairsParams, CutoffParams};
-use crate::sim::Method;
-use crate::window::CutoffWindow;
+use crate::schedule::id_block_sizes;
+use crate::sim::{Layout, Method};
 
 /// Run parameters the expected schedule is derived from — the same inputs
 /// that configure [`run_distributed`](crate::sim::run_distributed), minus
@@ -43,37 +41,31 @@ pub struct WireScheduleSpec {
     pub cutoff: Option<f64>,
 }
 
-/// Derive the per-run expected message multiset for `spec`.
+/// Derive the per-run expected message multiset for `spec`: the checked
+/// sends of the schedule of the run's own [`Layout`], once per timestep.
 ///
-/// * [`Method::CaAllPairs`]: full size checking — the id-block
-///   distribution is static, so every skew/shift payload is predicted
-///   exactly, repeated once per timestep.
-/// * [`Method::Ca1dCutoff`] / [`Method::Ca2dCutoff`]: count-only checking
-///   (`size_checked = false`) — re-assignment drifts the per-team block
-///   sizes between steps, but the window structure (who talks to whom, how
-///   many times) is static.
-/// * Other methods have no CA schedule twin and return `Err`.
+/// * Layouts that never re-assign (id blocks — [`Method::CaAllPairs`]) get
+///   full size checking: the distribution is static, so every skew/shift
+///   payload is predicted exactly.
+/// * Layouts that do ([`Method::Ca1dCutoff`] / [`Method::Ca2dCutoff`]) get
+///   count-only checking (`size_checked = false`) — re-assignment drifts
+///   the per-team block sizes between steps, but the window structure (who
+///   talks to whom, how many times) is static. Any placeholder sizes work
+///   then; the id-block ones are used.
+/// * Methods without a layout have no CA schedule twin and return `Err`.
 pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, String> {
-    match spec.method {
-        Method::CaAllPairs { c } => all_pairs_schedule(spec, c),
-        Method::Ca1dCutoff { c } => cutoff_schedule(spec, c, false),
-        Method::Ca2dCutoff { c } => cutoff_schedule(spec, c, true),
-        m => Err(format!(
-            "{m:?} has no communication-schedule twin; conformance checking supports \
-             the CA methods (ca-all-pairs, ca-1d-cutoff, ca-2d-cutoff)"
-        )),
-    }
-}
-
-/// Collect the checked-phase sends of one force evaluation of `program`,
-/// repeated `steps` times (per-rank program order within each step).
-fn sends_per_step<'a, F>(p: usize, steps: usize, program: F) -> Vec<ExpectedMsg>
-where
-    F: Fn(usize) -> Box<dyn Iterator<Item = Op> + 'a>,
-{
+    let layout = Layout::new(
+        spec.method,
+        spec.p,
+        &spec.domain,
+        spec.boundary,
+        spec.cutoff,
+    )?;
+    let params = layout.schedule(id_block_sizes(spec.n, layout.grid.teams()));
+    // Per-rank program order within a step.
     let mut per_step: Vec<ExpectedMsg> = Vec::new();
-    for rank in 0..p {
-        for op in program(rank) {
+    for rank in 0..spec.p {
+        for op in params.program(rank) {
             if let Op::Send { to, bytes, phase } = op {
                 per_step.push(ExpectedMsg {
                     src: rank as u32,
@@ -84,61 +76,30 @@ where
             }
         }
     }
-    let mut msgs = Vec::with_capacity(per_step.len() * steps);
-    for _ in 0..steps {
+    let mut msgs = Vec::with_capacity(per_step.len() * spec.steps);
+    for _ in 0..spec.steps {
         msgs.extend_from_slice(&per_step);
     }
-    msgs
-}
-
-fn all_pairs_schedule(spec: &WireScheduleSpec, c: usize) -> Result<ExpectedSchedule, String> {
-    ProcGrid::new_all_pairs(spec.p, c).map_err(|e| e.to_string())?;
-    let params = AllPairsParams::new(spec.p, c, spec.n);
-    let msgs = sends_per_step(spec.p, spec.steps, |rank| params.program(rank));
+    let mut detail = format!(
+        "{}{} n={} p={} c={} steps={}",
+        layout.name,
+        if spec.boundary == Boundary::Periodic {
+            " (periodic)"
+        } else {
+            ""
+        },
+        spec.n,
+        spec.p,
+        layout.grid.c(),
+        spec.steps
+    );
+    if let Some(r_c) = spec.cutoff {
+        detail.push_str(&format!(" cutoff={r_c}"));
+    }
     Ok(ExpectedSchedule {
         msgs,
-        size_checked: true,
-        detail: format!(
-            "ca-all-pairs n={} p={} c={} steps={}",
-            spec.n, spec.p, c, spec.steps
-        ),
-    })
-}
-
-fn cutoff_schedule(
-    spec: &WireScheduleSpec,
-    c: usize,
-    two_d: bool,
-) -> Result<ExpectedSchedule, String> {
-    let r_c = spec.cutoff.ok_or_else(|| {
-        format!("{:?} needs a cutoff radius to size the window", spec.method)
-    })?;
-    let grid = ProcGrid::new(spec.p, c).map_err(|e| e.to_string())?;
-    let teams = grid.teams();
-    let periodic = spec.boundary == Boundary::Periodic;
-    let dims = if two_d {
-        team_grid_dims(teams)
-    } else {
-        (teams, 1)
-    };
-    let window = CutoffWindow::from_cutoff(&spec.domain, dims, two_d, periodic, r_c);
-    validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
-    // Block sizes are data-dependent (re-assignment); any placeholder
-    // works because count-only mode ignores payload sizes.
-    let block_sizes: Vec<usize> = (0..teams)
-        .map(|b| block_range(spec.n, teams, b).len())
-        .collect();
-    let params = CutoffParams::new(grid, window, block_sizes);
-    let msgs = sends_per_step(spec.p, spec.steps, |rank| params.program(rank));
-    Ok(ExpectedSchedule {
-        msgs,
-        size_checked: false,
-        detail: format!(
-            "{}{} n={} p={} c={} steps={} cutoff={}",
-            if two_d { "ca-2d-cutoff" } else { "ca-1d-cutoff" },
-            if periodic { " (periodic)" } else { "" },
-            spec.n, spec.p, c, spec.steps, r_c
-        ),
+        size_checked: !layout.reassigns(),
+        detail,
     })
 }
 

@@ -7,7 +7,7 @@
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{AllPairsParams, CutoffParams};
-use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, Window1d};
+use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
 use nbody_comm::{run_ranks_with, CommStats, Communicator, Lenses, MetricsSnapshot, Phase};
 use nbody_netsim::{hopper, simulate_traced, Trace, TraceKind};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
@@ -135,7 +135,7 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
     let n = 64;
     for (p, c, r_c) in [(4, 1, 0.2), (8, 2, 0.2), (12, 3, 0.3), (16, 2, 0.15)] {
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         let law = Cutoff::new(Counting, r_c);
         let all = init::uniform_1d(n, &domain, 77);
         let block_sizes: Vec<usize> = (0..grid.teams())

@@ -6,7 +6,7 @@
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims};
 use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts, ParticleRingParams};
-use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, Window1d, Window2d};
+use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
 use nbody_comm::{run_ranks, CommStats, Communicator, Phase, ALL_PHASES};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{init, Boundary, Counting, Cutoff, Domain};
@@ -64,7 +64,7 @@ fn cutoff_1d_schedule_matches_execution() {
     let n = 64;
     for (p, c, r_c) in [(4, 1, 0.2), (8, 2, 0.2), (12, 3, 0.3), (16, 2, 0.15)] {
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         let law = Cutoff::new(Counting, r_c);
         let all = init::uniform_1d(n, &domain, 77);
         let block_sizes: Vec<usize> = (0..grid.teams())
@@ -97,7 +97,7 @@ fn cutoff_2d_schedule_matches_execution() {
     for (p, c, r_c) in [(4, 1, 0.3), (8, 2, 0.3), (18, 2, 0.25)] {
         let grid = ProcGrid::new(p, c).unwrap();
         let (tx, ty) = team_grid_dims(grid.teams());
-        let window = Window2d::from_cutoff(&domain, tx, ty, r_c);
+        let window = TeamWindow::from_cutoff(&domain, (tx, ty), false, r_c);
         if ca_nbody::cutoff::validate_cutoff(&window, grid.teams(), c).is_err() {
             continue;
         }
@@ -156,7 +156,7 @@ fn schedules_simulate_without_deadlock() {
         assert!(rep.mean().phase(Phase::Shift) > 0.0);
 
         let grid = ProcGrid::new(16, 2).unwrap();
-        let window = Window1d::new(8, 2);
+        let window = TeamWindow::clipped(&[8], &[2]);
         let cp = CutoffParams::new(grid, window, vec![8; 8])
             .with_reassign(ca_nbody::schedule::ReassignModel { bytes: 52 });
         let rep = simulate(&machine, 16, |r| cp.program(r));

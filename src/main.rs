@@ -147,13 +147,12 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use ca_nbody::autotune::{autotune_all_pairs, autotune_cutoff_1d};
-use ca_nbody::cutoff::validate_cutoff;
 use ca_nbody::kernel::ComputeStats;
 use ca_nbody::schedule::{count_ops, AllPairsParams};
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{
-    expected_schedule, run_distributed, run_serial, CheckpointConfig, Method, ProcGrid, Run,
-    RunResult, SimConfig, Window, Window1d, WireScheduleSpec,
+    expected_schedule, run_distributed, run_serial, CheckpointConfig, Layout, Method, ProcGrid,
+    Run, RunResult, SimConfig, WireScheduleSpec,
 };
 use nbody_durable::{load_latest, RunFingerprint};
 use nbody_analyze::{
@@ -409,6 +408,12 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
         dt,
         steps,
     };
+    if method.is_ca() {
+        if let Err(e) = Layout::new(method, p, &cfg.domain, boundary, cfg.law.cutoff()) {
+            eprintln!("c={c} is not usable with p={p}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     let mut initial = if law_name == "lj" {
         init::lattice(n, &cfg.domain)
     } else {
@@ -1157,19 +1162,14 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
     }
 
     let domain = Domain::unit();
-    // A c is auditable if its processor grid is valid (and, with a cutoff,
-    // the replication fits inside the interaction window).
-    let usable = |c: usize| -> Result<(), String> {
-        if cutoff_frac > 0.0 {
-            let grid = ProcGrid::new(p, c).map_err(|e| e.to_string())?;
-            let window = Window1d::from_cutoff(&domain, grid.teams(), cutoff_frac);
-            validate_cutoff(&window, grid.teams(), c).map_err(|e| e.to_string())
-        } else {
-            ProcGrid::new_all_pairs(p, c)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
+    let boundary = Boundary::Reflective;
+    let r_c = (cutoff_frac > 0.0).then_some(cutoff_frac);
+    let method_for = |c: usize| match r_c {
+        Some(_) => Method::Ca1dCutoff { c },
+        None => Method::CaAllPairs { c },
     };
+    // A c is auditable if the audited run lays out with it.
+    let usable = |c: usize| Layout::new(method_for(c), p, &domain, boundary, r_c).map(|_| ());
     let cs: Vec<usize> = match opts.get("c") {
         Some(v) => {
             let Ok(c) = v.parse::<usize>() else {
@@ -1227,19 +1227,16 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
             strength: 1e-3,
             softening: 1e-3,
         };
-        let (law, method) = if cutoff_frac > 0.0 {
-            (
-                AnyLaw::RepulsiveCutoff(Cutoff::new(base_law, cutoff_frac)),
-                Method::Ca1dCutoff { c },
-            )
-        } else {
-            (AnyLaw::Repulsive(base_law), Method::CaAllPairs { c })
+        let method = method_for(c);
+        let law = match r_c {
+            Some(r_c) => AnyLaw::RepulsiveCutoff(Cutoff::new(base_law, r_c)),
+            None => AnyLaw::Repulsive(base_law),
         };
         let cfg = SimConfig {
             law,
             integrator: SemiImplicitEuler,
             domain,
-            boundary: Boundary::Reflective,
+            boundary,
             dt: 0.001,
             steps,
         };
@@ -1260,8 +1257,8 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
                 p,
                 steps,
                 domain,
-                boundary: Boundary::Reflective,
-                cutoff: (cutoff_frac > 0.0).then_some(cutoff_frac),
+                boundary,
+                cutoff: r_c,
             };
             match expected_schedule(&spec) {
                 Ok(expected) => {
@@ -1568,6 +1565,45 @@ fn check_shrunk(
     }
 }
 
+/// What `chaos` and `soak` inject faults into: the reflective unit-box run
+/// of `method_name` with replication `c` on `p` ranks, and the row-0 shift
+/// steps of its layout (the kill schedules' step range). `Err` says why the
+/// method does not lay out.
+fn chaos_target(
+    method_name: &str,
+    p: usize,
+    c: usize,
+    r_c: f64,
+    steps: usize,
+) -> Result<(SimConfig<AnyLaw, SemiImplicitEuler>, Method, usize), String> {
+    let base_law = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 1e-3,
+    };
+    let (method, law) = match method_name {
+        "ca" => (Method::CaAllPairs { c }, AnyLaw::Repulsive(base_law)),
+        "ca-cutoff-1d" => (
+            Method::Ca1dCutoff { c },
+            AnyLaw::RepulsiveCutoff(Cutoff::new(base_law, r_c)),
+        ),
+        other => {
+            return Err(format!(
+                "unsupported method '{other}' (use ca or ca-cutoff-1d)"
+            ))
+        }
+    };
+    let cfg = SimConfig {
+        law,
+        integrator: SemiImplicitEuler,
+        domain: Domain::unit(),
+        boundary: Boundary::Reflective,
+        dt: 0.005,
+        steps,
+    };
+    let layout = Layout::new(method, p, &cfg.domain, cfg.boundary, cfg.law.cutoff())?;
+    Ok((cfg, method, layout.pipeline_steps()))
+}
+
 fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let n: usize = get(opts, "n", 192);
     let p: usize = get(opts, "p", 8);
@@ -1612,59 +1648,13 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         }
     }
 
-    let domain = Domain::unit();
-    let base_law = RepulsiveInverseSquare {
-        strength: 1e-3,
-        softening: 1e-3,
-    };
-    let (method, law, pipeline_steps) = match method_name {
-        "ca" => {
-            let grid = match ProcGrid::new_all_pairs(p, c) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("chaos: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            (
-                Method::CaAllPairs { c },
-                AnyLaw::Repulsive(base_law),
-                grid.all_pairs_steps(),
-            )
-        }
-        "ca-cutoff-1d" => {
-            let grid = match ProcGrid::new(p, c) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("chaos: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cutoff: f64 = get(opts, "cutoff", 0.25);
-            let window = Window1d::from_cutoff(&domain, grid.teams(), cutoff);
-            if let Err(e) = validate_cutoff(&window, grid.teams(), c) {
-                eprintln!("chaos: {e}");
-                return ExitCode::FAILURE;
-            }
-            (
-                Method::Ca1dCutoff { c },
-                AnyLaw::RepulsiveCutoff(Cutoff::new(base_law, cutoff)),
-                ca_nbody::cutoff::row_steps(window.len(), c, 0),
-            )
-        }
-        other => {
-            eprintln!("chaos: unsupported method '{other}' (use ca or ca-cutoff-1d)");
+    let r_c: f64 = get(opts, "cutoff", 0.25);
+    let (cfg, method, pipeline_steps) = match chaos_target(method_name, p, c, r_c, steps) {
+        Ok(target) => target,
+        Err(e) => {
+            eprintln!("chaos: {e}");
             return ExitCode::FAILURE;
         }
-    };
-
-    let cfg = SimConfig {
-        law,
-        integrator: SemiImplicitEuler,
-        domain,
-        boundary: Boundary::Reflective,
-        dt: 0.005,
-        steps,
     };
     let initial = init::uniform(n, &cfg.domain, seed);
     // The sweep asserts exact attempt counts, so it pins the fully
@@ -2055,57 +2045,12 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let r_c: f64 = get(opts, "cutoff", 0.25);
     let method_name = opts.get("method").map(String::as_str).unwrap_or("ca");
 
-    let domain = Domain::unit();
-    let base_law = RepulsiveInverseSquare {
-        strength: 1e-3,
-        softening: 1e-3,
-    };
-    let (method, law, pipeline_steps) = match method_name {
-        "ca" => {
-            let grid = match ProcGrid::new_all_pairs(p, c) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("soak: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            (
-                Method::CaAllPairs { c },
-                AnyLaw::Repulsive(base_law),
-                grid.all_pairs_steps(),
-            )
-        }
-        "ca-cutoff-1d" => {
-            let grid = match ProcGrid::new(p, c) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("soak: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
-            if let Err(e) = validate_cutoff(&window, grid.teams(), c) {
-                eprintln!("soak: {e}");
-                return ExitCode::FAILURE;
-            }
-            (
-                Method::Ca1dCutoff { c },
-                AnyLaw::RepulsiveCutoff(Cutoff::new(base_law, r_c)),
-                ca_nbody::cutoff::row_steps(window.len(), c, 0),
-            )
-        }
-        other => {
-            eprintln!("soak: unsupported method '{other}' (use ca or ca-cutoff-1d)");
+    let (cfg, method, pipeline_steps) = match chaos_target(method_name, p, c, r_c, steps) {
+        Ok(target) => target,
+        Err(e) => {
+            eprintln!("soak: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    let cfg = SimConfig {
-        law,
-        integrator: SemiImplicitEuler,
-        domain,
-        boundary: Boundary::Reflective,
-        dt: 0.005,
-        steps,
     };
     let initial = init::uniform(n, &cfg.domain, seed);
     // Unlike the deterministic `chaos` sweep, the soak exercises the

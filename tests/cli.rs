@@ -399,6 +399,41 @@ fn audit_rejects_invalid_replication_factor() {
 }
 
 #[test]
+fn run_rejects_an_invalid_layout_with_one_line_not_one_panic_per_rank() {
+    // c does not divide p; c does not divide p on a cutoff method; c exceeds
+    // the window. Each used to panic on every rank thread (exit 101).
+    for (args, why) in [
+        (&["run", "n=64", "p=4", "c=3"][..], "must divide p=4"),
+        (
+            &["run", "method=ca-cutoff-1d", "n=64", "p=8", "c=3"],
+            "must divide p=8",
+        ),
+        (
+            &[
+                "run",
+                "method=ca-cutoff-1d",
+                "n=64",
+                "p=8",
+                "c=4",
+                "cutoff=0.05",
+            ],
+            "must fit inside the cutoff window",
+        ),
+    ] {
+        let out = cli().args(args).output().expect("launch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.matches("is not usable with").count(),
+            1,
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn audit_writes_csv_and_json_reports() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_audit_out_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -6,7 +6,7 @@
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams};
-use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, Window, Window1d};
+use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
 use nbody_comm::run_ranks;
 use nbody_physics::{init, Boundary, Counting, Cutoff, Domain, Particle};
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ proptest! {
         let domain = Domain::unit();
         let r_c = rc_percent as f64 / 100.0;
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = Window1d::from_cutoff(&domain, grid.teams(), r_c);
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
         prop_assume!(ca_nbody::cutoff::validate_cutoff(&window, grid.teams(), c).is_ok());
         let law = Cutoff::new(Counting, r_c);
 
@@ -113,7 +113,7 @@ proptest! {
                                                     sizes_seed in 0u64..100) {
         let p = teams * c;
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = Window1d::new(teams, m);
+        let window = TeamWindow::clipped(&[teams], &[m]);
         prop_assume!(c <= window.len());
         // Irregular block sizes.
         let sizes: Vec<usize> = (0..teams)
@@ -138,7 +138,7 @@ proptest! {
     fn window_traversal_covers_offsets_exactly_once(teams in 1usize..15,
                                                     m in 0usize..7,
                                                     c in 1usize..6) {
-        let window = Window1d::new(teams, m);
+        let window = TeamWindow::clipped(&[teams], &[m]);
         prop_assume!(c <= window.len());
         let w = window.len();
         // Union over rows of first-wrap positions must cover 0..w once.
@@ -165,9 +165,8 @@ proptest! {
         mx in 0usize..4,
         my in 0usize..4,
     ) {
-        use ca_nbody::Window2d;
-        let w = Window2d::new(tx, ty, mx, my);
-        let (mx, my) = w.spans();
+        let w = TeamWindow::clipped(&[tx, ty], &[mx, my]);
+        let [mx, my, _] = w.spans();
         for t in 0..w.teams() {
             let (cx, cy) = (t % tx, t / tx);
             let mut hits = std::collections::HashSet::new();
@@ -189,8 +188,7 @@ proptest! {
         dims in (1usize..5, 1usize..5, 1usize..5),
         spans in (0usize..3, 0usize..3, 0usize..3),
     ) {
-        use ca_nbody::{Window, Window3d};
-        let w = Window3d::new([dims.0, dims.1, dims.2], [spans.0, spans.1, spans.2]);
+        let w = TeamWindow::clipped(&[dims.0, dims.1, dims.2], &[spans.0, spans.1, spans.2]);
         for t in 0..w.teams() {
             for j in 0..w.len() {
                 // apply and apply_back are mutually inverse where defined.
@@ -205,6 +203,45 @@ proptest! {
         }
     }
 
+    /// Fig. 5's recipe, checkable: a k-D window is k 1-D windows, positions
+    /// and teams both split x-fastest and mapped back row-major. With a
+    /// unit last axis that makes the 3-axis window the 2-D one, position by
+    /// position — the run path's 1-D and 2-D windows are this code.
+    #[test]
+    fn k_axis_window_is_k_one_axis_windows_mapped_back(
+        dims in (1usize..5, 1usize..5, 1usize..4),
+        spans in (0usize..4, 0usize..4, 0usize..3),
+        wraps in any::<bool>(),
+    ) {
+        let (dims, spans) = ([dims.0, dims.1, dims.2], [spans.0, spans.1, spans.2]);
+        let build = |d: &[usize], m: &[usize]| {
+            if wraps { TeamWindow::wrapping(d, m) } else { TeamWindow::clipped(d, m) }
+        };
+        let w = build(&dims, &spans);
+        prop_assert_eq!(w.is_periodic(), wraps);
+        let axes = [0, 1, 2].map(|i| build(&dims[i..=i], &spans[i..=i]));
+        let widths = axes.map(|a| a.len());
+        prop_assert_eq!(w.len(), widths.iter().product::<usize>());
+        prop_assert_eq!(w.teams(), dims.iter().product::<usize>());
+        let split = |i: usize, by: [usize; 3]| [i % by[0], (i / by[0]) % by[1], i / (by[0] * by[1])];
+        let recombine = |moved: [Option<usize>; 3]| match moved {
+            [Some(x), Some(y), Some(z)] => Some((z * dims[1] + y) * dims[0] + x),
+            _ => None,
+        };
+        for t in 0..w.teams() {
+            let at = split(t, dims);
+            for j in 0..w.len() {
+                let js = split(j, widths);
+                let forth = [0, 1, 2].map(|i| axes[i].apply(at[i], js[i]));
+                let back = [0, 1, 2].map(|i| axes[i].apply_back(at[i], js[i]));
+                prop_assert_eq!(w.apply(t, j), recombine(forth), "t={} j={}", t, j);
+                prop_assert_eq!(w.apply_back(t, j), recombine(back), "t={} j={}", t, j);
+            }
+        }
+        prop_assert_eq!(build(&[dims[0], dims[1], 1], &spans), build(&dims[..2], &spans[..2]));
+        prop_assert_eq!(build(&[dims[0], 1, 1], &spans), build(&dims[..1], &spans[..1]));
+    }
+
     #[test]
     fn periodic_window_traversal_counts_each_wrap_pair_once(
         teams in 1usize..10,
@@ -213,10 +250,9 @@ proptest! {
         base_size in 1usize..6,
     ) {
         use ca_nbody::schedule::{count_ops, CutoffParams};
-        use ca_nbody::{Window, Window1dPeriodic};
         let p = teams * c;
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = Window1dPeriodic::new(teams, m);
+        let window = TeamWindow::wrapping(&[teams], &[m]);
         prop_assume!(c <= window.len());
         let sizes: Vec<usize> = (0..teams).map(|t| base_size + t % 3).collect();
         let params = CutoffParams::new(grid, window, sizes.clone());
