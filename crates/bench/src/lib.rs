@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use ca_nbody::dist::{block_range, team_of_x, team_of_xy};
+use ca_nbody::dist::{team_of_x, team_of_xy};
 use ca_nbody::schedule::{AllPairsParams, AllgatherParams, ReassignModel};
 use ca_nbody::{Layout, Method, ProcGrid};
 use nbody_comm::Phase;
@@ -183,11 +183,6 @@ fn sample_plan(n: usize) -> (usize, usize) {
         let scale = n.div_ceil(CAP);
         (n / scale, scale)
     }
-}
-
-/// Uniform id-block sizes (all-pairs distribution).
-pub fn uniform_block_sizes(n: usize, teams: usize) -> Vec<usize> {
-    (0..teams).map(|t| block_range(n, teams, t).len()).collect()
 }
 
 /// Valid all-pairs replication factors among the requested candidates.

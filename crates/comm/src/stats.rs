@@ -36,8 +36,13 @@ pub struct PhaseCounters {
     /// difference between the logical collective count and what actually
     /// hit the wire.
     pub collective_messages: u64,
-    /// Wall-clock seconds spent blocked waiting for data in this phase.
+    /// Wall-clock seconds spent blocked waiting for data in this phase:
+    /// receive posted to envelope matched, polled or asleep.
     pub blocked_secs: f64,
+    /// Receives that ran out of poll budget and put their thread to sleep —
+    /// the clock-free companion of `blocked_secs`: a count of the wake-ups
+    /// the phase paid for, whatever each one cost.
+    pub parked: u64,
 }
 
 impl PhaseCounters {
@@ -50,6 +55,7 @@ impl PhaseCounters {
         self.collective_bytes += other.collective_bytes;
         self.collective_messages += other.collective_messages;
         self.blocked_secs += other.blocked_secs;
+        self.parked += other.parked;
     }
 }
 
@@ -106,6 +112,11 @@ impl CommStats {
         self.phases[self.current].blocked_secs += secs;
     }
 
+    /// Record one receive that stopped polling and slept.
+    pub fn record_parked(&mut self) {
+        self.phases[self.current].parked += 1;
+    }
+
     /// Counters for one phase.
     pub fn phase(&self, phase: Phase) -> &PhaseCounters {
         &self.phases[phase.index()]
@@ -141,6 +152,11 @@ impl CommStats {
         self.phases.iter().map(|c| c.blocked_secs).sum()
     }
 
+    /// Total receives that parked across phases.
+    pub fn total_parked(&self) -> u64 {
+        self.phases.iter().map(|c| c.parked).sum()
+    }
+
     /// Merge another rank's statistics into this one (for aggregation).
     pub fn merge(&mut self, other: &CommStats) {
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
@@ -163,6 +179,7 @@ mod tests {
         s.record_collective(7, 56);
         s.record_collective_message();
         s.record_blocked(0.5);
+        s.record_parked();
 
         assert_eq!(s.phase(Phase::Shift).messages, 2);
         assert_eq!(s.phase(Phase::Shift).elements, 15);
@@ -172,11 +189,14 @@ mod tests {
         assert_eq!(s.phase(Phase::Reduce).collective_bytes, 56);
         assert_eq!(s.phase(Phase::Reduce).collective_messages, 1);
         assert_eq!(s.phase(Phase::Reduce).blocked_secs, 0.5);
+        assert_eq!(s.phase(Phase::Reduce).parked, 1);
+        assert_eq!(s.phase(Phase::Shift).parked, 0);
         assert_eq!(s.phase(Phase::Broadcast).messages, 0);
         assert_eq!(s.total_messages(), 2);
         assert_eq!(s.total_elements(), 15);
         assert_eq!(s.total_bytes(), 120);
         assert_eq!(s.total_collectives(), 1);
+        assert_eq!(s.total_parked(), 1);
     }
 
     #[test]
@@ -196,11 +216,16 @@ mod tests {
         b.set_phase(Phase::Shift);
         b.record_send(6, 48);
         b.record_blocked(1.0);
+        a.record_parked();
+        b.record_parked();
+        b.record_parked();
         a.merge(&b);
         assert_eq!(a.phase(Phase::Shift).messages, 2);
         assert_eq!(a.phase(Phase::Shift).elements, 10);
         assert_eq!(a.phase(Phase::Shift).bytes, 80);
         assert_eq!(a.phase(Phase::Shift).blocked_secs, 1.0);
+        assert_eq!(a.phase(Phase::Shift).parked, 3);
+        assert_eq!(a.total_parked(), 3);
     }
 
     #[test]

@@ -19,6 +19,26 @@
 //!   identically.
 //! * Receives have a generous timeout; a deadlocked protocol panics with a
 //!   diagnostic instead of hanging the test suite.
+//! * A receive polls before it parks. The channel (the vendored stand-in
+//!   over `std::sync::mpsc`) parks a thread on an empty inbox, and being
+//!   woken costs 21–27 µs against the 2 µs a small block's kernel call
+//!   takes: two ranks that park on each other run one at a time. So every
+//!   receive — `recv`, `try_recv_timeout`, and the internal ones of the
+//!   collectives and `split`, strict and relaxed matching alike, because
+//!   all of them end in `Endpoint::try_recv_matching` — first polls its
+//!   inbox with `try_recv` for up to `POLL` (50 µs ≈ twice the wake-up it
+//!   saves; spin-then-block), filing non-matching envelopes under `pending`
+//!   as the parked loop does, and only then sleeps in `recv_timeout`. The
+//!   poll is wall time inside the caller's deadline. Between polls the
+//!   thread calls `yield_now`, not `spin_loop`: with more ranks than cores
+//!   the awaited sender may need this CPU, and a spinner that holds it
+//!   delays the very message it is waiting for (DESIGN.md §17 has the
+//!   measurements). There is no knob; a receive has one path.
+//! * Blocked time ([`PhaseCounters::blocked_secs`](crate::PhaseCounters),
+//!   the trace's `Blocked` spans) runs from receive posted to envelope
+//!   matched, polled or asleep. Its clock-free companion is
+//!   [`PhaseCounters::parked`](crate::PhaseCounters): the receives that ran
+//!   out of poll budget and slept.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -189,11 +209,25 @@ struct Endpoint {
     pending: HashMap<(u64, usize), VecDeque<Envelope>>,
 }
 
+/// How long a receive polls its inbox before it parks: about twice the
+/// parked hand-off it replaces (21–27 µs for a 1 KB `sendrecv`,
+/// `comm.sendrecv_ns` on `allpairs_latency`) — the competitive
+/// spin-then-block rule, under which a receive that parks after all has
+/// spent at most twice what parking at once would have cost it.
+/// Measured, the step time is flat from 10 µs to 1 ms and climbs below
+/// (2 µs: the poll gives up before a peer one kernel call behind has sent;
+/// DESIGN.md §17 has the sweep), so the value needs no tuning — and it is
+/// wall time inside the caller's deadline, never added to it.
+const POLL: Duration = Duration::from_micros(50);
+
 impl Endpoint {
     /// Pull envelopes off the inbox until one matching `(comm, src)` — and,
     /// when `want_tag` is set (relaxed mode), the tag — is available,
-    /// buffering everything else. Returns [`CommError::Timeout`] instead of
-    /// panicking when nothing matching arrives within `timeout`.
+    /// buffering everything else: polling for the first [`POLL`] of the
+    /// wait, parked on the channel after it. When nothing matching arrives
+    /// within `timeout` the error is how long the receive waited; the
+    /// caller, which knows the local rank and the tag it posted, makes the
+    /// [`CommError::Timeout`] of it.
     fn try_recv_matching(
         &mut self,
         comm: u64,
@@ -202,12 +236,11 @@ impl Endpoint {
         timeout: Duration,
         stats: &mut CommStats,
         tracer: &Tracer,
-    ) -> Result<Envelope, CommError> {
+    ) -> Result<Envelope, Duration> {
         let tag_ok = |env: &Envelope| match want_tag {
             Some(t) => env.tag == t,
             None => true,
         };
-        let peer = Some(src_global as u32);
         let key = (comm, src_global);
         if let Some(queue) = self.pending.get_mut(&key) {
             if let Some(pos) = queue.iter().position(&tag_ok) {
@@ -217,41 +250,45 @@ impl Endpoint {
             }
         }
         let start = Instant::now();
-        loop {
-            let remaining = match timeout.checked_sub(start.elapsed()) {
-                Some(r) => r,
-                None => {
-                    stats.record_blocked(start.elapsed().as_secs_f64());
-                    tracer.record_blocked(start, peer);
-                    return Err(CommError::Timeout {
-                        src: src_global,
-                        tag: want_tag.unwrap_or(0),
-                        waited: start.elapsed(),
-                    });
-                }
+        let mut parked = false;
+        let matched = loop {
+            let waited = start.elapsed();
+            let Some(remaining) = timeout.checked_sub(waited) else {
+                break None;
             };
-            let env = match self.rx.recv_timeout(remaining) {
-                Ok(env) => env,
-                Err(_) => {
-                    stats.record_blocked(start.elapsed().as_secs_f64());
-                    tracer.record_blocked(start, peer);
-                    return Err(CommError::Timeout {
-                        src: src_global,
-                        tag: want_tag.unwrap_or(0),
-                        waited: start.elapsed(),
-                    });
+            let env = if waited < POLL {
+                match self.rx.try_recv() {
+                    Ok(env) => env,
+                    Err(_) => {
+                        // Hand the CPU over instead of `spin_loop`: with more
+                        // ranks than cores the sender may be waiting for it.
+                        std::thread::yield_now();
+                        continue;
+                    }
+                }
+            } else {
+                if !parked {
+                    parked = true;
+                    stats.record_parked();
+                }
+                match self.rx.recv_timeout(remaining) {
+                    Ok(env) => env,
+                    Err(_) => break None,
                 }
             };
             if env.comm == comm && env.src_global == src_global && tag_ok(&env) {
-                stats.record_blocked(start.elapsed().as_secs_f64());
-                tracer.record_blocked(start, peer);
-                return Ok(env);
+                break Some(env);
             }
             self.pending
                 .entry((env.comm, env.src_global))
                 .or_default()
                 .push_back(env);
-        }
+        };
+        // Blocked time is receive posted → envelope matched (or given up
+        // on), whether the wait was polled, parked or both.
+        stats.record_blocked(start.elapsed().as_secs_f64());
+        tracer.record_blocked(start, Some(src_global as u32));
+        matched.ok_or_else(|| start.elapsed())
     }
 }
 
@@ -361,14 +398,21 @@ impl ThreadComm {
         let want_tag = if self.fabric.relaxed { Some(tag) } else { None };
         let env = {
             let mut stats = self.stats.borrow_mut();
-            self.endpoint.borrow_mut().try_recv_matching(
-                self.comm_id,
-                src_global,
-                want_tag,
-                timeout,
-                &mut stats,
-                &self.tracer,
-            )?
+            self.endpoint
+                .borrow_mut()
+                .try_recv_matching(
+                    self.comm_id,
+                    src_global,
+                    want_tag,
+                    timeout,
+                    &mut stats,
+                    &self.tracer,
+                )
+                .map_err(|waited| CommError::Timeout {
+                    src: src_local,
+                    tag,
+                    waited,
+                })?
         };
         if env.tag != tag {
             return Err(CommError::TagMismatch {
@@ -1172,6 +1216,133 @@ mod tests {
         match blocked[0].kind {
             nbody_trace::SpanKind::Blocked { peer, .. } => assert_eq!(peer, Some(0)),
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn a_message_already_in_the_inbox_is_received_without_parking() {
+        // Sender -> barrier -> receiver. The barrier is not the fabric's (its
+        // receives would move the message to `pending` on the way): the
+        // message is still in the inbox, and the first poll finds it.
+        let sent = std::sync::Barrier::new(2);
+        let out = run_ranks(2, |comm| {
+            comm.set_phase(Phase::Shift);
+            if comm.rank() == 0 {
+                comm.send(1, 1, &[7u8]);
+            }
+            sent.wait();
+            let got = (comm.rank() == 1).then(|| comm.recv::<u8>(0, 1));
+            (got, comm.stats().phase(Phase::Shift).parked)
+        });
+        assert_eq!(out[1], (Some(vec![7]), 0));
+    }
+
+    #[test]
+    fn a_late_sender_is_waited_for_asleep_and_counted_once() {
+        let out = run_ranks(2, |comm| {
+            // The receive is posted (give or take the barrier's own
+            // hand-off) before the sender starts its 20 ms.
+            comm.barrier();
+            comm.set_phase(Phase::Shift);
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+                comm.send(1, 1, &[7u8]);
+                None
+            } else {
+                let got = comm.recv::<u8>(0, 1);
+                Some((got, *comm.stats().phase(Phase::Shift)))
+            }
+        });
+        let (got, shift) = out[1].clone().expect("rank 1 received");
+        assert_eq!(got, vec![7]);
+        // One receive ran out of poll budget: one park, however many times
+        // the channel woke it, and the wait covers poll and sleep alike.
+        assert_eq!(shift.parked, 1);
+        assert!(shift.blocked_secs >= 0.018, "blocked {}s", shift.blocked_secs);
+    }
+
+    #[test]
+    fn the_poll_is_inside_the_deadline_not_added_to_it() {
+        // A 5 ms deadline outlasts the poll budget, a 10 us one does not:
+        // either way the receive gives up, and no sooner than asked.
+        for deadline in [Duration::from_millis(5), Duration::from_micros(10)] {
+            let out = run_ranks(2, move |comm| {
+                (comm.rank() == 0).then(|| comm.try_recv_timeout::<u8>(1, 3, deadline))
+            });
+            match out[0].clone().expect("rank 0 posted the receive") {
+                Err(CommError::Timeout { waited, .. }) => {
+                    assert!(waited >= deadline, "{waited:?} of {deadline:?}")
+                }
+                other => panic!("a silent peer must time out, got {other:?}"),
+            }
+        }
+    }
+
+    /// What a receive on the row communicator of a 2 x 2 grid reports when
+    /// its peer stays silent. Row 1 is global ranks {2, 3}: local rank 1 is
+    /// not global rank 1.
+    fn silent_row_peer<C: Communicator>(comm: &C) -> Option<CommError> {
+        let row = comm.split(comm.rank() / 2, comm.rank());
+        (comm.rank() == 2).then(|| {
+            row.try_recv_timeout::<u8>(1, 7, Duration::from_millis(5))
+                .expect_err("nobody sends on the row")
+        })
+    }
+
+    #[test]
+    fn timeout_names_the_local_rank_and_the_tag_it_awaited() {
+        let strict = run_ranks(4, |comm| silent_row_peer(comm));
+        let relaxed = crate::chaos::run_ranks_chaos(4, &crate::chaos::FaultPlan::empty(), |comm| {
+            silent_row_peer(comm)
+        });
+        for out in [strict, relaxed] {
+            match out[2].clone().expect("global rank 2 posted the receive") {
+                CommError::Timeout { src, tag, waited } => {
+                    assert_eq!((src, tag), (1, 7));
+                    assert!(waited >= Duration::from_millis(5), "{waited:?}");
+                }
+                other => panic!("expected a timeout, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn polling_buffers_other_traffic_in_fifo_order_strict_and_relaxed() {
+        // Rank 0 sends two messages on communicator A, then (relaxed
+        // matching only: strict matching calls it a protocol violation) one
+        // with a stale tag on B, then the awaited one on B; rank 1 posts its
+        // receive on B once all of them are in its inbox, so the poll itself
+        // is what walks past the first three.
+        for relaxed in [false, true] {
+            let sent = std::sync::Barrier::new(2);
+            let (out, _) = run_ranks_owned(2, relaxed, Lenses::default(), |comm| {
+                let a = comm.split(0, comm.rank());
+                let b = comm.split(0, comm.rank());
+                comm.set_phase(Phase::Shift);
+                if comm.rank() == 0 {
+                    a.send(1, 10, &[1u8]);
+                    a.send(1, 11, &[2u8]);
+                    if relaxed {
+                        b.send(1, 99, &[9u8]);
+                    }
+                    b.send(1, 20, &[3u8]);
+                }
+                sent.wait();
+                if comm.rank() == 0 {
+                    return None;
+                }
+                let awaited = b.recv::<u8>(0, 20);
+                let parked = comm.stats().phase(Phase::Shift).parked;
+                let first = a.recv::<u8>(0, 10);
+                let second = a.recv::<u8>(0, 11);
+                let stale = relaxed.then(|| b.recv::<u8>(0, 99));
+                Some((awaited, parked, first, second, stale))
+            });
+            let (awaited, parked, first, second, stale) =
+                out[1].clone().expect("rank 1 received");
+            assert_eq!((awaited, parked), (vec![3], 0), "relaxed = {relaxed}");
+            assert_eq!((first, second), (vec![1], vec![2]), "relaxed = {relaxed}");
+            assert_eq!(stale, relaxed.then(|| vec![9]));
         }
     }
 
