@@ -19,7 +19,6 @@ pub mod chaos;
 mod comm_metrics;
 pub mod communicator;
 pub mod error;
-pub mod self_comm;
 pub mod stats;
 pub mod thread_comm;
 
@@ -29,7 +28,6 @@ pub use chaos::{
 pub use communicator::{sum_combine, CommData, Communicator};
 pub use error::CommError;
 pub use stats::{CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
-pub use self_comm::SelfComm;
 pub use thread_comm::{run_ranks, run_ranks_with, validate_env, Artifacts, Lenses, ThreadComm};
 pub use nbody_metrics::{MetricsRecorder, MetricsSnapshot, RankMetrics};
 pub use nbody_timeline::{

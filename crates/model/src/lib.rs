@@ -11,7 +11,6 @@
 pub mod bounds;
 pub mod costs;
 pub mod efficiency;
-pub mod optima;
 
 pub use bounds::{
     bandwidth_lower_bound, k_cutoff_1d, latency_lower_bound, memory_per_proc, s_cutoff, s_direct,
@@ -22,4 +21,3 @@ pub use costs::{
     particle_decomposition, spatial_decomposition, CommCost,
 };
 pub use efficiency::{efficiency, time_all_pairs, time_cutoff_1d, ModelParams};
-pub use optima::CommModel;

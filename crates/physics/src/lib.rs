@@ -24,7 +24,6 @@ pub mod force_ext;
 pub mod init;
 pub mod integrator;
 pub mod lanes;
-pub mod neighbor;
 pub mod particle;
 pub mod reference;
 pub mod vec2;

@@ -290,6 +290,50 @@ pub fn num_into(out: &mut String, x: f64) {
     }
 }
 
+/// Conversions for building documents from plain values: numbers become
+/// [`Json::Num`] (counts are held as `f64`, like every parsed number), `None`
+/// becomes [`Json::Null`], a `Vec` becomes [`Json::Arr`].
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(x: $t) -> Json {
+                Json::Num(x as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -336,6 +380,22 @@ impl fmt::Display for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn plain_values_convert() {
+        assert_eq!(Json::from(3usize), Json::Num(3.0));
+        assert_eq!(Json::from(7u64), Json::Num(7.0));
+        assert_eq!(Json::from(0.5), Json::Num(0.5));
+        assert_eq!(Json::from(true), Json::Bool(true));
+        assert_eq!(Json::from("a"), Json::Str("a".into()));
+        assert_eq!(Json::from(String::from("b")), Json::Str("b".into()));
+        assert_eq!(Json::from(None::<f64>), Json::Null);
+        assert_eq!(Json::from(Some(2usize)), Json::Num(2.0));
+        assert_eq!(
+            Json::from(vec![Some(1.5), None]).to_string(),
+            "[1.5,null]"
+        );
+    }
 
     #[test]
     fn parses_scalars() {

@@ -10,7 +10,7 @@
 //!   per-step message multiset derived from the CA schedule, attributing
 //!   discrepancies to injected faults ([`ConformanceReport`]).
 //!
-//! The crate is transport-agnostic: `ThreadComm`, `SelfComm`, `ChaosComm`,
+//! The crate is transport-agnostic: `ThreadComm`, `ChaosComm`,
 //! and any future process/TCP backend emit the same probe stream, so the
 //! conformance checker doubles as an acceptance harness for new backends.
 

@@ -1,0 +1,81 @@
+//! What subcommands read and write: input files, output files, and the
+//! one-line JSON summary.
+
+use std::path::Path;
+
+use nbody_metrics::MetricsSnapshot;
+use nbody_trace::Json;
+
+/// Read and parse `path`; both failures read the same for every format.
+pub fn load<T>(path: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// [`load`] for the formats that are a JSON document.
+pub fn load_json<T>(
+    path: &str,
+    from: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    load(path, |text| Json::parse(text).and_then(|doc| from(&doc)))
+}
+
+/// The `explicit` input, which must exist, else `default` if it is there.
+pub fn named_or_present(explicit: Option<String>, default: &str) -> Option<String> {
+    explicit.or_else(|| Path::new(default).exists().then(|| default.to_string()))
+}
+
+/// A metrics snapshot, from JSON or (for a `.prom` path) Prometheus text.
+pub fn load_metrics(path: &str) -> Result<MetricsSnapshot, String> {
+    if path.ends_with(".prom") {
+        load(path, MetricsSnapshot::parse_prometheus)
+    } else {
+        load_json(path, MetricsSnapshot::from_json)
+    }
+}
+
+/// Write the `what` that `body` renders to `path`, creating its directory.
+/// `body` sees the extension: a format with several encodings picks by it.
+pub fn write(path: &str, what: &str, body: impl FnOnce(&str) -> String) -> Result<(), String> {
+    let file = Path::new(path);
+    let ext = file.extension().and_then(|e| e.to_str()).unwrap_or("");
+    let dir = file.parent().filter(|d| !d.as_os_str().is_empty());
+    dir.map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(file, body(ext)))
+        .map_err(|e| format!("cannot write {what} to {path}: {e}"))
+}
+
+/// `--metrics=F`: Prometheus text for a `.prom` path, JSON otherwise.
+pub fn write_metrics(path: &str, metrics: &MetricsSnapshot) -> Result<(), String> {
+    write(path, "metrics", |ext| match ext {
+        "prom" => metrics.to_prometheus(),
+        _ => metrics.to_json().to_string(),
+    })
+}
+
+/// A JSON object in insertion order: the summary a subcommand ends with
+/// (always the last line on stdout), and the rows nested in it.
+#[derive(Default)]
+pub struct Summary(Vec<(String, Json)>);
+
+impl Summary {
+    /// The summary of subcommand `cmd`, which the first key names.
+    pub fn of(cmd: &str) -> Summary {
+        let mut s = Summary::default();
+        s.put("cmd", cmd);
+        s
+    }
+
+    pub fn put(&mut self, key: &str, value: impl Into<Json>) -> &mut Summary {
+        self.0.push((key.to_string(), value.into()));
+        self
+    }
+
+    pub fn to_json(&self) -> Json {
+        Json::Obj(self.0.clone())
+    }
+
+    pub fn print(&self) {
+        println!("{}", self.to_json());
+    }
+}

@@ -1,0 +1,389 @@
+//! The subcommands that read what a run wrote: `report`, `analyze`,
+//! `health`, `conformance`, `postmortem`, `regress`.
+//!
+//! `analyze` diagnoses a recorded trace: the per-timestep cross-rank
+//! critical path (which rank gated the step, how its time split into
+//! compute/comm/blocked, and which late sender it waited on), per-phase
+//! load-imbalance factors, straggler rankings, and traffic/wait heat-maps
+//! on the `p/c × c` grid when `--metrics` is given; `--timeline=<bundle>`
+//! runs the online drift detector over a recorded series and prints the
+//! flagged windows next to the straggler table, `--wire=<log>` renders the
+//! per-channel latency table (send→recv histograms, queue depths, drop
+//! accounting) derived from the matched probe pairs. `regress` distills the
+//! same trace into a `RunSummary`, compares its wall time against the
+//! median of matching entries in the append-only history store
+//! (`bench_results/history/<kernel>.jsonl`), exits non-zero past the
+//! tolerance, and with `--record` appends the live summary — the CI
+//! performance gate.
+//!
+//! `conformance <log>` replays the CA schedule for the given run
+//! parameters — `run`'s own grammar, so the flags that produced the log
+//! reproduce its schedule — diffs the predicted message multiset against
+//! the observed traffic, and classifies every discrepancy (missing,
+//! unexpected, wrong-size, out-of-order), consulting `--faults` so
+//! injected drops/dups/kills are attributed to the fault plan instead of
+//! flagged as violations; it exits non-zero on a FAIL verdict (an
+//! unexplained discrepancy with intact probe rings).
+
+use std::process::ExitCode;
+use std::time::{SystemTime, UNIX_EPOCH};
+
+use ca_nbody::expected_schedule;
+use nbody_analyze::{
+    analyze as analyze_trace, check_regression, parse_history, render_conformance, render_csv,
+    render_drift, render_health, render_json, render_regression, render_table, render_wire,
+    RunSummary, Verdict,
+};
+use nbody_comm::{check_conformance, match_events, FaultNote, RunTimeline, WireLog};
+use nbody_simhealth::HealthSummary;
+use nbody_timeline::DriftConfig;
+use nbody_trace::ExecutionTrace;
+
+use super::artifact::{load, load_metrics, write, Summary};
+use super::spec::{fault_plan, Defaults, RunSpec};
+use super::{Failure, Opts};
+
+/// The file a subcommand is about, or how to call it.
+fn input<'a>(positional: &'a [String], usage: &str) -> Result<&'a str, Failure> {
+    match positional.first() {
+        Some(path) => Ok(path),
+        None => Err(format!("usage: ca-nbody {usage}").into()),
+    }
+}
+
+/// Print the paper-style per-phase table and the per-step driver-section
+/// table of a trace (`--profile` and the `report` subcommand).
+pub fn print_breakdown(trace: &ExecutionTrace) {
+    let b = trace.phase_breakdown();
+    println!(
+        "per-phase wall-clock across {} ranks (seconds per rank):",
+        b.ranks
+    );
+    println!(
+        "  {:<10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
+        "phase", "mean", "p50", "p95", "max", "blocked", "share"
+    );
+    for (phase, d) in &b.phases {
+        if d.max == 0.0 {
+            continue;
+        }
+        let blocked = b
+            .blocked
+            .iter()
+            .find(|(p, _)| p == phase)
+            .map_or(0.0, |(_, s)| *s);
+        println!(
+            "  {:<10} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>6.1}%",
+            phase.label(),
+            d.mean,
+            d.p50,
+            d.p95,
+            d.max,
+            blocked,
+            100.0 * d.mean / b.wall_secs.max(f64::MIN_POSITIVE),
+        );
+    }
+    println!(
+        "  phase sum {:.6} s of {:.6} s wall ({:.1}%)",
+        b.phase_sum_secs(),
+        b.wall_secs,
+        100.0 * b.phase_sum_secs() / b.wall_secs.max(f64::MIN_POSITIVE),
+    );
+
+    let reports = trace.step_reports();
+    if reports.is_empty() {
+        return;
+    }
+    println!("per-step driver sections (seconds, mean / max across ranks):");
+    for r in &reports {
+        print!("  step {:>3}:", r.step);
+        for (name, d) in &r.parts {
+            print!(" {name} {:.6}/{:.6}", d.mean, d.max);
+        }
+        println!();
+    }
+}
+
+/// `report`: the per-phase and per-step breakdown tables of a trace.
+pub fn report(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
+    opts.finish()?;
+    let path = input(positional, "report <trace.json|trace.jsonl>")?;
+    let trace = load(path, ExecutionTrace::parse)?;
+    println!(
+        "{path}: {} spans over {} ranks, {:.6} s wall",
+        trace.spans.len(),
+        trace.ranks,
+        trace.wall_secs()
+    );
+    print_breakdown(&trace);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `analyze`: post-run diagnosis of a trace, a timeline, a wire log.
+pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
+    let timeline_path: Option<String> = opts.opt("timeline")?;
+    let wire_path: Option<String> = opts.opt("wire")?;
+    // The defaults (16-sample window, 6 sigma) are alarm-tuned: they fire
+    // on step functions and stay quiet otherwise. Exploratory analysis of
+    // slow ramps (e.g. a gravitational collapse) wants a wider window and
+    // a tighter threshold.
+    let drift_cfg = DriftConfig {
+        window: opts.get("drift-window", DriftConfig::default().window)?,
+        nsigma: opts.get("drift-nsigma", DriftConfig::default().nsigma)?,
+        ..DriftConfig::default()
+    };
+    let trace_path = positional.first();
+    if timeline_path.is_none() && wire_path.is_none() {
+        let usage = "analyze <trace.json|trace.jsonl> [--metrics=F] [--timeline=F] [--wire=F] \
+                     [--drift-window=16] [--drift-nsigma=6] [c=1] [--csv=F] [--json=F]";
+        input(positional, usage)?;
+    }
+    // A recorded bundle or probe log is diagnosable on its own; the
+    // trace's own options are read only next to a trace.
+    let (metrics_path, c, csv, json) = match trace_path {
+        Some(_) => (
+            opts.opt::<String>("metrics")?,
+            opts.get("c", 1usize)?,
+            opts.opt::<String>("csv")?,
+            opts.opt::<String>("json")?,
+        ),
+        None => (None, 1, None, None),
+    };
+    opts.finish()?;
+    let timeline = timeline_path
+        .map(|path| load(&path, RunTimeline::parse))
+        .transpose()?;
+    let wire = wire_path
+        .map(|path| load(&path, WireLog::parse))
+        .transpose()?;
+
+    let mut sections: Vec<String> = Vec::new();
+    let mut exports = Vec::new();
+    if let Some(path) = trace_path {
+        let trace = load(path, ExecutionTrace::parse)?;
+        let metrics = metrics_path.map(|mp| load_metrics(&mp)).transpose()?;
+        let a = analyze_trace(&trace, metrics.as_ref(), c);
+        sections.push(render_table(&a));
+        if let Some(out) = csv {
+            exports.push((out, "critical-path CSV", render_csv(&a)));
+        }
+        if let Some(out) = json {
+            exports.push((out, "analysis JSON", render_json(&a).to_string()));
+        }
+    }
+    if let Some(tl) = &timeline {
+        sections.push(render_drift(tl, &drift_cfg));
+        sections.push(render_health(tl));
+    }
+    if let Some(log) = &wire {
+        sections.push(render_wire(&match_events(log)));
+    }
+    print!("{}", sections.join("\n"));
+    for (out, what, body) in exports {
+        write(&out, what, |_| body)?;
+        println!("{what} written to {out}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `health`: render the numerical-health section of a recorded timeline
+/// bundle (energy drift, momentum, sentinel and fingerprint-mismatch
+/// events with blame) and exit non-zero when the bundle is unhealthy —
+/// the scriptable end of the health lens.
+pub fn health(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
+    opts.finish()?;
+    let path = input(positional, "health <timeline.json>")?;
+    let s = HealthSummary::from_timeline(&load(path, RunTimeline::parse)?);
+    print!("{}", s.render());
+    println!("{}", s.to_json());
+    Ok(ExitCode::from(u8::from(!s.is_clean())))
+}
+
+/// `conformance`: a recorded wire-probe log against the CA schedule.
+pub fn conformance(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
+    let spec = RunSpec::from_opts(opts, &Defaults::RUN)?;
+    let plan = fault_plan(opts)?;
+    opts.finish()?;
+    let path = input(
+        positional,
+        "conformance <wire-log.json> [run's options] [--faults=SPEC]",
+    )?;
+    let log = load(path, WireLog::parse)?;
+    let expected = expected_schedule(&spec.wire_spec()).map_err(|e| format!("conformance: {e}"))?;
+
+    // Faults to attribute discrepancies to: the events the chaos backend
+    // recorded into the log itself, plus the plan the caller passed (kept
+    // separate in case the log predates fault probes or rings overflowed).
+    let mut faults = FaultNote::from_log(&log);
+    for note in plan.iter().flat_map(|plan| plan.probe_notes()) {
+        if !faults.contains(&note) {
+            faults.push(note);
+        }
+    }
+    let report = check_conformance(&expected, &log, &faults);
+    print!("{}", render_conformance(&report));
+
+    Summary::of("conformance")
+        .put("wire_log", path)
+        .put("detail", report.detail.as_str())
+        .put("expected_msgs", report.expected_msgs)
+        .put("observed_msgs", report.observed_msgs)
+        .put("channels", report.channels)
+        .put("violations", report.violations.len())
+        .put("explained", report.explained())
+        .put("unexplained", report.unexplained())
+        .put("saturated", report.saturated)
+        .put("verdict", report.verdict())
+        .print();
+    if report.verdict() == "FAIL" {
+        return Err("CONFORMANCE FAILED: observed traffic deviates from the CA schedule".into());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `postmortem`: render a flight-recorder dump (a failed run's timeline
+/// bundle) as a human-readable per-rank account of what happened.
+pub fn postmortem(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
+    opts.finish()?;
+    let path = input(positional, "postmortem <bundle.json>")?;
+    let tl = load(path, RunTimeline::parse)?;
+    match &tl.failure {
+        Some(reason) => println!("{path}: FAILED — {reason}"),
+        None => println!("{path}: healthy run (no failure recorded)"),
+    }
+    println!("{} ranks recorded\n", tl.ranks.len());
+    for r in &tl.ranks {
+        let steps = match (r.samples.first(), r.samples.last()) {
+            (Some(a), Some(b)) => format!(
+                "{} samples over steps {}..={} (stride {})",
+                r.samples.len(),
+                a.step,
+                b.step,
+                r.stride
+            ),
+            _ => "no step samples".to_string(),
+        };
+        println!("rank {:<4} {steps}", r.rank);
+        if let Some(last) = r.samples.last() {
+            println!(
+                "          last sample: {} particles, {} send bytes, {:.6} s blocked",
+                last.particles, last.send_bytes, last.blocked_secs
+            );
+        }
+        if let Some(f) = &r.failure {
+            println!("          failure: {f}");
+        }
+        if r.dropped_events > 0 {
+            println!(
+                "          ({} earlier events evicted from the flight ring)",
+                r.dropped_events
+            );
+        }
+        for e in &r.events {
+            let step = e.step.map_or(String::new(), |s| format!(" step {s}"));
+            println!(
+                "  {:>10.4}s  {:<16}{step}  {}",
+                e.t_secs,
+                e.kind.label(),
+                e.detail
+            );
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The revision recorded into history entries: `NBODY_GIT_REV` when set
+/// (CI passes it explicitly), else `git rev-parse`, else `unknown`.
+fn git_rev() -> String {
+    let from_git = || {
+        let git = std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output();
+        String::from_utf8(git.ok().filter(|o| o.status.success())?.stdout).ok()
+    };
+    let named = |rev: &String| !rev.trim().is_empty();
+    let rev = std::env::var("NBODY_GIT_REV")
+        .ok()
+        .filter(named)
+        .or_else(from_git);
+    rev.filter(named)
+        .map_or("unknown".into(), |rev| rev.trim().to_string())
+}
+
+/// `regress`: gate a traced run against the cross-run history store.
+pub fn regress(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
+    let metrics_path: Option<String> = opts.opt("metrics")?;
+    let n: u64 = opts.get("n", 0)?;
+    let c: u64 = opts.get("c", 1)?;
+    let kernel = opts.get("kernel", "allpairs".to_string())?;
+    let tolerance: f64 = opts.get("tolerance", 1.5)?;
+    let history_dir = opts.get("history", "bench_results/history".to_string())?;
+    let record = opts.get("record", false)?;
+    opts.finish()?;
+    let usage = "regress <trace.json|trace.jsonl> [--metrics=F] [n=0] [c=1] [kernel=allpairs] \
+                 [tolerance=1.5] [--history=bench_results/history] [--record]";
+    let path = input(positional, usage)?;
+    if !(tolerance.is_finite() && tolerance > 0.0) {
+        return Err("regress: tolerance must be a positive number".into());
+    }
+    let trace = load(path, ExecutionTrace::parse)?;
+    let metrics = metrics_path.map(|mp| load_metrics(&mp)).transpose()?;
+
+    let a = analyze_trace(&trace, metrics.as_ref(), c as usize);
+    let live = RunSummary::from_analysis(
+        &a,
+        n,
+        c,
+        &kernel,
+        &git_rev(),
+        a.steps.len() as u64,
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs()),
+    );
+
+    let store = format!("{history_dir}/{kernel}.jsonl");
+    let history = match std::fs::read_to_string(&store) {
+        Ok(text) => parse_history(&text).map_err(|e| format!("cannot parse {store}: {e}"))?,
+        // A missing store is not an error: the first run seeds it.
+        Err(_) => Vec::new(),
+    };
+    let r = check_regression(&live, &history, tolerance);
+    print!("{}", render_regression(&r));
+
+    if record {
+        use std::io::Write;
+        std::fs::create_dir_all(&history_dir)
+            .and_then(|()| {
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&store)
+            })
+            .and_then(|mut f| writeln!(f, "{}", live.to_json_line()))
+            .map_err(|e| format!("cannot record to {store}: {e}"))?;
+        println!("recorded to {store}");
+    }
+
+    let verdict = match r.verdict {
+        Verdict::Pass => "pass",
+        Verdict::Regression => "regression",
+        Verdict::NoHistory => "no-history",
+    };
+    Summary::of("regress")
+        .put("kernel", kernel)
+        .put("n", n)
+        .put("p", live.p)
+        .put("c", c)
+        .put("live_wall_secs", r.live_wall_secs)
+        .put("median_wall_secs", r.median_wall_secs)
+        .put("ratio", r.ratio)
+        .put("tolerance", r.tolerance)
+        .put("matched", r.matched)
+        .put("verdict", verdict)
+        .print();
+    if r.verdict == Verdict::Regression {
+        return Err("REGRESSION: wall time exceeded tolerance over history median".into());
+    }
+    Ok(ExitCode::SUCCESS)
+}

@@ -1,0 +1,510 @@
+//! `run` and `verify`: one live execution, built from the flags.
+//!
+//! `--trace` records per-rank wall-clock spans and writes them in a format
+//! chosen by extension: `.json` Chrome `trace_event` (open in Perfetto or
+//! `chrome://tracing`), `.jsonl` JSON-lines, `.csv` the shared event
+//! schema. `--metrics` writes the live metrics snapshot (per-rank
+//! communication counters, message-size histograms, memory high-water
+//! marks) as JSON, or in Prometheus text format for a `.prom` path.
+//! `--profile` prints the per-phase breakdown after the run.
+//!
+//! `--serve-metrics=<addr>` starts a dependency-free HTTP endpoint
+//! serving the Prometheus exposition of the run's metrics at
+//! `http://<addr>/metrics` (empty until the run finishes, then held for
+//! `serve-metrics-hold-ms` so scrapers can collect the final snapshot).
+//!
+//! `--record-timeline=<path>` writes the run's per-step time series
+//! (bytes, blocked time, FLOPs, particles per rank) plus the always-on
+//! flight-recorder event ring as one `nbody-timeline/v1` JSON bundle.
+//! When a fault-injected run dies, the same path receives a *postmortem*
+//! bundle carrying the failure reason and the events leading up to it.
+//! When `--serve-metrics` is active the timeline is also published at
+//! `/timeseries` (JSON) and `/dashboard` (self-contained HTML).
+//!
+//! `--wire-probe=<path>` turns on message-level wire probes: every rank
+//! records each point-to-point protocol message (send/recv, rank pair,
+//! tag, phase, payload size, timestamp against a shared epoch) into a
+//! bounded ring, merged after the run into one `nbody-wireprobe/v1` JSON
+//! log. When `--serve-metrics` is active the wire log is published at
+//! `/wire` and the dashboard grows a channel-latency panel.
+//!
+//! `--faults` injects a deterministic fault schedule (spec grammar
+//! `kind:rank@step` with kinds `kill | drop | dup | delay`, comma-
+//! separated) and switches `run`/`verify` to the fault-tolerant CA
+//! drivers. Retries follow an adaptive [`RetryPolicy`]: exponential
+//! backoff (`retry-backoff`) with deterministic seeded jitter
+//! (`retry-jitter`, `retry-seed`), a separate post-crash deadline
+//! (`peer-dead-timeout-ms`), and a total per-evaluation wall-clock
+//! budget (`retry-budget-ms`). When every replica of a column dies the
+//! run *shrinks*: survivors agree on the dead teams, re-decompose onto
+//! the remaining ranks, and finish in degraded mode (the summary
+//! reports `shrinks`, `lost_particles`, `final_ranks`).
+//!
+//! `--checkpoint-dir` makes the run persist a durable
+//! `nbody-checkpoint/v1` bundle (atomic temp-file + rename) every
+//! `checkpoint-every` completed steps; `--resume=<dir>` restores the
+//! newest bundle — rejecting it unless its run-config fingerprint
+//! matches the flags — and continues mid-run. `--crash-at-step=<s>`
+//! kills the process (exit 137) right after that step's bundle hits the
+//! disk, exercising the resume path end to end. The cadence default can
+//! also come from `NBODY_CHECKPOINT_EVERY`; retry-policy defaults from
+//! `NBODY_RETRY_TIMEOUT_MS`, `NBODY_RETRY_MAX`, `NBODY_RETRY_BACKOFF`,
+//! `NBODY_RETRY_JITTER`, `NBODY_RETRY_BUDGET_MS` (all validated at
+//! startup; malformed values exit 2).
+
+use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
+
+use ca_nbody::recovery::RetryPolicy;
+use ca_nbody::{run_serial, CheckpointConfig, Run};
+use nbody_analyze::analyze;
+use nbody_comm::FaultPlan;
+use nbody_durable::load_latest;
+use nbody_perfmon::MetricsServer;
+use nbody_physics::diagnostics;
+use nbody_simhealth::{HealthBaseline, HealthConfig, HealthInjection};
+use nbody_timeline::DriftConfig;
+use nbody_trace::ALL_PHASES;
+
+use super::artifact::{load, named_or_present, write, write_metrics, Summary};
+use super::inspect::print_breakdown;
+use super::spec::{fault_plan, Defaults, RunSpec};
+use super::{verdict, Failure, Opts};
+
+/// An environment override (validated by `validate_env` at startup) of an
+/// option's default: flags beat it, it beats the built-in.
+fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    let set = std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
+    set.unwrap_or(default)
+}
+
+fn retry_policy(opts: &mut Opts, seed: u64) -> Result<RetryPolicy, Failure> {
+    let timeout_ms = opts.get("fault-timeout-ms", env_or("NBODY_RETRY_TIMEOUT_MS", 1000))?;
+    let budget_ms = opts.get("retry-budget-ms", env_or("NBODY_RETRY_BUDGET_MS", 60_000))?;
+    Ok(RetryPolicy {
+        base_timeout: Duration::from_millis(timeout_ms),
+        peer_dead_timeout: Duration::from_millis(opts.get("peer-dead-timeout-ms", timeout_ms)?),
+        backoff: opts.get("retry-backoff", env_or("NBODY_RETRY_BACKOFF", 2.0))?,
+        jitter: opts.get("retry-jitter", env_or("NBODY_RETRY_JITTER", 0.1))?,
+        max_retries: opts.get("max-retries", env_or("NBODY_RETRY_MAX", 3))?,
+        budget: Duration::from_millis(budget_ms),
+        seed: opts.get("retry-seed", seed)?,
+    })
+}
+
+/// Numerical-health monitors: `--health` turns them on; the injection
+/// flags (seeded non-finite / replica corruption) imply them, since an
+/// injection without its monitor would be an unobserved fault.
+fn health_config(opts: &mut Opts) -> Result<Option<HealthConfig>, Failure> {
+    let every: Option<u64> = opts.opt("health-every")?;
+    let nan: Option<String> = opts.opt("inject-nan")?;
+    let corrupt: Option<String> = opts.opt("corrupt-replica")?;
+    if !(opts.get("health", false)? || every.is_some() || nan.is_some() || corrupt.is_some()) {
+        return Ok(None);
+    }
+    let target = |flag: &str, spec: Option<String>| {
+        spec.map(|s| HealthInjection::parse_target(&s))
+            .transpose()
+            .map_err(|e| format!("invalid --{flag} target: {e}"))
+    };
+    let mut h = HealthConfig::enabled();
+    h.every = every.unwrap_or(1).max(1);
+    h.injection.nan = target("inject-nan", nan)?;
+    h.injection.corrupt = target("corrupt-replica", corrupt)?;
+    Ok(Some(h))
+}
+
+const CA_ONLY: &str = "each of --faults/--checkpoint-dir/--resume/--health requires a CA method \
+                       (ca, ca-cutoff-1d, ca-cutoff-2d)";
+
+/// `run`; as `verify`, the result is then held against the serial reference.
+pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
+    let spec = RunSpec::from_opts(opts, &Defaults::RUN)?;
+    let (method, p) = (spec.method(), spec.p);
+    if method.is_ca() {
+        spec.layout()?;
+    }
+
+    let trace_path: Option<String> = opts.opt("trace")?;
+    let metrics_path: Option<String> = opts.opt("metrics")?;
+    let timeline_path: Option<String> = opts.opt("record-timeline")?;
+    let wire_path: Option<String> = opts.opt("wire-probe")?;
+    let profile = opts.get("profile", false)?;
+    let serve = match opts.opt::<String>("serve-metrics")? {
+        Some(addr) => Some((addr, opts.get("serve-metrics-hold-ms", 2000)?)),
+        None => None,
+    };
+    let faults = fault_plan(opts)?;
+    let health_cfg = health_config(opts)?;
+
+    // Durable checkpointing: --checkpoint-dir turns on the cadence sink,
+    // --resume restores the newest bundle from a directory (and keeps
+    // checkpointing into it unless --checkpoint-dir redirects).
+    let resume_dir: Option<String> = opts.opt("resume")?;
+    let ckpt_dir = opts.opt("checkpoint-dir")?.or_else(|| resume_dir.clone());
+    // Each of the three selects the fault-tolerant evaluation; they compose
+    // freely with each other and with every lens.
+    let recovering = faults.is_some() || ckpt_dir.is_some() || health_cfg.is_some();
+    if recovering && !method.is_ca() {
+        return Err(CA_ONLY.into());
+    }
+    let policy = if recovering {
+        retry_policy(opts, spec.seed)?
+    } else {
+        RetryPolicy::default()
+    };
+    let mut ckpt = None;
+    if let Some(dir) = ckpt_dir {
+        let every = opts.get("checkpoint-every", env_or("NBODY_CHECKPOINT_EVERY", 1))?;
+        if every == 0 {
+            return Err("checkpoint-every must be a positive step count".into());
+        }
+        ckpt = Some(CheckpointConfig {
+            dir: dir.into(),
+            every,
+            base_step: 0,
+            fingerprint: spec.fingerprint().digest(),
+            seed: spec.seed,
+            crash_at: opts.opt("crash-at-step")?,
+        });
+    }
+    // The CI gate: drift and event counts against the versioned baseline.
+    // An explicitly named baseline must exist; the default one is optional
+    // (monitors still ran, the gate is just skipped).
+    let health_baseline = match &health_cfg {
+        Some(_) => named_or_present(
+            opts.opt("health-baseline")?,
+            "bench_results/health_baseline.json",
+        ),
+        None => None,
+    };
+    opts.finish()?;
+    let health_baseline = health_baseline
+        .map(|path| load(&path, HealthBaseline::parse))
+        .transpose()?;
+
+    // The endpoint comes up before the run (serving an empty snapshot) so
+    // scrapers can connect while the simulation is in flight; the final
+    // snapshot is published after the run and held for a grace period.
+    let server = match serve {
+        Some((addr, hold_ms)) => {
+            let s = MetricsServer::start(addr.as_str())
+                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
+            println!("  serving metrics on http://{}/metrics", s.local_addr());
+            Some((s, hold_ms))
+        }
+        None => None,
+    };
+
+    let mut cfg = spec.config();
+    let mut initial = spec.initial();
+    let mut resumed_from: Option<u64> = None;
+    if let (Some(dir), Some(ck)) = (&resume_dir, &mut ckpt) {
+        let bundle = load_latest(std::path::Path::new(dir))
+            .map_err(|e| format!("cannot resume from {dir}: {e}"))?;
+        bundle
+            .validate_fingerprint(&ck.fingerprint)
+            .map_err(|e| format!("resume rejected: {e}"))?;
+        if bundle.step as usize > spec.steps {
+            return Err(format!(
+                "resume rejected: checkpoint is at step {} but the run has only {}",
+                bundle.step, spec.steps
+            )
+            .into());
+        }
+        ck.base_step = bundle.step;
+        resumed_from = Some(bundle.step);
+        initial = bundle.all_particles();
+        cfg.steps = spec.steps - bundle.step as usize;
+        println!(
+            "  resumed from {dir} at step {} ({} particles, {} steps left)",
+            bundle.step,
+            initial.len(),
+            cfg.steps
+        );
+    }
+
+    println!(
+        "{method:?} on {p} ranks: n={}, steps={}, dt={}, law={}",
+        spec.n, spec.steps, spec.dt, spec.law_name
+    );
+    let start = Instant::now();
+    // One run, built from the flags.
+    let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
+    let mut run = Run::new(&cfg, method, p);
+    // Fault-tolerant runs always trace, so recovery overhead shows up in
+    // `report` breakdowns and the fault counters reach the summary.
+    let files = [&trace_path, &metrics_path, &timeline_path, &wire_path];
+    let traced = recovering || profile || server.is_some() || files.iter().any(|f| f.is_some());
+    if traced {
+        run = run.trace();
+    }
+    if wire_path.is_some() {
+        run = run.probe();
+    }
+    if recovering {
+        run = run.faults(&plan, &policy);
+    }
+    if let Some(ck) = &ckpt {
+        run = run.checkpoint(ck);
+    }
+    if let Some(h) = &health_cfg {
+        run = run.health(h);
+    }
+    let out = run.execute(&initial);
+    let artifacts = out.artifacts;
+    let write_wire = |path: &str| write(path, "wire log", |_| artifacts.wire.to_json());
+    let result = match out.result {
+        Ok(result) => result,
+        Err(e) => {
+            let mut report = vec![if health_cfg.is_some() && faults.is_none() {
+                format!("health-instrumented run failed: {e}")
+            } else {
+                format!("fault-injected run failed: {e}")
+            }];
+            let mut note = |written: Result<(), String>, what: &str, path: &str| {
+                report.push(written.map_or_else(|we| we, |()| format!("{what} written to {path}")));
+            };
+            // The flight recorder was on the whole time: dump the
+            // postmortem bundle so the failure can be diagnosed.
+            if let Some(path) = &timeline_path {
+                let mut bundle = artifacts.timeline.clone();
+                if !bundle.is_postmortem() {
+                    bundle = bundle.with_failure(&e.to_string());
+                }
+                let written = write(path, "postmortem", |_| bundle.to_json());
+                note(written, "postmortem bundle", path);
+            }
+            // The wire log survives the failure too: what actually
+            // crossed the wire is exactly what a postmortem needs.
+            if let Some(path) = &wire_path {
+                note(write_wire(path), "wire-probe log", path);
+            }
+            return Err(report.join("\n").into());
+        }
+    };
+    if let Some(plan) = &faults {
+        println!(
+            "  faults [{}]: max attempts {}, recovered: {}",
+            plan.spec(),
+            result.max_attempts,
+            result.recovered
+        );
+    }
+    if result.shrinks > 0 {
+        println!(
+            "  degraded: world shrank {}x onto {} ranks, {} particles lost",
+            result.shrinks, result.final_ranks, result.lost_particles
+        );
+    }
+    if let Some(hr) = &result.health {
+        println!(
+            "  health: {} steps checked, max |ΔE/E₀| {:.3e}, max |p| {:.3e}, \
+             {} sentinel event(s), {} fingerprint mismatch(es)",
+            hr.steps_checked,
+            hr.max_rel_energy_drift,
+            hr.max_momentum_norm,
+            hr.sentinel_events,
+            hr.fingerprint_mismatches
+        );
+    }
+    let (trace, metrics, timeline) = (&artifacts.trace, &artifacts.metrics, &artifacts.timeline);
+    let elapsed = start.elapsed();
+    let kinetic = diagnostics::total_kinetic_energy(&result.particles);
+    let rank0_messages = result.stats[0].total_messages();
+    println!(
+        "  done in {elapsed:.2?}; kinetic energy {kinetic:.4e}; rank-0 messages {rank0_messages}"
+    );
+
+    let mut summary = Summary::of(if verify { "verify" } else { "run" });
+    summary
+        .put("method", spec.method_name.as_str())
+        .put("law", spec.law_name.as_str())
+        .put("n", spec.n)
+        .put("p", p)
+        .put("c", method.replication())
+        .put("steps", spec.steps)
+        .put("elapsed_secs", elapsed.as_secs_f64())
+        .put("kinetic_energy", kinetic)
+        .put("rank0_messages", rank0_messages);
+    if traced {
+        // Post-run diagnosis: per-phase imbalance factors and the
+        // critical-path split of the makespan (what actually gated the
+        // run, not the mean across ranks).
+        let a = analyze(trace, Some(metrics), method.replication());
+        let (crit_compute, crit_comm, crit_blocked) = a.critical_split();
+        let mut imbalance = Summary::default();
+        for i in &a.imbalance {
+            imbalance.put(i.phase.label(), i.factor);
+        }
+        let imbalance = imbalance.to_json();
+        summary
+            .put("trace_spans", trace.spans.len())
+            .put("trace_wall_secs", trace.wall_secs())
+            .put("critical_compute_secs", crit_compute)
+            .put("critical_comm_secs", crit_comm)
+            .put("critical_blocked_secs", crit_blocked)
+            .put("imbalance", imbalance);
+    }
+    // Each lens the flags asked for: its file, its line, its summary keys.
+    if let Some(path) = &trace_path {
+        write(path, "trace", |ext| match ext {
+            "jsonl" => trace.to_jsonl(),
+            "csv" => trace.to_events_csv(),
+            _ => trace.to_chrome_json(),
+        })?;
+        println!("  trace written to {path} ({} spans)", trace.spans.len());
+        summary.put("trace_path", path.as_str());
+    }
+    if let Some(path) = &timeline_path {
+        write(path, "timeline", |_| timeline.to_json())?;
+        let ranks = timeline.ranks.len();
+        let samples: usize = timeline.ranks.iter().map(|r| r.samples.len()).sum();
+        println!("  timeline written to {path} ({ranks} ranks, {samples} step samples)");
+        let drift_windows = timeline.drift(&DriftConfig::default()).len();
+        summary
+            .put("timeline_path", path.as_str())
+            .put("timeline_samples", samples)
+            .put("drift_windows", drift_windows);
+    }
+    if let Some(path) = &metrics_path {
+        write_metrics(path, metrics)?;
+        println!(
+            "  metrics written to {path} ({} ranks)",
+            metrics.ranks.len()
+        );
+        let total_sends: u64 = ALL_PHASES
+            .iter()
+            .map(|ph| metrics.sum_counter("comm_send_messages", Some(*ph)))
+            .sum();
+        summary
+            .put("metrics_path", path.as_str())
+            .put("total_send_messages", total_sends);
+    }
+    if let Some(path) = &wire_path {
+        write_wire(path)?;
+        let (events, evicted) = (
+            artifacts.wire.total_events(),
+            artifacts.wire.total_dropped(),
+        );
+        println!("  wire probes written to {path} ({events} events, {evicted} evicted)");
+        summary
+            .put("wire_probe_path", path.as_str())
+            .put("wire_events", events)
+            .put("wire_dropped_events", evicted);
+    }
+    if profile {
+        print_breakdown(trace);
+    }
+    if let Some((server, _)) = &server {
+        let addr = server.local_addr();
+        server.publish(metrics);
+        server.publish_timeline(timeline);
+        println!("  dashboard live at http://{addr}/dashboard");
+        if wire_path.is_some() {
+            server.publish_wire(&artifacts.wire);
+            println!("  wire log live at http://{addr}/wire");
+        }
+        println!(
+            "  metrics published at http://{addr}/metrics ({} ranks)",
+            metrics.ranks.len()
+        );
+    }
+
+    let degraded = result.shrinks > 0 || result.lost_particles > 0;
+    if verify && degraded {
+        // A shrunken run dropped the dead columns' particles mid-flight;
+        // the full-world serial trajectory is no longer the reference.
+        println!("  degraded run: serial verification skipped");
+    }
+    if verify && !degraded {
+        let serial = run_serial(&cfg, &initial);
+        let err = result
+            .particles
+            .iter()
+            .zip(&serial)
+            .map(|(a, b)| (a.pos - b.pos).norm())
+            .fold(0.0, f64::max);
+        println!("  max deviation vs serial: {err:.3e}");
+        if err > 1e-9 {
+            return Err("VERIFY FAILED".into());
+        }
+        println!("  VERIFY OK");
+        summary.put("max_deviation", err).put("verify_ok", true);
+    }
+    if let Some((server, _)) = &server {
+        let endpoint = format!("http://{}/metrics", server.local_addr());
+        summary
+            .put("metrics_endpoint", endpoint)
+            .put("compute_flops", metrics.sum_counter("compute_flops", None));
+    }
+    let counters = |summary: &mut Summary, keys: &[&str]| {
+        for key in keys {
+            summary.put(key, metrics.sum_counter(key, None));
+        }
+    };
+    if recovering {
+        summary
+            .put("max_attempts", result.max_attempts)
+            .put("recovered", result.recovered)
+            .put("shrinks", result.shrinks)
+            .put("lost_particles", result.lost_particles)
+            .put("final_ranks", result.final_ranks);
+        if let Some(plan) = &faults {
+            summary.put("faults", plan.spec());
+            counters(
+                &mut summary,
+                &[
+                    "fault_injected_total",
+                    "fault_detected_total",
+                    "fault_retries_total",
+                    "recovery_bytes_total",
+                ],
+            );
+        }
+    }
+    let mut health_violations: Vec<String> = Vec::new();
+    if let Some(hr) = &result.health {
+        summary
+            .put("health_steps_checked", hr.steps_checked)
+            .put("health_sentinel_events", hr.sentinel_events)
+            .put("health_fingerprint_mismatches", hr.fingerprint_mismatches)
+            .put("energy0", hr.energy_first)
+            .put("energy_final", hr.energy_last)
+            .put("energy_drift_rel", hr.max_rel_energy_drift)
+            .put("momentum_norm_max", hr.max_momentum_norm);
+        if let Some(base) = &health_baseline {
+            health_violations = base.gate(hr);
+            let gate = if health_violations.is_empty() {
+                "pass"
+            } else {
+                "fail"
+            };
+            summary.put("health_gate", gate);
+        }
+    }
+    if let Some(ck) = &ckpt {
+        summary
+            .put("checkpoint_dir", ck.dir.display().to_string())
+            .put("checkpoint_every", ck.every);
+        counters(
+            &mut summary,
+            &["checkpoint_persisted_total", "checkpoint_bytes_total"],
+        );
+    }
+    if let Some(step) = resumed_from {
+        summary.put("resumed_from_step", step);
+    }
+    summary.print();
+    if let Some((server, hold_ms)) = server {
+        // Hold the endpoint open so an external scraper launched against
+        // the printed address can still collect the final snapshot.
+        std::thread::sleep(Duration::from_millis(hold_ms));
+        server.shutdown();
+    }
+    let gate = health_violations
+        .iter()
+        .map(|v| format!("HEALTH GATE: {v}"));
+    verdict(&gate.collect::<Vec<_>>())
+}

@@ -2039,3 +2039,126 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Run `args` in a fresh, empty working directory and require a start-up
+/// rejection: exit 2, exactly one stderr line naming each of `names`, no
+/// panic, and nothing written.
+fn assert_rejected_at_startup(tag: &str, args: &[&str], names: &[&str]) {
+    let dir = std::env::temp_dir().join(format!("ca_nbody_cli_startup_{tag}"));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = cli().args(args).current_dir(&dir).output().expect("launch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    for name in names {
+        assert!(stderr.contains(name), "{args:?}: no {name} in {stderr}");
+    }
+    assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_malformed_option_value_is_a_startup_error_not_a_default() {
+    for (tag, args, names) in [
+        ("n", &["run", "n=1o24", "steps=2", "--trace=t.json"][..], ["'n'", "'1o24'"]),
+        ("p", &["run", "p=4x", "steps=2", "--metrics=m.json"], ["'p'", "'4x'"]),
+        ("steps", &["audit", "steps=two", "--out=a.csv"], ["'steps'", "'two'"]),
+        ("kills", &["chaos", "--kills=many", "--metrics=m.json"], ["'kills'", "'many'"]),
+        (
+            "drift",
+            &["analyze", "--drift-window=x", "t.json", "--csv=c.csv"],
+            ["'drift-window'", "'x'"],
+        ),
+        ("crash", &["run", "--checkpoint-dir=ck", "--crash-at-step=soon"], ["'crash-at-step'", "'soon'"]),
+        ("tol", &["regress", "t.jsonl", "tolerance=loose", "--record"], ["'tolerance'", "'loose'"]),
+        ("c", &["audit", "c=some"], ["'c'", "'some'"]),
+        ("bc", &["run", "boundary=perodic", "--trace=t.json"], ["'boundary'", "'perodic'"]),
+        ("switch", &["run", "--profile", "yes"], ["'profile'", "'yes'"]),
+    ] {
+        assert_rejected_at_startup(tag, args, &names);
+    }
+}
+
+#[test]
+fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
+    for (tag, args, names) in [
+        ("trase", &["run", "n=64", "p=4", "steps=2", "--trase=out.json"][..], ["'trase'", "'run'"]),
+        ("scale_c", &["scale", "c=2", "--metrics=m.json"], ["'c'", "'scale'"]),
+        ("report", &["report", "t.json", "--metrics=m.json"], ["'metrics'", "'report'"]),
+        // Read only next to the option that gives them a meaning.
+        ("every", &["run", "checkpoint-every=5", "--trace=t.json"], ["'checkpoint-every'", "'run'"]),
+        ("hold", &["run", "serve-metrics-hold-ms=10"], ["'serve-metrics-hold-ms'", "'run'"]),
+        ("gate", &["run", "--health-baseline=h.json"], ["'health-baseline'", "'run'"]),
+        ("retry", &["run", "fault-timeout-ms=300"], ["'fault-timeout-ms'", "'run'"]),
+        ("mp", &["scale", "metrics-p=64"], ["'metrics-p'", "'scale'"]),
+        ("csv", &["analyze", "--timeline=tl.json", "--csv=c.csv"], ["'csv'", "'analyze'"]),
+        ("method", &["audit", "method=ca-cutoff-1d"], ["'method'", "'audit'"]),
+    ] {
+        assert_rejected_at_startup(tag, args, &names);
+    }
+}
+
+#[test]
+fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
+    // A minimal invocation of each; the inputs need not exist, because the
+    // option check comes before the first file is opened.
+    for args in [
+        &["run", "n=32", "p=2", "c=1", "steps=1"][..],
+        &["verify", "n=32", "p=2", "c=1", "steps=1"],
+        &["report", "t.json"],
+        &["audit", "n=64", "p=4"],
+        &["calibrate"],
+        &["chaos", "n=64", "p=4"],
+        &["soak", "n=64", "p=4", "seconds=1"],
+        &["scale", "n=4096"],
+        &["autotune", "p=256", "n=2048"],
+        &["analyze", "t.json"],
+        &["health", "tl.json"],
+        &["conformance", "w.json"],
+        &["postmortem", "tl.json"],
+        &["regress", "t.jsonl"],
+    ] {
+        let mut args = args.to_vec();
+        args.push("--no-such-option=1");
+        let quoted = format!("'{}'", args[0]);
+        assert_rejected_at_startup(args[0], &args, &["'no-such-option'", &quoted]);
+    }
+}
+
+#[test]
+fn conformance_reads_the_grammar_run_wrote_the_log_with() {
+    // `law=lj` scales the domain and brings its own default cutoff, and
+    // `boundary=periodic` wraps the window: the flags that produced a log
+    // must reproduce its schedule, and dropping one must not.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_one_grammar_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let wire = dir.join("wire.json").display().to_string();
+    let flags = ["method=ca-cutoff-1d", "law=lj", "n=256", "p=8", "c=2", "steps=2"];
+    let out = cli()
+        .arg("run")
+        .args(flags)
+        .args(["boundary=periodic", &format!("--wire-probe={wire}")])
+        .output()
+        .expect("launch");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = cli()
+        .args(["conformance", &wire])
+        .args(flags)
+        .arg("boundary=periodic")
+        .output()
+        .expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("verdict: PASS"), "{stdout}");
+    assert!(stdout.contains("(periodic)") && stdout.contains("cutoff=2.5"), "{stdout}");
+
+    let out = cli().args(["conformance", &wire]).args(flags).output().expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("verdict: FAIL"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
