@@ -239,17 +239,37 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
         d,
         b,
     );
+    // What the ordering costs a leader per step, by what it is handed: the
+    // id order of a first step, last step's cell order after one step's
+    // drift (dt = 0.005 at T = 0.5, the benchmark's), and the same with the
+    // neighbour slab's nearest column thinned to eight particles and
+    // appended, as re-assignment appends migrants (a step moves ~0.3 % of a
+    // block over a cell edge and fewer over a slab's).
+    let mut drifted = cell_ordered.clone();
+    init::thermalize(&mut drifted, 0.5, 42);
+    for p in &mut drifted {
+        p.pos += p.vel * 0.005;
+    }
+    let mut with_migrants = drifted.clone();
+    let edge = east.iter().map(|p| p.pos.x).fold(f64::INFINITY, f64::min);
+    with_migrants.extend(east.iter().filter(|p| p.pos.x == edge).step_by(12));
     group.throughput(Throughput::Elements((by_id.len() * by_id.len()) as u64));
-    group.bench_function(
-        BenchmarkId::new("cell_order_from_id_order", by_id.len()),
-        |bench| {
-            bench.iter(|| {
-                let mut block = black_box(&by_id).clone();
-                ca_nbody::kernel::cell_order(&mut block, &lj, &domain);
-                block
-            })
-        },
-    );
+    for (input, block) in [
+        ("from_id_order", &by_id),
+        ("after_drift", &drifted),
+        ("after_drift_and_migrants", &with_migrants),
+    ] {
+        group.bench_function(
+            BenchmarkId::new(format!("cell_order_{input}"), block.len()),
+            |bench| {
+                let mut scratch = block.clone();
+                bench.iter(|| {
+                    scratch.copy_from_slice(black_box(block));
+                    ca_nbody::kernel::cell_order(&mut scratch, &lj, &domain);
+                })
+            },
+        );
+    }
 }
 
 /// Lane path vs. per-lane fallback, law by law, in one table. 2048 is the

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::Path;
 
 use ca_nbody::dist::{team_of_x, team_of_xy};
-use ca_nbody::schedule::{AllPairsParams, AllgatherParams, ReassignModel};
+use ca_nbody::schedule::{AllPairsParams, AllgatherParams};
 use ca_nbody::{Layout, Method, ProcGrid};
 use nbody_comm::Phase;
 use nbody_netsim::{simulate, CollNet, Machine, SimReport};
@@ -133,10 +133,8 @@ pub fn run_cutoff_point(
     let layout = Layout::new(method, p, &domain, Boundary::Open, Some(r_c)).ok()?;
     let teams = layout.grid.teams();
     let avg_block = n / teams.max(1);
-    let reassign = ReassignModel {
-        bytes: ((avg_block as f64 * MIGRATION_FRACTION) as u64).max(1)
-            * PARTICLE_WIRE_BYTES as u64,
-    };
+    let migrating =
+        ((avg_block as f64 * MIGRATION_FRACTION) as u64).max(1) * PARTICLE_WIRE_BYTES as u64;
 
     // Bin an actual sampled distribution so boundary windows and count
     // fluctuations produce the load imbalance the paper describes.
@@ -146,7 +144,9 @@ pub fn run_cutoff_point(
     } else {
         sampled_block_sizes_2d(n, tx, ty)
     };
-    let params = layout.schedule(sizes).with_reassign(reassign);
+    // The twin knows whom the leaders re-assign with; what moves is modelled.
+    let mut params = layout.schedule(sizes);
+    params.reassign.as_mut().expect("the cutoff methods re-assign").bytes = migrating;
     let rep = simulate(machine, p, |r| params.program(r));
     Some(FigRow::from_report(format!("c={c}"), &rep))
 }

@@ -207,34 +207,6 @@ pub trait Communicator: Sized {
         out
     }
 
-    /// Personalized all-to-all with variable counts: `buckets[r]` is sent
-    /// to rank `r`; returns the per-source buckets received (index =
-    /// source rank). Every bucket is moved, not copied: this rank's own into
-    /// `out[rank()]`, the others into [`send_vec`](Communicator::send_vec).
-    /// The workhorse of spatial re-assignment.
-    fn alltoallv<T: CommData>(&self, mut buckets: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let p = self.size();
-        let me = self.rank();
-        assert_eq!(buckets.len(), p, "one bucket per rank");
-        let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        out[me] = std::mem::take(&mut buckets[me]);
-        // Deterministic rotation: round r exchanges with me +/- r.
-        const TAG_A2A: u64 = 0x6000;
-        for offset in 1..p {
-            let dst = (me + offset) % p;
-            self.send_vec(
-                dst,
-                TAG_A2A + offset as u64,
-                std::mem::take(&mut buckets[dst]),
-            );
-        }
-        for offset in 1..p {
-            let src = (me + p - offset) % p;
-            out[src] = self.recv(src, TAG_A2A + offset as u64);
-        }
-        out
-    }
-
     /// Block until every rank of the communicator has arrived.
     fn barrier(&self);
 

@@ -19,6 +19,13 @@
 //!   identically.
 //! * Receives have a generous timeout; a deadlocked protocol panics with a
 //!   diagnostic instead of hanging the test suite.
+//! * A rank that fails takes the run down at once. The first rank body to
+//!   panic leaves its rank and message in the fabric; a receive that has
+//!   parked wakes every `ABORT_CHECK` (20 ms), sees it, and panics with
+//!   `aborted: rank R failed: <message>` instead of sleeping out its
+//!   deadline, and [`run_ranks`] re-raises the first failure's payload —
+//!   not the time-out of whichever rank it left waiting. Only the sleep
+//!   looks: the poll below and `parked` (one per receive) are untouched.
 //! * A receive polls before it parks. The channel (the vendored stand-in
 //!   over `std::sync::mpsc`) parks a thread on an empty inbox, and being
 //!   woken costs 21–27 µs against the 2 µs a small block's kernel call
@@ -43,6 +50,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -193,6 +201,10 @@ pub(crate) struct Fabric {
     /// it lets a retried protocol leave stale or duplicated messages of a
     /// previous attempt unconsumed instead of tripping the tag assertion.
     relaxed: bool,
+    /// The first rank whose body panicked, and what it said. Once set, the
+    /// run is over: a parked receive that sees it panics too instead of
+    /// waiting out its deadline for a message that may never be sent.
+    failed: OnceLock<(usize, String)>,
 }
 
 impl Fabric {
@@ -220,6 +232,10 @@ struct Endpoint {
 /// wall time inside the caller's deadline, never added to it.
 const POLL: Duration = Duration::from_micros(50);
 
+/// How long a parked receive sleeps between looks at [`Fabric::failed`]:
+/// what a failed rank costs its waiting peers before they follow it down.
+const ABORT_CHECK: Duration = Duration::from_millis(20);
+
 impl Endpoint {
     /// Pull envelopes off the inbox until one matching `(comm, src)` — and,
     /// when `want_tag` is set (relaxed mode), the tag — is available,
@@ -227,13 +243,14 @@ impl Endpoint {
     /// wait, parked on the channel after it. When nothing matching arrives
     /// within `timeout` the error is how long the receive waited; the
     /// caller, which knows the local rank and the tag it posted, makes the
-    /// [`CommError::Timeout`] of it.
+    /// [`CommError::Timeout`] of it. Parked, it also looks at `failed`
+    /// every [`ABORT_CHECK`] and panics if a rank has.
     fn try_recv_matching(
         &mut self,
-        comm: u64,
-        src_global: usize,
+        key @ (comm, src_global): (u64, usize),
         want_tag: Option<u64>,
         timeout: Duration,
+        failed: &OnceLock<(usize, String)>,
         stats: &mut CommStats,
         tracer: &Tracer,
     ) -> Result<Envelope, Duration> {
@@ -241,7 +258,6 @@ impl Endpoint {
             Some(t) => env.tag == t,
             None => true,
         };
-        let key = (comm, src_global);
         if let Some(queue) = self.pending.get_mut(&key) {
             if let Some(pos) = queue.iter().position(&tag_ok) {
                 // In strict mode `pos` is always 0 (plain FIFO pop); in
@@ -271,9 +287,14 @@ impl Endpoint {
                     parked = true;
                     stats.record_parked();
                 }
-                match self.rx.recv_timeout(remaining) {
+                // Asleep in slices, so that a peer's failure ends the wait
+                // (the deadline is re-read at the top of the loop).
+                match self.rx.recv_timeout(remaining.min(ABORT_CHECK)) {
                     Ok(env) => env,
-                    Err(_) => break None,
+                    Err(_) => match failed.get() {
+                        Some((rank, why)) => panic!("aborted: rank {rank} failed: {why}"),
+                        None => continue,
+                    },
                 }
             };
             if env.comm == comm && env.src_global == src_global && tag_ok(&env) {
@@ -401,10 +422,10 @@ impl ThreadComm {
             self.endpoint
                 .borrow_mut()
                 .try_recv_matching(
-                    self.comm_id,
-                    src_global,
+                    (self.comm_id, src_global),
                     want_tag,
                     timeout,
+                    &self.fabric.failed,
                     &mut stats,
                     &self.tracer,
                 )
@@ -796,6 +817,7 @@ where
         registry: Mutex::new(HashMap::new()),
         next_comm: AtomicU64::new(1),
         relaxed,
+        failed: OnceLock::new(),
     });
     let epoch = lenses.trace.then(Instant::now);
     // One epoch shared by every rank's probe ring: send and recv stamps
@@ -846,7 +868,16 @@ where
                         split_seq: Cell::new(0),
                         coll_seq: Cell::new(0),
                     };
-                    let result = f(comm);
+                    // The first body to panic is the run's failure: say
+                    // so where the peers parked on this rank will look.
+                    let fabric = Arc::clone(&comm.fabric);
+                    let result = catch_unwind(AssertUnwindSafe(|| f(comm))).unwrap_or_else(|e| {
+                        let why = e.downcast_ref::<String>().map(String::as_str);
+                        let why = why.or(e.downcast_ref::<&str>().copied());
+                        let why = why.unwrap_or("(no message)").to_string();
+                        let _ = fabric.failed.set((rank, why));
+                        resume_unwind(e)
+                    });
                     (
                         result,
                         tracer.finish(),
@@ -858,14 +889,18 @@ where
                 .expect("failed to spawn rank thread");
             handles.push(handle);
         }
-        handles
+        // Propagate the original payload so callers (and tests) see the
+        // real panic message instead of "Any { .. }" — the first failure's,
+        // not that of the lowest rank it took down with it.
+        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        if let Some(&(first, _)) = fabric.failed.get() {
+            if let Err(payload) = joined.swap_remove(first) {
+                resume_unwind(payload)
+            }
+        }
+        joined
             .into_iter()
-            .map(|h| {
-                // Propagate the original payload so callers (and tests) see
-                // the real panic message instead of "Any { .. }".
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
+            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect::<Vec<_>>()
     });
 
@@ -1668,6 +1703,31 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_that_fails_takes_the_run_down_and_is_the_failure_reported() {
+        let said = std::sync::Mutex::new(Vec::new());
+        let start = Instant::now();
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            run_ranks(4, |comm| {
+                if comm.rank() == 2 {
+                    panic!("rank two's own words");
+                }
+                // Parked on a message rank 2 will never send.
+                let e = catch_unwind(AssertUnwindSafe(|| comm.recv::<u8>(2, 7))).unwrap_err();
+                said.lock()
+                    .unwrap()
+                    .push(e.downcast_ref::<String>().cloned());
+                resume_unwind(e)
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"rank two's own words"));
+        let aborted = Some("aborted: rank 2 failed: rank two's own words".to_string());
+        assert_eq!(said.into_inner().unwrap(), vec![aborted; 3]);
+        // Nobody slept out a deadline (tens of milliseconds, measured).
+        assert!(start.elapsed() < recv_timeout() / 2);
+    }
+
+    #[test]
     #[should_panic]
     fn tag_mismatch_panics() {
         run_ranks(2, |comm| {
@@ -1688,79 +1748,5 @@ mod tests {
             buf[0]
         });
         assert!(out.iter().all(|&x| x == p as u64));
-    }
-}
-
-#[cfg(test)]
-mod alltoallv_tests {
-    use super::*;
-    use crate::communicator::Communicator;
-
-    #[test]
-    fn alltoallv_routes_buckets_by_rank() {
-        let p = 5;
-        let out = run_ranks(p, |comm| {
-            // Rank r sends [r*10 + dst; dst+1] to each dst.
-            let buckets: Vec<Vec<u64>> = (0..p)
-                .map(|dst| vec![(comm.rank() * 10 + dst) as u64; dst + 1])
-                .collect();
-            comm.alltoallv(buckets)
-        });
-        for (me, received) in out.iter().enumerate() {
-            assert_eq!(received.len(), p);
-            for (src, bucket) in received.iter().enumerate() {
-                assert_eq!(bucket.len(), me + 1, "me={me} src={src}");
-                assert!(bucket.iter().all(|&x| x == (src * 10 + me) as u64));
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_moves_every_bucket() {
-        let out = run_ranks(3, |comm| {
-            let buckets: Vec<Vec<u64>> = (0..3).map(|dst| vec![dst as u64; 4]).collect();
-            let sent: Vec<usize> = buckets.iter().map(|b| b.as_ptr() as usize).collect();
-            let got = comm.alltoallv(buckets);
-            let got: Vec<usize> = got.iter().map(|b| b.as_ptr() as usize).collect();
-            (sent, got)
-        });
-        for (me, (_, got)) in out.iter().enumerate() {
-            for (src, (sent, _)) in out.iter().enumerate() {
-                assert_eq!(got[src], sent[me], "bucket {src} -> {me}");
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_empty_buckets_ok() {
-        let out = run_ranks(4, |comm| {
-            let buckets: Vec<Vec<u8>> = vec![Vec::new(); 4];
-            comm.alltoallv(buckets)
-        });
-        for received in out {
-            assert!(received.iter().all(Vec::is_empty));
-        }
-    }
-
-    #[test]
-    fn alltoallv_single_rank_is_identity() {
-        let out = run_ranks(1, |comm| comm.alltoallv(vec![vec![1u8, 2, 3]]));
-        assert_eq!(out[0], vec![vec![1, 2, 3]]);
-    }
-
-    #[test]
-    fn alltoallv_on_split_communicators() {
-        // Two independent pairs: traffic must not leak across colors.
-        let out = run_ranks(4, |comm| {
-            let pair = comm.split(comm.rank() / 2, comm.rank());
-            let buckets = vec![vec![comm.rank() as u64], vec![comm.rank() as u64 + 100]];
-            pair.alltoallv(buckets)
-        });
-        // Rank r's bucket[0] (its global rank) goes to the pair's local 0;
-        // bucket[1] (rank+100) to local 1.
-        assert_eq!(out[0], vec![vec![0], vec![1]]);
-        assert_eq!(out[1], vec![vec![100], vec![101]]);
-        assert_eq!(out[2], vec![vec![2], vec![3]]);
-        assert_eq!(out[3], vec![vec![102], vec![103]]);
     }
 }

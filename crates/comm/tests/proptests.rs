@@ -126,33 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn alltoallv_is_a_global_permutation(
-        p in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        // Every rank distributes p tokens (one per destination, tagged with
-        // src*1000+dst); afterwards the global multiset must be intact.
-        let out = run_ranks(p, move |comm| {
-            let buckets: Vec<Vec<u64>> = (0..p)
-                .map(|dst| {
-                    // Pseudo-random count 0..4 per (src,dst).
-                    let k = (seed.wrapping_add((comm.rank() * p + dst) as u64 * 2654435761) >> 7) % 4;
-                    (0..k).map(|i| (comm.rank() * 1000 + dst) as u64 + i * 1_000_000).collect()
-                })
-                .collect();
-            comm.alltoallv(buckets)
-        });
-        // Every received token (on rank me, from src) must be tagged src*1000+me.
-        for (me, received) in out.iter().enumerate() {
-            for (src, bucket) in received.iter().enumerate() {
-                for &tok in bucket {
-                    prop_assert_eq!((tok % 1_000_000) as usize, src * 1000 + me);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn arbitrary_grid_splits_route_correctly(
         cols in 1usize..5,
         rows in 1usize..4,

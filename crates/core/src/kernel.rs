@@ -8,6 +8,7 @@
 //! the `compute_*` counters.
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::time::Instant;
 
 use nbody_metrics::{Counter, MetricsRecorder};
@@ -190,20 +191,57 @@ impl Cull {
     }
 }
 
+/// A particle's place in [`cell_order`]: cell row, cell column, id.
+type CellKey = (i64, i64, u64);
+
+thread_local! {
+    /// The keys of the block a rank is ordering, kept from step to step so
+    /// that ordering a block allocates nothing once it has been this long.
+    static CELL_KEYS: RefCell<Vec<CellKey>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Put a block in the order the cull needs, consecutive particles being
 /// neighbours: by `r_c`-sized cell, row-major, ties by id (nothing moves
 /// under a law without a cutoff). It also puts the two lanes of a target
 /// pair next to each other. The cutoff drivers call it on the team leader
 /// before the broadcast. A total order on distinct ids, so the result does
 /// not depend on the order `block` arrives in.
+///
+/// The cost does: a leader's block arrives as last step's order, a few
+/// particles having drifted over a cell edge and a few migrants appended,
+/// so each key is computed once (two `floor`s, a libm call on baseline
+/// x86-64 — a comparison sort that recomputes them is the slowest way) and
+/// the displaced few are inserted where they belong. A block further out
+/// of order than `INSERT_BUDGET` moves per particle is sorted outright.
 pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain) {
     let Some(r_c) = law.cutoff() else { return };
-    block.sort_by_cached_key(|p| {
+    let key = |p: &Particle| -> CellKey {
         // `as i64` saturates and sends NaN to 0: any position gets some cell.
         let cell = (p.pos - domain.min) / r_c;
         (cell.y.floor() as i64, cell.x.floor() as i64, p.id)
+    };
+    CELL_KEYS.with_borrow_mut(|keys| {
+        keys.clear();
+        keys.extend(block.iter().map(key));
+        let mut budget = INSERT_BUDGET * block.len();
+        for i in 1..block.len() {
+            if keys[i - 1] <= keys[i] {
+                continue;
+            }
+            let at = keys[..i].partition_point(|k| *k < keys[i]);
+            if i - at > budget {
+                return block.sort_by_cached_key(key);
+            }
+            budget -= i - at;
+            keys[at..=i].rotate_right(1);
+            block[at..=i].rotate_right(1);
+        }
     });
 }
+
+/// Places, per particle of the block, that [`cell_order`]'s insertions may
+/// move particles through before it gives up and sorts.
+const INSERT_BUDGET: usize = 8;
 
 /// The one target x source loop nest behind [`accumulate_block`],
 /// [`accumulate_sources`] and [`accumulate_block_potential`], generic over
@@ -699,6 +737,32 @@ mod tests {
         block.reverse();
         cell_order(&mut block, &Counting, &domain);
         assert_eq!(ids(&block), [0, 4, 5, 1, 3, 2, 6]);
+    }
+
+    #[test]
+    fn cell_order_is_one_order_whether_it_inserts_or_sorts() {
+        let domain = Domain::unit();
+        let law = Cutoff::new(Counting, 0.1);
+        let sorted = |block: &[Particle]| {
+            let mut want = block.to_vec();
+            let cell = |x: f64| (x / 0.1).floor() as i64;
+            want.sort_by_key(|p| (cell(p.pos.y), cell(p.pos.x), p.id));
+            want
+        };
+        // Id order says nothing of position: far past the insertion budget.
+        let mut block = init::uniform(400, &domain, 11);
+        let want = sorted(&block);
+        cell_order(&mut block, &law, &domain);
+        assert_eq!(block, want);
+        // A step later a few have changed cell and migrants are appended.
+        for p in block.iter_mut().step_by(57) {
+            p.pos = Vec2::new(p.pos.y, p.pos.x);
+        }
+        block.extend((400..403).map(|id| Particle::at(id, Vec2::new(0.05, 0.11 * (id - 399) as f64))));
+        let want = sorted(&block);
+        assert_ne!(block, want);
+        cell_order(&mut block, &law, &domain);
+        assert_eq!(block, want);
     }
 
     #[test]

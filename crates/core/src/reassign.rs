@@ -2,173 +2,179 @@
 //!
 //! The cutoff algorithms require a spatial decomposition, so after particles
 //! move they must be handed to their new owner teams — the cost the paper
-//! plots as "Communication (Re-assign)" in Fig. 6. Leaders exchange
-//! migrants directly with every destination team; in near-uniform flows all
-//! but the neighbor buckets are empty, so the realized traffic is
-//! neighbor-to-neighbor.
+//! plots as "Communication (Re-assign)" in Fig. 6. It is a neighbour
+//! exchange: a leader trades migrants with the teams of a neighbourhood
+//! [`Window`] and with nobody else, one message per neighbour per step
+//! whether or not anybody moved, so `S` does not grow with the team count.
+//!
+//! The contract is the one every spatial-decomposition code has: **a
+//! particle crosses at most one cell per step**. It is enforced exactly, on
+//! the sender, while bucketing and before anything is sent — a particle
+//! bound for a team outside the neighbourhood is an error naming it, never
+//! a dropped, mis-homed or forwarded particle (DESIGN.md §18 says why
+//! forwarding cannot work). The any-to-any exchange is the same body on the
+//! full team ring, where every team is a neighbour.
 
-use nbody_comm::{CommData, Communicator, Phase};
+use nbody_comm::{Communicator, Phase};
 use nbody_physics::Particle;
 
-/// Tag for re-assignment messages.
-pub const TAG_REASSIGN: u64 = 0x40;
+use crate::window::{TeamWindow, Window};
 
-/// Exchange migrated particles among the team leaders.
+/// Base tag of re-assignment messages: `TAG_REASSIGN + j` for the
+/// neighbourhood's position `j`.
+pub const TAG_REASSIGN: u64 = 0x6000;
+
+/// Exchange migrated particles among the team leaders, each with the teams
+/// of its neighbourhood `hood` only.
 ///
 /// `leaders` must be a communicator containing exactly the team leaders,
-/// ranked by team (the row-0 row communicator). `assign` maps a particle to
-/// its owning team and is asked once per particle. On return, `st` holds
-/// exactly the particles assigned to this team, sorted by id for
-/// determinism. Particles that stay are not copied: only migrants leave
-/// `st`'s allocation, and only migrants are appended to it.
+/// ranked by team (the row-0 row communicator), and `hood` a window over
+/// those teams. `assign` maps a particle to its owning team and is asked
+/// once per particle. On return, `st` holds exactly the particles assigned
+/// to this team: those that stayed, in the order they were in and not
+/// copied, then the arrivals by neighbourhood position. A particle bound
+/// outside `hood` is an error naming its id and both teams: nothing was
+/// sent then, and `st` holds what it held.
+pub fn reassign_within<C: Communicator, W: Window>(
+    leaders: &C,
+    hood: &W,
+    st: &mut Vec<Particle>,
+    assign: impl Fn(&Particle) -> usize,
+) -> Result<(), String> {
+    leaders.set_phase(Phase::Reassign);
+    let me = leaders.rank();
+    debug_assert_eq!(hood.teams(), leaders.size(), "one leader per team");
+    // Position `j` of the neighbourhood is the team `me + O[j]`.
+    let reach: Vec<Option<usize>> = (0..hood.len()).map(|j| hood.apply(me, j)).collect();
+    let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); reach.len()];
+    let mut escaped = None;
+    st.retain(|p| {
+        let to = assign(p);
+        let at = reach.iter().position(|&team| team == Some(to));
+        match at {
+            // Position 0 is this team.
+            Some(0) => {}
+            Some(j) => buckets[j].push(*p),
+            None => escaped = escaped.or(Some((p.id, to))),
+        }
+        // Whoever is out of reach stays, for the error to leave `st` whole.
+        !matches!(at, Some(1..))
+    });
+    if let Some((id, to)) = escaped {
+        st.extend(buckets.into_iter().flatten());
+        return Err(format!(
+            "particle {id} left team {me} for team {to}, which is not one of its neighbours: \
+             re-assignment moves a particle one cell per step at most (smaller dt, or fewer teams)"
+        ));
+    }
+    // A bucket goes out even when it is empty: the receiver cannot know.
+    for (j, bucket) in buckets.into_iter().enumerate().skip(1) {
+        if let Some(to) = reach[j] {
+            leaders.send_vec(to, TAG_REASSIGN + j as u64, bucket);
+        }
+    }
+    for j in 1..reach.len() {
+        if let Some(from) = hood.apply_back(me, j) {
+            st.extend(leaders.recv::<Particle>(from, TAG_REASSIGN + j as u64));
+        }
+    }
+    Ok(())
+}
+
+/// [`reassign_within`] the full team ring: every team is a neighbour, so a
+/// particle may be bound anywhere (an initial distribution that is not
+/// spatial yet, say) at `teams − 1` messages per leader.
 pub fn reassign_particles<C: Communicator>(
     leaders: &C,
     st: &mut Vec<Particle>,
     assign: impl Fn(&Particle) -> usize,
 ) {
-    leaders.set_phase(Phase::Reassign);
-    let (teams, me) = (leaders.size(), leaders.rank());
-
-    let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); teams];
-    st.retain(|p| {
-        let dst = assign(p);
-        debug_assert!(dst < teams, "assignment out of range");
-        if dst != me {
-            buckets[dst].push(*p);
-        }
-        dst == me
-    });
-    // An alltoallv: empty buckets still cost one (empty) message; the
-    // realized payload is neighbor-local for physical flows.
-    for arrived in leaders.alltoallv(buckets) {
-        st.extend(arrived);
-    }
-    // Ids are unique, so the unstable sort has one possible outcome.
-    st.sort_unstable_by_key(|p| p.id);
-}
-
-/// Exchange arbitrary items among ranks by destination (a generic
-/// all-to-all); used by tests and by custom decompositions.
-pub fn exchange_by_destination<C: Communicator, T: CommData>(
-    comm: &C,
-    items: Vec<(usize, T)>,
-) -> Vec<T> {
-    let p = comm.size();
-    let me = comm.rank();
-    let mut buckets: Vec<Vec<T>> = vec![Vec::new(); p];
-    for (dst, item) in items {
-        assert!(dst < p, "destination {dst} out of range");
-        buckets[dst].push(item);
-    }
-    let mut out = std::mem::take(&mut buckets[me]);
-    for offset in 1..p {
-        let dst = (me + offset) % p;
-        let bucket = std::mem::take(&mut buckets[dst]);
-        comm.send_vec(dst, TAG_REASSIGN + offset as u64, bucket);
-    }
-    for offset in 1..p {
-        let src = (me + p - offset) % p;
-        out.extend(comm.recv::<T>(src, TAG_REASSIGN + offset as u64));
-    }
-    out
+    let ring = TeamWindow::ring(leaders.size());
+    reassign_within(leaders, &ring, st, assign).expect("the ring reaches every team");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::team_of_x;
+    use crate::dist::{id_block_subset, team_of_x};
     use nbody_comm::run_ranks;
-    use nbody_physics::{init, Domain};
+    use nbody_physics::{init, Domain, Vec2};
 
     #[test]
     fn reassign_moves_particles_home() {
         let domain = Domain::unit();
-        let teams = 4;
-        let n = 40;
+        let (teams, n) = (4, 40);
         let out = run_ranks(teams, |world| {
             // Deliberately mis-assign: rank r starts with the id block, not
-            // the spatial block.
+            // the spatial block — any-to-any, which is what the ring is for.
             let all = init::uniform(n, &domain, 17);
-            let mut st = crate::dist::id_block_subset(&all, teams, world.rank());
+            let mut st = id_block_subset(&all, teams, world.rank());
             reassign_particles(world, &mut st, |p| team_of_x(&domain, teams, p.pos.x));
-            st
+            (st, world.stats().phase(Phase::Reassign).messages)
         });
-        let mut total = 0;
-        for (team, st) in out.iter().enumerate() {
-            total += st.len();
-            for p in st {
-                assert_eq!(team_of_x(&domain, teams, p.pos.x), team);
-            }
-            // Sorted by id.
-            assert!(st.windows(2).all(|w| w[0].id < w[1].id));
+        let mut ids: Vec<u64> = Vec::new();
+        for (team, (st, sent)) in out.iter().enumerate() {
+            assert!(st.iter().all(|p| team_of_x(&domain, teams, p.pos.x) == team));
+            assert_eq!(*sent, (teams - 1) as u64);
+            ids.extend(st.iter().map(|p| p.id));
         }
-        assert_eq!(total, n, "no particles lost or duplicated");
+        ids.sort_unstable();
+        assert_eq!(ids, (0..n as u64).collect::<Vec<_>>(), "nobody lost or doubled");
     }
 
     #[test]
     fn reassign_is_idempotent_when_already_assigned() {
         let domain = Domain::unit();
         let teams = 3;
-        let out = run_ranks(teams, |world| {
+        run_ranks(teams, |world| {
             let all = init::uniform(30, &domain, 2);
-            let mut st =
-                crate::dist::spatial_subset_1d(&all, &domain, teams, world.rank());
+            let mut st = crate::dist::spatial_subset_1d(&all, &domain, teams, world.rank());
             let before = st.clone();
             let (at, asked) = (st.as_ptr(), std::cell::Cell::new(0));
             reassign_particles(world, &mut st, |p| {
                 asked.set(asked.get() + 1);
                 team_of_x(&domain, teams, p.pos.x)
             });
-            // Nobody moved: nobody was copied, and each was asked about once.
-            assert_eq!(st.as_ptr(), at);
-            assert_eq!(asked.get(), before.len());
-            (before, st)
+            // Nobody moved: nobody was copied or reordered, and each was
+            // asked about once.
+            assert_eq!((st.as_ptr(), asked.get()), (at, before.len()));
+            assert_eq!(st, before);
         });
-        for (before, after) in out {
-            let mut sorted = before.clone();
-            sorted.sort_by_key(|p| p.id);
-            assert_eq!(sorted, after);
-        }
     }
 
+    /// Every team of a ring of five slabs holds one particle bound `hops`
+    /// slabs east. One slab west (team 0's crosses the periodic seam) it is
+    /// delivered, in one message per neighbour (`window::neighbour_tests`
+    /// has every shape's count); two slabs away it is an error naming it,
+    /// nothing is sent and nothing is lost.
     #[test]
-    fn reassign_attributes_phase() {
+    fn one_cell_per_step_is_delivered_across_the_seam_and_two_is_an_error_naming_the_particle() {
         let domain = Domain::unit();
-        let teams = 4;
-        let stats = run_ranks(teams, |world| {
-            let all = init::uniform(16, &domain, 3);
-            let mut st = crate::dist::id_block_subset(&all, teams, world.rank());
-            reassign_particles(world, &mut st, |p| team_of_x(&domain, teams, p.pos.x));
-            world.stats()
-        });
-        for s in &stats {
-            assert_eq!(s.phase(Phase::Reassign).messages, (teams - 1) as u64);
+        let teams = 5;
+        let hood = TeamWindow::neighbours((teams, 1), true);
+        for hops in [teams - 1, 2] {
+            run_ranks(teams, |world| {
+                let me = world.rank();
+                let to = (me + hops) % teams;
+                let x = (to as f64 + 0.5) / teams as f64;
+                let mut st = vec![Particle::at(me as u64, Vec2::new(x, 0.5))];
+                let held = st.clone();
+                let done = reassign_within(world, &hood, &mut st, |p| {
+                    team_of_x(&domain, teams, p.pos.x)
+                });
+                if hops == 2 {
+                    let said = done.unwrap_err();
+                    let names = format!("particle {me} left team {me} for team {to},");
+                    assert!(said.starts_with(&names), "{said}");
+                    assert_eq!(st, held, "the particle is still here");
+                    assert_eq!(world.stats().total_messages(), 0);
+                } else {
+                    done.unwrap();
+                    let ids: Vec<u64> = st.iter().map(|p| p.id).collect();
+                    assert_eq!(ids, [((me + 1) % teams) as u64]);
+                    assert_eq!(world.stats().phase(Phase::Reassign).messages, 2);
+                }
+            });
         }
-    }
-
-    #[test]
-    fn exchange_by_destination_routes_items() {
-        let p = 5;
-        let out = run_ranks(p, |comm| {
-            // Every rank sends its rank*10+dst to each dst.
-            let items: Vec<(usize, u64)> = (0..p)
-                .map(|dst| (dst, (comm.rank() * 10 + dst) as u64))
-                .collect();
-            let mut got = exchange_by_destination(comm, items);
-            got.sort_unstable();
-            got
-        });
-        for (r, got) in out.iter().enumerate() {
-            let want: Vec<u64> = (0..p).map(|src| (src * 10 + r) as u64).collect();
-            assert_eq!(got, &want);
-        }
-    }
-
-    #[test]
-    fn single_rank_exchange_is_local() {
-        let out = run_ranks(1, |comm| {
-            exchange_by_destination(comm, vec![(0, 1u8), (0, 2)])
-        });
-        assert_eq!(out[0], vec![1, 2]);
     }
 }

@@ -60,11 +60,16 @@ impl AllPairsParams {
     }
 }
 
-/// A crude model of per-step spatial re-assignment traffic for the cutoff
-/// figures: each team leader exchanges `bytes` with both slab neighbors
-/// (the realized traffic of near-uniform flows; see DESIGN.md).
+/// Per-step spatial re-assignment traffic: each team leader exchanges
+/// `bytes` with every team of `hood`, the messages
+/// [`reassign_within`](crate::reassign::reassign_within) sends. The count
+/// is exact; the payload is data-dependent, so `bytes` is a model (the
+/// cutoff figures charge a fixed migrating fraction; see DESIGN.md).
 #[derive(Debug, Clone, Copy)]
 pub struct ReassignModel {
+    /// Whom a leader trades migrants with
+    /// ([`Layout::neighbourhood`](crate::sim::Layout::neighbourhood)).
+    pub hood: TeamWindow,
     /// Migrating payload per neighbor, in bytes.
     pub bytes: u64,
 }
@@ -101,12 +106,6 @@ impl<W: Window> CutoffParams<W> {
             coll_net: CollNet::Torus,
             reassign: None,
         }
-    }
-
-    /// Attach a re-assignment traffic model.
-    pub fn with_reassign(mut self, model: ReassignModel) -> Self {
-        self.reassign = Some(model);
-        self
     }
 
     /// The op stream of `rank`, mirroring the shift body behind
@@ -198,20 +197,26 @@ impl<W: Window> CutoffParams<W> {
                 net,
             });
         }
-        // Re-assignment: leaders trade migrants with both slab neighbors
-        // (east, then west; none across the domain edge).
-        if let (Some(model), 0) = (self.reassign, k) {
-            let slabs = TeamWindow::clipped(&[teams], &[1]);
-            let neighbors = || (1..slabs.len()).filter_map(move |j| slabs.apply(t, j));
-            epilogue.extend(neighbors().map(|nb| Op::Send {
-                to: grid.rank_at(nb, 0),
-                bytes: model.bytes,
-                phase: Phase::Reassign,
-            }));
-            epilogue.extend(neighbors().map(|nb| Op::Recv {
-                from: grid.rank_at(nb, 0),
-                phase: Phase::Reassign,
-            }));
+        // Re-assignment: leaders trade migrants with their neighbourhood,
+        // every send before the first receive, position by position.
+        if let (Some(ReassignModel { hood, bytes }), 0) = (self.reassign, k) {
+            epilogue.extend(
+                (1..hood.len())
+                    .filter_map(|j| hood.apply(t, j))
+                    .map(|nb| Op::Send {
+                        to: grid.rank_at(nb, 0),
+                        bytes,
+                        phase: Phase::Reassign,
+                    }),
+            );
+            epilogue.extend(
+                (1..hood.len())
+                    .filter_map(|j| hood.apply_back(t, j))
+                    .map(|nb| Op::Recv {
+                        from: grid.rank_at(nb, 0),
+                        phase: Phase::Reassign,
+                    }),
+            );
         }
 
         Box::new(prologue.into_iter().chain(body).chain(epilogue))
@@ -520,8 +525,9 @@ mod tests {
     fn reassign_ops_only_on_leaders() {
         let grid = ProcGrid::new(8, 2).unwrap();
         let window = TeamWindow::clipped(&[4], &[1]);
-        let params = CutoffParams::new(grid, window, vec![4; 4])
-            .with_reassign(ReassignModel { bytes: 100 });
+        let hood = TeamWindow::neighbours((4, 1), false);
+        let mut params = CutoffParams::new(grid, window, vec![4; 4]);
+        params.reassign = Some(ReassignModel { hood, bytes: 100 });
         for rank in 0..8 {
             let counts = count_ops(params.program(rank));
             let expect: u64 = if grid.row_of(rank) == 0 {

@@ -50,9 +50,9 @@ use crate::grid::{GridComms, ProcGrid};
 use crate::kernel::cell_order;
 use crate::midpoint::midpoint_forces;
 use crate::probe::StepProbe;
-use crate::reassign::reassign_particles;
+use crate::reassign::reassign_within;
 use crate::recovery::{ca_forces_ft, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
-use crate::schedule::CutoffParams;
+use crate::schedule::{CutoffParams, ReassignModel};
 use crate::spatial::spatial_halo_forces;
 use crate::window::{TeamWindow, Window};
 
@@ -623,16 +623,24 @@ impl Layout {
         row_steps(self.window.len(), self.grid.c(), 0)
     }
 
-    /// Whether leaders re-assign particles after integrating, so that
-    /// block sizes drift between steps (spatial blocks do, id blocks never).
-    pub fn reassigns(&self) -> bool {
-        self.cells.is_some()
+    /// Whom a leader re-assigns with after integrating: the nearest
+    /// neighbours of its cell, across the seam iff the force window wraps.
+    /// `None` on id blocks, which never drift.
+    pub fn neighbourhood(&self) -> Option<TeamWindow> {
+        let wraps = self.window.is_periodic();
+        self.cells.map(|dims| TeamWindow::neighbours(dims, wraps))
     }
 
-    /// The schedule twin of one force evaluation on this layout, given the
-    /// particles each team owns.
+    /// The schedule twin of one timestep's communication on this layout,
+    /// given the particles each team owns: a force evaluation and, where
+    /// leaders re-assign, the neighbour exchange after it (as many messages
+    /// as the run sends; their payload is the caller's to model).
     pub fn schedule(&self, block_sizes: Vec<usize>) -> CutoffParams<TeamWindow> {
-        CutoffParams::new(self.grid, self.window, block_sizes)
+        let mut params = CutoffParams::new(self.grid, self.window, block_sizes);
+        params.reassign = self
+            .neighbourhood()
+            .map(|hood| ReassignModel { hood, bytes: 0 });
+        params
     }
 
     /// The block this rank owns out of the full set `all`: its team's id
@@ -1145,12 +1153,15 @@ where
                 cfg.integrator
                     .post_force(&mut st, cfg.dt, domain, cfg.boundary);
             }
-            if let Some((tx, ty)) = layout.cells {
+            if let Some(hood) = layout.neighbourhood() {
                 // Keep the spatial decomposition valid for the next step.
                 let _g = tr.driver_span("reassign", step);
-                reassign_particles(&gc.row, &mut st, |q| {
-                    team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                });
+                let [tx, ty, _] = hood.dims();
+                let team_of = |q: &Particle| team_of_xy(domain, tx, ty, q.pos.x, q.pos.y);
+                // A particle that outran its neighbourhood ends the run, and
+                // the transport takes the other ranks down with this message.
+                reassign_within(&gc.row, &hood, &mut st, team_of)
+                    .unwrap_or_else(|e| panic!("step {step}: {e}"));
             }
         } else {
             st.clear();
@@ -1159,7 +1170,7 @@ where
         let (energy, momentum) = eval.after_step(cur, &gc, &st, pe_partial, step)?;
         probe.sample_with(world, step, st.len(), energy, momentum);
     }
-    if layout.reassigns() {
+    if layout.cells.is_some() {
         world.set_phase(Phase::Other);
     }
     let owned = if gc.is_leader() { st } else { Vec::new() };
@@ -1211,6 +1222,8 @@ where
         let reach = if midpoint { r_c / 2.0 } else { r_c };
         TeamWindow::from_cutoff(domain, (tx, ty), cfg.boundary == Boundary::Periodic, reach)
     });
+    // The spatial baselines re-assign as the CA leaders do.
+    let hood = window.map(|w| TeamWindow::neighbours((tx, ty), w.is_periodic()));
     // Force decomposition keeps particles on the diagonal of its √p × √p
     // grid only; everywhere else every rank owns (and integrates) a block.
     let q = (p as f64).sqrt().round() as usize;
@@ -1259,9 +1272,12 @@ where
             cfg.integrator
                 .post_force(&mut my, cfg.dt, domain, cfg.boundary);
         }
-        if window.is_some() {
+        if let Some(hood) = &hood {
             let _g = tr.driver_span("reassign", step);
-            reassign_particles(world, &mut my, |q| team_of(q.pos));
+            reassign_within(world, hood, &mut my, |q| team_of(q.pos))
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            // The halo and midpoint kernels sum in block order.
+            my.sort_unstable_by_key(|q| q.id);
         }
         probe.sample(world, step, my.len());
     }
@@ -1420,27 +1436,6 @@ mod tests {
         assert_eq!(got.particles.len(), 32);
         let want = run_serial(&cfg, &initial);
         assert_trajectories_match(&got.particles, &want, 1e-8, "long cutoff run");
-    }
-
-    #[test]
-    fn stats_capture_reassign_phase() {
-        let law = Cutoff::new(RepulsiveInverseSquare::default(), 0.3);
-        let cfg = SimConfig {
-            law,
-            integrator: SemiImplicitEuler,
-            domain: Domain::unit(),
-            boundary: Boundary::Reflective,
-            dt: 0.01,
-            steps: 2,
-        };
-        let initial = init::uniform(24, &cfg.domain, 3);
-        let got = run_distributed(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
-        let leaders_with_reassign = got
-            .stats
-            .iter()
-            .filter(|s| s.phase(Phase::Reassign).messages > 0)
-            .count();
-        assert_eq!(leaders_with_reassign, 4, "only the 4 leaders re-assign");
     }
 
     #[test]

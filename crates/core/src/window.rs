@@ -150,6 +150,17 @@ impl TeamWindow {
         Self::new(&[teams], &[teams], true)
     }
 
+    /// The nearest neighbours of a `tx × ty` team grid, span one on each
+    /// axis: the teams a particle that crosses at most one cell in a step
+    /// can be bound for, which is whom a leader re-assigns with
+    /// ([`reassign_within`](crate::reassign::reassign_within)) — 2 teams on
+    /// slabs, up to 8 on a 2-D grid, however many teams there are. The cap
+    /// on a wrapping width keeps a ring of two or three teams from
+    /// addressing a neighbour twice.
+    pub fn neighbours((tx, ty): (usize, usize), wraps: bool) -> Self {
+        Self::new(&[tx, ty], &[1, 1], wraps)
+    }
+
     /// Teams along each axis (1 on unused axes).
     pub fn dims(&self) -> [usize; 3] {
         self.dims
@@ -561,6 +572,43 @@ mod ring_tests {
                         "teams={teams} c={c} k={k}"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod neighbour_tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Whom a team re-assigns with: each adjacent team once, itself never —
+    /// two on slabs, eight on a grid, fewer at a clipped edge, and on a ring
+    /// of two or three teams no team twice.
+    #[test]
+    fn neighbours_are_the_adjacent_teams_each_once() {
+        let table: [((usize, usize), bool, &[usize]); 8] = [
+            ((5, 1), false, &[1, 2, 2, 2, 1]),
+            ((5, 1), true, &[2; 5]),
+            ((1, 1), true, &[0]),
+            ((2, 1), true, &[1; 2]),
+            ((3, 1), true, &[2; 3]),
+            ((3, 3), true, &[8; 9]),
+            ((3, 3), false, &[3, 5, 3, 5, 8, 5, 3, 5, 3]),
+            ((2, 3), true, &[5; 6]),
+        ];
+        for (dims, wraps, want) in table {
+            let hood = TeamWindow::neighbours(dims, wraps);
+            assert_eq!(hood.teams(), want.len());
+            for (team, &n) in want.iter().enumerate() {
+                let to: Vec<usize> = (1..hood.len()).filter_map(|j| hood.apply(team, j)).collect();
+                let from: HashSet<usize> =
+                    (1..hood.len()).filter_map(|j| hood.apply_back(team, j)).collect();
+                let distinct: HashSet<usize> = to.iter().copied().collect();
+                assert_eq!((to.len(), distinct.len()), (n, n), "{dims:?} team {team}");
+                assert!(!distinct.contains(&team));
+                // Whoever it sends to sends to it.
+                assert_eq!(distinct, from, "{dims:?} team {team}");
             }
         }
     }

@@ -7,9 +7,9 @@
 //! point-to-point message multiset a *real* probed run — laid out by the
 //! same `Layout::new` — should put on the wire, in the form
 //! the conformance checker in `nbody-wireprobe` consumes: one
-//! [`ExpectedMsg`] per skew/shift send, with payload sizes in particle
-//! counts (the unit both the schedule's 52-byte wire math and the
-//! transport's in-memory byte counts agree on).
+//! [`ExpectedMsg`] per skew, shift and re-assign send, with payload sizes
+//! in particle counts (the unit both the schedule's 52-byte wire math and
+//! the transport's in-memory byte counts agree on).
 
 use nbody_comm::{ExpectedMsg, ExpectedSchedule};
 use nbody_netsim::Op;
@@ -50,8 +50,9 @@ pub struct WireScheduleSpec {
 /// * Layouts that do ([`Method::Ca1dCutoff`] / [`Method::Ca2dCutoff`]) get
 ///   count-only checking (`size_checked = false`) — re-assignment drifts
 ///   the per-team block sizes between steps, but the window structure (who
-///   talks to whom, how many times) is static. Any placeholder sizes work
-///   then; the id-block ones are used.
+///   talks to whom, how many times) is static, re-assignment's own
+///   neighbour exchange included. Any placeholder sizes work then; the
+///   id-block ones are used.
 /// * Methods without a layout have no CA schedule twin and return `Err`.
 pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, String> {
     let layout = Layout::new(
@@ -98,7 +99,7 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
     }
     Ok(ExpectedSchedule {
         msgs,
-        size_checked: !layout.reassigns(),
+        size_checked: layout.neighbourhood().is_none(),
         detail,
     })
 }
@@ -148,7 +149,9 @@ mod tests {
         sp.cutoff = Some(0.25);
         let s = expected_schedule(&sp).unwrap();
         assert!(!s.size_checked);
-        assert!(!s.msgs.is_empty());
+        // Four clipped slabs: 1 + 2 + 2 + 1 re-assign sends in each step.
+        let reassign = s.msgs.iter().filter(|m| m.phase == Phase::Reassign);
+        assert_eq!(reassign.count(), 2 * 6);
         assert!(s.detail.contains("ca-1d-cutoff"));
     }
 

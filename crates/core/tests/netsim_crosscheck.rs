@@ -7,11 +7,15 @@
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{AllPairsParams, CutoffParams};
+use ca_nbody::sim::{run_distributed, Layout, Method, SimConfig};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
 use nbody_comm::{run_ranks_with, CommStats, Communicator, Lenses, MetricsSnapshot, Phase};
 use nbody_netsim::{hopper, simulate_traced, Trace, TraceKind};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
-use nbody_physics::{init, Boundary, Counting, Cutoff, Domain, Source, Vec2};
+use nbody_physics::{
+    init, Boundary, Counting, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler, Source,
+    Vec2,
+};
 
 const TRACED: Lenses = Lenses {
     trace: true,
@@ -162,5 +166,59 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
             &sim,
             &format!("cutoff1d p={p} c={c} rc={r_c}"),
         );
+    }
+}
+
+/// The run path's re-assignment and the twin's: `Layout::schedule` attaches
+/// the neighbourhood the rank loop exchanges within, so each rank sends as
+/// many `Reassign` messages per step live as the DES replays — on clipped
+/// slabs, on a ring of slabs and on the 2-D grid, replicated or not.
+#[test]
+fn reassign_live_sends_equal_the_twins_per_rank() {
+    let steps = 3;
+    let table = [
+        (Method::Ca1dCutoff { c: 1 }, 6),
+        (Method::Ca1dCutoff { c: 2 }, 12),
+        (Method::Ca2dCutoff { c: 1 }, 9),
+        (Method::Ca2dCutoff { c: 2 }, 18),
+    ];
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        for (method, p) in table {
+            let label = format!("{method:?} p={p} {boundary:?}");
+            let cfg = SimConfig {
+                law: Cutoff::new(RepulsiveInverseSquare::default(), 0.15),
+                integrator: SemiImplicitEuler,
+                domain: Domain::unit(),
+                boundary,
+                dt: 0.01,
+                steps,
+            };
+            let initial = init::uniform(90, &cfg.domain, 11);
+            let live = run_distributed(&cfg, method, p, &initial);
+
+            let layout = Layout::new(method, p, &cfg.domain, boundary, Some(0.15)).unwrap();
+            let teams = layout.grid.teams();
+            let params = layout.schedule(vec![initial.len() / teams; teams]);
+            let (_, sim) = simulate_traced(&hopper(), p, |r| params.program(r), 1_000_000);
+            assert!(!sim.truncated, "{label}");
+            let mut total = 0;
+            for (rank, stats) in live.stats.iter().enumerate() {
+                let is_reassign = |e: &&nbody_netsim::TraceEvent| {
+                    let reassign = matches!(
+                        e.kind,
+                        TraceKind::Send {
+                            phase: Phase::Reassign,
+                            ..
+                        }
+                    );
+                    reassign && e.rank == rank as u32
+                };
+                let twin = sim.events.iter().filter(is_reassign).count() as u64;
+                let sent = stats.phase(Phase::Reassign).messages;
+                assert_eq!(sent, steps as u64 * twin, "{label}: rank {rank}");
+                total += twin;
+            }
+            assert!(total > 0, "{label}: the twin re-assigns");
+        }
     }
 }

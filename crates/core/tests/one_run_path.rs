@@ -12,10 +12,12 @@
 //! these counts moves.
 
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::sim::{run_distributed, run_distributed_chaos, Method, SimConfig};
+use ca_nbody::sim::{run_distributed, run_distributed_chaos, Layout, Method, SimConfig};
+use ca_nbody::window::Window;
 use nbody_comm::{FaultPlan, Phase, PhaseCounters, ALL_PHASES};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, Particle, RepulsiveInverseSquare, SemiImplicitEuler, Source,
+    init, Boundary, Cutoff, Domain, ForceLaw, Particle, RepulsiveInverseSquare, SemiImplicitEuler,
+    Source,
 };
 
 const STEPS: usize = 2;
@@ -70,6 +72,21 @@ fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
 
             let c = method.replication();
             let teams = p / c;
+            // Re-assignment: a leader's sends per step are its
+            // neighbourhood's size, whatever the team count; the other rows
+            // and id blocks send none.
+            let layout = Layout::new(method, p, &cfg.domain, boundary, cfg.law.cutoff()).unwrap();
+            for (rank, stats) in plain.stats.iter().enumerate() {
+                let neighbours = match layout.neighbourhood() {
+                    Some(hood) if layout.grid.row_of(rank) == 0 => {
+                        let team = layout.grid.team_of(rank);
+                        (1..hood.len()).filter_map(|j| hood.apply(team, j)).count()
+                    }
+                    _ => 0,
+                };
+                let sent = stats.phase(Phase::Reassign).messages;
+                assert_eq!(sent, (STEPS * neighbours) as u64, "{ctx}: rank {rank}");
+            }
             // One agreement: an all-reduce (reduce + broadcast) of one byte
             // down the column and one along the row; a communicator of one
             // rank has nothing to agree with.

@@ -157,8 +157,9 @@ fn schedules_simulate_without_deadlock() {
 
         let grid = ProcGrid::new(16, 2).unwrap();
         let window = TeamWindow::clipped(&[8], &[2]);
-        let cp = CutoffParams::new(grid, window, vec![8; 8])
-            .with_reassign(ca_nbody::schedule::ReassignModel { bytes: 52 });
+        let hood = TeamWindow::neighbours((8, 1), false);
+        let mut cp = CutoffParams::new(grid, window, vec![8; 8]);
+        cp.reassign = Some(ca_nbody::schedule::ReassignModel { hood, bytes: 52 });
         let rep = simulate(&machine, 16, |r| cp.program(r));
         assert!(rep.makespan > 0.0);
         assert!(rep.mean().phase(Phase::Reassign) > 0.0, "{}", machine.name);

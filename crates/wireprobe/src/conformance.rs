@@ -41,9 +41,11 @@ pub struct ExpectedSchedule {
 }
 
 /// Pipeline phases whose point-to-point traffic is conformance-checked.
-/// Broadcast/reduce ride collectives (not probed per-message), re-assign
-/// traffic is data-dependent, and recovery traffic is fault-driven.
-pub const CHECKED_PHASES: [Phase; 2] = [Phase::Skew, Phase::Shift];
+/// Broadcast/reduce ride collectives (not probed per-message) and recovery
+/// traffic is fault-driven. Re-assignment is checked in counts: who sends
+/// to whom each step is the neighbourhood's, only the payload is
+/// data-dependent — and a schedule that re-assigns is never size-checked.
+pub const CHECKED_PHASES: [Phase; 3] = [Phase::Skew, Phase::Shift, Phase::Reassign];
 
 /// A fault the checker may attribute discrepancies to. Derived from the
 /// `FaultPlan` driving a chaos run (and/or from fault probe events in the
@@ -471,12 +473,26 @@ mod tests {
         let exp = expected(vec![exp_msg(0, 1, 10)]);
         let log = log_of(vec![
             send(0, 1, Phase::Shift, 10, 0.1),
-            send(0, 2, Phase::Reassign, 99, 0.2),
+            send(0, 2, Phase::Other, 99, 0.2),
             send(0, 2, Phase::Recovery, 99, 0.3),
         ]);
         let report = check_conformance(&exp, &log, &[]);
         assert!(report.passed());
         assert_eq!(report.observed_msgs, 1);
+        // Re-assignment is not one of them: a send the schedule lacks is
+        // surplus, whatever it carries.
+        let log = log_of(vec![
+            send(0, 1, Phase::Shift, 10, 0.1),
+            send(0, 2, Phase::Reassign, 0, 0.2),
+        ]);
+        let report = check_conformance(&exp, &log, &[]);
+        assert_eq!(report.observed_msgs, 2);
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert_eq!(
+            (v.kind, v.phase),
+            (ViolationKind::Unexpected, Phase::Reassign)
+        );
     }
 
     #[test]

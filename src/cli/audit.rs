@@ -13,7 +13,7 @@
 //! `--roofline-out` and gated by `--roofline-baseline` (fails if the best
 //! rank falls below the recorded floor minus its tolerance). `audit --wire`
 //! adds a per-phase observed-vs-predicted message-count section from the
-//! conformance machinery.
+//! conformance machinery, and fails if any phase's two counts differ.
 //!
 //! `calibrate` measures the machine ceilings the roofline uses (packed
 //! multiply-add peak, stream bandwidth) with seedable microbenchmarks and writes
@@ -91,7 +91,7 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     let mut reports = Vec::new();
     let mut rooflines: Vec<RooflineReport> = Vec::new();
     let mut wire_sections: Vec<(usize, String)> = Vec::new();
-    let (mut wire_predicted, mut wire_observed) = (0u64, 0u64);
+    let (mut wire_predicted, mut wire_observed, mut wire_agrees) = (0u64, 0u64, true);
     let calibration = load_calibration(calibration)?;
     for &c in &cs {
         let spec = at(c);
@@ -110,6 +110,7 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
             let rows = wire_phase_counts(&expected, &artifacts.wire);
             wire_predicted += rows.iter().map(|r| r.predicted).sum::<u64>();
             wire_observed += rows.iter().map(|r| r.observed).sum::<u64>();
+            wire_agrees &= rows.iter().all(|r| r.observed == r.predicted);
             wire_sections.push((c, wire_phase_table(&rows)));
         }
         // The same instrumented run feeds both sides of the audit: its
@@ -192,9 +193,13 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     if wire_on {
         summary
             .put("wire_predicted_msgs", wire_predicted)
-            .put("wire_observed_msgs", wire_observed);
+            .put("wire_observed_msgs", wire_observed)
+            .put("wire_pass", wire_agrees);
     }
     summary.print();
+    if !wire_agrees {
+        failures.push("AUDIT FAILED: a phase's observed message count is not the predicted".into());
+    }
     if !comm_pass {
         failures.push("AUDIT FAILED: a constant factor exceeded its ceiling".into());
     } else if !roofline_pass {

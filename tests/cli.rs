@@ -310,6 +310,7 @@ fn audit_cutoff_variant_audits_against_eq3() {
             "p=8",
             "cutoff=0.25",
             "c=2",
+            "--wire",
             &format!("--baseline={}", baseline.display()),
         ])
         .output()
@@ -322,9 +323,14 @@ fn audit_cutoff_variant_audits_against_eq3() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("cutoff-1d"), "{stdout}");
+    // Re-assignment is under the wire gate: the twin predicts its messages
+    // and the run sent exactly those.
+    let wire_row = |l: &str| l.trim_start().starts_with("re-assign") && l.ends_with("+0");
+    assert!(stdout.lines().any(wire_row), "{stdout}");
     let last = stdout.lines().last().unwrap();
     let doc = nbody_trace::Json::parse(last).unwrap();
     assert_eq!(doc.get("algorithm").unwrap().as_str(), Some("cutoff-1d"));
+    assert_eq!(doc.get("wire_pass").unwrap().as_bool(), Some(true));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use ca_nbody::{run_distributed, run_serial, Method, SimConfig};
 use nbody_physics::{
-    diagnostics, init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler,
+    diagnostics, init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler, Vec2,
     VelocityVerlet,
 };
 
@@ -145,4 +145,38 @@ fn clustered_load_survives_long_cutoff_run() {
         .map(|(a, b)| (a.pos - b.pos).norm())
         .fold(0.0, f64::max);
     assert!(dev < 1e-7, "deviation {dev:.3e}");
+}
+
+/// The contract re-assignment enforces: a particle crosses one cell per
+/// step at most. One that does not is never dropped, mis-homed or sent: its
+/// leader stops the run naming it (and the step), and that message — not a
+/// waiting peer's time-out, which the bound above would put 20 s away — is
+/// what the run fails with, on the CA path and on a baseline's.
+#[test]
+fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_it() {
+    bound_recv_timeouts();
+    let cfg = SimConfig {
+        law: Cutoff::new(RepulsiveInverseSquare::default(), 0.1),
+        integrator: SemiImplicitEuler,
+        domain: Domain::unit(),
+        boundary: Boundary::Periodic,
+        dt: 0.01,
+        steps: 3,
+    };
+    let mut initial = init::uniform(40, &cfg.domain, 3);
+    // Five slabs of width 0.2: 0.45 in one step is two slabs east.
+    let fast = initial
+        .iter()
+        .position(|p| p.pos.x < 0.15)
+        .expect("a particle in the first slab");
+    initial[fast].vel = Vec2::new(45.0, 0.0);
+    for method in [Method::Ca1dCutoff { c: 1 }, Method::SpatialHalo1d] {
+        let started = std::time::Instant::now();
+        let run = std::panic::catch_unwind(|| run_distributed(&cfg, method, 5, &initial));
+        let payload = run.expect_err("the run must not finish");
+        let said = payload.downcast_ref::<String>().expect("a formatted panic");
+        let names = format!("step 0: particle {fast} left team 0 for team 2,");
+        assert!(said.starts_with(&names), "{method:?}: {said}");
+        assert!(started.elapsed().as_secs() < 10, "{method:?}: nobody waited out a deadline");
+    }
 }
