@@ -1,56 +1,27 @@
-//! Baseline decompositions from §II of the paper.
+//! Baseline decompositions from §II of the paper that Algorithm 1 does not
+//! already contain.
 //!
-//! * [`particle_ring_forces`] — Plimpton's **particle decomposition**: each
-//!   of `p` ranks owns `n/p` particles and circulates a copy around a ring.
-//!   `S = O(p)`, `W = O(n)`.
-//! * [`naive_allgather_forces`] — the same decomposition implemented with a
-//!   single allgather collective. On Intrepid this is the "`c=1 (tree)`"
-//!   variant of Fig. 2c/2d, which exploits the BlueGene/P hardware
-//!   collective network.
-//! * [`force_decomposition_forces`] — Plimpton's **force decomposition** on
-//!   a `√p × √p` grid: broadcast target and source blocks from the diagonal,
-//!   one block-on-block update, reduce forces along rows.
-//!   `S = O(log p)`, `W = O(n/√p)`.
+//! Plimpton's **particle decomposition** (`S = O(p)`, `W = O(n)`) and
+//! **force decomposition** (`S = O(log p)`, `W = O(n/√p)`) are not here:
+//! §III observes that Algorithm 1 "degenerates" to the first at `c = 1` and
+//! to the second at `c = √p`, and that is how they run
+//! ([`Method::CaAllPairs`](crate::sim::Method::CaAllPairs); the CLI's
+//! `ring` and `force-decomp`). What is left:
 //!
-//! The CA algorithm (Algorithm 1) interpolates between the first and last of
-//! these as `c` goes from `1` to `√p`.
+//! * [`naive_allgather_forces`] — the particle decomposition implemented
+//!   with a single allgather collective. On Intrepid this is the
+//!   "`c=1 (tree)`" variant of Fig. 2c/2d, which exploits the BlueGene/P
+//!   hardware collective network.
+//! * [`particle_ring_symmetric_forces`] — the half-ring that exploits
+//!   Newton's third law, which the paper declines to.
 
 use nbody_comm::{Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
-use crate::kernel::{accumulate_block, combine_forces};
+use crate::kernel::accumulate_block;
 
 /// Tag for ring-shift messages.
 const TAG_RING: u64 = 0x20;
-
-/// Particle decomposition: rank `r` owns `my` and accumulates forces from
-/// all `n` particles by passing source copies around the ring `p - 1` times.
-/// `my` must hold this rank's subset on entry; forces accumulate in place.
-pub fn particle_ring_forces<C: Communicator, F: ForceLaw>(
-    world: &C,
-    my: &mut [Particle],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-) {
-    let p = world.size();
-    let rank = world.rank();
-
-    // Own block first (self-pairs are skipped inside the kernel).
-    world.set_phase(Phase::Other);
-    let mut exch = my.to_vec();
-    accumulate_block(my, &exch, law, domain, boundary);
-
-    // p - 1 ring shifts; after shift s, we hold the block of rank - s.
-    for s in 1..p {
-        world.set_phase(Phase::Shift);
-        let dst = (rank + 1) % p;
-        let src = (rank + p - 1) % p;
-        exch = world.sendrecv(dst, src, TAG_RING + s as u64, &exch);
-        world.set_phase(Phase::Other);
-        accumulate_block(my, &exch, law, domain, boundary);
-    }
-}
 
 /// Particle decomposition via one allgather: every rank obtains all `n`
 /// particles, then updates its own subset locally. The collective-network
@@ -70,59 +41,12 @@ pub fn naive_allgather_forces<C: Communicator, F: ForceLaw>(
     }
 }
 
-/// Plimpton's force decomposition on a `q × q` grid (`p = q²`).
-///
-/// Particles live on the diagonal: rank `(i, i)` owns block `i` (`st` must
-/// be that block on diagonal ranks and empty elsewhere). Rank `(i, j)`
-/// receives target block `i` down its row and source block `j` down its
-/// column, computes the `(i, j)` interaction block, and row-reduces forces
-/// back to the diagonal.
-pub fn force_decomposition_forces<C: Communicator, F: ForceLaw>(
-    world: &C,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-) {
-    let p = world.size();
-    let q = (p as f64).sqrt().round() as usize;
-    assert_eq!(q * q, p, "force decomposition needs a square processor count, got {p}");
-    let rank = world.rank();
-    let (i, j) = (rank / q, rank % q);
-    debug_assert!(i == j || st.is_empty(), "particles live on the diagonal");
-
-    // Row communicator: fixed i, ranked by j. Column: fixed j, ranked by i.
-    let row = world.split(i, j);
-    let col = world.split(j, i);
-
-    // Targets: block i, broadcast along the row from the diagonal (j = i).
-    world.set_phase(Phase::Broadcast);
-    let mut targets = if i == j { st.clone() } else { Vec::new() };
-    row.bcast(i, &mut targets);
-
-    // Sources: block j, broadcast along the column from the diagonal (i = j).
-    let mut sources = if i == j { st.clone() } else { Vec::new() };
-    col.bcast(j, &mut sources);
-
-    world.set_phase(Phase::Other);
-    accumulate_block(&mut targets, &sources, law, domain, boundary);
-
-    // Sum the row's partial forces back onto the diagonal.
-    world.set_phase(Phase::Reduce);
-    row.reduce(i, &mut targets, combine_forces);
-    if i == j {
-        *st = targets;
-    } else {
-        st.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::id_block_subset;
     use nbody_comm::run_ranks;
-    use nbody_physics::{init, reference, Counting, RepulsiveInverseSquare};
+    use nbody_physics::{init, reference, RepulsiveInverseSquare};
 
     fn serial(n: usize, seed: u64, law: &impl ForceLaw) -> Vec<Particle> {
         let domain = Domain::unit();
@@ -145,40 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn particle_ring_counting_exact() {
-        let domain = Domain::unit();
-        for p in [1, 2, 3, 5, 8] {
-            let n = 19;
-            let out = run_ranks(p, |world| {
-                let all = init::uniform(n, &domain, 11);
-                let mut my = id_block_subset(&all, p, world.rank());
-                particle_ring_forces(world, &mut my, &Counting, &domain, Boundary::Open);
-                my
-            });
-            let mut flat: Vec<Particle> = out.into_iter().flatten().collect();
-            flat.sort_by_key(|q| q.id);
-            for q in &flat {
-                assert_eq!(q.force.x, (n - 1) as f64, "p={p} id={}", q.id);
-            }
-        }
-    }
-
-    #[test]
-    fn particle_ring_sends_p_minus_1_messages() {
-        let domain = Domain::unit();
-        let p = 6;
-        let stats = run_ranks(p, |world| {
-            let all = init::uniform(12, &domain, 1);
-            let mut my = id_block_subset(&all, p, world.rank());
-            particle_ring_forces(world, &mut my, &Counting, &domain, Boundary::Open);
-            world.stats()
-        });
-        for s in &stats {
-            assert_eq!(s.phase(Phase::Shift).messages, (p - 1) as u64);
-        }
-    }
-
-    #[test]
     fn naive_allgather_matches_serial() {
         let domain = Domain::unit();
         let law = RepulsiveInverseSquare::default();
@@ -193,70 +83,6 @@ mod tests {
         let mut flat: Vec<Particle> = out.into_iter().flatten().collect();
         flat.sort_by_key(|q| q.id);
         check_against_serial(&flat, &want, 1e-12, "allgather");
-    }
-
-    #[test]
-    fn force_decomposition_matches_serial() {
-        let domain = Domain::unit();
-        let law = RepulsiveInverseSquare::default();
-        for q in [1usize, 2, 3, 4] {
-            let p = q * q;
-            let n = 21;
-            let want = serial(n, 5, &law);
-            let out = run_ranks(p, |world| {
-                let all = init::uniform(n, &domain, 5);
-                let (i, j) = (world.rank() / q, world.rank() % q);
-                let mut st = if i == j {
-                    id_block_subset(&all, q, i)
-                } else {
-                    Vec::new()
-                };
-                force_decomposition_forces(world, &mut st, &law, &domain, Boundary::Open);
-                st
-            });
-            let mut flat: Vec<Particle> = out.into_iter().flatten().collect();
-            flat.sort_by_key(|p| p.id);
-            check_against_serial(&flat, &want, 1e-12, &format!("force-decomp q={q}"));
-        }
-    }
-
-    #[test]
-    fn force_decomposition_counting_exact() {
-        let domain = Domain::unit();
-        let q = 3;
-        let n = 17;
-        let out = run_ranks(q * q, |world| {
-            let all = init::uniform(n, &domain, 8);
-            let (i, j) = (world.rank() / q, world.rank() % q);
-            let mut st = if i == j {
-                id_block_subset(&all, q, i)
-            } else {
-                Vec::new()
-            };
-            force_decomposition_forces(world, &mut st, &Counting, &domain, Boundary::Open);
-            st
-        });
-        let flat: Vec<Particle> = out.into_iter().flatten().collect();
-        assert_eq!(flat.len(), n);
-        for p in &flat {
-            assert_eq!(p.force.x, (n - 1) as f64);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "square processor count")]
-    fn force_decomposition_rejects_nonsquare() {
-        run_ranks(6, |world| {
-            let domain = Domain::unit();
-            let mut st = Vec::new();
-            force_decomposition_forces(
-                world,
-                &mut st,
-                &Counting,
-                &domain,
-                Boundary::Open,
-            );
-        });
     }
 }
 
@@ -397,7 +223,7 @@ mod symmetric_ring_tests {
             world.stats()
         });
         for s in &stats {
-            // p/2 = 4 shifts vs the full ring's p-1 = 7, plus 1 return.
+            // p/2 = 4 shifts vs Algorithm 1's p = 8 at c = 1, plus 1 return.
             assert_eq!(s.phase(Phase::Shift).messages, (p / 2) as u64);
             assert_eq!(s.phase(Phase::Reduce).messages, 1);
         }

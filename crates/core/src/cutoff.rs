@@ -227,17 +227,91 @@ pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle
     }
 }
 
-/// Lines 3-8 of both algorithms: skew, then shift+update modulo the window,
-/// of the targets `st` against the exchange buffer `exch`, this rank's copy
-/// of its team's block as [`Source`]s (line 3; the plain entry passes the
-/// broadcast buffer itself). The buffer is moved into every send and
-/// replaced by the one received. The one body behind every `ca_*_forces*`
-/// entry: [`Strict`] link in the plain ones, one
-/// [`Deadline`](crate::link::Deadline) link per recovery attempt in the
-/// fault-tolerant ones (so the home copy is rebuilt from the checkpointed
-/// state on every retry). With `potential` set, the kernel also harvests
-/// the summed pair potential into it (the health monitors'
-/// potential-energy partial).
+/// One move of a row's exchange buffer along its team row: whom this rank
+/// sends to, whom it receives from and what it then holds. Ranks are named
+/// by team — the row communicator's rank, and `grid.rank_at(team, row)` in
+/// the world.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// Team the buffer held before the hop moves to; `None` when no block
+    /// is held or its path leaves the team grid here.
+    pub shift_to: Option<usize>,
+    /// Team this rank re-injects its own block to, as that block's home,
+    /// because the copy that should have arrived there left the grid
+    /// (clipped windows only).
+    pub home_to: Option<usize>,
+    /// Team the incoming buffer arrives from: the block's previous holder,
+    /// or its home when that holder is off the grid.
+    pub recv_from: Option<usize>,
+    /// Block held after the hop — the one the next hop's `shift_to` moves;
+    /// `None` when the new position is off the grid.
+    pub block: Option<usize>,
+    /// Whether line 7 runs on `block`.
+    pub update: bool,
+}
+
+/// **The routing rule of Algorithms 1 and 2**, for the row-`row` processor
+/// of `team` under replication `c`: the skew (line 4) and then one [`Hop`]
+/// per shift step (lines 5-8), `row_steps + 1` items, computed as they are
+/// asked for. The skew is the hop from window position 0 to position `row`
+/// and shift step `s` the hop from position `row + (s−1)·c` to
+/// `row + s·c` (mod `W`). Every shift step updates: each window position is
+/// reached by exactly one `(row, s)`, which is the first-wrap rule
+/// [`row_steps`] encodes. Row 0 starts where its skew would take it, so its
+/// first item moves nothing.
+///
+/// The run executes these hops (the shift body, under either link) and the
+/// schedule twin ([`CutoffParams::program`]) maps the same hops to
+/// simulator ops, so who sends which block to whom has this one statement.
+///
+/// [`CutoffParams::program`]: crate::schedule::CutoffParams::program
+pub fn traversal<W: Window>(
+    window: &W,
+    c: usize,
+    team: usize,
+    row: usize,
+) -> impl Iterator<Item = Hop> + '_ {
+    let w = window.len();
+    // Position and block before the hop: every row starts on its own block.
+    let mut at = (0, Some(team));
+    (0..=row_steps(w, c, row)).map(move |s| {
+        let j_new = (row + s * c) % w;
+        let block = window.apply_back(team, j_new);
+        let (j_prev, held) = std::mem::replace(&mut at, (j_new, block));
+        if s == 0 && row == 0 {
+            return Hop {
+                shift_to: None,
+                home_to: None,
+                recv_from: None,
+                block,
+                update: false,
+            };
+        }
+        Hop {
+            // The receiving row is this row one team over: it runs this
+            // step iff this rank does.
+            shift_to: held.and_then(|b| window.apply(b, j_new)),
+            home_to: match window.apply(team, j_prev) {
+                None => window.apply(team, j_new),
+                Some(_) => None,
+            },
+            recv_from: block.map(|b| window.apply(b, j_prev).unwrap_or(b)),
+            block,
+            update: s > 0 && block.is_some(),
+        }
+    })
+}
+
+/// Lines 3-8 of both algorithms: walk [`traversal`] with the targets `st`
+/// and the exchange buffer `exch`, this rank's copy of its team's block as
+/// [`Source`]s (line 3; the plain entry passes the broadcast buffer
+/// itself). The buffer is moved into every send and replaced by the one
+/// received. The one body behind every `ca_*_forces*` entry: [`Strict`]
+/// link in the plain ones, one [`Deadline`](crate::link::Deadline) link per
+/// recovery attempt in the fault-tolerant ones (so the home copy is rebuilt
+/// from the checkpointed state on every retry). With `potential` set, the
+/// kernel also harvests the summed pair potential into it (the health
+/// monitors' potential-energy partial).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
@@ -250,11 +324,6 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     link: &L,
     mut potential: Option<&mut f64>,
 ) -> Result<(), L::Error> {
-    let c = gc.grid.c();
-    let w = window.len();
-    let t = gc.team();
-    let k = gc.row_index();
-
     // `home` is the immutable copy used to re-inject this team's block when
     // a traversal wraps across the domain boundary; a periodic window has
     // no boundary to wrap across and keeps none.
@@ -269,8 +338,6 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc.col
         .metrics()
         .gauge_max("mem_particles_hwm", (st.len() + exch.len() + home.len()) as u64);
-    // Window position and block currently held (None = fell off the edge).
-    let mut cur_block: Option<usize> = Some(t);
 
     // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
     // the trace carry the step, so an analyzer can place every wait in the
@@ -280,64 +347,30 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     // count — the work was really done.
     let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
 
-    // Line 4: skew to position k. Own blocks move directly from their homes.
-    gc.col.set_phase(Phase::Skew);
-    tr.set_step(Some(0));
-    link.step(&gc.col, 0)?;
-    if k > 0 {
-        if let Some(dst) = window.apply(t, k) {
-            link.send(&gc.row, dst, TAG_SKEW, std::mem::take(&mut exch));
-        }
-        cur_block = window.apply_back(t, k);
-        exch = match cur_block {
-            Some(b) => link.recv(&gc.row, b, TAG_SKEW)?,
-            None => Vec::new(),
+    let hops = traversal(window, gc.grid.c(), gc.team(), gc.row_index());
+    for (s, hop) in hops.enumerate() {
+        let (phase, tag) = match s {
+            0 => (Phase::Skew, TAG_SKEW),
+            _ => (Phase::Shift, TAG_SHIFT + s as u64),
         };
-    }
-
-    // Lines 5-8: shift modulo the window, then update. Row k stops after
-    // its last first-wrap position (row_steps), giving O(W/c) steps.
-    let steps = row_steps(w, c, k);
-    for s in 1..=steps {
-        gc.col.set_phase(Phase::Shift);
+        gc.col.set_phase(phase);
         tr.set_step(Some(s as u32));
         link.step(&gc.col, s)?;
-        let tag = TAG_SHIFT + s as u64;
-        let j_prev = (k + (s - 1) * c) % w;
-        let j_new = (k + s * c) % w;
-
-        // Outgoing regular shift: my buffer's block moves to the processor
-        // holding position j_new for it — but only while the *receiving*
-        // row is still active (same row k, same step bound, so if I run
-        // this step, so does it).
-        if let Some(b) = cur_block {
-            if let Some(holder) = window.apply(b, j_new) {
-                link.send(&gc.row, holder, tag, std::mem::take(&mut exch));
-            }
+        if let Some(holder) = hop.shift_to {
+            link.send(&gc.row, holder, tag, std::mem::take(&mut exch));
         }
-        // Outgoing home-route: if the processor that needs *my team's*
-        // block next has no valid regular source (the buffer's path left
-        // the grid), its home — me — re-injects the copy.
-        if let Some(needy) = window.apply(t, j_new) {
-            if window.apply(t, j_prev).is_none() {
-                debug_assert!(!window.is_periodic(), "periodic offsets are always valid");
-                link.send(&gc.row, needy, tag, home.clone());
-            }
+        if let Some(needy) = hop.home_to {
+            link.send(&gc.row, needy, tag, home.clone());
         }
-
-        // Incoming: the block at my new position, from its regular holder
-        // or from its home team.
-        cur_block = window.apply_back(t, j_new);
-        exch = match cur_block {
-            Some(b) => {
-                let src = window.apply(b, j_prev).unwrap_or(b);
-                link.recv(&gc.row, src, tag)?
-            }
-            None => Vec::new(),
-        };
-
-        // Line 7: update, once per window position (first-wrap rule).
-        if k + s * c < w + c && cur_block.is_some() {
+        match (hop.recv_from, hop.block) {
+            (Some(src), _) => exch = link.recv(&gc.row, src, tag)?,
+            // The new position is off the grid: this rank idles.
+            (None, None) => exch = Vec::new(),
+            // Row 0's skew: the buffer stays where it is.
+            (None, Some(_)) => {}
+        }
+        // Line 7, once per window position.
+        if hop.update {
             gc.col.set_phase(Phase::Other);
             meter.time(st.len(), exch.len(), || {
                 update(st, &exch, law, domain, boundary, &mut potential)

@@ -429,15 +429,6 @@ pub fn block_interactions(targets: usize, sources: usize, same_block: bool) -> u
     }
 }
 
-/// Sum the force accumulators of `src` into `dst` element-wise: the combine
-/// function of a reduction over whole particles (the force-decomposition
-/// baseline's; the CA drivers reduce bare force vectors). Positions,
-/// velocities, ids are untouched — copies of the same subset agree on them.
-pub fn combine_forces(dst: &mut Particle, src: &Particle) {
-    debug_assert_eq!(dst.id, src.id, "reducing mismatched particles");
-    dst.force += src.force;
-}
-
 /// Compute accounting for one or more kernel invocations: the raw numbers
 /// the roofline model needs (FLOPs over time for achieved GFLOP/s, FLOPs
 /// over bytes for arithmetic intensity).
@@ -808,17 +799,6 @@ mod tests {
         // A degenerate same-block call with zero sources must not
         // underflow past zero.
         assert_eq!(block_interactions(5, 0, true), 0);
-    }
-
-    #[test]
-    fn combine_forces_sums_only_forces() {
-        let mut a = nbody_physics::Particle::at(3, Vec2::new(0.1, 0.2));
-        a.force = Vec2::new(1.0, 2.0);
-        let mut b = a;
-        b.force = Vec2::new(0.5, -1.0);
-        combine_forces(&mut a, &b);
-        assert_eq!(a.force, Vec2::new(1.5, 1.0));
-        assert_eq!(a.pos, Vec2::new(0.1, 0.2));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!   traversing interaction [`window`]s modulo the cutoff: the one shift
 //!   body of the crate.
 //! * [`allpairs`] — Algorithm 1, the CA all-pairs force evaluation on a
-//!   `p/c × c` processor grid: the same body on the full team ring.
-//! * [`baselines`] — Plimpton's particle and force decompositions and the
-//!   allgather ("tree") naive variant.
+//!   `p/c × c` processor grid: the same body on the full team ring, and
+//!   with it Plimpton's particle (`c = 1`) and force (`c = √p`)
+//!   decompositions.
+//! * [`baselines`] — the allgather ("tree") naive variant and the
+//!   Newton's-third-law half-ring.
 //! * [`spatial`] — the non-replicating halo-exchange baseline (§II.C).
 //! * [`reassign`] — spatial re-assignment between timesteps (§IV.D).
 //! * [`grid`], [`dist`], [`kernel`] — the processor grid, particle

@@ -18,7 +18,6 @@ use std::collections::HashMap;
 use nbody_comm::{Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Vec2};
 
-use crate::kernel::block_interactions;
 use crate::window::Window;
 
 /// Tag base for halo imports.
@@ -130,12 +129,6 @@ pub fn midpoint_forces<C: Communicator, W: Window, F: ForceLaw>(
             }
         }
     }
-}
-
-/// Interaction work the midpoint method performs on one rank given its
-/// pool size (for schedule/cost comparisons): all pool pairs are examined.
-pub fn midpoint_pool_interactions(pool: usize) -> u64 {
-    block_interactions(pool, pool, true) / 2
 }
 
 #[cfg(test)]
@@ -299,12 +292,5 @@ mod tests {
             half.spans()[0],
             full.spans()[0]
         );
-    }
-
-    #[test]
-    fn pool_interaction_count() {
-        assert_eq!(midpoint_pool_interactions(4), 6);
-        assert_eq!(midpoint_pool_interactions(0), 0);
-        assert_eq!(midpoint_pool_interactions(1), 0);
     }
 }

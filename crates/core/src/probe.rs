@@ -54,15 +54,10 @@ impl StepProbe {
     /// Record the step boundary: always marks the flight ring; when step
     /// sampling is on, also snapshots the deltas since the previous call.
     /// `particles` is the rank's resident particle count after the step
-    /// (the imbalance input).
-    pub fn sample<C: Communicator>(&mut self, world: &C, step: usize, particles: usize) {
-        self.sample_with(world, step, particles, 0.0, 0.0);
-    }
-
-    /// [`sample`](StepProbe::sample) with the health monitors' globally
-    /// reduced invariants attached: total energy and total-momentum norm
-    /// after the step. Pass `0.0` for both on uninstrumented steps — zero
-    /// is the series' "unmeasured" sentinel.
+    /// (the imbalance input); `energy` and `momentum` are the health
+    /// monitors' globally reduced invariants after it — total energy and
+    /// total-momentum norm, `0.0` for both on uninstrumented steps (zero is
+    /// the series' "unmeasured" sentinel).
     pub fn sample_with<C: Communicator>(
         &mut self,
         world: &C,
@@ -124,7 +119,7 @@ mod tests {
                 let payload = vec![7u64; step + 1];
                 world.send(other, step as u64, &payload);
                 world.recv::<u64>(other, step as u64);
-                probe.sample(world, step, 10 * (step + 1));
+                probe.sample_with(world, step, 10 * (step + 1), 0.0, 0.0);
             }
         });
         let timeline = artifacts.timeline;
@@ -147,7 +142,7 @@ mod tests {
     fn probe_is_mark_only_on_plain_runs() {
         let out = run_ranks(1, |world| {
             let mut probe = StepProbe::new(world);
-            probe.sample(world, 0, 5);
+            probe.sample_with(world, 0, 5, 0.0, 0.0);
             world.timeline().finish().expect("flight ring is always on")
         });
         assert!(out[0].samples.is_empty(), "no series without sampling");

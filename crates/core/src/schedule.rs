@@ -8,9 +8,12 @@
 //! integration tests verify schedule-vs-execution equivalence by comparing
 //! per-phase message and byte counts against instrumented `ThreadComm` runs.
 //!
-//! The two CA algorithms have one twin, as they have one shift body:
-//! [`CutoffParams::program`] is the schedule modulo a [`Window`], and
-//! [`AllPairsParams`] is it on [`TeamWindow::ring`] with id-block sizes.
+//! The two CA algorithms have one twin, and it is not a second statement
+//! of their routing: [`CutoffParams::program`] maps the hops of
+//! [`cutoff::traversal`](crate::cutoff::traversal) — the ones the shift body
+//! executes — to ops, modulo a [`Window`], and [`AllPairsParams`] is it on
+//! [`TeamWindow::ring`] with id-block sizes (Plimpton's particle and force
+//! decompositions at `c = 1` and `c = √p`).
 //! Block sizes live in the params, never in a per-rank program — on the
 //! ring they are `O(p/c)` values, and there are `p` programs.
 
@@ -108,83 +111,48 @@ impl<W: Window> CutoffParams<W> {
         }
     }
 
-    /// The op stream of `rank`, mirroring the shift body behind
-    /// [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces) and
-    /// [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces) exactly.
-    /// A shift step emits at most four ops from a fixed array — no heap
-    /// allocation per step, which Fig. 2/3 at p = 24,576 would pay
-    /// `p/c²` times per rank.
+    /// The op stream of `rank`: the hops of the one
+    /// [`traversal`](crate::cutoff::traversal) the shift body executes,
+    /// between the team collectives. A hop emits at most four ops from a
+    /// fixed array — no heap allocation per step, which Fig. 2/3 at
+    /// p = 24,576 would pay `p/c²` times per rank.
     pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
         let grid = self.grid;
         let teams = grid.teams();
         let c = grid.c();
-        let w = self.window.len();
         let t = grid.team_of(rank);
         let k = grid.row_of(rank);
         let col_team = TeamSpec::new(t, teams, c);
         let my_bytes = bytes_of(self.block_sizes[t]);
         let net = self.coll_net;
-        let window = &self.window;
 
-        let mut prologue: Vec<Op> = Vec::new();
-        if c > 1 {
-            prologue.push(Op::Bcast {
-                team: col_team,
-                bytes: my_bytes,
-                phase: Phase::Broadcast,
-                net,
-            });
-        }
-        if k > 0 {
-            if let Some(dst) = window.apply(t, k) {
-                prologue.push(Op::Send {
-                    to: grid.rank_at(dst, k),
-                    bytes: my_bytes,
-                    phase: Phase::Skew,
-                });
-            }
-            if let Some(b) = window.apply_back(t, k) {
-                prologue.push(Op::Recv {
-                    from: grid.rank_at(b, k),
-                    phase: Phase::Skew,
-                });
-            }
-        }
+        let prologue = (c > 1).then_some(Op::Bcast {
+            team: col_team,
+            bytes: my_bytes,
+            phase: Phase::Broadcast,
+            net,
+        });
 
-        let steps = crate::cutoff::row_steps(w, c, k);
-        // The block held after the skew (None = fell off the edge).
-        let mut cur = window.apply_back(t, k);
-        let body = (1..=steps).flat_map(move |s| {
-            let j_prev = (k + (s - 1) * c) % w;
-            let j_new = (k + s * c) % w;
+        // The block a hop's shift moves is the one the hop before left.
+        let mut held = Some(t);
+        let hops = crate::cutoff::traversal(&self.window, c, t, k).enumerate();
+        let body = hops.flat_map(move |(s, hop)| {
+            let phase = if s == 0 { Phase::Skew } else { Phase::Shift };
             let send = |to: usize, block: usize| Op::Send {
                 to: grid.rank_at(to, k),
                 bytes: bytes_of(self.block_sizes[block]),
-                phase: Phase::Shift,
+                phase,
             };
-            // Regular shift of the block held, then the home-route copy of
-            // the own block for a receiver whose regular source fell off
-            // the grid.
-            let new_block = window.apply_back(t, j_new);
-            let held = std::mem::replace(&mut cur, new_block);
-            let shift = held.and_then(|b| window.apply(b, j_new).map(|holder| send(holder, b)));
-            let home_route = match window.apply(t, j_prev) {
-                None => window.apply(t, j_new).map(|needy| send(needy, t)),
-                Some(_) => None,
-            };
-            let recv = new_block.map(|b| Op::Recv {
-                from: grid.rank_at(window.apply(b, j_prev).unwrap_or(b), k),
-                phase: Phase::Shift,
+            let sent = std::mem::replace(&mut held, hop.block);
+            let shift = hop.shift_to.zip(sent).map(|(to, b)| send(to, b));
+            let home_route = hop.home_to.map(|to| send(to, t));
+            let recv = hop.recv_from.map(|from| Op::Recv {
+                from: grid.rank_at(from, k),
+                phase,
             });
-            let compute = new_block
-                .filter(|_| k + s * c < w + c)
-                .map(|b| Op::Compute {
-                    interactions: block_interactions(
-                        self.block_sizes[t],
-                        self.block_sizes[b],
-                        b == t,
-                    ),
-                });
+            let compute = hop.block.filter(|_| hop.update).map(|b| Op::Compute {
+                interactions: block_interactions(self.block_sizes[t], self.block_sizes[b], b == t),
+            });
             [shift, home_route, recv, compute].into_iter().flatten()
         });
 
@@ -223,49 +191,6 @@ impl<W: Window> CutoffParams<W> {
     }
 }
 
-/// Parameters of the particle-decomposition ring baseline.
-#[derive(Debug, Clone)]
-pub struct ParticleRingParams {
-    /// Ranks.
-    pub p: usize,
-    /// Total particles.
-    pub n: usize,
-}
-
-impl ParticleRingParams {
-    fn block_len(&self, b: usize) -> usize {
-        block_range(self.n, self.p, b).len()
-    }
-
-    /// The op stream of `rank`.
-    pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
-        let p = self.p;
-        let me = self.block_len(rank);
-        let own = std::iter::once(Op::Compute {
-            interactions: block_interactions(me, me, true),
-        });
-        let body = (1..p).flat_map(move |s| {
-            let cur = (rank + p - (s - 1)) % p; // block held before shift s
-            let incoming = (rank + p - s) % p;
-            [
-                Op::Send {
-                    to: (rank + 1) % p,
-                    bytes: bytes_of(self.block_len(cur)),
-                    phase: Phase::Shift,
-                },
-                Op::Recv {
-                    from: (rank + p - 1) % p,
-                    phase: Phase::Shift,
-                },
-                Op::Compute {
-                    interactions: block_interactions(me, self.block_len(incoming), false),
-                },
-            ]
-        });
-        Box::new(own.chain(body))
-    }
-}
-
 /// Parameters of the allgather (naive / `tree`) baseline.
 #[derive(Debug, Clone)]
 pub struct AllgatherParams {
@@ -296,56 +221,6 @@ impl AllgatherParams {
             ]
             .into_iter(),
         )
-    }
-}
-
-/// Parameters of Plimpton's force-decomposition baseline (`p = q²`).
-#[derive(Debug, Clone)]
-pub struct ForceDecompParams {
-    /// Ranks (must be a perfect square).
-    pub p: usize,
-    /// Total particles.
-    pub n: usize,
-}
-
-impl ForceDecompParams {
-    /// The op stream of `rank`.
-    pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
-        let q = (self.p as f64).sqrt().round() as usize;
-        assert_eq!(q * q, self.p, "force decomposition needs square p");
-        let (i, j) = (rank / q, rank % q);
-        let len = |b: usize| block_range(self.n, q, b).len();
-        let row = TeamSpec::new(i * q, 1, q);
-        let col = TeamSpec::new(j, q, q);
-        let mut ops = vec![
-            Op::Bcast {
-                team: row,
-                bytes: bytes_of(len(i)),
-                phase: Phase::Broadcast,
-                net: CollNet::Torus,
-            },
-            Op::Bcast {
-                team: col,
-                bytes: bytes_of(len(j)),
-                phase: Phase::Broadcast,
-                net: CollNet::Torus,
-            },
-            Op::Compute {
-                interactions: block_interactions(len(i), len(j), i == j),
-            },
-            Op::Reduce {
-                team: row,
-                bytes: bytes_of(len(i)),
-                phase: Phase::Reduce,
-                net: CollNet::Torus,
-            },
-        ];
-        if q == 1 {
-            // Single rank: collectives are no-ops; keep only compute to
-            // match the executable's stats.
-            ops.retain(|op| matches!(op, Op::Compute { .. }));
-        }
-        Box::new(ops.into_iter())
     }
 }
 
@@ -467,17 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_schedule_counts() {
-        let params = ParticleRingParams { p: 6, n: 30 };
-        let total: u64 = (0..6)
-            .map(|r| count_ops(params.program(r)).interactions)
-            .sum();
-        assert_eq!(total, (30 * 29) as u64);
-        let c0 = count_ops(params.program(0));
-        assert_eq!(c0.sends[Phase::Shift.index()], 5);
-    }
-
-    #[test]
     fn cutoff_schedule_interactions_match_window() {
         // Uniform blocks: total interactions = sum over team pairs within
         // the window of len_t * len_b (minus self pairs).
@@ -559,18 +423,6 @@ mod tests {
         let counts = count_ops(params.program(2));
         assert_eq!(counts.collectives[Phase::Broadcast.index()], 1);
         assert_eq!(counts.interactions, 10 * 40 - 10);
-    }
-
-    #[test]
-    fn force_decomp_schedule_totals() {
-        let params = ForceDecompParams { p: 9, n: 21 };
-        let total: u64 = (0..9)
-            .map(|r| count_ops(params.program(r)).interactions)
-            .sum();
-        assert_eq!(total, (21 * 20) as u64);
-        let c = count_ops(params.program(4));
-        assert_eq!(c.collectives[Phase::Broadcast.index()], 2);
-        assert_eq!(c.collectives[Phase::Reduce.index()], 1);
     }
 
     #[test]

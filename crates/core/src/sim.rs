@@ -13,21 +13,23 @@
 //! `.health()`). [`run_distributed`] and [`run_distributed_chaos`] are
 //! shorthand for the two descriptions almost every caller wants.
 //!
-//! The CA methods share **one** timestep loop (`run_ca_rank`), generic over
+//! Every method runs in **one** timestep loop (`run_rank`), generic over
 //!
-//! * the **decomposition** ([`Layout`]): which processor grid, how a leader
-//!   cuts its block out of a full particle set and orders it, which
-//!   [`TeamWindow`] the shifts run modulo (the full team ring for
-//!   all-pairs), whether leaders re-assign after integrating, and —
-//!   [`Method::shrunk_onto`] — which layout a degraded run continues on. It
-//!   is built once, on the caller's thread, and it is the last place that
-//!   asks which algorithm is running;
-//! * the **evaluation** (`Evaluation`): `Plain` runs the one shift body
-//!   under the strict link and has an uninhabited error type, so the shrink
-//!   arm, the health hooks and the checkpoint sink are erased from its
-//!   monomorphization; `Recovering` runs it under the protocol of
-//!   [`recovery`](crate::recovery) and a [`RetryPolicy`], optionally with
-//!   a durable [`CheckpointConfig`] sink and the [`HealthConfig`] monitors.
+//! * the **decomposition** ([`Layout`]): which processor grid (one team per
+//!   rank for the methods that replicate nothing), how a leader cuts its
+//!   block out of a full particle set and orders it, which [`TeamWindow`]
+//!   the method walks (the full team ring for all-pairs), whether leaders
+//!   re-assign after integrating, and — [`Method::shrunk_onto`] — which
+//!   layout a degraded run continues on. It is built once, on the caller's
+//!   thread;
+//! * the **evaluation** (`Evaluation`): `Plain` runs the layout's force
+//!   routine — the one shift body under the strict link for the CA methods —
+//!   and has an uninhabited error type, so the shrink arm, the health hooks
+//!   and the checkpoint sink are erased from its monomorphization;
+//!   `Recovering` (CA methods only) runs the shift body under the protocol
+//!   of [`recovery`](crate::recovery) and a [`RetryPolicy`], optionally
+//!   with a durable [`CheckpointConfig`] sink and the [`HealthConfig`]
+//!   monitors.
 
 use std::convert::Infallible;
 
@@ -40,10 +42,7 @@ use nbody_physics::particle::reset_forces;
 use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle, Vec2};
 use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invariants};
 
-use crate::baselines::{
-    force_decomposition_forces, naive_allgather_forces, particle_ring_forces,
-    particle_ring_symmetric_forces,
-};
+use crate::baselines::{naive_allgather_forces, particle_ring_symmetric_forces};
 use crate::cutoff::{ca_forces, row_steps, validate_cutoff};
 use crate::dist::{id_block_subset, spatial_subset_2d, team_grid_dims, team_of_xy};
 use crate::grid::{GridComms, ProcGrid};
@@ -60,20 +59,18 @@ use crate::window::{TeamWindow, Window};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Algorithm 1 with replication factor `c` (id-block distribution).
+    /// §III: `c = 1` is Plimpton's particle decomposition (a ring
+    /// pipeline), `c = √p` his force decomposition — they are run as such.
     CaAllPairs {
         /// Replication factor.
         c: usize,
     },
-    /// Plimpton's particle decomposition (ring pipeline).
-    ParticleRing,
     /// Half-ring particle decomposition exploiting Newton's third law —
     /// the symmetry optimization the paper declines (§III.C); requires a
     /// symmetric force law.
     ParticleRingSymmetric,
     /// The allgather-based naive variant (`tree` bars of Fig. 2c/2d).
     NaiveAllgather,
-    /// Plimpton's force decomposition (`p` must be a perfect square).
-    ForceDecomposition,
     /// Algorithm 2 with replication factor `c` (1D spatial decomposition;
     /// the force law must have a cutoff).
     Ca1dCutoff {
@@ -131,24 +128,35 @@ impl Method {
     /// whole team columns continues with on its `p_new` survivors — the
     /// same algorithm at the largest replication `c' ≤ c` that is valid
     /// there (`c'² | p_new` for all-pairs; `c' | p_new` and `c'` inside the
-    /// window `r_c` cuts out of `domain` for the cutoff methods). `None`
-    /// when no replication fits, and for the non-CA methods.
+    /// window `r_c` cuts out of `domain` for the cutoff methods), with the
+    /// layout that validated it. `None` when no replication fits.
     pub fn shrunk_onto(
         &self,
         p_new: usize,
         domain: &Domain,
         boundary: Boundary,
         r_c: Option<f64>,
-    ) -> Option<Method> {
-        (1..=self.replication())
-            .rev()
-            .map(|c| match *self {
+    ) -> Option<(Method, Layout)> {
+        (1..=self.replication()).rev().find_map(|c| {
+            let method = match *self {
                 Method::CaAllPairs { .. } => Method::CaAllPairs { c },
                 Method::Ca1dCutoff { .. } => Method::Ca1dCutoff { c },
                 Method::Ca2dCutoff { .. } => Method::Ca2dCutoff { c },
                 other => other,
-            })
-            .find(|m| Layout::new(*m, p_new, domain, boundary, r_c).is_ok())
+            };
+            let layout = Layout::new(method, p_new, domain, boundary, r_c).ok()?;
+            Some((method, layout))
+        })
+    }
+
+    /// Why a method without replication has none of what replication buys.
+    pub(crate) fn not_ca(&self) -> String {
+        format!(
+            "{self:?} is not a CA method: it replicates nothing, so it has no \
+             communication-schedule twin and no fault-tolerant driver (fault tolerance, \
+             checkpoints, health monitors and conformance checking support ca-all-pairs, \
+             ca-1d-cutoff and ca-2d-cutoff)"
+        )
     }
 }
 
@@ -434,29 +442,28 @@ where
     /// window, fault tolerance requested for a non-CA method).
     pub fn execute(&self, initial: &[Particle]) -> RunOutput {
         let (cfg, method) = (self.cfg, self.method);
-        validate_run(cfg, method);
         let recovering =
             self.faults.is_some() || self.checkpoint.is_some() || self.health.is_some();
         // Built once, here: an invalid configuration is one panic on the
         // caller's thread before any rank is spawned, not one per rank.
-        let lay_out = || {
-            Layout::new(method, self.p, &cfg.domain, cfg.boundary, cfg.law.cutoff())
-                .unwrap_or_else(|e| panic!("invalid {method:?} run on {} ranks: {e}", self.p))
-        };
+        let layout = Layout::new(method, self.p, &cfg.domain, cfg.boundary, cfg.law.cutoff())
+            .unwrap_or_else(|e| panic!("invalid {method:?} run on {} ranks: {e}", self.p));
         let (out, artifacts) = if recovering {
-            let layout = lay_out();
+            assert!(method.is_ca(), "{}", method.not_ca());
             let (no_faults, default_policy) = (FaultPlan::empty(), RetryPolicy::default());
             let (plan, policy) = self.faults.unwrap_or((&no_faults, &default_policy));
             run_ranks_chaos_with(self.p, plan, self.lenses, |world| {
                 let eval = Recovering::new(world, policy, self.checkpoint, self.health);
-                run_ca_rank(cfg, method, layout, world, initial, eval)
+                run_rank(cfg, layout, world, initial, eval)
             })
         } else {
-            let layout = method.is_ca().then(lay_out);
             let (out, artifacts) = run_ranks_with(self.p, self.lenses, |world| {
-                run_rank(cfg, method, layout, world, initial)
+                run_rank(cfg, layout, world, initial, Plain)
             });
-            (out.into_iter().map(Ok).collect(), artifacts)
+            (
+                out.into_iter().map(|r| r.map_err(|e| match e {})).collect(),
+                artifacts,
+            )
         };
         let result = assemble(out, initial.len());
         if let (true, Ok(run)) = (recovering, &result) {
@@ -539,31 +546,33 @@ fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunRe
     Ok(run)
 }
 
-/// The decomposition of a CA method on a world of ranks: the processor
-/// grid, the window the shifts run modulo — the paper's only difference
-/// between Algorithms 1 and 2 — and what the leaders' blocks are. The one
-/// place `(method, p, domain, boundary, r_c)` becomes `(grid, team dims,
-/// window)`; after it nothing asks which algorithm is running.
+/// The decomposition of a method on a world of ranks: the processor grid
+/// (`c = 1`, one team per rank, for the methods that replicate nothing),
+/// the window the method walks — the paper's only difference between
+/// Algorithms 1 and 2 — and what the leaders' blocks are. The one place
+/// `(method, p, domain, boundary, r_c)` becomes `(grid, team dims, window)`.
 ///
-/// [`Layout::new`] is the validating constructor; the fields are plain
-/// data for callers that report on a layout (`audit`, `chaos`, the figure
-/// and autotuning sweeps, the conformance checker).
+/// [`Layout::new`] is the validating constructor; the public fields are
+/// plain data for callers that report on a layout (`audit`, `chaos`, the
+/// figure and autotuning sweeps, the conformance checker).
 #[derive(Debug, Clone, Copy)]
 pub struct Layout {
     /// The library's name for the method laid out (`ca-all-pairs`,
-    /// `ca-1d-cutoff`, `ca-2d-cutoff`).
+    /// `ca-1d-cutoff`, `halo-2d`, …).
     pub name: &'static str,
     /// The `p/c × c` processor grid.
     pub grid: ProcGrid,
     /// `tx × ty` team grid of the spatial decompositions (a 1-D
-    /// decomposition is the `ty = 1` grid); `None` for the id blocks of
-    /// all-pairs.
+    /// decomposition is the `ty = 1` grid); `None` for id blocks.
     pub cells: Option<(usize, usize)>,
-    /// The window the shift body runs modulo: the one `r_c` cuts out of the
-    /// team grid — clipped, or wrapping under periodic boundaries — or, for
-    /// all-pairs, the full team ring (which wraps whatever the boundary:
-    /// the ring orders block ids, not space).
+    /// The window the method walks: the one its reach — `r_c`, or the
+    /// midpoint method's `r_c / 2` — cuts out of the team grid, clipped or
+    /// wrapping under periodic boundaries; for id blocks the full team ring
+    /// (which wraps whatever the boundary: the ring orders block ids, not
+    /// space).
     pub window: TeamWindow,
+    /// Picks the force routine and the block order.
+    method: Method,
 }
 
 impl Layout {
@@ -575,26 +584,28 @@ impl Layout {
         boundary: Boundary,
         r_c: Option<f64>,
     ) -> Result<Layout, String> {
-        let (name, c, two_d) = match method {
-            Method::CaAllPairs { c } => {
-                let grid = ProcGrid::new_all_pairs(p, c).map_err(|e| e.to_string())?;
-                return Ok(Layout {
-                    name: "ca-all-pairs",
-                    grid,
-                    cells: None,
-                    window: TeamWindow::ring(grid.teams()),
-                });
-            }
-            Method::Ca1dCutoff { c } => ("ca-1d-cutoff", c, false),
-            Method::Ca2dCutoff { c } => ("ca-2d-cutoff", c, true),
-            other => {
-                return Err(format!(
-                    "{other:?} is not a CA method: it has no processor-grid layout, and with \
-                     it no communication-schedule twin and no fault-tolerant driver (fault \
-                     tolerance, checkpoints, health monitors and conformance checking support \
-                     ca-all-pairs, ca-1d-cutoff and ca-2d-cutoff)"
-                ))
-            }
+        // Replication, and for the spatial methods whether the team grid is
+        // 2-D and how much of `r_c` a rank must see.
+        let (name, c, spatial) = match method {
+            Method::CaAllPairs { c } => ("ca-all-pairs", c, None),
+            Method::ParticleRingSymmetric => ("ring-symmetric", 1, None),
+            Method::NaiveAllgather => ("allgather", 1, None),
+            Method::Ca1dCutoff { c } => ("ca-1d-cutoff", c, Some((false, 1.0))),
+            Method::Ca2dCutoff { c } => ("ca-2d-cutoff", c, Some((true, 1.0))),
+            Method::SpatialHalo1d => ("halo-1d", 1, Some((false, 1.0))),
+            Method::SpatialHalo2d => ("halo-2d", 1, Some((true, 1.0))),
+            Method::Midpoint1d => ("midpoint-1d", 1, Some((false, 0.5))),
+            Method::Midpoint2d => ("midpoint-2d", 1, Some((true, 0.5))),
+        };
+        let Some((two_d, reach)) = spatial else {
+            let grid = ProcGrid::new_all_pairs(p, c).map_err(|e| e.to_string())?;
+            return Ok(Layout {
+                name,
+                grid,
+                cells: None,
+                window: TeamWindow::ring(grid.teams()),
+                method,
+            });
         };
         let grid = ProcGrid::new(p, c).map_err(|e| e.to_string())?;
         let teams = grid.teams();
@@ -607,13 +618,15 @@ impl Layout {
             r_c.ok_or_else(|| format!("{method:?} requires a force law with a cutoff radius"))?;
         // Periodic boundaries take a wrapping window; the paper's
         // non-periodic setting a clipped one.
-        let window = TeamWindow::from_cutoff(domain, dims, boundary == Boundary::Periodic, r_c);
+        let wraps = boundary == Boundary::Periodic;
+        let window = TeamWindow::from_cutoff(domain, dims, wraps, reach * r_c);
         validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
         Ok(Layout {
             name,
             grid,
             cells: Some(dims),
             window,
+            method,
         })
     }
 
@@ -634,8 +647,10 @@ impl Layout {
     /// The schedule twin of one timestep's communication on this layout,
     /// given the particles each team owns: a force evaluation and, where
     /// leaders re-assign, the neighbour exchange after it (as many messages
-    /// as the run sends; their payload is the caller's to model).
+    /// as the run sends; their payload is the caller's to model). Panics on
+    /// a method that is not one of the CA algorithms.
     pub fn schedule(&self, block_sizes: Vec<usize>) -> CutoffParams<TeamWindow> {
+        assert!(self.method.is_ca(), "{}", self.method.not_ca());
         let mut params = CutoffParams::new(self.grid, self.window, block_sizes);
         params.reassign = self
             .neighbourhood()
@@ -658,13 +673,17 @@ impl Layout {
         }
     }
 
-    /// Put a leader's block in the order its kernel wants before line 2:
-    /// cell order for spatial blocks (what the cutoff cull needs), id order
-    /// as they are for id blocks (their order is the summation order the
-    /// bit-identity oracle pins; ROADMAP 4c decides whether to trade it).
+    /// Put a leader's block in the order its kernel wants: cell order for
+    /// the CA algorithms' spatial blocks (what the cutoff cull needs), id
+    /// order after re-assignment for the halo and midpoint kernels (they sum
+    /// in block order), and id blocks as they are (their order is the
+    /// summation order the bit-identity oracle pins; ROADMAP 4c decides
+    /// whether to trade it).
     fn order<F: ForceLaw>(&self, st: &mut [Particle], law: &F, domain: &Domain) {
-        if self.cells.is_some() {
-            cell_order(st, law, domain);
+        match (self.cells, self.method.is_ca()) {
+            (Some(_), true) => cell_order(st, law, domain),
+            (Some(_), false) => st.sort_unstable_by_key(|q| q.id),
+            (None, _) => {}
         }
     }
 }
@@ -714,8 +733,8 @@ trait Evaluation {
     }
 }
 
-/// The paper's failure-free evaluation: the strict-link drivers, nothing
-/// riding along.
+/// The failure-free evaluation: the layout's force routine — for the CA
+/// methods the shift body under the strict link — nothing riding along.
 struct Plain;
 
 impl Evaluation for Plain {
@@ -729,8 +748,28 @@ impl Evaluation for Plain {
         cfg: &SimConfig<F, I>,
         _step: usize,
     ) -> Result<(RecoveryReport, f64), Infallible> {
-        layout.order(st, &cfg.law, &cfg.domain);
-        ca_forces(gc, &layout.window, st, &cfg.law, &cfg.domain, cfg.boundary);
+        let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
+        let window = &layout.window;
+        layout.order(st, law, domain);
+        // The methods that replicate nothing are one team per rank: their
+        // world is the row.
+        match layout.method {
+            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. } => {
+                ca_forces(gc, window, st, law, domain, boundary)
+            }
+            Method::ParticleRingSymmetric => {
+                particle_ring_symmetric_forces(&gc.row, st, law, domain, boundary)
+            }
+            Method::NaiveAllgather => naive_allgather_forces(&gc.row, st, law, domain, boundary),
+            Method::SpatialHalo1d | Method::SpatialHalo2d => {
+                spatial_halo_forces(&gc.row, window, st, law, domain, boundary)
+            }
+            Method::Midpoint1d | Method::Midpoint2d => {
+                let [tx, ty, _] = window.dims();
+                let team_of = |pos: Vec2| team_of_xy(domain, tx, ty, pos.x, pos.y);
+                midpoint_forces(&gc.row, window, st, law, domain, boundary, team_of)
+            }
+        }
         Ok((RecoveryReport::default(), 0.0))
     }
 
@@ -1071,12 +1110,11 @@ fn health_reduce<C: Communicator>(
     Ok((energy, momentum))
 }
 
-/// Per-rank body of a CA run: the one timestep loop of Algorithms 1 and 2.
-/// A `ColumnsLost` verdict from the evaluation shrinks the world onto the
+/// Per-rank body of a run: the one timestep loop of every method. A
+/// `ColumnsLost` verdict from the evaluation shrinks the world onto the
 /// survivors and re-runs that step's evaluation there.
-fn run_ca_rank<F, I, C, E>(
+fn run_rank<F, I, C, E>(
     cfg: &SimConfig<F, I>,
-    mut method: Method,
     mut layout: Layout,
     world: &mut C,
     initial: &[Particle],
@@ -1136,13 +1174,13 @@ where
             };
             // Agreed without a message: every survivor evaluates the same
             // deterministic policy on the same survivor count.
-            let Some(shrunk_method) = method.shrunk_onto(next.size(), domain, cfg.boundary, r_c)
-            else {
+            let on_survivors = layout
+                .method
+                .shrunk_onto(next.size(), domain, cfg.boundary, r_c);
+            let Some((_, shrunk_layout)) = on_survivors else {
                 return Err(no_layout);
             };
-            method = shrunk_method;
-            layout = Layout::new(method, next.size(), domain, cfg.boundary, r_c)
-                .expect("shrunk_onto only returns methods that lay out");
+            layout = shrunk_layout;
             gc = GridComms::new(&next, layout.grid);
             shrunk = Some(next);
             st = layout.block(&gc, &full, domain);
@@ -1175,113 +1213,6 @@ where
     }
     let owned = if gc.is_leader() { st } else { Vec::new() };
     Ok((owned, world.stats(), agg, eval.health_report()))
-}
-
-fn validate_run<F: ForceLaw, I>(cfg: &SimConfig<F, I>, method: Method) {
-    if method.needs_cutoff() {
-        assert!(
-            cfg.law.cutoff().is_some(),
-            "{method:?} requires a force law with a cutoff radius"
-        );
-    }
-}
-
-/// Per-rank body of a plain run: the CA loop under the [`Plain`]
-/// evaluation on the layout a CA method has, or one of the baselines.
-fn run_rank<F, I, C>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    layout: Option<Layout>,
-    world: &mut C,
-    initial: &[Particle],
-) -> RankOutcome
-where
-    F: ForceLaw,
-    I: Integrator,
-    C: Communicator,
-{
-    if let Some(layout) = layout {
-        return match run_ca_rank(cfg, method, layout, world, initial, Plain) {
-            Ok(outcome) => outcome,
-            Err(e) => match e {},
-        };
-    }
-    let p = world.size();
-    let domain = &cfg.domain;
-    let tr = world.tracer();
-    let mut probe = StepProbe::new(world);
-    // The baselines replicate nothing: every rank is its own team, on a
-    // `tx × ty` team grid for the spatial ones (`ty = 1` in 1-D).
-    let two_d = matches!(method, Method::Midpoint2d | Method::SpatialHalo2d);
-    let midpoint = matches!(method, Method::Midpoint1d | Method::Midpoint2d);
-    let (tx, ty) = if two_d { team_grid_dims(p) } else { (p, 1) };
-    let team_of = |pos: Vec2| team_of_xy(domain, tx, ty, pos.x, pos.y);
-    // The midpoint method imports half the span the halo exchange does.
-    let window = method.needs_cutoff().then(|| {
-        let r_c = cfg.law.cutoff().expect("validate_run checked the law");
-        let reach = if midpoint { r_c / 2.0 } else { r_c };
-        TeamWindow::from_cutoff(domain, (tx, ty), cfg.boundary == Boundary::Periodic, reach)
-    });
-    // The spatial baselines re-assign as the CA leaders do.
-    let hood = window.map(|w| TeamWindow::neighbours((tx, ty), w.is_periodic()));
-    // Force decomposition keeps particles on the diagonal of its √p × √p
-    // grid only; everywhere else every rank owns (and integrates) a block.
-    let q = (p as f64).sqrt().round() as usize;
-    let owner = method != Method::ForceDecomposition || world.rank() / q == world.rank() % q;
-    let mut my = match (method, window) {
-        (Method::ForceDecomposition, _) => {
-            assert_eq!(q * q, p, "force decomposition needs square p");
-            if owner {
-                id_block_subset(initial, q, world.rank() / q)
-            } else {
-                Vec::new()
-            }
-        }
-        (_, None) => id_block_subset(initial, p, world.rank()),
-        (_, Some(_)) => spatial_subset_2d(initial, domain, tx, ty, world.rank()),
-    };
-    for step in 0..cfg.steps {
-        let _step_g = tr.driver_span("step", step);
-        if owner {
-            let _g = tr.driver_span("integrate", step);
-            cfg.integrator.pre_force(&mut my, cfg.dt);
-            reset_forces(&mut my);
-        }
-        {
-            let _g = tr.driver_span("force", step);
-            let (law, boundary) = (&cfg.law, cfg.boundary);
-            match (method, &window) {
-                (Method::ParticleRing, _) => {
-                    particle_ring_forces(world, &mut my, law, domain, boundary)
-                }
-                (Method::ParticleRingSymmetric, _) => {
-                    particle_ring_symmetric_forces(world, &mut my, law, domain, boundary)
-                }
-                (Method::ForceDecomposition, _) => {
-                    force_decomposition_forces(world, &mut my, law, domain, boundary)
-                }
-                (Method::Midpoint1d | Method::Midpoint2d, Some(w)) => {
-                    midpoint_forces(world, w, &mut my, law, domain, boundary, team_of)
-                }
-                (_, Some(w)) => spatial_halo_forces(world, w, &mut my, law, domain, boundary),
-                (_, None) => naive_allgather_forces(world, &mut my, law, domain, boundary),
-            }
-        }
-        if owner {
-            let _g = tr.driver_span("integrate", step);
-            cfg.integrator
-                .post_force(&mut my, cfg.dt, domain, cfg.boundary);
-        }
-        if let Some(hood) = &hood {
-            let _g = tr.driver_span("reassign", step);
-            reassign_within(world, hood, &mut my, |q| team_of(q.pos))
-                .unwrap_or_else(|e| panic!("step {step}: {e}"));
-            // The halo and midpoint kernels sum in block order.
-            my.sort_unstable_by_key(|q| q.id);
-        }
-        probe.sample(world, step, my.len());
-    }
-    (my, world.stats(), RecoveryReport::default(), None)
 }
 
 #[cfg(test)]
@@ -1329,9 +1260,9 @@ mod tests {
             (Method::CaAllPairs { c: 1 }, 4),
             (Method::CaAllPairs { c: 2 }, 8),
             (Method::CaAllPairs { c: 2 }, 16),
-            (Method::ParticleRing, 6),
+            (Method::CaAllPairs { c: 1 }, 6),
             (Method::NaiveAllgather, 4),
-            (Method::ForceDecomposition, 9),
+            (Method::CaAllPairs { c: 3 }, 9),
         ] {
             let got = run_distributed(&cfg, method, p, &initial);
             assert_trajectories_match(
@@ -1564,26 +1495,55 @@ mod tests {
 
     #[test]
     fn traced_run_reports_driver_sections_per_step() {
-        let cfg = all_pairs_cfg(4);
-        let initial = init::uniform(24, &cfg.domain, 42);
-        let trace = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 8)
-            .trace()
-            .execute(&initial)
-            .artifacts
-            .trace;
-        let reports = trace.step_reports();
-        assert_eq!(reports.len(), 4, "one report per timestep");
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.step as usize, i);
-            let names: Vec<&str> = r.parts.iter().map(|(n, _)| n.as_str()).collect();
-            assert!(names.contains(&"step"), "{names:?}");
-            assert!(names.contains(&"force"), "{names:?}");
-            assert!(names.contains(&"integrate"), "{names:?}");
-            // The step section dominates its parts on every rank.
-            let step_max = r.parts.iter().find(|(n, _)| n == "step").unwrap().1.max;
-            let force_max = r.parts.iter().find(|(n, _)| n == "force").unwrap().1.max;
-            assert!(step_max >= force_max);
+        // Every method passes through the one loop: the same sections and
+        // one `StepProbe` sample per rank-step whichever force routine ran.
+        fn check<F: ForceLaw + Sync>(
+            cfg: &SimConfig<F, SemiImplicitEuler>,
+            method: Method,
+            p: usize,
+        ) {
+            let initial = init::uniform(24, &cfg.domain, 42);
+            let artifacts = Run::new(cfg, method, p).trace().execute(&initial).artifacts;
+            let reports = artifacts.trace.step_reports();
+            assert_eq!(
+                reports.len(),
+                cfg.steps,
+                "{method:?}: one report per timestep"
+            );
+            for (i, r) in reports.iter().enumerate() {
+                assert_eq!(r.step as usize, i);
+                let names: Vec<&str> = r.parts.iter().map(|(n, _)| n.as_str()).collect();
+                for section in ["step", "force", "integrate"] {
+                    assert!(names.contains(&section), "{method:?}: {names:?}");
+                }
+                assert_eq!(
+                    names.contains(&"reassign"),
+                    method.needs_cutoff(),
+                    "{method:?}"
+                );
+                // The step section dominates its parts on every rank.
+                let step_max = r.parts.iter().find(|(n, _)| n == "step").unwrap().1.max;
+                let force_max = r.parts.iter().find(|(n, _)| n == "force").unwrap().1.max;
+                assert!(step_max >= force_max);
+            }
+            assert_eq!(artifacts.timeline.ranks.len(), p);
+            for rank in &artifacts.timeline.ranks {
+                let steps: Vec<u32> = rank.samples.iter().map(|s| s.step).collect();
+                assert_eq!(steps, [0, 1, 2, 3], "{method:?} rank {}", rank.rank);
+            }
         }
+        let cfg = all_pairs_cfg(4);
+        check(&cfg, Method::CaAllPairs { c: 2 }, 8);
+        check(&cfg, Method::NaiveAllgather, 4);
+        let cutoff_cfg = SimConfig {
+            law: Cutoff::new(cfg.law, 0.25),
+            integrator: SemiImplicitEuler,
+            domain: cfg.domain,
+            boundary: cfg.boundary,
+            dt: cfg.dt,
+            steps: cfg.steps,
+        };
+        check(&cutoff_cfg, Method::SpatialHalo1d, 4);
     }
 }
 
@@ -1671,7 +1631,7 @@ mod sampled_tests {
             steps: 6,
         };
         let initial = init::uniform(16, &cfg.domain, 7);
-        let snaps = run_distributed_sampled(&cfg, Method::ParticleRing, 4, &initial, 2);
+        let snaps = run_distributed_sampled(&cfg, Method::CaAllPairs { c: 1 }, 4, &initial, 2);
         assert_eq!(snaps.len(), 3);
         assert_ne!(snaps[0], snaps[2], "state must change over time");
         for s in &snaps {

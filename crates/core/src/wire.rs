@@ -53,8 +53,12 @@ pub struct WireScheduleSpec {
 ///   talks to whom, how many times) is static, re-assignment's own
 ///   neighbour exchange included. Any placeholder sizes work then; the
 ///   id-block ones are used.
-/// * Methods without a layout have no CA schedule twin and return `Err`.
+/// * Methods that replicate nothing have no CA schedule twin and return
+///   `Err`.
 pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, String> {
+    if !spec.method.is_ca() {
+        return Err(spec.method.not_ca());
+    }
     let layout = Layout::new(
         spec.method,
         spec.p,
@@ -163,7 +167,7 @@ mod tests {
 
     #[test]
     fn unsupported_methods_are_rejected() {
-        let err = expected_schedule(&spec(Method::ParticleRing, 16, 4, 1)).unwrap_err();
+        let err = expected_schedule(&spec(Method::NaiveAllgather, 16, 4, 1)).unwrap_err();
         assert!(err.contains("no communication-schedule twin"));
     }
 }

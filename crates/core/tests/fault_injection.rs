@@ -273,10 +273,10 @@ fn cutoff_c1_kill_shrinks_and_tracks_serial_reference() {
                 g.id
             );
         }
-        let shrunk = method
+        let (shrunk, layout) = method
             .shrunk_onto(got.final_ranks, &cfg.domain, boundary, cfg.law.cutoff())
             .expect("three survivors still hold a c = 1 cutoff grid");
-        assert_eq!(shrunk, method);
+        assert_eq!((shrunk, layout.grid.p()), (method, got.final_ranks));
         let clean = run_distributed(&cfg, shrunk, got.final_ranks, &survivors).particles;
         assert_eq!(
             got.particles, clean,

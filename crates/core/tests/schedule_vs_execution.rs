@@ -5,7 +5,7 @@
 //! makes simulated figures trustworthy.
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims};
-use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts, ParticleRingParams};
+use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
 use nbody_comm::{run_ranks, CommStats, Communicator, Phase, ALL_PHASES};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
@@ -37,7 +37,16 @@ fn assert_counts_match(rank: usize, stats: &CommStats, sched: &OpCounts, label: 
 #[test]
 fn all_pairs_schedule_matches_execution() {
     let domain = Domain::unit();
-    for (p, c, n) in [(4, 1, 16), (4, 2, 16), (8, 2, 24), (16, 4, 33), (9, 3, 21)] {
+    // (6, 1, 25) is Plimpton's particle-decomposition ring and (9, 3, 21)
+    // his force decomposition: §III's two ends of Algorithm 1.
+    for (p, c, n) in [
+        (4, 1, 16),
+        (6, 1, 25),
+        (4, 2, 16),
+        (8, 2, 24),
+        (16, 4, 33),
+        (9, 3, 21),
+    ] {
         let grid = ProcGrid::new_all_pairs(p, c).unwrap();
         let stats = run_ranks(p, |world| {
             let gc = GridComms::new(world, grid);
@@ -54,6 +63,8 @@ fn all_pairs_schedule_matches_execution() {
         for (rank, s) in stats.iter().enumerate() {
             let sched = count_ops(params.program(rank));
             assert_counts_match(rank, s, &sched, &format!("all-pairs p={p} c={c} n={n}"));
+            // Independent of the traversal both sides walk: p/c² shifts.
+            assert_eq!(s.phase(Phase::Shift).messages, (p / (c * c)) as u64);
         }
     }
 }
@@ -123,23 +134,6 @@ fn cutoff_2d_schedule_matches_execution() {
             let sched = count_ops(params.program(rank));
             assert_counts_match(rank, s, &sched, &format!("cutoff2d p={p} c={c} rc={r_c}"));
         }
-    }
-}
-
-#[test]
-fn ring_schedule_matches_execution() {
-    let domain = Domain::unit();
-    let (p, n) = (6, 25);
-    let stats = run_ranks(p, |world| {
-        let all = init::uniform(n, &domain, 3);
-        let mut my = id_block_subset(&all, p, world.rank());
-        ca_nbody::baselines::particle_ring_forces(world, &mut my, &Counting, &domain, Boundary::Open);
-        world.stats()
-    });
-    let params = ParticleRingParams { p, n };
-    for (rank, s) in stats.iter().enumerate() {
-        let sched = count_ops(params.program(rank));
-        assert_counts_match(rank, s, &sched, "ring");
     }
 }
 

@@ -40,6 +40,11 @@ pub enum AuditAlgorithm {
     Cutoff1d {
         /// Cutoff radius as a fraction of the domain length (`r_c / l`).
         rc_over_l: f64,
+        /// Teams a leader trades migrants with after every step — the
+        /// size of the layout's re-assignment neighbourhood, 2 on slabs.
+        /// The algorithm's epilogue, charged to the predicted `S` (its
+        /// payload is data-dependent and stays out of the predicted `W`).
+        reassign_sends: u64,
     },
 }
 
@@ -267,15 +272,20 @@ pub fn audit(cfg: &AuditConfig, input: &AuditInput) -> AuditReport {
             w_direct(cfg.n, cfg.p, memory_particles),
             ca_all_pairs(cfg.n, cfg.p, cfg.c),
         ),
-        AuditAlgorithm::Cutoff1d { rc_over_l } => {
+        AuditAlgorithm::Cutoff1d {
+            rc_over_l,
+            reassign_sends,
+        } => {
             let k = k_cutoff_1d(cfg.n, rc_over_l);
             let teams = cfg.p / cfg.c;
             // Processor span of the cutoff: teams within r_c of a team.
             let m = ((rc_over_l * teams as f64).ceil() as u64).max(1);
+            let mut predicted = ca_cutoff_1d(cfg.n, cfg.p, cfg.c, m);
+            predicted.messages += reassign_sends as f64;
             (
                 s_cutoff(cfg.n, k, cfg.p, memory_particles),
                 w_cutoff(cfg.n, k, cfg.p, memory_particles),
-                ca_cutoff_1d(cfg.n, cfg.p, cfg.c, m),
+                predicted,
             )
         }
     };
@@ -590,7 +600,10 @@ mod tests {
             p: 8,
             c: 2,
             steps: 1,
-            algorithm: AuditAlgorithm::Cutoff1d { rc_over_l: 0.25 },
+            algorithm: AuditAlgorithm::Cutoff1d {
+                rc_over_l: 0.25,
+                reassign_sends: 2,
+            },
             ceilings: FactorCeilings::default(),
         };
         let r = audit(&cfg, &AuditInput {
@@ -600,7 +613,9 @@ mod tests {
         // k = 2·0.25·256 = 128; S = 256·128/(8·64²) = 1, W = 256·128/(8·64) = 64.
         assert_eq!(r.s_bound, 1.0);
         assert_eq!(r.w_bound, 64.0);
-        assert!(r.predicted.messages > 0.0);
+        // 4 teams, m = 1: 2m/c + 1 shifts and skew, 2 log2 c collective
+        // messages, and the 2 re-assignment sends of the epilogue.
+        assert_eq!(r.predicted.messages, 2.0 + 2.0 + 2.0);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 #![warn(missing_docs)]
 
-pub mod calibrate;
 pub mod des;
 pub mod fasthash;
 pub mod machine;
@@ -27,7 +26,6 @@ pub mod trace;
 
 pub use des::{simulate, simulate_with_observer};
 pub use trace::{simulate_traced, Trace, TraceEvent, TraceKind};
-pub use calibrate::{calibrate_host, fit_affine, fit_linear, measure_p2p};
 pub use machine::{hopper, intrepid, test_machine, Machine, TreeNetwork};
 pub use op::{CollNet, Op, TeamSpec};
 pub use report::{RankBreakdown, SimReport};

@@ -51,66 +51,6 @@ pub fn step<F: ForceLaw, I: Integrator>(
     integrator.post_force(particles, dt, domain, boundary);
 }
 
-/// A convenience wrapper owning simulation state; the serial twin of the
-/// distributed `Simulation` driver in `ca-nbody`.
-pub struct SerialEngine<F, I> {
-    /// Current particle state.
-    pub particles: Vec<Particle>,
-    /// Pairwise force law.
-    pub law: F,
-    /// Time integrator.
-    pub integrator: I,
-    /// Timestep.
-    pub dt: f64,
-    /// Simulation domain.
-    pub domain: Domain,
-    /// Boundary condition.
-    pub boundary: Boundary,
-    steps_run: usize,
-}
-
-impl<F: ForceLaw, I: Integrator> SerialEngine<F, I> {
-    /// Construct an engine from initial state and simulation parameters.
-    pub fn new(
-        particles: Vec<Particle>,
-        law: F,
-        integrator: I,
-        dt: f64,
-        domain: Domain,
-        boundary: Boundary,
-    ) -> Self {
-        SerialEngine {
-            particles,
-            law,
-            integrator,
-            dt,
-            domain,
-            boundary,
-            steps_run: 0,
-        }
-    }
-
-    /// Run `steps` timesteps.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            step(
-                &mut self.particles,
-                &self.law,
-                &self.integrator,
-                self.dt,
-                &self.domain,
-                self.boundary,
-            );
-        }
-        self.steps_run += steps;
-    }
-
-    /// Total timesteps executed so far.
-    pub fn steps_run(&self) -> usize {
-        self.steps_run
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,42 +105,47 @@ mod tests {
     #[test]
     fn two_body_gravity_orbit_conserves_momentum_over_steps() {
         let domain = Domain::square(10.0);
-        let mut engine = SerialEngine::new(
-            vec![
-                Particle::moving(0, Vec2::new(4.0, 5.0), Vec2::new(0.0, 0.25)),
-                Particle::moving(1, Vec2::new(6.0, 5.0), Vec2::new(0.0, -0.25)),
-            ],
-            Gravity {
-                g: 1.0,
-                softening: 0.0,
-            },
-            SemiImplicitEuler,
-            0.01,
-            domain,
-            Boundary::Open,
-        );
-        engine.run(500);
-        assert_eq!(engine.steps_run(), 500);
-        let total: Vec2 = engine.particles.iter().map(|p| p.momentum()).sum();
+        let mut ps = vec![
+            Particle::moving(0, Vec2::new(4.0, 5.0), Vec2::new(0.0, 0.25)),
+            Particle::moving(1, Vec2::new(6.0, 5.0), Vec2::new(0.0, -0.25)),
+        ];
+        let law = Gravity {
+            g: 1.0,
+            softening: 0.0,
+        };
+        for _ in 0..500 {
+            step(
+                &mut ps,
+                &law,
+                &SemiImplicitEuler,
+                0.01,
+                &domain,
+                Boundary::Open,
+            );
+        }
+        let total: Vec2 = ps.iter().map(|p| p.momentum()).sum();
         assert!(total.norm() < 1e-12, "momentum drift {total:?}");
     }
 
     #[test]
     fn reflective_boundary_keeps_particles_inside() {
         let domain = Domain::unit();
-        let mut engine = SerialEngine::new(
-            init::uniform(25, &domain, 5),
-            RepulsiveInverseSquare {
-                strength: 1e-3,
-                softening: 1e-3,
-            },
-            SemiImplicitEuler,
-            0.05,
-            domain,
-            Boundary::Reflective,
-        );
-        engine.run(100);
-        for p in &engine.particles {
+        let mut ps = init::uniform(25, &domain, 5);
+        let law = RepulsiveInverseSquare {
+            strength: 1e-3,
+            softening: 1e-3,
+        };
+        for _ in 0..100 {
+            step(
+                &mut ps,
+                &law,
+                &SemiImplicitEuler,
+                0.05,
+                &domain,
+                Boundary::Reflective,
+            );
+        }
+        for p in &ps {
             assert!(
                 p.pos.x >= 0.0 && p.pos.x <= 1.0 && p.pos.y >= 0.0 && p.pos.y <= 1.0,
                 "escaped: {:?}",

@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use ca_nbody::{expected_schedule, ProcGrid, Run};
+use ca_nbody::{expected_schedule, ProcGrid, Run, Window};
 use nbody_metrics::{
     audit as audit_run, audit_csv, audit_json, audit_table, ceilings_from_json, wire_phase_counts,
     wire_phase_table, AuditAlgorithm, AuditConfig, AuditInput, FactorCeilings,
@@ -76,11 +76,10 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     if cs.is_empty() {
         return Err(format!("audit: no usable replication factors for p={p}").into());
     }
-    let (algorithm, algo_name) = if base.method().needs_cutoff() {
-        let rc_over_l = base.cutoff / base.domain().length_x();
-        (AuditAlgorithm::Cutoff1d { rc_over_l }, "cutoff-1d")
+    let algo_name = if base.method().needs_cutoff() {
+        "cutoff-1d"
     } else {
-        (AuditAlgorithm::AllPairs, "all-pairs")
+        "all-pairs"
     };
     println!(
         "optimality audit: {algo_name} n={n} p={p} steps={steps}, c in {cs:?} \
@@ -118,6 +117,14 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         // to the roofline.
         let kernel = format!("{algo_name} c={c}");
         rooflines.push(roofline(&kernel, &artifacts.metrics, &calibration));
+        // Leaders that re-assign do so with their layout's neighbourhood.
+        let algorithm = match spec.layout()?.neighbourhood() {
+            Some(hood) => AuditAlgorithm::Cutoff1d {
+                rc_over_l: spec.cutoff / spec.domain().length_x(),
+                reassign_sends: hood.len() as u64 - 1,
+            },
+            None => AuditAlgorithm::AllPairs,
+        };
         let acfg = AuditConfig {
             n: n as u64,
             p: p as u64,

@@ -45,6 +45,10 @@ impl Sweep {
         policy: impl FnOnce(u64, u64) -> RetryPolicy,
     ) -> Result<Sweep, Failure> {
         let spec = RunSpec::from_opts(opts, defaults)?;
+        if !spec.method().is_ca() {
+            let ca = "ca, ca-cutoff-1d, ca-cutoff-2d";
+            return Err(format!("{cmd}: fault injection requires a CA method ({ca})").into());
+        }
         let layout = spec.layout().map_err(|e| format!("{cmd}: {e}"))?;
         Ok(Sweep {
             cfg: spec.config(),
@@ -162,7 +166,7 @@ impl Sweep {
         // continued with.
         let reference = method
             .shrunk_onto(p2, &cfg.domain, cfg.boundary, cfg.law.cutoff())
-            .map(|m2| run_distributed(cfg, m2, p2, &survivors).particles);
+            .map(|(m2, _)| run_distributed(cfg, m2, p2, &survivors).particles);
         match reference {
             Some(reference) if res.particles == reference => {}
             Some(_) => self.fail(

@@ -122,9 +122,7 @@ const CA_ONLY: &str = "each of --faults/--checkpoint-dir/--resume/--health requi
 pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let spec = RunSpec::from_opts(opts, &Defaults::RUN)?;
     let (method, p) = (spec.method(), spec.p);
-    if method.is_ca() {
-        spec.layout()?;
-    }
+    spec.layout()?;
 
     let trace_path: Option<String> = opts.opt("trace")?;
     let metrics_path: Option<String> = opts.opt("metrics")?;

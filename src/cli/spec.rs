@@ -139,14 +139,19 @@ pub struct RunSpec {
     pub temperature: f64,
 }
 
-/// The CLI spelling of every method, at replication `c`.
-fn method_named(name: &str, c: usize) -> Result<Method, String> {
+/// The CLI spelling of every method, at replication `c` on `p` ranks.
+/// Plimpton's two decompositions are §III's ends of Algorithm 1: `ring` is
+/// it at `c = 1` and `force-decomp` at `c = √p` — the least `c` with
+/// `c² ≥ p`, which lays out (`c² | p`) exactly when `p` is a square.
+fn method_named(name: &str, c: usize, p: usize) -> Result<Method, String> {
     Ok(match name {
         "ca" => Method::CaAllPairs { c },
-        "ring" => Method::ParticleRing,
+        "ring" => Method::CaAllPairs { c: 1 },
         "ring-symmetric" => Method::ParticleRingSymmetric,
         "allgather" => Method::NaiveAllgather,
-        "force-decomp" => Method::ForceDecomposition,
+        "force-decomp" => Method::CaAllPairs {
+            c: (1..=p).find(|c| c * c >= p).unwrap_or(1),
+        },
         "ca-cutoff-1d" => Method::Ca1dCutoff { c },
         "ca-cutoff-2d" => Method::Ca2dCutoff { c },
         "halo-1d" => Method::SpatialHalo1d,
@@ -196,7 +201,7 @@ impl RunSpec {
             Some("reflective") | None => (Boundary::Reflective, "reflective"),
             Some(other) => return Err(invalid("boundary", other, "reflective|periodic|open")),
         };
-        let spec = RunSpec {
+        let mut spec = RunSpec {
             n: opts.get("n", d.n)?,
             p: opts.get("p", d.p)?,
             c: opts.get("c", 2)?,
@@ -210,13 +215,15 @@ impl RunSpec {
             boundary_name,
             temperature: opts.get("temperature", d.temperature)?,
         };
-        let method = method_named(&spec.method_name, spec.c)?;
+        let method = method_named(&spec.method_name, spec.c, spec.p)?;
         law_named(&spec.law_name, method.needs_cutoff(), spec.cutoff)?;
+        // One meaning of `c`: the replication the method runs with.
+        spec.c = method.replication();
         Ok(spec)
     }
 
     pub fn method(&self) -> Method {
-        method_named(&self.method_name, self.c).expect("method name checked by from_opts")
+        method_named(&self.method_name, self.c, self.p).expect("method name checked by from_opts")
     }
 
     /// The cutoff radius the layout and the schedule see.
@@ -384,14 +391,33 @@ mod tests {
                     assert_eq!(s.wire_spec().cutoff, r_c);
                     assert_eq!(s.fingerprint().cutoff, r_c.unwrap_or(0.0));
                     assert_eq!(s.fingerprint().c, s.method().replication());
+                    // Every method lays out; `c` is the method's replication
+                    // (§III: 1 for `ring`, √p = 3 > c for `force-decomp` on the
+                    // default 8 ranks, which therefore never fits).
+                    assert_eq!(s.c, s.method().replication());
                     match s.layout() {
-                        Ok(layout) => assert_eq!((layout.grid.c(), s.method().is_ca()), (c, true)),
-                        Err(e) => {
-                            assert!(!e.contains('\n') && (c == 3 || !s.method().is_ca()), "{e}")
-                        }
+                        Ok(layout) => assert_eq!(layout.grid.c(), s.c),
+                        Err(e) => assert!(!e.contains('\n') && s.c == 3, "{e}"),
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn plimptons_decompositions_are_algorithm_1_at_its_two_ends() {
+        let ring = spec(&["method=ring", "p=6", "c=3"], &Defaults::RUN).unwrap();
+        assert_eq!((ring.method(), ring.c), (Method::CaAllPairs { c: 1 }, 1));
+        let fd = spec(&["method=force-decomp", "p=9"], &Defaults::RUN).unwrap();
+        assert_eq!((fd.method(), fd.c), (Method::CaAllPairs { c: 3 }, 3));
+        assert!(fd.layout().is_ok());
+        // No √p, no layout — p = 2 and p = 8 included, where 1² and 2² divide.
+        for p in [2, 3, 8, 12] {
+            let fd = spec(&["method=force-decomp", &format!("p={p}")], &Defaults::RUN).unwrap();
+            assert!(
+                fd.layout().unwrap_err().contains("not usable with"),
+                "p={p}"
+            );
         }
     }
 

@@ -24,6 +24,7 @@ fn verify_covers_every_method() {
         "ring",
         "ring-symmetric",
         "allgather",
+        "force-decomp",
         "ca-cutoff-1d",
         "ca-cutoff-2d",
         "halo-1d",
@@ -85,11 +86,29 @@ fn verify_covers_every_law_variant() {
 
 #[test]
 fn force_decomp_requires_square_p() {
+    // §III as code: `ring` is Algorithm 1 at c = 1, `force-decomp` at c = √p.
+    for (method, p) in [("ring", "p=6"), ("force-decomp", "p=9")] {
+        let out = cli()
+            .args(["verify", &format!("method={method}"), "n=32", p, "steps=2"])
+            .output()
+            .expect("failed to launch CLI");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("VERIFY OK"),
+            "{method}: {stdout}"
+        );
+        assert!(stdout.contains("CaAllPairs"), "{method}: {stdout}");
+    }
+    // No √p: the usual one-line layout error, not a panic per rank.
     let out = cli()
-        .args(["verify", "method=force-decomp", "n=32", "p=9", "steps=2"])
+        .args(["verify", "method=force-decomp", "n=32", "p=8", "steps=2"])
         .output()
         .expect("failed to launch CLI");
-    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("c=3 is not usable with p=8"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
 }
 
 #[test]
@@ -623,11 +642,16 @@ fn faults_flag_rejects_bad_specs_and_non_ca_methods() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --faults"));
 
     let out = cli()
-        .args(["run", "n=32", "p=4", "method=ring", "--faults=drop:1@1"])
+        .args(["run", "n=32", "p=4", "method=halo-1d", "--faults=drop:1@1"])
         .output()
         .expect("launch");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("requires a CA method"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("requires a CA method"), "{stderr}");
+    assert!(
+        stderr.lines().count() == 1 && !stderr.contains("panicked at"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -1778,7 +1802,7 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
         .expect("launch");
     assert!(out.status.success());
     let out = cli()
-        .args(["conformance", &wire, "method=ring"])
+        .args(["conformance", &wire, "method=halo-1d"])
         .output()
         .expect("launch");
     assert!(!out.status.success());

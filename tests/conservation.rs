@@ -54,8 +54,8 @@ fn momentum_conserved_open_boundary_symmetric_law() {
 
     for (method, p) in [
         (Method::CaAllPairs { c: 2 }, 8),
-        (Method::ForceDecomposition, 9),
-        (Method::ParticleRing, 6),
+        (Method::CaAllPairs { c: 3 }, 9),
+        (Method::CaAllPairs { c: 1 }, 6),
     ] {
         let result = run_distributed(&cfg, method, p, &initial);
         let mom = diagnostics::total_momentum(&result.particles).norm();

@@ -57,10 +57,9 @@ fn all_pairs_methods_match_serial_reflective() {
         (Method::CaAllPairs { c: 2 }, 4),
         (Method::CaAllPairs { c: 2 }, 16),
         (Method::CaAllPairs { c: 3 }, 9),
-        (Method::ParticleRing, 5),
+        (Method::CaAllPairs { c: 1 }, 5),
         (Method::NaiveAllgather, 7),
-        (Method::ForceDecomposition, 4),
-        (Method::ForceDecomposition, 16),
+        (Method::CaAllPairs { c: 4 }, 16),
     ] {
         check(&cfg, &initial, method, p, 1e-9);
     }
@@ -82,7 +81,7 @@ fn all_pairs_periodic_boundary_minimum_image() {
     let initial = init::uniform(30, &cfg.domain, 8);
     for (method, p) in [
         (Method::CaAllPairs { c: 2 }, 8),
-        (Method::ParticleRing, 6),
+        (Method::CaAllPairs { c: 1 }, 6),
         (Method::NaiveAllgather, 4),
     ] {
         check(&cfg, &initial, method, p, 1e-9);
@@ -134,7 +133,7 @@ fn gravity_open_boundary_matches_serial() {
     };
     let initial = init::gaussian_clusters(32, &cfg.domain, 2, 0.3, 11);
     check(&cfg, &initial, Method::CaAllPairs { c: 2 }, 8, 1e-9);
-    check(&cfg, &initial, Method::ForceDecomposition, 9, 1e-9);
+    check(&cfg, &initial, Method::CaAllPairs { c: 3 }, 9, 1e-9);
 }
 
 #[test]
@@ -175,8 +174,7 @@ fn single_rank_degenerate_cases() {
     };
     let initial = init::uniform(10, &cfg.domain, 2);
     check(&cfg, &initial, Method::CaAllPairs { c: 1 }, 1, 0.0);
-    check(&cfg, &initial, Method::ParticleRing, 1, 0.0);
-    check(&cfg, &initial, Method::ForceDecomposition, 1, 0.0);
+    check(&cfg, &initial, Method::NaiveAllgather, 1, 0.0);
 }
 
 #[test]

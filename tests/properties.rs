@@ -242,6 +242,60 @@ proptest! {
         prop_assert_eq!(build(&[dims[0], 1, 1], &spans), build(&dims[..1], &spans[..1]));
     }
 
+    /// The routing rule of Algorithms 1 and 2 as data, no thread spawned:
+    /// across the rows of a team every window position is updated exactly
+    /// once, in every step of every row what is sent is what is received,
+    /// block for block, and row `k` takes `row_steps` hops after its skew.
+    #[test]
+    fn traversal_updates_each_position_once_and_meets_every_send_with_one_receive(
+        dims in (1usize..6, 1usize..4, 1usize..3),
+        spans in (0usize..4, 0usize..3, 0usize..2),
+        kind in 0usize..3,
+        c in 1usize..5,
+    ) {
+        use ca_nbody::cutoff::{row_steps, traversal, Hop};
+        let (dims, spans) = ([dims.0, dims.1, dims.2], [spans.0, spans.1, spans.2]);
+        let window = match kind {
+            0 => TeamWindow::clipped(&dims, &spans),
+            1 => TeamWindow::wrapping(&dims, &spans),
+            _ => TeamWindow::ring(dims[0] * dims[1]),
+        };
+        prop_assume!(c <= window.len());
+        let (teams, w) = (window.teams(), window.len());
+        let hops = |t: usize, k: usize| traversal(&window, c, t, k).collect::<Vec<Hop>>();
+        for t in 0..teams {
+            let mut updated = Vec::new();
+            for k in 0..c {
+                let row = hops(t, k);
+                prop_assert_eq!(row.len(), 1 + row_steps(w, c, k), "t={} k={}", t, k);
+                prop_assert!(!row[0].update, "the skew updates nothing");
+                updated.extend(row.iter().filter(|h| h.update).map(|h| h.block.unwrap()));
+            }
+            let mut in_window: Vec<usize> = (0..w).filter_map(|j| window.apply_back(t, j)).collect();
+            updated.sort_unstable();
+            in_window.sort_unstable();
+            prop_assert_eq!(updated, in_window, "t={}", t);
+        }
+        for k in 0..c {
+            let rows: Vec<Vec<Hop>> = (0..teams).map(|t| hops(t, k)).collect();
+            for s in 0..=row_steps(w, c, k) {
+                // (from, to, block): a receiver posts one receive a step, so
+                // equal multisets mean one message for it and none astray.
+                let (mut sent, mut received) = (Vec::new(), Vec::new());
+                for (t, row) in rows.iter().enumerate() {
+                    let hop = row[s];
+                    let held = if s == 0 { Some(t) } else { row[s - 1].block };
+                    sent.extend(hop.shift_to.map(|to| (t, to, held.unwrap())));
+                    sent.extend(hop.home_to.map(|to| (t, to, t)));
+                    received.extend(hop.recv_from.map(|from| (from, t, hop.block.unwrap())));
+                }
+                sent.sort_unstable();
+                received.sort_unstable();
+                prop_assert_eq!(sent, received, "k={} s={}", k, s);
+            }
+        }
+    }
+
     #[test]
     fn periodic_window_traversal_counts_each_wrap_pair_once(
         teams in 1usize..10,
