@@ -10,6 +10,7 @@ use nbody_physics::{
     RepulsiveInverseSquare, Vec2, Vec2x2,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn bench_pair_kernels(c: &mut Criterion) {
     let domain = Domain::unit();
@@ -99,6 +100,27 @@ impl<F: ForceLaw> ForceLaw for HideCutoff<F> {
     }
 }
 
+/// A law that counts the pairs the kernel puts to it, two per two-lane call:
+/// the work a cull leaves, which repeats exactly where this box's clock does
+/// not.
+struct CountPairs<F>(F, AtomicU64);
+
+impl<F: ForceLaw> ForceLaw for CountPairs<F> {
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.force(target, source, disp)
+    }
+
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        self.1.fetch_add(2, Ordering::Relaxed);
+        self.0.force_x2(targets, source, disp)
+    }
+
+    fn cutoff(&self) -> Option<f64> {
+        self.0.cutoff()
+    }
+}
+
 /// The `(targets, sources)` of one row of the block-kernel table: a `size`
 /// x `size` off-diagonal block pair.
 fn off_diagonal_blocks(size: usize, domain: &Domain) -> (Vec<Particle>, Vec<Particle>) {
@@ -182,8 +204,12 @@ fn bench_block_compact<F: ForceLaw>(
 /// the whole lattice, which is how `reassign_particles` leaves it),
 /// shuffled (ids that say nothing about position, as after long mixing),
 /// and in `cell_order`, which is what the cutoff drivers hand the kernel.
-/// Each against the unculled nest on the same data, plus what the ordering
-/// itself costs per step, spread over the same presented pairs.
+/// Each against the unculled nest on the same data, then the cell-ordered
+/// rows again on the thermalised lattice the drivers see mid-run (the bare
+/// lattice flatters the cull), plus what the ordering itself costs per step,
+/// spread over the same presented pairs. Every culled row prints, under its
+/// timing, how many pairs the law was asked about: judge a kernel change by
+/// that count first.
 fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     let n = 8192;
     let domain = Domain::square((n as f64).sqrt() * 1.2);
@@ -198,22 +224,27 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     let mut cell_ordered = by_id.clone();
     ca_nbody::kernel::cell_order(&mut cell_ordered, &lj, &domain);
     let unculled = HideCutoff(lj);
+    let (d, b) = (&domain, Boundary::Periodic);
+    // A culled row, and under it what the law was asked in one such call.
+    let cull_row = |group: &mut BenchmarkGroup<'_>,
+                    name: &str,
+                    targets: &[Particle],
+                    sources: &[Particle]| {
+        let mut targets = targets.to_vec();
+        bench_block_pair(group, name, &lj, &mut targets, sources, d, b);
+        let counted = CountPairs(lj, AtomicU64::new(0));
+        ca_nbody::kernel::accumulate_block(&mut targets, sources, &counted, d, b);
+        let asked = counted.1.load(Ordering::Relaxed);
+        let per_target = asked as f64 / targets.len() as f64;
+        println!("       the law is asked about {asked} pairs per call, {per_target:.1} per target");
+    };
     for (order, block) in [
         ("lattice_id", &by_id),
         ("shuffled", &shuffled),
         ("cell_order", &cell_ordered),
     ] {
+        cull_row(group, &format!("cull_{order}"), block, block);
         let mut targets = block.clone();
-        let (d, b) = (&domain, Boundary::Periodic);
-        bench_block_pair(
-            group,
-            &format!("cull_{order}"),
-            &lj,
-            &mut targets,
-            block,
-            d,
-            b,
-        );
         bench_block_pair(
             group,
             &format!("unculled_{order}"),
@@ -228,17 +259,22 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     // are further than `r_c` from all of it.
     let mut east = ca_nbody::dist::spatial_subset_1d(&lattice, &domain, 4, 1);
     ca_nbody::kernel::cell_order(&mut east, &lj, &domain);
-    let mut targets = cell_ordered.clone();
-    let (d, b) = (&domain, Boundary::Periodic);
-    bench_block_pair(
-        group,
-        "cull_cell_order_neighbour",
-        &lj,
-        &mut targets,
-        &east,
-        d,
-        b,
-    );
+    cull_row(group, "cull_cell_order_neighbour", &cell_ordered, &east);
+    // The same two calls on what the drivers see mid-run: the lattice
+    // thermalised and eight steps adrift (dt = 0.005 at T = 0.5, the
+    // benchmark's), so that cells no longer hold whole lattice columns.
+    let mut adrift = lattice.clone();
+    init::thermalize(&mut adrift, 0.5, 42);
+    for p in &mut adrift {
+        p.pos = b.apply(d, p.pos + p.vel * (8.0 * 0.005), p.vel).0;
+    }
+    let [own, next] = [0, 1].map(|team| {
+        let mut block = ca_nbody::dist::spatial_subset_1d(&adrift, d, 4, team);
+        ca_nbody::kernel::cell_order(&mut block, &lj, d);
+        block
+    });
+    cull_row(group, "cull_cell_order_thermalised", &own, &own);
+    cull_row(group, "cull_cell_order_thermalised_neighbour", &own, &next);
     // What the ordering costs a leader per step, by what it is handed: the
     // id order of a first step, last step's cell order after one step's
     // drift (dt = 0.005 at T = 0.5, the benchmark's), and the same with the

@@ -107,8 +107,9 @@ impl Harvest for PotentialSum {
     }
 }
 
-/// Sources per bounding box of the cutoff cull, and boxes per group box
-/// (the coarse level, tested first). DESIGN.md §14.7 has the measurements.
+/// Particles per bounding box of the cutoff cull — a chunk of sources, a
+/// tile of targets — and chunks per group box (the coarse level, tested
+/// first). DESIGN.md §14.7 has the measurements.
 const CHUNK: usize = 16;
 const GROUP: usize = 16;
 
@@ -121,7 +122,8 @@ const MARGIN: f64 = 1e-12;
 type Aabb = (Vec2, Vec2);
 
 /// The box around `points`, or the whole plane if a coordinate is NaN or
-/// infinite: such a source is shown to every target, as it always was.
+/// infinite: such a source is shown to every target and such a target every
+/// source, as they always were.
 fn bounds(points: impl Iterator<Item = Vec2>) -> Aabb {
     let inf = Vec2::new(f64::INFINITY, f64::INFINITY);
     // `f64::min`/`max` step over a NaN, so finiteness is tracked apart.
@@ -137,8 +139,10 @@ fn bounds(points: impl Iterator<Item = Vec2>) -> Aabb {
 
 /// What one kernel call knows about where its sources are: a box per
 /// [`CHUNK`] consecutive sources and per [`GROUP`] consecutive chunks, built
-/// once in O(sources). Worth it when consecutive sources are neighbours
-/// ([`cell_order`]); on a shuffled block every box is the block's.
+/// once in O(sources), and the chunks near the tile of targets being walked.
+/// Worth it when consecutive particles are neighbours ([`cell_order`]); on a
+/// shuffled block every box is the block's and every chunk is near.
+#[derive(Default)]
 struct Cull {
     /// The law's `r_c * r_c`, widened by [`MARGIN`].
     limit: f64,
@@ -147,39 +151,55 @@ struct Cull {
     period: Vec2,
     chunks: Vec<Aabb>,
     groups: Vec<Aabb>,
+    /// The chunks [`Cull::tile`] did not rule out, in source order.
+    near: Vec<usize>,
+}
+
+thread_local! {
+    /// The last call's [`Cull`], whose three vectors the next call under a
+    /// cutoff law refills: a warm kernel call allocates nothing.
+    static CULL: RefCell<Cull> = RefCell::default();
 }
 
 impl Cull {
-    fn new<S: KernelSource>(sources: &[S], r_c: f64, domain: &Domain, boundary: Boundary) -> Cull {
-        let boxes = |len: usize| -> Vec<Aabb> {
-            let chunks = sources.chunks(len);
-            chunks.map(|c| bounds(c.iter().map(S::pos))).collect()
+    /// Forget the last call's sources and box these.
+    fn refill<S: KernelSource>(
+        &mut self,
+        sources: &[S],
+        r_c: f64,
+        domain: &Domain,
+        boundary: Boundary,
+    ) {
+        self.limit = r_c * r_c * (1.0 + MARGIN);
+        self.period = match boundary {
+            Boundary::Periodic => domain.extent(),
+            _ => Vec2::zero(),
         };
-        Cull {
-            limit: r_c * r_c * (1.0 + MARGIN),
-            period: match boundary {
-                Boundary::Periodic => domain.extent(),
-                _ => Vec2::zero(),
-            },
-            chunks: boxes(CHUNK),
-            groups: boxes(CHUNK * GROUP),
+        for (boxes, len) in [(&mut self.chunks, CHUNK), (&mut self.groups, CHUNK * GROUP)] {
+            boxes.clear();
+            boxes.extend(sources.chunks(len).map(|c| bounds(c.iter().map(S::pos))));
         }
+        self.near.clear();
+        self.near.reserve(self.chunks.len());
     }
 
-    /// Whether every source inside a box is beyond `r_c` of *both* targets,
-    /// by the law's own test `disp.norm_sq() > r_c * r_c` on
-    /// `Boundary::displacement`'s own result. Targets must be finite.
+    /// Whether every source inside the box `(lo, hi)` is beyond `r_c` of
+    /// every target inside the box `(tlo, thi)`, per lane, in *both* lanes
+    /// — one target each when `tlo` is `thi` — by the law's own test
+    /// `disp.norm_sq() > r_c * r_c` on `Boundary::displacement`'s own
+    /// result. A target box must be finite or the whole plane.
     ///
-    /// Rounding is monotone, so per axis `lo <= s <= hi` gives
-    /// `fl(lo - t) <= fl(s - t) <= fl(hi - t)`, and the same again after the
-    /// `± extent` of a wrap. The displacement the law is shown is one of the
-    /// three images `d`, `fl(d - ext)`, `fl(d + ext)` (single wrap, whatever
-    /// the positions), so its magnitude is at least the smallest distance
-    /// from zero to the three image intervals; `x*x + y*y` is monotone in
-    /// both magnitudes, so the law's `norm_sq` is at least the one below.
+    /// Rounding is monotone, so per axis `lo <= s <= hi` and
+    /// `tlo <= t <= thi` give `fl(lo - thi) <= fl(s - t) <= fl(hi - tlo)`,
+    /// and the same again after the `± extent` of a wrap. The displacement
+    /// the law is shown is one of the three images `d`, `fl(d - ext)`,
+    /// `fl(d + ext)` (single wrap, whatever the positions), so its magnitude
+    /// is at least the smallest distance from zero to the three image
+    /// intervals; `x*x + y*y` is monotone in both magnitudes, so the law's
+    /// `norm_sq` is at least the one below.
     #[inline(always)]
-    fn beyond(&self, &(lo, hi): &Aabb, t: Vec2x2) -> bool {
-        let (dlo, dhi) = (Vec2x2::splat(lo) - t, Vec2x2::splat(hi) - t);
+    fn beyond(&self, &(lo, hi): &Aabb, tlo: Vec2x2, thi: Vec2x2) -> bool {
+        let (dlo, dhi) = (Vec2x2::splat(lo) - thi, Vec2x2::splat(hi) - tlo);
         let image = |shift: Vec2| {
             let shift = Vec2x2::splat(shift);
             (dlo + shift).max(-(dhi + shift)).max(Vec2x2::zero())
@@ -189,9 +209,37 @@ impl Cull {
             .min(image(self.period));
         gap.norm_sq().lanes_gt(F64x2::splat(self.limit)).all()
     }
+
+    /// List in `near` the chunks that may hold a source within `r_c` of a
+    /// target of `tile` — groups first, then the chunks of the groups that
+    /// remain — and say whether a pair of the tile should ask again about
+    /// each for its own two targets. Not when the list is the whole of a
+    /// block of several groups: that block is in no spatial order, and a
+    /// pair would rule out nothing either. (A block of one group is asked
+    /// regardless: a tile of a sparse one reaches all of it where a pair
+    /// does not, and the tests are few.) And not when a target is NaN or
+    /// infinite: the tile's box is then the plane, nothing was ruled out,
+    /// and [`Cull::beyond`] must not be shown such a point.
+    fn tile(&mut self, tile: &[Particle]) -> bool {
+        let (lo, hi) = bounds(tile.iter().map(|t| t.pos));
+        let (tlo, thi) = (Vec2x2::splat(lo), Vec2x2::splat(hi));
+        self.near.clear();
+        for g in 0..self.groups.len() {
+            if self.beyond(&self.groups[g], tlo, thi) {
+                continue;
+            }
+            for j in g * GROUP..self.chunks.len().min((g + 1) * GROUP) {
+                if !self.beyond(&self.chunks[j], tlo, thi) {
+                    self.near.push(j);
+                }
+            }
+        }
+        lo.is_finite() && (self.near.len() < self.chunks.len() || self.chunks.len() <= GROUP)
+    }
 }
 
-/// A particle's place in [`cell_order`]: cell row, cell column, id.
+/// A particle's place in [`cell_order`]: cell row, cell column — negated
+/// in odd rows — and id.
 type CellKey = (i64, i64, u64);
 
 thread_local! {
@@ -201,11 +249,16 @@ thread_local! {
 }
 
 /// Put a block in the order the cull needs, consecutive particles being
-/// neighbours: by `r_c`-sized cell, row-major, ties by id (nothing moves
-/// under a law without a cutoff). It also puts the two lanes of a target
-/// pair next to each other. The cutoff drivers call it on the team leader
-/// before the broadcast. A total order on distinct ids, so the result does
-/// not depend on the order `block` arrives in.
+/// neighbours: by `r_c`-sized cell, rows bottom to top, even rows left to
+/// right and odd rows right to left, ties by id (nothing moves under a law
+/// without a cutoff). Turning round at each row end keeps the run of
+/// sixteen that holds the last cells of one row and the first of the next
+/// in one corner; read row-major it would span the block's width, two rows
+/// tall, in reach of every target of both. The order also puts the two
+/// lanes of a target pair, and the pairs of a tile, next to each other. The
+/// cutoff drivers call it on the team leader before the broadcast. A total
+/// order on distinct ids, so the result does not depend on the order
+/// `block` arrives in.
 ///
 /// The cost does: a leader's block arrives as last step's order, a few
 /// particles having drifted over a cell edge and a few migrants appended,
@@ -218,7 +271,8 @@ pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain)
     let key = |p: &Particle| -> CellKey {
         // `as i64` saturates and sends NaN to 0: any position gets some cell.
         let cell = (p.pos - domain.min) / r_c;
-        (cell.y.floor() as i64, cell.x.floor() as i64, p.id)
+        let (row, col) = (cell.y.floor() as i64, cell.x.floor() as i64);
+        (row, if row % 2 == 0 { col } else { col.saturating_neg() }, p.id)
     };
     CELL_KEYS.with_borrow_mut(|keys| {
         keys.clear();
@@ -262,17 +316,24 @@ const INSERT_BUDGET: usize = 8;
 /// asked for a self pair; a computed self-force is not masked away, it is
 /// not computed.
 ///
-/// Under a law with a cutoff (and a harvest that allows it) the sources are
-/// walked in [`CHUNK`]s and a chunk whose box is [`Cull::beyond`] both
-/// targets is passed over: the law would have answered `+0.0` for each of
-/// its pairs ([`ForceLaw::cutoff`]). The chunks that remain run in source
-/// order, so each target still adds its non-zero terms in the scalar loop's
-/// sequence, and one final `+ 0.0` stands in for all the zeros passed over:
-/// adding `+0.0` changes an accumulator only from `-0.0` to `+0.0`, and
-/// once that has happened no sum returns to `-0.0`. A passed-over chunk
-/// cannot hold a target's own id, because a particle is where it is: the
-/// self source sits inside the box at distance zero. Without a cutoff the
-/// whole block is one chunk and the nest is the loop it always was.
+/// Under a law with a cutoff (and a harvest that allows it) the cull asks
+/// twice, coarsely then finely. Targets advance in tiles of [`CHUNK`] and
+/// sources in chunks of as many; [`Cull::tile`] lists the chunks whose box is
+/// not [`Cull::beyond`] the tile's, and each lane pair walks that list in
+/// source order, passing over a chunk that is beyond both of its targets. A
+/// tile [`Cull::tile`] says the pairs need not ask for — a long block in no
+/// spatial order, or a tile with a NaN or infinite target — walks the block
+/// whole: nothing was ruled out, and a target that is not finite is shown
+/// every source, as it always was. The law would have answered `+0.0` for
+/// each pair passed over ([`ForceLaw::cutoff`]). The chunks that remain run in
+/// source order, so each target still adds its non-zero terms in the scalar
+/// loop's sequence, and one final `+ 0.0` per pair that had anything passed
+/// over, by its tile or by itself, stands in for all the zeros: adding `+0.0`
+/// changes an accumulator only from `-0.0` to `+0.0`, and once that has
+/// happened no sum returns to `-0.0`. A passed-over chunk cannot hold a
+/// target's own id, because a particle is where it is: the self source sits
+/// inside both boxes at distance zero. Without a cutoff the whole block is
+/// one chunk, near the one tile, and the nest is the loop it always was.
 fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     targets: &mut [Particle],
     sources: &[S],
@@ -281,37 +342,43 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     boundary: Boundary,
     harvest: &mut H,
 ) -> u64 {
-    let cull = match law.cutoff() {
-        Some(r_c) if H::CULLS => Some(Cull::new(sources, r_c, domain, boundary)),
+    // The thread's `Cull` is taken for the call and handed back after it,
+    // not borrowed as `CELL_KEYS` is: the nest owns it as a local, and its
+    // copy for a law without a cutoff has no trace of it (DESIGN.md §14.7
+    // has what a borrow handed down to the nest cost either copy).
+    let mut cull = match law.cutoff() {
+        Some(r_c) if H::CULLS => {
+            let mut cull = CULL.take();
+            cull.refill(sources, r_c, domain, boundary);
+            Some(cull)
+        }
         _ => None,
     };
-    // Without a cull the whole block is one chunk of one group.
-    let chunk_len = if cull.is_some() { CHUNK } else { usize::MAX };
-    let group_len = chunk_len.saturating_mul(GROUP);
+    let tile_len = if cull.is_some() { CHUNK } else { usize::MAX };
     let mut skipped: u64 = 0;
-    for pair in targets.chunks_mut(2) {
-        let full = pair.len() == 2;
-        // Local copies: the inner loop reads positions, masses and ids from
-        // values nothing else can alias. The padding lane of an odd tail
-        // duplicates lane 0 and is only ever carried, never evaluated.
-        let (t0, t1) = (pair[0], pair[pair.len() - 1]);
-        let pos = Vec2x2::new(t0.pos, t1.pos);
-        let mut acc = Vec2x2::new(t0.force, t1.force);
-        // A NaN or infinite target is shown every source, as it always was.
-        let finite = t0.pos.is_finite() && t1.pos.is_finite();
-        let cull = cull.as_ref().filter(|_| finite);
-        let mut culled = false;
-        for (g, group) in sources.chunks(group_len).enumerate() {
-            if cull.is_some_and(|c| c.beyond(&c.groups[g], pos)) {
-                culled = true;
-                continue;
-            }
-            for (j, chunk) in group.chunks(chunk_len).enumerate() {
-                if cull.is_some_and(|c| c.beyond(&c.chunks[g * GROUP + j], pos)) {
+    for tile in targets.chunks_mut(tile_len) {
+        let asks = cull.as_mut().is_some_and(|c| c.tile(tile));
+        // A tile whose pairs do not ask walks the whole block as one chunk,
+        // as every tile does without a cull.
+        let cull = cull.as_ref().filter(|_| asks);
+        let (near, chunk_len) = cull.map_or((&[0][..], usize::MAX), |c| (&c.near[..], CHUNK));
+        let tile_culled = cull.is_some_and(|c| c.near.len() < c.chunks.len());
+        for pair in tile.chunks_mut(2) {
+            let full = pair.len() == 2;
+            // Local copies: the inner loop reads positions, masses and ids from
+            // values nothing else can alias. The padding lane of an odd tail
+            // duplicates lane 0 and is only ever carried, never evaluated.
+            let (t0, t1) = (pair[0], pair[pair.len() - 1]);
+            let pos = Vec2x2::new(t0.pos, t1.pos);
+            let mut acc = Vec2x2::new(t0.force, t1.force);
+            let mut culled = tile_culled;
+            for &j in near {
+                if cull.is_some_and(|c| c.beyond(&c.chunks[j], pos, pos)) {
                     culled = true;
                     continue;
                 }
-                for s in chunk {
+                let chunk = j * chunk_len..sources.len().min((j + 1).saturating_mul(chunk_len));
+                for s in &sources[chunk] {
                     if !full || t0.id == s.id() || t1.id == s.id() {
                         // This path's `shown` is its own: a scalar `force`
                         // the compiler leaves as a call needs it in memory,
@@ -340,13 +407,16 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
                     harvest.pair(law, &t1, s, d1);
                 }
             }
+            if culled {
+                acc += Vec2x2::zero();
+            }
+            for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
+                t.force = a;
+            }
         }
-        if culled {
-            acc += Vec2x2::zero();
-        }
-        for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
-            t.force = a;
-        }
+    }
+    if let Some(cull) = cull {
+        CULL.set(cull);
     }
     (targets.len() as u64)
         .saturating_mul(sources.len() as u64)
@@ -604,51 +674,90 @@ mod tests {
         );
     }
 
+    fn cull_of(sources: &[Particle], r_c: f64, domain: &Domain, boundary: Boundary) -> Cull {
+        let mut cull = Cull::default();
+        cull.refill(sources, r_c, domain, boundary);
+        cull
+    }
+
     #[test]
     fn the_cull_rules_out_what_is_beyond_r_c_and_nothing_nearer() {
         let domain = Domain::unit();
         let patch = (Vec2::new(0.6, 0.6), Vec2::new(0.7, 0.7));
-        let beyond = |r_c: f64, boundary: Boundary, b: &Aabb, t: Vec2| {
-            Cull::new::<Particle>(&[], r_c, &domain, boundary).beyond(b, Vec2x2::splat(t))
+        let cull = |r_c: f64, boundary: Boundary| cull_of(&[], r_c, &domain, boundary);
+        let beyond = |r_c: f64, boundary: Boundary, b: &Aabb, (lo, hi): Aabb| {
+            cull(r_c, boundary).beyond(b, Vec2x2::splat(lo), Vec2x2::splat(hi))
         };
         // Corner to corner: sqrt(0.5² + 0.5²) = 0.707.
         let t = Vec2::new(0.1, 0.1);
+        // From the near corner of a box of targets it is 0.4 on both axes.
+        let tile = (Vec2::zero(), Vec2::new(0.2, 0.2));
         for boundary in [Boundary::Open, Boundary::Reflective] {
-            assert!(beyond(0.7, boundary, &patch, t));
-            assert!(!beyond(0.71, boundary, &patch, t));
+            assert!(beyond(0.7, boundary, &patch, (t, t)));
+            assert!(!beyond(0.71, boundary, &patch, (t, t)));
+            assert!(beyond(0.56, boundary, &patch, tile));
+            assert!(!beyond(0.57, boundary, &patch, tile));
         }
-        // Through the periodic wall the corner is 0.4 away on both axes.
-        assert!(beyond(0.56, Boundary::Periodic, &patch, t));
-        assert!(!beyond(0.57, Boundary::Periodic, &patch, t));
+        // Through the periodic wall the corner is 0.4 away on both axes, and
+        // the far corner of the box of targets 0.3.
+        assert!(beyond(0.56, Boundary::Periodic, &patch, (t, t)));
+        assert!(!beyond(0.57, Boundary::Periodic, &patch, (t, t)));
+        assert!(beyond(0.42, Boundary::Periodic, &patch, tile));
+        assert!(!beyond(0.43, Boundary::Periodic, &patch, tile));
         // Both lanes must be beyond; inside the box the gap is zero.
         let near = Vec2::new(0.65, 0.65);
-        let cull = Cull::new::<Particle>(&[], 0.05, &domain, Boundary::Open);
-        assert!(!cull.beyond(&patch, Vec2x2::new(t, near)));
-        assert!(!cull.beyond(&patch, Vec2x2::new(near, t)));
-        // A box around a NaN or an infinity is the whole plane.
+        let open = cull(0.05, Boundary::Open);
+        for pos in [Vec2x2::new(t, near), Vec2x2::new(near, t)] {
+            assert!(!open.beyond(&patch, pos, pos));
+        }
+        // A box around a NaN or an infinity is the whole plane, which is
+        // beyond nothing and which nothing is beyond.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let sources = [
                 Particle::at(0, Vec2::new(0.9, 0.9)),
                 Particle::at(1, Vec2::new(0.9, bad)),
             ];
-            let cull = Cull::new(&sources, 1e-3, &domain, Boundary::Periodic);
-            assert!(!cull.beyond(&cull.chunks[0], Vec2x2::splat(t)), "{bad}");
-            assert!(!cull.beyond(&cull.groups[0], Vec2x2::splat(t)), "{bad}");
+            let mut cull = cull_of(&sources, 1e-3, &domain, Boundary::Periodic);
+            let plane = (cull.chunks[0], cull.groups[0]);
+            assert_eq!(plane.0, plane.1);
+            for (b, of) in [(&plane.0, (t, t)), (&plane.0, plane.0), (&patch, plane.0)] {
+                assert!(!cull.beyond(b, Vec2x2::splat(of.0), Vec2x2::splat(of.1)), "{bad}");
+            }
+            // So a tile with such a target rules nothing out, far as the
+            // finite ones are from everything.
+            cull.chunks = vec![patch; 3];
+            cull.groups = vec![patch];
+            assert!(cull.tile(&[Particle::at(2, t); 4]));
+            assert_eq!(cull.near, [] as [usize; 0]);
+            assert!(!cull.tile(&[Particle::at(2, t), Particle::at(3, Vec2::new(bad, 0.1))]));
+            assert_eq!(cull.near, [0, 1, 2]);
+        }
+        // A finite tile in reach of every chunk: its pairs ask for
+        // themselves in a block of one group and not in a longer one.
+        let mut cull = cull(0.71, Boundary::Open);
+        for (chunks, asks) in [(3, true), (GROUP, true), (GROUP + 1, false)] {
+            cull.chunks = vec![patch; chunks];
+            cull.groups = vec![patch; chunks.div_ceil(GROUP)];
+            assert_eq!(cull.tile(&[Particle::at(2, t); 4]), asks);
+            assert_eq!(cull.near, (0..chunks).collect::<Vec<_>>());
         }
     }
 
     /// The soundness of the bound, on the implemented arithmetic: whenever
-    /// [`Cull::beyond`] says a box can be passed over, the cutoff law's own
-    /// answer is `+0.0` for both targets against the box's corners and
-    /// random points inside it. Domains of every size and offset, targets
-    /// and boxes up to three extents outside them (the displacement wraps
-    /// once only), radii from a ten-thousandth of the extent to thrice it.
+    /// [`Cull::beyond`] says a box of sources can be passed over for a box
+    /// of targets, the cutoff law's own answer is `+0.0` for the corners of
+    /// the one and random points inside it against the corners of the other
+    /// and random points inside that. Every other case takes a point for the
+    /// box of targets in each lane — two targets, the per-pair test. Domains
+    /// of every size and offset, targets and boxes up to three extents
+    /// outside them (the displacement wraps once only), radii from a
+    /// ten-thousandth of the extent to thrice it.
     #[test]
     fn a_box_the_cull_passes_over_holds_nothing_the_law_accepts() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        let mut passed_over = [0u32; 3];
-        for case in 0..6000 {
+        let mut passed_over = [[0u32; 3]; 2];
+        for case in 0..12000 {
             let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
             let ext = Vec2::new(
                 10f64.powf(rng.gen_range(-3.0..3.0)),
@@ -669,24 +778,38 @@ mod tests {
             } else {
                 t0 + ext * 1e-3
             };
-            let half = ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0);
+            let mut half = |case: usize| {
+                ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0)
+            };
+            let (half, thalf) = (half(case), half(case / 5));
             let (lo, hi) = (centre - half, centre + half);
-            let cull = Cull::new::<Particle>(&[], r_c, &domain, boundary);
-            if !cull.beyond(&(lo, hi), Vec2x2::new(t0, t1)) {
+            let boxed = case % 2;
+            let (tlo, thi) = if boxed == 1 {
+                (Vec2x2::splat(t0 - thalf), Vec2x2::splat(t0 + thalf))
+            } else {
+                (Vec2x2::new(t0, t1), Vec2x2::new(t0, t1))
+            };
+            let cull = cull_of(&[], r_c, &domain, boundary);
+            if !cull.beyond(&(lo, hi), tlo, thi) {
                 continue;
             }
-            passed_over[case % 3] += 1;
+            passed_over[boxed][case % 3] += 1;
             let law = Cutoff::new(Counting, r_c);
-            let corners = [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)];
-            let inside = (0..64).map(|_| {
+            let mut sample = |(lo, hi): Aabb| {
                 let at = |lo: f64, hi: f64, u: f64| (lo + (hi - lo) * u).clamp(lo, hi);
-                Vec2::new(
-                    at(lo.x, hi.x, rng.gen_range(0.0..1.0)),
-                    at(lo.y, hi.y, rng.gen_range(0.0..1.0)),
-                )
-            });
-            for s in corners.into_iter().chain(inside.collect::<Vec<_>>()) {
-                for t in [t0, t1] {
+                let inside = (0..if lo == hi { 0 } else { 24 }).map(|_| {
+                    Vec2::new(
+                        at(lo.x, hi.x, rng.gen_range(0.0..1.0)),
+                        at(lo.y, hi.y, rng.gen_range(0.0..1.0)),
+                    )
+                });
+                let corners = [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)];
+                corners.into_iter().chain(inside).collect::<Vec<_>>()
+            };
+            let [tlo, thi] = [tlo, thi].map(Vec2x2::to_lanes);
+            let targets = [sample((tlo[0], thi[0])), sample((tlo[1], thi[1]))].concat();
+            for s in sample((lo, hi)) {
+                for &t in &targets {
                     let disp = boundary.displacement(&domain, t, s);
                     let f = law.force(&Particle::at(0, t), &Particle::at(1, s), disp);
                     assert_eq!(
@@ -697,12 +820,12 @@ mod tests {
                 }
             }
         }
-        // Not vacuous under any boundary.
-        assert!(passed_over.iter().all(|&n| n > 200), "{passed_over:?}");
+        // Not vacuous under any boundary, for points or for boxes.
+        assert!(passed_over.iter().flatten().all(|&n| n > 200), "{passed_over:?}");
     }
 
     #[test]
-    fn cell_order_is_row_major_by_cell_then_id_whatever_the_input_order() {
+    fn cell_order_snakes_through_the_cells_then_by_id_whatever_the_input_order() {
         let domain = Domain::new(Vec2::new(-1.0, 2.0), Vec2::new(3.0, 6.0));
         let law = Cutoff::new(Counting, 1.0);
         let at = |id: u64, x: f64, y: f64| Particle::at(id, Vec2::new(x, y));
@@ -713,21 +836,26 @@ mod tests {
             at(2, -0.1, 2.2),     // cell (0, 0), smaller id first
             at(1, 0.5, 2.5),      // cell (1, 0)
             at(0, f64::NAN, 5.5), // cell (0, 3): NaN counts as cell 0
-            at(6, -7.0, 1.0),     // outside: cell (-6, -1) comes first
+            at(6, -7.0, 1.0),     // outside: row -1 comes first
+            at(7, 2.5, 3.5),      // cell (3, 1): odd rows run right to left
+            at(8, 1.5, 5.5),      // cell (2, 3)
+            at(9, 0.5, 1.5),      // cell (1, -1): a negative odd row is odd
+            at(10, -1e300, 5.5),  // column i64::MIN, negated: i64::MAX
+            at(11, 1e300, 5.5),   // column i64::MAX, negated: ahead of the rest
         ];
         let mut reversed = block.clone();
         reversed.reverse();
         cell_order(&mut block, &law, &domain);
         cell_order(&mut reversed, &law, &domain);
         let ids = |b: &[Particle]| b.iter().map(|p| p.id).collect::<Vec<_>>();
-        assert_eq!(ids(&block), [6, 2, 3, 1, 5, 4, 0]);
+        assert_eq!(ids(&block), [9, 6, 2, 3, 1, 5, 7, 4, 11, 8, 0, 10]);
         assert_eq!(ids(&reversed), ids(&block));
         // A law without a cutoff has no cell size: nothing moves.
         cell_order(&mut reversed, &Counting, &domain);
         assert_eq!(ids(&reversed), ids(&block));
         block.reverse();
         cell_order(&mut block, &Counting, &domain);
-        assert_eq!(ids(&block), [0, 4, 5, 1, 3, 2, 6]);
+        assert_eq!(ids(&block), [10, 0, 8, 11, 4, 7, 5, 1, 3, 2, 6, 9]);
     }
 
     #[test]
@@ -737,7 +865,10 @@ mod tests {
         let sorted = |block: &[Particle]| {
             let mut want = block.to_vec();
             let cell = |x: f64| (x / 0.1).floor() as i64;
-            want.sort_by_key(|p| (cell(p.pos.y), cell(p.pos.x), p.id));
+            want.sort_by_key(|p| {
+                let (row, col) = (cell(p.pos.y), cell(p.pos.x));
+                (row, if row % 2 == 0 { col } else { -col }, p.id)
+            });
             want
         };
         // Id order says nothing of position: far past the insertion budget.

@@ -17,13 +17,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ca_nbody::dist::spatial_subset_1d;
 use ca_nbody::kernel::{
     accumulate_block, accumulate_block_potential, accumulate_sources, block_interactions,
     cell_order,
 };
 use nbody_physics::particle::sources as compact;
 use nbody_physics::{
-    Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
+    init, Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
     RepulsiveInverseSquare, ShiftedForce, Vec2, Yukawa,
 };
 use proptest::prelude::*;
@@ -505,6 +506,100 @@ fn blocks_past_one_chunk_are_culled_and_still_equal_the_scalar_loop() {
 }
 
 #[test]
+fn a_short_block_in_order_is_asked_about_no_more_than_pair_by_pair() {
+    // A lattice in id order is row-major whatever `cell_order` does, so
+    // these counts are the nest's alone. Sixteen targets of a block this
+    // sparse span the domain and their box reaches every chunk, where two
+    // of them do not: the pairs must go on asking for themselves. The
+    // figures are those of the per-pair cull before there were tiles, which
+    // a tile's list can shorten the tests of and never the answers.
+    let domain = Domain::unit();
+    for (nt, ns, r_c, open, periodic) in [
+        (36, 49, 0.25, 1156, 1356),
+        (49, 36, 0.25, 1316, 1564),
+        (196, 196, 0.125, 10156, 10652),
+    ] {
+        // An id names a particle: two different lattices share none.
+        let other = if nt == ns { 0 } else { 1000 };
+        let targets = init::lattice(nt, &domain);
+        let sources: Vec<Particle> = init::lattice(ns, &domain)
+            .into_iter()
+            .map(|s| Particle {
+                id: s.id + other,
+                ..s
+            })
+            .collect();
+        for (boundary, at_most) in [(Boundary::Open, open), (Boundary::Periodic, periodic)] {
+            check_all_laws(&targets, &sources, &domain, boundary).unwrap();
+            let law = Cutoff::new(Counting, r_c);
+            let asked = force_calls(law, &targets, &sources, &domain, boundary);
+            assert!(asked <= at_most, "{nt}x{ns} {boundary:?}: asked {asked}");
+        }
+    }
+}
+
+#[test]
+fn tiles_that_end_mid_pair_or_one_past_a_pair_equal_the_scalar_loop() {
+    // Targets advance in tiles of 16: one target, one short of a tile, a
+    // tile, one and a pair past one, one past two. They are the first few
+    // of 300 in cell order — a corner of the box, so that every tile rules
+    // chunks out and its pairs more — against that block (which holds
+    // them) and against another like it (which does not).
+    let domain = Domain::unit();
+    let (block, other) = ordered_blocks(23, 300, 300, Overlap::OffDiagonal, &domain, 0.125);
+    for nt in [1, 15, 16, 17, 18, 33] {
+        for sources in [&block, &other] {
+            for boundary in BOUNDARIES {
+                check_all_laws(&block[..nt], sources, &domain, boundary)
+                    .unwrap_or_else(|msg| panic!("{nt} targets: {msg}"));
+                let law = Cutoff::new(Counting, 0.125);
+                let asked = force_calls(law, &block[..nt], sources, &domain, boundary);
+                assert!(
+                    asked < (nt * sources.len()) as u64 / 2,
+                    "{nt} targets {boundary:?}: asked {asked}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_cull_asks_about_few_enough_sources_on_the_benchmark_geometry() {
+    // One team's block of `cutoff1d_lj_periodic` as the driver hands it to
+    // the kernel — a quarter slab of the 8192-particle lattice, thermalised
+    // and eight steps adrift, in cell order — against itself and against
+    // the next slab's. About 11.5 sources are within r_c of a target and
+    // the law is asked about 70.2 | 2.9 (DESIGN.md §14.7). The count does
+    // not depend on the machine: a kernel change that raises it has made
+    // the cull coarser, whatever the clock says.
+    let n = 8192;
+    let domain = Domain::square((n as f64).sqrt() * 1.2);
+    let law = Cutoff::new(LennardJones::default(), 2.5);
+    let mut lattice = init::lattice(n, &domain);
+    init::thermalize(&mut lattice, 0.5, 42);
+    for p in &mut lattice {
+        let (pos, _) = Boundary::Periodic.apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel);
+        p.pos = pos;
+    }
+    let slab = |team: usize| {
+        let mut block = spatial_subset_1d(&lattice, &domain, 4, team);
+        cell_order(&mut block, &law, &domain);
+        block
+    };
+    let (own, east) = (slab(0), slab(1));
+    for (sources, at_most) in [(&own, 75), (&east, 4)] {
+        let asked = force_calls(law, &own, sources, &domain, Boundary::Periodic);
+        let in_range = must_ask(&law, &own, sources, &domain, Boundary::Periodic).unwrap();
+        assert!(
+            in_range <= asked && asked <= at_most * own.len() as u64,
+            "asked {asked}, in range {in_range}, of {} x {}",
+            own.len(),
+            sources.len()
+        );
+    }
+}
+
+#[test]
 fn coincident_particles_take_the_zero_guards_in_either_lane() {
     // Distinct ids on the same spot: the laws' zero guards fire, with and
     // without softening (a coincident pair has no direction either way).
@@ -832,6 +927,19 @@ fn a_nan_or_infinite_position_is_never_ruled_out() {
                 check_all_laws(&strays, &sources, &domain, boundary).unwrap();
                 check_all_laws(&strays, &poisoned, &domain, boundary).unwrap();
             }
+        }
+        // In the middle of the middle tile of three: that tile's box is the
+        // whole plane and all sixteen of its targets are shown every source;
+        // the tiles either side still rule every chunk out.
+        let mut tiles: Vec<Particle> = (0..37)
+            .map(|i| Particle::at(i, Vec2::new(0.1 + 0.001 * i as f64, 0.1)))
+            .collect();
+        tiles[20].pos = bad_pos;
+        for boundary in BOUNDARIES {
+            check_all_laws(&tiles, &sources, &domain, boundary).unwrap();
+            check_all_laws(&tiles, &poisoned, &domain, boundary).unwrap();
+            let asked = force_calls(law, &tiles, &sources, &domain, boundary);
+            assert_eq!(asked, 16 * 48, "{bad_pos:?} {boundary:?}");
         }
         // The blame itself: a NaN source poisons every target.
         if bad_pos.x.is_nan() || bad_pos.y.is_nan() {
