@@ -198,6 +198,25 @@ fn bench_block_compact<F: ForceLaw>(
     });
 }
 
+/// A culled row, and under it what the law was asked in one such call.
+fn cull_row_under<F: ForceLaw + Copy>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    law: F,
+    targets: &[Particle],
+    sources: &[Particle],
+    domain: &Domain,
+    boundary: Boundary,
+) {
+    let mut targets = targets.to_vec();
+    bench_block_pair(group, name, &law, &mut targets, sources, domain, boundary);
+    let counted = CountPairs(law, AtomicU64::new(0));
+    ca_nbody::kernel::accumulate_block(&mut targets, sources, &counted, domain, boundary);
+    let asked = counted.1.load(Ordering::Relaxed);
+    let per_target = asked as f64 / targets.len() as f64;
+    println!("       the law is asked about {asked} pairs per call, {per_target:.1} per target");
+}
+
 /// The cutoff cull on one team's own block of the repo benchmark's
 /// `cutoff1d_lj_periodic` geometry (a quarter slab of the 8192-particle
 /// lattice: 2072 particles), in three orders: by lattice id (row-major over
@@ -206,10 +225,11 @@ fn bench_block_compact<F: ForceLaw>(
 /// and in `cell_order`, which is what the cutoff drivers hand the kernel.
 /// Each against the unculled nest on the same data, then the cell-ordered
 /// rows again on the thermalised lattice the drivers see mid-run (the bare
-/// lattice flatters the cull), plus what the ordering itself costs per step,
-/// spread over the same presented pairs. Every culled row prints, under its
-/// timing, how many pairs the law was asked about: judge a kernel change by
-/// that count first.
+/// lattice flatters the cull) — a rank's three calls of a step, then the own
+/// block between walls and under a law with no arithmetic — plus what the
+/// ordering itself costs per step, spread over the same presented pairs.
+/// Every culled row prints, under its timing, how many pairs the law was
+/// asked about: judge a kernel change by that count first.
 fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     let n = 8192;
     let domain = Domain::square((n as f64).sqrt() * 1.2);
@@ -225,19 +245,10 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     ca_nbody::kernel::cell_order(&mut cell_ordered, &lj, &domain);
     let unculled = HideCutoff(lj);
     let (d, b) = (&domain, Boundary::Periodic);
-    // A culled row, and under it what the law was asked in one such call.
     let cull_row = |group: &mut BenchmarkGroup<'_>,
                     name: &str,
                     targets: &[Particle],
-                    sources: &[Particle]| {
-        let mut targets = targets.to_vec();
-        bench_block_pair(group, name, &lj, &mut targets, sources, d, b);
-        let counted = CountPairs(lj, AtomicU64::new(0));
-        ca_nbody::kernel::accumulate_block(&mut targets, sources, &counted, d, b);
-        let asked = counted.1.load(Ordering::Relaxed);
-        let per_target = asked as f64 / targets.len() as f64;
-        println!("       the law is asked about {asked} pairs per call, {per_target:.1} per target");
-    };
+                    sources: &[Particle]| cull_row_under(group, name, lj, targets, sources, d, b);
     for (order, block) in [
         ("lattice_id", &by_id),
         ("shuffled", &shuffled),
@@ -268,13 +279,23 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     for p in &mut adrift {
         p.pos = b.apply(d, p.pos + p.vel * (8.0 * 0.005), p.vel).0;
     }
-    let [own, next] = [0, 1].map(|team| {
+    let [own, next, seam] = [0, 1, 3].map(|team| {
         let mut block = ca_nbody::dist::spatial_subset_1d(&adrift, d, 4, team);
         ca_nbody::kernel::cell_order(&mut block, &lj, d);
         block
     });
     cull_row(group, "cull_cell_order_thermalised", &own, &own);
     cull_row(group, "cull_cell_order_thermalised_neighbour", &own, &next);
+    // The third call of a rank's step: slab 3's block, met through the
+    // periodic wall only, every displacement that matters one period over.
+    cull_row(group, "cull_cell_order_thermalised_seam", &own, &seam);
+    // The own block between walls (no period: one image, nothing to wrap),
+    // and under a law with no arithmetic, which prices what is not the law:
+    // the box tests, the displacement and the range test.
+    let walls = Boundary::Reflective;
+    cull_row_under(group, "cull_cell_order_thermalised_reflective", lj, &own, &own, d, walls);
+    let counting = Cutoff::new(Counting, 2.5);
+    cull_row_under(group, "cull_cell_order_thermalised_counting", counting, &own, &own, d, b);
     // What the ordering costs a leader per step, by what it is handed: the
     // id order of a first step, last step's cell order after one step's
     // drift (dt = 0.005 at T = 0.5, the benchmark's), and the same with the

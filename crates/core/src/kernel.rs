@@ -149,10 +149,15 @@ struct Cull {
     /// The domain extent under `Boundary::Periodic`, zero otherwise (every
     /// image of a point is then the point).
     period: Vec2,
+    /// How far a raw displacement goes unwrapped: half the period, or any
+    /// finite distance when there is none.
+    half: Vec2,
     chunks: Vec<Aabb>,
     groups: Vec<Aabb>,
-    /// The chunks [`Cull::tile`] did not rule out, in source order.
-    near: Vec<usize>,
+    /// The chunks [`Cull::tile`] did not rule out, in source order, each with
+    /// the image every displacement from the tile's box to the chunk's
+    /// takes, if they all take one ([`Cull::image`]).
+    near: Vec<(usize, Option<Vec2>)>,
 }
 
 thread_local! {
@@ -171,9 +176,9 @@ impl Cull {
         boundary: Boundary,
     ) {
         self.limit = r_c * r_c * (1.0 + MARGIN);
-        self.period = match boundary {
-            Boundary::Periodic => domain.extent(),
-            _ => Vec2::zero(),
+        (self.period, self.half) = match boundary {
+            Boundary::Periodic => (domain.extent(), domain.extent() * 0.5),
+            _ => (Vec2::zero(), Vec2::new(f64::MAX, f64::MAX)),
         };
         for (boxes, len) in [(&mut self.chunks, CHUNK), (&mut self.groups, CHUNK * GROUP)] {
             boxes.clear();
@@ -191,23 +196,53 @@ impl Cull {
     ///
     /// Rounding is monotone, so per axis `lo <= s <= hi` and
     /// `tlo <= t <= thi` give `fl(lo - thi) <= fl(s - t) <= fl(hi - tlo)`,
-    /// and the same again after the `± extent` of a wrap. The displacement
-    /// the law is shown is one of the three images `d`, `fl(d - ext)`,
+    /// and the same again after the `- k` of an image. The displacement
+    /// the law is shown is `image`, when [`Cull::image`] found one for boxes
+    /// that hold these, and otherwise one of the three `d`, `fl(d - ext)`,
     /// `fl(d + ext)` (single wrap, whatever the positions), so its magnitude
-    /// is at least the smallest distance from zero to the three image
-    /// intervals; `x*x + y*y` is monotone in both magnitudes, so the law's
-    /// `norm_sq` is at least the one below.
+    /// is at least the smallest distance from zero to the image intervals;
+    /// `x*x + y*y` is monotone in both magnitudes, so the law's `norm_sq`
+    /// is at least the one below.
     #[inline(always)]
-    fn beyond(&self, &(lo, hi): &Aabb, tlo: Vec2x2, thi: Vec2x2) -> bool {
+    fn beyond(&self, &(lo, hi): &Aabb, tlo: Vec2x2, thi: Vec2x2, image: Option<Vec2>) -> bool {
         let (dlo, dhi) = (Vec2x2::splat(lo) - thi, Vec2x2::splat(hi) - tlo);
-        let image = |shift: Vec2| {
-            let shift = Vec2x2::splat(shift);
-            (dlo + shift).max(-(dhi + shift)).max(Vec2x2::zero())
+        let gap = |k: Vec2| {
+            let k = Vec2x2::splat(k);
+            (dlo - k).max(-(dhi - k)).max(Vec2x2::zero())
         };
-        let gap = image(Vec2::zero())
-            .min(image(-self.period))
-            .min(image(self.period));
+        let gap = match image {
+            Some(k) => gap(k),
+            None => gap(Vec2::zero()).min(gap(self.period)).min(gap(-self.period)),
+        };
         gap.norm_sq().lanes_gt(F64x2::splat(self.limit)).all()
+    }
+
+    /// The `k` for which `Boundary::displacement(t, s)` is `(s - t) - k`, bit
+    /// for bit, for every `s` inside the box `(lo, hi)` and every `t` inside
+    /// `(tlo, thi)`, if there is one. Per axis, from the bounds of
+    /// [`Cull::beyond`]: `+0.0` when both are within half the period (no
+    /// pair wraps: `displacement`'s tests are strict, so a bound exactly at
+    /// half is within), the period when the lower one is past half (every
+    /// pair wraps down), minus the period when the upper one is (up). `None`
+    /// when the boxes straddle half the period, and when either is the whole
+    /// plane: what is not finite takes the path it always took.
+    fn image(&self, &(lo, hi): &Aabb, tlo: Vec2, thi: Vec2) -> Option<Vec2> {
+        let (dlo, dhi) = (lo - thi, hi - tlo);
+        let axis = |dlo: f64, dhi: f64, half: f64, ext: f64| {
+            if dlo >= -half && dhi <= half {
+                Some(0.0)
+            } else if dlo > half {
+                Some(ext)
+            } else if dhi < -half {
+                Some(-ext)
+            } else {
+                None
+            }
+        };
+        Some(Vec2::new(
+            axis(dlo.x, dhi.x, self.half.x, self.period.x)?,
+            axis(dlo.y, dhi.y, self.half.y, self.period.y)?,
+        ))
     }
 
     /// List in `near` the chunks that may hold a source within `r_c` of a
@@ -225,12 +260,12 @@ impl Cull {
         let (tlo, thi) = (Vec2x2::splat(lo), Vec2x2::splat(hi));
         self.near.clear();
         for g in 0..self.groups.len() {
-            if self.beyond(&self.groups[g], tlo, thi) {
+            if self.beyond(&self.groups[g], tlo, thi, None) {
                 continue;
             }
             for j in g * GROUP..self.chunks.len().min((g + 1) * GROUP) {
-                if !self.beyond(&self.chunks[j], tlo, thi) {
-                    self.near.push(j);
+                if !self.beyond(&self.chunks[j], tlo, thi, None) {
+                    self.near.push((j, self.image(&self.chunks[j], lo, hi)));
                 }
             }
         }
@@ -320,20 +355,24 @@ const INSERT_BUDGET: usize = 8;
 /// twice, coarsely then finely. Targets advance in tiles of [`CHUNK`] and
 /// sources in chunks of as many; [`Cull::tile`] lists the chunks whose box is
 /// not [`Cull::beyond`] the tile's, and each lane pair walks that list in
-/// source order, passing over a chunk that is beyond both of its targets. A
-/// tile [`Cull::tile`] says the pairs need not ask for — a long block in no
-/// spatial order, or a tile with a NaN or infinite target — walks the block
-/// whole: nothing was ruled out, and a target that is not finite is shown
-/// every source, as it always was. The law would have answered `+0.0` for
-/// each pair passed over ([`ForceLaw::cutoff`]). The chunks that remain run in
+/// source order, passing over a chunk that is beyond both of its targets.
+/// Beside each chunk the list has the periodic image every pair of the tile
+/// and the chunk takes, when the two boxes settle it ([`Cull::image`]): such
+/// a chunk is tested and walked under that one image, and only an unsettled
+/// one wraps pair by pair. A tile [`Cull::tile`] says the pairs need not ask
+/// for — a long block in no spatial order, or a tile with a NaN or infinite
+/// target — walks the block whole: nothing was ruled out, and a target that
+/// is not finite is shown every source, as it always was. The law would have
+/// answered `+0.0` for each pair passed over ([`ForceLaw::cutoff`]). The
+/// chunks that remain run in
 /// source order, so each target still adds its non-zero terms in the scalar
 /// loop's sequence, and one final `+ 0.0` per pair that had anything passed
 /// over, by its tile or by itself, stands in for all the zeros: adding `+0.0`
 /// changes an accumulator only from `-0.0` to `+0.0`, and once that has
 /// happened no sum returns to `-0.0`. A passed-over chunk cannot hold a
 /// target's own id, because a particle is where it is: the self source sits
-/// inside both boxes at distance zero. Without a cutoff the whole block is
-/// one chunk, near the one tile, and the nest is the loop it always was.
+/// inside both boxes at distance zero. Without a cutoff the targets are one
+/// tile that does not ask, and the nest is the loop it always was.
 fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     targets: &mut [Particle],
     sources: &[S],
@@ -358,57 +397,45 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     let mut skipped: u64 = 0;
     for tile in targets.chunks_mut(tile_len) {
         let asks = cull.as_mut().is_some_and(|c| c.tile(tile));
-        // A tile whose pairs do not ask walks the whole block as one chunk,
-        // as every tile does without a cull.
         let cull = cull.as_ref().filter(|_| asks);
-        let (near, chunk_len) = cull.map_or((&[0][..], usize::MAX), |c| (&c.near[..], CHUNK));
-        let tile_culled = cull.is_some_and(|c| c.near.len() < c.chunks.len());
         for pair in tile.chunks_mut(2) {
-            let full = pair.len() == 2;
             // Local copies: the inner loop reads positions, masses and ids from
             // values nothing else can alias. The padding lane of an odd tail
             // duplicates lane 0 and is only ever carried, never evaluated.
             let (t0, t1) = (pair[0], pair[pair.len() - 1]);
-            let pos = Vec2x2::new(t0.pos, t1.pos);
+            let lanes = Lanes { pair, t0, t1, pos: Vec2x2::new(t0.pos, t1.pos) };
             let mut acc = Vec2x2::new(t0.force, t1.force);
-            let mut culled = tile_culled;
-            for &j in near {
-                if cull.is_some_and(|c| c.beyond(&c.chunks[j], pos, pos)) {
-                    culled = true;
-                    continue;
-                }
-                let chunk = j * chunk_len..sources.len().min((j + 1).saturating_mul(chunk_len));
-                for s in &sources[chunk] {
-                    if !full || t0.id == s.id() || t1.id == s.id() {
-                        // This path's `shown` is its own: a scalar `force`
-                        // the compiler leaves as a call needs it in memory,
-                        // and the lane path below must not pay for that.
-                        let shown = s.shown();
-                        let s: &Particle = shown.borrow();
-                        let mut lanes = acc.to_lanes();
-                        for (t, a) in pair.iter().zip(&mut lanes) {
-                            if t.id == s.id {
-                                skipped += 1;
-                                continue;
-                            }
-                            let disp = boundary.displacement(domain, t.pos, s.pos);
-                            *a += law.force(t, s, disp);
-                            harvest.pair(law, t, s, disp);
-                        }
-                        acc = Vec2x2::new(lanes[0], lanes[1]);
+            let per_pair = (
+                |t, s| boundary.displacement(domain, t, s),
+                |t, s| boundary.displacement_x2(domain, t, s),
+            );
+            if let Some(cull) = cull {
+                let mut culled = cull.near.len() < cull.chunks.len();
+                for &(j, image) in &cull.near {
+                    if cull.beyond(&cull.chunks[j], lanes.pos, lanes.pos, image) {
+                        culled = true;
                         continue;
                     }
-                    let disp = boundary.displacement_x2(domain, pos, Vec2x2::splat(s.pos()));
-                    let shown = s.shown();
-                    let s: &Particle = shown.borrow();
-                    acc += law.force_x2([&t0, &t1], s, disp);
-                    let [d0, d1] = disp.to_lanes();
-                    harvest.pair(law, &t0, s, d0);
-                    harvest.pair(law, &t1, s, d1);
+                    let chunk = &sources[j * CHUNK..sources.len().min((j + 1) * CHUNK)];
+                    // One image for the chunk, `(s - t) - k`, is `displacement`
+                    // bit for bit in each of its three cases: `x - (+0.0)` is
+                    // `x` for every float, `-0.0` and NaN included, and
+                    // `d + ext` is `d - (-ext)`.
+                    acc = match image {
+                        Some(k) => {
+                            let image = (|t, s| (s - t) - k, |t, s| (s - t) - Vec2x2::splat(k));
+                            walk(&lanes, acc, chunk, law, harvest, &mut skipped, image)
+                        }
+                        None => walk(&lanes, acc, chunk, law, harvest, &mut skipped, per_pair),
+                    };
                 }
-            }
-            if culled {
-                acc += Vec2x2::zero();
+                if culled {
+                    acc += Vec2x2::zero();
+                }
+            } else {
+                // A tile whose pairs do not ask walks the whole block, as
+                // every tile does without a cull.
+                acc = walk(&lanes, acc, sources, law, harvest, &mut skipped, per_pair);
             }
             for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
                 t.force = a;
@@ -421,6 +448,61 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     (targets.len() as u64)
         .saturating_mul(sources.len() as u64)
         .saturating_sub(skipped)
+}
+
+/// The one or two targets a walk advances together, one per lane.
+struct Lanes<'a> {
+    pair: &'a [Particle],
+    t0: Particle,
+    t1: Particle,
+    pos: Vec2x2,
+}
+
+/// The body of [`accumulate`]'s nest, a lane pair against a run of
+/// consecutive sources, written once and instantiated per way of forming the
+/// displacement (one target's, and both lanes'): the lane loop of a settled
+/// chunk has no trace of a wrap, nor that of a whole block of an image
+/// (DESIGN.md §14.8 has what a flag read inside one shared loop cost).
+#[inline(always)]
+fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
+    &Lanes { pair, ref t0, ref t1, pos }: &Lanes,
+    mut acc: Vec2x2,
+    sources: &[S],
+    law: &F,
+    harvest: &mut H,
+    skipped: &mut u64,
+    (one, two): (impl Fn(Vec2, Vec2) -> Vec2, impl Fn(Vec2x2, Vec2x2) -> Vec2x2),
+) -> Vec2x2 {
+    let full = pair.len() == 2;
+    for s in sources {
+        if !full || t0.id == s.id() || t1.id == s.id() {
+            // This path's `shown` is its own: a scalar `force` the compiler
+            // leaves as a call needs it in memory, and the lane path below
+            // must not pay for that.
+            let shown = s.shown();
+            let s: &Particle = shown.borrow();
+            let mut lanes = acc.to_lanes();
+            for (t, a) in pair.iter().zip(&mut lanes) {
+                if t.id == s.id {
+                    *skipped += 1;
+                    continue;
+                }
+                let disp = one(t.pos, s.pos);
+                *a += law.force(t, s, disp);
+                harvest.pair(law, t, s, disp);
+            }
+            acc = Vec2x2::new(lanes[0], lanes[1]);
+            continue;
+        }
+        let disp = two(pos, Vec2x2::splat(s.pos()));
+        let shown = s.shown();
+        let s: &Particle = shown.borrow();
+        acc += law.force_x2([t0, t1], s, disp);
+        let [d0, d1] = disp.to_lanes();
+        harvest.pair(law, t0, s, d0);
+        harvest.pair(law, t1, s, d1);
+    }
+    acc
 }
 
 /// Accumulate the forces exerted by every particle in `sources` on every
@@ -574,6 +656,8 @@ impl ComputeStats {
 /// force evaluation; a no-op when the recorder is disabled. `compute_flops`
 /// is nominal per answered pair ([`ComputeStats::flops`]).
 pub struct ComputeMeter {
+    /// Whether the recorder was enabled when the meter was made.
+    enabled: bool,
     flops_per_interaction: u64,
     interactions: Counter,
     flops: Counter,
@@ -586,6 +670,7 @@ impl ComputeMeter {
     /// per-evaluation FLOP constant.
     pub fn new(rec: &MetricsRecorder, flops_per_interaction: u64) -> ComputeMeter {
         ComputeMeter {
+            enabled: rec.is_enabled(),
             flops_per_interaction,
             interactions: rec.counter("compute_interactions", None),
             flops: rec.counter("compute_flops", None),
@@ -595,16 +680,18 @@ impl ComputeMeter {
     }
 
     /// Time `run` (a kernel call returning its evaluation count) over a
-    /// `targets` x `sources` block pair and record the resulting stats.
+    /// `targets` x `sources` block pair and record the resulting stats. A
+    /// disabled recorder has nowhere to put a time, so the clock is not read
+    /// and the returned `nanos` is 0.
     pub fn time(
         &self,
         targets: usize,
         sources: usize,
         run: impl FnOnce() -> u64,
     ) -> ComputeStats {
-        let start = Instant::now();
+        let start = self.enabled.then(Instant::now);
         let evals = run();
-        let nanos = start.elapsed().as_nanos() as u64;
+        let nanos = start.map_or(0, |at| at.elapsed().as_nanos() as u64);
         self.record(evals, targets, sources, nanos)
     }
 
@@ -630,6 +717,7 @@ impl ComputeMeter {
 mod tests {
     use super::*;
     use nbody_physics::{init, reference, Counting, Cutoff};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn kernel_matches_reference_for_full_population() {
@@ -686,7 +774,7 @@ mod tests {
         let patch = (Vec2::new(0.6, 0.6), Vec2::new(0.7, 0.7));
         let cull = |r_c: f64, boundary: Boundary| cull_of(&[], r_c, &domain, boundary);
         let beyond = |r_c: f64, boundary: Boundary, b: &Aabb, (lo, hi): Aabb| {
-            cull(r_c, boundary).beyond(b, Vec2x2::splat(lo), Vec2x2::splat(hi))
+            cull(r_c, boundary).beyond(b, Vec2x2::splat(lo), Vec2x2::splat(hi), None)
         };
         // Corner to corner: sqrt(0.5² + 0.5²) = 0.707.
         let t = Vec2::new(0.1, 0.1);
@@ -708,7 +796,7 @@ mod tests {
         let near = Vec2::new(0.65, 0.65);
         let open = cull(0.05, Boundary::Open);
         for pos in [Vec2x2::new(t, near), Vec2x2::new(near, t)] {
-            assert!(!open.beyond(&patch, pos, pos));
+            assert!(!open.beyond(&patch, pos, pos, None));
         }
         // A box around a NaN or an infinity is the whole plane, which is
         // beyond nothing and which nothing is beyond.
@@ -721,16 +809,16 @@ mod tests {
             let plane = (cull.chunks[0], cull.groups[0]);
             assert_eq!(plane.0, plane.1);
             for (b, of) in [(&plane.0, (t, t)), (&plane.0, plane.0), (&patch, plane.0)] {
-                assert!(!cull.beyond(b, Vec2x2::splat(of.0), Vec2x2::splat(of.1)), "{bad}");
+                assert!(!cull.beyond(b, Vec2x2::splat(of.0), Vec2x2::splat(of.1), None), "{bad}");
             }
             // So a tile with such a target rules nothing out, far as the
             // finite ones are from everything.
             cull.chunks = vec![patch; 3];
             cull.groups = vec![patch];
             assert!(cull.tile(&[Particle::at(2, t); 4]));
-            assert_eq!(cull.near, [] as [usize; 0]);
+            assert!(cull.near.is_empty());
             assert!(!cull.tile(&[Particle::at(2, t), Particle::at(3, Vec2::new(bad, 0.1))]));
-            assert_eq!(cull.near, [0, 1, 2]);
+            assert_eq!(cull.near, [0, 1, 2].map(|j| (j, None)));
         }
         // A finite tile in reach of every chunk: its pairs ask for
         // themselves in a block of one group and not in a longer one.
@@ -739,7 +827,86 @@ mod tests {
             cull.chunks = vec![patch; chunks];
             cull.groups = vec![patch; chunks.div_ceil(GROUP)];
             assert_eq!(cull.tile(&[Particle::at(2, t); 4]), asks);
-            assert_eq!(cull.near, (0..chunks).collect::<Vec<_>>());
+            let whole = (0..chunks).map(|j| (j, Some(Vec2::zero())));
+            assert_eq!(cull.near, whole.collect::<Vec<_>>());
+        }
+    }
+
+    /// One draw of the two soundness properties below: a domain of any size
+    /// and offset, a boundary, a radius from a ten-thousandth of the extent to
+    /// thrice it, and targets and a box of sources up to three extents
+    /// outside the domain (the displacement wraps once only).
+    struct Draw {
+        domain: Domain,
+        boundary: Boundary,
+        r_c: f64,
+        /// Two point targets, or the first with `thalf` around it as a box.
+        targets: [Vec2; 2],
+        thalf: Vec2,
+        sources: Aabb,
+    }
+
+    fn draw(rng: &mut StdRng, case: usize) -> Draw {
+        let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
+        let ext = Vec2::new(
+            10f64.powf(rng.gen_range(-3.0..3.0)),
+            10f64.powf(rng.gen_range(-3.0..3.0)),
+        );
+        let r_c = ext.x.min(ext.y) * 10f64.powf(rng.gen_range(-4.0..0.5));
+        let mut point = || {
+            Vec2::new(
+                min.x + ext.x * rng.gen_range(-2.5..3.5),
+                min.y + ext.y * rng.gen_range(-2.5..3.5),
+            )
+        };
+        let (t0, centre) = (point(), point());
+        let t1 = if case % 2 == 1 {
+            t0 + ext * 1e-3
+        } else {
+            point()
+        };
+        let mut half =
+            |case: usize| ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0);
+        let (half, thalf) = (half(case), half(case / 5));
+        Draw {
+            domain: Domain::new(min, min + ext),
+            boundary: [Boundary::Open, Boundary::Reflective, Boundary::Periodic][case % 3],
+            r_c,
+            targets: [t0, t1],
+            thalf,
+            sources: (centre - half, centre + half),
+        }
+    }
+
+    /// The corners of a box and, unless it is a point, 24 points inside it.
+    fn sample(rng: &mut StdRng, (lo, hi): Aabb) -> Vec<Vec2> {
+        let at = |lo: f64, hi: f64, u: f64| (lo + (hi - lo) * u).clamp(lo, hi);
+        let inside = (0..if lo == hi { 0 } else { 24 }).map(|_| {
+            Vec2::new(
+                at(lo.x, hi.x, rng.gen_range(0.0..1.0)),
+                at(lo.y, hi.y, rng.gen_range(0.0..1.0)),
+            )
+        });
+        let corners = [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)];
+        corners.into_iter().chain(inside).collect()
+    }
+
+    /// `law` answers `+0.0`, by bits, for every target against every source.
+    fn assert_all_rejected(law: &Cutoff<Counting>, d: &Draw, targets: &[Vec2], sources: &[Vec2]) {
+        for &s in sources {
+            for &t in targets {
+                let disp = d.boundary.displacement(&d.domain, t, s);
+                let f = law.force(&Particle::at(0, t), &Particle::at(1, s), disp);
+                assert_eq!(
+                    [f.x.to_bits(), f.y.to_bits()],
+                    [0.0f64.to_bits(); 2],
+                    "{:?} {:?} r_c {}: {t:?} <- {s:?} in {:?}",
+                    d.boundary,
+                    d.domain,
+                    d.r_c,
+                    d.sources
+                );
+            }
         }
     }
 
@@ -748,80 +915,184 @@ mod tests {
     /// of targets, the cutoff law's own answer is `+0.0` for the corners of
     /// the one and random points inside it against the corners of the other
     /// and random points inside that. Every other case takes a point for the
-    /// box of targets in each lane — two targets, the per-pair test. Domains
-    /// of every size and offset, targets and boxes up to three extents
-    /// outside them (the displacement wraps once only), radii from a
-    /// ten-thousandth of the extent to thrice it.
+    /// box of targets in each lane — two targets, the per-pair test.
     #[test]
     fn a_box_the_cull_passes_over_holds_nothing_the_law_accepts() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         let mut passed_over = [[0u32; 3]; 2];
         for case in 0..12000 {
-            let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
-            let ext = Vec2::new(
-                10f64.powf(rng.gen_range(-3.0..3.0)),
-                10f64.powf(rng.gen_range(-3.0..3.0)),
-            );
-            let domain = Domain::new(min, min + ext);
-            let boundary = [Boundary::Open, Boundary::Reflective, Boundary::Periodic][case % 3];
-            let r_c = ext.x.min(ext.y) * 10f64.powf(rng.gen_range(-4.0..0.5));
-            let mut point = || {
-                Vec2::new(
-                    min.x + ext.x * rng.gen_range(-2.5..3.5),
-                    min.y + ext.y * rng.gen_range(-2.5..3.5),
-                )
-            };
-            let (t0, centre) = (point(), point());
-            let t1 = if case % 2 == 0 {
-                point()
-            } else {
-                t0 + ext * 1e-3
-            };
-            let mut half = |case: usize| {
-                ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0)
-            };
-            let (half, thalf) = (half(case), half(case / 5));
-            let (lo, hi) = (centre - half, centre + half);
+            let d = draw(&mut rng, case);
+            let [t0, t1] = d.targets;
             let boxed = case % 2;
             let (tlo, thi) = if boxed == 1 {
-                (Vec2x2::splat(t0 - thalf), Vec2x2::splat(t0 + thalf))
+                (Vec2x2::splat(t0 - d.thalf), Vec2x2::splat(t0 + d.thalf))
             } else {
                 (Vec2x2::new(t0, t1), Vec2x2::new(t0, t1))
             };
-            let cull = cull_of(&[], r_c, &domain, boundary);
-            if !cull.beyond(&(lo, hi), tlo, thi) {
+            let cull = cull_of(&[], d.r_c, &d.domain, d.boundary);
+            if !cull.beyond(&d.sources, tlo, thi, None) {
                 continue;
             }
             passed_over[boxed][case % 3] += 1;
-            let law = Cutoff::new(Counting, r_c);
-            let mut sample = |(lo, hi): Aabb| {
-                let at = |lo: f64, hi: f64, u: f64| (lo + (hi - lo) * u).clamp(lo, hi);
-                let inside = (0..if lo == hi { 0 } else { 24 }).map(|_| {
-                    Vec2::new(
-                        at(lo.x, hi.x, rng.gen_range(0.0..1.0)),
-                        at(lo.y, hi.y, rng.gen_range(0.0..1.0)),
-                    )
-                });
-                let corners = [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)];
-                corners.into_iter().chain(inside).collect::<Vec<_>>()
-            };
+            let law = Cutoff::new(Counting, d.r_c);
             let [tlo, thi] = [tlo, thi].map(Vec2x2::to_lanes);
-            let targets = [sample((tlo[0], thi[0])), sample((tlo[1], thi[1]))].concat();
-            for s in sample((lo, hi)) {
-                for &t in &targets {
-                    let disp = boundary.displacement(&domain, t, s);
-                    let f = law.force(&Particle::at(0, t), &Particle::at(1, s), disp);
-                    assert_eq!(
-                        [f.x.to_bits(), f.y.to_bits()],
-                        [0.0f64.to_bits(); 2],
-                        "case {case}: {boundary:?} {domain:?} r_c {r_c}: {t:?} <- {s:?} in {lo:?}..{hi:?}"
-                    );
-                }
-            }
+            let targets = [
+                sample(&mut rng, (tlo[0], thi[0])),
+                sample(&mut rng, (tlo[1], thi[1])),
+            ]
+            .concat();
+            let sources = sample(&mut rng, d.sources);
+            assert_all_rejected(&law, &d, &targets, &sources);
         }
         // Not vacuous under any boundary, for points or for boxes.
         assert!(passed_over.iter().flatten().all(|&n| n > 200), "{passed_over:?}");
+    }
+
+    /// The soundness of the image, over the same draws: whenever
+    /// [`Cull::image`] settles on a `k` for a box of targets and a box of
+    /// sources, `Boundary::displacement` is `(s - t) - k` by bits for the
+    /// corners of both and random points inside them, and what
+    /// [`Cull::beyond`] passes over under that one image — for the box of
+    /// targets, or for a point of it in each lane, as a pair of the tile asks
+    /// — the law rejects.
+    #[test]
+    fn an_image_the_cull_settles_on_is_the_one_every_pair_takes() {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        // Per boundary and axis: no pair wraps, all wrap down, all wrap up.
+        let mut settled = [[[0u32; 3]; 2]; 3];
+        let mut passed_over = [[0u32; 3]; 2];
+        for case in 0..12000 {
+            let d = draw(&mut rng, case);
+            let tbox = (d.targets[0] - d.thalf, d.targets[0] + d.thalf);
+            let cull = cull_of(&[], d.r_c, &d.domain, d.boundary);
+            let Some(k) = cull.image(&d.sources, tbox.0, tbox.1) else {
+                continue;
+            };
+            let ext = d.domain.extent();
+            for (axis, (k, ext)) in [(k.x, ext.x), (k.y, ext.y)].into_iter().enumerate() {
+                let kind = [0.0, ext, -ext].iter().position(|&of| k == of).unwrap();
+                assert!(kind == 0 || d.boundary == Boundary::Periodic);
+                settled[case % 3][axis][kind] += 1;
+            }
+            let (targets, sources) = (sample(&mut rng, tbox), sample(&mut rng, d.sources));
+            for &s in &sources {
+                for &t in &targets {
+                    let (want, got) = (d.boundary.displacement(&d.domain, t, s), (s - t) - k);
+                    assert_eq!(
+                        [want.x.to_bits(), want.y.to_bits()],
+                        [got.x.to_bits(), got.y.to_bits()],
+                        "case {case}: {:?} {:?}: {t:?} <- {s:?}, image {k:?}",
+                        d.boundary,
+                        d.domain
+                    );
+                }
+            }
+            let law = Cutoff::new(Counting, d.r_c);
+            let (tlo, thi) = (Vec2x2::splat(tbox.0), Vec2x2::splat(tbox.1));
+            if cull.beyond(&d.sources, tlo, thi, Some(k)) {
+                passed_over[0][case % 3] += 1;
+                assert_all_rejected(&law, &d, &targets, &sources);
+            }
+            for pair in targets.chunks(2) {
+                let pos = Vec2x2::new(pair[0], pair[pair.len() - 1]);
+                if cull.beyond(&d.sources, pos, pos, Some(k)) {
+                    passed_over[1][case % 3] += 1;
+                    assert_all_rejected(&law, &d, pair, &sources);
+                }
+            }
+        }
+        // Not vacuous: every kind of image on both axes under a period, the
+        // one there is without, and boxes passed over under each.
+        let [open, reflective, periodic] = settled;
+        assert!(periodic.iter().flatten().all(|&n| n > 100), "{settled:?}");
+        for walls in [open, reflective] {
+            assert!(walls.iter().all(|&[none, down, up]| none > 1000 && down + up == 0));
+        }
+        assert!(passed_over.iter().flatten().all(|&n| n > 200), "{passed_over:?}");
+    }
+
+    #[test]
+    fn an_image_is_settled_only_where_every_pair_agrees() {
+        // The partner of `displacements_exactly_at_half_the_box_are_not_wrapped`
+        // (tests/kernel_equivalence.rs): `displacement` wraps strictly beyond
+        // half the extent, so bounds exactly at half are "no pair wraps".
+        let domain = Domain::new(Vec2::zero(), Vec2::new(2.0, 1.0));
+        let cull = cull_of(&[], 0.1, &domain, Boundary::Periodic);
+        let image = |t: Aabb, s: Aabb| cull.image(&s, t.0, t.1);
+        let point = |x: f64, y: f64| (Vec2::new(x, y), Vec2::new(x, y));
+        let t = point(0.25, 0.125);
+        assert_eq!(image(t, point(1.25, 0.625)), Some(Vec2::zero()));
+        assert_eq!(image(point(1.25, 0.625), t), Some(Vec2::zero()));
+        // One ulp past half on x wraps down, or up seen from the other side.
+        let past = point(1.2500000000000002, 0.625);
+        assert_eq!(image(t, past), Some(Vec2::new(2.0, 0.0)));
+        assert_eq!(image(past, t), Some(Vec2::new(-2.0, 0.0)));
+        // A box with points on both sides of half is not settled on that axis
+        // alone, and so not at all.
+        assert_eq!(image(t, (Vec2::new(1.2, 0.2), Vec2::new(1.3, 0.3))), None);
+        assert_eq!(image(t, (Vec2::new(0.3, 0.6), Vec2::new(0.4, 0.7))), None);
+        // Nor is one that only reaches half from beyond it: the pair exactly
+        // at half does not wrap and the rest do.
+        assert_eq!(image(t, (Vec2::new(1.25, 0.2), Vec2::new(1.3, 0.3))), None);
+        assert_eq!(image((Vec2::new(1.25, 0.2), Vec2::new(1.3, 0.3)), t), None);
+        // A box that is the plane — a NaN or an infinity inside it — is never
+        // settled, whatever the boundary: what is not finite takes the path
+        // it always took.
+        let inf = Vec2::new(f64::INFINITY, f64::INFINITY);
+        for boundary in [Boundary::Open, Boundary::Reflective, Boundary::Periodic] {
+            let cull = cull_of(&[], 0.1, &domain, boundary);
+            assert_eq!(cull.image(&(-inf, inf), t.0, t.1), None, "{boundary:?}");
+            assert_eq!(cull.image(&t, -inf, inf), None, "{boundary:?}");
+            assert_eq!(cull.image(&(-inf, inf), -inf, inf), None, "{boundary:?}");
+        }
+        // Between walls there is one image, however far apart the boxes.
+        let open = cull_of(&[], 0.1, &domain, Boundary::Open);
+        assert_eq!(open.image(&point(1e9, -1e9), t.0, t.1), Some(Vec2::zero()));
+    }
+
+    /// The ratchet without a clock: on one rank's three kernel calls of a
+    /// `cutoff1d_lj_periodic` step — the geometry of `tests/kernel_equivalence.rs::
+    /// the_cull_asks_about_few_enough_sources_on_the_benchmark_geometry`, the
+    /// own block against itself, the east neighbour's and, across the x seam,
+    /// slab 3's — every tile asks and every chunk it lists has its image
+    /// settled, so under the cull the per-pair wrap never runs.
+    #[test]
+    fn no_near_chunk_of_the_benchmark_geometry_is_left_to_wrap_pair_by_pair() {
+        let n = 8192;
+        let domain = Domain::square((n as f64).sqrt() * 1.2);
+        let law = Cutoff::new(Counting, 2.5);
+        let mut lattice = init::lattice(n, &domain);
+        init::thermalize(&mut lattice, 0.5, 42);
+        for p in &mut lattice {
+            p.pos = Boundary::Periodic.apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel).0;
+        }
+        let slab = |team: usize| {
+            let mut block = crate::dist::spatial_subset_1d(&lattice, &domain, 4, team);
+            cell_order(&mut block, &law, &domain);
+            block
+        };
+        let own = slab(0);
+        // Listed (tile, chunk) pairs, and those of them on another image.
+        let visits = [0, 1, 3].map(|team| {
+            let mut cull = cull_of(&slab(team), 2.5, &domain, Boundary::Periodic);
+            let (mut listed, mut shifted) = (0, 0);
+            for tile in own.chunks(CHUNK) {
+                assert!(cull.tile(tile), "slab {team}");
+                for &(j, image) in &cull.near {
+                    let k = image.unwrap_or_else(|| panic!("slab {team}, chunk {j}: no image"));
+                    listed += 1;
+                    shifted += usize::from(k != Vec2::zero());
+                }
+            }
+            (listed, shifted)
+        });
+        // 980 | 89 | 78 listed, 16 | 1 | 78 of them shifted: the own block
+        // reaches itself through the top and bottom walls too, the east one
+        // hardly, slab 3 through the x seam only.
+        let [own, east, seam] = visits;
+        assert!(own.0 > 0 && own.1 > 0 && own.1 < own.0 / 10, "{visits:?}");
+        assert!(east.0 > 0 && east.1 < east.0 / 10, "{visits:?}");
+        assert!(seam.0 > 0 && seam.1 == seam.0, "{visits:?}");
     }
 
     #[test]
@@ -980,6 +1251,12 @@ mod tests {
         let stats = meter.record(10, 2, 5, 100);
         // The stats are still returned for the caller ...
         assert_eq!(stats.interactions, 10);
+        // Nor is the clock read: a call that takes a millisecond reads 0.
+        let stats = meter.time(2, 5, || {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            10
+        });
+        assert_eq!((stats.interactions, stats.nanos), (10, 0));
         // ... but nothing is recorded.
         assert!(rec.finish().is_none());
     }

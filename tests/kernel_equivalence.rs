@@ -599,6 +599,109 @@ fn the_cull_asks_about_few_enough_sources_on_the_benchmark_geometry() {
     }
 }
 
+/// The benchmark's lattice at a seventh of its size and shrunk to the
+/// radii of `check_all_laws` (spacing 0.06 where the benchmark has 1.2, so
+/// 0.125 is its 2.5 sigma): thermalised, eight steps adrift, wrapped, and
+/// with the odd `-0.0` accumulator.
+fn small_benchmark_lattice() -> (Vec<Particle>, Domain) {
+    let n = 1156;
+    let domain = Domain::square((n as f64).sqrt() * 0.06);
+    let mut lattice = init::lattice(n, &domain);
+    init::thermalize(&mut lattice, 0.5 * 0.05 * 0.05, 42);
+    for p in &mut lattice {
+        let (pos, _) = Boundary::Periodic.apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel);
+        p.pos = pos;
+        if p.id % 3 == 0 {
+            p.force = Vec2::new(-0.0, -0.0);
+        }
+    }
+    (lattice, domain)
+}
+
+#[test]
+fn blocks_that_meet_only_through_a_periodic_wall_equal_the_scalar_loop() {
+    // Every displacement between the two blocks that matters takes the
+    // image one period over — the kernel settles it once per pair of boxes
+    // — on x (slab 0 against slab 3 of four, the benchmark's seam call) and
+    // on y (the top row of cells against the bottom one, across all slabs).
+    let (lattice, domain) = small_benchmark_lattice();
+    let order = Cutoff::new(Counting, 0.125);
+    let ordered = |mut block: Vec<Particle>| {
+        cell_order(&mut block, &order, &domain);
+        block
+    };
+    let slab = |team: usize| ordered(spatial_subset_1d(&lattice, &domain, 4, team));
+    let top = domain.max.y - 0.125;
+    let row = |keep: &dyn Fn(f64) -> bool| {
+        ordered(lattice.iter().filter(|p| keep(p.pos.y)).copied().collect())
+    };
+    for (name, targets, sources) in [
+        ("x seam", slab(0), slab(3)),
+        ("y seam", row(&|y| y >= top), row(&|y| y < 0.125)),
+    ] {
+        assert!(targets.len() > 64 && sources.len() > 64, "{name}");
+        let meet = |boundary| must_ask(&order, &targets, &sources, &domain, boundary).unwrap();
+        assert!(meet(Boundary::Periodic) > 100 && meet(Boundary::Open) == 0, "{name}");
+        for boundary in BOUNDARIES {
+            check_all_laws(&targets, &sources, &domain, boundary)
+                .unwrap_or_else(|msg| panic!("{name}: {msg}"));
+        }
+        // The other way every pair wraps up where these wrapped down.
+        check_all_laws(&sources, &targets, &domain, Boundary::Periodic)
+            .unwrap_or_else(|msg| panic!("{name}, the other way: {msg}"));
+    }
+}
+
+#[test]
+fn boxes_that_straddle_half_the_period_equal_the_scalar_loop() {
+    // A domain barely wider than twice the smaller radii and narrower than
+    // twice the larger: chunks a cell wide sit half a period from a tile on
+    // one axis or both, some of their pairs wrap and some do not, and no one
+    // image serves — next to box pairs that one does.
+    let domain = Domain::square(0.51);
+    for overlap in [Overlap::Diagonal, Overlap::OffDiagonal, Overlap::Partial] {
+        let (targets, sources) = ordered_blocks(51, 150, 300, overlap, &domain, 0.125);
+        check_all_laws(&targets, &sources, &domain, Boundary::Periodic)
+            .unwrap_or_else(|msg| panic!("{overlap:?}: {msg}"));
+    }
+}
+
+#[test]
+fn a_shared_coordinate_keeps_the_sign_of_its_zero_under_an_image() {
+    // `(s - t) - k` with `k = +0.0` must be `s - t` for every float: a
+    // source and a target on one coordinate are `+0.0` apart, or `-0.0`
+    // when the source is at `-0.0` and the target at `+0.0`, and a law
+    // hands that sign on to a force component, which an accumulator at
+    // `-0.0` shows. (`k = -0.0` would turn `-0.0` into `+0.0`.) Blocks of
+    // one group, so every tile asks and every chunk has its image.
+    let domain = Domain::new(Vec2::new(-0.5, -0.5), Vec2::new(0.5, 0.5));
+    let mut targets = vec![
+        Particle::at(0, Vec2::new(0.0, 0.1)),
+        Particle::at(1, Vec2::new(0.1, 0.0)),
+        Particle::at(2, Vec2::new(0.0, 0.0)),
+    ];
+    for t in &mut targets {
+        t.force = Vec2::new(-0.0, -0.0);
+    }
+    let sources = vec![
+        Particle::at(10, Vec2::new(-0.0, 0.15)),
+        Particle::at(11, Vec2::new(0.15, -0.0)),
+        Particle::at(12, Vec2::new(0.0, 0.05)),
+        Particle::at(13, Vec2::new(-0.0, -0.0)),
+        Particle::at(14, Vec2::new(0.1, 0.1)),
+    ];
+    for boundary in BOUNDARIES {
+        check_all_laws(&targets, &sources, &domain, boundary).unwrap();
+        // The value itself: target 0 is pulled along y only, and the `-0.0`
+        // the source's x leaves in the displacement stays in the force.
+        let pull = Cutoff::new(Gravity { g: 1.0, softening: 0.0 }, 0.07);
+        let mut got = targets.clone();
+        accumulate_block(&mut got, &sources[..1], &pull, &domain, boundary);
+        assert_eq!(got[0].force.x.to_bits(), (-0.0f64).to_bits(), "{boundary:?}");
+        assert!(got[0].force.y > 0.0, "{boundary:?}");
+    }
+}
+
 #[test]
 fn coincident_particles_take_the_zero_guards_in_either_lane() {
     // Distinct ids on the same spot: the laws' zero guards fire, with and
