@@ -22,10 +22,11 @@
 //! priced one level down: the same force evaluation through `run_ranks`
 //! (ring on) and through `run_ranks_with` with `Lenses::flight` off.
 //!
-//! The second group prices the building blocks on their own: the recorder
-//! hot paths, enabled and disabled, the health scans on a rank-local
-//! slice, one bundle's serialization, and the deadline arithmetic a
-//! fault-tolerant receive adds to a two-rank ping-pong.
+//! The second group prices the building blocks on their own: the ledger's
+//! send path, the recorder hot paths, enabled and disabled, the health
+//! scans on a rank-local slice, one bundle's serialization, and the
+//! deadline arithmetic a fault-tolerant receive adds to a two-rank
+//! ping-pong.
 
 use std::time::{Duration, Instant};
 
@@ -36,8 +37,8 @@ use ca_nbody::{
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbody_comm::{
-    run_ranks, run_ranks_with, Communicator, EventKind, FaultPlan, Lenses, Phase, ProbeRecorder,
-    RankWireLog, ThreadComm,
+    run_ranks, run_ranks_with, CommStats, Communicator, EventKind, FaultPlan, Lenses, Phase,
+    ProbeRecorder, RankWireLog, ThreadComm,
 };
 use nbody_durable::{CheckpointBundle, ColumnBlock};
 use nbody_metrics::MetricsRecorder;
@@ -133,19 +134,15 @@ fn bench_flight_ring(c: &mut Criterion) {
 }
 
 fn bench_metrics(c: &mut Criterion) {
-    for (name, rec) in [
-        ("metrics_disabled_send_path", MetricsRecorder::disabled()),
-        ("metrics_enabled_send_path", MetricsRecorder::for_rank(0)),
-    ] {
-        let msgs = rec.counter("comm_send_messages", Some(Phase::Shift));
-        let sizes = rec.histogram("comm_message_size_bytes", Some(Phase::Shift));
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                msgs.add(black_box(1));
-                sizes.observe(black_box(5200));
-            })
-        });
-    }
+    // What every message costs on every run, lens or none: one send into
+    // the rank's ledger, size bucket included. The `comm_*` metrics are read
+    // off the ledger once per rank, so they add nothing per message.
+    c.bench_function("ledger_send_path", |b| {
+        let mut stats = CommStats::new();
+        stats.set_phase(Phase::Shift);
+        b.iter(|| stats.record_send(black_box(100), black_box(5200)));
+        black_box(stats.total_messages());
+    });
     c.bench_function("metrics_find_or_register", |b| {
         let rec = MetricsRecorder::for_rank(0);
         b.iter(|| {

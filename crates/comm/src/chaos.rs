@@ -37,7 +37,7 @@ use crate::communicator::{CommData, Communicator};
 use crate::error::CommError;
 use crate::stats::{CommStats, Phase};
 use crate::thread_comm::{run_ranks_owned, Artifacts, Lenses, ThreadComm};
-use nbody_metrics::{Counter, MetricsRecorder};
+use nbody_metrics::MetricsRecorder;
 use nbody_timeline::{EventKind, TimelineRecorder};
 use nbody_trace::Tracer;
 use nbody_wireprobe::{FaultNote, ProbeKind, ProbeRecorder};
@@ -241,21 +241,43 @@ impl FaultPlan {
 /// which split the traffic flows through).
 struct ChaosState {
     world_rank: usize,
+    /// The plan's events aimed at this rank.
     events: Vec<FaultEvent>,
     fired: Vec<Cell<bool>>,
     dead: Cell<bool>,
     step: Cell<usize>,
     phase: Cell<Phase>,
-    injected_total: Counter,
-    injected_drop: Counter,
-    injected_delay: Counter,
-    injected_dup: Counter,
-    injected_kill: Counter,
+    metrics: MetricsRecorder,
     timeline: TimelineRecorder,
     wire: ProbeRecorder,
 }
 
 impl ChaosState {
+    /// Fire the first unfired event aimed at `step` whose kind `wanted`
+    /// accepts: count it (`fault_injected_total` and the kind's own
+    /// counter) and note it in the flight ring.
+    fn fire(&self, step: usize, wanted: impl Fn(FaultKind) -> bool) -> Option<FaultEvent> {
+        let (e, fired) = self
+            .events
+            .iter()
+            .zip(&self.fired)
+            .find(|(e, fired)| !fired.get() && e.step == step && wanted(e.kind))?;
+        fired.set(true);
+        let counter = match e.kind {
+            FaultKind::Drop => "fault_injected_drop",
+            FaultKind::Delay => "fault_injected_delay",
+            FaultKind::Duplicate => "fault_injected_duplicate",
+            FaultKind::Kill => "fault_injected_kill",
+        };
+        for name in ["fault_injected_total", counter] {
+            self.metrics.counter(name, None).inc();
+        }
+        let label = e.kind.label();
+        self.timeline
+            .event(EventKind::FaultInjected, Some(step as u64), label);
+        Some(*e)
+    }
+
     /// Consume the next unfired point-to-point event aimed at the current
     /// `(rank, step)` coordinate, if the rank is inside an injectable
     /// phase window.
@@ -263,63 +285,26 @@ impl ChaosState {
         if !matches!(self.phase.get(), Phase::Skew | Phase::Shift) {
             return None;
         }
-        let step = self.step.get();
-        for (e, fired) in self.events.iter().zip(&self.fired) {
-            if !fired.get()
-                && e.kind != FaultKind::Kill
-                && e.rank == self.world_rank
-                && e.step == step
-            {
-                fired.set(true);
-                self.injected_total.inc();
-                match e.kind {
-                    FaultKind::Drop => self.injected_drop.inc(),
-                    FaultKind::Delay => self.injected_delay.inc(),
-                    FaultKind::Duplicate => self.injected_dup.inc(),
-                    FaultKind::Kill => unreachable!(),
-                }
-                self.timeline.event(
-                    EventKind::FaultInjected,
-                    Some(step as u64),
-                    e.kind.label(),
-                );
-                return Some(*e);
-            }
-        }
-        None
+        self.fire(self.step.get(), |kind| kind != FaultKind::Kill)
     }
 
     /// Consume an unfired kill aimed at `(rank, step)`.
     fn take_kill(&self, step: usize) -> bool {
-        for (e, fired) in self.events.iter().zip(&self.fired) {
-            if !fired.get()
-                && e.kind == FaultKind::Kill
-                && e.rank == self.world_rank
-                && e.step == step
-            {
-                fired.set(true);
-                self.injected_total.inc();
-                self.injected_kill.inc();
-                self.timeline.event(
-                    EventKind::FaultInjected,
-                    Some(step as u64),
-                    FaultKind::Kill.label(),
-                );
-                // A kill suppresses unknown future traffic; record it with
-                // the rank as its own peer and no payload.
-                self.wire.fault(
-                    ProbeKind::FaultKill,
-                    self.world_rank as u32,
-                    0,
-                    self.phase.get(),
-                    0,
-                    0,
-                    step as u64,
-                );
-                return true;
-            }
+        let killed = self.fire(step, |kind| kind == FaultKind::Kill).is_some();
+        if killed {
+            // A kill suppresses unknown future traffic; record it with the
+            // rank as its own peer and no payload.
+            self.wire.fault(
+                ProbeKind::FaultKill,
+                self.world_rank as u32,
+                0,
+                self.phase.get(),
+                0,
+                0,
+                step as u64,
+            );
         }
-        false
+        killed
     }
 }
 
@@ -343,7 +328,6 @@ impl<C: Communicator> ChaosComm<C> {
             .copied()
             .filter(|e| e.rank == world_rank)
             .collect();
-        let rec = inner.metrics();
         let state = ChaosState {
             world_rank,
             fired: vec![Cell::new(false); events.len()],
@@ -351,11 +335,7 @@ impl<C: Communicator> ChaosComm<C> {
             dead: Cell::new(false),
             step: Cell::new(0),
             phase: Cell::new(Phase::Other),
-            injected_total: rec.counter("fault_injected_total", None),
-            injected_drop: rec.counter("fault_injected_drop", None),
-            injected_delay: rec.counter("fault_injected_delay", None),
-            injected_dup: rec.counter("fault_injected_duplicate", None),
-            injected_kill: rec.counter("fault_injected_kill", None),
+            metrics: inner.metrics(),
             timeline: inner.timeline(),
             wire: inner.wire(),
         };

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-mod comm_metrics;
 pub mod communicator;
 pub mod error;
 pub mod stats;

@@ -1,4 +1,4 @@
-//! Per-phase communication statistics.
+//! Per-phase communication statistics: a rank's one ledger.
 //!
 //! The paper's figures break execution time into *computation*,
 //! *communication (shift)*, *communication (reduce)*, and — for the cutoff
@@ -7,7 +7,12 @@
 //! then attributed to that phase. The same buckets are used by the
 //! discrete-event simulator, so instrumented executions and simulated
 //! schedules can be compared phase-by-phase.
+//!
+//! The transport counts each message here and nowhere else, on every run.
+//! The `comm_*` metric families of a traced run are this ledger read out
+//! once, by [`CommStats::export`], when the rank's body returns.
 
+use nbody_metrics::{Histogram, MetricsRecorder};
 // The phase vocabulary lives in `nbody-trace` (the root of the
 // observability stack) and is re-exported here so existing callers keep
 // importing it from `nbody_comm`.
@@ -43,6 +48,15 @@ pub struct PhaseCounters {
     /// the clock-free companion of `blocked_secs`: a count of the wake-ups
     /// the phase paid for, whatever each one cost.
     pub parked: u64,
+    /// Point-to-point messages received.
+    pub recv_messages: u64,
+    /// Elements in the point-to-point messages received.
+    pub recv_elements: u64,
+    /// Bytes in the point-to-point messages received (`size_of`-based).
+    pub recv_bytes: u64,
+    /// Size of every message this rank put on the wire, point-to-point
+    /// sends and collective tree messages alike.
+    pub message_sizes: Histogram,
 }
 
 impl PhaseCounters {
@@ -56,6 +70,10 @@ impl PhaseCounters {
         self.collective_messages += other.collective_messages;
         self.blocked_secs += other.blocked_secs;
         self.parked += other.parked;
+        self.recv_messages += other.recv_messages;
+        self.recv_elements += other.recv_elements;
+        self.recv_bytes += other.recv_bytes;
+        self.message_sizes.merge(&other.message_sizes);
     }
 }
 
@@ -85,12 +103,23 @@ impl CommStats {
         ALL_PHASES[self.current]
     }
 
-    /// Record a point-to-point send of `elements` elements / `bytes` bytes.
+    /// Record a point-to-point send of `elements` elements / `bytes` bytes,
+    /// size histogram included.
     pub fn record_send(&mut self, elements: usize, bytes: usize) {
         let c = &mut self.phases[self.current];
         c.messages += 1;
         c.elements += elements as u64;
         c.bytes += bytes as u64;
+        c.message_sizes.record(bytes as u64);
+    }
+
+    /// Record a point-to-point receive of `elements` elements / `bytes`
+    /// bytes.
+    pub fn record_recv(&mut self, elements: usize, bytes: usize) {
+        let c = &mut self.phases[self.current];
+        c.recv_messages += 1;
+        c.recv_elements += elements as u64;
+        c.recv_bytes += bytes as u64;
     }
 
     /// Record participation in a collective moving `elements` elements /
@@ -102,9 +131,16 @@ impl CommStats {
         c.collective_bytes += bytes as u64;
     }
 
-    /// Record one constituent tree message sent inside a collective.
+    /// Record one constituent tree message sent inside a collective; its
+    /// size goes in with [`record_message_size`](CommStats::record_message_size).
     pub fn record_collective_message(&mut self) {
         self.phases[self.current].collective_messages += 1;
+    }
+
+    /// Record the size of one message that is not a point-to-point send
+    /// ([`record_send`](CommStats::record_send) records its own).
+    pub fn record_message_size(&mut self, bytes: usize) {
+        self.phases[self.current].message_sizes.record(bytes as u64);
     }
 
     /// Record `secs` seconds spent blocked waiting for data.
@@ -163,6 +199,35 @@ impl CommStats {
             a.merge(b);
         }
     }
+
+    /// Write the ledger into `rec` as the phase-labelled `comm_*` metric
+    /// families: `comm_send_*` are `messages` / `elements` / `bytes`,
+    /// `comm_recv_*` and `comm_collective_*` the fields of those names, and
+    /// the `comm_message_size_bytes` histogram is `message_sizes`. Adds to
+    /// what `rec` holds, so a rank calls it once, after its last message;
+    /// the shard drops the zero samples when it is drained.
+    pub fn export(&self, rec: &MetricsRecorder) {
+        if !rec.is_enabled() {
+            return;
+        }
+        for (c, phase) in self.phases.iter().zip(ALL_PHASES.map(Some)) {
+            for (name, value) in [
+                ("comm_send_messages", c.messages),
+                ("comm_send_elements", c.elements),
+                ("comm_send_bytes", c.bytes),
+                ("comm_recv_messages", c.recv_messages),
+                ("comm_recv_elements", c.recv_elements),
+                ("comm_recv_bytes", c.recv_bytes),
+                ("comm_collective_messages", c.collective_messages),
+                ("comm_collective_elements", c.collective_elements),
+                ("comm_collective_bytes", c.collective_bytes),
+            ] {
+                rec.counter(name, phase).add(value);
+            }
+            rec.histogram("comm_message_size_bytes", phase)
+                .merge(&c.message_sizes);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -175,23 +240,36 @@ mod tests {
         s.set_phase(Phase::Shift);
         s.record_send(10, 80);
         s.record_send(5, 40);
+        s.record_recv(3, 24);
         s.set_phase(Phase::Reduce);
         s.record_collective(7, 56);
         s.record_collective_message();
+        s.record_message_size(56);
         s.record_blocked(0.5);
         s.record_parked();
 
-        assert_eq!(s.phase(Phase::Shift).messages, 2);
-        assert_eq!(s.phase(Phase::Shift).elements, 15);
-        assert_eq!(s.phase(Phase::Shift).bytes, 120);
-        assert_eq!(s.phase(Phase::Reduce).collectives, 1);
-        assert_eq!(s.phase(Phase::Reduce).collective_elements, 7);
-        assert_eq!(s.phase(Phase::Reduce).collective_bytes, 56);
-        assert_eq!(s.phase(Phase::Reduce).collective_messages, 1);
-        assert_eq!(s.phase(Phase::Reduce).blocked_secs, 0.5);
-        assert_eq!(s.phase(Phase::Reduce).parked, 1);
-        assert_eq!(s.phase(Phase::Shift).parked, 0);
-        assert_eq!(s.phase(Phase::Broadcast).messages, 0);
+        let shift = s.phase(Phase::Shift);
+        assert_eq!((shift.messages, shift.elements, shift.bytes), (2, 15, 120));
+        assert_eq!(
+            (shift.recv_messages, shift.recv_elements, shift.recv_bytes),
+            (1, 3, 24)
+        );
+        // Both sends are bucketed, the receive is not: 40 B in the first
+        // (<= 64 B) bucket, 80 B in the second.
+        assert_eq!(shift.message_sizes.count(), 2);
+        assert_eq!(shift.message_sizes.sum, 120);
+        assert_eq!(&shift.message_sizes.counts[..2], &[1, 1]);
+        let reduce = s.phase(Phase::Reduce);
+        assert_eq!(reduce.collectives, 1);
+        assert_eq!(reduce.collective_elements, 7);
+        assert_eq!(reduce.collective_bytes, 56);
+        assert_eq!(reduce.collective_messages, 1);
+        assert_eq!(reduce.message_sizes.count(), 1);
+        assert_eq!(reduce.recv_messages, 0);
+        assert_eq!(reduce.blocked_secs, 0.5);
+        assert_eq!(reduce.parked, 1);
+        assert_eq!(shift.parked, 0);
+        assert_eq!(s.phase(Phase::Broadcast), &PhaseCounters::default());
         assert_eq!(s.total_messages(), 2);
         assert_eq!(s.total_elements(), 15);
         assert_eq!(s.total_bytes(), 120);
@@ -208,24 +286,87 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters() {
+    fn merge_adds_every_field() {
         let mut a = CommStats::new();
         a.set_phase(Phase::Shift);
         a.record_send(4, 32);
+        a.record_recv(1, 8);
         let mut b = CommStats::new();
         b.set_phase(Phase::Shift);
-        b.record_send(6, 48);
+        b.record_send(6, 4096);
+        b.record_recv(2, 16);
+        b.record_collective(5, 40);
+        b.record_collective_message();
+        b.record_message_size(40);
         b.record_blocked(1.0);
         a.record_parked();
         b.record_parked();
         b.record_parked();
+        // Merging is the sum of two ledgers, so it commutes.
+        let mut b_then_a = b.clone();
+        b_then_a.merge(&a);
         a.merge(&b);
-        assert_eq!(a.phase(Phase::Shift).messages, 2);
-        assert_eq!(a.phase(Phase::Shift).elements, 10);
-        assert_eq!(a.phase(Phase::Shift).bytes, 80);
-        assert_eq!(a.phase(Phase::Shift).blocked_secs, 1.0);
-        assert_eq!(a.phase(Phase::Shift).parked, 3);
+        assert_eq!(b_then_a.phase(Phase::Shift), a.phase(Phase::Shift));
+        let c = a.phase(Phase::Shift);
+        assert_eq!((c.messages, c.elements, c.bytes), (2, 10, 4128));
+        assert_eq!((c.recv_messages, c.recv_elements, c.recv_bytes), (2, 3, 24));
+        assert_eq!(
+            (c.collectives, c.collective_elements, c.collective_bytes),
+            (1, 5, 40)
+        );
+        assert_eq!(c.collective_messages, 1);
+        assert_eq!(c.blocked_secs, 1.0);
+        assert_eq!(c.parked, 3);
         assert_eq!(a.total_parked(), 3);
+        // Bucket by bucket: 32 and 40 B in the first, 4096 B in the fourth.
+        assert_eq!(c.message_sizes.count(), 3);
+        assert_eq!(c.message_sizes.sum, 32 + 4096 + 40);
+        assert_eq!(
+            (c.message_sizes.counts[0], c.message_sizes.counts[3]),
+            (2, 1)
+        );
+    }
+
+    #[test]
+    fn export_writes_each_field_under_its_metric_name_once() {
+        // Every field a different number, so a name wired to the wrong
+        // field shows.
+        let mut s = CommStats::new();
+        s.set_phase(Phase::Shift);
+        s.record_send(10, 520);
+        s.record_send(4, 32);
+        for _ in 0..3 {
+            s.record_recv(3, 24);
+        }
+        for _ in 0..4 {
+            s.record_collective_message();
+            s.record_message_size(100);
+        }
+        s.set_phase(Phase::Reduce);
+        s.record_collective(7, 364);
+        let rec = nbody_metrics::MetricsRecorder::for_rank(2);
+        s.export(&rec);
+        let snap = rec.finish().unwrap();
+        let shift = Some(Phase::Shift);
+        assert_eq!(snap.counter("comm_send_messages", shift), 2);
+        assert_eq!(snap.counter("comm_send_elements", shift), 14);
+        assert_eq!(snap.counter("comm_send_bytes", shift), 552);
+        assert_eq!(snap.counter("comm_recv_messages", shift), 3);
+        assert_eq!(snap.counter("comm_recv_elements", shift), 9);
+        assert_eq!(snap.counter("comm_recv_bytes", shift), 72);
+        assert_eq!(snap.counter("comm_collective_messages", shift), 4);
+        let reduce = Some(Phase::Reduce);
+        assert_eq!(snap.counter("comm_collective_elements", reduce), 7);
+        assert_eq!(snap.counter("comm_collective_bytes", reduce), 364);
+        // Sends and tree messages are in the size histogram, receives not.
+        let h = snap.histogram("comm_message_size_bytes", shift).unwrap();
+        assert_eq!((h.count(), h.sum), (6, 952));
+        // Zero fields leave no sample: nine counters and one histogram.
+        assert_eq!((snap.counters.len(), snap.histograms.len()), (9, 1));
+        // A disabled recorder is left alone.
+        let off = nbody_metrics::MetricsRecorder::disabled();
+        s.export(&off);
+        assert!(off.finish().is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   takes: two ranks that park on each other run one at a time. So every
 //!   receive — `recv`, `try_recv_timeout`, and the internal ones of the
 //!   collectives and `split`, strict and relaxed matching alike, because
-//!   all of them end in `Endpoint::try_recv_matching` — first polls its
+//!   all of them end in `RankState::recv_matching` — first polls its
 //!   inbox with `try_recv` for up to `POLL` (50 µs ≈ twice the wake-up it
 //!   saves; spin-then-block), filing non-matching envelopes under `pending`
 //!   as the parked loop does, and only then sleeps in `recv_timeout`. The
@@ -46,6 +46,13 @@
 //!   matched, polled or asleep. Its clock-free companion is
 //!   [`PhaseCounters::parked`](crate::PhaseCounters): the receives that ran
 //!   out of poll budget and slept.
+//! * A rank keeps one ledger. Every message is counted once, in the rank's
+//!   [`CommStats`], on every run; a traced run's `comm_*` metrics are that
+//!   ledger written into the rank's metrics shard when its body returns.
+//!   The ledger, the inbox and the recorders are one `Rc`-shared value the
+//!   world communicator and every `split` of it hold, and every recorder
+//!   stamps against the one epoch [`run_ranks`] takes before it spawns the
+//!   rank threads.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -59,7 +66,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::comm_metrics::CommMetrics;
 use crate::communicator::{CommData, Communicator};
 use crate::error::CommError;
 use crate::stats::{CommStats, Phase};
@@ -88,82 +94,14 @@ fn parse_recv_timeout(raw: Option<&str>) -> Result<u64, String> {
     }
 }
 
-/// Parse a positive-integer environment override (`NBODY_CHECKPOINT_EVERY`,
-/// `NBODY_RETRY_TIMEOUT_MS`, `NBODY_RETRY_BUDGET_MS`): unset is fine, zero
-/// or malformed is an error — a typo'd cadence silently becoming the
-/// default is the misconfiguration fail-fast validation exists to catch.
-fn parse_positive_int(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => match s.trim().parse::<u64>() {
-            Ok(0) => Err(format!("{name} must be a positive integer, got '{s}'")),
-            Ok(v) => Ok(Some(v)),
-            Err(e) => Err(format!("{name} must be a positive integer, got '{s}': {e}")),
-        },
-    }
-}
-
-/// Parse a non-negative count override (`NBODY_RETRY_MAX`; 0 legitimately
-/// disables retries).
-fn parse_count(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => s.trim().parse::<u64>().map(Some).map_err(|e| {
-            format!("{name} must be a non-negative integer, got '{s}': {e}")
-        }),
-    }
-}
-
-/// Parse a float override constrained to `[lo, hi)` — `NBODY_RETRY_BACKOFF`
-/// needs `>= 1.0`, `NBODY_RETRY_JITTER` needs `[0, 1)`.
-fn parse_float_in(name: &str, raw: Option<&str>, lo: f64, hi: f64) -> Result<Option<f64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => match s.trim().parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= lo && v < hi => Ok(Some(v)),
-            Ok(v) => Err(format!("{name} must be in [{lo}, {hi}), got {v}")),
-            Err(e) => Err(format!("{name} must be a number in [{lo}, {hi}), got '{s}': {e}")),
-        },
-    }
-}
-
-/// Validate process-level runtime configuration read from the
-/// environment. Called implicitly at the start of every distributed
-/// execution; front-ends can call it explicitly to turn a malformed
-/// `NBODY_RECV_TIMEOUT_SECS`, `NBODY_CHECKPOINT_EVERY`, or retry-policy
-/// override (`NBODY_RETRY_TIMEOUT_MS`, `NBODY_RETRY_MAX`,
-/// `NBODY_RETRY_BACKOFF`, `NBODY_RETRY_JITTER`, `NBODY_RETRY_BUDGET_MS`)
-/// into a clean startup error instead of a panic inside the rank spawner
-/// or a silently ignored knob.
+/// Validate the one environment variable the transport reads,
+/// `NBODY_RECV_TIMEOUT_SECS`. Called implicitly at the start of every
+/// distributed execution; front-ends can call it explicitly to turn a
+/// malformed value into a clean startup error instead of a panic inside
+/// the rank spawner.
 pub fn validate_env() -> Result<(), String> {
-    let var = |name: &str| std::env::var(name).ok();
-    parse_recv_timeout(var("NBODY_RECV_TIMEOUT_SECS").as_deref())?;
-    parse_positive_int(
-        "NBODY_CHECKPOINT_EVERY",
-        var("NBODY_CHECKPOINT_EVERY").as_deref(),
-    )?;
-    parse_positive_int(
-        "NBODY_RETRY_TIMEOUT_MS",
-        var("NBODY_RETRY_TIMEOUT_MS").as_deref(),
-    )?;
-    parse_positive_int(
-        "NBODY_RETRY_BUDGET_MS",
-        var("NBODY_RETRY_BUDGET_MS").as_deref(),
-    )?;
-    parse_count("NBODY_RETRY_MAX", var("NBODY_RETRY_MAX").as_deref())?;
-    parse_float_in(
-        "NBODY_RETRY_BACKOFF",
-        var("NBODY_RETRY_BACKOFF").as_deref(),
-        1.0,
-        f64::INFINITY,
-    )?;
-    parse_float_in(
-        "NBODY_RETRY_JITTER",
-        var("NBODY_RETRY_JITTER").as_deref(),
-        0.0,
-        1.0,
-    )?;
-    Ok(())
+    let raw = std::env::var("NBODY_RECV_TIMEOUT_SECS").ok();
+    parse_recv_timeout(raw.as_deref()).map(drop)
 }
 
 /// How long a blocking receive may wait before the runtime declares a
@@ -215,10 +153,20 @@ impl Fabric {
     }
 }
 
-/// Per-thread receive state: the inbox plus reorder buffers.
-struct Endpoint {
+/// Everything a rank's transport reads and writes, built once per rank
+/// thread by [`run_ranks_owned`] and shared by its world communicator and
+/// every `split` of it: the fabric, the inbox, the ledger and the
+/// recorders, which stamp time against the run's one epoch.
+struct RankState {
+    fabric: Arc<Fabric>,
+    /// The inbox, and what was taken off it before its receive was posted.
     rx: Receiver<Envelope>,
-    pending: HashMap<(u64, usize), VecDeque<Envelope>>,
+    pending: RefCell<HashMap<(u64, usize), VecDeque<Envelope>>>,
+    stats: RefCell<CommStats>,
+    tracer: Tracer,
+    metrics: MetricsRecorder,
+    timeline: TimelineRecorder,
+    wire: ProbeRecorder,
 }
 
 /// How long a receive polls its inbox before it parks: about twice the
@@ -236,29 +184,27 @@ const POLL: Duration = Duration::from_micros(50);
 /// what a failed rank costs its waiting peers before they follow it down.
 const ABORT_CHECK: Duration = Duration::from_millis(20);
 
-impl Endpoint {
+impl RankState {
     /// Pull envelopes off the inbox until one matching `(comm, src)` — and,
     /// when `want_tag` is set (relaxed mode), the tag — is available,
     /// buffering everything else: polling for the first [`POLL`] of the
     /// wait, parked on the channel after it. When nothing matching arrives
     /// within `timeout` the error is how long the receive waited; the
     /// caller, which knows the local rank and the tag it posted, makes the
-    /// [`CommError::Timeout`] of it. Parked, it also looks at `failed`
-    /// every [`ABORT_CHECK`] and panics if a rank has.
-    fn try_recv_matching(
-        &mut self,
+    /// [`CommError::Timeout`] of it. Parked, it also looks at
+    /// [`Fabric::failed`] every [`ABORT_CHECK`] and panics if a rank has.
+    fn recv_matching(
+        &self,
         key @ (comm, src_global): (u64, usize),
         want_tag: Option<u64>,
         timeout: Duration,
-        failed: &OnceLock<(usize, String)>,
-        stats: &mut CommStats,
-        tracer: &Tracer,
     ) -> Result<Envelope, Duration> {
         let tag_ok = |env: &Envelope| match want_tag {
             Some(t) => env.tag == t,
             None => true,
         };
-        if let Some(queue) = self.pending.get_mut(&key) {
+        let mut pending = self.pending.borrow_mut();
+        if let Some(queue) = pending.get_mut(&key) {
             if let Some(pos) = queue.iter().position(&tag_ok) {
                 // In strict mode `pos` is always 0 (plain FIFO pop); in
                 // relaxed mode messages of other tags stay queued.
@@ -285,13 +231,13 @@ impl Endpoint {
             } else {
                 if !parked {
                     parked = true;
-                    stats.record_parked();
+                    self.stats.borrow_mut().record_parked();
                 }
                 // Asleep in slices, so that a peer's failure ends the wait
                 // (the deadline is re-read at the top of the loop).
                 match self.rx.recv_timeout(remaining.min(ABORT_CHECK)) {
                     Ok(env) => env,
-                    Err(_) => match failed.get() {
+                    Err(_) => match self.fabric.failed.get() {
                         Some((rank, why)) => panic!("aborted: rank {rank} failed: {why}"),
                         None => continue,
                     },
@@ -300,15 +246,17 @@ impl Endpoint {
             if env.comm == comm && env.src_global == src_global && tag_ok(&env) {
                 break Some(env);
             }
-            self.pending
+            pending
                 .entry((env.comm, env.src_global))
                 .or_default()
                 .push_back(env);
         };
         // Blocked time is receive posted → envelope matched (or given up
         // on), whether the wait was polled, parked or both.
-        stats.record_blocked(start.elapsed().as_secs_f64());
-        tracer.record_blocked(start, Some(src_global as u32));
+        self.stats
+            .borrow_mut()
+            .record_blocked(start.elapsed().as_secs_f64());
+        self.tracer.record_blocked(start, Some(src_global as u32));
         matched.ok_or_else(|| start.elapsed())
     }
 }
@@ -319,25 +267,22 @@ impl Endpoint {
 /// [`Communicator::split`]. The handle is deliberately `!Send`: it belongs
 /// to its rank's thread.
 pub struct ThreadComm {
-    fabric: Arc<Fabric>,
-    endpoint: Rc<RefCell<Endpoint>>,
-    stats: Rc<RefCell<CommStats>>,
-    tracer: Tracer,
-    recorder: MetricsRecorder,
-    timeline: TimelineRecorder,
-    wire: ProbeRecorder,
-    metrics: Rc<CommMetrics>,
+    /// The rank's transport state, shared with every split.
+    state: Rc<RankState>,
     comm_id: u64,
     /// Global ranks of the members, indexed by local rank.
-    members: Rc<Vec<usize>>,
+    members: Vec<usize>,
     my_local: usize,
     split_seq: Cell<u64>,
     coll_seq: Cell<u64>,
 }
 
 impl ThreadComm {
-    fn global_of(&self, local: usize) -> usize {
-        self.members[local]
+    /// The global rank of member `local`.
+    fn global_of(&self, local: usize) -> Result<usize, CommError> {
+        let size = self.size();
+        let invalid = CommError::InvalidRank { rank: local, size };
+        self.members.get(local).copied().ok_or(invalid)
     }
 
     fn my_global(&self) -> usize {
@@ -351,29 +296,24 @@ impl ThreadComm {
         data: Vec<T>,
         count_stats: bool,
     ) -> Result<(), CommError> {
-        if dst_local >= self.size() {
-            return Err(CommError::InvalidRank {
-                rank: dst_local,
-                size: self.size(),
-            });
-        }
+        let dst = self.global_of(dst_local)?;
         let bytes = data.len() * std::mem::size_of::<T>();
         let phase = {
-            let mut stats = self.stats.borrow_mut();
+            let mut stats = self.state.stats.borrow_mut();
             if count_stats {
                 stats.record_send(data.len(), bytes);
             } else {
                 stats.record_collective_message();
+                stats.record_message_size(bytes);
             }
             stats.current_phase()
         };
-        self.metrics.on_send(phase, data.len(), bytes, count_stats);
         // Probe only protocol point-to-point traffic: collectives manage
         // their own internal messages and are accounted at the collective
         // level, mirroring the schedule's per-message predictions.
         if count_stats {
-            self.wire.send(
-                self.global_of(dst_local) as u32,
+            self.state.wire.send(
+                dst as u32,
                 self.comm_id,
                 tag,
                 phase,
@@ -387,7 +327,7 @@ impl ThreadComm {
             tag,
             payload: Box::new(data),
         };
-        self.fabric.senders[self.global_of(dst_local)]
+        self.state.fabric.senders[dst]
             .send(env)
             .map_err(|_| CommError::FabricClosed)
     }
@@ -406,35 +346,19 @@ impl ThreadComm {
         timeout: Duration,
         count_stats: bool,
     ) -> Result<Vec<T>, CommError> {
-        if src_local >= self.size() {
-            return Err(CommError::InvalidRank {
-                rank: src_local,
-                size: self.size(),
-            });
-        }
-        let src_global = self.global_of(src_local);
+        let src_global = self.global_of(src_local)?;
         // Strict mode matches (comm, src) in FIFO order and then checks the
         // tag (a mismatch is a protocol violation); relaxed mode also keys
         // the match on the tag, so stale-attempt messages are skipped.
-        let want_tag = if self.fabric.relaxed { Some(tag) } else { None };
-        let env = {
-            let mut stats = self.stats.borrow_mut();
-            self.endpoint
-                .borrow_mut()
-                .try_recv_matching(
-                    (self.comm_id, src_global),
-                    want_tag,
-                    timeout,
-                    &self.fabric.failed,
-                    &mut stats,
-                    &self.tracer,
-                )
-                .map_err(|waited| CommError::Timeout {
-                    src: src_local,
-                    tag,
-                    waited,
-                })?
-        };
+        let want_tag = self.state.fabric.relaxed.then_some(tag);
+        let env = self
+            .state
+            .recv_matching((self.comm_id, src_global), want_tag, timeout)
+            .map_err(|waited| CommError::Timeout {
+                src: src_local,
+                tag,
+                waited,
+            })?;
         if env.tag != tag {
             return Err(CommError::TagMismatch {
                 src: src_local,
@@ -453,9 +377,12 @@ impl ThreadComm {
         // by `record_collective` on each member.
         if count_stats {
             let bytes = data.len() * std::mem::size_of::<T>();
-            let phase = self.stats.borrow().current_phase();
-            self.metrics.on_recv(phase, data.len(), bytes);
-            self.wire.recv(
+            let phase = {
+                let mut stats = self.state.stats.borrow_mut();
+                stats.record_recv(data.len(), bytes);
+                stats.current_phase()
+            };
+            self.state.wire.recv(
                 src_global as u32,
                 self.comm_id,
                 tag,
@@ -474,15 +401,13 @@ impl ThreadComm {
             })
     }
 
-    /// Attribute a collective's payload to stats and metrics.
+    /// Attribute a collective's payload to the ledger.
     fn record_collective<T>(&self, elements: usize) {
         let bytes = elements * std::mem::size_of::<T>();
-        let phase = {
-            let mut stats = self.stats.borrow_mut();
-            stats.record_collective(elements, bytes);
-            stats.current_phase()
-        };
-        self.metrics.on_collective(phase, elements, bytes);
+        self.state
+            .stats
+            .borrow_mut()
+            .record_collective(elements, bytes);
     }
 
     /// Reserve a fresh internal tag for one collective operation. All ranks
@@ -504,28 +429,28 @@ impl Communicator for ThreadComm {
     }
 
     fn set_phase(&self, phase: Phase) {
-        self.stats.borrow_mut().set_phase(phase);
-        self.tracer.phase_change(phase);
+        self.state.stats.borrow_mut().set_phase(phase);
+        self.state.tracer.phase_change(phase);
     }
 
     fn stats(&self) -> CommStats {
-        self.stats.borrow().clone()
+        self.state.stats.borrow().clone()
     }
 
     fn tracer(&self) -> Tracer {
-        self.tracer.clone()
+        self.state.tracer.clone()
     }
 
     fn metrics(&self) -> MetricsRecorder {
-        self.recorder.clone()
+        self.state.metrics.clone()
     }
 
     fn timeline(&self) -> TimelineRecorder {
-        self.timeline.clone()
+        self.state.timeline.clone()
     }
 
     fn wire(&self) -> ProbeRecorder {
-        self.wire.clone()
+        self.state.wire.clone()
     }
 
     fn send<T: CommData>(&self, dst: usize, tag: u64, data: &[T]) {
@@ -698,18 +623,11 @@ impl Communicator for ThreadComm {
             .iter()
             .position(|&g| g == self.my_global())
             .expect("rank missing from its own split");
-        let comm_id = self.fabric.comm_id_for(self.comm_id, seq, color);
+        let comm_id = self.state.fabric.comm_id_for(self.comm_id, seq, color);
         ThreadComm {
-            fabric: Arc::clone(&self.fabric),
-            endpoint: Rc::clone(&self.endpoint),
-            stats: Rc::clone(&self.stats),
-            tracer: self.tracer.clone(),
-            recorder: self.recorder.clone(),
-            timeline: self.timeline.clone(),
-            wire: self.wire.clone(),
-            metrics: Rc::clone(&self.metrics),
+            state: Rc::clone(&self.state),
             comm_id,
-            members: Rc::new(members),
+            members,
             my_local,
             split_seq: Cell::new(0),
             coll_seq: Cell::new(0),
@@ -718,22 +636,23 @@ impl Communicator for ThreadComm {
 }
 
 /// Which per-rank recorders an execution turns on. The default is what
-/// [`run_ranks`] runs with: only the always-on flight recorder.
+/// [`run_ranks`] runs with: only the always-on flight recorder. Whichever
+/// are on stamp time against one epoch, taken once before the rank threads
+/// spawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lenses {
-    /// Wall-clock span recording and live metrics against a shared epoch
-    /// taken just before the threads spawn, plus per-step timeline samples:
-    /// every rank's communicator carries an enabled [`Tracer`] and
-    /// [`MetricsRecorder`].
+    /// Wall-clock span recording, live metrics (the ledger's `comm_*`
+    /// families among them) and per-step timeline samples: every rank's
+    /// communicator carries an enabled [`Tracer`] and [`MetricsRecorder`].
     pub trace: bool,
     /// The bounded flight-event ring behind postmortem bundles. Off only in
     /// the overhead benches, which need a recording-free baseline to price
     /// the recorders against; everything else keeps the crash forensics on.
     pub flight: bool,
     /// Wire probes: every rank's [`ProbeRecorder`] stamps each
-    /// point-to-point send/recv (and injected fault) against its own shared
-    /// epoch, so cross-rank send→recv latencies are comparable even in
-    /// untraced runs. The per-message ring is strictly opt-in.
+    /// point-to-point send/recv (and injected fault), so cross-rank
+    /// send→recv latencies are comparable even in untraced runs. The
+    /// per-message ring is strictly opt-in.
     pub probe: bool,
 }
 
@@ -819,10 +738,10 @@ where
         relaxed,
         failed: OnceLock::new(),
     });
-    let epoch = lenses.trace.then(Instant::now);
-    // One epoch shared by every rank's probe ring: send and recv stamps
-    // from different threads must be subtractable.
-    let probe_epoch = lenses.probe.then(Instant::now);
+    // The run's one clock: spans, flight events and probe stamps from
+    // different rank threads are subtractable because they all count from
+    // here.
+    let epoch = Instant::now();
 
     let joined = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
@@ -832,59 +751,51 @@ where
             let handle = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .spawn_scoped(scope, move || {
-                    let endpoint = Endpoint {
-                        rx,
-                        pending: HashMap::new(),
-                    };
-                    let tracer = match epoch {
-                        Some(epoch) => Tracer::for_rank(rank, epoch),
-                        None => Tracer::disabled(),
-                    };
-                    let recorder = match epoch {
-                        Some(_) => MetricsRecorder::for_rank(rank),
-                        None => MetricsRecorder::disabled(),
-                    };
-                    let timeline = if lenses.flight {
-                        TimelineRecorder::for_rank(rank as u32, epoch)
-                    } else {
-                        TimelineRecorder::disabled()
-                    };
-                    let wire = match probe_epoch {
-                        Some(pe) => ProbeRecorder::for_rank(rank as u32, pe),
-                        None => ProbeRecorder::disabled(),
-                    };
-                    let comm = ThreadComm {
+                    let state = Rc::new(RankState {
                         fabric,
-                        endpoint: Rc::new(RefCell::new(endpoint)),
-                        stats: Rc::new(RefCell::new(CommStats::new())),
-                        tracer: tracer.clone(),
-                        recorder: recorder.clone(),
-                        timeline: timeline.clone(),
-                        wire: wire.clone(),
-                        metrics: Rc::new(CommMetrics::new(&recorder)),
+                        rx,
+                        pending: RefCell::default(),
+                        stats: RefCell::new(CommStats::new()),
+                        tracer: match lenses.trace {
+                            true => Tracer::for_rank(rank, epoch),
+                            false => Tracer::disabled(),
+                        },
+                        metrics: match lenses.trace {
+                            true => MetricsRecorder::for_rank(rank),
+                            false => MetricsRecorder::disabled(),
+                        },
+                        timeline: match lenses.flight {
+                            true => TimelineRecorder::for_rank(rank as u32, epoch, lenses.trace),
+                            false => TimelineRecorder::disabled(),
+                        },
+                        wire: match lenses.probe {
+                            true => ProbeRecorder::for_rank(rank as u32, epoch),
+                            false => ProbeRecorder::disabled(),
+                        },
+                    });
+                    let comm = ThreadComm {
+                        state: Rc::clone(&state),
                         comm_id: 0,
-                        members: Rc::new((0..p).collect()),
+                        members: (0..p).collect(),
                         my_local: rank,
                         split_seq: Cell::new(0),
                         coll_seq: Cell::new(0),
                     };
                     // The first body to panic is the run's failure: say
                     // so where the peers parked on this rank will look.
-                    let fabric = Arc::clone(&comm.fabric);
                     let result = catch_unwind(AssertUnwindSafe(|| f(comm))).unwrap_or_else(|e| {
                         let why = e.downcast_ref::<String>().map(String::as_str);
                         let why = why.or(e.downcast_ref::<&str>().copied());
                         let why = why.unwrap_or("(no message)").to_string();
-                        let _ = fabric.failed.set((rank, why));
+                        let _ = state.fabric.failed.set((rank, why));
                         resume_unwind(e)
                     });
-                    (
-                        result,
-                        tracer.finish(),
-                        recorder.finish(),
-                        timeline.finish(),
-                        wire.finish(),
-                    )
+                    // Close the books: the ledger goes into the metrics
+                    // shard, then every recorder is drained.
+                    let s = &*state;
+                    s.stats.borrow().export(&s.metrics);
+                    let (spans, shard) = (s.tracer.finish(), s.metrics.finish());
+                    (result, spans, shard, s.timeline.finish(), s.wire.finish())
                 })
                 .expect("failed to spawn rank thread");
             handles.push(handle);
@@ -1440,6 +1351,31 @@ mod tests {
     }
 
     #[test]
+    fn flight_events_of_different_ranks_order_by_the_one_epoch() {
+        // Rank 0 records well after both threads exist, then opens a barrier
+        // rank 1 spins at, then rank 1 records. On one clock rank 1's event
+        // is the later; on a clock per thread it reads earlier whenever rank
+        // 1's thread started more than the spin's hand-off (well under a
+        // microsecond) after rank 0's.
+        let open = std::sync::atomic::AtomicBool::new(false);
+        let (_, Artifacts { timeline, .. }) = run_ranks_with(2, Lenses::default(), |comm| {
+            let tl = comm.timeline();
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(5));
+                tl.event(nbody_timeline::EventKind::Checkpoint, None, "before");
+                open.store(true, Ordering::Release);
+            } else {
+                while !open.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                tl.event(nbody_timeline::EventKind::Checkpoint, None, "after");
+            }
+        });
+        let [before, after] = [0, 1].map(|r| timeline.ranks[r].events[0].t_secs);
+        assert!(before < after, "{before} s, then {after} s");
+    }
+
+    #[test]
     fn sendrecv_default_shifts_a_ring() {
         // Direct coverage of the `Communicator::sendrecv` default: a full
         // ring rotation where every rank simultaneously sends right and
@@ -1563,39 +1499,6 @@ mod tests {
         let msg = parse_recv_timeout(Some("banana")).unwrap_err();
         assert!(
             msg.contains("NBODY_RECV_TIMEOUT_SECS") && msg.contains("banana"),
-            "diagnostic names the variable and the bad value: {msg}"
-        );
-    }
-
-    #[test]
-    fn durability_env_overrides_parse_strictly() {
-        // Cadence and millisecond overrides: positive integers only.
-        assert_eq!(parse_positive_int("NBODY_CHECKPOINT_EVERY", None), Ok(None));
-        assert_eq!(
-            parse_positive_int("NBODY_CHECKPOINT_EVERY", Some(" 4 ")),
-            Ok(Some(4))
-        );
-        assert!(parse_positive_int("NBODY_CHECKPOINT_EVERY", Some("0")).is_err());
-        assert!(parse_positive_int("NBODY_RETRY_TIMEOUT_MS", Some("fast")).is_err());
-        assert!(parse_positive_int("NBODY_RETRY_BUDGET_MS", Some("-1")).is_err());
-        // Retry count: zero is a legitimate "no retries".
-        assert_eq!(parse_count("NBODY_RETRY_MAX", Some("0")), Ok(Some(0)));
-        assert!(parse_count("NBODY_RETRY_MAX", Some("-1")).is_err());
-        // Backoff ≥ 1, jitter in [0, 1).
-        assert_eq!(
-            parse_float_in("NBODY_RETRY_BACKOFF", Some("1.5"), 1.0, f64::INFINITY),
-            Ok(Some(1.5))
-        );
-        assert!(parse_float_in("NBODY_RETRY_BACKOFF", Some("0.5"), 1.0, f64::INFINITY).is_err());
-        assert!(parse_float_in("NBODY_RETRY_BACKOFF", Some("inf"), 1.0, f64::INFINITY).is_err());
-        assert_eq!(
-            parse_float_in("NBODY_RETRY_JITTER", Some("0"), 0.0, 1.0),
-            Ok(Some(0.0))
-        );
-        assert!(parse_float_in("NBODY_RETRY_JITTER", Some("1.0"), 0.0, 1.0).is_err());
-        let msg = parse_positive_int("NBODY_CHECKPOINT_EVERY", Some("banana")).unwrap_err();
-        assert!(
-            msg.contains("NBODY_CHECKPOINT_EVERY") && msg.contains("banana"),
             "diagnostic names the variable and the bad value: {msg}"
         );
     }

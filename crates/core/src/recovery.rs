@@ -447,6 +447,14 @@ impl HealthMonitor {
     }
 }
 
+/// The lowest row of the column whose `flagged` is false on its member, or
+/// `None` when every row's is: one allgather down the column, so every
+/// member names the same row.
+fn lowest_clear_row<C: Communicator>(gc: &GridComms<C>, flagged: bool) -> Option<usize> {
+    let flags = gc.col.allgather(&[u8::from(flagged)]);
+    flags.iter().position(|f| f[0] == 0)
+}
+
 /// The retry/agreement/resync loop of the fault-tolerant drivers.
 ///
 /// `st` must hold the post-broadcast input block; `attempt` runs one
@@ -480,6 +488,17 @@ fn recovery_loop<C: Communicator>(
         Some(epoch),
         &format!("{} particles", input.len()),
     );
+    // Re-seed every checkpoint of the column from row `src_row`'s, charging
+    // the bytes to a rank that `needed` them.
+    let reseed = |input: &mut Vec<Particle>, src_row: usize, needed: bool, why: &str| {
+        gc.col.bcast(src_row, input);
+        let detail = format!("checkpoint re-seeded from row {src_row}{why}");
+        tl.event(EventKind::Resync, Some(epoch), &detail);
+        if needed {
+            let bytes = input.len() * std::mem::size_of::<Particle>();
+            counters.resync_bytes.add(bytes as u64);
+        }
+    };
     let started = Instant::now();
     let mut attempts = 0usize;
     let mut had_fault = false;
@@ -550,10 +569,8 @@ fn recovery_loop<C: Communicator>(
             fp_mismatches += 1;
         }
         if status == STATUS_DEAD {
-            // Which rows of this column survive? The flags are identical
-            // on every member of the column.
-            let flags = gc.col.allgather(&[u8::from(self_dead)]);
-            let src_row = flags.iter().position(|f| f[0] == 0);
+            // Which row of this column survives, if any?
+            let src_row = lowest_clear_row(gc, self_dead);
             let column_lost = src_row.is_none();
             // Share per-column verdicts across the row: every row spans
             // all teams, so each rank learns the full dead-team set and
@@ -580,17 +597,7 @@ fn recovery_loop<C: Communicator>(
                 // the pre-force checkpoint to shrink from.
                 gc.col.fault_revive();
                 if let Some(src_row) = src_row {
-                    gc.col.bcast(src_row, &mut input);
-                    tl.event(
-                        EventKind::Resync,
-                        Some(epoch),
-                        &format!("checkpoint re-seeded from row {src_row} before shrink"),
-                    );
-                    if self_dead {
-                        counters
-                            .resync_bytes
-                            .add((input.len() * std::mem::size_of::<Particle>()) as u64);
-                    }
+                    reseed(&mut input, src_row, self_dead, " before shrink");
                 }
                 *st = input;
                 let err = FaultError::ColumnsLost { dead_teams, c };
@@ -609,48 +616,20 @@ fn recovery_loop<C: Communicator>(
         gc.col.fault_revive();
         if status == STATUS_DEAD {
             // Re-seed dead ranks from the lowest surviving row of their
-            // column. The flags are identical on all members of a column,
-            // so every member picks the same broadcast root (recomputed
-            // here: the allgather above consumed per-attempt state).
-            let flags = gc.col.allgather(&[u8::from(self_dead)]);
-            let src_row = flags
-                .iter()
-                .position(|f| f[0] == 0)
-                .expect("agreed recoverable, so a survivor exists");
-            gc.col.bcast(src_row, &mut input);
-            tl.event(
-                EventKind::Resync,
-                Some(epoch),
-                &format!("checkpoint re-seeded from row {src_row}"),
-            );
-            if self_dead {
-                counters
-                    .resync_bytes
-                    .add((input.len() * std::mem::size_of::<Particle>()) as u64);
-            }
+            // column (asked again: the allgather above consumed per-attempt
+            // state).
+            let src_row =
+                lowest_clear_row(gc, self_dead).expect("agreed recoverable, so a survivor exists");
+            reseed(&mut input, src_row, self_dead, "");
         }
         if status == STATUS_CORRUPT {
-            // Repair the diverged replica: re-seed every checkpoint in the
-            // column from its lowest row in the cross-check majority. The
-            // corrupt flags are identical on all members of a column (the
-            // majority vote is deterministic), so every member picks the
-            // same broadcast root.
-            let flags = gc.col.allgather(&[u8::from(self_corrupt)]);
-            let src_row = flags
-                .iter()
-                .position(|f| f[0] == 0)
+            // Repair the diverged replica from the lowest row in the
+            // cross-check majority (the vote is deterministic, so the
+            // corrupt flags agree down the column).
+            let src_row = lowest_clear_row(gc, self_corrupt)
                 .expect("the cross-check minority never includes every row");
-            gc.col.bcast(src_row, &mut input);
-            tl.event(
-                EventKind::Resync,
-                Some(epoch),
-                &format!("checkpoint re-seeded from row {src_row} after fingerprint mismatch"),
-            );
-            if self_corrupt {
-                counters
-                    .resync_bytes
-                    .add((input.len() * std::mem::size_of::<Particle>()) as u64);
-            }
+            let why = " after fingerprint mismatch";
+            reseed(&mut input, src_row, self_corrupt, why);
         }
         counters.retries.inc();
         // The next attempt's deadline comes from the agreed fault class:

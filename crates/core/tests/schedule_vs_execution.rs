@@ -2,14 +2,25 @@
 //! must match what the executable algorithms actually do on the threaded
 //! runtime — same per-phase message counts, same bytes (52 B/particle),
 //! same collective counts, same total interactions. This is the link that
-//! makes simulated figures trustworthy.
+//! makes simulated figures trustworthy: the CA schedule here, and the
+//! halo-exchange and midpoint baselines the ablation bars are simulated
+//! from.
 
-use ca_nbody::dist::{id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims};
-use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts};
-use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
+use ca_nbody::dist::{
+    id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_xy,
+};
+use ca_nbody::midpoint::midpoint_forces;
+use ca_nbody::schedule::{
+    count_ops, AllPairsParams, CutoffParams, MidpointParams, OpCounts, SpatialHaloParams,
+};
+use ca_nbody::sim::{run_distributed, Layout, Method, SimConfig};
+use ca_nbody::spatial::spatial_halo_forces;
+use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
 use nbody_comm::{run_ranks, CommStats, Communicator, Phase, ALL_PHASES};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
-use nbody_physics::{init, Boundary, Counting, Cutoff, Domain};
+use nbody_physics::{
+    init, Boundary, Counting, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler,
+};
 
 /// Compare one rank's executed stats against its schedule's op counts for
 /// the force phases (Broadcast, Skew, Shift, Reduce).
@@ -181,5 +192,142 @@ fn executed_phase_totals_cover_all_phases_sanely() {
         assert_eq!(s.phase(Phase::Reassign).messages, 0);
         let total: u64 = ALL_PHASES.iter().map(|&p| s.phase(p).messages).sum();
         assert_eq!(total, s.total_messages());
+    }
+}
+
+/// The baselines' twins against the baselines, per rank and per phase, on
+/// the windows `Layout` cuts for them: `SpatialHaloParams` against
+/// `spatial_halo_forces` (one block to each neighbour), `MidpointParams`
+/// against `midpoint_forces` (the half-span import, then a force return to
+/// each neighbour the import came from). Live messages equal the twin's
+/// sends; live elements equal its bytes at 52 B per particle for halo and
+/// import payloads. The force return's bytes are a modelled upper bound
+/// (one record per imported particle), so only its count is held.
+#[test]
+fn baseline_schedules_match_execution() {
+    let domain = Domain::unit();
+    let r_c = 0.2;
+    let law = Cutoff::new(Counting, r_c);
+    let table = [
+        (Method::SpatialHalo1d, 8),
+        (Method::SpatialHalo2d, 16),
+        (Method::Midpoint1d, 8),
+        (Method::Midpoint2d, 16),
+    ];
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        for (method, p) in table {
+            let label = format!("{method:?} p={p} {boundary:?}");
+            let layout = Layout::new(method, p, &domain, boundary, Some(r_c)).unwrap();
+            let (window, (tx, ty)) = (layout.window, layout.cells.unwrap());
+            let halo = matches!(method, Method::SpatialHalo1d | Method::SpatialHalo2d);
+            let all = init::uniform(120, &domain, 21);
+            let blocks: Vec<_> = (0..p)
+                .map(|r| spatial_subset_2d(&all, &domain, tx, ty, r))
+                .collect();
+            let blocks = &blocks;
+            let stats = run_ranks(p, |world| {
+                let mut my = blocks[world.rank()].clone();
+                if halo {
+                    spatial_halo_forces(world, &window, &mut my, &law, &domain, boundary);
+                } else {
+                    let owner =
+                        |pos: nbody_physics::Vec2| team_of_xy(&domain, tx, ty, pos.x, pos.y);
+                    midpoint_forces(world, &window, &mut my, &law, &domain, boundary, owner);
+                }
+                world.stats()
+            });
+            let block_sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
+            let twin: Vec<OpCounts> = if halo {
+                let params = SpatialHaloParams {
+                    window,
+                    block_sizes,
+                };
+                (0..p).map(|r| count_ops(params.program(r))).collect()
+            } else {
+                let params = MidpointParams {
+                    window,
+                    block_sizes,
+                };
+                (0..p).map(|r| count_ops(params.program(r))).collect()
+            };
+            let mut sent = 0;
+            for (rank, (s, sched)) in stats.iter().zip(&twin).enumerate() {
+                for phase in ALL_PHASES {
+                    let (live, i) = (s.phase(phase), phase.index());
+                    let at = format!("{label}: rank {rank} {phase:?}");
+                    assert_eq!(live.messages, sched.sends[i], "{at}: messages");
+                    assert_eq!(live.collectives, sched.collectives[i], "{at}: collectives");
+                    if phase != Phase::Reduce {
+                        let bytes = live.elements * PARTICLE_WIRE_BYTES as u64;
+                        assert_eq!(bytes, sched.send_bytes[i], "{at}: bytes");
+                    }
+                }
+                sent += s.total_messages();
+            }
+            assert!(sent > 0, "{label}: the baseline talks");
+        }
+    }
+}
+
+/// Re-assignment on a 2-D team grid: after the force phase a leader trades
+/// with each of its neighbours once a step — eight on a wrapping 3 × 3 grid;
+/// three, five or eight on a clipped one — live as in the CA twin, and the
+/// baselines' arm re-assigns through the same neighbourhood.
+#[test]
+fn reassign_epilogue_on_a_2d_grid_reaches_up_to_eight_neighbours() {
+    let steps = 2;
+    let table = [
+        (Method::Ca2dCutoff { c: 1 }, 9),
+        (Method::Ca2dCutoff { c: 2 }, 18),
+        (Method::SpatialHalo2d, 9),
+        (Method::Midpoint2d, 9),
+    ];
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        for (method, p) in table {
+            let label = format!("{method:?} p={p} {boundary:?}");
+            let cfg = SimConfig {
+                law: Cutoff::new(RepulsiveInverseSquare::default(), 0.15),
+                integrator: SemiImplicitEuler,
+                domain: Domain::unit(),
+                boundary,
+                dt: 0.01,
+                steps,
+            };
+            let initial = init::uniform(90, &cfg.domain, 11);
+            let live = run_distributed(&cfg, method, p, &initial);
+            let layout = Layout::new(method, p, &cfg.domain, boundary, Some(0.15)).unwrap();
+            let hood = layout.neighbourhood().expect("spatial blocks re-assign");
+            let teams = layout.grid.teams();
+            let twin = method
+                .is_ca()
+                .then(|| layout.schedule(vec![initial.len() / teams; teams]));
+            let mut per_leader = Vec::new();
+            for (rank, stats) in live.stats.iter().enumerate() {
+                let leader = layout.grid.row_of(rank) == 0;
+                let team = layout.grid.team_of(rank);
+                let neighbours = (1..hood.len()).filter_map(|j| hood.apply(team, j)).count();
+                let per_step = if leader { neighbours as u64 } else { 0 };
+                if let Some(twin) = &twin {
+                    let sched = count_ops(twin.program(rank));
+                    assert_eq!(
+                        sched.sends[Phase::Reassign.index()],
+                        per_step,
+                        "{label}: rank {rank}"
+                    );
+                }
+                let sent = stats.phase(Phase::Reassign).messages;
+                assert_eq!(sent, steps as u64 * per_step, "{label}: rank {rank}");
+                if leader {
+                    per_leader.push(neighbours);
+                }
+            }
+            per_leader.sort_unstable();
+            per_leader.dedup();
+            let want = match boundary {
+                Boundary::Periodic => vec![8],
+                _ => vec![3, 5, 8],
+            };
+            assert_eq!(per_leader, want, "{label}");
+        }
     }
 }

@@ -40,7 +40,7 @@ pub const BUCKET_BOUNDS: [u64; 11] = [
 pub const NUM_BUCKETS: usize = BUCKET_BOUNDS.len() + 1;
 
 /// A fixed-bucket histogram of `u64` observations.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Histogram {
     /// Per-bucket observation counts; the last bucket is unbounded.
     pub counts: [u64; NUM_BUCKETS],
@@ -280,7 +280,7 @@ impl MetricsRecorder {
                 Slot::Histogram(h) if h.borrow().count() > 0 => out.histograms.push(Sample {
                     name,
                     phase: e.phase,
-                    value: h.borrow().clone(),
+                    value: *h.borrow(),
                 }),
                 _ => {}
             }
@@ -350,6 +350,13 @@ impl HistogramHandle {
     pub fn observe(&self, v: u64) {
         if let Some(h) = &self.hist {
             h.borrow_mut().record(v);
+        }
+    }
+
+    /// Add every observation of `other`.
+    pub fn merge(&self, other: &Histogram) {
+        if let Some(h) = &self.hist {
+            h.borrow_mut().merge(other);
         }
     }
 }

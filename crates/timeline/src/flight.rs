@@ -127,16 +127,16 @@ impl TimelineRecorder {
         TimelineRecorder { inner: None }
     }
 
-    /// A live recorder for `rank`. When `epoch` is `Some`, timestamps are
-    /// relative to it and step sampling is enabled (instrumented runs);
-    /// when `None`, the recorder keeps only the flight ring against a
-    /// private epoch (plain runs: always-on crash forensics, no series).
-    pub fn for_rank(rank: u32, epoch: Option<Instant>) -> TimelineRecorder {
+    /// A live recorder for `rank`, stamping time against `epoch` (the same
+    /// `Instant` for every rank of the run, so events of different ranks
+    /// order). The flight ring is always kept; the step series only when
+    /// `sample_steps` (instrumented runs).
+    pub fn for_rank(rank: u32, epoch: Instant, sample_steps: bool) -> TimelineRecorder {
         TimelineRecorder {
             inner: Some(Rc::new(RefCell::new(Inner {
                 rank,
-                sample_steps: epoch.is_some(),
-                epoch: epoch.unwrap_or_else(Instant::now),
+                sample_steps,
+                epoch,
                 series: StepSeries::new(DEFAULT_SERIES_CAP),
                 events: VecDeque::new(),
                 event_cap: DEFAULT_EVENT_CAP,
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded_and_drops_oldest() {
-        let tl = TimelineRecorder::for_rank(0, None);
+        let tl = TimelineRecorder::for_rank(0, Instant::now(), false);
         assert!(tl.is_enabled());
         assert!(!tl.wants_samples(), "plain runs keep only the flight ring");
         for step in 0..(DEFAULT_EVENT_CAP as u64 + 10) {
@@ -271,12 +271,12 @@ mod tests {
         assert_eq!(rt.events.len(), DEFAULT_EVENT_CAP);
         assert_eq!(rt.dropped_events, 10);
         assert_eq!(rt.events[0].step, Some(10), "oldest entries were evicted");
-        assert!(rt.samples.is_empty(), "no series without an epoch");
+        assert!(rt.samples.is_empty(), "no series without sampling");
     }
 
     #[test]
     fn clones_share_storage_and_finish_drains() {
-        let tl = TimelineRecorder::for_rank(3, Some(Instant::now()));
+        let tl = TimelineRecorder::for_rank(3, Instant::now(), true);
         let clone = tl.clone();
         clone.event(EventKind::Resync, Some(4), "replica 1");
         tl.push_sample(StepSample {

@@ -46,14 +46,11 @@
 //! newest bundle — rejecting it unless its run-config fingerprint
 //! matches the flags — and continues mid-run. `--crash-at-step=<s>`
 //! kills the process (exit 137) right after that step's bundle hits the
-//! disk, exercising the resume path end to end. The cadence default can
-//! also come from `NBODY_CHECKPOINT_EVERY`; retry-policy defaults from
-//! `NBODY_RETRY_TIMEOUT_MS`, `NBODY_RETRY_MAX`, `NBODY_RETRY_BACKOFF`,
-//! `NBODY_RETRY_JITTER`, `NBODY_RETRY_BUDGET_MS` (all validated at
-//! startup; malformed values exit 2).
+//! disk, exercising the resume path end to end. The cadence and the
+//! retry policy are set by these flags and nothing else: no environment
+//! variable stands in for one.
 
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use ca_nbody::recovery::RetryPolicy;
@@ -72,22 +69,15 @@ use super::inspect::print_breakdown;
 use super::spec::{fault_plan, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
-/// An environment override (validated by `validate_env` at startup) of an
-/// option's default: flags beat it, it beats the built-in.
-fn env_or<T: FromStr>(name: &str, default: T) -> T {
-    let set = std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
-    set.unwrap_or(default)
-}
-
 fn retry_policy(opts: &mut Opts, seed: u64) -> Result<RetryPolicy, Failure> {
-    let timeout_ms = opts.get("fault-timeout-ms", env_or("NBODY_RETRY_TIMEOUT_MS", 1000))?;
-    let budget_ms = opts.get("retry-budget-ms", env_or("NBODY_RETRY_BUDGET_MS", 60_000))?;
+    let timeout_ms = opts.get("fault-timeout-ms", 1000)?;
+    let budget_ms = opts.get("retry-budget-ms", 60_000)?;
     Ok(RetryPolicy {
         base_timeout: Duration::from_millis(timeout_ms),
         peer_dead_timeout: Duration::from_millis(opts.get("peer-dead-timeout-ms", timeout_ms)?),
-        backoff: opts.get("retry-backoff", env_or("NBODY_RETRY_BACKOFF", 2.0))?,
-        jitter: opts.get("retry-jitter", env_or("NBODY_RETRY_JITTER", 0.1))?,
-        max_retries: opts.get("max-retries", env_or("NBODY_RETRY_MAX", 3))?,
+        backoff: opts.get("retry-backoff", 2.0)?,
+        jitter: opts.get("retry-jitter", 0.1)?,
+        max_retries: opts.get("max-retries", 3)?,
         budget: Duration::from_millis(budget_ms),
         seed: opts.get("retry-seed", seed)?,
     })
@@ -154,7 +144,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     };
     let mut ckpt = None;
     if let Some(dir) = ckpt_dir {
-        let every = opts.get("checkpoint-every", env_or("NBODY_CHECKPOINT_EVERY", 1))?;
+        let every = opts.get("checkpoint-every", 1)?;
         if every == 0 {
             return Err("checkpoint-every must be a positive step count".into());
         }

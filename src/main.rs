@@ -84,7 +84,7 @@ const USAGE: &str = "usage: ca-nbody <run|verify|report|audit|calibrate|chaos|so
      see `src/main.rs` header or README.md for the option list";
 
 fn dispatch(args: &[String]) -> Result<ExitCode, Failure> {
-    // A malformed NBODY_* override is a startup error, not a silent
+    // A malformed NBODY_RECV_TIMEOUT_SECS is a startup error, not a silent
     // fallback discovered mid-run inside a worker thread.
     validate_env().map_err(Failure::startup)?;
     let cmd = args.first().map(String::as_str);

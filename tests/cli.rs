@@ -1508,36 +1508,45 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
 }
 
 #[test]
-fn malformed_durability_env_overrides_are_startup_errors() {
-    for (var, bad) in [
-        ("NBODY_CHECKPOINT_EVERY", "0"),
-        ("NBODY_RETRY_TIMEOUT_MS", "soon"),
-        ("NBODY_RETRY_BACKOFF", "0.5"),
-        ("NBODY_RETRY_JITTER", "1.5"),
-    ] {
-        let out = cli()
-            .args(["run", "n=32", "p=2", "c=1", "steps=1"])
-            .env(var, bad)
-            .output()
-            .expect("launch");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{var}={bad} must fail startup validation"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(var), "{stderr}");
-        assert!(!stderr.contains("panicked"), "{stderr}");
-    }
-    // Valid overrides still run normally.
+fn the_exported_metrics_are_the_ledger_every_message_counted_once() {
+    // `--metrics` writes each rank's ledger: on a run that loses nothing,
+    // every point-to-point send is received in its phase, and every message
+    // on the wire, point-to-point or collective, is one histogram entry.
+    let path = std::env::temp_dir().join(format!("ledger_{}.json", std::process::id()));
     let out = cli()
-        .args(["run", "n=32", "p=2", "c=1", "steps=1"])
-        .env("NBODY_RETRY_TIMEOUT_MS", "2000")
-        .env("NBODY_RETRY_BACKOFF", "1.5")
-        .env("NBODY_RETRY_JITTER", "0.2")
+        .args(["run", "n=256", "p=8", "c=2", "steps=2"])
+        .arg(format!("--metrics={}", path.display()))
         .output()
         .expect("launch");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = nbody_trace::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let snap = nbody_metrics::MetricsSnapshot::from_json(&doc).unwrap();
+    std::fs::remove_file(&path).ok();
+    for phase in nbody_trace::ALL_PHASES {
+        let sum = |name: &str| snap.sum_counter(name, Some(phase));
+        for (sent, received) in [
+            ("comm_send_messages", "comm_recv_messages"),
+            ("comm_send_elements", "comm_recv_elements"),
+            ("comm_send_bytes", "comm_recv_bytes"),
+        ] {
+            assert_eq!(sum(sent), sum(received), "{phase:?} {sent}");
+        }
+        let bucketed: u64 = snap
+            .ranks
+            .iter()
+            .filter_map(|r| r.histogram("comm_message_size_bytes", Some(phase)))
+            .map(|h| h.count())
+            .sum();
+        let on_wire = sum("comm_send_messages") + sum("comm_collective_messages");
+        assert_eq!(bucketed, on_wire, "{phase:?}");
+    }
+    let shift = Some(nbody_trace::Phase::Shift);
+    let shifted = snap.sum_counter("comm_recv_messages", shift);
+    assert!(shifted > 0, "the run shifts");
 }
 
 #[test]
