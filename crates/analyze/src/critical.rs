@@ -54,9 +54,7 @@ pub fn critical_path(trace: &ExecutionTrace) -> Vec<StepCritical> {
     for s in &trace.spans {
         if let SpanKind::Driver { name, step } = &s.kind {
             if name == "step" {
-                let w = windows
-                    .entry((*step, s.rank))
-                    .or_insert((s.start, s.end));
+                let w = windows.entry((*step, s.rank)).or_insert((s.start, s.end));
                 w.0 = w.0.min(s.start);
                 w.1 = w.1.max(s.end);
             }
@@ -114,11 +112,8 @@ pub fn critical_path(trace: &ExecutionTrace) -> Vec<StepCritical> {
                 SpanKind::Driver { .. } => {}
             }
         }
-        let argmax = |m: &BTreeMap<u32, f64>| {
-            m.iter()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(k, _)| *k)
-        };
+        let argmax =
+            |m: &BTreeMap<u32, f64>| m.iter().max_by(|a, b| a.1.total_cmp(b.1)).map(|(k, _)| *k);
         out.push(StepCritical {
             step,
             makespan_secs: crit_end - first_start,

@@ -49,9 +49,7 @@ pub fn grid_heatmap(
 ) -> Result<GridHeatmap, String> {
     let p = trace.ranks;
     if c == 0 || p == 0 || !p.is_multiple_of(c) {
-        return Err(format!(
-            "cannot arrange {p} ranks on a grid with c={c}"
-        ));
+        return Err(format!("cannot arrange {p} ranks on a grid with c={c}"));
     }
     let mut send_bytes = vec![0u64; p];
     let mut recv_bytes = vec![0u64; p];

@@ -76,10 +76,7 @@ impl RunSummary {
     /// deliberately *not* part of the key: comparing across revisions is
     /// the point of the store.
     pub fn same_config(&self, other: &RunSummary) -> bool {
-        self.n == other.n
-            && self.p == other.p
-            && self.c == other.c
-            && self.kernel == other.kernel
+        self.n == other.n && self.p == other.p && self.c == other.c && self.kernel == other.kernel
     }
 
     /// Serialize to a JSON object.

@@ -65,10 +65,7 @@ pub fn phase_imbalance(trace: &ExecutionTrace) -> Vec<PhaseImbalance> {
 /// perfectly balanced trace. This is the single scalar persisted to the
 /// run history.
 pub fn max_imbalance_factor(imbalance: &[PhaseImbalance]) -> f64 {
-    imbalance
-        .iter()
-        .map(|i| i.factor)
-        .fold(1.0, f64::max)
+    imbalance.iter().map(|i| i.factor).fold(1.0, f64::max)
 }
 
 #[cfg(test)]

@@ -45,9 +45,7 @@ pub mod wire;
 pub use critical::{critical_path, StepCritical};
 pub use health::{health_json, render_health};
 pub use heatmap::{grid_heatmap, GridHeatmap};
-pub use history::{
-    check_regression, parse_history, RegressionReport, RunSummary, Verdict,
-};
+pub use history::{check_regression, parse_history, RegressionReport, RunSummary, Verdict};
 pub use imbalance::{max_imbalance_factor, phase_imbalance, PhaseImbalance};
 pub use report::{
     render_csv, render_drift, render_heatmap, render_json, render_regression, render_table,
@@ -96,11 +94,7 @@ impl Analysis {
 /// Diagnose one execution. `metrics` feeds the traffic heat-map (pass
 /// `None` when the run was traced without `--metrics`); `c` is the
 /// replication factor used to arrange ranks on the grid.
-pub fn analyze(
-    trace: &ExecutionTrace,
-    metrics: Option<&MetricsSnapshot>,
-    c: usize,
-) -> Analysis {
+pub fn analyze(trace: &ExecutionTrace, metrics: Option<&MetricsSnapshot>, c: usize) -> Analysis {
     let steps = critical_path(trace);
     let imbalance = phase_imbalance(trace);
     let stragglers = rank_stragglers(trace, &steps, metrics);

@@ -141,10 +141,7 @@ fn render_plane<T: Copy>(
 /// The three grid planes (send bytes, recv bytes, wait seconds) as text,
 /// teams across, replication rows down.
 pub fn render_heatmap(h: &GridHeatmap) -> String {
-    let mut out = format!(
-        "grid heat-map ({} teams x c = {} rows)\n",
-        h.teams, h.c
-    );
+    let mut out = format!("grid heat-map ({} teams x c = {} rows)\n", h.teams, h.c);
     render_plane(&mut out, h, "sent bytes", &h.send_bytes, |v: u64| {
         v.to_string()
     });
@@ -218,10 +215,7 @@ pub fn render_json(a: &Analysis) -> Json {
         .map(|s| {
             Json::Obj(vec![
                 ("rank".into(), Json::Num(s.rank as f64)),
-                (
-                    "times_critical".into(),
-                    Json::Num(s.times_critical as f64),
-                ),
+                ("times_critical".into(), Json::Num(s.times_critical as f64)),
                 ("caused_wait_secs".into(), Json::Num(s.caused_wait_secs)),
                 ("own_blocked_secs".into(), Json::Num(s.own_blocked_secs)),
                 ("compute_gflops".into(), Json::Num(s.compute_gflops)),
@@ -431,9 +425,15 @@ mod tests {
     #[test]
     fn drift_report_flags_a_step_function() {
         let text = render_drift(&drift_timeline(Some(30)), &DriftConfig::default());
-        assert!(text.contains("timeline drift (2 ranks, 120 step samples"), "{text}");
+        assert!(
+            text.contains("timeline drift (2 ranks, 120 step samples"),
+            "{text}"
+        );
         assert!(text.contains("imbalance"), "{text}");
-        assert!(text.contains("30-"), "window starts at the transition: {text}");
+        assert!(
+            text.contains("30-"),
+            "window starts at the transition: {text}"
+        );
         assert!(!text.contains("no drift flagged"), "{text}");
     }
 

@@ -188,7 +188,10 @@ mod tests {
             detail: "test n=8 p=2".into(),
         };
         let text = render_conformance(&check_conformance(&exp, &sample_log(), &[]));
-        assert!(text.contains("schedule conformance: test n=8 p=2"), "{text}");
+        assert!(
+            text.contains("schedule conformance: test n=8 p=2"),
+            "{text}"
+        );
         assert!(text.contains("no violations"), "{text}");
         assert!(text.contains("verdict: PASS"), "{text}");
     }
@@ -226,7 +229,10 @@ mod tests {
         }];
         let text = render_conformance(&check_conformance(&exp, &sample_log(), &faults));
         assert!(text.contains("fault_drop:rank2@step0"), "{text}");
-        assert!(text.contains("1 explained by the fault plan, 0 unexplained"), "{text}");
+        assert!(
+            text.contains("1 explained by the fault plan, 0 unexplained"),
+            "{text}"
+        );
         assert!(text.contains("verdict: PASS"), "{text}");
     }
 }

@@ -78,7 +78,10 @@ fn collective_saturation() {
     ideal.coll_saturation = 0.0;
     let mut best_sat = (0usize, f64::INFINITY);
     let mut best_ideal = (0usize, f64::INFINITY);
-    println!("{:>6} {:>16} {:>16}", "c", "saturating (s)", "ideal-log (s)");
+    println!(
+        "{:>6} {:>16} {:>16}",
+        "c", "saturating (s)", "ideal-log (s)"
+    );
     for c in [1usize, 2, 4, 8, 16, 32] {
         if p % (c * c) != 0 {
             continue;
@@ -125,7 +128,10 @@ fn window_constraint() {
     println!("=== Ablation 4: cutoff makespan as c approaches the window bound ===");
     let p = 4096;
     let n = 32768;
-    println!("{:>6} {:>8} {:>8} {:>14}", "c", "teams", "W", "makespan (s)");
+    println!(
+        "{:>6} {:>8} {:>8} {:>14}",
+        "c", "teams", "W", "makespan (s)"
+    );
     for c in [1usize, 2, 4, 8, 16, 32, 64] {
         // r_c = l/4 spans m = teams/4 + 1 slabs.
         let teams = p / c;
@@ -248,8 +254,8 @@ fn report_dim(
 ) {
     let grid = params.grid;
     let rep = simulate(machine, grid.p(), |r| params.program(r));
-    let shift_msgs = ca_nbody::schedule::count_ops(params.program(grid.teams() / 2))
-        .sends[Phase::Shift.index()];
+    let shift_msgs =
+        ca_nbody::schedule::count_ops(params.program(grid.teams() / 2)).sends[Phase::Shift.index()];
     println!(
         "{:>4} {:>6} {:>10} {:>14} {:>14.6}",
         dim,
@@ -273,7 +279,10 @@ fn sent_ahead(ops: impl Iterator<Item = Op>) -> impl Iterator<Item = Op> {
             held = ops.next();
         }
         match ops.peek() {
-            Some(Op::Send { phase: Phase::Shift, .. }) => ops.next(),
+            Some(Op::Send {
+                phase: Phase::Shift,
+                ..
+            }) => ops.next(),
             _ => held.take().or_else(|| ops.next()),
         }
     })
@@ -304,7 +313,10 @@ fn send_ahead() {
             ahead,
             100.0 * gain
         );
-        assert!(ahead <= blocking, "forwarding before computing can only help");
+        assert!(
+            ahead <= blocking,
+            "forwarding before computing can only help"
+        );
         assert!(gain <= last_gain, "the gain shrinks as replication grows");
         last_gain = gain;
     }

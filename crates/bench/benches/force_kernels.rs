@@ -245,10 +245,10 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     ca_nbody::kernel::cell_order(&mut cell_ordered, &lj, &domain);
     let unculled = HideCutoff(lj);
     let (d, b) = (&domain, Boundary::Periodic);
-    let cull_row = |group: &mut BenchmarkGroup<'_>,
-                    name: &str,
-                    targets: &[Particle],
-                    sources: &[Particle]| cull_row_under(group, name, lj, targets, sources, d, b);
+    let cull_row =
+        |group: &mut BenchmarkGroup<'_>, name: &str, targets: &[Particle], sources: &[Particle]| {
+            cull_row_under(group, name, lj, targets, sources, d, b)
+        };
     for (order, block) in [
         ("lattice_id", &by_id),
         ("shuffled", &shuffled),
@@ -293,9 +293,25 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     // and under a law with no arithmetic, which prices what is not the law:
     // the box tests, the displacement and the range test.
     let walls = Boundary::Reflective;
-    cull_row_under(group, "cull_cell_order_thermalised_reflective", lj, &own, &own, d, walls);
+    cull_row_under(
+        group,
+        "cull_cell_order_thermalised_reflective",
+        lj,
+        &own,
+        &own,
+        d,
+        walls,
+    );
     let counting = Cutoff::new(Counting, 2.5);
-    cull_row_under(group, "cull_cell_order_thermalised_counting", counting, &own, &own, d, b);
+    cull_row_under(
+        group,
+        "cull_cell_order_thermalised_counting",
+        counting,
+        &own,
+        &own,
+        d,
+        b,
+    );
     // What the ordering costs a leader per step, by what it is handed: the
     // id order of a first step, last step's cell order after one step's
     // drift (dt = 0.005 at T = 0.5, the benchmark's), and the same with the

@@ -40,10 +40,7 @@ fn panel(
 /// Derived claims: communication reduction, best-vs-max-c gap, and the
 /// comm-avoidance speedup (§III.C, §V).
 fn headlines(rows: &[FigRow]) {
-    let ca_rows: Vec<&FigRow> = rows
-        .iter()
-        .filter(|r| !r.label.contains("tree"))
-        .collect();
+    let ca_rows: Vec<&FigRow> = rows.iter().filter(|r| !r.label.contains("tree")).collect();
     let Some(c1) = ca_rows.first() else { return };
     let best = ca_rows
         .iter()

@@ -26,7 +26,10 @@ fn panel(name: &str, csv: &str, machine: &Machine, dim: u32, n: usize, ps: &[usi
         })
         .collect();
     emit_efficiency(
-        &format!("{name}: {dim}D cutoff, {} particles, rc=l/4 on {}", n, machine.name),
+        &format!(
+            "{name}: {dim}D cutoff, {} particles, rc=l/4 on {}",
+            n, machine.name
+        ),
         csv,
         ps,
         cs,

@@ -4,9 +4,7 @@
 //! the paper's experimental parameters plugged in.
 
 use nbody_bench::write_csv;
-use nbody_model::{
-    bounds, costs, efficiency::ModelParams, memory_per_proc, optimality_ratio,
-};
+use nbody_model::{bounds, costs, efficiency::ModelParams, memory_per_proc, optimality_ratio};
 use std::fmt::Write as _;
 
 fn main() {
@@ -91,7 +89,10 @@ fn decomposition_comparison() {
         ("particle (§II.B)", costs::particle_decomposition(n, p)),
         ("force (§II.B)", costs::force_decomposition(n, p)),
         ("spatial (§II.C)", costs::spatial_decomposition(n, p, m, 3)),
-        ("neutral-territory (§II.D)", costs::neutral_territory(n, p, m, 3)),
+        (
+            "neutral-territory (§II.D)",
+            costs::neutral_territory(n, p, m, 3),
+        ),
         ("CA c=4 (Eq. 5)", costs::ca_all_pairs(n, p, 4)),
         ("CA c=16 (Eq. 5)", costs::ca_all_pairs(n, p, 16)),
     ];
@@ -114,17 +115,15 @@ fn strong_scaling_prediction() {
         gamma: 4.0e-8,
     };
     println!("=== Closed-form strong scaling (Fig. 3a cross-check) ===");
-    println!("{:>8} {:>10} {:>10} {:>10}", "cores", "e(c=1)", "e(c=4)", "e(c=16)");
+    println!(
+        "{:>8} {:>10} {:>10} {:>10}",
+        "cores", "e(c=1)", "e(c=4)", "e(c=16)"
+    );
     let serial = mp.gamma * n as f64 * n as f64;
     let mut csv = String::from("cores,e_c1,e_c4,e_c16\n");
     for p in [1_536u64, 3_072, 6_144, 12_288, 24_576] {
-        let e = |c: u64| {
-            nbody_model::efficiency(
-                serial,
-                p,
-                nbody_model::time_all_pairs(mp, n, p, c),
-            )
-        };
+        let e =
+            |c: u64| nbody_model::efficiency(serial, p, nbody_model::time_all_pairs(mp, n, p, c));
         println!("{:>8} {:>10.3} {:>10.3} {:>10.3}", p, e(1), e(4), e(16));
         let _ = writeln!(csv, "{p},{},{},{}", e(1), e(4), e(16));
     }

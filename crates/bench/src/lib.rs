@@ -18,9 +18,9 @@ use ca_nbody::schedule::{AllPairsParams, AllgatherParams};
 use ca_nbody::{Layout, Method, ProcGrid};
 use nbody_comm::Phase;
 use nbody_netsim::{simulate, CollNet, Machine, SimReport};
-use nbody_trace::schema::{breakdown_csv, breakdown_json, BreakdownRow};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{init, Boundary, Domain};
+use nbody_trace::schema::{breakdown_csv, breakdown_json, BreakdownRow};
 
 /// One data point of a breakdown figure (a stacked bar of Fig. 2/6).
 #[derive(Debug, Clone)]
@@ -101,7 +101,11 @@ pub fn run_allgather_point(machine: &Machine, p: usize, n: usize, tree: bool) ->
     let params = AllgatherParams {
         p,
         n,
-        net: if tree { CollNet::HwTree } else { CollNet::Torus },
+        net: if tree {
+            CollNet::HwTree
+        } else {
+            CollNet::Torus
+        },
     };
     let rep = simulate(machine, p, |r| params.program(r));
     let label = if tree { "c=1 (tree)" } else { "c=1 (no-tree)" };
@@ -146,7 +150,11 @@ pub fn run_cutoff_point(
     };
     // The twin knows whom the leaders re-assign with; what moves is modelled.
     let mut params = layout.schedule(sizes);
-    params.reassign.as_mut().expect("the cutoff methods re-assign").bytes = migrating;
+    params
+        .reassign
+        .as_mut()
+        .expect("the cutoff methods re-assign")
+        .bytes = migrating;
     let rep = simulate(machine, p, |r| params.program(r));
     Some(FigRow::from_report(format!("c={c}"), &rep))
 }
@@ -373,7 +381,10 @@ mod tests {
 
     #[test]
     fn valid_cs_filter() {
-        assert_eq!(valid_all_pairs_cs(64, &[1, 2, 3, 4, 8, 16]), vec![1, 2, 4, 8]);
+        assert_eq!(
+            valid_all_pairs_cs(64, &[1, 2, 3, 4, 8, 16]),
+            vec![1, 2, 4, 8]
+        );
     }
 
     #[test]

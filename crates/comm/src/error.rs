@@ -81,21 +81,29 @@ impl fmt::Display for CommError {
                  protocol deadlock or dead peer?"
             ),
             CommError::PeerDead { rank } => {
-                write!(f, "rank {rank} is dead; no point-to-point progress possible")
+                write!(
+                    f,
+                    "rank {rank} is dead; no point-to-point progress possible"
+                )
             }
-            CommError::TagMismatch { src, expected, got } => write!(
-                f,
-                "expected tag {expected} from rank {src}, got {got}"
-            ),
-            CommError::TypeMismatch { src, tag } => write!(
-                f,
-                "payload type mismatch from rank {src} (tag {tag})"
-            ),
+            CommError::TagMismatch { src, expected, got } => {
+                write!(f, "expected tag {expected} from rank {src}, got {got}")
+            }
+            CommError::TypeMismatch { src, tag } => {
+                write!(f, "payload type mismatch from rank {src} (tag {tag})")
+            }
             CommError::InvalidRank { rank, size } => {
-                write!(f, "rank {rank} out of range for communicator of size {size}")
+                write!(
+                    f,
+                    "rank {rank} out of range for communicator of size {size}"
+                )
             }
             CommError::FabricClosed => write!(f, "fabric closed while operating"),
-            CommError::StateCorrupt { rank, expected, got } => write!(
+            CommError::StateCorrupt {
+                rank,
+                expected,
+                got,
+            } => write!(
                 f,
                 "rank {rank} replica state is corrupt: fingerprint {got:016x} \
                  disagrees with column majority {expected:016x}"
@@ -121,25 +129,32 @@ mod tests {
         assert!(s.contains("rank 3"), "{s}");
         assert!(s.contains("tag 7"), "{s}");
         assert!(s.contains("timed out"), "{s}");
-        assert!(CommError::FabricClosed.to_string().contains("fabric closed"));
-        assert!(CommError::PeerDead { rank: 1 }.to_string().contains("rank 1"));
-        assert!(
-            CommError::TagMismatch { src: 0, expected: 2, got: 9 }
-                .to_string()
-                .contains("expected tag 2")
-        );
-        assert!(
-            CommError::InvalidRank { rank: 9, size: 4 }
-                .to_string()
-                .contains("size 4")
-        );
+        assert!(CommError::FabricClosed
+            .to_string()
+            .contains("fabric closed"));
+        assert!(CommError::PeerDead { rank: 1 }
+            .to_string()
+            .contains("rank 1"));
+        assert!(CommError::TagMismatch {
+            src: 0,
+            expected: 2,
+            got: 9
+        }
+        .to_string()
+        .contains("expected tag 2"));
+        assert!(CommError::InvalidRank { rank: 9, size: 4 }
+            .to_string()
+            .contains("size 4"));
         let s = CommError::StateCorrupt {
             rank: 5,
             expected: 0xdead,
             got: 0xbeef,
         }
         .to_string();
-        assert!(s.contains("rank 5") && s.contains("000000000000dead"), "{s}");
+        assert!(
+            s.contains("rank 5") && s.contains("000000000000dead"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub use chaos::{
 };
 pub use communicator::{sum_combine, CommData, Communicator};
 pub use error::CommError;
-pub use stats::{CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
-pub use thread_comm::{run_ranks, run_ranks_with, validate_env, Artifacts, Lenses, ThreadComm};
 pub use nbody_metrics::{MetricsRecorder, MetricsSnapshot, RankMetrics};
 pub use nbody_timeline::{
     EventKind, FlightEvent, RankTimeline, RunTimeline, StepSample, TimelineRecorder,
@@ -38,3 +36,5 @@ pub use nbody_wireprobe::{
     ExpectedSchedule, FaultNote, LatencySummary, MsgEvent, ProbeKind, ProbeRecorder, RankWireLog,
     Violation, ViolationKind, WireLog, WireReport, ALL_PROBE_KINDS, WIRE_SCHEMA,
 };
+pub use stats::{CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
+pub use thread_comm::{run_ranks, run_ranks_with, validate_env, Artifacts, Lenses, ThreadComm};

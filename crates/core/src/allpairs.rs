@@ -110,17 +110,21 @@ mod tests {
     #[test]
     fn counting_exact_across_grids() {
         // Every particle must see exactly n-1 sources, for every valid (p, c).
-        for (p, c) in [(1, 1), (2, 1), (4, 1), (4, 2), (8, 2), (9, 3), (16, 2), (16, 4)] {
+        for (p, c) in [
+            (1, 1),
+            (2, 1),
+            (4, 1),
+            (4, 2),
+            (8, 2),
+            (9, 3),
+            (16, 2),
+            (16, 4),
+        ] {
             for n in [16, 23] {
                 let got = run_ca(p, c, n, 42, Counting);
                 assert_eq!(got.len(), n);
                 for q in &got {
-                    assert_eq!(
-                        q.force.x,
-                        (n - 1) as f64,
-                        "p={p} c={c} n={n} id={}",
-                        q.id
-                    );
+                    assert_eq!(q.force.x, (n - 1) as f64, "p={p} c={c} n={n} id={}", q.id);
                     assert_eq!(q.force.y, 0.0);
                 }
             }

@@ -195,7 +195,14 @@ mod symmetric_ring_tests {
     fn symmetric_ring_matches_serial() {
         let domain = Domain::unit();
         let law = RepulsiveInverseSquare::default();
-        for (p, n) in [(2usize, 10usize), (3, 15), (4, 16), (5, 21), (8, 24), (7, 23)] {
+        for (p, n) in [
+            (2usize, 10usize),
+            (3, 15),
+            (4, 16),
+            (5, 21),
+            (8, 24),
+            (7, 23),
+        ] {
             let mut want = init::uniform(n, &domain, 77);
             reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
             let got = run_symmetric(p, n, 77);
@@ -236,13 +243,7 @@ mod symmetric_ring_tests {
         run_ranks(2, |world| {
             let all = init::uniform(4, &domain, 1);
             let mut my = id_block_subset(&all, 2, world.rank());
-            particle_ring_symmetric_forces(
-                world,
-                &mut my,
-                &Counting,
-                &domain,
-                Boundary::Open,
-            );
+            particle_ring_symmetric_forces(world, &mut my, &Counting, &domain, Boundary::Open);
         });
     }
 

@@ -335,9 +335,10 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     // The paper's M = cn/p replicated working set (owned block + exchange
     // buffer + home copy): the memory the Eq. 2/3 bounds are evaluated
     // against.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (st.len() + exch.len() + home.len()) as u64);
+    gc.col.metrics().gauge_max(
+        "mem_particles_hwm",
+        (st.len() + exch.len() + home.len()) as u64,
+    );
 
     // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
     // the trace carry the step, so an analyzer can place every wait in the

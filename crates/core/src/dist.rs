@@ -120,10 +120,7 @@ mod tests {
                 sizes.push(r.len());
             }
             assert_eq!(covered, n, "n={n} teams={teams}");
-            let (lo, hi) = (
-                sizes.iter().min().unwrap(),
-                sizes.iter().max().unwrap(),
-            );
+            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(hi - lo <= 1, "balanced: {sizes:?}");
         }
     }

@@ -213,10 +213,7 @@ mod tests {
 
     #[test]
     fn invalid_factors_rejected() {
-        assert_eq!(
-            ProcGrid::new(8, 0),
-            Err(GridError::ZeroReplication)
-        );
+        assert_eq!(ProcGrid::new(8, 0), Err(GridError::ZeroReplication));
         assert_eq!(
             ProcGrid::new(8, 3),
             Err(GridError::ReplicationDoesNotDivide { p: 8, c: 3 })

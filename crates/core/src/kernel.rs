@@ -212,7 +212,9 @@ impl Cull {
         };
         let gap = match image {
             Some(k) => gap(k),
-            None => gap(Vec2::zero()).min(gap(self.period)).min(gap(-self.period)),
+            None => gap(Vec2::zero())
+                .min(gap(self.period))
+                .min(gap(-self.period)),
         };
         gap.norm_sq().lanes_gt(F64x2::splat(self.limit)).all()
     }
@@ -307,7 +309,15 @@ pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain)
         // `as i64` saturates and sends NaN to 0: any position gets some cell.
         let cell = (p.pos - domain.min) / r_c;
         let (row, col) = (cell.y.floor() as i64, cell.x.floor() as i64);
-        (row, if row % 2 == 0 { col } else { col.saturating_neg() }, p.id)
+        (
+            row,
+            if row % 2 == 0 {
+                col
+            } else {
+                col.saturating_neg()
+            },
+            p.id,
+        )
     };
     CELL_KEYS.with_borrow_mut(|keys| {
         keys.clear();
@@ -403,7 +413,12 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
             // values nothing else can alias. The padding lane of an odd tail
             // duplicates lane 0 and is only ever carried, never evaluated.
             let (t0, t1) = (pair[0], pair[pair.len() - 1]);
-            let lanes = Lanes { pair, t0, t1, pos: Vec2x2::new(t0.pos, t1.pos) };
+            let lanes = Lanes {
+                pair,
+                t0,
+                t1,
+                pos: Vec2x2::new(t0.pos, t1.pos),
+            };
             let mut acc = Vec2x2::new(t0.force, t1.force);
             let per_pair = (
                 |t, s| boundary.displacement(domain, t, s),
@@ -465,13 +480,21 @@ struct Lanes<'a> {
 /// (DESIGN.md §14.8 has what a flag read inside one shared loop cost).
 #[inline(always)]
 fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
-    &Lanes { pair, ref t0, ref t1, pos }: &Lanes,
+    &Lanes {
+        pair,
+        ref t0,
+        ref t1,
+        pos,
+    }: &Lanes,
     mut acc: Vec2x2,
     sources: &[S],
     law: &F,
     harvest: &mut H,
     skipped: &mut u64,
-    (one, two): (impl Fn(Vec2, Vec2) -> Vec2, impl Fn(Vec2x2, Vec2x2) -> Vec2x2),
+    (one, two): (
+        impl Fn(Vec2, Vec2) -> Vec2,
+        impl Fn(Vec2x2, Vec2x2) -> Vec2x2,
+    ),
 ) -> Vec2x2 {
     let full = pair.len() == 2;
     for s in sources {
@@ -683,12 +706,7 @@ impl ComputeMeter {
     /// `targets` x `sources` block pair and record the resulting stats. A
     /// disabled recorder has nowhere to put a time, so the clock is not read
     /// and the returned `nanos` is 0.
-    pub fn time(
-        &self,
-        targets: usize,
-        sources: usize,
-        run: impl FnOnce() -> u64,
-    ) -> ComputeStats {
+    pub fn time(&self, targets: usize, sources: usize, run: impl FnOnce() -> u64) -> ComputeStats {
         let start = self.enabled.then(Instant::now);
         let evals = run();
         let nanos = start.map_or(0, |at| at.elapsed().as_nanos() as u64);
@@ -696,13 +714,7 @@ impl ComputeMeter {
     }
 
     /// Record an already-timed kernel call.
-    pub fn record(
-        &self,
-        evals: u64,
-        targets: usize,
-        sources: usize,
-        nanos: u64,
-    ) -> ComputeStats {
+    pub fn record(&self, evals: u64, targets: usize, sources: usize, nanos: u64) -> ComputeStats {
         let stats =
             ComputeStats::for_block(evals, self.flops_per_interaction, targets, sources, nanos);
         self.interactions.add(stats.interactions);
@@ -737,7 +749,10 @@ mod tests {
     fn potential_variant_matches_plain_kernel_and_pair_sum() {
         use nbody_physics::Gravity;
         let domain = Domain::unit();
-        let law = Gravity { g: 1e-3, softening: 0.05 };
+        let law = Gravity {
+            g: 1e-3,
+            softening: 0.05,
+        };
         let mut a = init::uniform(24, &domain, 5);
         let mut b = a.clone();
         let sources = a.clone();
@@ -809,7 +824,10 @@ mod tests {
             let plane = (cull.chunks[0], cull.groups[0]);
             assert_eq!(plane.0, plane.1);
             for (b, of) in [(&plane.0, (t, t)), (&plane.0, plane.0), (&patch, plane.0)] {
-                assert!(!cull.beyond(b, Vec2x2::splat(of.0), Vec2x2::splat(of.1), None), "{bad}");
+                assert!(
+                    !cull.beyond(b, Vec2x2::splat(of.0), Vec2x2::splat(of.1), None),
+                    "{bad}"
+                );
             }
             // So a tile with such a target rules nothing out, far as the
             // finite ones are from everything.
@@ -945,7 +963,10 @@ mod tests {
             assert_all_rejected(&law, &d, &targets, &sources);
         }
         // Not vacuous under any boundary, for points or for boxes.
-        assert!(passed_over.iter().flatten().all(|&n| n > 200), "{passed_over:?}");
+        assert!(
+            passed_over.iter().flatten().all(|&n| n > 200),
+            "{passed_over:?}"
+        );
     }
 
     /// The soundness of the image, over the same draws: whenever
@@ -1006,9 +1027,14 @@ mod tests {
         let [open, reflective, periodic] = settled;
         assert!(periodic.iter().flatten().all(|&n| n > 100), "{settled:?}");
         for walls in [open, reflective] {
-            assert!(walls.iter().all(|&[none, down, up]| none > 1000 && down + up == 0));
+            assert!(walls
+                .iter()
+                .all(|&[none, down, up]| none > 1000 && down + up == 0));
         }
-        assert!(passed_over.iter().flatten().all(|&n| n > 200), "{passed_over:?}");
+        assert!(
+            passed_over.iter().flatten().all(|&n| n > 200),
+            "{passed_over:?}"
+        );
     }
 
     #[test]
@@ -1064,7 +1090,9 @@ mod tests {
         let mut lattice = init::lattice(n, &domain);
         init::thermalize(&mut lattice, 0.5, 42);
         for p in &mut lattice {
-            p.pos = Boundary::Periodic.apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel).0;
+            p.pos = Boundary::Periodic
+                .apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel)
+                .0;
         }
         let slab = |team: usize| {
             let mut block = crate::dist::spatial_subset_1d(&lattice, &domain, 4, team);
@@ -1151,7 +1179,9 @@ mod tests {
         for p in block.iter_mut().step_by(57) {
             p.pos = Vec2::new(p.pos.y, p.pos.x);
         }
-        block.extend((400..403).map(|id| Particle::at(id, Vec2::new(0.05, 0.11 * (id - 399) as f64))));
+        block.extend(
+            (400..403).map(|id| Particle::at(id, Vec2::new(0.05, 0.11 * (id - 399) as f64))),
+        );
         let want = sorted(&block);
         assert_ne!(block, want);
         cell_order(&mut block, &law, &domain);
@@ -1186,10 +1216,7 @@ mod tests {
         let huge = 1usize << 33;
         assert_eq!(block_interactions(huge, huge, false), u64::MAX);
         // The self-pair subtraction still applies to the clamped product.
-        assert_eq!(
-            block_interactions(huge, huge, true),
-            u64::MAX - huge as u64
-        );
+        assert_eq!(block_interactions(huge, huge, true), u64::MAX - huge as u64);
         // Exactly at the boundary: 2^32 * 2^32 = 2^64 saturates ...
         let edge = 1usize << 32;
         assert_eq!(block_interactions(edge, edge, false), u64::MAX);

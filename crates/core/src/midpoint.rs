@@ -117,8 +117,7 @@ pub fn midpoint_forces<C: Communicator, W: Window, F: ForceLaw>(
             q.force += *f;
         }
     }
-    let mut by_id: HashMap<u64, usize> =
-        my.iter().enumerate().map(|(i, q)| (q.id, i)).collect();
+    let mut by_id: HashMap<u64, usize> = my.iter().enumerate().map(|(i, q)| (q.id, i)).collect();
     for j in 1..window.len() {
         if let Some(src) = window.apply(me, j) {
             for (id, f) in world.recv::<(u64, Vec2)>(src, TAG_RETURN + j as u64) {
@@ -134,7 +133,9 @@ pub fn midpoint_forces<C: Communicator, W: Window, F: ForceLaw>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy};
+    use crate::dist::{
+        spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy,
+    };
     use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
     use nbody_physics::{init, reference, Counting, Cutoff};

@@ -114,12 +114,18 @@ mod tests {
         });
         let mut ids: Vec<u64> = Vec::new();
         for (team, (st, sent)) in out.iter().enumerate() {
-            assert!(st.iter().all(|p| team_of_x(&domain, teams, p.pos.x) == team));
+            assert!(st
+                .iter()
+                .all(|p| team_of_x(&domain, teams, p.pos.x) == team));
             assert_eq!(*sent, (teams - 1) as u64);
             ids.extend(st.iter().map(|p| p.id));
         }
         ids.sort_unstable();
-        assert_eq!(ids, (0..n as u64).collect::<Vec<_>>(), "nobody lost or doubled");
+        assert_eq!(
+            ids,
+            (0..n as u64).collect::<Vec<_>>(),
+            "nobody lost or doubled"
+        );
     }
 
     #[test]

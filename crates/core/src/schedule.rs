@@ -334,10 +334,10 @@ mod tests {
     fn all_pairs_shift_bytes_scale_inversely_with_c() {
         // W_ca = O(n/c): per-rank shift bytes with c=4 should be ~1/4 of c=1.
         let n = 256;
-        let b1 = count_ops(AllPairsParams::new(16, 1, n).program(0)).send_bytes
-            [Phase::Shift.index()];
-        let b4 = count_ops(AllPairsParams::new(16, 4, n).program(0)).send_bytes
-            [Phase::Shift.index()];
+        let b1 =
+            count_ops(AllPairsParams::new(16, 1, n).program(0)).send_bytes[Phase::Shift.index()];
+        let b4 =
+            count_ops(AllPairsParams::new(16, 4, n).program(0)).send_bytes[Phase::Shift.index()];
         assert_eq!(b1, 4 * b4);
     }
 
@@ -405,11 +405,7 @@ mod tests {
             } else {
                 0
             };
-            assert_eq!(
-                counts.sends[Phase::Reassign.index()],
-                expect,
-                "rank {rank}"
-            );
+            assert_eq!(counts.sends[Phase::Reassign.index()], expect, "rank {rank}");
         }
     }
 

@@ -601,9 +601,12 @@ mod neighbour_tests {
             let hood = TeamWindow::neighbours(dims, wraps);
             assert_eq!(hood.teams(), want.len());
             for (team, &n) in want.iter().enumerate() {
-                let to: Vec<usize> = (1..hood.len()).filter_map(|j| hood.apply(team, j)).collect();
-                let from: HashSet<usize> =
-                    (1..hood.len()).filter_map(|j| hood.apply_back(team, j)).collect();
+                let to: Vec<usize> = (1..hood.len())
+                    .filter_map(|j| hood.apply(team, j))
+                    .collect();
+                let from: HashSet<usize> = (1..hood.len())
+                    .filter_map(|j| hood.apply_back(team, j))
+                    .collect();
                 let distinct: HashSet<usize> = to.iter().copied().collect();
                 assert_eq!((to.len(), distinct.len()), (n, n), "{dims:?} team {team}");
                 assert!(!distinct.contains(&team));

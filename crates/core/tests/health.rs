@@ -64,7 +64,10 @@ fn clean_all_pairs_run_reports_clean_invariants() {
     );
     let (run, report) = res.expect("clean run succeeds");
     assert_eq!(run.particles.len(), 48);
-    assert!(report.is_clean(), "no sentinel events or mismatches: {report:?}");
+    assert!(
+        report.is_clean(),
+        "no sentinel events or mismatches: {report:?}"
+    );
     assert_eq!(report.steps_checked, 8);
     assert!(
         report.max_rel_energy_drift < 1e-3,
@@ -76,7 +79,10 @@ fn clean_all_pairs_run_reports_clean_invariants() {
         "open-boundary gravity conserves momentum to rounding, got {}",
         report.max_momentum_norm
     );
-    assert!(report.energy_first < 0.0, "bound system has negative energy");
+    assert!(
+        report.energy_first < 0.0,
+        "bound system has negative energy"
+    );
     // Every rank's timeline carries the reduced series (identical values).
     let energies = timeline.energy_series();
     assert_eq!(energies.steps.len(), 8, "one energy point per checked step");
@@ -140,7 +146,11 @@ fn injected_nan_is_blamed_at_the_seeded_rank_and_step() {
         .find(|e| e.kind == EventKind::NonFinite)
         .expect("blamed rank records a non-finite flight event");
     assert_eq!(ev.step, Some(3));
-    assert!(ev.detail.contains("force"), "blames the force phase: {}", ev.detail);
+    assert!(
+        ev.detail.contains("force"),
+        "blames the force phase: {}",
+        ev.detail
+    );
     assert!(rt.failure.is_some(), "postmortem marker set");
     for rt in &timeline.ranks[1..] {
         assert!(rt.events.iter().all(|e| e.kind != EventKind::NonFinite));
@@ -173,7 +183,9 @@ fn corrupted_replica_is_caught_and_repaired_by_the_cross_check() {
     // The corrupted rank's flight recorder names the disagreement.
     let rt = &timeline.ranks[4];
     assert!(
-        rt.events.iter().any(|e| e.kind == EventKind::ReplicaMismatch),
+        rt.events
+            .iter()
+            .any(|e| e.kind == EventKind::ReplicaMismatch),
         "rank 4 records the fingerprint mismatch"
     );
     // The run still finishes with clean physics afterwards.

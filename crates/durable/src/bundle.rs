@@ -219,8 +219,16 @@ fn vec2_of_json(v: Option<&Json>, field: &'static str) -> Result<Vec2, Checkpoin
     if parts.len() != 2 {
         return Err(CheckpointError::MissingField { field });
     }
-    let x = f64_of_hex(parts[0].as_str().ok_or(CheckpointError::MissingField { field })?)?;
-    let y = f64_of_hex(parts[1].as_str().ok_or(CheckpointError::MissingField { field })?)?;
+    let x = f64_of_hex(
+        parts[0]
+            .as_str()
+            .ok_or(CheckpointError::MissingField { field })?,
+    )?;
+    let y = f64_of_hex(
+        parts[1]
+            .as_str()
+            .ok_or(CheckpointError::MissingField { field })?,
+    )?;
     Ok(Vec2::new(x, y))
 }
 
@@ -264,7 +272,10 @@ impl CheckpointBundle {
             .collect();
         Json::Obj(vec![
             ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-            ("fingerprint".to_string(), Json::Str(self.fingerprint.clone())),
+            (
+                "fingerprint".to_string(),
+                Json::Str(self.fingerprint.clone()),
+            ),
             // u64 counters travel as decimal strings: Json numbers are f64
             // and cannot hold every u64 exactly.
             ("step".to_string(), Json::Str(self.step.to_string())),
@@ -304,7 +315,9 @@ impl CheckpointBundle {
         let fingerprint = v
             .get("fingerprint")
             .and_then(Json::as_str)
-            .ok_or(CheckpointError::MissingField { field: "fingerprint" })?
+            .ok_or(CheckpointError::MissingField {
+                field: "fingerprint",
+            })?
             .to_string();
         let step = v
             .get("step")
@@ -325,7 +338,8 @@ impl CheckpointBundle {
             let team = rb
                 .get("team")
                 .and_then(Json::as_f64)
-                .ok_or(CheckpointError::MissingField { field: "team" })? as usize;
+                .ok_or(CheckpointError::MissingField { field: "team" })?
+                as usize;
             let raw_particles = rb
                 .get("particles")
                 .and_then(Json::as_array)
@@ -508,7 +522,11 @@ mod tests {
 
     #[test]
     fn all_particles_concatenates_and_sorts() {
-        let ids: Vec<u64> = sample_bundle().all_particles().iter().map(|q| q.id).collect();
+        let ids: Vec<u64> = sample_bundle()
+            .all_particles()
+            .iter()
+            .map(|q| q.id)
+            .collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 }

@@ -21,7 +21,10 @@ pub fn checkpoint_path(dir: &Path, step: u64) -> PathBuf {
 /// Atomically persist `bundle` into `dir` (created if absent): the text is
 /// written to a `.tmp` sibling and renamed into place, so readers only ever
 /// observe complete bundles. Returns the final path and the byte count.
-pub fn write_atomic(dir: &Path, bundle: &CheckpointBundle) -> Result<(PathBuf, u64), CheckpointError> {
+pub fn write_atomic(
+    dir: &Path,
+    bundle: &CheckpointBundle,
+) -> Result<(PathBuf, u64), CheckpointError> {
     fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let path = checkpoint_path(dir, bundle.step);
     let tmp = path.with_extension("json.tmp");
@@ -69,10 +72,7 @@ mod tests {
     use nbody_physics::{Particle, Vec2};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nbody-durable-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("nbody-durable-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -136,8 +136,7 @@ impl MetricsSnapshot {
                     ..Histogram::default()
                 };
                 for (i, c) in counts_json.iter().enumerate() {
-                    value.counts[i] =
-                        c.as_f64().ok_or("non-numeric bucket count")? as u64;
+                    value.counts[i] = c.as_f64().ok_or("non-numeric bucket count")? as u64;
                 }
                 rm.histograms.push(Sample {
                     name: s
@@ -295,20 +294,20 @@ impl MetricsSnapshot {
                     let labels = labels.trim_end_matches('}');
                     let (mut rank, mut phase, mut le) = (None, None, None);
                     for pair in labels.split(',').filter(|p| !p.is_empty()) {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err("malformed label"))?;
+                        let (k, v) = pair.split_once('=').ok_or_else(|| err("malformed label"))?;
                         let v = v.trim_matches('"');
                         match k.trim() {
                             "rank" => {
-                                rank = Some(v.parse::<u32>().map_err(|_| {
-                                    err("non-numeric rank label")
-                                })?)
+                                rank = Some(
+                                    v.parse::<u32>()
+                                        .map_err(|_| err("non-numeric rank label"))?,
+                                )
                             }
                             "phase" => {
-                                phase = Some(Phase::from_label(v).ok_or_else(|| {
-                                    err(&format!("unknown phase label {v:?}"))
-                                })?)
+                                phase =
+                                    Some(Phase::from_label(v).ok_or_else(|| {
+                                        err(&format!("unknown phase label {v:?}"))
+                                    })?)
                             }
                             "le" => le = Some(v.to_string()),
                             _ => {} // foreign labels are ignored
@@ -322,7 +321,9 @@ impl MetricsSnapshot {
                 declared_ranks = Some(value as usize);
                 continue;
             }
-            let rank = rank.take().ok_or_else(|| err("sample without a rank label"))?;
+            let rank = rank
+                .take()
+                .ok_or_else(|| err("sample without a rank label"))?;
             ensure_rank(&mut ranks, rank);
             let phase = phase.take();
 
@@ -337,9 +338,7 @@ impl MetricsSnapshot {
                 let idx = if le == "+Inf" {
                     NUM_BUCKETS - 1
                 } else {
-                    let bound = le
-                        .parse::<u64>()
-                        .map_err(|_| err("non-numeric le label"))?;
+                    let bound = le.parse::<u64>().map_err(|_| err("non-numeric le label"))?;
                     BUCKET_BOUNDS
                         .iter()
                         .position(|&b| b == bound)
@@ -389,7 +388,9 @@ impl MetricsSnapshot {
             } else {
                 Some(nbody_trace::ALL_PHASES[phase_idx])
             };
-            ranks[rank as usize].histograms.push(Sample { name, phase, value });
+            ranks[rank as usize]
+                .histograms
+                .push(Sample { name, phase, value });
         }
 
         if let Some(n) = declared_ranks {
@@ -448,7 +449,9 @@ mod tests {
             rank: 1,
             ..RankMetrics::default()
         };
-        MetricsSnapshot { ranks: vec![r0, r1] }
+        MetricsSnapshot {
+            ranks: vec![r0, r1],
+        }
     }
 
     #[test]

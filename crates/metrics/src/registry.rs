@@ -23,17 +23,7 @@ use nbody_trace::Phase;
 /// paper's regimes (single-particle trickles vs. whole-replica shifts)
 /// while keeping the array small enough to merge and export cheaply.
 pub const BUCKET_BOUNDS: [u64; 11] = [
-    64,
-    256,
-    1024,
-    4096,
-    16384,
-    65536,
-    262144,
-    1048576,
-    4194304,
-    16777216,
-    67108864,
+    64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864,
 ];
 
 /// Bucket count of every [`Histogram`]: the bounds plus the +Inf bucket.
@@ -191,7 +181,12 @@ impl MetricsRecorder {
         self.inner.is_some()
     }
 
-    fn find_or_insert(&self, name: &'static str, phase: Option<Phase>, make: fn() -> Slot) -> Option<Slot> {
+    fn find_or_insert(
+        &self,
+        name: &'static str,
+        phase: Option<Phase>,
+        make: fn() -> Slot,
+    ) -> Option<Slot> {
         let inner = self.inner.as_ref()?;
         let mut shard = inner.borrow_mut();
         if let Some(e) = shard

@@ -37,9 +37,9 @@ impl MetricsSnapshot {
 
     /// Whether any rank recorded anything.
     pub fn is_empty(&self) -> bool {
-        self.ranks.iter().all(|r| {
-            r.counters.is_empty() && r.gauges.is_empty() && r.histograms.is_empty()
-        })
+        self.ranks
+            .iter()
+            .all(|r| r.counters.is_empty() && r.gauges.is_empty() && r.histograms.is_empty())
     }
 
     /// Aggregate across ranks: counters sum, gauges take the max,

@@ -75,7 +75,10 @@ pub fn ca_cutoff_1d(n: u64, p: u64, c: u64, m: u64) -> CommCost {
 /// sweeps certify communication-optimality (tests below and in
 /// `tests/optimality.rs`).
 pub fn optimality_ratio(cost: CommCost, s_bound: f64, w_bound: f64) -> (f64, f64) {
-    (cost.messages / s_bound.max(1e-300), cost.words / w_bound.max(1e-300))
+    (
+        cost.messages / s_bound.max(1e-300),
+        cost.words / w_bound.max(1e-300),
+    )
 }
 
 #[cfg(test)]
@@ -131,11 +134,7 @@ mod tests {
             let k = k_cutoff_1d(n, rc_over_l);
             let mem = memory_per_proc(n, p, c);
             let cost = ca_cutoff_1d(n, p, c, m);
-            let (rs, rw) = optimality_ratio(
-                cost,
-                s_cutoff(n, k, p, mem),
-                w_cutoff(n, k, p, mem),
-            );
+            let (rs, rw) = optimality_ratio(cost, s_cutoff(n, k, p, mem), w_cutoff(n, k, p, mem));
             assert!((0.5..40.0).contains(&rs), "c={c} rs={rs}");
             assert!((0.5..40.0).contains(&rw), "c={c} rw={rw}");
         }

@@ -207,30 +207,63 @@ where
                         }
                     }
                 }
-                Op::Bcast { team, bytes, phase, net } => {
+                Op::Bcast {
+                    team,
+                    bytes,
+                    phase,
+                    net,
+                } => {
                     let cost = machine.collective_time(team.count, bytes, net, false);
                     enter_collective(
-                        &mut states, &mut colls, &mut runnable, rank, team, cost, phase.index(),
+                        &mut states,
+                        &mut colls,
+                        &mut runnable,
+                        rank,
+                        team,
+                        cost,
+                        phase.index(),
                         observe,
                     );
                     if matches!(states[r].waiting, Some(Waiting::Collective)) {
                         break;
                     }
                 }
-                Op::Reduce { team, bytes, phase, net } => {
+                Op::Reduce {
+                    team,
+                    bytes,
+                    phase,
+                    net,
+                } => {
                     let cost = machine.collective_time(team.count, bytes, net, true);
                     enter_collective(
-                        &mut states, &mut colls, &mut runnable, rank, team, cost, phase.index(),
+                        &mut states,
+                        &mut colls,
+                        &mut runnable,
+                        rank,
+                        team,
+                        cost,
+                        phase.index(),
                         observe,
                     );
                     if matches!(states[r].waiting, Some(Waiting::Collective)) {
                         break;
                     }
                 }
-                Op::Allgather { team, bytes_per_member, phase, net } => {
+                Op::Allgather {
+                    team,
+                    bytes_per_member,
+                    phase,
+                    net,
+                } => {
                     let cost = machine.allgather_time(team.count, bytes_per_member, net);
                     enter_collective(
-                        &mut states, &mut colls, &mut runnable, rank, team, cost, phase.index(),
+                        &mut states,
+                        &mut colls,
+                        &mut runnable,
+                        rank,
+                        team,
+                        cost,
+                        phase.index(),
                         observe,
                     );
                     if matches!(states[r].waiting, Some(Waiting::Collective)) {
@@ -302,12 +335,7 @@ fn enter_collective<I, O>(
 
     if state.entries.len() == state.expected {
         let state = colls.remove(&team).unwrap();
-        let release = state
-            .entries
-            .iter()
-            .map(|&(_, t)| t)
-            .fold(0.0, f64::max)
-            + state.cost;
+        let release = state.entries.iter().map(|&(_, t)| t).fold(0.0, f64::max) + state.cost;
         for (member, entry) in state.entries {
             let s = &mut states[member as usize];
             s.breakdown.comm[state.phase] += release - entry;

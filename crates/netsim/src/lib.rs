@@ -25,8 +25,8 @@ pub mod topology;
 pub mod trace;
 
 pub use des::{simulate, simulate_with_observer};
-pub use trace::{simulate_traced, Trace, TraceEvent, TraceKind};
 pub use machine::{hopper, intrepid, test_machine, Machine, TreeNetwork};
 pub use op::{CollNet, Op, TeamSpec};
 pub use report::{RankBreakdown, SimReport};
 pub use topology::Torus;
+pub use trace::{simulate_traced, Trace, TraceEvent, TraceKind};

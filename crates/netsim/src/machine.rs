@@ -86,7 +86,14 @@ impl Machine {
     }
 
     /// Time from posting until `bytes` from `from` are available at `to`.
-    pub fn wire_time(&self, torus: &Torus, from: usize, to: usize, bytes: u64, phase: Phase) -> f64 {
+    pub fn wire_time(
+        &self,
+        torus: &Torus,
+        from: usize,
+        to: usize,
+        bytes: u64,
+        phase: Phase,
+    ) -> f64 {
         let nf = self.node_of(from);
         let nt = self.node_of(to);
         let mut beta = self.beta;
@@ -133,7 +140,13 @@ impl Machine {
     /// paper's experiments. Pure data movement (broadcast) stays
     /// latency/bandwidth-bound — the paper calls the initial broadcast
     /// "negligible".
-    pub fn collective_time(&self, members: usize, bytes: u64, net: CollNet, combining: bool) -> f64 {
+    pub fn collective_time(
+        &self,
+        members: usize,
+        bytes: u64,
+        net: CollNet,
+        combining: bool,
+    ) -> f64 {
         if members <= 1 {
             return 0.0;
         }
@@ -163,8 +176,7 @@ impl Machine {
         }
         if net == CollNet::HwTree {
             if let Some(tree) = self.tree {
-                return members as f64
-                    * (tree.alpha + bytes_per_member as f64 * tree.beta);
+                return members as f64 * (tree.alpha + bytes_per_member as f64 * tree.beta);
             }
         }
         let stages = (members as f64).log2().ceil();
@@ -204,7 +216,7 @@ pub fn intrepid() -> Machine {
         name: "Intrepid (IBM BlueGene/P)",
         cores_per_node: 4,
         alpha: 3.5e-6,
-        beta: 2.4e-9,    // 425 MB/s per torus link
+        beta: 2.4e-9, // 425 MB/s per torus link
         per_hop: 1.0e-7,
         intra_node_factor: 0.3,
         gamma: 3.2e-7, // ~270 cycles at 850 MHz: slower cores than Hopper

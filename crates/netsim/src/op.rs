@@ -25,7 +25,10 @@ impl TeamSpec {
     /// The participant set `{base + i*stride}` for `i < count`.
     pub fn new(base: usize, stride: usize, count: usize) -> Self {
         assert!(count > 0, "empty team");
-        assert!(stride > 0 || count == 1, "zero stride with multiple members");
+        assert!(
+            stride > 0 || count == 1,
+            "zero stride with multiple members"
+        );
         TeamSpec {
             base,
             stride,

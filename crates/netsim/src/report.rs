@@ -84,10 +84,7 @@ impl SimReport {
     /// Pretty one-line summary (for harness logs).
     pub fn summary(&self) -> String {
         let m = self.mean();
-        let mut s = format!(
-            "makespan {:.6}s | compute {:.6}s",
-            self.makespan, m.compute
-        );
+        let mut s = format!("makespan {:.6}s | compute {:.6}s", self.makespan, m.compute);
         for ph in ALL_PHASES {
             let v = m.phase(ph);
             if v > 0.0 {

@@ -104,7 +104,15 @@ impl Trace {
                     (members.to_string(), phase.label().into())
                 }
             };
-            push_event_row(&mut s, e.rank, e.kind.label(), e.start, e.end, &peer, &phase);
+            push_event_row(
+                &mut s,
+                e.rank,
+                e.kind.label(),
+                e.start,
+                e.end,
+                &peer,
+                &phase,
+            );
         }
         s
     }

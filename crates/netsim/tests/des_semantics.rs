@@ -31,11 +31,7 @@ fn makespan_equals_slowest_rank_total() {
         }
         ops.into_iter()
     });
-    let max_total = rep
-        .per_rank
-        .iter()
-        .map(|b| b.total())
-        .fold(0.0, f64::max);
+    let max_total = rep.per_rank.iter().map(|b| b.total()).fold(0.0, f64::max);
     assert!((rep.makespan - max_total).abs() < 1e-12);
 }
 

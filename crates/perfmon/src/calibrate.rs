@@ -137,7 +137,9 @@ impl MachineCalibration {
             return Err(format!("calibration: invalid peak_gflops {peak_gflops}"));
         }
         if !(mem_bw_gbytes.is_finite() && mem_bw_gbytes > 0.0) {
-            return Err(format!("calibration: invalid mem_bw_gbytes {mem_bw_gbytes}"));
+            return Err(format!(
+                "calibration: invalid mem_bw_gbytes {mem_bw_gbytes}"
+            ));
         }
         Ok(MachineCalibration {
             peak_gflops,

@@ -128,9 +128,7 @@ fn render_health_panel(out: &mut String, tl: &RunTimeline) {
         ("replica mismatch", &h.mismatches),
     ];
     if blamed.iter().any(|(_, v)| !v.is_empty()) {
-        out.push_str(
-            "<table><tr><th>kind</th><th>rank</th><th>step</th><th>detail</th></tr>\n",
-        );
+        out.push_str("<table><tr><th>kind</th><th>rank</th><th>step</th><th>detail</th></tr>\n");
         for (kind, events) in blamed {
             for (rank, step, detail) in events {
                 out.push_str(&format!(
@@ -225,7 +223,11 @@ fn mean_series(
                     }
                 }
             }
-            if n == 0 { 0.0 } else { sum / n as f64 }
+            if n == 0 {
+                0.0
+            } else {
+                sum / n as f64
+            }
         })
         .collect();
     MetricSeries {
@@ -303,7 +305,9 @@ fn render_recent_events(out: &mut String, tl: &RunTimeline) {
         out.push_str("<p class=\"meta\">none recorded</p>\n");
         return;
     }
-    out.push_str("<table><tr><th>t (s)</th><th>rank</th><th>kind</th><th>step</th><th>detail</th></tr>\n");
+    out.push_str(
+        "<table><tr><th>t (s)</th><th>rank</th><th>kind</th><th>step</th><th>detail</th></tr>\n",
+    );
     for (rank, e) in &events[tail..] {
         out.push_str(&format!(
             "<tr><td>{:.4}</td><td>{rank}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
@@ -371,8 +375,14 @@ mod tests {
         assert!(html.contains("imbalance"));
         assert!(html.contains("comm_fraction"));
         assert!(!html.contains("<script"), "no scripts — curl-and-open safe");
-        assert!(!html.contains("http://") || html.contains("w3.org"), "no external fetches");
-        assert!(html.contains("none flagged"), "stationary data shows no drift");
+        assert!(
+            !html.contains("http://") || html.contains("w3.org"),
+            "no external fetches"
+        );
+        assert!(
+            html.contains("none flagged"),
+            "stationary data shows no drift"
+        );
     }
 
     #[test]
@@ -387,7 +397,10 @@ mod tests {
         });
         let html = render_dashboard(&tl);
         assert!(html.contains("POSTMORTEM"));
-        assert!(html.contains("rank 1: &lt;dead&gt;"), "failure reason is escaped");
+        assert!(
+            html.contains("rank 1: &lt;dead&gt;"),
+            "failure reason is escaped"
+        );
         assert!(html.contains("unrecoverable"));
         assert!(html.contains("c&lt;2"));
     }
@@ -435,7 +448,10 @@ mod tests {
         // The default test timeline carries no health instrumentation.
         let html = render_dashboard(&timeline());
         assert!(html.contains("numerical health"));
-        assert!(html.contains("--health"), "uninstrumented runs point at the flag");
+        assert!(
+            html.contains("--health"),
+            "uninstrumented runs point at the flag"
+        );
 
         // Instrumented: energy/momentum on every sample, plus one blamed
         // sentinel event.
@@ -453,9 +469,15 @@ mod tests {
             detail: "non-finite force.x at rank 1".to_string(),
         });
         let html = render_dashboard(&tl);
-        assert!(html.contains("UNHEALTHY"), "sentinel event flips the verdict");
+        assert!(
+            html.contains("UNHEALTHY"),
+            "sentinel event flips the verdict"
+        );
         assert!(html.contains("non-finite force.x at rank 1"));
-        assert!(html.contains("total energy"), "energy sparkline meta renders");
+        assert!(
+            html.contains("total energy"),
+            "energy sparkline meta renders"
+        );
     }
 
     #[test]

@@ -34,9 +34,9 @@ pub mod roofline;
 pub mod serve;
 
 pub use calibrate::{CalibrationConfig, MachineCalibration};
+pub use dashboard::render_dashboard;
 pub use roofline::{
     kernel_compute, roofline, roofline_csv, roofline_json, roofline_table, KernelCompute,
     RooflineGate, RooflinePoint, RooflineReport,
 };
-pub use dashboard::render_dashboard;
 pub use serve::MetricsServer;

@@ -88,7 +88,6 @@ impl RooflineReport {
             .map(|p| p.pct_of_roofline)
             .fold(0.0, f64::max)
     }
-
 }
 
 /// Place every rank of `snapshot` on the roofline of `calib`.
@@ -157,7 +156,9 @@ pub fn roofline_table(reports: &[RooflineReport]) -> String {
         }
         out.push_str(&format!(
             "{:<16} {:>6} best {:.1}% of roofline\n",
-            r.kernel, "-", r.best_pct()
+            r.kernel,
+            "-",
+            r.best_pct()
         ));
     }
     out
@@ -260,7 +261,10 @@ impl RooflineGate {
 
     /// Apply the gate to a set of reports; `Err` carries the failure text.
     pub fn check(&self, reports: &[RooflineReport]) -> Result<f64, String> {
-        let best = reports.iter().map(RooflineReport::best_pct).fold(0.0, f64::max);
+        let best = reports
+            .iter()
+            .map(RooflineReport::best_pct)
+            .fold(0.0, f64::max);
         let floor = (self.min_pct - self.tolerance_pct).max(0.0);
         if reports.iter().all(|r| r.points.is_empty()) {
             return Err("roofline gate: no compute counters in any report".to_string());
@@ -369,7 +373,10 @@ mod tests {
         let arr = doc.as_array().unwrap();
         assert_eq!(arr.len(), 1);
         assert_eq!(
-            arr[0].get("ranks").and_then(Json::as_array).map(|a| a.len()),
+            arr[0]
+                .get("ranks")
+                .and_then(Json::as_array)
+                .map(|a| a.len()),
             Some(2)
         );
         assert!(arr[0].get("best_pct_of_roofline").is_some());

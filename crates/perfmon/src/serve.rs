@@ -226,11 +226,7 @@ fn handle_connection(mut stream: TcpStream, bodies: &Arc<Mutex<Bodies>>) -> std:
             "/timeseries" => ("200 OK", "application/json", b.timeseries.clone()),
             "/wire" => ("200 OK", "application/json", b.wire.clone()),
             "/health" => ("200 OK", "application/json", b.health.clone()),
-            "/dashboard" => (
-                "200 OK",
-                "text/html; charset=utf-8",
-                b.dashboard.clone(),
-            ),
+            "/dashboard" => ("200 OK", "text/html; charset=utf-8", b.dashboard.clone()),
             "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
             _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
         }

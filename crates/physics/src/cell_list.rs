@@ -23,12 +23,7 @@ pub struct CellList {
 impl CellList {
     /// Build a cell list whose cells are at least `min_cell` wide in each
     /// axis. `periodic` controls whether neighbor stencils wrap.
-    pub fn build(
-        particles: &[Particle],
-        domain: &Domain,
-        min_cell: f64,
-        periodic: bool,
-    ) -> Self {
+    pub fn build(particles: &[Particle], domain: &Domain, min_cell: f64, periodic: bool) -> Self {
         assert!(min_cell > 0.0, "cell size must be positive");
         let ext = domain.extent();
         let nx = ((ext.x / min_cell).floor() as usize).max(1);

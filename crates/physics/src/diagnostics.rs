@@ -46,11 +46,7 @@ pub fn total_energy<F: ForceLaw>(
 pub fn center_of_mass(particles: &[Particle]) -> Vec2 {
     let total_mass: f64 = particles.iter().map(|p| p.mass).sum();
     assert!(total_mass > 0.0, "center of mass of empty/massless system");
-    particles
-        .iter()
-        .map(|p| p.pos * p.mass)
-        .sum::<Vec2>()
-        / total_mass
+    particles.iter().map(|p| p.pos * p.mass).sum::<Vec2>() / total_mass
 }
 
 /// Kinetic temperature in 2D: `T = KE / (N k_B)` with `k_B = 1` and two
@@ -107,10 +103,7 @@ pub fn radial_distribution(
 
 /// Maximum force magnitude; a cheap blow-up detector for integration tests.
 pub fn max_force(particles: &[Particle]) -> f64 {
-    particles
-        .iter()
-        .map(|p| p.force.norm())
-        .fold(0.0, f64::max)
+    particles.iter().map(|p| p.force.norm()).fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -198,7 +191,10 @@ mod tests {
         assert_eq!(g.len(), 6);
         for &(r, v) in &g {
             assert!(r > 0.0 && r < 0.3);
-            assert!((v - 1.0).abs() < 0.25, "g({r}) = {v} should be ~1 for a uniform gas");
+            assert!(
+                (v - 1.0).abs() < 0.25,
+                "g({r}) = {v} should be ~1 for a uniform gas"
+            );
         }
     }
 

@@ -224,8 +224,7 @@ mod tests {
     #[test]
     fn reflective_bounce_flips_velocity() {
         let d = Domain::unit();
-        let (pos, vel) =
-            Boundary::Reflective.apply(&d, Vec2::new(1.2, 0.5), Vec2::new(1.0, 0.0));
+        let (pos, vel) = Boundary::Reflective.apply(&d, Vec2::new(1.2, 0.5), Vec2::new(1.0, 0.0));
         assert!((pos.x - 0.8).abs() < 1e-12);
         assert_eq!(vel, Vec2::new(-1.0, 0.0));
         assert_eq!(pos.y, 0.5);
@@ -236,8 +235,7 @@ mod tests {
         let d = Domain::unit();
         // Overshoot past the far wall and back: 1.0 -> reflect at 1 -> 0.8? no:
         // x = -0.3 reflects to 0.3 with flipped velocity.
-        let (pos, vel) =
-            Boundary::Reflective.apply(&d, Vec2::new(-0.3, 0.5), Vec2::new(-2.0, 0.0));
+        let (pos, vel) = Boundary::Reflective.apply(&d, Vec2::new(-0.3, 0.5), Vec2::new(-2.0, 0.0));
         assert!((pos.x - 0.3).abs() < 1e-12);
         assert_eq!(vel.x, 2.0);
     }
@@ -245,8 +243,7 @@ mod tests {
     #[test]
     fn reflective_handles_large_overshoot() {
         let d = Domain::unit();
-        let (pos, _vel) =
-            Boundary::Reflective.apply(&d, Vec2::new(7.3, 0.5), Vec2::new(10.0, 0.0));
+        let (pos, _vel) = Boundary::Reflective.apply(&d, Vec2::new(7.3, 0.5), Vec2::new(10.0, 0.0));
         assert!((0.0..=1.0).contains(&pos.x), "pos.x = {}", pos.x);
     }
 
@@ -262,9 +259,11 @@ mod tests {
     #[test]
     fn periodic_minimum_image() {
         let d = Domain::unit();
-        let disp =
-            Boundary::Periodic.displacement(&d, Vec2::new(0.05, 0.5), Vec2::new(0.95, 0.5));
-        assert!((disp.x - -0.1).abs() < 1e-12, "wrapped displacement, got {disp:?}");
+        let disp = Boundary::Periodic.displacement(&d, Vec2::new(0.05, 0.5), Vec2::new(0.95, 0.5));
+        assert!(
+            (disp.x - -0.1).abs() < 1e-12,
+            "wrapped displacement, got {disp:?}"
+        );
     }
 
     #[test]
@@ -290,7 +289,11 @@ mod tests {
                             .displacement_x2(&d, Vec2x2::new(f0, f1), Vec2x2::splat(to))
                             .to_lanes();
                         let want = [b.displacement(&d, f0, to), b.displacement(&d, f1, to)];
-                        assert_eq!(got.map(bits), want.map(bits), "{b:?} {f0:?}/{f1:?} -> {to:?}");
+                        assert_eq!(
+                            got.map(bits),
+                            want.map(bits),
+                            "{b:?} {f0:?}/{f1:?} -> {to:?}"
+                        );
                     }
                 }
             }
@@ -303,10 +306,7 @@ mod tests {
         let p = Vec2::new(5.0, -3.0);
         let v = Vec2::new(1.0, 2.0);
         assert_eq!(Boundary::Open.apply(&d, p, v), (p, v));
-        assert_eq!(
-            Boundary::Open.displacement(&d, Vec2::zero(), p),
-            p
-        );
+        assert_eq!(Boundary::Open.displacement(&d, Vec2::zero(), p), p);
     }
 
     #[test]

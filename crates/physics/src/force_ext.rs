@@ -44,7 +44,9 @@ impl ForceLaw for Yukawa {
         }
         let r = r2.sqrt();
         let screen = (-r / self.screening_length).exp();
-        let mag = self.strength * target.mass * source.mass
+        let mag = self.strength
+            * target.mass
+            * source.mass
             * screen
             * (1.0 / r2 + 1.0 / (self.screening_length * r));
         -disp.normalized() * mag
@@ -168,7 +170,10 @@ mod tests {
         let (_, b2, d2) = pair(0.5);
         let ratio_yukawa = law.force(&a, &b2, d2).norm() / law.force(&a, &b, d1).norm();
         let ratio_bare = bare.force(&a, &b2, d2).norm() / bare.force(&a, &b, d1).norm();
-        assert!(ratio_yukawa < ratio_bare / 10.0, "{ratio_yukawa} vs {ratio_bare}");
+        assert!(
+            ratio_yukawa < ratio_bare / 10.0,
+            "{ratio_yukawa} vs {ratio_bare}"
+        );
     }
 
     #[test]

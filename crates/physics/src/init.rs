@@ -51,8 +51,7 @@ pub fn lattice(n: usize, domain: &Domain) -> Vec<Particle> {
         .map(|id| {
             let i = id as usize % cols;
             let j = id as usize / cols;
-            let pos = domain.min
-                + Vec2::new((i as f64 + 0.5) * dx, (j as f64 + 0.5) * dy);
+            let pos = domain.min + Vec2::new((i as f64 + 0.5) * dx, (j as f64 + 0.5) * dy);
             Particle::at(id, pos)
         })
         .collect()
@@ -86,8 +85,12 @@ pub fn gaussian_clusters(
             let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
             let r = sigma * (-2.0 * u1.ln()).sqrt();
             let mut pos = c + Vec2::new(r * u2.cos(), r * u2.sin());
-            pos.x = pos.x.clamp(domain.min.x, domain.max.x - 1e-12 * domain.length_x());
-            pos.y = pos.y.clamp(domain.min.y, domain.max.y - 1e-12 * domain.length_y());
+            pos.x = pos
+                .x
+                .clamp(domain.min.x, domain.max.x - 1e-12 * domain.length_x());
+            pos.y = pos
+                .y
+                .clamp(domain.min.y, domain.max.y - 1e-12 * domain.length_y());
             Particle::at(id, pos)
         })
         .collect()

@@ -99,7 +99,11 @@ mod tests {
     use crate::vec2::Vec2;
 
     fn free_particle() -> Vec<Particle> {
-        vec![Particle::moving(0, Vec2::new(0.5, 0.5), Vec2::new(0.1, 0.0))]
+        vec![Particle::moving(
+            0,
+            Vec2::new(0.5, 0.5),
+            Vec2::new(0.1, 0.0),
+        )]
     }
 
     #[test]
@@ -185,7 +189,11 @@ mod tests {
     #[test]
     fn boundary_applied_after_step() {
         let domain = Domain::unit();
-        let mut ps = vec![Particle::moving(0, Vec2::new(0.95, 0.5), Vec2::new(0.1, 0.0))];
+        let mut ps = vec![Particle::moving(
+            0,
+            Vec2::new(0.95, 0.5),
+            Vec2::new(0.1, 0.0),
+        )];
         SemiImplicitEuler.post_force(&mut ps, 1.0, &domain, Boundary::Reflective);
         assert!(domain.contains(ps[0].pos));
         assert!(ps[0].vel.x < 0.0, "bounced");

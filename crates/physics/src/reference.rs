@@ -229,12 +229,7 @@ mod parallel_tests {
             let mut serial = init::uniform(n, &domain, 9);
             let mut parallel = serial.clone();
             accumulate_forces(&mut serial, &Gravity::default(), &domain, Boundary::Open);
-            accumulate_forces_parallel(
-                &mut parallel,
-                &Gravity::default(),
-                &domain,
-                Boundary::Open,
-            );
+            accumulate_forces_parallel(&mut parallel, &Gravity::default(), &domain, Boundary::Open);
             assert_eq!(serial, parallel, "n={n}");
         }
     }

@@ -85,11 +85,21 @@ mod tests {
         let mut st = clean(16);
         st[9].force.y = f64::NAN;
         let blame = scan_forces(&st).expect("sentinel must fire");
-        assert_eq!(blame, NonFiniteBlame { index: 9, id: 9, field: "force" });
+        assert_eq!(
+            blame,
+            NonFiniteBlame {
+                index: 9,
+                id: 9,
+                field: "force"
+            }
+        );
         // The force scan does not look at integrated state…
         assert_eq!(scan_state(&st), None);
         let detail = blame.detail(2, 7, "force");
-        assert!(detail.contains("rank 2") && detail.contains("step 7"), "{detail}");
+        assert!(
+            detail.contains("rank 2") && detail.contains("step 7"),
+            "{detail}"
+        );
         assert!(detail.contains("index 9"), "{detail}");
     }
 

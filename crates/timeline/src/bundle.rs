@@ -340,11 +340,9 @@ mod tests {
 
     #[test]
     fn json_round_trips_including_failure() {
-        let tl = RunTimeline::from_ranks(vec![
-            rank_tl(1, &[10, 12], 0.25),
-            rank_tl(0, &[10, 8], 0.0),
-        ])
-        .with_failure("unrecoverable: rank 1 dead with c=1");
+        let tl =
+            RunTimeline::from_ranks(vec![rank_tl(1, &[10, 12], 0.25), rank_tl(0, &[10, 8], 0.0)])
+                .with_failure("unrecoverable: rank 1 dead with c=1");
         let text = tl.to_json();
         let back = RunTimeline::parse(&text).unwrap();
         assert_eq!(back, tl);
@@ -362,10 +360,8 @@ mod tests {
 
     #[test]
     fn imbalance_series_is_max_over_mean() {
-        let tl = RunTimeline::from_ranks(vec![
-            rank_tl(0, &[10, 30], 0.0),
-            rank_tl(1, &[10, 10], 0.0),
-        ]);
+        let tl =
+            RunTimeline::from_ranks(vec![rank_tl(0, &[10, 30], 0.0), rank_tl(1, &[10, 10], 0.0)]);
         let s = tl.imbalance_series();
         assert_eq!(s.steps, vec![0, 1]);
         assert!((s.values[0] - 1.0).abs() < 1e-12);
@@ -374,10 +370,7 @@ mod tests {
 
     #[test]
     fn comm_fraction_is_blocked_share_of_wall() {
-        let tl = RunTimeline::from_ranks(vec![
-            rank_tl(0, &[10], 0.5),
-            rank_tl(1, &[10], 0.0),
-        ]);
+        let tl = RunTimeline::from_ranks(vec![rank_tl(0, &[10], 0.5), rank_tl(1, &[10], 0.0)]);
         let s = tl.comm_fraction_series();
         assert_eq!(s.steps, vec![0]);
         assert!((s.values[0] - 0.25).abs() < 1e-12);
@@ -410,7 +403,9 @@ mod tests {
         assert_eq!(tl.momentum_series().values.len(), 60);
         let windows = tl.drift(&DriftConfig::default());
         assert!(
-            windows.iter().any(|w| w.metric == "energy" && w.start_step == 40),
+            windows
+                .iter()
+                .any(|w| w.metric == "energy" && w.start_step == 40),
             "energy shift is flagged: {windows:?}"
         );
     }

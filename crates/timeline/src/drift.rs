@@ -165,7 +165,10 @@ mod tests {
         let steps: Vec<u32> = (0..80).collect();
         let values: Vec<f64> = steps.iter().map(|_| 1.0 * jitter(&mut seed)).collect();
         let windows = detect_drift("imbalance", &steps, &values, &DriftConfig::default());
-        assert!(windows.is_empty(), "no drift on stationary data: {windows:?}");
+        assert!(
+            windows.is_empty(),
+            "no drift on stationary data: {windows:?}"
+        );
     }
 
     #[test]
@@ -195,7 +198,9 @@ mod tests {
         values[20] = f64::NAN;
         let windows = detect_drift("imbalance", &steps, &values, &DriftConfig::default());
         assert!(
-            windows.iter().any(|w| w.start_step >= 40 && w.start_step <= 42),
+            windows
+                .iter()
+                .any(|w| w.start_step >= 40 && w.start_step <= 42),
             "the step shift is still flagged despite NaN history: {windows:?}"
         );
 

@@ -153,9 +153,7 @@ impl TimelineRecorder {
 
     /// Whether step samples are being collected (vs. flight ring only).
     pub fn wants_samples(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.borrow().sample_steps)
+        self.inner.as_ref().is_some_and(|i| i.borrow().sample_steps)
     }
 
     /// Seconds since the run epoch (0.0 when disabled).

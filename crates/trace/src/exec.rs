@@ -134,8 +134,7 @@ impl ExecutionTrace {
         let phases = ALL_PHASES
             .into_iter()
             .map(|p| {
-                let mut samples: Vec<f64> =
-                    per_rank.iter().map(|row| row[p.index()]).collect();
+                let mut samples: Vec<f64> = per_rank.iter().map(|row| row[p.index()]).collect();
                 (p, DistStat::from_samples(&mut samples))
             })
             .collect();
@@ -181,11 +180,7 @@ impl ExecutionTrace {
     pub fn phases_present(&self) -> Vec<Phase> {
         ALL_PHASES
             .into_iter()
-            .filter(|p| {
-                self.spans
-                    .iter()
-                    .any(|s| s.kind == SpanKind::Phase(*p))
-            })
+            .filter(|p| self.spans.iter().any(|s| s.kind == SpanKind::Phase(*p)))
             .collect()
     }
 
@@ -405,7 +400,10 @@ impl ExecutionTrace {
                 .get("tid")
                 .and_then(Json::as_f64)
                 .ok_or("span without tid")? as u32;
-            let ts = ev.get("ts").and_then(Json::as_f64).ok_or("span without ts")?;
+            let ts = ev
+                .get("ts")
+                .and_then(Json::as_f64)
+                .ok_or("span without ts")?;
             let dur = ev
                 .get("dur")
                 .and_then(Json::as_f64)
@@ -472,10 +470,10 @@ impl ExecutionTrace {
                 continue;
             }
             let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let rank = v
-                .get("rank")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("line {}: missing rank", i + 1))? as u32;
+            let rank =
+                v.get("rank")
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("line {}: missing rank", i + 1))? as u32;
             let start = v
                 .get("start")
                 .and_then(Json::as_f64)
@@ -635,7 +633,10 @@ mod tests {
             assert!((a.end - b.end).abs() < 1e-9);
         }
         // The sniffing front door takes the same document.
-        assert_eq!(ExecutionTrace::parse(&json).unwrap().spans.len(), t.spans.len());
+        assert_eq!(
+            ExecutionTrace::parse(&json).unwrap().spans.len(),
+            t.spans.len()
+        );
     }
 
     #[test]

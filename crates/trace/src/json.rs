@@ -391,10 +391,7 @@ mod tests {
         assert_eq!(Json::from(String::from("b")), Json::Str("b".into()));
         assert_eq!(Json::from(None::<f64>), Json::Null);
         assert_eq!(Json::from(Some(2usize)), Json::Num(2.0));
-        assert_eq!(
-            Json::from(vec![Some(1.5), None]).to_string(),
-            "[1.5,null]"
-        );
+        assert_eq!(Json::from(vec![Some(1.5), None]).to_string(), "[1.5,null]");
     }
 
     #[test]
@@ -403,10 +400,7 @@ mod tests {
         assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse(" false ").unwrap(), Json::Bool(false));
         assert_eq!(Json::parse("-1.5e3").unwrap(), Json::Num(-1500.0));
-        assert_eq!(
-            Json::parse("\"a\\nb\"").unwrap(),
-            Json::Str("a\nb".into())
-        );
+        assert_eq!(Json::parse("\"a\\nb\"").unwrap(), Json::Str("a\nb".into()));
     }
 
     #[test]

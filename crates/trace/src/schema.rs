@@ -60,7 +60,12 @@ impl BreakdownRow {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{}",
-            self.label, self.compute, self.shift, self.reduce, self.reassign, self.broadcast,
+            self.label,
+            self.compute,
+            self.shift,
+            self.reduce,
+            self.reassign,
+            self.broadcast,
             self.makespan
         );
     }

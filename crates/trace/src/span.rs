@@ -104,7 +104,10 @@ mod tests {
         assert_eq!(d.label(), "force");
         assert_eq!(d.phase(), None);
         assert_eq!(SpanKind::Phase(Phase::Shift).phase(), Some(Phase::Shift));
-        assert_eq!(SpanKind::blocked(Phase::Reduce).phase(), Some(Phase::Reduce));
+        assert_eq!(
+            SpanKind::blocked(Phase::Reduce).phase(),
+            Some(Phase::Reduce)
+        );
         let full = SpanKind::Blocked {
             phase: Phase::Shift,
             peer: Some(5),

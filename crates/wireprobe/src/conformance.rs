@@ -157,7 +157,10 @@ pub struct ConformanceReport {
 impl ConformanceReport {
     /// Discrepancies attributed to the fault plan.
     pub fn explained(&self) -> usize {
-        self.violations.iter().filter(|v| v.explained.is_some()).count()
+        self.violations
+            .iter()
+            .filter(|v| v.explained.is_some())
+            .count()
     }
 
     /// Discrepancies with no fault to blame — real conformance failures.
@@ -369,10 +372,7 @@ fn attribute_faults(
             .find(|f| f.rank == rank && f.kind == ProbeKind::FaultDup)
             .map(FaultNote::describe)
     };
-    let any_fault = faults
-        .first()
-        .map(FaultNote::describe)
-        .unwrap_or_default();
+    let any_fault = faults.first().map(FaultNote::describe).unwrap_or_default();
     for v in &mut report.violations {
         let channel_expects = |count: Option<u64>| match count {
             // Count-only mode carries no sizes; any expected traffic on

@@ -137,10 +137,8 @@ pub fn match_events(log: &WireLog) -> WireReport {
         ..WireReport::default()
     };
     for ((comm, src, dst, tag), mut lane) in lanes {
-        lane.sends
-            .sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs));
-        lane.recvs
-            .sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs));
+        lane.sends.sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs));
+        lane.recvs.sort_by(|a, b| a.t_secs.total_cmp(&b.t_secs));
         let matched_n = lane.sends.len().min(lane.recvs.len());
         let mut latencies: Vec<f64> = (0..matched_n)
             .map(|i| (lane.recvs[i].t_secs - lane.sends[i].t_secs).max(0.0))

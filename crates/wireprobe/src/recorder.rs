@@ -71,12 +71,32 @@ impl ProbeRecorder {
     /// Record a payload handed to the transport by this rank.
     #[allow(clippy::too_many_arguments)]
     pub fn send(&self, dst: u32, comm: u64, tag: u64, phase: Phase, count: u64, bytes: u64) {
-        self.record(ProbeKind::Send, None, Some(dst), comm, tag, phase, count, bytes, None);
+        self.record(
+            ProbeKind::Send,
+            None,
+            Some(dst),
+            comm,
+            tag,
+            phase,
+            count,
+            bytes,
+            None,
+        );
     }
 
     /// Record a payload taken off the transport by this rank.
     pub fn recv(&self, src: u32, comm: u64, tag: u64, phase: Phase, count: u64, bytes: u64) {
-        self.record(ProbeKind::Recv, Some(src), None, comm, tag, phase, count, bytes, None);
+        self.record(
+            ProbeKind::Recv,
+            Some(src),
+            None,
+            comm,
+            tag,
+            phase,
+            count,
+            bytes,
+            None,
+        );
     }
 
     /// Record an injected fault acting on traffic from this rank to `dst`.
@@ -92,7 +112,17 @@ impl ProbeRecorder {
         step: u64,
     ) {
         debug_assert!(kind.is_fault(), "fault() takes only Fault* probe kinds");
-        self.record(kind, None, Some(dst), 0, tag, phase, count, bytes, Some(step));
+        self.record(
+            kind,
+            None,
+            Some(dst),
+            0,
+            tag,
+            phase,
+            count,
+            bytes,
+            Some(step),
+        );
     }
 
     #[allow(clippy::too_many_arguments)]

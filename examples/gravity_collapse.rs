@@ -24,7 +24,11 @@ fn main() {
     // Two gaussian sub-clusters that fall toward each other.
     let initial = init::gaussian_clusters(512, &domain, 2, 0.4, 99);
     let r0 = mean_radius(&initial);
-    println!("gravity collapse: n = {}, {} steps", initial.len(), cfg.steps);
+    println!(
+        "gravity collapse: n = {}, {} steps",
+        initial.len(),
+        cfg.steps
+    );
     println!("  initial mean radius about the center of mass: {r0:.4}");
 
     for (p, c) in [(4usize, 1usize), (8, 2), (16, 4)] {

@@ -10,9 +10,7 @@
 
 use ca_nbody::{run_distributed, run_serial, Method, SimConfig};
 use nbody_comm::Phase;
-use nbody_physics::{
-    diagnostics, init, Boundary, Cutoff, Domain, LennardJones, VelocityVerlet,
-};
+use nbody_physics::{diagnostics, init, Boundary, Cutoff, Domain, LennardJones, VelocityVerlet};
 
 fn main() {
     // An LJ fluid at moderate density; sigma sets the particle "size".

@@ -22,8 +22,10 @@ fn main() {
 /// §III.A: c=1 is a particle decomposition, c=√p a force decomposition.
 fn claim_1_interpolation() {
     println!("1. The algorithm interpolates between Plimpton's decompositions (§III.A)");
-    for (c, expect) in [(1usize, "particle decomposition: p shift steps"),
-                        (4, "force decomposition: 1 shift step")] {
+    for (c, expect) in [
+        (1usize, "particle decomposition: p shift steps"),
+        (4, "force decomposition: 1 shift step"),
+    ] {
         let grid = ProcGrid::new_all_pairs(16, c).unwrap();
         println!(
             "   c={c}: {} teams x {c} rows, {} shift steps  ({expect})",

@@ -41,7 +41,10 @@ fn main() {
     let result = run_distributed(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial);
     let wall = start.elapsed();
     let ke1 = diagnostics::total_kinetic_energy(&result.particles);
-    println!("  final kinetic energy:   {ke1:.6e}  ({:.2?} on 8 ranks, c = 2)", wall);
+    println!(
+        "  final kinetic energy:   {ke1:.6e}  ({:.2?} on 8 ranks, c = 2)",
+        wall
+    );
 
     // Communication summary (rank 0).
     let s = &result.stats[0];

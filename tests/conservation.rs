@@ -155,7 +155,10 @@ fn invariants_hold_across_kill_and_recover() {
     assert!(mom < 1e-10, "momentum drift across recovery: {mom:.3e}");
     let e1 = diagnostics::total_energy(&run.particles, &cfg.law, &cfg.domain, cfg.boundary);
     let rel = (e1 - e0).abs() / e0.abs().max(1e-12);
-    assert!(rel < 0.05, "energy drift across recovery {rel:.3}: {e0} -> {e1}");
+    assert!(
+        rel < 0.05,
+        "energy drift across recovery {rel:.3}: {e0} -> {e1}"
+    );
 
     // The monitors watched the same run and must concur.
     assert_eq!(report.sentinel_events, 0);
@@ -211,8 +214,7 @@ fn shrink_lost_particles_match_momentum_jump() {
     assert_eq!(run.shrinks, 1);
     assert_eq!(run.final_ranks, 3);
 
-    let final_ids: std::collections::HashSet<u64> =
-        run.particles.iter().map(|p| p.id).collect();
+    let final_ids: std::collections::HashSet<u64> = run.particles.iter().map(|p| p.id).collect();
     let lost: Vec<_> = initial
         .iter()
         .filter(|p| !final_ids.contains(&p.id))

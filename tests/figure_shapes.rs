@@ -2,9 +2,7 @@
 //! at reduced scale — these are the acceptance criteria of EXPERIMENTS.md,
 //! enforced in CI.
 
-use nbody_bench::{
-    run_all_pairs_point, run_allgather_point, run_cutoff_point, valid_all_pairs_cs,
-};
+use nbody_bench::{run_all_pairs_point, run_allgather_point, run_cutoff_point, valid_all_pairs_cs};
 use nbody_netsim::{hopper, intrepid};
 
 #[test]
@@ -106,7 +104,10 @@ fn fig3_shape_efficiency_crossover() {
         e4 > e1,
         "at {large} cores replication must beat c=1 ({e4:.3} vs {e1:.3})"
     );
-    assert!(e4 > 0.85, "best-c strong scaling stays near-perfect: {e4:.3}");
+    assert!(
+        e4 > 0.85,
+        "best-c strong scaling stays near-perfect: {e4:.3}"
+    );
 }
 
 #[test]
@@ -143,7 +144,9 @@ fn fig7_shape_best_replication_roughly_doubles_c1_efficiency() {
     let m = hopper();
     let n = 12_288;
     let p = 1_536;
-    let e1 = run_cutoff_point(&m, 1, p, n, 1, 0.25).unwrap().efficiency(p);
+    let e1 = run_cutoff_point(&m, 1, p, n, 1, 0.25)
+        .unwrap()
+        .efficiency(p);
     let best = [2usize, 4, 8, 16]
         .iter()
         .filter_map(|&c| run_cutoff_point(&m, 1, p, n, c, 0.25))
@@ -166,13 +169,10 @@ fn fig7_shape_largest_c_never_best_2d() {
         .collect();
     assert!(effs.len() >= 3);
     let (largest_c, largest_eff) = *effs.last().unwrap();
-    let best = effs.iter().cloned().fold((0, 0.0), |acc, x| {
-        if x.1 > acc.1 {
-            x
-        } else {
-            acc
-        }
-    });
+    let best = effs
+        .iter()
+        .cloned()
+        .fold((0, 0.0), |acc, x| if x.1 > acc.1 { x } else { acc });
     assert_ne!(
         best.0, largest_c,
         "the largest replication factor never gives the best results (§IV.D): {effs:?}"

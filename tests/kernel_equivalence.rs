@@ -641,7 +641,10 @@ fn blocks_that_meet_only_through_a_periodic_wall_equal_the_scalar_loop() {
     ] {
         assert!(targets.len() > 64 && sources.len() > 64, "{name}");
         let meet = |boundary| must_ask(&order, &targets, &sources, &domain, boundary).unwrap();
-        assert!(meet(Boundary::Periodic) > 100 && meet(Boundary::Open) == 0, "{name}");
+        assert!(
+            meet(Boundary::Periodic) > 100 && meet(Boundary::Open) == 0,
+            "{name}"
+        );
         for boundary in BOUNDARIES {
             check_all_laws(&targets, &sources, &domain, boundary)
                 .unwrap_or_else(|msg| panic!("{name}: {msg}"));
@@ -694,10 +697,20 @@ fn a_shared_coordinate_keeps_the_sign_of_its_zero_under_an_image() {
         check_all_laws(&targets, &sources, &domain, boundary).unwrap();
         // The value itself: target 0 is pulled along y only, and the `-0.0`
         // the source's x leaves in the displacement stays in the force.
-        let pull = Cutoff::new(Gravity { g: 1.0, softening: 0.0 }, 0.07);
+        let pull = Cutoff::new(
+            Gravity {
+                g: 1.0,
+                softening: 0.0,
+            },
+            0.07,
+        );
         let mut got = targets.clone();
         accumulate_block(&mut got, &sources[..1], &pull, &domain, boundary);
-        assert_eq!(got[0].force.x.to_bits(), (-0.0f64).to_bits(), "{boundary:?}");
+        assert_eq!(
+            got[0].force.x.to_bits(),
+            (-0.0f64).to_bits(),
+            "{boundary:?}"
+        );
         assert!(got[0].force.y > 0.0, "{boundary:?}");
     }
 }

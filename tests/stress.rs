@@ -177,6 +177,9 @@ fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_i
         let said = payload.downcast_ref::<String>().expect("a formatted panic");
         let names = format!("step 0: particle {fast} left team 0 for team 2,");
         assert!(said.starts_with(&names), "{method:?}: {said}");
-        assert!(started.elapsed().as_secs() < 10, "{method:?}: nobody waited out a deadline");
+        assert!(
+            started.elapsed().as_secs() < 10,
+            "{method:?}: nobody waited out a deadline"
+        );
     }
 }
