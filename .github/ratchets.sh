@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# The structural ratchets: facts about the code that an earlier change
+# established and that a later one must not quietly undo. One `check` per
+# ratchet, its reason first. Run from anywhere:
+#
+#     bash .github/ratchets.sh
+#
+# Prints the offending lines and the reason of every ratchet that broke,
+# then exits 1; exits 0 when all hold.
+set -u
+cd "$(dirname "$0")/.." || exit 1
+
+broken=0
+
+# check REASON COMMAND...: the ratchet holds while COMMAND succeeds.
+check() {
+    local reason=$1
+    shift
+    if ! "$@"; then
+        echo "ratchet broken: $reason" >&2
+        broken=1
+    fi
+}
+
+# none PATTERN PATH...: no line under PATH matches the extended regex.
+none() {
+    ! grep -rnE "$@"
+}
+
+check "the routing rule (j_new) is spelled in one file, cutoff::traversal" \
+    test "$(grep -rl 'j_new' crates/core/src | wc -l)" -eq 1
+check "every method runs in the one timestep loop of sim.rs" \
+    test "$(grep -c 'for step in 0..cfg.steps' crates/core/src/sim.rs)" -eq 1
+check "Plimpton's decompositions are Algorithm 1 at c = 1 and c = sqrt(p), not hand copies" \
+    none 'particle_ring_forces|force_decomposition_forces|ForceDecompParams|ParticleRingParams|calibrate_host' \
+    crates src tests examples
+check "errors leave through ? to the one place that prints them" \
+    test "$(grep -rn 'return ExitCode::FAILURE' src | wc -l)" -le 3
+check "the method names are spelled in one match" \
+    test "$(grep -rn '"ca-cutoff-1d" =>' src | wc -l)" -eq 1
+check "the transport writes one ledger per message, CommStats" \
+    none 'CommMetrics|comm_metrics' crates src
+check "a run setting has one spelling, its flag, not an environment variable" \
+    none 'NBODY_RETRY|NBODY_CHECKPOINT_EVERY' crates src tests
+check "re-assignment has one exchange body, the neighbour exchange" \
+    none 'alltoallv|exchange_by_destination' crates/core/src
+check "the retry deadline is one rule, whatever the fault" \
+    none 'FaultClass' crates src tests
+check "run's one retry flag is fault-timeout-ms (tests/cli.rs asserts the rest are refused)" \
+    none 'max-retries|retry-backoff|retry-jitter|retry-seed|retry-budget-ms|peer-dead-timeout-ms' \
+    crates src tests --exclude=cli.rs
+check "every execution keeps the flight ring: Lenses has no switch for it" \
+    none 'flight: (true|false)|Lenses::flight|lenses\.flight' crates src tests
+
+exit "$broken"

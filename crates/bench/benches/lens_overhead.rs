@@ -18,9 +18,9 @@
 //! * `lens_health` — potential harvest, sentinel scans and one fingerprint
 //!   allgather per attempt.
 //!
-//! `Run` always carries the flight-recorder ring, so the ring itself is
-//! priced one level down: the same force evaluation through `run_ranks`
-//! (ring on) and through `run_ranks_with` with `Lenses::flight` off.
+//! Every execution carries the flight-recorder ring, `lens_off` included,
+//! so there is no run without it to compare against: the ring is priced on
+//! its own instead, as `flight_ring_mark_and_event` below.
 //!
 //! The second group prices the building blocks on their own: the ledger's
 //! send path, the recorder hot paths, enabled and disabled, the health
@@ -30,19 +30,16 @@
 
 use std::time::{Duration, Instant};
 
-use ca_nbody::dist::id_block_subset;
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::{
-    ca_all_pairs_forces, CheckpointConfig, GridComms, Method, ProcGrid, Run, SimConfig,
-};
+use ca_nbody::{CheckpointConfig, Method, Run, SimConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbody_comm::{
-    run_ranks, run_ranks_with, CommStats, Communicator, EventKind, FaultPlan, Lenses, Phase,
-    ProbeRecorder, RankWireLog, ThreadComm,
+    run_ranks, CommStats, Communicator, EventKind, FaultPlan, Phase, ProbeRecorder, RankWireLog,
+    ThreadComm,
 };
 use nbody_durable::{CheckpointBundle, ColumnBlock};
 use nbody_metrics::MetricsRecorder;
-use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare, SemiImplicitEuler};
+use nbody_physics::{init, Boundary, Domain, RepulsiveInverseSquare, SemiImplicitEuler};
 use nbody_simhealth::{scan_forces, scan_state, state_fingerprint, HealthConfig};
 
 const P: usize = 4;
@@ -105,32 +102,6 @@ fn bench_lenses(c: &mut Criterion) {
     for ck in [&every_step, &every_8th] {
         let _ = std::fs::remove_dir_all(&ck.dir);
     }
-}
-
-fn bench_flight_ring(c: &mut Criterion) {
-    let cfg = cfg();
-    let grid = ProcGrid::new_all_pairs(P, C).unwrap();
-    let initial = init::uniform(N, &cfg.domain, 42);
-    let eval = |world: &mut ThreadComm| {
-        let gc = GridComms::new(&*world, grid);
-        let mut st: Vec<Particle> = if gc.is_leader() {
-            id_block_subset(&initial, grid.teams(), gc.team())
-        } else {
-            Vec::new()
-        };
-        ca_all_pairs_forces(&gc, &mut st, &cfg.law, &cfg.domain, cfg.boundary);
-        st.len()
-    };
-    c.bench_function("eval_flight_ring_on", |b| {
-        b.iter(|| black_box(run_ranks(P, eval)))
-    });
-    let silent = Lenses {
-        flight: false,
-        ..Lenses::default()
-    };
-    c.bench_function("eval_flight_ring_off", |b| {
-        b.iter(|| black_box(run_ranks_with(P, silent, eval)))
-    });
 }
 
 fn bench_metrics(c: &mut Criterion) {
@@ -253,7 +224,6 @@ fn bench_pingpong(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lenses,
-    bench_flight_ring,
     bench_metrics,
     bench_recorder_hot_paths,
     bench_health_blocks,

@@ -40,26 +40,25 @@ impl HealthInjection {
     }
 }
 
-/// What the health layer should monitor and how often.
+/// How often the health layer checks, and what it injects. Every monitor
+/// runs, the replica fingerprint cross-check whenever the schedule
+/// replicates state (`c ≥ 2`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
-    /// Check cadence in steps: invariants are reduced and fingerprints
-    /// compared on steps where `step % every == 0`. `1` checks every
-    /// step; larger values trade detection latency for overhead.
+    /// Check cadence in steps: invariants are reduced and the sentinels
+    /// scan on steps where `step % every == 0` (the cross-check runs on
+    /// every recovery attempt). `1` checks every step; larger values trade
+    /// detection latency for overhead.
     pub every: u64,
-    /// Whether to run the replica fingerprint cross-check (only
-    /// meaningful when the schedule replicates state, i.e. `c > 1`).
-    pub fingerprint: bool,
     /// Deterministic fault injection (tests/CI only).
     pub injection: HealthInjection,
 }
 
 impl HealthConfig {
-    /// Everything on, checked every step, no injections.
+    /// Every monitor on, checked every step, no injections.
     pub fn enabled() -> HealthConfig {
         HealthConfig {
             every: 1,
-            fingerprint: true,
             injection: HealthInjection::none(),
         }
     }

@@ -4,8 +4,9 @@
 //! `audit` runs real instrumented executions across replication factors
 //! and compares the measured per-step communication against the paper's
 //! lower bounds (Eq. 2/3) and predicted costs (Eq. 5/§IV.B), failing if
-//! any constant factor exceeds the ceilings (`--baseline` overrides the
-//! defaults from a JSON file). It also reports the *compute* side: the
+//! any constant factor exceeds the ceilings of `--baseline` (default
+//! `bench_results/audit_baseline.json`, which must exist: the ceilings have
+//! no second home in the code). It also reports the *compute* side: the
 //! kernel's live `compute_*` counters joined with a machine calibration
 //! (`--calibration`, default `bench_results/machine_calibration.json`,
 //! else a quick in-process calibration) become per-rank roofline points —
@@ -24,7 +25,7 @@ use std::process::ExitCode;
 use ca_nbody::{expected_schedule, ProcGrid, Run, Window};
 use nbody_metrics::{
     audit as audit_run, audit_csv, audit_json, audit_table, ceilings_from_json, wire_phase_counts,
-    wire_phase_table, AuditAlgorithm, AuditConfig, AuditInput, FactorCeilings,
+    wire_phase_table, AuditAlgorithm, AuditConfig, AuditInput,
 };
 use nbody_perfmon::{
     roofline, roofline_csv, roofline_json, roofline_table, CalibrationConfig, MachineCalibration,
@@ -53,10 +54,8 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     if n == 0 || p == 0 || steps == 0 {
         return Err("audit: n, p, and steps must be positive".into());
     }
-    let ceilings = match &baseline {
-        Some(path) => load_json(path, ceilings_from_json)?,
-        None => FactorCeilings::default(),
-    };
+    let baseline = baseline.unwrap_or_else(|| "bench_results/audit_baseline.json".into());
+    let ceilings = load_json(&baseline, ceilings_from_json)?;
     let roofline_gate = roofline_baseline
         .map(|path| load_json(&path, RooflineGate::from_json))
         .transpose()?;

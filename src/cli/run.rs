@@ -31,14 +31,13 @@
 //! `--faults` injects a deterministic fault schedule (spec grammar
 //! `kind:rank@step` with kinds `kill | drop | dup | delay`, comma-
 //! separated) and switches `run`/`verify` to the fault-tolerant CA
-//! drivers. Retries follow an adaptive [`RetryPolicy`]: exponential
-//! backoff (`retry-backoff`) with deterministic seeded jitter
-//! (`retry-jitter`, `retry-seed`), a separate post-crash deadline
-//! (`peer-dead-timeout-ms`), and a total per-evaluation wall-clock
-//! budget (`retry-budget-ms`). When every replica of a column dies the
-//! run *shrinks*: survivors agree on the dead teams, re-decompose onto
-//! the remaining ranks, and finish in degraded mode (the summary
-//! reports `shrinks`, `lost_particles`, `final_ranks`).
+//! drivers. Retries follow [`RetryPolicy::with_timeout_ms`]: the first
+//! attempt waits `fault-timeout-ms` per receive, every retry twice as
+//! long, up to three retries and a minute per evaluation. When every
+//! replica of a column dies the run *shrinks*: survivors agree on the
+//! dead teams, re-decompose onto the remaining ranks, and finish in
+//! degraded mode (the summary reports `shrinks`, `lost_particles`,
+//! `final_ranks`).
 //!
 //! `--checkpoint-dir` makes the run persist a durable
 //! `nbody-checkpoint/v1` bundle (atomic temp-file + rename) every
@@ -68,20 +67,6 @@ use super::artifact::{load, named_or_present, write, write_metrics, Summary};
 use super::inspect::print_breakdown;
 use super::spec::{fault_plan, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
-
-fn retry_policy(opts: &mut Opts, seed: u64) -> Result<RetryPolicy, Failure> {
-    let timeout_ms = opts.get("fault-timeout-ms", 1000)?;
-    let budget_ms = opts.get("retry-budget-ms", 60_000)?;
-    Ok(RetryPolicy {
-        base_timeout: Duration::from_millis(timeout_ms),
-        peer_dead_timeout: Duration::from_millis(opts.get("peer-dead-timeout-ms", timeout_ms)?),
-        backoff: opts.get("retry-backoff", 2.0)?,
-        jitter: opts.get("retry-jitter", 0.1)?,
-        max_retries: opts.get("max-retries", 3)?,
-        budget: Duration::from_millis(budget_ms),
-        seed: opts.get("retry-seed", seed)?,
-    })
-}
 
 /// Numerical-health monitors: `--health` turns them on; the injection
 /// flags (seeded non-finite / replica corruption) imply them, since an
@@ -138,7 +123,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         return Err(CA_ONLY.into());
     }
     let policy = if recovering {
-        retry_policy(opts, spec.seed)?
+        RetryPolicy::with_timeout_ms(opts.get("fault-timeout-ms", 1000)?)
     } else {
         RetryPolicy::default()
     };

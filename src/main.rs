@@ -7,9 +7,7 @@
 //!                   [--trace=out.json] [--metrics=out.json|out.prom] [--profile]
 //!                   [--record-timeline=out.json] [--wire-probe=out.json]
 //!                   [--serve-metrics=ADDR] [serve-metrics-hold-ms=2000]
-//!                   [--faults=SPEC] [fault-timeout-ms=1000] [max-retries=3]
-//!                   [retry-backoff=2.0] [retry-jitter=0.1] [retry-budget-ms=60000]
-//!                   [peer-dead-timeout-ms=MS] [retry-seed=S]
+//!                   [--faults=SPEC] [fault-timeout-ms=1000]
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
 //!                   [--crash-at-step=S]
 //!                   [--health] [--health-every=K] [--health-baseline=F]
@@ -17,11 +15,12 @@
 //! ca-nbody verify   [same options]            distributed-vs-serial check
 //! ca-nbody report   <trace-file>              per-phase/per-step breakdown tables
 //! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0] [--wire]
-//!                   [--baseline=F] [--out=F.csv|F.json]
+//!                   [--baseline=bench_results/audit_baseline.json] [--out=F.csv|F.json]
 //!                   [--calibration=F] [--roofline-baseline=F] [--roofline-out=F.csv|F.json]
 //! ca-nbody calibrate [--out=bench_results/machine_calibration.json] [seed=42] [--full]
 //! ca-nbody chaos    [n=192] [p=8] [c=2] [steps=1] [method=ca] [seed=42]
-//!                   [fault-timeout-ms=250] [--kills=N] [--baseline=F]
+//!                   [fault-timeout-ms=250] [--kills=N]
+//!                   [--baseline=bench_results/chaos_baseline.json]
 //!                   [--metrics=F] [--postmortem=DIR]
 //! ca-nbody soak     [n=96] [p=8] [c=2] [steps=2] [method=ca] [seed=42]
 //!                   [seconds=30] [events=3] [fault-timeout-ms=250]
