@@ -51,5 +51,7 @@ check "run's one retry flag is fault-timeout-ms (tests/cli.rs asserts the rest a
     crates src tests --exclude=cli.rs
 check "every execution keeps the flight ring: Lenses has no switch for it" \
     none 'flight: (true|false)|Lenses::flight|lenses\.flight' crates src tests
+check "the kernel has one lane loop: the symmetric case is a policy of the nest, not a second walk" \
+    test "$(grep -c 'law.force_x2(' crates/core/src/kernel.rs)" -eq 1
 
 exit "$broken"

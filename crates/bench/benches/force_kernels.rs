@@ -98,6 +98,33 @@ impl<F: ForceLaw> ForceLaw for HideCutoff<F> {
     fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
         self.0.force_x2(targets, source, disp)
     }
+
+    fn is_symmetric(&self) -> bool {
+        self.0.is_symmetric()
+    }
+}
+
+/// A symmetric law with its symmetry unsaid: the same answers, but the
+/// kernel asks about every ordered pair of a block against itself, as it
+/// did before it took each unordered pair once. What the symmetric case is
+/// measured against, on the same data.
+#[derive(Clone, Copy)]
+struct HideSymmetry<F>(F);
+
+impl<F: ForceLaw> ForceLaw for HideSymmetry<F> {
+    #[inline]
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.0.force(target, source, disp)
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        self.0.force_x2(targets, source, disp)
+    }
+
+    fn cutoff(&self) -> Option<f64> {
+        self.0.cutoff()
+    }
 }
 
 /// A law that counts the pairs the kernel puts to it, two per two-lane call:
@@ -118,6 +145,10 @@ impl<F: ForceLaw> ForceLaw for CountPairs<F> {
 
     fn cutoff(&self) -> Option<f64> {
         self.0.cutoff()
+    }
+
+    fn is_symmetric(&self) -> bool {
+        self.0.is_symmetric()
     }
 }
 
@@ -198,7 +229,8 @@ fn bench_block_compact<F: ForceLaw>(
     });
 }
 
-/// A culled row, and under it what the law was asked in one such call.
+/// A culled row: first what the law is asked in one such call, the count to
+/// judge a kernel change by, then the timing.
 fn cull_row_under<F: ForceLaw + Copy>(
     group: &mut BenchmarkGroup<'_>,
     name: &str,
@@ -209,12 +241,12 @@ fn cull_row_under<F: ForceLaw + Copy>(
     boundary: Boundary,
 ) {
     let mut targets = targets.to_vec();
-    bench_block_pair(group, name, &law, &mut targets, sources, domain, boundary);
     let counted = CountPairs(law, AtomicU64::new(0));
     ca_nbody::kernel::accumulate_block(&mut targets, sources, &counted, domain, boundary);
     let asked = counted.1.load(Ordering::Relaxed);
     let per_target = asked as f64 / targets.len() as f64;
-    println!("       the law is asked about {asked} pairs per call, {per_target:.1} per target");
+    println!("{name}: the law is asked about {asked} pairs per call, {per_target:.1} per target");
+    bench_block_pair(group, name, &law, &mut targets, sources, domain, boundary);
 }
 
 /// The cutoff cull on one team's own block of the repo benchmark's
@@ -225,11 +257,12 @@ fn cull_row_under<F: ForceLaw + Copy>(
 /// and in `cell_order`, which is what the cutoff drivers hand the kernel.
 /// Each against the unculled nest on the same data, then the cell-ordered
 /// rows again on the thermalised lattice the drivers see mid-run (the bare
-/// lattice flatters the cull) — a rank's three calls of a step, then the own
-/// block between walls and under a law with no arithmetic — plus what the
-/// ordering itself costs per step, spread over the same presented pairs.
-/// Every culled row prints, under its timing, how many pairs the law was
-/// asked about: judge a kernel change by that count first.
+/// lattice flatters the cull) — a rank's three calls of a step, the own
+/// block with its symmetry hidden, then the own block between walls and
+/// under a law with no arithmetic — plus what the ordering itself costs per
+/// step, spread over the same presented pairs. Every culled row prints,
+/// before its timing, how many pairs the law was asked about: judge a
+/// kernel change by that count first.
 fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     let n = 8192;
     let domain = Domain::square((n as f64).sqrt() * 1.2);
@@ -284,7 +317,18 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
         ca_nbody::kernel::cell_order(&mut block, &lj, d);
         block
     });
+    // The own block takes each unordered pair once; with the symmetry
+    // hidden it asks about every ordered pair, as a neighbour block must.
     cull_row(group, "cull_cell_order_thermalised", &own, &own);
+    cull_row_under(
+        group,
+        "cull_cell_order_thermalised_one_way",
+        HideSymmetry(lj),
+        &own,
+        &own,
+        d,
+        b,
+    );
     cull_row(group, "cull_cell_order_thermalised_neighbour", &own, &next);
     // The third call of a rank's step: slab 3's block, met through the
     // periodic wall only, every displacement that matters one period over.

@@ -9,6 +9,7 @@
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::time::Instant;
 
 use nbody_metrics::{Counter, MetricsRecorder};
@@ -73,14 +74,11 @@ impl KernelSource for Source {
     }
 }
 
-/// What the kernel's loop nest gathers per evaluated pair besides the
-/// force. A policy rather than a flag so that the plain kernel's copy of the
-/// nest carries no trace of the harvest: [`NoHarvest`] is a zero-sized no-op.
+/// What the kernel's loop nest gathers per evaluated ordered pair besides
+/// the force. A policy rather than a flag so that the plain kernel's copy of
+/// the nest carries no trace of the harvest: [`NoHarvest`] is a zero-sized
+/// no-op.
 trait Harvest {
-    /// Whether the nest may rule a pair out without asking the law. Only a
-    /// harvest that gathers nothing from a pair beyond `r_c` can allow it.
-    const CULLS: bool;
-
     fn pair<F: ForceLaw>(&mut self, law: &F, target: &Particle, source: &Particle, disp: Vec2);
 }
 
@@ -88,23 +86,67 @@ trait Harvest {
 struct NoHarvest;
 
 impl Harvest for NoHarvest {
-    const CULLS: bool = true;
-
     #[inline(always)]
     fn pair<F: ForceLaw>(&mut self, _: &F, _: &Particle, _: &Particle, _: Vec2) {}
 }
 
-/// Sum the pair potential of every evaluated interaction. It has to see
-/// every pair: `Cutoff::potential` is `tail_energy`, not zero, beyond `r_c`.
-struct PotentialSum(f64);
+/// Sum the pair potential of every evaluated ordered pair, and count them:
+/// the pairs the cull answered without asking are the rest of the call's
+/// count, and each has the one potential a law with a cutoff promises
+/// beyond `r_c` ([`ForceLaw::cutoff`]).
+#[derive(Default)]
+struct PotentialSum {
+    sum: f64,
+    pairs: u64,
+}
 
 impl Harvest for PotentialSum {
-    const CULLS: bool = false;
-
     #[inline(always)]
     fn pair<F: ForceLaw>(&mut self, law: &F, target: &Particle, source: &Particle, disp: Vec2) {
-        self.0 += law.potential(target, source, disp);
+        self.sum += law.potential(target, source, disp);
+        self.pairs += 1;
     }
+}
+
+/// Who is given the reaction `−f` of a pair the nest asks about. A policy
+/// like [`Harvest`], so that the copies of the nest that never meet a pair
+/// twice carry no trace of it: [`OneWay`] is the nest as it was.
+trait Reaction {
+    /// Whether each unordered pair is asked once, its reaction added to the
+    /// source's pending accumulator.
+    const NEWTON: bool;
+
+    /// The pending accumulators of the sources `run`, where their
+    /// reactions go, or none.
+    #[inline(always)]
+    fn slots(pending: &mut [Vec2], run: Range<usize>) -> &mut [Vec2] {
+        if Self::NEWTON {
+            &mut pending[run]
+        } else {
+            &mut []
+        }
+    }
+}
+
+/// Every ordered pair is asked for itself.
+struct OneWay;
+
+impl Reaction for OneWay {
+    const NEWTON: bool = false;
+}
+
+/// Newton's third law on a block against itself: the sources are the
+/// targets, in their order, and the law promises `f_ji = −f_ij`
+/// ([`ForceLaw::is_symmetric`]) and has a cutoff.
+struct Newton;
+
+impl Reaction for Newton {
+    const NEWTON: bool = true;
+}
+
+/// Whether `sources` are `targets`: the same ids in the same order.
+fn same_block<S: KernelSource>(targets: &[Particle], sources: &[S]) -> bool {
+    targets.len() == sources.len() && targets.iter().zip(sources).all(|(t, s)| t.id == s.id())
 }
 
 /// Particles per bounding box of the cutoff cull — a chunk of sources, a
@@ -152,8 +194,12 @@ struct Cull {
     /// How far a raw displacement goes unwrapped: half the period, or any
     /// finite distance when there is none.
     half: Vec2,
-    chunks: Vec<Aabb>,
-    groups: Vec<Aabb>,
+    /// A box per [`CHUNK`] consecutive sources, then one per [`GROUP`]
+    /// consecutive chunks ([`Cull::chunks`], [`Cull::groups`]): one vector,
+    /// which a thread's first call allocates once for both.
+    boxes: Vec<Aabb>,
+    /// How many of `boxes` are chunks'.
+    chunk_count: usize,
     /// The chunks [`Cull::tile`] did not rule out, in source order, each with
     /// the image every displacement from the tile's box to the chunk's
     /// takes, if they all take one ([`Cull::image`]).
@@ -161,9 +207,15 @@ struct Cull {
 }
 
 thread_local! {
-    /// The last call's [`Cull`], whose three vectors the next call under a
+    /// The last call's [`Cull`], whose two vectors the next call under a
     /// cutoff law refills: a warm kernel call allocates nothing.
     static CULL: RefCell<Cull> = RefCell::default();
+}
+
+thread_local! {
+    /// The last [`Newton`] call's pending accumulators, which the next one
+    /// refills: a warm diagonal call allocates nothing either.
+    static PENDING: RefCell<Vec<Vec2>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Cull {
@@ -180,12 +232,26 @@ impl Cull {
             Boundary::Periodic => (domain.extent(), domain.extent() * 0.5),
             _ => (Vec2::zero(), Vec2::new(f64::MAX, f64::MAX)),
         };
-        for (boxes, len) in [(&mut self.chunks, CHUNK), (&mut self.groups, CHUNK * GROUP)] {
-            boxes.clear();
-            boxes.extend(sources.chunks(len).map(|c| bounds(c.iter().map(S::pos))));
+        self.chunk_count = sources.len().div_ceil(CHUNK);
+        self.boxes.clear();
+        self.boxes
+            .reserve(self.chunk_count + self.chunk_count.div_ceil(GROUP));
+        for len in [CHUNK, CHUNK * GROUP] {
+            let boxes = sources.chunks(len).map(|c| bounds(c.iter().map(S::pos)));
+            self.boxes.extend(boxes);
         }
         self.near.clear();
-        self.near.reserve(self.chunks.len());
+        self.near.reserve(self.chunk_count);
+    }
+
+    /// The box of each chunk of sources.
+    fn chunks(&self) -> &[Aabb] {
+        &self.boxes[..self.chunk_count]
+    }
+
+    /// The box of each group of chunks.
+    fn groups(&self) -> &[Aabb] {
+        &self.boxes[self.chunk_count..]
     }
 
     /// Whether every source inside the box `(lo, hi)` is beyond `r_c` of
@@ -261,17 +327,18 @@ impl Cull {
         let (lo, hi) = bounds(tile.iter().map(|t| t.pos));
         let (tlo, thi) = (Vec2x2::splat(lo), Vec2x2::splat(hi));
         self.near.clear();
-        for g in 0..self.groups.len() {
-            if self.beyond(&self.groups[g], tlo, thi, None) {
+        for g in 0..self.groups().len() {
+            if self.beyond(&self.groups()[g], tlo, thi, None) {
                 continue;
             }
-            for j in g * GROUP..self.chunks.len().min((g + 1) * GROUP) {
-                if !self.beyond(&self.chunks[j], tlo, thi, None) {
-                    self.near.push((j, self.image(&self.chunks[j], lo, hi)));
+            for j in g * GROUP..self.chunk_count.min((g + 1) * GROUP) {
+                let chunk = &self.chunks()[j];
+                if !self.beyond(chunk, tlo, thi, None) {
+                    self.near.push((j, self.image(chunk, lo, hi)));
                 }
             }
         }
-        lo.is_finite() && (self.near.len() < self.chunks.len() || self.chunks.len() <= GROUP)
+        lo.is_finite() && (self.near.len() < self.chunk_count || self.chunk_count <= GROUP)
     }
 }
 
@@ -345,7 +412,8 @@ const INSERT_BUDGET: usize = 8;
 /// The one target x source loop nest behind [`accumulate_block`],
 /// [`accumulate_sources`] and [`accumulate_block_potential`], generic over
 /// the source element ([`KernelSource`]) so that each block layout gets its
-/// own copy of the same nest and none pays for the other.
+/// own copy of the same nest and none pays for the other, and over the
+/// [`Reaction`] [`accumulate`] picks for the call.
 ///
 /// Targets advance two at a time, one per lane of a [`Vec2x2`] accumulator;
 /// sources stream through the pair and the law answers for both lanes at
@@ -361,29 +429,43 @@ const INSERT_BUDGET: usize = 8;
 /// asked for a self pair; a computed self-force is not masked away, it is
 /// not computed.
 ///
-/// Under a law with a cutoff (and a harvest that allows it) the cull asks
-/// twice, coarsely then finely. Targets advance in tiles of [`CHUNK`] and
-/// sources in chunks of as many; [`Cull::tile`] lists the chunks whose box is
-/// not [`Cull::beyond`] the tile's, and each lane pair walks that list in
-/// source order, passing over a chunk that is beyond both of its targets.
-/// Beside each chunk the list has the periodic image every pair of the tile
-/// and the chunk takes, when the two boxes settle it ([`Cull::image`]): such
-/// a chunk is tested and walked under that one image, and only an unsettled
-/// one wraps pair by pair. A tile [`Cull::tile`] says the pairs need not ask
-/// for — a long block in no spatial order, or a tile with a NaN or infinite
-/// target — walks the block whole: nothing was ruled out, and a target that
-/// is not finite is shown every source, as it always was. The law would have
+/// Under a law with a cutoff the cull asks twice, coarsely then finely.
+/// Targets advance in tiles of [`CHUNK`] and sources in chunks of as many;
+/// [`Cull::tile`] lists the chunks whose box is not [`Cull::beyond`] the
+/// tile's, and each lane pair walks that list in source order, passing over
+/// a chunk that is beyond both of its targets. Beside each chunk the list
+/// has the periodic image every pair of the tile and the chunk takes, when
+/// the two boxes settle it ([`Cull::image`]): such a chunk is tested and
+/// walked under that one image, and only an unsettled one wraps pair by
+/// pair. A tile [`Cull::tile`] says the pairs need not ask for — a long
+/// block in no spatial order, or a tile with a NaN or infinite target —
+/// walks the block whole: nothing was ruled out, and a target that is not
+/// finite is shown every source, as it always was. The law would have
 /// answered `+0.0` for each pair passed over ([`ForceLaw::cutoff`]). The
-/// chunks that remain run in
-/// source order, so each target still adds its non-zero terms in the scalar
-/// loop's sequence, and one final `+ 0.0` per pair that had anything passed
-/// over, by its tile or by itself, stands in for all the zeros: adding `+0.0`
-/// changes an accumulator only from `-0.0` to `+0.0`, and once that has
-/// happened no sum returns to `-0.0`. A passed-over chunk cannot hold a
-/// target's own id, because a particle is where it is: the self source sits
-/// inside both boxes at distance zero. Without a cutoff the targets are one
-/// tile that does not ask, and the nest is the loop it always was.
-fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
+/// chunks that remain run in source order, so each target still adds its
+/// non-zero terms in the scalar loop's sequence, and one final `+ 0.0` per
+/// pair that had anything passed over, by its tile or by itself, stands in
+/// for all the zeros: adding `+0.0` changes an accumulator only from `-0.0`
+/// to `+0.0`, and once that has happened no sum returns to `-0.0`. A
+/// passed-over chunk cannot hold a target's own id, because a particle is
+/// where it is: the self source sits inside both boxes at distance zero.
+/// Without a cutoff the targets are one tile that does not ask, and the
+/// nest is the loop it always was.
+///
+/// Under [`Newton`] each unordered pair is asked once, by its lower index.
+/// Every target's accumulator starts out as its force in a pending array
+/// ([`PENDING`]). The lane pair `(i, i + 1)` loads its two from there,
+/// asks about itself, `f` going to lane 0 and `−f` to lane 1, then walks
+/// only the sources past `i + 1`, adding `f` to its lanes and `−f` to that
+/// source's pending accumulator: a later particle's, not loaded yet. So
+/// each target still adds its terms in source order — the reactions of the
+/// sources before it are in its accumulator, in their order, when its pair
+/// loads it — and its force differs from the scalar loop's only where
+/// `−f_ij` is not `f_ji` by bits (the rounding of a strength product), and
+/// in the sign of a zero. The targets themselves are walked as they always
+/// were, tile by tile, so the copies of the nest under [`OneWay`] are the
+/// loop they were.
+fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     targets: &mut [Particle],
     sources: &[S],
     law: &F,
@@ -395,20 +477,33 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     // not borrowed as `CELL_KEYS` is: the nest owns it as a local, and its
     // copy for a law without a cutoff has no trace of it (DESIGN.md §14.7
     // has what a borrow handed down to the nest cost either copy).
-    let mut cull = match law.cutoff() {
-        Some(r_c) if H::CULLS => {
-            let mut cull = CULL.take();
-            cull.refill(sources, r_c, domain, boundary);
-            Some(cull)
-        }
-        _ => None,
-    };
+    let mut cull = law.cutoff().map(|r_c| {
+        let mut cull = CULL.take();
+        cull.refill(sources, r_c, domain, boundary);
+        cull
+    });
     let tile_len = if cull.is_some() { CHUNK } else { usize::MAX };
-    let mut skipped: u64 = 0;
-    for tile in targets.chunks_mut(tile_len) {
+    // Under `Newton` every target's accumulator, where the reactions of the
+    // sources before it gather until its pair loads it.
+    let mut pending = if R::NEWTON {
+        let mut pending = PENDING.take();
+        pending.clear();
+        pending.extend(targets.iter().map(|t| t.force));
+        pending
+    } else {
+        Vec::new()
+    };
+    // A block against itself under `Newton` never meets its self pairs:
+    // they are counted here.
+    let mut skipped: u64 = if R::NEWTON { targets.len() as u64 } else { 0 };
+    for (tile_index, tile) in targets.chunks_mut(tile_len).enumerate() {
         let asks = cull.as_mut().is_some_and(|c| c.tile(tile));
         let cull = cull.as_ref().filter(|_| asks);
-        for pair in tile.chunks_mut(2) {
+        for (pair_index, pair) in tile.chunks_mut(2).enumerate() {
+            // Where the pair sits in the block, and the first source it
+            // walks: under `Newton` the one after it.
+            let i = tile_index * CHUNK + 2 * pair_index;
+            let from = if R::NEWTON { i + pair.len() } else { 0 };
             // Local copies: the inner loop reads positions, masses and ids from
             // values nothing else can alias. The padding lane of an odd tail
             // duplicates lane 0 and is only ever carried, never evaluated.
@@ -419,19 +514,43 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
                 t1,
                 pos: Vec2x2::new(t0.pos, t1.pos),
             };
-            let mut acc = Vec2x2::new(t0.force, t1.force);
+            let mut acc = if R::NEWTON {
+                Vec2x2::new(pending[i], pending[i + lanes.pair.len() - 1])
+            } else {
+                Vec2x2::new(t0.force, t1.force)
+            };
             let per_pair = (
                 |t, s| boundary.displacement(domain, t, s),
                 |t, s| boundary.displacement_x2(domain, t, s),
             );
+            if R::NEWTON && lanes.pair.len() == 2 {
+                // The pair's own interaction, before either lane's later
+                // sources: `f` to lane 0, `−f` to lane 1.
+                let shown = sources[i + 1].shown();
+                let s: &Particle = shown.borrow();
+                if t0.id == s.id {
+                    skipped += 2;
+                } else {
+                    let disp = boundary.displacement(domain, t0.pos, s.pos);
+                    let f = law.force(&t0, s, disp);
+                    acc += Vec2x2::new(f, -f);
+                    harvest.pair(law, &t0, s, disp);
+                    harvest.pair(law, s, &t0, -disp);
+                }
+            }
             if let Some(cull) = cull {
-                let mut culled = cull.near.len() < cull.chunks.len();
+                let mut culled = cull.near.len() < cull.chunk_count;
                 for &(j, image) in &cull.near {
-                    if cull.beyond(&cull.chunks[j], lanes.pos, lanes.pos, image) {
+                    let run = (j * CHUNK).max(from)..sources.len().min((j + 1) * CHUNK);
+                    if R::NEWTON && run.is_empty() {
+                        continue;
+                    }
+                    if cull.beyond(&cull.chunks()[j], lanes.pos, lanes.pos, image) {
                         culled = true;
                         continue;
                     }
-                    let chunk = &sources[j * CHUNK..sources.len().min((j + 1) * CHUNK)];
+                    let slots = R::slots(&mut pending, run.clone());
+                    let chunk = &sources[run];
                     // One image for the chunk, `(s - t) - k`, is `displacement`
                     // bit for bit in each of its three cases: `x - (+0.0)` is
                     // `x` for every float, `-0.0` and NaN included, and
@@ -439,9 +558,27 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
                     acc = match image {
                         Some(k) => {
                             let image = (|t, s| (s - t) - k, |t, s| (s - t) - Vec2x2::splat(k));
-                            walk(&lanes, acc, chunk, law, harvest, &mut skipped, image)
+                            walk::<_, _, _, R>(
+                                &lanes,
+                                acc,
+                                chunk,
+                                slots,
+                                law,
+                                harvest,
+                                &mut skipped,
+                                image,
+                            )
                         }
-                        None => walk(&lanes, acc, chunk, law, harvest, &mut skipped, per_pair),
+                        None => walk::<_, _, _, R>(
+                            &lanes,
+                            acc,
+                            chunk,
+                            slots,
+                            law,
+                            harvest,
+                            &mut skipped,
+                            per_pair,
+                        ),
                     };
                 }
                 if culled {
@@ -450,7 +587,17 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
             } else {
                 // A tile whose pairs do not ask walks the whole block, as
                 // every tile does without a cull.
-                acc = walk(&lanes, acc, sources, law, harvest, &mut skipped, per_pair);
+                let slots = R::slots(&mut pending, from..sources.len());
+                acc = walk::<_, _, _, R>(
+                    &lanes,
+                    acc,
+                    &sources[from..],
+                    slots,
+                    law,
+                    harvest,
+                    &mut skipped,
+                    per_pair,
+                );
             }
             for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
                 t.force = a;
@@ -459,6 +606,9 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     }
     if let Some(cull) = cull {
         CULL.set(cull);
+    }
+    if R::NEWTON {
+        PENDING.set(pending);
     }
     (targets.len() as u64)
         .saturating_mul(sources.len() as u64)
@@ -473,13 +623,16 @@ struct Lanes<'a> {
     pos: Vec2x2,
 }
 
-/// The body of [`accumulate`]'s nest, a lane pair against a run of
-/// consecutive sources, written once and instantiated per way of forming the
-/// displacement (one target's, and both lanes'): the lane loop of a settled
-/// chunk has no trace of a wrap, nor that of a whole block of an image
-/// (DESIGN.md §14.8 has what a flag read inside one shared loop cost).
+/// The body of [`nest`], a lane pair against a run of consecutive sources,
+/// written once and instantiated per way of forming the displacement (one
+/// target's, and both lanes'): the lane loop of a settled chunk has no trace
+/// of a wrap, nor that of a whole block of an image (DESIGN.md §14.8 has
+/// what a flag read inside one shared loop cost). Under [`Newton`] `slots`
+/// are the sources' pending accumulators, one per source, and take the
+/// reactions.
 #[inline(always)]
-fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
+#[allow(clippy::too_many_arguments)]
+fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     &Lanes {
         pair,
         ref t0,
@@ -488,6 +641,7 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
     }: &Lanes,
     mut acc: Vec2x2,
     sources: &[S],
+    slots: &mut [Vec2],
     law: &F,
     harvest: &mut H,
     skipped: &mut u64,
@@ -497,7 +651,9 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
     ),
 ) -> Vec2x2 {
     let full = pair.len() == 2;
-    for s in sources {
+    // Checked once here rather than per source.
+    let slots = &mut slots[..if R::NEWTON { sources.len() } else { 0 }];
+    for (k, s) in sources.iter().enumerate() {
         if !full || t0.id == s.id() || t1.id == s.id() {
             // This path's `shown` is its own: a scalar `force` the compiler
             // leaves as a call needs it in memory, and the lane path below
@@ -507,12 +663,18 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
             let mut lanes = acc.to_lanes();
             for (t, a) in pair.iter().zip(&mut lanes) {
                 if t.id == s.id {
-                    *skipped += 1;
+                    // Under `Newton` both ordered pairs.
+                    *skipped += 1 + u64::from(R::NEWTON);
                     continue;
                 }
                 let disp = one(t.pos, s.pos);
-                *a += law.force(t, s, disp);
+                let f = law.force(t, s, disp);
+                *a += f;
                 harvest.pair(law, t, s, disp);
+                if R::NEWTON {
+                    slots[k] -= f;
+                    harvest.pair(law, s, t, -disp);
+                }
             }
             acc = Vec2x2::new(lanes[0], lanes[1]);
             continue;
@@ -520,12 +682,41 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
         let disp = two(pos, Vec2x2::splat(s.pos()));
         let shown = s.shown();
         let s: &Particle = shown.borrow();
-        acc += law.force_x2([t0, t1], s, disp);
+        let f = law.force_x2([t0, t1], s, disp);
+        acc += f;
         let [d0, d1] = disp.to_lanes();
         harvest.pair(law, t0, s, d0);
         harvest.pair(law, t1, s, d1);
+        if R::NEWTON {
+            // Lane 0's reaction first: the slot adds its terms in source
+            // order too.
+            let [f0, f1] = f.to_lanes();
+            slots[k] = slots[k] - f0 - f1;
+            harvest.pair(law, s, t0, -d0);
+            harvest.pair(law, s, t1, -d1);
+        }
     }
     acc
+}
+
+/// The nest under the [`Reaction`] the call allows: [`Newton`] when the
+/// sources are the targets ([`same_block`]) and the law has a cutoff and
+/// promises symmetry, [`OneWay`] otherwise. A law without a cutoff keeps
+/// every ordered pair, and with it the scalar loop's bits that the
+/// all-pairs drivers' oracle pins (DESIGN.md §14.9).
+fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
+    targets: &mut [Particle],
+    sources: &[S],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    harvest: &mut H,
+) -> u64 {
+    if law.cutoff().is_some() && law.is_symmetric() && same_block(targets, sources) {
+        nest::<S, F, H, Newton>(targets, sources, law, domain, boundary, harvest)
+    } else {
+        nest::<S, F, H, OneWay>(targets, sources, law, domain, boundary, harvest)
+    }
 }
 
 /// Accumulate the forces exerted by every particle in `sources` on every
@@ -533,12 +724,21 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest>(
 /// it is safe to pass a block to itself; an id names a particle, so a
 /// source carrying a target's id is taken to be at that target's position.
 ///
+/// Each target's force is bit for bit the scalar loop's — one target at a
+/// time, sources in order — with one exception: a block against itself
+/// (the same ids in the same order) under a law with a cutoff that promises
+/// symmetry ([`ForceLaw::is_symmetric`]) asks the law once per unordered
+/// pair and gives the source `−f`. Every target still adds its terms in
+/// source order, so its force is the scalar loop's to within the rounding
+/// of the law's strength products: exact where they are (equal masses,
+/// Lennard-Jones), never in a different order.
+///
 /// Returns the exact number of pairs the call answered — all ordered cross
 /// pairs minus the skipped same-id pairs, whether the law was evaluated for
-/// a pair or the cutoff cull ruled it out — which is
-/// [`block_interactions`] of the two shapes. This count is the unit of
-/// "computation" in the paper's cost model (`F = n²` total for all-pairs,
-/// `F = nk` with a cutoff) and the basis of the FLOP accounting.
+/// a pair, answered for its partner, or the cutoff cull ruled it out —
+/// which is [`block_interactions`] of the two shapes. This count is the
+/// unit of "computation" in the paper's cost model (`F = n²` total for
+/// all-pairs, `F = nk` with a cutoff) and the basis of the FLOP accounting.
 pub fn accumulate_block<F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[Particle],
@@ -553,7 +753,8 @@ pub fn accumulate_block<F: ForceLaw>(
 /// [`Source`] blocks the CA drivers circulate. Forces and the returned count
 /// are bit for bit those of `accumulate_block` on the particles the sources
 /// were taken from, for any law that keeps to what a law may read
-/// ([`ForceLaw`]'s docs).
+/// ([`ForceLaw`]'s docs), the symmetric case of a block against itself
+/// included: it is told by ids, which both blocks carry.
 pub fn accumulate_sources<S: KernelSource, F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[S],
@@ -565,16 +766,19 @@ pub fn accumulate_sources<S: KernelSource, F: ForceLaw>(
 }
 
 /// [`accumulate_sources`], additionally harvesting the summed pair potential
-/// of every evaluated interaction — the health monitors' potential-energy
-/// partial. Because the CA schedules evaluate every *ordered* pair exactly
+/// of every answered ordered pair — the health monitors' potential-energy
+/// partial. Because the CA schedules answer every *ordered* pair exactly
 /// once globally, the world-reduced sum of these partials counts each
-/// unordered pair twice; the driver halves it.
+/// unordered pair twice; the driver halves it. A pair asked once for both
+/// of its ordered pairs is harvested twice, once each way.
 ///
 /// The same loop nest as [`accumulate_sources`] under a different harvest
-/// policy: forces are bit-identical, and plain (health-off) runs pay
-/// nothing for the potential — it is not free for laws like Lennard-Jones.
-/// The harvest asks the law about every pair (a pair beyond `r_c` still
-/// has a potential, `Cutoff`'s tail energy), so this variant never culls.
+/// policy: forces and count are bit-identical, and plain (health-off) runs
+/// pay nothing for the potential — it is not free for laws like
+/// Lennard-Jones. The cull rules out the same pairs: each of them is beyond
+/// `r_c`, where a law with a cutoff promises one potential
+/// ([`ForceLaw::cutoff`], `Cutoff`'s tail energy), so the law is asked it
+/// once per call and it is added once for all of them.
 pub fn accumulate_block_potential<S: KernelSource, F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[S],
@@ -582,9 +786,17 @@ pub fn accumulate_block_potential<S: KernelSource, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> (u64, f64) {
-    let mut potential = PotentialSum(0.0);
-    let evals = accumulate(targets, sources, law, domain, boundary, &mut potential);
-    (evals, potential.0)
+    let mut harvest = PotentialSum::default();
+    let answered = accumulate(targets, sources, law, domain, boundary, &mut harvest);
+    let culled = answered.saturating_sub(harvest.pairs);
+    if culled > 0 {
+        // A displacement beyond every cutoff: the cull only rules out pairs
+        // of a law that has one, and a block that holds them.
+        let shown = sources[0].shown();
+        let far = Vec2::new(f64::INFINITY, 0.0);
+        harvest.sum += culled as f64 * law.potential(&targets[0], shown.borrow(), far);
+    }
+    (answered, harvest.sum)
 }
 
 /// Number of pairs `accumulate_block` answers for the given block sizes
@@ -821,7 +1033,7 @@ mod tests {
                 Particle::at(1, Vec2::new(0.9, bad)),
             ];
             let mut cull = cull_of(&sources, 1e-3, &domain, Boundary::Periodic);
-            let plane = (cull.chunks[0], cull.groups[0]);
+            let plane = (cull.chunks()[0], cull.groups()[0]);
             assert_eq!(plane.0, plane.1);
             for (b, of) in [(&plane.0, (t, t)), (&plane.0, plane.0), (&patch, plane.0)] {
                 assert!(
@@ -831,8 +1043,7 @@ mod tests {
             }
             // So a tile with such a target rules nothing out, far as the
             // finite ones are from everything.
-            cull.chunks = vec![patch; 3];
-            cull.groups = vec![patch];
+            (cull.boxes, cull.chunk_count) = (vec![patch; 3 + 1], 3);
             assert!(cull.tile(&[Particle::at(2, t); 4]));
             assert!(cull.near.is_empty());
             assert!(!cull.tile(&[Particle::at(2, t), Particle::at(3, Vec2::new(bad, 0.1))]));
@@ -842,8 +1053,8 @@ mod tests {
         // themselves in a block of one group and not in a longer one.
         let mut cull = cull(0.71, Boundary::Open);
         for (chunks, asks) in [(3, true), (GROUP, true), (GROUP + 1, false)] {
-            cull.chunks = vec![patch; chunks];
-            cull.groups = vec![patch; chunks.div_ceil(GROUP)];
+            cull.boxes = vec![patch; chunks + chunks.div_ceil(GROUP)];
+            cull.chunk_count = chunks;
             assert_eq!(cull.tile(&[Particle::at(2, t); 4]), asks);
             let whole = (0..chunks).map(|j| (j, Some(Vec2::zero())));
             assert_eq!(cull.near, whole.collect::<Vec<_>>());

@@ -225,3 +225,54 @@ fn cutoff_driver_reports_health_too() {
     assert_eq!(report.steps_checked, 4);
     assert_eq!(timeline.energy_series().steps.len(), 4);
 }
+
+#[test]
+fn health_on_cutoff_runs_land_on_the_plain_runs_particles() {
+    // The potential harvest culls what the plain sweep culls, and takes a
+    // block against itself once per pair as the plain sweep does, so the
+    // monitored run's forces, and with them its trajectory, are the plain
+    // run's bit for bit, on both cutoff layouts with and without replicas.
+    let cfg = SimConfig {
+        law: Cutoff::new(
+            Gravity {
+                g: 1e-4,
+                softening: 0.05,
+            },
+            0.15,
+        ),
+        integrator: VelocityVerlet,
+        domain: Domain::unit(),
+        boundary: Boundary::Periodic,
+        dt: 1e-3,
+        steps: 4,
+    };
+    // Masses with many bits: `(g·m_t)·m_s` and `(g·m_s)·m_t` then differ in
+    // the last bit, so a harvest that asked every ordered pair would show.
+    let mut initial = init::uniform(256, &cfg.domain, 5);
+    for (i, q) in initial.iter_mut().enumerate() {
+        *q = q.with_mass(0.5 + (i % 7) as f64 * 0.1371);
+    }
+    let bits = |ps: &[Particle]| -> Vec<[u64; 6]> {
+        ps.iter()
+            .map(|q| [q.pos.x, q.pos.y, q.vel.x, q.vel.y, q.force.x, q.force.y])
+            .map(|v| v.map(f64::to_bits))
+            .collect()
+    };
+    for (method, p) in [
+        (Method::Ca1dCutoff { c: 1 }, 4),
+        (Method::Ca1dCutoff { c: 2 }, 8),
+        (Method::Ca2dCutoff { c: 1 }, 4),
+        (Method::Ca2dCutoff { c: 2 }, 8),
+    ] {
+        let plain = Run::new(&cfg, method, p).execute(&initial).result.unwrap();
+        let health = HealthConfig::enabled();
+        let out = Run::new(&cfg, method, p).health(&health).execute(&initial);
+        let monitored = out.result.expect("clean cutoff run succeeds");
+        let report = monitored.health.expect("health runs produce a report");
+        assert!(report.is_clean(), "{method:?}: {report:?}");
+        assert!(
+            bits(&monitored.particles) == bits(&plain.particles),
+            "{method:?} p={p}: health-on vs plain"
+        );
+    }
+}

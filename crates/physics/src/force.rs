@@ -10,7 +10,12 @@
 //! Note: the paper explicitly does *not* exploit force symmetry ("The force
 //! is symmetric, but it need not be and we do not apply optimizations to
 //! exploit the symmetry"). The distributed algorithms in `ca-nbody` follow
-//! the same rule: every ordered pair `(i, j)` with `i != j` is evaluated.
+//! the same rule between blocks: every ordered pair `(i, j)` of two
+//! different blocks is evaluated where the schedule brings them together.
+//! Within a block under a law with a cutoff that promises symmetry
+//! ([`ForceLaw::is_symmetric`]), the block kernel asks once per unordered
+//! pair and gives the partner `−f`; every other law, and every law without
+//! a cutoff, is asked about every ordered pair.
 
 use crate::lanes::{F64x2, Vec2x2};
 use crate::particle::Particle;
@@ -92,16 +97,24 @@ pub trait ForceLaw: Sync {
     /// them), [`force`](ForceLaw::force) returns exactly `+0.0` in both
     /// components, whatever the particles. The kernel may then not ask at
     /// all about a pair it can prove is that far apart, and a law must not
-    /// count on being called for it. [`potential`](ForceLaw::potential) is
-    /// under no such promise ([`Cutoff`] returns its tail energy there).
+    /// count on being called for it. [`potential`](ForceLaw::potential)
+    /// need not be zero there, but must be one constant for every such
+    /// pair ([`Cutoff`]'s tail energy): the kernel's potential harvest asks
+    /// it once per call and charges it to every pair it ruled out.
     fn cutoff(&self) -> Option<f64> {
         None
     }
 
-    /// Whether `f_ij = -f_ji` holds; diagnostics use this to decide if
-    /// momentum conservation is a valid invariant.
+    /// Whether the law promises Newton's third law: `force(t, s, d)` is
+    /// `−force(s, t, −d)`, to within the rounding of the strength product
+    /// (`k·m_t·m_s` against `k·m_s·m_t`), and exactly so when nothing in
+    /// the force depends on which particle is the target. Momentum
+    /// diagnostics read it, and the block kernel, under a law that also has
+    /// a [`cutoff`](ForceLaw::cutoff), asks once per unordered pair of a
+    /// block against itself and hands the partner `−f`. Opt-in: `false`
+    /// unless a law says otherwise, and a wrapper forwards its inner law's.
     fn is_symmetric(&self) -> bool {
-        true
+        false
     }
 
     /// Nominal floating-point operations per force evaluation, the
@@ -205,6 +218,10 @@ impl ForceLaw for RepulsiveInverseSquare {
         self.strength * target.mass * source.mass / r
     }
 
+    fn is_symmetric(&self) -> bool {
+        true
+    }
+
     // norm_sq (3) + softening (2) + sqrt (1) + denominator (1) +
     // reciprocal (1) + strength (2) + scale twice (4) + accumulate (2) +
     // compare (1). The sign rides on the strength.
@@ -250,6 +267,10 @@ impl ForceLaw for Gravity {
             return 0.0;
         }
         -self.g * target.mass * source.mass / r
+    }
+
+    fn is_symmetric(&self) -> bool {
+        true
     }
 
     // Same operation mix as the repulsive law, opposite sign.
@@ -315,6 +336,10 @@ impl ForceLaw for LennardJones {
         let s2 = self.sigma * self.sigma / r2;
         let s6 = s2 * s2 * s2;
         4.0 * self.epsilon * (s6 * s6 - s6)
+    }
+
+    fn is_symmetric(&self) -> bool {
+        true
     }
 
     // norm_sq (3) + reciprocal (1) + s2/s6/s12 ladder (5) + magnitude (5)
@@ -866,6 +891,136 @@ mod tests {
         assert_eq!(got.x, f64::NEG_INFINITY);
         assert_eq!(want.x, f64::NEG_INFINITY);
         assert!(got.y.is_nan() && want.y.is_nan());
+    }
+
+    // ---- Newton's third law, as `is_symmetric` promises it --------------
+    //
+    // `force(t, s, d)` against `−force(s, t, −d)`. What depends on the
+    // displacement is exact both ways — `norm_sq` squares its sign away,
+    // and negation passes exactly through a product or a quotient — so only
+    // the strength product differs: `(k·m_t)·m_s` against `(k·m_s)·m_t`,
+    // two roundings each, at most 4·2⁻⁵³ apart relative, and each later
+    // product of it rounds both sides once more (2·2⁻⁵³ each). A relative
+    // distance of `j·2⁻⁵³` is under `j` ulps of either result.
+
+    /// The inverse-square laws: the strength product, then one multiply.
+    const NEWTON_INVERSE_SQUARE_ULPS: u64 = 6;
+
+    /// Yukawa: the strength product, then three multiplies (the screen, the
+    /// bracket, the direction).
+    const NEWTON_YUKAWA_ULPS: u64 = 10;
+
+    /// How far, in ulps per component, `law` keeps from Newton's third law
+    /// on one pair, and that it promises to.
+    fn newton_ulps<F: ForceLaw>(law: &F, t: &Particle, s: &Particle, d: Vec2) -> u64 {
+        assert!(law.is_symmetric());
+        max_component_ulps(law.force(t, s, d), -law.force(s, t, -d))
+    }
+
+    /// A pair `d` apart over 16 decades in any direction, at masses `m_t`
+    /// and `m_s`, and the same pair at equal masses.
+    fn newton_pairs(
+        exponent: f64,
+        angle: f64,
+        m_t: f64,
+        m_s: f64,
+    ) -> [(Particle, Particle, Vec2); 2] {
+        let d = Vec2::new(angle.cos(), angle.sin()) * 10f64.powf(exponent);
+        let t = Particle::at(0, Vec2::zero()).with_mass(m_t);
+        [
+            (t, Particle::at(1, d).with_mass(m_s), d),
+            (t, Particle::at(1, d).with_mass(m_t), d),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn repulsive_keeps_newtons_third_law_to_the_stated_ulps(
+            exponent in -8.0..8.0f64,
+            angle in 0.0..std::f64::consts::TAU,
+            m_t in 0.25..4.0f64,
+            m_s in 0.25..4.0f64,
+            softening in prop_oneof![Just(0.0), Just(1e-6), Just(1e-3)],
+        ) {
+            let law = RepulsiveInverseSquare { strength: 1e-4, softening };
+            let [unequal, equal] = newton_pairs(exponent, angle, m_t, m_s);
+            prop_assert!(newton_ulps(&law, &unequal.0, &unequal.1, unequal.2)
+                <= NEWTON_INVERSE_SQUARE_ULPS);
+            prop_assert_eq!(newton_ulps(&law, &equal.0, &equal.1, equal.2), 0);
+        }
+
+        #[test]
+        fn gravity_keeps_newtons_third_law_to_the_stated_ulps(
+            exponent in -8.0..8.0f64,
+            angle in 0.0..std::f64::consts::TAU,
+            m_t in 0.25..4.0f64,
+            m_s in 0.25..4.0f64,
+            softening in prop_oneof![Just(0.0), Just(1e-6), Just(1e-3)],
+        ) {
+            let law = Gravity { g: 1.0, softening };
+            let [unequal, equal] = newton_pairs(exponent, angle, m_t, m_s);
+            prop_assert!(newton_ulps(&law, &unequal.0, &unequal.1, unequal.2)
+                <= NEWTON_INVERSE_SQUARE_ULPS);
+            prop_assert_eq!(newton_ulps(&law, &equal.0, &equal.1, equal.2), 0);
+            // A cutoff forwards the promise and keeps the bits.
+            let cut = Cutoff::new(law, 10f64.powf(exponent) * 2.0);
+            prop_assert_eq!(
+                newton_ulps(&cut, &unequal.0, &unequal.1, unequal.2),
+                newton_ulps(&law, &unequal.0, &unequal.1, unequal.2)
+            );
+        }
+
+        #[test]
+        fn lennard_jones_keeps_newtons_third_law_exactly(
+            exponent in -8.0..8.0f64,
+            angle in 0.0..std::f64::consts::TAU,
+            m_t in 0.25..4.0f64,
+            m_s in 0.25..4.0f64,
+        ) {
+            // No masses in the force: exact at any.
+            let law = LennardJones::default();
+            let [unequal, _] = newton_pairs(exponent, angle, m_t, m_s);
+            prop_assert_eq!(newton_ulps(&law, &unequal.0, &unequal.1, unequal.2), 0);
+            let cut = Cutoff::new(law, 2.5);
+            prop_assert_eq!(newton_ulps(&cut, &unequal.0, &unequal.1, unequal.2), 0);
+        }
+
+        #[test]
+        fn yukawa_keeps_newtons_third_law_to_the_stated_ulps(
+            exponent in -8.0..2.0f64,
+            angle in 0.0..std::f64::consts::TAU,
+            m_t in 0.25..4.0f64,
+            m_s in 0.25..4.0f64,
+        ) {
+            // Up to ten screening lengths, where the screen is still a
+            // normal number.
+            let law = crate::Yukawa { strength: 1e-3, screening_length: 10.0, softening: 1e-6 };
+            let [unequal, equal] = newton_pairs(exponent, angle, m_t, m_s);
+            prop_assert!(newton_ulps(&law, &unequal.0, &unequal.1, unequal.2)
+                <= NEWTON_YUKAWA_ULPS);
+            prop_assert_eq!(newton_ulps(&law, &equal.0, &equal.1, equal.2), 0);
+        }
+    }
+
+    #[test]
+    fn symmetry_is_promised_by_the_built_in_laws_and_forwarded_by_the_wrappers() {
+        let repulsive = RepulsiveInverseSquare::default();
+        assert!(repulsive.is_symmetric() && Gravity::default().is_symmetric());
+        assert!(LennardJones::default().is_symmetric() && crate::Yukawa::default().is_symmetric());
+        assert!(Cutoff::new(repulsive, 1.0).is_symmetric());
+        assert!(crate::ShiftedForce::new(repulsive, 1.0).is_symmetric());
+        assert!(!Cutoff::new(Counting, 1.0).is_symmetric());
+        assert!(!crate::ShiftedForce::new(Counting, 1.0).is_symmetric());
+        // A law that does not say is not taken to be symmetric.
+        struct Unsaid;
+        impl ForceLaw for Unsaid {
+            fn force(&self, _: &Particle, _: &Particle, _: Vec2) -> Vec2 {
+                Vec2::zero()
+            }
+        }
+        assert!(!Unsaid.is_symmetric() && !Cutoff::new(Unsaid, 1.0).is_symmetric());
     }
 
     proptest! {

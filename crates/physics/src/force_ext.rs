@@ -61,6 +61,10 @@ impl ForceLaw for Yukawa {
         self.strength * target.mass * source.mass * (-r / self.screening_length).exp() / r
     }
 
+    fn is_symmetric(&self) -> bool {
+        true
+    }
+
     // The textbook inverse-square mix (normalize, then scale: ~20) plus a
     // sqrt and an exp (costed at ~20 FLOPs for its polynomial expansion).
     fn flops_per_interaction(&self) -> u64 {

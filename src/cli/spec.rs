@@ -63,7 +63,7 @@ impl ForceLaw for AnyLaw {
     }
 
     fn is_symmetric(&self) -> bool {
-        true
+        delegate!(self, l => l.is_symmetric())
     }
 
     fn flops_per_interaction(&self) -> u64 {

@@ -248,6 +248,9 @@ impl<F: ForceLaw> ForceLaw for Asked<F> {
     fn cutoff(&self) -> Option<f64> {
         self.inner.cutoff()
     }
+    fn is_symmetric(&self) -> bool {
+        self.inner.is_symmetric()
+    }
 }
 
 #[test]
