@@ -16,6 +16,10 @@
 //!   9 Sum-reduce updates within team.
 //! ```
 //!
+//! Line 5 runs `2m/c` shifts: the step that would bring a row's buffer back
+//! to its own team's block is a local update from the copy line 2 left,
+//! with no message ([`traversal`]).
+//!
 //! Teams own *spatial* regions; a [`Window`] enumerates the `W` block
 //! offsets a team interacts with (`W = 2m+1` in 1D). Exchange buffers walk
 //! through window *positions*: after the skew plus `s` shifts, the row-`k`
@@ -231,17 +235,23 @@ pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle
 /// sends to, whom it receives from and what it then holds. Ranks are named
 /// by team — the row communicator's rank, and `grid.rank_at(team, row)` in
 /// the world.
+///
+/// A hop that lands on the rank's own team's block is local: it sends and
+/// receives nothing, and the rank updates from the copy it holds (except
+/// on Algorithm 1's full ring, see [`traversal`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// Team the buffer held before the hop moves to; `None` when no block
-    /// is held or its path leaves the team grid here.
+    /// is held, its path leaves the team grid here, or the move would
+    /// carry it to its own team.
     pub shift_to: Option<usize>,
     /// Team this rank re-injects its own block to, as that block's home,
     /// because the copy that should have arrived there left the grid
-    /// (clipped windows only).
+    /// (clipped windows only, and never to itself).
     pub home_to: Option<usize>,
     /// Team the incoming buffer arrives from: the block's previous holder,
-    /// or its home when that holder is off the grid.
+    /// or its home when that holder is off the grid; `None` when the block
+    /// is this team's own.
     pub recv_from: Option<usize>,
     /// Block held after the hop — the one the next hop's `shift_to` moves;
     /// `None` when the new position is off the grid.
@@ -260,6 +270,16 @@ pub struct Hop {
 /// [`row_steps`] encodes. Row 0 starts where its skew would take it, so its
 /// first item moves nothing.
 ///
+/// The shift step that brings a row home, to position 0 and its own
+/// team's block, moves nothing either: the rank has held that block since
+/// line 2 and updates from that copy, at the same step and so in the same
+/// accumulation order. A row at `c = 1` therefore sends `W − 1 = 2m` shifts,
+/// the paper's count. Algorithm 1's full ring (a wrapping window with
+/// `W = teams`) is the exception for now and ships the block home, because
+/// the benchmark pins `p/c²` shifts per rank-step on all-pairs runs; the
+/// exception goes when that pin becomes the twin's count (ROADMAP item
+/// 1(g)).
+///
 /// The run executes these hops (the shift body, under either link) and the
 /// schedule twin ([`CutoffParams::program`]) maps the same hops to
 /// simulator ops, so who sends which block to whom has this one statement.
@@ -272,19 +292,27 @@ pub fn traversal<W: Window>(
     row: usize,
 ) -> impl Iterator<Item = Hop> + '_ {
     let w = window.len();
+    // The full ring ships a row its own block home while the benchmark pins
+    // `p/c²` shifts per all-pairs rank-step; remove this exception with
+    // that pin (ROADMAP item 1(g)).
+    let ships_home = window.is_periodic() && w == window.teams();
     // Position and block before the hop: every row starts on its own block.
     let mut at = (0, Some(team));
     (0..=row_steps(w, c, row)).map(move |s| {
         let j_new = (row + s * c) % w;
         let block = window.apply_back(team, j_new);
         let (j_prev, held) = std::mem::replace(&mut at, (j_new, block));
-        if s == 0 && row == 0 {
+        // Landing on its own block, a rank moves nothing: it has held that
+        // block since line 2. Every rank of the row lands on its own at
+        // this step, so every send it would have taken carries a block to
+        // its own team.
+        if block == Some(team) && (s == 0 || !ships_home) {
             return Hop {
                 shift_to: None,
                 home_to: None,
                 recv_from: None,
                 block,
-                update: false,
+                update: s > 0,
             };
         }
         Hop {
@@ -368,7 +396,16 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
             // The new position is off the grid: this rank idles.
             (None, None) => exch = Vec::new(),
             // Row 0's skew: the buffer stays where it is.
-            (None, Some(_)) => {}
+            (None, Some(_)) if s == 0 => {}
+            // Home: the block is the team's own, and `st` holds its ids,
+            // positions and masses in the broadcast's order. The buffer is
+            // another team's block: grow it to this one's size exactly, not
+            // by doubling.
+            (None, Some(_)) => {
+                exch.clear();
+                exch.reserve_exact(st.len());
+                exch.extend(st.iter().map(Source::from));
+            }
         }
         // Line 7, once per window position.
         if hop.update {

@@ -6,12 +6,14 @@
 
 use std::time::{Duration, Instant};
 
+use ca_nbody::cutoff::row_steps;
 use ca_nbody::dist::spatial_subset_1d;
-use ca_nbody::recovery::{FaultError, RetryPolicy};
+use ca_nbody::recovery::{ca_cutoff_forces_ft, FaultError, RecoveryReport, RetryPolicy};
 use ca_nbody::sim::{run_distributed, run_distributed_chaos, run_serial, Method, SimConfig};
-use nbody_comm::{FaultKind, FaultPlan};
+use ca_nbody::{ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
+use nbody_comm::{run_ranks, run_ranks_chaos_with, FaultKind, FaultPlan, Lenses, MetricsSnapshot};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, ForceLaw, RepulsiveInverseSquare, SemiImplicitEuler,
+    init, Boundary, Cutoff, Domain, ForceLaw, Particle, RepulsiveInverseSquare, SemiImplicitEuler,
 };
 use proptest::prelude::*;
 
@@ -293,6 +295,105 @@ fn cutoff_c1_kill_shrinks_and_tracks_serial_reference() {
             "{boundary:?}: degraded trajectory must equal the clean run on the survivors"
         );
     }
+}
+
+/// One force evaluation of the fault-tolerant cutoff driver on a wrapping
+/// window (`p/c` slabs, `r_c = 0.2`) under `plan`, next to the plain
+/// driver's: per rank the ft result with the leader's block, the plain
+/// leader's block, and the merged metrics.
+#[allow(clippy::type_complexity)]
+fn wrapping_cutoff_ft(
+    p: usize,
+    c: usize,
+    plan: &FaultPlan,
+) -> (
+    Vec<Result<(RecoveryReport, Vec<Particle>), FaultError>>,
+    Vec<Vec<Particle>>,
+    MetricsSnapshot,
+) {
+    let (domain, boundary) = (Domain::unit(), Boundary::Periodic);
+    let law = Cutoff::new(
+        RepulsiveInverseSquare {
+            strength: 1e-3,
+            softening: 1e-3,
+        },
+        0.2,
+    );
+    let grid = ProcGrid::new(p, c).unwrap();
+    let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), true, 0.2);
+    assert!(window.len() < grid.teams(), "a cutoff window, not the ring");
+    let all = init::uniform(48, &domain, 23);
+    let block = |leader: bool, team: usize| {
+        if leader {
+            spatial_subset_1d(&all, &domain, grid.teams(), team)
+        } else {
+            Vec::new()
+        }
+    };
+    let plain = run_ranks(p, |world| {
+        let gc = GridComms::new(world, grid);
+        let mut st = block(gc.is_leader(), gc.team());
+        ca_cutoff_forces(&gc, &window, &mut st, &law, &domain, boundary);
+        st
+    });
+    let lenses = Lenses {
+        trace: true,
+        probe: false,
+    };
+    let policy = RetryPolicy::with_timeout_ms(300);
+    let (ft, artifacts) = run_ranks_chaos_with(p, plan, lenses, |world| {
+        let gc = GridComms::new(world, grid);
+        let mut st = block(gc.is_leader(), gc.team());
+        let (report, _) = ca_cutoff_forces_ft(
+            &gc, &window, &mut st, &law, &domain, boundary, &policy, 0, None,
+        )?;
+        Ok((report, st))
+    });
+    (ft, plain, artifacts.metrics)
+}
+
+/// The step that brings a row home moves no message, but it is still a
+/// pipeline step: a kill aimed at it fires, and a drop aimed at it finds
+/// nothing to drop.
+#[test]
+fn a_fault_at_the_home_step_of_a_wrapping_window() {
+    // p = 12, c = 2: 6 slabs, W = 5, and row 1 reaches position
+    // (1 + 2·2) mod 5 = 0, its own block, on its last step.
+    let grid = ProcGrid::new(12, 2).unwrap();
+    let (rank, home) = (grid.rank_at(1, 1), row_steps(5, 2, 1));
+    let (ft, plain, _) = wrapping_cutoff_ft(12, 2, &FaultPlan::kill(rank, home));
+    for (r, (got, want)) in ft.into_iter().zip(&plain).enumerate() {
+        let (report, st) = got.unwrap_or_else(|e| panic!("kill:{rank}@{home} at c=2: {e}"));
+        assert!(report.recovered, "rank {r}");
+        assert_eq!(report.attempts, 2, "rank {r}");
+        if grid.row_of(r) == 0 {
+            assert_eq!(&st, want, "rank {r}: recovery is bit-identical");
+        }
+    }
+
+    // c = 1: W = 3 on 4 slabs, row 0 comes home on step 3. Killing the
+    // column's only replica there is the agreed verdict, on every rank.
+    let (ft, _, _) = wrapping_cutoff_ft(4, 1, &FaultPlan::kill(2, row_steps(3, 1, 0)));
+    for got in ft {
+        let err = got.map(|_| ()).unwrap_err();
+        let lost = FaultError::ColumnsLost {
+            dead_teams: vec![2],
+            c: 1,
+        };
+        assert_eq!(err, lost);
+    }
+
+    // The home step sends nothing, so a drop aimed at it never fires.
+    let plan = FaultPlan::parse(&format!("drop:{rank}@{home}")).unwrap();
+    let (ft, plain, metrics) = wrapping_cutoff_ft(12, 2, &plan);
+    for (r, (got, want)) in ft.into_iter().zip(&plain).enumerate() {
+        let (report, st) = got.expect("nothing was dropped");
+        assert_eq!(report.attempts, 1, "rank {r}");
+        if grid.row_of(r) == 0 {
+            assert_eq!(&st, want, "rank {r}");
+        }
+    }
+    assert_eq!(metrics.sum_counter("fault_injected_drop", None), 0);
 }
 
 /// Faults recurring past the retry budget surface as `RetriesExhausted`

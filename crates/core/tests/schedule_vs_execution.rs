@@ -80,13 +80,25 @@ fn all_pairs_schedule_matches_execution() {
     }
 }
 
+/// Clipped windows, the paper's setting, and wrapping ones: `p = 4`, `c = 1`
+/// with `W = 3` is the benchmark's shape, and `p = 12`, `c = 2` with `W = 5`
+/// brings row 1 home on its last step.
 #[test]
 fn cutoff_1d_schedule_matches_execution() {
     let domain = Domain::unit();
     let n = 64;
-    for (p, c, r_c) in [(4, 1, 0.2), (8, 2, 0.2), (12, 3, 0.3), (16, 2, 0.15)] {
+    let (clipped, wrapping) = (Boundary::Open, Boundary::Periodic);
+    for (p, c, r_c, boundary) in [
+        (4, 1, 0.2, clipped),
+        (8, 2, 0.2, clipped),
+        (12, 3, 0.3, clipped),
+        (16, 2, 0.15, clipped),
+        (4, 1, 0.2, wrapping),
+        (12, 2, 0.2, wrapping),
+    ] {
         let grid = ProcGrid::new(p, c).unwrap();
-        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), false, r_c);
+        let wraps = boundary == wrapping;
+        let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), wraps, r_c);
         let law = Cutoff::new(Counting, r_c);
         let all = init::uniform_1d(n, &domain, 77);
         let block_sizes: Vec<usize> = (0..grid.teams())
@@ -101,13 +113,21 @@ fn cutoff_1d_schedule_matches_execution() {
             } else {
                 Vec::new()
             };
-            ca_cutoff_forces(&gc, &window, &mut st, &law, &domain, Boundary::Open);
+            ca_cutoff_forces(&gc, &window, &mut st, &law, &domain, boundary);
             world.stats()
         });
         let params = CutoffParams::new(grid, window, block_sizes);
+        let label = format!("cutoff1d p={p} c={c} rc={r_c} {boundary:?}");
         for (rank, s) in stats.iter().enumerate() {
             let sched = count_ops(params.program(rank));
-            assert_counts_match(rank, s, &sched, &format!("cutoff1d p={p} c={c} rc={r_c}"));
+            assert_counts_match(rank, s, &sched, &label);
+            // Independent of the traversal both sides walk: on a wrapping
+            // window at c = 1 a rank shifts to every position but its own,
+            // W − 1 = 2m messages.
+            if wraps && c == 1 {
+                let shifts = s.phase(Phase::Shift).messages;
+                assert_eq!(shifts, window.len() as u64 - 1, "{label}: rank {rank}");
+            }
         }
     }
 }

@@ -3,10 +3,13 @@
 //! when ownership changes (64 B). The element and message counts are pinned
 //! to what the drivers sent while every phase still shipped 64-byte
 //! particles — the wire format changed the size of an element, never how
-//! many move or in how many messages. One column has moved since, on
-//! purpose: re-assignment's message count is its neighbourhood's, no longer
+//! many move or in how many messages. Two columns have moved since, on
+//! purpose. Re-assignment's message count is its neighbourhood's, no longer
 //! `teams − 1` per leader ([`REASSIGN_1D`], [`REASSIGN_2D`]); what it
-//! carries has not.
+//! carries has not. And the cutoff rows' Shift column lost the hop that
+//! carried each row's own block home: a row now updates from the copy it
+//! holds (`cutoff::traversal`): one message fewer per team and timestep.
+//! The all-pairs rows, whose ring still ships it, are unchanged.
 
 use ca_nbody::sim::{run_distributed, Method, SimConfig};
 use nbody_comm::Phase;
@@ -61,7 +64,7 @@ const PINNED: [(Method, usize, Totals); 6] = [
         [
             [0; 5],
             [0; 5],
-            [28, 273, 0, 0, 0],
+            [20, 193, 0, 0, 0],
             [0; 5],
             [REASSIGN_1D, 2, 0, 0, 0],
         ],
@@ -72,7 +75,7 @@ const PINNED: [(Method, usize, Totals); 6] = [
         [
             [0, 0, 16, 160, 8],
             [6, 62, 0, 0, 0],
-            [28, 273, 0, 0, 0],
+            [20, 193, 0, 0, 0],
             [0, 0, 16, 160, 8],
             [REASSIGN_1D, 2, 0, 0, 0],
         ],
@@ -83,7 +86,7 @@ const PINNED: [(Method, usize, Totals); 6] = [
         [
             [0; 5],
             [0; 5],
-            [32, 320, 0, 0, 0],
+            [24, 240, 0, 0, 0],
             [0; 5],
             [REASSIGN_2D, 1, 0, 0, 0],
         ],
@@ -94,7 +97,7 @@ const PINNED: [(Method, usize, Totals); 6] = [
         [
             [0, 0, 16, 160, 8],
             [4, 41, 0, 0, 0],
-            [32, 320, 0, 0, 0],
+            [24, 240, 0, 0, 0],
             [0, 0, 16, 160, 8],
             [REASSIGN_2D, 1, 0, 0, 0],
         ],

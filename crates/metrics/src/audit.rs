@@ -606,7 +606,7 @@ mod tests {
         // k = 2·0.25·256 = 128; S = 256·128/(8·64²) = 1, W = 256·128/(8·64) = 64.
         assert_eq!(r.s_bound, 1.0);
         assert_eq!(r.w_bound, 64.0);
-        // 4 teams, m = 1: 2m/c + 1 shifts and skew, 2 log2 c collective
+        // 4 teams, m = 1: ⌈2m/c⌉ shifts and the skew, 2 log2 c collective
         // messages, and the 2 re-assignment sends of the epilogue.
         assert_eq!(r.predicted.messages, 2.0 + 2.0 + 2.0);
     }

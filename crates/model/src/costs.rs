@@ -60,13 +60,16 @@ pub fn neutral_territory(n: u64, p: u64, m: u64, d: u32) -> CommCost {
 }
 
 /// The CA 1D-cutoff algorithm (§IV.B): `S = O(m/c)`, `W = O(m·n/p)`, plus
-/// collective terms.
+/// collective terms. `S` counts what the busiest row sends: `⌈2m/c⌉`
+/// shifts, and for `c > 1` the skew. At `c = 1` that is `2m`, because the
+/// step that brings a row home updates from the copy it holds.
 pub fn ca_cutoff_1d(n: u64, p: u64, c: u64, m: u64) -> CommCost {
+    let sends = (2 * m).div_ceil(c) + u64::from(c > 1);
     let (n, p, c, m) = (n as f64, p as f64, c as f64, m as f64);
     let collective_msgs = 2.0 * c.log2().max(0.0);
     let collective_words = 2.0 * c * n / p;
     CommCost {
-        messages: 2.0 * m / c + 1.0 + collective_msgs,
+        messages: sends as f64 + collective_msgs,
         words: 2.0 * m * n / p + c * n / p + collective_words,
     }
 }

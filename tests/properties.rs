@@ -246,6 +246,10 @@ proptest! {
     /// across the rows of a team every window position is updated exactly
     /// once, in every step of every row what is sent is what is received,
     /// block for block, and row `k` takes `row_steps` hops after its skew.
+    /// A row updates its own block from the copy it holds: no send carries
+    /// a block to its own team, so a row's shifts are its updates less the
+    /// update of its own block. Algorithm 1's full ring still ships every
+    /// block home once (the exception `traversal` names).
     #[test]
     fn traversal_updates_each_position_once_and_meets_every_send_with_one_receive(
         dims in (1usize..6, 1usize..4, 1usize..3),
@@ -276,8 +280,11 @@ proptest! {
             in_window.sort_unstable();
             prop_assert_eq!(updated, in_window, "t={}", t);
         }
+        let ring = window.is_periodic() && w == teams;
+        let mut sent_home = 0;
         for k in 0..c {
             let rows: Vec<Vec<Hop>> = (0..teams).map(|t| hops(t, k)).collect();
+            let mut shifts = 0;
             for s in 0..=row_steps(w, c, k) {
                 // (from, to, block): a receiver posts one receive a step, so
                 // equal multisets mean one message for it and none astray.
@@ -289,11 +296,24 @@ proptest! {
                     sent.extend(hop.home_to.map(|to| (t, to, t)));
                     received.extend(hop.recv_from.map(|from| (from, t, hop.block.unwrap())));
                 }
+                sent_home += sent.iter().filter(|&&(_, to, block)| to == block).count();
+                if s > 0 {
+                    shifts += sent.len();
+                }
                 sent.sort_unstable();
                 received.sort_unstable();
                 prop_assert_eq!(sent, received, "k={} s={}", k, s);
             }
+            let updates = rows.iter().flatten().filter(|h| h.update).count();
+            let own = (0..teams)
+                .filter(|&t| rows[t].iter().any(|h| h.update && h.block == Some(t)))
+                .count();
+            let want = if ring { updates } else { updates - own };
+            prop_assert_eq!(shifts, want, "k={} ring={}", k, ring);
         }
+        // The ring's home hop: flip to 0 when the benchmark's `p/c²` pin
+        // goes (ROADMAP item 1(g)).
+        prop_assert_eq!(sent_home, if ring { teams } else { 0 }, "ring={}", ring);
     }
 
     #[test]
@@ -345,5 +365,38 @@ proptest! {
             total += r.len();
         }
         prop_assert_eq!(total, n);
+    }
+}
+
+/// `nbody_model::ca_cutoff_1d`'s messages, less the collectives, are what
+/// the busiest rank of the schedule twin sends in one evaluation on a
+/// wrapping cutoff window (more teams than positions, so not the ring):
+/// `2m` at `c = 1`, where the step home moves nothing.
+#[test]
+fn cutoff_closed_form_counts_what_the_busiest_row_sends() {
+    use nbody_comm::Phase;
+    let teams = 8;
+    for m in [1usize, 2, 3] {
+        let window = TeamWindow::wrapping(&[teams], &[m]);
+        assert_eq!(window.len(), 2 * m + 1);
+        for c in [1usize, 2, 3] {
+            let p = teams * c;
+            let grid = ProcGrid::new(p, c).unwrap();
+            let params = CutoffParams::new(grid, window, vec![5; teams]);
+            let busiest = (0..p)
+                .map(|r| {
+                    let sends = count_ops(params.program(r)).sends;
+                    sends[Phase::Skew.index()] + sends[Phase::Shift.index()]
+                })
+                .max()
+                .unwrap();
+            let cost = nbody_model::ca_cutoff_1d(40, p as u64, c as u64, m as u64);
+            let collectives = 2.0 * (c as f64).log2();
+            let ctx = format!("W={} c={c}", 2 * m + 1);
+            assert_eq!(cost.messages - collectives, busiest as f64, "{ctx}");
+            if c == 1 {
+                assert_eq!(busiest, 2 * m as u64, "{ctx}");
+            }
+        }
     }
 }
