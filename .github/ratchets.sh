@@ -53,5 +53,7 @@ check "every execution keeps the flight ring: Lenses has no switch for it" \
     none 'flight: (true|false)|Lenses::flight|lenses\.flight' crates src tests
 check "the kernel has one lane loop: the symmetric case is a policy of the nest, not a second walk" \
     test "$(grep -c 'law.force_x2(' crates/core/src/kernel.rs)" -eq 1
+check "the grid and the shrink form their communicators from what every rank knows (split_by), not by an allgather" \
+    none '\.split\(' crates/core/src
 
 exit "$broken"

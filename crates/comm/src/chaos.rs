@@ -514,6 +514,13 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
             state: Rc::clone(&self.state),
         }
     }
+
+    fn split_by(&self, of: impl Fn(usize) -> (usize, usize)) -> ChaosComm<C> {
+        ChaosComm {
+            inner: self.inner.split_by(of),
+            state: Rc::clone(&self.state),
+        }
+    }
 }
 
 /// [`run_ranks`](crate::run_ranks) under fault injection: each rank's world
@@ -898,5 +905,28 @@ mod tests {
         });
         assert_eq!(out[0], (false, false));
         assert_eq!(out[1], (true, true));
+    }
+
+    #[test]
+    fn split_by_forwards_to_the_wrapped_communicator() {
+        // Rows of two: formed by the wrapped transport, so with no message,
+        // and sharing the chaos state as `split` does.
+        let plan = FaultPlan::kill(1, 1);
+        let out = run_ranks_chaos(4, &plan, |comm| {
+            let row = comm.split_by(|r| (r / 2, r));
+            let silent = comm.stats() == CommStats::new();
+            comm.set_phase(Phase::Shift);
+            let died = row.fault_step(1).is_err();
+            (row.rank(), row.size(), silent, died)
+        });
+        assert_eq!(
+            out,
+            vec![
+                (0, 2, true, false),
+                (1, 2, true, true),
+                (0, 2, true, false),
+                (1, 2, true, false)
+            ]
+        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! This is the MPI-like surface the distributed algorithms are written
 //! against: ranked point-to-point messages, tree collectives, and
-//! `split`-style sub-communicators (used to form the paper's `p/c x c`
+//! `split`-style sub-communicators (`split_by` forms the paper's `p/c x c`
 //! processor grid: one sub-communicator per *team* column and one per
 //! *row*). The concrete transport in this crate is [`ThreadComm`], which
 //! runs each rank as an OS thread on one machine — the substitution for the
@@ -214,6 +214,17 @@ pub trait Communicator: Sized {
     /// communicator, ordered by `(key, old rank)`. Must be called by every
     /// rank (collective).
     fn split(&self, color: usize, key: usize) -> Self;
+
+    /// [`split`](Communicator::split) when every rank knows every rank's
+    /// color and key: `of(rank)` gives the `(color, key)` of local rank
+    /// `rank`. A transport that can form the communicator from that alone
+    /// sends no message; the default calls `split` with this rank's pair.
+    /// Every rank must call it, with the same `of`, in the order of its
+    /// other splits.
+    fn split_by(&self, of: impl Fn(usize) -> (usize, usize)) -> Self {
+        let (color, key) = of(self.rank());
+        self.split(color, key)
+    }
 }
 
 /// Element-wise sum, the combine function used for force reductions.

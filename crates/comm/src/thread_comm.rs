@@ -13,10 +13,12 @@
 //!   tag)` and receivers demultiplex into per-`(comm, source)` FIFO queues —
 //!   MPI-style matching specialized to our deterministic protocols.
 //! * Sends are buffered and never block, so ring shifts cannot deadlock.
-//! * `split` derives new communicators without global locks on the data
-//!   path; communicator identity is agreed through a registry keyed by
+//! * `split_by` derives new communicators without global locks on the data
+//!   path and without a message: the caller names every rank's color and
+//!   key, and communicator identity is agreed through a registry keyed by
 //!   `(parent id, split sequence, color)`, which every member computes
-//!   identically.
+//!   identically. `split` allgathers the colors and keys, then forms the
+//!   communicator by the same rule.
 //! * Receives have a generous timeout; a deadlocked protocol panics with a
 //!   diagnostic instead of hanging the test suite.
 //! * A rank that fails takes the run down at once. The first rank body to
@@ -606,18 +608,27 @@ impl Communicator for ThreadComm {
     }
 
     fn split(&self, color: usize, key: usize) -> ThreadComm {
+        // Exchange (color, key) so every member knows every rank's pair.
+        let pairs = self.allgather(&[(color, key)]);
+        self.split_by(|rank| pairs[rank][0])
+    }
+
+    /// The one rule that forms a communicator: the members are the ranks
+    /// `of` gives this rank's color, ordered by key and then global rank,
+    /// and the id is the registry's for `(parent, split sequence, color)`.
+    /// Nothing is sent.
+    fn split_by(&self, of: impl Fn(usize) -> (usize, usize)) -> ThreadComm {
         let seq = self.split_seq.get();
         self.split_seq.set(seq + 1);
-        // Exchange (color, key, global rank) so every member can compute the
-        // membership of its new communicator.
-        let triples = self.allgather(&[(color, key, self.my_global())]);
-        let mut mine: Vec<(usize, usize, usize)> = triples
-            .into_iter()
-            .flatten()
-            .filter(|&(c, _, _)| c == color)
+        let (color, _) = of(self.my_local);
+        let mut mine: Vec<(usize, usize)> = (0..self.size())
+            .filter_map(|rank| {
+                let (c, key) = of(rank);
+                (c == color).then(|| (key, self.members[rank]))
+            })
             .collect();
-        mine.sort_by_key(|&(_, k, g)| (k, g));
-        let members: Vec<usize> = mine.iter().map(|&(_, _, g)| g).collect();
+        mine.sort_unstable();
+        let members: Vec<usize> = mine.iter().map(|&(_, g)| g).collect();
         let my_local = members
             .iter()
             .position(|&g| g == self.my_global())
@@ -1059,6 +1070,38 @@ mod tests {
             rev.rank()
         });
         assert_eq!(out, vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn split_by_forms_what_split_forms_without_a_message() {
+        // Colors rank % 3, keys reversed. Even ranks call `split`; odd ranks
+        // take part in its allgather and then form theirs with `split_by`,
+        // which itself sends nothing. Every color has ranks of both kinds,
+        // so a token passed around each new communicator crosses between
+        // the two: they must agree on the members, their order and the id.
+        let of = |r: usize| (r % 3, 100 - r);
+        let out = run_ranks(7, |comm| {
+            let me = comm.rank();
+            let sub = if me % 2 == 0 {
+                comm.split(of(me).0, of(me).1)
+            } else {
+                let _ = comm.allgather(&[of(me)]);
+                let before = comm.stats();
+                let sub = comm.split_by(of);
+                assert_eq!(comm.stats(), before, "split_by sent something");
+                sub
+            };
+            let n = sub.size();
+            sub.send((sub.rank() + 1) % n, 3, &[me]);
+            let from = sub.recv::<usize>((sub.rank() + n - 1) % n, 3)[0];
+            (sub.members.clone(), sub.rank(), from)
+        });
+        for (g, (members, local, from)) in out.into_iter().enumerate() {
+            let want: Vec<usize> = (0..7).rev().filter(|r| r % 3 == g % 3).collect();
+            assert_eq!(members, want, "rank {g}");
+            assert_eq!(want[local], g);
+            assert_eq!(from, want[(local + want.len() - 1) % want.len()]);
+        }
     }
 
     #[test]

@@ -30,7 +30,12 @@
 //! The tests below are its oracle.
 //!
 //! Setting `c = 1` degenerates to Plimpton's particle decomposition
-//! (a ring pipeline); `c = √p` to his force decomposition.
+//! (a ring pipeline); `c = √p` to his force decomposition. There the one
+//! shift step takes each buffer once around the `√p`-team ring and back to
+//! the rank that holds it: row 0 ships its block home, and every other row
+//! updates from the block its skew brought and sends nothing more. A rank
+//! then sends one skew or one shift a step besides the collectives, Eq. 5's
+//! `p/c² + O(log c)`.
 
 use nbody_comm::Communicator;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
@@ -213,7 +218,10 @@ mod tests {
 
     #[test]
     fn force_decomposition_extreme_has_one_shift() {
-        // c = sqrt(p): a single shift step (the force-decomposition extreme).
+        // c = sqrt(p): a single shift step (the force-decomposition extreme),
+        // which takes every buffer once around the ring and back. Row 0
+        // ships its block home; every other row stays on the block its skew
+        // brought and sends its skew alone.
         let p = 16;
         let grid = ProcGrid::new_all_pairs(p, 4).unwrap();
         let domain = Domain::unit();
@@ -228,8 +236,10 @@ mod tests {
             ca_all_pairs_forces(&gc, &mut st, &Counting, &domain, Boundary::Open);
             world.stats()
         });
-        for s in &stats {
-            assert_eq!(s.phase(Phase::Shift).messages, 1);
+        for (rank, s) in stats.iter().enumerate() {
+            let home_row = grid.row_of(rank) == 0;
+            assert_eq!(s.phase(Phase::Shift).messages, u64::from(home_row));
+            assert_eq!(s.phase(Phase::Skew).messages, u64::from(!home_row));
             assert_eq!(s.phase(Phase::Broadcast).collectives, 1);
             assert_eq!(s.phase(Phase::Reduce).collectives, 1);
         }
@@ -237,7 +247,8 @@ mod tests {
 
     #[test]
     fn shift_message_count_is_p_over_c_squared() {
-        // The latency term of Eq. 5: S_ca = O(p/c²) shift messages.
+        // The latency term of Eq. 5: S_ca = O(p/c²) shift messages, but none
+        // on a row that stays (c² = p, rows k ≥ 1).
         let domain = Domain::unit();
         for (p, c) in [(8, 2), (16, 2), (16, 4), (27, 3)] {
             let grid = ProcGrid::new_all_pairs(p, c).unwrap();
@@ -252,11 +263,13 @@ mod tests {
                 ca_all_pairs_forces(&gc, &mut st, &Counting, &domain, Boundary::Open);
                 world.stats()
             });
-            for s in &stats {
+            for (rank, s) in stats.iter().enumerate() {
+                let stays = c * c == p && grid.row_of(rank) > 0;
+                let want = if stays { 0 } else { p / (c * c) };
                 assert_eq!(
                     s.phase(Phase::Shift).messages as usize,
-                    p / (c * c),
-                    "p={p} c={c}"
+                    want,
+                    "p={p} c={c} rank={rank}"
                 );
             }
         }

@@ -18,7 +18,9 @@
 //!
 //! Line 5 runs `2m/c` shifts: the step that would bring a row's buffer back
 //! to its own team's block is a local update from the copy line 2 left,
-//! with no message ([`traversal`]).
+//! with no message ([`traversal`]). At `c = W` line 6 takes a buffer once
+//! around the window and back to the rank that holds it, so that step
+//! sends nothing either.
 //!
 //! Teams own *spatial* regions; a [`Window`] enumerates the `W` block
 //! offsets a team interacts with (`W = 2m+1` in 1D). Exchange buffers walk
@@ -238,12 +240,13 @@ pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle
 ///
 /// A hop that lands on the rank's own team's block is local: it sends and
 /// receives nothing, and the rank updates from the copy it holds (except
-/// on Algorithm 1's full ring, see [`traversal`]).
+/// on Algorithm 1's full ring, see [`traversal`]). So is a hop that stays
+/// on the block it holds (`c = W`): the rank updates from its buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// Team the buffer held before the hop moves to; `None` when no block
     /// is held, its path leaves the team grid here, or the move would
-    /// carry it to its own team.
+    /// carry it to its own team or back to this rank.
     pub shift_to: Option<usize>,
     /// Team this rank re-injects its own block to, as that block's home,
     /// because the copy that should have arrived there left the grid
@@ -280,6 +283,14 @@ pub struct Hop {
 /// exception goes when that pin becomes the twin's count (ROADMAP item
 /// 1(g)).
 ///
+/// At `c = W` a shift step moves a buffer `c` positions around a window of
+/// `W` and so back to the rank that holds it. Row 0's step is its home hop.
+/// Every other row *stays*: it updates from the block its skew brought,
+/// which it still holds, and sends nothing, because the send would go to
+/// the rank itself. Such a row sends its skew and no shift. This is every
+/// row but row 0 of Plimpton's force decomposition (`c = √p` on the ring)
+/// and of a cutoff run at `c = 2m + 1`.
+///
 /// The run executes these hops (the shift body, under either link) and the
 /// schedule twin ([`CutoffParams::program`]) maps the same hops to
 /// simulator ops, so who sends which block to whom has this one statement.
@@ -305,14 +316,17 @@ pub fn traversal<W: Window>(
         // Landing on its own block, a rank moves nothing: it has held that
         // block since line 2. Every rank of the row lands on its own at
         // this step, so every send it would have taken carries a block to
-        // its own team.
-        if block == Some(team) && (s == 0 || !ships_home) {
+        // its own team. Staying on another team's block moves nothing
+        // either: at `c = W` a shift goes once around the window, and its
+        // send would come straight back to this rank.
+        let home = block == Some(team);
+        if (home && (s == 0 || !ships_home)) || (!home && j_new == j_prev) {
             return Hop {
                 shift_to: None,
                 home_to: None,
                 recv_from: None,
                 block,
-                update: s > 0,
+                update: s > 0 && block.is_some(),
             };
         }
         Hop {
@@ -395,8 +409,8 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
             (Some(src), _) => exch = link.recv(&gc.row, src, tag)?,
             // The new position is off the grid: this rank idles.
             (None, None) => exch = Vec::new(),
-            // Row 0's skew: the buffer stays where it is.
-            (None, Some(_)) if s == 0 => {}
+            // Row 0's skew, or a stay: the buffer already holds the block.
+            (None, Some(b)) if s == 0 || b != gc.team() => {}
             // Home: the block is the team's own, and `st` holds its ids,
             // positions and masses in the broadcast's order. The buffer is
             // another team's block: grow it to this one's size exactly, not

@@ -149,7 +149,9 @@ pub struct GridComms<C: Communicator> {
 
 impl<C: Communicator> GridComms<C> {
     /// Split a world communicator of size `grid.p()` into column and row
-    /// communicators. Collective: every world rank must call it.
+    /// communicators. Every world rank must call it. Each rank computes
+    /// every rank's place from the grid, so a transport that overrides
+    /// [`Communicator::split_by`] sends nothing to build the grid.
     pub fn new(world: &C, grid: ProcGrid) -> Self {
         assert_eq!(
             world.size(),
@@ -158,10 +160,8 @@ impl<C: Communicator> GridComms<C> {
             world.size(),
             grid.p()
         );
-        let team = grid.team_of(world.rank());
-        let row_idx = grid.row_of(world.rank());
-        let col = world.split(team, row_idx);
-        let row = world.split(row_idx, team);
+        let col = world.split_by(|r| (grid.team_of(r), grid.row_of(r)));
+        let row = world.split_by(|r| (grid.row_of(r), grid.team_of(r)));
         GridComms { grid, col, row }
     }
 
@@ -262,6 +262,21 @@ mod tests {
             assert_eq!(team, r % 4);
             assert_eq!(row, r / 4);
             assert_eq!(leader, r < 4);
+        }
+    }
+
+    #[test]
+    fn building_the_grid_sends_nothing() {
+        // Every rank knows every rank's team and row, so the column and row
+        // communicators are formed without an allgather.
+        let grid = ProcGrid::new(4, 2).unwrap();
+        let out = run_ranks(4, |world| {
+            let gc = GridComms::new(world, grid);
+            (gc.col.size(), gc.row.size(), world.stats())
+        });
+        for (r, (col, row, stats)) in out.into_iter().enumerate() {
+            assert_eq!((col, row), (2, 2), "rank {r}");
+            assert_eq!(stats, nbody_comm::CommStats::new(), "rank {r}");
         }
     }
 

@@ -938,13 +938,15 @@ fn shrink_world<C: Communicator>(
     agg: &mut RecoveryReport,
     step: usize,
 ) -> Option<(C, Vec<Particle>)> {
+    let survives = |rank: usize| !dead_teams.contains(&grid.team_of(rank));
     let my_team = grid.team_of(cur.rank());
-    let survivor = !dead_teams.contains(&my_team);
+    let survivor = survives(cur.rank());
     let tl = cur.timeline();
     cur.set_phase(Phase::Recovery);
-    // The split is collective and includes the ranks about to leave;
-    // keying on the old rank keeps the survivors' relative order.
-    let next = cur.split(usize::from(survivor), cur.rank());
+    // Every rank holds the agreed `dead_teams`, so each knows who survives
+    // and the split sends nothing; keying on the old rank keeps the
+    // survivors' relative order.
+    let next = cur.split_by(|r| (usize::from(survives(r)), r));
     agg.shrinks += 1;
     if !survivor {
         tl.event(

@@ -74,8 +74,12 @@ fn all_pairs_schedule_matches_execution() {
         for (rank, s) in stats.iter().enumerate() {
             let sched = count_ops(params.program(rank));
             assert_counts_match(rank, s, &sched, &format!("all-pairs p={p} c={c} n={n}"));
-            // Independent of the traversal both sides walk: p/c² shifts.
-            assert_eq!(s.phase(Phase::Shift).messages, (p / (c * c)) as u64);
+            // Independent of the traversal both sides walk: p/c² shifts,
+            // except on the rows k ≥ 1 of the force decomposition (c² = p),
+            // whose one shift step stays on the block the skew brought.
+            let stays = c * c == p && grid.row_of(rank) > 0;
+            let want = if stays { 0 } else { p / (c * c) };
+            assert_eq!(s.phase(Phase::Shift).messages, want as u64, "rank {rank}");
         }
     }
 }

@@ -29,13 +29,17 @@ pub fn force_decomposition(n: u64, p: u64) -> CommCost {
 
 /// The CA all-pairs algorithm (Eq. 5): `S = O(p/c²)`, `W = O(n/c)`, plus
 /// the `log c` collective terms the paper's analysis carries:
-/// broadcast/reduce of `cn/p` words in `log c` messages each.
+/// broadcast/reduce of `cn/p` words in `log c` messages each. `S` counts
+/// what the busiest rank sends: `p/c²` shifts, and for `1 < c < √p` the
+/// skew of a row `k ≥ 1`. At `c = √p` such a row's one shift step stays on
+/// the block its skew brought, so every rank sends one message.
 pub fn ca_all_pairs(n: u64, p: u64, c: u64) -> CommCost {
+    let skew = u64::from(c > 1 && c * c < p);
     let (n, p, c) = (n as f64, p as f64, c as f64);
     let collective_msgs = 2.0 * c.log2().max(0.0);
     let collective_words = 2.0 * c * n / p;
     CommCost {
-        messages: p / (c * c) + 1.0 + collective_msgs,
+        messages: p / (c * c) + skew as f64 + collective_msgs,
         words: n / c + c * n / p + collective_words,
     }
 }
@@ -62,9 +66,16 @@ pub fn neutral_territory(n: u64, p: u64, m: u64, d: u32) -> CommCost {
 /// The CA 1D-cutoff algorithm (§IV.B): `S = O(m/c)`, `W = O(m·n/p)`, plus
 /// collective terms. `S` counts what the busiest row sends: `⌈2m/c⌉`
 /// shifts, and for `c > 1` the skew. At `c = 1` that is `2m`, because the
-/// step that brings a row home updates from the copy it holds.
+/// step that brings a row home updates from the copy it holds. At
+/// `c = 2m + 1` it is the skew alone, because the one shift step takes a
+/// buffer once around the window and back to the rank that holds it.
 pub fn ca_cutoff_1d(n: u64, p: u64, c: u64, m: u64) -> CommCost {
-    let sends = (2 * m).div_ceil(c) + u64::from(c > 1);
+    let shifts = if c == 2 * m + 1 {
+        0
+    } else {
+        (2 * m).div_ceil(c)
+    };
+    let sends = shifts + u64::from(c > 1);
     let (n, p, c, m) = (n as f64, p as f64, c as f64, m as f64);
     let collective_msgs = 2.0 * c.log2().max(0.0);
     let collective_words = 2.0 * c * n / p;

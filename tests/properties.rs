@@ -247,9 +247,11 @@ proptest! {
     /// once, in every step of every row what is sent is what is received,
     /// block for block, and row `k` takes `row_steps` hops after its skew.
     /// A row updates its own block from the copy it holds: no send carries
-    /// a block to its own team, so a row's shifts are its updates less the
-    /// update of its own block. Algorithm 1's full ring still ships every
-    /// block home once (the exception `traversal` names).
+    /// a block to its own team. At `c = W` a row `k ≥ 1` stays on the block
+    /// its skew brought. So a row's shifts are its updates less the update
+    /// of its own block and less its stays, and no hop sends to its own
+    /// team. Algorithm 1's full ring is the exception `traversal` names: it
+    /// still ships every block home once, to the rank itself at `c = W`.
     #[test]
     fn traversal_updates_each_position_once_and_meets_every_send_with_one_receive(
         dims in (1usize..6, 1usize..4, 1usize..3),
@@ -281,7 +283,7 @@ proptest! {
             prop_assert_eq!(updated, in_window, "t={}", t);
         }
         let ring = window.is_periodic() && w == teams;
-        let mut sent_home = 0;
+        let (mut sent_home, mut sent_to_self) = (0, 0);
         for k in 0..c {
             let rows: Vec<Vec<Hop>> = (0..teams).map(|t| hops(t, k)).collect();
             let mut shifts = 0;
@@ -297,6 +299,10 @@ proptest! {
                     received.extend(hop.recv_from.map(|from| (from, t, hop.block.unwrap())));
                 }
                 sent_home += sent.iter().filter(|&&(_, to, block)| to == block).count();
+                for &(from, to, block) in sent.iter().filter(|&&(from, to, _)| from == to) {
+                    prop_assert!(ring && to == block, "k={} s={}: {} sends to itself", k, s, from);
+                    sent_to_self += 1;
+                }
                 if s > 0 {
                     shifts += sent.len();
                 }
@@ -308,12 +314,15 @@ proptest! {
             let own = (0..teams)
                 .filter(|&t| rows[t].iter().any(|h| h.update && h.block == Some(t)))
                 .count();
-            let want = if ring { updates } else { updates - own };
+            // At c = W a shift step moves a buffer once around the window.
+            let stays = if c == w && k > 0 { updates } else { 0 };
+            let want = if ring { updates - stays } else { updates - own - stays };
             prop_assert_eq!(shifts, want, "k={} ring={}", k, ring);
         }
-        // The ring's home hop: flip to 0 when the benchmark's `p/c²` pin
-        // goes (ROADMAP item 1(g)).
+        // The ring's home hop: flip both to 0 when the benchmark's `p/c²`
+        // pin goes (ROADMAP item 1(g)).
         prop_assert_eq!(sent_home, if ring { teams } else { 0 }, "ring={}", ring);
+        prop_assert_eq!(sent_to_self, if ring && c == w { teams } else { 0 }, "ring={}", ring);
     }
 
     #[test]
@@ -371,7 +380,8 @@ proptest! {
 /// `nbody_model::ca_cutoff_1d`'s messages, less the collectives, are what
 /// the busiest rank of the schedule twin sends in one evaluation on a
 /// wrapping cutoff window (more teams than positions, so not the ring):
-/// `2m` at `c = 1`, where the step home moves nothing.
+/// `2m` at `c = 1`, where the step home moves nothing, and the skew alone
+/// at `c = W = 2m + 1`, where the one shift step stays.
 #[test]
 fn cutoff_closed_form_counts_what_the_busiest_row_sends() {
     use nbody_comm::Phase;
@@ -379,7 +389,9 @@ fn cutoff_closed_form_counts_what_the_busiest_row_sends() {
     for m in [1usize, 2, 3] {
         let window = TeamWindow::wrapping(&[teams], &[m]);
         assert_eq!(window.len(), 2 * m + 1);
-        for c in [1usize, 2, 3] {
+        let mut cs = vec![1usize, 2, 3, window.len()];
+        cs.dedup();
+        for c in cs {
             let p = teams * c;
             let grid = ProcGrid::new(p, c).unwrap();
             let params = CutoffParams::new(grid, window, vec![5; teams]);
@@ -397,6 +409,43 @@ fn cutoff_closed_form_counts_what_the_busiest_row_sends() {
             if c == 1 {
                 assert_eq!(busiest, 2 * m as u64, "{ctx}");
             }
+            if c == window.len() {
+                assert_eq!(busiest, 1, "{ctx}: the skew alone");
+            }
+        }
+    }
+}
+
+/// `nbody_model::ca_all_pairs`'s messages, less the collectives, are what
+/// the busiest rank of the schedule twin sends in one evaluation: `p`
+/// shifts at `c = 1`, a skew and `p/c²` shifts between, and one message at
+/// `c = √p`, where row 0 ships its block home and every other row's one
+/// shift step stays on the block its skew brought.
+#[test]
+fn all_pairs_closed_form_counts_what_the_busiest_rank_sends() {
+    use nbody_comm::Phase;
+    for (p, c) in [
+        (4usize, 1usize),
+        (4, 2),
+        (8, 2),
+        (9, 3),
+        (16, 2),
+        (16, 4),
+        (27, 3),
+    ] {
+        let params = AllPairsParams::new(p, c, 5 * p);
+        let busiest = (0..p)
+            .map(|r| {
+                let sends = count_ops(params.program(r)).sends;
+                sends[Phase::Skew.index()] + sends[Phase::Shift.index()]
+            })
+            .max()
+            .unwrap();
+        let cost = nbody_model::ca_all_pairs(40, p as u64, c as u64);
+        let collectives = 2.0 * (c as f64).log2();
+        assert_eq!(cost.messages - collectives, busiest as f64, "p={p} c={c}");
+        if c * c == p {
+            assert_eq!(busiest, 1, "p={p} c={c}");
         }
     }
 }
