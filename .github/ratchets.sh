@@ -55,5 +55,9 @@ check "the kernel has one lane loop: the symmetric case is a policy of the nest,
     test "$(grep -c 'law.force_x2(' crates/core/src/kernel.rs)" -eq 1
 check "the grid and the shrink form their communicators from what every rank knows (split_by), not by an allgather" \
     none '\.split\(' crates/core/src
+check "the program reads one environment variable, NBODY_RECV_TIMEOUT_SECS; a run setting is a flag" \
+    test "$(grep -rhoE 'env::var(_os)?\("[^"]*"\)' crates src | sort -u | wc -l)" -eq 1
+check "a trace has one reloadable format, Chrome trace_event JSON" \
+    none '(to|from)_jsonl' crates src tests
 
 exit "$broken"

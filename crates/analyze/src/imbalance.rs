@@ -61,13 +61,6 @@ pub fn phase_imbalance(trace: &ExecutionTrace) -> Vec<PhaseImbalance> {
     out
 }
 
-/// The worst imbalance factor across all phases; 1.0 for an empty or
-/// perfectly balanced trace. This is the single scalar persisted to the
-/// run history.
-pub fn max_imbalance_factor(imbalance: &[PhaseImbalance]) -> f64 {
-    imbalance.iter().map(|i| i.factor).fold(1.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +82,6 @@ mod tests {
         assert!((shift.factor - 0.8 / 0.5).abs() < 1e-12);
         // Phases with no windows are not reported.
         assert!(imb.iter().all(|i| i.phase != Phase::Broadcast));
-        assert!((max_imbalance_factor(&imb) - 1.6).abs() < 1e-12);
     }
 
     #[test]
@@ -103,12 +95,10 @@ mod tests {
         let imb = phase_imbalance(&t);
         assert_eq!(imb.len(), 1);
         assert!((imb[0].factor - 1.0).abs() < 1e-12);
-        assert_eq!(max_imbalance_factor(&imb), 1.0);
     }
 
     #[test]
     fn empty_trace_reports_nothing() {
         assert!(phase_imbalance(&ExecutionTrace::default()).is_empty());
-        assert_eq!(max_imbalance_factor(&[]), 1.0);
     }
 }

@@ -17,9 +17,6 @@
 //!   at a glance.
 //! * [`stragglers`] — ranks ranked by how often they end the critical
 //!   path and how much wait they inflict on their peers.
-//! * [`history`] — the compact [`RunSummary`] persisted to the
-//!   append-only `bench_results/history/*.jsonl` store, plus the
-//!   median-based regression check behind `ca-nbody regress`.
 //! * [`report`] — human tables, CSV, and JSON renderings of an
 //!   [`Analysis`], plus the drift-window table `ca-nbody analyze
 //!   --timeline=…` prints from a recorded `nbody-timeline` bundle.
@@ -34,22 +31,16 @@
 #![warn(missing_docs)]
 
 pub mod critical;
-pub mod health;
 pub mod heatmap;
-pub mod history;
 pub mod imbalance;
 pub mod report;
 pub mod stragglers;
 pub mod wire;
 
 pub use critical::{critical_path, StepCritical};
-pub use health::{health_json, render_health};
 pub use heatmap::{grid_heatmap, GridHeatmap};
-pub use history::{check_regression, parse_history, RegressionReport, RunSummary, Verdict};
-pub use imbalance::{max_imbalance_factor, phase_imbalance, PhaseImbalance};
-pub use report::{
-    render_csv, render_drift, render_heatmap, render_json, render_regression, render_table,
-};
+pub use imbalance::{phase_imbalance, PhaseImbalance};
+pub use report::{render_csv, render_drift, render_heatmap, render_json, render_table};
 pub use stragglers::{rank_stragglers, Straggler};
 pub use wire::{render_conformance, render_wire};
 

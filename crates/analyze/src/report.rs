@@ -3,7 +3,6 @@
 use nbody_timeline::{DriftConfig, RunTimeline};
 use nbody_trace::Json;
 
-use crate::history::{RegressionReport, Verdict};
 use crate::{Analysis, GridHeatmap};
 
 fn secs(x: f64) -> String {
@@ -294,40 +293,11 @@ pub fn render_drift(tl: &RunTimeline, cfg: &DriftConfig) -> String {
     out
 }
 
-/// The human-readable verdict printed by `ca-nbody regress`.
-pub fn render_regression(r: &RegressionReport) -> String {
-    match r.verdict {
-        Verdict::NoHistory => format!(
-            "regress: no matching history entries; live wall {} s (recorded only)\n",
-            secs(r.live_wall_secs)
-        ),
-        Verdict::Pass => format!(
-            "regress: PASS — live wall {} s vs median {} s over {} run(s) \
-             (ratio {:.3} <= tolerance {:.2})\n",
-            secs(r.live_wall_secs),
-            secs(r.median_wall_secs),
-            r.matched,
-            r.ratio,
-            r.tolerance
-        ),
-        Verdict::Regression => format!(
-            "regress: FAIL — live wall {} s vs median {} s over {} run(s) \
-             (ratio {:.3} > tolerance {:.2})\n",
-            secs(r.live_wall_secs),
-            secs(r.median_wall_secs),
-            r.matched,
-            r.ratio,
-            r.tolerance
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::check_regression;
+    use crate::analyze;
     use crate::testutil::two_rank_trace;
-    use crate::{analyze, RunSummary};
 
     fn sample_analysis() -> Analysis {
         analyze(&two_rank_trace(), None, 1)
@@ -449,22 +419,5 @@ mod tests {
         let tl = drift_timeline(None).with_failure("rank 1 dead with c=1");
         let text = render_drift(&tl, &DriftConfig::default());
         assert!(text.contains("POSTMORTEM: rank 1 dead with c=1"), "{text}");
-    }
-
-    #[test]
-    fn regression_text_matches_verdict() {
-        let a = sample_analysis();
-        let live = RunSummary::from_analysis(&a, 64, 1, "allpairs", "deadbee", 2, 0);
-        let fast = RunSummary {
-            wall_secs: live.wall_secs / 4.0,
-            ..live.clone()
-        };
-        let r = check_regression(&live, &[fast], 1.5);
-        let text = render_regression(&r);
-        assert!(text.contains("FAIL"), "got: {text}");
-        let r = check_regression(&live, std::slice::from_ref(&live), 1.5);
-        assert!(render_regression(&r).contains("PASS"));
-        let r = check_regression(&live, &[], 1.5);
-        assert!(render_regression(&r).contains("no matching history"));
     }
 }

@@ -8,8 +8,7 @@
 //! * `lens_trace` — per-rank spans, live metrics, per-step timeline samples;
 //! * `lens_probe` — every point-to-point send/recv stamped into the
 //!   per-rank wire-probe ring (the whole per-message price of a
-//!   `--wire-probe` run; the CI `regress` gate checks the end-to-end version
-//!   of the same claim against the recorded unprobed history);
+//!   `--wire-probe` run);
 //! * `lens_faults_empty` — the fault-tolerant evaluation under `ChaosComm`
 //!   with nothing scheduled (the wrapper plus checkpoint/agreement);
 //! * `lens_checkpoint_every_1` / `_every_8` — the durable sink at its

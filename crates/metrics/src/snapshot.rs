@@ -72,15 +72,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Max over ranks of one counter.
-    pub fn max_counter(&self, name: &str, phase: Option<Phase>) -> u64 {
-        self.ranks
-            .iter()
-            .map(|r| r.counter(name, phase))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Sum over ranks of one counter.
     pub fn sum_counter(&self, name: &str, phase: Option<Phase>) -> u64 {
         self.ranks.iter().map(|r| r.counter(name, phase)).sum()
@@ -191,10 +182,8 @@ mod tests {
     #[test]
     fn cross_rank_reductions() {
         let s = snap();
-        assert_eq!(s.max_counter("msgs", Some(Phase::Shift)), 6);
         assert_eq!(s.sum_counter("msgs", Some(Phase::Shift)), 10);
         assert_eq!(s.max_gauge("hwm", None), 100);
-        assert_eq!(s.max_counter("absent", None), 0);
     }
 
     #[test]

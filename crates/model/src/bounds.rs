@@ -19,12 +19,6 @@ pub fn flops_all_pairs(n: u64) -> u64 {
     n * n
 }
 
-/// Total force evaluations with a cutoff, `F = n·k`, where `k` is the
-/// per-particle neighbor count.
-pub fn flops_cutoff(n: u64, k: u64) -> u64 {
-    n * k
-}
-
 /// Per-particle interaction count `k` for a 1D cutoff (Eq. 7):
 /// `k = (2 r_c / l) · n`.
 pub fn k_cutoff_1d(n: u64, rc_over_l: f64) -> f64 {

@@ -73,14 +73,6 @@ impl SimReport {
             .unwrap_or_default()
     }
 
-    /// Maximum time spent in a phase by any rank.
-    pub fn max_phase(&self, phase: Phase) -> f64 {
-        self.per_rank
-            .iter()
-            .map(|r| r.phase(phase))
-            .fold(0.0, f64::max)
-    }
-
     /// Pretty one-line summary (for harness logs).
     pub fn summary(&self) -> String {
         let m = self.mean();
@@ -125,7 +117,6 @@ mod tests {
         assert_eq!(mean.phase(Phase::Reduce), 0.75);
         let crit = rep.critical();
         assert_eq!(crit.compute, 3.0);
-        assert_eq!(rep.max_phase(Phase::Shift), 0.5);
         assert!(rep.summary().contains("makespan"));
     }
 }

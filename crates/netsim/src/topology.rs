@@ -77,11 +77,6 @@ impl Torus {
             })
             .sum()
     }
-
-    /// Network diameter (maximum hop distance).
-    pub fn diameter(&self) -> usize {
-        self.dims.iter().map(|&d| d / 2).sum()
-    }
 }
 
 #[cfg(test)]
@@ -130,18 +125,6 @@ mod tests {
                 for c in [7, 31] {
                     assert!(t.hops(a, b) <= t.hops(a, c) + t.hops(c, b));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn diameter_bounds_hops() {
-        let t = Torus::new([4, 6, 8]);
-        let d = t.diameter();
-        assert_eq!(d, 2 + 3 + 4);
-        for a in (0..t.nodes()).step_by(17) {
-            for b in (0..t.nodes()).step_by(13) {
-                assert!(t.hops(a, b) <= d);
             }
         }
     }

@@ -2,11 +2,9 @@
 //!
 //! [`simulate_traced`] records a bounded per-rank timeline alongside the
 //! normal report — the tool for debugging schedules (who waited on whom,
-//! when a collective released) and for visualizing pipelines. Traces can
-//! be rendered as CSV for external plotting.
+//! when a collective released) and for visualizing pipelines.
 
 use nbody_comm::Phase;
-use nbody_trace::schema::{push_event_row, EVENT_CSV_HEADER};
 
 use crate::des::simulate_with_observer;
 use crate::machine::Machine;
@@ -57,7 +55,7 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// Short label for CSV export.
+    /// Short label of the kind.
     pub fn label(&self) -> &'static str {
         match self {
             TraceKind::Compute => "compute",
@@ -75,47 +73,6 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Whether the cap was hit and events were dropped.
     pub truncated: bool,
-}
-
-impl Trace {
-    /// Events of one rank, in time order.
-    pub fn rank_timeline(&self, rank: u32) -> Vec<TraceEvent> {
-        let mut evs: Vec<TraceEvent> = self
-            .events
-            .iter()
-            .copied()
-            .filter(|e| e.rank == rank)
-            .collect();
-        evs.sort_by(|a, b| a.start.total_cmp(&b.start));
-        evs
-    }
-
-    /// Render as CSV in the workspace-wide event schema
-    /// ([`EVENT_CSV_HEADER`]), the same one measured executions export to.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from(EVENT_CSV_HEADER);
-        s.push('\n');
-        for e in &self.events {
-            let (peer, phase) = match e.kind {
-                TraceKind::Compute => (String::new(), String::new()),
-                TraceKind::Send { to, phase, .. } => (to.to_string(), phase.label().into()),
-                TraceKind::Recv { from, phase } => (from.to_string(), phase.label().into()),
-                TraceKind::Collective { members, phase } => {
-                    (members.to_string(), phase.label().into())
-                }
-            };
-            push_event_row(
-                &mut s,
-                e.rank,
-                e.kind.label(),
-                e.start,
-                e.end,
-                &peer,
-                &phase,
-            );
-        }
-        s
-    }
 }
 
 /// Run [`simulate`](crate::des::simulate) while recording up to
@@ -189,7 +146,8 @@ mod tests {
         let m = test_machine();
         let (_, trace) = simulate_traced(&m, 6, ring_programs(6, 5), 10_000);
         for rank in 0..6 {
-            let tl = trace.rank_timeline(rank);
+            let mut tl: Vec<_> = trace.events.iter().filter(|e| e.rank == rank).collect();
+            tl.sort_by(|a, b| a.start.total_cmp(&b.start));
             assert!(!tl.is_empty());
             for w in tl.windows(2) {
                 assert!(
@@ -218,15 +176,5 @@ mod tests {
         let (traced, _) = simulate_traced(&m, 5, ring_programs(5, 4), 10_000);
         assert_eq!(plain.makespan, traced.makespan);
         assert_eq!(plain.per_rank, traced.per_rank);
-    }
-
-    #[test]
-    fn csv_export_has_one_line_per_event() {
-        let m = test_machine();
-        let (_, trace) = simulate_traced(&m, 3, ring_programs(3, 2), 10_000);
-        let csv = trace.to_csv();
-        assert_eq!(csv.lines().count(), 1 + trace.events.len());
-        assert!(csv.starts_with("rank,kind,start,end,peer,phase"));
-        assert!(csv.contains("shift"));
     }
 }

@@ -252,6 +252,7 @@ mod tests {
         assert_eq!(s.max_rel_energy_drift, 0.0);
         let text = s.render();
         assert!(text.contains("HEALTHY"), "{text}");
+        assert!(text.contains("energy"), "{text}");
         assert!(s.to_json().contains("\"clean\":true"));
     }
 

@@ -1,9 +1,10 @@
 //! Merged whole-execution traces and their exporters.
 //!
 //! An [`ExecutionTrace`] holds every rank's spans against the shared
-//! epoch. It exports Chrome `trace_event` JSON (Perfetto-loadable),
-//! JSON-lines, and the two shared CSV schemas, and computes the
-//! per-phase/per-step statistical summaries printed by `ca-nbody report`.
+//! epoch. It exports Chrome `trace_event` JSON (Perfetto-loadable, and the
+//! one format [`ExecutionTrace::parse`] reads back) and the two CSV schemas,
+//! and computes the per-phase/per-step statistical summaries printed by
+//! `ca-nbody report`.
 
 use std::collections::BTreeMap;
 
@@ -206,7 +207,7 @@ impl ExecutionTrace {
         schema::breakdown_csv(&[self.breakdown_row(label)])
     }
 
-    /// Event-schema CSV shared with the simulator's traces. Driver rows
+    /// Event-schema CSV, for plotting; write-only. Driver rows
     /// put the section name in `kind` and the step index in `peer`;
     /// blocked rows put the late sender's global rank in `peer`.
     pub fn to_events_csv(&self) -> String {
@@ -328,62 +329,12 @@ impl ExecutionTrace {
         out
     }
 
-    /// JSON-lines export: one flat object per span, times in seconds.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(96 * self.spans.len());
-        for s in &self.spans {
-            out.push_str("{\"rank\":");
-            num_into(&mut out, s.rank as f64);
-            match &s.kind {
-                SpanKind::Phase(p) => {
-                    out.push_str(",\"kind\":\"phase\",\"phase\":\"");
-                    out.push_str(p.label());
-                    out.push('"');
-                }
-                SpanKind::Blocked { phase, peer, step } => {
-                    out.push_str(",\"kind\":\"blocked\",\"phase\":\"");
-                    out.push_str(phase.label());
-                    out.push('"');
-                    if let Some(peer) = peer {
-                        out.push_str(",\"peer\":");
-                        num_into(&mut out, *peer as f64);
-                    }
-                    if let Some(step) = step {
-                        out.push_str(",\"pstep\":");
-                        num_into(&mut out, *step as f64);
-                    }
-                }
-                SpanKind::Driver { name, step } => {
-                    out.push_str(",\"kind\":\"driver\",\"name\":\"");
-                    escape_into(&mut out, name);
-                    out.push_str("\",\"step\":");
-                    num_into(&mut out, *step as f64);
-                }
-            }
-            out.push_str(",\"start\":");
-            num_into(&mut out, s.start);
-            out.push_str(",\"end\":");
-            num_into(&mut out, s.end);
-            out.push_str("}\n");
-        }
-        out
-    }
-
-    /// Parse a trace previously exported by
-    /// [`to_chrome_json`](ExecutionTrace::to_chrome_json) or
-    /// [`to_jsonl`](ExecutionTrace::to_jsonl), sniffing the format.
-    pub fn parse(text: &str) -> Result<ExecutionTrace, String> {
-        let trimmed = text.trim_start();
-        if trimmed.starts_with('{') && trimmed.contains("\"traceEvents\"") {
-            Self::from_chrome_json(text)
-        } else {
-            Self::from_jsonl(text)
-        }
-    }
-
     /// Parse a Chrome `trace_event` JSON document produced by
     /// [`to_chrome_json`](ExecutionTrace::to_chrome_json).
-    pub fn from_chrome_json(text: &str) -> Result<ExecutionTrace, String> {
+    pub fn parse(text: &str) -> Result<ExecutionTrace, String> {
+        if text.trim().is_empty() {
+            return Err("trace contains no spans".into());
+        }
         let doc = Json::parse(text)?;
         let events = doc
             .get("traceEvents")
@@ -449,68 +400,6 @@ impl ExecutionTrace {
                 kind,
                 start: ts / 1e6,
                 end: (ts + dur) / 1e6,
-            });
-        }
-        if spans.is_empty() {
-            return Err("trace contains no spans".into());
-        }
-        Ok(ExecutionTrace {
-            ranks: max_rank as usize + 1,
-            spans,
-        })
-    }
-
-    /// Parse a JSON-lines document produced by
-    /// [`to_jsonl`](ExecutionTrace::to_jsonl).
-    pub fn from_jsonl(text: &str) -> Result<ExecutionTrace, String> {
-        let mut spans = Vec::new();
-        let mut max_rank = 0u32;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let rank =
-                v.get("rank")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("line {}: missing rank", i + 1))? as u32;
-            let start = v
-                .get("start")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("line {}: missing start", i + 1))?;
-            let end = v
-                .get("end")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("line {}: missing end", i + 1))?;
-            let phase = || {
-                v.get("phase")
-                    .and_then(Json::as_str)
-                    .and_then(Phase::from_label)
-                    .unwrap_or(Phase::Other)
-            };
-            let kind = match v.get("kind").and_then(Json::as_str) {
-                Some("phase") => SpanKind::Phase(phase()),
-                Some("blocked") => SpanKind::Blocked {
-                    phase: phase(),
-                    peer: v.get("peer").and_then(Json::as_f64).map(|x| x as u32),
-                    step: v.get("pstep").and_then(Json::as_f64).map(|x| x as u32),
-                },
-                Some("driver") => SpanKind::Driver {
-                    name: v
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    step: v.get("step").and_then(Json::as_f64).unwrap_or(0.0) as u32,
-                },
-                other => return Err(format!("line {}: bad kind {other:?}", i + 1)),
-            };
-            max_rank = max_rank.max(rank);
-            spans.push(Span {
-                rank,
-                kind,
-                start,
-                end,
             });
         }
         if spans.is_empty() {
@@ -621,9 +510,19 @@ mod tests {
 
     #[test]
     fn chrome_json_roundtrips() {
-        let t = sample_trace();
-        let json = t.to_chrome_json();
-        let back = ExecutionTrace::from_chrome_json(&json).unwrap();
+        // Everything `analyze` reads survives: the blocked span's peer and
+        // pipeline step, and a driver section's step.
+        let mut t = sample_trace();
+        t.spans.push(Span {
+            rank: 1,
+            kind: SpanKind::Driver {
+                name: "step".into(),
+                step: 7,
+            },
+            start: 0.0,
+            end: 1.0,
+        });
+        let back = ExecutionTrace::parse(&t.to_chrome_json()).unwrap();
         assert_eq!(back.ranks, 2);
         assert_eq!(back.spans.len(), t.spans.len());
         for (a, b) in t.spans.iter().zip(&back.spans) {
@@ -632,21 +531,6 @@ mod tests {
             assert!((a.start - b.start).abs() < 1e-9);
             assert!((a.end - b.end).abs() < 1e-9);
         }
-        // The sniffing front door takes the same document.
-        assert_eq!(
-            ExecutionTrace::parse(&json).unwrap().spans.len(),
-            t.spans.len()
-        );
-    }
-
-    #[test]
-    fn jsonl_roundtrips() {
-        let t = sample_trace();
-        let jsonl = t.to_jsonl();
-        assert_eq!(jsonl.lines().count(), t.spans.len());
-        let back = ExecutionTrace::from_jsonl(&jsonl).unwrap();
-        assert_eq!(back.spans, t.spans);
-        assert_eq!(ExecutionTrace::parse(&jsonl).unwrap().spans, t.spans);
     }
 
     #[test]
@@ -687,6 +571,5 @@ mod tests {
     fn parse_rejects_empty_or_malformed() {
         assert!(ExecutionTrace::parse("").is_err());
         assert!(ExecutionTrace::parse("{\"traceEvents\":[]}").is_err());
-        assert!(ExecutionTrace::from_jsonl("{\"rank\":0}\n").is_err());
     }
 }

@@ -198,7 +198,7 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(format!("unterminated string at byte {}", self.pos)),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);

@@ -22,16 +22,14 @@
 //! disabled handle (verified by the `allpairs_step` bench).
 //!
 //! Per-rank buffers are merged at join into an [`ExecutionTrace`], which
-//! exports three formats:
+//! exports two formats:
 //!
 //! * Chrome `trace_event` JSON ([`ExecutionTrace::to_chrome_json`]) —
-//!   loadable in Perfetto / `chrome://tracing`;
-//! * JSON-lines ([`ExecutionTrace::to_jsonl`]) — one span per line for
-//!   ad-hoc scripting;
-//! * the event CSV schema shared with `nbody-netsim`
-//!   ([`ExecutionTrace::to_events_csv`]) and the stacked-bar breakdown CSV
-//!   schema used by `bench_results/fig*.csv`
-//!   ([`ExecutionTrace::to_breakdown_csv`]).
+//!   loadable in Perfetto / `chrome://tracing`, and the one format read
+//!   back ([`ExecutionTrace::parse`]);
+//! * the write-only event CSV schema ([`ExecutionTrace::to_events_csv`])
+//!   and the stacked-bar breakdown CSV schema used by
+//!   `bench_results/fig*.csv` ([`ExecutionTrace::to_breakdown_csv`]).
 //!
 //! The [`schema`] module is the single definition of both CSV schemas, and
 //! [`json`] is a dependency-free JSON parser/printer used by the exporters

@@ -1,9 +1,8 @@
-//! The two CSV schemas shared across the workspace.
+//! The two CSV schemas of the workspace.
 //!
-//! * The **event schema** (`rank,kind,start,end,peer,phase`) is used both
-//!   by the discrete-event simulator's traces (`nbody-netsim`) and by the
-//!   measured-execution exporter ([`crate::ExecutionTrace::to_events_csv`]),
-//!   so one plotting script handles both.
+//! * The **event schema** (`rank,kind,start,end,peer,phase`) is the one row
+//!   per span that [`crate::ExecutionTrace::to_events_csv`] writes for
+//!   `ca-nbody run --trace=F.csv`, for plotting; nothing reads it back.
 //! * The **breakdown schema**
 //!   (`label,compute,shift,reduce,reassign,broadcast,makespan`) is the
 //!   stacked-bar format written to `bench_results/fig*.csv` by the figure
@@ -13,11 +12,13 @@ use std::fmt::Write as _;
 
 use crate::json::Json;
 
-/// Header of the event schema.
+/// Header of the event schema written by
+/// [`crate::ExecutionTrace::to_events_csv`].
 pub const EVENT_CSV_HEADER: &str = "rank,kind,start,end,peer,phase";
 
-/// Append one event-schema row (no trailing context needed; `peer` and
-/// `phase` may be empty).
+/// Append one event-schema row of
+/// [`crate::ExecutionTrace::to_events_csv`] (`peer` and `phase` may be
+/// empty).
 pub fn push_event_row(
     out: &mut String,
     rank: u32,

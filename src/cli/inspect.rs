@@ -1,5 +1,5 @@
 //! The subcommands that read what a run wrote: `report`, `analyze`,
-//! `health`, `conformance`, `postmortem`, `regress`.
+//! `health`, `conformance`, `postmortem`.
 //!
 //! `analyze` diagnoses a recorded trace: the per-timestep cross-rank
 //! critical path (which rank gated the step, how its time split into
@@ -9,12 +9,7 @@
 //! runs the online drift detector over a recorded series and prints the
 //! flagged windows next to the straggler table, `--wire=<log>` renders the
 //! per-channel latency table (send→recv histograms, queue depths, drop
-//! accounting) derived from the matched probe pairs. `regress` distills the
-//! same trace into a `RunSummary`, compares its wall time against the
-//! median of matching entries in the append-only history store
-//! (`bench_results/history/<kernel>.jsonl`), exits non-zero past the
-//! tolerance, and with `--record` appends the live summary — the CI
-//! performance gate.
+//! accounting) derived from the matched probe pairs.
 //!
 //! `conformance <log>` replays the CA schedule for the given run
 //! parameters — `run`'s own grammar, so the flags that produced the log
@@ -26,13 +21,11 @@
 //! unexplained discrepancy with intact probe rings).
 
 use std::process::ExitCode;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use ca_nbody::expected_schedule;
 use nbody_analyze::{
-    analyze as analyze_trace, check_regression, parse_history, render_conformance, render_csv,
-    render_drift, render_health, render_json, render_regression, render_table, render_wire,
-    RunSummary, Verdict,
+    analyze as analyze_trace, render_conformance, render_csv, render_drift, render_json,
+    render_table, render_wire,
 };
 use nbody_comm::{check_conformance, match_events, FaultNote, RunTimeline, WireLog};
 use nbody_simhealth::HealthSummary;
@@ -107,7 +100,7 @@ pub fn print_breakdown(trace: &ExecutionTrace) {
 /// `report`: the per-phase and per-step breakdown tables of a trace.
 pub fn report(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
     opts.finish()?;
-    let path = input(positional, "report <trace.json|trace.jsonl>")?;
+    let path = input(positional, "report <trace.json>")?;
     let trace = load(path, ExecutionTrace::parse)?;
     println!(
         "{path}: {} spans over {} ranks, {:.6} s wall",
@@ -134,7 +127,7 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
     };
     let trace_path = positional.first();
     if timeline_path.is_none() && wire_path.is_none() {
-        let usage = "analyze <trace.json|trace.jsonl> [--metrics=F] [--timeline=F] [--wire=F] \
+        let usage = "analyze <trace.json> [--metrics=F] [--timeline=F] [--wire=F] \
                      [--drift-window=16] [--drift-nsigma=6] [c=1] [--csv=F] [--json=F]";
         input(positional, usage)?;
     }
@@ -173,7 +166,7 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
     }
     if let Some(tl) = &timeline {
         sections.push(render_drift(tl, &drift_cfg));
-        sections.push(render_health(tl));
+        sections.push(HealthSummary::from_timeline(tl).render());
     }
     if let Some(log) = &wire {
         sections.push(render_wire(&match_events(log)));
@@ -288,102 +281,6 @@ pub fn postmortem(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Fa
                 e.detail
             );
         }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The revision recorded into history entries: `NBODY_GIT_REV` when set
-/// (CI passes it explicitly), else `git rev-parse`, else `unknown`.
-fn git_rev() -> String {
-    let from_git = || {
-        let git = std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output();
-        String::from_utf8(git.ok().filter(|o| o.status.success())?.stdout).ok()
-    };
-    let named = |rev: &String| !rev.trim().is_empty();
-    let rev = std::env::var("NBODY_GIT_REV")
-        .ok()
-        .filter(named)
-        .or_else(from_git);
-    rev.filter(named)
-        .map_or("unknown".into(), |rev| rev.trim().to_string())
-}
-
-/// `regress`: gate a traced run against the cross-run history store.
-pub fn regress(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
-    let metrics_path: Option<String> = opts.opt("metrics")?;
-    let n: u64 = opts.get("n", 0)?;
-    let c: u64 = opts.get("c", 1)?;
-    let kernel = opts.get("kernel", "allpairs".to_string())?;
-    let tolerance: f64 = opts.get("tolerance", 1.5)?;
-    let history_dir = opts.get("history", "bench_results/history".to_string())?;
-    let record = opts.get("record", false)?;
-    opts.finish()?;
-    let usage = "regress <trace.json|trace.jsonl> [--metrics=F] [n=0] [c=1] [kernel=allpairs] \
-                 [tolerance=1.5] [--history=bench_results/history] [--record]";
-    let path = input(positional, usage)?;
-    if !(tolerance.is_finite() && tolerance > 0.0) {
-        return Err("regress: tolerance must be a positive number".into());
-    }
-    let trace = load(path, ExecutionTrace::parse)?;
-    let metrics = metrics_path.map(|mp| load_metrics(&mp)).transpose()?;
-
-    let a = analyze_trace(&trace, metrics.as_ref(), c as usize);
-    let live = RunSummary::from_analysis(
-        &a,
-        n,
-        c,
-        &kernel,
-        &git_rev(),
-        a.steps.len() as u64,
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-    );
-
-    let store = format!("{history_dir}/{kernel}.jsonl");
-    let history = match std::fs::read_to_string(&store) {
-        Ok(text) => parse_history(&text).map_err(|e| format!("cannot parse {store}: {e}"))?,
-        // A missing store is not an error: the first run seeds it.
-        Err(_) => Vec::new(),
-    };
-    let r = check_regression(&live, &history, tolerance);
-    print!("{}", render_regression(&r));
-
-    if record {
-        use std::io::Write;
-        std::fs::create_dir_all(&history_dir)
-            .and_then(|()| {
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&store)
-            })
-            .and_then(|mut f| writeln!(f, "{}", live.to_json_line()))
-            .map_err(|e| format!("cannot record to {store}: {e}"))?;
-        println!("recorded to {store}");
-    }
-
-    let verdict = match r.verdict {
-        Verdict::Pass => "pass",
-        Verdict::Regression => "regression",
-        Verdict::NoHistory => "no-history",
-    };
-    Summary::of("regress")
-        .put("kernel", kernel)
-        .put("n", n)
-        .put("p", live.p)
-        .put("c", c)
-        .put("live_wall_secs", r.live_wall_secs)
-        .put("median_wall_secs", r.median_wall_secs)
-        .put("ratio", r.ratio)
-        .put("tolerance", r.tolerance)
-        .put("matched", r.matched)
-        .put("verdict", verdict)
-        .print();
-    if r.verdict == Verdict::Regression {
-        return Err("REGRESSION: wall time exceeded tolerance over history median".into());
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -1,9 +1,9 @@
 //! `run` and `verify`: one live execution, built from the flags.
 //!
-//! `--trace` records per-rank wall-clock spans and writes them in a format
-//! chosen by extension: `.json` Chrome `trace_event` (open in Perfetto or
-//! `chrome://tracing`), `.jsonl` JSON-lines, `.csv` the shared event
-//! schema. `--metrics` writes the live metrics snapshot (per-rank
+//! `--trace` records per-rank wall-clock spans and writes them as Chrome
+//! `trace_event` JSON (open in Perfetto or `chrome://tracing`; `report` and
+//! `analyze` read it back), or for a `.csv` path as the write-only event
+//! table. `--metrics` writes the live metrics snapshot (per-rank
 //! communication counters, message-size histograms, memory high-water
 //! marks) as JSON, or in Prometheus text format for a `.prom` path.
 //! `--profile` prints the per-phase breakdown after the run.
@@ -323,7 +323,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     // Each lens the flags asked for: its file, its line, its summary keys.
     if let Some(path) = &trace_path {
         write(path, "trace", |ext| match ext {
-            "jsonl" => trace.to_jsonl(),
             "csv" => trace.to_events_csv(),
             _ => trace.to_chrome_json(),
         })?;

@@ -4,7 +4,7 @@
 //! ca-nbody run      [n=1024] [p=8] [c=2] [steps=20] [dt=0.005] [seed=42] [method=ca]
 //!                   [law=repulsive|gravity|lj] [cutoff=0.25] [boundary=reflective]
 //!                   [temperature=1e-4]
-//!                   [--trace=out.json] [--metrics=out.json|out.prom] [--profile]
+//!                   [--trace=out.json|out.csv] [--metrics=out.json|out.prom] [--profile]
 //!                   [--record-timeline=out.json] [--wire-probe=out.json]
 //!                   [--serve-metrics=ADDR] [serve-metrics-hold-ms=2000]
 //!                   [--faults=SPEC] [fault-timeout-ms=1000]
@@ -13,7 +13,7 @@
 //!                   [--health] [--health-every=K] [--health-baseline=F]
 //!                   [--inject-nan=RANK@STEP] [--corrupt-replica=RANK@STEP]
 //! ca-nbody verify   [same options]            distributed-vs-serial check
-//! ca-nbody report   <trace-file>              per-phase/per-step breakdown tables
+//! ca-nbody report   <trace.json>              per-phase/per-step breakdown tables
 //! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0] [--wire]
 //!                   [--baseline=bench_results/audit_baseline.json] [--out=F.csv|F.json]
 //!                   [--calibration=F] [--roofline-baseline=F] [--roofline-out=F.csv|F.json]
@@ -28,13 +28,12 @@
 //! ca-nbody scale    [machine=hopper] [n=32768] [--metrics=F [metrics-p=256]]
 //!                   strong-scaling table (simulated)
 //! ca-nbody autotune [machine=hopper] [p=1536] [n=12288] [cutoff=0]
-//! ca-nbody analyze  [trace-file] [--metrics=F] [--timeline=F] [--wire=F]
+//! ca-nbody analyze  [trace.json] [--metrics=F] [--timeline=F] [--wire=F]
 //!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--csv=F] [--json=F]
 //! ca-nbody conformance <wire-log.json> [run's n, p, c, steps, method, law,
 //!                   cutoff, boundary] [--faults=SPEC]
+//! ca-nbody health   <timeline.json>           numerical-health verdict of a bundle
 //! ca-nbody postmortem <bundle.json>           render a flight-recorder dump
-//! ca-nbody regress  <trace-file> [--metrics=F] [n=0] [c=1] [kernel=allpairs]
-//!                   [tolerance=1.5] [--history=bench_results/history] [--record]
 //! ```
 //!
 //! Options take `key=value`, `--key=value`, or `--key value` form. One
@@ -44,9 +43,9 @@
 //! and `soak` take `run`'s grammar with their own defaults; the modules
 //! under `cli/` document their subcommands.
 //!
-//! `run`, `verify`, `scale`, `audit`, `calibrate`, `chaos`, `soak`,
-//! `conformance` and `regress` end with a single-line JSON summary on
-//! stdout for scripted consumption.
+//! `run`, `verify`, `scale`, `audit`, `calibrate`, `chaos`, `soak` and
+//! `conformance` end with a single-line JSON summary on stdout for scripted
+//! consumption.
 
 use std::process::ExitCode;
 
@@ -55,7 +54,7 @@ use nbody_comm::validate_env;
 mod cli;
 use cli::{audit, chaos, inspect, model, run, Command, Failure, Opts};
 
-const COMMANDS: [(&str, Command); 14] = [
+const COMMANDS: [(&str, Command); 13] = [
     ("run", |opts, _| run::execute(opts, false)),
     ("verify", |opts, _| run::execute(opts, true)),
     ("report", inspect::report),
@@ -69,11 +68,10 @@ const COMMANDS: [(&str, Command); 14] = [
     ("health", inspect::health),
     ("conformance", inspect::conformance),
     ("postmortem", inspect::postmortem),
-    ("regress", inspect::regress),
 ];
 
 const USAGE: &str = "usage: ca-nbody <run|verify|report|audit|calibrate|chaos|soak|scale|autotune|\
-     analyze|health|conformance|postmortem|regress> \
+     analyze|health|conformance|postmortem> \
      [key=value ...] \
      [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] [--profile] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \

@@ -224,7 +224,7 @@ fn trace_flag_writes_valid_chrome_trace() {
 fn report_subcommand_prints_breakdown_table() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_report_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.jsonl");
+    let path = dir.join("trace.json");
     let run = cli()
         .args([
             "run",
@@ -716,7 +716,7 @@ fn chaos_rejects_configs_without_a_surviving_replica() {
 /// paths inside `dir`.
 fn traced_run(dir: &std::path::Path, p: usize, c: usize) -> (String, String) {
     std::fs::create_dir_all(dir).unwrap();
-    let trace = dir.join("trace.jsonl").display().to_string();
+    let trace = dir.join("trace.json").display().to_string();
     let metrics = dir.join("metrics.json").display().to_string();
     let out = cli()
         .args([
@@ -823,7 +823,7 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // Empty trace file: a one-line error, not a panic.
-    let empty = dir.join("empty.jsonl");
+    let empty = dir.join("empty.json");
     std::fs::write(&empty, "").unwrap();
     let out = cli()
         .args(["analyze", empty.to_str().unwrap()])
@@ -834,21 +834,20 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     assert!(stderr.contains("no spans"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 
-    // Truncated JSONL: the diagnostic names the offending line.
-    let truncated = dir.join("truncated.jsonl");
-    std::fs::write(
-        &truncated,
-        "{\"rank\":0,\"kind\":\"phase\",\"phase\":\"shift\",\"start\":0,\"end\":1}\n\
-         {\"rank\":1,\"kind\":\"ph",
-    )
-    .unwrap();
+    // Truncated Chrome trace: the diagnostic names the byte it stopped at,
+    // the end of the file, inside the second event's name.
+    let truncated = dir.join("truncated.json");
+    let body = "{\"traceEvents\":[{\"name\":\"shift\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\
+                \"ts\":0,\"dur\":1,\"cat\":\"comm-phase\"},{\"name\":\"sh";
+    std::fs::write(&truncated, body).unwrap();
     let out = cli()
         .args(["analyze", truncated.to_str().unwrap()])
         .output()
         .expect("launch");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("line 2"), "{stderr}");
+    let at = format!("at byte {}", body.len());
+    assert!(stderr.contains(&at), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -896,114 +895,6 @@ fn scale_rows_carry_imbalance_and_critical_comm_fraction() {
         let f = frac[0].as_f64().unwrap();
         assert!(f > 0.0 && f <= 1.0, "{last}");
     }
-}
-
-#[test]
-fn regress_gates_against_history_and_records() {
-    let dir = std::env::temp_dir().join("ca_nbody_cli_regress_test");
-    std::fs::remove_dir_all(&dir).ok();
-    let (trace, _) = traced_run(&dir, 4, 2);
-    let hist = dir.join("history").display().to_string();
-    let common = [
-        "n=128".to_string(),
-        "c=2".to_string(),
-        "kernel=allpairs".to_string(),
-        format!("--history={hist}"),
-    ];
-
-    // First run: no history yet — passes and seeds the store.
-    let out = cli()
-        .args(["regress", &trace])
-        .args(&common)
-        .arg("--record")
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("no matching history"), "{stdout}");
-    let store = format!("{hist}/allpairs.jsonl");
-    assert!(std::fs::metadata(&store).is_ok(), "store not created");
-
-    // Second run against the honest history: within tolerance, exit 0.
-    let out = cli()
-        .args(["regress", &trace])
-        .args(&common)
-        .args(["tolerance=2.0"])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("PASS"), "{stdout}");
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
-    assert_eq!(doc.get("verdict").unwrap().as_str(), Some("pass"));
-    assert_eq!(doc.get("matched").unwrap().as_f64(), Some(1.0));
-
-    // Doctor the stored entry to be 2x faster than physically possible:
-    // the live run now exceeds the tolerance and the gate trips.
-    let body = std::fs::read_to_string(&store).unwrap();
-    let entry = nbody_trace::Json::parse(body.lines().next().unwrap()).unwrap();
-    let wall = entry.get("wall_secs").unwrap().as_f64().unwrap();
-    let doctored = body.replace(
-        &format!("\"wall_secs\":{wall}"),
-        &format!("\"wall_secs\":{}", wall / 8.0),
-    );
-    assert_ne!(body, doctored, "doctoring must change the entry");
-    std::fs::write(&store, doctored).unwrap();
-    let out = cli()
-        .args(["regress", &trace])
-        .args(&common)
-        .args(["tolerance=2.0"])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !out.status.success(),
-        "doctored history must trip the gate: {stdout}"
-    );
-    assert!(stdout.contains("FAIL"), "{stdout}");
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
-    assert_eq!(doc.get("verdict").unwrap().as_str(), Some("regression"));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("REGRESSION"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // A different configuration key never matches the doctored entry.
-    let out = cli()
-        .args(["regress", &trace, "n=999", "c=2", "kernel=allpairs"])
-        .arg(format!("--history={hist}"))
-        .output()
-        .expect("launch");
-    assert!(out.status.success());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn regress_rejects_corrupt_history_with_line_diagnostic() {
-    let dir = std::env::temp_dir().join("ca_nbody_cli_regress_bad_test");
-    std::fs::remove_dir_all(&dir).ok();
-    let (trace, _) = traced_run(&dir, 4, 2);
-    let hist_dir = dir.join("history");
-    std::fs::create_dir_all(&hist_dir).unwrap();
-    std::fs::write(hist_dir.join("allpairs.jsonl"), "{\"n\": 128,\n").unwrap();
-    let out = cli()
-        .args([
-            "regress",
-            &trace,
-            "n=128",
-            "c=2",
-            &format!("--history={}", hist_dir.display()),
-        ])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("line 1"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -1191,7 +1082,7 @@ fn record_timeline_writes_bundle_and_analyze_reports_drift() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let tl_path = dir.join("timeline.json").display().to_string();
-    let trace = dir.join("trace.jsonl").display().to_string();
+    let trace = dir.join("trace.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -2248,11 +2139,6 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
             &["run", "--checkpoint-dir=ck", "--crash-at-step=soon"],
             ["'crash-at-step'", "'soon'"],
         ),
-        (
-            "tol",
-            &["regress", "t.jsonl", "tolerance=loose", "--record"],
-            ["'tolerance'", "'loose'"],
-        ),
         ("c", &["audit", "c=some"], ["'c'", "'some'"]),
         (
             "bc",
@@ -2356,7 +2242,6 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
         &["health", "tl.json"],
         &["conformance", "w.json"],
         &["postmortem", "tl.json"],
-        &["regress", "t.jsonl"],
     ] {
         let mut args = args.to_vec();
         args.push("--no-such-option=1");

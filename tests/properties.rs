@@ -1,8 +1,9 @@
 //! Property-based integration tests: randomized configurations of the
 //! distributed algorithms must always agree with the serial reference
 //! (pair coverage is exact under the Counting law regardless of reduction
-//! order), and the schedule generators must always conserve the global
-//! interaction count.
+//! order), the schedule generators must always conserve the global
+//! interaction count, and the parsers of what a run records must return
+//! on any cut or flipped byte of it, never panic.
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams};
@@ -447,5 +448,76 @@ fn all_pairs_closed_form_counts_what_the_busiest_rank_sends() {
         if c * c == p {
             assert_eq!(busiest, 1, "p={p} c={c}");
         }
+    }
+}
+
+/// The three artifacts one small traced, probed, health-monitored run
+/// records, as the bytes `run` writes them: a timeline bundle, a wire-probe
+/// log and a Chrome trace. Recorded once, shared by every case.
+fn recorded_artifacts() -> &'static [Vec<u8>; 3] {
+    use ca_nbody::{Method, Run, SimConfig};
+    use nbody_physics::{Gravity, VelocityVerlet};
+    use nbody_simhealth::HealthConfig;
+    static ARTIFACTS: std::sync::OnceLock<[Vec<u8>; 3]> = std::sync::OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        let cfg = SimConfig {
+            law: Gravity {
+                g: 1e-3,
+                softening: 0.05,
+            },
+            integrator: VelocityVerlet,
+            domain: Domain::square(4.0),
+            boundary: Boundary::Reflective,
+            dt: 0.01,
+            steps: 2,
+        };
+        let initial = init::uniform(32, &cfg.domain, 5);
+        let health = HealthConfig::enabled();
+        let out = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 4)
+            .trace()
+            .probe()
+            .health(&health)
+            .execute(&initial);
+        out.result.expect("the recorded run completes");
+        let a = out.artifacts;
+        [
+            a.timeline.to_json(),
+            a.wire.to_json(),
+            a.trace.to_chrome_json(),
+        ]
+        .map(String::into_bytes)
+    })
+}
+
+/// Whether `bytes` parse as artifact `which` of [`recorded_artifacts`].
+fn artifact_parses(which: usize, bytes: &[u8]) -> bool {
+    let text = String::from_utf8_lossy(bytes);
+    match which {
+        0 => nbody_comm::RunTimeline::parse(&text).is_ok(),
+        1 => nbody_comm::WireLog::parse(&text).is_ok(),
+        _ => nbody_trace::ExecutionTrace::parse(&text).is_ok(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A recorded artifact cut short, or with one byte changed to another
+    /// ASCII byte, is parsed or refused: its parser returns, never panics.
+    /// A cut is always refused, since the document's closing brace goes.
+    #[test]
+    fn recorded_artifact_parsers_return_on_cuts_and_byte_flips(
+        which in 0usize..3,
+        cut in 0.0..1.0f64,
+        at in 0.0..1.0f64,
+        byte in 0u8..0x80,
+    ) {
+        let original = &recorded_artifacts()[which];
+        prop_assert!(artifact_parses(which, original));
+        let (cut, at) = ((cut * original.len() as f64) as usize, (at * original.len() as f64) as usize);
+        prop_assert!(!artifact_parses(which, &original[..cut]));
+        let mut flipped = original.clone();
+        flipped[at] = if flipped[at] == byte { (byte + 1) % 0x80 } else { byte };
+        artifact_parses(which, &flipped);
     }
 }
