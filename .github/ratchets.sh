@@ -59,5 +59,7 @@ check "the program reads one environment variable, NBODY_RECV_TIMEOUT_SECS; a ru
     test "$(grep -rhoE 'env::var(_os)?\("[^"]*"\)' crates src | sort -u | wc -l)" -eq 1
 check "a trace has one reloadable format, Chrome trace_event JSON" \
     none '(to|from)_jsonl' crates src tests
+check "the run's artifacts are files that report/analyze/health/conformance read; there is no server in front of them" \
+    none 'TcpListener|MetricsServer|render_dashboard|serve-metrics' crates src tests --exclude=cli.rs
 
 exit "$broken"

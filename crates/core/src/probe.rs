@@ -12,7 +12,7 @@
 //! * A full [`StepSample`] (bytes moved, blocked seconds, flops, compute
 //!   nanos, resident particles) is pushed only when the execution was
 //!   started with step sampling on (instrumented runs), feeding the
-//!   `/timeseries` endpoint and the drift detector.
+//!   `--record-timeline` bundle and the drift detector.
 
 use nbody_comm::{CommStats, Communicator, StepSample, TimelineRecorder};
 use nbody_metrics::Counter;

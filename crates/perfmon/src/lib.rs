@@ -19,24 +19,14 @@
 //!   (see `ca_nbody::kernel::ComputeMeter`) with a calibration into
 //!   per-rank roofline points: achieved GFLOP/s, arithmetic intensity,
 //!   and %-of-roofline, with table/CSV/JSON renderings and the CI gate.
-//! * [`serve`] — a dependency-free single-threaded HTTP server exposing
-//!   the Prometheus exporter as a live `/metrics` endpoint
-//!   (`ca-nbody run --serve-metrics=<addr>`), plus the `/timeseries` JSON
-//!   and `/dashboard` HTML views of the per-step run timeline.
-//! * [`dashboard`] — the self-contained HTML + SVG sparkline rendering
-//!   behind `/dashboard`.
 
 #![warn(missing_docs)]
 
 pub mod calibrate;
-pub mod dashboard;
 pub mod roofline;
-pub mod serve;
 
 pub use calibrate::{CalibrationConfig, MachineCalibration};
-pub use dashboard::render_dashboard;
 pub use roofline::{
     kernel_compute, roofline, roofline_csv, roofline_json, roofline_table, KernelCompute,
     RooflineGate, RooflinePoint, RooflineReport,
 };
-pub use serve::MetricsServer;

@@ -5,28 +5,27 @@ use nbody_trace::Json;
 
 /// Everything the health lens can reconstruct from a timeline bundle:
 /// the offline counterpart of the live [`HealthReport`](crate::HealthReport),
-/// used by the `health` renderer, the analyze report, and the perfmon
-/// `/health` endpoint.
+/// used by the `health` subcommand and the analyze report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSummary {
     /// Steps with a measured (health-instrumented) energy sample.
-    pub measured_steps: usize,
-    /// Mean global energy at the first/last measured step (0.0 if none).
-    pub energy_first: f64,
-    /// See [`energy_first`](HealthSummary::energy_first).
-    pub energy_last: f64,
+    measured_steps: usize,
+    /// Mean global energy at the first measured step (0.0 if none).
+    energy_first: f64,
+    /// Mean global energy at the last measured step (0.0 if none).
+    energy_last: f64,
     /// max over measured steps of |E(t) − E(first)| / |E(first)|.
-    pub max_rel_energy_drift: f64,
+    max_rel_energy_drift: f64,
     /// Largest recorded total-momentum norm.
-    pub max_momentum_norm: f64,
+    max_momentum_norm: f64,
     /// Non-finite sentinel events: `(rank, step, detail)`.
-    pub non_finite: Vec<(u32, Option<u64>, String)>,
+    non_finite: Vec<(u32, Option<u64>, String)>,
     /// Replica fingerprint mismatch events: `(rank, step, detail)`.
-    pub mismatches: Vec<(u32, Option<u64>, String)>,
+    mismatches: Vec<(u32, Option<u64>, String)>,
     /// Steps where the drift detector flagged the energy series.
-    pub energy_drift_windows: Vec<u32>,
+    energy_drift_windows: Vec<u32>,
     /// The bundle's failure reason, if it is a postmortem.
-    pub failure: Option<String>,
+    failure: Option<String>,
 }
 
 impl HealthSummary {
@@ -90,7 +89,7 @@ impl HealthSummary {
     }
 
     /// Whether every detector stayed quiet (vacuously true when the run
-    /// was not instrumented — check [`measured_steps`](HealthSummary::measured_steps)).
+    /// was not instrumented, which [`render`](HealthSummary::render) says).
     pub fn is_clean(&self) -> bool {
         self.non_finite.is_empty()
             && self.mismatches.is_empty()
@@ -155,7 +154,7 @@ impl HealthSummary {
         out
     }
 
-    /// JSON rendering for the perfmon `/health` endpoint.
+    /// JSON rendering, the last line `health` prints.
     pub fn to_json(&self) -> String {
         let events = |list: &[(u32, Option<u64>, String)]| {
             Json::Arr(

@@ -192,7 +192,7 @@ impl RunTimeline {
 
     /// Per-step load-imbalance factor, `max(particles) / mean(particles)`
     /// across ranks that sampled the step (1.0 = perfectly balanced).
-    pub fn imbalance_series(&self) -> MetricSeries {
+    fn imbalance_series(&self) -> MetricSeries {
         self.derived_series("imbalance", |per_rank| {
             let parts: Vec<f64> = per_rank.iter().map(|s| s.particles as f64).collect();
             let mean = parts.iter().sum::<f64>() / parts.len() as f64;
@@ -207,7 +207,7 @@ impl RunTimeline {
 
     /// Per-step communication fraction: total seconds ranks spent blocked
     /// waiting divided by total step wall seconds, in `[0, 1]`.
-    pub fn comm_fraction_series(&self) -> MetricSeries {
+    fn comm_fraction_series(&self) -> MetricSeries {
         self.derived_series("comm_fraction", |per_rank| {
             let blocked: f64 = per_rank.iter().map(|s| s.blocked_secs).sum();
             let wall: f64 = per_rank.iter().map(|s| s.dt_secs).sum();

@@ -8,25 +8,17 @@
 //! marks) as JSON, or in Prometheus text format for a `.prom` path.
 //! `--profile` prints the per-phase breakdown after the run.
 //!
-//! `--serve-metrics=<addr>` starts a dependency-free HTTP endpoint
-//! serving the Prometheus exposition of the run's metrics at
-//! `http://<addr>/metrics` (empty until the run finishes, then held for
-//! `serve-metrics-hold-ms` so scrapers can collect the final snapshot).
-//!
 //! `--record-timeline=<path>` writes the run's per-step time series
 //! (bytes, blocked time, FLOPs, particles per rank) plus the always-on
 //! flight-recorder event ring as one `nbody-timeline/v1` JSON bundle.
 //! When a fault-injected run dies, the same path receives a *postmortem*
 //! bundle carrying the failure reason and the events leading up to it.
-//! When `--serve-metrics` is active the timeline is also published at
-//! `/timeseries` (JSON) and `/dashboard` (self-contained HTML).
 //!
 //! `--wire-probe=<path>` turns on message-level wire probes: every rank
 //! records each point-to-point protocol message (send/recv, rank pair,
 //! tag, phase, payload size, timestamp against a shared epoch) into a
 //! bounded ring, merged after the run into one `nbody-wireprobe/v1` JSON
-//! log. When `--serve-metrics` is active the wire log is published at
-//! `/wire` and the dashboard grows a channel-latency panel.
+//! log.
 //!
 //! `--faults` injects a deterministic fault schedule (spec grammar
 //! `kind:rank@step` with kinds `kill | drop | dup | delay`, comma-
@@ -50,14 +42,13 @@
 //! variable stands in for one.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{run_serial, CheckpointConfig, Run};
 use nbody_analyze::analyze;
 use nbody_comm::FaultPlan;
 use nbody_durable::load_latest;
-use nbody_perfmon::MetricsServer;
 use nbody_physics::diagnostics;
 use nbody_simhealth::{HealthBaseline, HealthConfig, HealthInjection};
 use nbody_timeline::DriftConfig;
@@ -104,10 +95,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let timeline_path: Option<String> = opts.opt("record-timeline")?;
     let wire_path: Option<String> = opts.opt("wire-probe")?;
     let profile = opts.get("profile", false)?;
-    let serve = match opts.opt::<String>("serve-metrics")? {
-        Some(addr) => Some((addr, opts.get("serve-metrics-hold-ms", 2000)?)),
-        None => None,
-    };
     let faults = fault_plan(opts)?;
     let health_cfg = health_config(opts)?;
 
@@ -157,19 +144,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         .map(|path| load(&path, HealthBaseline::parse))
         .transpose()?;
 
-    // The endpoint comes up before the run (serving an empty snapshot) so
-    // scrapers can connect while the simulation is in flight; the final
-    // snapshot is published after the run and held for a grace period.
-    let server = match serve {
-        Some((addr, hold_ms)) => {
-            let s = MetricsServer::start(addr.as_str())
-                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-            println!("  serving metrics on http://{}/metrics", s.local_addr());
-            Some((s, hold_ms))
-        }
-        None => None,
-    };
-
     let mut cfg = spec.config();
     let mut initial = spec.initial();
     let mut resumed_from: Option<u64> = None;
@@ -209,7 +183,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     // Fault-tolerant runs always trace, so recovery overhead shows up in
     // `report` breakdowns and the fault counters reach the summary.
     let files = [&trace_path, &metrics_path, &timeline_path, &wire_path];
-    let traced = recovering || profile || server.is_some() || files.iter().any(|f| f.is_some());
+    let traced = recovering || profile || files.iter().any(|f| f.is_some());
     if traced {
         run = run.trace();
     }
@@ -369,20 +343,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     if profile {
         print_breakdown(trace);
     }
-    if let Some((server, _)) = &server {
-        let addr = server.local_addr();
-        server.publish(metrics);
-        server.publish_timeline(timeline);
-        println!("  dashboard live at http://{addr}/dashboard");
-        if wire_path.is_some() {
-            server.publish_wire(&artifacts.wire);
-            println!("  wire log live at http://{addr}/wire");
-        }
-        println!(
-            "  metrics published at http://{addr}/metrics ({} ranks)",
-            metrics.ranks.len()
-        );
-    }
 
     let degraded = result.shrinks > 0 || result.lost_particles > 0;
     if verify && degraded {
@@ -404,12 +364,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         }
         println!("  VERIFY OK");
         summary.put("max_deviation", err).put("verify_ok", true);
-    }
-    if let Some((server, _)) = &server {
-        let endpoint = format!("http://{}/metrics", server.local_addr());
-        summary
-            .put("metrics_endpoint", endpoint)
-            .put("compute_flops", metrics.sum_counter("compute_flops", None));
     }
     let counters = |summary: &mut Summary, keys: &[&str]| {
         for key in keys {
@@ -469,12 +423,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         summary.put("resumed_from_step", step);
     }
     summary.print();
-    if let Some((server, hold_ms)) = server {
-        // Hold the endpoint open so an external scraper launched against
-        // the printed address can still collect the final snapshot.
-        std::thread::sleep(Duration::from_millis(hold_ms));
-        server.shutdown();
-    }
     let gate = health_violations
         .iter()
         .map(|v| format!("HEALTH GATE: {v}"));

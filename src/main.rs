@@ -6,7 +6,6 @@
 //!                   [temperature=1e-4]
 //!                   [--trace=out.json|out.csv] [--metrics=out.json|out.prom] [--profile]
 //!                   [--record-timeline=out.json] [--wire-probe=out.json]
-//!                   [--serve-metrics=ADDR] [serve-metrics-hold-ms=2000]
 //!                   [--faults=SPEC] [fault-timeout-ms=1000]
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
 //!                   [--crash-at-step=S]

@@ -536,6 +536,7 @@ fn metrics_flag_round_trips_through_json_and_prometheus() {
         );
         // The kernel meter populates the compute side of the snapshot.
         assert!(snap.sum_counter("compute_flops", None) > 0);
+        assert!(snap.sum_counter("compute_interactions", None) > 0);
         assert!(snap.sum_counter("compute_nanos", None) > 0);
     }
     std::fs::remove_file(&json_path).ok();
@@ -1544,99 +1545,6 @@ fn malformed_recv_timeout_env_is_a_startup_error() {
 }
 
 #[test]
-fn serve_metrics_endpoint_scrapes_compute_gauges_over_http() {
-    use std::io::{BufRead, BufReader, Read, Write};
-
-    let dir = std::env::temp_dir().join("ca_nbody_cli_serve_test");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let tl_path = dir.join("timeline.json").display().to_string();
-    let mut child = cli()
-        .args([
-            "run",
-            "n=128",
-            "p=4",
-            "c=2",
-            "steps=2",
-            "--serve-metrics=127.0.0.1:0",
-            "serve-metrics-hold-ms=30000",
-            &format!("--record-timeline={tl_path}"),
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("launch");
-
-    // stdout is line-buffered; wait for the post-run "published" line and
-    // take the endpoint address from it.
-    let mut reader = BufReader::new(child.stdout.take().unwrap());
-    let mut addr = None;
-    let mut line = String::new();
-    while reader.read_line(&mut line).unwrap_or(0) > 0 {
-        if let Some(rest) = line.split("published at http://").nth(1) {
-            addr = rest.split("/metrics").next().map(str::to_string);
-            break;
-        }
-        line.clear();
-    }
-    let addr = match addr {
-        Some(a) => a,
-        None => {
-            child.kill().ok();
-            panic!("no 'metrics published' line on stdout");
-        }
-    };
-
-    let scrape = |path: &str| -> String {
-        let mut conn = std::net::TcpStream::connect(&addr).expect("connect to endpoint");
-        conn.write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
-        response
-    };
-    let metrics_response = scrape("/metrics");
-    let timeseries_response = scrape("/timeseries");
-    let dashboard_response = scrape("/dashboard");
-    child.kill().ok();
-    child.wait().ok();
-    std::fs::remove_dir_all(&dir).ok();
-
-    let (head, body) = metrics_response
-        .split_once("\r\n\r\n")
-        .expect("no header split");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert!(head.contains("text/plain; version=0.0.4"), "{head}");
-    // The scraped exposition parses back and carries the live compute
-    // counters of the run that just finished.
-    let snap = nbody_metrics::MetricsSnapshot::parse_prometheus(body).unwrap();
-    assert_eq!(snap.ranks.len(), 4);
-    assert!(snap.sum_counter("compute_flops", None) > 0, "{body}");
-    assert!(snap.sum_counter("compute_interactions", None) > 0);
-    assert!(snap.sum_counter("comm_send_messages", Some(nbody_trace::Phase::Shift)) > 0);
-
-    // The published timeline serves as JSON at /timeseries ...
-    let (head, body) = timeseries_response
-        .split_once("\r\n\r\n")
-        .expect("no header split");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert!(head.contains("application/json"), "{head}");
-    let tl = nbody_comm::RunTimeline::parse(body).expect("invalid /timeseries body");
-    assert_eq!(tl.ranks.len(), 4, "{body}");
-    assert!(tl.ranks.iter().all(|r| r.samples.len() == 2));
-
-    // ... and as the self-contained HTML dashboard at /dashboard.
-    let (head, body) = dashboard_response
-        .split_once("\r\n\r\n")
-        .expect("no header split");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert!(head.contains("text/html"), "{head}");
-    assert!(body.starts_with("<!doctype html>"), "{body}");
-    assert!(body.contains("<svg"), "dashboard carries sparklines");
-}
-
-#[test]
 fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -2162,6 +2070,17 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             "trase",
             &["run", "n=64", "p=4", "steps=2", "--trase=out.json"][..],
             ["'trase'", "'run'"],
+        ),
+        (
+            "serve",
+            &[
+                "run",
+                "n=64",
+                "p=4",
+                "steps=1",
+                "--serve-metrics=127.0.0.1:0",
+            ],
+            ["'serve-metrics'", "'run'"],
         ),
         (
             "scale_c",
