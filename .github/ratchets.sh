@@ -61,5 +61,10 @@ check "a trace has one reloadable format, Chrome trace_event JSON" \
     none '(to|from)_jsonl' crates src tests
 check "the run's artifacts are files that report/analyze/health/conformance read; there is no server in front of them" \
     none 'TcpListener|MetricsServer|render_dashboard|serve-metrics' crates src tests --exclude=cli.rs
+check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table)" \
+    none '\("(scale|postmortem)", |let profile = |run_distributed_sampled|radial_distribution' \
+    crates src tests examples
+check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table): quickstart and autotune are the examples" \
+    test "$(ls examples | wc -l)" -le 2
 
 exit "$broken"

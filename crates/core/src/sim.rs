@@ -1546,96 +1546,3 @@ mod tests {
         check(&cutoff_cfg, Method::SpatialHalo1d, 4);
     }
 }
-
-/// Run a distributed simulation while sampling intermediate states: the
-/// trajectory is executed in chunks of `every` steps and the gathered
-/// state after each chunk is recorded (including the final state).
-///
-/// Implemented as repeated [`run_distributed`] calls, so it adds no
-/// protocol complexity; note that [`VelocityVerlet`] carries the previous
-/// step's forces across steps, which resets at chunk boundaries — use a
-/// single-phase integrator (e.g. [`SemiImplicitEuler`]) when exact
-/// equivalence to an unsampled run matters.
-///
-/// [`VelocityVerlet`]: nbody_physics::VelocityVerlet
-/// [`SemiImplicitEuler`]: nbody_physics::SemiImplicitEuler
-pub fn run_distributed_sampled<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-    every: usize,
-) -> Vec<Vec<Particle>>
-where
-    F: ForceLaw + Sync + Clone,
-    I: Integrator + Sync + Clone,
-{
-    assert!(every > 0, "sampling interval must be positive");
-    let mut snapshots = Vec::new();
-    let mut state: Vec<Particle> = initial.to_vec();
-    let mut remaining = cfg.steps;
-    while remaining > 0 {
-        let chunk = remaining.min(every);
-        let chunk_cfg = SimConfig {
-            law: cfg.law.clone(),
-            integrator: cfg.integrator.clone(),
-            domain: cfg.domain,
-            boundary: cfg.boundary,
-            dt: cfg.dt,
-            steps: chunk,
-        };
-        state = run_distributed(&chunk_cfg, method, p, &state).particles;
-        snapshots.push(state.clone());
-        remaining -= chunk;
-    }
-    snapshots
-}
-
-#[cfg(test)]
-mod sampled_tests {
-    use super::*;
-    use nbody_physics::{init, RepulsiveInverseSquare, SemiImplicitEuler};
-
-    #[test]
-    fn sampled_run_matches_unsampled_for_single_phase_integrators() {
-        let cfg = SimConfig {
-            law: RepulsiveInverseSquare {
-                strength: 1e-3,
-                softening: 1e-3,
-            },
-            integrator: SemiImplicitEuler,
-            domain: Domain::unit(),
-            boundary: Boundary::Reflective,
-            dt: 0.01,
-            steps: 9,
-        };
-        let initial = init::uniform(20, &cfg.domain, 4);
-        let full = run_distributed(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial).particles;
-        let snaps = run_distributed_sampled(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial, 4);
-        // Chunks of 4, 4, 1.
-        assert_eq!(snaps.len(), 3);
-        assert_eq!(snaps.last().unwrap(), &full);
-    }
-
-    #[test]
-    fn sampled_snapshots_evolve() {
-        let cfg = SimConfig {
-            law: RepulsiveInverseSquare {
-                strength: 5e-3,
-                softening: 1e-3,
-            },
-            integrator: SemiImplicitEuler,
-            domain: Domain::unit(),
-            boundary: Boundary::Reflective,
-            dt: 0.02,
-            steps: 6,
-        };
-        let initial = init::uniform(16, &cfg.domain, 7);
-        let snaps = run_distributed_sampled(&cfg, Method::CaAllPairs { c: 1 }, 4, &initial, 2);
-        assert_eq!(snaps.len(), 3);
-        assert_ne!(snaps[0], snaps[2], "state must change over time");
-        for s in &snaps {
-            assert_eq!(s.len(), 16);
-        }
-    }
-}

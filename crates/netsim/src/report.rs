@@ -23,11 +23,6 @@ impl RankBreakdown {
         self.comm[phase.index()]
     }
 
-    /// Total communication time.
-    pub fn comm_total(&self) -> f64 {
-        self.comm.iter().sum()
-    }
-
     fn add(&mut self, other: &RankBreakdown) {
         self.compute += other.compute;
         for (a, b) in self.comm.iter_mut().zip(&other.comm) {
@@ -64,15 +59,6 @@ impl SimReport {
         acc
     }
 
-    /// Breakdown of the rank on the critical path (maximum total time).
-    pub fn critical(&self) -> RankBreakdown {
-        self.per_rank
-            .iter()
-            .copied()
-            .max_by(|a, b| a.total().total_cmp(&b.total()))
-            .unwrap_or_default()
-    }
-
     /// Pretty one-line summary (for harness logs).
     pub fn summary(&self) -> String {
         let m = self.mean();
@@ -105,7 +91,6 @@ mod tests {
         b.comm[Phase::Reduce.index()] = 1.5;
 
         assert_eq!(a.total(), 1.5);
-        assert_eq!(b.comm_total(), 1.5);
 
         let rep = SimReport {
             makespan: 4.5,
@@ -115,8 +100,6 @@ mod tests {
         assert_eq!(mean.compute, 2.0);
         assert_eq!(mean.phase(Phase::Shift), 0.25);
         assert_eq!(mean.phase(Phase::Reduce), 0.75);
-        let crit = rep.critical();
-        assert_eq!(crit.compute, 3.0);
         assert!(rep.summary().contains("makespan"));
     }
 }

@@ -1,5 +1,5 @@
 //! The subcommands that read what a run wrote: `report`, `analyze`,
-//! `health`, `conformance`, `postmortem`.
+//! `health`, `conformance`.
 //!
 //! `analyze` diagnoses a recorded trace: the per-timestep cross-rank
 //! critical path (which rank gated the step, how its time split into
@@ -45,8 +45,8 @@ fn input<'a>(positional: &'a [String], usage: &str) -> Result<&'a str, Failure> 
 }
 
 /// Print the paper-style per-phase table and the per-step driver-section
-/// table of a trace (`--profile` and the `report` subcommand).
-pub fn print_breakdown(trace: &ExecutionTrace) {
+/// table of a trace.
+fn print_breakdown(trace: &ExecutionTrace) {
     let b = trace.phase_breakdown();
     println!(
         "per-phase wall-clock across {} ranks (seconds per rank):",
@@ -230,57 +230,6 @@ pub fn conformance(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, F
         .print();
     if report.verdict() == "FAIL" {
         return Err("CONFORMANCE FAILED: observed traffic deviates from the CA schedule".into());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `postmortem`: render a flight-recorder dump (a failed run's timeline
-/// bundle) as a human-readable per-rank account of what happened.
-pub fn postmortem(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
-    opts.finish()?;
-    let path = input(positional, "postmortem <bundle.json>")?;
-    let tl = load(path, RunTimeline::parse)?;
-    match &tl.failure {
-        Some(reason) => println!("{path}: FAILED — {reason}"),
-        None => println!("{path}: healthy run (no failure recorded)"),
-    }
-    println!("{} ranks recorded\n", tl.ranks.len());
-    for r in &tl.ranks {
-        let steps = match (r.samples.first(), r.samples.last()) {
-            (Some(a), Some(b)) => format!(
-                "{} samples over steps {}..={} (stride {})",
-                r.samples.len(),
-                a.step,
-                b.step,
-                r.stride
-            ),
-            _ => "no step samples".to_string(),
-        };
-        println!("rank {:<4} {steps}", r.rank);
-        if let Some(last) = r.samples.last() {
-            println!(
-                "          last sample: {} particles, {} send bytes, {:.6} s blocked",
-                last.particles, last.send_bytes, last.blocked_secs
-            );
-        }
-        if let Some(f) = &r.failure {
-            println!("          failure: {f}");
-        }
-        if r.dropped_events > 0 {
-            println!(
-                "          ({} earlier events evicted from the flight ring)",
-                r.dropped_events
-            );
-        }
-        for e in &r.events {
-            let step = e.step.map_or(String::new(), |s| format!(" step {s}"));
-            println!(
-                "  {:>10.4}s  {:<16}{step}  {}",
-                e.t_secs,
-                e.kind.label(),
-                e.detail
-            );
-        }
     }
     Ok(ExitCode::SUCCESS)
 }

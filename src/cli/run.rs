@@ -6,7 +6,6 @@
 //! table. `--metrics` writes the live metrics snapshot (per-rank
 //! communication counters, message-size histograms, memory high-water
 //! marks) as JSON, or in Prometheus text format for a `.prom` path.
-//! `--profile` prints the per-phase breakdown after the run.
 //!
 //! `--record-timeline=<path>` writes the run's per-step time series
 //! (bytes, blocked time, FLOPs, particles per rank) plus the always-on
@@ -55,7 +54,6 @@ use nbody_timeline::DriftConfig;
 use nbody_trace::ALL_PHASES;
 
 use super::artifact::{load, named_or_present, write, write_metrics, Summary};
-use super::inspect::print_breakdown;
 use super::spec::{fault_plan, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
@@ -94,7 +92,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let metrics_path: Option<String> = opts.opt("metrics")?;
     let timeline_path: Option<String> = opts.opt("record-timeline")?;
     let wire_path: Option<String> = opts.opt("wire-probe")?;
-    let profile = opts.get("profile", false)?;
     let faults = fault_plan(opts)?;
     let health_cfg = health_config(opts)?;
 
@@ -183,7 +180,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     // Fault-tolerant runs always trace, so recovery overhead shows up in
     // `report` breakdowns and the fault counters reach the summary.
     let files = [&trace_path, &metrics_path, &timeline_path, &wire_path];
-    let traced = recovering || profile || files.iter().any(|f| f.is_some());
+    let traced = recovering || files.iter().any(|f| f.is_some());
     if traced {
         run = run.trace();
     }
@@ -340,10 +337,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             .put("wire_events", events)
             .put("wire_dropped_events", evicted);
     }
-    if profile {
-        print_breakdown(trace);
-    }
-
     let degraded = result.shrinks > 0 || result.lost_particles > 0;
     if verify && degraded {
         // A shrunken run dropped the dead columns' particles mid-flight;

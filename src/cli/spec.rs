@@ -27,7 +27,7 @@ pub enum AnyLaw {
 }
 
 /// The paper's repulsive law at the strength every default run uses.
-pub const REPULSIVE: RepulsiveInverseSquare = RepulsiveInverseSquare {
+const REPULSIVE: RepulsiveInverseSquare = RepulsiveInverseSquare {
     strength: 1e-3,
     softening: 1e-3,
 };
@@ -168,12 +168,22 @@ fn law_named(name: &str, needs_cutoff: bool, cutoff: f64) -> Result<AnyLaw, Stri
         g: 1e-3,
         softening: 0.02,
     };
+    // `Cutoff::new` asserts what this says in one line.
+    let r_c = || {
+        if cutoff.is_finite() && cutoff > 0.0 {
+            Ok(cutoff)
+        } else {
+            Err(format!(
+                "cutoff={cutoff} is not usable with law={name}: the radius must be positive and finite"
+            ))
+        }
+    };
     Ok(match (name, needs_cutoff) {
         ("repulsive", false) => AnyLaw::Repulsive(REPULSIVE),
-        ("repulsive", true) => AnyLaw::RepulsiveCutoff(Cutoff::new(REPULSIVE, cutoff)),
+        ("repulsive", true) => AnyLaw::RepulsiveCutoff(Cutoff::new(REPULSIVE, r_c()?)),
         ("gravity", false) => AnyLaw::Gravity(gravity),
-        ("gravity", true) => AnyLaw::GravityCutoff(Cutoff::new(gravity, cutoff)),
-        ("lj", _) => AnyLaw::Lj(Cutoff::new(LennardJones::default(), cutoff)),
+        ("gravity", true) => AnyLaw::GravityCutoff(Cutoff::new(gravity, r_c()?)),
+        ("lj", _) => AnyLaw::Lj(Cutoff::new(LennardJones::default(), r_c()?)),
         (other, _) => return Err(format!("unknown law '{other}'")),
     })
 }

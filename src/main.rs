@@ -4,7 +4,7 @@
 //! ca-nbody run      [n=1024] [p=8] [c=2] [steps=20] [dt=0.005] [seed=42] [method=ca]
 //!                   [law=repulsive|gravity|lj] [cutoff=0.25] [boundary=reflective]
 //!                   [temperature=1e-4]
-//!                   [--trace=out.json|out.csv] [--metrics=out.json|out.prom] [--profile]
+//!                   [--trace=out.json|out.csv] [--metrics=out.json|out.prom]
 //!                   [--record-timeline=out.json] [--wire-probe=out.json]
 //!                   [--faults=SPEC] [fault-timeout-ms=1000]
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
@@ -24,15 +24,12 @@
 //! ca-nbody soak     [n=96] [p=8] [c=2] [steps=2] [method=ca] [seed=42]
 //!                   [seconds=30] [events=3] [fault-timeout-ms=250]
 //!                   [--postmortem=DIR]   time-boxed randomized chaos
-//! ca-nbody scale    [machine=hopper] [n=32768] [--metrics=F [metrics-p=256]]
-//!                   strong-scaling table (simulated)
 //! ca-nbody autotune [machine=hopper] [p=1536] [n=12288] [cutoff=0]
 //! ca-nbody analyze  [trace.json] [--metrics=F] [--timeline=F] [--wire=F]
 //!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--csv=F] [--json=F]
 //! ca-nbody conformance <wire-log.json> [run's n, p, c, steps, method, law,
 //!                   cutoff, boundary] [--faults=SPEC]
 //! ca-nbody health   <timeline.json>           numerical-health verdict of a bundle
-//! ca-nbody postmortem <bundle.json>           render a flight-recorder dump
 //! ```
 //!
 //! Options take `key=value`, `--key=value`, or `--key value` form. One
@@ -42,9 +39,8 @@
 //! and `soak` take `run`'s grammar with their own defaults; the modules
 //! under `cli/` document their subcommands.
 //!
-//! `run`, `verify`, `scale`, `audit`, `calibrate`, `chaos`, `soak` and
-//! `conformance` end with a single-line JSON summary on stdout for scripted
-//! consumption.
+//! `run`, `verify`, `audit`, `calibrate`, `chaos`, `soak` and `conformance`
+//! end with a single-line JSON summary on stdout for scripted consumption.
 
 use std::process::ExitCode;
 
@@ -53,7 +49,7 @@ use nbody_comm::validate_env;
 mod cli;
 use cli::{audit, chaos, inspect, model, run, Command, Failure, Opts};
 
-const COMMANDS: [(&str, Command); 13] = [
+const COMMANDS: [(&str, Command); 11] = [
     ("run", |opts, _| run::execute(opts, false)),
     ("verify", |opts, _| run::execute(opts, true)),
     ("report", inspect::report),
@@ -61,18 +57,16 @@ const COMMANDS: [(&str, Command); 13] = [
     ("calibrate", audit::calibrate),
     ("chaos", chaos::chaos),
     ("soak", chaos::soak),
-    ("scale", model::scale),
     ("autotune", model::autotune),
     ("analyze", inspect::analyze),
     ("health", inspect::health),
     ("conformance", inspect::conformance),
-    ("postmortem", inspect::postmortem),
 ];
 
-const USAGE: &str = "usage: ca-nbody <run|verify|report|audit|calibrate|chaos|soak|scale|autotune|\
-     analyze|health|conformance|postmortem> \
+const USAGE: &str = "usage: ca-nbody <run|verify|report|audit|calibrate|chaos|soak|autotune|\
+     analyze|health|conformance> \
      [key=value ...] \
-     [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] [--profile] \
+     [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \
      [--health] [--health-every=K] [--health-baseline=F] \
      [--inject-nan=RANK@STEP] [--corrupt-replica=RANK@STEP]\n\
