@@ -17,7 +17,7 @@
 //!   at a glance.
 //! * [`stragglers`] — ranks ranked by how often they end the critical
 //!   path and how much wait they inflict on their peers.
-//! * [`report`] — human tables, CSV, and JSON renderings of an
+//! * [`report`] — human tables and the JSON rendering of an
 //!   [`Analysis`], plus the drift-window table `ca-nbody analyze
 //!   --timeline=…` prints from a recorded `nbody-timeline` bundle.
 //! * [`wire`] — the message-level lens: per-channel send→recv latency
@@ -40,7 +40,7 @@ pub mod wire;
 pub use critical::{critical_path, StepCritical};
 pub use heatmap::{grid_heatmap, GridHeatmap};
 pub use imbalance::{phase_imbalance, PhaseImbalance};
-pub use report::{render_csv, render_drift, render_heatmap, render_json, render_table};
+pub use report::{render_drift, render_heatmap, render_json, render_table};
 pub use stragglers::{rank_stragglers, Straggler};
 pub use wire::{render_conformance, render_wire};
 

@@ -1,4 +1,5 @@
-//! Renderings of an [`Analysis`]: human tables, CSV, JSON.
+//! Renderings of an [`Analysis`]: human tables, and JSON as its one file
+//! encoding.
 
 use nbody_timeline::{DriftConfig, RunTimeline};
 use nbody_trace::Json;
@@ -148,28 +149,6 @@ pub fn render_heatmap(h: &GridHeatmap) -> String {
         v.to_string()
     });
     render_plane(&mut out, h, "wait seconds", &h.wait_secs, secs);
-    out
-}
-
-/// Per-step critical-path CSV.
-pub fn render_csv(a: &Analysis) -> String {
-    let mut out = String::from(
-        "step,makespan_secs,critical_rank,compute_secs,comm_secs,blocked_secs,\
-         blamed_peer,blamed_pstep\n",
-    );
-    for s in &a.steps {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            s.step,
-            s.makespan_secs,
-            s.critical_rank,
-            s.compute_secs,
-            s.comm_secs,
-            s.blocked_secs,
-            s.blamed_peer.map(|p| p.to_string()).unwrap_or_default(),
-            s.blamed_pstep.map(|p| p.to_string()).unwrap_or_default(),
-        ));
-    }
     out
 }
 
@@ -341,15 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_step() {
-        let csv = render_csv(&sample_analysis());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("step,makespan_secs"));
-        assert!(lines[2].contains(",1,2"), "blame columns: {}", lines[2]);
-    }
-
-    #[test]
     fn json_is_parseable_and_complete() {
         let doc = render_json(&sample_analysis()).to_string();
         let v = Json::parse(&doc).unwrap();
@@ -359,6 +329,10 @@ mod tests {
         assert_eq!(
             steps[1].get("blamed_peer").and_then(Json::as_f64),
             Some(1.0)
+        );
+        assert_eq!(
+            steps[1].get("blamed_pstep").and_then(Json::as_f64),
+            Some(2.0)
         );
         assert!(v.get("heatmap").unwrap().get("send_bytes").is_some());
     }

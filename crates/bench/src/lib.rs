@@ -20,7 +20,7 @@ use nbody_comm::Phase;
 use nbody_netsim::{simulate, CollNet, Machine, SimReport};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{init, Boundary, Domain};
-use nbody_trace::schema::{breakdown_csv, breakdown_json, BreakdownRow};
+use nbody_trace::schema::{breakdown_csv, BreakdownRow};
 
 /// One data point of a breakdown figure (a stacked bar of Fig. 2/6).
 #[derive(Debug, Clone)]
@@ -204,8 +204,7 @@ pub fn valid_all_pairs_cs(p: usize, candidates: &[usize]) -> Vec<usize> {
 }
 
 /// Print a paper-style breakdown table and write it as CSV (shared
-/// breakdown schema) plus a structured JSON sidecar (same rows, `.json`
-/// next to the `.csv`).
+/// breakdown schema).
 pub fn emit_breakdown(title: &str, csv_name: &str, rows: &[FigRow]) {
     println!("\n=== {title} ===");
     println!(
@@ -220,10 +219,6 @@ pub fn emit_breakdown(title: &str, csv_name: &str, rows: &[FigRow]) {
     }
     let schema_rows: Vec<BreakdownRow> = rows.iter().map(FigRow::to_breakdown_row).collect();
     write_csv(csv_name, &breakdown_csv(&schema_rows));
-    let json_name = csv_name
-        .strip_suffix(".csv")
-        .map_or_else(|| format!("{csv_name}.json"), |stem| format!("{stem}.json"));
-    write_csv(&json_name, &breakdown_json(&schema_rows));
 }
 
 /// Print a strong-scaling efficiency table (rows = machine sizes, columns =
@@ -369,14 +364,15 @@ mod tests {
     fn fig_rows_export_in_the_shared_breakdown_schema() {
         let row = run_all_pairs_point(&hopper(), 64, 512, 2).to_breakdown_row();
         assert_eq!(row.label, "c=2");
-        let csv = breakdown_csv(std::slice::from_ref(&row));
-        assert!(csv.starts_with(nbody_trace::schema::BREAKDOWN_CSV_HEADER));
-        let json = breakdown_json(&[row]);
-        let doc = nbody_trace::Json::parse(&json).unwrap();
-        let rows = doc.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("label").unwrap().as_str(), Some("c=2"));
-        assert!(rows[0].get("makespan").unwrap().as_f64().unwrap() > 0.0);
+        assert!(row.makespan > 0.0);
+        let csv = breakdown_csv(&[row]);
+        let mut lines = csv.lines();
+        assert_eq!(
+            lines.next(),
+            Some(nbody_trace::schema::BREAKDOWN_CSV_HEADER)
+        );
+        assert!(lines.next().unwrap().starts_with("c=2,"));
+        assert_eq!(lines.next(), None);
     }
 
     #[test]

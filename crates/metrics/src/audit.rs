@@ -445,36 +445,6 @@ pub fn audit_json(reports: &[AuditReport]) -> Json {
     Json::Obj(vec![("reports".into(), Json::Arr(arr))])
 }
 
-/// Render reports as CSV, one row per configuration.
-pub fn audit_csv(reports: &[AuditReport]) -> String {
-    let mut out = String::from(
-        "algorithm,n,p,c,steps,memory_particles,measured_s,s_bound,s_predicted,s_factor,\
-         measured_w,w_bound,w_predicted,w_factor,shift_words,pass\n",
-    );
-    for r in reports {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.config.algorithm.label(),
-            r.config.n,
-            r.config.p,
-            r.config.c,
-            r.config.steps,
-            r.memory_particles,
-            r.measured_s,
-            r.s_bound,
-            r.predicted.messages,
-            r.s_factor,
-            r.measured_w,
-            r.w_bound,
-            r.predicted.words,
-            r.w_factor,
-            r.shift_words(),
-            r.pass,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,13 +588,11 @@ mod tests {
         assert!(table.contains("PASS"));
         assert!(table.contains("shift"));
         assert!(table.contains("bound"));
-        let json = audit_json(std::slice::from_ref(&r));
-        let first = &json.get("reports").unwrap().as_array().unwrap()[0];
-        assert_eq!(first.get("s_factor").unwrap().as_f64(), Some(12.0));
-        assert_eq!(first.get("pass").unwrap(), &Json::Bool(true));
-        let csv = audit_csv(&[r]);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("algorithm,"));
+        let json = audit_json(&[r]);
+        let reports = json.get("reports").unwrap().as_array().unwrap();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].get("s_factor").unwrap().as_f64(), Some(12.0));
+        assert_eq!(reports[0].get("pass").unwrap(), &Json::Bool(true));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   or disabled (every method is a single-branch no-op).
 //! * [`snapshot`] — the plain-data [`MetricsSnapshot`] an execution
 //!   returns: one [`RankMetrics`] per rank plus cross-rank aggregation.
-//! * [`export`] — Prometheus text exposition and JSON round-trips.
+//! * [`export`] — the snapshot's one encoding, a lossless JSON round-trip.
 //! * [`mod@audit`] — the optimality audit: measured per-rank latency (S) and
 //!   bandwidth (W) costs per phase against the Eq. 2/3 lower bounds
 //!   evaluated at the *measured* memory M, and against the Eq. 5 / §IV
@@ -32,9 +32,8 @@ pub mod registry;
 pub mod snapshot;
 
 pub use audit::{
-    audit, audit_csv, audit_json, audit_table, ceilings_from_json, wire_phase_counts,
-    wire_phase_table, AuditAlgorithm, AuditConfig, AuditInput, AuditReport, FactorCeilings,
-    PhaseFlow, WirePhaseRow,
+    audit, audit_json, audit_table, ceilings_from_json, wire_phase_counts, wire_phase_table,
+    AuditAlgorithm, AuditConfig, AuditInput, AuditReport, FactorCeilings, PhaseFlow, WirePhaseRow,
 };
 pub use registry::{
     Counter, Gauge, Histogram, HistogramHandle, MetricsRecorder, RankMetrics, Sample,

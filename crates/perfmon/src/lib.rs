@@ -18,7 +18,7 @@
 //! * [`mod@roofline`] — joins the `compute_*` counters a metered run records
 //!   (see `ca_nbody::kernel::ComputeMeter`) with a calibration into
 //!   per-rank roofline points: achieved GFLOP/s, arithmetic intensity,
-//!   and %-of-roofline, with table/CSV/JSON renderings and the CI gate.
+//!   and %-of-roofline, with table and JSON renderings and the CI gate.
 
 #![warn(missing_docs)]
 
@@ -27,6 +27,6 @@ pub mod roofline;
 
 pub use calibrate::{CalibrationConfig, MachineCalibration};
 pub use roofline::{
-    kernel_compute, roofline, roofline_csv, roofline_json, roofline_table, KernelCompute,
-    RooflineGate, RooflinePoint, RooflineReport,
+    kernel_compute, roofline, roofline_json, roofline_table, KernelCompute, RooflineGate,
+    RooflinePoint, RooflineReport,
 };

@@ -4,9 +4,10 @@
 //! compulsory bytes, and wall nanoseconds (`ca_nbody::kernel::ComputeMeter`).
 //! Against a [`MachineCalibration`] those four numbers place every rank on
 //! the roofline: achieved GFLOP/s vs `min(peak, intensity × bandwidth)`.
-//! The renderings mirror the comm-bounds audit (table, CSV, JSON), and
-//! [`RooflineGate`] is the CI check that kernel efficiency does not silently
-//! regress below the checked-in `bench_results/roofline_baseline.json`.
+//! The renderings mirror the comm-bounds audit (a table, and JSON as the
+//! one file encoding), and [`RooflineGate`] is the CI check that kernel
+//! efficiency does not silently regress below the checked-in
+//! `bench_results/roofline_baseline.json`.
 
 use nbody_metrics::MetricsSnapshot;
 use nbody_trace::Json;
@@ -160,29 +161,6 @@ pub fn roofline_table(reports: &[RooflineReport]) -> String {
             "-",
             r.best_pct()
         ));
-    }
-    out
-}
-
-/// CSV rendering, one row per (kernel, rank).
-pub fn roofline_csv(reports: &[RooflineReport]) -> String {
-    let mut out = String::from(
-        "kernel,rank,interactions,achieved_gflops,intensity_flop_per_byte,\
-         roofline_gflops,pct_of_roofline\n",
-    );
-    for r in reports {
-        for p in &r.points {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                r.kernel,
-                p.rank,
-                p.interactions,
-                p.achieved_gflops,
-                p.intensity,
-                p.roofline_gflops,
-                p.pct_of_roofline
-            ));
-        }
     }
     out
 }
@@ -367,8 +345,6 @@ mod tests {
         assert!(table.contains("compute roofline"));
         assert!(table.contains("all-pairs c=2"));
         assert!(table.contains("% roof"));
-        let csv = roofline_csv(std::slice::from_ref(&r));
-        assert_eq!(csv.lines().count(), 3, "header + 2 ranks");
         let doc = Json::parse(&roofline_json(std::slice::from_ref(&r)).to_string()).unwrap();
         let arr = doc.as_array().unwrap();
         assert_eq!(arr.len(), 1);

@@ -1,16 +1,14 @@
-//! Merged whole-execution traces and their exporters.
+//! Merged whole-execution traces and their one encoding.
 //!
 //! An [`ExecutionTrace`] holds every rank's spans against the shared
-//! epoch. It exports Chrome `trace_event` JSON (Perfetto-loadable, and the
-//! one format [`ExecutionTrace::parse`] reads back) and the two CSV schemas,
-//! and computes the per-phase/per-step statistical summaries printed by
-//! `ca-nbody report`.
+//! epoch. It is written as Chrome `trace_event` JSON (Perfetto-loadable,
+//! and what [`ExecutionTrace::parse`] reads back), and computes the
+//! per-phase/per-step statistical summaries printed by `ca-nbody report`.
 
 use std::collections::BTreeMap;
 
 use crate::json::{escape_into, num_into, Json};
 use crate::phase::{Phase, ALL_PHASES, PHASE_COUNT};
-use crate::schema;
 use crate::span::{Span, SpanKind};
 
 /// Distribution summary of one quantity across ranks.
@@ -183,62 +181,6 @@ impl ExecutionTrace {
             .into_iter()
             .filter(|p| self.spans.iter().any(|s| s.kind == SpanKind::Phase(*p)))
             .collect()
-    }
-
-    /// This execution as one stacked bar in the breakdown schema:
-    /// `compute` = mean [`Phase::Other`] seconds (real executions compute
-    /// under `Other`), `shift` folds in skew, `makespan` = traced wall.
-    pub fn breakdown_row(&self, label: &str) -> schema::BreakdownRow {
-        let b = self.phase_breakdown();
-        let secs = |p: Phase| b.phases[p.index()].1.mean;
-        schema::BreakdownRow {
-            label: label.to_string(),
-            compute: secs(Phase::Other),
-            shift: secs(Phase::Shift) + secs(Phase::Skew),
-            reduce: secs(Phase::Reduce),
-            reassign: secs(Phase::Reassign),
-            broadcast: secs(Phase::Broadcast),
-            makespan: b.wall_secs,
-        }
-    }
-
-    /// Single-row breakdown-schema CSV (see `bench_results/fig*.csv`).
-    pub fn to_breakdown_csv(&self, label: &str) -> String {
-        schema::breakdown_csv(&[self.breakdown_row(label)])
-    }
-
-    /// Event-schema CSV, for plotting; write-only. Driver rows
-    /// put the section name in `kind` and the step index in `peer`;
-    /// blocked rows put the late sender's global rank in `peer`.
-    pub fn to_events_csv(&self) -> String {
-        let mut out = String::from(schema::EVENT_CSV_HEADER);
-        out.push('\n');
-        for s in &self.spans {
-            match &s.kind {
-                SpanKind::Phase(p) => {
-                    schema::push_event_row(&mut out, s.rank, "phase", s.start, s.end, "", p.label())
-                }
-                SpanKind::Blocked { phase, peer, .. } => schema::push_event_row(
-                    &mut out,
-                    s.rank,
-                    "blocked",
-                    s.start,
-                    s.end,
-                    &peer.map(|r| r.to_string()).unwrap_or_default(),
-                    phase.label(),
-                ),
-                SpanKind::Driver { name, step } => schema::push_event_row(
-                    &mut out,
-                    s.rank,
-                    name,
-                    s.start,
-                    s.end,
-                    &step.to_string(),
-                    "",
-                ),
-            }
-        }
-        out
     }
 
     /// Chrome `trace_event` JSON, loadable in Perfetto or
@@ -531,31 +473,6 @@ mod tests {
             assert!((a.start - b.start).abs() < 1e-9);
             assert!((a.end - b.end).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn events_csv_uses_shared_schema() {
-        let t = sample_trace();
-        let csv = t.to_events_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(schema::EVENT_CSV_HEADER));
-        assert!(csv.contains("0,phase,0.4,0.9,,shift"));
-        assert!(csv.contains("0,blocked,0.5,0.6,3,shift"));
-        assert!(csv.contains("0,force,0.1,0.9,0,"));
-    }
-
-    #[test]
-    fn breakdown_row_maps_phases_to_figure_columns() {
-        let t = sample_trace();
-        let row = t.breakdown_row("measured");
-        assert_eq!(row.label, "measured");
-        assert!((row.compute - 0.45).abs() < 1e-12); // mean Other
-        assert!((row.shift - 0.4).abs() < 1e-12);
-        assert!((row.reduce - 0.15).abs() < 1e-12);
-        assert_eq!(row.reassign, 0.0);
-        assert!((row.makespan - 1.0).abs() < 1e-12);
-        let csv = t.to_breakdown_csv("measured");
-        assert!(csv.starts_with(schema::BREAKDOWN_CSV_HEADER));
     }
 
     #[test]

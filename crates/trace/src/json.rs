@@ -102,16 +102,24 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// What is at the current byte, as a diagnostic names it.
+    fn found(&self) -> String {
+        match self.peek() {
+            Some(b) => format!("'{}'", b as char),
+            None => "end of input".to_string(),
+        }
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
             Err(format!(
-                "expected '{}' at byte {}, found {:?}",
+                "expected '{}' at byte {}, found {}",
                 b as char,
                 self.pos,
-                self.peek().map(|c| c as char)
+                self.found()
             ))
         }
     }
@@ -134,11 +142,7 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
+            _ => Err(format!("unexpected {} at byte {}", self.found(), self.pos)),
         }
     }
 

@@ -21,19 +21,14 @@
 //! internally, and every recording method is a no-op branch on the
 //! disabled handle (verified by the `allpairs_step` bench).
 //!
-//! Per-rank buffers are merged at join into an [`ExecutionTrace`], which
-//! exports two formats:
+//! Per-rank buffers are merged at join into an [`ExecutionTrace`], whose
+//! one encoding is Chrome `trace_event` JSON
+//! ([`ExecutionTrace::to_chrome_json`]): loadable in Perfetto /
+//! `chrome://tracing`, and read back by [`ExecutionTrace::parse`].
 //!
-//! * Chrome `trace_event` JSON ([`ExecutionTrace::to_chrome_json`]) —
-//!   loadable in Perfetto / `chrome://tracing`, and the one format read
-//!   back ([`ExecutionTrace::parse`]);
-//! * the write-only event CSV schema ([`ExecutionTrace::to_events_csv`])
-//!   and the stacked-bar breakdown CSV schema used by
-//!   `bench_results/fig*.csv` ([`ExecutionTrace::to_breakdown_csv`]).
-//!
-//! The [`schema`] module is the single definition of both CSV schemas, and
-//! [`json`] is a dependency-free JSON parser/printer used by the exporters
-//! and the `ca-nbody report` subcommand.
+//! The [`schema`] module defines the stacked-bar breakdown CSV of
+//! `bench_results/fig*.csv`, and [`json`] is the dependency-free JSON
+//! parser/printer every artifact of the workspace is written and read with.
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,9 @@
-//! What subcommands read and write: input files, output files, and the
-//! one-line JSON summary.
+//! What subcommands read and write: input files, output files (each
+//! artifact in one encoding), and the one-line JSON summary.
 
 use std::path::Path;
+use std::str::FromStr;
 
-use nbody_metrics::MetricsSnapshot;
 use nbody_trace::Json;
 
 /// Read and parse `path`; both failures read the same for every format.
@@ -25,32 +25,37 @@ pub fn named_or_present(explicit: Option<String>, default: &str) -> Option<Strin
     explicit.or_else(|| Path::new(default).exists().then(|| default.to_string()))
 }
 
-/// A metrics snapshot, from JSON or (for a `.prom` path) Prometheus text.
-pub fn load_metrics(path: &str) -> Result<MetricsSnapshot, String> {
-    if path.ends_with(".prom") {
-        load(path, MetricsSnapshot::parse_prometheus)
-    } else {
-        load_json(path, MetricsSnapshot::from_json)
-    }
-}
-
-/// Write the `what` that `body` renders to `path`, creating its directory.
-/// `body` sees the extension: a format with several encodings picks by it.
-pub fn write(path: &str, what: &str, body: impl FnOnce(&str) -> String) -> Result<(), String> {
+/// Write `body`, the rendered `what`, to `path`, creating its directory.
+pub fn write(path: &str, what: &str, body: &str) -> Result<(), String> {
     let file = Path::new(path);
-    let ext = file.extension().and_then(|e| e.to_str()).unwrap_or("");
     let dir = file.parent().filter(|d| !d.as_os_str().is_empty());
     dir.map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(file, body(ext)))
+        .and_then(|()| std::fs::write(file, body))
         .map_err(|e| format!("cannot write {what} to {path}: {e}"))
 }
 
-/// `--metrics=F`: Prometheus text for a `.prom` path, JSON otherwise.
-pub fn write_metrics(path: &str, metrics: &MetricsSnapshot) -> Result<(), String> {
-    write(path, "metrics", |ext| match ext {
-        "prom" => metrics.to_prometheus(),
-        _ => metrics.to_json().to_string(),
-    })
+/// Where `--trace`, `--metrics`, `--out` and `--roofline-out` write their
+/// artifact, whose one encoding is JSON. A path with a `csv` or `prom`
+/// extension asks for an encoding the artifact does not have: it is
+/// refused at start-up, so a script that wants one fails instead of
+/// getting JSON under that name.
+pub struct JsonPath(String);
+
+impl FromStr for JsonPath {
+    type Err = ();
+
+    fn from_str(path: &str) -> Result<JsonPath, ()> {
+        match Path::new(path).extension().and_then(|e| e.to_str()) {
+            Some("csv" | "prom") => Err(()),
+            _ => Ok(JsonPath(path.to_string())),
+        }
+    }
+}
+
+impl From<JsonPath> for String {
+    fn from(JsonPath(path): JsonPath) -> String {
+        path
+    }
 }
 
 /// A JSON object in insertion order: the summary a subcommand ends with

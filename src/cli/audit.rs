@@ -24,16 +24,16 @@ use std::process::ExitCode;
 
 use ca_nbody::{expected_schedule, ProcGrid, Run, Window};
 use nbody_metrics::{
-    audit as audit_run, audit_csv, audit_json, audit_table, ceilings_from_json, wire_phase_counts,
+    audit as audit_run, audit_json, audit_table, ceilings_from_json, wire_phase_counts,
     wire_phase_table, AuditAlgorithm, AuditConfig, AuditInput,
 };
 use nbody_perfmon::{
-    roofline, roofline_csv, roofline_json, roofline_table, CalibrationConfig, MachineCalibration,
-    RooflineGate, RooflineReport,
+    roofline, roofline_json, roofline_table, CalibrationConfig, MachineCalibration, RooflineGate,
+    RooflineReport,
 };
 use nbody_trace::Json;
 
-use super::artifact::{load_json, named_or_present, write, Summary};
+use super::artifact::{load_json, named_or_present, write, JsonPath, Summary};
 use super::spec::{Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
@@ -44,8 +44,8 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     let base = RunSpec::from_opts(opts, &Defaults::AUDIT)?;
     let baseline: Option<String> = opts.opt("baseline")?;
     let calibration: Option<String> = opts.opt("calibration")?;
-    let out_path: Option<String> = opts.opt("out")?;
-    let roofline_out: Option<String> = opts.opt("roofline-out")?;
+    let out_path = opts.opt::<JsonPath>("out")?.map(String::from);
+    let roofline_out = opts.opt::<JsonPath>("roofline-out")?.map(String::from);
     let roofline_baseline: Option<String> = opts.opt("roofline-baseline")?;
     let wire_on = opts.get("wire", false)?;
     opts.finish()?;
@@ -141,19 +141,17 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         print!("{table}");
     }
     if let Some(path) = &out_path {
-        write(path, "audit report", |ext| match ext {
-            "csv" => audit_csv(&reports),
-            _ => audit_json(&reports).to_string(),
-        })?;
+        write(path, "audit report", &audit_json(&reports).to_string())?;
         println!("audit report written to {path}");
     }
 
     print!("{}", roofline_table(&rooflines));
     if let Some(path) = &roofline_out {
-        write(path, "roofline report", |ext| match ext {
-            "csv" => roofline_csv(&rooflines),
-            _ => roofline_json(&rooflines).to_string(),
-        })?;
+        write(
+            path,
+            "roofline report",
+            &roofline_json(&rooflines).to_string(),
+        )?;
         println!("roofline report written to {path}");
     }
     let roofline_best = rooflines
@@ -265,7 +263,7 @@ pub fn calibrate(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         cal.peak_gflops, cal.mem_bw_gbytes
     );
     if let Some(path) = &out_path {
-        write(path, "calibration", |_| cal.to_json().to_string())?;
+        write(path, "calibration", &cal.to_json().to_string())?;
         println!("  calibration written to {path}");
     }
     Summary::of("calibrate")

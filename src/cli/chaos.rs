@@ -12,7 +12,7 @@ use nbody_comm::{FaultKind, FaultPlan};
 use nbody_metrics::MetricsSnapshot;
 use nbody_physics::{ForceLaw, Particle, SemiImplicitEuler};
 
-use super::artifact::{load_json, write, write_metrics, Summary};
+use super::artifact::{load_json, write, JsonPath, Summary};
 use super::spec::{AnyLaw, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
@@ -92,7 +92,7 @@ impl Sweep {
                 if let Some(dir) = &self.postmortem_dir {
                     let path = format!("{dir}/{name}.json");
                     let bundle = out.artifacts.timeline.with_failure(&reason);
-                    match write(&path, "postmortem", |_| bundle.to_json()) {
+                    match write(&path, "postmortem", &bundle.to_json()) {
                         Ok(()) => {
                             println!("  postmortem bundle written to {path}");
                             self.postmortem_bundles.push(name.to_string());
@@ -200,7 +200,7 @@ impl Sweep {
             .put("failures", self.failures.len())
             .put("pass", self.failures.is_empty());
         if let Some(path) = self.metrics_path {
-            write_metrics(&path, &self.metrics)?;
+            write(&path, "metrics", &self.metrics.to_json().to_string())?;
             let ranks = self.metrics.ranks.len();
             let flops = self.metrics.sum_counter("compute_flops", None);
             println!("  sweep metrics written to {path} ({ranks} ranks)");
@@ -248,7 +248,7 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     }
     let kills: usize = opts.get("kills", 1)?;
     let baseline: Option<String> = opts.opt("baseline")?;
-    sweep.metrics_path = opts.opt("metrics")?;
+    sweep.metrics_path = opts.opt::<JsonPath>("metrics")?.map(String::from);
     opts.finish()?;
 
     let baseline = baseline.unwrap_or_else(|| "bench_results/chaos_baseline.json".into());

@@ -24,15 +24,16 @@ use std::process::ExitCode;
 
 use ca_nbody::expected_schedule;
 use nbody_analyze::{
-    analyze as analyze_trace, render_conformance, render_csv, render_drift, render_json,
+    analyze as analyze_trace, grid_heatmap, render_conformance, render_drift, render_json,
     render_table, render_wire,
 };
 use nbody_comm::{check_conformance, match_events, FaultNote, RunTimeline, WireLog};
+use nbody_metrics::MetricsSnapshot;
 use nbody_simhealth::HealthSummary;
 use nbody_timeline::DriftConfig;
 use nbody_trace::ExecutionTrace;
 
-use super::artifact::{load, load_metrics, write, Summary};
+use super::artifact::{load, load_json, write, Summary};
 use super::spec::{fault_plan, Defaults, RunSpec};
 use super::{Failure, Opts};
 
@@ -128,19 +129,18 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
     let trace_path = positional.first();
     if timeline_path.is_none() && wire_path.is_none() {
         let usage = "analyze <trace.json> [--metrics=F] [--timeline=F] [--wire=F] \
-                     [--drift-window=16] [--drift-nsigma=6] [c=1] [--csv=F] [--json=F]";
+                     [--drift-window=16] [--drift-nsigma=6] [c=1] [--json=F]";
         input(positional, usage)?;
     }
     // A recorded bundle or probe log is diagnosable on its own; the
     // trace's own options are read only next to a trace.
-    let (metrics_path, c, csv, json) = match trace_path {
+    let (metrics_path, c, json) = match trace_path {
         Some(_) => (
             opts.opt::<String>("metrics")?,
             opts.get("c", 1usize)?,
-            opts.opt::<String>("csv")?,
             opts.opt::<String>("json")?,
         ),
-        None => (None, 1, None, None),
+        None => (None, 1, None),
     };
     opts.finish()?;
     let timeline = timeline_path
@@ -151,18 +151,18 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
         .transpose()?;
 
     let mut sections: Vec<String> = Vec::new();
-    let mut exports = Vec::new();
+    let mut export = None;
     if let Some(path) = trace_path {
         let trace = load(path, ExecutionTrace::parse)?;
-        let metrics = metrics_path.map(|mp| load_metrics(&mp)).transpose()?;
+        // The heat-map arranges the ranks on the `p/c × c` grid: a `c` it
+        // cannot use is an error, not a section left out.
+        grid_heatmap(&trace, None, c)?;
+        let metrics = metrics_path
+            .map(|mp| load_json(&mp, MetricsSnapshot::from_json))
+            .transpose()?;
         let a = analyze_trace(&trace, metrics.as_ref(), c);
         sections.push(render_table(&a));
-        if let Some(out) = csv {
-            exports.push((out, "critical-path CSV", render_csv(&a)));
-        }
-        if let Some(out) = json {
-            exports.push((out, "analysis JSON", render_json(&a).to_string()));
-        }
+        export = json.map(|out| (out, render_json(&a).to_string()));
     }
     if let Some(tl) = &timeline {
         sections.push(render_drift(tl, &drift_cfg));
@@ -172,9 +172,9 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
         sections.push(render_wire(&match_events(log)));
     }
     print!("{}", sections.join("\n"));
-    for (out, what, body) in exports {
-        write(&out, what, |_| body)?;
-        println!("{what} written to {out}");
+    if let Some((out, body)) = export {
+        write(&out, "analysis JSON", &body)?;
+        println!("analysis JSON written to {out}");
     }
     Ok(ExitCode::SUCCESS)
 }

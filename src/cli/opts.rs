@@ -48,9 +48,11 @@ impl Opts {
             return Ok(None);
         };
         *read = true;
+        // The type's own name, without its module path.
+        let expected = std::any::type_name::<T>().rsplit("::").next();
         match value.parse() {
             Ok(v) => Ok(Some(v)),
-            Err(_) => Err(invalid(key, value, std::any::type_name::<T>())),
+            Err(_) => Err(invalid(key, value, expected.unwrap_or_default())),
         }
     }
 

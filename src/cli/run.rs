@@ -2,10 +2,10 @@
 //!
 //! `--trace` records per-rank wall-clock spans and writes them as Chrome
 //! `trace_event` JSON (open in Perfetto or `chrome://tracing`; `report` and
-//! `analyze` read it back), or for a `.csv` path as the write-only event
-//! table. `--metrics` writes the live metrics snapshot (per-rank
-//! communication counters, message-size histograms, memory high-water
-//! marks) as JSON, or in Prometheus text format for a `.prom` path.
+//! `analyze` read it back). `--metrics` writes the live metrics snapshot
+//! (per-rank communication counters, message-size histograms, memory
+//! high-water marks) as JSON. Both refuse a `csv` or `prom` extension: each
+//! artifact has one encoding.
 //!
 //! `--record-timeline=<path>` writes the run's per-step time series
 //! (bytes, blocked time, FLOPs, particles per rank) plus the always-on
@@ -53,7 +53,7 @@ use nbody_simhealth::{HealthBaseline, HealthConfig, HealthInjection};
 use nbody_timeline::DriftConfig;
 use nbody_trace::ALL_PHASES;
 
-use super::artifact::{load, named_or_present, write, write_metrics, Summary};
+use super::artifact::{load, named_or_present, write, JsonPath, Summary};
 use super::spec::{fault_plan, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
@@ -88,8 +88,8 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let (method, p) = (spec.method(), spec.p);
     spec.layout()?;
 
-    let trace_path: Option<String> = opts.opt("trace")?;
-    let metrics_path: Option<String> = opts.opt("metrics")?;
+    let trace_path = opts.opt::<JsonPath>("trace")?.map(String::from);
+    let metrics_path = opts.opt::<JsonPath>("metrics")?.map(String::from);
     let timeline_path: Option<String> = opts.opt("record-timeline")?;
     let wire_path: Option<String> = opts.opt("wire-probe")?;
     let faults = fault_plan(opts)?;
@@ -198,7 +198,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     }
     let out = run.execute(&initial);
     let artifacts = out.artifacts;
-    let write_wire = |path: &str| write(path, "wire log", |_| artifacts.wire.to_json());
+    let write_wire = |path: &str| write(path, "wire log", &artifacts.wire.to_json());
     let result = match out.result {
         Ok(result) => result,
         Err(e) => {
@@ -217,7 +217,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
                 if !bundle.is_postmortem() {
                     bundle = bundle.with_failure(&e.to_string());
                 }
-                let written = write(path, "postmortem", |_| bundle.to_json());
+                let written = write(path, "postmortem", &bundle.to_json());
                 note(written, "postmortem bundle", path);
             }
             // The wire log survives the failure too: what actually
@@ -293,15 +293,12 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     }
     // Each lens the flags asked for: its file, its line, its summary keys.
     if let Some(path) = &trace_path {
-        write(path, "trace", |ext| match ext {
-            "csv" => trace.to_events_csv(),
-            _ => trace.to_chrome_json(),
-        })?;
+        write(path, "trace", &trace.to_chrome_json())?;
         println!("  trace written to {path} ({} spans)", trace.spans.len());
         summary.put("trace_path", path.as_str());
     }
     if let Some(path) = &timeline_path {
-        write(path, "timeline", |_| timeline.to_json())?;
+        write(path, "timeline", &timeline.to_json())?;
         let ranks = timeline.ranks.len();
         let samples: usize = timeline.ranks.iter().map(|r| r.samples.len()).sum();
         println!("  timeline written to {path} ({ranks} ranks, {samples} step samples)");
@@ -312,7 +309,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             .put("drift_windows", drift_windows);
     }
     if let Some(path) = &metrics_path {
-        write_metrics(path, metrics)?;
+        write(path, "metrics", &metrics.to_json().to_string())?;
         println!(
             "  metrics written to {path} ({} ranks)",
             metrics.ranks.len()

@@ -4,7 +4,7 @@
 //! ca-nbody run      [n=1024] [p=8] [c=2] [steps=20] [dt=0.005] [seed=42] [method=ca]
 //!                   [law=repulsive|gravity|lj] [cutoff=0.25] [boundary=reflective]
 //!                   [temperature=1e-4]
-//!                   [--trace=out.json|out.csv] [--metrics=out.json|out.prom]
+//!                   [--trace=out.json] [--metrics=out.json]
 //!                   [--record-timeline=out.json] [--wire-probe=out.json]
 //!                   [--faults=SPEC] [fault-timeout-ms=1000]
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
@@ -14,8 +14,8 @@
 //! ca-nbody verify   [same options]            distributed-vs-serial check
 //! ca-nbody report   <trace.json>              per-phase/per-step breakdown tables
 //! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0] [--wire]
-//!                   [--baseline=bench_results/audit_baseline.json] [--out=F.csv|F.json]
-//!                   [--calibration=F] [--roofline-baseline=F] [--roofline-out=F.csv|F.json]
+//!                   [--baseline=bench_results/audit_baseline.json] [--out=F.json]
+//!                   [--calibration=F] [--roofline-baseline=F] [--roofline-out=F.json]
 //! ca-nbody calibrate [--out=bench_results/machine_calibration.json] [seed=42] [--full]
 //! ca-nbody chaos    [n=192] [p=8] [c=2] [steps=1] [method=ca] [seed=42]
 //!                   [fault-timeout-ms=250] [--kills=N]
@@ -26,7 +26,7 @@
 //!                   [--postmortem=DIR]   time-boxed randomized chaos
 //! ca-nbody autotune [machine=hopper] [p=1536] [n=12288] [cutoff=0]
 //! ca-nbody analyze  [trace.json] [--metrics=F] [--timeline=F] [--wire=F]
-//!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--csv=F] [--json=F]
+//!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--json=F]
 //! ca-nbody conformance <wire-log.json> [run's n, p, c, steps, method, law,
 //!                   cutoff, boundary] [--faults=SPEC]
 //! ca-nbody health   <timeline.json>           numerical-health verdict of a bundle
@@ -41,6 +41,9 @@
 //!
 //! `run`, `verify`, `audit`, `calibrate`, `chaos`, `soak` and `conformance`
 //! end with a single-line JSON summary on stdout for scripted consumption.
+//! Each artifact a subcommand writes has one encoding, JSON: `--trace`,
+//! `--metrics`, `--out` and `--roofline-out` refuse a `csv` or `prom`
+//! extension.
 
 use std::process::ExitCode;
 

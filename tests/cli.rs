@@ -458,91 +458,83 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
 }
 
 #[test]
-fn audit_writes_csv_and_json_reports() {
+fn audit_writes_json_audit_and_roofline_reports() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_audit_out_test");
     std::fs::create_dir_all(&dir).unwrap();
-    for ext in ["csv", "json"] {
-        let path = dir.join(format!("audit.{ext}"));
-        let out = cli()
-            .args([
-                "audit",
-                "n=128",
-                "p=4",
-                &format!("--out={}", path.display()),
-            ])
-            .output()
-            .expect("launch");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let body = std::fs::read_to_string(&path).expect("report not written");
-        if ext == "csv" {
-            assert!(body.starts_with("algorithm,"), "{body}");
-        } else {
-            let doc = nbody_trace::Json::parse(&body).expect("invalid JSON report");
-            assert!(!doc.get("reports").unwrap().as_array().unwrap().is_empty());
-        }
-        std::fs::remove_file(&path).ok();
+    let (audit, roofline) = (dir.join("audit.json"), dir.join("roofline.json"));
+    let out = cli()
+        .args([
+            "audit",
+            "n=128",
+            "p=4",
+            &format!("--out={}", audit.display()),
+            &format!("--roofline-out={}", roofline.display()),
+        ])
+        .output()
+        .expect("launch");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |path: &std::path::Path| {
+        let body = std::fs::read_to_string(path).expect("report not written");
+        nbody_trace::Json::parse(&body).expect("invalid JSON report")
+    };
+    let doc = read(&audit);
+    assert!(!doc.get("reports").unwrap().as_array().unwrap().is_empty());
+    // One entry per audited `c`, each placing every one of the p ranks.
+    let doc = read(&roofline);
+    let kernels = doc.as_array().expect("a roofline array");
+    assert!(!kernels.is_empty());
+    for k in kernels {
+        assert!(k.get("best_pct_of_roofline").is_some(), "{k}");
+        let ranks = k.get("ranks").and_then(nbody_trace::Json::as_array);
+        assert_eq!(ranks.map(<[_]>::len), Some(4), "{k}");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn metrics_flag_round_trips_through_json_and_prometheus() {
+fn metrics_flag_writes_a_json_snapshot_that_round_trips() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_metrics_test");
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("metrics.json");
-    let prom_path = dir.join("metrics.prom");
-    for path in [&json_path, &prom_path] {
-        let out = cli()
-            .args([
-                "run",
-                "n=128",
-                "p=4",
-                "c=2",
-                "steps=2",
-                &format!("--metrics={}", path.display()),
-            ])
-            .output()
-            .expect("launch");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    // Both exports must parse back; each round-trips losslessly through
-    // the other format in memory. (The two runs themselves are not
-    // bit-identical: compute_nanos is wall-clock kernel time.)
+    let out = cli()
+        .args([
+            "run",
+            "n=128",
+            "p=4",
+            "c=2",
+            "steps=2",
+            &format!("--metrics={}", json_path.display()),
+        ])
+        .output()
+        .expect("launch");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The export parses back, and round-trips losslessly in memory.
     let json_text = std::fs::read_to_string(&json_path).unwrap();
     let doc = nbody_trace::Json::parse(&json_text).unwrap();
-    let from_json = nbody_metrics::MetricsSnapshot::from_json(&doc).expect("JSON round-trip");
-    let prom_text = std::fs::read_to_string(&prom_path).unwrap();
-    let from_prom =
-        nbody_metrics::MetricsSnapshot::parse_prometheus(&prom_text).expect("prom round-trip");
+    let snap = nbody_metrics::MetricsSnapshot::from_json(&doc).expect("JSON round-trip");
+    let again = nbody_trace::Json::parse(&snap.to_json().to_string()).unwrap();
     assert_eq!(
-        nbody_metrics::MetricsSnapshot::parse_prometheus(&from_json.to_prometheus()).unwrap(),
-        from_json
+        nbody_metrics::MetricsSnapshot::from_json(&again).unwrap(),
+        snap
     );
-    let prom_doc = nbody_trace::Json::parse(&from_prom.to_json().to_string()).unwrap();
-    assert_eq!(
-        nbody_metrics::MetricsSnapshot::from_json(&prom_doc).unwrap(),
-        from_prom
+    assert_eq!(snap.ranks.len(), 4);
+    assert!(
+        snap.sum_counter("comm_send_messages", Some(nbody_trace::Phase::Shift)) > 0,
+        "{json_text}"
     );
-    for snap in [&from_json, &from_prom] {
-        assert_eq!(snap.ranks.len(), 4);
-        assert!(
-            snap.sum_counter("comm_send_messages", Some(nbody_trace::Phase::Shift)) > 0,
-            "{json_text}"
-        );
-        // The kernel meter populates the compute side of the snapshot.
-        assert!(snap.sum_counter("compute_flops", None) > 0);
-        assert!(snap.sum_counter("compute_interactions", None) > 0);
-        assert!(snap.sum_counter("compute_nanos", None) > 0);
-    }
+    // The kernel meter populates the compute side of the snapshot.
+    assert!(snap.sum_counter("compute_flops", None) > 0);
+    assert!(snap.sum_counter("compute_interactions", None) > 0);
+    assert!(snap.sum_counter("compute_nanos", None) > 0);
     std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&prom_path).ok();
 }
 
 #[test]
@@ -730,7 +722,6 @@ fn traced_run(dir: &std::path::Path, p: usize, c: usize) -> (String, String) {
 fn analyze_reports_critical_path_imbalance_and_heatmap() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_test");
     let (trace, metrics) = traced_run(&dir, 8, 2);
-    let csv = dir.join("critical.csv").display().to_string();
     let json = dir.join("analysis.json").display().to_string();
     let out = cli()
         .args([
@@ -738,7 +729,6 @@ fn analyze_reports_critical_path_imbalance_and_heatmap() {
             &trace,
             &format!("--metrics={metrics}"),
             "c=2",
-            &format!("--csv={csv}"),
             &format!("--json={json}"),
         ])
         .output()
@@ -758,20 +748,15 @@ fn analyze_reports_critical_path_imbalance_and_heatmap() {
         "{stdout}"
     );
 
-    // CSV export: one row per timestep plus header.
-    let csv_body = std::fs::read_to_string(&csv).unwrap();
-    assert!(
-        csv_body.starts_with("step,makespan_secs,critical_rank"),
-        "{csv_body}"
-    );
-    assert_eq!(csv_body.lines().count(), 4, "{csv_body}");
-
-    // JSON export parses and covers all three steps; the heat-map planes
-    // carry real traffic (the skew makes non-leader rows send bytes).
+    // JSON export: one critical-path entry per timestep, in step order,
+    // each naming the rank that gated it; the heat-map planes carry real
+    // traffic (the skew makes non-leader rows send bytes).
     let doc = nbody_trace::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
     let steps = doc.get("critical_path").unwrap().as_array().unwrap();
     assert_eq!(steps.len(), 3);
-    for s in steps {
+    for (i, s) in steps.iter().enumerate() {
+        assert_eq!(s.get("step").unwrap().as_f64(), Some(i as f64), "{s}");
+        assert!(s.get("critical_rank").unwrap().as_f64().unwrap() < 8.0);
         assert!(s.get("makespan_secs").unwrap().as_f64().unwrap() > 0.0);
     }
     let send = doc
@@ -837,6 +822,66 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     let at = format!("at byte {}", body.len());
     assert!(stderr.contains(&at), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // The reader names what it found as text, never as a Rust `Option`: a
+    // character in quotes, or the end of the input, at the same offsets.
+    for (name, body, found) in [
+        (
+            "table.csv",
+            "rank,kind,start,end,peer,phase\n",
+            "unexpected 'r' at byte 0",
+        ),
+        (
+            "cut.json",
+            "{\"traceEvents\"",
+            "expected ':' at byte 14, found end of input",
+        ),
+        (
+            "open.json",
+            "{\"traceEvents\":",
+            "unexpected end of input at byte 15",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let out = cli()
+            .args(["analyze", path.to_str().unwrap()])
+            .output()
+            .expect("launch");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(found), "{name}: {stderr}");
+        assert!(!stderr.contains("Some("), "{name}: {stderr}");
+        assert!(!stderr.contains("None"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_refuses_a_c_the_heatmap_cannot_use() {
+    let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_bad_c_test");
+    std::fs::remove_dir_all(&dir).ok();
+    let (trace, metrics) = traced_run(&dir, 4, 2);
+    let json = dir.join("analysis.json");
+    for c in ["c=3", "c=0"] {
+        let out = cli()
+            .args([
+                "analyze",
+                &trace,
+                &format!("--metrics={metrics}"),
+                c,
+                &format!("--json={}", json.display()),
+            ])
+            .output()
+            .expect("launch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{c}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{c}: {stderr}");
+        assert!(stderr.contains("cannot arrange 4 ranks"), "{c}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{c}: {stderr}");
+        assert!(out.stdout.is_empty(), "{c}: printed before refusing");
+        assert!(!json.exists(), "{c}: wrote {}", json.display());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1961,7 +2006,7 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
         ),
         (
             "steps",
-            &["audit", "steps=two", "--out=a.csv"],
+            &["audit", "steps=two", "--out=a.json"],
             ["'steps'", "'two'"],
         ),
         (
@@ -1971,7 +2016,7 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
         ),
         (
             "drift",
-            &["analyze", "--drift-window=x", "t.json", "--csv=c.csv"],
+            &["analyze", "--drift-window=x", "t.json", "--json=c.json"],
             ["'drift-window'", "'x'"],
         ),
         (
@@ -1986,6 +2031,29 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
             ["'boundary'", "'perodic'"],
         ),
         ("switch", &["run", "--health", "yes"], ["'health'", "'yes'"]),
+        // Each artifact has one encoding, JSON: a path that asks for
+        // another is refused, not written as JSON under that name.
+        (
+            "prom",
+            &["run", "n=64", "p=4", "steps=1", "--metrics=m.prom"],
+            ["'metrics'", "'m.prom'"],
+        ),
+        (
+            "events",
+            &["run", "n=64", "p=4", "steps=1", "--trace=t.csv"],
+            ["'trace'", "'t.csv'"],
+        ),
+        (
+            "chaos-prom",
+            &["chaos", "--metrics=m.prom"],
+            ["'metrics'", "'m.prom'"],
+        ),
+        ("audit-csv", &["audit", "--out=a.csv"], ["'out'", "'a.csv'"]),
+        (
+            "roofline-csv",
+            &["audit", "--roofline-out=r.csv"],
+            ["'roofline-out'", "'r.csv'"],
+        ),
     ] {
         assert_rejected_at_startup(tag, args, &names);
     }
@@ -2042,14 +2110,15 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             ["'fault-timeout-ms'", "'run'"],
         ),
         (
-            "csv",
-            &["analyze", "--timeline=tl.json", "--csv=c.csv"],
-            ["'csv'", "'analyze'"],
-        ),
-        (
             "method",
             &["audit", "method=ca-cutoff-1d"],
             ["'method'", "'audit'"],
+        ),
+        // Deleted: the critical path's one file is the `--json` analysis.
+        (
+            "csv",
+            &["analyze", "t.json", "--csv=c.csv"],
+            ["'csv'", "'analyze'"],
         ),
     ] {
         assert_rejected_at_startup(tag, args, &names);
