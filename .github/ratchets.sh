@@ -66,6 +66,8 @@ check "every subcommand, run flag and example has a reader outside its own tests
     crates src tests examples
 check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table): quickstart and autotune are the examples" \
     test "$(ls examples | wc -l)" -le 2
+check "the cull knows one notion of locality, the r_c cells of cell_order" \
+    none 'Aabb|CHUNK|GROUP|fn beyond|\.floor\(' crates/core/src/kernel.rs
 check "an artifact has one encoding: JSON for run artifacts and reports, CSV for the figure record" \
     none 'to_prometheus|parse_prometheus|to_events_csv|push_event_row|audit_csv|roofline_csv|render_csv|breakdown_json' \
     crates src tests

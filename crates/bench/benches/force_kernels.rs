@@ -249,20 +249,23 @@ fn cull_row_under<F: ForceLaw + Copy>(
     bench_block_pair(group, name, &law, &mut targets, sources, domain, boundary);
 }
 
-/// The cutoff cull on one team's own block of the repo benchmark's
+/// The cutoff cull — each lane pair walks the runs of the `r_c` cells near
+/// its two targets — on one team's own block of the repo benchmark's
 /// `cutoff1d_lj_periodic` geometry (a quarter slab of the 8192-particle
 /// lattice: 2072 particles), in three orders: by lattice id (row-major over
-/// the whole lattice, which is how `reassign_particles` leaves it),
-/// shuffled (ids that say nothing about position, as after long mixing),
-/// and in `cell_order`, which is what the cutoff drivers hand the kernel.
-/// Each against the unculled nest on the same data, then the cell-ordered
-/// rows again on the thermalised lattice the drivers see mid-run (the bare
-/// lattice flatters the cull) — a rank's three calls of a step, the own
-/// block with its symmetry hidden, then the own block between walls and
-/// under a law with no arithmetic — plus what the ordering itself costs per
-/// step, spread over the same presented pairs. Every culled row prints,
-/// before its timing, how many pairs the law was asked about: judge a
-/// kernel change by that count first.
+/// the whole lattice, which is how `reassign_particles` leaves it: a cell
+/// holds runs of one or two), shuffled (ids that say nothing about
+/// position, as after long mixing: runs of one), and in `cell_order`, which
+/// is what the cutoff drivers hand the kernel (a run per cell, a range per
+/// row of cells). Each against the unculled nest on the same data, then
+/// the cell-ordered rows again on the thermalised lattice the drivers see
+/// mid-run — a rank's three calls of a step, the own block with its
+/// symmetry hidden, then the own block between walls and under a law with
+/// no arithmetic — plus what the ordering itself costs per step, spread
+/// over the same presented pairs. Every culled row prints, before its
+/// timing, how many pairs the law was asked about: judge a kernel change by
+/// that count first; the cells' index is built per call, so the neighbour
+/// rows price it.
 fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     let n = 8192;
     let domain = Domain::square((n as f64).sqrt() * 1.2);
@@ -335,7 +338,7 @@ fn bench_cutoff_cull(group: &mut BenchmarkGroup<'_>) {
     cull_row(group, "cull_cell_order_thermalised_seam", &own, &seam);
     // The own block between walls (no period: one image, nothing to wrap),
     // and under a law with no arithmetic, which prices what is not the law:
-    // the box tests, the displacement and the range test.
+    // the index, the displacement and the range test.
     let walls = Boundary::Reflective;
     cull_row_under(
         group,

@@ -13,7 +13,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 use nbody_metrics::{Counter, MetricsRecorder};
-use nbody_physics::{Boundary, Domain, F64x2, ForceLaw, Particle, Source, Vec2, Vec2x2};
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2, Vec2x2};
 
 /// An element of a source block: what the kernel's loop nest streams. A
 /// [`Particle`] block is read in place; so is one of the drivers' compact
@@ -149,67 +149,96 @@ fn same_block<S: KernelSource>(targets: &[Particle], sources: &[S]) -> bool {
     targets.len() == sources.len() && targets.iter().zip(sources).all(|(t, s)| t.id == s.id())
 }
 
-/// Particles per bounding box of the cutoff cull — a chunk of sources, a
-/// tile of targets — and chunks per group box (the coarse level, tested
-/// first). DESIGN.md §14.7 has the measurements.
-const CHUNK: usize = 16;
-const GROUP: usize = 16;
-
-/// Relative widening of `r_c²` in the cull's test. The bound needs none
-/// (see [`Cull::beyond`]); it pays for a law whose own range test rounds
-/// differently from `Vec2::norm_sq`, e.g. through a fused multiply-add.
-const MARGIN: f64 = 1e-12;
-
-/// An axis-aligned box `(lo, hi)`.
-type Aabb = (Vec2, Vec2);
-
-/// The box around `points`, or the whole plane if a coordinate is NaN or
-/// infinite: such a source is shown to every target and such a target every
-/// source, as they always were.
-fn bounds(points: impl Iterator<Item = Vec2>) -> Aabb {
-    let inf = Vec2::new(f64::INFINITY, f64::INFINITY);
-    // `f64::min`/`max` step over a NaN, so finiteness is tracked apart.
-    let (lo, hi, finite) = points.fold((inf, -inf, true), |(lo, hi, ok), p| {
-        (lo.min(p), hi.max(p), ok && p.is_finite())
-    });
-    if finite {
-        (lo, hi)
-    } else {
-        (-inf, inf)
-    }
+/// The cell a coordinate measured in cells falls in: the floor of `v` as an
+/// `i64` for every `f64` — NaN to 0, saturating at both ends — without
+/// `floor`, a libm call on baseline x86-64. The cast truncates towards
+/// zero, so a negative value that is not whole lands one cell high, and the
+/// comparison, exact wherever it can hold, takes it back.
+#[inline(always)]
+fn cell(v: f64) -> i64 {
+    let t = v as i64;
+    t.saturating_sub(i64::from(v < t as f64))
 }
 
-/// What one kernel call knows about where its sources are: a box per
-/// [`CHUNK`] consecutive sources and per [`GROUP`] consecutive chunks, built
-/// once in O(sources), and the chunks near the tile of targets being walked.
-/// Worth it when consecutive particles are neighbours ([`cell_order`]); on a
-/// shuffled block every box is the block's and every chunk is near.
+/// The cell of a position, `[column, row]`, in cells of side `side` from
+/// `min`: what [`cell_order`] sorts by, and where [`Cells`] puts its table's
+/// corner. The table places each position by a product with `1 / side`
+/// instead, the same cell but within a rounding of a cell's edge.
+#[inline(always)]
+fn cell_of(pos: Vec2, min: Vec2, side: f64) -> [i64; 2] {
+    let u = (pos - min) / side;
+    [cell(u.x), cell(u.y)]
+}
+
+/// Relative widening of a target's reach, far above the rounding of the few
+/// operations between a position and its cell (DESIGN.md §14.2). It also
+/// pays for a law whose own range test rounds differently from
+/// `Vec2::norm_sq`, e.g. through a fused multiply-add.
+const SLACK: f64 = 1e-9;
+
+/// Cells per source, and a few more, that a block's table may have: a block
+/// spread wider than that is indexed by coarser cells.
+const CELLS_PER_SOURCE: f64 = 4.0;
+
+/// A range of source or run indices, `(start, end)`.
+type Span = (usize, usize);
+
+/// What one kernel call under a cutoff law knows about where its sources
+/// are: each maximal run of consecutive sources in one cell, by cell, built
+/// once in O(sources + cells). The cells are [`cell_order`]'s, `r_c` on a
+/// side, so a block in that order has one run per cell and one contiguous
+/// span per row of cells; in any other order the runs are more and shorter.
+/// A block spread over more than [`CELLS_PER_SOURCE`] cells per source is
+/// indexed by coarser cells, and a source that is not finite sits in a slot
+/// of its own that every pair walks.
 #[derive(Default)]
-struct Cull {
-    /// The law's `r_c * r_c`, widened by [`MARGIN`].
-    limit: f64,
-    /// The domain extent under `Boundary::Periodic`, zero otherwise (every
-    /// image of a point is then the point).
-    period: Vec2,
-    /// How far a raw displacement goes unwrapped: half the period, or any
-    /// finite distance when there is none.
-    half: Vec2,
-    /// A box per [`CHUNK`] consecutive sources, then one per [`GROUP`]
-    /// consecutive chunks ([`Cull::chunks`], [`Cull::groups`]): one vector,
-    /// which a thread's first call allocates once for both.
-    boxes: Vec<Aabb>,
-    /// How many of `boxes` are chunks'.
-    chunk_count: usize,
-    /// The chunks [`Cull::tile`] did not rule out, in source order, each with
-    /// the image every displacement from the tile's box to the chunk's
-    /// takes, if they all take one ([`Cull::image`]).
-    near: Vec<(usize, Option<Vec2>)>,
+struct Cells {
+    /// Sources in the block.
+    len: usize,
+    /// Where the table's first cell is, and the inverse of a cell's side: a
+    /// position `p` is `(p - min) * per_unit - origin` cells from the
+    /// table's corner.
+    min: Vec2,
+    per_unit: f64,
+    origin: Vec2,
+    /// The table's columns and rows, and how far from its corner the
+    /// lowest and the highest finite source are, per axis.
+    dims: [usize; 2],
+    bounds: [(f64, f64); 2],
+    /// `r_c` in cells, the domain extent in cells under
+    /// `Boundary::Periodic` (zero otherwise), and the part of a target's
+    /// [`SLACK`] that does not depend on the target.
+    reach: f64,
+    period: [f64; 2],
+    slack: f64,
+    /// `table[c]..table[c + 1]` are the runs of the table's cell `c`,
+    /// row-major, and those of slot `columns · rows` the runs of sources
+    /// that are not finite; the runs follow from `runs_at`, a `start, end`
+    /// pair each.
+    table: Vec<usize>,
+    runs_at: usize,
+    /// How many runs of sources that are not finite there are, and whether
+    /// the runs of each row are one range of sources, as in cell order.
+    everywhere: usize,
+    ordered: bool,
+    /// The cells the last lane pair reached, and the spans of sources they
+    /// hold, in source order, and whether those leave any source out: the
+    /// next pair reuses them when it reaches the same cells.
+    reached: Reach,
+    spans: Vec<Span>,
+    culled: bool,
 }
+
+/// The table cells a lane pair reaches, as one rectangle per image for both
+/// targets or one for each: columns and then rows, a `from, to` pair per
+/// image — itself, a period below, a period above — `0, 0` where it reaches
+/// none, and no rows where it reaches no column.
+type Reach = [u32; 24];
 
 thread_local! {
-    /// The last call's [`Cull`], whose two vectors the next call under a
+    /// The last call's [`Cells`], whose two vectors the next call under a
     /// cutoff law refills: a warm kernel call allocates nothing.
-    static CULL: RefCell<Cull> = RefCell::default();
+    static CELLS: RefCell<Cells> = RefCell::default();
 }
 
 thread_local! {
@@ -218,8 +247,8 @@ thread_local! {
     static PENDING: RefCell<Vec<Vec2>> = const { RefCell::new(Vec::new()) };
 }
 
-impl Cull {
-    /// Forget the last call's sources and box these.
+impl Cells {
+    /// Forget the last call's sources and index these.
     fn refill<S: KernelSource>(
         &mut self,
         sources: &[S],
@@ -227,118 +256,266 @@ impl Cull {
         domain: &Domain,
         boundary: Boundary,
     ) {
-        self.limit = r_c * r_c * (1.0 + MARGIN);
-        (self.period, self.half) = match boundary {
-            Boundary::Periodic => (domain.extent(), domain.extent() * 0.5),
-            _ => (Vec2::zero(), Vec2::new(f64::MAX, f64::MAX)),
-        };
-        self.chunk_count = sources.len().div_ceil(CHUNK);
-        self.boxes.clear();
-        self.boxes
-            .reserve(self.chunk_count + self.chunk_count.div_ceil(GROUP));
-        for len in [CHUNK, CHUNK * GROUP] {
-            let boxes = sources.chunks(len).map(|c| bounds(c.iter().map(S::pos)));
-            self.boxes.extend(boxes);
+        // Comparisons rather than `f64::min`, which would look for a NaN
+        // that cannot be there.
+        let inf = f64::INFINITY;
+        let [mut lx, mut ly, mut hx, mut hy] = [inf, inf, -inf, -inf];
+        for p in sources.iter().map(S::pos) {
+            if p.is_finite() {
+                (lx, ly) = (
+                    if p.x < lx { p.x } else { lx },
+                    if p.y < ly { p.y } else { ly },
+                );
+                (hx, hy) = (
+                    if p.x > hx { p.x } else { hx },
+                    if p.y > hy { p.y } else { hy },
+                );
+            }
         }
-        self.near.clear();
-        self.near.reserve(self.chunk_count);
+        let (lo, hi) = (Vec2::new(lx, ly), Vec2::new(hx, hy));
+        // No pair reaches past the last row and column.
+        (self.len, self.min, self.reached) = (sources.len(), domain.min, [u32::MAX; 24]);
+        // The cells from the lowest finite source's to the highest's, none
+        // when there is no finite source, coarser while they are too many.
+        let most = CELLS_PER_SOURCE * sources.len() as f64 + 16.0;
+        // The law's promise is about `r_c * r_c`; a side of zero would
+        // never grow.
+        let r_c = r_c.abs();
+        let mut side = r_c.max(f64::MIN_POSITIVE);
+        let (first, dims) = loop {
+            let [first, last] = [lo, hi].map(|p| cell_of(p, self.min, side));
+            let dims = [0, 1].map(|a| (last[a] as f64 - first[a] as f64 + 1.0).max(0.0));
+            if dims[0] * dims[1] <= most {
+                break (first, dims);
+            }
+            side *= (dims[0] * dims[1] / most).sqrt().max(2.0);
+        };
+        (self.per_unit, self.reach) = (1.0 / side, r_c / side);
+        self.origin = Vec2::new(first[0] as f64, first[1] as f64);
+        self.dims = dims.map(|d| d as usize);
+        let [lo, hi] = [lo, hi].map(|p| self.cells_from_corner(p));
+        self.bounds = [(lo.x, hi.x), (lo.y, hi.y)];
+        let ext = domain.extent() / side;
+        self.period = match boundary {
+            Boundary::Periodic => [ext.x, ext.y],
+            _ => [0.0; 2],
+        };
+        let [px, py] = self.period;
+        let far = self.origin.x.abs() + self.origin.y.abs();
+        self.slack = (far + px + py + self.reach + 1.0) * SLACK;
+        // The runs in source order, a `(start, slot)` each, in the scratch;
+        // then counted by slot, placed, and the counts shifted into bounds.
+        let [columns, rows] = self.dims;
+        let slots = columns * rows + 1;
+        // A vector that has to grow takes an eighth more than this block
+        // needs: the next block is a neighbour's, or this one a few
+        // migrants on.
+        fn room<T>(v: &mut Vec<T>, len: usize) {
+            v.clear();
+            if v.capacity() < len {
+                v.reserve(len + len / 8);
+            }
+        }
+        room(&mut self.spans, sources.len());
+        let mut last = usize::MAX;
+        // Rounding may put the lowest a hair below zero, the highest on
+        // the table's far edge.
+        let at = |u: f64, dim: usize| (u as i64).max(0).min(dim as i64 - 1) as usize;
+        for (k, s) in sources.iter().enumerate() {
+            let pos = s.pos();
+            let u = self.cells_from_corner(pos);
+            let slot = match pos.is_finite() {
+                true => at(u.y, rows) * columns + at(u.x, columns),
+                false => slots - 1,
+            };
+            if slot != last {
+                self.spans.push((k, slot));
+                last = slot;
+            }
+        }
+        self.runs_at = slots + 1;
+        let len = self.runs_at + 2 * self.spans.len();
+        room(&mut self.table, len);
+        self.table.resize(len, 0);
+        for &(_, slot) in &self.spans {
+            self.table[slot + 1] += 1;
+        }
+        for c in 1..slots {
+            self.table[c] += self.table[c - 1];
+        }
+        for (j, &(start, slot)) in self.spans.iter().enumerate() {
+            let end = self.spans.get(j + 1).map_or(sources.len(), |s| s.0);
+            let at = self.runs_at + 2 * self.table[slot];
+            self.table[slot] += 1;
+            self.table[at..at + 2].copy_from_slice(&[start, end]);
+        }
+        self.table.copy_within(0..slots, 1);
+        self.table[0] = 0;
+        self.everywhere = self.table[slots] - self.table[slots - 1];
+        // Whether every row's runs, column by column, follow each other in
+        // one direction: then so do those of any columns of a row.
+        self.ordered = (0..rows).all(|row| {
+            let runs = &self.table[self.runs_at..][2 * self.table[row * columns]..];
+            let runs = &runs[..2 * (self.table[(row + 1) * columns] - self.table[row * columns])];
+            let next = || runs.chunks_exact(2).zip(runs.chunks_exact(2).skip(1));
+            next().all(|(a, b)| a[1] == b[0]) || next().all(|(a, b)| b[1] == a[0])
+        });
     }
 
-    /// The box of each chunk of sources.
-    fn chunks(&self) -> &[Aabb] {
-        &self.boxes[..self.chunk_count]
-    }
-
-    /// The box of each group of chunks.
-    fn groups(&self) -> &[Aabb] {
-        &self.boxes[self.chunk_count..]
-    }
-
-    /// Whether every source inside the box `(lo, hi)` is beyond `r_c` of
-    /// every target inside the box `(tlo, thi)`, per lane, in *both* lanes
-    /// — one target each when `tlo` is `thi` — by the law's own test
-    /// `disp.norm_sq() > r_c * r_c` on `Boundary::displacement`'s own
-    /// result. A target box must be finite or the whole plane.
-    ///
-    /// Rounding is monotone, so per axis `lo <= s <= hi` and
-    /// `tlo <= t <= thi` give `fl(lo - thi) <= fl(s - t) <= fl(hi - tlo)`,
-    /// and the same again after the `- k` of an image. The displacement
-    /// the law is shown is `image`, when [`Cull::image`] found one for boxes
-    /// that hold these, and otherwise one of the three `d`, `fl(d - ext)`,
-    /// `fl(d + ext)` (single wrap, whatever the positions), so its magnitude
-    /// is at least the smallest distance from zero to the image intervals;
-    /// `x*x + y*y` is monotone in both magnitudes, so the law's `norm_sq`
-    /// is at least the one below.
+    /// How many cells `p` is from the table's corner, per axis.
     #[inline(always)]
-    fn beyond(&self, &(lo, hi): &Aabb, tlo: Vec2x2, thi: Vec2x2, image: Option<Vec2>) -> bool {
-        let (dlo, dhi) = (Vec2x2::splat(lo) - thi, Vec2x2::splat(hi) - tlo);
-        let gap = |k: Vec2| {
-            let k = Vec2x2::splat(k);
-            (dlo - k).max(-(dhi - k)).max(Vec2x2::zero())
-        };
-        let gap = match image {
-            Some(k) => gap(k),
-            None => gap(Vec2::zero())
-                .min(gap(self.period))
-                .min(gap(-self.period)),
-        };
-        gap.norm_sq().lanes_gt(F64x2::splat(self.limit)).all()
+    fn cells_from_corner(&self, p: Vec2) -> Vec2 {
+        (p - self.min) * self.per_unit - self.origin
     }
 
-    /// The `k` for which `Boundary::displacement(t, s)` is `(s - t) - k`, bit
-    /// for bit, for every `s` inside the box `(lo, hi)` and every `t` inside
-    /// `(tlo, thi)`, if there is one. Per axis, from the bounds of
-    /// [`Cull::beyond`]: `+0.0` when both are within half the period (no
-    /// pair wraps: `displacement`'s tests are strict, so a bound exactly at
-    /// half is within), the period when the lower one is past half (every
-    /// pair wraps down), minus the period when the upper one is (up). `None`
-    /// when the boxes straddle half the period, and when either is the whole
-    /// plane: what is not finite takes the path it always took.
-    fn image(&self, &(lo, hi): &Aabb, tlo: Vec2, thi: Vec2) -> Option<Vec2> {
-        let (dlo, dhi) = (lo - thi, hi - tlo);
-        let axis = |dlo: f64, dhi: f64, half: f64, ext: f64| {
-            if dlo >= -half && dhi <= half {
-                Some(0.0)
-            } else if dlo > half {
-                Some(ext)
-            } else if dhi < -half {
-                Some(-ext)
-            } else {
-                None
-            }
+    /// The spans of sources a lane pair at `pos` is shown — the runs of the
+    /// cells within `r_c` of either target and of the slot of sources that
+    /// are not finite — in source order, and whether they leave any source
+    /// out. `None` when a target is not finite, or so far out that it is
+    /// not a finite number of cells from the table: it is shown every
+    /// source.
+    fn near(&mut self, pos: Vec2x2) -> Option<(&[Span], bool)> {
+        let [t0, t1] = pos.to_lanes();
+        let [u0, u1] = [t0, t1].map(|t| self.cells_from_corner(t));
+        if !(u0.is_finite() && u1.is_finite()) {
+            return None;
+        }
+        // The two targets share one rectangle of cells per image when they
+        // are within a cell of each other on both axes, as neighbours in
+        // cell order mostly are; otherwise each has its own. Rows only for
+        // a rectangle that reaches a column: most of a neighbour block's
+        // targets reach none.
+        let mut reached = [0; 24];
+        let (lo, hi) = (u0.min(u1), u0.max(u1));
+        let far = lo.x.abs().max(hi.x.abs()) + lo.y.abs().max(hi.y.abs());
+        let w = self.reach + far * SLACK + self.slack;
+        let shared = hi.x - lo.x <= 1.0 && hi.y - lo.y <= 1.0;
+        let rectangles = if shared {
+            &[(lo, hi)][..]
+        } else {
+            &[(u0, u0), (u1, u1)][..]
         };
-        Some(Vec2::new(
-            axis(dlo.x, dhi.x, self.half.x, self.period.x)?,
-            axis(dlo.y, dhi.y, self.half.y, self.period.y)?,
-        ))
+        let mut any = false;
+        for (&(lo, hi), reach) in rectangles.iter().zip(reached.chunks_exact_mut(12)) {
+            let (columns, rows) = reach.split_at_mut(6);
+            if self.reach_along(0, lo.x, hi.x, w, columns) {
+                any |= self.reach_along(1, lo.y, hi.y, w, rows);
+            }
+        }
+        if !any && self.everywhere == 0 {
+            return Some((&[], self.len > 0));
+        }
+        // Compared whole, without a branch per entry.
+        let changed = reached
+            .iter()
+            .zip(&self.reached)
+            .fold(0, |d, (a, b)| d | (a ^ b));
+        if changed != 0 {
+            self.reached = reached;
+            self.gather(&reached);
+        }
+        Some((&self.spans, self.culled))
     }
 
-    /// List in `near` the chunks that may hold a source within `r_c` of a
-    /// target of `tile` — groups first, then the chunks of the groups that
-    /// remain — and say whether a pair of the tile should ask again about
-    /// each for its own two targets. Not when the list is the whole of a
-    /// block of several groups: that block is in no spatial order, and a
-    /// pair would rule out nothing either. (A block of one group is asked
-    /// regardless: a tile of a sparse one reaches all of it where a pair
-    /// does not, and the tests are few.) And not when a target is NaN or
-    /// infinite: the tile's box is then the plane, nothing was ruled out,
-    /// and [`Cull::beyond`] must not be shown such a point.
-    fn tile(&mut self, tile: &[Particle]) -> bool {
-        let (lo, hi) = bounds(tile.iter().map(|t| t.pos));
-        let (tlo, thi) = (Vec2x2::splat(lo), Vec2x2::splat(hi));
-        self.near.clear();
-        for g in 0..self.groups().len() {
-            if self.beyond(&self.groups()[g], tlo, thi, None) {
-                continue;
+    /// Into `out`, zeroed, the table columns (`axis` 0) or rows (1) that
+    /// hold a cell within `w` of targets from `lo` to `hi` cells from the
+    /// table's corner along `axis`, per image of them; left empty where no
+    /// finite source is that near, and for the two images where there is no
+    /// period. The whole axis for an image past the largest float. Whether
+    /// any is not empty.
+    #[inline(always)]
+    fn reach_along(&self, axis: usize, lo: f64, hi: f64, w: f64, out: &mut [u32]) -> bool {
+        let (period, (lowest, highest)) = (self.period[axis], self.bounds[axis]);
+        let last = self.dims[axis] as i64 - 1;
+        let range = |k: f64, out: &mut [u32]| {
+            let (lo, hi) = (lo + k - w, hi + k + w);
+            if hi < lowest || lo > highest {
+                return false;
             }
-            for j in g * GROUP..self.chunk_count.min((g + 1) * GROUP) {
-                let chunk = &self.chunks()[j];
-                if !self.beyond(chunk, tlo, thi, None) {
-                    self.near.push((j, self.image(chunk, lo, hi)));
+            // A cast takes what lies below zero to zero.
+            let index = |v: f64| (v as i64).max(0).min(last) as u32;
+            (out[0], out[1]) = match lo.is_finite() && hi.is_finite() {
+                true => (index(lo), index(hi) + 1),
+                false => (0, last as u32 + 1),
+            };
+            true
+        };
+        let mut any = range(0.0, &mut out[..2]);
+        if period > 0.0 {
+            any |= range(-period, &mut out[2..4]);
+            any |= range(period, &mut out[4..]);
+        }
+        any
+    }
+
+    /// Fill the spans with the runs of every cell both targets reach, and
+    /// of the slot of sources that are not finite, in source order.
+    fn gather(&mut self, reached: &Reach) {
+        self.spans.clear();
+        for reach in [&reached[..12], &reached[12..]] {
+            for k in (6..12).step_by(2) {
+                for row in reach[k] as usize..reach[k + 1] as usize {
+                    let at = row * self.dims[0];
+                    for j in (0..6).step_by(2) {
+                        let (from, to) = (reach[j] as usize, reach[j + 1] as usize);
+                        if from < to {
+                            let (first, last) = (self.table[at + from], self.table[at + to]);
+                            self.push_runs(first, last, self.ordered);
+                        }
+                    }
                 }
             }
         }
-        lo.is_finite() && (self.near.len() < self.chunk_count || self.chunk_count <= GROUP)
+        let slot = self.dims[0] * self.dims[1];
+        self.push_runs(self.table[slot], self.table[slot + 1], false);
+        // In source order, which a block in cell order has already, then
+        // overlaps and neighbours joined.
+        if !self.spans.is_sorted_by_key(|s| s.0) {
+            self.spans.sort_unstable_by_key(|s| s.0);
+        }
+        let mut kept = 0;
+        for j in 0..self.spans.len() {
+            let (start, end) = self.spans[j];
+            match kept {
+                1.. if start <= self.spans[kept - 1].1 => {
+                    let last = &mut self.spans[kept - 1].1;
+                    *last = (*last).max(end);
+                }
+                _ => {
+                    self.spans[kept] = (start, end);
+                    kept += 1;
+                }
+            }
+        }
+        self.spans.truncate(kept);
+        let shown: usize = self.spans.iter().map(|(start, end)| end - start).sum();
+        self.culled = shown < self.len;
+    }
+
+    /// Add the runs `first..last` as one span if they are one range of
+    /// sources — known to be when they are `one` row's in order — and one by
+    /// one if not.
+    #[inline(always)]
+    fn push_runs(&mut self, first: usize, last: usize, one: bool) {
+        if first == last {
+            return;
+        }
+        let runs = &self.table[self.runs_at + 2 * first..self.runs_at + 2 * last];
+        if one {
+            let (a, b) = (&runs[..2], &runs[runs.len() - 2..]);
+            self.spans.push((a[0].min(b[0]), a[1].max(b[1])));
+            return;
+        }
+        let (mut lo, mut hi, mut len) = (usize::MAX, 0, 0);
+        for run in runs.chunks_exact(2) {
+            (lo, hi, len) = (lo.min(run[0]), hi.max(run[1]), len + run[1] - run[0]);
+        }
+        if lo + len == hi {
+            self.spans.push((lo, hi));
+        } else {
+            self.spans
+                .extend(runs.chunks_exact(2).map(|run| (run[0], run[1])));
+        }
     }
 }
 
@@ -352,30 +529,28 @@ thread_local! {
     static CELL_KEYS: RefCell<Vec<CellKey>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Put a block in the order the cull needs, consecutive particles being
-/// neighbours: by `r_c`-sized cell, rows bottom to top, even rows left to
-/// right and odd rows right to left, ties by id (nothing moves under a law
-/// without a cutoff). Turning round at each row end keeps the run of
-/// sixteen that holds the last cells of one row and the first of the next
-/// in one corner; read row-major it would span the block's width, two rows
-/// tall, in reach of every target of both. The order also puts the two
-/// lanes of a target pair, and the pairs of a tile, next to each other. The
-/// cutoff drivers call it on the team leader before the broadcast. A total
-/// order on distinct ids, so the result does not depend on the order
-/// `block` arrives in.
+/// Put a block in the order the cull reads it in: by `r_c`-sized cell —
+/// the cells the kernel indexes its sources by — rows bottom to top, even
+/// rows left to right and odd rows right to left, ties by id (nothing moves
+/// under a law without a cutoff). Each cell's particles are then one run
+/// and each row of cells one range of the block, so a lane pair walks a
+/// few ranges, and the two lanes of a pair are neighbours, also where a row
+/// turns round into the next. The cutoff drivers call it on the team
+/// leader before the broadcast. A total order on distinct ids, so the
+/// result does not depend on the order `block` arrives in.
 ///
 /// The cost does: a leader's block arrives as last step's order, a few
 /// particles having drifted over a cell edge and a few migrants appended,
-/// so each key is computed once (two `floor`s, a libm call on baseline
-/// x86-64 — a comparison sort that recomputes them is the slowest way) and
-/// the displaced few are inserted where they belong. A block further out
-/// of order than `INSERT_BUDGET` moves per particle is sorted outright.
+/// so each key is computed once (a cast and a comparison per axis, not a
+/// libm `floor`; a comparison sort that recomputes them is the slowest way)
+/// and the displaced few are inserted where they belong. A block further
+/// out of order than `INSERT_BUDGET` moves per particle is sorted outright.
 pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain) {
     let Some(r_c) = law.cutoff() else { return };
     let key = |p: &Particle| -> CellKey {
-        // `as i64` saturates and sends NaN to 0: any position gets some cell.
-        let cell = (p.pos - domain.min) / r_c;
-        let (row, col) = (cell.y.floor() as i64, cell.x.floor() as i64);
+        // Any position gets some cell: NaN cell 0, far out the first or
+        // the last.
+        let [col, row] = cell_of(p.pos, domain.min, r_c);
         (
             row,
             if row % 2 == 0 {
@@ -429,28 +604,17 @@ const INSERT_BUDGET: usize = 8;
 /// asked for a self pair; a computed self-force is not masked away, it is
 /// not computed.
 ///
-/// Under a law with a cutoff the cull asks twice, coarsely then finely.
-/// Targets advance in tiles of [`CHUNK`] and sources in chunks of as many;
-/// [`Cull::tile`] lists the chunks whose box is not [`Cull::beyond`] the
-/// tile's, and each lane pair walks that list in source order, passing over
-/// a chunk that is beyond both of its targets. Beside each chunk the list
-/// has the periodic image every pair of the tile and the chunk takes, when
-/// the two boxes settle it ([`Cull::image`]): such a chunk is tested and
-/// walked under that one image, and only an unsettled one wraps pair by
-/// pair. A tile [`Cull::tile`] says the pairs need not ask for — a long
-/// block in no spatial order, or a tile with a NaN or infinite target —
-/// walks the block whole: nothing was ruled out, and a target that is not
-/// finite is shown every source, as it always was. The law would have
-/// answered `+0.0` for each pair passed over ([`ForceLaw::cutoff`]). The
-/// chunks that remain run in source order, so each target still adds its
-/// non-zero terms in the scalar loop's sequence, and one final `+ 0.0` per
-/// pair that had anything passed over, by its tile or by itself, stands in
-/// for all the zeros: adding `+0.0` changes an accumulator only from `-0.0`
-/// to `+0.0`, and once that has happened no sum returns to `-0.0`. A
-/// passed-over chunk cannot hold a target's own id, because a particle is
-/// where it is: the self source sits inside both boxes at distance zero.
-/// Without a cutoff the targets are one tile that does not ask, and the
-/// nest is the loop it always was.
+/// Under a law with a cutoff each lane pair walks only the spans [`Cells`]
+/// gives it, the runs of the cells within `r_c` of its two targets, in
+/// source order, and a pair with a NaN or infinite target the whole block,
+/// as it always did. The law would have answered `+0.0` for each source
+/// passed over ([`ForceLaw::cutoff`]): each target still adds its non-zero
+/// terms in the scalar loop's sequence, and one final `+ 0.0` per pair that
+/// had anything passed over stands in for all the zeros — adding `+0.0`
+/// changes an accumulator only from `-0.0` to `+0.0`, and once that has
+/// happened no sum returns to `-0.0`. A passed-over cell cannot hold a
+/// target's own id, because a particle is where it is. Without a cutoff the
+/// pairs walk the whole block, the loop it always was.
 ///
 /// Under [`Newton`] each unordered pair is asked once, by its lower index.
 /// Every target's accumulator starts out as its force in a pending array
@@ -463,8 +627,7 @@ const INSERT_BUDGET: usize = 8;
 /// loads it — and its force differs from the scalar loop's only where
 /// `−f_ij` is not `f_ji` by bits (the rounding of a strength product), and
 /// in the sign of a zero. The targets themselves are walked as they always
-/// were, tile by tile, so the copies of the nest under [`OneWay`] are the
-/// loop they were.
+/// were, so the copies of the nest under [`OneWay`] are the loop they were.
 fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     targets: &mut [Particle],
     sources: &[S],
@@ -473,16 +636,14 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     boundary: Boundary,
     harvest: &mut H,
 ) -> u64 {
-    // The thread's `Cull` is taken for the call and handed back after it,
+    // The thread's `Cells` is taken for the call and handed back after it,
     // not borrowed as `CELL_KEYS` is: the nest owns it as a local, and its
-    // copy for a law without a cutoff has no trace of it (DESIGN.md §14.7
-    // has what a borrow handed down to the nest cost either copy).
-    let mut cull = law.cutoff().map(|r_c| {
-        let mut cull = CULL.take();
-        cull.refill(sources, r_c, domain, boundary);
-        cull
+    // copy for a law without a cutoff has no trace of it (DESIGN.md §14.1).
+    let mut cells = law.cutoff().map(|r_c| {
+        let mut cells = CELLS.take();
+        cells.refill(sources, r_c, domain, boundary);
+        cells
     });
-    let tile_len = if cull.is_some() { CHUNK } else { usize::MAX };
     // Under `Newton` every target's accumulator, where the reactions of the
     // sources before it gather until its pair loads it.
     let mut pending = if R::NEWTON {
@@ -496,116 +657,78 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     // A block against itself under `Newton` never meets its self pairs:
     // they are counted here.
     let mut skipped: u64 = if R::NEWTON { targets.len() as u64 } else { 0 };
-    for (tile_index, tile) in targets.chunks_mut(tile_len).enumerate() {
-        let asks = cull.as_mut().is_some_and(|c| c.tile(tile));
-        let cull = cull.as_ref().filter(|_| asks);
-        for (pair_index, pair) in tile.chunks_mut(2).enumerate() {
-            // Where the pair sits in the block, and the first source it
-            // walks: under `Newton` the one after it.
-            let i = tile_index * CHUNK + 2 * pair_index;
-            let from = if R::NEWTON { i + pair.len() } else { 0 };
-            // Local copies: the inner loop reads positions, masses and ids from
-            // values nothing else can alias. The padding lane of an odd tail
-            // duplicates lane 0 and is only ever carried, never evaluated.
-            let (t0, t1) = (pair[0], pair[pair.len() - 1]);
-            let lanes = Lanes {
-                pair,
-                t0,
-                t1,
-                pos: Vec2x2::new(t0.pos, t1.pos),
-            };
-            let mut acc = if R::NEWTON {
-                Vec2x2::new(pending[i], pending[i + lanes.pair.len() - 1])
+    // By value: the walk's copy is its own, kept in registers.
+    let place = (*domain, boundary);
+    for (pair_index, pair) in targets.chunks_mut(2).enumerate() {
+        // Where the pair sits in the block, and the first source it walks:
+        // under `Newton` the one after it.
+        let i = 2 * pair_index;
+        let from = if R::NEWTON { i + pair.len() } else { 0 };
+        // Local copies: the inner loop reads positions, masses and ids from
+        // values nothing else can alias. The padding lane of an odd tail
+        // duplicates lane 0 and is only ever carried, never evaluated.
+        let (t0, t1) = (pair[0], pair[pair.len() - 1]);
+        let lanes = Lanes {
+            pair,
+            t0,
+            t1,
+            pos: Vec2x2::new(t0.pos, t1.pos),
+        };
+        let mut acc = if R::NEWTON {
+            Vec2x2::new(pending[i], pending[i + lanes.pair.len() - 1])
+        } else {
+            Vec2x2::new(t0.force, t1.force)
+        };
+        if R::NEWTON && lanes.pair.len() == 2 {
+            // The pair's own interaction, before either lane's later
+            // sources: `f` to lane 0, `−f` to lane 1.
+            let shown = sources[i + 1].shown();
+            let s: &Particle = shown.borrow();
+            if t0.id == s.id {
+                skipped += 2;
             } else {
-                Vec2x2::new(t0.force, t1.force)
-            };
-            let per_pair = (
-                |t, s| boundary.displacement(domain, t, s),
-                |t, s| boundary.displacement_x2(domain, t, s),
-            );
-            if R::NEWTON && lanes.pair.len() == 2 {
-                // The pair's own interaction, before either lane's later
-                // sources: `f` to lane 0, `−f` to lane 1.
-                let shown = sources[i + 1].shown();
-                let s: &Particle = shown.borrow();
-                if t0.id == s.id {
-                    skipped += 2;
-                } else {
-                    let disp = boundary.displacement(domain, t0.pos, s.pos);
-                    let f = law.force(&t0, s, disp);
-                    acc += Vec2x2::new(f, -f);
-                    harvest.pair(law, &t0, s, disp);
-                    harvest.pair(law, s, &t0, -disp);
-                }
+                let disp = boundary.displacement(domain, t0.pos, s.pos);
+                let f = law.force(&t0, s, disp);
+                acc += Vec2x2::new(f, -f);
+                harvest.pair(law, &t0, s, disp);
+                harvest.pair(law, s, &t0, -disp);
             }
-            if let Some(cull) = cull {
-                let mut culled = cull.near.len() < cull.chunk_count;
-                for &(j, image) in &cull.near {
-                    let run = (j * CHUNK).max(from)..sources.len().min((j + 1) * CHUNK);
-                    if R::NEWTON && run.is_empty() {
-                        continue;
-                    }
-                    if cull.beyond(&cull.chunks()[j], lanes.pos, lanes.pos, image) {
-                        culled = true;
+        }
+        // Asked of the law, not of `cells`: a constant once monomorphised,
+        // so the copy for a law without a cutoff has no trace of the index.
+        let near = match law.cutoff() {
+            Some(_) => cells.as_mut().and_then(|cells| cells.near(lanes.pos)),
+            None => None,
+        };
+        match near {
+            Some((spans, culled)) => {
+                for &(start, end) in spans {
+                    let run = start.max(from)..end;
+                    if run.is_empty() {
                         continue;
                     }
                     let slots = R::slots(&mut pending, run.clone());
-                    let chunk = &sources[run];
-                    // One image for the chunk, `(s - t) - k`, is `displacement`
-                    // bit for bit in each of its three cases: `x - (+0.0)` is
-                    // `x` for every float, `-0.0` and NaN included, and
-                    // `d + ext` is `d - (-ext)`.
-                    acc = match image {
-                        Some(k) => {
-                            let image = (|t, s| (s - t) - k, |t, s| (s - t) - Vec2x2::splat(k));
-                            walk::<_, _, _, R>(
-                                &lanes,
-                                acc,
-                                chunk,
-                                slots,
-                                law,
-                                harvest,
-                                &mut skipped,
-                                image,
-                            )
-                        }
-                        None => walk::<_, _, _, R>(
-                            &lanes,
-                            acc,
-                            chunk,
-                            slots,
-                            law,
-                            harvest,
-                            &mut skipped,
-                            per_pair,
-                        ),
-                    };
+                    let (h, s) = (&mut *harvest, &mut skipped);
+                    acc = walk::<_, _, _, R>(&lanes, acc, &sources[run], slots, law, h, s, place);
                 }
                 if culled {
                     acc += Vec2x2::zero();
                 }
-            } else {
-                // A tile whose pairs do not ask walks the whole block, as
-                // every tile does without a cull.
-                let slots = R::slots(&mut pending, from..sources.len());
-                acc = walk::<_, _, _, R>(
-                    &lanes,
-                    acc,
-                    &sources[from..],
-                    slots,
-                    law,
-                    harvest,
-                    &mut skipped,
-                    per_pair,
-                );
             }
-            for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
-                t.force = a;
+            None => {
+                // A pair with a target that is not finite, and every pair
+                // without a cutoff, walks the whole block.
+                let slots = R::slots(&mut pending, from..sources.len());
+                let (h, s) = (&mut *harvest, &mut skipped);
+                acc = walk::<_, _, _, R>(&lanes, acc, &sources[from..], slots, law, h, s, place);
             }
         }
+        for (t, a) in pair.iter_mut().zip(acc.to_lanes()) {
+            t.force = a;
+        }
     }
-    if let Some(cull) = cull {
-        CULL.set(cull);
+    if let Some(cells) = cells {
+        CELLS.set(cells);
     }
     if R::NEWTON {
         PENDING.set(pending);
@@ -624,12 +747,9 @@ struct Lanes<'a> {
 }
 
 /// The body of [`nest`], a lane pair against a run of consecutive sources,
-/// written once and instantiated per way of forming the displacement (one
-/// target's, and both lanes'): the lane loop of a settled chunk has no trace
-/// of a wrap, nor that of a whole block of an image (DESIGN.md §14.8 has
-/// what a flag read inside one shared loop cost). Under [`Newton`] `slots`
-/// are the sources' pending accumulators, one per source, and take the
-/// reactions.
+/// each displacement formed pair by pair as `Boundary::displacement` forms
+/// it. Under [`Newton`] `slots` are the sources' pending accumulators, one
+/// per source, and take the reactions.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
@@ -645,10 +765,7 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     law: &F,
     harvest: &mut H,
     skipped: &mut u64,
-    (one, two): (
-        impl Fn(Vec2, Vec2) -> Vec2,
-        impl Fn(Vec2x2, Vec2x2) -> Vec2x2,
-    ),
+    (domain, boundary): (Domain, Boundary),
 ) -> Vec2x2 {
     let full = pair.len() == 2;
     // Checked once here rather than per source.
@@ -667,7 +784,7 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
                     *skipped += 1 + u64::from(R::NEWTON);
                     continue;
                 }
-                let disp = one(t.pos, s.pos);
+                let disp = boundary.displacement(&domain, t.pos, s.pos);
                 let f = law.force(t, s, disp);
                 *a += f;
                 harvest.pair(law, t, s, disp);
@@ -679,7 +796,7 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
             acc = Vec2x2::new(lanes[0], lanes[1]);
             continue;
         }
-        let disp = two(pos, Vec2x2::splat(s.pos()));
+        let disp = boundary.displacement_x2(&domain, pos, Vec2x2::splat(s.pos()));
         let shown = s.shown();
         let s: &Particle = shown.borrow();
         let f = law.force_x2([t0, t1], s, disp);
@@ -989,349 +1106,179 @@ mod tests {
         );
     }
 
-    fn cull_of(sources: &[Particle], r_c: f64, domain: &Domain, boundary: Boundary) -> Cull {
-        let mut cull = Cull::default();
-        cull.refill(sources, r_c, domain, boundary);
-        cull
+    #[test]
+    fn cell_is_floor_for_every_float() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            1.0 - f64::EPSILON / 2.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            2f64.powi(52) + 0.5,
+            -(2f64.powi(52) + 0.5),
+            2f64.powi(63),
+            -(2f64.powi(63)),
+            2f64.powi(63) - 1024.0,
+            -(2f64.powi(63)) - 2048.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Every kind of bit pattern, NaNs and subnormals included, and
+        // values of every size either side of zero.
+        let mut rng = StdRng::seed_from_u64(11);
+        values.extend((0..200_000).map(|_| f64::from_bits(rng.gen::<u64>())));
+        values.extend((0..200_000).map(|_| {
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            v * 10f64.powi(rng.gen_range(-20..25))
+        }));
+        // The oracle is floored division by one: a truncation and a
+        // remainder, not the comparison `cell` makes.
+        for v in values {
+            assert_eq!(cell(v), v.div_euclid(1.0) as i64, "{v:e}");
+        }
+    }
+
+    /// The soundness of the index, on the implemented arithmetic: every
+    /// source a lane pair is not shown is one the cutoff law rejects, by
+    /// bits, for both of its targets. Drawn: a domain of any size and
+    /// offset, a boundary, a radius from a ten-thousandth of the extent to
+    /// thrice it, a block clustered anywhere up to three extents outside
+    /// the domain — in cell order or not, some so sparse that the table
+    /// takes coarser cells, some with a NaN or infinite source, which every
+    /// pair is shown — and pairs of targets near its sources or anywhere.
+    #[test]
+    fn a_source_a_pair_is_not_shown_is_one_the_law_rejects() {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let (mut passed_over, mut coarse) = ([0u32; 3], 0);
+        for case in 0..4000 {
+            let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
+            let mut draw = |lo: f64, hi: f64| 10f64.powf(rng.gen_range(lo..hi));
+            let ext = Vec2::new(draw(-3.0, 3.0), draw(-3.0, 3.0));
+            let r_c = ext.x.min(ext.y) * draw(-4.0, 0.5);
+            let spread = ext * draw(-4.0, 0.3);
+            let domain = Domain::new(min, min + ext);
+            let boundary = [Boundary::Open, Boundary::Reflective, Boundary::Periodic][case % 3];
+            let at = |rng: &mut StdRng, centre: Vec2, half: Vec2| {
+                let u = Vec2::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                centre + Vec2::new(half.x * u.x, half.y * u.y)
+            };
+            let centre = at(&mut rng, min + ext * 0.5, ext * 3.0);
+            let mut sources: Vec<Particle> = (0..1 + case % 150)
+                .map(|id| Particle::at(id as u64, at(&mut rng, centre, spread)))
+                .collect();
+            // A target on a cell edge and sources exactly `r_c` from it, on
+            // the next edges out, in every fifth block.
+            let snap = |v: f64, lo: f64| lo + ((v - lo) / r_c).round() * r_c;
+            let edge = Vec2::new(snap(centre.x, min.x), snap(centre.y, min.y));
+            if case % 5 == 0 {
+                for d in [
+                    (1.0, 0.0),
+                    (-1.0, 0.0),
+                    (0.0, 1.0),
+                    (0.0, -1.0),
+                    (0.6, -0.8),
+                ] {
+                    let id = sources.len() as u64;
+                    sources.push(Particle::at(id, edge + Vec2::new(d.0, d.1) * r_c));
+                }
+            }
+            if case % 2 == 0 {
+                cell_order(&mut sources, &Cutoff::new(Counting, r_c), &domain);
+            }
+            if case % 7 == 0 {
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][case % 3];
+                let k = case % sources.len();
+                sources[k].pos.y = bad;
+            }
+            let mut cells = Cells::default();
+            cells.refill(&sources, r_c, &domain, boundary);
+            coarse += usize::from(cells.reach < 1.0);
+            let law = Cutoff::new(Counting, r_c);
+            for pair in 0..8 {
+                let mut target = |near: bool| {
+                    let s = sources[rng.gen_range(0..sources.len())].pos;
+                    match near && s.is_finite() {
+                        true => at(&mut rng, s, Vec2::new(r_c, r_c) * 2.0),
+                        false => at(&mut rng, centre, spread * 2.0 + ext),
+                    }
+                };
+                let mut ts = [target(pair % 2 == 0), target(pair % 4 < 2)];
+                if case % 5 == 0 && pair == 0 {
+                    ts = [edge, Vec2::new(edge.x.next_up(), edge.y.next_down())];
+                }
+                let Some((spans, culled)) = cells.near(Vec2x2::new(ts[0], ts[1])) else {
+                    panic!("case {case}: finite targets {ts:?} are not shown every source");
+                };
+                assert!(spans.windows(2).all(|w| w[0].1 < w[1].0), "{spans:?}");
+                let shown = |k: usize| spans.iter().any(|&(start, end)| (start..end).contains(&k));
+                let hidden: Vec<usize> = (0..sources.len()).filter(|&k| !shown(k)).collect();
+                assert_eq!(culled, !hidden.is_empty(), "case {case}");
+                passed_over[case % 3] += hidden.len() as u32;
+                for k in hidden {
+                    let s = sources[k];
+                    assert!(s.pos.is_finite(), "case {case}: {:?} hidden", s.pos);
+                    for t in ts {
+                        let disp = boundary.displacement(&domain, t, s.pos);
+                        let f = law.force(&Particle::at(1000, t), &s, disp);
+                        assert_eq!(
+                            [f.x.to_bits(), f.y.to_bits()],
+                            [0.0f64.to_bits(); 2],
+                            "case {case} {boundary:?} {domain:?} r_c {r_c}: {t:?} <- {:?}",
+                            s.pos
+                        );
+                    }
+                }
+            }
+            // A target that is not finite is shown everything.
+            let bad = Vec2x2::new(Vec2::new(f64::NAN, 0.0), centre);
+            assert!(cells.near(bad).is_none());
+        }
+        // Not vacuous under any boundary, and coarser cells were drawn.
+        assert!(passed_over.iter().all(|&n| n > 10_000), "{passed_over:?}");
+        assert!(coarse > 100, "{coarse}");
     }
 
     #[test]
-    fn the_cull_rules_out_what_is_beyond_r_c_and_nothing_nearer() {
+    fn any_radius_a_law_may_name_is_culled_soundly() {
+        // Radii `Cutoff::new` refuses but a law of its own may name: zero
+        // and negative (the promise is about `r_c * r_c`), NaN (a promise
+        // about nothing) and infinite. The index must end, and the forces
+        // be the scalar loop's.
+        #[derive(Clone, Copy)]
+        struct Named(f64);
+        impl ForceLaw for Named {
+            fn force(&self, _: &Particle, _: &Particle, disp: Vec2) -> Vec2 {
+                match disp.norm_sq() > self.0 * self.0 {
+                    true => Vec2::zero(),
+                    false => Vec2::new(1.0, 0.0),
+                }
+            }
+            fn cutoff(&self) -> Option<f64> {
+                Some(self.0)
+            }
+        }
         let domain = Domain::unit();
-        let patch = (Vec2::new(0.6, 0.6), Vec2::new(0.7, 0.7));
-        let cull = |r_c: f64, boundary: Boundary| cull_of(&[], r_c, &domain, boundary);
-        let beyond = |r_c: f64, boundary: Boundary, b: &Aabb, (lo, hi): Aabb| {
-            cull(r_c, boundary).beyond(b, Vec2x2::splat(lo), Vec2x2::splat(hi), None)
-        };
-        // Corner to corner: sqrt(0.5² + 0.5²) = 0.707.
-        let t = Vec2::new(0.1, 0.1);
-        // From the near corner of a box of targets it is 0.4 on both axes.
-        let tile = (Vec2::zero(), Vec2::new(0.2, 0.2));
-        for boundary in [Boundary::Open, Boundary::Reflective] {
-            assert!(beyond(0.7, boundary, &patch, (t, t)));
-            assert!(!beyond(0.71, boundary, &patch, (t, t)));
-            assert!(beyond(0.56, boundary, &patch, tile));
-            assert!(!beyond(0.57, boundary, &patch, tile));
+        for r_c in [0.0, -0.0, -0.1, 0.1, 1e-300, f64::NAN, f64::INFINITY] {
+            let mut block = init::uniform(40, &domain, 3);
+            block[6].pos = block[5].pos;
+            let sources = block.clone();
+            let mut want = block.clone();
+            accumulate_block(
+                &mut block,
+                &sources,
+                &Named(r_c),
+                &domain,
+                Boundary::Periodic,
+            );
+            reference::accumulate_forces(&mut want, &Named(r_c), &domain, Boundary::Periodic);
+            assert_eq!(block, want, "r_c {r_c}");
         }
-        // Through the periodic wall the corner is 0.4 away on both axes, and
-        // the far corner of the box of targets 0.3.
-        assert!(beyond(0.56, Boundary::Periodic, &patch, (t, t)));
-        assert!(!beyond(0.57, Boundary::Periodic, &patch, (t, t)));
-        assert!(beyond(0.42, Boundary::Periodic, &patch, tile));
-        assert!(!beyond(0.43, Boundary::Periodic, &patch, tile));
-        // Both lanes must be beyond; inside the box the gap is zero.
-        let near = Vec2::new(0.65, 0.65);
-        let open = cull(0.05, Boundary::Open);
-        for pos in [Vec2x2::new(t, near), Vec2x2::new(near, t)] {
-            assert!(!open.beyond(&patch, pos, pos, None));
-        }
-        // A box around a NaN or an infinity is the whole plane, which is
-        // beyond nothing and which nothing is beyond.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let sources = [
-                Particle::at(0, Vec2::new(0.9, 0.9)),
-                Particle::at(1, Vec2::new(0.9, bad)),
-            ];
-            let mut cull = cull_of(&sources, 1e-3, &domain, Boundary::Periodic);
-            let plane = (cull.chunks()[0], cull.groups()[0]);
-            assert_eq!(plane.0, plane.1);
-            for (b, of) in [(&plane.0, (t, t)), (&plane.0, plane.0), (&patch, plane.0)] {
-                assert!(
-                    !cull.beyond(b, Vec2x2::splat(of.0), Vec2x2::splat(of.1), None),
-                    "{bad}"
-                );
-            }
-            // So a tile with such a target rules nothing out, far as the
-            // finite ones are from everything.
-            (cull.boxes, cull.chunk_count) = (vec![patch; 3 + 1], 3);
-            assert!(cull.tile(&[Particle::at(2, t); 4]));
-            assert!(cull.near.is_empty());
-            assert!(!cull.tile(&[Particle::at(2, t), Particle::at(3, Vec2::new(bad, 0.1))]));
-            assert_eq!(cull.near, [0, 1, 2].map(|j| (j, None)));
-        }
-        // A finite tile in reach of every chunk: its pairs ask for
-        // themselves in a block of one group and not in a longer one.
-        let mut cull = cull(0.71, Boundary::Open);
-        for (chunks, asks) in [(3, true), (GROUP, true), (GROUP + 1, false)] {
-            cull.boxes = vec![patch; chunks + chunks.div_ceil(GROUP)];
-            cull.chunk_count = chunks;
-            assert_eq!(cull.tile(&[Particle::at(2, t); 4]), asks);
-            let whole = (0..chunks).map(|j| (j, Some(Vec2::zero())));
-            assert_eq!(cull.near, whole.collect::<Vec<_>>());
-        }
-    }
-
-    /// One draw of the two soundness properties below: a domain of any size
-    /// and offset, a boundary, a radius from a ten-thousandth of the extent to
-    /// thrice it, and targets and a box of sources up to three extents
-    /// outside the domain (the displacement wraps once only).
-    struct Draw {
-        domain: Domain,
-        boundary: Boundary,
-        r_c: f64,
-        /// Two point targets, or the first with `thalf` around it as a box.
-        targets: [Vec2; 2],
-        thalf: Vec2,
-        sources: Aabb,
-    }
-
-    fn draw(rng: &mut StdRng, case: usize) -> Draw {
-        let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
-        let ext = Vec2::new(
-            10f64.powf(rng.gen_range(-3.0..3.0)),
-            10f64.powf(rng.gen_range(-3.0..3.0)),
-        );
-        let r_c = ext.x.min(ext.y) * 10f64.powf(rng.gen_range(-4.0..0.5));
-        let mut point = || {
-            Vec2::new(
-                min.x + ext.x * rng.gen_range(-2.5..3.5),
-                min.y + ext.y * rng.gen_range(-2.5..3.5),
-            )
-        };
-        let (t0, centre) = (point(), point());
-        let t1 = if case % 2 == 1 {
-            t0 + ext * 1e-3
-        } else {
-            point()
-        };
-        let mut half =
-            |case: usize| ext * 10f64.powf(rng.gen_range(-5.0..0.0)) * ((case % 5) as f64 / 4.0);
-        let (half, thalf) = (half(case), half(case / 5));
-        Draw {
-            domain: Domain::new(min, min + ext),
-            boundary: [Boundary::Open, Boundary::Reflective, Boundary::Periodic][case % 3],
-            r_c,
-            targets: [t0, t1],
-            thalf,
-            sources: (centre - half, centre + half),
-        }
-    }
-
-    /// The corners of a box and, unless it is a point, 24 points inside it.
-    fn sample(rng: &mut StdRng, (lo, hi): Aabb) -> Vec<Vec2> {
-        let at = |lo: f64, hi: f64, u: f64| (lo + (hi - lo) * u).clamp(lo, hi);
-        let inside = (0..if lo == hi { 0 } else { 24 }).map(|_| {
-            Vec2::new(
-                at(lo.x, hi.x, rng.gen_range(0.0..1.0)),
-                at(lo.y, hi.y, rng.gen_range(0.0..1.0)),
-            )
-        });
-        let corners = [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)];
-        corners.into_iter().chain(inside).collect()
-    }
-
-    /// `law` answers `+0.0`, by bits, for every target against every source.
-    fn assert_all_rejected(law: &Cutoff<Counting>, d: &Draw, targets: &[Vec2], sources: &[Vec2]) {
-        for &s in sources {
-            for &t in targets {
-                let disp = d.boundary.displacement(&d.domain, t, s);
-                let f = law.force(&Particle::at(0, t), &Particle::at(1, s), disp);
-                assert_eq!(
-                    [f.x.to_bits(), f.y.to_bits()],
-                    [0.0f64.to_bits(); 2],
-                    "{:?} {:?} r_c {}: {t:?} <- {s:?} in {:?}",
-                    d.boundary,
-                    d.domain,
-                    d.r_c,
-                    d.sources
-                );
-            }
-        }
-    }
-
-    /// The soundness of the bound, on the implemented arithmetic: whenever
-    /// [`Cull::beyond`] says a box of sources can be passed over for a box
-    /// of targets, the cutoff law's own answer is `+0.0` for the corners of
-    /// the one and random points inside it against the corners of the other
-    /// and random points inside that. Every other case takes a point for the
-    /// box of targets in each lane — two targets, the per-pair test.
-    #[test]
-    fn a_box_the_cull_passes_over_holds_nothing_the_law_accepts() {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        let mut passed_over = [[0u32; 3]; 2];
-        for case in 0..12000 {
-            let d = draw(&mut rng, case);
-            let [t0, t1] = d.targets;
-            let boxed = case % 2;
-            let (tlo, thi) = if boxed == 1 {
-                (Vec2x2::splat(t0 - d.thalf), Vec2x2::splat(t0 + d.thalf))
-            } else {
-                (Vec2x2::new(t0, t1), Vec2x2::new(t0, t1))
-            };
-            let cull = cull_of(&[], d.r_c, &d.domain, d.boundary);
-            if !cull.beyond(&d.sources, tlo, thi, None) {
-                continue;
-            }
-            passed_over[boxed][case % 3] += 1;
-            let law = Cutoff::new(Counting, d.r_c);
-            let [tlo, thi] = [tlo, thi].map(Vec2x2::to_lanes);
-            let targets = [
-                sample(&mut rng, (tlo[0], thi[0])),
-                sample(&mut rng, (tlo[1], thi[1])),
-            ]
-            .concat();
-            let sources = sample(&mut rng, d.sources);
-            assert_all_rejected(&law, &d, &targets, &sources);
-        }
-        // Not vacuous under any boundary, for points or for boxes.
-        assert!(
-            passed_over.iter().flatten().all(|&n| n > 200),
-            "{passed_over:?}"
-        );
-    }
-
-    /// The soundness of the image, over the same draws: whenever
-    /// [`Cull::image`] settles on a `k` for a box of targets and a box of
-    /// sources, `Boundary::displacement` is `(s - t) - k` by bits for the
-    /// corners of both and random points inside them, and what
-    /// [`Cull::beyond`] passes over under that one image — for the box of
-    /// targets, or for a point of it in each lane, as a pair of the tile asks
-    /// — the law rejects.
-    #[test]
-    fn an_image_the_cull_settles_on_is_the_one_every_pair_takes() {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        // Per boundary and axis: no pair wraps, all wrap down, all wrap up.
-        let mut settled = [[[0u32; 3]; 2]; 3];
-        let mut passed_over = [[0u32; 3]; 2];
-        for case in 0..12000 {
-            let d = draw(&mut rng, case);
-            let tbox = (d.targets[0] - d.thalf, d.targets[0] + d.thalf);
-            let cull = cull_of(&[], d.r_c, &d.domain, d.boundary);
-            let Some(k) = cull.image(&d.sources, tbox.0, tbox.1) else {
-                continue;
-            };
-            let ext = d.domain.extent();
-            for (axis, (k, ext)) in [(k.x, ext.x), (k.y, ext.y)].into_iter().enumerate() {
-                let kind = [0.0, ext, -ext].iter().position(|&of| k == of).unwrap();
-                assert!(kind == 0 || d.boundary == Boundary::Periodic);
-                settled[case % 3][axis][kind] += 1;
-            }
-            let (targets, sources) = (sample(&mut rng, tbox), sample(&mut rng, d.sources));
-            for &s in &sources {
-                for &t in &targets {
-                    let (want, got) = (d.boundary.displacement(&d.domain, t, s), (s - t) - k);
-                    assert_eq!(
-                        [want.x.to_bits(), want.y.to_bits()],
-                        [got.x.to_bits(), got.y.to_bits()],
-                        "case {case}: {:?} {:?}: {t:?} <- {s:?}, image {k:?}",
-                        d.boundary,
-                        d.domain
-                    );
-                }
-            }
-            let law = Cutoff::new(Counting, d.r_c);
-            let (tlo, thi) = (Vec2x2::splat(tbox.0), Vec2x2::splat(tbox.1));
-            if cull.beyond(&d.sources, tlo, thi, Some(k)) {
-                passed_over[0][case % 3] += 1;
-                assert_all_rejected(&law, &d, &targets, &sources);
-            }
-            for pair in targets.chunks(2) {
-                let pos = Vec2x2::new(pair[0], pair[pair.len() - 1]);
-                if cull.beyond(&d.sources, pos, pos, Some(k)) {
-                    passed_over[1][case % 3] += 1;
-                    assert_all_rejected(&law, &d, pair, &sources);
-                }
-            }
-        }
-        // Not vacuous: every kind of image on both axes under a period, the
-        // one there is without, and boxes passed over under each.
-        let [open, reflective, periodic] = settled;
-        assert!(periodic.iter().flatten().all(|&n| n > 100), "{settled:?}");
-        for walls in [open, reflective] {
-            assert!(walls
-                .iter()
-                .all(|&[none, down, up]| none > 1000 && down + up == 0));
-        }
-        assert!(
-            passed_over.iter().flatten().all(|&n| n > 200),
-            "{passed_over:?}"
-        );
-    }
-
-    #[test]
-    fn an_image_is_settled_only_where_every_pair_agrees() {
-        // The partner of `displacements_exactly_at_half_the_box_are_not_wrapped`
-        // (tests/kernel_equivalence.rs): `displacement` wraps strictly beyond
-        // half the extent, so bounds exactly at half are "no pair wraps".
-        let domain = Domain::new(Vec2::zero(), Vec2::new(2.0, 1.0));
-        let cull = cull_of(&[], 0.1, &domain, Boundary::Periodic);
-        let image = |t: Aabb, s: Aabb| cull.image(&s, t.0, t.1);
-        let point = |x: f64, y: f64| (Vec2::new(x, y), Vec2::new(x, y));
-        let t = point(0.25, 0.125);
-        assert_eq!(image(t, point(1.25, 0.625)), Some(Vec2::zero()));
-        assert_eq!(image(point(1.25, 0.625), t), Some(Vec2::zero()));
-        // One ulp past half on x wraps down, or up seen from the other side.
-        let past = point(1.2500000000000002, 0.625);
-        assert_eq!(image(t, past), Some(Vec2::new(2.0, 0.0)));
-        assert_eq!(image(past, t), Some(Vec2::new(-2.0, 0.0)));
-        // A box with points on both sides of half is not settled on that axis
-        // alone, and so not at all.
-        assert_eq!(image(t, (Vec2::new(1.2, 0.2), Vec2::new(1.3, 0.3))), None);
-        assert_eq!(image(t, (Vec2::new(0.3, 0.6), Vec2::new(0.4, 0.7))), None);
-        // Nor is one that only reaches half from beyond it: the pair exactly
-        // at half does not wrap and the rest do.
-        assert_eq!(image(t, (Vec2::new(1.25, 0.2), Vec2::new(1.3, 0.3))), None);
-        assert_eq!(image((Vec2::new(1.25, 0.2), Vec2::new(1.3, 0.3)), t), None);
-        // A box that is the plane — a NaN or an infinity inside it — is never
-        // settled, whatever the boundary: what is not finite takes the path
-        // it always took.
-        let inf = Vec2::new(f64::INFINITY, f64::INFINITY);
-        for boundary in [Boundary::Open, Boundary::Reflective, Boundary::Periodic] {
-            let cull = cull_of(&[], 0.1, &domain, boundary);
-            assert_eq!(cull.image(&(-inf, inf), t.0, t.1), None, "{boundary:?}");
-            assert_eq!(cull.image(&t, -inf, inf), None, "{boundary:?}");
-            assert_eq!(cull.image(&(-inf, inf), -inf, inf), None, "{boundary:?}");
-        }
-        // Between walls there is one image, however far apart the boxes.
-        let open = cull_of(&[], 0.1, &domain, Boundary::Open);
-        assert_eq!(open.image(&point(1e9, -1e9), t.0, t.1), Some(Vec2::zero()));
-    }
-
-    /// The ratchet without a clock: on one rank's three kernel calls of a
-    /// `cutoff1d_lj_periodic` step — the geometry of `tests/kernel_equivalence.rs::
-    /// the_cull_asks_about_few_enough_sources_on_the_benchmark_geometry`, the
-    /// own block against itself, the east neighbour's and, across the x seam,
-    /// slab 3's — every tile asks and every chunk it lists has its image
-    /// settled, so under the cull the per-pair wrap never runs.
-    #[test]
-    fn no_near_chunk_of_the_benchmark_geometry_is_left_to_wrap_pair_by_pair() {
-        let n = 8192;
-        let domain = Domain::square((n as f64).sqrt() * 1.2);
-        let law = Cutoff::new(Counting, 2.5);
-        let mut lattice = init::lattice(n, &domain);
-        init::thermalize(&mut lattice, 0.5, 42);
-        for p in &mut lattice {
-            p.pos = Boundary::Periodic
-                .apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel)
-                .0;
-        }
-        let slab = |team: usize| {
-            let mut block = crate::dist::spatial_subset_1d(&lattice, &domain, 4, team);
-            cell_order(&mut block, &law, &domain);
-            block
-        };
-        let own = slab(0);
-        // Listed (tile, chunk) pairs, and those of them on another image.
-        let visits = [0, 1, 3].map(|team| {
-            let mut cull = cull_of(&slab(team), 2.5, &domain, Boundary::Periodic);
-            let (mut listed, mut shifted) = (0, 0);
-            for tile in own.chunks(CHUNK) {
-                assert!(cull.tile(tile), "slab {team}");
-                for &(j, image) in &cull.near {
-                    let k = image.unwrap_or_else(|| panic!("slab {team}, chunk {j}: no image"));
-                    listed += 1;
-                    shifted += usize::from(k != Vec2::zero());
-                }
-            }
-            (listed, shifted)
-        });
-        // 980 | 89 | 78 listed, 16 | 1 | 78 of them shifted: the own block
-        // reaches itself through the top and bottom walls too, the east one
-        // hardly, slab 3 through the x seam only.
-        let [own, east, seam] = visits;
-        assert!(own.0 > 0 && own.1 > 0 && own.1 < own.0 / 10, "{visits:?}");
-        assert!(east.0 > 0 && east.1 < east.0 / 10, "{visits:?}");
-        assert!(seam.0 > 0 && seam.1 == seam.0, "{visits:?}");
     }
 
     #[test]
@@ -1374,7 +1321,7 @@ mod tests {
         let law = Cutoff::new(Counting, 0.1);
         let sorted = |block: &[Particle]| {
             let mut want = block.to_vec();
-            let cell = |x: f64| (x / 0.1).floor() as i64;
+            let cell = |x: f64| (x / 0.1).div_euclid(1.0) as i64;
             want.sort_by_key(|p| {
                 let (row, col) = (cell(p.pos.y), cell(p.pos.x));
                 (row, if row % 2 == 0 { col } else { -col }, p.id)

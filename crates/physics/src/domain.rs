@@ -116,12 +116,20 @@ fn reflect_axis(x: f64, v: f64, lo: f64, hi: f64) -> (f64, f64) {
     }
 }
 
-/// Wrap `x` into `[lo, hi)` periodically.
+/// Wrap `x` into `[lo, hi)` periodically. A particle that stayed inside
+/// skips `rem_euclid`, a libm `fmod`: it returns its argument when that is
+/// in `[0, len)`, so `lo + (x - lo)` is what it would have produced.
 #[inline]
 fn wrap_axis(x: f64, lo: f64, hi: f64) -> f64 {
     let len = hi - lo;
-    let w = lo + (x - lo).rem_euclid(len);
-    // rem_euclid can return exactly `len` due to rounding; fold it back.
+    let t = x - lo;
+    let w = lo
+        + if (0.0..len).contains(&t) {
+            t
+        } else {
+            t.rem_euclid(len)
+        };
+    // The sum can round up to exactly `hi`; fold it back.
     if w >= hi {
         lo
     } else {
@@ -177,7 +185,11 @@ impl Boundary {
 
     /// [`displacement`](Boundary::displacement) for two `from` points at
     /// once, bit for bit per lane: the minimum-image `if`/`else if` chain
-    /// becomes two compares and two selects per axis.
+    /// becomes two compares, the image `k` they pick per lane — the extent,
+    /// its negative or `+0.0` — and one subtraction `d - k` per axis, which
+    /// is the chain's result in each of its three cases: `d + ext` is
+    /// `d - (-ext)`, and `x - (+0.0)` is `x` for every float, `-0.0` and
+    /// NaN included.
     #[inline]
     pub fn displacement_x2(&self, domain: &Domain, from: Vec2x2, to: Vec2x2) -> Vec2x2 {
         let d = to - from;
@@ -185,10 +197,10 @@ impl Boundary {
             Boundary::Periodic => {
                 let ext = domain.extent();
                 let wrap = |d: F64x2, ext: f64| {
-                    let above = d.lanes_gt(F64x2::splat(0.5 * ext));
-                    let below = d.lanes_lt(F64x2::splat(-0.5 * ext));
-                    let ext = F64x2::splat(ext);
-                    above.select(d - ext, below.select(d + ext, d))
+                    let (zero, ext) = (F64x2::splat(0.0), F64x2::splat(ext));
+                    let above = d.lanes_gt(ext * F64x2::splat(0.5));
+                    let below = d.lanes_lt(-ext * F64x2::splat(0.5));
+                    d - (above.select(ext, zero) + below.select(-ext, zero))
                 };
                 Vec2x2 {
                     x: wrap(d.x, ext.x),
@@ -322,5 +334,52 @@ mod tests {
         assert_eq!(wrap_axis(1.0, 0.0, 1.0), 0.0);
         assert_eq!(wrap_axis(0.0, 0.0, 1.0), 0.0);
         assert!((wrap_axis(-0.25, 0.0, 1.0) - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wrap_axis_is_the_rem_euclid_form_bit_for_bit() {
+        // The form before the in-range shortcut.
+        fn by_rem(x: f64, lo: f64, hi: f64) -> f64 {
+            let w = lo + (x - lo).rem_euclid(hi - lo);
+            if w >= hi {
+                lo
+            } else {
+                w
+            }
+        }
+        let bits = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        let (lo, hi) = (-1.5, 108.6);
+        // Below `hi` by less than half an ulp of `hi`: `lo + (x - lo)`
+        // rounds up to `hi` and folds back.
+        let near_hi = hi - (hi - lo) * f64::EPSILON / 8.0;
+        assert_eq!((near_hi - lo) + lo, hi, "the sum must round up");
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            lo,
+            -lo,
+            hi,
+            near_hi,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            // Mostly inside, some a period or several out either way.
+            cases.push(lo + (hi - lo) * (u * 4.0 - 1.5));
+        }
+        for (lo, hi) in [(lo, hi), (0.0, 1.0), (-1e-3, 1e6)] {
+            for &x in &cases {
+                let (got, want) = (wrap_axis(x, lo, hi), by_rem(x, lo, hi));
+                assert_eq!(bits(got), bits(want), "{x:e} in [{lo}, {hi})");
+            }
+        }
     }
 }

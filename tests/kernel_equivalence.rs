@@ -313,7 +313,7 @@ fn check_law<F: ForceLaw + Copy>(
         return Err(ctx("default per-lane path and lane override disagree"));
     }
     // The cull sees the same positions either way and rules out the same
-    // chunks: the law is asked about the same pairs.
+    // cells: the law is asked about the same pairs.
     let asked = Plain::new(law);
     accumulate_sources(&mut targets.to_vec(), &wire, &asked, domain, boundary);
     let wire_calls = asked.calls.load(Ordering::Relaxed);
@@ -537,8 +537,8 @@ proptest! {
         } else {
             Domain::new(Vec2::new(-1.0, 0.25), Vec2::new(0.5, 1.0))
         };
-        // In id order a chunk's box is most of the domain and little is
-        // culled; in cell order much is.
+        // In id order a cell's sources are runs of one; in cell order a
+        // row of cells is one range of sources.
         let (targets, sources) = if cell_ordered {
             ordered_blocks(seed, nt, ns, overlap, &domain, 0.125)
         } else {
@@ -584,8 +584,8 @@ fn named_target_counts_diagonal_and_off_diagonal() {
 }
 
 /// `blocks` with both blocks in the order the cutoff drivers hand the
-/// kernel (`cell_order` at radius `r`), so that a chunk of consecutive
-/// sources is a compact patch and the cull has something to rule out.
+/// kernel (`cell_order` at radius `r`), so that each cell's sources are
+/// one run and each row of cells one range of sources.
 fn ordered_blocks(
     seed: u64,
     nt: usize,
@@ -616,10 +616,10 @@ fn force_calls<F: ForceLaw>(
 
 #[test]
 fn blocks_past_one_chunk_are_culled_and_still_equal_the_scalar_loop() {
-    // Source counts past one chunk and past one group of chunks, with a
-    // ragged last chunk; target counts odd and even. In cell order the
-    // cull does rule chunks out (asserted, or this test would only repeat
-    // the small shapes), and every law must not notice.
+    // Source counts of a few cells to a few rows of cells; target counts
+    // odd and even. In cell order the cull does rule cells out (asserted,
+    // or this test would only repeat the small shapes), and every law must
+    // not notice.
     let domain = Domain::unit();
     for (nt, ns) in [(37, 53), (2, 129), (129, 2), (40, 300)] {
         for overlap in [Overlap::Diagonal, Overlap::OffDiagonal, Overlap::Partial] {
@@ -651,11 +651,10 @@ fn blocks_past_one_chunk_are_culled_and_still_equal_the_scalar_loop() {
 #[test]
 fn a_short_block_in_order_is_asked_about_no_more_than_pair_by_pair() {
     // A lattice in id order is row-major whatever `cell_order` does, so
-    // these counts are the nest's alone. Sixteen targets of a block this
-    // sparse span the domain and their box reaches every chunk, where two
-    // of them do not: the pairs must go on asking for themselves. The
-    // figures are those of the per-pair cull before there were tiles, which
-    // a tile's list can shorten the tests of and never the answers.
+    // these counts are the nest's alone, on blocks so sparse that a pair's
+    // cells are much of the domain. The figures are those of the per-pair
+    // box cull before there were tiles or cells, an upper bound the cells
+    // must stay under (they ask 918 | 1302, 885 | 1100 and 5684 | 6612).
     let domain = Domain::unit();
     for (nt, ns, r_c, open, periodic) in [
         (36, 49, 0.25, 1156, 1356),
@@ -683,11 +682,10 @@ fn a_short_block_in_order_is_asked_about_no_more_than_pair_by_pair() {
 
 #[test]
 fn tiles_that_end_mid_pair_or_one_past_a_pair_equal_the_scalar_loop() {
-    // Targets advance in tiles of 16: one target, one short of a tile, a
-    // tile, one and a pair past one, one past two. They are the first few
-    // of 300 in cell order — a corner of the box, so that every tile rules
-    // chunks out and its pairs more — against that block (which holds
-    // them) and against another like it (which does not).
+    // Target counts that end mid-pair and one past a pair, up to a few
+    // cells' worth: the first few of 300 in cell order — a corner of the
+    // box, so that every pair rules cells out — against that block (which
+    // holds them) and against another like it (which does not).
     let domain = Domain::unit();
     let (block, other) = ordered_blocks(23, 300, 300, Overlap::OffDiagonal, &domain, 0.125);
     for nt in [1, 15, 16, 17, 18, 33] {
@@ -712,9 +710,10 @@ fn the_cull_asks_about_few_enough_sources_on_the_benchmark_geometry() {
     // the kernel — a quarter slab of the 8192-particle lattice, thermalised
     // and eight steps adrift, in cell order — against itself and against
     // the next slab's. About 11.5 sources are within r_c of a target and
-    // the law is asked about 70.2 | 2.9 (DESIGN.md §14.7). The count does
-    // not depend on the machine: a kernel change that raises it has made
-    // the cull coarser, whatever the clock says.
+    // the law is asked about 19.5 | 1.3 per target (DESIGN.md §14.1; the
+    // own block once per pair). The count does not depend on the machine:
+    // a kernel change that raises it has made the cull coarser, whatever
+    // the clock says.
     let n = 8192;
     let domain = Domain::square((n as f64).sqrt() * 1.2);
     let law = Cutoff::new(LennardJones::default(), 2.5);
@@ -730,7 +729,7 @@ fn the_cull_asks_about_few_enough_sources_on_the_benchmark_geometry() {
         block
     };
     let (own, east) = (slab(0), slab(1));
-    for (sources, at_most) in [(&own, 40), (&east, 4)] {
+    for (sources, at_most) in [(&own, 20), (&east, 2)] {
         let asked = force_calls(law, &own, sources, &domain, Boundary::Periodic);
         let in_range = must_ask(&law, &own, sources, &domain, Boundary::Periodic).unwrap();
         assert!(
@@ -764,9 +763,10 @@ fn small_benchmark_lattice() -> (Vec<Particle>, Domain) {
 #[test]
 fn blocks_that_meet_only_through_a_periodic_wall_equal_the_scalar_loop() {
     // Every displacement between the two blocks that matters takes the
-    // image one period over — the kernel settles it once per pair of boxes
-    // — on x (slab 0 against slab 3 of four, the benchmark's seam call) and
-    // on y (the top row of cells against the bottom one, across all slabs).
+    // image one period over — the cells a pair reaches are those of that
+    // image — on x (slab 0 against slab 3 of four, the benchmark's seam
+    // call) and on y (the top row of cells against the bottom one, across
+    // all slabs).
     let (lattice, domain) = small_benchmark_lattice();
     let order = Cutoff::new(Counting, 0.125);
     let ordered = |mut block: Vec<Particle>| {
@@ -801,9 +801,9 @@ fn blocks_that_meet_only_through_a_periodic_wall_equal_the_scalar_loop() {
 #[test]
 fn boxes_that_straddle_half_the_period_equal_the_scalar_loop() {
     // A domain barely wider than twice the smaller radii and narrower than
-    // twice the larger: chunks a cell wide sit half a period from a tile on
-    // one axis or both, some of their pairs wrap and some do not, and no one
-    // image serves — next to box pairs that one does.
+    // twice the larger: a pair's cells reach half a period on one axis or
+    // both, some of their pairs wrap and some do not, and a target's images
+    // reach the same cells twice.
     let domain = Domain::square(0.51);
     for overlap in [Overlap::Diagonal, Overlap::OffDiagonal, Overlap::Partial] {
         let (targets, sources) = ordered_blocks(51, 150, 300, overlap, &domain, 0.125);
@@ -813,13 +813,91 @@ fn boxes_that_straddle_half_the_period_equal_the_scalar_loop() {
 }
 
 #[test]
+fn a_domain_of_partial_cells_wraps_its_last_cells_across_the_seam() {
+    // 7.3 cells of r_c on x and 5.6 on y: the last column and row of cells
+    // are partial, and their particles meet the first ones through the
+    // periodic wall, a partial cell's width away.
+    let r = 0.125;
+    let min = Vec2::new(-0.3, 0.2);
+    let domain = Domain::new(min, min + Vec2::new(7.3 * r, 5.6 * r));
+    for overlap in [Overlap::Diagonal, Overlap::OffDiagonal, Overlap::Partial] {
+        let (targets, sources) = ordered_blocks(73, 120, 160, overlap, &domain, r);
+        let meet = |boundary| {
+            let law = Cutoff::new(Counting, r);
+            must_ask(&law, &targets, &sources, &domain, boundary).unwrap()
+        };
+        assert!(
+            meet(Boundary::Periodic) > meet(Boundary::Open),
+            "{overlap:?}"
+        );
+        for boundary in BOUNDARIES {
+            check_all_laws(&targets, &sources, &domain, boundary)
+                .unwrap_or_else(|msg| panic!("{overlap:?}: {msg}"));
+        }
+    }
+}
+
+#[test]
+fn blocks_that_drifted_off_an_open_domain_equal_the_scalar_loop() {
+    // Nothing brings a particle back between open walls: here the blocks
+    // are two clusters one to three extents outside the domain, on either
+    // side, and the cull still rules out what is far.
+    let domain = Domain::unit();
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut cluster = |first: u64, centre: Vec2| -> Vec<Particle> {
+        (first..first + 150)
+            .map(|id| {
+                let d = Vec2::new(rng.gen_range(-0.4..0.4), rng.gen_range(-0.4..0.4));
+                Particle::at(id, centre + d).with_mass(rng.gen_range(0.5..2.0))
+            })
+            .collect()
+    };
+    let mut targets = cluster(0, Vec2::new(-2.0, 0.5));
+    targets.extend(cluster(150, Vec2::new(3.0, -1.5)));
+    let mut sources = cluster(1000, Vec2::new(-1.8, 0.7));
+    sources.extend(cluster(1150, Vec2::new(3.2, -1.5)));
+    let order = Cutoff::new(Counting, 0.125);
+    for block in [&mut targets, &mut sources] {
+        cell_order(block, &order, &domain);
+    }
+    for (targets, sources) in [(&targets, &sources), (&targets, &targets)] {
+        check_all_laws(targets, sources, &domain, Boundary::Open).unwrap();
+        let asked = force_calls(order, targets, sources, &domain, Boundary::Open);
+        let shown = force_calls(Counting, targets, sources, &domain, Boundary::Open);
+        assert!(asked < shown / 4, "asked {asked} of {shown}");
+    }
+}
+
+#[test]
+fn a_block_in_no_spatial_order_is_culled_too() {
+    // Ids that say nothing about position, as the all-pairs drivers and
+    // the baselines hand the kernel a block under a cutoff law: its cells
+    // hold runs of one source each, and the law is still asked about the
+    // sources of the cells near each pair only.
+    let domain = Domain::unit();
+    for overlap in [Overlap::Diagonal, Overlap::OffDiagonal] {
+        let (targets, sources) = blocks(17, 300, 300, overlap, &domain);
+        for boundary in BOUNDARIES {
+            check_all_laws(&targets, &sources, &domain, boundary)
+                .unwrap_or_else(|msg| panic!("{overlap:?}: {msg}"));
+            let law = Cutoff::new(Counting, 0.125);
+            let asked = force_calls(law, &targets, &sources, &domain, boundary);
+            let shown = force_calls(Counting, &targets, &sources, &domain, boundary);
+            assert!(
+                asked < shown,
+                "{overlap:?} {boundary:?}: asked {asked} of {shown}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_shared_coordinate_keeps_the_sign_of_its_zero_under_an_image() {
-    // `(s - t) - k` with `k = +0.0` must be `s - t` for every float: a
-    // source and a target on one coordinate are `+0.0` apart, or `-0.0`
-    // when the source is at `-0.0` and the target at `+0.0`, and a law
-    // hands that sign on to a force component, which an accumulator at
-    // `-0.0` shows. (`k = -0.0` would turn `-0.0` into `+0.0`.) Blocks of
-    // one group, so every tile asks and every chunk has its image.
+    // The lane displacement `d - k` with `k = +0.0` must be `d` for every
+    // float: a source and a target on one coordinate are `+0.0` apart, or
+    // `-0.0` when the source is at `-0.0` and the target at `+0.0`, and a
+    // law hands that sign on to a force component, which an accumulator at
+    // `-0.0` shows. (`k = -0.0` would turn `-0.0` into `+0.0`.)
     let domain = Domain::new(Vec2::new(-0.5, -0.5), Vec2::new(0.5, 0.5));
     let mut targets = vec![
         Particle::at(0, Vec2::new(0.0, 0.1)),
@@ -973,10 +1051,8 @@ fn rejected_pairs_add_positive_zero_to_a_negative_zero_accumulator() {
     accumulate_block(&mut untouched, &[], &law, &domain, Boundary::Open);
     assert_eq!(untouched[0].force.x.to_bits(), (-0.0f64).to_bits());
 
-    // Every chunk ruled out without the law being asked once: the zeros
-    // nobody computed still turn `-0.0` into `+0.0`. (48 far sources are
-    // whole chunks at any power-of-two chunk length up to 16, so the near
-    // ones appended below start a chunk of their own.)
+    // Every source ruled out without the law being asked once: the zeros
+    // nobody computed still turn `-0.0` into `+0.0`.
     let far: Vec<Particle> = (0..48)
         .map(|i| Particle::at(20 + i, Vec2::new(1.0 + 0.1 * i as f64, 8.0)))
         .collect();
@@ -990,7 +1066,7 @@ fn rejected_pairs_add_positive_zero_to_a_negative_zero_accumulator() {
         check_law("cutoff<lj>", law, &targets, &far, &domain, boundary).unwrap();
     }
 
-    // Some chunks ruled out, and the accepted pairs answer `-0.0`: the
+    // Some sources ruled out, and the accepted pairs answer `-0.0`: the
     // scalar loop's `-0.0 + 0.0 + -0.0` is `+0.0`, so the kernel's
     // `-0.0 + -0.0` needs its one closing `+ 0.0`. With every pair in range
     // nothing is ruled out and `-0.0` stays.
@@ -1012,7 +1088,7 @@ fn rejected_pairs_add_positive_zero_to_a_negative_zero_accumulator() {
             assert_eq!(
                 asked,
                 near.len() as u64,
-                "only the near chunks are asked about"
+                "only the near sources are asked about"
             );
             let mut got = targets[..1].to_vec();
             accumulate_block(&mut got, sources, &law, &domain, boundary);
@@ -1140,9 +1216,9 @@ fn nan_positions_poison_the_same_components_as_the_scalar_loop() {
 
 #[test]
 fn a_nan_or_infinite_position_is_never_ruled_out() {
-    // Several chunks of sources in a patch far from the targets: the cull
-    // rules all of them out, and the law is not asked once. Then one source
-    // of the middle chunk gets a NaN or infinite coordinate. The scalar
+    // A patch of sources far from the targets: the cull rules all of them
+    // out, and the law is not asked once. Then one source mid-patch gets a
+    // NaN or infinite coordinate. The scalar
     // loop shows it to every target (NaN poisons; `inf` is rejected unless
     // the target is at the same infinity, where `inf - inf` poisons), so
     // the kernel must too, and likewise for a target that is not finite.
@@ -1170,14 +1246,9 @@ fn a_nan_or_infinite_position_is_never_ruled_out() {
         poisoned[20].pos = bad_pos;
         for boundary in BOUNDARIES {
             check_all_laws(&targets, &poisoned, &domain, boundary).unwrap();
-            // Every target is shown the bad source's chunk, and only it:
-            // the same few sources each, not all 48.
+            // Every target is shown the bad source, and only it.
             let asked = force_calls(law, &targets, &poisoned, &domain, boundary);
-            let (each, rest) = (asked / targets.len() as u64, asked % targets.len() as u64);
-            assert!(
-                rest == 0 && (1..=16).contains(&each),
-                "{bad_pos:?} {boundary:?}: asked {asked}"
-            );
+            assert_eq!(asked, targets.len() as u64, "{bad_pos:?} {boundary:?}");
         }
         for lane in [0, 1, 4] {
             let mut strays = targets.clone();
@@ -1187,18 +1258,18 @@ fn a_nan_or_infinite_position_is_never_ruled_out() {
                 check_all_laws(&strays, &poisoned, &domain, boundary).unwrap();
             }
         }
-        // In the middle of the middle tile of three: that tile's box is the
-        // whole plane and all sixteen of its targets are shown every source;
-        // the tiles either side still rule every chunk out.
-        let mut tiles: Vec<Particle> = (0..37)
+        // Mid-block, in lane 0 of the eleventh pair: both targets of that
+        // pair are shown every source; the pairs either side still rule
+        // every cell out.
+        let mut pairs: Vec<Particle> = (0..37)
             .map(|i| Particle::at(i, Vec2::new(0.1 + 0.001 * i as f64, 0.1)))
             .collect();
-        tiles[20].pos = bad_pos;
+        pairs[20].pos = bad_pos;
         for boundary in BOUNDARIES {
-            check_all_laws(&tiles, &sources, &domain, boundary).unwrap();
-            check_all_laws(&tiles, &poisoned, &domain, boundary).unwrap();
-            let asked = force_calls(law, &tiles, &sources, &domain, boundary);
-            assert_eq!(asked, 16 * 48, "{bad_pos:?} {boundary:?}");
+            check_all_laws(&pairs, &sources, &domain, boundary).unwrap();
+            check_all_laws(&pairs, &poisoned, &domain, boundary).unwrap();
+            let asked = force_calls(law, &pairs, &sources, &domain, boundary);
+            assert_eq!(asked, 2 * 48, "{bad_pos:?} {boundary:?}");
         }
         // The blame itself: a NaN source poisons every target.
         if bad_pos.x.is_nan() || bad_pos.y.is_nan() {
