@@ -59,7 +59,7 @@ check "the program reads one environment variable, NBODY_RECV_TIMEOUT_SECS; a ru
     test "$(grep -rhoE 'env::var(_os)?\("[^"]*"\)' crates src | sort -u | wc -l)" -eq 1
 check "a trace has one reloadable format, Chrome trace_event JSON" \
     none '(to|from)_jsonl' crates src tests
-check "the run's artifacts are files that report/analyze/health/conformance read; there is no server in front of them" \
+check "the run's artifacts are files that analyze/conformance read; there is no server in front of them" \
     none 'TcpListener|MetricsServer|render_dashboard|serve-metrics' crates src tests --exclude=cli.rs
 check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table)" \
     none '\("(scale|postmortem)", |let profile = |run_distributed_sampled|radial_distribution' \
@@ -71,5 +71,9 @@ check "the cull knows one notion of locality, the r_c cells of cell_order" \
 check "an artifact has one encoding: JSON for run artifacts and reports, CSV for the figure record" \
     none 'to_prometheus|parse_prometheus|to_events_csv|push_event_row|audit_csv|roofline_csv|render_csv|breakdown_json' \
     crates src tests
+check "a recorded run has one reader, analyze: report and health are folded into it" \
+    none '^ *\("(report|health)", ' src
+check "one summary per trace, counts from the ledger, one DES entry point: no second per-phase fold, wire-probe count or traced simulator" \
+    none 'wire_phase_counts|WirePhaseRow|simulate_traced|fn phase_imbalance' crates src tests
 
 exit "$broken"

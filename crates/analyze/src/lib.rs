@@ -10,16 +10,18 @@
 //! * [`critical`] — which rank's compute or blocked-wait dominated each
 //!   timestep's makespan, and which late sender (via the skew/shift
 //!   pipeline-step tags on blocked spans) is to blame.
-//! * [`imbalance`] — per-phase load-imbalance factors `max/mean` across
-//!   ranks, the first-order symptom of a skewed particle distribution.
 //! * [`heatmap`] — send/recv traffic and wait time arranged on the
 //!   paper's `p/c × c` processor grid, so hot rows or columns are visible
 //!   at a glance.
 //! * [`stragglers`] — ranks ranked by how often they end the critical
 //!   path and how much wait they inflict on their peers.
 //! * [`report`] — human tables and the JSON rendering of an
-//!   [`Analysis`], plus the drift-window table `ca-nbody analyze
-//!   --timeline=…` prints from a recorded `nbody-timeline` bundle.
+//!   [`Analysis`], whose per-phase table is the trace's
+//!   [`PhaseBreakdown`]: per-rank seconds across ranks, the rank holding
+//!   the maximum and the load-imbalance factor `max/mean`, the
+//!   first-order symptom of a skewed particle distribution. Plus the
+//!   drift-window table `ca-nbody analyze --timeline=…` prints from a
+//!   recorded `nbody-timeline` bundle.
 //! * [`wire`] — the message-level lens: per-channel send→recv latency
 //!   tables from a `nbody-wireprobe` log (`analyze --wire`) and the
 //!   schedule-conformance table (`ca-nbody conformance`).
@@ -32,32 +34,31 @@
 
 pub mod critical;
 pub mod heatmap;
-pub mod imbalance;
 pub mod report;
 pub mod stragglers;
 pub mod wire;
 
 pub use critical::{critical_path, StepCritical};
 pub use heatmap::{grid_heatmap, GridHeatmap};
-pub use imbalance::{phase_imbalance, PhaseImbalance};
 pub use report::{render_drift, render_heatmap, render_json, render_table};
 pub use stragglers::{rank_stragglers, Straggler};
 pub use wire::{render_conformance, render_wire};
 
 use nbody_metrics::MetricsSnapshot;
-use nbody_trace::ExecutionTrace;
+use nbody_trace::{ExecutionTrace, PhaseBreakdown, StepReport};
 
 /// The complete post-run diagnosis of one traced execution.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// Ranks in the execution.
-    pub ranks: usize,
-    /// Traced wall time (latest span end), seconds.
-    pub wall_secs: f64,
+    /// Spans in the trace.
+    pub spans: usize,
+    /// Per-phase seconds across ranks, with the traced wall time and
+    /// rank count.
+    pub breakdown: PhaseBreakdown,
     /// Per-timestep critical path, in step order.
     pub steps: Vec<StepCritical>,
-    /// Per-phase load imbalance, in figure order (phases with time only).
-    pub imbalance: Vec<PhaseImbalance>,
+    /// Per-timestep driver sections across ranks, in step order.
+    pub sections: Vec<StepReport>,
     /// Every rank ranked by straggler evidence, worst first.
     pub stragglers: Vec<Straggler>,
     /// Traffic/wait heat-map on the `p/c × c` grid; `None` when the rank
@@ -87,14 +88,13 @@ impl Analysis {
 /// replication factor used to arrange ranks on the grid.
 pub fn analyze(trace: &ExecutionTrace, metrics: Option<&MetricsSnapshot>, c: usize) -> Analysis {
     let steps = critical_path(trace);
-    let imbalance = phase_imbalance(trace);
     let stragglers = rank_stragglers(trace, &steps, metrics);
     let heatmap = grid_heatmap(trace, metrics, c).ok();
     Analysis {
-        ranks: trace.ranks,
-        wall_secs: trace.wall_secs(),
+        spans: trace.spans.len(),
+        breakdown: trace.phase_breakdown(),
         steps,
-        imbalance,
+        sections: trace.step_reports(),
         stragglers,
         heatmap,
     }
@@ -157,9 +157,10 @@ mod tests {
     fn analyze_assembles_all_parts() {
         let t = testutil::two_rank_trace();
         let a = analyze(&t, None, 1);
-        assert_eq!(a.ranks, 2);
+        assert_eq!(a.breakdown.ranks, 2);
         assert_eq!(a.steps.len(), 2);
-        assert!(!a.imbalance.is_empty());
+        assert_eq!(a.sections.len(), 2);
+        assert!(!a.breakdown.phases.is_empty());
         assert_eq!(a.stragglers.len(), 2);
         assert!(a.heatmap.is_some());
         let (compute, comm, blocked) = a.critical_split();

@@ -21,10 +21,12 @@ fn pstep_label(pstep: Option<u32>) -> String {
 /// The human-readable analysis report printed by `ca-nbody analyze`.
 pub fn render_table(a: &Analysis) -> String {
     let mut out = String::new();
+    let b = &a.breakdown;
     out.push_str(&format!(
-        "analysis: {} ranks, {} traced s, {} timesteps\n\n",
-        a.ranks,
-        secs(a.wall_secs),
+        "analysis: {} ranks, {} spans, {} traced s, {} timesteps\n\n",
+        b.ranks,
+        a.spans,
+        secs(b.wall_secs),
         a.steps.len()
     ));
 
@@ -70,22 +72,43 @@ pub fn render_table(a: &Analysis) -> String {
         secs(tb)
     ));
 
-    out.push_str("phase imbalance (per-rank seconds across ranks)\n");
+    if !a.sections.is_empty() {
+        out.push_str("per-step driver sections (seconds, mean / max across ranks)\n");
+        for r in &a.sections {
+            out.push_str(&format!("  step {:>3}:", r.step));
+            for (name, d) in &r.parts {
+                out.push_str(&format!(" {name} {}/{}", secs(d.mean), secs(d.max)));
+            }
+            out.push('\n');
+        }
+        out.push('\n');
+    }
+
+    out.push_str("per-phase wall-clock (seconds per rank, across ranks; factor = max / mean)\n");
     out.push_str(&format!(
-        "{:<10} {:>12} {:>12} {:>9} {:>8}\n",
-        "phase", "mean s", "max s", "max rank", "factor"
+        "{:<10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>8} {:>10} {:>7}\n",
+        "phase", "mean s", "p50 s", "p95 s", "max s", "max rank", "factor", "blocked s", "share"
     ));
-    for i in &a.imbalance {
+    for r in &b.phases {
         out.push_str(&format!(
-            "{:<10} {:>12} {:>12} {:>9} {:>8.3}\n",
-            i.phase.label(),
-            secs(i.mean_secs),
-            secs(i.max_secs),
-            i.max_rank,
-            i.factor
+            "{:<10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>8.3} {:>10} {:>6.1}%\n",
+            r.phase.label(),
+            secs(r.secs.mean),
+            secs(r.secs.p50),
+            secs(r.secs.p95),
+            secs(r.secs.max),
+            r.max_rank,
+            r.imbalance(),
+            secs(r.blocked),
+            100.0 * b.share(r.secs.mean),
         ));
     }
-    out.push('\n');
+    out.push_str(&format!(
+        "phase sum {} s of {} s wall ({:.1}%)\n\n",
+        secs(b.phase_sum_secs()),
+        secs(b.wall_secs),
+        100.0 * b.share(b.phase_sum_secs()),
+    ));
 
     // The compute column only means something when the run carried
     // metrics; an all-zero column would just be noise.
@@ -174,16 +197,21 @@ pub fn render_json(a: &Analysis) -> Json {
             ])
         })
         .collect();
-    let imbalance = a
-        .imbalance
+    let b = &a.breakdown;
+    let imbalance = b
+        .phases
         .iter()
-        .map(|i| {
+        .map(|r| {
             Json::Obj(vec![
-                ("phase".into(), Json::Str(i.phase.label().to_string())),
-                ("mean_secs".into(), Json::Num(i.mean_secs)),
-                ("max_secs".into(), Json::Num(i.max_secs)),
-                ("max_rank".into(), Json::Num(i.max_rank as f64)),
-                ("factor".into(), Json::Num(i.factor)),
+                ("phase".into(), Json::Str(r.phase.label().to_string())),
+                ("mean_secs".into(), Json::Num(r.secs.mean)),
+                ("p50_secs".into(), Json::Num(r.secs.p50)),
+                ("p95_secs".into(), Json::Num(r.secs.p95)),
+                ("max_secs".into(), Json::Num(r.secs.max)),
+                ("max_rank".into(), Json::Num(r.max_rank as f64)),
+                ("factor".into(), Json::Num(r.imbalance())),
+                ("blocked_secs".into(), Json::Num(r.blocked)),
+                ("share".into(), Json::Num(b.share(r.secs.mean))),
             ])
         })
         .collect();
@@ -220,8 +248,8 @@ pub fn render_json(a: &Analysis) -> Json {
         None => Json::Null,
     };
     Json::Obj(vec![
-        ("ranks".into(), Json::Num(a.ranks as f64)),
-        ("wall_secs".into(), Json::Num(a.wall_secs)),
+        ("ranks".into(), Json::Num(b.ranks as f64)),
+        ("wall_secs".into(), Json::Num(b.wall_secs)),
         ("critical_path".into(), Json::Arr(steps)),
         ("imbalance".into(), Json::Arr(imbalance)),
         ("stragglers".into(), Json::Arr(stragglers)),
@@ -232,7 +260,8 @@ pub fn render_json(a: &Analysis) -> Json {
 /// Drift windows over a recorded run timeline, printed by
 /// `ca-nbody analyze --timeline=…` next to the straggler table. Same
 /// fixed-width idiom as [`render_table`] so the two sections read as one
-/// report.
+/// report. A postmortem's failure reason is left to the health section
+/// printed after it, so the report names it once.
 pub fn render_drift(tl: &RunTimeline, cfg: &DriftConfig) -> String {
     let samples: usize = tl.ranks.iter().map(|r| r.samples.len()).sum();
     let mut out = format!(
@@ -242,9 +271,6 @@ pub fn render_drift(tl: &RunTimeline, cfg: &DriftConfig) -> String {
         cfg.window,
         cfg.nsigma
     );
-    if let Some(reason) = &tl.failure {
-        out.push_str(&format!("POSTMORTEM: {reason}\n"));
-    }
     let windows = tl.drift(cfg);
     if windows.is_empty() {
         out.push_str("no drift flagged\n");
@@ -287,7 +313,13 @@ mod tests {
         let text = render_table(&sample_analysis());
         assert!(text.contains("critical path"));
         assert!(text.contains("rank 1 @ shift step 2"));
-        assert!(text.contains("phase imbalance"));
+        assert!(text.contains("per-phase wall-clock"));
+        assert!(
+            text.contains("phase sum 1.950000 s of 2.000000 s wall"),
+            "{text}"
+        );
+        assert!(text.contains("per-step driver sections"));
+        assert!(text.contains("step   1: step 1.050000/1.200000"), "{text}");
         assert!(text.contains("stragglers"));
         assert!(text.contains("grid heat-map"));
         // No metrics, no compute column.
@@ -385,13 +417,5 @@ mod tests {
     fn drift_report_is_quiet_on_stationary_data() {
         let text = render_drift(&drift_timeline(None), &DriftConfig::default());
         assert!(text.contains("no drift flagged"), "{text}");
-        assert!(!text.contains("POSTMORTEM"));
-    }
-
-    #[test]
-    fn drift_report_carries_the_postmortem_reason() {
-        let tl = drift_timeline(None).with_failure("rank 1 dead with c=1");
-        let text = render_drift(&tl, &DriftConfig::default());
-        assert!(text.contains("POSTMORTEM: rank 1 dead with c=1"), "{text}");
     }
 }

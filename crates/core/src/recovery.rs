@@ -234,7 +234,7 @@ pub struct RecoveryReport {
 }
 
 /// Per-rank fault/recovery counters, registered against the live metrics
-/// recorder so `report`/`audit` can price recovery overhead.
+/// recorder so `analyze`/`audit` can price recovery overhead.
 struct FaultCounters {
     detected: Counter,
     recovered: Counter,

@@ -256,7 +256,7 @@ pub struct ChaosRunResult {
     /// `recovery_bytes_total` counters).
     pub metrics: MetricsSnapshot,
     /// Per-rank wall-clock trace (so recovery overhead shows up in
-    /// `report` breakdowns).
+    /// `analyze` breakdowns).
     pub trace: ExecutionTrace,
     /// See [`RunResult::max_attempts`].
     pub max_attempts: usize,

@@ -1,16 +1,16 @@
-//! Live metrics ≡ simulated event trace: the counters the instrumented
+//! Live metrics ≡ simulated schedule: the counters the instrumented
 //! communicators record during a real threaded execution must agree
-//! *exactly* — per rank, per phase — with the message and byte flows the
-//! discrete-event simulator derives from the same algorithm's schedule.
-//! This closes the loop between measured and simulated communication: the
-//! optimality audit can trust either source.
+//! *exactly* — per rank, per phase — with the sends, bytes and collectives
+//! of the schedule the discrete-event simulator replays for the same
+//! algorithm. This closes the loop between measured and simulated
+//! communication: the optimality audit can trust either source.
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
-use ca_nbody::schedule::{AllPairsParams, CutoffParams};
+use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts};
 use ca_nbody::sim::{run_distributed, Layout, Method, SimConfig};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
 use nbody_comm::{run_ranks_with, CommStats, Communicator, Lenses, MetricsSnapshot, Phase};
-use nbody_netsim::{hopper, simulate_traced, Trace, TraceKind};
+use nbody_netsim::{hopper, simulate, Op};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{
     init, Boundary, Counting, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler, Source,
@@ -35,32 +35,37 @@ fn element_bytes(phase: Phase) -> u64 {
     bytes as u64
 }
 
+/// Each rank's op counts of the schedule `programs` emits, after the DES
+/// has replayed that schedule to the end on all `p` ranks.
+fn replayed<I: Iterator<Item = Op>>(
+    p: usize,
+    programs: impl Fn(usize) -> I,
+    label: &str,
+) -> Vec<OpCounts> {
+    let rep = simulate(&hopper(), p, &programs);
+    assert_eq!(rep.per_rank.len(), p, "{label}: the DES replays every rank");
+    (0..p).map(|r| count_ops(programs(r))).collect()
+}
+
 /// Assert exact per-rank per-phase agreement between a live execution's
-/// counters and a simulated trace's events.
+/// counters and the simulated schedule's ops.
 fn assert_exact_agreement(
     p: usize,
     stats: &[CommStats],
     metrics: &MetricsSnapshot,
-    sim: &Trace,
+    sim: &[OpCounts],
     label: &str,
 ) {
-    assert!(!sim.truncated, "{label}: trace cap too small");
+    assert_eq!(sim.len(), p, "{label}");
     assert_eq!(metrics.ranks.len(), p, "{label}");
     for (rank, rm) in metrics.ranks.iter().enumerate() {
         for phase in PHASES {
-            let (mut des_sends, mut des_bytes, mut des_colls) = (0u64, 0u64, 0u64);
-            for e in sim.events.iter().filter(|e| e.rank == rank as u32) {
-                match e.kind {
-                    TraceKind::Send {
-                        bytes, phase: ph, ..
-                    } if ph == phase => {
-                        des_sends += 1;
-                        des_bytes += bytes;
-                    }
-                    TraceKind::Collective { phase: ph, .. } if ph == phase => des_colls += 1,
-                    _ => {}
-                }
-            }
+            let i = phase.index();
+            let (des_sends, des_bytes, des_colls) = (
+                sim[rank].sends[i],
+                sim[rank].send_bytes[i],
+                sim[rank].collectives[i],
+            );
             let live_msgs = rm.counter("comm_send_messages", Some(phase));
             let live_elems = rm.counter("comm_send_elements", Some(phase));
             let live_bytes = rm.counter("comm_send_bytes", Some(phase));
@@ -123,14 +128,9 @@ fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
             world.stats()
         });
         let params = AllPairsParams::new(p, c, n);
-        let (_, sim) = simulate_traced(&hopper(), p, |r| params.program(r), 1_000_000);
-        assert_exact_agreement(
-            p,
-            &stats,
-            &artifacts.metrics,
-            &sim,
-            &format!("all-pairs p={p} c={c} n={n}"),
-        );
+        let label = format!("all-pairs p={p} c={c} n={n}");
+        let sim = replayed(p, |r| params.program(r), &label);
+        assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, &label);
     }
 }
 
@@ -159,14 +159,9 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
             world.stats()
         });
         let params = CutoffParams::new(grid, window, block_sizes);
-        let (_, sim) = simulate_traced(&hopper(), p, |r| params.program(r), 1_000_000);
-        assert_exact_agreement(
-            p,
-            &stats,
-            &artifacts.metrics,
-            &sim,
-            &format!("cutoff1d p={p} c={c} rc={r_c}"),
-        );
+        let label = format!("cutoff1d p={p} c={c} rc={r_c}");
+        let sim = replayed(p, |r| params.program(r), &label);
+        assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, &label);
     }
 }
 
@@ -200,21 +195,10 @@ fn reassign_live_sends_equal_the_twins_per_rank() {
             let layout = Layout::new(method, p, &cfg.domain, boundary, Some(0.15)).unwrap();
             let teams = layout.grid.teams();
             let params = layout.schedule(vec![initial.len() / teams; teams]);
-            let (_, sim) = simulate_traced(&hopper(), p, |r| params.program(r), 1_000_000);
-            assert!(!sim.truncated, "{label}");
+            let sim = replayed(p, |r| params.program(r), &label);
             let mut total = 0;
             for (rank, stats) in live.stats.iter().enumerate() {
-                let is_reassign = |e: &&nbody_netsim::TraceEvent| {
-                    let reassign = matches!(
-                        e.kind,
-                        TraceKind::Send {
-                            phase: Phase::Reassign,
-                            ..
-                        }
-                    );
-                    reassign && e.rank == rank as u32
-                };
-                let twin = sim.events.iter().filter(is_reassign).count() as u64;
+                let twin = sim[rank].sends[Phase::Reassign.index()];
                 let sent = stats.phase(Phase::Reassign).messages;
                 assert_eq!(sent, steps as u64 * twin, "{label}: rank {rank}");
                 total += twin;

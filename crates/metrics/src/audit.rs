@@ -288,72 +288,6 @@ pub fn audit(cfg: &AuditConfig, input: &AuditInput) -> AuditReport {
     }
 }
 
-/// One row of the wire-level observed-vs-predicted section: how many
-/// point-to-point messages the CA schedule predicts for a phase across
-/// the whole run versus how many a probed execution actually put on the
-/// wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WirePhaseRow {
-    /// The phase.
-    pub phase: Phase,
-    /// Messages the schedule predicts (all ranks, all steps).
-    pub predicted: u64,
-    /// Protocol send events observed in the wire log.
-    pub observed: u64,
-}
-
-/// Tally per-phase message counts from the expected schedule against the
-/// send events of a probed run's wire log. Phases with no traffic on
-/// either side are omitted; fault events are not sends and do not count.
-pub fn wire_phase_counts(
-    expected: &nbody_wireprobe::ExpectedSchedule,
-    log: &nbody_wireprobe::WireLog,
-) -> Vec<WirePhaseRow> {
-    let mut predicted = [0u64; PHASE_COUNT];
-    for m in &expected.msgs {
-        predicted[m.phase.index()] += 1;
-    }
-    let mut observed = [0u64; PHASE_COUNT];
-    for r in &log.ranks {
-        for e in &r.events {
-            if e.kind == nbody_wireprobe::ProbeKind::Send {
-                observed[e.phase.index()] += 1;
-            }
-        }
-    }
-    ALL_PHASES
-        .iter()
-        .filter_map(|&phase| {
-            let row = WirePhaseRow {
-                phase,
-                predicted: predicted[phase.index()],
-                observed: observed[phase.index()],
-            };
-            (row.predicted > 0 || row.observed > 0).then_some(row)
-        })
-        .collect()
-}
-
-/// Render the wire section appended to the audit table by
-/// `ca-nbody audit … --wire-probe=…`.
-pub fn wire_phase_table(rows: &[WirePhaseRow]) -> String {
-    let mut out = String::from("  wire messages (observed vs predicted, whole run)\n");
-    out.push_str(&format!(
-        "  {:<11} {:>12} {:>12} {:>8}\n",
-        "phase", "predicted", "observed", "delta"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "  {:<11} {:>12} {:>12} {:>+8}\n",
-            row.phase.label(),
-            row.predicted,
-            row.observed,
-            row.observed as i64 - row.predicted as i64
-        ));
-    }
-    out
-}
-
 /// Render reports as the human-readable verdict table.
 pub fn audit_table(reports: &[AuditReport]) -> String {
     let mut out = String::new();
@@ -593,81 +527,6 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].get("s_factor").unwrap().as_f64(), Some(12.0));
         assert_eq!(reports[0].get("pass").unwrap(), &Json::Bool(true));
-    }
-
-    #[test]
-    fn wire_section_tallies_per_phase_counts() {
-        use nbody_wireprobe::{
-            ExpectedMsg, ExpectedSchedule, MsgEvent, ProbeKind, RankWireLog, WireLog,
-        };
-        let exp = ExpectedSchedule {
-            msgs: vec![
-                ExpectedMsg {
-                    src: 0,
-                    dst: 1,
-                    phase: Phase::Skew,
-                    count: 4,
-                },
-                ExpectedMsg {
-                    src: 0,
-                    dst: 1,
-                    phase: Phase::Shift,
-                    count: 4,
-                },
-                ExpectedMsg {
-                    src: 1,
-                    dst: 0,
-                    phase: Phase::Shift,
-                    count: 4,
-                },
-            ],
-            size_checked: true,
-            detail: "test".into(),
-        };
-        let ev = |kind, phase, t| MsgEvent {
-            kind,
-            src: 0,
-            dst: 1,
-            comm: 0,
-            tag: 1,
-            phase,
-            count: 4,
-            bytes: 224,
-            t_secs: t,
-            step: None,
-        };
-        let log = WireLog::from_ranks(vec![RankWireLog {
-            rank: 0,
-            events: vec![
-                ev(ProbeKind::Send, Phase::Shift, 0.1),
-                // Recvs and faults are not sends: excluded from the tally.
-                ev(ProbeKind::Recv, Phase::Shift, 0.2),
-                ev(ProbeKind::FaultDrop, Phase::Skew, 0.3),
-            ],
-            dropped_events: 0,
-        }]);
-        let rows = wire_phase_counts(&exp, &log);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            rows[0],
-            WirePhaseRow {
-                phase: Phase::Skew,
-                predicted: 1,
-                observed: 0
-            }
-        );
-        assert_eq!(
-            rows[1],
-            WirePhaseRow {
-                phase: Phase::Shift,
-                predicted: 2,
-                observed: 1
-            }
-        );
-        let table = wire_phase_table(&rows);
-        assert!(table.contains("observed vs predicted"), "{table}");
-        assert!(table.contains("skew"), "{table}");
-        assert!(table.contains("-1"), "delta column: {table}");
     }
 
     #[test]

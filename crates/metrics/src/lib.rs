@@ -32,8 +32,8 @@ pub mod registry;
 pub mod snapshot;
 
 pub use audit::{
-    audit, audit_json, audit_table, ceilings_from_json, wire_phase_counts, wire_phase_table,
-    AuditAlgorithm, AuditConfig, AuditInput, AuditReport, FactorCeilings, PhaseFlow, WirePhaseRow,
+    audit, audit_json, audit_table, ceilings_from_json, AuditAlgorithm, AuditConfig, AuditInput,
+    AuditReport, FactorCeilings, PhaseFlow,
 };
 pub use registry::{
     Counter, Gauge, Histogram, HistogramHandle, MetricsRecorder, RankMetrics, Sample,

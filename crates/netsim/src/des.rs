@@ -17,7 +17,6 @@ use crate::fasthash::FastMap;
 use crate::machine::Machine;
 use crate::op::{Op, TeamSpec};
 use crate::report::{RankBreakdown, SimReport};
-use crate::trace::{TraceEvent, TraceKind};
 
 /// What a rank is currently blocked on.
 enum Waiting {
@@ -33,8 +32,6 @@ struct RankState<I> {
     waiting: Option<Waiting>,
     /// Phase of the pending recv (for blocked-time attribution).
     pending_phase: usize,
-    /// Clock when the pending recv was posted (for tracing).
-    pending_start: f64,
 }
 
 struct CollState {
@@ -56,24 +53,6 @@ where
     I: Iterator<Item = Op>,
     G: Fn(usize) -> I,
 {
-    simulate_with_observer(machine, p, programs, &mut |_| {})
-}
-
-/// [`simulate`] with an event observer invoked as each activity completes
-/// (see [`simulate_traced`](crate::trace::simulate_traced) for the
-/// user-facing wrapper). The observer is generic so the no-op case
-/// compiles away.
-pub fn simulate_with_observer<I, G, O>(
-    machine: &Machine,
-    p: usize,
-    programs: G,
-    observe: &mut O,
-) -> SimReport
-where
-    I: Iterator<Item = Op>,
-    G: Fn(usize) -> I,
-    O: FnMut(TraceEvent),
-{
     assert!(p > 0);
     let torus = machine.torus(p);
     // Hot-path cache: node id and torus coordinates per rank.
@@ -86,7 +65,6 @@ where
             prog: programs(r),
             waiting: None,
             pending_phase: 0,
-            pending_start: 0.0,
         })
         .collect();
 
@@ -113,15 +91,6 @@ where
             states[r].clock += blocked;
             let phase = states[r].pending_phase;
             states[r].breakdown.comm[phase] += blocked;
-            observe(TraceEvent {
-                rank,
-                start: states[r].pending_start,
-                end: states[r].clock,
-                kind: TraceKind::Recv {
-                    from,
-                    phase: nbody_comm::ALL_PHASES[phase],
-                },
-            });
         }
         loop {
             let op = match states[r].prog.next() {
@@ -135,32 +104,14 @@ where
             match op {
                 Op::Compute { interactions } => {
                     let t = machine.compute_time(interactions);
-                    let start = states[r].clock;
                     states[r].clock += t;
                     states[r].breakdown.compute += t;
-                    observe(TraceEvent {
-                        rank,
-                        start,
-                        end: states[r].clock,
-                        kind: TraceKind::Compute,
-                    });
                 }
                 Op::Send { to, bytes, phase } => {
                     debug_assert!(to < p, "send to invalid rank {to}");
                     let overhead = machine.send_overhead();
-                    let start = states[r].clock;
                     states[r].clock += overhead;
                     states[r].breakdown.comm[phase.index()] += overhead;
-                    observe(TraceEvent {
-                        rank,
-                        start,
-                        end: states[r].clock,
-                        kind: TraceKind::Send {
-                            to: to as u32,
-                            bytes,
-                            phase,
-                        },
-                    });
                     let arrival = states[r].clock
                         + machine.wire_time_cached(
                             &torus,
@@ -182,25 +133,14 @@ where
                     let key = (from as u32, rank);
                     match msgs.get_mut(&key).and_then(VecDeque::pop_front) {
                         Some(arrival) => {
-                            let start = states[r].clock;
                             let blocked = (arrival - states[r].clock).max(0.0);
                             states[r].clock += blocked;
                             states[r].breakdown.comm[phase.index()] += blocked;
-                            observe(TraceEvent {
-                                rank,
-                                start,
-                                end: states[r].clock,
-                                kind: TraceKind::Recv {
-                                    from: from as u32,
-                                    phase,
-                                },
-                            });
                         }
                         None => {
                             // Block until the sender posts.
                             states[r].waiting = Some(Waiting::Msg { from: from as u32 });
                             states[r].pending_phase = phase.index();
-                            states[r].pending_start = states[r].clock;
                             let prev = msg_waiters.insert(key, rank);
                             debug_assert!(prev.is_none(), "two ranks waiting on one channel");
                             break;
@@ -222,7 +162,6 @@ where
                         team,
                         cost,
                         phase.index(),
-                        observe,
                     );
                     if matches!(states[r].waiting, Some(Waiting::Collective)) {
                         break;
@@ -243,7 +182,6 @@ where
                         team,
                         cost,
                         phase.index(),
-                        observe,
                     );
                     if matches!(states[r].waiting, Some(Waiting::Collective)) {
                         break;
@@ -264,7 +202,6 @@ where
                         team,
                         cost,
                         phase.index(),
-                        observe,
                     );
                     if matches!(states[r].waiting, Some(Waiting::Collective)) {
                         break;
@@ -302,8 +239,7 @@ where
 /// Register `rank` in the open collective instance for `team`. If the rank
 /// completes the team, release everyone at `max(entries) + cost`; otherwise
 /// mark the rank blocked.
-#[allow(clippy::too_many_arguments)]
-fn enter_collective<I, O>(
+fn enter_collective<I>(
     states: &mut [RankState<I>],
     colls: &mut FastMap<TeamSpec, CollState>,
     runnable: &mut Vec<u32>,
@@ -311,10 +247,8 @@ fn enter_collective<I, O>(
     team: TeamSpec,
     cost: f64,
     phase: usize,
-    observe: &mut O,
 ) where
     I: Iterator<Item = Op>,
-    O: FnMut(TraceEvent),
 {
     debug_assert!(team.contains(rank as usize), "rank {rank} not in {team:?}");
     if team.count == 1 {
@@ -340,15 +274,6 @@ fn enter_collective<I, O>(
             let s = &mut states[member as usize];
             s.breakdown.comm[state.phase] += release - entry;
             s.clock = release;
-            observe(TraceEvent {
-                rank: member,
-                start: entry,
-                end: release,
-                kind: TraceKind::Collective {
-                    members: team.count as u32,
-                    phase: nbody_comm::ALL_PHASES[state.phase],
-                },
-            });
             if member != rank {
                 s.waiting = None;
                 runnable.push(member);

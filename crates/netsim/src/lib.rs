@@ -22,11 +22,9 @@ pub mod machine;
 pub mod op;
 pub mod report;
 pub mod topology;
-pub mod trace;
 
-pub use des::{simulate, simulate_with_observer};
+pub use des::simulate;
 pub use machine::{hopper, intrepid, test_machine, Machine, TreeNetwork};
 pub use op::{CollNet, Op, TeamSpec};
 pub use report::{RankBreakdown, SimReport};
 pub use topology::Torus;
-pub use trace::{simulate_traced, Trace, TraceEvent, TraceKind};

@@ -1,11 +1,11 @@
 //! Post-hoc health analysis of a recorded timeline bundle.
 
 use nbody_timeline::{DriftConfig, EventKind, RunTimeline};
-use nbody_trace::Json;
 
 /// Everything the health lens can reconstruct from a timeline bundle:
 /// the offline counterpart of the live [`HealthReport`](crate::HealthReport),
-/// used by the `health` subcommand and the analyze report.
+/// the health section of `ca-nbody analyze --timeline=…`, whose exit code
+/// is [`is_clean`](HealthSummary::is_clean).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSummary {
     /// Steps with a measured (health-instrumented) energy sample.
@@ -153,61 +153,6 @@ impl HealthSummary {
         out.push_str(&format!("  verdict    : {verdict}\n"));
         out
     }
-
-    /// JSON rendering, the last line `health` prints.
-    pub fn to_json(&self) -> String {
-        let events = |list: &[(u32, Option<u64>, String)]| {
-            Json::Arr(
-                list.iter()
-                    .map(|(rank, step, detail)| {
-                        Json::Obj(vec![
-                            ("rank".into(), Json::Num(*rank as f64)),
-                            (
-                                "step".into(),
-                                step.map_or(Json::Null, |s| Json::Num(s as f64)),
-                            ),
-                            ("detail".into(), Json::Str(detail.clone())),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        Json::Obj(vec![
-            (
-                "measured_steps".into(),
-                Json::Num(self.measured_steps as f64),
-            ),
-            ("energy_first".into(), Json::Num(self.energy_first)),
-            ("energy_last".into(), Json::Num(self.energy_last)),
-            (
-                "max_rel_energy_drift".into(),
-                Json::Num(self.max_rel_energy_drift),
-            ),
-            (
-                "max_momentum_norm".into(),
-                Json::Num(self.max_momentum_norm),
-            ),
-            ("non_finite".into(), events(&self.non_finite)),
-            ("replica_mismatches".into(), events(&self.mismatches)),
-            (
-                "energy_drift_steps".into(),
-                Json::Arr(
-                    self.energy_drift_windows
-                        .iter()
-                        .map(|s| Json::Num(*s as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "failure".into(),
-                self.failure
-                    .as_ref()
-                    .map_or(Json::Null, |f| Json::Str(f.clone())),
-            ),
-            ("clean".into(), Json::Bool(self.is_clean())),
-        ])
-        .to_string()
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +197,6 @@ mod tests {
         let text = s.render();
         assert!(text.contains("HEALTHY"), "{text}");
         assert!(text.contains("energy"), "{text}");
-        assert!(s.to_json().contains("\"clean\":true"));
     }
 
     #[test]
@@ -291,9 +235,6 @@ mod tests {
         assert!(text.contains("UNHEALTHY"), "{text}");
         assert!(text.contains("particle index 3"), "{text}");
         assert!(text.contains("POSTMORTEM"), "{text}");
-        let json = s.to_json();
-        assert!(json.contains("\"clean\":false"));
-        assert!(json.contains("replica_mismatches"));
     }
 
     #[test]

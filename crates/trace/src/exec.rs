@@ -3,7 +3,7 @@
 //! An [`ExecutionTrace`] holds every rank's spans against the shared
 //! epoch. It is written as Chrome `trace_event` JSON (Perfetto-loadable,
 //! and what [`ExecutionTrace::parse`] reads back), and computes the
-//! per-phase/per-step statistical summaries printed by `ca-nbody report`.
+//! per-phase/per-step statistical summaries printed by `ca-nbody analyze`.
 
 use std::collections::BTreeMap;
 
@@ -48,21 +48,43 @@ impl DistStat {
     }
 }
 
-/// Per-phase summary of one execution: the distribution across ranks of
-/// each rank's total seconds inside that phase's windows, plus mean
-/// blocked seconds attributed to the phase.
+/// One phase of a [`PhaseBreakdown`]: how each rank's total seconds
+/// inside the phase's windows spread across ranks, who holds the most, and
+/// how much of it was spent blocked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseRow {
+    /// The phase.
+    pub phase: Phase,
+    /// Across-rank distribution of per-rank seconds in the phase.
+    pub secs: DistStat,
+    /// The rank holding the maximum (the lowest one on a tie).
+    pub max_rank: u32,
+    /// Mean per-rank blocked seconds attributed to the phase.
+    pub blocked: f64,
+}
+
+impl PhaseRow {
+    /// Load imbalance `max / mean`: 1.0 for a balanced phase, `p` when one
+    /// of `p` ranks does all of it.
+    pub fn imbalance(&self) -> f64 {
+        if self.secs.mean > 0.0 {
+            self.secs.max / self.secs.mean
+        } else {
+            1.0
+        }
+    }
+}
+
+/// Per-phase summary of one execution, in figure order, for the phases
+/// that recorded time.
 #[derive(Debug, Clone)]
 pub struct PhaseBreakdown {
     /// Ranks in the execution.
     pub ranks: usize,
     /// Total traced wall time (latest span end), seconds.
     pub wall_secs: f64,
-    /// One `(phase, across-rank distribution of per-rank seconds)` entry
-    /// per phase, in figure order.
-    pub phases: Vec<(Phase, DistStat)>,
-    /// Mean per-rank blocked seconds attributed to each phase, in figure
-    /// order.
-    pub blocked: Vec<(Phase, f64)>,
+    /// One row per phase with time on some rank.
+    pub phases: Vec<PhaseRow>,
 }
 
 impl PhaseBreakdown {
@@ -70,7 +92,12 @@ impl PhaseBreakdown {
     /// rank's timeline, this is within scheduler noise of
     /// [`wall_secs`](PhaseBreakdown::wall_secs).
     pub fn phase_sum_secs(&self) -> f64 {
-        self.phases.iter().map(|(_, d)| d.mean).sum()
+        self.phases.iter().map(|r| r.secs.mean).sum()
+    }
+
+    /// `secs` as a fraction of the traced wall time.
+    pub fn share(&self, secs: f64) -> f64 {
+        secs / self.wall_secs.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -108,44 +135,45 @@ impl ExecutionTrace {
         self.spans.iter().map(|s| s.end).fold(0.0, f64::max)
     }
 
-    /// Per-rank total seconds inside each phase's windows:
-    /// `result[rank][phase.index()]`.
-    pub fn phase_secs_per_rank(&self) -> Vec<[f64; PHASE_COUNT]> {
-        let mut acc = vec![[0.0f64; PHASE_COUNT]; self.ranks];
-        for s in &self.spans {
-            if let SpanKind::Phase(p) = s.kind {
-                acc[s.rank as usize][p.index()] += s.secs();
-            }
-        }
-        acc
-    }
-
-    /// The per-phase breakdown across ranks (the `ca-nbody report` table).
+    /// The per-phase breakdown across ranks: the one place per-phase
+    /// statistics across ranks are computed.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
-        let per_rank = self.phase_secs_per_rank();
-        let mut blocked_acc = [0.0f64; PHASE_COUNT];
+        let mut per_rank = vec![[0.0f64; PHASE_COUNT]; self.ranks];
+        let mut blocked = [0.0f64; PHASE_COUNT];
         for s in &self.spans {
-            if let SpanKind::Blocked { phase, .. } = s.kind {
-                blocked_acc[phase.index()] += s.secs();
+            match s.kind {
+                SpanKind::Phase(p) => per_rank[s.rank as usize][p.index()] += s.secs(),
+                SpanKind::Blocked { phase, .. } => blocked[phase.index()] += s.secs(),
+                SpanKind::Driver { .. } => {}
             }
         }
-        let ranks = self.ranks.max(1);
+        let ranks = self.ranks.max(1) as f64;
         let phases = ALL_PHASES
             .into_iter()
-            .map(|p| {
-                let mut samples: Vec<f64> = per_rank.iter().map(|row| row[p.index()]).collect();
-                (p, DistStat::from_samples(&mut samples))
+            .filter_map(|phase| {
+                let i = phase.index();
+                // The first rank holding the maximum.
+                let max_rank = (0..per_rank.len()).fold(0, |at, rank| {
+                    if per_rank[rank][i] > per_rank[at][i] {
+                        rank
+                    } else {
+                        at
+                    }
+                });
+                let mut samples: Vec<f64> = per_rank.iter().map(|row| row[i]).collect();
+                let secs = DistStat::from_samples(&mut samples);
+                (secs.max > 0.0).then_some(PhaseRow {
+                    phase,
+                    secs,
+                    max_rank: max_rank as u32,
+                    blocked: blocked[i] / ranks,
+                })
             })
-            .collect();
-        let blocked = ALL_PHASES
-            .into_iter()
-            .map(|p| (p, blocked_acc[p.index()] / ranks as f64))
             .collect();
         PhaseBreakdown {
             ranks: self.ranks,
             wall_secs: self.wall_secs(),
             phases,
-            blocked,
         }
     }
 
@@ -431,11 +459,37 @@ mod tests {
         assert!((b.wall_secs - 1.0).abs() < 1e-12);
         // Windows tile [0,1] on both ranks, so mean phase sum == wall.
         assert!((b.phase_sum_secs() - 1.0).abs() < 1e-12);
-        let shift = b.phases[Phase::Shift.index()].1;
-        assert!((shift.mean - 0.4).abs() < 1e-12);
-        assert!((shift.max - 0.5).abs() < 1e-12);
+        // Phases with no windows are not reported.
+        let phases: Vec<Phase> = b.phases.iter().map(|r| r.phase).collect();
+        assert_eq!(phases, vec![Phase::Shift, Phase::Reduce, Phase::Other]);
+        let shift = b.phases[0];
+        assert!((shift.secs.mean - 0.4).abs() < 1e-12);
+        assert!((shift.secs.max - 0.5).abs() < 1e-12);
+        assert_eq!(shift.max_rank, 0);
+        assert!((shift.imbalance() - 0.5 / 0.4).abs() < 1e-12);
         // Blocked: 0.1 s on rank 0 only, mean 0.05.
-        assert!((b.blocked[Phase::Shift.index()].1 - 0.05).abs() < 1e-12);
+        assert!((shift.blocked - 0.05).abs() < 1e-12);
+        // Other: rank 1 holds the maximum.
+        let other = b.phases[2];
+        assert_eq!(other.max_rank, 1);
+        assert!((other.imbalance() - 0.5 / 0.45).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_single_rank_is_balanced_and_an_empty_trace_has_no_rows() {
+        let t = ExecutionTrace::from_rank_buffers(vec![vec![Span {
+            rank: 0,
+            kind: SpanKind::Phase(Phase::Other),
+            start: 0.0,
+            end: 1.0,
+        }]]);
+        let b = t.phase_breakdown();
+        assert_eq!(b.phases.len(), 1);
+        assert!((b.phases[0].imbalance() - 1.0).abs() < 1e-12);
+        assert!(ExecutionTrace::default()
+            .phase_breakdown()
+            .phases
+            .is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A dependency-free JSON value, parser, and printer.
 //!
 //! The build environment has no serialization crates, so the trace
-//! exporters and the `ca-nbody report` subcommand share this minimal
+//! exporters and the `ca-nbody analyze` subcommand share this minimal
 //! implementation. It covers the full JSON grammar except for
 //! pathological nesting depth (the parser is recursive), which traces
 //! never produce.

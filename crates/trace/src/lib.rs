@@ -39,7 +39,7 @@ pub mod schema;
 pub mod span;
 pub mod tracer;
 
-pub use exec::{DistStat, ExecutionTrace, PhaseBreakdown, StepReport};
+pub use exec::{DistStat, ExecutionTrace, PhaseBreakdown, PhaseRow, StepReport};
 pub use json::Json;
 pub use phase::{Phase, ALL_PHASES, PHASE_COUNT};
 pub use span::{Span, SpanKind};

@@ -12,9 +12,10 @@
 //! else a quick in-process calibration) become per-rank roofline points —
 //! achieved GFLOP/s, arithmetic intensity, %-of-roofline — written with
 //! `--roofline-out` and gated by `--roofline-baseline` (fails if the best
-//! rank falls below the recorded floor minus its tolerance). `audit --wire`
-//! adds a per-phase observed-vs-predicted message-count section from the
-//! conformance machinery, and fails if any phase's two counts differ.
+//! rank falls below the recorded floor minus its tolerance). Every audit
+//! also counts each phase's point-to-point sends twice, from the run's own
+//! `CommStats` ledger and from the schedule twin's `expected_schedule`,
+//! prints the two side by side, and fails if any phase's counts differ.
 //!
 //! `calibrate` measures the machine ceilings the roofline uses (packed
 //! multiply-add peak, stream bandwidth) with seedable microbenchmarks and writes
@@ -24,14 +25,15 @@ use std::process::ExitCode;
 
 use ca_nbody::{expected_schedule, ProcGrid, Run, Window};
 use nbody_metrics::{
-    audit as audit_run, audit_json, audit_table, ceilings_from_json, wire_phase_counts,
-    wire_phase_table, AuditAlgorithm, AuditConfig, AuditInput,
+    audit as audit_run, audit_json, audit_table, ceilings_from_json, AuditAlgorithm, AuditConfig,
+    AuditInput, MetricsSnapshot,
 };
 use nbody_perfmon::{
     roofline, roofline_json, roofline_table, CalibrationConfig, MachineCalibration, RooflineGate,
     RooflineReport,
 };
-use nbody_trace::Json;
+use nbody_trace::{Json, ALL_PHASES, PHASE_COUNT};
+use nbody_wireprobe::ExpectedSchedule;
 
 use super::artifact::{load_json, named_or_present, write, JsonPath, Summary};
 use super::spec::{Defaults, RunSpec};
@@ -47,7 +49,6 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     let out_path = opts.opt::<JsonPath>("out")?.map(String::from);
     let roofline_out = opts.opt::<JsonPath>("roofline-out")?.map(String::from);
     let roofline_baseline: Option<String> = opts.opt("roofline-baseline")?;
-    let wire_on = opts.get("wire", false)?;
     opts.finish()?;
 
     let (n, p, steps) = (base.n, base.p, base.steps);
@@ -94,26 +95,20 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     for &c in &cs {
         let spec = at(c);
         let cfg = spec.config();
-        // With --wire the same audited run also records message-level
-        // probes, so the table can compare observed traffic against the
-        // schedule's per-phase predictions.
-        let mut audited = Run::new(&cfg, spec.method(), p).trace();
-        if wire_on {
-            audited = audited.probe();
-        }
-        let artifacts = audited.execute(&spec.initial()).artifacts;
-        if wire_on {
-            let expected = expected_schedule(&spec.wire_spec())
-                .map_err(|e| format!("audit: cannot derive wire schedule for c={c}: {e}"))?;
-            let rows = wire_phase_counts(&expected, &artifacts.wire);
-            wire_predicted += rows.iter().map(|r| r.predicted).sum::<u64>();
-            wire_observed += rows.iter().map(|r| r.observed).sum::<u64>();
-            wire_agrees &= rows.iter().all(|r| r.observed == r.predicted);
-            wire_sections.push((c, wire_phase_table(&rows)));
-        }
-        // The same instrumented run feeds both sides of the audit: its
-        // comm counters go to the optimality check, its compute counters
-        // to the roofline.
+        let artifacts = Run::new(&cfg, spec.method(), p)
+            .trace()
+            .execute(&spec.initial())
+            .artifacts;
+        let expected = expected_schedule(&spec.wire_spec())
+            .map_err(|e| format!("audit: cannot derive wire schedule for c={c}: {e}"))?;
+        let rows = send_counts(&expected, &artifacts.metrics);
+        wire_predicted += rows.iter().map(|r| r.1).sum::<u64>();
+        wire_observed += rows.iter().map(|r| r.2).sum::<u64>();
+        wire_agrees &= rows.iter().all(|r| r.1 == r.2);
+        wire_sections.push((c, send_table(&rows)));
+        // The same instrumented run feeds every side of the audit: its
+        // comm counters go to the send counts and the optimality check,
+        // its compute counters to the roofline.
         let kernel = format!("{algo_name} c={c}");
         rooflines.push(roofline(&kernel, &artifacts.metrics, &calibration));
         // Leaders that re-assign do so with their layout's neighbourhood.
@@ -193,16 +188,13 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         .put("rows", rows)
         .put("roofline_best_pct", roofline_best)
         .put("roofline_pass", roofline_pass)
+        .put("wire_predicted_msgs", wire_predicted)
+        .put("wire_observed_msgs", wire_observed)
+        .put("wire_pass", wire_agrees)
         .put("pass", comm_pass && roofline_pass);
-    if wire_on {
-        summary
-            .put("wire_predicted_msgs", wire_predicted)
-            .put("wire_observed_msgs", wire_observed)
-            .put("wire_pass", wire_agrees);
-    }
     summary.print();
     if !wire_agrees {
-        failures.push("AUDIT FAILED: a phase's observed message count is not the predicted".into());
+        failures.push("AUDIT FAILED: a phase's ledger send count is not the schedule's".into());
     }
     if !comm_pass {
         failures.push("AUDIT FAILED: a constant factor exceeded its ceiling".into());
@@ -210,6 +202,45 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         failures.push("AUDIT FAILED: compute efficiency fell below the roofline baseline".into());
     }
     verdict(&failures)
+}
+
+/// Each phase's point-to-point sends over the whole run, as
+/// `(phase label, schedule twin, ledger)`; phases neither side sends in
+/// are left out.
+fn send_counts(
+    expected: &ExpectedSchedule,
+    metrics: &MetricsSnapshot,
+) -> Vec<(&'static str, u64, u64)> {
+    let mut predicted = [0u64; PHASE_COUNT];
+    for m in &expected.msgs {
+        predicted[m.phase.index()] += 1;
+    }
+    ALL_PHASES
+        .into_iter()
+        .map(|phase| {
+            let sent = metrics.sum_counter("comm_send_messages", Some(phase));
+            (phase.label(), predicted[phase.index()], sent)
+        })
+        .filter(|&(_, predicted, sent)| predicted > 0 || sent > 0)
+        .collect()
+}
+
+/// The per-phase section [`send_counts`] is printed as.
+fn send_table(rows: &[(&str, u64, u64)]) -> String {
+    let mut out = String::from(
+        "  wire messages (observed in the ledger vs predicted by the schedule, whole run)\n",
+    );
+    out.push_str(&format!(
+        "  {:<11} {:>12} {:>12} {:>8}\n",
+        "phase", "predicted", "observed", "delta"
+    ));
+    for &(phase, predicted, sent) in rows {
+        let delta = sent as i64 - predicted as i64;
+        out.push_str(&format!(
+            "  {phase:<11} {predicted:>12} {sent:>12} {delta:>+8}\n"
+        ));
+    }
+    out
 }
 
 /// Resolve the machine calibration the roofline uses: an explicit

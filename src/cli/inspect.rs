@@ -1,13 +1,17 @@
-//! The subcommands that read what a run wrote: `report`, `analyze`,
-//! `health`, `conformance`.
+//! The subcommands that read what a run wrote: `analyze`, `conformance`.
 //!
-//! `analyze` diagnoses a recorded trace: the per-timestep cross-rank
-//! critical path (which rank gated the step, how its time split into
-//! compute/comm/blocked, and which late sender it waited on), per-phase
-//! load-imbalance factors, straggler rankings, and traffic/wait heat-maps
-//! on the `p/c × c` grid when `--metrics` is given; `--timeline=<bundle>`
-//! runs the online drift detector over a recorded series and prints the
-//! flagged windows next to the straggler table, `--wire=<log>` renders the
+//! `analyze` is the one reader of a recorded run. On a trace it prints the
+//! per-timestep cross-rank critical path (which rank gated the step, how
+//! its time split into compute/comm/blocked, and which late sender it
+//! waited on), the per-step driver sections, one per-phase table (mean,
+//! p50, p95 and max per-rank seconds, the rank holding the max, the
+//! imbalance factor max/mean, blocked seconds and share of wall),
+//! straggler rankings, and traffic/wait heat-maps on the `p/c × c` grid
+//! when `--metrics` is given. `--timeline=<bundle>` runs the drift
+//! detector over a recorded series and prints the flagged windows and the
+//! numerical-health verdict (energy drift, momentum, sentinel and
+//! fingerprint-mismatch events with blame, a postmortem's reason); an
+//! UNHEALTHY bundle makes the exit code 1. `--wire=<log>` renders the
 //! per-channel latency table (send→recv histograms, queue depths, drop
 //! accounting) derived from the matched probe pairs.
 //!
@@ -43,74 +47,6 @@ fn input<'a>(positional: &'a [String], usage: &str) -> Result<&'a str, Failure> 
         Some(path) => Ok(path),
         None => Err(format!("usage: ca-nbody {usage}").into()),
     }
-}
-
-/// Print the paper-style per-phase table and the per-step driver-section
-/// table of a trace.
-fn print_breakdown(trace: &ExecutionTrace) {
-    let b = trace.phase_breakdown();
-    println!(
-        "per-phase wall-clock across {} ranks (seconds per rank):",
-        b.ranks
-    );
-    println!(
-        "  {:<10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
-        "phase", "mean", "p50", "p95", "max", "blocked", "share"
-    );
-    for (phase, d) in &b.phases {
-        if d.max == 0.0 {
-            continue;
-        }
-        let blocked = b
-            .blocked
-            .iter()
-            .find(|(p, _)| p == phase)
-            .map_or(0.0, |(_, s)| *s);
-        println!(
-            "  {:<10} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>6.1}%",
-            phase.label(),
-            d.mean,
-            d.p50,
-            d.p95,
-            d.max,
-            blocked,
-            100.0 * d.mean / b.wall_secs.max(f64::MIN_POSITIVE),
-        );
-    }
-    println!(
-        "  phase sum {:.6} s of {:.6} s wall ({:.1}%)",
-        b.phase_sum_secs(),
-        b.wall_secs,
-        100.0 * b.phase_sum_secs() / b.wall_secs.max(f64::MIN_POSITIVE),
-    );
-
-    let reports = trace.step_reports();
-    if reports.is_empty() {
-        return;
-    }
-    println!("per-step driver sections (seconds, mean / max across ranks):");
-    for r in &reports {
-        print!("  step {:>3}:", r.step);
-        for (name, d) in &r.parts {
-            print!(" {name} {:.6}/{:.6}", d.mean, d.max);
-        }
-        println!();
-    }
-}
-
-/// `report`: the per-phase and per-step breakdown tables of a trace.
-pub fn report(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
-    opts.finish()?;
-    let path = input(positional, "report <trace.json>")?;
-    let trace = load(path, ExecutionTrace::parse)?;
-    println!(
-        "{path}: {} spans over {} ranks, {:.6} s wall",
-        trace.spans.len(),
-        trace.ranks,
-        trace.wall_secs()
-    );
-    print_breakdown(&trace);
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `analyze`: post-run diagnosis of a trace, a timeline, a wire log.
@@ -152,6 +88,7 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
 
     let mut sections: Vec<String> = Vec::new();
     let mut export = None;
+    let mut healthy = true;
     if let Some(path) = trace_path {
         let trace = load(path, ExecutionTrace::parse)?;
         // The heat-map arranges the ranks on the `p/c × c` grid: a `c` it
@@ -165,8 +102,10 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
         export = json.map(|out| (out, render_json(&a).to_string()));
     }
     if let Some(tl) = &timeline {
+        let health = HealthSummary::from_timeline(tl);
+        healthy = health.is_clean();
         sections.push(render_drift(tl, &drift_cfg));
-        sections.push(HealthSummary::from_timeline(tl).render());
+        sections.push(health.render());
     }
     if let Some(log) = &wire {
         sections.push(render_wire(&match_events(log)));
@@ -176,20 +115,7 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
         write(&out, "analysis JSON", &body)?;
         println!("analysis JSON written to {out}");
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `health`: render the numerical-health section of a recorded timeline
-/// bundle (energy drift, momentum, sentinel and fingerprint-mismatch
-/// events with blame) and exit non-zero when the bundle is unhealthy —
-/// the scriptable end of the health lens.
-pub fn health(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
-    opts.finish()?;
-    let path = input(positional, "health <timeline.json>")?;
-    let s = HealthSummary::from_timeline(&load(path, RunTimeline::parse)?);
-    print!("{}", s.render());
-    println!("{}", s.to_json());
-    Ok(ExitCode::from(u8::from(!s.is_clean())))
+    Ok(ExitCode::from(u8::from(!healthy)))
 }
 
 /// `conformance`: a recorded wire-probe log against the CA schedule.

@@ -1,8 +1,8 @@
 //! `run` and `verify`: one live execution, built from the flags.
 //!
 //! `--trace` records per-rank wall-clock spans and writes them as Chrome
-//! `trace_event` JSON (open in Perfetto or `chrome://tracing`; `report` and
-//! `analyze` read it back). `--metrics` writes the live metrics snapshot
+//! `trace_event` JSON (open in Perfetto or `chrome://tracing`; `analyze`
+//! reads it back). `--metrics` writes the live metrics snapshot
 //! (per-rank communication counters, message-size histograms, memory
 //! high-water marks) as JSON. Both refuse a `csv` or `prom` extension: each
 //! artifact has one encoding.
@@ -178,7 +178,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
     let mut run = Run::new(&cfg, method, p);
     // Fault-tolerant runs always trace, so recovery overhead shows up in
-    // `report` breakdowns and the fault counters reach the summary.
+    // `analyze` breakdowns and the fault counters reach the summary.
     let files = [&trace_path, &metrics_path, &timeline_path, &wire_path];
     let traced = recovering || files.iter().any(|f| f.is_some());
     if traced {
@@ -279,13 +279,13 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         let a = analyze(trace, Some(metrics), method.replication());
         let (crit_compute, crit_comm, crit_blocked) = a.critical_split();
         let mut imbalance = Summary::default();
-        for i in &a.imbalance {
-            imbalance.put(i.phase.label(), i.factor);
+        for row in &a.breakdown.phases {
+            imbalance.put(row.phase.label(), row.imbalance());
         }
         let imbalance = imbalance.to_json();
         summary
             .put("trace_spans", trace.spans.len())
-            .put("trace_wall_secs", trace.wall_secs())
+            .put("trace_wall_secs", a.breakdown.wall_secs)
             .put("critical_compute_secs", crit_compute)
             .put("critical_comm_secs", crit_comm)
             .put("critical_blocked_secs", crit_blocked)

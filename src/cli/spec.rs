@@ -307,7 +307,7 @@ impl RunSpec {
         }
     }
 
-    /// What `conformance` and `audit --wire` expect on the wire.
+    /// What `conformance` and `audit` expect on the wire.
     pub fn wire_spec(&self) -> WireScheduleSpec {
         WireScheduleSpec {
             method: self.method(),

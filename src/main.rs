@@ -12,8 +12,7 @@
 //!                   [--health] [--health-every=K] [--health-baseline=F]
 //!                   [--inject-nan=RANK@STEP] [--corrupt-replica=RANK@STEP]
 //! ca-nbody verify   [same options]            distributed-vs-serial check
-//! ca-nbody report   <trace.json>              per-phase/per-step breakdown tables
-//! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0] [--wire]
+//! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0]
 //!                   [--baseline=bench_results/audit_baseline.json] [--out=F.json]
 //!                   [--calibration=F] [--roofline-baseline=F] [--roofline-out=F.json]
 //! ca-nbody calibrate [--out=bench_results/machine_calibration.json] [seed=42] [--full]
@@ -27,15 +26,19 @@
 //! ca-nbody autotune [machine=hopper] [p=1536] [n=12288] [cutoff=0]
 //! ca-nbody analyze  [trace.json] [--metrics=F] [--timeline=F] [--wire=F]
 //!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--json=F]
+//!                   the one reader of a recorded run: per-phase and
+//!                   per-step tables, critical path, stragglers, heat-map;
+//!                   drift and numerical health of a timeline bundle (exit
+//!                   1 if UNHEALTHY); channel latencies of a wire log
 //! ca-nbody conformance <wire-log.json> [run's n, p, c, steps, method, law,
 //!                   cutoff, boundary] [--faults=SPEC]
-//! ca-nbody health   <timeline.json>           numerical-health verdict of a bundle
 //! ```
 //!
 //! Options take `key=value`, `--key=value`, or `--key value` form. One
 //! whose value does not parse, or that the subcommand (given the others)
 //! never reads, is a start-up error: a line on stderr naming it, exit 2,
-//! nothing run or written. Exit 1 is every later failure. `audit`, `chaos`
+//! nothing run or written; so is a subcommand not in the list above (the
+//! usage line, exit 2). Exit 1 is every later failure. `audit`, `chaos`
 //! and `soak` take `run`'s grammar with their own defaults; the modules
 //! under `cli/` document their subcommands.
 //!
@@ -52,22 +55,20 @@ use nbody_comm::validate_env;
 mod cli;
 use cli::{audit, chaos, inspect, model, run, Command, Failure, Opts};
 
-const COMMANDS: [(&str, Command); 11] = [
+const COMMANDS: [(&str, Command); 9] = [
     ("run", |opts, _| run::execute(opts, false)),
     ("verify", |opts, _| run::execute(opts, true)),
-    ("report", inspect::report),
     ("audit", audit::audit),
     ("calibrate", audit::calibrate),
     ("chaos", chaos::chaos),
     ("soak", chaos::soak),
     ("autotune", model::autotune),
     ("analyze", inspect::analyze),
-    ("health", inspect::health),
     ("conformance", inspect::conformance),
 ];
 
-const USAGE: &str = "usage: ca-nbody <run|verify|report|audit|calibrate|chaos|soak|autotune|\
-     analyze|health|conformance> \
+const USAGE: &str = "usage: ca-nbody <run|verify|audit|calibrate|chaos|soak|autotune|\
+     analyze|conformance> \
      [key=value ...] \
      [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \
@@ -84,7 +85,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, Failure> {
     let (name, command) = COMMANDS
         .iter()
         .find(|(name, _)| Some(*name) == cmd)
-        .ok_or(USAGE)?;
+        .ok_or_else(|| Failure::startup(USAGE))?;
     let (mut opts, positional) = Opts::parse(name, &args[1..]);
     command(&mut opts, &positional)
 }

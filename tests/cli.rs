@@ -124,9 +124,10 @@ fn autotune_subcommand_reports_best_c() {
 
 #[test]
 fn unknown_subcommand_fails_with_usage() {
-    for name in ["frobnicate", "scale", "postmortem"] {
+    // `report` and `health` were folded into `analyze`.
+    for name in ["frobnicate", "scale", "postmortem", "report", "health"] {
         let out = cli().arg(name).output().expect("launch");
-        assert!(!out.status.success(), "{name}");
+        assert_eq!(out.status.code(), Some(2), "{name}");
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("usage"),
             "{name}"
@@ -202,7 +203,7 @@ fn trace_flag_writes_valid_chrome_trace() {
 }
 
 #[test]
-fn report_subcommand_prints_breakdown_table() {
+fn analyze_prints_the_per_phase_and_per_step_tables() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_report_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.json");
@@ -219,30 +220,47 @@ fn report_subcommand_prints_breakdown_table() {
         .expect("launch");
     assert!(run.status.success());
     let out = cli()
-        .args(["report", path.to_str().unwrap()])
+        .args(["analyze", path.to_str().unwrap()])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("per-phase wall-clock"), "{stdout}");
-    assert!(stdout.contains("shift"), "{stdout}");
-    assert!(stdout.contains("phase sum"), "{stdout}");
     assert!(stdout.contains("per-step driver sections"), "{stdout}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn report_rejects_garbage_input() {
-    let dir = std::env::temp_dir().join("ca_nbody_cli_badreport_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("not_a_trace.json");
-    std::fs::write(&path, "hello, world").unwrap();
-    let out = cli()
-        .args(["report", path.to_str().unwrap()])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot parse"));
+    // Every number of the trace's one per-phase summary is in the table:
+    // a row per phase with time, mean through share.
+    let trace = nbody_trace::ExecutionTrace::parse(&std::fs::read_to_string(&path).unwrap())
+        .expect("invalid trace");
+    let b = trace.phase_breakdown();
+    let shares: Vec<f64> = b.phases.iter().map(|r| b.share(r.secs.mean)).collect();
+    for (r, share) in b.phases.iter().zip(shares) {
+        let row = format!(
+            "{:<10} {:>10.6} {:>10.6} {:>10.6} {:>10.6} {:>9} {:>8.3} {:>10.6} {:>6.1}%",
+            r.phase.label(),
+            r.secs.mean,
+            r.secs.p50,
+            r.secs.p95,
+            r.secs.max,
+            r.max_rank,
+            r.imbalance(),
+            r.blocked,
+            100.0 * share,
+        );
+        assert!(stdout.contains(&row), "no {row:?} in {stdout}");
+    }
+    assert!(b.phases.iter().any(|r| r.phase.label() == "shift"));
+    let sum = format!(
+        "phase sum {:.6} s of {:.6} s wall",
+        b.phase_sum_secs(),
+        b.wall_secs
+    );
+    assert!(stdout.contains(&sum), "no {sum:?} in {stdout}");
+    // And each step's driver sections, mean / max across ranks.
+    for r in trace.step_reports() {
+        let (name, d) = &r.parts[0];
+        let part = format!("step {:>3}: {name} {:.6}/{:.6}", r.step, d.mean, d.max);
+        assert!(stdout.contains(&part), "no {part:?} in {stdout}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -307,7 +325,6 @@ fn audit_cutoff_variant_audits_against_eq3() {
             "p=8",
             "cutoff=0.25",
             "c=2",
-            "--wire",
             &format!("--baseline={}", baseline.display()),
         ])
         .output()
@@ -320,8 +337,8 @@ fn audit_cutoff_variant_audits_against_eq3() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("cutoff-1d"), "{stdout}");
-    // Re-assignment is under the wire gate: the twin predicts its messages
-    // and the run sent exactly those.
+    // Re-assignment is under the send-count gate: the twin predicts its
+    // messages and the run's ledger counted exactly those.
     let wire_row = |l: &str| l.trim_start().starts_with("re-assign") && l.ends_with("+0");
     assert!(stdout.lines().any(wire_row), "{stdout}");
     let last = stdout.lines().last().unwrap();
@@ -741,7 +758,7 @@ fn analyze_reports_critical_path_imbalance_and_heatmap() {
     );
     // Per-step critical path, per-phase imbalance, stragglers, heat-map.
     assert!(stdout.contains("critical path (per timestep)"), "{stdout}");
-    assert!(stdout.contains("phase imbalance"), "{stdout}");
+    assert!(stdout.contains("factor = max / mean"), "{stdout}");
     assert!(stdout.contains("stragglers"), "{stdout}");
     assert!(
         stdout.contains("grid heat-map (4 teams x c = 2 rows)"),
@@ -822,6 +839,17 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     let at = format!("at byte {}", body.len());
     assert!(stderr.contains(&at), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // Not JSON at all: the one-line error says which file did not parse.
+    let garbage = dir.join("not_a_trace.json");
+    std::fs::write(&garbage, "hello, world").unwrap();
+    let out = cli()
+        .args(["analyze", garbage.to_str().unwrap()])
+        .output()
+        .expect("launch");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot parse"), "{stderr}");
 
     // The reader names what it found as text, never as a Rust `Option`: a
     // character in quotes, or the end of the input, at the same offsets.
@@ -1220,15 +1248,21 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
     assert!(kinds.contains(&"fault_injected"), "{kinds:?}");
     assert!(kinds.contains(&"unrecoverable"), "{kinds:?}");
 
-    // `analyze --timeline` reads the bundle and names why the run died.
+    // `analyze --timeline` reads the bundle, names why the run died once,
+    // and exits 1: a postmortem is UNHEALTHY.
     let out = cli()
         .args(["analyze", &format!("--timeline={tl_path}")])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("POSTMORTEM:"), "{stdout}");
-    assert!(stdout.contains("unrecoverable"), "{stdout}");
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let reasons: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("POSTMORTEM"))
+        .collect();
+    assert_eq!(reasons.len(), 1, "{stdout}");
+    assert!(reasons[0].contains("unrecoverable"), "{stdout}");
+    assert!(stdout.contains("UNHEALTHY"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1699,9 +1733,9 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
 }
 
 #[test]
-fn audit_wire_flag_reports_observed_vs_predicted_counts() {
+fn audit_counts_each_phases_sends_in_the_ledger_against_the_schedule() {
     let out = cli()
-        .args(["audit", "n=256", "p=8", "steps=1", "c=2", "--wire"])
+        .args(["audit", "n=256", "p=8", "steps=1", "c=2"])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1711,11 +1745,17 @@ fn audit_wire_flag_reports_observed_vs_predicted_counts() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(
-        stdout.contains("wire messages (observed vs predicted"),
+        stdout.contains("wire messages (observed in the ledger"),
         "{stdout}"
     );
-    assert!(stdout.contains("skew"), "{stdout}");
-    assert!(stdout.contains("shift"), "{stdout}");
+    // p = 8, c = 2: 4 teams, so each row's 2 ranks outside row 0 skew
+    // once and all 8 ranks shift twice, each send counted on both sides.
+    for row in [
+        "  skew                   4            4       +0",
+        "  shift                 16           16       +0",
+    ] {
+        assert!(stdout.contains(row), "no {row:?} in {stdout}");
+    }
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     let predicted = doc.get("wire_predicted_msgs").unwrap().as_f64().unwrap();
     let observed = doc.get("wire_observed_msgs").unwrap().as_f64().unwrap();
@@ -1793,7 +1833,10 @@ fn health_run_reports_gate_and_bundle_renders_verdict() {
     assert!(stdout.contains("\"health_gate\":\"pass\""), "{stdout}");
 
     // The bundle renders a clean verdict and exits zero.
-    let out = cli().args(["health", &tl]).output().expect("launch");
+    let out = cli()
+        .args(["analyze", &format!("--timeline={tl}")])
+        .output()
+        .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains(": HEALTHY"), "{stdout}");
@@ -1829,9 +1872,12 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
     assert!(bundle.contains(blame), "{bundle}");
 
     // The postmortem carries the blame and renders UNHEALTHY, exit 1.
-    let out = cli().args(["health", &tl]).output().expect("launch");
+    let out = cli()
+        .args(["analyze", &format!("--timeline={tl}")])
+        .output()
+        .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!out.status.success(), "{stdout}");
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("UNHEALTHY"), "{stdout}");
     assert!(stdout.contains("rank 0 step 1"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
@@ -1842,6 +1888,9 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     // p=8, c=2: rank 4 is team 0's replica. The cross-check repairs it,
     // the run completes recovered, and the committed zero-mismatch
     // baseline turns the detection into a non-zero exit.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_health_corrupt_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tl = dir.join("tl.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1850,6 +1899,7 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
             "c=2",
             "steps=3",
             "--corrupt-replica=4@1",
+            &format!("--record-timeline={tl}"),
         ])
         .output()
         .expect("launch");
@@ -1863,6 +1913,17 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     assert!(stdout.contains("\"recovered\":true"), "{stdout}");
     assert!(stdout.contains("\"health_gate\":\"fail\""), "{stdout}");
     assert!(stderr.contains("HEALTH GATE"), "{stderr}");
+
+    // The bundle names the mismatch and renders UNHEALTHY, exit 1.
+    let out = cli()
+        .args(["analyze", &format!("--timeline={tl}")])
+        .output()
+        .expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("1 fingerprint mismatch"), "{stdout}");
+    assert!(stdout.contains("UNHEALTHY"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -2083,11 +2144,14 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             &["run", "n=64", "p=4", "steps=1", "--profile"],
             ["'profile'", "'run'"],
         ),
+        // A bundle is diagnosed on its own; `--metrics` goes with a trace.
         (
-            "report",
-            &["report", "t.json", "--metrics=m.json"],
-            ["'metrics'", "'report'"],
+            "bundle",
+            &["analyze", "--timeline=tl.json", "--metrics=m.json"],
+            ["'metrics'", "'analyze'"],
         ),
+        // The send counts come from the ledger: no probe to switch on.
+        ("wire", &["audit", "--wire"], ["'wire'", "'audit'"]),
         // Read only next to the option that gives them a meaning.
         (
             "every",
@@ -2146,14 +2210,13 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
     for args in [
         &["run", "n=32", "p=2", "c=1", "steps=1"][..],
         &["verify", "n=32", "p=2", "c=1", "steps=1"],
-        &["report", "t.json"],
         &["audit", "n=64", "p=4"],
         &["calibrate"],
         &["chaos", "n=64", "p=4"],
         &["soak", "n=64", "p=4", "seconds=1"],
         &["autotune", "p=256", "n=2048"],
         &["analyze", "t.json"],
-        &["health", "tl.json"],
+        &["analyze", "--timeline=tl.json"],
         &["conformance", "w.json"],
     ] {
         let mut args = args.to_vec();
