@@ -64,8 +64,8 @@ check "the run's artifacts are files that analyze/conformance read; there is no 
 check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table)" \
     none '\("(scale|postmortem)", |let profile = |run_distributed_sampled|radial_distribution' \
     crates src tests examples
-check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table): quickstart and autotune are the examples" \
-    test "$(ls examples | wc -l)" -le 2
+check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table): quickstart is the example" \
+    test "$(ls examples | wc -l)" -le 1
 check "the cull knows one notion of locality, the r_c cells of cell_order" \
     none 'Aabb|CHUNK|GROUP|fn beyond|\.floor\(' crates/core/src/kernel.rs
 check "an artifact has one encoding: JSON for run artifacts and reports, CSV for the figure record" \
@@ -75,5 +75,10 @@ check "a recorded run has one reader, analyze: report and health are folded into
     none '^ *\("(report|health)", ' src
 check "one summary per trace, counts from the ledger, one DES entry point: no second per-phase fold, wire-probe count or traced simulator" \
     none 'wire_phase_counts|WirePhaseRow|simulate_traced|fn phase_imbalance' crates src tests
+check "an injected fault has one door, the --faults plan: no second flag, config field or parser (tests/cli.rs asserts the old flags are refused)" \
+    none 'inject-nan|corrupt-replica|crash-at-step|HealthInjection|pick_fastest|autotune_cutoff_1d' \
+    crates src tests --exclude=cli.rs
+check "every subcommand has a reader outside its own tests: autotune had none" \
+    none '^ *\("autotune", ' src
 
 exit "$broken"

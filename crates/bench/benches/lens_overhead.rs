@@ -70,7 +70,6 @@ fn sink(every: usize) -> CheckpointConfig {
         base_step: 0,
         fingerprint: "bench-fingerprint".to_string(),
         seed: 42,
-        crash_at: None,
     }
 }
 

@@ -1,8 +1,9 @@
-//! Deterministic fault injection: the chaos communicator.
+//! Deterministic fault injection: the fault plan and the chaos communicator.
 //!
-//! [`ChaosComm`] wraps any [`Communicator`] and perturbs its point-to-point
-//! traffic according to a [`FaultPlan`] — a deterministic, seedable schedule
-//! of faults aimed at `(world rank, pipeline step)` coordinates:
+//! A [`FaultPlan`] is the one description of what a run injects. Its wire
+//! kinds are aimed at `(world rank, pipeline step)` coordinates and applied
+//! by [`ChaosComm`], which wraps any [`Communicator`] and perturbs its
+//! point-to-point traffic:
 //!
 //! * **Drop** — the scheduled send silently vanishes; the receiver's
 //!   `try_recv_timeout` expires and the recovery layer retries.
@@ -14,6 +15,10 @@
 //!   sends stop reaching the wire and every receive it posts fails with
 //!   [`CommError::PeerDead`]. The thread itself stays alive so it can act
 //!   as the *replacement process* during recovery (`fault_revive`).
+//!
+//! The plan's other kinds never touch the wire: the fault-tolerant driver
+//! reads them and fires them itself (a NaN force, a corrupt replica, a
+//! process crash; see [`FaultKind`]).
 //!
 //! Faults only strike while the rank's current phase is `Skew` or `Shift` —
 //! the systolic pipeline the paper's algorithms spend their communication
@@ -42,7 +47,11 @@ use nbody_timeline::{EventKind, TimelineRecorder};
 use nbody_trace::Tracer;
 use nbody_wireprobe::{FaultNote, ProbeKind, ProbeRecorder};
 
-/// What a scheduled fault does to the traffic it strikes.
+/// What a scheduled fault does, and so which coordinate its `step` names.
+///
+/// The first four are the wire kinds: [`ChaosComm`] applies them at a
+/// pipeline step (0 = skew, ≥ 1 the shift loop) of the first evaluation
+/// that reaches it. The fault-tolerant driver fires the other three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The targeted send never reaches the wire.
@@ -53,6 +62,18 @@ pub enum FaultKind {
     Duplicate,
     /// The rank crashes at the start of the targeted step.
     Kill,
+    /// A NaN is written into the rank's first force accumulator after the
+    /// force reduction of timestep `step`, which the health monitors must
+    /// check; the non-finite sentinel must blame it.
+    Nan,
+    /// One mantissa bit of the rank's first particle flips in its replica
+    /// checkpoint at the start of timestep `step`; the fingerprint
+    /// cross-check must catch and repair it.
+    Corrupt,
+    /// The process exits with code 137 (the SIGKILL code) right after the
+    /// checkpoint of global step `step` is durable; the run needs a
+    /// checkpoint sink. It has no rank: rank 0 writes the bundles.
+    Crash,
 }
 
 impl FaultKind {
@@ -63,28 +84,34 @@ impl FaultKind {
             FaultKind::Delay => "delay",
             FaultKind::Duplicate => "dup",
             FaultKind::Kill => "kill",
+            FaultKind::Nan => "nan",
+            FaultKind::Corrupt => "corrupt",
+            FaultKind::Crash => "crash",
         }
     }
 
-    /// The wire-probe event kind this fault is recorded as.
-    pub fn probe_kind(self) -> ProbeKind {
+    /// The wire-probe event kind this fault is recorded as; `None` for the
+    /// kinds the driver fires, which never touch the wire.
+    pub fn probe_kind(self) -> Option<ProbeKind> {
         match self {
-            FaultKind::Drop => ProbeKind::FaultDrop,
-            FaultKind::Delay => ProbeKind::FaultDelay,
-            FaultKind::Duplicate => ProbeKind::FaultDup,
-            FaultKind::Kill => ProbeKind::FaultKill,
+            FaultKind::Drop => Some(ProbeKind::FaultDrop),
+            FaultKind::Delay => Some(ProbeKind::FaultDelay),
+            FaultKind::Duplicate => Some(ProbeKind::FaultDup),
+            FaultKind::Kill => Some(ProbeKind::FaultKill),
+            FaultKind::Nan | FaultKind::Corrupt | FaultKind::Crash => None,
         }
     }
 }
 
-/// One scheduled fault: `kind` strikes world rank `rank` at pipeline step
-/// `step` (step 0 is the skew, steps ≥ 1 the shift loop — drivers announce
-/// them via [`Communicator::fault_step`]). Fires at most once.
+/// One scheduled fault: `kind` strikes world rank `rank` at `step`, the
+/// coordinate its [`FaultKind`] names (a pipeline step for the wire kinds,
+/// a timestep for `nan` and `corrupt`, a global step for `crash`). Fires
+/// at most once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// World rank the fault strikes.
+    /// World rank the fault strikes (0 for a crash).
     pub rank: usize,
-    /// Pipeline step the fault is aimed at (0 = skew).
+    /// Step the fault is aimed at, in its kind's coordinate.
     pub step: usize,
     /// What happens.
     pub kind: FaultKind,
@@ -92,7 +119,20 @@ pub struct FaultEvent {
     pub delay_ms: u64,
 }
 
-/// A deterministic schedule of faults, applied identically on every run.
+impl FaultEvent {
+    /// The event in the [`FaultPlan::parse`] grammar.
+    pub fn spec(&self) -> String {
+        let (kind, rank, step) = (self.kind.label(), self.rank, self.step);
+        match self.kind {
+            FaultKind::Delay => format!("{kind}:{rank}@{step}:{}", self.delay_ms),
+            FaultKind::Crash => format!("{kind}@{step}"),
+            _ => format!("{kind}:{rank}@{step}"),
+        }
+    }
+}
+
+/// A deterministic schedule of faults, applied identically on every run:
+/// the one description of what a run injects.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The scheduled events, in no particular order.
@@ -117,75 +157,126 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan contains at least one [`FaultKind::Kill`].
-    pub fn has_kills(&self) -> bool {
-        self.events.iter().any(|e| e.kind == FaultKind::Kill)
+    /// True when the plan contains at least one event of `kind`.
+    pub fn holds(&self, kind: FaultKind) -> bool {
+        self.events.iter().any(|e| e.kind == kind)
     }
 
-    /// Parse a comma-separated spec: `kind:rank@step` with kinds
-    /// `kill | drop | dup | delay`; `delay` takes a trailing
-    /// `:milliseconds` (default 5). Examples: `kill:1@2`,
-    /// `drop:0@1,dup:3@2,delay:2@3:8`.
+    /// Whether the plan aims an event of `kind` at `(rank, step)`.
+    pub fn aims(&self, kind: FaultKind, rank: usize, step: u64) -> bool {
+        self.events
+            .iter()
+            .any(|e| e.kind == kind && e.rank == rank && e.step as u64 == step)
+    }
+
+    /// True when the plan holds a `nan` or a `corrupt`: faults only the
+    /// health monitors observe, so a run under this plan runs them.
+    pub fn needs_monitors(&self) -> bool {
+        self.holds(FaultKind::Nan) || self.holds(FaultKind::Corrupt)
+    }
+
+    /// Parse a comma-separated spec. An entry is `kind:rank@step` with
+    /// kinds `kill | drop | dup | delay | nan | corrupt`, or `crash@step`;
+    /// `delay` takes a trailing `:milliseconds` (default 5). Examples:
+    /// `kill:1@2`, `drop:0@1,dup:3@2,delay:2@3:8`, `kill:5@1,nan:0@2`,
+    /// `crash@4`. Each kind's `step` is the coordinate [`FaultKind`] names.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut events = Vec::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            let (kind_str, rest) = entry
-                .split_once(':')
-                .ok_or_else(|| format!("fault `{entry}`: expected kind:rank@step"))?;
+            let bad = |what: &str| format!("fault `{entry}`: {what}");
+            let kind_str = entry.split([':', '@']).next().unwrap_or_default();
             let kind = match kind_str {
                 "kill" => FaultKind::Kill,
                 "drop" => FaultKind::Drop,
                 "dup" => FaultKind::Duplicate,
                 "delay" => FaultKind::Delay,
+                "nan" => FaultKind::Nan,
+                "corrupt" => FaultKind::Corrupt,
+                "crash" => FaultKind::Crash,
                 other => {
-                    return Err(format!(
-                        "fault `{entry}`: unknown kind `{other}` (want kill|drop|dup|delay)"
-                    ))
+                    return Err(bad(&format!(
+                        "unknown kind `{other}` (want kill|drop|dup|delay|nan|corrupt|crash)"
+                    )))
                 }
             };
-            let (coord, ms) = match (kind, rest.split_once(':')) {
-                (FaultKind::Delay, Some((coord, ms_str))) => {
-                    let ms = ms_str
-                        .parse::<u64>()
-                        .map_err(|_| format!("fault `{entry}`: bad delay milliseconds"))?;
-                    (coord, ms)
+            let rest = &entry[kind_str.len()..];
+            let (rank, rest) = if kind == FaultKind::Crash {
+                let step = rest.strip_prefix('@');
+                (0, step.ok_or_else(|| bad("expected crash@step"))?)
+            } else {
+                let coord = rest.strip_prefix(':');
+                let coord = coord.ok_or_else(|| bad("expected kind:rank@step"))?;
+                let (rank, step) = coord
+                    .split_once('@')
+                    .ok_or_else(|| bad("expected rank@step"))?;
+                (rank.parse::<usize>().map_err(|_| bad("bad rank"))?, step)
+            };
+            let (step, delay_ms) = match (kind, rest.split_once(':')) {
+                (FaultKind::Delay, Some((step, ms))) => {
+                    let ms = ms.parse::<u64>();
+                    (step, ms.map_err(|_| bad("bad delay milliseconds"))?)
                 }
                 (FaultKind::Delay, None) => (rest, 5),
-                (_, Some(_)) => {
-                    return Err(format!("fault `{entry}`: only delay takes a :ms suffix"))
-                }
+                (_, Some(_)) => return Err(bad("only delay takes a :ms suffix")),
                 (_, None) => (rest, 0),
             };
-            let (rank_str, step_str) = coord
-                .split_once('@')
-                .ok_or_else(|| format!("fault `{entry}`: expected rank@step"))?;
-            let rank = rank_str
-                .parse::<usize>()
-                .map_err(|_| format!("fault `{entry}`: bad rank"))?;
-            let step = step_str
-                .parse::<usize>()
-                .map_err(|_| format!("fault `{entry}`: bad step"))?;
             events.push(FaultEvent {
                 rank,
-                step,
+                step: step.parse::<usize>().map_err(|_| bad("bad step"))?,
                 kind,
-                delay_ms: ms,
+                delay_ms,
             });
         }
         Ok(FaultPlan { events })
     }
 
+    /// Refuse, naming it, the first event that could never fire in a run
+    /// of `p` ranks resumed after `base` of its `steps` global steps, whose
+    /// health monitors check every `health_every`-th timestep: a rank
+    /// `≥ p`; a `nan` or `corrupt` at a timestep past the run's last; a
+    /// `nan` on a timestep the monitors skip; a `crash` outside
+    /// `base + 1..=steps`. Pipeline steps are not bounded: rows run
+    /// different step counts, and a kill aimed past a row's last step
+    /// legitimately never fires.
+    pub fn check(&self, p: usize, base: u64, steps: u64, health_every: u64) -> Result<(), String> {
+        let timesteps = steps.saturating_sub(base);
+        for e in &self.events {
+            let step = e.step as u64;
+            let why = match e.kind {
+                _ if e.rank >= p => format!("rank {} does not exist with p={p}", e.rank),
+                FaultKind::Nan | FaultKind::Corrupt if step >= timesteps => {
+                    format!("timestep {step} is not in this run's 0..{timesteps}")
+                }
+                FaultKind::Nan if !step.is_multiple_of(health_every.max(1)) => {
+                    format!("the health monitors check only timesteps divisible by {health_every}")
+                }
+                FaultKind::Crash if step <= base || step > steps => {
+                    format!(
+                        "global step {step} is not in this run's {}..={steps}",
+                        base + 1
+                    )
+                }
+                _ => continue,
+            };
+            return Err(format!("fault `{}` never fires: {why}", e.spec()));
+        }
+        Ok(())
+    }
+
     /// The plan's events as conformance-checker fault notes, so a
     /// [`check_conformance`](nbody_wireprobe::check_conformance) pass can
     /// attribute discrepancies to scheduled injections even when the
-    /// corresponding probe events were evicted from a saturated ring.
+    /// corresponding probe events were evicted from a saturated ring. The
+    /// kinds the driver fires leave no trace on the wire and no note.
     pub fn probe_notes(&self) -> Vec<FaultNote> {
         self.events
             .iter()
-            .map(|e| FaultNote {
-                kind: e.kind.probe_kind(),
-                rank: e.rank as u32,
-                step: Some(e.step as u64),
+            .filter_map(|e| {
+                Some(FaultNote {
+                    kind: e.kind.probe_kind()?,
+                    rank: e.rank as u32,
+                    step: Some(e.step as u64),
+                })
             })
             .collect()
     }
@@ -194,12 +285,7 @@ impl FaultPlan {
     pub fn spec(&self) -> String {
         self.events
             .iter()
-            .map(|e| match e.kind {
-                FaultKind::Delay => {
-                    format!("delay:{}@{}:{}", e.rank, e.step, e.delay_ms)
-                }
-                k => format!("{}:{}@{}", k.label(), e.rank, e.step),
-            })
+            .map(FaultEvent::spec)
             .collect::<Vec<_>>()
             .join(",")
     }
@@ -271,6 +357,9 @@ impl ChaosState {
             FaultKind::Delay => "fault_injected_delay",
             FaultKind::Duplicate => "fault_injected_duplicate",
             FaultKind::Kill => "fault_injected_kill",
+            FaultKind::Nan | FaultKind::Corrupt | FaultKind::Crash => {
+                unreachable!("a chaos rank holds the wire kinds only")
+            }
         };
         for name in ["fault_injected_total", counter] {
             self.metrics.counter(name, None).inc();
@@ -322,14 +411,14 @@ pub struct ChaosComm<C: Communicator> {
 
 impl<C: Communicator> ChaosComm<C> {
     /// Wrap `inner` (a *world* communicator: its rank is used as the fault
-    /// plan's world-rank coordinate) with the events of `plan`.
+    /// plan's world-rank coordinate) with the wire events of `plan`.
     pub fn new(inner: C, plan: &FaultPlan) -> ChaosComm<C> {
         let world_rank = inner.rank();
         let events: Vec<FaultEvent> = plan
             .events
             .iter()
             .copied()
-            .filter(|e| e.rank == world_rank)
+            .filter(|e| e.rank == world_rank && e.kind.probe_kind().is_some())
             .collect();
         let state = ChaosState {
             world_rank,
@@ -368,7 +457,8 @@ impl<C: Communicator> ChaosComm<C> {
         // to the fault plan instead of flagging them as protocol bugs.
         let probe_fault = |kind: FaultKind| {
             self.state.wire.fault(
-                kind.probe_kind(),
+                kind.probe_kind()
+                    .expect("a chaos rank holds the wire kinds only"),
                 dst as u32,
                 tag,
                 self.state.phase.get(),
@@ -393,7 +483,7 @@ impl<C: Communicator> ChaosComm<C> {
                 1
             }
             FaultKind::Duplicate => 2,
-            FaultKind::Kill => unreachable!("take_p2p_event never hands out a kill"),
+            _ => unreachable!("take_p2p_event hands out drops, delays and duplicates only"),
         }
     }
 }
@@ -588,10 +678,74 @@ mod tests {
                 delay_ms: 8
             }
         );
-        assert!(plan.has_kills());
+        assert!(plan.holds(FaultKind::Kill) && !plan.needs_monitors());
         assert_eq!(FaultPlan::parse(&plan.spec()).unwrap(), plan);
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::empty());
-        assert!(!FaultPlan::empty().has_kills());
+        assert!(!FaultPlan::empty().holds(FaultKind::Kill));
+    }
+
+    #[test]
+    fn the_driver_kinds_share_the_grammar() {
+        let spec = "kill:5@1,nan:0@2,corrupt:4@2,crash@4";
+        let plan = FaultPlan::parse(spec).unwrap();
+        assert_eq!(plan.spec(), spec);
+        let kinds = [FaultKind::Kill, FaultKind::Nan, FaultKind::Corrupt];
+        assert!(plan
+            .events
+            .iter()
+            .map(|e| e.kind)
+            .eq(kinds.into_iter().chain([FaultKind::Crash])));
+        assert!(plan.needs_monitors() && plan.holds(FaultKind::Crash));
+        assert!(plan.aims(FaultKind::Nan, 0, 2) && !plan.aims(FaultKind::Nan, 4, 2));
+        // Only the kill reaches the wire, so only the kill is a note.
+        let notes = plan.probe_notes();
+        assert_eq!(notes.len(), 1);
+        assert_eq!(notes[0].kind, ProbeKind::FaultKill);
+    }
+
+    #[test]
+    fn a_fault_that_could_never_fire_is_refused_naming_it() {
+        let check =
+            |spec: &str, base, every| FaultPlan::parse(spec).unwrap().check(8, base, 3, every);
+        for ok in ["kill:7@9", "nan:0@2", "corrupt:4@0", "crash@1", "crash@3"] {
+            assert_eq!(check(ok, 0, 1), Ok(()), "{ok}");
+        }
+        // The monitors check every second timestep; resumed after step 2.
+        assert_eq!(
+            (check("nan:0@2", 0, 2), check("crash@3", 2, 1)),
+            (Ok(()), Ok(()))
+        );
+        for (bad, base, every) in [
+            ("kill:8@1", 0, 1),
+            ("drop:99@0", 0, 1),
+            ("nan:0@3", 0, 1),
+            ("corrupt:4@99", 0, 1),
+            ("nan:0@1", 0, 2),
+            ("crash@0", 0, 1),
+            ("crash@4", 0, 1),
+            ("crash@2", 2, 1),
+            ("nan:0@1", 2, 1),
+        ] {
+            let spec = format!("dup:1@1,{bad}");
+            let err = check(&spec, base, every).expect_err(bad);
+            assert!(
+                err.starts_with(&format!("fault `{bad}` never fires: ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chaos_rank_leaves_the_driver_kinds_to_the_driver() {
+        let plan = FaultPlan::parse("nan:0@1,corrupt:0@1,crash@1").unwrap();
+        let (_, Artifacts { metrics, .. }) =
+            run_ranks_chaos_with(1, &plan, Lenses::default(), |comm| {
+                comm.set_phase(Phase::Shift);
+                comm.fault_step(1).unwrap();
+                comm.send(0, 3, &[1u8]);
+                comm.recv::<u8>(0, 3)
+            });
+        assert_eq!(metrics.sum_counter("fault_injected_total", None), 0);
     }
 
     #[test]
@@ -603,6 +757,12 @@ mod tests {
             "kill:1@y",
             "drop:1@2:5",
             "kill",
+            "kill@2",
+            "nan:0",
+            "corrupt:zero@1",
+            "crash:0@4",
+            "crash@soon",
+            "crash",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted `{bad}`");
         }
@@ -625,7 +785,7 @@ mod tests {
         }
         // Different seeds diverge (overwhelmingly likely over 6 events).
         assert_ne!(a, FaultPlan::seeded(8, 8, 4, 6, &kinds));
-        assert!(!a.has_kills());
+        assert!(!a.holds(FaultKind::Kill));
     }
 
     #[test]

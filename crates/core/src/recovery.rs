@@ -69,7 +69,7 @@
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-use nbody_comm::{CommError, Communicator, EventKind, Phase};
+use nbody_comm::{CommError, Communicator, EventKind, FaultKind, FaultPlan, Phase};
 use nbody_metrics::Counter;
 use nbody_physics::particle::sources;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
@@ -272,42 +272,41 @@ fn agree<C: Communicator>(gc: &GridComms<C>, local: u8) -> u8 {
 
 /// Per-rank numerical-health state threaded through the fault-tolerant
 /// drivers: its presence turns on the replica fingerprint cross-check
-/// (whenever `c ≥ 2`), and it carries the deterministic corruption
-/// injection used to test it.
+/// (whenever `c ≥ 2`), and it carries the fault plan's `corrupt` events,
+/// the seeded corruptions that test it.
 ///
-/// One instance lives per rank for the whole run (the injection must fire
+/// One instance lives per rank for the whole run (each corruption must fire
 /// exactly once, across steps *and* retry attempts), so it holds interior
 /// [`Cell`] state and is deliberately `!Sync` — construct it inside the
 /// per-rank closure.
 pub struct HealthMonitor {
-    /// Silently flip one mantissa bit of the first checkpointed particle
-    /// on world rank `.0` at evaluation epoch `.1` — the seeded corruption
-    /// the cross-check must catch within one step.
-    pub corrupt: Option<(usize, u64)>,
-    corrupt_fired: Cell<bool>,
+    /// Each seeded corruption `(world rank, evaluation epoch)` with whether
+    /// it has fired: one mantissa bit of the first checkpointed particle
+    /// flips silently, and the cross-check must catch it within one step.
+    corrupt: Vec<((usize, u64), Cell<bool>)>,
 }
 
 impl HealthMonitor {
-    /// A monitor with an optional seeded corruption target.
-    pub fn new(corrupt: Option<(usize, u64)>) -> HealthMonitor {
+    /// A monitor carrying the `corrupt` events of `plan`.
+    pub fn new(plan: &FaultPlan) -> HealthMonitor {
+        let corrupt = plan.events.iter().filter(|e| e.kind == FaultKind::Corrupt);
         HealthMonitor {
-            corrupt,
-            corrupt_fired: Cell::new(false),
+            corrupt: corrupt
+                .map(|e| ((e.rank, e.step as u64), Cell::new(false)))
+                .collect(),
         }
     }
 
-    /// Fire the seeded corruption if this (rank, epoch) is the target and
-    /// it has not fired yet. Corrupts the *checkpoint*, not the working
-    /// copy: real silent corruption survives local retries, and so must
-    /// the injected kind — only the cross-check's re-seed can clear it.
+    /// Fire a seeded corruption aimed at this (rank, epoch) that has not
+    /// fired yet. Corrupts the *checkpoint*, not the working copy: real
+    /// silent corruption survives local retries, and so must the injected
+    /// kind — only the cross-check's re-seed can clear it.
     fn maybe_corrupt(&self, world_rank: usize, epoch: u64, input: &mut [Particle]) {
-        let Some((rank, step)) = self.corrupt else {
+        let mut unfired = self.corrupt.iter().filter(|(_, fired)| !fired.get());
+        let Some((_, fired)) = unfired.find(|(at, _)| *at == (world_rank, epoch)) else {
             return;
         };
-        if rank != world_rank || step != epoch || self.corrupt_fired.get() {
-            return;
-        }
-        self.corrupt_fired.set(true);
+        fired.set(true);
         if let Some(p) = input.first_mut() {
             p.pos.x = f64::from_bits(p.pos.x.to_bits() ^ (1 << 40));
         }
@@ -665,7 +664,7 @@ mod tests {
     use super::*;
     use crate::dist::id_block_subset;
     use crate::grid::ProcGrid;
-    use nbody_comm::{run_ranks, run_ranks_chaos, run_ranks_chaos_with, FaultPlan, Lenses};
+    use nbody_comm::{run_ranks, run_ranks_chaos, run_ranks_chaos_with, Lenses};
     use nbody_physics::{init, RepulsiveInverseSquare};
 
     fn law() -> RepulsiveInverseSquare {
@@ -834,8 +833,8 @@ mod tests {
     }
 
     /// The details of every retry event one `p = 4`, `c = 2` evaluation
-    /// under `plan` records, with the seeded corruption `corrupt`.
-    fn retry_events(plan: &FaultPlan, corrupt: Option<(usize, u64)>) -> Vec<String> {
+    /// under `plan` records.
+    fn retry_events(plan: &FaultPlan) -> Vec<String> {
         let domain = Domain::unit();
         let grid = ProcGrid::new_all_pairs(4, 2).unwrap();
         let policy = RetryPolicy::with_timeout_ms(100);
@@ -847,7 +846,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let monitor = HealthMonitor::new(corrupt);
+            let monitor = HealthMonitor::new(plan);
             let (law, boundary) = (law(), Boundary::Reflective);
             let health = Some(&monitor);
             ca_all_pairs_forces_ft(&gc, &mut st, &law, &domain, boundary, &policy, 0, health)
@@ -874,12 +873,12 @@ mod tests {
         );
         // Rank 1 is row 0 of team 1 and rank 3 its replica in row 1.
         let faults = [
-            ("transient", FaultPlan::parse("drop:1@1").unwrap(), None),
-            ("dead peer", FaultPlan::kill(1, 1), None),
-            ("corrupt replica", FaultPlan::empty(), Some((3, 0))),
+            ("transient", "drop:1@1"),
+            ("dead peer", "kill:1@1"),
+            ("corrupt replica", "corrupt:3@0"),
         ];
-        for (what, plan, corrupt) in faults {
-            let retries = retry_events(&plan, corrupt);
+        for (what, spec) in faults {
+            let retries = retry_events(&FaultPlan::parse(spec).unwrap());
             assert_eq!(retries, vec!["retry 2 deadline=200ms"; 4], "{what}");
         }
     }

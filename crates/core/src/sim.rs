@@ -35,7 +35,7 @@ use std::convert::Infallible;
 
 use nbody_comm::{
     run_ranks_chaos_with, run_ranks_with, Artifacts, CommStats, Communicator, EventKind,
-    ExecutionTrace, FaultPlan, Lenses, MetricsSnapshot, Phase,
+    ExecutionTrace, FaultKind, FaultPlan, Lenses, MetricsSnapshot, Phase,
 };
 use nbody_durable::{write_atomic, CheckpointBundle, ColumnBlock};
 use nbody_physics::particle::reset_forces;
@@ -290,10 +290,6 @@ pub struct CheckpointConfig {
     pub fingerprint: String,
     /// Initial-condition seed recorded in the bundle.
     pub seed: u64,
-    /// Kill the process (exit 137, the SIGKILL code) right after the
-    /// bundle for this global step hits the disk — the crash hook behind
-    /// `run --crash-at-step`, exercising the resume path end to end.
-    pub crash_at: Option<u64>,
 }
 
 /// Run a distributed simulation under a fault-injection [`FaultPlan`],
@@ -408,7 +404,11 @@ where
 
     /// Inject `plan` and evaluate forces under the recovery protocol with
     /// `policy`. (Without this, a checkpointed or health-monitored run
-    /// injects nothing and retries under [`RetryPolicy::default`].)
+    /// injects nothing and retries under [`RetryPolicy::default`].) A plan
+    /// holding a `nan` or `corrupt` runs the health monitors, checked every
+    /// step unless [`Run::health`] says otherwise: an injection without its
+    /// monitor would be an unobserved fault. One holding a `crash` needs
+    /// [`Run::checkpoint`].
     pub fn faults(mut self, plan: &'a FaultPlan, policy: &'a RetryPolicy) -> Self {
         self.faults = Some((plan, policy));
         self
@@ -439,7 +439,8 @@ where
     ///
     /// Panics on invalid configurations (replication not dividing `p`,
     /// cutoff methods without a cutoff law, `c` exceeding the interaction
-    /// window, fault tolerance requested for a non-CA method).
+    /// window, fault tolerance requested for a non-CA method, a `crash`
+    /// fault without a checkpoint sink).
     pub fn execute(&self, initial: &[Particle]) -> RunOutput {
         let (cfg, method) = (self.cfg, self.method);
         let recovering =
@@ -452,8 +453,14 @@ where
             assert!(method.is_ca(), "{}", method.not_ca());
             let (no_faults, default_policy) = (FaultPlan::empty(), RetryPolicy::default());
             let (plan, policy) = self.faults.unwrap_or((&no_faults, &default_policy));
+            assert!(
+                self.checkpoint.is_some() || !plan.holds(FaultKind::Crash),
+                "a crash fault fires after a checkpoint is durable: it needs a checkpoint sink"
+            );
+            let every_step = HealthConfig::enabled();
+            let health = self.health.or(plan.needs_monitors().then_some(&every_step));
             run_ranks_chaos_with(self.p, plan, self.lenses, |world| {
-                let eval = Recovering::new(world, policy, self.checkpoint, self.health);
+                let eval = Recovering::new(world, plan, policy, self.checkpoint, health);
                 run_rank(cfg, layout, world, initial, eval)
             })
         } else {
@@ -782,8 +789,10 @@ impl Evaluation for Plain {
 /// The fault-tolerant evaluation: the recovery protocol around every
 /// force evaluation (`epoch` = timestep index for tag namespacing), with
 /// the optional durable checkpoint sink on its cadence and the optional
-/// numerical-health monitors.
+/// numerical-health monitors. The plan's `nan` and `crash` events fire
+/// here; its `corrupt` events ride in the monitor.
 struct Recovering<'a> {
+    plan: &'a FaultPlan,
     policy: &'a RetryPolicy,
     ckpt: Option<&'a CheckpointConfig>,
     health: Option<&'a HealthConfig>,
@@ -793,7 +802,6 @@ struct Recovering<'a> {
     /// grid has contracted by then.
     rank: usize,
     monitor: Option<HealthMonitor>,
-    nan_fired: bool,
     /// This step's sentinel blame `(rank, detail)`, from the force scan
     /// until the step's reduction consumes it.
     blame: Option<(usize, String)>,
@@ -803,6 +811,7 @@ struct Recovering<'a> {
 impl<'a> Recovering<'a> {
     fn new<C: Communicator>(
         world: &C,
+        plan: &'a FaultPlan,
         policy: &'a RetryPolicy,
         ckpt: Option<&'a CheckpointConfig>,
         health: Option<&'a HealthConfig>,
@@ -818,12 +827,12 @@ impl<'a> Recovering<'a> {
             }
         }
         Recovering {
+            plan,
             policy,
             ckpt,
             health,
             rank: world.rank(),
-            monitor: health.map(|h| HealthMonitor::new(h.injection.corrupt)),
-            nan_fired: false,
+            monitor: health.map(|_| HealthMonitor::new(plan)),
             blame: None,
             report: HealthReport::default(),
         }
@@ -856,12 +865,11 @@ impl Evaluation for Recovering<'_> {
             monitor,
         )?;
         self.report.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
-        // Post-reduction sentinel pass: apply the seeded NaN injection (fire
-        // once, on the target rank/step) and scan the freshly reduced force
-        // accumulators on leaders.
-        if let Some(h) = self.health.filter(|h| h.checks_step(epoch)) {
-            if h.injection.nan == Some((self.rank, epoch)) && !self.nan_fired {
-                self.nan_fired = true;
+        // Post-reduction sentinel pass: apply the plan's NaN (a step's
+        // evaluation succeeds once, so it fires once) and scan the freshly
+        // reduced force accumulators on leaders.
+        if self.health.is_some_and(|h| h.checks_step(epoch)) {
+            if self.plan.aims(FaultKind::Nan, self.rank, epoch) {
                 if let Some(q) = st.first_mut() {
                     q.force.x = f64::NAN;
                 }
@@ -909,8 +917,14 @@ impl Evaluation for Recovering<'_> {
         }
         if let Some(ck) = self.ckpt {
             let done = ck.base_step + step as u64 + 1;
-            if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
+            let crash = self.plan.aims(FaultKind::Crash, 0, done);
+            if done.is_multiple_of(ck.every as u64) || crash {
                 persist_checkpoint(cur, &gc.grid, gc.is_leader(), st, ck, done);
+            }
+            // The plan's crash: rank 0 hard-exits with the SIGKILL code
+            // right after the bundle is durable.
+            if crash && cur.rank() == 0 {
+                std::process::exit(137);
             }
         }
         Ok(sampled)
@@ -991,8 +1005,7 @@ fn shrink_world<C: Communicator>(
 /// Persist the leaders' blocks as one durable bundle: gathered to the
 /// current world's rank 0, written atomically (temp file + rename), and
 /// recorded in the flight ring and the `checkpoint_*` counters.
-/// Collective over `cur`. When the crash hook matches, rank 0 exits the
-/// process with the SIGKILL code right after the bundle is durable.
+/// Collective over `cur`.
 fn persist_checkpoint<C: Communicator>(
     cur: &C,
     grid: &ProcGrid,
@@ -1046,9 +1059,6 @@ fn persist_checkpoint<C: Communicator>(
             );
             cur.metrics().counter("checkpoint_failed_total", None).inc();
         }
-    }
-    if ck.crash_at == Some(global_step) {
-        std::process::exit(137);
     }
 }
 
@@ -1460,7 +1470,6 @@ mod tests {
             base_step: 0,
             fingerprint: "test-fp".into(),
             seed: 9,
-            crash_at: None,
         };
         let out = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 4)
             .trace()

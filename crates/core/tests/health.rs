@@ -1,8 +1,9 @@
 //! Numerical-health integration tests: clean CA runs must report clean
 //! invariants with energy/momentum series landing in the timeline, a
-//! seeded NaN must abort every rank with the injected (rank, step) blamed
-//! in the flight recorder, and a seeded replica corruption must be caught
-//! by the fingerprint cross-check and repaired from a clean row.
+//! planned NaN must abort every rank with the injected (rank, step) blamed
+//! in the flight recorder, a planned replica corruption must be caught by
+//! the fingerprint cross-check and repaired from a clean row, and one plan
+//! holding a kill and a NaN must do both.
 
 use ca_nbody::recovery::{FaultError, RetryPolicy};
 use ca_nbody::sim::{Method, Run, RunResult, SimConfig};
@@ -93,10 +94,7 @@ fn clean_all_pairs_run_reports_clean_invariants() {
 fn health_cadence_checks_every_kth_step() {
     let cfg = cfg(9);
     let initial = init::uniform(32, &cfg.domain, 3);
-    let health = HealthConfig {
-        every: 3,
-        ..HealthConfig::enabled()
-    };
+    let health = HealthConfig { every: 3 };
     let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 1 },
@@ -117,15 +115,13 @@ fn health_cadence_checks_every_kth_step() {
 fn injected_nan_is_blamed_at_the_seeded_rank_and_step() {
     let cfg = cfg(6);
     let initial = init::uniform(48, &cfg.domain, 7);
-    let mut health = HealthConfig::enabled();
-    health.injection.nan = Some((0, 3));
     let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 2 },
         8,
-        &FaultPlan::empty(),
+        &FaultPlan::parse("nan:0@3").unwrap(),
         &RetryPolicy::with_timeout_ms(200),
-        &health,
+        &HealthConfig::enabled(),
         &initial,
     );
     let err = res.expect_err("seeded NaN must abort the run");
@@ -161,16 +157,14 @@ fn injected_nan_is_blamed_at_the_seeded_rank_and_step() {
 fn corrupted_replica_is_caught_and_repaired_by_the_cross_check() {
     let cfg = cfg(6);
     let initial = init::uniform(48, &cfg.domain, 7);
-    let mut health = HealthConfig::enabled();
     // p=8, c=2: rank 4 is (team 0, row 1), a replica of leader rank 0.
-    health.injection.corrupt = Some((4, 2));
     let (res, timeline) = health_run(
         &cfg,
         Method::CaAllPairs { c: 2 },
         8,
-        &FaultPlan::empty(),
+        &FaultPlan::parse("corrupt:4@2").unwrap(),
         &RetryPolicy::with_timeout_ms(200),
-        &health,
+        &HealthConfig::enabled(),
         &initial,
     );
     let (run, report) = res.expect("cross-check repairs the corrupt replica");
@@ -191,6 +185,48 @@ fn corrupted_replica_is_caught_and_repaired_by_the_cross_check() {
     // The run still finishes with clean physics afterwards.
     assert!(report.max_momentum_norm < 1e-12);
     assert_eq!(run.particles.len(), 48);
+}
+
+#[test]
+fn one_plan_recovers_its_kill_and_blames_its_nan() {
+    let cfg = cfg(3);
+    let initial = init::uniform(48, &cfg.domain, 7);
+    let policy = RetryPolicy::with_timeout_ms(200);
+    // No `.health()`: a plan holding a NaN runs the monitors itself.
+    let run = |spec: &str| {
+        let plan = FaultPlan::parse(spec).unwrap();
+        let out = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 8)
+            .trace()
+            .faults(&plan, &policy)
+            .execute(&initial);
+        (out.result, out.artifacts)
+    };
+    let blame = |res: Result<RunResult, FaultError>| match res {
+        Err(FaultError::NumericalFault { rank, step, detail }) => {
+            assert_eq!((rank, step), (0, 2));
+            detail
+        }
+        other => panic!("expected the NaN's NumericalFault, got {other:?}"),
+    };
+    let (res, artifacts) = run("kill:5@1,nan:0@2");
+    // Rank 5 (team 1, row 1) dies in step 0's shift loop; its column
+    // partner carries the recovery.
+    assert_eq!(
+        artifacts.metrics.sum_counter("fault_injected_kill", None),
+        1
+    );
+    let mut events = artifacts.timeline.ranks.iter().flat_map(|r| &r.events);
+    assert!(
+        events.any(|e| e.kind == EventKind::RecoveryAttempt),
+        "the kill is recovered in the flight ring"
+    );
+    let composed = blame(res);
+    let (alone, _) = run("nan:0@2");
+    assert_eq!(
+        composed,
+        blame(alone),
+        "the kill leaves the NaN's blame as it was"
+    );
 }
 
 #[test]

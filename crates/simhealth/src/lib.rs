@@ -32,7 +32,7 @@ mod report;
 mod sentinel;
 mod summary;
 
-pub use config::{HealthConfig, HealthInjection};
+pub use config::HealthConfig;
 pub use fingerprint::state_fingerprint;
 pub use invariants::Invariants;
 pub use report::{HealthBaseline, HealthReport};

@@ -13,7 +13,6 @@ mod spec;
 pub mod audit;
 pub mod chaos;
 pub mod inspect;
-pub mod model;
 pub mod run;
 
 pub use opts::Opts;

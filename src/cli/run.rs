@@ -19,10 +19,19 @@
 //! bounded ring, merged after the run into one `nbody-wireprobe/v1` JSON
 //! log.
 //!
-//! `--faults` injects a deterministic fault schedule (spec grammar
-//! `kind:rank@step` with kinds `kill | drop | dup | delay`, comma-
-//! separated) and switches `run`/`verify` to the fault-tolerant CA
-//! drivers. Retries follow [`RetryPolicy::with_timeout_ms`]: the first
+//! `--faults` is the one door for injected faults: a deterministic plan
+//! (comma-separated `kind:rank@step` entries, or `crash@step`) that
+//! switches `run`/`verify` to the fault-tolerant CA drivers. The wire
+//! kinds `kill | drop | dup | delay` strike a pipeline step (0 = skew) of
+//! the first evaluation that reaches it; `nan` poisons a force after
+//! timestep `step`'s reduction and `corrupt` flips a replica bit at its
+//! start (both turn the health monitors on, and a `nan` must land on a
+//! step they check); `crash@S` exits the process with code 137 right after
+//! global step `S`'s checkpoint is durable, so it needs `--checkpoint-dir`.
+//! A malformed plan is a start-up error (exit 2); an event that could never
+//! fire in this run (a rank `≥ p`, a timestep past the last) is refused
+//! before anything runs (exit 1). Retries follow
+//! [`RetryPolicy::with_timeout_ms`]: the first
 //! attempt waits `fault-timeout-ms` per receive, every retry twice as
 //! long, up to three retries and a minute per evaluation. When every
 //! replica of a column dies the run *shrinks*: survivors agree on the
@@ -34,11 +43,9 @@
 //! `nbody-checkpoint/v1` bundle (atomic temp-file + rename) every
 //! `checkpoint-every` completed steps; `--resume=<dir>` restores the
 //! newest bundle — rejecting it unless its run-config fingerprint
-//! matches the flags — and continues mid-run. `--crash-at-step=<s>`
-//! kills the process (exit 137) right after that step's bundle hits the
-//! disk, exercising the resume path end to end. The cadence and the
-//! retry policy are set by these flags and nothing else: no environment
-//! variable stands in for one.
+//! matches the flags — and continues mid-run; `--faults=crash@S` exercises
+//! that path end to end. The cadence and the retry policy are set by these
+//! flags and nothing else: no environment variable stands in for one.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -46,10 +53,10 @@ use std::time::Instant;
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{run_serial, CheckpointConfig, Run};
 use nbody_analyze::analyze;
-use nbody_comm::FaultPlan;
+use nbody_comm::{FaultKind, FaultPlan};
 use nbody_durable::load_latest;
 use nbody_physics::diagnostics;
-use nbody_simhealth::{HealthBaseline, HealthConfig, HealthInjection};
+use nbody_simhealth::{HealthBaseline, HealthConfig};
 use nbody_timeline::DriftConfig;
 use nbody_trace::ALL_PHASES;
 
@@ -57,26 +64,16 @@ use super::artifact::{load, named_or_present, write, JsonPath, Summary};
 use super::spec::{fault_plan, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
-/// Numerical-health monitors: `--health` turns them on; the injection
-/// flags (seeded non-finite / replica corruption) imply them, since an
-/// injection without its monitor would be an unobserved fault.
+/// Numerical-health monitors: `--health` or `--health-every` turns them on.
+/// (A plan holding a `nan` or `corrupt` runs them too; `Run` sees to it.)
 fn health_config(opts: &mut Opts) -> Result<Option<HealthConfig>, Failure> {
     let every: Option<u64> = opts.opt("health-every")?;
-    let nan: Option<String> = opts.opt("inject-nan")?;
-    let corrupt: Option<String> = opts.opt("corrupt-replica")?;
-    if !(opts.get("health", false)? || every.is_some() || nan.is_some() || corrupt.is_some()) {
+    if !(opts.get("health", false)? || every.is_some()) {
         return Ok(None);
     }
-    let target = |flag: &str, spec: Option<String>| {
-        spec.map(|s| HealthInjection::parse_target(&s))
-            .transpose()
-            .map_err(|e| format!("invalid --{flag} target: {e}"))
-    };
-    let mut h = HealthConfig::enabled();
-    h.every = every.unwrap_or(1).max(1);
-    h.injection.nan = target("inject-nan", nan)?;
-    h.injection.corrupt = target("corrupt-replica", corrupt)?;
-    Ok(Some(h))
+    Ok(Some(HealthConfig {
+        every: every.unwrap_or(1).max(1),
+    }))
 }
 
 const CA_ONLY: &str = "each of --faults/--checkpoint-dir/--resume/--health requires a CA method \
@@ -106,6 +103,13 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     if recovering && !method.is_ca() {
         return Err(CA_ONLY.into());
     }
+    let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
+    if plan.holds(FaultKind::Crash) && ckpt_dir.is_none() {
+        return Err(Failure::startup(
+            "--faults=crash@S needs --checkpoint-dir: the crash fires after a checkpoint is durable",
+        ));
+    }
+    let monitored = health_cfg.is_some() || plan.needs_monitors();
     let policy = if recovering {
         RetryPolicy::with_timeout_ms(opts.get("fault-timeout-ms", 1000)?)
     } else {
@@ -123,18 +127,18 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             base_step: 0,
             fingerprint: spec.fingerprint().digest(),
             seed: spec.seed,
-            crash_at: opts.opt("crash-at-step")?,
         });
     }
     // The CI gate: drift and event counts against the versioned baseline.
     // An explicitly named baseline must exist; the default one is optional
     // (monitors still ran, the gate is just skipped).
-    let health_baseline = match &health_cfg {
-        Some(_) => named_or_present(
+    let health_baseline = if monitored {
+        named_or_present(
             opts.opt("health-baseline")?,
             "bench_results/health_baseline.json",
-        ),
-        None => None,
+        )
+    } else {
+        None
     };
     opts.finish()?;
     let health_baseline = health_baseline
@@ -161,9 +165,13 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         resumed_from = Some(bundle.step);
         initial = bundle.all_particles();
         cfg.steps = spec.steps - bundle.step as usize;
+    }
+    let health_every = health_cfg.map_or(1, |h| h.every);
+    let base = resumed_from.unwrap_or(0);
+    plan.check(p, base, spec.steps as u64, health_every)?;
+    if let Some(dir) = &resume_dir {
         println!(
-            "  resumed from {dir} at step {} ({} particles, {} steps left)",
-            bundle.step,
+            "  resumed from {dir} at step {base} ({} particles, {} steps left)",
             initial.len(),
             cfg.steps
         );
@@ -175,7 +183,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     );
     let start = Instant::now();
     // One run, built from the flags.
-    let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
     let mut run = Run::new(&cfg, method, p);
     // Fault-tolerant runs always trace, so recovery overhead shows up in
     // `analyze` breakdowns and the fault counters reach the summary.

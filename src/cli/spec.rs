@@ -192,7 +192,7 @@ fn law_named(name: &str, needs_cutoff: bool, cutoff: f64) -> Result<AnyLaw, Stri
 pub fn fault_plan(opts: &mut Opts) -> Result<Option<FaultPlan>, Failure> {
     let spec: Option<String> = opts.opt("faults")?;
     let plan = spec.map(|s| FaultPlan::parse(&s)).transpose();
-    Ok(plan.map_err(|e| format!("invalid --faults spec: {e}"))?)
+    plan.map_err(|e| Failure::startup(format!("invalid --faults spec: {e}")))
 }
 
 impl RunSpec {

@@ -8,9 +8,7 @@
 //!                   [--record-timeline=out.json] [--wire-probe=out.json]
 //!                   [--faults=SPEC] [fault-timeout-ms=1000]
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
-//!                   [--crash-at-step=S]
 //!                   [--health] [--health-every=K] [--health-baseline=F]
-//!                   [--inject-nan=RANK@STEP] [--corrupt-replica=RANK@STEP]
 //! ca-nbody verify   [same options]            distributed-vs-serial check
 //! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0]
 //!                   [--baseline=bench_results/audit_baseline.json] [--out=F.json]
@@ -23,7 +21,6 @@
 //! ca-nbody soak     [n=96] [p=8] [c=2] [steps=2] [method=ca] [seed=42]
 //!                   [seconds=30] [events=3] [fault-timeout-ms=250]
 //!                   [--postmortem=DIR]   time-boxed randomized chaos
-//! ca-nbody autotune [machine=hopper] [p=1536] [n=12288] [cutoff=0]
 //! ca-nbody analyze  [trace.json] [--metrics=F] [--timeline=F] [--wire=F]
 //!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--json=F]
 //!                   the one reader of a recorded run: per-phase and
@@ -53,27 +50,25 @@ use std::process::ExitCode;
 use nbody_comm::validate_env;
 
 mod cli;
-use cli::{audit, chaos, inspect, model, run, Command, Failure, Opts};
+use cli::{audit, chaos, inspect, run, Command, Failure, Opts};
 
-const COMMANDS: [(&str, Command); 9] = [
+const COMMANDS: [(&str, Command); 8] = [
     ("run", |opts, _| run::execute(opts, false)),
     ("verify", |opts, _| run::execute(opts, true)),
     ("audit", audit::audit),
     ("calibrate", audit::calibrate),
     ("chaos", chaos::chaos),
     ("soak", chaos::soak),
-    ("autotune", model::autotune),
     ("analyze", inspect::analyze),
     ("conformance", inspect::conformance),
 ];
 
-const USAGE: &str = "usage: ca-nbody <run|verify|audit|calibrate|chaos|soak|autotune|\
-     analyze|conformance> \
+const USAGE: &str = "usage: ca-nbody <run|verify|audit|calibrate|chaos|soak|analyze|\
+     conformance> \
      [key=value ...] \
      [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \
-     [--health] [--health-every=K] [--health-baseline=F] \
-     [--inject-nan=RANK@STEP] [--corrupt-replica=RANK@STEP]\n\
+     [--health] [--health-every=K] [--health-baseline=F]\n\
      an option that is malformed, or that the subcommand does not read, is an error (exit 2)\n\
      see `src/main.rs` header or README.md for the option list";
 

@@ -112,20 +112,17 @@ fn force_decomp_requires_square_p() {
 }
 
 #[test]
-fn autotune_subcommand_reports_best_c() {
-    let out = cli()
-        .args(["autotune", "p=256", "n=2048"])
-        .output()
-        .expect("failed to launch CLI");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success());
-    assert!(stdout.contains("<-- best"), "{stdout}");
-}
-
-#[test]
 fn unknown_subcommand_fails_with_usage() {
-    // `report` and `health` were folded into `analyze`.
-    for name in ["frobnicate", "scale", "postmortem", "report", "health"] {
+    // `report` and `health` were folded into `analyze`; `autotune` had no
+    // reader.
+    for name in [
+        "frobnicate",
+        "scale",
+        "postmortem",
+        "report",
+        "health",
+        "autotune",
+    ] {
         let out = cli().arg(name).output().expect("launch");
         assert_eq!(out.status.code(), Some(2), "{name}");
         assert!(
@@ -422,8 +419,7 @@ fn audit_rejects_invalid_replication_factor() {
 fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
     // c does not divide p; c does not divide p on a cutoff method; c exceeds
     // the window. Each used to panic on every rank thread (exit 101). A
-    // cutoff radius that is not positive, or an autotune sweep with nothing
-    // to sweep, used to panic once.
+    // cutoff radius that is not positive used to panic once.
     for (args, why) in [
         (&["run", "n=64", "p=4", "c=3"][..], "must divide p=4"),
         (
@@ -462,8 +458,6 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
             &["verify", "method=halo-1d", "n=64", "p=4", "cutoff=0"],
             "cutoff=0",
         ),
-        (&["autotune", "p=0"], "p=0"),
-        (&["autotune", "p=16", "n=64", "cutoff=5"], "cutoff=5"),
     ] {
         let out = cli().args(args).output().expect("launch");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -646,13 +640,6 @@ fn run_survives_unreplicated_kill_by_shrinking() {
 
 #[test]
 fn faults_flag_rejects_bad_specs_and_non_ca_methods() {
-    let out = cli()
-        .args(["run", "n=32", "p=4", "--faults=explode:1@2"])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --faults"));
-
     let out = cli()
         .args(["run", "n=32", "p=4", "method=halo-1d", "--faults=drop:1@1"])
         .output()
@@ -1329,14 +1316,14 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
         .args([
             &format!("--checkpoint-dir={}", dir.display()),
             "--checkpoint-every=2",
-            "--crash-at-step=4",
+            "--faults=crash@4",
         ])
         .output()
         .expect("launch");
     assert_eq!(
         out.status.code(),
         Some(137),
-        "crash-at-step must exit 137: {}",
+        "crash@4 must exit 137: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     for step in [2, 4] {
@@ -1855,7 +1842,7 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
             "p=8",
             "c=2",
             "steps=3",
-            "--inject-nan=0@1",
+            "--faults=nan:0@1",
             &format!("--record-timeline={tl}"),
         ])
         .output()
@@ -1898,7 +1885,7 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
             "p=8",
             "c=2",
             "steps=3",
-            "--corrupt-replica=4@1",
+            "--faults=corrupt:4@1",
             &format!("--record-timeline={tl}"),
         ])
         .output()
@@ -1928,20 +1915,17 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
 
 #[test]
 fn health_flags_reject_bad_specs_and_checkpoint_combination() {
-    let out = cli()
-        .args([
-            "run",
-            "n=32",
-            "p=4",
-            "c=2",
-            "steps=2",
-            "--inject-nan=zero@1",
-        ])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad rank"), "{stderr}");
+    // `--faults` is the one door for an injected fault: the flags that
+    // went are unread options.
+    for flag in [
+        "--inject-nan=0@2",
+        "--corrupt-replica=4@2",
+        "--crash-at-step=4",
+    ] {
+        let key = &flag[2..flag.find('=').unwrap()];
+        let args = ["run", "n=32", "p=4", "c=2", "steps=2", flag];
+        assert_refused(2, key, &args, &[&format!("'{key}'"), "'run'"]);
+    }
 
     // The health monitors compose with everything else a run can carry.
     // Checkpointing: crash on cue with the monitors on, resume with them
@@ -1966,14 +1950,14 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
         .args([
             &format!("--checkpoint-dir={}", ckpt.display()),
             "--checkpoint-every=2",
-            "--crash-at-step=4",
+            "--faults=crash@4",
         ])
         .output()
         .expect("launch");
     assert_eq!(
         out.status.code(),
         Some(137),
-        "crash-at-step must exit 137 under --health too: {}",
+        "crash@4 must exit 137 under --health too: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(ckpt.join("ckpt-00000004.json").is_file());
@@ -2032,16 +2016,16 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Run `args` in a fresh, empty working directory and require a start-up
-/// rejection: exit 2, exactly one stderr line naming each of `names`, no
-/// panic, and nothing written.
-fn assert_rejected_at_startup(tag: &str, args: &[&str], names: &[&str]) {
+/// Run `args` in a fresh, empty working directory and require a refusal
+/// with exit `code` (2 at start-up, 1 after): exactly one stderr line
+/// naming each of `names`, no panic, and nothing written.
+fn assert_refused(code: i32, tag: &str, args: &[&str], names: &[&str]) {
     let dir = std::env::temp_dir().join(format!("ca_nbody_cli_startup_{tag}"));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let out = cli().args(args).current_dir(&dir).output().expect("launch");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     for name in names {
         assert!(stderr.contains(name), "{args:?}: no {name} in {stderr}");
@@ -2081,9 +2065,19 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
             ["'drift-window'", "'x'"],
         ),
         (
+            "faults",
+            &["run", "--faults=explode:1@2", "--trace=t.json"],
+            ["invalid --faults", "explode"],
+        ),
+        (
+            "nan",
+            &["run", "--faults=nan:zero@1", "--trace=t.json"],
+            ["invalid --faults", "`nan:zero@1`: bad rank"],
+        ),
+        (
             "crash",
-            &["run", "--checkpoint-dir=ck", "--crash-at-step=soon"],
-            ["'crash-at-step'", "'soon'"],
+            &["run", "--checkpoint-dir=ck", "--faults=crash@soon"],
+            ["invalid --faults", "`crash@soon`: bad step"],
         ),
         ("c", &["audit", "c=some"], ["'c'", "'some'"]),
         (
@@ -2116,8 +2110,33 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
             ["'roofline-out'", "'r.csv'"],
         ),
     ] {
-        assert_rejected_at_startup(tag, args, &names);
+        assert_refused(2, tag, args, &names);
     }
+}
+
+#[test]
+fn a_fault_that_could_never_fire_is_refused_before_anything_runs() {
+    // Each used to run to exit 0 with nothing injected.
+    for (faults, why) in [
+        ("kill:99@1", "rank 99"),
+        ("drop:8@0", "rank 8"),
+        ("nan:99@1", "rank 99"),
+        ("nan:0@3", "timestep 3"),
+        ("corrupt:4@99", "timestep 99"),
+        ("nan:0@1 --health-every=2", "divisible by 2"),
+        ("crash@9", "global step 9"),
+        ("crash@0", "global step 0"),
+    ] {
+        let flag = format!("--faults={faults} --checkpoint-dir=ck --trace=t.json");
+        let mut args = vec!["run", "n=96", "p=8", "c=2", "steps=3"];
+        args.extend(flag.split(' '));
+        let event = format!("fault `{}` never fires", faults.split(' ').next().unwrap());
+        assert_refused(1, "never-fires", &args, &[&event, why]);
+    }
+    // A crash fires after a checkpoint: without a sink it is a start-up
+    // error, as the unread flag it replaces was.
+    let args = ["run", "--faults=crash@2", "--trace=t.json"];
+    assert_refused(2, "crash-sink", &args, &["crash@S", "--checkpoint-dir"]);
 }
 
 #[test]
@@ -2185,7 +2204,7 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             ["'csv'", "'analyze'"],
         ),
     ] {
-        assert_rejected_at_startup(tag, args, &names);
+        assert_refused(2, tag, args, &names);
     }
     // The retry policy's one setting is the first deadline: the knobs that
     // went are unread even where `fault-timeout-ms` is read.
@@ -2199,7 +2218,7 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
     ] {
         let key = flag.split_once('=').unwrap().0;
         let args = ["run", "--faults=drop:1@1", "fault-timeout-ms=300", flag];
-        assert_rejected_at_startup(key, &args, &[&format!("'{key}'"), "'run'"]);
+        assert_refused(2, key, &args, &[&format!("'{key}'"), "'run'"]);
     }
 }
 
@@ -2214,7 +2233,6 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
         &["calibrate"],
         &["chaos", "n=64", "p=4"],
         &["soak", "n=64", "p=4", "seconds=1"],
-        &["autotune", "p=256", "n=2048"],
         &["analyze", "t.json"],
         &["analyze", "--timeline=tl.json"],
         &["conformance", "w.json"],
@@ -2222,7 +2240,7 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
         let mut args = args.to_vec();
         args.push("--no-such-option=1");
         let quoted = format!("'{}'", args[0]);
-        assert_rejected_at_startup(args[0], &args, &["'no-such-option'", &quoted]);
+        assert_refused(2, args[0], &args, &["'no-such-option'", &quoted]);
     }
 }
 
