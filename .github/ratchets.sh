@@ -81,4 +81,8 @@ check "an injected fault has one door, the --faults plan: no second flag, config
 check "every subcommand has a reader outside its own tests: autotune had none" \
     none '^ *\("autotune", ' src
 
+check "conformance reads the ledger: the probe ring keeps no checker, fault events or fault notes (an injected fault is counted and noted in the flight ring, not probed)" \
+    none 'check_conformance|FaultNote|probe_notes|probe_kind|FaultDrop|FaultDelay|FaultDup|FaultKill|fault_events' \
+    crates src tests
+
 exit "$broken"

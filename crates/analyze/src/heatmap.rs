@@ -96,6 +96,7 @@ mod tests {
         let counter = |name: &str, phase, value| Sample {
             name: name.to_string(),
             phase: Some(phase),
+            peer: None,
             value,
         };
         MetricsSnapshot {

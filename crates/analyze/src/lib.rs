@@ -23,8 +23,7 @@
 //!   drift-window table `ca-nbody analyze --timeline=…` prints from a
 //!   recorded `nbody-timeline` bundle.
 //! * [`wire`] — the message-level lens: per-channel send→recv latency
-//!   tables from a `nbody-wireprobe` log (`analyze --wire`) and the
-//!   schedule-conformance table (`ca-nbody conformance`).
+//!   tables from a `nbody-wireprobe` log (`analyze --wire`).
 //!
 //! Everything consumes the serialized artifacts a traced run already
 //! writes (`--trace=… --metrics=…`); nothing here needs the live
@@ -42,7 +41,7 @@ pub use critical::{critical_path, StepCritical};
 pub use heatmap::{grid_heatmap, GridHeatmap};
 pub use report::{render_drift, render_heatmap, render_json, render_table};
 pub use stragglers::{rank_stragglers, Straggler};
-pub use wire::{render_conformance, render_wire};
+pub use wire::render_wire;
 
 use nbody_metrics::MetricsSnapshot;
 use nbody_trace::{ExecutionTrace, PhaseBreakdown, StepReport};

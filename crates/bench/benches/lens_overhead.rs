@@ -109,7 +109,7 @@ fn bench_metrics(c: &mut Criterion) {
     c.bench_function("ledger_send_path", |b| {
         let mut stats = CommStats::new();
         stats.set_phase(Phase::Shift);
-        b.iter(|| stats.record_send(black_box(100), black_box(5200)));
+        b.iter(|| stats.record_send(black_box(1), black_box(100), black_box(5200)));
         black_box(stats.total_messages());
     });
     c.bench_function("metrics_find_or_register", |b| {

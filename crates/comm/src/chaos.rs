@@ -45,7 +45,7 @@ use crate::thread_comm::{run_ranks_owned, Artifacts, Lenses, ThreadComm};
 use nbody_metrics::MetricsRecorder;
 use nbody_timeline::{EventKind, TimelineRecorder};
 use nbody_trace::Tracer;
-use nbody_wireprobe::{FaultNote, ProbeKind, ProbeRecorder};
+use nbody_wireprobe::ProbeRecorder;
 
 /// What a scheduled fault does, and so which coordinate its `step` names.
 ///
@@ -90,16 +90,13 @@ impl FaultKind {
         }
     }
 
-    /// The wire-probe event kind this fault is recorded as; `None` for the
-    /// kinds the driver fires, which never touch the wire.
-    pub fn probe_kind(self) -> Option<ProbeKind> {
-        match self {
-            FaultKind::Drop => Some(ProbeKind::FaultDrop),
-            FaultKind::Delay => Some(ProbeKind::FaultDelay),
-            FaultKind::Duplicate => Some(ProbeKind::FaultDup),
-            FaultKind::Kill => Some(ProbeKind::FaultKill),
-            FaultKind::Nan | FaultKind::Corrupt | FaultKind::Crash => None,
-        }
+    /// Whether [`ChaosComm`] applies this kind on the wire; the driver
+    /// fires the others, which never touch it.
+    pub fn on_wire(self) -> bool {
+        matches!(
+            self,
+            FaultKind::Drop | FaultKind::Delay | FaultKind::Duplicate | FaultKind::Kill
+        )
     }
 }
 
@@ -231,19 +228,31 @@ impl FaultPlan {
     }
 
     /// Refuse, naming it, the first event that could never fire in a run
-    /// of `p` ranks resumed after `base` of its `steps` global steps, whose
-    /// health monitors check every `health_every`-th timestep: a rank
-    /// `≥ p`; a `nan` or `corrupt` at a timestep past the run's last; a
-    /// `nan` on a timestep the monitors skip; a `crash` outside
-    /// `base + 1..=steps`. Pipeline steps are not bounded: rows run
-    /// different step counts, and a kill aimed past a row's last step
-    /// legitimately never fires.
-    pub fn check(&self, p: usize, base: u64, steps: u64, health_every: u64) -> Result<(), String> {
+    /// of `p` ranks in `teams` teams, resumed after `base` of its `steps`
+    /// global steps, whose health monitors check every `health_every`-th
+    /// timestep: a rank `≥ p`; a `nan` aimed at a replica (a rank
+    /// `≥ teams`, which holds no particles when the forces are checked); a
+    /// `nan` or `corrupt` at a timestep past the run's last; a `nan` on a
+    /// timestep the monitors skip; a `crash` outside `base + 1..=steps`.
+    /// Pipeline steps are not bounded: rows run different step counts, and
+    /// a kill aimed past a row's last step legitimately never fires.
+    pub fn check(
+        &self,
+        p: usize,
+        teams: usize,
+        base: u64,
+        steps: u64,
+        health_every: u64,
+    ) -> Result<(), String> {
         let timesteps = steps.saturating_sub(base);
         for e in &self.events {
             let step = e.step as u64;
             let why = match e.kind {
                 _ if e.rank >= p => format!("rank {} does not exist with p={p}", e.rank),
+                FaultKind::Nan if e.rank >= teams => format!(
+                    "rank {} is a replica (ranks >= p/c = {teams}) and holds no forces to check",
+                    e.rank
+                ),
                 FaultKind::Nan | FaultKind::Corrupt if step >= timesteps => {
                     format!("timestep {step} is not in this run's 0..{timesteps}")
                 }
@@ -261,24 +270,6 @@ impl FaultPlan {
             return Err(format!("fault `{}` never fires: {why}", e.spec()));
         }
         Ok(())
-    }
-
-    /// The plan's events as conformance-checker fault notes, so a
-    /// [`check_conformance`](nbody_wireprobe::check_conformance) pass can
-    /// attribute discrepancies to scheduled injections even when the
-    /// corresponding probe events were evicted from a saturated ring. The
-    /// kinds the driver fires leave no trace on the wire and no note.
-    pub fn probe_notes(&self) -> Vec<FaultNote> {
-        self.events
-            .iter()
-            .filter_map(|e| {
-                Some(FaultNote {
-                    kind: e.kind.probe_kind()?,
-                    rank: e.rank as u32,
-                    step: Some(e.step as u64),
-                })
-            })
-            .collect()
     }
 
     /// Render the plan back into the [`parse`](FaultPlan::parse) grammar.
@@ -338,7 +329,6 @@ struct ChaosState {
     phase: Cell<Phase>,
     metrics: MetricsRecorder,
     timeline: TimelineRecorder,
-    wire: ProbeRecorder,
 }
 
 impl ChaosState {
@@ -382,21 +372,7 @@ impl ChaosState {
 
     /// Consume an unfired kill aimed at `(rank, step)`.
     fn take_kill(&self, step: usize) -> bool {
-        let killed = self.fire(step, |kind| kind == FaultKind::Kill).is_some();
-        if killed {
-            // A kill suppresses unknown future traffic; record it with the
-            // rank as its own peer and no payload.
-            self.wire.fault(
-                ProbeKind::FaultKill,
-                self.world_rank as u32,
-                0,
-                self.phase.get(),
-                0,
-                0,
-                step as u64,
-            );
-        }
-        killed
+        self.fire(step, |kind| kind == FaultKind::Kill).is_some()
     }
 }
 
@@ -418,7 +394,7 @@ impl<C: Communicator> ChaosComm<C> {
             .events
             .iter()
             .copied()
-            .filter(|e| e.rank == world_rank && e.kind.probe_kind().is_some())
+            .filter(|e| e.rank == world_rank && e.kind.on_wire())
             .collect();
         let state = ChaosState {
             world_rank,
@@ -429,7 +405,6 @@ impl<C: Communicator> ChaosComm<C> {
             phase: Cell::new(Phase::Other),
             metrics: inner.metrics(),
             timeline: inner.timeline(),
-            wire: inner.wire(),
         };
         ChaosComm {
             inner,
@@ -450,32 +425,17 @@ impl<C: Communicator> ChaosComm<C> {
     /// Apply the plan to the point-to-point send about to happen — fire the
     /// next event aimed here, record it, sit out a delay — and say how many
     /// copies of the message reach the wire: none from a dead rank or under
-    /// a drop, two under a duplicate, one otherwise.
-    fn copies_to_send(&self, dst: usize, tag: u64, elements: usize, bytes: usize) -> usize {
-        // Injections land in the probe stream as first-class events so a
-        // conformance pass can attribute the resulting traffic anomalies
-        // to the fault plan instead of flagging them as protocol bugs.
-        let probe_fault = |kind: FaultKind| {
-            self.state.wire.fault(
-                kind.probe_kind()
-                    .expect("a chaos rank holds the wire kinds only"),
-                dst as u32,
-                tag,
-                self.state.phase.get(),
-                elements as u64,
-                bytes as u64,
-                self.state.step.get() as u64,
-            );
-        };
+    /// a drop, two under a duplicate, one otherwise. The ledger counts the
+    /// copies that do, so a conformance pass sees a fault in the channel
+    /// counts and blames it on the plan.
+    fn copies_to_send(&self) -> usize {
         if self.state.dead.get() {
             // A crashed rank's messages never reach the wire.
-            probe_fault(FaultKind::Kill);
             return 0;
         }
         let Some(e) = self.state.take_p2p_event() else {
             return 1;
         };
-        probe_fault(e.kind);
         match e.kind {
             FaultKind::Drop => 0,
             FaultKind::Delay => {
@@ -519,18 +479,17 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
     }
 
     fn wire(&self) -> ProbeRecorder {
-        self.state.wire.clone()
+        self.inner.wire()
     }
 
     fn send<T: CommData>(&self, dst: usize, tag: u64, data: &[T]) {
-        for _ in 0..self.copies_to_send(dst, tag, data.len(), std::mem::size_of_val(data)) {
+        for _ in 0..self.copies_to_send() {
             self.inner.send(dst, tag, data);
         }
     }
 
     fn send_vec<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        let bytes = std::mem::size_of_val(data.as_slice());
-        let copies = self.copies_to_send(dst, tag, data.len(), bytes);
+        let copies = self.copies_to_send();
         // Every copy but the last is one: the last is the buffer itself.
         for _ in 1..copies {
             self.inner.send(dst, tag, &data);
@@ -626,10 +585,7 @@ where
 }
 
 /// [`run_ranks_chaos`] under the given [`Lenses`], mirroring
-/// [`run_ranks_with`](crate::run_ranks_with). With probes on, the merged
-/// wire log carries protocol sends/recvs *and* the chaos wrapper's injected
-/// faults as first-class events — everything a conformance pass needs to
-/// attribute discrepancies to the [`FaultPlan`].
+/// [`run_ranks_with`](crate::run_ranks_with).
 pub fn run_ranks_chaos_with<R, F>(
     p: usize,
     plan: &FaultPlan,
@@ -649,12 +605,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tracing and wire probes together.
-    const PROBED: Lenses = Lenses {
-        trace: true,
-        probe: true,
-    };
+    use crate::stats::ChannelCounters;
 
     #[test]
     fn plan_parse_roundtrips() {
@@ -697,17 +648,18 @@ mod tests {
             .eq(kinds.into_iter().chain([FaultKind::Crash])));
         assert!(plan.needs_monitors() && plan.holds(FaultKind::Crash));
         assert!(plan.aims(FaultKind::Nan, 0, 2) && !plan.aims(FaultKind::Nan, 4, 2));
-        // Only the kill reaches the wire, so only the kill is a note.
-        let notes = plan.probe_notes();
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].kind, ProbeKind::FaultKill);
+        // Only the kill reaches the wire.
+        let on_wire: Vec<_> = plan.events.iter().filter(|e| e.kind.on_wire()).collect();
+        assert_eq!(on_wire.len(), 1);
+        assert_eq!(on_wire[0].kind, FaultKind::Kill);
     }
 
     #[test]
     fn a_fault_that_could_never_fire_is_refused_naming_it() {
+        // p = 8 ranks in 4 teams: ranks 4..8 are replicas.
         let check =
-            |spec: &str, base, every| FaultPlan::parse(spec).unwrap().check(8, base, 3, every);
-        for ok in ["kill:7@9", "nan:0@2", "corrupt:4@0", "crash@1", "crash@3"] {
+            |spec: &str, base, every| FaultPlan::parse(spec).unwrap().check(8, 4, base, 3, every);
+        for ok in ["kill:7@9", "nan:3@2", "corrupt:4@0", "crash@1", "crash@3"] {
             assert_eq!(check(ok, 0, 1), Ok(()), "{ok}");
         }
         // The monitors check every second timestep; resumed after step 2.
@@ -725,6 +677,8 @@ mod tests {
             ("crash@4", 0, 1),
             ("crash@2", 2, 1),
             ("nan:0@1", 2, 1),
+            ("nan:4@1", 0, 1),
+            ("nan:7@0", 0, 1),
         ] {
             let spec = format!("dup:1@1,{bad}");
             let err = check(&spec, base, every).expect_err(bad);
@@ -957,100 +911,43 @@ mod tests {
         assert_eq!(metrics.sum_counter("fault_injected_drop", None), 1);
         assert_eq!(metrics.sum_counter("fault_injected_kill", None), 1);
         // Each injection also lands in the rank's flight ring.
-        let fault_events: Vec<_> = timeline
+        let injected: Vec<_> = timeline
             .ranks
             .iter()
             .flat_map(|r| &r.events)
             .filter(|e| e.kind == EventKind::FaultInjected)
             .collect();
-        assert_eq!(fault_events.len(), 2);
-        let drop_ev = fault_events.iter().find(|e| e.detail == "drop").unwrap();
+        assert_eq!(injected.len(), 2);
+        let drop_ev = injected.iter().find(|e| e.detail == "drop").unwrap();
         assert_eq!(drop_ev.step, Some(1));
-        assert!(fault_events.iter().any(|e| e.detail == "kill"));
+        assert!(injected.iter().any(|e| e.detail == "kill"));
     }
 
     #[test]
-    fn injected_faults_are_first_class_probe_events() {
-        use nbody_wireprobe::{FaultNote, ProbeKind};
-        let plan = FaultPlan::parse("drop:0@1,dup:1@1").unwrap();
-        let (_, Artifacts { wire, .. }) = run_ranks_chaos_with(2, &plan, PROBED, |comm| {
-            comm.set_phase(Phase::Shift);
-            comm.fault_step(1).unwrap();
-            if comm.rank() == 0 {
-                comm.send(1, 30, &[0u64]); // dropped by the plan
-                let _ = comm.recv::<u64>(1, 30); // first duplicate copy
-            } else {
-                comm.send(0, 30, &[1u64]); // duplicated by the plan
-                let missing = comm.try_recv_timeout::<u64>(0, 30, Duration::from_millis(50));
-                assert!(matches!(missing, Err(CommError::Timeout { .. })));
-            }
-            comm.barrier();
-        });
-        let r0: Vec<_> = wire.ranks[0].events.iter().collect();
-        let r1: Vec<_> = wire.ranks[1].events.iter().collect();
-        // Rank 0's send was dropped: a FaultDrop event carrying the doomed
-        // message's coordinates replaces the Send event...
-        let drop = r0.iter().find(|e| e.kind == ProbeKind::FaultDrop).unwrap();
-        assert_eq!(drop.tag, 30);
-        assert_eq!(drop.count, 1);
-        assert_eq!(drop.step, Some(1));
-        assert!(
-            !r0.iter().any(|e| e.kind == ProbeKind::Send && e.tag == 30),
-            "the dropped message never reached the wire: {r0:?}"
-        );
-        // ...while rank 1's duplicate is announced and then sent twice.
-        let dup = r1.iter().find(|e| e.kind == ProbeKind::FaultDup).unwrap();
-        assert_eq!(dup.step, Some(1));
-        assert_eq!(
-            r1.iter()
-                .filter(|e| e.kind == ProbeKind::Send && e.tag == 30)
-                .count(),
-            2
-        );
-        // The log alone reconstructs the fault plan for attribution.
-        let notes = FaultNote::from_log(&wire);
-        assert_eq!(notes.len(), 2);
-        assert!(notes.contains(&FaultNote {
-            kind: ProbeKind::FaultDrop,
-            rank: 0,
-            step: Some(1)
-        }));
-        // And the plan itself maps to the same note vocabulary.
-        let planned = plan.probe_notes();
-        assert!(planned.contains(&FaultNote {
-            kind: ProbeKind::FaultDup,
-            rank: 1,
-            step: Some(1)
-        }));
-    }
-
-    #[test]
-    fn dead_rank_suppressed_sends_are_probed_as_kills() {
-        use nbody_wireprobe::ProbeKind;
-        let plan = FaultPlan::kill(0, 1);
-        let (_, Artifacts { wire, .. }) = run_ranks_chaos_with(2, &plan, PROBED, |comm| {
+    fn the_ledger_counts_the_copies_that_reach_the_wire() {
+        // Rank 0's send is dropped, rank 1's duplicated and rank 2 is dead:
+        // the channels hold what the plan let through, which is what a
+        // conformance pass blames on the plan.
+        let plan = FaultPlan::parse("drop:0@1,dup:1@1,kill:2@1").unwrap();
+        let out = run_ranks_chaos(3, &plan, |comm| {
             comm.set_phase(Phase::Shift);
             let dead = comm.fault_step(1).is_err();
-            if comm.rank() == 0 {
-                assert!(dead);
-                comm.send(1, 5, &[1u8, 2, 3]); // goes nowhere
-            }
+            comm.send((comm.rank() + 1) % 3, 30, &[0u64, 1]);
+            comm.send_vec((comm.rank() + 2) % 3, 31, vec![2u64]);
+            // Nobody receives: the barrier keeps every inbox open until
+            // the last send.
+            comm.barrier();
+            (dead, comm.stats().channels().to_vec())
         });
-        let kills: Vec<_> = wire.ranks[0]
-            .events
-            .iter()
-            .filter(|e| e.kind == ProbeKind::FaultKill)
-            .collect();
-        // One event for the kill itself, one per suppressed send.
-        assert_eq!(kills.len(), 2, "{kills:?}");
-        assert!(kills.iter().any(|e| e.tag == 5 && e.count == 3));
-        assert!(
-            !wire.ranks[0]
-                .events
-                .iter()
-                .any(|e| e.kind == ProbeKind::Send),
-            "a dead rank's traffic never hits the wire"
-        );
+        let channel = |peer, messages, elements| ChannelCounters {
+            phase: Phase::Shift,
+            peer,
+            messages,
+            elements,
+        };
+        assert_eq!(out[0], (false, vec![channel(2, 1, 1)]));
+        assert_eq!(out[1], (false, vec![channel(0, 1, 1), channel(2, 2, 4)]));
+        assert_eq!(out[2], (true, vec![]));
     }
 
     #[test]

@@ -77,9 +77,9 @@ pub trait Communicator: Sized {
     }
 
     /// This rank's wire probe: a bounded ring of per-message transport
-    /// events (send/recv/fault) for latency attribution and schedule
-    /// conformance checking. Follows the rank across `split`s; disabled by
-    /// default so backends without probing support conform for free.
+    /// events (send/recv) for send→recv latency attribution. Follows the
+    /// rank across `split`s; disabled by default, so backends without
+    /// probing support need not implement it.
     fn wire(&self) -> ProbeRecorder {
         ProbeRecorder::disabled()
     }

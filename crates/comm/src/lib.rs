@@ -32,9 +32,8 @@ pub use nbody_timeline::{
 };
 pub use nbody_trace::{ExecutionTrace, Tracer};
 pub use nbody_wireprobe::{
-    causal_log, check_conformance, match_events, ChannelStats, ConformanceReport, ExpectedMsg,
-    ExpectedSchedule, FaultNote, LatencySummary, MsgEvent, ProbeKind, ProbeRecorder, RankWireLog,
-    Violation, ViolationKind, WireLog, WireReport, ALL_PROBE_KINDS, WIRE_SCHEMA,
+    causal_log, match_events, ChannelStats, LatencySummary, MsgEvent, ProbeKind, ProbeRecorder,
+    RankWireLog, WireLog, WireReport, ALL_PROBE_KINDS, WIRE_SCHEMA,
 };
-pub use stats::{CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
+pub use stats::{ChannelCounters, CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
 pub use thread_comm::{run_ranks, run_ranks_with, validate_env, Artifacts, Lenses, ThreadComm};

@@ -77,10 +77,27 @@ impl PhaseCounters {
     }
 }
 
-/// Per-rank communication statistics, bucketed by [`Phase`].
+/// The point-to-point sends of one channel: one phase, one destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelCounters {
+    /// Phase the sends were attributed to.
+    pub phase: Phase,
+    /// World rank of the destination.
+    pub peer: u32,
+    /// Messages sent on the channel.
+    pub messages: u64,
+    /// Elements sent on the channel.
+    pub elements: u64,
+}
+
+/// Per-rank communication statistics, bucketed by [`Phase`], with the
+/// point-to-point sends also counted per channel.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommStats {
     phases: [PhaseCounters; PHASE_COUNT],
+    /// Sorted by `(phase, peer)`; a phase's entries sum to its `messages`
+    /// and `elements`.
+    channels: Vec<ChannelCounters>,
     current: usize,
 }
 
@@ -89,7 +106,17 @@ impl CommStats {
     pub fn new() -> Self {
         CommStats {
             phases: Default::default(),
+            channels: Vec::new(),
             current: Phase::Other.index(),
+        }
+    }
+
+    /// [`new`](CommStats::new), with room for `channels` channels, so that a
+    /// rank which sends on no more never allocates to count a send.
+    pub(crate) fn with_room_for(channels: usize) -> Self {
+        CommStats {
+            channels: Vec::with_capacity(channels),
+            ..CommStats::new()
         }
     }
 
@@ -103,14 +130,39 @@ impl CommStats {
         ALL_PHASES[self.current]
     }
 
-    /// Record a point-to-point send of `elements` elements / `bytes` bytes,
-    /// size histogram included.
-    pub fn record_send(&mut self, elements: usize, bytes: usize) {
+    /// Record a point-to-point send of `elements` elements / `bytes` bytes
+    /// to world rank `peer`, size histogram and channel included.
+    pub fn record_send(&mut self, peer: usize, elements: usize, bytes: usize) {
         let c = &mut self.phases[self.current];
         c.messages += 1;
         c.elements += elements as u64;
         c.bytes += bytes as u64;
         c.message_sizes.record(bytes as u64);
+        let channel = self.channel(ALL_PHASES[self.current], peer as u32);
+        channel.messages += 1;
+        channel.elements += elements as u64;
+    }
+
+    /// The counters of channel `(phase, peer)`, inserted in order at zero
+    /// if it has sent nothing yet.
+    fn channel(&mut self, phase: Phase, peer: u32) -> &mut ChannelCounters {
+        let i = match self
+            .channels
+            .binary_search_by_key(&(phase, peer), |c| (c.phase, c.peer))
+        {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = ChannelCounters {
+                    phase,
+                    peer,
+                    messages: 0,
+                    elements: 0,
+                };
+                self.channels.insert(i, fresh);
+                i
+            }
+        };
+        &mut self.channels[i]
     }
 
     /// Record a point-to-point receive of `elements` elements / `bytes`
@@ -158,6 +210,11 @@ impl CommStats {
         &self.phases[phase.index()]
     }
 
+    /// The point-to-point sends per channel, sorted by `(phase, peer)`.
+    pub fn channels(&self) -> &[ChannelCounters] {
+        &self.channels
+    }
+
     /// Total point-to-point messages across phases.
     pub fn total_messages(&self) -> u64 {
         self.phases.iter().map(|c| c.messages).sum()
@@ -198,22 +255,34 @@ impl CommStats {
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
             a.merge(b);
         }
+        for b in &other.channels {
+            let a = self.channel(b.phase, b.peer);
+            a.messages += b.messages;
+            a.elements += b.elements;
+        }
     }
 
     /// Write the ledger into `rec` as the phase-labelled `comm_*` metric
-    /// families: `comm_send_*` are `messages` / `elements` / `bytes`,
-    /// `comm_recv_*` and `comm_collective_*` the fields of those names, and
-    /// the `comm_message_size_bytes` histogram is `message_sizes`. Adds to
-    /// what `rec` holds, so a rank calls it once, after its last message;
-    /// the shard drops the zero samples when it is drained.
+    /// families: `comm_send_messages` / `comm_send_elements` are the
+    /// channels' counts, one sample per `peer`, `comm_send_bytes` is
+    /// `bytes`, `comm_recv_*` and `comm_collective_*` the fields of those
+    /// names, and the `comm_message_size_bytes` histogram is
+    /// `message_sizes`. Adds to what `rec` holds, so a rank calls it once,
+    /// after its last message; the shard drops the zero samples when it is
+    /// drained.
     pub fn export(&self, rec: &MetricsRecorder) {
         if !rec.is_enabled() {
             return;
         }
+        for c in &self.channels {
+            let (phase, peer) = (Some(c.phase), Some(c.peer));
+            rec.counter_to("comm_send_messages", phase, peer)
+                .add(c.messages);
+            rec.counter_to("comm_send_elements", phase, peer)
+                .add(c.elements);
+        }
         for (c, phase) in self.phases.iter().zip(ALL_PHASES.map(Some)) {
             for (name, value) in [
-                ("comm_send_messages", c.messages),
-                ("comm_send_elements", c.elements),
                 ("comm_send_bytes", c.bytes),
                 ("comm_recv_messages", c.recv_messages),
                 ("comm_recv_elements", c.recv_elements),
@@ -238,8 +307,8 @@ mod tests {
     fn phases_bucket_independently() {
         let mut s = CommStats::new();
         s.set_phase(Phase::Shift);
-        s.record_send(10, 80);
-        s.record_send(5, 40);
+        s.record_send(1, 10, 80);
+        s.record_send(1, 5, 40);
         s.record_recv(3, 24);
         s.set_phase(Phase::Reduce);
         s.record_collective(7, 56);
@@ -281,7 +350,7 @@ mod tests {
     fn default_phase_is_other() {
         let mut s = CommStats::new();
         assert_eq!(s.current_phase(), Phase::Other);
-        s.record_send(3, 3);
+        s.record_send(0, 3, 3);
         assert_eq!(s.phase(Phase::Other).messages, 1);
     }
 
@@ -289,11 +358,11 @@ mod tests {
     fn merge_adds_every_field() {
         let mut a = CommStats::new();
         a.set_phase(Phase::Shift);
-        a.record_send(4, 32);
+        a.record_send(1, 4, 32);
         a.record_recv(1, 8);
         let mut b = CommStats::new();
         b.set_phase(Phase::Shift);
-        b.record_send(6, 4096);
+        b.record_send(1, 6, 4096);
         b.record_recv(2, 16);
         b.record_collective(5, 40);
         b.record_collective_message();
@@ -333,8 +402,8 @@ mod tests {
         // field shows.
         let mut s = CommStats::new();
         s.set_phase(Phase::Shift);
-        s.record_send(10, 520);
-        s.record_send(4, 32);
+        s.record_send(1, 10, 520);
+        s.record_send(5, 4, 32);
         for _ in 0..3 {
             s.record_recv(3, 24);
         }
@@ -350,6 +419,14 @@ mod tests {
         let shift = Some(Phase::Shift);
         assert_eq!(snap.counter("comm_send_messages", shift), 2);
         assert_eq!(snap.counter("comm_send_elements", shift), 14);
+        // The sends are counted per peer, and only there.
+        let channels: Vec<_> = snap
+            .counters
+            .iter()
+            .filter(|c| c.name == "comm_send_elements")
+            .map(|c| (c.peer, c.value))
+            .collect();
+        assert_eq!(channels, vec![(Some(1), 10), (Some(5), 4)]);
         assert_eq!(snap.counter("comm_send_bytes", shift), 552);
         assert_eq!(snap.counter("comm_recv_messages", shift), 3);
         assert_eq!(snap.counter("comm_recv_elements", shift), 9);
@@ -361,12 +438,61 @@ mod tests {
         // Sends and tree messages are in the size histogram, receives not.
         let h = snap.histogram("comm_message_size_bytes", shift).unwrap();
         assert_eq!((h.count(), h.sum), (6, 952));
-        // Zero fields leave no sample: nine counters and one histogram.
-        assert_eq!((snap.counters.len(), snap.histograms.len()), (9, 1));
+        // Zero fields leave no sample: seven phase counters, two per
+        // channel, and one histogram.
+        assert_eq!((snap.counters.len(), snap.histograms.len()), (11, 1));
         // A disabled recorder is left alone.
         let off = nbody_metrics::MetricsRecorder::disabled();
         s.export(&off);
         assert!(off.finish().is_none());
+    }
+
+    #[test]
+    fn channels_sum_to_their_phase_and_merge_like_it() {
+        let mut a = CommStats::new();
+        a.set_phase(Phase::Shift);
+        a.record_send(3, 4, 32);
+        a.record_send(1, 2, 16);
+        a.record_send(3, 1, 8);
+        a.set_phase(Phase::Skew);
+        a.record_send(3, 7, 56);
+        let mut b = CommStats::new();
+        b.set_phase(Phase::Shift);
+        b.record_send(1, 5, 40);
+        b.record_send(2, 6, 48);
+        let channel = |phase, peer, messages, elements| ChannelCounters {
+            phase,
+            peer,
+            messages,
+            elements,
+        };
+        assert_eq!(
+            a.channels(),
+            [
+                channel(Phase::Skew, 3, 1, 7),
+                channel(Phase::Shift, 1, 1, 2),
+                channel(Phase::Shift, 3, 2, 5),
+            ]
+        );
+        let mut b_then_a = b.clone();
+        b_then_a.merge(&a);
+        a.merge(&b);
+        assert_eq!(a.channels(), b_then_a.channels(), "merging commutes");
+        assert_eq!(
+            a.channels(),
+            [
+                channel(Phase::Skew, 3, 1, 7),
+                channel(Phase::Shift, 1, 2, 7),
+                channel(Phase::Shift, 2, 1, 6),
+                channel(Phase::Shift, 3, 2, 5),
+            ]
+        );
+        for phase in ALL_PHASES {
+            let on = a.channels().iter().filter(|c| c.phase == phase);
+            let sums = on.fold((0, 0), |s, c| (s.0 + c.messages, s.1 + c.elements));
+            let c = a.phase(phase);
+            assert_eq!(sums, (c.messages, c.elements), "{phase:?}");
+        }
     }
 
     #[test]

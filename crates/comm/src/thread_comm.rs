@@ -70,7 +70,7 @@ use parking_lot::Mutex;
 
 use crate::communicator::{CommData, Communicator};
 use crate::error::CommError;
-use crate::stats::{CommStats, Phase};
+use crate::stats::{CommStats, Phase, PHASE_COUNT};
 use nbody_metrics::{MetricsRecorder, MetricsSnapshot};
 use nbody_timeline::{RunTimeline, TimelineRecorder};
 use nbody_trace::{ExecutionTrace, Tracer};
@@ -303,7 +303,7 @@ impl ThreadComm {
         let phase = {
             let mut stats = self.state.stats.borrow_mut();
             if count_stats {
-                stats.record_send(data.len(), bytes);
+                stats.record_send(dst, data.len(), bytes);
             } else {
                 stats.record_collective_message();
                 stats.record_message_size(bytes);
@@ -657,9 +657,9 @@ pub struct Lenses {
     /// communicator carries an enabled [`Tracer`] and [`MetricsRecorder`].
     pub trace: bool,
     /// Wire probes: every rank's [`ProbeRecorder`] stamps each
-    /// point-to-point send/recv (and injected fault), so cross-rank
-    /// send→recv latencies are comparable even in untraced runs. The
-    /// per-message ring is strictly opt-in.
+    /// point-to-point send/recv, so cross-rank send→recv latencies are
+    /// comparable even in untraced runs. The per-message ring is strictly
+    /// opt-in.
     pub probe: bool,
 }
 
@@ -751,7 +751,9 @@ where
                         fabric,
                         rx,
                         pending: RefCell::default(),
-                        stats: RefCell::new(CommStats::new()),
+                        // A channel per peer and phase would be p^2 slots
+                        // a run; a rank of the CA drivers sends on a few.
+                        stats: RefCell::new(CommStats::with_room_for(p + PHASE_COUNT)),
                         tracer: match lenses.trace {
                             true => Tracer::for_rank(rank, epoch),
                             false => Tracer::disabled(),
@@ -894,17 +896,32 @@ mod tests {
 
     #[test]
     fn fifo_order_per_pair() {
+        // Fifty messages under one tag on the world and fifty on a split,
+        // all taken off the inbox into the pending queues before the first
+        // is received (rank 1 waits for a third communicator first): each
+        // channel still delivers in send order, from the queue as from the
+        // inbox.
         let out = run_ranks(2, |comm| {
+            let row = comm.split_by(|r| (0, r));
+            let done = comm.split_by(|r| (0, r));
             if comm.rank() == 0 {
                 for i in 0..50u64 {
-                    comm.send(1, i, &[i]);
+                    comm.send(1, 7, &[i]);
                 }
+                for i in 0..50u64 {
+                    row.send(1, 7, &[100 + i]);
+                }
+                done.send(1, 7, &[0u64]);
                 Vec::new()
             } else {
-                (0..50u64).map(|i| comm.recv::<u64>(0, i)[0]).collect()
+                done.recv::<u64>(0, 7);
+                let split: Vec<u64> = (0..50).map(|_| row.recv::<u64>(0, 7)[0]).collect();
+                let world = (0..50).map(|_| comm.recv::<u64>(0, 7)[0]);
+                world.chain(split).collect()
             }
         });
-        assert_eq!(out[1], (0..50).collect::<Vec<u64>>());
+        let sent: Vec<u64> = (0..50).chain(100..150).collect();
+        assert_eq!(out[1], sent);
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn apply_op(stats: &mut CommStats, op: u64) {
     let b = ((op / 12_000) % 4_000) as usize;
     stats.set_phase(phase);
     match kind {
-        0 => stats.record_send(a, b),
+        0 => stats.record_send(a % 4, a, b),
         1 => stats.record_collective(a, b),
         2 => stats.record_collective_message(),
         _ => stats.record_blocked(a as f64),
@@ -52,6 +52,7 @@ proptest! {
         prop_assert_eq!(merged.total_elements(), sequential.total_elements());
         prop_assert_eq!(merged.total_bytes(), sequential.total_bytes());
         prop_assert_eq!(merged.total_collectives(), sequential.total_collectives());
+        prop_assert_eq!(merged.channels(), sequential.channels());
         // Merging must not disturb the receiving side's current phase.
         prop_assert_eq!(merged.current_phase(), Phase::Other);
     }

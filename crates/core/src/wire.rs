@@ -1,17 +1,22 @@
-//! Expected wire-traffic derivation for schedule conformance checking.
+//! Schedule conformance: what a run's ledger sent on each channel, against
+//! what its schedule twin predicts.
 //!
 //! The CA schedule generator in [`schedule`](crate::schedule) already emits
 //! the exact per-rank operation stream of a [`Layout`] for the
 //! discrete-event simulator (one generator: all-pairs is the cutoff
-//! schedule on the full team ring). This module re-uses it to predict the
-//! point-to-point message multiset a *real* probed run — laid out by the
-//! same `Layout::new` — should put on the wire, in the form
-//! the conformance checker in `nbody-wireprobe` consumes: one
-//! [`ExpectedMsg`] per skew, shift and re-assign send, with payload sizes
-//! in particle counts (the unit both the schedule's 52-byte wire math and
-//! the transport's in-memory byte counts agree on).
+//! schedule on the full team ring). [`expected_schedule`] folds its sends
+//! into per-channel totals over the run — `(src, dst, phase) → (messages,
+//! elements)` — for a real run laid out by the same `Layout::new`, and
+//! [`check`] diffs a run's metrics snapshot against them. The transport
+//! counts every point-to-point send per channel in the rank's `CommStats`
+//! ledger, exactly, so the diff has no log that could saturate. Elements
+//! are particle counts: the unit both the schedule's 52-byte wire math and
+//! the transport's in-memory byte counts agree on.
 
-use nbody_comm::{ExpectedMsg, ExpectedSchedule};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
+use nbody_comm::{FaultEvent, FaultKind, FaultPlan, MetricsSnapshot, Phase, ALL_PHASES};
 use nbody_netsim::Op;
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{Boundary, Domain};
@@ -41,11 +46,44 @@ pub struct WireScheduleSpec {
     pub cutoff: Option<f64>,
 }
 
-/// Derive the per-run expected message multiset for `spec`: the checked
-/// sends of the schedule of the run's own [`Layout`], once per timestep.
+/// One direction between two world ranks, in one phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Channel {
+    /// Sender's world rank.
+    pub src: u32,
+    /// Receiver's world rank.
+    pub dst: u32,
+    /// Phase the sends belong to.
+    pub phase: Phase,
+}
+
+/// What a channel carried over a run, or is predicted to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sends {
+    /// Point-to-point messages.
+    pub messages: u64,
+    /// Elements (particles) in them.
+    pub elements: u64,
+}
+
+/// The sends a run's schedule predicts, per channel over the whole run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExpectedSchedule {
+    /// Predicted totals of every channel the schedule sends on.
+    pub channels: BTreeMap<Channel, Sends>,
+    /// Whether element totals are predicted exactly. When `false` (the
+    /// cutoff methods, whose block sizes drift with re-assignment) only
+    /// message counts are checked.
+    pub size_checked: bool,
+    /// Human-readable description of the schedule's parameters.
+    pub detail: String,
+}
+
+/// Derive the per-channel sends of `spec`: the sends of the schedule of
+/// the run's own [`Layout`], once per timestep.
 ///
 /// * Layouts that never re-assign (id blocks — [`Method::CaAllPairs`]) get
-///   full size checking: the distribution is static, so every skew/shift
+///   element checking: the distribution is static, so every skew/shift
 ///   payload is predicted exactly.
 /// * Layouts that do ([`Method::Ca1dCutoff`] / [`Method::Ca2dCutoff`]) get
 ///   count-only checking (`size_checked = false`) — re-assignment drifts
@@ -67,23 +105,21 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
         spec.cutoff,
     )?;
     let params = layout.schedule(id_block_sizes(spec.n, layout.grid.teams()));
-    // Per-rank program order within a step.
-    let mut per_step: Vec<ExpectedMsg> = Vec::new();
+    let steps = spec.steps as u64;
+    let mut channels: BTreeMap<Channel, Sends> = BTreeMap::new();
     for rank in 0..spec.p {
         for op in params.program(rank) {
             if let Op::Send { to, bytes, phase } = op {
-                per_step.push(ExpectedMsg {
+                let channel = Channel {
                     src: rank as u32,
                     dst: to as u32,
                     phase,
-                    count: bytes / PARTICLE_WIRE_BYTES as u64,
-                });
+                };
+                let sends = channels.entry(channel).or_default();
+                sends.messages += steps;
+                sends.elements += steps * (bytes / PARTICLE_WIRE_BYTES as u64);
             }
         }
-    }
-    let mut msgs = Vec::with_capacity(per_step.len() * spec.steps);
-    for _ in 0..spec.steps {
-        msgs.extend_from_slice(&per_step);
     }
     let mut detail = format!(
         "{}{} n={} p={} c={} steps={}",
@@ -102,16 +138,256 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
         detail.push_str(&format!(" cutoff={r_c}"));
     }
     Ok(ExpectedSchedule {
-        msgs,
+        channels,
         size_checked: layout.neighbourhood().is_none(),
         detail,
     })
 }
 
+/// What each channel of a recorded run carried: the per-peer
+/// `comm_send_messages` / `comm_send_elements` samples of its snapshot.
+fn observed_channels(snapshot: &MetricsSnapshot) -> BTreeMap<Channel, Sends> {
+    let mut channels: BTreeMap<Channel, Sends> = BTreeMap::new();
+    for r in &snapshot.ranks {
+        for s in &r.counters {
+            let (Some(phase), Some(dst)) = (s.phase, s.peer) else {
+                continue;
+            };
+            let channel = Channel {
+                src: r.rank,
+                dst,
+                phase,
+            };
+            match s.name.as_str() {
+                "comm_send_messages" => channels.entry(channel).or_default().messages += s.value,
+                "comm_send_elements" => channels.entry(channel).or_default().elements += s.value,
+                _ => {}
+            }
+        }
+    }
+    channels
+}
+
+/// How a channel's totals deviated from the schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViolationKind {
+    /// Fewer messages than predicted.
+    Missing,
+    /// More messages than predicted, or any on a channel the schedule
+    /// does not send on.
+    Unexpected,
+    /// The predicted number of messages carrying another number of
+    /// elements (checked only where sizes are predicted exactly).
+    Elements,
+}
+
+impl ViolationKind {
+    /// Stable label for tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            ViolationKind::Missing => "missing",
+            ViolationKind::Unexpected => "unexpected",
+            ViolationKind::Elements => "elements",
+        }
+    }
+}
+
+/// One channel that deviated from the schedule, possibly attributed to an
+/// injected fault.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Violation {
+    /// Discrepancy class.
+    pub kind: ViolationKind,
+    /// The affected channel.
+    pub channel: Channel,
+    /// Predicted total: messages, or elements for [`ViolationKind::Elements`].
+    pub expected: u64,
+    /// Observed total, in the same unit.
+    pub observed: u64,
+    /// Fault attribution: `Some(reason)` means the discrepancy is
+    /// explained by the fault plan and is not a bug.
+    pub explained: Option<String>,
+}
+
+/// The diff of a run's ledger against its schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConformanceReport {
+    /// Schedule parameters the expectations came from.
+    pub detail: String,
+    /// Every channel either side sends on, as `(channel, expected,
+    /// observed)`, in channel order.
+    pub channels: Vec<(Channel, Sends, Sends)>,
+    /// Every channel that deviated, explained or not.
+    pub violations: Vec<Violation>,
+}
+
+impl ConformanceReport {
+    /// Messages the schedule predicts.
+    pub fn expected_msgs(&self) -> u64 {
+        self.channels.iter().map(|(_, e, _)| e.messages).sum()
+    }
+
+    /// Messages the ledger counted.
+    pub fn observed_msgs(&self) -> u64 {
+        self.channels.iter().map(|(_, _, o)| o.messages).sum()
+    }
+
+    /// Discrepancies attributed to the fault plan.
+    pub fn explained(&self) -> usize {
+        self.violations
+            .iter()
+            .filter(|v| v.explained.is_some())
+            .count()
+    }
+
+    /// Discrepancies with no fault to blame — real conformance failures.
+    pub fn unexplained(&self) -> usize {
+        self.violations.len() - self.explained()
+    }
+
+    /// `PASS` when every discrepancy is explained, else `FAIL`. The counts
+    /// are exact, so there is no third verdict.
+    pub fn verdict(&self) -> &'static str {
+        if self.unexplained() == 0 {
+            "PASS"
+        } else {
+            "FAIL"
+        }
+    }
+
+    /// The channels folded per phase: `(phase, expected messages, observed
+    /// messages)` for every phase either side sends in.
+    pub fn sends_by_phase(&self) -> Vec<(Phase, u64, u64)> {
+        ALL_PHASES
+            .into_iter()
+            .map(|phase| {
+                let on = self.channels.iter().filter(|(c, ..)| c.phase == phase);
+                on.fold((phase, 0, 0), |(_, e, o), (_, x, y)| {
+                    (phase, e + x.messages, o + y.messages)
+                })
+            })
+            .filter(|&(_, e, o)| e > 0 || o > 0)
+            .collect()
+    }
+
+    /// The table `ca-nbody conformance` prints: the totals, every
+    /// violation with its attribution, and the verdict.
+    pub fn render(&self) -> String {
+        let mut out = format!("schedule conformance: {}\n", self.detail);
+        out.push_str(&format!(
+            "expected {} msgs, observed {} msgs on {} channels\n",
+            self.expected_msgs(),
+            self.observed_msgs(),
+            self.channels.len()
+        ));
+        if self.violations.is_empty() {
+            out.push_str("no violations\n");
+        } else {
+            out.push_str(&format!(
+                "\n{:<11} {:<14} {:<10} {:>9} {:>9}  {}\n",
+                "violation", "channel", "phase", "expected", "observed", "attribution"
+            ));
+            for v in &self.violations {
+                out.push_str(&format!(
+                    "{:<11} {:<14} {:<10} {:>9} {:>9}  {}\n",
+                    v.kind.label(),
+                    format!("{} -> {}", v.channel.src, v.channel.dst),
+                    v.channel.phase.label(),
+                    v.expected,
+                    v.observed,
+                    v.explained.as_deref().unwrap_or("UNEXPLAINED"),
+                ));
+            }
+            out.push_str(&format!(
+                "\n{} violation(s): {} explained by the fault plan, {} unexplained\n",
+                self.violations.len(),
+                self.explained(),
+                self.unexplained()
+            ));
+        }
+        out.push_str(&format!("verdict: {}\n", self.verdict()));
+        out
+    }
+}
+
+/// A wire fault as attribution names it, e.g. `fault_drop:rank3@step1`.
+fn describe(e: &FaultEvent) -> String {
+    format!("fault_{}:rank{}@step{}", e.kind.label(), e.rank, e.step)
+}
+
+/// Diff the sends `snapshot` counted against `expected`, channel by
+/// channel, and attribute each deviation to a wire fault of `plan` where
+/// one explains it: missing messages (or wrong element totals) from a rank
+/// a drop or kill was aimed at; surplus from a rank a duplicate was aimed
+/// at, or on a channel the schedule sends on once any wire fault forced a
+/// retry (recovery re-runs a whole pipeline attempt on every channel).
+pub fn check(
+    expected: &ExpectedSchedule,
+    snapshot: &MetricsSnapshot,
+    plan: &FaultPlan,
+) -> ConformanceReport {
+    let mut both: BTreeMap<Channel, (Sends, Sends)> = BTreeMap::new();
+    for (&channel, &sends) in &expected.channels {
+        both.entry(channel).or_default().0 = sends;
+    }
+    for (channel, sends) in observed_channels(snapshot) {
+        both.entry(channel).or_default().1 = sends;
+    }
+    let wire: Vec<&FaultEvent> = plan.events.iter().filter(|e| e.kind.on_wire()).collect();
+    let aimed_at = |src: u32, kinds: &[FaultKind]| {
+        let hit = wire
+            .iter()
+            .find(|e| e.rank == src as usize && kinds.contains(&e.kind));
+        hit.map(|e| describe(e))
+    };
+    let any = wire.first().map(|e| describe(e));
+    let mut violations = Vec::new();
+    for (&channel, &(exp, obs)) in &both {
+        let (kind, expected_total, observed_total) = match exp.messages.cmp(&obs.messages) {
+            Ordering::Greater => (ViolationKind::Missing, exp.messages, obs.messages),
+            Ordering::Less => (ViolationKind::Unexpected, exp.messages, obs.messages),
+            Ordering::Equal if expected.size_checked && exp.elements != obs.elements => {
+                (ViolationKind::Elements, exp.elements, obs.elements)
+            }
+            Ordering::Equal => continue,
+        };
+        let lossy = || aimed_at(channel.src, &[FaultKind::Drop, FaultKind::Kill]);
+        let explained = match kind {
+            ViolationKind::Missing => {
+                lossy().map(|f| format!("message suppressed by injected {f}"))
+            }
+            ViolationKind::Elements => {
+                lossy().map(|f| format!("attempt truncated by injected {f}"))
+            }
+            ViolationKind::Unexpected => {
+                match (aimed_at(channel.src, &[FaultKind::Duplicate]), &any) {
+                    (Some(f), _) => Some(format!("surplus copy from injected {f}")),
+                    (None, Some(f)) if exp.messages > 0 => Some(format!(
+                        "retransmission from recovery retry triggered by {f}"
+                    )),
+                    _ => None,
+                }
+            }
+        };
+        violations.push(Violation {
+            kind,
+            channel,
+            expected: expected_total,
+            observed: observed_total,
+            explained,
+        });
+    }
+    ConformanceReport {
+        detail: expected.detail.clone(),
+        channels: both.into_iter().map(|(c, (e, o))| (c, e, o)).collect(),
+        violations,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_comm::Phase;
+    use nbody_comm::{CommStats, MetricsRecorder};
 
     fn spec(method: Method, n: usize, p: usize, steps: usize) -> WireScheduleSpec {
         WireScheduleSpec {
@@ -125,26 +401,34 @@ mod tests {
         }
     }
 
+    fn messages(s: &ExpectedSchedule, phase: Phase) -> u64 {
+        let on = s.channels.iter().filter(|(c, _)| c.phase == phase);
+        on.map(|(_, sends)| sends.messages).sum()
+    }
+
     #[test]
     fn all_pairs_schedule_counts_scale_with_steps() {
         // p=4 c=1: 4 teams, 4 shift steps, no skew -> 16 sends/step.
         let one = expected_schedule(&spec(Method::CaAllPairs { c: 1 }, 32, 4, 1)).unwrap();
         assert!(one.size_checked);
-        assert_eq!(one.msgs.len(), 16);
-        assert!(one.msgs.iter().all(|m| m.phase == Phase::Shift));
-        assert!(one.msgs.iter().all(|m| m.count == 8), "32/4 particles each");
+        assert_eq!(messages(&one, Phase::Shift), 16);
+        assert!(one.channels.keys().all(|c| c.phase == Phase::Shift));
+        let per_message = one.channels.values().map(|s| s.elements / s.messages);
+        assert!(
+            per_message.into_iter().all(|e| e == 8),
+            "32/4 particles each"
+        );
         let three = expected_schedule(&spec(Method::CaAllPairs { c: 1 }, 32, 4, 3)).unwrap();
-        assert_eq!(three.msgs.len(), 48);
+        assert_eq!(messages(&three, Phase::Shift), 48);
+        assert_eq!(three.channels.len(), one.channels.len());
     }
 
     #[test]
     fn replicated_all_pairs_schedule_includes_skew() {
         // p=8 c=2: 4 teams, rows k=1 skew (4 sends), 2 shift steps x 8.
         let s = expected_schedule(&spec(Method::CaAllPairs { c: 2 }, 24, 8, 1)).unwrap();
-        let skews = s.msgs.iter().filter(|m| m.phase == Phase::Skew).count();
-        let shifts = s.msgs.iter().filter(|m| m.phase == Phase::Shift).count();
-        assert_eq!(skews, 4);
-        assert_eq!(shifts, 16);
+        assert_eq!(messages(&s, Phase::Skew), 4);
+        assert_eq!(messages(&s, Phase::Shift), 16);
     }
 
     #[test]
@@ -154,8 +438,7 @@ mod tests {
         let s = expected_schedule(&sp).unwrap();
         assert!(!s.size_checked);
         // Four clipped slabs: 1 + 2 + 2 + 1 re-assign sends in each step.
-        let reassign = s.msgs.iter().filter(|m| m.phase == Phase::Reassign);
-        assert_eq!(reassign.count(), 2 * 6);
+        assert_eq!(messages(&s, Phase::Reassign), 2 * 6);
         assert!(s.detail.contains("ca-1d-cutoff"));
     }
 
@@ -169,5 +452,161 @@ mod tests {
     fn unsupported_methods_are_rejected() {
         let err = expected_schedule(&spec(Method::NaiveAllgather, 16, 4, 1)).unwrap_err();
         assert!(err.contains("no communication-schedule twin"));
+    }
+
+    /// The snapshot of a run whose ranks sent `sends`, one message of
+    /// `elements` per `(src, dst, phase, elements)`, through the ledger.
+    fn snapshot(sends: &[(u32, u32, Phase, usize)]) -> MetricsSnapshot {
+        let p = sends.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0);
+        let shards = (0..p).map(|rank| {
+            let mut stats = CommStats::new();
+            for &(_, dst, phase, elements) in sends.iter().filter(|s| s.0 as usize == rank) {
+                stats.set_phase(phase);
+                stats.record_send(dst as usize, elements, elements * 32);
+            }
+            let rec = MetricsRecorder::for_rank(rank);
+            stats.export(&rec);
+            rec.finish()
+        });
+        MetricsSnapshot::from_shards(shards.collect())
+    }
+
+    /// A size-checked schedule of `(src, dst, messages, elements)` shifts.
+    fn expected(channels: &[(u32, u32, u64, u64)]) -> ExpectedSchedule {
+        let channels = channels.iter().map(|&(src, dst, messages, elements)| {
+            let channel = Channel {
+                src,
+                dst,
+                phase: Phase::Shift,
+            };
+            (channel, Sends { messages, elements })
+        });
+        ExpectedSchedule {
+            channels: channels.collect(),
+            size_checked: true,
+            detail: "test".into(),
+        }
+    }
+
+    fn plan(spec: &str) -> FaultPlan {
+        FaultPlan::parse(spec).unwrap()
+    }
+
+    #[test]
+    fn matching_traffic_conforms() {
+        let exp = expected(&[(0, 1, 2, 22)]);
+        let obs = snapshot(&[(0, 1, Phase::Shift, 10), (0, 1, Phase::Shift, 12)]);
+        let report = check(&exp, &obs, &FaultPlan::empty());
+        assert_eq!(report.verdict(), "PASS");
+        assert_eq!((report.expected_msgs(), report.observed_msgs()), (2, 2));
+        assert!(report.violations.is_empty());
+        let text = report.render();
+        assert!(text.contains("schedule conformance: test"), "{text}");
+        assert!(text.contains("no violations"), "{text}");
+        assert!(text.contains("verdict: PASS"), "{text}");
+    }
+
+    #[test]
+    fn every_phase_is_checked_and_folds_into_the_phase_totals() {
+        // A send in a phase the schedule has none in is surplus, whatever
+        // the phase.
+        let exp = expected(&[(0, 1, 1, 10)]);
+        let obs = snapshot(&[(0, 1, Phase::Shift, 10), (0, 2, Phase::Other, 99)]);
+        let report = check(&exp, &obs, &FaultPlan::empty());
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert_eq!(
+            (v.kind, v.channel.phase),
+            (ViolationKind::Unexpected, Phase::Other)
+        );
+        assert_eq!(
+            report.sends_by_phase(),
+            vec![(Phase::Shift, 1, 1), (Phase::Other, 0, 1)]
+        );
+        assert_eq!(report.verdict(), "FAIL");
+    }
+
+    #[test]
+    fn missing_message_fails_without_faults() {
+        let exp = expected(&[(0, 1, 2, 22)]);
+        let obs = snapshot(&[(0, 1, Phase::Shift, 10)]);
+        let report = check(&exp, &obs, &FaultPlan::empty());
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert_eq!(
+            (v.kind, v.expected, v.observed),
+            (ViolationKind::Missing, 2, 1)
+        );
+        assert_eq!(report.unexplained(), 1);
+        assert_eq!(report.verdict(), "FAIL");
+        let text = report.render();
+        assert!(text.contains("missing"), "{text}");
+        assert!(text.contains("UNEXPLAINED"), "{text}");
+    }
+
+    #[test]
+    fn a_drop_explains_the_missing_messages_of_its_rank_only() {
+        let exp = expected(&[(0, 1, 1, 10)]);
+        let obs = snapshot(&[]);
+        let report = check(&exp, &obs, &plan("drop:0@0"));
+        assert_eq!(report.violations.len(), 1);
+        let why = report.violations[0].explained.as_deref().unwrap();
+        assert!(why.contains("fault_drop:rank0@step0"), "{why}");
+        assert_eq!(report.verdict(), "PASS", "explained violations still pass");
+        let text = report.render();
+        assert!(
+            text.contains("1 explained by the fault plan, 0 unexplained"),
+            "{text}"
+        );
+        // A drop at a different rank, or a fault the driver fires, explains
+        // nothing.
+        for other in ["drop:3@0", "nan:0@0"] {
+            assert_eq!(check(&exp, &obs, &plan(other)).unexplained(), 1, "{other}");
+        }
+    }
+
+    #[test]
+    fn retransmissions_are_attributed_to_a_fault_and_only_to_one() {
+        // Recovery re-runs the attempt: the channel carries its message
+        // twice. With a wire fault on record that is a retransmission.
+        let exp = expected(&[(0, 1, 1, 10)]);
+        let obs = snapshot(&[(0, 1, Phase::Shift, 10), (0, 1, Phase::Shift, 10)]);
+        let report = check(&exp, &obs, &plan("drop:2@1"));
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].kind, ViolationKind::Unexpected);
+        let why = report.violations[0].explained.as_deref().unwrap();
+        assert!(why.contains("fault_drop:rank2@step1"), "{why}");
+        // The same surplus without any fault on record is a real bug.
+        assert_eq!(check(&exp, &obs, &FaultPlan::empty()).verdict(), "FAIL");
+        // A duplicate at the sender explains it too.
+        let report = check(&exp, &obs, &plan("dup:0@1"));
+        let why = report.violations[0].explained.as_deref().unwrap();
+        assert!(why.contains("surplus copy from injected fault_dup:rank0@step1"));
+    }
+
+    #[test]
+    fn a_channel_the_schedule_never_sends_on_stays_unexplained_after_a_retry() {
+        let exp = expected(&[(0, 1, 1, 10)]);
+        let obs = snapshot(&[(0, 1, Phase::Shift, 10), (0, 2, Phase::Shift, 10)]);
+        assert_eq!(check(&exp, &obs, &plan("drop:2@0")).unexplained(), 1);
+    }
+
+    #[test]
+    fn element_totals_are_checked_where_sizes_are_predicted() {
+        let mut exp = expected(&[(0, 1, 2, 20)]);
+        let obs = snapshot(&[(0, 1, Phase::Shift, 3), (0, 1, Phase::Shift, 4)]);
+        let report = check(&exp, &obs, &FaultPlan::empty());
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert_eq!(
+            (v.kind, v.expected, v.observed),
+            (ViolationKind::Elements, 20, 7)
+        );
+        // Count-only: the same messages conform, a missing one does not.
+        exp.size_checked = false;
+        assert_eq!(check(&exp, &obs, &FaultPlan::empty()).verdict(), "PASS");
+        let short = snapshot(&[(0, 1, Phase::Shift, 3)]);
+        let report = check(&exp, &short, &FaultPlan::empty());
+        assert_eq!(report.violations[0].kind, ViolationKind::Missing);
     }
 }

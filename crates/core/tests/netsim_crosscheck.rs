@@ -2,8 +2,12 @@
 //! communicators record during a real threaded execution must agree
 //! *exactly* — per rank, per phase — with the sends, bytes and collectives
 //! of the schedule the discrete-event simulator replays for the same
-//! algorithm. This closes the loop between measured and simulated
-//! communication: the optimality audit can trust either source.
+//! algorithm, and channel by channel — per destination — the sends of the
+//! ledger equal the twin's. This closes the loop between measured and
+//! simulated communication: the optimality audit and the conformance check
+//! can trust either source.
+
+use std::collections::BTreeMap;
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts};
@@ -111,6 +115,40 @@ fn assert_exact_agreement(
     }
 }
 
+/// Assert that every rank's ledger sent, on each channel `(phase, peer)`,
+/// `times` the messages of its twin program's `Op::Send { to, .. }` to
+/// that peer — and the elements too, when `sized` (the twin ran on the
+/// live block sizes).
+fn assert_channels_agree<I: Iterator<Item = Op>>(
+    stats: &[CommStats],
+    programs: impl Fn(usize) -> I,
+    times: u64,
+    sized: bool,
+    label: &str,
+) {
+    for (rank, s) in stats.iter().enumerate() {
+        let mut twin: BTreeMap<(Phase, u32), (u64, u64)> = BTreeMap::new();
+        for op in programs(rank) {
+            if let Op::Send { to, bytes, phase } = op {
+                let sends = twin.entry((phase, to as u32)).or_default();
+                sends.0 += times;
+                sends.1 += times * bytes / PARTICLE_WIRE_BYTES as u64;
+            }
+        }
+        let live: BTreeMap<(Phase, u32), (u64, u64)> = s
+            .channels()
+            .iter()
+            .map(|c| ((c.phase, c.peer), (c.messages, c.elements)))
+            .collect();
+        let keep = |m: BTreeMap<_, (u64, u64)>| -> BTreeMap<_, _> {
+            m.into_iter()
+                .map(|(k, (msgs, elems))| (k, (msgs, if sized { elems } else { 0 })))
+                .collect()
+        };
+        assert_eq!(keep(live), keep(twin), "{label}: rank {rank}: channels");
+    }
+}
+
 #[test]
 fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
     let domain = Domain::unit();
@@ -131,6 +169,7 @@ fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
         let label = format!("all-pairs p={p} c={c} n={n}");
         let sim = replayed(p, |r| params.program(r), &label);
         assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, &label);
+        assert_channels_agree(&stats, |r| params.program(r), 1, true, &label);
     }
 }
 
@@ -162,6 +201,7 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
         let label = format!("cutoff1d p={p} c={c} rc={r_c}");
         let sim = replayed(p, |r| params.program(r), &label);
         assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, &label);
+        assert_channels_agree(&stats, |r| params.program(r), 1, true, &label);
     }
 }
 
@@ -196,6 +236,10 @@ fn reassign_live_sends_equal_the_twins_per_rank() {
             let teams = layout.grid.teams();
             let params = layout.schedule(vec![initial.len() / teams; teams]);
             let sim = replayed(p, |r| params.program(r), &label);
+            // The twin's blocks are placeholders: re-assignment moves the
+            // live ones, so only the messages are held to it.
+            let times = steps as u64;
+            assert_channels_agree(&live.stats, |r| params.program(r), times, false, &label);
             let mut total = 0;
             for (rank, stats) in live.stats.iter().enumerate() {
                 let twin = sim[rank].sends[Phase::Reassign.index()];

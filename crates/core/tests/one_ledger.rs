@@ -2,9 +2,9 @@
 //! rank's `CommStats`, and a traced run's `comm_*` metrics are that ledger
 //! read out when the rank finishes. So every `comm_*` sample of the
 //! snapshot equals the matching ledger field, rank by rank and phase by
-//! phase — receive counts and the message-size histogram included — on a
-//! replicated all-pairs run, a re-assigning cutoff run and a fault-injected
-//! run alike.
+//! phase — receive counts and the message-size histogram included — and
+//! every per-peer send sample equals the ledger's channel, on a replicated
+//! all-pairs run, a re-assigning cutoff run and a fault-injected run alike.
 
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::sim::{Method, Run, RunOutput, SimConfig};
@@ -73,11 +73,34 @@ fn assert_snapshot_is_the_ledger(stats: &[CommStats], metrics: &MetricsSnapshot,
                 "{label}: rank {rank} {phase:?}"
             );
         }
-        let exported = rm.counters.iter().map(|s| &s.name);
-        let exported = exported.chain(rm.histograms.iter().map(|s| &s.name));
-        let comm = exported.filter(|name| name.starts_with("comm_")).count();
+        // The sends are exported per channel, and nowhere else.
+        let mut channels = 0;
+        for ch in s.channels() {
+            for (name, field) in [
+                ("comm_send_messages", ch.messages),
+                ("comm_send_elements", ch.elements),
+            ] {
+                let sample = rm.counters.iter().find(|c| {
+                    c.name == name && c.phase == Some(ch.phase) && c.peer == Some(ch.peer)
+                });
+                let got = sample.map_or(0, |c| c.value);
+                assert_eq!(got, field, "{label}: rank {rank} {ch:?} {name}");
+                channels += usize::from(field > 0);
+            }
+        }
+        let peered = rm.counters.iter().filter(|c| c.peer.is_some()).count();
+        assert_eq!(peered, channels, "{label}: rank {rank}: channels");
+        // Samples are sorted by (name, phase, peer): a channel's samples
+        // fold into their (name, phase), which must be a ledger field.
+        let counters = rm.counters.iter().map(|s| (&s.name, s.phase));
+        let mut exported: Vec<_> = counters
+            .chain(rm.histograms.iter().map(|s| (&s.name, s.phase)))
+            .filter(|(name, _)| name.starts_with("comm_"))
+            .collect();
+        exported.dedup();
         assert_eq!(
-            comm, nonzero,
+            exported.len(),
+            nonzero,
             "{label}: rank {rank}: samples beyond the ledger"
         );
     }

@@ -1,12 +1,13 @@
-//! Wire-probe end-to-end tests: a clean probed run must conform to the
-//! derived CA schedule with zero violations and populated send→recv
-//! latencies on every active channel, and a chaos run's discrepancies must
-//! all be attributed to the fault plan.
+//! Schedule conformance end to end: the ledger of a clean run must conform
+//! to the derived CA schedule with zero violations on every channel, a
+//! probed run must populate send→recv latencies on every active channel,
+//! and a chaos run's discrepancies must all be attributed to the fault
+//! plan.
 
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::sim::{run_distributed, Method, Run, SimConfig};
-use ca_nbody::wire::{expected_schedule, WireScheduleSpec};
-use nbody_comm::{check_conformance, match_events, FaultNote, FaultPlan, Phase};
+use ca_nbody::wire::{check, expected_schedule, WireScheduleSpec};
+use nbody_comm::{match_events, FaultPlan, Phase};
 use nbody_physics::{init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler};
 
 fn all_pairs_cfg(steps: usize) -> SimConfig<RepulsiveInverseSquare, SemiImplicitEuler> {
@@ -53,22 +54,20 @@ fn spec_for<F, I>(cfg: &SimConfig<F, I>, method: Method, n: usize, p: usize) -> 
 }
 
 /// Acceptance criterion: a clean all-pairs run reports zero violations,
-/// with send→recv latency histograms populated for every active channel.
+/// element totals included, and a probed run populates send→recv latency
+/// histograms for every active channel.
 #[test]
 fn clean_all_pairs_run_conforms_with_populated_latencies() {
     let cfg = all_pairs_cfg(3);
     let (n, p, method) = (24, 8, Method::CaAllPairs { c: 2 });
     let initial = init::uniform(n, &cfg.domain, 42);
-    let out = Run::new(&cfg, method, p).trace().probe().execute(&initial);
-    let (result, wire) = (out.result.unwrap(), out.artifacts.wire);
+    let out = Run::new(&cfg, method, p).trace().execute(&initial);
+    let (result, metrics) = (out.result.unwrap(), out.artifacts.metrics);
     assert_eq!(result.particles.len(), n);
 
-    // Probing must not perturb physics.
-    let plain = run_distributed(&cfg, method, p, &initial);
-    assert_eq!(result.particles, plain.particles);
-
     let expected = expected_schedule(&spec_for(&cfg, method, n, p)).unwrap();
-    let report = check_conformance(&expected, &wire, &[]);
+    assert!(expected.size_checked);
+    let report = check(&expected, &metrics, &FaultPlan::empty());
     assert_eq!(
         report.verdict(),
         "PASS",
@@ -76,11 +75,17 @@ fn clean_all_pairs_run_conforms_with_populated_latencies() {
         report.violations
     );
     assert!(report.violations.is_empty());
-    assert!(!report.saturated, "tiny run cannot overflow the probe ring");
-    assert_eq!(report.expected_msgs, report.observed_msgs);
+    assert_eq!(report.expected_msgs(), report.observed_msgs());
     // p=8 c=2: per step, 4 skew sends (row 1) + 16 shift sends (2 pipeline
     // steps x 8 ranks), x3 timesteps.
-    assert_eq!(report.expected_msgs, 60);
+    assert_eq!(report.expected_msgs(), 60);
+
+    // Probing must not perturb physics.
+    let out = Run::new(&cfg, method, p).trace().probe().execute(&initial);
+    let (probed, wire) = (out.result.unwrap(), out.artifacts.wire);
+    assert_eq!(probed.particles, result.particles);
+    let plain = run_distributed(&cfg, method, p, &initial);
+    assert_eq!(result.particles, plain.particles);
 
     // Every active channel carries matched send→recv pairs with latencies.
     let stats = match_events(&wire);
@@ -113,22 +118,24 @@ fn clean_cutoff_run_conforms_in_count_only_mode() {
     let cfg = cutoff_cfg(3);
     let (n, p, method) = (40, 8, Method::Ca1dCutoff { c: 2 });
     let initial = init::uniform(n, &cfg.domain, 7);
-    let out = Run::new(&cfg, method, p).trace().probe().execute(&initial);
-    let (result, wire) = (out.result.unwrap(), out.artifacts.wire);
+    let out = Run::new(&cfg, method, p).trace().execute(&initial);
+    let (result, metrics) = (out.result.unwrap(), out.artifacts.metrics);
     assert_eq!(result.particles.len(), n);
 
     let mut spec = spec_for(&cfg, method, n, p);
     spec.cutoff = Some(0.25);
     let expected = expected_schedule(&spec).unwrap();
     assert!(!expected.size_checked);
-    let report = check_conformance(&expected, &wire, &[]);
+    let report = check(&expected, &metrics, &FaultPlan::empty());
     assert_eq!(
         report.verdict(),
         "PASS",
         "clean cutoff run must conform: {:?}",
         report.violations
     );
-    assert!(report.observed_msgs > 0);
+    let phases = report.sends_by_phase();
+    assert!(phases.iter().any(|&(phase, ..)| phase == Phase::Reassign));
+    assert!(report.observed_msgs() > 0);
 }
 
 /// Acceptance criterion: a seeded chaos run with injected drops yields a
@@ -143,10 +150,9 @@ fn chaos_drops_are_fully_attributed_to_the_fault_plan() {
     let policy = RetryPolicy::with_timeout_ms(2000);
     let out = Run::new(&cfg, method, p)
         .trace()
-        .probe()
         .faults(&plan, &policy)
         .execute(&initial);
-    let (result, wire) = (out.result, out.artifacts.wire);
+    let (result, metrics) = (out.result, out.artifacts.metrics);
     let chaos = result.expect("drops are recoverable");
     assert!(chaos.recovered, "the injected drops must trigger recovery");
 
@@ -154,17 +160,8 @@ fn chaos_drops_are_fully_attributed_to_the_fault_plan() {
     let want = run_distributed(&cfg, method, p, &initial).particles;
     assert_eq!(chaos.particles, want);
 
-    // Injected faults surface as first-class probe events.
-    let mut faults = FaultNote::from_log(&wire);
-    for note in plan.probe_notes() {
-        if !faults.contains(&note) {
-            faults.push(note);
-        }
-    }
-    assert!(!faults.is_empty(), "fault events must be in the log");
-
     let expected = expected_schedule(&spec_for(&cfg, method, n, p)).unwrap();
-    let report = check_conformance(&expected, &wire, &faults);
+    let report = check(&expected, &metrics, &plan);
     assert!(
         !report.violations.is_empty(),
         "drops + retries must deviate from the clean schedule"
@@ -183,7 +180,7 @@ fn chaos_drops_are_fully_attributed_to_the_fault_plan() {
 
     // Without consulting the faults the same report fails — the checker
     // is not vacuously permissive.
-    let blind = check_conformance(&expected, &wire, &[]);
+    let blind = check(&expected, &metrics, &FaultPlan::empty());
     assert!(blind.unexplained() > 0);
     assert_eq!(blind.verdict(), "FAIL");
 }

@@ -25,6 +25,29 @@ fn phase_from_json(v: Option<&Json>) -> Result<Option<Phase>, String> {
     }
 }
 
+/// A sample's name, phase and peer; `peer` is written only where it is
+/// counted, so a snapshot without channels reads as it always did.
+fn labels<T>(s: &Sample<T>) -> Vec<(String, Json)> {
+    let mut out = vec![
+        ("name".into(), Json::Str(s.name.clone())),
+        ("phase".into(), phase_to_json(s.phase)),
+    ];
+    if let Some(peer) = s.peer {
+        out.push(("peer".into(), Json::Num(peer as f64)));
+    }
+    out
+}
+
+fn peer_from_json(v: Option<&Json>) -> Result<Option<u32>, String> {
+    match v {
+        None | Some(Json::Null) => Ok(None),
+        Some(peer) => match peer.as_f64() {
+            Some(x) if x >= 0.0 => Ok(Some(x as u32)),
+            _ => Err(format!("peer must be a rank or null, got {peer}")),
+        },
+    }
+}
+
 fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(Json::as_f64)
@@ -40,28 +63,16 @@ impl MetricsSnapshot {
             .iter()
             .map(|r| {
                 let scalar = |s: &Sample<u64>| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::Str(s.name.clone())),
-                        ("phase".into(), phase_to_json(s.phase)),
-                        ("value".into(), Json::Num(s.value as f64)),
-                    ])
+                    let mut fields = labels(s);
+                    fields.push(("value".into(), Json::Num(s.value as f64)));
+                    Json::Obj(fields)
                 };
                 let hist = |s: &Sample<Histogram>| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::Str(s.name.clone())),
-                        ("phase".into(), phase_to_json(s.phase)),
-                        (
-                            "counts".into(),
-                            Json::Arr(
-                                s.value
-                                    .counts
-                                    .iter()
-                                    .map(|&c| Json::Num(c as f64))
-                                    .collect(),
-                            ),
-                        ),
-                        ("sum".into(), Json::Num(s.value.sum as f64)),
-                    ])
+                    let counts = s.value.counts.iter().map(|&c| Json::Num(c as f64));
+                    let mut fields = labels(s);
+                    fields.push(("counts".into(), Json::Arr(counts.collect())));
+                    fields.push(("sum".into(), Json::Num(s.value.sum as f64)));
+                    Json::Obj(fields)
                 };
                 Json::Obj(vec![
                     ("rank".into(), Json::Num(r.rank as f64)),
@@ -108,6 +119,7 @@ impl MetricsSnapshot {
                             .ok_or("sample missing \"name\"")?
                             .to_string(),
                         phase: phase_from_json(s.get("phase"))?,
+                        peer: peer_from_json(s.get("peer"))?,
                         value: u64_field(s, "value")?,
                     });
                 }
@@ -141,6 +153,7 @@ impl MetricsSnapshot {
                         .ok_or("histogram missing \"name\"")?
                         .to_string(),
                     phase: phase_from_json(s.get("phase"))?,
+                    peer: peer_from_json(s.get("peer"))?,
                     value,
                 });
             }
@@ -166,22 +179,32 @@ mod tests {
                 Sample {
                     name: "comm_send_messages".into(),
                     phase: Some(Phase::Shift),
-                    value: 3,
+                    peer: Some(1),
+                    value: 2,
+                },
+                Sample {
+                    name: "comm_send_messages".into(),
+                    phase: Some(Phase::Shift),
+                    peer: Some(0),
+                    value: 1,
                 },
                 Sample {
                     name: "comm_send_bytes".into(),
                     phase: Some(Phase::Shift),
+                    peer: None,
                     value: 10452,
                 },
             ],
             gauges: vec![Sample {
                 name: "mem_particles_hwm".into(),
                 phase: None,
+                peer: None,
                 value: 2048,
             }],
             histograms: vec![Sample {
                 name: "comm_message_size_bytes".into(),
                 phase: Some(Phase::Shift),
+                peer: None,
                 value: h,
             }],
         };
@@ -207,5 +230,8 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(MetricsSnapshot::from_json(&Json::parse("{}").unwrap()).is_err());
+        let bad_peer = r#"{"ranks":[{"rank":0,"counters":[{"name":"x","phase":null,"peer":-1,"value":1}],"gauges":[],"histograms":[]}]}"#;
+        let err = MetricsSnapshot::from_json(&Json::parse(bad_peer).unwrap()).unwrap_err();
+        assert!(err.contains("peer"), "{err}");
     }
 }

@@ -75,13 +75,17 @@ impl Histogram {
     }
 }
 
-/// One exported metric value: `(name, optional phase, value)`.
+/// One exported metric value: `(name, optional phase, optional peer,
+/// value)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample<T> {
     /// Metric name (e.g. `comm_send_bytes`).
     pub name: String,
     /// Phase label, if the metric is phase-bucketed.
     pub phase: Option<Phase>,
+    /// Peer world rank, if the metric is counted per channel (the
+    /// destination of `comm_send_messages` / `comm_send_elements`).
+    pub peer: Option<u32>,
     /// The recorded value.
     pub value: T,
 }
@@ -99,24 +103,27 @@ pub struct RankMetrics {
     pub histograms: Vec<Sample<Histogram>>,
 }
 
-fn sort_key(name: &str, phase: Option<Phase>) -> (String, usize) {
-    (name.to_string(), phase.map_or(usize::MAX, |p| p.index()))
+fn sort_key<T>(s: &Sample<T>) -> (String, usize, Option<u32>) {
+    let phase = s.phase.map_or(usize::MAX, |p| p.index());
+    (s.name.clone(), phase, s.peer)
 }
 
 impl RankMetrics {
-    /// Sort all samples by `(name, phase)` so exports are deterministic.
+    /// Sort all samples by `(name, phase, peer)` so exports are
+    /// deterministic.
     pub fn normalize(&mut self) {
-        self.counters.sort_by_key(|s| sort_key(&s.name, s.phase));
-        self.gauges.sort_by_key(|s| sort_key(&s.name, s.phase));
-        self.histograms.sort_by_key(|s| sort_key(&s.name, s.phase));
+        self.counters.sort_by_key(sort_key);
+        self.gauges.sort_by_key(sort_key);
+        self.histograms.sort_by_key(sort_key);
     }
 
-    /// Value of a counter, 0 if never recorded.
+    /// Value of a counter summed over its peers, 0 if never recorded.
     pub fn counter(&self, name: &str, phase: Option<Phase>) -> u64 {
         self.counters
             .iter()
-            .find(|s| s.name == name && s.phase == phase)
-            .map_or(0, |s| s.value)
+            .filter(|s| s.name == name && s.phase == phase)
+            .map(|s| s.value)
+            .sum()
     }
 
     /// Value of a gauge, 0 if never recorded.
@@ -145,6 +152,7 @@ enum Slot {
 struct Entry {
     name: &'static str,
     phase: Option<Phase>,
+    peer: Option<u32>,
     slot: Slot,
 }
 
@@ -185,6 +193,7 @@ impl MetricsRecorder {
         &self,
         name: &'static str,
         phase: Option<Phase>,
+        peer: Option<u32>,
         make: fn() -> Slot,
     ) -> Option<Slot> {
         let inner = self.inner.as_ref()?;
@@ -192,7 +201,7 @@ impl MetricsRecorder {
         if let Some(e) = shard
             .entries
             .iter()
-            .find(|e| e.name == name && e.phase == phase)
+            .find(|e| e.name == name && e.phase == phase && e.peer == peer)
         {
             return Some(match &e.slot {
                 Slot::Counter(c) => Slot::Counter(Rc::clone(c)),
@@ -206,13 +215,29 @@ impl MetricsRecorder {
             Slot::Gauge(g) => Slot::Gauge(Rc::clone(g)),
             Slot::Histogram(h) => Slot::Histogram(Rc::clone(h)),
         };
-        shard.entries.push(Entry { name, phase, slot });
+        shard.entries.push(Entry {
+            name,
+            phase,
+            peer,
+            slot,
+        });
         Some(clone)
     }
 
     /// Find or register a counter and return its handle.
     pub fn counter(&self, name: &'static str, phase: Option<Phase>) -> Counter {
-        let slot = self.find_or_insert(name, phase, || Slot::Counter(Rc::new(Cell::new(0))));
+        self.counter_to(name, phase, None)
+    }
+
+    /// Find or register the counter of one channel, `name` counted per
+    /// `peer` world rank, and return its handle.
+    pub fn counter_to(
+        &self,
+        name: &'static str,
+        phase: Option<Phase>,
+        peer: Option<u32>,
+    ) -> Counter {
+        let slot = self.find_or_insert(name, phase, peer, || Slot::Counter(Rc::new(Cell::new(0))));
         match slot {
             Some(Slot::Counter(c)) => Counter { cell: Some(c) },
             Some(_) => panic!("metric {name} already registered with a different type"),
@@ -222,7 +247,7 @@ impl MetricsRecorder {
 
     /// Find or register a gauge and return its handle.
     pub fn gauge(&self, name: &'static str, phase: Option<Phase>) -> Gauge {
-        let slot = self.find_or_insert(name, phase, || Slot::Gauge(Rc::new(Cell::new(0))));
+        let slot = self.find_or_insert(name, phase, None, || Slot::Gauge(Rc::new(Cell::new(0))));
         match slot {
             Some(Slot::Gauge(g)) => Gauge { cell: Some(g) },
             Some(_) => panic!("metric {name} already registered with a different type"),
@@ -232,7 +257,7 @@ impl MetricsRecorder {
 
     /// Find or register a histogram and return its handle.
     pub fn histogram(&self, name: &'static str, phase: Option<Phase>) -> HistogramHandle {
-        let slot = self.find_or_insert(name, phase, || {
+        let slot = self.find_or_insert(name, phase, None, || {
             Slot::Histogram(Rc::new(RefCell::new(Histogram::default())))
         });
         match slot {
@@ -265,16 +290,19 @@ impl MetricsRecorder {
                 Slot::Counter(c) if c.get() > 0 => out.counters.push(Sample {
                     name,
                     phase: e.phase,
+                    peer: e.peer,
                     value: c.get(),
                 }),
                 Slot::Gauge(g) if g.get() > 0 => out.gauges.push(Sample {
                     name,
                     phase: e.phase,
+                    peer: None,
                     value: g.get(),
                 }),
                 Slot::Histogram(h) if h.borrow().count() > 0 => out.histograms.push(Sample {
                     name,
                     phase: e.phase,
+                    peer: None,
                     value: *h.borrow(),
                 }),
                 _ => {}
@@ -384,6 +412,18 @@ mod tests {
         assert_eq!(m.counter("msgs", Some(Phase::Shift)), 3);
         assert_eq!(m.counters.len(), 1);
         assert_eq!(m.counter("idle", Some(Phase::Reduce)), 0);
+    }
+
+    #[test]
+    fn a_counter_read_sums_its_peers() {
+        let rec = MetricsRecorder::for_rank(0);
+        rec.counter_to("sent", Some(Phase::Shift), Some(3)).add(5);
+        rec.counter_to("sent", Some(Phase::Shift), Some(1)).add(2);
+        rec.counter_to("sent", Some(Phase::Shift), Some(1)).inc();
+        let m = rec.finish().unwrap();
+        let peers: Vec<_> = m.counters.iter().map(|s| (s.peer, s.value)).collect();
+        assert_eq!(peers, vec![(Some(1), 3), (Some(3), 5)]);
+        assert_eq!(m.counter("sent", Some(Phase::Shift)), 8);
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn merge_rank(dst: &mut RankMetrics, src: &RankMetrics) {
         match dst
             .counters
             .iter_mut()
-            .find(|o| o.name == s.name && o.phase == s.phase)
+            .find(|o| o.name == s.name && o.phase == s.phase && o.peer == s.peer)
         {
             Some(o) => o.value = o.value.saturating_add(s.value),
             None => dst.counters.push(s.clone()),
@@ -106,7 +106,7 @@ fn merge_rank(dst: &mut RankMetrics, src: &RankMetrics) {
         match dst
             .gauges
             .iter_mut()
-            .find(|o| o.name == s.name && o.phase == s.phase)
+            .find(|o| o.name == s.name && o.phase == s.phase && o.peer == s.peer)
         {
             Some(o) => o.value = o.value.max(s.value),
             None => dst.gauges.push(s.clone()),
@@ -116,7 +116,7 @@ fn merge_rank(dst: &mut RankMetrics, src: &RankMetrics) {
         match dst
             .histograms
             .iter_mut()
-            .find(|o| o.name == s.name && o.phase == s.phase)
+            .find(|o| o.name == s.name && o.phase == s.phase && o.peer == s.peer)
         {
             Some(o) => o.value.merge(&s.value),
             None => dst.histograms.push(s.clone()),
@@ -133,6 +133,7 @@ mod tests {
         Sample {
             name: name.to_string(),
             phase,
+            peer: None,
             value,
         }
     }
@@ -152,6 +153,7 @@ mod tests {
                     histograms: vec![Sample {
                         name: "sz".to_string(),
                         phase: Some(Phase::Shift),
+                        peer: None,
                         value: h0,
                     }],
                 },
@@ -162,6 +164,7 @@ mod tests {
                     histograms: vec![Sample {
                         name: "sz".to_string(),
                         phase: Some(Phase::Shift),
+                        peer: None,
                         value: h1,
                     }],
                 },

@@ -267,6 +267,7 @@ mod tests {
         Sample {
             name: name.to_string(),
             phase: None,
+            peer: None,
             value,
         }
     }

@@ -186,59 +186,3 @@ mod tests {
         assert!(ps.iter().all(|p| p.force.x == 8.0));
     }
 }
-
-/// Shared-memory parallel force accumulation (within-node data
-/// parallelism — the single-node analogue of MPI+OpenMP hybrid codes).
-///
-/// Parallelizes over *targets*: each particle's accumulation loop runs on
-/// one thread with the source order unchanged, so results are **bitwise
-/// identical** to [`accumulate_forces`]. Useful for large serial
-/// references and single-process production runs; the distributed
-/// algorithms keep their rank-level parallelism instead.
-pub fn accumulate_forces_parallel<F: ForceLaw>(
-    particles: &mut [Particle],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-) {
-    use rayon::prelude::*;
-    let snapshot: Vec<Particle> = particles.to_vec();
-    particles.par_iter_mut().for_each(|target| {
-        let mut acc = target.force;
-        for source in &snapshot {
-            if target.id == source.id {
-                continue;
-            }
-            let disp = boundary.displacement(domain, target.pos, source.pos);
-            acc += law.force(target, source, disp);
-        }
-        target.force = acc;
-    });
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::force::{Counting, Gravity};
-    use crate::init;
-
-    #[test]
-    fn parallel_reference_is_bitwise_identical() {
-        let domain = Domain::unit();
-        for n in [1usize, 7, 64, 257] {
-            let mut serial = init::uniform(n, &domain, 9);
-            let mut parallel = serial.clone();
-            accumulate_forces(&mut serial, &Gravity::default(), &domain, Boundary::Open);
-            accumulate_forces_parallel(&mut parallel, &Gravity::default(), &domain, Boundary::Open);
-            assert_eq!(serial, parallel, "n={n}");
-        }
-    }
-
-    #[test]
-    fn parallel_reference_counting_exact() {
-        let domain = Domain::unit();
-        let mut ps = init::uniform(100, &domain, 2);
-        accumulate_forces_parallel(&mut ps, &Counting, &domain, Boundary::Periodic);
-        assert!(ps.iter().all(|p| p.force.x == 99.0));
-    }
-}

@@ -9,25 +9,10 @@ pub enum ProbeKind {
     Send,
     /// A payload was taken off the transport (dequeue side).
     Recv,
-    /// An injected fault silently discarded a send.
-    FaultDrop,
-    /// An injected fault delayed a send before forwarding it.
-    FaultDelay,
-    /// An injected fault forwarded a send twice.
-    FaultDup,
-    /// An injected kill suppressed traffic from a dead rank.
-    FaultKill,
 }
 
 /// Every probe kind, for iteration and label round-trips.
-pub const ALL_PROBE_KINDS: [ProbeKind; 6] = [
-    ProbeKind::Send,
-    ProbeKind::Recv,
-    ProbeKind::FaultDrop,
-    ProbeKind::FaultDelay,
-    ProbeKind::FaultDup,
-    ProbeKind::FaultKill,
-];
+pub const ALL_PROBE_KINDS: [ProbeKind; 2] = [ProbeKind::Send, ProbeKind::Recv];
 
 impl ProbeKind {
     /// Stable label used in serialized logs.
@@ -35,10 +20,6 @@ impl ProbeKind {
         match self {
             ProbeKind::Send => "send",
             ProbeKind::Recv => "recv",
-            ProbeKind::FaultDrop => "fault_drop",
-            ProbeKind::FaultDelay => "fault_delay",
-            ProbeKind::FaultDup => "fault_dup",
-            ProbeKind::FaultKill => "fault_kill",
         }
     }
 
@@ -46,20 +27,13 @@ impl ProbeKind {
     pub fn from_label(label: &str) -> Option<ProbeKind> {
         ALL_PROBE_KINDS.into_iter().find(|k| k.label() == label)
     }
-
-    /// Whether this kind records an injected fault rather than real traffic.
-    pub fn is_fault(self) -> bool {
-        !matches!(self, ProbeKind::Send | ProbeKind::Recv)
-    }
 }
 
 /// One message-level probe record.
 ///
 /// `count` is the payload length in *elements* (particles for the CA
 /// pipeline phases), `bytes` the in-memory payload size the transport
-/// actually moved. Conformance checking matches on counts because the
-/// schedule's byte predictions use the paper's wire format, not Rust's
-/// in-memory layout. `t_secs` is relative to the run's shared probe epoch,
+/// actually moved. `t_secs` is relative to the run's shared probe epoch,
 /// so send/recv stamps from different rank threads are directly comparable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MsgEvent {
@@ -81,8 +55,6 @@ pub struct MsgEvent {
     pub bytes: u64,
     /// Seconds since the shared probe epoch.
     pub t_secs: f64,
-    /// Pipeline step, when known (fault events carry it).
-    pub step: Option<u64>,
 }
 
 impl MsgEvent {
@@ -97,13 +69,6 @@ impl MsgEvent {
             ("count".into(), Json::Num(self.count as f64)),
             ("bytes".into(), Json::Num(self.bytes as f64)),
             ("t".into(), Json::Num(self.t_secs)),
-            (
-                "step".into(),
-                match self.step {
-                    Some(s) => Json::Num(s as f64),
-                    None => Json::Null,
-                },
-            ),
         ])
     }
 
@@ -133,7 +98,6 @@ impl MsgEvent {
             count: num("count")? as u64,
             bytes: num("bytes")? as u64,
             t_secs: num("t")?,
-            step: v.get("step").and_then(Json::as_f64).map(|s| s as u64),
         })
     }
 }
@@ -143,19 +107,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_kind_labels_round_trip() {
+    fn kind_labels_round_trip() {
         for kind in ALL_PROBE_KINDS {
             assert_eq!(ProbeKind::from_label(kind.label()), Some(kind));
         }
         assert_eq!(ProbeKind::from_label("bogus"), None);
-    }
-
-    #[test]
-    fn fault_kinds_are_flagged() {
-        assert!(!ProbeKind::Send.is_fault());
-        assert!(!ProbeKind::Recv.is_fault());
-        assert!(ProbeKind::FaultDrop.is_fault());
-        assert!(ProbeKind::FaultKill.is_fault());
     }
 
     #[test]
@@ -170,14 +126,8 @@ mod tests {
             count: 128,
             bytes: 128 * 56,
             t_secs: 0.125,
-            step: Some(7),
         };
         let back = MsgEvent::from_json(&e.to_json()).unwrap();
         assert_eq!(back, e);
-        // `step: None` survives too.
-        let mut e2 = e;
-        e2.step = None;
-        let back2 = MsgEvent::from_json(&e2.to_json()).unwrap();
-        assert_eq!(back2, e2);
     }
 }

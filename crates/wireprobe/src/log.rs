@@ -42,20 +42,6 @@ impl WireLog {
         self.ranks.iter().map(|r| r.dropped_events).sum()
     }
 
-    /// Whether any rank's probe ring overflowed. A saturated log is
-    /// incomplete, so conformance findings degrade to warnings.
-    pub fn saturated(&self) -> bool {
-        self.total_dropped() > 0
-    }
-
-    /// All fault events across ranks (for `FaultPlan` attribution).
-    pub fn fault_events(&self) -> impl Iterator<Item = &MsgEvent> {
-        self.ranks
-            .iter()
-            .flat_map(|r| r.events.iter())
-            .filter(|e| e.kind.is_fault())
-    }
-
     /// Serialize to a single JSON document.
     pub fn to_json(&self) -> String {
         let ranks = self
@@ -137,7 +123,6 @@ mod tests {
             count: 8,
             bytes: 448,
             t_secs: 0.5,
-            step: None,
         }
     }
 
@@ -151,15 +136,13 @@ mod tests {
             },
             RankWireLog {
                 rank: 0,
-                events: vec![event(ProbeKind::Send, 3), event(ProbeKind::FaultDrop, 4)],
+                events: vec![event(ProbeKind::Send, 3), event(ProbeKind::Recv, 4)],
                 dropped_events: 0,
             },
         ]);
         assert_eq!(log.ranks[0].rank, 0, "ranks are sorted");
         assert_eq!(log.total_events(), 3);
         assert_eq!(log.total_dropped(), 2);
-        assert!(log.saturated());
-        assert_eq!(log.fault_events().count(), 1);
         let back = WireLog::parse(&log.to_json()).unwrap();
         assert_eq!(back, log);
     }

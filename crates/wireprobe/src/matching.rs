@@ -85,8 +85,6 @@ pub struct WireReport {
     pub unmatched_sends: u64,
     /// Recvs that never matched a send.
     pub unmatched_recvs: u64,
-    /// Injected-fault events present in the log.
-    pub fault_events: u64,
     /// Probe events evicted from saturated rings (incomplete log).
     pub dropped_probe_events: u64,
 }
@@ -112,27 +110,17 @@ pub fn match_events(log: &WireLog) -> WireReport {
         recvs: Vec<MsgEvent>,
     }
     let mut lanes: BTreeMap<Key, Lane> = BTreeMap::new();
-    let mut fault_events = 0u64;
     for r in &log.ranks {
         for e in &r.events {
+            let lane = lanes.entry((e.comm, e.src, e.dst, e.tag)).or_default();
             match e.kind {
-                ProbeKind::Send => lanes
-                    .entry((e.comm, e.src, e.dst, e.tag))
-                    .or_default()
-                    .sends
-                    .push(e.clone()),
-                ProbeKind::Recv => lanes
-                    .entry((e.comm, e.src, e.dst, e.tag))
-                    .or_default()
-                    .recvs
-                    .push(e.clone()),
-                _ => fault_events += 1,
+                ProbeKind::Send => lane.sends.push(e.clone()),
+                ProbeKind::Recv => lane.recvs.push(e.clone()),
             }
         }
     }
 
     let mut report = WireReport {
-        fault_events,
         dropped_probe_events: log.total_dropped(),
         ..WireReport::default()
     };
@@ -215,7 +203,6 @@ mod tests {
             count: 4,
             bytes: 224,
             t_secs: t,
-            step: None,
         }
     }
 
@@ -261,7 +248,6 @@ mod tests {
             events: vec![
                 ev(ProbeKind::Send, 0, 1, 1, 0.0),
                 ev(ProbeKind::Recv, 1, 0, 2, 0.1),
-                ev(ProbeKind::FaultDrop, 0, 1, 1, 0.0),
             ],
             dropped_events: 3,
         }]);
@@ -269,7 +255,6 @@ mod tests {
         assert_eq!(report.unmatched_sends, 1);
         assert_eq!(report.unmatched_recvs, 1);
         assert_eq!(report.matched, 0);
-        assert_eq!(report.fault_events, 1);
         assert_eq!(report.dropped_probe_events, 3);
         assert!(report.saturated());
     }

@@ -69,7 +69,6 @@ impl ProbeRecorder {
     }
 
     /// Record a payload handed to the transport by this rank.
-    #[allow(clippy::too_many_arguments)]
     pub fn send(&self, dst: u32, comm: u64, tag: u64, phase: Phase, count: u64, bytes: u64) {
         self.record(
             ProbeKind::Send,
@@ -80,7 +79,6 @@ impl ProbeRecorder {
             phase,
             count,
             bytes,
-            None,
         );
     }
 
@@ -95,33 +93,6 @@ impl ProbeRecorder {
             phase,
             count,
             bytes,
-            None,
-        );
-    }
-
-    /// Record an injected fault acting on traffic from this rank to `dst`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fault(
-        &self,
-        kind: ProbeKind,
-        dst: u32,
-        tag: u64,
-        phase: Phase,
-        count: u64,
-        bytes: u64,
-        step: u64,
-    ) {
-        debug_assert!(kind.is_fault(), "fault() takes only Fault* probe kinds");
-        self.record(
-            kind,
-            None,
-            Some(dst),
-            0,
-            tag,
-            phase,
-            count,
-            bytes,
-            Some(step),
         );
     }
 
@@ -136,7 +107,6 @@ impl ProbeRecorder {
         phase: Phase,
         count: u64,
         bytes: u64,
-        step: Option<u64>,
     ) {
         let Some(inner) = &self.inner else { return };
         let mut inner = inner.borrow_mut();
@@ -156,7 +126,6 @@ impl ProbeRecorder {
             count,
             bytes,
             t_secs,
-            step,
         };
         inner.events.push_back(event);
     }
@@ -184,7 +153,6 @@ mod tests {
         assert!(!r.is_enabled());
         r.send(1, 0, 7, Phase::Shift, 10, 560);
         r.recv(1, 0, 7, Phase::Shift, 10, 560);
-        r.fault(ProbeKind::FaultDrop, 1, 7, Phase::Shift, 10, 560, 0);
         assert!(r.finish().is_none());
     }
 

@@ -13,9 +13,9 @@
 //! achieved GFLOP/s, arithmetic intensity, %-of-roofline — written with
 //! `--roofline-out` and gated by `--roofline-baseline` (fails if the best
 //! rank falls below the recorded floor minus its tolerance). Every audit
-//! also counts each phase's point-to-point sends twice, from the run's own
-//! `CommStats` ledger and from the schedule twin's `expected_schedule`,
-//! prints the two side by side, and fails if any phase's counts differ.
+//! also diffs the run's own `CommStats` ledger against the schedule twin's
+//! `expected_schedule` channel by channel — the check `conformance` makes —
+//! prints the diff folded per phase, and fails on any channel's violation.
 //!
 //! `calibrate` measures the machine ceilings the roofline uses (packed
 //! multiply-add peak, stream bandwidth) with seedable microbenchmarks and writes
@@ -23,17 +23,18 @@
 
 use std::process::ExitCode;
 
+use ca_nbody::wire::{check, ConformanceReport};
 use ca_nbody::{expected_schedule, ProcGrid, Run, Window};
+use nbody_comm::FaultPlan;
 use nbody_metrics::{
     audit as audit_run, audit_json, audit_table, ceilings_from_json, AuditAlgorithm, AuditConfig,
-    AuditInput, MetricsSnapshot,
+    AuditInput,
 };
 use nbody_perfmon::{
     roofline, roofline_json, roofline_table, CalibrationConfig, MachineCalibration, RooflineGate,
     RooflineReport,
 };
-use nbody_trace::{Json, ALL_PHASES, PHASE_COUNT};
-use nbody_wireprobe::ExpectedSchedule;
+use nbody_trace::Json;
 
 use super::artifact::{load_json, named_or_present, write, JsonPath, Summary};
 use super::spec::{Defaults, RunSpec};
@@ -101,11 +102,11 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
             .artifacts;
         let expected = expected_schedule(&spec.wire_spec())
             .map_err(|e| format!("audit: cannot derive wire schedule for c={c}: {e}"))?;
-        let rows = send_counts(&expected, &artifacts.metrics);
-        wire_predicted += rows.iter().map(|r| r.1).sum::<u64>();
-        wire_observed += rows.iter().map(|r| r.2).sum::<u64>();
-        wire_agrees &= rows.iter().all(|r| r.1 == r.2);
-        wire_sections.push((c, send_table(&rows)));
+        let diff = check(&expected, &artifacts.metrics, &FaultPlan::empty());
+        wire_predicted += diff.expected_msgs();
+        wire_observed += diff.observed_msgs();
+        wire_agrees &= diff.violations.is_empty();
+        wire_sections.push((c, send_table(&diff)));
         // The same instrumented run feeds every side of the audit: its
         // comm counters go to the send counts and the optimality check,
         // its compute counters to the roofline.
@@ -194,7 +195,7 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         .put("pass", comm_pass && roofline_pass);
     summary.print();
     if !wire_agrees {
-        failures.push("AUDIT FAILED: a phase's ledger send count is not the schedule's".into());
+        failures.push("AUDIT FAILED: a channel's ledger sends are not the schedule's".into());
     }
     if !comm_pass {
         failures.push("AUDIT FAILED: a constant factor exceeded its ceiling".into());
@@ -204,29 +205,9 @@ pub fn audit(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     verdict(&failures)
 }
 
-/// Each phase's point-to-point sends over the whole run, as
-/// `(phase label, schedule twin, ledger)`; phases neither side sends in
-/// are left out.
-fn send_counts(
-    expected: &ExpectedSchedule,
-    metrics: &MetricsSnapshot,
-) -> Vec<(&'static str, u64, u64)> {
-    let mut predicted = [0u64; PHASE_COUNT];
-    for m in &expected.msgs {
-        predicted[m.phase.index()] += 1;
-    }
-    ALL_PHASES
-        .into_iter()
-        .map(|phase| {
-            let sent = metrics.sum_counter("comm_send_messages", Some(phase));
-            (phase.label(), predicted[phase.index()], sent)
-        })
-        .filter(|&(_, predicted, sent)| predicted > 0 || sent > 0)
-        .collect()
-}
-
-/// The per-phase section [`send_counts`] is printed as.
-fn send_table(rows: &[(&str, u64, u64)]) -> String {
+/// The ledger-vs-schedule diff folded per phase (whole run), followed by
+/// the channels that deviated, if any.
+fn send_table(diff: &ConformanceReport) -> String {
     let mut out = String::from(
         "  wire messages (observed in the ledger vs predicted by the schedule, whole run)\n",
     );
@@ -234,10 +215,23 @@ fn send_table(rows: &[(&str, u64, u64)]) -> String {
         "  {:<11} {:>12} {:>12} {:>8}\n",
         "phase", "predicted", "observed", "delta"
     ));
-    for &(phase, predicted, sent) in rows {
+    for (phase, predicted, sent) in diff.sends_by_phase() {
         let delta = sent as i64 - predicted as i64;
+        let phase = phase.label();
         out.push_str(&format!(
             "  {phase:<11} {predicted:>12} {sent:>12} {delta:>+8}\n"
+        ));
+    }
+    for v in &diff.violations {
+        let ch = v.channel;
+        out.push_str(&format!(
+            "  {} on {} -> {} {}: predicted {}, observed {}\n",
+            v.kind.label(),
+            ch.src,
+            ch.dst,
+            ch.phase.label(),
+            v.expected,
+            v.observed
         ));
     }
     out

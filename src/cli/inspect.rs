@@ -15,23 +15,24 @@
 //! per-channel latency table (send→recv histograms, queue depths, drop
 //! accounting) derived from the matched probe pairs.
 //!
-//! `conformance <log>` replays the CA schedule for the given run
-//! parameters — `run`'s own grammar, so the flags that produced the log
-//! reproduce its schedule — diffs the predicted message multiset against
-//! the observed traffic, and classifies every discrepancy (missing,
-//! unexpected, wrong-size, out-of-order), consulting `--faults` so
+//! `conformance <metrics.json>` replays the CA schedule for the given run
+//! parameters — `run`'s own grammar, so the flags that produced the
+//! snapshot reproduce its schedule — diffs the predicted sends of every
+//! channel `(src, dst, phase)` against the ones the run's `--metrics`
+//! snapshot counted, and classifies every discrepancy (missing,
+//! unexpected, an element total that differs), consulting `--faults` so
 //! injected drops/dups/kills are attributed to the fault plan instead of
 //! flagged as violations; it exits non-zero on a FAIL verdict (an
-//! unexplained discrepancy with intact probe rings).
+//! unexplained discrepancy).
 
 use std::process::ExitCode;
 
 use ca_nbody::expected_schedule;
+use ca_nbody::wire::check;
 use nbody_analyze::{
-    analyze as analyze_trace, grid_heatmap, render_conformance, render_drift, render_json,
-    render_table, render_wire,
+    analyze as analyze_trace, grid_heatmap, render_drift, render_json, render_table, render_wire,
 };
-use nbody_comm::{check_conformance, match_events, FaultNote, RunTimeline, WireLog};
+use nbody_comm::{match_events, RunTimeline, WireLog};
 use nbody_metrics::MetricsSnapshot;
 use nbody_simhealth::HealthSummary;
 use nbody_timeline::DriftConfig;
@@ -118,40 +119,29 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
     Ok(ExitCode::from(u8::from(!healthy)))
 }
 
-/// `conformance`: a recorded wire-probe log against the CA schedule.
+/// `conformance`: a run's `--metrics` snapshot against the CA schedule.
 pub fn conformance(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failure> {
     let spec = RunSpec::from_opts(opts, &Defaults::RUN)?;
-    let plan = fault_plan(opts)?;
+    let plan = fault_plan(opts)?.unwrap_or_default();
     opts.finish()?;
     let path = input(
         positional,
-        "conformance <wire-log.json> [run's options] [--faults=SPEC]",
+        "conformance <metrics.json> [run's options] [--faults=SPEC]",
     )?;
-    let log = load(path, WireLog::parse)?;
+    let snapshot = load_json(path, MetricsSnapshot::from_json)?;
     let expected = expected_schedule(&spec.wire_spec()).map_err(|e| format!("conformance: {e}"))?;
-
-    // Faults to attribute discrepancies to: the events the chaos backend
-    // recorded into the log itself, plus the plan the caller passed (kept
-    // separate in case the log predates fault probes or rings overflowed).
-    let mut faults = FaultNote::from_log(&log);
-    for note in plan.iter().flat_map(|plan| plan.probe_notes()) {
-        if !faults.contains(&note) {
-            faults.push(note);
-        }
-    }
-    let report = check_conformance(&expected, &log, &faults);
-    print!("{}", render_conformance(&report));
+    let report = check(&expected, &snapshot, &plan);
+    print!("{}", report.render());
 
     Summary::of("conformance")
-        .put("wire_log", path)
+        .put("metrics", path)
         .put("detail", report.detail.as_str())
-        .put("expected_msgs", report.expected_msgs)
-        .put("observed_msgs", report.observed_msgs)
-        .put("channels", report.channels)
+        .put("expected_msgs", report.expected_msgs())
+        .put("observed_msgs", report.observed_msgs())
+        .put("channels", report.channels.len())
         .put("violations", report.violations.len())
         .put("explained", report.explained())
         .put("unexplained", report.unexplained())
-        .put("saturated", report.saturated)
         .put("verdict", report.verdict())
         .print();
     if report.verdict() == "FAIL" {

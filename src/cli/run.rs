@@ -29,8 +29,9 @@
 //! step they check); `crash@S` exits the process with code 137 right after
 //! global step `S`'s checkpoint is durable, so it needs `--checkpoint-dir`.
 //! A malformed plan is a start-up error (exit 2); an event that could never
-//! fire in this run (a rank `≥ p`, a timestep past the last) is refused
-//! before anything runs (exit 1). Retries follow
+//! fire in this run (a rank `≥ p`, a `nan` aimed at a replica rank
+//! `≥ p/c`, a timestep past the last) is refused before anything runs
+//! (exit 1). Retries follow
 //! [`RetryPolicy::with_timeout_ms`]: the first
 //! attempt waits `fault-timeout-ms` per receive, every retry twice as
 //! long, up to three retries and a minute per evaluation. When every
@@ -83,7 +84,7 @@ const CA_ONLY: &str = "each of --faults/--checkpoint-dir/--resume/--health requi
 pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let spec = RunSpec::from_opts(opts, &Defaults::RUN)?;
     let (method, p) = (spec.method(), spec.p);
-    spec.layout()?;
+    let teams = spec.layout()?.grid.teams();
 
     let trace_path = opts.opt::<JsonPath>("trace")?.map(String::from);
     let metrics_path = opts.opt::<JsonPath>("metrics")?.map(String::from);
@@ -168,7 +169,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     }
     let health_every = health_cfg.map_or(1, |h| h.every);
     let base = resumed_from.unwrap_or(0);
-    plan.check(p, base, spec.steps as u64, health_every)?;
+    plan.check(p, teams, base, spec.steps as u64, health_every)?;
     if let Some(dir) = &resume_dir {
         println!(
             "  resumed from {dir} at step {base} ({} particles, {} steps left)",

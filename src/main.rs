@@ -27,8 +27,10 @@
 //!                   per-step tables, critical path, stragglers, heat-map;
 //!                   drift and numerical health of a timeline bundle (exit
 //!                   1 if UNHEALTHY); channel latencies of a wire log
-//! ca-nbody conformance <wire-log.json> [run's n, p, c, steps, method, law,
+//! ca-nbody conformance <metrics.json> [run's n, p, c, steps, method, law,
 //!                   cutoff, boundary] [--faults=SPEC]
+//!                   a run's `--metrics` snapshot, channel by channel,
+//!                   against its schedule (exit 1 on FAIL)
 //! ```
 //!
 //! Options take `key=value`, `--key=value`, or `--key value` form. One
@@ -69,6 +71,7 @@ const USAGE: &str = "usage: ca-nbody <run|verify|audit|calibrate|chaos|soak|anal
      [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \
      [--health] [--health-every=K] [--health-baseline=F]\n\
+     conformance <metrics.json> [run's options] [--faults=SPEC] checks a run's --metrics snapshot\n\
      an option that is malformed, or that the subcommand does not read, is an error (exit 2)\n\
      see `src/main.rs` header or README.md for the option list";
 

@@ -450,7 +450,7 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
             "cutoff=-1",
         ),
         (
-            &["conformance", "w.json", "method=ca-cutoff-1d", "cutoff=-1"],
+            &["conformance", "m.json", "method=ca-cutoff-1d", "cutoff=-1"],
             "cutoff=-1",
         ),
         (&["run", "law=lj", "n=64", "p=4", "cutoff=0"], "cutoff=0"),
@@ -1547,6 +1547,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_test");
     std::fs::create_dir_all(&dir).unwrap();
     let wire = dir.join("wire.json").display().to_string();
+    let metrics = dir.join("metrics.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1555,6 +1556,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
             "c=2",
             "steps=3",
             &format!("--wire-probe={wire}"),
+            &format!("--metrics={metrics}"),
         ])
         .output()
         .expect("launch");
@@ -1578,10 +1580,10 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     );
     assert_eq!(doc.get("wire_dropped_events").unwrap().as_f64(), Some(0.0));
 
-    // A clean run conforms to the CA schedule: zero violations, and the
-    // latency table renders populated channels via `analyze --wire`.
+    // A clean run's ledger conforms to the CA schedule: zero violations,
+    // and the latency table renders populated channels via `analyze --wire`.
     let out = cli()
-        .args(["conformance", &wire, "n=48", "p=8", "c=2", "steps=3"])
+        .args(["conformance", &metrics, "n=48", "p=8", "c=2", "steps=3"])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1612,7 +1614,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
 fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_chaos_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let wire = dir.join("wire_chaos.json").display().to_string();
+    let metrics = dir.join("metrics_chaos.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1622,7 +1624,7 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
             "steps=2",
             "--faults=drop:3@1",
             "fault-timeout-ms=250",
-            &format!("--wire-probe={wire}"),
+            &format!("--metrics={metrics}"),
         ])
         .output()
         .expect("launch");
@@ -1638,7 +1640,7 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     let out = cli()
         .args([
             "conformance",
-            &wire,
+            &metrics,
             "n=48",
             "p=8",
             "c=2",
@@ -1658,10 +1660,19 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     );
     assert!(stdout.contains("fault_drop:rank3@step1"), "{stdout}");
 
-    // The same log against the wrong schedule is a genuine FAIL with a
-    // non-zero exit (the CI gate contract).
+    // Without its plan the same snapshot fails: the retries are surplus.
     let out = cli()
-        .args(["conformance", &wire, "n=48", "p=8", "c=2", "steps=7"])
+        .args(["conformance", &metrics, "n=48", "p=8", "c=2", "steps=2"])
+        .output()
+        .expect("launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("verdict: FAIL"), "{stdout}");
+
+    // The same snapshot against the wrong schedule is a genuine FAIL with
+    // a non-zero exit (the CI gate contract).
+    let out = cli()
+        .args(["conformance", &metrics, "n=48", "p=8", "c=2", "steps=7"])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1682,9 +1693,9 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
-    // Unreadable log.
+    // Unreadable snapshot.
     let out = cli()
-        .args(["conformance", "/nonexistent/wire.json"])
+        .args(["conformance", "/nonexistent/metrics.json"])
         .output()
         .expect("launch");
     assert!(!out.status.success());
@@ -1693,7 +1704,7 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
     // A method with no schedule twin.
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_badmethod_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let wire = dir.join("wire.json").display().to_string();
+    let metrics = dir.join("metrics.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1701,13 +1712,13 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
             "p=4",
             "c=1",
             "steps=1",
-            &format!("--wire-probe={wire}"),
+            &format!("--metrics={metrics}"),
         ])
         .output()
         .expect("launch");
     assert!(out.status.success());
     let out = cli()
-        .args(["conformance", &wire, "method=halo-1d"])
+        .args(["conformance", &metrics, "method=halo-1d"])
         .output()
         .expect("launch");
     assert!(!out.status.success());
@@ -1751,10 +1762,10 @@ fn audit_counts_each_phases_sends_in_the_ledger_against_the_schedule() {
 }
 
 #[test]
-fn cutoff_wire_probe_conforms_in_count_only_mode() {
+fn cutoff_ledger_conforms_in_count_only_mode() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_cutoff_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let wire = dir.join("wire.json").display().to_string();
+    let metrics = dir.join("metrics.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1764,7 +1775,7 @@ fn cutoff_wire_probe_conforms_in_count_only_mode() {
             "c=2",
             "steps=2",
             "cutoff=0.25",
-            &format!("--wire-probe={wire}"),
+            &format!("--metrics={metrics}"),
         ])
         .output()
         .expect("launch");
@@ -1776,7 +1787,7 @@ fn cutoff_wire_probe_conforms_in_count_only_mode() {
     let out = cli()
         .args([
             "conformance",
-            &wire,
+            &metrics,
             "method=ca-cutoff-1d",
             "n=40",
             "p=8",
@@ -2121,6 +2132,7 @@ fn a_fault_that_could_never_fire_is_refused_before_anything_runs() {
         ("kill:99@1", "rank 99"),
         ("drop:8@0", "rank 8"),
         ("nan:99@1", "rank 99"),
+        ("nan:4@1", "rank 4 is a replica"),
         ("nan:0@3", "timestep 3"),
         ("corrupt:4@99", "timestep 99"),
         ("nan:0@1 --health-every=2", "divisible by 2"),
@@ -2235,7 +2247,7 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
         &["soak", "n=64", "p=4", "seconds=1"],
         &["analyze", "t.json"],
         &["analyze", "--timeline=tl.json"],
-        &["conformance", "w.json"],
+        &["conformance", "m.json"],
     ] {
         let mut args = args.to_vec();
         args.push("--no-such-option=1");
@@ -2251,7 +2263,7 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     // must reproduce its schedule, and dropping one must not.
     let dir = std::env::temp_dir().join("ca_nbody_cli_one_grammar_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let wire = dir.join("wire.json").display().to_string();
+    let metrics = dir.join("metrics.json").display().to_string();
     let flags = [
         "method=ca-cutoff-1d",
         "law=lj",
@@ -2263,7 +2275,7 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     let out = cli()
         .arg("run")
         .args(flags)
-        .args(["boundary=periodic", &format!("--wire-probe={wire}")])
+        .args(["boundary=periodic", &format!("--metrics={metrics}")])
         .output()
         .expect("launch");
     assert!(
@@ -2273,7 +2285,7 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     );
 
     let out = cli()
-        .args(["conformance", &wire])
+        .args(["conformance", &metrics])
         .args(flags)
         .arg("boundary=periodic")
         .output()
@@ -2287,7 +2299,7 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     );
 
     let out = cli()
-        .args(["conformance", &wire])
+        .args(["conformance", &metrics])
         .args(flags)
         .output()
         .expect("launch");
