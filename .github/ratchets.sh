@@ -84,5 +84,8 @@ check "every subcommand has a reader outside its own tests: autotune had none" \
 check "conformance reads the ledger: the probe ring keeps no checker, fault events or fault notes (an injected fault is counted and noted in the flight ring, not probed)" \
     none 'check_conformance|FaultNote|probe_notes|probe_kind|FaultDrop|FaultDelay|FaultDup|FaultKill|fault_events' \
     crates src tests
+check "one run writes one file, the run bundle --trace writes and analyze/conformance read alone: no second writer for the metrics or the timeline, no option that names them again (tests/cli.rs asserts the old flags are refused)" \
+    none 'record-timeline|TIMELINE_SCHEMA|fn absorb|--timeline|sweep_compute_flops' \
+    crates src tests --exclude=cli.rs
 
 exit "$broken"

@@ -40,11 +40,11 @@ impl GridHeatmap {
 }
 
 /// Build the heat-map for a `p/c × c` arrangement of the trace's ranks.
-/// Errors when `p` is not divisible by `c`; a missing metrics snapshot
+/// Errors when `p` is not divisible by `c`; an empty metrics snapshot
 /// zeroes the traffic planes but keeps the wait plane.
 pub fn grid_heatmap(
     trace: &ExecutionTrace,
-    metrics: Option<&MetricsSnapshot>,
+    metrics: &MetricsSnapshot,
     c: usize,
 ) -> Result<GridHeatmap, String> {
     let p = trace.ranks;
@@ -53,18 +53,12 @@ pub fn grid_heatmap(
     }
     let mut send_bytes = vec![0u64; p];
     let mut recv_bytes = vec![0u64; p];
-    if let Some(m) = metrics {
-        for r in &m.ranks {
-            let rank = r.rank as usize;
-            if rank >= p {
-                continue;
-            }
-            for s in &r.counters {
-                match s.name.as_str() {
-                    "comm_send_bytes" => send_bytes[rank] += s.value,
-                    "comm_recv_bytes" => recv_bytes[rank] += s.value,
-                    _ => {}
-                }
+    for r in metrics.ranks.iter().filter(|r| (r.rank as usize) < p) {
+        for s in &r.counters {
+            match s.name.as_str() {
+                "comm_send_bytes" => send_bytes[r.rank as usize] += s.value,
+                "comm_recv_bytes" => recv_bytes[r.rank as usize] += s.value,
+                _ => {}
             }
         }
     }
@@ -124,7 +118,7 @@ mod tests {
     fn sums_traffic_over_phases_and_waits_from_trace() {
         let t = two_rank_trace();
         let m = metrics_with_traffic();
-        let h = grid_heatmap(&t, Some(&m), 1).unwrap();
+        let h = grid_heatmap(&t, &m, 1).unwrap();
         assert_eq!(h.teams, 2);
         assert_eq!(h.send_bytes, vec![140, 0]);
         assert_eq!(h.recv_bytes, vec![90, 50]);
@@ -136,7 +130,7 @@ mod tests {
     #[test]
     fn grid_geometry_follows_proc_grid_convention() {
         let t = two_rank_trace();
-        let h = grid_heatmap(&t, None, 2).unwrap();
+        let h = grid_heatmap(&t, &MetricsSnapshot::default(), 2).unwrap();
         // p = 2, c = 2: one team, two rows; rank 1 is row 1 of team 0.
         assert_eq!(h.teams, 1);
         assert_eq!(h.cell(1), (1, 0));
@@ -147,7 +141,7 @@ mod tests {
     #[test]
     fn indivisible_grid_is_an_error() {
         let t = two_rank_trace();
-        assert!(grid_heatmap(&t, None, 3).is_err());
-        assert!(grid_heatmap(&t, None, 0).is_err());
+        assert!(grid_heatmap(&t, &MetricsSnapshot::default(), 3).is_err());
+        assert!(grid_heatmap(&t, &MetricsSnapshot::default(), 0).is_err());
     }
 }

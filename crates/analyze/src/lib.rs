@@ -20,14 +20,14 @@
 //!   [`PhaseBreakdown`]: per-rank seconds across ranks, the rank holding
 //!   the maximum and the load-imbalance factor `max/mean`, the
 //!   first-order symptom of a skewed particle distribution. Plus the
-//!   drift-window table `ca-nbody analyze --timeline=…` prints from a
-//!   recorded `nbody-timeline` bundle.
+//!   drift-window table `ca-nbody analyze <bundle>` prints from the run
+//!   bundle's timeline.
 //! * [`wire`] — the message-level lens: per-channel send→recv latency
 //!   tables from a `nbody-wireprobe` log (`analyze --wire`).
 //!
-//! Everything consumes the serialized artifacts a traced run already
-//! writes (`--trace=… --metrics=…`); nothing here needs the live
-//! execution.
+//! Everything consumes what a traced run already wrote: the sections of
+//! its run bundle (`--trace=…`) and its wire log; nothing here needs the
+//! live execution.
 
 #![warn(missing_docs)]
 
@@ -82,10 +82,10 @@ impl Analysis {
     }
 }
 
-/// Diagnose one execution. `metrics` feeds the traffic heat-map (pass
-/// `None` when the run was traced without `--metrics`); `c` is the
+/// Diagnose one execution. `metrics` feeds the traffic heat-map and the
+/// stragglers' GFLOP/s (an empty snapshot leaves them zero); `c` is the
 /// replication factor used to arrange ranks on the grid.
-pub fn analyze(trace: &ExecutionTrace, metrics: Option<&MetricsSnapshot>, c: usize) -> Analysis {
+pub fn analyze(trace: &ExecutionTrace, metrics: &MetricsSnapshot, c: usize) -> Analysis {
     let steps = critical_path(trace);
     let stragglers = rank_stragglers(trace, &steps, metrics);
     let heatmap = grid_heatmap(trace, metrics, c).ok();
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn analyze_assembles_all_parts() {
         let t = testutil::two_rank_trace();
-        let a = analyze(&t, None, 1);
+        let a = analyze(&t, &MetricsSnapshot::default(), 1);
         assert_eq!(a.breakdown.ranks, 2);
         assert_eq!(a.steps.len(), 2);
         assert_eq!(a.sections.len(), 2);
@@ -172,7 +172,7 @@ mod tests {
     fn bad_replication_factor_drops_heatmap_only() {
         let t = testutil::two_rank_trace();
         // 2 ranks cannot form a grid with c = 3.
-        let a = analyze(&t, None, 3);
+        let a = analyze(&t, &MetricsSnapshot::default(), 3);
         assert!(a.heatmap.is_none());
         assert_eq!(a.steps.len(), 2);
     }

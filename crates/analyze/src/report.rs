@@ -258,7 +258,7 @@ pub fn render_json(a: &Analysis) -> Json {
 }
 
 /// Drift windows over a recorded run timeline, printed by
-/// `ca-nbody analyze --timeline=…` next to the straggler table. Same
+/// `ca-nbody analyze <bundle>` after the straggler table. Same
 /// fixed-width idiom as [`render_table`] so the two sections read as one
 /// report. A postmortem's failure reason is left to the health section
 /// printed after it, so the report names it once.
@@ -303,9 +303,10 @@ mod tests {
     use super::*;
     use crate::analyze;
     use crate::testutil::two_rank_trace;
+    use nbody_metrics::MetricsSnapshot;
 
     fn sample_analysis() -> Analysis {
-        analyze(&two_rank_trace(), None, 1)
+        analyze(&two_rank_trace(), &MetricsSnapshot::default(), 1)
     }
 
     #[test]
@@ -328,7 +329,7 @@ mod tests {
 
     #[test]
     fn compute_column_appears_with_metrics() {
-        use nbody_metrics::{MetricsRecorder, MetricsSnapshot};
+        use nbody_metrics::MetricsRecorder;
         let shards = (0..2)
             .map(|rank| {
                 let rec = MetricsRecorder::for_rank(rank);
@@ -338,7 +339,7 @@ mod tests {
             })
             .collect();
         let snap = MetricsSnapshot::from_shards(shards);
-        let a = analyze(&two_rank_trace(), Some(&snap), 1);
+        let a = analyze(&two_rank_trace(), &snap, 1);
         let text = render_table(&a);
         assert!(text.contains("compute GF/s"), "{text}");
         assert!(text.contains("3.000"), "{text}");

@@ -29,7 +29,7 @@ pub struct Straggler {
     /// Blocked seconds this rank itself spent waiting.
     pub own_blocked_secs: f64,
     /// Achieved kernel GFLOP/s from the rank's `compute_flops` /
-    /// `compute_nanos` counters; `0.0` when the run carried no metrics.
+    /// `compute_nanos` counters; `0.0` when the snapshot has none.
     pub compute_gflops: f64,
 }
 
@@ -38,7 +38,7 @@ pub struct Straggler {
 pub fn rank_stragglers(
     trace: &ExecutionTrace,
     steps: &[StepCritical],
-    metrics: Option<&MetricsSnapshot>,
+    metrics: &MetricsSnapshot,
 ) -> Vec<Straggler> {
     let mut caused: BTreeMap<u32, f64> = BTreeMap::new();
     let mut own: BTreeMap<u32, f64> = BTreeMap::new();
@@ -55,13 +55,11 @@ pub fn rank_stragglers(
         *times.entry(s.critical_rank).or_insert(0) += 1;
     }
     let mut gflops: BTreeMap<u32, f64> = BTreeMap::new();
-    if let Some(snap) = metrics {
-        for rm in &snap.ranks {
-            let flops = rm.counter("compute_flops", None);
-            let nanos = rm.counter("compute_nanos", None);
-            if nanos > 0 {
-                gflops.insert(rm.rank, flops as f64 / nanos as f64);
-            }
+    for rm in &metrics.ranks {
+        let flops = rm.counter("compute_flops", None);
+        let nanos = rm.counter("compute_nanos", None);
+        if nanos > 0 {
+            gflops.insert(rm.rank, flops as f64 / nanos as f64);
         }
     }
     let mut out: Vec<Straggler> = (0..trace.ranks as u32)
@@ -93,7 +91,7 @@ mod tests {
     fn ranks_by_critical_steps_then_caused_wait() {
         let t = two_rank_trace();
         let steps = critical_path(&t);
-        let s = rank_stragglers(&t, &steps, None);
+        let s = rank_stragglers(&t, &steps, &MetricsSnapshot::default());
         assert_eq!(s.len(), 2);
         // Each rank is critical once; rank 1 caused 0.3 s of waiting on
         // rank 0, so it sorts first.
@@ -124,7 +122,7 @@ mod tests {
             })
             .collect();
         let snap = MetricsSnapshot::from_shards(shards);
-        let s = rank_stragglers(&t, &steps, Some(&snap));
+        let s = rank_stragglers(&t, &steps, &snap);
         let by_rank = |r: u32| s.iter().find(|x| x.rank == r).unwrap();
         assert!((by_rank(0).compute_gflops - 2.0).abs() < 1e-12);
         assert_eq!(by_rank(1).compute_gflops, 0.0);
@@ -133,6 +131,6 @@ mod tests {
     #[test]
     fn empty_trace_has_no_stragglers() {
         let t = ExecutionTrace::default();
-        assert!(rank_stragglers(&t, &[], None).is_empty());
+        assert!(rank_stragglers(&t, &[], &MetricsSnapshot::default()).is_empty());
     }
 }

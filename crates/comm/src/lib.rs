@@ -15,12 +15,14 @@
 
 #![warn(missing_docs)]
 
+pub mod bundle;
 pub mod chaos;
 pub mod communicator;
 pub mod error;
 pub mod stats;
 pub mod thread_comm;
 
+pub use bundle::{RunBundle, RUN_SCHEMA};
 pub use chaos::{
     run_ranks_chaos, run_ranks_chaos_with, ChaosComm, FaultEvent, FaultKind, FaultPlan,
 };

@@ -316,11 +316,13 @@ fn describe(e: &FaultEvent) -> String {
 }
 
 /// Diff the sends `snapshot` counted against `expected`, channel by
-/// channel, and attribute each deviation to a wire fault of `plan` where
-/// one explains it: missing messages (or wrong element totals) from a rank
-/// a drop or kill was aimed at; surplus from a rank a duplicate was aimed
-/// at, or on a channel the schedule sends on once any wire fault forced a
-/// retry (recovery re-runs a whole pipeline attempt on every channel).
+/// channel, and attribute each deviation to a fault of `plan` where one
+/// explains it: missing messages (or wrong element totals) from a rank a
+/// drop or kill was aimed at; surplus from a rank a duplicate was aimed
+/// at, or on a channel the schedule sends on once a fault forced a retry
+/// (recovery re-runs a whole pipeline attempt on every channel, and so
+/// does the repair of a corrupt replica, a fault that never touches the
+/// wire).
 pub fn check(
     expected: &ExpectedSchedule,
     snapshot: &MetricsSnapshot,
@@ -340,7 +342,11 @@ pub fn check(
             .find(|e| e.rank == src as usize && kinds.contains(&e.kind));
         hit.map(|e| describe(e))
     };
-    let any = wire.first().map(|e| describe(e));
+    let retried = plan
+        .events
+        .iter()
+        .find(|e| e.kind.on_wire() || e.kind == FaultKind::Corrupt)
+        .map(describe);
     let mut violations = Vec::new();
     for (&channel, &(exp, obs)) in &both {
         let (kind, expected_total, observed_total) = match exp.messages.cmp(&obs.messages) {
@@ -360,7 +366,7 @@ pub fn check(
                 lossy().map(|f| format!("attempt truncated by injected {f}"))
             }
             ViolationKind::Unexpected => {
-                match (aimed_at(channel.src, &[FaultKind::Duplicate]), &any) {
+                match (aimed_at(channel.src, &[FaultKind::Duplicate]), &retried) {
                     (Some(f), _) => Some(format!("surplus copy from injected {f}")),
                     (None, Some(f)) if exp.messages > 0 => Some(format!(
                         "retransmission from recovery retry triggered by {f}"
@@ -582,6 +588,40 @@ mod tests {
         let report = check(&exp, &obs, &plan("dup:0@1"));
         let why = report.violations[0].explained.as_deref().unwrap();
         assert!(why.contains("surplus copy from injected fault_dup:rank0@step1"));
+    }
+
+    #[test]
+    fn a_corrupt_replica_explains_retransmissions_and_nothing_else() {
+        // The repair re-runs the attempt as a wire fault's retry does.
+        let exp = expected(&[(0, 1, 1, 10), (0, 2, 1, 10)]);
+        let twice = snapshot(&[(0, 1, Phase::Shift, 10), (0, 1, Phase::Shift, 10)]);
+        let report = check(&exp, &twice, &plan("corrupt:4@2"));
+        let why: Vec<_> = report
+            .violations
+            .iter()
+            .map(|v| (v.kind, v.explained.as_deref()))
+            .collect();
+        let retry = "retransmission from recovery retry triggered by fault_corrupt:rank4@step2";
+        // It suppresses no message, truncates no attempt, and sends on no
+        // channel the schedule lacks.
+        assert_eq!(
+            why,
+            [
+                (ViolationKind::Unexpected, Some(retry)),
+                (ViolationKind::Missing, None)
+            ]
+        );
+        let short = snapshot(&[(0, 1, Phase::Shift, 3), (0, 2, Phase::Shift, 10)]);
+        assert_eq!(check(&exp, &short, &plan("corrupt:4@2")).unexplained(), 1);
+        let stray = [
+            (0, 1, Phase::Shift, 10),
+            (0, 2, Phase::Shift, 10),
+            (0, 3, Phase::Shift, 10),
+        ];
+        assert_eq!(
+            check(&exp, &snapshot(&stray), &plan("corrupt:4@2")).unexplained(),
+            1
+        );
     }
 
     #[test]

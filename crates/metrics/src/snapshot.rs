@@ -14,11 +14,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// A snapshot with no ranks (metrics were disabled).
-    pub fn empty() -> MetricsSnapshot {
-        MetricsSnapshot::default()
-    }
-
     /// Assemble a snapshot from per-rank shard drains; a `None` shard
     /// (rank ran with metrics disabled) becomes an empty entry.
     pub fn from_shards(shards: Vec<Option<RankMetrics>>) -> MetricsSnapshot {
@@ -51,25 +46,6 @@ impl MetricsSnapshot {
         }
         out.normalize();
         out
-    }
-
-    /// Fold another snapshot into this one rank-wise — rank `r`'s samples
-    /// merge into rank `r` here (counters add, gauges max, histograms
-    /// merge), and extra ranks are appended. This accumulates metrics
-    /// across a *sweep of runs* of the same configuration (the chaos kill
-    /// sweep, an audit's repeats) where per-rank attribution should
-    /// survive, unlike [`MetricsSnapshot::merged`] which collapses ranks.
-    pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        while self.ranks.len() < other.ranks.len() {
-            self.ranks.push(RankMetrics {
-                rank: self.ranks.len() as u32,
-                ..RankMetrics::default()
-            });
-        }
-        for (dst, src) in self.ranks.iter_mut().zip(&other.ranks) {
-            merge_rank(dst, src);
-            dst.normalize();
-        }
     }
 
     /// Sum over ranks of one counter.
@@ -190,71 +166,30 @@ mod tests {
     }
 
     #[test]
-    fn absorb_accumulates_rank_wise() {
-        let mut acc = MetricsSnapshot::empty();
-        acc.absorb(&snap());
-        acc.absorb(&snap());
-        assert_eq!(acc.ranks.len(), 2);
-        // Counters add per rank, not across ranks.
-        assert_eq!(acc.ranks[0].counter("msgs", Some(Phase::Shift)), 8);
-        assert_eq!(acc.ranks[1].counter("msgs", Some(Phase::Shift)), 12);
-        // Gauges keep the per-rank max.
-        assert_eq!(acc.ranks[0].gauge("hwm", None), 100);
-        assert_eq!(acc.ranks[1].gauge("hwm", None), 80);
-        // Histograms merge bucket-wise.
-        let h = acc.ranks[1].histogram("sz", Some(Phase::Shift)).unwrap();
-        assert_eq!(h.count(), 4);
-        // Absorbing into a populated snapshot grows it when needed.
-        let mut one = MetricsSnapshot {
-            ranks: vec![RankMetrics {
-                rank: 0,
-                counters: vec![sample("msgs", Some(Phase::Shift), 1)],
-                ..RankMetrics::default()
-            }],
-        };
-        one.absorb(&snap());
-        assert_eq!(one.ranks.len(), 2);
-        assert_eq!(one.ranks[0].counter("msgs", Some(Phase::Shift)), 5);
-    }
-
-    #[test]
-    fn absorb_saturates_at_u64_boundaries() {
-        let near_max = |v: u64| MetricsSnapshot {
-            ranks: vec![RankMetrics {
-                rank: 0,
-                counters: vec![sample("total", None, v)],
-                gauges: vec![sample("hwm", None, v)],
-                ..RankMetrics::default()
-            }],
-        };
-        // MAX + 1 pins at MAX instead of wrapping to 0.
-        let mut acc = near_max(u64::MAX);
-        acc.absorb(&near_max(1));
-        assert_eq!(acc.ranks[0].counter("total", None), u64::MAX);
-        // (MAX - 1) + 1 lands exactly on the boundary.
-        let mut acc = near_max(u64::MAX - 1);
-        acc.absorb(&near_max(1));
-        assert_eq!(acc.ranks[0].counter("total", None), u64::MAX);
-        // MAX + MAX stays pinned; the gauge max is unaffected by repeats.
-        acc.absorb(&near_max(u64::MAX));
-        assert_eq!(acc.ranks[0].counter("total", None), u64::MAX);
-        assert_eq!(acc.ranks[0].gauge("hwm", None), u64::MAX);
-        // merged() across ranks saturates the same way.
-        let both = MetricsSnapshot {
-            ranks: vec![
-                RankMetrics {
-                    rank: 0,
-                    counters: vec![sample("total", None, u64::MAX)],
+    fn merged_saturates_at_u64_boundaries() {
+        let ranks = |values: &[u64]| MetricsSnapshot {
+            ranks: (0..values.len())
+                .map(|r| RankMetrics {
+                    rank: r as u32,
+                    counters: vec![sample("total", None, values[r])],
+                    gauges: vec![sample("hwm", None, values[r])],
                     ..RankMetrics::default()
-                },
-                RankMetrics {
-                    rank: 1,
-                    counters: vec![sample("total", None, 7)],
-                    ..RankMetrics::default()
-                },
-            ],
+                })
+                .collect(),
         };
-        assert_eq!(both.merged().counter("total", None), u64::MAX);
+        // MAX + 1 pins at MAX instead of wrapping to 0; (MAX - 1) + 1 lands
+        // exactly on the boundary; MAX + MAX stays pinned, and the gauge
+        // max is unaffected.
+        for values in [
+            &[u64::MAX, 1][..],
+            &[u64::MAX - 1, 1],
+            &[u64::MAX, u64::MAX],
+            &[u64::MAX, 7],
+        ] {
+            let m = ranks(values).merged();
+            assert_eq!(m.counter("total", None), u64::MAX, "{values:?}");
+            assert_eq!(m.gauge("hwm", None), values[0], "{values:?}");
+        }
     }
 
     #[test]
@@ -272,6 +207,6 @@ mod tests {
         assert!(s.ranks[0].counters.is_empty());
         assert_eq!(s.ranks[1].counter("x", None), 1);
         assert!(!s.is_empty());
-        assert!(MetricsSnapshot::empty().is_empty());
+        assert!(MetricsSnapshot::default().is_empty());
     }
 }

@@ -375,7 +375,7 @@ mod tests {
         assert!(too_strict.check(&reports).is_err());
         // No compute counters anywhere: the gate must fail loudly, not
         // vacuously pass.
-        let empty = vec![roofline("x", &MetricsSnapshot::empty(), &calib())];
+        let empty = vec![roofline("x", &MetricsSnapshot::default(), &calib())];
         assert!(ok.check(&empty).is_err());
     }
 

@@ -1,11 +1,11 @@
-//! Post-hoc health analysis of a recorded timeline bundle.
+//! Post-hoc health analysis of a run bundle's recorded timeline.
 
 use nbody_timeline::{DriftConfig, EventKind, RunTimeline};
 
-/// Everything the health lens can reconstruct from a timeline bundle:
+/// Everything the health lens can reconstruct from a recorded timeline:
 /// the offline counterpart of the live [`HealthReport`](crate::HealthReport),
-/// the health section of `ca-nbody analyze --timeline=…`, whose exit code
-/// is [`is_clean`](HealthSummary::is_clean).
+/// the health section of `ca-nbody analyze <bundle>`, whose exit code is
+/// [`is_clean`](HealthSummary::is_clean).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSummary {
     /// Steps with a measured (health-instrumented) energy sample.

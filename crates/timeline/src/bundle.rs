@@ -1,4 +1,5 @@
-//! Run-level timelines and JSON postmortem bundles.
+//! Run-level timelines: the `timeline` section of a run bundle, which
+//! carries the failure reason when the run died (a postmortem).
 
 use nbody_trace::Json;
 
@@ -6,8 +7,10 @@ use crate::drift::{detect_drift, DriftConfig, DriftWindow};
 use crate::flight::{EventKind, FlightEvent};
 use crate::series::StepSample;
 
-/// Schema tag written into every serialized timeline/postmortem bundle.
-pub const TIMELINE_SCHEMA: &str = "nbody-timeline/v1";
+/// A failure reason, or `null` for a run that did not die.
+fn failure_json(failure: &Option<String>) -> Json {
+    failure.clone().map_or(Json::Null, Json::Str)
+}
 
 /// One rank's drained timeline: retained step samples plus the flight ring.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,8 +71,8 @@ impl RunTimeline {
         self.failure.is_some()
     }
 
-    /// Serialize to a single JSON document.
-    pub fn to_json(&self) -> String {
+    /// The run bundle's `timeline` section.
+    pub fn to_json(&self) -> Json {
         let ranks = self
             .ranks
             .iter()
@@ -84,10 +87,7 @@ impl RunTimeline {
                             ("kind".into(), Json::Str(e.kind.label().into())),
                             (
                                 "step".into(),
-                                match e.step {
-                                    Some(s) => Json::Num(s as f64),
-                                    None => Json::Null,
-                                },
+                                e.step.map_or(Json::Null, |s| Json::Num(s as f64)),
                             ),
                             ("detail".into(), Json::Str(e.detail.clone())),
                         ])
@@ -97,48 +97,26 @@ impl RunTimeline {
                     ("rank".into(), Json::Num(r.rank as f64)),
                     ("stride".into(), Json::Num(r.stride as f64)),
                     ("dropped_events".into(), Json::Num(r.dropped_events as f64)),
-                    (
-                        "failure".into(),
-                        match &r.failure {
-                            Some(f) => Json::Str(f.clone()),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("failure".into(), failure_json(&r.failure)),
                     ("samples".into(), Json::Arr(samples)),
                     ("events".into(), Json::Arr(events)),
                 ])
             })
             .collect();
         Json::Obj(vec![
-            ("schema".into(), Json::Str(TIMELINE_SCHEMA.into())),
-            (
-                "failure".into(),
-                match &self.failure {
-                    Some(f) => Json::Str(f.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("failure".into(), failure_json(&self.failure)),
             ("ranks".into(), Json::Arr(ranks)),
         ])
-        .to_string()
     }
 
-    /// Parse a document produced by [`to_json`](RunTimeline::to_json).
-    pub fn parse(src: &str) -> Result<RunTimeline, String> {
-        let v = Json::parse(src)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("timeline bundle missing 'schema'")?;
-        if schema != TIMELINE_SCHEMA {
-            return Err(format!("unsupported timeline schema '{schema}'"));
-        }
+    /// Read a section written by [`to_json`](RunTimeline::to_json).
+    pub fn from_json(v: &Json) -> Result<RunTimeline, String> {
         let failure = v.get("failure").and_then(Json::as_str).map(str::to_string);
         let mut ranks = Vec::new();
         for r in v
             .get("ranks")
             .and_then(Json::as_array)
-            .ok_or("timeline bundle missing 'ranks'")?
+            .ok_or("timeline missing 'ranks'")?
         {
             let num = |key: &str| -> Result<f64, String> {
                 r.get(key)
@@ -343,19 +321,17 @@ mod tests {
         let tl =
             RunTimeline::from_ranks(vec![rank_tl(1, &[10, 12], 0.25), rank_tl(0, &[10, 8], 0.0)])
                 .with_failure("unrecoverable: rank 1 dead with c=1");
-        let text = tl.to_json();
-        let back = RunTimeline::parse(&text).unwrap();
+        let text = tl.to_json().to_string();
+        let back = RunTimeline::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, tl);
         assert!(back.is_postmortem());
         assert_eq!(back.ranks[0].rank, 0, "ranks are sorted");
     }
 
     #[test]
-    fn parse_rejects_wrong_schema_and_garbage() {
-        assert!(RunTimeline::parse("{}").is_err());
-        assert!(RunTimeline::parse("not json").is_err());
-        let other = r#"{"schema":"something/v9","failure":null,"ranks":[]}"#;
-        assert!(RunTimeline::parse(other).is_err());
+    fn from_json_rejects_a_section_without_ranks() {
+        assert!(RunTimeline::from_json(&Json::Obj(vec![])).is_err());
+        assert!(RunTimeline::from_json(&Json::Str("ranks".into())).is_err());
     }
 
     #[test]

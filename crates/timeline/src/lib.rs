@@ -16,7 +16,7 @@
 //!   per-rank ring of recent step marks plus structured events
 //!   (checkpoint, fault injected, recovery attempt, resync, retry
 //!   exhausted). When a run degrades to `Unrecoverable` or exhausts its
-//!   retries, the rings are dumped as a JSON *postmortem bundle*
+//!   retries, the rings go into the run bundle as its *postmortem*
 //!   ([`RunTimeline`] with a failure reason) for offline inspection.
 //! * [`detect_drift`] — a rolling median/MAD detector over the step
 //!   series that flags sustained shifts in load imbalance or
@@ -30,7 +30,7 @@ mod drift;
 mod flight;
 mod series;
 
-pub use bundle::{MetricSeries, RankTimeline, RunTimeline, TIMELINE_SCHEMA};
+pub use bundle::{MetricSeries, RankTimeline, RunTimeline};
 pub use drift::{detect_drift, DriftConfig, DriftWindow};
 pub use flight::{EventKind, FlightEvent, TimelineRecorder, DEFAULT_EVENT_CAP, DEFAULT_SERIES_CAP};
 pub use series::{StepSample, StepSeries};

@@ -302,10 +302,12 @@ impl ExecutionTrace {
     /// Parse a Chrome `trace_event` JSON document produced by
     /// [`to_chrome_json`](ExecutionTrace::to_chrome_json).
     pub fn parse(text: &str) -> Result<ExecutionTrace, String> {
-        if text.trim().is_empty() {
-            return Err("trace contains no spans".into());
-        }
-        let doc = Json::parse(text)?;
+        ExecutionTrace::from_json(&Json::parse(text)?)
+    }
+
+    /// Read the `traceEvents` of a parsed Chrome trace object, whatever
+    /// other keys sit beside them.
+    pub fn from_json(doc: &Json) -> Result<ExecutionTrace, String> {
         let events = doc
             .get("traceEvents")
             .and_then(Json::as_array)

@@ -1,18 +1,19 @@
 //! `chaos` and `soak`: fault schedules against one small execution, each
 //! run held to bit-identical recovery or to a survivor-consistent shrink.
-//! With `--postmortem=DIR` every run that dies dumps its flight-recorder
-//! bundle into the directory, one JSON file per failed schedule.
+//! With `--postmortem=DIR` every run that dies leaves its run bundle in
+//! the directory, `<schedule>.json`, the file `analyze` and `conformance`
+//! read (`run --trace` writes the same document).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{run_distributed, Method, Run, RunResult, SimConfig};
-use nbody_comm::{FaultKind, FaultPlan};
+use nbody_comm::{FaultKind, FaultPlan, RunBundle};
 use nbody_metrics::MetricsSnapshot;
 use nbody_physics::{ForceLaw, Particle, SemiImplicitEuler};
 
-use super::artifact::{load_json, write, JsonPath, Summary};
+use super::artifact::{load_json, write, Summary};
 use super::spec::{AnyLaw, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
@@ -27,10 +28,6 @@ struct Sweep {
     pipeline_steps: usize,
     runs: usize,
     failures: Vec<String>,
-    /// Every completed run's counters, accumulated rank-wise, so that
-    /// `--metrics` answers what the entire campaign cost.
-    metrics: MetricsSnapshot,
-    metrics_path: Option<String>,
     postmortem_dir: Option<String>,
     postmortem_bundles: Vec<String>,
 }
@@ -56,8 +53,6 @@ impl Sweep {
             pipeline_steps: layout.pipeline_steps(),
             runs: 0,
             failures: Vec::new(),
-            metrics: MetricsSnapshot::empty(),
-            metrics_path: None,
             postmortem_dir: opts.opt("postmortem")?,
             postmortem_bundles: Vec::new(),
             spec,
@@ -70,7 +65,7 @@ impl Sweep {
     }
 
     /// One schedule: the traced fault-tolerant run of `method` under `plan`.
-    /// A run that dies leaves its flight-recorder bundle as `<name>.json`.
+    /// A run that dies leaves its postmortem bundle as `<name>.json`.
     fn run(
         &mut self,
         name: &str,
@@ -82,27 +77,33 @@ impl Sweep {
             .trace()
             .faults(plan, &self.policy)
             .execute(&self.initial);
-        match out.result {
-            Ok(res) => {
-                self.metrics.absorb(&out.artifacts.metrics);
-                Ok((res, out.artifacts.metrics))
-            }
-            Err(e) => {
-                let reason = e.to_string();
-                if let Some(dir) = &self.postmortem_dir {
-                    let path = format!("{dir}/{name}.json");
-                    let bundle = out.artifacts.timeline.with_failure(&reason);
-                    match write(&path, "postmortem", &bundle.to_json()) {
-                        Ok(()) => {
-                            println!("  postmortem bundle written to {path}");
-                            self.postmortem_bundles.push(name.to_string());
-                        }
-                        Err(we) => self.failures.push(we),
-                    }
+        let mut artifacts = out.artifacts;
+        let reason = match out.result {
+            Ok(res) => return Ok((res, artifacts.metrics)),
+            Err(e) => e.to_string(),
+        };
+        if let Some(dir) = &self.postmortem_dir {
+            let path = format!("{dir}/{name}.json");
+            artifacts.timeline = artifacts.timeline.with_failure(&reason);
+            // A schedule's method differs from the target's in `c` alone.
+            let ran = RunSpec {
+                c: method.replication(),
+                ..self.spec.clone()
+            };
+            let bundle = RunBundle {
+                spec: ran.options(),
+                faults: Some(plan.spec()),
+                artifacts,
+            };
+            match write(&path, "postmortem", &bundle.to_json()) {
+                Ok(()) => {
+                    println!("  postmortem bundle written to {path}");
+                    self.postmortem_bundles.push(name.to_string());
                 }
-                Err(reason)
+                Err(we) => self.failures.push(we),
             }
         }
+        Err(reason)
     }
 
     /// Record what went wrong with the schedule `label`.
@@ -188,7 +189,7 @@ impl Sweep {
         summary
     }
 
-    /// Write what was asked for, print `summary`, report every failure.
+    /// Print `summary` with the postmortems named, report every failure.
     fn close(
         self,
         mut summary: Summary,
@@ -199,15 +200,6 @@ impl Sweep {
             .put("elapsed_secs", elapsed.as_secs_f64())
             .put("failures", self.failures.len())
             .put("pass", self.failures.is_empty());
-        if let Some(path) = self.metrics_path {
-            write(&path, "metrics", &self.metrics.to_json().to_string())?;
-            let ranks = self.metrics.ranks.len();
-            let flops = self.metrics.sum_counter("compute_flops", None);
-            println!("  sweep metrics written to {path} ({ranks} ranks)");
-            summary
-                .put("metrics_path", path)
-                .put("sweep_compute_flops", flops);
-        }
         if let Some(dir) = self.postmortem_dir {
             summary
                 .put("postmortem_dir", dir)
@@ -248,7 +240,6 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     }
     let kills: usize = opts.get("kills", 1)?;
     let baseline: Option<String> = opts.opt("baseline")?;
-    sweep.metrics_path = opts.opt::<JsonPath>("metrics")?.map(String::from);
     opts.finish()?;
 
     let baseline = baseline.unwrap_or_else(|| "bench_results/chaos_baseline.json".into());

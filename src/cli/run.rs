@@ -1,17 +1,16 @@
 //! `run` and `verify`: one live execution, built from the flags.
 //!
-//! `--trace` records per-rank wall-clock spans and writes them as Chrome
-//! `trace_event` JSON (open in Perfetto or `chrome://tracing`; `analyze`
-//! reads it back). `--metrics` writes the live metrics snapshot
-//! (per-rank communication counters, message-size histograms, memory
-//! high-water marks) as JSON. Both refuse a `csv` or `prom` extension: each
-//! artifact has one encoding.
-//!
-//! `--record-timeline=<path>` writes the run's per-step time series
-//! (bytes, blocked time, FLOPs, particles per rank) plus the always-on
-//! flight-recorder event ring as one `nbody-timeline/v1` JSON bundle.
-//! When a fault-injected run dies, the same path receives a *postmortem*
-//! bundle carrying the failure reason and the events leading up to it.
+//! `--trace=<path>` writes the run bundle, the one file `analyze` and
+//! `conformance` read: a Chrome `trace_event` JSON object (open it in
+//! Perfetto or `chrome://tracing`) of per-rank wall-clock spans, carrying
+//! beside its `traceEvents` the run's spec and `--faults` plan, the live
+//! metrics snapshot (the ledger's per-channel sends, message-size
+//! histograms, memory high-water marks) and the per-step timeline with the
+//! always-on flight-recorder ring (DESIGN §15.4). A resumed run records the
+//! steps it ran. When a fault-injected run dies, the same path receives
+//! the bundle as a *postmortem*: its timeline carries the failure reason
+//! and the events leading up to it. A `csv` or `prom` extension is
+//! refused: the bundle has one encoding.
 //!
 //! `--wire-probe=<path>` turns on message-level wire probes: every rank
 //! records each point-to-point protocol message (send/recv, rank pair,
@@ -54,16 +53,22 @@ use std::time::Instant;
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{run_serial, CheckpointConfig, Run};
 use nbody_analyze::analyze;
-use nbody_comm::{FaultKind, FaultPlan};
+use nbody_comm::{FaultKind, FaultPlan, RunBundle};
 use nbody_durable::load_latest;
 use nbody_physics::diagnostics;
 use nbody_simhealth::{HealthBaseline, HealthConfig};
 use nbody_timeline::DriftConfig;
-use nbody_trace::ALL_PHASES;
 
 use super::artifact::{load, named_or_present, write, JsonPath, Summary};
-use super::spec::{fault_plan, Defaults, RunSpec};
+use super::spec::{Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
+
+/// `--faults=SPEC`: what the run injects, and its bundle records.
+fn fault_plan(opts: &mut Opts) -> Result<Option<FaultPlan>, Failure> {
+    let spec: Option<String> = opts.opt("faults")?;
+    let plan = spec.map(|s| FaultPlan::parse(&s)).transpose();
+    plan.map_err(|e| Failure::startup(format!("invalid --faults spec: {e}")))
+}
 
 /// Numerical-health monitors: `--health` or `--health-every` turns them on.
 /// (A plan holding a `nan` or `corrupt` runs them too; `Run` sees to it.)
@@ -87,8 +92,6 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let teams = spec.layout()?.grid.teams();
 
     let trace_path = opts.opt::<JsonPath>("trace")?.map(String::from);
-    let metrics_path = opts.opt::<JsonPath>("metrics")?.map(String::from);
-    let timeline_path: Option<String> = opts.opt("record-timeline")?;
     let wire_path: Option<String> = opts.opt("wire-probe")?;
     let faults = fault_plan(opts)?;
     let health_cfg = health_config(opts)?;
@@ -187,8 +190,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let mut run = Run::new(&cfg, method, p);
     // Fault-tolerant runs always trace, so recovery overhead shows up in
     // `analyze` breakdowns and the fault counters reach the summary.
-    let files = [&trace_path, &metrics_path, &timeline_path, &wire_path];
-    let traced = recovering || files.iter().any(|f| f.is_some());
+    let traced = recovering || trace_path.is_some() || wire_path.is_some();
     if traced {
         run = run.trace();
     }
@@ -205,7 +207,17 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         run = run.health(h);
     }
     let out = run.execute(&initial);
-    let artifacts = out.artifacts;
+    // What this process ran: a resumed run the steps after its checkpoint.
+    let ran = RunSpec {
+        steps: cfg.steps,
+        ..spec.clone()
+    };
+    let mut bundle = RunBundle {
+        spec: ran.options(),
+        faults: faults.as_ref().map(FaultPlan::spec),
+        artifacts: out.artifacts,
+    };
+    let artifacts = &bundle.artifacts;
     let write_wire = |path: &str| write(path, "wire log", &artifacts.wire.to_json());
     let result = match out.result {
         Ok(result) => result,
@@ -218,20 +230,20 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             let mut note = |written: Result<(), String>, what: &str, path: &str| {
                 report.push(written.map_or_else(|we| we, |()| format!("{what} written to {path}")));
             };
-            // The flight recorder was on the whole time: dump the
-            // postmortem bundle so the failure can be diagnosed.
-            if let Some(path) = &timeline_path {
-                let mut bundle = artifacts.timeline.clone();
-                if !bundle.is_postmortem() {
-                    bundle = bundle.with_failure(&e.to_string());
-                }
-                let written = write(path, "postmortem", &bundle.to_json());
-                note(written, "postmortem bundle", path);
-            }
             // The wire log survives the failure too: what actually
             // crossed the wire is exactly what a postmortem needs.
             if let Some(path) = &wire_path {
                 note(write_wire(path), "wire-probe log", path);
+            }
+            // The flight recorder was on the whole time: the bundle is the
+            // postmortem the failure is diagnosed from.
+            if let Some(path) = &trace_path {
+                let timeline = &mut bundle.artifacts.timeline;
+                if !timeline.is_postmortem() {
+                    *timeline = std::mem::take(timeline).with_failure(&e.to_string());
+                }
+                let written = write(path, "postmortem", &bundle.to_json());
+                note(written, "postmortem bundle", path);
             }
             return Err(report.join("\n").into());
         }
@@ -284,7 +296,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         // Post-run diagnosis: per-phase imbalance factors and the
         // critical-path split of the makespan (what actually gated the
         // run, not the mean across ranks).
-        let a = analyze(trace, Some(metrics), method.replication());
+        let a = analyze(trace, metrics, method.replication());
         let (crit_compute, crit_comm, crit_blocked) = a.critical_split();
         let mut imbalance = Summary::default();
         for row in &a.breakdown.phases {
@@ -299,36 +311,20 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             .put("critical_blocked_secs", crit_blocked)
             .put("imbalance", imbalance);
     }
-    // Each lens the flags asked for: its file, its line, its summary keys.
+    // Each file the flags asked for: its line, its summary keys.
     if let Some(path) = &trace_path {
-        write(path, "trace", &trace.to_chrome_json())?;
-        println!("  trace written to {path} ({} spans)", trace.spans.len());
-        summary.put("trace_path", path.as_str());
-    }
-    if let Some(path) = &timeline_path {
-        write(path, "timeline", &timeline.to_json())?;
-        let ranks = timeline.ranks.len();
+        write(path, "run bundle", &bundle.to_json())?;
         let samples: usize = timeline.ranks.iter().map(|r| r.samples.len()).sum();
-        println!("  timeline written to {path} ({ranks} ranks, {samples} step samples)");
-        let drift_windows = timeline.drift(&DriftConfig::default()).len();
-        summary
-            .put("timeline_path", path.as_str())
-            .put("timeline_samples", samples)
-            .put("drift_windows", drift_windows);
-    }
-    if let Some(path) = &metrics_path {
-        write(path, "metrics", &metrics.to_json().to_string())?;
         println!(
-            "  metrics written to {path} ({} ranks)",
+            "  run bundle written to {path} ({} spans, {} ranks, {samples} step samples)",
+            trace.spans.len(),
             metrics.ranks.len()
         );
-        let total_sends: u64 = ALL_PHASES
-            .iter()
-            .map(|ph| metrics.sum_counter("comm_send_messages", Some(*ph)))
-            .sum();
+        let drift_windows = timeline.drift(&DriftConfig::default()).len();
         summary
-            .put("metrics_path", path.as_str())
-            .put("total_send_messages", total_sends);
+            .put("trace_path", path.as_str())
+            .put("timeline_samples", samples)
+            .put("drift_windows", drift_windows);
     }
     if let Some(path) = &wire_path {
         write_wire(path)?;

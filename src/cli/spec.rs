@@ -1,13 +1,13 @@
 //! The run grammar: the one place `(n, p, c, steps, dt, seed, method, law,
 //! cutoff, boundary, temperature)` becomes a configured run. `run`,
-//! `verify`, `conformance`, `audit`, `chaos` and `soak` describe the
-//! execution they launch (or replay) with these options and differ only in
-//! their [`Defaults`]; the checkpoint fingerprint and the expected wire
-//! schedule are derived from the same fields, so the flags that produced an
-//! artifact reproduce it.
+//! `verify`, `audit`, `chaos` and `soak` describe the execution they launch
+//! with these options and differ only in their [`Defaults`]; a run bundle
+//! records them ([`RunSpec::options`]) and `analyze`/`conformance` read
+//! them back ([`RunSpec::recorded`]). The checkpoint fingerprint and the
+//! expected wire schedule are derived from the same fields, so the options
+//! that produced an artifact reproduce it.
 
 use ca_nbody::{Layout, Method, SimConfig, WireScheduleSpec};
-use nbody_comm::FaultPlan;
 use nbody_durable::RunFingerprint;
 use nbody_physics::{
     init, Boundary, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
@@ -188,13 +188,6 @@ fn law_named(name: &str, needs_cutoff: bool, cutoff: f64) -> Result<AnyLaw, Stri
     })
 }
 
-/// `--faults=SPEC`: what a run injects and `conformance` attributes to.
-pub fn fault_plan(opts: &mut Opts) -> Result<Option<FaultPlan>, Failure> {
-    let spec: Option<String> = opts.opt("faults")?;
-    let plan = spec.map(|s| FaultPlan::parse(&s)).transpose();
-    plan.map_err(|e| Failure::startup(format!("invalid --faults spec: {e}")))
-}
-
 impl RunSpec {
     /// Read the run grammar from `opts`; what is not given comes from `d`.
     pub fn from_opts(opts: &mut Opts, d: &Defaults) -> Result<RunSpec, Failure> {
@@ -230,6 +223,39 @@ impl RunSpec {
         // One meaning of `c`: the replication the method runs with.
         spec.c = method.replication();
         Ok(spec)
+    }
+
+    /// The options [`from_opts`](RunSpec::from_opts) reads back into
+    /// this spec, whatever the subcommand's defaults: what a run bundle
+    /// records of its run.
+    pub fn options(&self) -> Vec<String> {
+        let s = self;
+        [
+            ("n", s.n.to_string()),
+            ("p", s.p.to_string()),
+            ("c", s.c.to_string()),
+            ("steps", s.steps.to_string()),
+            ("dt", s.dt.to_string()),
+            ("seed", s.seed.to_string()),
+            ("method", s.method_name.clone()),
+            ("law", s.law_name.clone()),
+            ("cutoff", s.cutoff.to_string()),
+            ("boundary", s.boundary_name.to_string()),
+            ("temperature", s.temperature.to_string()),
+        ]
+        .map(|(key, value)| format!("{key}={value}"))
+        .to_vec()
+    }
+
+    /// The spec a run bundle recorded with [`options`](RunSpec::options).
+    pub fn recorded(options: &[String]) -> Result<RunSpec, String> {
+        let (mut opts, stray) = Opts::parse("the recorded spec", options);
+        if let Some(s) = stray.first() {
+            return Err(format!("recorded spec: '{s}' is not an option"));
+        }
+        let spec = RunSpec::from_opts(&mut opts, &Defaults::RUN);
+        spec.and_then(|spec| opts.finish().map(|()| spec))
+            .map_err(|e| format!("recorded spec: {}", e.message))
     }
 
     pub fn method(&self) -> Method {
@@ -325,6 +351,21 @@ impl RunSpec {
 mod tests {
     use super::*;
 
+    /// Every method name `method_named` knows.
+    const METHODS: [&str; 11] = [
+        "ca",
+        "ring",
+        "ring-symmetric",
+        "allgather",
+        "force-decomp",
+        "ca-cutoff-1d",
+        "ca-cutoff-2d",
+        "halo-1d",
+        "halo-2d",
+        "midpoint-1d",
+        "midpoint-2d",
+    ];
+
     fn spec(args: &[&str], d: &Defaults) -> Result<RunSpec, Failure> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         let (mut opts, _) = Opts::parse("test", &args);
@@ -369,20 +410,7 @@ mod tests {
 
     #[test]
     fn every_method_and_law_pair_configures_and_lays_out_or_says_why_in_one_line() {
-        let methods = [
-            "ca",
-            "ring",
-            "ring-symmetric",
-            "allgather",
-            "force-decomp",
-            "ca-cutoff-1d",
-            "ca-cutoff-2d",
-            "halo-1d",
-            "halo-2d",
-            "midpoint-1d",
-            "midpoint-2d",
-        ];
-        for method in methods {
+        for method in METHODS {
             for law in ["repulsive", "gravity", "lj"] {
                 for c in [1, 2, 3] {
                     let args = [
@@ -444,6 +472,37 @@ mod tests {
                 .cutoff,
             3.0
         );
+    }
+
+    #[test]
+    fn the_recorded_options_read_back_into_the_same_spec() {
+        // Every subcommand's defaults, and values no default has.
+        let (run, chaos, soak) = (&Defaults::RUN, &Defaults::CHAOS, &Defaults::SOAK);
+        for method in METHODS {
+            for law in ["repulsive", "gravity", "lj"] {
+                for boundary in ["reflective", "periodic", "open"] {
+                    let args = [
+                        format!("method={method}"),
+                        format!("law={law}"),
+                        format!("boundary={boundary}"),
+                        "temperature=3.3e-5".into(),
+                    ];
+                    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+                    for d in [run, chaos, soak] {
+                        let s = spec(&args, d).unwrap();
+                        assert_eq!(RunSpec::recorded(&s.options()), Ok(s));
+                    }
+                }
+            }
+        }
+        let audit = spec(&["cutoff=0.3", "dt=0.1"], &Defaults::AUDIT).unwrap();
+        assert_eq!(RunSpec::recorded(&audit.options()), Ok(audit.clone()));
+        // A recorded option no getter reads, or a word that is no option,
+        // is refused, not ignored.
+        for (extra, named) in [("metrics=m.json", "'metrics'"), ("n", "'n' is not")] {
+            let extra = [audit.options(), vec![extra.into()]].concat();
+            assert!(RunSpec::recorded(&extra).unwrap_err().contains(named));
+        }
     }
 
     #[test]

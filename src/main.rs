@@ -4,8 +4,7 @@
 //! ca-nbody run      [n=1024] [p=8] [c=2] [steps=20] [dt=0.005] [seed=42] [method=ca]
 //!                   [law=repulsive|gravity|lj] [cutoff=0.25] [boundary=reflective]
 //!                   [temperature=1e-4]
-//!                   [--trace=out.json] [--metrics=out.json]
-//!                   [--record-timeline=out.json] [--wire-probe=out.json]
+//!                   [--trace=run.json] [--wire-probe=out.json]
 //!                   [--faults=SPEC] [fault-timeout-ms=1000]
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
 //!                   [--health] [--health-every=K] [--health-baseline=F]
@@ -17,20 +16,19 @@
 //! ca-nbody chaos    [n=192] [p=8] [c=2] [steps=1] [method=ca] [seed=42]
 //!                   [fault-timeout-ms=250] [--kills=N]
 //!                   [--baseline=bench_results/chaos_baseline.json]
-//!                   [--metrics=F] [--postmortem=DIR]
+//!                   [--postmortem=DIR]
 //! ca-nbody soak     [n=96] [p=8] [c=2] [steps=2] [method=ca] [seed=42]
 //!                   [seconds=30] [events=3] [fault-timeout-ms=250]
 //!                   [--postmortem=DIR]   time-boxed randomized chaos
-//! ca-nbody analyze  [trace.json] [--metrics=F] [--timeline=F] [--wire=F]
-//!                   [--drift-window=16] [--drift-nsigma=6] [c=1] [--json=F]
-//!                   the one reader of a recorded run: per-phase and
-//!                   per-step tables, critical path, stragglers, heat-map;
-//!                   drift and numerical health of a timeline bundle (exit
-//!                   1 if UNHEALTHY); channel latencies of a wire log
-//! ca-nbody conformance <metrics.json> [run's n, p, c, steps, method, law,
-//!                   cutoff, boundary] [--faults=SPEC]
-//!                   a run's `--metrics` snapshot, channel by channel,
-//!                   against its schedule (exit 1 on FAIL)
+//! ca-nbody analyze  [run.json] [--wire=F]
+//!                   [--drift-window=16] [--drift-nsigma=6] [--json=F]
+//!                   the one reader of a run bundle: per-phase and
+//!                   per-step tables, critical path, stragglers, heat-map,
+//!                   drift and numerical health (exit 1 if UNHEALTHY);
+//!                   channel latencies of a wire log
+//! ca-nbody conformance <run.json>
+//!                   a run bundle's ledger, channel by channel, against
+//!                   the schedule of the run it recorded (exit 1 on FAIL)
 //! ```
 //!
 //! Options take `key=value`, `--key=value`, or `--key value` form. One
@@ -43,9 +41,11 @@
 //!
 //! `run`, `verify`, `audit`, `calibrate`, `chaos`, `soak` and `conformance`
 //! end with a single-line JSON summary on stdout for scripted consumption.
-//! Each artifact a subcommand writes has one encoding, JSON: `--trace`,
-//! `--metrics`, `--out` and `--roofline-out` refuse a `csv` or `prom`
-//! extension.
+//! One run writes one file: `--trace` is the run bundle (a Chrome trace
+//! object carrying the run's spec, fault plan, metrics and timeline), the
+//! only input `analyze` and `conformance` need. Each artifact a subcommand
+//! writes has one encoding, JSON: `--trace`, `--out` and `--roofline-out`
+//! refuse a `csv` or `prom` extension.
 
 use std::process::ExitCode;
 
@@ -68,10 +68,10 @@ const COMMANDS: [(&str, Command); 8] = [
 const USAGE: &str = "usage: ca-nbody <run|verify|audit|calibrate|chaos|soak|analyze|\
      conformance> \
      [key=value ...] \
-     [--trace=F] [--metrics=F] [--record-timeline=F] [--wire-probe=F] \
+     [--trace=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \
      [--health] [--health-every=K] [--health-baseline=F]\n\
-     conformance <metrics.json> [run's options] [--faults=SPEC] checks a run's --metrics snapshot\n\
+     analyze <bundle> and conformance <bundle> read the run bundle --trace wrote\n\
      an option that is malformed, or that the subcommand does not read, is an error (exit 2)\n\
      see `src/main.rs` header or README.md for the option list";
 

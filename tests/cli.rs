@@ -6,14 +6,37 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ca-nbody-repro"))
 }
 
+/// Require `out` to have exited 0, and return its stdout.
+fn succeeded(out: &std::process::Output) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stdout}\n{stderr}");
+    stdout
+}
+
+/// The run bundle a `--trace` (or `chaos --postmortem`) wrote to `path`.
+fn bundle(path: &str) -> nbody_comm::RunBundle {
+    let text = std::fs::read_to_string(path).expect("bundle not written");
+    nbody_comm::RunBundle::parse(&text).expect("invalid bundle")
+}
+
+/// A copy of the bundle at `path` with the recorded `from` replaced by
+/// `to`, written beside it as `name`.
+fn edited(path: &str, name: &str, from: &str, to: &str) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    assert!(text.contains(from), "no {from} in {path}");
+    let copy = std::path::Path::new(path).with_file_name(name);
+    std::fs::write(&copy, text.replace(from, to)).unwrap();
+    copy.display().to_string()
+}
+
 #[test]
 fn verify_subcommand_passes_for_default_config() {
     let out = cli()
         .args(["verify", "n=128", "p=4", "c=2", "steps=5"])
         .output()
         .expect("failed to launch CLI");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "stdout: {stdout}");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("VERIFY OK"), "{stdout}");
 }
 
@@ -174,11 +197,7 @@ fn trace_flag_writes_valid_chrome_trace() {
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
     let text = std::fs::read_to_string(&path).expect("trace file not written");
     let trace = nbody_trace::ExecutionTrace::parse(&text).expect("invalid trace");
     assert_eq!(trace.ranks, 8);
@@ -220,8 +239,7 @@ fn analyze_prints_the_per_phase_and_per_step_tables() {
         .args(["analyze", path.to_str().unwrap()])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("per-phase wall-clock"), "{stdout}");
     assert!(stdout.contains("per-step driver sections"), "{stdout}");
     // Every number of the trace's one per-phase summary is in the table:
@@ -269,12 +287,7 @@ fn audit_prints_verdict_table_and_json_summary() {
         .args(["audit", "--n", "256", "--p", "16", "--steps", "1"])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     for want in ["latency   S:", "bandwidth W:", "bound", "PASS", "shift"] {
         assert!(stdout.contains(want), "missing {want:?} in {stdout}");
     }
@@ -327,12 +340,7 @@ fn audit_cutoff_variant_audits_against_eq3() {
         .output()
         .expect("launch");
     std::fs::remove_file(&baseline).ok();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     assert!(stdout.contains("cutoff-1d"), "{stdout}");
     // Re-assignment is under the send-count gate: the twin predicts its
     // messages and the run's ledger counted exactly those.
@@ -450,7 +458,7 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
             "cutoff=-1",
         ),
         (
-            &["conformance", "m.json", "method=ca-cutoff-1d", "cutoff=-1"],
+            &["soak", "method=ca-cutoff-1d", "n=64", "p=4", "cutoff=-1"],
             "cutoff=-1",
         ),
         (&["run", "law=lj", "n=64", "p=4", "cutoff=0"], "cutoff=0"),
@@ -483,11 +491,7 @@ fn audit_writes_json_audit_and_roofline_reports() {
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
     let read = |path: &std::path::Path| {
         let body = std::fs::read_to_string(path).expect("report not written");
         nbody_trace::Json::parse(&body).expect("invalid JSON report")
@@ -507,10 +511,10 @@ fn audit_writes_json_audit_and_roofline_reports() {
 }
 
 #[test]
-fn metrics_flag_writes_a_json_snapshot_that_round_trips() {
+fn the_bundles_metrics_snapshot_round_trips() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_metrics_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let json_path = dir.join("metrics.json");
+    let json_path = dir.join("run.json");
     let out = cli()
         .args([
             "run",
@@ -518,19 +522,15 @@ fn metrics_flag_writes_a_json_snapshot_that_round_trips() {
             "p=4",
             "c=2",
             "steps=2",
-            &format!("--metrics={}", json_path.display()),
+            &format!("--trace={}", json_path.display()),
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The export parses back, and round-trips losslessly in memory.
-    let json_text = std::fs::read_to_string(&json_path).unwrap();
-    let doc = nbody_trace::Json::parse(&json_text).unwrap();
-    let snap = nbody_metrics::MetricsSnapshot::from_json(&doc).expect("JSON round-trip");
+    succeeded(&out);
+    // The bundle's snapshot parses back, and round-trips losslessly in
+    // memory.
+    let snap = bundle(json_path.to_str().unwrap()).artifacts.metrics;
+    let json_text = snap.to_json().to_string();
     let again = nbody_trace::Json::parse(&snap.to_json().to_string()).unwrap();
     assert_eq!(
         nbody_metrics::MetricsSnapshot::from_json(&again).unwrap(),
@@ -619,12 +619,7 @@ fn run_survives_unreplicated_kill_by_shrinking() {
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert_eq!(doc.get("shrinks").unwrap().as_f64(), Some(1.0), "{stdout}");
     assert_eq!(
@@ -670,12 +665,7 @@ fn chaos_subcommand_sweeps_and_gates_against_baseline() {
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let last = stdout.lines().last().unwrap();
     let doc = nbody_trace::Json::parse(last).unwrap();
     assert!(
@@ -696,12 +686,11 @@ fn chaos_rejects_configs_without_a_surviving_replica() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("c >= 2"));
 }
 
-/// Run a small traced all-pairs execution and return the trace/metrics
-/// paths inside `dir`.
-fn traced_run(dir: &std::path::Path, p: usize, c: usize) -> (String, String) {
+/// Run a small traced all-pairs execution and return the path of its
+/// bundle inside `dir`.
+fn traced_run(dir: &std::path::Path, p: usize, c: usize) -> String {
     std::fs::create_dir_all(dir).unwrap();
-    let trace = dir.join("trace.json").display().to_string();
-    let metrics = dir.join("metrics.json").display().to_string();
+    let trace = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -710,39 +699,23 @@ fn traced_run(dir: &std::path::Path, p: usize, c: usize) -> (String, String) {
             &format!("c={c}"),
             "steps=3",
             &format!("--trace={trace}"),
-            &format!("--metrics={metrics}"),
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    (trace, metrics)
+    succeeded(&out);
+    trace
 }
 
 #[test]
 fn analyze_reports_critical_path_imbalance_and_heatmap() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_test");
-    let (trace, metrics) = traced_run(&dir, 8, 2);
+    let trace = traced_run(&dir, 8, 2);
     let json = dir.join("analysis.json").display().to_string();
     let out = cli()
-        .args([
-            "analyze",
-            &trace,
-            &format!("--metrics={metrics}"),
-            "c=2",
-            &format!("--json={json}"),
-        ])
+        .args(["analyze", &trace, &format!("--json={json}")])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     // Per-step critical path, per-phase imbalance, stragglers, heat-map.
     assert!(stdout.contains("critical path (per timestep)"), "{stdout}");
     assert!(stdout.contains("factor = max / mean"), "{stdout}");
@@ -779,11 +752,8 @@ fn analyze_reports_critical_path_imbalance_and_heatmap() {
 fn analyze_handles_single_rank_runs() {
     // p = 1, c = 1: no communication spans at all.
     let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_p1_test");
-    let (trace, metrics) = traced_run(&dir, 1, 1);
-    let out = cli()
-        .args(["analyze", &trace, &format!("--metrics={metrics}")])
-        .output()
-        .expect("launch");
+    let trace = traced_run(&dir, 1, 1);
+    let out = cli().args(["analyze", &trace]).output().expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stdout}\n{stderr}");
@@ -838,6 +808,17 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot parse"), "{stderr}");
 
+    // A Chrome trace without the run's sections is not a run bundle.
+    let plain = dir.join("plain.json");
+    std::fs::write(&plain, format!("{}}}]}}", &body[..body.len() - 13])).unwrap();
+    let out = cli()
+        .args(["analyze", plain.to_str().unwrap()])
+        .output()
+        .expect("launch");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not an nbody-run/v1 bundle"), "{stderr}");
+
     // The reader names what it found as text, never as a Rust `Option`: a
     // character in quotes, or the end of the input, at the same offsets.
     for (name, body, found) in [
@@ -876,17 +857,14 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
 fn analyze_refuses_a_c_the_heatmap_cannot_use() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_bad_c_test");
     std::fs::remove_dir_all(&dir).ok();
-    let (trace, metrics) = traced_run(&dir, 4, 2);
+    let trace = traced_run(&dir, 4, 2);
     let json = dir.join("analysis.json");
+    // `c` is the one the bundle recorded: a copy edited to one the grid
+    // cannot use.
     for c in ["c=3", "c=0"] {
+        let trace = edited(&trace, "bad_c.json", "\"c=2\"", &format!("\"{c}\""));
         let out = cli()
-            .args([
-                "analyze",
-                &trace,
-                &format!("--metrics={metrics}"),
-                c,
-                &format!("--json={}", json.display()),
-            ])
+            .args(["analyze", &trace, &format!("--json={}", json.display())])
             .output()
             .expect("launch");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -936,8 +914,7 @@ fn calibrate_writes_machine_ceilings_json() {
         .args(["calibrate", "seed=7", &format!("--out={}", path.display())])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stdout = succeeded(&out);
     let last = stdout.lines().last().unwrap();
     let doc = nbody_trace::Json::parse(last).expect("last line is not JSON");
     assert_eq!(doc.get("cmd").unwrap().as_str(), Some("calibrate"));
@@ -988,8 +965,7 @@ fn audit_renders_roofline_and_gates_against_baseline() {
         format!("--roofline-baseline={}", floor.display()),
         format!("--roofline-out={}", roofline_json.display()),
     ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("compute roofline"), "{stdout}");
     assert!(stdout.contains("roofline gate"), "{stdout}");
     let last = stdout.lines().last().unwrap();
@@ -1030,53 +1006,11 @@ fn audit_renders_roofline_and_gates_against_baseline() {
 }
 
 #[test]
-fn chaos_metrics_flag_accumulates_the_whole_sweep() {
-    let dir = std::env::temp_dir().join("ca_nbody_cli_chaos_metrics_test");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep.json");
-    let out = cli()
-        .args([
-            "chaos",
-            "n=96",
-            "p=4",
-            "c=2",
-            "steps=1",
-            &format!("--metrics={}", path.display()),
-        ])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    let text = std::fs::read_to_string(&path).expect("sweep metrics not written");
-    let doc = nbody_trace::Json::parse(&text).unwrap();
-    let snap = nbody_metrics::MetricsSnapshot::from_json(&doc).unwrap();
-    assert_eq!(snap.ranks.len(), 4);
-    // The accumulated snapshot spans the whole campaign: kills fired and
-    // every run's kernel work is in the compute counters.
-    assert!(snap.sum_counter("fault_injected_kill", None) > 0);
-    assert!(snap.sum_counter("compute_flops", None) > 0);
-    assert!(snap.sum_counter("compute_nanos", None) > 0);
-    let last = stdout.lines().last().unwrap();
-    let summary = nbody_trace::Json::parse(last).unwrap();
-    assert!(
-        summary
-            .get("sweep_compute_flops")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            > 0.0
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn record_timeline_writes_bundle_and_analyze_reports_drift() {
+fn the_bundles_timeline_reads_back_and_analyze_reports_drift() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_timeline_test");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let tl_path = dir.join("timeline.json").display().to_string();
-    let trace = dir.join("trace.json").display().to_string();
+    let trace = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1085,17 +1019,11 @@ fn record_timeline_writes_bundle_and_analyze_reports_drift() {
             "c=2",
             "steps=4",
             &format!("--trace={trace}"),
-            &format!("--record-timeline={tl_path}"),
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("timeline written to"), "{stdout}");
+    let stdout = succeeded(&out);
+    assert!(stdout.contains("run bundle written to"), "{stdout}");
     let last = stdout.lines().last().unwrap();
     let doc = nbody_trace::Json::parse(last).unwrap();
     assert!(
@@ -1104,8 +1032,7 @@ fn record_timeline_writes_bundle_and_analyze_reports_drift() {
     );
 
     // The bundle parses back: every rank sampled every step.
-    let text = std::fs::read_to_string(&tl_path).expect("timeline not written");
-    let tl = nbody_comm::RunTimeline::parse(&text).expect("invalid timeline bundle");
+    let tl = bundle(&trace).artifacts.timeline;
     assert!(!tl.is_postmortem());
     assert_eq!(tl.ranks.len(), 4);
     for r in &tl.ranks {
@@ -1119,26 +1046,13 @@ fn record_timeline_writes_bundle_and_analyze_reports_drift() {
         "at least the leaders' samples carry particle counts"
     );
 
-    // Timeline-only analyze invocation: drift table, quiet on a short
-    // stationary run.
-    let out = cli()
-        .args(["analyze", &format!("--timeline={tl_path}")])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("timeline drift"), "{stdout}");
-    assert!(stdout.contains("no drift flagged"), "{stdout}");
-
-    // Combined trace + timeline analyze: both sections in one report.
-    let out = cli()
-        .args(["analyze", &trace, &format!("--timeline={tl_path}")])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    // One report from the one file: the trace's tables and the drift
+    // table, quiet on a short stationary run.
+    let out = cli().args(["analyze", &trace]).output().expect("launch");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("stragglers"), "{stdout}");
     assert!(stdout.contains("timeline drift"), "{stdout}");
+    assert!(stdout.contains("no drift flagged"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1150,7 +1064,7 @@ fn gravity_under_a_cutoff_method_records_a_tunable_drift_report() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_gravity_cutoff_test");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let tl_path = dir.join("timeline.json").display().to_string();
+    let tl_path = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1160,27 +1074,16 @@ fn gravity_under_a_cutoff_method_records_a_tunable_drift_report() {
             "p=4",
             "c=2",
             "steps=3",
-            &format!("--record-timeline={tl_path}"),
+            &format!("--trace={tl_path}"),
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
     let out = cli()
-        .args([
-            "analyze",
-            &format!("--timeline={tl_path}"),
-            "--drift-window=32",
-            "--drift-nsigma=3",
-        ])
+        .args(["analyze", &tl_path, "--drift-window=32", "--drift-nsigma=3"])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("window 32, 3.0 sigma"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1203,7 +1106,7 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
             "steps=1",
             "--faults=kill:0@1,kill:1@1,kill:2@1,kill:3@1",
             "fault-timeout-ms=300",
-            &format!("--record-timeline={tl_path}"),
+            &format!("--trace={tl_path}"),
         ])
         .output()
         .expect("launch");
@@ -1214,8 +1117,7 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("postmortem bundle written to"), "{stderr}");
 
-    let text = std::fs::read_to_string(&tl_path).expect("postmortem not written");
-    let tl = nbody_comm::RunTimeline::parse(&text).expect("invalid postmortem bundle");
+    let tl = bundle(&tl_path).artifacts.timeline;
     assert!(tl.is_postmortem(), "bundle must carry the failure reason");
     assert!(
         tl.failure
@@ -1235,12 +1137,9 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
     assert!(kinds.contains(&"fault_injected"), "{kinds:?}");
     assert!(kinds.contains(&"unrecoverable"), "{kinds:?}");
 
-    // `analyze --timeline` reads the bundle, names why the run died once,
-    // and exits 1: a postmortem is UNHEALTHY.
-    let out = cli()
-        .args(["analyze", &format!("--timeline={tl_path}")])
-        .output()
-        .expect("launch");
+    // `analyze` reads the bundle, names why the run died once, and exits
+    // 1: a postmortem is UNHEALTHY.
+    let out = cli().args(["analyze", &tl_path]).output().expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     let reasons: Vec<&str> = stdout
@@ -1270,12 +1169,7 @@ fn chaos_postmortem_flag_dumps_bundle_for_the_unrecoverable_kill() {
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let last = stdout.lines().last().unwrap();
     let doc = nbody_trace::Json::parse(last).unwrap();
     let bundles = doc.get("postmortem_bundles").unwrap().as_array().unwrap();
@@ -1284,9 +1178,12 @@ fn chaos_postmortem_flag_dumps_bundle_for_the_unrecoverable_kill() {
     assert_eq!(bundles.len(), 1, "{last}");
     assert_eq!(bundles[0].as_str(), Some("total_loss_unrecoverable"));
     let bundle_path = format!("{pm_dir}/total_loss_unrecoverable.json");
-    let text = std::fs::read_to_string(&bundle_path).expect("bundle not written");
-    let tl = nbody_comm::RunTimeline::parse(&text).expect("invalid bundle");
-    assert!(tl.is_postmortem());
+    let pm = bundle(&bundle_path);
+    assert!(pm.artifacts.timeline.is_postmortem());
+    // The schedule is recorded with it: `conformance` needs no options.
+    let plan = "kill:0@0,kill:1@0,kill:2@0,kill:3@0";
+    assert_eq!(pm.faults.as_deref(), Some(plan));
+    assert!(pm.spec.iter().any(|o| o == "p=4"), "{:?}", pm.spec);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1298,11 +1195,7 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
 
     // The reference: the same run, uninterrupted, no checkpoint sink.
     let out = cli().arg("run").args(common).output().expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     let want_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
@@ -1340,12 +1233,7 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
         .arg(format!("--resume={}", dir.display()))
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert_eq!(doc.get("resumed_from_step").unwrap().as_f64(), Some(4.0));
     let got_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
@@ -1359,6 +1247,30 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
         dir.join("ckpt-00000006.json").is_file(),
         "resumed run must keep persisting on the same cadence"
     );
+
+    // A resumed run's bundle records the steps it ran, so the schedule
+    // `conformance` replays is the one it sent.
+    for step in [5, 6] {
+        std::fs::remove_file(dir.join(format!("ckpt-{step:08}.json"))).unwrap();
+    }
+    let trace = dir.join("resumed.json").display().to_string();
+    let out = cli()
+        .arg("run")
+        .args(common)
+        .args([
+            format!("--resume={}", dir.display()),
+            format!("--trace={trace}"),
+        ])
+        .output()
+        .expect("launch");
+    succeeded(&out);
+    assert!(bundle(&trace).spec.iter().any(|o| o == "steps=2"));
+    let out = cli()
+        .args(["conformance", &trace])
+        .output()
+        .expect("launch");
+    let stdout = succeeded(&out);
+    assert!(stdout.contains("no violations"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1392,11 +1304,7 @@ fn resume_rejects_mismatched_fingerprint_and_empty_dir() {
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
     let out = cli()
         .args(["run", "n=128", "p=4", "c=2", "steps=2"])
         .arg(format!("--resume={}", dir.display()))
@@ -1426,12 +1334,7 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert!(
         matches!(doc.get("pass"), Some(nbody_trace::Json::Bool(true))),
@@ -1458,12 +1361,7 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert_eq!(doc.get("cmd").unwrap().as_str(), Some("soak"));
     assert!(
@@ -1476,22 +1374,17 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
 
 #[test]
 fn the_exported_metrics_are_the_ledger_every_message_counted_once() {
-    // `--metrics` writes each rank's ledger: on a run that loses nothing,
+    // The bundle carries each rank's ledger: on a run that loses nothing,
     // every point-to-point send is received in its phase, and every message
     // on the wire, point-to-point or collective, is one histogram entry.
     let path = std::env::temp_dir().join(format!("ledger_{}.json", std::process::id()));
     let out = cli()
         .args(["run", "n=256", "p=8", "c=2", "steps=2"])
-        .arg(format!("--metrics={}", path.display()))
+        .arg(format!("--trace={}", path.display()))
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = nbody_trace::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let snap = nbody_metrics::MetricsSnapshot::from_json(&doc).unwrap();
+    succeeded(&out);
+    let snap = bundle(path.to_str().unwrap()).artifacts.metrics;
     std::fs::remove_file(&path).ok();
     for phase in nbody_trace::ALL_PHASES {
         let sum = |name: &str| snap.sum_counter(name, Some(phase));
@@ -1535,11 +1428,7 @@ fn malformed_recv_timeout_env_is_a_startup_error() {
         .env("NBODY_RECV_TIMEOUT_SECS", "90")
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
 }
 
 #[test]
@@ -1547,7 +1436,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_test");
     std::fs::create_dir_all(&dir).unwrap();
     let wire = dir.join("wire.json").display().to_string();
-    let metrics = dir.join("metrics.json").display().to_string();
+    let run = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1556,16 +1445,11 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
             "c=2",
             "steps=3",
             &format!("--wire-probe={wire}"),
-            &format!("--metrics={metrics}"),
+            &format!("--trace={run}"),
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     assert!(stdout.contains("wire probes written to"), "{stdout}");
 
     // The log parses back and the summary line reports its size.
@@ -1582,12 +1466,8 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
 
     // A clean run's ledger conforms to the CA schedule: zero violations,
     // and the latency table renders populated channels via `analyze --wire`.
-    let out = cli()
-        .args(["conformance", &metrics, "n=48", "p=8", "c=2", "steps=3"])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let out = cli().args(["conformance", &run]).output().expect("launch");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("no violations"), "{stdout}");
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
@@ -1599,8 +1479,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
         .args(["analyze", &format!("--wire={wire}")])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("wire probes:"), "{stdout}");
     assert!(stdout.contains("matched pairs"), "{stdout}");
     assert!(
@@ -1614,7 +1493,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
 fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_chaos_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let metrics = dir.join("metrics_chaos.json").display().to_string();
+    let run = dir.join("run_chaos.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1624,33 +1503,16 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
             "steps=2",
             "--faults=drop:3@1",
             "fault-timeout-ms=250",
-            &format!("--metrics={metrics}"),
+            &format!("--trace={run}"),
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
 
     // Every discrepancy the injected drop causes is attributed to the
-    // fault plan: zero unexplained, PASS verdict, exit 0.
-    let out = cli()
-        .args([
-            "conformance",
-            &metrics,
-            "n=48",
-            "p=8",
-            "c=2",
-            "steps=2",
-            "--faults=drop:3@1",
-        ])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    // recorded fault plan: zero unexplained, PASS verdict, exit 0.
+    let out = cli().args(["conformance", &run]).output().expect("launch");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert_eq!(doc.get("unexplained").unwrap().as_f64(), Some(0.0));
@@ -1660,19 +1522,21 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     );
     assert!(stdout.contains("fault_drop:rank3@step1"), "{stdout}");
 
-    // Without its plan the same snapshot fails: the retries are surplus.
+    // Without its plan the same ledger fails: the retries are surplus.
+    let unplanned = edited(&run, "unplanned.json", "\"drop:3@1\"", "null");
     let out = cli()
-        .args(["conformance", &metrics, "n=48", "p=8", "c=2", "steps=2"])
+        .args(["conformance", &unplanned])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("verdict: FAIL"), "{stdout}");
 
-    // The same snapshot against the wrong schedule is a genuine FAIL with
-    // a non-zero exit (the CI gate contract).
+    // The same ledger against the wrong schedule is a genuine FAIL with a
+    // non-zero exit (the CI gate contract).
+    let wrong = edited(&run, "wrong_steps.json", "\"steps=2\"", "\"steps=7\"");
     let out = cli()
-        .args(["conformance", &metrics, "n=48", "p=8", "c=2", "steps=7"])
+        .args(["conformance", &wrong])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1693,9 +1557,9 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
-    // Unreadable snapshot.
+    // Unreadable bundle.
     let out = cli()
-        .args(["conformance", "/nonexistent/metrics.json"])
+        .args(["conformance", "/nonexistent/run.json"])
         .output()
         .expect("launch");
     assert!(!out.status.success());
@@ -1704,23 +1568,20 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
     // A method with no schedule twin.
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_badmethod_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let metrics = dir.join("metrics.json").display().to_string();
+    let run = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
             "n=32",
             "p=4",
-            "c=1",
+            "method=halo-1d",
             "steps=1",
-            &format!("--metrics={metrics}"),
+            &format!("--trace={run}"),
         ])
         .output()
         .expect("launch");
     assert!(out.status.success());
-    let out = cli()
-        .args(["conformance", &metrics, "method=halo-1d"])
-        .output()
-        .expect("launch");
+    let out = cli().args(["conformance", &run]).output().expect("launch");
     assert!(!out.status.success());
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("no communication-schedule twin"),
@@ -1736,12 +1597,7 @@ fn audit_counts_each_phases_sends_in_the_ledger_against_the_schedule() {
         .args(["audit", "n=256", "p=8", "steps=1", "c=2"])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     assert!(
         stdout.contains("wire messages (observed in the ledger"),
         "{stdout}"
@@ -1765,7 +1621,7 @@ fn audit_counts_each_phases_sends_in_the_ledger_against_the_schedule() {
 fn cutoff_ledger_conforms_in_count_only_mode() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_cutoff_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let metrics = dir.join("metrics.json").display().to_string();
+    let run = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1775,30 +1631,13 @@ fn cutoff_ledger_conforms_in_count_only_mode() {
             "c=2",
             "steps=2",
             "cutoff=0.25",
-            &format!("--metrics={metrics}"),
+            &format!("--trace={run}"),
         ])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = cli()
-        .args([
-            "conformance",
-            &metrics,
-            "method=ca-cutoff-1d",
-            "n=40",
-            "p=8",
-            "c=2",
-            "steps=2",
-            "cutoff=0.25",
-        ])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    succeeded(&out);
+    let out = cli().args(["conformance", &run]).output().expect("launch");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
     assert!(stdout.contains("ca-1d-cutoff"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
@@ -1808,7 +1647,7 @@ fn cutoff_ledger_conforms_in_count_only_mode() {
 fn health_run_reports_gate_and_bundle_renders_verdict() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let tl = dir.join("tl.json").display().to_string();
+    let tl = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1817,26 +1656,17 @@ fn health_run_reports_gate_and_bundle_renders_verdict() {
             "c=2",
             "steps=3",
             "--health",
-            &format!("--record-timeline={tl}"),
+            &format!("--trace={tl}"),
         ])
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     assert!(stdout.contains("\"health_sentinel_events\":0"), "{stdout}");
     assert!(stdout.contains("\"health_gate\":\"pass\""), "{stdout}");
 
     // The bundle renders a clean verdict and exits zero.
-    let out = cli()
-        .args(["analyze", &format!("--timeline={tl}")])
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let out = cli().args(["analyze", &tl]).output().expect("launch");
+    let stdout = succeeded(&out);
     assert!(stdout.contains(": HEALTHY"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1845,7 +1675,7 @@ fn health_run_reports_gate_and_bundle_renders_verdict() {
 fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_nan_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let tl = dir.join("pm.json").display().to_string();
+    let tl = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1854,7 +1684,7 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
             "c=2",
             "steps=3",
             "--faults=nan:0@1",
-            &format!("--record-timeline={tl}"),
+            &format!("--trace={tl}"),
         ])
         .output()
         .expect("launch");
@@ -1870,10 +1700,7 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
     assert!(bundle.contains(blame), "{bundle}");
 
     // The postmortem carries the blame and renders UNHEALTHY, exit 1.
-    let out = cli()
-        .args(["analyze", &format!("--timeline={tl}")])
-        .output()
-        .expect("launch");
+    let out = cli().args(["analyze", &tl]).output().expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("UNHEALTHY"), "{stdout}");
@@ -1888,7 +1715,7 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     // baseline turns the detection into a non-zero exit.
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_corrupt_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let tl = dir.join("tl.json").display().to_string();
+    let tl = dir.join("run.json").display().to_string();
     let out = cli()
         .args([
             "run",
@@ -1897,7 +1724,7 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
             "c=2",
             "steps=3",
             "--faults=corrupt:4@1",
-            &format!("--record-timeline={tl}"),
+            &format!("--trace={tl}"),
         ])
         .output()
         .expect("launch");
@@ -1913,14 +1740,50 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     assert!(stderr.contains("HEALTH GATE"), "{stderr}");
 
     // The bundle names the mismatch and renders UNHEALTHY, exit 1.
-    let out = cli()
-        .args(["analyze", &format!("--timeline={tl}")])
-        .output()
-        .expect("launch");
+    let out = cli().args(["analyze", &tl]).output().expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("1 fingerprint mismatch"), "{stdout}");
     assert!(stdout.contains("UNHEALTHY"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn conformance_attributes_a_corrupt_replicas_repair_to_its_plan() {
+    // The repair re-runs the pipeline attempt, as a wire fault's retry
+    // does: the surplus on the scheduled channels is the corrupt event's.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_corrupt_conformance_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("run.json").display().to_string();
+    let out = cli()
+        .args([
+            "run",
+            "n=512",
+            "p=8",
+            "c=2",
+            "steps=4",
+            "--faults=corrupt:4@2",
+        ])
+        .arg(format!("--trace={trace}"))
+        .output()
+        .expect("launch");
+    assert!(
+        out.stdout.ends_with(b"}\n") && bundle(&trace).faults.as_deref() == Some("corrupt:4@2"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = cli()
+        .args(["conformance", &trace])
+        .output()
+        .expect("launch");
+    let stdout = succeeded(&out);
+    assert!(stdout.contains("verdict: PASS"), "{stdout}");
+    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let violations = doc.get("violations").unwrap().as_f64().unwrap();
+    assert!(violations > 0.0, "the repair must resend: {stdout}");
+    assert_eq!(doc.get("explained").unwrap().as_f64(), Some(violations));
+    let attributed = stdout.matches("fault_corrupt:rank4@step2").count();
+    assert_eq!(attributed as f64, violations, "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1946,12 +1809,7 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
     std::fs::create_dir_all(&dir).unwrap();
     let common = ["run", "n=64", "p=4", "c=2", "steps=6", "--health"];
     let out = cli().args(common).output().expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     let want_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
 
@@ -1978,12 +1836,7 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
         .arg(format!("--resume={}", ckpt.display()))
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert_eq!(doc.get("resumed_from_step").unwrap().as_f64(), Some(4.0));
     assert_eq!(
@@ -2004,12 +1857,7 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
         .arg(format!("--wire-probe={wire}"))
         .output()
         .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = succeeded(&out);
     let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
     assert!(
         doc.get("wire_events").unwrap().as_f64().unwrap() > 0.0,
@@ -2019,11 +1867,7 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
         .args(["analyze", &format!("--wire={wire}")])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -2057,7 +1901,7 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
         ),
         (
             "p",
-            &["run", "p=4x", "steps=2", "--metrics=m.json"],
+            &["run", "p=4x", "steps=2", "--trace=t.json"],
             ["'p'", "'4x'"],
         ),
         (
@@ -2067,7 +1911,7 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
         ),
         (
             "kills",
-            &["chaos", "--kills=many", "--metrics=m.json"],
+            &["chaos", "--kills=many", "--postmortem=pm"],
             ["'kills'", "'many'"],
         ),
         (
@@ -2101,18 +1945,13 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
         // another is refused, not written as JSON under that name.
         (
             "prom",
-            &["run", "n=64", "p=4", "steps=1", "--metrics=m.prom"],
-            ["'metrics'", "'m.prom'"],
+            &["run", "n=64", "p=4", "steps=1", "--trace=t.prom"],
+            ["'trace'", "'t.prom'"],
         ),
         (
             "events",
             &["run", "n=64", "p=4", "steps=1", "--trace=t.csv"],
             ["'trace'", "'t.csv'"],
-        ),
-        (
-            "chaos-prom",
-            &["chaos", "--metrics=m.prom"],
-            ["'metrics'", "'m.prom'"],
         ),
         ("audit-csv", &["audit", "--out=a.csv"], ["'out'", "'a.csv'"]),
         (
@@ -2175,12 +2014,6 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             &["run", "n=64", "p=4", "steps=1", "--profile"],
             ["'profile'", "'run'"],
         ),
-        // A bundle is diagnosed on its own; `--metrics` goes with a trace.
-        (
-            "bundle",
-            &["analyze", "--timeline=tl.json", "--metrics=m.json"],
-            ["'metrics'", "'analyze'"],
-        ),
         // The send counts come from the ledger: no probe to switch on.
         ("wire", &["audit", "--wire"], ["'wire'", "'audit'"]),
         // Read only next to the option that gives them a meaning.
@@ -2218,6 +2051,33 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
     ] {
         assert_refused(2, tag, args, &names);
     }
+    // One run, one file: the run bundle carries the metrics, the timeline,
+    // the grid's `c`, the spec and the fault plan, so no option names them
+    // again (`conformance` takes none of the run's); a campaign's summed
+    // snapshot had no reader.
+    let run_options = "n=48 p=8 c=2 steps=2 dt=0.01 seed=7 method=ca law=lj cutoff=0.5 \
+                       boundary=periodic temperature=0";
+    let retyped = run_options
+        .split_whitespace()
+        .map(|o| format!("conformance m.json {o}"));
+    let gone = [
+        "run n=64 p=4 steps=1 --metrics=m.json",
+        "run n=64 p=4 steps=1 --record-timeline=tl.json",
+        "verify n=64 p=4 --metrics=m.json",
+        "verify n=64 p=4 --record-timeline=tl.json",
+        "analyze t.json --metrics=m.json",
+        "analyze --timeline=tl.json",
+        "analyze t.json c=2",
+        "conformance m.json --faults=drop:3@1",
+        "chaos n=64 p=4 --metrics=m.json",
+    ];
+    for args in gone.map(String::from).into_iter().chain(retyped) {
+        let args: Vec<&str> = args.split(' ').collect();
+        let flag = args.last().unwrap().trim_start_matches("--");
+        let (cmd, key) = (args[0], flag.split('=').next().unwrap());
+        let names = [format!("'{key}'"), format!("'{cmd}'")];
+        assert_refused(2, &format!("{cmd}-{key}"), &args, &[&names[0], &names[1]]);
+    }
     // The retry policy's one setting is the first deadline: the knobs that
     // went are unread even where `fault-timeout-ms` is read.
     for flag in [
@@ -2246,7 +2106,7 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
         &["chaos", "n=64", "p=4"],
         &["soak", "n=64", "p=4", "seconds=1"],
         &["analyze", "t.json"],
-        &["analyze", "--timeline=tl.json"],
+        &["analyze", "--wire=w.json"],
         &["conformance", "m.json"],
     ] {
         let mut args = args.to_vec();
@@ -2259,11 +2119,11 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
 #[test]
 fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     // `law=lj` scales the domain and brings its own default cutoff, and
-    // `boundary=periodic` wraps the window: the flags that produced a log
-    // must reproduce its schedule, and dropping one must not.
+    // `boundary=periodic` wraps the window: the options the bundle
+    // recorded must reproduce its schedule, and a changed one must not.
     let dir = std::env::temp_dir().join("ca_nbody_cli_one_grammar_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let metrics = dir.join("metrics.json").display().to_string();
+    let run = dir.join("run.json").display().to_string();
     let flags = [
         "method=ca-cutoff-1d",
         "law=lj",
@@ -2275,32 +2135,27 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     let out = cli()
         .arg("run")
         .args(flags)
-        .args(["boundary=periodic", &format!("--metrics={metrics}")])
+        .args(["boundary=periodic", &format!("--trace={run}")])
         .output()
         .expect("launch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    succeeded(&out);
 
-    let out = cli()
-        .args(["conformance", &metrics])
-        .args(flags)
-        .arg("boundary=periodic")
-        .output()
-        .expect("launch");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let out = cli().args(["conformance", &run]).output().expect("launch");
+    let stdout = succeeded(&out);
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
     assert!(
         stdout.contains("(periodic)") && stdout.contains("cutoff=2.5"),
         "{stdout}"
     );
 
+    let walled = edited(
+        &run,
+        "walled.json",
+        "boundary=periodic",
+        "boundary=reflective",
+    );
     let out = cli()
-        .args(["conformance", &metrics])
-        .args(flags)
+        .args(["conformance", &walled])
         .output()
         .expect("launch");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -451,14 +451,16 @@ fn all_pairs_closed_form_counts_what_the_busiest_rank_sends() {
     }
 }
 
-/// The three artifacts one small traced, probed, health-monitored run
-/// records, as the bytes `run` writes them: a timeline bundle, a wire-probe
-/// log and a Chrome trace. Recorded once, shared by every case.
-fn recorded_artifacts() -> &'static [Vec<u8>; 3] {
+/// The two files one small traced, probed, health-monitored run writes, as
+/// the bytes `run` writes them: its run bundle (a Chrome trace carrying the
+/// spec, plan, metrics and timeline) and its wire-probe log. Recorded once,
+/// shared by every case.
+fn recorded_artifacts() -> &'static [Vec<u8>; 2] {
     use ca_nbody::{Method, Run, SimConfig};
+    use nbody_comm::RunBundle;
     use nbody_physics::{Gravity, VelocityVerlet};
     use nbody_simhealth::HealthConfig;
-    static ARTIFACTS: std::sync::OnceLock<[Vec<u8>; 3]> = std::sync::OnceLock::new();
+    static ARTIFACTS: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
     ARTIFACTS.get_or_init(|| {
         let cfg = SimConfig {
             law: Gravity {
@@ -479,13 +481,13 @@ fn recorded_artifacts() -> &'static [Vec<u8>; 3] {
             .health(&health)
             .execute(&initial);
         out.result.expect("the recorded run completes");
-        let a = out.artifacts;
-        [
-            a.timeline.to_json(),
-            a.wire.to_json(),
-            a.trace.to_chrome_json(),
-        ]
-        .map(String::into_bytes)
+        let wire = out.artifacts.wire.to_json();
+        let bundle = RunBundle {
+            spec: vec!["n=32".into(), "p=4".into(), "c=2".into(), "steps=2".into()],
+            faults: Some("drop:1@1".into()),
+            artifacts: out.artifacts,
+        };
+        [bundle.to_json(), wire].map(String::into_bytes)
     })
 }
 
@@ -493,9 +495,8 @@ fn recorded_artifacts() -> &'static [Vec<u8>; 3] {
 fn artifact_parses(which: usize, bytes: &[u8]) -> bool {
     let text = String::from_utf8_lossy(bytes);
     match which {
-        0 => nbody_comm::RunTimeline::parse(&text).is_ok(),
-        1 => nbody_comm::WireLog::parse(&text).is_ok(),
-        _ => nbody_trace::ExecutionTrace::parse(&text).is_ok(),
+        0 => nbody_comm::RunBundle::parse(&text).is_ok(),
+        _ => nbody_comm::WireLog::parse(&text).is_ok(),
     }
 }
 
@@ -507,7 +508,7 @@ proptest! {
     /// A cut is always refused, since the document's closing brace goes.
     #[test]
     fn recorded_artifact_parsers_return_on_cuts_and_byte_flips(
-        which in 0usize..3,
+        which in 0usize..2,
         cut in 0.0..1.0f64,
         at in 0.0..1.0f64,
         byte in 0u8..0x80,
