@@ -87,5 +87,9 @@ check "conformance reads the ledger: the probe ring keeps no checker, fault even
 check "one run writes one file, the run bundle --trace writes and analyze/conformance read alone: no second writer for the metrics or the timeline, no option that names them again (tests/cli.rs asserts the old flags are refused)" \
     none 'record-timeline|TIMELINE_SCHEMA|fn absorb|--timeline|sweep_compute_flops' \
     crates src tests --exclude=cli.rs
+check "a team lookup truncates and clamps: no libm floor per particle in the deal, the re-assignment or the midpoint baseline" \
+    none '\.floor\(' crates/core/src/dist.rs
+check "the gather orders by merging the ranks' id-sorted blocks (merge_by_id), not by sorting every particle" \
+    none 'sort_by_key\(\|q\| q\.id\)' crates/core/src/sim.rs
 
 exit "$broken"

@@ -38,8 +38,15 @@ pub fn team_of_id(n: usize, teams: usize, id: u64) -> usize {
 /// domain's x-axis into `teams` equal slabs. Positions outside the domain
 /// clamp to the nearest slab.
 pub fn team_of_x(domain: &Domain, teams: usize, x: f64) -> usize {
-    let t = ((x - domain.min.x) / domain.length_x() * teams as f64).floor() as isize;
-    t.clamp(0, teams as isize - 1) as usize
+    slab((x - domain.min.x) / domain.length_x() * teams as f64, teams)
+}
+
+/// `⌊t⌋` clamped to `[0, teams − 1]`, by truncation: the two differ only
+/// on `(−∞, 0)`, which the clamp sends to 0 either way (NaN casts to 0,
+/// ±∞ saturate), so no libm `floor` call is needed on the deal's and the
+/// re-assignment's per-particle path.
+fn slab(t: f64, teams: usize) -> usize {
+    (t as isize).clamp(0, teams as isize - 1) as usize
 }
 
 /// The 2D team grid: `tx * ty == teams`, chosen as close to square as the
@@ -62,8 +69,7 @@ pub fn team_of_xy(domain: &Domain, tx: usize, ty: usize, x: f64, y: f64) -> usiz
     if ty == 1 {
         return cx;
     }
-    let cy = (((y - domain.min.y) / domain.length_y() * ty as f64).floor() as isize)
-        .clamp(0, ty as isize - 1) as usize;
+    let cy = slab((y - domain.min.y) / domain.length_y() * ty as f64, ty);
     cy * tx + cx
 }
 
@@ -107,6 +113,7 @@ pub fn spatial_subset_2d(
 mod tests {
     use super::*;
     use nbody_physics::{init, Vec2};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn block_ranges_partition() {
@@ -208,5 +215,59 @@ mod tests {
         // Exactly on the max edge clamps into the last team.
         assert_eq!(team_of_x(&d, 8, 1.0), 7);
         assert_eq!(team_of_xy(&d, 4, 4, 1.0, 1.0), 15);
+    }
+
+    /// Truncation is floored division once clamped: against the formula
+    /// with `⌊·⌋` (as floored division by one, like
+    /// `kernel::tests::cell_is_floor_for_every_float`) over every kind of
+    /// bit pattern, NaNs, infinities and subnormals included, on domains
+    /// with and without an offset and team counts from 1 to 9.
+    #[test]
+    fn team_lookup_is_floor_for_every_float() {
+        let floored = |t: f64, teams: usize| {
+            (t.div_euclid(1.0) as isize).clamp(0, teams as isize - 1) as usize
+        };
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            1.0 - f64::EPSILON / 2.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            2f64.powi(63),
+            -(2f64.powi(63)),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(41);
+        values.extend((0..100_000).map(|_| f64::from_bits(rng.gen::<u64>())));
+        values.extend((0..100_000).map(|_| {
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            v * 10f64.powi(rng.gen_range(-20..25))
+        }));
+        let domains = [
+            Domain::square(8.0),
+            Domain::new(Vec2::new(-3.5, 0.25), Vec2::new(1.5, 7.0)),
+        ];
+        for d in &domains {
+            for teams in 1..=9 {
+                let t = teams as f64;
+                for &v in &values {
+                    let want = floored((v - d.min.x) / d.length_x() * t, teams);
+                    assert_eq!(team_of_x(d, teams, v), want, "x={v:e} teams={teams}");
+                    let want_y = floored((v - d.min.y) / d.length_y() * t, teams);
+                    assert_eq!(
+                        team_of_xy(d, 3, teams, 1.0, v),
+                        want_y * 3 + team_of_x(d, 3, 1.0),
+                        "y={v:e} ty={teams}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -47,8 +47,8 @@ pub use recovery::{
     RetryPolicy,
 };
 pub use sim::{
-    run_distributed, run_distributed_chaos, run_serial, ChaosRunResult, CheckpointConfig, Layout,
-    Method, Run, RunOutput, RunResult, SimConfig,
+    run_distributed, run_distributed_chaos, run_plain_rank, run_serial, ChaosRunResult,
+    CheckpointConfig, Layout, Method, Run, RunOutput, RunResult, SimConfig,
 };
 pub use window::{TeamWindow, Window, Window1dPeriodic};
 pub use wire::{expected_schedule, WireScheduleSpec};

@@ -31,6 +31,8 @@
 //!   with a durable [`CheckpointConfig`] sink and the [`HealthConfig`]
 //!   monitors.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::convert::Infallible;
 
 use nbody_comm::{
@@ -465,12 +467,10 @@ where
             })
         } else {
             let (out, artifacts) = run_ranks_with(self.p, self.lenses, |world| {
-                run_rank(cfg, layout, world, initial, Plain)
+                let owned = run_plain_rank(cfg, layout, world, initial);
+                (owned, world.stats(), RecoveryReport::default(), None)
             });
-            (
-                out.into_iter().map(|r| r.map_err(|e| match e {})).collect(),
-                artifacts,
-            )
+            (out.into_iter().map(Ok).collect(), artifacts)
         };
         let result = assemble(out, initial.len());
         if let (true, Ok(run)) = (recovering, &result) {
@@ -497,10 +497,12 @@ type RankOutcome = (
 /// Merge the per-rank outcomes of a run into one [`RunResult`], accounting
 /// for blocks dropped by agreed shrinks: the gathered survivors plus the
 /// lost particles must number the initial set exactly, anything else is a
-/// protocol bug.
+/// protocol bug. Each rank hands back its block sorted by id, so the
+/// gather is one merge into the output, not a sort of it.
 fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunResult, FaultError> {
+    let mut blocks = Vec::with_capacity(out.len());
     let mut run = RunResult {
-        particles: Vec::with_capacity(n),
+        particles: Vec::new(),
         stats: Vec::with_capacity(out.len()),
         max_attempts: 1,
         recovered: false,
@@ -510,8 +512,8 @@ fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunRe
         health: None,
     };
     for r in out {
-        let (mut ps, st, rep, hr) = r?;
-        run.particles.append(&mut ps);
+        let (ps, st, rep, hr) = r?;
+        blocks.push(ps);
         run.stats.push(st);
         run.max_attempts = run.max_attempts.max(rep.attempts);
         run.recovered |= rep.recovered;
@@ -545,13 +547,44 @@ fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunRe
             }
         }
     }
-    run.particles.sort_by_key(|q| q.id);
+    run.particles = merge_by_id(&blocks);
     assert_eq!(
         run.particles.len() + run.lost_particles,
         n,
         "particles lost or duplicated in distributed run beyond the agreed shrinks"
     );
     Ok(run)
+}
+
+/// Merge blocks that are each sorted by id into one vector sorted by id,
+/// allocated once at its final length: the one gather-by-id of a run's
+/// end and of a shrink. A block's run of ids below every other block's
+/// next id is copied whole, so id blocks (one run each) cost `p` heap
+/// operations, a scan and a copy.
+fn merge_by_id(blocks: &[Vec<Particle>]) -> Vec<Particle> {
+    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
+    let mut next = vec![0; blocks.len()];
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = blocks
+        .iter()
+        .enumerate()
+        .filter_map(|(b, block)| Some(Reverse((block.first()?.id, b))))
+        .collect();
+    while let Some(Reverse((_, b))) = heads.pop() {
+        let rest = &blocks[b][next[b]..];
+        // A scan, not a binary search: it touches only the lines the copy
+        // reads next, where a search's probes miss in a block another
+        // core has just written.
+        let run = match heads.peek() {
+            Some(&Reverse((bound, _))) => 1 + rest[1..].iter().take_while(|q| q.id < bound).count(),
+            None => rest.len(),
+        };
+        out.extend_from_slice(&rest[..run]);
+        next[b] += run;
+        if let Some(q) = rest.get(run) {
+            heads.push(Reverse((q.id, b)));
+        }
+    }
+    out
 }
 
 /// The decomposition of a method on a world of ranks: the processor grid
@@ -973,13 +1006,10 @@ fn shrink_world<C: Communicator>(
     // The recovery loop left the restored pre-force checkpoint on every
     // surviving-column rank, so the old leaders' copies are exactly one
     // copy of each live block.
-    let contrib = if was_leader { st.to_vec() } else { Vec::new() };
-    let mut full: Vec<Particle> = match next.gather(0, &contrib) {
-        Some(parts) => {
-            let mut all: Vec<Particle> = parts.into_iter().flatten().collect();
-            all.sort_by_key(|q| q.id);
-            all
-        }
+    let mut contrib = if was_leader { st.to_vec() } else { Vec::new() };
+    contrib.sort_unstable_by_key(|q| q.id);
+    let mut full = match next.gather(0, &contrib) {
+        Some(parts) => merge_by_id(&parts),
         None => Vec::new(),
     };
     next.bcast(0, &mut full);
@@ -1123,9 +1153,36 @@ fn health_reduce<C: Communicator>(
     Ok((energy, momentum))
 }
 
+/// The one rank loop of a plain run — nothing riding along, so it cannot
+/// fail — on a communicator the caller supplies: what [`Run::execute`]
+/// runs on each rank thread when no fault plan, checkpoint sink or health
+/// monitor is set, for callers that wrap the transport (a tracing or
+/// counting [`Communicator`]) and spawn the ranks themselves
+/// ([`run_ranks`](nbody_comm::run_ranks)). `layout` is
+/// [`Layout::new`]'s for the world's size. Returns the particles this rank
+/// owns at the end, sorted by id (none off the leaders); its statistics
+/// are `world.stats()`.
+pub fn run_plain_rank<F, I, C>(
+    cfg: &SimConfig<F, I>,
+    layout: Layout,
+    world: &mut C,
+    initial: &[Particle],
+) -> Vec<Particle>
+where
+    F: ForceLaw,
+    I: Integrator,
+    C: Communicator,
+{
+    match run_rank(cfg, layout, world, initial, Plain) {
+        Ok((owned, ..)) => owned,
+        Err(e) => match e {},
+    }
+}
+
 /// Per-rank body of a run: the one timestep loop of every method. A
 /// `ColumnsLost` verdict from the evaluation shrinks the world onto the
-/// survivors and re-runs that step's evaluation there.
+/// survivors and re-runs that step's evaluation there. The block handed
+/// back is sorted by id, here on the rank, so the launcher only merges.
 fn run_rank<F, I, C, E>(
     cfg: &SimConfig<F, I>,
     mut layout: Layout,
@@ -1224,7 +1281,8 @@ where
     if layout.cells.is_some() {
         world.set_phase(Phase::Other);
     }
-    let owned = if gc.is_leader() { st } else { Vec::new() };
+    let mut owned = if gc.is_leader() { st } else { Vec::new() };
+    owned.sort_unstable_by_key(|q| q.id);
     Ok((owned, world.stats(), agg, eval.health_report()))
 }
 
@@ -1332,6 +1390,28 @@ mod tests {
         let want = run_serial(&cfg, &initial);
         let got = run_distributed(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial);
         assert_trajectories_match(&got.particles, &want, 1e-9, "verlet ca");
+    }
+
+    /// The merge is the sort it replaced: ids dealt to blocks at random
+    /// (runs of every length, empty blocks, one block) come back as the
+    /// sorted concatenation.
+    #[test]
+    fn merging_id_sorted_blocks_is_sorting_their_concatenation() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..200 {
+            let (p, n) = (rng.gen_range(1..9), rng.gen_range(0..300));
+            let (mut blocks, mut b) = (vec![Vec::new(); p], 0);
+            for id in 0..n as u64 {
+                if rng.gen_range(0..4) == 0 {
+                    b = rng.gen_range(0..p);
+                }
+                blocks[b].push(Particle::at(id * 3, Vec2::new(id as f64, 0.0)));
+            }
+            let mut want: Vec<Particle> = blocks.concat();
+            want.sort_unstable_by_key(|q| q.id);
+            assert_eq!(merge_by_id(&blocks), want, "p={p} n={n}");
+        }
     }
 
     #[test]

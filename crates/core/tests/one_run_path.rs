@@ -12,9 +12,11 @@
 //! these counts moves.
 
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::sim::{run_distributed, run_distributed_chaos, Layout, Method, SimConfig};
+use ca_nbody::sim::{
+    run_distributed, run_distributed_chaos, run_plain_rank, Layout, Method, SimConfig,
+};
 use ca_nbody::window::Window;
-use nbody_comm::{FaultPlan, Phase, PhaseCounters, ALL_PHASES};
+use nbody_comm::{run_ranks, Communicator, FaultPlan, Phase, PhaseCounters, ALL_PHASES};
 use nbody_physics::{
     init, Boundary, Cutoff, Domain, ForceLaw, Particle, RepulsiveInverseSquare, SemiImplicitEuler,
     Source,
@@ -122,5 +124,74 @@ fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
             }
             assert_eq!(recovery_messages, STEPS as u64 * agree_messages, "{ctx}");
         }
+    }
+}
+
+/// The rank loop is callable on a communicator the caller spawns: every
+/// method's `run_plain_rank` under `run_ranks` hands back what
+/// `run_distributed` gathers, bit for bit and in id order on each rank,
+/// and puts the same traffic on the wire.
+#[test]
+fn the_rank_loop_on_the_callers_ranks_is_run_distributed() {
+    let table = [
+        (Method::CaAllPairs { c: 2 }, 8),
+        (Method::ParticleRingSymmetric, 4),
+        (Method::NaiveAllgather, 4),
+        (Method::Ca1dCutoff { c: 2 }, 8),
+        (Method::Ca2dCutoff { c: 1 }, 4),
+        (Method::SpatialHalo1d, 4),
+        (Method::SpatialHalo2d, 4),
+        (Method::Midpoint1d, 4),
+        (Method::Midpoint2d, 4),
+    ];
+    let bits = |ps: &[Particle]| -> Vec<(u64, [u64; 7])> {
+        ps.iter()
+            .map(|q| {
+                let f = [
+                    q.pos.x, q.pos.y, q.vel.x, q.vel.y, q.force.x, q.force.y, q.mass,
+                ];
+                (q.id, f.map(f64::to_bits))
+            })
+            .collect()
+    };
+    for (method, p) in table {
+        let cfg = SimConfig {
+            law: Cutoff::new(
+                RepulsiveInverseSquare {
+                    strength: 1e-3,
+                    softening: 1e-3,
+                },
+                0.25,
+            ),
+            integrator: SemiImplicitEuler,
+            domain: Domain::unit(),
+            boundary: Boundary::Periodic,
+            dt: 0.01,
+            steps: STEPS,
+        };
+        let initial = init::uniform(60, &cfg.domain, 11);
+        let want = run_distributed(&cfg, method, p, &initial);
+        let layout = Layout::new(method, p, &cfg.domain, cfg.boundary, cfg.law.cutoff()).unwrap();
+        let ranks = run_ranks(p, |world| {
+            let owned = run_plain_rank(&cfg, layout, world, &initial);
+            (owned, world.stats())
+        });
+        let mut got = Vec::new();
+        for (rank, (owned, stats)) in ranks.into_iter().enumerate() {
+            assert!(
+                owned.windows(2).all(|w| w[0].id < w[1].id),
+                "{method:?}: rank {rank} hands back its block in id order"
+            );
+            for phase in ALL_PHASES {
+                assert_eq!(
+                    counts(stats.phase(phase)),
+                    counts(want.stats[rank].phase(phase)),
+                    "{method:?}: rank {rank} {phase:?}"
+                );
+            }
+            got.extend(owned);
+        }
+        got.sort_by_key(|q| q.id);
+        assert_eq!(bits(&got), bits(&want.particles), "{method:?}");
     }
 }
