@@ -59,7 +59,7 @@ check "the program reads one environment variable, NBODY_RECV_TIMEOUT_SECS; a ru
     test "$(grep -rhoE 'env::var(_os)?\("[^"]*"\)' crates src | sort -u | wc -l)" -eq 1
 check "a trace has one reloadable format, Chrome trace_event JSON" \
     none '(to|from)_jsonl' crates src tests
-check "the run's artifacts are files that analyze/conformance read; there is no server in front of them" \
+check "the run's artifacts are files that analyze reads; there is no server in front of them" \
     none 'TcpListener|MetricsServer|render_dashboard|serve-metrics' crates src tests --exclude=cli.rs
 check "every subcommand, run flag and example has a reader outside its own tests (ROADMAP item 4's verdict table)" \
     none '\("(scale|postmortem)", |let profile = |run_distributed_sampled|radial_distribution' \
@@ -84,9 +84,13 @@ check "every subcommand has a reader outside its own tests: autotune had none" \
 check "conformance reads the ledger: the probe ring keeps no checker, fault events or fault notes (an injected fault is counted and noted in the flight ring, not probed)" \
     none 'check_conformance|FaultNote|probe_notes|probe_kind|FaultDrop|FaultDelay|FaultDup|FaultKill|fault_events' \
     crates src tests
-check "one run writes one file, the run bundle --trace writes and analyze/conformance read alone: no second writer for the metrics or the timeline, no option that names them again (tests/cli.rs asserts the old flags are refused)" \
+check "one run writes one file, the run bundle --trace writes and analyze reads alone: no second writer for the metrics or the timeline, no option that names them again (tests/cli.rs asserts the old flags are refused)" \
     none 'record-timeline|TIMELINE_SCHEMA|fn absorb|--timeline|sweep_compute_flops' \
     crates src tests --exclude=cli.rs
+check "a recorded run gets its verdicts from one reader, analyze: audit and conformance are folded into it" \
+    none '^ *\("(audit|conformance)", ' src
+check "analyze audits the bundle the run wrote: no subcommand defaults of its own to launch an audited run, no second per-phase send table" \
+    none 'Defaults::AUDIT|fn send_table' src
 check "a team lookup truncates and clamps: no libm floor per particle in the deal, the re-assignment or the midpoint baseline" \
     none '\.floor\(' crates/core/src/dist.rs
 check "the gather orders by merging the ranks' id-sorted blocks (merge_by_id), not by sorting every particle" \

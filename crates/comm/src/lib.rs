@@ -22,7 +22,7 @@ pub mod error;
 pub mod stats;
 pub mod thread_comm;
 
-pub use bundle::{RunBundle, RUN_SCHEMA};
+pub use bundle::{RunBundle, Shrink, RUN_SCHEMA};
 pub use chaos::{
     run_ranks_chaos, run_ranks_chaos_with, ChaosComm, FaultEvent, FaultKind, FaultPlan,
 };

@@ -63,7 +63,7 @@
 //! accumulation order is unchanged, recovered evaluations are
 //! **bit-identical** to fault-free ones. Recovery traffic is attributed to
 //! [`Phase::Recovery`] (excluded from the paper's cost model, priced
-//! separately by `audit`) and counted in the `fault_*` /
+//! separately by the audit) and counted in the `fault_*` /
 //! `recovery_bytes_total` metrics.
 
 use std::cell::Cell;
@@ -221,20 +221,16 @@ pub struct RecoveryReport {
     pub attempts: usize,
     /// Whether any fault was detected (and survived).
     pub recovered: bool,
-    /// Times the world shrank onto survivors (simulation-layer degraded
-    /// mode; always 0 at the single-evaluation level).
-    pub shrinks: usize,
-    /// Particles dropped with dead columns across all shrinks.
+    /// Particles dropped with dead columns across all shrinks (simulation
+    /// layer; always 0 at the single-evaluation level).
     pub lost_particles: usize,
-    /// World size after the last shrink (0 = the world never shrank).
-    pub survivor_ranks: usize,
     /// Replica fingerprint mismatches the health cross-check detected
     /// (and repaired) during this evaluation.
     pub fingerprint_mismatches: usize,
 }
 
 /// Per-rank fault/recovery counters, registered against the live metrics
-/// recorder so `analyze`/`audit` can price recovery overhead.
+/// recorder so `analyze` can price recovery overhead.
 struct FaultCounters {
     detected: Counter,
     recovered: Counter,

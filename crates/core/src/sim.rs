@@ -37,7 +37,7 @@ use std::convert::Infallible;
 
 use nbody_comm::{
     run_ranks_chaos_with, run_ranks_with, Artifacts, CommStats, Communicator, EventKind,
-    ExecutionTrace, FaultKind, FaultPlan, Lenses, MetricsSnapshot, Phase,
+    ExecutionTrace, FaultKind, FaultPlan, Lenses, MetricsSnapshot, Phase, Shrink,
 };
 use nbody_durable::{write_atomic, CheckpointBundle, ColumnBlock};
 use nbody_physics::particle::reset_forces;
@@ -191,9 +191,9 @@ pub struct RunResult {
     pub max_attempts: usize,
     /// Whether any evaluation recovered from a detected fault.
     pub recovered: bool,
-    /// Times the world shrank onto the survivors (degraded mode; 0 on a
-    /// run that never lost a whole team column).
-    pub shrinks: usize,
+    /// Every agreed shrink of the world onto its survivors, in order
+    /// (degraded mode; none on a run that never lost a whole team column).
+    pub shrinks: Vec<Shrink>,
     /// Particles dropped with dead columns across all shrinks.
     pub lost_particles: usize,
     /// Ranks still computing when the run finished (`p` if never shrunk).
@@ -264,7 +264,7 @@ pub struct ChaosRunResult {
     pub max_attempts: usize,
     /// See [`RunResult::recovered`].
     pub recovered: bool,
-    /// See [`RunResult::shrinks`].
+    /// How many times the world shrank ([`RunResult::shrinks`]).
     pub shrinks: usize,
     /// See [`RunResult::lost_particles`].
     pub lost_particles: usize,
@@ -329,7 +329,7 @@ where
         trace: out.artifacts.trace,
         max_attempts: res.max_attempts,
         recovered: res.recovered,
-        shrinks: res.shrinks,
+        shrinks: res.shrinks.len(),
         lost_particles: res.lost_particles,
         final_ranks: res.final_ranks,
     })
@@ -468,7 +468,13 @@ where
         } else {
             let (out, artifacts) = run_ranks_with(self.p, self.lenses, |world| {
                 let owned = run_plain_rank(cfg, layout, world, initial);
-                (owned, world.stats(), RecoveryReport::default(), None)
+                (
+                    owned,
+                    world.stats(),
+                    RecoveryReport::default(),
+                    None,
+                    Vec::new(),
+                )
             });
             (out.into_iter().map(Ok).collect(), artifacts)
         };
@@ -486,12 +492,14 @@ where
 }
 
 /// What one rank hands back: the particles it owns at the end, its
-/// statistics, and what its evaluations and monitors reported.
+/// statistics, what its evaluations and monitors reported, and the
+/// shrinks it took part in.
 type RankOutcome = (
     Vec<Particle>,
     CommStats,
     RecoveryReport,
     Option<HealthReport>,
+    Vec<Shrink>,
 );
 
 /// Merge the per-rank outcomes of a run into one [`RunResult`], accounting
@@ -506,23 +514,22 @@ fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunRe
         stats: Vec::with_capacity(out.len()),
         max_attempts: 1,
         recovered: false,
-        shrinks: 0,
+        shrinks: Vec::new(),
         lost_particles: 0,
         final_ranks: out.len(),
         health: None,
     };
     for r in out {
-        let (ps, st, rep, hr) = r?;
+        let (ps, st, rep, hr, shrinks) = r?;
         blocks.push(ps);
         run.stats.push(st);
         run.max_attempts = run.max_attempts.max(rep.attempts);
         run.recovered |= rep.recovered;
-        // Survivors carry the cumulative loss; ranks that left early hold
-        // a prefix of it, so the max is the total.
-        run.shrinks = run.shrinks.max(rep.shrinks);
+        // Survivors carry the cumulative loss and every shrink; ranks that
+        // left early hold a prefix of both, so the longest is the whole.
         run.lost_particles = run.lost_particles.max(rep.lost_particles);
-        if rep.survivor_ranks > 0 {
-            run.final_ranks = run.final_ranks.min(rep.survivor_ranks);
+        if shrinks.len() > run.shrinks.len() {
+            run.shrinks = shrinks;
         }
         if let Some(hr) = hr {
             // The reduced invariants are agreed on every surviving rank; a
@@ -546,6 +553,9 @@ fn assemble(out: Vec<Result<RankOutcome, FaultError>>, n: usize) -> Result<RunRe
                 merged.max_momentum_norm = merged.max_momentum_norm.max(hr.max_momentum_norm);
             }
         }
+    }
+    if let Some(last) = run.shrinks.last() {
+        run.final_ranks = last.survivors.len();
     }
     run.particles = merge_by_id(&blocks);
     assert_eq!(
@@ -594,7 +604,7 @@ fn merge_by_id(blocks: &[Vec<Particle>]) -> Vec<Particle> {
 /// `(method, p, domain, boundary, r_c)` becomes `(grid, team dims, window)`.
 ///
 /// [`Layout::new`] is the validating constructor; the public fields are
-/// plain data for callers that report on a layout (`audit`, `chaos`, the
+/// plain data for callers that report on a layout (`analyze`, `chaos`, the
 /// figure and autotuning sweeps, the conformance checker).
 #[derive(Debug, Clone, Copy)]
 pub struct Layout {
@@ -994,7 +1004,6 @@ fn shrink_world<C: Communicator>(
     // and the split sends nothing; keying on the old rank keeps the
     // survivors' relative order.
     let next = cur.split_by(|r| (usize::from(survives(r)), r));
-    agg.shrinks += 1;
     if !survivor {
         tl.event(
             EventKind::WorldShrunk,
@@ -1016,7 +1025,6 @@ fn shrink_world<C: Communicator>(
     let lost = *live_n - full.len();
     *live_n = full.len();
     agg.lost_particles += lost;
-    agg.survivor_ranks = next.size();
     let rec = cur.metrics();
     rec.counter("world_shrunk_total", None).inc();
     rec.counter("shrink_lost_particles_total", None)
@@ -1207,6 +1215,10 @@ where
     // borrowed launch world stays behind only for rank-local telemetry
     // (stats and recorders are shared across splits).
     let mut shrunk: Option<C> = None;
+    // The launch ranks of the current world's ranks, and the shrinks
+    // that got it there.
+    let mut launch: Vec<u32> = (0..world.size() as u32).collect();
+    let mut shrinks: Vec<Shrink> = Vec::new();
     let mut gc = GridComms::new(world, layout.grid);
     let mut st = layout.block(&gc, initial, domain);
     for step in 0..cfg.steps {
@@ -1240,7 +1252,8 @@ where
                 &mut agg,
                 step,
             ) else {
-                return Ok((Vec::new(), world.stats(), agg, eval.health_report()));
+                let health = eval.health_report();
+                return Ok((Vec::new(), world.stats(), agg, health, shrinks));
             };
             // Agreed without a message: every survivor evaluates the same
             // deterministic policy on the same survivor count.
@@ -1250,6 +1263,17 @@ where
             let Some((_, shrunk_layout)) = on_survivors else {
                 return Err(no_layout);
             };
+            let mut rank = 0;
+            launch.retain(|_| {
+                rank += 1;
+                !dead_teams.contains(&layout.grid.team_of(rank - 1))
+            });
+            shrinks.push(Shrink {
+                step: step as u64,
+                survivors: launch.clone(),
+                c: shrunk_layout.grid.c(),
+                n: live_n,
+            });
             layout = shrunk_layout;
             gc = GridComms::new(&next, layout.grid);
             shrunk = Some(next);
@@ -1283,7 +1307,7 @@ where
     }
     let mut owned = if gc.is_leader() { st } else { Vec::new() };
     owned.sort_unstable_by_key(|q| q.id);
-    Ok((owned, world.stats(), agg, eval.health_report()))
+    Ok((owned, world.stats(), agg, eval.health_report(), shrinks))
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! schedule on the full team ring). [`expected_schedule`] folds its sends
 //! into per-channel totals over the run — `(src, dst, phase) → (messages,
 //! elements)` — for a real run laid out by the same `Layout::new`, and
-//! [`check`] diffs a run's metrics snapshot against them. The transport
+//! [`check`] diffs a run's metrics snapshot against them. A run whose
+//! world shrank is piecewise: the spec's layout up to each recorded
+//! [`Shrink`], the shrink policy's ([`Method::shrunk_onto`]) after it, in
+//! launch-rank numbering. The transport
 //! counts every point-to-point send per channel in the rank's `CommStats`
 //! ledger, exactly, so the diff has no log that could saturate. Elements
 //! are particle counts: the unit both the schedule's 52-byte wire math and
@@ -16,7 +19,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use nbody_comm::{FaultEvent, FaultKind, FaultPlan, MetricsSnapshot, Phase, ALL_PHASES};
+use nbody_comm::{FaultEvent, FaultKind, FaultPlan, MetricsSnapshot, Phase, Shrink, ALL_PHASES};
 use nbody_netsim::Op;
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{Boundary, Domain};
@@ -44,6 +47,8 @@ pub struct WireScheduleSpec {
     pub boundary: Boundary,
     /// Cutoff radius, required by the cutoff methods.
     pub cutoff: Option<f64>,
+    /// The world's agreed shrinks, as the run's bundle recorded them.
+    pub shrinks: Vec<Shrink>,
 }
 
 /// One direction between two world ranks, in one phase.
@@ -71,6 +76,11 @@ pub struct Sends {
 pub struct ExpectedSchedule {
     /// Predicted totals of every channel the schedule sends on.
     pub channels: BTreeMap<Channel, Sends>,
+    /// The part of `channels` a shrink interrupted: the sends of each step
+    /// whose evaluation lost whole team columns, on the layout that lost
+    /// them. The run made them in part; a shortfall within them is the
+    /// loss's.
+    pub cut: BTreeMap<Channel, Sends>,
     /// Whether element totals are predicted exactly. When `false` (the
     /// cutoff methods, whose block sizes drift with re-assignment) only
     /// message counts are checked.
@@ -93,34 +103,38 @@ pub struct ExpectedSchedule {
 ///   id-block ones are used.
 /// * Methods that replicate nothing have no CA schedule twin and return
 ///   `Err`.
+///
+/// Each recorded shrink ends the layout before it: its steps up to the
+/// shrink's are predicted whole, the shrink's own step on it goes to
+/// [`ExpectedSchedule::cut`] (and into `channels`), and the survivors'
+/// layout, at the recorded replication and particle count, takes over
+/// from that step, which they evaluate again.
 pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, String> {
     if !spec.method.is_ca() {
         return Err(spec.method.not_ca());
     }
-    let layout = Layout::new(
-        spec.method,
-        spec.p,
-        &spec.domain,
-        spec.boundary,
-        spec.cutoff,
-    )?;
-    let params = layout.schedule(id_block_sizes(spec.n, layout.grid.teams()));
-    let steps = spec.steps as u64;
-    let mut channels: BTreeMap<Channel, Sends> = BTreeMap::new();
-    for rank in 0..spec.p {
-        for op in params.program(rank) {
-            if let Op::Send { to, bytes, phase } = op {
-                let channel = Channel {
-                    src: rank as u32,
-                    dst: to as u32,
-                    phase,
-                };
-                let sends = channels.entry(channel).or_default();
-                sends.messages += steps;
-                sends.elements += steps * (bytes / PARTICLE_WIRE_BYTES as u64);
-            }
-        }
+    let (domain, boundary, cutoff) = (&spec.domain, spec.boundary, spec.cutoff);
+    let launch = Layout::new(spec.method, spec.p, domain, boundary, cutoff)?;
+    let (mut method, mut layout, mut n) = (spec.method, launch, spec.n);
+    let mut ranks: Vec<u32> = (0..spec.p as u32).collect();
+    let (mut channels, mut cut) = (BTreeMap::new(), BTreeMap::new());
+    let mut from = 0;
+    for shrink in &spec.shrinks {
+        let step = shrink.step;
+        // In step order, and particles are only ever lost.
+        let fits = from <= step && step < spec.steps as u64 && shrink.n <= n;
+        let launched = shrink.survivors.iter().all(|&r| (r as usize) < spec.p);
+        let next = method.shrunk_onto(shrink.survivors.len(), domain, boundary, cutoff);
+        let Some(next) = next.filter(|(_, l)| fits && launched && l.grid.c() == shrink.c) else {
+            return Err(format!("{shrink:?} is not a shrink this run can make"));
+        };
+        add_sends(&layout, n, &ranks, step - from + 1, &mut channels);
+        add_sends(&layout, n, &ranks, 1, &mut cut);
+        (method, layout) = next;
+        (ranks, n, from) = (shrink.survivors.clone(), shrink.n, step);
     }
+    add_sends(&layout, n, &ranks, spec.steps as u64 - from, &mut channels);
+    let layout = launch;
     let mut detail = format!(
         "{}{} n={} p={} c={} steps={}",
         layout.name,
@@ -137,11 +151,45 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
     if let Some(r_c) = spec.cutoff {
         detail.push_str(&format!(" cutoff={r_c}"));
     }
+    for s in &spec.shrinks {
+        detail.push_str(&format!(
+            ", shrank at step {} onto p'={} c'={}",
+            s.step,
+            s.survivors.len(),
+            s.c
+        ));
+    }
     Ok(ExpectedSchedule {
         channels,
+        cut,
         size_checked: layout.neighbourhood().is_none(),
         detail,
     })
+}
+
+/// Add `steps` timesteps of `layout`'s schedule on `n` particles to
+/// `into`, its rank `i` being launch rank `ranks[i]`.
+fn add_sends(
+    layout: &Layout,
+    n: usize,
+    ranks: &[u32],
+    steps: u64,
+    into: &mut BTreeMap<Channel, Sends>,
+) {
+    if steps == 0 {
+        return;
+    }
+    let params = layout.schedule(id_block_sizes(n, layout.grid.teams()));
+    for (rank, &src) in ranks.iter().enumerate() {
+        for op in params.program(rank) {
+            if let Op::Send { to, bytes, phase } = op {
+                let dst = ranks[to];
+                let sends = into.entry(Channel { src, dst, phase }).or_default();
+                sends.messages += steps;
+                sends.elements += steps * (bytes / PARTICLE_WIRE_BYTES as u64);
+            }
+        }
+    }
 }
 
 /// What each channel of a recorded run carried: the per-peer
@@ -270,8 +318,8 @@ impl ConformanceReport {
             .collect()
     }
 
-    /// The table `ca-nbody conformance` prints: the totals, every
-    /// violation with its attribution, and the verdict.
+    /// The table `ca-nbody analyze` prints: the totals, the sends folded
+    /// per phase, every violation with its attribution, and the verdict.
     pub fn render(&self) -> String {
         let mut out = format!("schedule conformance: {}\n", self.detail);
         out.push_str(&format!(
@@ -280,6 +328,20 @@ impl ConformanceReport {
             self.observed_msgs(),
             self.channels.len()
         ));
+        out.push_str(
+            "  wire messages (observed in the ledger vs predicted by the schedule, whole run)\n",
+        );
+        out.push_str(&format!(
+            "  {:<11} {:>12} {:>12} {:>8}\n",
+            "phase", "predicted", "observed", "delta"
+        ));
+        for (phase, predicted, sent) in self.sends_by_phase() {
+            let delta = sent as i64 - predicted as i64;
+            let phase = phase.label();
+            out.push_str(&format!(
+                "  {phase:<11} {predicted:>12} {sent:>12} {delta:>+8}\n"
+            ));
+        }
         if self.violations.is_empty() {
             out.push_str("no violations\n");
         } else {
@@ -318,11 +380,12 @@ fn describe(e: &FaultEvent) -> String {
 /// Diff the sends `snapshot` counted against `expected`, channel by
 /// channel, and attribute each deviation to a fault of `plan` where one
 /// explains it: missing messages (or wrong element totals) from a rank a
-/// drop or kill was aimed at; surplus from a rank a duplicate was aimed
-/// at, or on a channel the schedule sends on once a fault forced a retry
-/// (recovery re-runs a whole pipeline attempt on every channel, and so
-/// does the repair of a corrupt replica, a fault that never touches the
-/// wire).
+/// drop or kill was aimed at, or within the sends a shrink interrupted
+/// (the plan's kill cut that step short); surplus from a rank a duplicate
+/// was aimed at, or on a channel the schedule sends on once a fault forced
+/// a retry (recovery re-runs a whole pipeline attempt on every channel,
+/// and so does the repair of a corrupt replica, a fault that never touches
+/// the wire).
 pub fn check(
     expected: &ExpectedSchedule,
     snapshot: &MetricsSnapshot,
@@ -347,6 +410,10 @@ pub fn check(
         .iter()
         .find(|e| e.kind.on_wire() || e.kind == FaultKind::Corrupt)
         .map(describe);
+    let killed = wire
+        .iter()
+        .find(|e| e.kind == FaultKind::Kill)
+        .map(|e| describe(e));
     let mut violations = Vec::new();
     for (&channel, &(exp, obs)) in &both {
         let (kind, expected_total, observed_total) = match exp.messages.cmp(&obs.messages) {
@@ -358,13 +425,22 @@ pub fn check(
             Ordering::Equal => continue,
         };
         let lossy = || aimed_at(channel.src, &[FaultKind::Drop, FaultKind::Kill]);
+        // A shortfall no larger than the interrupted step's sends.
+        let cut = expected.cut.get(&channel).map_or(0, |s| s.messages);
+        let cut_short = || {
+            let within = cut > 0 && obs.messages + cut >= exp.messages;
+            let f = killed.as_ref().filter(|_| within)?;
+            Some(format!(
+                "step cut short when the world shrank after injected {f}"
+            ))
+        };
         let explained = match kind {
-            ViolationKind::Missing => {
-                lossy().map(|f| format!("message suppressed by injected {f}"))
-            }
-            ViolationKind::Elements => {
-                lossy().map(|f| format!("attempt truncated by injected {f}"))
-            }
+            ViolationKind::Missing => lossy()
+                .map(|f| format!("message suppressed by injected {f}"))
+                .or_else(cut_short),
+            ViolationKind::Elements => lossy()
+                .map(|f| format!("attempt truncated by injected {f}"))
+                .or_else(cut_short),
             ViolationKind::Unexpected => {
                 match (aimed_at(channel.src, &[FaultKind::Duplicate]), &retried) {
                     (Some(f), _) => Some(format!("surplus copy from injected {f}")),
@@ -404,6 +480,7 @@ mod tests {
             domain: Domain::unit(),
             boundary: Boundary::Reflective,
             cutoff: None,
+            shrinks: Vec::new(),
         }
     }
 
@@ -489,6 +566,7 @@ mod tests {
         });
         ExpectedSchedule {
             channels: channels.collect(),
+            cut: BTreeMap::new(),
             size_checked: true,
             detail: "test".into(),
         }
@@ -629,6 +707,63 @@ mod tests {
         let exp = expected(&[(0, 1, 1, 10)]);
         let obs = snapshot(&[(0, 1, Phase::Shift, 10), (0, 2, Phase::Shift, 10)]);
         assert_eq!(check(&exp, &obs, &plan("drop:2@0")).unexplained(), 1);
+    }
+
+    #[test]
+    fn a_shrunk_run_is_the_launch_layout_then_the_survivors_in_launch_ranks() {
+        // p = 4, c = 1: the ring 0 -> 1 -> 2 -> 3 -> 0 shifts 4 times a step
+        // on each channel. At step 1 team 2 dies and launch ranks 0, 1, 3
+        // ring on, 3 shifts a step, their 48 particles 16 to a block.
+        let mut sp = spec(Method::CaAllPairs { c: 1 }, 64, 4, 3);
+        let shrink = Shrink {
+            step: 1,
+            survivors: vec![0, 1, 3],
+            c: 1,
+            n: 48,
+        };
+        sp.shrinks = vec![shrink.clone()];
+        let s = expected_schedule(&sp).unwrap();
+        let sends = |src, dst| {
+            let on = s
+                .channels
+                .iter()
+                .find(|(c, _)| (c.src, c.dst) == (src, dst));
+            on.map(|(_, sends)| (sends.messages, sends.elements))
+        };
+        // Step 0 whole (4), step 1 cut short (4), steps 1 and 2 on the
+        // survivors (2 x 3).
+        assert_eq!(sends(0, 1).map(|s| s.0), Some(4 + 4 + 6));
+        assert_eq!(sends(1, 2).map(|s| s.0), Some(4 + 4));
+        assert_eq!(sends(1, 3), Some((6, 6 * 16)));
+        assert_eq!(s.cut.values().map(|c| c.messages).sum::<u64>(), 4 * 4);
+        assert!(s.detail.ends_with(", shrank at step 1 onto p'=3 c'=1"));
+
+        // The run: step 0 whole, team 2's loss cuts step 1 short after 2,
+        // 1, 0 and 1 sends, the survivors evaluate it again and go on.
+        let sent: Vec<_> = [(0, 1, 12), (1, 2, 5), (2, 3, 4), (3, 0, 11), (1, 3, 6)]
+            .into_iter()
+            .flat_map(|(src, dst, k)| std::iter::repeat_n((src, dst, Phase::Shift, 16), k))
+            .collect();
+        let obs = snapshot(&sent);
+        let report = check(&s, &obs, &plan("kill:2@1"));
+        assert_eq!((report.verdict(), report.violations.len()), ("PASS", 4));
+        for v in &report.violations {
+            let why = v.explained.as_deref().unwrap();
+            assert!(why.contains("fault_kill:rank2@step1"), "{why}");
+        }
+        // No kill on record, or a shortfall past the cut step: a FAIL.
+        assert_eq!(check(&s, &obs, &FaultPlan::empty()).unexplained(), 4);
+        let short = snapshot(&sent[5..]);
+        assert_eq!(check(&s, &short, &plan("kill:2@1")).unexplained(), 1);
+
+        // A shrink the policy would not make, onto no launch rank, out of
+        // step order or gaining particles is an error, not a schedule.
+        let mut bad = [shrink.clone(), shrink.clone(), shrink.clone(), shrink];
+        (bad[0].c, bad[1].survivors[2], bad[2].step, bad[3].n) = (2, 4, 3, 65);
+        for bad in bad {
+            sp.shrinks = vec![bad];
+            assert!(expected_schedule(&sp).is_err());
+        }
     }
 
     #[test]

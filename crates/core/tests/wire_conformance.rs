@@ -50,6 +50,7 @@ fn spec_for<F, I>(cfg: &SimConfig<F, I>, method: Method, n: usize, p: usize) -> 
         domain: cfg.domain,
         boundary: cfg.boundary,
         cutoff: None,
+        shrinks: Vec::new(),
     }
 }
 

@@ -4,7 +4,7 @@
 //! Communication-Optimal N-Body Algorithm for Direct Interactions"*
 //! (IPDPS 2013).
 //!
-//! The paper (and the `audit` subcommand) bound *communication*; this crate
+//! The paper bounds *communication*, and so does `analyze`'s audit; this crate
 //! supplies the matching yardstick for *compute*, in the hardware-efficiency
 //! style of Harfst et al.'s direct N-body performance analysis: count
 //! interactions, convert to FLOPs, and compare against measured machine

@@ -128,7 +128,7 @@ pub fn roofline(
     }
 }
 
-/// The human-readable compute section of `ca-nbody audit`.
+/// The human-readable compute section of `ca-nbody analyze`.
 pub fn roofline_table(reports: &[RooflineReport]) -> String {
     let mut out = String::new();
     if reports.is_empty() {

@@ -24,7 +24,7 @@ pub enum Phase {
     /// Spatial-decomposition maintenance between timesteps (§IV.D).
     Reassign,
     /// Fault detection, agreement, and replica-resync traffic. Not part of
-    /// the paper's cost model — kept separate so `audit` can price recovery
+    /// the paper's cost model — kept separate so the audit can price recovery
     /// overhead independently of the optimality-bound phases.
     Recovery,
     /// Anything else (setup, local compute, verification, ...).

@@ -1,7 +1,7 @@
 //! What subcommands read and write: input files, output files (each
 //! artifact in one encoding), and the one-line JSON summary. A run's one
 //! file is its bundle (`nbody_comm::RunBundle`): `run --trace` and
-//! `chaos --postmortem` write it, `analyze` and `conformance` [`load`] it.
+//! `chaos --postmortem` write it, `analyze` [`load`]s it.
 
 use std::path::Path;
 use std::str::FromStr;
@@ -36,7 +36,7 @@ pub fn write(path: &str, what: &str, body: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot write {what} to {path}: {e}"))
 }
 
-/// Where `--trace`, `--out` and `--roofline-out` write their artifact,
+/// Where `run --trace` and `analyze --json` write their artifact,
 /// whose one encoding is JSON. A path with a `csv` or `prom`
 /// extension asks for an encoding the artifact does not have: it is
 /// refused at start-up, so a script that wants one fails instead of

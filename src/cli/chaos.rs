@@ -1,8 +1,8 @@
 //! `chaos` and `soak`: fault schedules against one small execution, each
 //! run held to bit-identical recovery or to a survivor-consistent shrink.
 //! With `--postmortem=DIR` every run that dies leaves its run bundle in
-//! the directory, `<schedule>.json`, the file `analyze` and `conformance`
-//! read (`run --trace` writes the same document).
+//! the directory, `<schedule>.json`, the file `analyze` reads (`run
+//! --trace` writes the same document).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -93,6 +93,7 @@ impl Sweep {
             let bundle = RunBundle {
                 spec: ran.options(),
                 faults: Some(plan.spec()),
+                shrinks: Vec::new(),
                 artifacts,
             };
             match write(&path, "postmortem", &bundle.to_json()) {
@@ -134,7 +135,7 @@ impl Sweep {
     /// shrunken grid the degraded run re-derived.
     fn check_shrunk(&mut self, label: &str, res: &RunResult, method: Method, expect_ranks: usize) {
         let n = self.spec.n;
-        if res.shrinks == 0 {
+        if res.shrinks.is_empty() {
             return self.fail(label, "expected a world shrink, got none");
         }
         if res.final_ranks != expect_ranks {
@@ -335,7 +336,7 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         let plan = kill_all((0..kills.min(teams)).map(|t| (t % c) * teams + t));
         let label = format!("multi-kill [{}]", plan.spec());
         if let Some((res, _)) = recovered(&mut sweep, &label, "multi_kill", &plan) {
-            if res.shrinks != 0 {
+            if !res.shrinks.is_empty() {
                 sweep.fail(&label, "unexpected world shrink");
             }
         }
@@ -350,7 +351,7 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     let plan = kill_all((0..c).map(|row| row * teams + victim));
     let label = format!("double-kill [{}]", plan.spec());
     if let Some((res, _)) = sweep.attempt(&label, "double_kill_same_column", method, &plan) {
-        shrinks_observed += res.shrinks;
+        shrinks_observed += res.shrinks.len();
         sweep.check_shrunk(&label, &res, method, p - c);
     }
 
@@ -363,7 +364,7 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     }
     .method();
     if let Some((res, _)) = sweep.attempt("c=1 kill", "c1_kill", m1, &FaultPlan::kill(p / 2, 0)) {
-        shrinks_observed += res.shrinks;
+        shrinks_observed += res.shrinks.len();
         sweep.check_shrunk("c=1 kill", &res, m1, p - 1);
     }
 
@@ -451,8 +452,8 @@ pub fn soak(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
             if res.recovered {
                 recoveries += 1;
             }
-            shrinks += res.shrinks;
-            match res.shrinks {
+            shrinks += res.shrinks.len();
+            match res.shrinks.len() {
                 0 if res.particles != want => {
                     sweep.fail(&label, "diverged from fault-free run without a shrink")
                 }

@@ -10,7 +10,7 @@ mod artifact;
 mod opts;
 mod spec;
 
-pub mod audit;
+pub mod calibrate;
 pub mod chaos;
 pub mod inspect;
 pub mod run;

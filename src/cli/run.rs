@@ -1,9 +1,9 @@
 //! `run` and `verify`: one live execution, built from the flags.
 //!
-//! `--trace=<path>` writes the run bundle, the one file `analyze` and
-//! `conformance` read: a Chrome `trace_event` JSON object (open it in
-//! Perfetto or `chrome://tracing`) of per-rank wall-clock spans, carrying
-//! beside its `traceEvents` the run's spec and `--faults` plan, the live
+//! `--trace=<path>` writes the run bundle, the one file `analyze` reads:
+//! a Chrome `trace_event` JSON object (open it in Perfetto or
+//! `chrome://tracing`) of per-rank wall-clock spans, carrying beside its
+//! `traceEvents` the run's spec, `--faults` plan and shrinks, the live
 //! metrics snapshot (the ledger's per-channel sends, message-size
 //! histograms, memory high-water marks) and the per-step timeline with the
 //! always-on flight-recorder ring (DESIGN §15.4). A resumed run records the
@@ -215,6 +215,10 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
     let mut bundle = RunBundle {
         spec: ran.options(),
         faults: faults.as_ref().map(FaultPlan::spec),
+        shrinks: out
+            .result
+            .as_ref()
+            .map_or(Vec::new(), |r| r.shrinks.clone()),
         artifacts: out.artifacts,
     };
     let artifacts = &bundle.artifacts;
@@ -256,10 +260,12 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             result.recovered
         );
     }
-    if result.shrinks > 0 {
+    if !result.shrinks.is_empty() {
         println!(
             "  degraded: world shrank {}x onto {} ranks, {} particles lost",
-            result.shrinks, result.final_ranks, result.lost_particles
+            result.shrinks.len(),
+            result.final_ranks,
+            result.lost_particles
         );
     }
     if let Some(hr) = &result.health {
@@ -338,7 +344,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
             .put("wire_events", events)
             .put("wire_dropped_events", evicted);
     }
-    let degraded = result.shrinks > 0 || result.lost_particles > 0;
+    let degraded = !result.shrinks.is_empty() || result.lost_particles > 0;
     if verify && degraded {
         // A shrunken run dropped the dead columns' particles mid-flight;
         // the full-world serial trajectory is no longer the reference.
@@ -368,7 +374,7 @@ pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {
         summary
             .put("max_attempts", result.max_attempts)
             .put("recovered", result.recovered)
-            .put("shrinks", result.shrinks)
+            .put("shrinks", result.shrinks.len())
             .put("lost_particles", result.lost_particles)
             .put("final_ranks", result.final_ranks);
         if let Some(plan) = &faults {

@@ -1,9 +1,9 @@
 //! The run grammar: the one place `(n, p, c, steps, dt, seed, method, law,
 //! cutoff, boundary, temperature)` becomes a configured run. `run`,
-//! `verify`, `audit`, `chaos` and `soak` describe the execution they launch
-//! with these options and differ only in their [`Defaults`]; a run bundle
-//! records them ([`RunSpec::options`]) and `analyze`/`conformance` read
-//! them back ([`RunSpec::recorded`]). The checkpoint fingerprint and the
+//! `verify`, `chaos` and `soak` describe the execution they launch with
+//! these options and differ only in their [`Defaults`]; a run bundle
+//! records them ([`RunSpec::options`]) and `analyze` reads them back
+//! ([`RunSpec::recorded`]). The checkpoint fingerprint and the
 //! expected wire schedule are derived from the same fields, so the options
 //! that produced an artifact reproduce it.
 
@@ -77,9 +77,7 @@ pub struct Defaults {
     pub p: usize,
     pub steps: usize,
     pub dt: f64,
-    /// `None` where there is no `method=` option (`audit`): a positive
-    /// cutoff selects `ca-cutoff-1d`, none selects `ca`.
-    pub method: Option<&'static str>,
+    pub method: &'static str,
     /// For the laws that bring no cutoff of their own (LJ: 2.5 sigma).
     pub cutoff: f64,
     /// Initial thermal velocities; 0 starts the particles at rest.
@@ -92,19 +90,9 @@ impl Defaults {
         p: 8,
         steps: 20,
         dt: 0.005,
-        method: Some("ca"),
+        method: "ca",
         cutoff: 0.25,
         temperature: 1e-4,
-    };
-    /// `audit`: the paper's benchmark setting, one short step per `c`.
-    pub const AUDIT: Defaults = Defaults {
-        n: 4096,
-        p: 16,
-        steps: 1,
-        dt: 0.001,
-        method: None,
-        cutoff: 0.0,
-        temperature: 0.0,
     };
     /// `chaos`: small enough to run once per rank and pipeline step.
     pub const CHAOS: Defaults = Defaults {
@@ -193,11 +181,7 @@ impl RunSpec {
     pub fn from_opts(opts: &mut Opts, d: &Defaults) -> Result<RunSpec, Failure> {
         let law_name = opts.get("law", "repulsive".to_string())?;
         let cutoff = opts.get("cutoff", if law_name == "lj" { 2.5 } else { d.cutoff })?;
-        let method_name = match d.method {
-            Some(default) => opts.get("method", default.to_string())?,
-            None if cutoff > 0.0 => "ca-cutoff-1d".into(),
-            None => "ca".into(),
-        };
+        let method_name = opts.get("method", d.method.to_string())?;
         let (boundary, boundary_name) = match opts.opt::<String>("boundary")?.as_deref() {
             Some("periodic") => (Boundary::Periodic, "periodic"),
             Some("open") => (Boundary::Open, "open"),
@@ -333,7 +317,7 @@ impl RunSpec {
         }
     }
 
-    /// What `conformance` and `audit` expect on the wire.
+    /// What `analyze` expects on the wire of a run that never shrank.
     pub fn wire_spec(&self) -> WireScheduleSpec {
         WireScheduleSpec {
             method: self.method(),
@@ -343,6 +327,7 @@ impl RunSpec {
             domain: self.domain(),
             boundary: self.boundary,
             cutoff: self.r_c(),
+            shrinks: Vec::new(),
         }
     }
 }
@@ -384,19 +369,6 @@ mod tests {
             ("ca", "repulsive")
         );
         assert_eq!((run.seed, run.boundary), (42, Boundary::Reflective));
-        let audit = spec(&[], &Defaults::AUDIT).unwrap();
-        assert_eq!(shape(&audit), (4096, 16, 2, 1, 0.001, 0.0, 0.0));
-        assert_eq!(audit.method(), Method::CaAllPairs { c: 2 });
-        // `audit` has no method option: a positive cutoff is Algorithm 2.
-        let audit = spec(&["cutoff=0.25", "c=1"], &Defaults::AUDIT).unwrap();
-        assert_eq!(audit.method(), Method::Ca1dCutoff { c: 1 });
-        let e = spec(&["method=ca"], &Defaults::AUDIT).unwrap_err();
-        assert_eq!(
-            (e.code, e.message.contains("'method'")),
-            (2, true),
-            "{}",
-            e.message
-        );
         let chaos = spec(&[], &Defaults::CHAOS).unwrap();
         assert_eq!(shape(&chaos), (192, 8, 2, 1, 0.005, 0.25, 0.0));
         let soak = spec(&["method=ca-cutoff-1d"], &Defaults::SOAK).unwrap();
@@ -495,12 +467,12 @@ mod tests {
                 }
             }
         }
-        let audit = spec(&["cutoff=0.3", "dt=0.1"], &Defaults::AUDIT).unwrap();
-        assert_eq!(RunSpec::recorded(&audit.options()), Ok(audit.clone()));
+        let short = spec(&["cutoff=0.3", "dt=0.1"], &Defaults::RUN).unwrap();
+        assert_eq!(RunSpec::recorded(&short.options()), Ok(short.clone()));
         // A recorded option no getter reads, or a word that is no option,
         // is refused, not ignored.
         for (extra, named) in [("metrics=m.json", "'metrics'"), ("n", "'n' is not")] {
-            let extra = [audit.options(), vec![extra.into()]].concat();
+            let extra = [short.options(), vec![extra.into()]].concat();
             assert!(RunSpec::recorded(&extra).unwrap_err().contains(named));
         }
     }

@@ -9,9 +9,6 @@
 //!                   [--checkpoint-dir=D] [checkpoint-every=1] [--resume=D]
 //!                   [--health] [--health-every=K] [--health-baseline=F]
 //! ca-nbody verify   [same options]            distributed-vs-serial check
-//! ca-nbody audit    [n=4096] [p=16] [steps=1] [c=N] [cutoff=0]
-//!                   [--baseline=bench_results/audit_baseline.json] [--out=F.json]
-//!                   [--calibration=F] [--roofline-baseline=F] [--roofline-out=F.json]
 //! ca-nbody calibrate [--out=bench_results/machine_calibration.json] [seed=42] [--full]
 //! ca-nbody chaos    [n=192] [p=8] [c=2] [steps=1] [method=ca] [seed=42]
 //!                   [fault-timeout-ms=250] [--kills=N]
@@ -22,56 +19,53 @@
 //!                   [--postmortem=DIR]   time-boxed randomized chaos
 //! ca-nbody analyze  [run.json] [--wire=F]
 //!                   [--drift-window=16] [--drift-nsigma=6] [--json=F]
+//!                   [--baseline=F] [--calibration=F] [--roofline-baseline=F]
 //!                   the one reader of a run bundle: per-phase and
 //!                   per-step tables, critical path, stragglers, heat-map,
-//!                   drift and numerical health (exit 1 if UNHEALTHY);
-//!                   channel latencies of a wire log
-//! ca-nbody conformance <run.json>
-//!                   a run bundle's ledger, channel by channel, against
-//!                   the schedule of the run it recorded (exit 1 on FAIL)
+//!                   drift, numerical health, the ledger against the
+//!                   schedule, S/W against the bounds and the roofline
+//!                   (exit 1 if UNHEALTHY, FAIL, over a ceiling or under
+//!                   a floor); channel latencies of a wire log
 //! ```
 //!
 //! Options take `key=value`, `--key=value`, or `--key value` form. One
 //! whose value does not parse, or that the subcommand (given the others)
 //! never reads, is a start-up error: a line on stderr naming it, exit 2,
 //! nothing run or written; so is a subcommand not in the list above (the
-//! usage line, exit 2). Exit 1 is every later failure. `audit`, `chaos`
-//! and `soak` take `run`'s grammar with their own defaults; the modules
-//! under `cli/` document their subcommands.
+//! usage line, exit 2). Exit 1 is every later failure. `chaos` and `soak`
+//! take `run`'s grammar with their own defaults; the modules under `cli/`
+//! document their subcommands.
 //!
-//! `run`, `verify`, `audit`, `calibrate`, `chaos`, `soak` and `conformance`
-//! end with a single-line JSON summary on stdout for scripted consumption.
-//! One run writes one file: `--trace` is the run bundle (a Chrome trace
-//! object carrying the run's spec, fault plan, metrics and timeline), the
-//! only input `analyze` and `conformance` need. Each artifact a subcommand
-//! writes has one encoding, JSON: `--trace`, `--out` and `--roofline-out`
-//! refuse a `csv` or `prom` extension.
+//! Every subcommand ends with a single-line JSON summary on stdout for
+//! scripted consumption (`analyze` when it read a bundle). One run writes
+//! one file: `--trace` is the run bundle (a Chrome trace object carrying
+//! the run's spec, fault plan, shrinks, metrics and timeline), the only
+//! input `analyze` needs. Each artifact a subcommand writes has one
+//! encoding, JSON: `--trace`, `--json` and `calibrate --out` write it, and
+//! the first two refuse a `csv` or `prom` extension.
 
 use std::process::ExitCode;
 
 use nbody_comm::validate_env;
 
 mod cli;
-use cli::{audit, chaos, inspect, run, Command, Failure, Opts};
+use cli::{calibrate, chaos, inspect, run, Command, Failure, Opts};
 
-const COMMANDS: [(&str, Command); 8] = [
+const COMMANDS: [(&str, Command); 6] = [
     ("run", |opts, _| run::execute(opts, false)),
     ("verify", |opts, _| run::execute(opts, true)),
-    ("audit", audit::audit),
-    ("calibrate", audit::calibrate),
+    ("calibrate", calibrate::calibrate),
     ("chaos", chaos::chaos),
     ("soak", chaos::soak),
     ("analyze", inspect::analyze),
-    ("conformance", inspect::conformance),
 ];
 
-const USAGE: &str = "usage: ca-nbody <run|verify|audit|calibrate|chaos|soak|analyze|\
-     conformance> \
+const USAGE: &str = "usage: ca-nbody <run|verify|calibrate|chaos|soak|analyze> \
      [key=value ...] \
      [--trace=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \
      [--health] [--health-every=K] [--health-baseline=F]\n\
-     analyze <bundle> and conformance <bundle> read the run bundle --trace wrote\n\
+     analyze <bundle> reads the run bundle --trace wrote and gives its verdicts\n\
      an option that is malformed, or that the subcommand does not read, is an error (exit 2)\n\
      see `src/main.rs` header or README.md for the option list";
 

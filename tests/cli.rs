@@ -6,6 +6,16 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ca-nbody-repro"))
 }
 
+/// Run the CLI with `args`.
+fn ran(args: &[&str]) -> std::process::Output {
+    cli().args(args).output().expect("launch")
+}
+
+/// Run the CLI on the words of `line`.
+fn sh(line: &str) -> std::process::Output {
+    ran(&line.split(' ').collect::<Vec<_>>())
+}
+
 /// Require `out` to have exited 0, and return its stdout.
 fn succeeded(out: &std::process::Output) -> String {
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -18,6 +28,32 @@ fn succeeded(out: &std::process::Output) -> String {
 fn bundle(path: &str) -> nbody_comm::RunBundle {
     let text = std::fs::read_to_string(path).expect("bundle not written");
     nbody_comm::RunBundle::parse(&text).expect("invalid bundle")
+}
+
+/// Run `run <args> --trace=<dir>/<name>` to success and return the
+/// bundle's path.
+fn traced(dir: &std::path::Path, name: &str, args: &[&str]) -> String {
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join(name).display().to_string();
+    let out = cli()
+        .arg("run")
+        .args(args)
+        .arg(format!("--trace={path}"))
+        .output()
+        .expect("launch");
+    succeeded(&out);
+    path
+}
+
+/// `analyze <bundle> <args>`.
+fn analyzed(bundle: &str, args: &[&str]) -> std::process::Output {
+    ran(&[&["analyze", bundle], args].concat())
+}
+
+/// The JSON summary that ends `stdout`.
+fn summary(stdout: &str) -> nbody_trace::Json {
+    let last = stdout.lines().last().expect("no output");
+    nbody_trace::Json::parse(last).expect("last line is not JSON")
 }
 
 /// A copy of the bundle at `path` with the recorded `from` replaced by
@@ -136,8 +172,11 @@ fn force_decomp_requires_square_p() {
 
 #[test]
 fn unknown_subcommand_fails_with_usage() {
-    // `report` and `health` were folded into `analyze`; `autotune` had no
-    // reader.
+    // `report` and `health` were folded into `analyze`, and so were
+    // `audit` and `conformance`; `autotune` had no reader.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_unknown_subcommand");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
     for name in [
         "frobnicate",
         "scale",
@@ -145,35 +184,39 @@ fn unknown_subcommand_fails_with_usage() {
         "report",
         "health",
         "autotune",
+        "audit",
+        "conformance",
     ] {
-        let out = cli().arg(name).output().expect("launch");
+        let out = cli()
+            .args([name, "n=64", "p=4", "--out=a.json", "t.json"])
+            .current_dir(&dir)
+            .output()
+            .expect("launch");
         assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage"),
-            "{name}"
+            stderr.starts_with("usage: ca-nbody <run|"),
+            "{name}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{name}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "{name} wrote {left:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unknown_method_fails() {
-    let out = cli()
-        .args(["run", "method=quantum"])
-        .output()
-        .expect("launch");
+    let out = ran(&["run", "method=quantum"]);
     assert!(!out.status.success());
 }
 
 #[test]
 fn run_emits_single_line_json_summary() {
-    let out = cli()
-        .args(["run", "n=64", "p=4", "c=2", "steps=2"])
-        .output()
-        .expect("launch");
+    let out = sh("run n=64 p=4 c=2 steps=2");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let last = stdout.lines().last().expect("no output");
-    let doc = nbody_trace::Json::parse(last).expect("last line is not JSON");
+    let doc = summary(&stdout);
     assert_eq!(doc.get("cmd").unwrap().as_str(), Some("run"));
     assert_eq!(doc.get("n").unwrap().as_f64(), Some(64.0));
     assert_eq!(doc.get("p").unwrap().as_f64(), Some(4.0));
@@ -185,18 +228,10 @@ fn trace_flag_writes_valid_chrome_trace() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.json");
-    let out = cli()
-        .args([
-            "run",
-            "method=ca-cutoff-1d",
-            "n=256",
-            "p=8",
-            "c=2",
-            "steps=3",
-            &format!("--trace={}", path.display()),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!(
+        "run method=ca-cutoff-1d n=256 p=8 c=2 steps=3 --trace={}",
+        path.display()
+    ));
     succeeded(&out);
     let text = std::fs::read_to_string(&path).expect("trace file not written");
     let trace = nbody_trace::ExecutionTrace::parse(&text).expect("invalid trace");
@@ -223,22 +258,12 @@ fn analyze_prints_the_per_phase_and_per_step_tables() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_report_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.json");
-    let run = cli()
-        .args([
-            "run",
-            "n=128",
-            "p=4",
-            "c=2",
-            "steps=2",
-            &format!("--trace={}", path.display()),
-        ])
-        .output()
-        .expect("launch");
+    let run = sh(&format!(
+        "run n=128 p=4 c=2 steps=2 --trace={}",
+        path.display()
+    ));
     assert!(run.status.success());
-    let out = cli()
-        .args(["analyze", path.to_str().unwrap()])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", path.to_str().unwrap()]);
     let stdout = succeeded(&out);
     assert!(stdout.contains("per-phase wall-clock"), "{stdout}");
     assert!(stdout.contains("per-step driver sections"), "{stdout}");
@@ -281,37 +306,35 @@ fn analyze_prints_the_per_phase_and_per_step_tables() {
 
 #[test]
 fn audit_prints_verdict_table_and_json_summary() {
-    // `--key value` form, as documented: shift words must fall as c grows
-    // and every configuration must pass the default ceilings.
-    let out = cli()
-        .args(["audit", "--n", "256", "--p", "16", "--steps", "1"])
-        .output()
-        .expect("launch");
-    let stdout = succeeded(&out);
-    for want in ["latency   S:", "bandwidth W:", "bound", "PASS", "shift"] {
-        assert!(stdout.contains(want), "missing {want:?} in {stdout}");
-    }
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).expect("last line is not JSON");
-    assert_eq!(doc.get("cmd").unwrap().as_str(), Some("audit"));
-    assert_eq!(doc.get("pass").unwrap(), &nbody_trace::Json::Bool(true));
-    let rows = doc.get("rows").unwrap().as_array().unwrap();
-    // p = 16 sweeps c = 1, 2, 4.
-    assert_eq!(rows.len(), 3);
+    // One bundle per c of the paper's sweep on p = 16: shift words must
+    // fall as c grows and every configuration must pass the committed
+    // ceilings (`--key value` form, as documented).
+    let dir = std::env::temp_dir().join("ca_nbody_cli_audit_sweep_test");
     let mut last_shift = f64::INFINITY;
-    for row in rows {
-        assert_eq!(row.get("pass").unwrap(), &nbody_trace::Json::Bool(true));
-        let s = row.get("s_factor").unwrap().as_f64().unwrap();
-        let w = row.get("w_factor").unwrap().as_f64().unwrap();
-        assert!(s.is_finite() && s > 0.0, "{last}");
-        assert!(w.is_finite() && w > 0.0, "{last}");
-        let shift = row.get("shift_words").unwrap().as_f64().unwrap();
+    for c in [1, 2, 4] {
+        let c = format!("c={c}");
+        let args = ["n=256", "p=16", &c, "steps=1", "dt=0.001", "temperature=0"];
+        let bundle = traced(&dir, &format!("c{}.json", &c[2..]), &args);
+        let baseline = ["--baseline", "bench_results/audit_baseline.json"];
+        let stdout = succeeded(&analyzed(&bundle, &baseline));
+        for want in ["latency   S:", "bandwidth W:", "bound", "PASS", "shift"] {
+            assert!(stdout.contains(want), "missing {want:?} in {stdout}");
+        }
+        let doc = summary(&stdout);
+        assert_eq!(doc.get("cmd").unwrap().as_str(), Some("analyze"));
+        assert_eq!(doc.get("pass").unwrap(), &nbody_trace::Json::Bool(true));
+        let s = doc.get("s_factor").unwrap().as_f64().unwrap();
+        let w = doc.get("w_factor").unwrap().as_f64().unwrap();
+        assert!(s.is_finite() && s > 0.0, "{stdout}");
+        assert!(w.is_finite() && w > 0.0, "{stdout}");
+        let shift = doc.get("shift_words").unwrap().as_f64().unwrap();
         assert!(
             shift < last_shift,
-            "shift words must fall as c grows: {last}"
+            "shift words must fall as c grows: {stdout}"
         );
         last_shift = shift;
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -328,28 +351,28 @@ fn audit_cutoff_variant_audits_against_eq3() {
         "{\"latency_factor_ceiling\": 1000.0, \"bandwidth_factor_ceiling\": 1000.0}",
     )
     .unwrap();
-    let out = cli()
-        .args([
-            "audit",
-            "n=256",
-            "p=8",
-            "cutoff=0.25",
-            "c=2",
-            &format!("--baseline={}", baseline.display()),
-        ])
-        .output()
-        .expect("launch");
-    std::fs::remove_file(&baseline).ok();
+    let args = [
+        "method=ca-cutoff-1d",
+        "n=256",
+        "p=8",
+        "cutoff=0.25",
+        "c=2",
+        "steps=1",
+        "dt=0.001",
+        "temperature=0",
+    ];
+    let bundle = traced(&dir, "run.json", &args);
+    let out = analyzed(&bundle, &[&format!("--baseline={}", baseline.display())]);
     let stdout = succeeded(&out);
-    assert!(stdout.contains("cutoff-1d"), "{stdout}");
+    assert!(stdout.contains("optimality audit: cutoff-1d"), "{stdout}");
     // Re-assignment is under the send-count gate: the twin predicts its
     // messages and the run's ledger counted exactly those.
     let wire_row = |l: &str| l.trim_start().starts_with("re-assign") && l.ends_with("+0");
     assert!(stdout.lines().any(wire_row), "{stdout}");
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
-    assert_eq!(doc.get("algorithm").unwrap().as_str(), Some("cutoff-1d"));
-    assert_eq!(doc.get("wire_pass").unwrap().as_bool(), Some(true));
+    let doc = summary(&stdout);
+    assert_eq!(doc.get("verdict").unwrap().as_str(), Some("PASS"));
+    assert_eq!(doc.get("pass").unwrap().as_bool(), Some(true));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -363,64 +386,62 @@ fn audit_reads_ceilings_from_baseline_and_fails_when_exceeded() {
         "{\"latency_factor_ceiling\": 0.001, \"bandwidth_factor_ceiling\": 0.001}",
     )
     .unwrap();
-    let out = cli()
-        .args([
-            "audit",
-            "n=128",
-            "p=4",
-            &format!("--baseline={}", path.display()),
-        ])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
+    let bundle = traced(&dir, "run.json", &["n=128", "p=4", "steps=1"]);
+    let out = analyzed(&bundle, &[&format!("--baseline={}", path.display())]);
+    assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FAIL"), "{stdout}");
-    std::fs::remove_file(&path).ok();
+    assert_eq!(summary(&stdout).get("pass").unwrap().as_bool(), Some(false));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("AUDIT FAILED"), "{stderr}");
+    // Without a baseline the factors are reported, not gated.
+    let stdout = succeeded(&analyzed(&bundle, &[]));
+    assert!(stdout.contains("ceiling inf"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn audit_rejects_missing_and_malformed_baseline_with_one_line_error() {
+    let dir = std::env::temp_dir().join("ca_nbody_cli_audit_garbage_test");
+    let bundle = traced(&dir, "run.json", &["n=64", "p=4", "steps=1"]);
     // Missing file: a clear one-line error, not a panic.
-    let out = cli()
-        .args(["audit", "n=64", "p=4", "--baseline=/no/such/file.json"])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
+    let out = analyzed(&bundle, &["--baseline=/no/such/file.json"]);
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot read"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 
     // Malformed file: same contract.
-    let dir = std::env::temp_dir().join("ca_nbody_cli_audit_garbage_test");
-    std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("garbage.json");
     std::fs::write(&path, "hello, world").unwrap();
-    let out = cli()
-        .args([
-            "audit",
-            "n=64",
-            "p=4",
-            &format!("--baseline={}", path.display()),
-        ])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
+    let out = analyzed(&bundle, &[&format!("--baseline={}", path.display())]);
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot parse"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn audit_rejects_invalid_replication_factor() {
+    // c = 3 does not lay out on 16 ranks: no run, so no bundle to audit.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_audit_bad_c_test");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("run.json");
     let out = cli()
-        .args(["audit", "n=64", "p=16", "c=3"])
+        .args(["run", "n=64", "p=16", "c=3", "steps=1"])
+        .arg(format!("--trace={}", trace.display()))
         .output()
         .expect("launch");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("not usable"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!trace.exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -467,7 +488,7 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
             "cutoff=0",
         ),
     ] {
-        let out = cli().args(args).output().expect("launch");
+        let out = ran(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
@@ -479,28 +500,22 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
 #[test]
 fn audit_writes_json_audit_and_roofline_reports() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_audit_out_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let (audit, roofline) = (dir.join("audit.json"), dir.join("roofline.json"));
-    let out = cli()
-        .args([
-            "audit",
-            "n=128",
-            "p=4",
-            &format!("--out={}", audit.display()),
-            &format!("--roofline-out={}", roofline.display()),
-        ])
-        .output()
-        .expect("launch");
+    let bundle = traced(&dir, "run.json", &["n=128", "p=4", "steps=1"]);
+    let json = dir.join("analysis.json");
+    let out = analyzed(&bundle, &[&format!("--json={}", json.display())]);
     succeeded(&out);
-    let read = |path: &std::path::Path| {
-        let body = std::fs::read_to_string(path).expect("report not written");
-        nbody_trace::Json::parse(&body).expect("invalid JSON report")
-    };
-    let doc = read(&audit);
-    assert!(!doc.get("reports").unwrap().as_array().unwrap().is_empty());
-    // One entry per audited `c`, each placing every one of the p ranks.
-    let doc = read(&roofline);
-    let kernels = doc.as_array().expect("a roofline array");
+    let body = std::fs::read_to_string(&json).expect("analysis not written");
+    let doc = nbody_trace::Json::parse(&body).expect("invalid JSON analysis");
+    // One document: the analysis, then the audit and roofline sections.
+    assert!(doc.get("critical_path").is_some(), "{doc}");
+    let audit = doc.get("audit").unwrap();
+    assert!(!audit.get("reports").unwrap().as_array().unwrap().is_empty());
+    // The roofline places every one of the p ranks.
+    let kernels = doc
+        .get("roofline")
+        .unwrap()
+        .as_array()
+        .expect("a roofline array");
     assert!(!kernels.is_empty());
     for k in kernels {
         assert!(k.get("best_pct_of_roofline").is_some(), "{k}");
@@ -513,23 +528,10 @@ fn audit_writes_json_audit_and_roofline_reports() {
 #[test]
 fn the_bundles_metrics_snapshot_round_trips() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_metrics_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_path = dir.join("run.json");
-    let out = cli()
-        .args([
-            "run",
-            "n=128",
-            "p=4",
-            "c=2",
-            "steps=2",
-            &format!("--trace={}", json_path.display()),
-        ])
-        .output()
-        .expect("launch");
-    succeeded(&out);
+    let json_path = traced(&dir, "run.json", &["n=128", "p=4", "c=2", "steps=2"]);
     // The bundle's snapshot parses back, and round-trips losslessly in
     // memory.
-    let snap = bundle(json_path.to_str().unwrap()).artifacts.metrics;
+    let snap = bundle(&json_path).artifacts.metrics;
     let json_text = snap.to_json().to_string();
     let again = nbody_trace::Json::parse(&snap.to_json().to_string()).unwrap();
     assert_eq!(
@@ -550,31 +552,19 @@ fn the_bundles_metrics_snapshot_round_trips() {
 
 #[test]
 fn verify_with_injected_kill_recovers_and_passes() {
-    let out = cli()
-        .args([
-            "verify",
-            "n=96",
-            "p=8",
-            "c=2",
-            "steps=2",
-            "--faults=kill:5@1",
-            "fault-timeout-ms=400",
-        ])
-        .output()
-        .expect("launch");
+    let out = sh("verify n=96 p=8 c=2 steps=2 --faults=kill:5@1 fault-timeout-ms=400");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success() && stdout.contains("VERIFY OK"),
         "{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
+    let doc = summary(&stdout);
     // Recovery happened, and the distributed result still matched serial
     // exactly (max_deviation is bitwise zero).
     assert!(
         matches!(doc.get("recovered"), Some(nbody_trace::Json::Bool(true))),
-        "{last}"
+        "{stdout}"
     );
     assert_eq!(doc.get("max_attempts").unwrap().as_f64(), Some(2.0));
     assert_eq!(doc.get("max_deviation").unwrap().as_f64(), Some(0.0));
@@ -585,18 +575,7 @@ fn verify_with_injected_kill_recovers_and_passes() {
 fn run_with_total_loss_fails_cleanly() {
     // Every rank killed in the same step: nothing survives to shrink
     // onto, so this is the one fault class that must still fail.
-    let out = cli()
-        .args([
-            "run",
-            "n=64",
-            "p=4",
-            "c=1",
-            "steps=1",
-            "--faults=kill:0@1,kill:1@1,kill:2@1,kill:3@1",
-            "fault-timeout-ms=300",
-        ])
-        .output()
-        .expect("launch");
+    let out = sh("run n=64 p=4 c=1 steps=1 --faults=kill:0@1,kill:1@1,kill:2@1,kill:3@1 fault-timeout-ms=300");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unrecoverable"), "{stderr}");
@@ -607,20 +586,9 @@ fn run_survives_unreplicated_kill_by_shrinking() {
     // c=1 leaves no replica, but a single column loss now degrades to a
     // smaller world instead of failing: the run completes on 3 ranks and
     // reports what it shed.
-    let out = cli()
-        .args([
-            "run",
-            "n=64",
-            "p=4",
-            "c=1",
-            "steps=1",
-            "--faults=kill:2@1",
-            "fault-timeout-ms=300",
-        ])
-        .output()
-        .expect("launch");
+    let out = sh("run n=64 p=4 c=1 steps=1 --faults=kill:2@1 fault-timeout-ms=300");
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("shrinks").unwrap().as_f64(), Some(1.0), "{stdout}");
     assert_eq!(
         doc.get("final_ranks").unwrap().as_f64(),
@@ -635,10 +603,7 @@ fn run_survives_unreplicated_kill_by_shrinking() {
 
 #[test]
 fn faults_flag_rejects_bad_specs_and_non_ca_methods() {
-    let out = cli()
-        .args(["run", "n=32", "p=4", "method=halo-1d", "--faults=drop:1@1"])
-        .output()
-        .expect("launch");
+    let out = sh("run n=32 p=4 method=halo-1d --faults=drop:1@1");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("requires a CA method"), "{stderr}");
@@ -666,11 +631,10 @@ fn chaos_subcommand_sweeps_and_gates_against_baseline() {
         .output()
         .expect("launch");
     let stdout = succeeded(&out);
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
+    let doc = summary(&stdout);
     assert!(
         matches!(doc.get("pass"), Some(nbody_trace::Json::Bool(true))),
-        "{last}"
+        "{stdout}"
     );
     assert!(doc.get("kills_fired").unwrap().as_f64().unwrap() > 0.0);
     assert_eq!(doc.get("failures").unwrap().as_f64(), Some(0.0));
@@ -678,10 +642,7 @@ fn chaos_subcommand_sweeps_and_gates_against_baseline() {
 
 #[test]
 fn chaos_rejects_configs_without_a_surviving_replica() {
-    let out = cli()
-        .args(["chaos", "n=32", "p=4", "c=1"])
-        .output()
-        .expect("launch");
+    let out = sh("chaos n=32 p=4 c=1");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("c >= 2"));
 }
@@ -689,21 +650,8 @@ fn chaos_rejects_configs_without_a_surviving_replica() {
 /// Run a small traced all-pairs execution and return the path of its
 /// bundle inside `dir`.
 fn traced_run(dir: &std::path::Path, p: usize, c: usize) -> String {
-    std::fs::create_dir_all(dir).unwrap();
-    let trace = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=128",
-            &format!("p={p}"),
-            &format!("c={c}"),
-            "steps=3",
-            &format!("--trace={trace}"),
-        ])
-        .output()
-        .expect("launch");
-    succeeded(&out);
-    trace
+    let (p, c) = (format!("p={p}"), format!("c={c}"));
+    traced(dir, "run.json", &["n=128", &p, &c, "steps=3"])
 }
 
 #[test]
@@ -711,10 +659,7 @@ fn analyze_reports_critical_path_imbalance_and_heatmap() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_test");
     let trace = traced_run(&dir, 8, 2);
     let json = dir.join("analysis.json").display().to_string();
-    let out = cli()
-        .args(["analyze", &trace, &format!("--json={json}")])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", &trace, &format!("--json={json}")]);
     let stdout = succeeded(&out);
     // Per-step critical path, per-phase imbalance, stragglers, heat-map.
     assert!(stdout.contains("critical path (per timestep)"), "{stdout}");
@@ -753,7 +698,7 @@ fn analyze_handles_single_rank_runs() {
     // p = 1, c = 1: no communication spans at all.
     let dir = std::env::temp_dir().join("ca_nbody_cli_analyze_p1_test");
     let trace = traced_run(&dir, 1, 1);
-    let out = cli().args(["analyze", &trace]).output().expect("launch");
+    let out = ran(&["analyze", &trace]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stdout}\n{stderr}");
@@ -772,10 +717,7 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     // Empty trace file: a one-line error, not a panic.
     let empty = dir.join("empty.json");
     std::fs::write(&empty, "").unwrap();
-    let out = cli()
-        .args(["analyze", empty.to_str().unwrap()])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", empty.to_str().unwrap()]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no spans"), "{stderr}");
@@ -787,10 +729,7 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     let body = "{\"traceEvents\":[{\"name\":\"shift\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\
                 \"ts\":0,\"dur\":1,\"cat\":\"comm-phase\"},{\"name\":\"sh";
     std::fs::write(&truncated, body).unwrap();
-    let out = cli()
-        .args(["analyze", truncated.to_str().unwrap()])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", truncated.to_str().unwrap()]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     let at = format!("at byte {}", body.len());
@@ -800,10 +739,7 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     // Not JSON at all: the one-line error says which file did not parse.
     let garbage = dir.join("not_a_trace.json");
     std::fs::write(&garbage, "hello, world").unwrap();
-    let out = cli()
-        .args(["analyze", garbage.to_str().unwrap()])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", garbage.to_str().unwrap()]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot parse"), "{stderr}");
@@ -811,10 +747,7 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     // A Chrome trace without the run's sections is not a run bundle.
     let plain = dir.join("plain.json");
     std::fs::write(&plain, format!("{}}}]}}", &body[..body.len() - 13])).unwrap();
-    let out = cli()
-        .args(["analyze", plain.to_str().unwrap()])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", plain.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("not an nbody-run/v1 bundle"), "{stderr}");
@@ -840,10 +773,7 @@ fn analyze_rejects_empty_and_truncated_traces_with_diagnostics() {
     ] {
         let path = dir.join(name);
         std::fs::write(&path, body).unwrap();
-        let out = cli()
-            .args(["analyze", path.to_str().unwrap()])
-            .output()
-            .expect("launch");
+        let out = ran(&["analyze", path.to_str().unwrap()]);
         assert!(!out.status.success());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(found), "{name}: {stderr}");
@@ -863,10 +793,7 @@ fn analyze_refuses_a_c_the_heatmap_cannot_use() {
     // cannot use.
     for c in ["c=3", "c=0"] {
         let trace = edited(&trace, "bad_c.json", "\"c=2\"", &format!("\"{c}\""));
-        let out = cli()
-            .args(["analyze", &trace, &format!("--json={}", json.display())])
-            .output()
-            .expect("launch");
+        let out = ran(&["analyze", &trace, &format!("--json={}", json.display())]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{c}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{c}: {stderr}");
@@ -883,24 +810,20 @@ fn run_summary_includes_imbalance_and_critical_path_when_traced() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_traced_summary_test");
     std::fs::create_dir_all(&dir).unwrap();
     let trace = format!("--trace={}", dir.join("t.json").display());
-    let out = cli()
-        .args(["run", "n=96", "p=4", "c=2", "steps=2", &trace])
-        .output()
-        .expect("launch");
+    let out = ran(&["run", "n=96", "p=4", "c=2", "steps=2", &trace]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).expect("last line is not JSON");
+    let doc = summary(&stdout);
     // Critical-path split: the three buckets exist and compute is real.
     let compute = doc.get("critical_compute_secs").unwrap().as_f64().unwrap();
-    assert!(compute > 0.0, "{last}");
+    assert!(compute > 0.0, "{stdout}");
     assert!(doc.get("critical_comm_secs").unwrap().as_f64().unwrap() >= 0.0);
     assert!(doc.get("critical_blocked_secs").unwrap().as_f64().unwrap() >= 0.0);
     // Per-phase imbalance factors: max/mean >= 1 for every reported phase.
     let imb = doc.get("imbalance").unwrap();
     for phase in ["shift", "other"] {
         let f = imb.get(phase).unwrap().as_f64().unwrap();
-        assert!(f >= 1.0, "phase {phase}: {last}");
+        assert!(f >= 1.0, "phase {phase}: {stdout}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -910,13 +833,9 @@ fn calibrate_writes_machine_ceilings_json() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_calibrate_test");
     std::fs::remove_dir_all(&dir).ok();
     let path = dir.join("machine_calibration.json");
-    let out = cli()
-        .args(["calibrate", "seed=7", &format!("--out={}", path.display())])
-        .output()
-        .expect("launch");
+    let out = sh(&format!("calibrate seed=7 --out={}", path.display()));
     let stdout = succeeded(&out);
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).expect("last line is not JSON");
+    let doc = summary(&stdout);
     assert_eq!(doc.get("cmd").unwrap().as_str(), Some("calibrate"));
     assert_eq!(doc.get("seed").unwrap().as_f64(), Some(7.0));
     assert!(doc.get("peak_gflops").unwrap().as_f64().unwrap() > 0.0);
@@ -940,18 +859,13 @@ fn audit_renders_roofline_and_gates_against_baseline() {
         r#"{"peak_gflops": 1.0, "mem_bw_gbytes": 10.0, "seed": 42, "fma_iters": 0, "stream_bytes": 0}"#,
     )
     .unwrap();
-    let roofline_json = dir.join("roofline.json");
+    let bundle = traced(&dir, "run.json", &["n=256", "p=4", "steps=1", "c=2"]);
+    let roofline_json = dir.join("analysis.json");
     let base = |args: &[String]| {
-        let mut v = vec![
-            "audit".to_string(),
-            "n=256".to_string(),
-            "p=4".to_string(),
-            "steps=1".to_string(),
-            "c=2".to_string(),
-            format!("--calibration={}", cal.display()),
-        ];
+        let mut v = vec![format!("--calibration={}", cal.display())];
         v.extend_from_slice(args);
-        cli().args(&v).output().expect("launch")
+        let v: Vec<&str> = v.iter().map(String::as_str).collect();
+        analyzed(&bundle, &v)
     };
 
     // An achievable floor passes and writes the roofline report.
@@ -963,20 +877,19 @@ fn audit_renders_roofline_and_gates_against_baseline() {
     .unwrap();
     let out = base(&[
         format!("--roofline-baseline={}", floor.display()),
-        format!("--roofline-out={}", roofline_json.display()),
+        format!("--json={}", roofline_json.display()),
     ]);
     let stdout = succeeded(&out);
     assert!(stdout.contains("compute roofline"), "{stdout}");
     assert!(stdout.contains("roofline gate"), "{stdout}");
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("roofline_pass").unwrap().as_bool(), Some(true));
     assert!(doc.get("roofline_best_pct").unwrap().as_f64().unwrap() > 0.0);
     let report = nbody_trace::Json::parse(
         &std::fs::read_to_string(&roofline_json).expect("roofline report not written"),
     )
     .unwrap();
-    let kernels = report.as_array().unwrap();
+    let kernels = report.get("roofline").unwrap().as_array().unwrap();
     assert!(!kernels.is_empty());
     assert!(
         kernels[0]
@@ -995,13 +908,21 @@ fn audit_renders_roofline_and_gates_against_baseline() {
     )
     .unwrap();
     let out = base(&[format!("--roofline-baseline={}", floor_bad.display())]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("roofline gate"), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
-    assert_eq!(doc.get("roofline_pass").unwrap().as_bool(), Some(false));
+    assert_eq!(
+        summary(&stdout).get("roofline_pass").unwrap().as_bool(),
+        Some(false)
+    );
+    // A valid override still runs normally.
+    let out = cli()
+        .args(["run", "n=32", "p=2", "c=1", "steps=1"])
+        .env("NBODY_RECV_TIMEOUT_SECS", "90")
+        .output()
+        .expect("launch");
+    succeeded(&out);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1011,24 +932,13 @@ fn the_bundles_timeline_reads_back_and_analyze_reports_drift() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=128",
-            "p=4",
-            "c=2",
-            "steps=4",
-            &format!("--trace={trace}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!("run n=128 p=4 c=2 steps=4 --trace={trace}"));
     let stdout = succeeded(&out);
     assert!(stdout.contains("run bundle written to"), "{stdout}");
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
+    let doc = summary(&stdout);
     assert!(
         doc.get("timeline_samples").unwrap().as_f64().unwrap() > 0.0,
-        "{last}"
+        "{stdout}"
     );
 
     // The bundle parses back: every rank sampled every step.
@@ -1048,7 +958,7 @@ fn the_bundles_timeline_reads_back_and_analyze_reports_drift() {
 
     // One report from the one file: the trace's tables and the drift
     // table, quiet on a short stationary run.
-    let out = cli().args(["analyze", &trace]).output().expect("launch");
+    let out = ran(&["analyze", &trace]);
     let stdout = succeeded(&out);
     assert!(stdout.contains("stragglers"), "{stdout}");
     assert!(stdout.contains("timeline drift"), "{stdout}");
@@ -1063,26 +973,19 @@ fn gravity_under_a_cutoff_method_records_a_tunable_drift_report() {
     // knobs; guard both ends of that pipeline.
     let dir = std::env::temp_dir().join("ca_nbody_cli_gravity_cutoff_test");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let tl_path = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
+    let tl_path = traced(
+        &dir,
+        "run.json",
+        &[
             "method=ca-cutoff-1d",
             "law=gravity",
             "n=128",
             "p=4",
             "c=2",
             "steps=3",
-            &format!("--trace={tl_path}"),
-        ])
-        .output()
-        .expect("launch");
-    succeeded(&out);
-    let out = cli()
-        .args(["analyze", &tl_path, "--drift-window=32", "--drift-nsigma=3"])
-        .output()
-        .expect("launch");
+        ],
+    );
+    let out = ran(&["analyze", &tl_path, "--drift-window=32", "--drift-nsigma=3"]);
     let stdout = succeeded(&out);
     assert!(stdout.contains("window 32, 3.0 sigma"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
@@ -1097,19 +1000,7 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
     // Killing every rank leaves nothing to shrink onto: the run must end
     // Unrecoverable and the flight recorder must dump a postmortem bundle
     // on the way out.
-    let out = cli()
-        .args([
-            "run",
-            "n=64",
-            "p=4",
-            "c=1",
-            "steps=1",
-            "--faults=kill:0@1,kill:1@1,kill:2@1,kill:3@1",
-            "fault-timeout-ms=300",
-            &format!("--trace={tl_path}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!("run n=64 p=4 c=1 steps=1 --faults=kill:0@1,kill:1@1,kill:2@1,kill:3@1 fault-timeout-ms=300 --trace={tl_path}"));
     assert!(
         !out.status.success(),
         "the failed run must keep its nonzero exit"
@@ -1139,7 +1030,7 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
 
     // `analyze` reads the bundle, names why the run died once, and exits
     // 1: a postmortem is UNHEALTHY.
-    let out = cli().args(["analyze", &tl_path]).output().expect("launch");
+    let out = ran(&["analyze", &tl_path]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     let reasons: Vec<&str> = stdout
@@ -1157,25 +1048,15 @@ fn chaos_postmortem_flag_dumps_bundle_for_the_unrecoverable_kill() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_chaos_postmortem_test");
     std::fs::remove_dir_all(&dir).ok();
     let pm_dir = dir.join("postmortems").display().to_string();
-    let out = cli()
-        .args([
-            "chaos",
-            "n=64",
-            "p=4",
-            "c=2",
-            "steps=1",
-            "fault-timeout-ms=250",
-            &format!("--postmortem={pm_dir}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!(
+        "chaos n=64 p=4 c=2 steps=1 fault-timeout-ms=250 --postmortem={pm_dir}"
+    ));
     let stdout = succeeded(&out);
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
+    let doc = summary(&stdout);
     let bundles = doc.get("postmortem_bundles").unwrap().as_array().unwrap();
     // The sweep recovers or shrinks everywhere; only the deliberate
     // total-loss kill ends Unrecoverable and leaves a bundle.
-    assert_eq!(bundles.len(), 1, "{last}");
+    assert_eq!(bundles.len(), 1, "{stdout}");
     assert_eq!(bundles[0].as_str(), Some("total_loss_unrecoverable"));
     let bundle_path = format!("{pm_dir}/total_loss_unrecoverable.json");
     let pm = bundle(&bundle_path);
@@ -1197,7 +1078,7 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
     let out = cli().arg("run").args(common).output().expect("launch");
     succeeded(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     let want_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
 
     // Crash on cue: rank 0 hard-exits (code 137) right after the step-4
@@ -1234,7 +1115,7 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
         .output()
         .expect("launch");
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("resumed_from_step").unwrap().as_f64(), Some(4.0));
     let got_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
     assert_eq!(
@@ -1249,7 +1130,7 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
     );
 
     // A resumed run's bundle records the steps it ran, so the schedule
-    // `conformance` replays is the one it sent.
+    // `analyze` replays is the one it sent.
     for step in [5, 6] {
         std::fs::remove_file(dir.join(format!("ckpt-{step:08}.json"))).unwrap();
     }
@@ -1265,11 +1146,7 @@ fn checkpointed_run_crashes_on_cue_and_resumes_bit_identically() {
         .expect("launch");
     succeeded(&out);
     assert!(bundle(&trace).spec.iter().any(|o| o == "steps=2"));
-    let out = cli()
-        .args(["conformance", &trace])
-        .output()
-        .expect("launch");
-    let stdout = succeeded(&out);
+    let stdout = succeeded(&analyzed(&trace, &[]));
     assert!(stdout.contains("no violations"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1293,17 +1170,10 @@ fn resume_rejects_mismatched_fingerprint_and_empty_dir() {
 
     // Seed a real checkpoint, then try to resume a different run shape:
     // the fingerprint gate must refuse rather than silently continue.
-    let out = cli()
-        .args([
-            "run",
-            "n=64",
-            "p=4",
-            "c=2",
-            "steps=2",
-            &format!("--checkpoint-dir={}", dir.display()),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!(
+        "run n=64 p=4 c=2 steps=2 --checkpoint-dir={}",
+        dir.display()
+    ));
     succeeded(&out);
     let out = cli()
         .args(["run", "n=128", "p=4", "c=2", "steps=2"])
@@ -1322,20 +1192,9 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
     // Multi-fault chaos: three concurrent same-step kills across distinct
     // columns recover without shrinking, and the forced whole-column kill
     // exercises the shrink path (shrinks > 0 in the summary).
-    let out = cli()
-        .args([
-            "chaos",
-            "n=64",
-            "p=8",
-            "c=2",
-            "steps=1",
-            "--kills=3",
-            "fault-timeout-ms=250",
-        ])
-        .output()
-        .expect("launch");
+    let out = sh("chaos n=64 p=8 c=2 steps=1 --kills=3 fault-timeout-ms=250");
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert!(
         matches!(doc.get("pass"), Some(nbody_trace::Json::Bool(true))),
         "{stdout}"
@@ -1348,21 +1207,9 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
 
     // A short randomized soak: seeded fault schedules, so any failure
     // here is reproducible from the printed seed.
-    let out = cli()
-        .args([
-            "soak",
-            "n=64",
-            "p=8",
-            "c=2",
-            "steps=1",
-            "seconds=3",
-            "events=2",
-            "fault-timeout-ms=250",
-        ])
-        .output()
-        .expect("launch");
+    let out = sh("soak n=64 p=8 c=2 steps=1 seconds=3 events=2 fault-timeout-ms=250");
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("cmd").unwrap().as_str(), Some("soak"));
     assert!(
         matches!(doc.get("pass"), Some(nbody_trace::Json::Bool(true))),
@@ -1437,18 +1284,9 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     std::fs::create_dir_all(&dir).unwrap();
     let wire = dir.join("wire.json").display().to_string();
     let run = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=48",
-            "p=8",
-            "c=2",
-            "steps=3",
-            &format!("--wire-probe={wire}"),
-            &format!("--trace={run}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!(
+        "run n=48 p=8 c=2 steps=3 --wire-probe={wire} --trace={run}"
+    ));
     let stdout = succeeded(&out);
     assert!(stdout.contains("wire probes written to"), "{stdout}");
 
@@ -1456,8 +1294,7 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     let log = nbody_comm::WireLog::parse(&std::fs::read_to_string(&wire).unwrap()).unwrap();
     assert_eq!(log.ranks.len(), 8);
     assert!(log.total_events() > 0);
-    let last = stdout.lines().last().unwrap();
-    let doc = nbody_trace::Json::parse(last).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(
         doc.get("wire_events").unwrap().as_f64(),
         Some(log.total_events() as f64)
@@ -1466,19 +1303,15 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
 
     // A clean run's ledger conforms to the CA schedule: zero violations,
     // and the latency table renders populated channels via `analyze --wire`.
-    let out = cli().args(["conformance", &run]).output().expect("launch");
-    let stdout = succeeded(&out);
+    let stdout = succeeded(&analyzed(&run, &[]));
     assert!(stdout.contains("no violations"), "{stdout}");
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("verdict").unwrap().as_str(), Some("PASS"));
     assert_eq!(doc.get("unexplained").unwrap().as_f64(), Some(0.0));
     assert!(doc.get("expected_msgs").unwrap().as_f64().unwrap() > 0.0);
 
-    let out = cli()
-        .args(["analyze", &format!("--wire={wire}")])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", &format!("--wire={wire}")]);
     let stdout = succeeded(&out);
     assert!(stdout.contains("wire probes:"), "{stdout}");
     assert!(stdout.contains("matched pairs"), "{stdout}");
@@ -1492,29 +1325,24 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
 #[test]
 fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_chaos_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = dir.join("run_chaos.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
+    let run = traced(
+        &dir,
+        "run_chaos.json",
+        &[
             "n=48",
             "p=8",
             "c=2",
             "steps=2",
             "--faults=drop:3@1",
             "fault-timeout-ms=250",
-            &format!("--trace={run}"),
-        ])
-        .output()
-        .expect("launch");
-    succeeded(&out);
+        ],
+    );
 
     // Every discrepancy the injected drop causes is attributed to the
     // recorded fault plan: zero unexplained, PASS verdict, exit 0.
-    let out = cli().args(["conformance", &run]).output().expect("launch");
-    let stdout = succeeded(&out);
+    let stdout = succeeded(&analyzed(&run, &[]));
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("unexplained").unwrap().as_f64(), Some(0.0));
     assert!(
         doc.get("violations").unwrap().as_f64().unwrap() > 0.0,
@@ -1524,10 +1352,7 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
 
     // Without its plan the same ledger fails: the retries are surplus.
     let unplanned = edited(&run, "unplanned.json", "\"drop:3@1\"", "null");
-    let out = cli()
-        .args(["conformance", &unplanned])
-        .output()
-        .expect("launch");
+    let out = analyzed(&unplanned, &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("verdict: FAIL"), "{stdout}");
@@ -1535,10 +1360,7 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
     // The same ledger against the wrong schedule is a genuine FAIL with a
     // non-zero exit (the CI gate contract).
     let wrong = edited(&run, "wrong_steps.json", "\"steps=2\"", "\"steps=7\"");
-    let out = cli()
-        .args(["conformance", &wrong])
-        .output()
-        .expect("launch");
+    let out = analyzed(&wrong, &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "{stdout}");
     assert!(stdout.contains("verdict: FAIL"), "{stdout}");
@@ -1553,51 +1375,48 @@ fn conformance_attributes_chaos_drops_and_fails_on_wrong_schedule() {
 #[test]
 fn conformance_rejects_bad_inputs_with_one_line_errors() {
     // Missing positional.
-    let out = cli().arg("conformance").output().expect("launch");
-    assert!(!out.status.success());
+    let out = ran(&["analyze"]);
+    assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
     // Unreadable bundle.
-    let out = cli()
-        .args(["conformance", "/nonexistent/run.json"])
-        .output()
-        .expect("launch");
-    assert!(!out.status.success());
+    let out = analyzed("/nonexistent/run.json", &[]);
+    assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 
-    // A method with no schedule twin.
+    // A method with no schedule twin: one line says so, and the rest of
+    // the analysis stands (exit 0).
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_badmethod_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=32",
-            "p=4",
-            "method=halo-1d",
-            "steps=1",
-            &format!("--trace={run}"),
-        ])
-        .output()
-        .expect("launch");
-    assert!(out.status.success());
-    let out = cli().args(["conformance", &run]).output().expect("launch");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("no communication-schedule twin"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for method in ["method=halo-1d", "method=allgather"] {
+        let run = traced(&dir, "run.json", &["n=32", "p=4", method, "steps=1"]);
+        let stdout = succeeded(&analyzed(&run, &[]));
+        let line = stdout.lines().find(|l| l.starts_with("no schedule twin: "));
+        let line = line.unwrap_or_else(|| panic!("{method}: {stdout}"));
+        assert!(line.contains("no communication-schedule twin"), "{line}");
+        assert!(stdout.contains("per-phase wall-clock"), "{stdout}");
+        assert!(!stdout.contains("optimality audit"), "{stdout}");
+        let doc = summary(&stdout);
+        assert!(
+            doc.get("verdict").is_none() && doc.get("pass").is_none(),
+            "{doc}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn audit_counts_each_phases_sends_in_the_ledger_against_the_schedule() {
-    let out = cli()
-        .args(["audit", "n=256", "p=8", "steps=1", "c=2"])
-        .output()
-        .expect("launch");
-    let stdout = succeeded(&out);
+    let dir = std::env::temp_dir().join("ca_nbody_cli_audit_sends_test");
+    let args = [
+        "n=256",
+        "p=8",
+        "steps=1",
+        "c=2",
+        "dt=0.001",
+        "temperature=0",
+    ];
+    let bundle = traced(&dir, "run.json", &args);
+    let stdout = succeeded(&analyzed(&bundle, &[]));
     assert!(
         stdout.contains("wire messages (observed in the ledger"),
         "{stdout}"
@@ -1610,34 +1429,66 @@ fn audit_counts_each_phases_sends_in_the_ledger_against_the_schedule() {
     ] {
         assert!(stdout.contains(row), "no {row:?} in {stdout}");
     }
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
-    let predicted = doc.get("wire_predicted_msgs").unwrap().as_f64().unwrap();
-    let observed = doc.get("wire_observed_msgs").unwrap().as_f64().unwrap();
+    let doc = summary(&stdout);
+    let predicted = doc.get("expected_msgs").unwrap().as_f64().unwrap();
+    let observed = doc.get("observed_msgs").unwrap().as_f64().unwrap();
     assert!(predicted > 0.0);
     assert_eq!(predicted, observed, "audited run must match its schedule");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_shrunk_run_conforms_every_violation_the_kills() {
+    // Killing team 2's only rank shrinks the world onto launch ranks 0, 1
+    // and 3: the schedule is the 4-rank ring up to the loss and the
+    // 3-rank ring after it, and what the loss cut short is the kill's.
+    let dir = std::env::temp_dir().join("ca_nbody_cli_shrunk_conformance_test");
+    let args = [
+        "n=64",
+        "p=4",
+        "c=1",
+        "steps=2",
+        "--faults=kill:2@1",
+        "fault-timeout-ms=300",
+    ];
+    let run = traced(&dir, "run.json", &args);
+    let shrinks = bundle(&run).shrinks;
+    assert_eq!(shrinks.len(), 1, "{shrinks:?}");
+    assert_eq!(
+        (shrinks[0].survivors.as_slice(), shrinks[0].c),
+        (&[0, 1, 3][..], 1)
+    );
+    let stdout = succeeded(&analyzed(&run, &[]));
+    assert!(stdout.contains("verdict: PASS"), "{stdout}");
+    assert!(
+        stdout.contains("shrank at step 0 onto p'=3 c'=1"),
+        "{stdout}"
+    );
+    let doc = summary(&stdout);
+    let violations = doc.get("violations").unwrap().as_f64().unwrap();
+    assert!(violations > 0.0, "the loss must cut a step short: {stdout}");
+    assert_eq!(doc.get("unexplained").unwrap().as_f64(), Some(0.0));
+    let attributed = stdout.matches("fault_kill:rank2@step1").count();
+    assert_eq!(attributed as f64, violations, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn cutoff_ledger_conforms_in_count_only_mode() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_cutoff_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
+    let run = traced(
+        &dir,
+        "run.json",
+        &[
             "method=ca-cutoff-1d",
             "n=40",
             "p=8",
             "c=2",
             "steps=2",
             "cutoff=0.25",
-            &format!("--trace={run}"),
-        ])
-        .output()
-        .expect("launch");
-    succeeded(&out);
-    let out = cli().args(["conformance", &run]).output().expect("launch");
-    let stdout = succeeded(&out);
+        ],
+    );
+    let stdout = succeeded(&analyzed(&run, &[]));
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
     assert!(stdout.contains("ca-1d-cutoff"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
@@ -1648,24 +1499,13 @@ fn health_run_reports_gate_and_bundle_renders_verdict() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_test");
     std::fs::create_dir_all(&dir).unwrap();
     let tl = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=96",
-            "p=8",
-            "c=2",
-            "steps=3",
-            "--health",
-            &format!("--trace={tl}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!("run n=96 p=8 c=2 steps=3 --health --trace={tl}"));
     let stdout = succeeded(&out);
     assert!(stdout.contains("\"health_sentinel_events\":0"), "{stdout}");
     assert!(stdout.contains("\"health_gate\":\"pass\""), "{stdout}");
 
     // The bundle renders a clean verdict and exits zero.
-    let out = cli().args(["analyze", &tl]).output().expect("launch");
+    let out = ran(&["analyze", &tl]);
     let stdout = succeeded(&out);
     assert!(stdout.contains(": HEALTHY"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
@@ -1676,18 +1516,9 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_nan_test");
     std::fs::create_dir_all(&dir).unwrap();
     let tl = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=96",
-            "p=8",
-            "c=2",
-            "steps=3",
-            "--faults=nan:0@1",
-            &format!("--trace={tl}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!(
+        "run n=96 p=8 c=2 steps=3 --faults=nan:0@1 --trace={tl}"
+    ));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "NaN run must fail");
     // The whole blame record, particle included: the lane kernel must
@@ -1700,7 +1531,7 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
     assert!(bundle.contains(blame), "{bundle}");
 
     // The postmortem carries the blame and renders UNHEALTHY, exit 1.
-    let out = cli().args(["analyze", &tl]).output().expect("launch");
+    let out = ran(&["analyze", &tl]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("UNHEALTHY"), "{stdout}");
@@ -1716,18 +1547,9 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_corrupt_test");
     std::fs::create_dir_all(&dir).unwrap();
     let tl = dir.join("run.json").display().to_string();
-    let out = cli()
-        .args([
-            "run",
-            "n=96",
-            "p=8",
-            "c=2",
-            "steps=3",
-            "--faults=corrupt:4@1",
-            &format!("--trace={tl}"),
-        ])
-        .output()
-        .expect("launch");
+    let out = sh(&format!(
+        "run n=96 p=8 c=2 steps=3 --faults=corrupt:4@1 --trace={tl}"
+    ));
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "gate must fail\n{stdout}");
@@ -1740,7 +1562,7 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     assert!(stderr.contains("HEALTH GATE"), "{stderr}");
 
     // The bundle names the mismatch and renders UNHEALTHY, exit 1.
-    let out = cli().args(["analyze", &tl]).output().expect("launch");
+    let out = ran(&["analyze", &tl]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("1 fingerprint mismatch"), "{stdout}");
@@ -1772,13 +1594,18 @@ fn conformance_attributes_a_corrupt_replicas_repair_to_its_plan() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let out = cli()
-        .args(["conformance", &trace])
-        .output()
-        .expect("launch");
-    let stdout = succeeded(&out);
+    // The bundle is UNHEALTHY (exit 1, the repaired mismatch), and its
+    // ledger conforms: no conformance failure on stderr.
+    let out = analyzed(&trace, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     let violations = doc.get("violations").unwrap().as_f64().unwrap();
     assert!(violations > 0.0, "the repair must resend: {stdout}");
     assert_eq!(doc.get("explained").unwrap().as_f64(), Some(violations));
@@ -1808,9 +1635,9 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let common = ["run", "n=64", "p=4", "c=2", "steps=6", "--health"];
-    let out = cli().args(common).output().expect("launch");
+    let out = ran(&common);
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     let want_energy = doc.get("kinetic_energy").unwrap().as_f64().unwrap();
 
     let ckpt = dir.join("ckpt");
@@ -1837,7 +1664,7 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
         .output()
         .expect("launch");
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert_eq!(doc.get("resumed_from_step").unwrap().as_f64(), Some(4.0));
     assert_eq!(
         doc.get("kinetic_energy").unwrap().as_f64().unwrap(),
@@ -1858,15 +1685,12 @@ fn health_flags_reject_bad_specs_and_checkpoint_combination() {
         .output()
         .expect("launch");
     let stdout = succeeded(&out);
-    let doc = nbody_trace::Json::parse(stdout.lines().last().unwrap()).unwrap();
+    let doc = summary(&stdout);
     assert!(
         doc.get("wire_events").unwrap().as_f64().unwrap() > 0.0,
         "{stdout}"
     );
-    let out = cli()
-        .args(["analyze", &format!("--wire={wire}")])
-        .output()
-        .expect("launch");
+    let out = ran(&["analyze", &format!("--wire={wire}")]);
     succeeded(&out);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1906,7 +1730,7 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
         ),
         (
             "steps",
-            &["audit", "steps=two", "--out=a.json"],
+            &["run", "steps=two", "--trace=t.json"],
             ["'steps'", "'two'"],
         ),
         (
@@ -1934,7 +1758,7 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
             &["run", "--checkpoint-dir=ck", "--faults=crash@soon"],
             ["invalid --faults", "`crash@soon`: bad step"],
         ),
-        ("c", &["audit", "c=some"], ["'c'", "'some'"]),
+        ("c", &["run", "c=some", "--trace=t.json"], ["'c'", "'some'"]),
         (
             "bc",
             &["run", "boundary=perodic", "--trace=t.json"],
@@ -1953,11 +1777,10 @@ fn a_malformed_option_value_is_a_startup_error_not_a_default() {
             &["run", "n=64", "p=4", "steps=1", "--trace=t.csv"],
             ["'trace'", "'t.csv'"],
         ),
-        ("audit-csv", &["audit", "--out=a.csv"], ["'out'", "'a.csv'"]),
         (
-            "roofline-csv",
-            &["audit", "--roofline-out=r.csv"],
-            ["'roofline-out'", "'r.csv'"],
+            "analysis-csv",
+            &["analyze", "t.json", "--json=a.csv"],
+            ["'json'", "'a.csv'"],
         ),
     ] {
         assert_refused(2, tag, args, &names);
@@ -2014,8 +1837,6 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             &["run", "n=64", "p=4", "steps=1", "--profile"],
             ["'profile'", "'run'"],
         ),
-        // The send counts come from the ledger: no probe to switch on.
-        ("wire", &["audit", "--wire"], ["'wire'", "'audit'"]),
         // Read only next to the option that gives them a meaning.
         (
             "every",
@@ -2037,11 +1858,6 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
             &["run", "fault-timeout-ms=300"],
             ["'fault-timeout-ms'", "'run'"],
         ),
-        (
-            "method",
-            &["audit", "method=ca-cutoff-1d"],
-            ["'method'", "'audit'"],
-        ),
         // Deleted: the critical path's one file is the `--json` analysis.
         (
             "csv",
@@ -2053,13 +1869,14 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
     }
     // One run, one file: the run bundle carries the metrics, the timeline,
     // the grid's `c`, the spec and the fault plan, so no option names them
-    // again (`conformance` takes none of the run's); a campaign's summed
-    // snapshot had no reader.
+    // again (`analyze` takes none of the run's); a campaign's summed
+    // snapshot had no reader. The audit's report files are the one
+    // `--json` document.
     let run_options = "n=48 p=8 c=2 steps=2 dt=0.01 seed=7 method=ca law=lj cutoff=0.5 \
                        boundary=periodic temperature=0";
     let retyped = run_options
         .split_whitespace()
-        .map(|o| format!("conformance m.json {o}"));
+        .map(|o| format!("analyze m.json {o}"));
     let gone = [
         "run n=64 p=4 steps=1 --metrics=m.json",
         "run n=64 p=4 steps=1 --record-timeline=tl.json",
@@ -2068,7 +1885,9 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
         "analyze t.json --metrics=m.json",
         "analyze --timeline=tl.json",
         "analyze t.json c=2",
-        "conformance m.json --faults=drop:3@1",
+        "analyze m.json --faults=drop:3@1",
+        "analyze m.json --out=a.json",
+        "analyze m.json --roofline-out=r.json",
         "chaos n=64 p=4 --metrics=m.json",
     ];
     for args in gone.map(String::from).into_iter().chain(retyped) {
@@ -2101,13 +1920,17 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
     for args in [
         &["run", "n=32", "p=2", "c=1", "steps=1"][..],
         &["verify", "n=32", "p=2", "c=1", "steps=1"],
-        &["audit", "n=64", "p=4"],
         &["calibrate"],
         &["chaos", "n=64", "p=4"],
         &["soak", "n=64", "p=4", "seconds=1"],
         &["analyze", "t.json"],
         &["analyze", "--wire=w.json"],
-        &["conformance", "m.json"],
+        &[
+            "analyze",
+            "t.json",
+            "--baseline=b.json",
+            "--roofline-baseline=r.json",
+        ],
     ] {
         let mut args = args.to_vec();
         args.push("--no-such-option=1");
@@ -2122,8 +1945,6 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
     // `boundary=periodic` wraps the window: the options the bundle
     // recorded must reproduce its schedule, and a changed one must not.
     let dir = std::env::temp_dir().join("ca_nbody_cli_one_grammar_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let run = dir.join("run.json").display().to_string();
     let flags = [
         "method=ca-cutoff-1d",
         "law=lj",
@@ -2132,16 +1953,13 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
         "c=2",
         "steps=2",
     ];
-    let out = cli()
-        .arg("run")
-        .args(flags)
-        .args(["boundary=periodic", &format!("--trace={run}")])
-        .output()
-        .expect("launch");
-    succeeded(&out);
+    let run = traced(
+        &dir,
+        "run.json",
+        &[&flags[..], &["boundary=periodic"]].concat(),
+    );
 
-    let out = cli().args(["conformance", &run]).output().expect("launch");
-    let stdout = succeeded(&out);
+    let stdout = succeeded(&analyzed(&run, &[]));
     assert!(stdout.contains("verdict: PASS"), "{stdout}");
     assert!(
         stdout.contains("(periodic)") && stdout.contains("cutoff=2.5"),
@@ -2154,10 +1972,7 @@ fn conformance_reads_the_grammar_run_wrote_the_log_with() {
         "boundary=periodic",
         "boundary=reflective",
     );
-    let out = cli()
-        .args(["conformance", &walled])
-        .output()
-        .expect("launch");
+    let out = analyzed(&walled, &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("verdict: FAIL"), "{stdout}");

@@ -485,6 +485,13 @@ fn recorded_artifacts() -> &'static [Vec<u8>; 2] {
         let bundle = RunBundle {
             spec: vec!["n=32".into(), "p=4".into(), "c=2".into(), "steps=2".into()],
             faults: Some("drop:1@1".into()),
+            // A shrink section too, so the cuts reach its parser.
+            shrinks: vec![nbody_comm::Shrink {
+                step: 1,
+                survivors: vec![0, 2],
+                c: 1,
+                n: 16,
+            }],
             artifacts: out.artifacts,
         };
         [bundle.to_json(), wire].map(String::into_bytes)
