@@ -91,6 +91,8 @@ check "a recorded run gets its verdicts from one reader, analyze: audit and conf
     none '^ *\("(audit|conformance)", ' src
 check "analyze audits the bundle the run wrote: no subcommand defaults of its own to launch an audited run, no second per-phase send table" \
     none 'Defaults::AUDIT|fn send_table' src
+check "one fault sweep, chaos, judges every schedule once: soak is chaos seconds=N, and a seeded plan's fault count is no option" \
+    none '\("soak", |Defaults::SOAK|opts\.get\("events"' src
 check "a team lookup truncates and clamps: no libm floor per particle in the deal, the re-assignment or the midpoint baseline" \
     none '\.floor\(' crates/core/src/dist.rs
 check "the gather orders by merging the ranks' id-sorted blocks (merge_by_id), not by sorting every particle" \

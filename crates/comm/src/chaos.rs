@@ -90,13 +90,13 @@ impl FaultKind {
         }
     }
 
-    /// Whether [`ChaosComm`] applies this kind on the wire; the driver
-    /// fires the others, which never touch it.
+    /// The kinds [`ChaosComm`] applies on the wire; the driver fires the
+    /// others, which never touch it.
+    pub const WIRE: [FaultKind; 4] = [Self::Kill, Self::Drop, Self::Duplicate, Self::Delay];
+
+    /// Whether this kind is one of [`WIRE`](Self::WIRE).
     pub fn on_wire(self) -> bool {
-        matches!(
-            self,
-            FaultKind::Drop | FaultKind::Delay | FaultKind::Duplicate | FaultKind::Kill
-        )
+        Self::WIRE.contains(&self)
     }
 }
 

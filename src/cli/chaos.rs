@@ -1,14 +1,21 @@
-//! `chaos` and `soak`: fault schedules against one small execution, each
-//! run held to bit-identical recovery or to a survivor-consistent shrink.
-//! With `--postmortem=DIR` every run that dies leaves its run bundle in
-//! the directory, `<schedule>.json`, the file `analyze` reads (`run
-//! --trace` writes the same document).
+//! `chaos`: fault schedules against one small execution. Fixed passes
+//! first; with `seconds=N`, seeded random plans until `N` seconds have
+//! passed. Every schedule that finishes has one judge, [`Sweep::judge`]:
+//! its trajectory is held to bit-identical recovery or to a
+//! survivor-consistent shrink, and its ledger to the schedule twin of the
+//! run it made (`ca_nbody::wire::check`, the diff `analyze` prints). With
+//! `--postmortem=DIR` every run that dies leaves its run bundle in the
+//! directory, `<schedule>.json`, the file `analyze` reads (`run --trace`
+//! writes the same document).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::{run_distributed, Method, Run, RunResult, SimConfig};
+use ca_nbody::wire::check;
+use ca_nbody::{
+    expected_schedule, run_distributed, Method, Run, RunResult, SimConfig, WireScheduleSpec,
+};
 use nbody_comm::{FaultKind, FaultPlan, RunBundle};
 use nbody_metrics::MetricsSnapshot;
 use nbody_physics::{ForceLaw, Particle, SemiImplicitEuler};
@@ -17,51 +24,60 @@ use super::artifact::{load_json, write, Summary};
 use super::spec::{AnyLaw, Defaults, RunSpec};
 use super::{verdict, Failure, Opts};
 
+/// Faults in each seeded plan.
+const EVENTS: usize = 3;
+
 /// One campaign: the run faults are injected into, and what the schedules
 /// tried against it so far came to.
 struct Sweep {
     spec: RunSpec,
     cfg: SimConfig<AnyLaw, SemiImplicitEuler>,
     initial: Vec<Particle>,
+    /// The fault-free trajectory a schedule that shrinks nothing reproduces.
+    want: Vec<Particle>,
     policy: RetryPolicy,
     /// Row-0 shift steps of the layout: the kill schedules' step range.
     pipeline_steps: usize,
     runs: usize,
+    /// Schedules that finished, the world shrinks among them, and those
+    /// whose ledger conformed to their schedule twin.
+    finished: usize,
+    shrinks: usize,
+    conforming: usize,
     failures: Vec<String>,
     postmortem_dir: Option<String>,
     postmortem_bundles: Vec<String>,
 }
 
 impl Sweep {
-    /// Read the target of `cmd` from the options: a CA run that lays out,
-    /// retried under the default policy from a `fault-timeout-ms` deadline,
-    /// each evaluation given half the default budget.
-    fn from_opts(opts: &mut Opts, defaults: &Defaults, cmd: &str) -> Result<Sweep, Failure> {
-        let spec = RunSpec::from_opts(opts, defaults)?;
+    /// Read the target from the options: a CA run that lays out, retried
+    /// under the default policy from a `fault-timeout-ms` deadline, each
+    /// evaluation given half the default budget.
+    fn from_opts(opts: &mut Opts) -> Result<Sweep, Failure> {
+        let spec = RunSpec::from_opts(opts, &Defaults::CHAOS)?;
         if !spec.method().is_ca() {
             let ca = "ca, ca-cutoff-1d, ca-cutoff-2d";
-            return Err(format!("{cmd}: fault injection requires a CA method ({ca})").into());
+            return Err(format!("chaos: fault injection requires a CA method ({ca})").into());
         }
-        let layout = spec.layout().map_err(|e| format!("{cmd}: {e}"))?;
+        let layout = spec.layout().map_err(|e| format!("chaos: {e}"))?;
         Ok(Sweep {
             cfg: spec.config(),
             initial: spec.initial(),
+            want: Vec::new(),
             policy: RetryPolicy {
                 budget: Duration::from_secs(30),
                 ..RetryPolicy::with_timeout_ms(opts.get("fault-timeout-ms", 250)?)
             },
             pipeline_steps: layout.pipeline_steps(),
             runs: 0,
+            finished: 0,
+            shrinks: 0,
+            conforming: 0,
             failures: Vec::new(),
             postmortem_dir: opts.opt("postmortem")?,
             postmortem_bundles: Vec::new(),
             spec,
         })
-    }
-
-    /// The fault-free trajectory every recovered run must reproduce.
-    fn reference(&self) -> Vec<Particle> {
-        run_distributed(&self.cfg, self.spec.method(), self.spec.p, &self.initial).particles
     }
 
     /// One schedule: the traced fault-tolerant run of `method` under `plan`.
@@ -112,8 +128,10 @@ impl Sweep {
         self.failures.push(format!("{label}: {what}"));
     }
 
-    /// [`run`](Self::run) a schedule that must complete.
-    fn attempt(
+    /// [`run`](Self::run) the schedule `label`, which must finish, and
+    /// [`judge`](Self::judge) it. A fixed pass checks what it expects
+    /// beyond the judge on the result.
+    fn schedule(
         &mut self,
         label: &str,
         name: &str,
@@ -121,7 +139,10 @@ impl Sweep {
         plan: &FaultPlan,
     ) -> Option<(RunResult, MetricsSnapshot)> {
         match self.run(name, method, plan) {
-            Ok(done) => Some(done),
+            Ok((res, metrics)) => {
+                self.judge(label, method, plan, &res, &metrics);
+                Some((res, metrics))
+            }
             Err(e) => {
                 self.fail(label, e);
                 None
@@ -129,28 +150,53 @@ impl Sweep {
         }
     }
 
-    /// Validate a degraded (shrunken) run: the survivors must account for
-    /// every particle, occupy the expected rank count, and reproduce — bit
-    /// for bit — a clean recomposed run on the survivor set at the same
-    /// shrunken grid the degraded run re-derived.
-    fn check_shrunk(&mut self, label: &str, res: &RunResult, method: Method, expect_ranks: usize) {
-        let n = self.spec.n;
-        if res.shrinks.is_empty() {
-            return self.fail(label, "expected a world shrink, got none");
-        }
-        if res.final_ranks != expect_ranks {
-            let got = res.final_ranks;
-            self.fail(
+    /// The one judge of a finished schedule: the fault-free forces bit for
+    /// bit, the recomposed survivor run after one shrink, every particle
+    /// after more; then its ledger against the twin of the run it made,
+    /// piecewise across its shrinks, every deviation explained by `plan`.
+    fn judge(
+        &mut self,
+        label: &str,
+        method: Method,
+        plan: &FaultPlan,
+        res: &RunResult,
+        metrics: &MetricsSnapshot,
+    ) {
+        self.finished += 1;
+        self.shrinks += res.shrinks.len();
+        let (n, kept, lost) = (self.spec.n, res.particles.len(), res.lost_particles);
+        match res.shrinks.len() {
+            0 if res.particles != self.want => self.fail(label, "forces diverged"),
+            0 => {}
+            _ if kept + lost != n => self.fail(
                 label,
-                format!("expected {expect_ranks} surviving ranks, got {got}"),
-            );
+                format!("survivors ({kept}) + lost ({lost}) do not cover all {n} particles"),
+            ),
+            1 => self.check_shrunk(label, res, method),
+            _ => {}
         }
-        let (kept, lost) = (res.particles.len(), res.lost_particles);
-        if kept + lost != n {
-            let what = format!("survivors ({kept}) + lost ({lost}) do not cover all {n} particles");
-            return self.fail(label, what);
+        let twin = WireScheduleSpec {
+            method,
+            shrinks: res.shrinks.clone(),
+            ..self.spec.wire_spec()
+        };
+        match expected_schedule(&twin).map(|expected| check(&expected, metrics, plan)) {
+            Ok(report) if report.verdict() == "PASS" => self.conforming += 1,
+            Ok(report) => {
+                print!("{}", report.render());
+                let unexplained = report.unexplained();
+                self.fail(label, format!("{unexplained} deviation(s) from its twin"));
+            }
+            Err(e) => self.fail(label, format!("no schedule twin: {e}")),
         }
-        if lost == 0 {
+    }
+
+    /// Validate a run that shrank once: the dead column lost particles,
+    /// and the survivors reproduce — bit for bit — a clean recomposed run
+    /// on the survivor set at the same shrunken grid the degraded run
+    /// re-derived.
+    fn check_shrunk(&mut self, label: &str, res: &RunResult, method: Method) {
+        if res.lost_particles == 0 {
             return self.fail(label, "a dead column should have lost its particles");
         }
         // `res.particles` is sorted by id, so the survivor subset of the
@@ -178,42 +224,20 @@ impl Sweep {
         }
     }
 
-    /// The summary of `cmd`, opened with the target's keys.
-    fn summary(&self, cmd: &str) -> Summary {
-        let mut summary = Summary::of(cmd);
-        summary
-            .put("method", self.spec.method_name.as_str())
-            .put("n", self.spec.n)
-            .put("p", self.spec.p)
-            .put("c", self.spec.c)
-            .put("steps", self.spec.steps);
-        summary
-    }
-
-    /// Print `summary` with the postmortems named, report every failure.
-    fn close(
-        self,
-        mut summary: Summary,
-        elapsed: Duration,
-        banner: &str,
-    ) -> Result<ExitCode, Failure> {
-        summary
-            .put("elapsed_secs", elapsed.as_secs_f64())
-            .put("failures", self.failures.len())
-            .put("pass", self.failures.is_empty());
-        if let Some(dir) = self.postmortem_dir {
-            summary
-                .put("postmortem_dir", dir)
-                .put("postmortem_bundles", self.postmortem_bundles);
+    /// What a fixed pass that kills whole columns expects beyond the
+    /// judge of the schedule `label` it ran: a shrink onto `ranks`.
+    fn expect_shrink(
+        &mut self,
+        label: &str,
+        done: Option<(RunResult, MetricsSnapshot)>,
+        ranks: usize,
+    ) {
+        let Some((res, _)) = done else { return };
+        let (shrinks, got) = (res.shrinks.len(), res.final_ranks);
+        if shrinks == 0 || got != ranks {
+            let what = format!("expected a shrink onto {ranks} ranks, got {shrinks} onto {got}");
+            self.fail(label, what);
         }
-        summary.print();
-        let failed = self.failures.len();
-        let lines = self
-            .failures
-            .iter()
-            .map(|f| format!("  {banner} FAILURE: {f}"));
-        let total = (failed > 0).then(|| format!("{banner} FAILED: {failed} failure(s)"));
-        verdict(&lines.chain(total).collect::<Vec<_>>())
     }
 }
 
@@ -223,23 +247,26 @@ fn kill_all(ranks: impl Iterator<Item = usize>) -> FaultPlan {
     FaultPlan { events }
 }
 
-/// `chaos`: sweep deterministic fault schedules over a small execution.
+/// `chaos`: sweep fault schedules over a small execution.
 ///
-/// Six passes, each introduced where it runs, all against the same
+/// Six fixed passes, each introduced where it runs, all against the same
 /// fault-free trajectory: benign schedules, a kill of every rank at every
 /// pipeline step, `--kills=N` at once, a whole column, a `c = 1` kill, and
-/// every rank. Recovery overhead (worst attempt count, resync bytes per
-/// kill relative to one replicated block) is gated against the ceilings of
-/// `--baseline=<json>`, default `bench_results/chaos_baseline.json`.
+/// every rank. Recovery overhead of the kill sweep (worst attempt count,
+/// resync bytes per kill relative to one replicated block) is gated
+/// against the ceilings of `--baseline=<json>`, default
+/// `bench_results/chaos_baseline.json`. With `seconds=N`, seeded random
+/// plans follow until `N` seconds have passed on their own clock.
 pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     // Every planned fault fires once, so a retry's longer deadline can
     // spare a timeout but never add an attempt: the attempt ceilings hold.
-    let mut sweep = Sweep::from_opts(opts, &Defaults::CHAOS, "chaos")?;
-    let (n, p, c) = (sweep.spec.n, sweep.spec.p, sweep.spec.c);
+    let mut sweep = Sweep::from_opts(opts)?;
+    let (n, p, c, seed) = (sweep.spec.n, sweep.spec.p, sweep.spec.c, sweep.spec.seed);
     if c < 2 {
         return Err("chaos: the kill sweep needs a surviving replica; pass c >= 2".into());
     }
     let kills: usize = opts.get("kills", 1)?;
+    let seconds: f64 = opts.get("seconds", 0.0)?;
     let baseline: Option<String> = opts.opt("baseline")?;
     opts.finish()?;
 
@@ -264,26 +291,22 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         sweep.policy.base_timeout.as_millis()
     );
     let start = Instant::now();
-    let want = sweep.reference();
+    sweep.want = run_distributed(&sweep.cfg, method, p, &sweep.initial).particles;
 
     // Benign schedules: delays and duplicates must be absorbed without
     // even triggering recovery.
     for salt in 0..2u64 {
         let plan = FaultPlan::seeded(
-            sweep.spec.seed.wrapping_add(salt),
+            seed.wrapping_add(salt),
             p,
             pipeline_steps,
             4,
             &[FaultKind::Delay, FaultKind::Duplicate],
         );
         let label = format!("benign [{}]", plan.spec());
-        if let Some((res, _)) = sweep.attempt(&label, &format!("benign_{salt}"), method, &plan) {
-            if res.particles != want {
-                sweep.fail(&label, "forces diverged");
-            }
-            if res.recovered {
-                sweep.fail(&label, "spurious recovery");
-            }
+        let done = sweep.schedule(&label, &format!("benign_{salt}"), method, &plan);
+        if done.is_some_and(|(res, _)| res.recovered) {
+            sweep.fail(&label, "spurious recovery");
         }
     }
 
@@ -294,11 +317,11 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     let mut worst_attempts = 1usize;
     let mut worst_bytes_factor = 0.0f64;
     // What a schedule of kills that leaves every column a replica must
-    // show: the fault-free forces, and a recovery if a kill fired at all.
+    // show beyond the judge: no shrink, and a recovery if a kill fired.
     let mut recovered = |sweep: &mut Sweep, label: &str, name: &str, plan: &FaultPlan| {
-        let (res, run_metrics) = sweep.attempt(label, name, method, plan)?;
-        if res.particles != want {
-            sweep.fail(label, "forces diverged from fault-free run");
+        let (res, run_metrics) = sweep.schedule(label, name, method, plan)?;
+        if !res.shrinks.is_empty() {
+            sweep.fail(label, "unexpected world shrink");
         }
         // In the cutoff pipeline short rows never reach high
         // steps, so some scheduled kills legitimately don't fire.
@@ -309,13 +332,13 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
             sweep.fail(label, "fired but not recovered");
         }
         worst_attempts = worst_attempts.max(res.max_attempts);
-        Some((res, run_metrics))
+        Some(run_metrics)
     };
     for step in 0..=pipeline_steps {
         for rank in 0..p {
             let label = format!("kill:{rank}@{step}");
             let name = format!("kill_{rank}_at_{step}");
-            if let Some((_, run_metrics)) =
+            if let Some(run_metrics) =
                 recovered(&mut sweep, &label, &name, &FaultPlan::kill(rank, step))
             {
                 kills_fired += 1;
@@ -335,14 +358,9 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     if kills >= 2 {
         let plan = kill_all((0..kills.min(teams)).map(|t| (t % c) * teams + t));
         let label = format!("multi-kill [{}]", plan.spec());
-        if let Some((res, _)) = recovered(&mut sweep, &label, "multi_kill", &plan) {
-            if !res.shrinks.is_empty() {
-                sweep.fail(&label, "unexpected world shrink");
-            }
-        }
+        recovered(&mut sweep, &label, "multi_kill", &plan);
     }
 
-    let mut shrinks_observed = 0usize;
     // The second availability tier: kill *every* replica of one column,
     // so replica recovery is impossible and the world must shrink onto
     // the survivors, then finish the run matching a recomposed clean run
@@ -350,10 +368,8 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     let victim = 1 % teams;
     let plan = kill_all((0..c).map(|row| row * teams + victim));
     let label = format!("double-kill [{}]", plan.spec());
-    if let Some((res, _)) = sweep.attempt(&label, "double_kill_same_column", method, &plan) {
-        shrinks_observed += res.shrinks.len();
-        sweep.check_shrunk(&label, &res, method, p - c);
-    }
+    let done = sweep.schedule(&label, "double_kill_same_column", method, &plan);
+    sweep.expect_shrink(&label, done, p - c);
 
     // Without replication a single kill leaves no replica at all: the
     // same degraded tier — survivors must agree, shrink to p-1 ranks,
@@ -363,19 +379,15 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         ..sweep.spec.clone()
     }
     .method();
-    if let Some((res, _)) = sweep.attempt("c=1 kill", "c1_kill", m1, &FaultPlan::kill(p / 2, 0)) {
-        shrinks_observed += res.shrinks.len();
-        sweep.check_shrunk("c=1 kill", &res, m1, p - 1);
-    }
+    let done = sweep.schedule("c=1 kill", "c1_kill", m1, &FaultPlan::kill(p / 2, 0));
+    sweep.expect_shrink("c=1 kill", done, p - 1);
 
     // Total loss: every rank killed in the same step leaves nothing to
     // shrink onto. This is the one fault the degraded tiers cannot absorb
     // — it must fail cleanly (no deadlock, no bogus result) and leave a
     // flight-recorder postmortem for the artifact upload.
     match sweep.run("total_loss_unrecoverable", method, &kill_all(0..p)) {
-        Ok(_) => sweep
-            .failures
-            .push("total loss must be unrecoverable, but the run succeeded".into()),
+        Ok(_) => sweep.fail("total loss", "must be unrecoverable, but the run succeeded"),
         Err(e) => println!("  total-loss kill failed as required: {e}"),
     }
 
@@ -396,93 +408,61 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
          {worst_bytes_factor:.2}x block (ceiling {bytes_factor_ceiling})",
         sweep.runs
     );
-    let mut summary = sweep.summary("chaos");
-    summary
-        .put("runs", sweep.runs)
-        .put("kills_fired", kills_fired)
-        .put("kills", kills)
-        .put("shrinks", shrinks_observed)
-        .put("max_attempts", worst_attempts)
-        .put("recovery_bytes_factor", worst_bytes_factor);
-    sweep.close(summary, elapsed, "CHAOS")
-}
 
-/// `soak`: time-boxed randomized chaos. Seeded fault plans (kills,
-/// drops, duplicates, delays) are generated from a deterministically
-/// advancing seed and run until the wall-clock budget (`seconds`)
-/// expires. Every run must terminate cleanly: bit-identical recovery
-/// when no column fully died, or a survivor-consistent shrink when one
-/// did (single-shrink runs are additionally checked against a
-/// recomposed clean run on the survivor set). The CI chaos-soak job
-/// uploads the `--postmortem` directory on failure.
-pub fn soak(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
-    let mut sweep = Sweep::from_opts(opts, &Defaults::SOAK, "soak")?;
-    let seconds: f64 = opts.get("seconds", 30.0)?;
-    let events: usize = opts.get("events", 3)?;
-    opts.finish()?;
-
-    let (n, p, seed) = (sweep.spec.n, sweep.spec.p, sweep.spec.seed);
-    let method = sweep.spec.method();
-    let want = sweep.reference();
-    println!(
-        "chaos soak: {} n={n} p={p} c={} steps={}, \
-         {seconds:.0}s budget, {events} events/plan, base seed {seed}",
-        sweep.spec.method_name, sweep.spec.c, sweep.spec.steps
-    );
-
-    let start = Instant::now();
-    let (mut shrinks, mut recoveries) = (0usize, 0usize);
-    loop {
-        let plan_seed = seed.wrapping_add(sweep.runs as u64);
-        let plan = FaultPlan::seeded(
-            plan_seed,
-            p,
-            sweep.pipeline_steps,
-            events,
-            &[
-                FaultKind::Kill,
-                FaultKind::Drop,
-                FaultKind::Duplicate,
-                FaultKind::Delay,
-            ],
-        );
-        let label = format!("seed {plan_seed} [{}]", plan.spec());
-        let name = format!("soak_seed_{plan_seed}");
-        if let Some((res, _)) = sweep.attempt(&label, &name, method, &plan) {
-            if res.recovered {
-                recoveries += 1;
-            }
-            shrinks += res.shrinks.len();
-            match res.shrinks.len() {
-                0 if res.particles != want => {
-                    sweep.fail(&label, "diverged from fault-free run without a shrink")
-                }
-                0 => {}
-                1 => sweep.check_shrunk(&label, &res, method, res.final_ranks),
-                _ if res.particles.len() + res.lost_particles != n => {
-                    sweep.fail(&label, "survivors + lost do not cover all particles")
-                }
-                _ => {}
-            }
+    // Seeded random plans of the four wire kinds, seeds advancing from
+    // `seed`, until `seconds` have passed on this phase's own clock or five
+    // failures give enough to diagnose. No `corrupt`: at c = 2 a corrupted
+    // row 0 is a 1-1 tie that repairs toward the bad copy (DESIGN §12.5).
+    let mut seeded = 0usize;
+    if seconds > 0.0 {
+        println!("seeded plans: {seconds:.0}s budget, {EVENTS} events/plan, base seed {seed}");
+        let clock = Instant::now();
+        while seeded == 0 || (sweep.failures.len() < 5 && clock.elapsed().as_secs_f64() < seconds) {
+            let plan_seed = seed.wrapping_add(seeded as u64);
+            seeded += 1;
+            let plan = FaultPlan::seeded(plan_seed, p, pipeline_steps, EVENTS, &FaultKind::WIRE);
+            let label = format!("seed {plan_seed} [{}]", plan.spec());
+            sweep.schedule(&label, &format!("seed_{plan_seed}"), method, &plan);
         }
-        // Enough evidence to diagnose — don't burn the rest of the budget.
-        if sweep.failures.len() >= 5 || start.elapsed().as_secs_f64() >= seconds {
-            break;
-        }
+        println!("  {seeded} seeded runs in {:.2?}", clock.elapsed());
     }
 
-    let elapsed = start.elapsed();
+    let (finished, conforming) = (sweep.finished, sweep.conforming);
     println!(
-        "  {} seeded runs in {elapsed:.2?}: {recoveries} recoveries, {shrinks} shrinks, \
-         {} failure(s)",
-        sweep.runs,
-        sweep.failures.len()
+        "  wire: {conforming} of {finished} finished schedules conform to their twin \
+         ({} non-conforming)",
+        finished - conforming
     );
-    let mut summary = sweep.summary("soak");
+    let mut summary = Summary::of("chaos");
     summary
-        .put("seed", seed)
+        .put("method", sweep.spec.method_name.as_str())
+        .put("n", n)
+        .put("p", p)
+        .put("c", c)
+        .put("steps", sweep.spec.steps)
         .put("runs", sweep.runs)
-        .put("recoveries", recoveries)
-        .put("shrinks", shrinks);
-    sweep.close(summary, elapsed, "SOAK")
+        .put("seeded_runs", seeded)
+        .put("kills_fired", kills_fired)
+        .put("kills", kills)
+        .put("shrinks", sweep.shrinks)
+        .put("max_attempts", worst_attempts)
+        .put("recovery_bytes_factor", worst_bytes_factor)
+        .put("finished", finished)
+        .put("conforming", conforming)
+        .put("elapsed_secs", start.elapsed().as_secs_f64())
+        .put("failures", sweep.failures.len())
+        .put("pass", sweep.failures.is_empty());
+    if let Some(dir) = sweep.postmortem_dir {
+        summary
+            .put("postmortem_dir", dir)
+            .put("postmortem_bundles", sweep.postmortem_bundles);
+    }
+    summary.print();
+    let failed = sweep.failures.len();
+    let lines = sweep
+        .failures
+        .iter()
+        .map(|f| format!("  CHAOS FAILURE: {f}"));
+    let total = (failed > 0).then(|| format!("CHAOS FAILED: {failed} failure(s)"));
+    verdict(&lines.chain(total).collect::<Vec<_>>())
 }

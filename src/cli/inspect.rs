@@ -144,8 +144,16 @@ pub fn analyze(opts: &mut Opts, positional: &[String]) -> Result<ExitCode, Failu
         healthy = health.is_clean();
         sections.push(render_drift(tl, &drift_cfg));
         sections.push(health.render());
-        conformance(bundle, spec, &mut verdicts)?;
-        optimality(spec, metrics, gates, &mut verdicts)?;
+        if tl.is_postmortem() {
+            // The schedule and the bounds would count steps that never ran.
+            verdicts.text.push_str(
+                "no conformance or optimality verdict: the run died, and its bundle \
+                 records the steps it was asked for, not the steps it ran\n",
+            );
+        } else {
+            conformance(bundle, spec, &mut verdicts)?;
+            optimality(spec, metrics, gates, &mut verdicts)?;
+        }
         sections.push(std::mem::take(&mut verdicts.text));
         export = json.map(|out| {
             let mut doc = render_json(&a);

@@ -1,7 +1,7 @@
 //! The run grammar: the one place `(n, p, c, steps, dt, seed, method, law,
 //! cutoff, boundary, temperature)` becomes a configured run. `run`,
-//! `verify`, `chaos` and `soak` describe the execution they launch with
-//! these options and differ only in their [`Defaults`]; a run bundle
+//! `verify` and `chaos` describe the execution they launch with these
+//! options and differ only in their [`Defaults`]; a run bundle
 //! records them ([`RunSpec::options`]) and `analyze` reads them back
 //! ([`RunSpec::recorded`]). The checkpoint fingerprint and the
 //! expected wire schedule are derived from the same fields, so the options
@@ -100,12 +100,6 @@ impl Defaults {
         steps: 1,
         temperature: 0.0,
         ..Defaults::RUN
-    };
-    /// `soak`: smaller still, two steps so kills land mid-run too.
-    pub const SOAK: Defaults = Defaults {
-        n: 96,
-        steps: 2,
-        ..Defaults::CHAOS
     };
 }
 
@@ -371,9 +365,6 @@ mod tests {
         assert_eq!((run.seed, run.boundary), (42, Boundary::Reflective));
         let chaos = spec(&[], &Defaults::CHAOS).unwrap();
         assert_eq!(shape(&chaos), (192, 8, 2, 1, 0.005, 0.25, 0.0));
-        let soak = spec(&["method=ca-cutoff-1d"], &Defaults::SOAK).unwrap();
-        assert_eq!(shape(&soak), (96, 8, 2, 2, 0.005, 0.25, 0.0));
-        assert_eq!(soak.method(), Method::Ca1dCutoff { c: 2 });
         // At rest means at rest: no thermal velocities, the seeded positions.
         assert!(chaos.initial().iter().all(|q| q.vel == Vec2::new(0.0, 0.0)));
         assert!(run.initial().iter().any(|q| q.vel != Vec2::new(0.0, 0.0)));
@@ -449,7 +440,7 @@ mod tests {
     #[test]
     fn the_recorded_options_read_back_into_the_same_spec() {
         // Every subcommand's defaults, and values no default has.
-        let (run, chaos, soak) = (&Defaults::RUN, &Defaults::CHAOS, &Defaults::SOAK);
+        let (run, chaos) = (&Defaults::RUN, &Defaults::CHAOS);
         for method in METHODS {
             for law in ["repulsive", "gravity", "lj"] {
                 for boundary in ["reflective", "periodic", "open"] {
@@ -460,7 +451,7 @@ mod tests {
                         "temperature=3.3e-5".into(),
                     ];
                     let args: Vec<&str> = args.iter().map(String::as_str).collect();
-                    for d in [run, chaos, soak] {
+                    for d in [run, chaos] {
                         let s = spec(&args, d).unwrap();
                         assert_eq!(RunSpec::recorded(&s.options()), Ok(s));
                     }

@@ -11,12 +11,11 @@
 //! ca-nbody verify   [same options]            distributed-vs-serial check
 //! ca-nbody calibrate [--out=bench_results/machine_calibration.json] [seed=42] [--full]
 //! ca-nbody chaos    [n=192] [p=8] [c=2] [steps=1] [method=ca] [seed=42]
-//!                   [fault-timeout-ms=250] [--kills=N]
+//!                   [fault-timeout-ms=250] [--kills=N] [seconds=0]
 //!                   [--baseline=bench_results/chaos_baseline.json]
-//!                   [--postmortem=DIR]
-//! ca-nbody soak     [n=96] [p=8] [c=2] [steps=2] [method=ca] [seed=42]
-//!                   [seconds=30] [events=3] [fault-timeout-ms=250]
-//!                   [--postmortem=DIR]   time-boxed randomized chaos
+//!                   [--postmortem=DIR]   fixed fault passes, then seeded
+//!                   random plans for `seconds`; every schedule that
+//!                   finishes is held to its schedule twin
 //! ca-nbody analyze  [run.json] [--wire=F]
 //!                   [--drift-window=16] [--drift-nsigma=6] [--json=F]
 //!                   [--baseline=F] [--calibration=F] [--roofline-baseline=F]
@@ -51,16 +50,15 @@ use nbody_comm::validate_env;
 mod cli;
 use cli::{calibrate, chaos, inspect, run, Command, Failure, Opts};
 
-const COMMANDS: [(&str, Command); 6] = [
+const COMMANDS: [(&str, Command); 5] = [
     ("run", |opts, _| run::execute(opts, false)),
     ("verify", |opts, _| run::execute(opts, true)),
     ("calibrate", calibrate::calibrate),
     ("chaos", chaos::chaos),
-    ("soak", chaos::soak),
     ("analyze", inspect::analyze),
 ];
 
-const USAGE: &str = "usage: ca-nbody <run|verify|calibrate|chaos|soak|analyze> \
+const USAGE: &str = "usage: ca-nbody <run|verify|calibrate|chaos|analyze> \
      [key=value ...] \
      [--trace=F] [--wire-probe=F] \
      [--faults=SPEC] [--checkpoint-dir=D] [--resume=D] \

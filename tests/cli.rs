@@ -172,8 +172,8 @@ fn force_decomp_requires_square_p() {
 
 #[test]
 fn unknown_subcommand_fails_with_usage() {
-    // `report` and `health` were folded into `analyze`, and so were
-    // `audit` and `conformance`; `autotune` had no reader.
+    // `report`, `health`, `audit` and `conformance` were folded into
+    // `analyze`, and `soak` into `chaos`; `autotune` had no reader.
     let dir = std::env::temp_dir().join("ca_nbody_cli_unknown_subcommand");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -186,6 +186,7 @@ fn unknown_subcommand_fails_with_usage() {
         "autotune",
         "audit",
         "conformance",
+        "soak",
     ] {
         let out = cli()
             .args([name, "n=64", "p=4", "--out=a.json", "t.json"])
@@ -478,10 +479,6 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
             &["chaos", "method=ca-cutoff-1d", "n=64", "p=4", "cutoff=-1"],
             "cutoff=-1",
         ),
-        (
-            &["soak", "method=ca-cutoff-1d", "n=64", "p=4", "cutoff=-1"],
-            "cutoff=-1",
-        ),
         (&["run", "law=lj", "n=64", "p=4", "cutoff=0"], "cutoff=0"),
         (
             &["verify", "method=halo-1d", "n=64", "p=4", "cutoff=0"],
@@ -638,6 +635,9 @@ fn chaos_subcommand_sweeps_and_gates_against_baseline() {
     );
     assert!(doc.get("kills_fired").unwrap().as_f64().unwrap() > 0.0);
     assert_eq!(doc.get("failures").unwrap().as_f64(), Some(0.0));
+    let count = |key: &str| doc.get(key).unwrap().as_f64().unwrap();
+    assert_eq!(count("finished"), count("runs") - 1.0, "{stdout}");
+    assert_eq!(count("conforming"), count("finished"), "{stdout}");
 }
 
 #[test]
@@ -1044,6 +1044,29 @@ fn unrecoverable_fault_dumps_parseable_postmortem_bundle() {
 }
 
 #[test]
+fn a_postmortem_bundle_gets_no_conformance_or_optimality_verdict() {
+    // The run dies at step 2 of 4, and its bundle records the 4 steps it
+    // was asked for: a schedule or a bound over them would count steps
+    // that never ran. `analyze` says so in one line and gives neither
+    // verdict; the postmortem alone makes it exit 1.
+    let path = std::env::temp_dir().join(format!("nan_pm_{}.json", std::process::id()));
+    let path = path.display().to_string();
+    let out = sh(&format!(
+        "run n=512 p=8 c=2 steps=4 --faults=nan:0@2 --trace={path}"
+    ));
+    assert_eq!(out.status.code(), Some(1));
+    let out = ran(&["analyze", &path]);
+    std::fs::remove_file(&path).ok();
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("UNHEALTHY"), "{stdout}");
+    assert_eq!(stdout.matches("no conformance").count(), 1, "{stdout}");
+    assert!(!stdout.contains("FAIL") && !String::from_utf8_lossy(&stderr).contains("FAIL"));
+    let doc = summary(&stdout);
+    assert!(doc.get("verdict").is_none() && doc.get("s_factor").is_none());
+}
+
+#[test]
 fn chaos_postmortem_flag_dumps_bundle_for_the_unrecoverable_kill() {
     let dir = std::env::temp_dir().join("ca_nbody_cli_chaos_postmortem_test");
     std::fs::remove_dir_all(&dir).ok();
@@ -1188,11 +1211,11 @@ fn resume_rejects_mismatched_fingerprint_and_empty_dir() {
 }
 
 #[test]
-fn chaos_multi_kill_and_soak_subcommands_pass() {
-    // Multi-fault chaos: three concurrent same-step kills across distinct
-    // columns recover without shrinking, and the forced whole-column kill
-    // exercises the shrink path (shrinks > 0 in the summary).
-    let out = sh("chaos n=64 p=8 c=2 steps=1 --kills=3 fault-timeout-ms=250");
+fn chaos_multi_kill_and_seeded_plans_pass() {
+    // Three concurrent kills across distinct columns recover without a
+    // shrink, the whole-column kill shrinks (shrinks > 0), and then come
+    // seconds of seeded plans, each failure reproducible from its seed.
+    let out = sh("chaos n=64 p=8 c=2 steps=1 --kills=3 seconds=3 fault-timeout-ms=250");
     let stdout = succeeded(&out);
     let doc = summary(&stdout);
     assert!(
@@ -1204,19 +1227,12 @@ fn chaos_multi_kill_and_soak_subcommands_pass() {
         doc.get("shrinks").unwrap().as_f64().unwrap() > 0.0,
         "{stdout}"
     );
-
-    // A short randomized soak: seeded fault schedules, so any failure
-    // here is reproducible from the printed seed.
-    let out = sh("soak n=64 p=8 c=2 steps=1 seconds=3 events=2 fault-timeout-ms=250");
-    let stdout = succeeded(&out);
-    let doc = summary(&stdout);
-    assert_eq!(doc.get("cmd").unwrap().as_str(), Some("soak"));
-    assert!(
-        matches!(doc.get("pass"), Some(nbody_trace::Json::Bool(true))),
-        "{stdout}"
-    );
-    assert!(doc.get("runs").unwrap().as_f64().unwrap() > 0.0, "{stdout}");
+    assert!(doc.get("seeded_runs").unwrap().as_f64().unwrap() > 0.0);
     assert_eq!(doc.get("failures").unwrap().as_f64(), Some(0.0));
+    // Every schedule but the total loss finished, and each conformed.
+    let count = |key: &str| doc.get(key).unwrap().as_f64().unwrap();
+    assert_eq!(count("finished"), count("runs") - 1.0, "{stdout}");
+    assert_eq!(count("conforming"), count("finished"), "{stdout}");
 }
 
 #[test]
@@ -1889,6 +1905,8 @@ fn an_option_the_subcommand_does_not_read_is_a_startup_error() {
         "analyze m.json --out=a.json",
         "analyze m.json --roofline-out=r.json",
         "chaos n=64 p=4 --metrics=m.json",
+        // Every seeded plan has 3 faults: the count is no option.
+        "chaos n=64 p=4 events=2",
     ];
     for args in gone.map(String::from).into_iter().chain(retyped) {
         let args: Vec<&str> = args.split(' ').collect();
@@ -1922,7 +1940,6 @@ fn every_subcommand_rejects_an_unknown_option_before_doing_anything() {
         &["verify", "n=32", "p=2", "c=1", "steps=1"],
         &["calibrate"],
         &["chaos", "n=64", "p=4"],
-        &["soak", "n=64", "p=4", "seconds=1"],
         &["analyze", "t.json"],
         &["analyze", "--wire=w.json"],
         &[
