@@ -97,5 +97,10 @@ check "a team lookup truncates and clamps: no libm floor per particle in the dea
     none '\.floor\(' crates/core/src/dist.rs
 check "the gather orders by merging the ranks' id-sorted blocks (merge_by_id), not by sorting every particle" \
     none 'sort_by_key\(\|q\| q\.id\)' crates/core/src/sim.rs
+check "rank threads outlive a run: run_ranks hands each rank to a parked worker of the pool, it spawns no scoped threads per launch" \
+    none 'spawn_scoped|thread::scope' crates/comm/src
+check "the transport has one unsafe, the pool's lifetime erasure of a rank's job, and it carries its SAFETY argument" \
+    test "$(grep -rnw unsafe crates/comm/src | wc -l)" -eq 1 -a \
+    "$(grep -rn -B20 -w unsafe crates/comm/src | grep -c 'SAFETY:')" -eq 1
 
 exit "$broken"

@@ -53,8 +53,16 @@
 //!   ledger written into the rank's metrics shard when its body returns.
 //!   The ledger, the inbox and the recorders are one `Rc`-shared value the
 //!   world communicator and every `split` of it hold, and every recorder
-//!   stamps against the one epoch [`run_ranks`] takes before it spawns the
-//!   rank threads.
+//!   stamps against the one epoch [`run_ranks`] takes before it hands the
+//!   ranks their bodies.
+//! * Rank threads outlive a run, as `mpirun`'s processes outlive a step.
+//!   A launch of `p` ranks takes an idle worker thread named `rank-{r}`
+//!   for each `r < p` from a process-wide pool, spawns one only where none
+//!   is idle, and parks them again when every body has returned; a
+//!   launch never shares a worker with another, so launches may run at
+//!   once and a rank body may launch ranks of its own. What a run
+//!   communicates is still its own: fresh inboxes, a fresh fabric and a
+//!   fresh per-rank state each time (DESIGN.md §20.5).
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -649,7 +657,7 @@ impl Communicator for ThreadComm {
 /// flight-event ring behind postmortem bundles, which every execution
 /// keeps. The default is what [`run_ranks`] runs with: the ring alone.
 /// Every recorder stamps time against one epoch, taken once before the
-/// rank threads spawn.
+/// ranks are handed their bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Lenses {
     /// Wall-clock span recording, live metrics (the ledger's `comm_*`
@@ -677,8 +685,10 @@ pub struct Artifacts {
     pub wire: WireLog,
 }
 
-/// Spawn `p` rank threads, run `f` on each with its world communicator, and
-/// return the per-rank results in rank order.
+/// Run `f` on `p` rank threads, each with its world communicator, and
+/// return the per-rank results in rank order. The threads are the pool's
+/// (see the module docs): a second launch of `p` ranks in one process
+/// spawns none.
 ///
 /// This is the entry point of every distributed execution in the
 /// reproduction — the analogue of `mpirun -np p` — with the default
@@ -702,10 +712,74 @@ where
     run_ranks_owned(p, false, lenses, |mut comm| f(&mut comm))
 }
 
-/// Shared body of every entry point: spawn `p` rank threads, hand each its
-/// world [`ThreadComm`] (owned, so wrappers like `ChaosComm` can absorb
-/// it), join, and merge the per-rank recorder buffers. `relaxed` selects
-/// the fabric's tag-matching mode.
+/// A rank's work for one launch, its borrows erased (see
+/// [`run_ranks_owned`]).
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A parked rank thread, reached through its job channel. The thread runs
+/// the jobs it is sent, one at a time, until the channel closes.
+struct Worker {
+    jobs: Sender<Job>,
+}
+
+/// The idle workers, one list per rank index: a worker spawned as rank `r`
+/// is named `rank-{r}` and only ever runs rank `r` again.
+static IDLE: Mutex<Vec<Vec<Worker>>> = Mutex::new(Vec::new());
+
+/// Takes and parks so far, so a test can tell whether another launch used
+/// the pool between two of its own.
+#[cfg(test)]
+static POOL_OPS: AtomicU64 = AtomicU64::new(0);
+
+impl Worker {
+    /// The handle is dropped: a worker lives as long as the process, and
+    /// no panic ends it, because every job catches its body's.
+    fn spawn(rank: usize) -> Worker {
+        let (jobs, rx) = unbounded::<Job>();
+        std::thread::Builder::new()
+            .name(format!("rank-{rank}"))
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    job()
+                }
+            })
+            .expect("failed to spawn rank thread");
+        Worker { jobs }
+    }
+}
+
+/// An idle worker for each rank below `p`, spawning one where none is —
+/// outside the lock, so a launch that spawns holds up no other.
+fn take_workers(p: usize) -> Vec<Worker> {
+    let idle: Vec<Option<Worker>> = {
+        let mut lists = IDLE.lock();
+        #[cfg(test)]
+        POOL_OPS.fetch_add(1, Ordering::Relaxed);
+        (0..p)
+            .map(|r| lists.get_mut(r).and_then(Vec::pop))
+            .collect()
+    };
+    let spawn = |(r, w): (usize, Option<Worker>)| w.unwrap_or_else(|| Worker::spawn(r));
+    idle.into_iter().enumerate().map(spawn).collect()
+}
+
+/// Put `(rank, worker)` pairs back on the idle lists.
+fn park_workers(workers: impl IntoIterator<Item = (usize, Worker)>) {
+    let mut lists = IDLE.lock();
+    #[cfg(test)]
+    POOL_OPS.fetch_add(1, Ordering::Relaxed);
+    for (r, worker) in workers {
+        if lists.len() <= r {
+            lists.resize_with(r + 1, Vec::new);
+        }
+        lists[r].push(worker);
+    }
+}
+
+/// Shared body of every entry point: hand each of `p` pooled rank threads
+/// its world [`ThreadComm`] (owned, so wrappers like `ChaosComm` can absorb
+/// it), wait for every body, park the threads again and merge the per-rank
+/// recorder buffers. `relaxed` selects the fabric's tag-matching mode.
 pub(crate) fn run_ranks_owned<R, F>(
     p: usize,
     relaxed: bool,
@@ -718,7 +792,7 @@ where
 {
     assert!(p > 0, "need at least one rank");
     // Surface a malformed NBODY_RECV_TIMEOUT_SECS here, before any rank
-    // thread exists — a startup error instead of a mid-protocol panic.
+    // runs — a startup error instead of a mid-protocol panic.
     let _ = recv_timeout();
     let mut senders = Vec::with_capacity(p);
     let mut receivers = Vec::with_capacity(p);
@@ -734,88 +808,133 @@ where
         relaxed,
         failed: OnceLock::new(),
     });
+    // Every worker before the first job: a spawn that fails unwinds from
+    // here, past no running rank.
+    let workers = take_workers(p);
     // The run's one clock: spans, flight events and probe stamps from
     // different rank threads are subtractable because they all count from
     // here.
     let epoch = Instant::now();
 
-    let joined = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let fabric = Arc::clone(&fabric);
-            let f = &f;
-            let handle = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .spawn_scoped(scope, move || {
-                    let state = Rc::new(RankState {
-                        fabric,
-                        rx,
-                        pending: RefCell::default(),
-                        // A channel per peer and phase would be p^2 slots
-                        // a run; a rank of the CA drivers sends on a few.
-                        stats: RefCell::new(CommStats::with_room_for(p + PHASE_COUNT)),
-                        tracer: match lenses.trace {
-                            true => Tracer::for_rank(rank, epoch),
-                            false => Tracer::disabled(),
-                        },
-                        metrics: match lenses.trace {
-                            true => MetricsRecorder::for_rank(rank),
-                            false => MetricsRecorder::disabled(),
-                        },
-                        timeline: TimelineRecorder::for_rank(rank as u32, epoch, lenses.trace),
-                        wire: match lenses.probe {
-                            true => ProbeRecorder::for_rank(rank as u32, epoch),
-                            false => ProbeRecorder::disabled(),
-                        },
-                    });
-                    let comm = ThreadComm {
-                        state: Rc::clone(&state),
-                        comm_id: 0,
-                        members: (0..p).collect(),
-                        my_local: rank,
-                        split_seq: Cell::new(0),
-                        coll_seq: Cell::new(0),
-                    };
-                    // The first body to panic is the run's failure: say
-                    // so where the peers parked on this rank will look.
-                    let result = catch_unwind(AssertUnwindSafe(|| f(comm))).unwrap_or_else(|e| {
-                        let why = e.downcast_ref::<String>().map(String::as_str);
-                        let why = why.or(e.downcast_ref::<&str>().copied());
-                        let why = why.unwrap_or("(no message)").to_string();
-                        let _ = state.fabric.failed.set((rank, why));
-                        resume_unwind(e)
-                    });
-                    // Close the books: the ledger goes into the metrics
-                    // shard, then every recorder is drained.
-                    let s = &*state;
-                    s.stats.borrow().export(&s.metrics);
-                    let (spans, shard) = (s.tracer.finish(), s.metrics.finish());
-                    (result, spans, shard, s.timeline.finish(), s.wire.finish())
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
-        }
-        // Propagate the original payload so callers (and tests) see the
-        // real panic message instead of "Any { .. }" — the first failure's,
-        // not that of the lowest rank it took down with it.
-        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        if let Some(&(first, _)) = fabric.failed.get() {
-            if let Err(payload) = joined.swap_remove(first) {
-                resume_unwind(payload)
+    let (done_tx, done_rx) = unbounded();
+    let mut outcomes: Vec<Option<_>> = (0..p).map(|_| None).collect();
+    let mut running = Vec::with_capacity(p);
+    let f = &f;
+    for (rank, (worker, rx)) in workers.into_iter().zip(receivers).enumerate() {
+        let (shared, done) = (Arc::clone(&fabric), done_tx.clone());
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let state = Rc::new(RankState {
+                    fabric: shared,
+                    rx,
+                    pending: RefCell::default(),
+                    // A channel per peer and phase would be p^2 slots a
+                    // run; a rank of the CA drivers sends on a few.
+                    stats: RefCell::new(CommStats::with_room_for(p + PHASE_COUNT)),
+                    tracer: match lenses.trace {
+                        true => Tracer::for_rank(rank, epoch),
+                        false => Tracer::disabled(),
+                    },
+                    metrics: match lenses.trace {
+                        true => MetricsRecorder::for_rank(rank),
+                        false => MetricsRecorder::disabled(),
+                    },
+                    timeline: TimelineRecorder::for_rank(rank as u32, epoch, lenses.trace),
+                    wire: match lenses.probe {
+                        true => ProbeRecorder::for_rank(rank as u32, epoch),
+                        false => ProbeRecorder::disabled(),
+                    },
+                });
+                let comm = ThreadComm {
+                    state: Rc::clone(&state),
+                    comm_id: 0,
+                    members: (0..p).collect(),
+                    my_local: rank,
+                    split_seq: Cell::new(0),
+                    coll_seq: Cell::new(0),
+                };
+                // The first body to panic is the run's failure: say so
+                // where the peers parked on this rank will look.
+                let result = catch_unwind(AssertUnwindSafe(|| f(comm))).unwrap_or_else(|e| {
+                    let why = e.downcast_ref::<String>().map(String::as_str);
+                    let why = why.or(e.downcast_ref::<&str>().copied());
+                    let why = why.unwrap_or("(no message)").to_string();
+                    let _ = state.fabric.failed.set((rank, why));
+                    resume_unwind(e)
+                });
+                // Close the books: the ledger goes into the metrics
+                // shard, then every recorder is drained.
+                let s = &*state;
+                s.stats.borrow().export(&s.metrics);
+                let (spans, shard) = (s.tracer.finish(), s.metrics.finish());
+                (result, spans, shard, s.timeline.finish(), s.wire.finish())
+            }));
+            let _ = done.send((rank, outcome));
+        });
+        // SAFETY: the job borrows `f` and carries `R`, both of which live
+        // only until this function returns; the erasure lets a thread that
+        // outlives the call run it. That is sound because the function
+        // cannot return, or unwind, while a job that was sent is alive:
+        // * every worker was taken or spawned above, before the first job
+        //   is sent, so a spawn that fails unwinds past no running job;
+        // * nothing from the first send to the last receive below can
+        //   panic: a failed send hands the job back and drops it, and the
+        //   receives and the slot writes are checked, not indexed;
+        // * a job catches its body's panic, and everything it captured is
+        //   moved into that body and dropped there; sending the outcome is
+        //   its last action, after which it holds only plain copies and its
+        //   sender, whose drop touches the channel's own allocation, empty
+        //   of outcomes by then, and no borrow;
+        // * a job that was never run is dropped, and with it its sender:
+        //   a receive that finds the channel disconnected also means no
+        //   job is alive.
+        let job: Job = unsafe { std::mem::transmute(job) };
+        match worker.jobs.send(job) {
+            Ok(()) => running.push((rank, worker)),
+            // The thread is gone (no job unwinds out of it, so it cannot
+            // be): its peers must not wait for it.
+            Err(_) => {
+                let _ = fabric.failed.set((rank, "its rank thread is gone".into()));
             }
         }
-        joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect::<Vec<_>>()
-    });
+    }
+    drop(done_tx);
+    for _ in 0..running.len() {
+        let Ok((rank, outcome)) = done_rx.recv() else {
+            break;
+        };
+        if let Some(slot) = outcomes.get_mut(rank) {
+            *slot = Some(outcome);
+        }
+    }
+    park_workers(running.into_iter().filter(|(r, _)| outcomes[*r].is_some()));
+
+    // Propagate the original payload so callers (and tests) see the real
+    // panic message instead of "Any { .. }" — the first failure's, not that
+    // of the lowest rank it took down with it.
+    let mut outcomes: Vec<_> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, o)| {
+            o.unwrap_or_else(|| {
+                Err(Box::new(format!("rank {rank}: its rank thread is gone"))
+                    as Box<dyn Any + Send>)
+            })
+        })
+        .collect();
+    if let Some(&(first, _)) = fabric.failed.get() {
+        if let Err(payload) = outcomes.swap_remove(first) {
+            resume_unwind(payload)
+        }
+    }
 
     let mut results = Vec::with_capacity(p);
     let mut buffers = Vec::with_capacity(p);
     let mut shards = Vec::with_capacity(p);
     let mut timelines = Vec::with_capacity(p);
     let mut wires = Vec::with_capacity(p);
-    for (r, spans, metrics, timeline, wire) in joined {
+    for outcome in outcomes {
+        let (r, spans, metrics, timeline, wire) = outcome.unwrap_or_else(|e| resume_unwind(e));
         results.push(r);
         buffers.push(spans);
         shards.push(metrics);
@@ -1672,6 +1791,113 @@ mod tests {
         assert_eq!(said.into_inner().unwrap(), vec![aborted; 3]);
         // Nobody slept out a deadline (tens of milliseconds, measured).
         assert!(start.elapsed() < recv_timeout() / 2);
+    }
+
+    /// What `launches` returns, from a call during which it alone used the
+    /// pool, `ops` takes and parks: a concurrent test that takes or parks
+    /// a worker in between reorders the idle lists, so such a call is
+    /// repeated. Counted, not timed.
+    fn alone<T>(ops: u64, mut launches: impl FnMut() -> T) -> T {
+        loop {
+            let before = POOL_OPS.load(Ordering::Relaxed);
+            let out = launches();
+            if POOL_OPS.load(Ordering::Relaxed) == before + ops {
+                return out;
+            }
+        }
+    }
+
+    fn rank_threads(p: usize) -> Vec<(std::thread::ThreadId, Option<String>)> {
+        run_ranks(p, |_| {
+            let me = std::thread::current();
+            (me.id(), me.name().map(str::to_owned))
+        })
+    }
+
+    #[test]
+    fn a_second_launch_runs_every_rank_on_the_first_ones_thread() {
+        let (first, second) = alone(4, || (rank_threads(4), rank_threads(4)));
+        assert_eq!(first, second, "the second launch spawned");
+        for (r, (_, name)) in first.iter().enumerate() {
+            assert_eq!(name.as_deref(), Some(format!("rank-{r}").as_str()));
+        }
+    }
+
+    #[test]
+    fn a_failed_launch_leaves_its_workers_fit_for_the_next() {
+        let (failed, next) = alone(4, || {
+            let seen = std::sync::Mutex::new(vec![None; 4]);
+            let raised = catch_unwind(AssertUnwindSafe(|| {
+                run_ranks(4, |comm| {
+                    seen.lock().unwrap()[comm.rank()] = Some(std::thread::current().id());
+                    if comm.rank() == 2 {
+                        panic!("rank two's own words");
+                    }
+                    comm.recv::<u8>(2, 7)
+                })
+            }));
+            assert!(raised.is_err());
+            let next = run_ranks(4, |comm| {
+                let mut sum = vec![comm.rank() as u64];
+                comm.allreduce(&mut sum, sum_combine);
+                (std::thread::current().id(), sum[0])
+            });
+            (seen.into_inner().unwrap(), next)
+        });
+        for (r, (thread, sum)) in next.into_iter().enumerate() {
+            assert_eq!(sum, 6);
+            assert_eq!(
+                failed[r],
+                Some(thread),
+                "rank {r} did not get its worker back"
+            );
+        }
+    }
+
+    #[test]
+    fn two_threads_launching_at_once_share_no_worker() {
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let launchers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..50u64).all(|i| {
+                        let got = run_ranks(4, |comm| {
+                            let mut buf = vec![comm.rank() as u64 + t * 100 + i];
+                            comm.allreduce(&mut buf, sum_combine);
+                            buf[0]
+                        });
+                        got == vec![6 + 4 * (t * 100 + i); 4]
+                    })
+                })
+            })
+            .collect();
+        for launcher in launchers {
+            assert!(launcher.join().unwrap(), "a sum was wrong");
+        }
+    }
+
+    #[test]
+    fn a_rank_body_launches_ranks_of_its_own() {
+        let out = run_ranks(2, |outer| {
+            let inner = run_ranks(2, |comm| {
+                let mut buf = vec![comm.rank() as u64 + 1];
+                comm.allreduce(&mut buf, sum_combine);
+                buf[0]
+            });
+            let mut buf = vec![inner.iter().sum::<u64>()];
+            outer.allreduce(&mut buf, sum_combine);
+            buf[0]
+        });
+        assert_eq!(out, vec![12, 12]);
+    }
+
+    #[test]
+    fn a_rank_body_borrows_the_callers_stack() {
+        let blocks: Vec<Vec<u64>> = (0..4).map(|r| vec![r; r as usize + 1]).collect();
+        let sums = run_ranks(4, |comm| blocks[comm.rank()].iter().sum::<u64>());
+        assert_eq!(sums, vec![0, 2, 6, 12]);
     }
 
     #[test]

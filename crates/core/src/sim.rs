@@ -448,7 +448,7 @@ where
         let recovering =
             self.faults.is_some() || self.checkpoint.is_some() || self.health.is_some();
         // Built once, here: an invalid configuration is one panic on the
-        // caller's thread before any rank is spawned, not one per rank.
+        // caller's thread before any rank runs, not one per rank.
         let layout = Layout::new(method, self.p, &cfg.domain, cfg.boundary, cfg.law.cutoff())
             .unwrap_or_else(|e| panic!("invalid {method:?} run on {} ranks: {e}", self.p));
         let (out, artifacts) = if recovering {
@@ -1501,7 +1501,7 @@ mod tests {
             dt: 0.01,
             steps: 3,
         };
-        // Big enough that thread-spawn slack (ranks open their timelines
+        // Big enough that launch slack (ranks open their timelines
         // slightly after the shared epoch) is well under the 10% margin.
         let initial = init::uniform(600, &cfg.domain, 13);
         let plain = run_distributed(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);

@@ -67,8 +67,8 @@ impl SpanKind {
 }
 
 /// One recorded interval of one rank's timeline. Times are seconds since
-/// the execution's shared monotonic epoch (taken just before rank threads
-/// spawn).
+/// the execution's shared monotonic epoch (taken just before the ranks
+/// start).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// World rank that recorded the span.
