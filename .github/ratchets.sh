@@ -27,6 +27,18 @@ none() {
     ! grep -rnE "$@"
 }
 
+# waits FILE: every `yield_now()` and blocking `.recv()` of FILE's code
+# before its test module, comments skipped, as CALL:FN for the fn it is in.
+waits() {
+    awk '/^#\[cfg\(test\)\]$/ { t = 1; next }
+         t && /^mod tests/ { exit }
+         { t = 0 }
+         /^ *\/\// { next }
+         /^ *(pub(\([a-z]+\))? )?fn / { f = $0; sub(/^ *(pub(\([a-z]+\))? )?fn /, "", f); sub(/[<(].*/, "", f) }
+         /yield_now\(\)/ { printf "yield_now:%s ", f }
+         /\.recv\(\)/ { printf "recv:%s ", f }' "$1"
+}
+
 check "the routing rule (j_new) is spelled in one file, cutoff::traversal" \
     test "$(grep -rl 'j_new' crates/core/src | wc -l)" -eq 1
 check "every method runs in the one timestep loop of sim.rs" \
@@ -102,5 +114,9 @@ check "rank threads outlive a run: run_ranks hands each rank to a parked worker 
 check "the transport has one unsafe, the pool's lifetime erasure of a rank's job, and it carries its SAFETY argument" \
     test "$(grep -rnw unsafe crates/comm/src | wc -l)" -eq 1 -a \
     "$(grep -rn -B20 -w unsafe crates/comm/src | grep -c 'SAFETY:')" -eq 1
+check "every wait of the transport polls before it parks: one yield_now, in the one poll, and the one blocking recv() in wait, after it" \
+    test "$(waits crates/comm/src/thread_comm.rs)" = "yield_now:poll recv:wait "
+check "code names a ROADMAP item by what it says, not by its number: the numbers move" \
+    none 'ROADMAP (item )?[0-9]' crates src tests examples
 
 exit "$broken"

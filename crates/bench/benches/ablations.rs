@@ -288,7 +288,7 @@ fn sent_ahead(ops: impl Iterator<Item = Op>) -> impl Iterator<Item = Op> {
     })
 }
 
-/// ROADMAP item 1c at paper scale. The generator and every figure keep the
+/// The ROADMAP's parked send-ahead, at paper scale. The generator and every figure keep the
 /// paper's blocking order (it is what Fig. 2/6 measured); the overlapped
 /// variant exists here only, as an adapter over the unmodified program.
 fn send_ahead() {

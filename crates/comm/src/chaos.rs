@@ -90,6 +90,27 @@ impl FaultKind {
         }
     }
 
+    /// Count one fired fault of this kind, at `step`, the way every kind
+    /// is counted: `fault_injected_total` and the kind's own
+    /// `fault_injected_<kind>` counter go up by one, and a `FaultInjected`
+    /// event goes into the flight ring. [`ChaosComm`] counts the wire kinds
+    /// it fires, the fault-tolerant driver the `nan` and `corrupt` it does.
+    pub fn count_fired(self, metrics: &MetricsRecorder, timeline: &TimelineRecorder, step: u64) {
+        let counter = match self {
+            FaultKind::Drop => "fault_injected_drop",
+            FaultKind::Delay => "fault_injected_delay",
+            FaultKind::Duplicate => "fault_injected_duplicate",
+            FaultKind::Kill => "fault_injected_kill",
+            FaultKind::Nan => "fault_injected_nan",
+            FaultKind::Corrupt => "fault_injected_corrupt",
+            FaultKind::Crash => "fault_injected_crash",
+        };
+        for name in ["fault_injected_total", counter] {
+            metrics.counter(name, None).inc();
+        }
+        timeline.event(EventKind::FaultInjected, Some(step), self.label());
+    }
+
     /// The kinds [`ChaosComm`] applies on the wire; the driver fires the
     /// others, which never touch it.
     pub const WIRE: [FaultKind; 4] = [Self::Kill, Self::Drop, Self::Duplicate, Self::Delay];
@@ -333,8 +354,7 @@ struct ChaosState {
 
 impl ChaosState {
     /// Fire the first unfired event aimed at `step` whose kind `wanted`
-    /// accepts: count it (`fault_injected_total` and the kind's own
-    /// counter) and note it in the flight ring.
+    /// accepts, and count it ([`FaultKind::count_fired`]).
     fn fire(&self, step: usize, wanted: impl Fn(FaultKind) -> bool) -> Option<FaultEvent> {
         let (e, fired) = self
             .events
@@ -342,21 +362,8 @@ impl ChaosState {
             .zip(&self.fired)
             .find(|(e, fired)| !fired.get() && e.step == step && wanted(e.kind))?;
         fired.set(true);
-        let counter = match e.kind {
-            FaultKind::Drop => "fault_injected_drop",
-            FaultKind::Delay => "fault_injected_delay",
-            FaultKind::Duplicate => "fault_injected_duplicate",
-            FaultKind::Kill => "fault_injected_kill",
-            FaultKind::Nan | FaultKind::Corrupt | FaultKind::Crash => {
-                unreachable!("a chaos rank holds the wire kinds only")
-            }
-        };
-        for name in ["fault_injected_total", counter] {
-            self.metrics.counter(name, None).inc();
-        }
-        let label = e.kind.label();
-        self.timeline
-            .event(EventKind::FaultInjected, Some(step as u64), label);
+        e.kind
+            .count_fired(&self.metrics, &self.timeline, step as u64);
         Some(*e)
     }
 

@@ -28,7 +28,7 @@
 //!   deadline, and [`run_ranks`] re-raises the first failure's payload —
 //!   not the time-out of whichever rank it left waiting. Only the sleep
 //!   looks: the poll below and `parked` (one per receive) are untouched.
-//! * A receive polls before it parks. The channel (the vendored stand-in
+//! * Every wait polls before it parks. The channel (the vendored stand-in
 //!   over `std::sync::mpsc`) parks a thread on an empty inbox, and being
 //!   woken costs 21–27 µs against the 2 µs a small block's kernel call
 //!   takes: two ranks that park on each other run one at a time. So every
@@ -42,7 +42,12 @@
 //!   thread calls `yield_now`, not `spin_loop`: with more ranks than cores
 //!   the awaited sender may need this CPU, and a spinner that holds it
 //!   delays the very message it is waiting for (DESIGN.md §17 has the
-//!   measurements). There is no knob; a receive has one path.
+//!   measurements). The pool's two waits poll the same way, in the same
+//!   function (`poll`): a worker for `POLL` after its last job ends,
+//!   before it parks for the next, and a launcher for `POLL` after its
+//!   last job is sent, before it parks for the outcomes; so a launch that
+//!   follows another within `POLL` wakes no thread. There is no knob;
+//!   every wait has one path.
 //! * Blocked time ([`PhaseCounters::blocked_secs`](crate::PhaseCounters),
 //!   the trace's `Blocked` spans) runs from receive posted to envelope
 //!   matched, polled or asleep. Its clock-free companion is
@@ -73,7 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::communicator::{CommData, Communicator};
@@ -179,16 +184,44 @@ struct RankState {
     wire: ProbeRecorder,
 }
 
-/// How long a receive polls its inbox before it parks: about twice the
-/// parked hand-off it replaces (21–27 µs for a 1 KB `sendrecv`,
-/// `comm.sendrecv_ns` on `allpairs_latency`) — the competitive
-/// spin-then-block rule, under which a receive that parks after all has
-/// spent at most twice what parking at once would have cost it.
-/// Measured, the step time is flat from 10 µs to 1 ms and climbs below
-/// (2 µs: the poll gives up before a peer one kernel call behind has sent;
-/// DESIGN.md §17 has the sweep), so the value needs no tuning — and it is
-/// wall time inside the caller's deadline, never added to it.
+/// How long a wait polls before it parks: about twice the parked hand-off
+/// it replaces (21–27 µs for a 1 KB `sendrecv`, `comm.sendrecv_ns` on
+/// `allpairs_latency`) — the competitive spin-then-block rule, under which
+/// a wait that parks after all has spent at most twice what parking at
+/// once would have cost it. Measured, the step time is flat from 10 µs to
+/// 1 ms and climbs below (2 µs: the poll gives up before a peer one kernel
+/// call behind has sent; DESIGN.md §17 has the sweep), so the value needs
+/// no tuning. A receive, an idle worker waiting for its next job and a
+/// launcher waiting for its ranks' outcomes all poll this long; in a
+/// receive it is wall time inside the caller's deadline, never added to it.
 const POLL: Duration = Duration::from_micros(50);
+
+/// The poll of every wait: look at `rx` with `try_recv`, handing the CPU
+/// over between looks, until a value arrives, the channel disconnects or
+/// `budget` has passed since `since`. `Err(Empty)` is a poll that ran out
+/// (or had none of its budget left): the caller parks. `yield_now`, not
+/// `spin_loop`: with more threads than cores the awaited sender may need
+/// this CPU. Neither `try_recv`, `yield_now` nor `Instant::elapsed`
+/// panics.
+fn poll<T>(rx: &Receiver<T>, since: Instant, budget: Duration) -> Result<T, TryRecvError> {
+    while since.elapsed() < budget {
+        match rx.try_recv() {
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+            got => return got,
+        }
+    }
+    Err(TryRecvError::Empty)
+}
+
+/// The next value on `rx`: [`poll`] for [`POLL`] from `since`, then park
+/// in `recv`. `None` once every sender is gone, polled or parked, and
+/// never before: the launch's SAFETY argument rests on it.
+fn wait<T>(rx: &Receiver<T>, since: Instant) -> Option<T> {
+    match poll(rx, since, POLL) {
+        Err(TryRecvError::Empty) => rx.recv().ok(),
+        got => got.ok(),
+    }
+}
 
 /// How long a parked receive sleeps between looks at [`Fabric::failed`]:
 /// what a failed rank costs its waiting peers before they follow it down.
@@ -224,33 +257,27 @@ impl RankState {
         let start = Instant::now();
         let mut parked = false;
         let matched = loop {
-            let waited = start.elapsed();
-            let Some(remaining) = timeout.checked_sub(waited) else {
-                break None;
-            };
-            let env = if waited < POLL {
-                match self.rx.try_recv() {
-                    Ok(env) => env,
-                    Err(_) => {
-                        // Hand the CPU over instead of `spin_loop`: with more
-                        // ranks than cores the sender may be waiting for it.
-                        std::thread::yield_now();
-                        continue;
+            // The poll ends at the deadline too, so a deadline shorter than
+            // `POLL` is kept; once it has run out, the loop only parks.
+            let env = match poll(&self.rx, start, POLL.min(timeout)) {
+                Ok(env) => env,
+                Err(_) => {
+                    let Some(remaining) = timeout.checked_sub(start.elapsed()) else {
+                        break None;
+                    };
+                    if !parked {
+                        parked = true;
+                        self.stats.borrow_mut().record_parked();
                     }
-                }
-            } else {
-                if !parked {
-                    parked = true;
-                    self.stats.borrow_mut().record_parked();
-                }
-                // Asleep in slices, so that a peer's failure ends the wait
-                // (the deadline is re-read at the top of the loop).
-                match self.rx.recv_timeout(remaining.min(ABORT_CHECK)) {
-                    Ok(env) => env,
-                    Err(_) => match self.fabric.failed.get() {
-                        Some((rank, why)) => panic!("aborted: rank {rank} failed: {why}"),
-                        None => continue,
-                    },
+                    // Asleep in slices, so that a peer's failure ends the
+                    // wait (the deadline is re-read on every pass).
+                    match self.rx.recv_timeout(remaining.min(ABORT_CHECK)) {
+                        Ok(env) => env,
+                        Err(_) => match self.fabric.failed.get() {
+                            Some((rank, why)) => panic!("aborted: rank {rank} failed: {why}"),
+                            None => continue,
+                        },
+                    }
                 }
             };
             if env.comm == comm && env.src_global == src_global && tag_ok(&env) {
@@ -739,8 +766,12 @@ impl Worker {
         std::thread::Builder::new()
             .name(format!("rank-{rank}"))
             .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job()
+                // Idle from its spawn, then from the end of each job: a
+                // launch that follows within `POLL` finds it polling.
+                let mut idle_since = Instant::now();
+                while let Some(job) = wait(&rx, idle_since) {
+                    job();
+                    idle_since = Instant::now();
                 }
             })
             .expect("failed to spawn rank thread");
@@ -878,8 +909,10 @@ where
         // * every worker was taken or spawned above, before the first job
         //   is sent, so a spawn that fails unwinds past no running job;
         // * nothing from the first send to the last receive below can
-        //   panic: a failed send hands the job back and drops it, and the
-        //   receives and the slot writes are checked, not indexed;
+        //   panic: a failed send hands the job back and drops it, the
+        //   receives and the slot writes are checked, not indexed, and the
+        //   wait's poll calls only `try_recv`, `yield_now` and the clock's
+        //   `Instant::now` and `Instant::elapsed`, none of which panics;
         // * a job catches its body's panic, and everything it captured is
         //   moved into that body and dropped there; sending the outcome is
         //   its last action, after which it holds only plain copies and its
@@ -899,8 +932,9 @@ where
         }
     }
     drop(done_tx);
+    let waiting = Instant::now();
     for _ in 0..running.len() {
-        let Ok((rank, outcome)) = done_rx.recv() else {
+        let Some((rank, outcome)) = wait(&done_rx, waiting) else {
             break;
         };
         if let Some(slot) = outcomes.get_mut(rank) {
@@ -1852,6 +1886,73 @@ mod tests {
                 "rank {r} did not get its worker back"
             );
         }
+    }
+
+    #[test]
+    fn a_closed_channel_ends_a_wait_at_once_polled_or_parked() {
+        let (tx, rx) = unbounded::<u8>();
+        tx.send(7).unwrap();
+        drop(tx);
+        // What was sent before the close is still delivered; then the
+        // poll reports the close instead of running out an hour's budget.
+        assert_eq!(wait(&rx, Instant::now()), Some(7));
+        let an_hour = Duration::from_secs(3600);
+        assert!(matches!(
+            poll(&rx, Instant::now(), an_hour),
+            Err(TryRecvError::Disconnected)
+        ));
+        assert_eq!(wait(&rx, Instant::now()), None);
+        // Past its poll, the wait parks in `recv`, which ends too.
+        let long_ago = Instant::now()
+            .checked_sub(POLL)
+            .expect("the clock is past POLL");
+        assert_eq!(wait(&rx, long_ago), None);
+    }
+
+    #[test]
+    fn a_launch_after_the_workers_have_parked_runs_on_the_same_threads() {
+        // 5 ms between the launches is a hundred polls' worth: every worker
+        // has run out of its poll and parked on its job channel, and the
+        // job wakes it.
+        let (first, second) = alone(4, || {
+            let first = rank_threads(4);
+            std::thread::sleep(Duration::from_millis(5));
+            (first, rank_threads(4))
+        });
+        assert_eq!(first, second, "the second launch spawned");
+        for (r, (_, name)) in second.iter().enumerate() {
+            assert_eq!(name.as_deref(), Some(format!("rank-{r}").as_str()));
+        }
+    }
+
+    #[test]
+    fn a_launcher_that_parked_on_the_outcomes_gets_all_of_them_in_rank_order() {
+        // Bodies that outlast the launcher's poll: it parks on the outcome
+        // channel, and each outcome wakes it.
+        let out = run_ranks(4, |comm| {
+            std::thread::sleep(Duration::from_millis(5));
+            comm.rank() * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn a_rank_that_fails_after_the_launcher_parked_is_the_failure_reported() {
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            run_ranks(4, |comm| {
+                if comm.rank() == 1 {
+                    std::thread::sleep(Duration::from_millis(5));
+                    panic!("rank one's own words, late");
+                }
+                comm.rank()
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(
+            raised.downcast_ref::<&str>(),
+            Some(&"rank one's own words, late")
+        );
+        assert_eq!(run_ranks(4, |comm| comm.rank()), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -280,8 +280,8 @@ pub struct Hop {
 /// the paper's count. Algorithm 1's full ring (a wrapping window with
 /// `W = teams`) is the exception for now and ships the block home, because
 /// the benchmark pins `p/c²` shifts per rank-step on all-pairs runs; the
-/// exception goes when that pin becomes the twin's count (ROADMAP item
-/// 1(g)).
+/// exception goes when that pin becomes the twin's count (the ROADMAP's
+/// "restate the two schedule pins" step of thawing `benchmark/`).
 ///
 /// At `c = W` a shift step moves a buffer `c` positions around a window of
 /// `W` and so back to the rank that holds it. Row 0's step is its home hop.
@@ -305,7 +305,7 @@ pub fn traversal<W: Window>(
     let w = window.len();
     // The full ring ships a row its own block home while the benchmark pins
     // `p/c²` shifts per all-pairs rank-step; remove this exception with
-    // that pin (ROADMAP item 1(g)).
+    // that pin (the ROADMAP's "restate the two schedule pins").
     let ships_home = window.is_periodic() && w == window.teams();
     // Position and block before the hop: every row starts on its own block.
     let mut at = (0, Some(team));

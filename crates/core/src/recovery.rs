@@ -294,10 +294,17 @@ impl HealthMonitor {
     }
 
     /// Fire a seeded corruption aimed at this (rank, epoch) that has not
-    /// fired yet. Corrupts the *checkpoint*, not the working copy: real
-    /// silent corruption survives local retries, and so must the injected
-    /// kind — only the cross-check's re-seed can clear it.
-    fn maybe_corrupt(&self, world_rank: usize, epoch: u64, input: &mut [Particle]) {
+    /// fired yet, and count it on `comm`'s recorders. Corrupts the
+    /// *checkpoint*, not the working copy: real silent corruption survives
+    /// local retries, and so must the injected kind — only the
+    /// cross-check's re-seed can clear it.
+    fn maybe_corrupt<C: Communicator>(
+        &self,
+        comm: &C,
+        world_rank: usize,
+        epoch: u64,
+        input: &mut [Particle],
+    ) {
         let mut unfired = self.corrupt.iter().filter(|(_, fired)| !fired.get());
         let Some((_, fired)) = unfired.find(|(at, _)| *at == (world_rank, epoch)) else {
             return;
@@ -305,6 +312,7 @@ impl HealthMonitor {
         fired.set(true);
         if let Some(p) = input.first_mut() {
             p.pos.x = f64::from_bits(p.pos.x.to_bits() ^ (1 << 40));
+            FaultKind::Corrupt.count_fired(&comm.metrics(), &comm.timeline(), epoch);
         }
     }
 
@@ -420,7 +428,7 @@ fn recovery_loop<C: Communicator>(
         attempts += 1;
         let deadline = policy.deadline(attempts);
         if let Some(h) = health {
-            h.maybe_corrupt(world_rank, epoch, &mut input);
+            h.maybe_corrupt(&gc.col, world_rank, epoch, &mut input);
         }
         st.clone_from(&input);
         let tag_base = epoch * EPOCH_TAG_STRIDE + (attempts as u64 - 1) * ATTEMPT_TAG_STRIDE;

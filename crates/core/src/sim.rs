@@ -728,8 +728,8 @@ impl Layout {
     /// the CA algorithms' spatial blocks (what the cutoff cull needs), id
     /// order after re-assignment for the halo and midpoint kernels (they sum
     /// in block order), and id blocks as they are (their order is the
-    /// summation order the bit-identity oracle pins; ROADMAP 4c decides
-    /// whether to trade it).
+    /// summation order the bit-identity oracle pins; the ROADMAP's
+    /// "fixed-order oracle" item decides whether to trade it).
     fn order<F: ForceLaw>(&self, st: &mut [Particle], law: &F, domain: &Domain) {
         match (self.cells, self.method.is_ca()) {
             (Some(_), true) => cell_order(st, law, domain),
@@ -915,6 +915,7 @@ impl Evaluation for Recovering<'_> {
             if self.plan.aims(FaultKind::Nan, self.rank, epoch) {
                 if let Some(q) = st.first_mut() {
                     q.force.x = f64::NAN;
+                    FaultKind::Nan.count_fired(&gc.col.metrics(), &gc.col.timeline(), epoch);
                 }
             }
             if gc.is_leader() {

@@ -230,6 +230,37 @@ fn one_plan_recovers_its_kill_and_blames_its_nan() {
 }
 
 #[test]
+fn a_fired_corrupt_and_nan_are_counted_as_injected_like_a_wire_fault() {
+    let cfg = cfg(3);
+    let initial = init::uniform(48, &cfg.domain, 7);
+    let policy = RetryPolicy::with_timeout_ms(200);
+    let plan = FaultPlan::parse("drop:3@1,corrupt:4@1,nan:0@2").unwrap();
+    let out = Run::new(&cfg, Method::CaAllPairs { c: 2 }, 8)
+        .trace()
+        .faults(&plan, &policy)
+        .execute(&initial);
+    assert!(
+        matches!(out.result, Err(FaultError::NumericalFault { .. })),
+        "the NaN ends the run"
+    );
+    let counted = ["total", "drop", "corrupt", "nan"].map(|kind| {
+        let name = format!("fault_injected_{kind}");
+        out.artifacts.metrics.sum_counter(&name, None)
+    });
+    assert_eq!(counted, [3, 1, 1, 1]);
+    let mut noted: Vec<_> = (out.artifacts.timeline.ranks.iter())
+        .flat_map(|r| &r.events)
+        .filter(|e| e.kind == EventKind::FaultInjected)
+        .map(|e| (e.step, e.detail.as_str()))
+        .collect();
+    noted.sort();
+    assert_eq!(
+        noted,
+        [(Some(1), "corrupt"), (Some(1), "drop"), (Some(2), "nan")]
+    );
+}
+
+#[test]
 fn cutoff_driver_reports_health_too() {
     let law = Cutoff::new(
         Gravity {

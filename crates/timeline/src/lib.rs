@@ -21,7 +21,7 @@
 //! * [`detect_drift`] — a rolling median/MAD detector over the step
 //!   series that flags sustained shifts in load imbalance or
 //!   communication fraction: the runtime sensor adaptive re-tuning
-//!   (ROADMAP item 5) closes its loop on.
+//!   (the ROADMAP's parked "online autotuning of `c`") closes its loop on.
 
 #![warn(missing_docs)]
 

@@ -321,7 +321,7 @@ proptest! {
             prop_assert_eq!(shifts, want, "k={} ring={}", k, ring);
         }
         // The ring's home hop: flip both to 0 when the benchmark's `p/c²`
-        // pin goes (ROADMAP item 1(g)).
+        // pin goes (the ROADMAP's "restate the two schedule pins").
         prop_assert_eq!(sent_home, if ring { teams } else { 0 }, "ring={}", ring);
         prop_assert_eq!(sent_to_self, if ring && c == w { teams } else { 0 }, "ring={}", ring);
     }
