@@ -118,5 +118,7 @@ check "every wait of the transport polls before it parks: one yield_now, in the 
     test "$(waits crates/comm/src/thread_comm.rs)" = "yield_now:poll recv:wait "
 check "code names a ROADMAP item by what it says, not by its number: the numbers move" \
     none 'ROADMAP (item )?[0-9]' crates src tests examples
+check "a copy is judged by its own digest, not by a vote of the copies: no majority or tie-break in recovery, no StateCorrupt error" \
+    none -i 'majority|tie-?break|StateCorrupt|crosscheck' crates/core/src/recovery.rs crates/comm/src
 
 exit "$broken"

@@ -67,8 +67,8 @@ pub enum FaultKind {
     /// check; the non-finite sentinel must blame it.
     Nan,
     /// One mantissa bit of the rank's first particle flips in its replica
-    /// checkpoint at the start of timestep `step`; the fingerprint
-    /// cross-check must catch and repair it.
+    /// checkpoint at the start of timestep `step`; the checkpoint's digest
+    /// must catch it, and the copy is repaired like a dead rank's.
     Corrupt,
     /// The process exits with code 137 (the SIGKILL code) right after the
     /// checkpoint of global step `step` is durable; the run needs a

@@ -58,18 +58,6 @@ pub enum CommError {
     },
     /// The transport fabric shut down while an operation was in flight.
     FabricClosed,
-    /// The rank's replicated simulation state no longer matches its
-    /// column's majority fingerprint: silent corruption detected by the
-    /// health cross-check. The recovery layer treats this as its own
-    /// fault class — the corrupt replica must be re-seeded, not retried.
-    StateCorrupt {
-        /// World rank holding the corrupt replica.
-        rank: usize,
-        /// The column-majority state fingerprint.
-        expected: u64,
-        /// The fingerprint the rank's own state hashes to.
-        got: u64,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -99,15 +87,6 @@ impl fmt::Display for CommError {
                 )
             }
             CommError::FabricClosed => write!(f, "fabric closed while operating"),
-            CommError::StateCorrupt {
-                rank,
-                expected,
-                got,
-            } => write!(
-                f,
-                "rank {rank} replica state is corrupt: fingerprint {got:016x} \
-                 disagrees with column majority {expected:016x}"
-            ),
         }
     }
 }
@@ -145,16 +124,6 @@ mod tests {
         assert!(CommError::InvalidRank { rank: 9, size: 4 }
             .to_string()
             .contains("size 4"));
-        let s = CommError::StateCorrupt {
-            rank: 5,
-            expected: 0xdead,
-            got: 0xbeef,
-        }
-        .to_string();
-        assert!(
-            s.contains("rank 5") && s.contains("000000000000dead"),
-            "{s}"
-        );
     }
 
     #[test]

@@ -29,31 +29,40 @@
 //!    memory bound already charges for). The extra 32 bytes per particle
 //!    and evaluation are the protocol's second clean-path cost, next to the
 //!    agreement; skew, shift and reduce carry what the plain drivers' do.
-//! 2. **Attempt.** The skew/shift pipeline runs under the deadline link:
+//! 2. **Digest.** Under a [`HealthMonitor`] every rank also stores its
+//!    checkpoint's `state_fingerprint` when it captures it, and hashes the
+//!    checkpoint again before each attempt. A copy that no longer matches
+//!    its own digest is *lost*, as a dead rank's copy is: no vote between
+//!    copies, so it holds at any `c`. Without a monitor nothing is hashed.
+//! 3. **Attempt.** The skew/shift pipeline runs under the deadline link:
 //!    every step is announced to the fault injector and every receive is
 //!    bounded ([`Communicator::try_recv_timeout`]); a missing message
 //!    surfaces as [`CommError::Timeout`] instead of a hang, and a rank the
-//!    fault plan just killed observes [`CommError::PeerDead`] on itself.
-//! 3. **Agreement.** Every rank reduces its local attempt status
-//!    (`ok < transient < rank-dead`) with a column-then-row max-allreduce,
-//!    so all `p` ranks agree on the worst outcome. A killed rank still
+//!    fault plan just killed observes [`CommError::PeerDead`] on itself. A
+//!    rank whose digest failed runs its attempt too, so no peer waits out
+//!    a deadline for it.
+//! 4. **Agreement.** Every rank ORs its local attempt flags (transient,
+//!    copy lost, digest failed) with a column-then-row allreduce, so all
+//!    `p` ranks agree on what went wrong anywhere. A killed rank still
 //!    participates here — it models the *replacement* process that the
 //!    runtime would respawn in its slot.
-//! 4. **Resync + retry.** On a dead rank, survivors of its column re-send
-//!    the checkpoint with a team broadcast (valid whenever `c ≥ 2`); on a
-//!    transient fault the checkpoint is already local. Every rank restores
-//!    its checkpoint and re-enters the attempt under a fresh tag namespace,
-//!    bounded by [`RetryPolicy::max_retries`] and
-//!    [`RetryPolicy::budget`]. Attempt `a` bounds each receive by
-//!    [`RetryPolicy::deadline`]: `base_timeout · 2^(a−1)`, the same on
-//!    every rank whatever the agreed fault was. The doubling gives a peer
-//!    that was merely slow more time; after a crash or a repaired replica
-//!    nothing is still missing, so a longer deadline costs no wait.
+//! 5. **Resync + retry.** When a copy is lost, every column re-seeds its
+//!    checkpoints from its lowest usable row with a team broadcast — one
+//!    rule for a dead rank and a failed digest. A re-seed is a capture, so
+//!    the digest is taken again from what arrived. On a transient fault
+//!    the checkpoint is already local. Every rank restores its checkpoint
+//!    and re-enters the attempt under a fresh tag namespace, bounded by
+//!    [`RetryPolicy::max_retries`] and [`RetryPolicy::budget`]. Attempt
+//!    `a` bounds each receive by [`RetryPolicy::deadline`]: `base_timeout
+//!    · 2^(a−1)`, the same on every rank whatever the agreed fault was.
+//!    The doubling gives a peer that was merely slow more time; after a
+//!    crash or a repaired copy nothing is still missing, so a longer
+//!    deadline costs no wait.
 //!
-//! When a column loses every replica (including the whole of a `c = 1`
+//! When a column has no usable row left (including the whole of a `c = 1`
 //! "column" of one rank), the loop cannot re-seed the lost block — but it
 //! can still end the evaluation in an *agreed* degraded state: survivors
-//! re-seed partially-dead columns, restore their checkpoints, and every
+//! re-seed partially-lost columns, restore their checkpoints, and every
 //! rank returns [`FaultError::ColumnsLost`] naming the same dead teams.
 //! The simulation layer uses that verdict to shrink the world onto the
 //! survivors and continue (see `sim.rs`); only when *every* team is lost
@@ -90,15 +99,13 @@ pub const ATTEMPT_TAG_STRIDE: u64 = 1 << 16;
 /// from an aborted attempt in step `t` from matching step `t + 1`'s tags.
 pub const EPOCH_TAG_STRIDE: u64 = 1 << 20;
 
-// Attempt statuses, max-reduced for global agreement: the ordering is the
-// severity ordering, so the worst local outcome wins. A corrupt replica
-// outranks a transient (its checkpoint must be re-seeded, not merely
-// retried) but a dead rank outranks both (the dead-rank resync re-seeds
-// every replica in the column anyway).
-const STATUS_OK: u8 = 0;
-const STATUS_TRANSIENT: u8 = 1;
-const STATUS_CORRUPT: u8 = 2;
-const STATUS_DEAD: u8 = 3;
+// Attempt flags, OR-reduced for global agreement. A copy is lost when its
+// rank died or its checkpoint failed its digest: either way it must be
+// re-seeded, not merely retried. A failed digest is flagged apart as well,
+// so every rank counts the mismatch whatever else went wrong.
+const TRANSIENT: u8 = 1;
+const COPY_LOST: u8 = 2;
+const DIGEST_FAILED: u8 = 4;
 
 /// The retry policy of the recovery protocol: one deadline rule and two
 /// caps, on the retry count and on the wall-clock time of one evaluation.
@@ -224,9 +231,6 @@ pub struct RecoveryReport {
     /// Particles dropped with dead columns across all shrinks (simulation
     /// layer; always 0 at the single-evaluation level).
     pub lost_particles: usize,
-    /// Replica fingerprint mismatches the health cross-check detected
-    /// (and repaired) during this evaluation.
-    pub fingerprint_mismatches: usize,
 }
 
 /// Per-rank fault/recovery counters, registered against the live metrics
@@ -250,63 +254,67 @@ impl FaultCounters {
     }
 }
 
-fn max_combine(acc: &mut u8, x: &u8) {
-    if *x > *acc {
-        *acc = *x;
-    }
+fn or_combine(acc: &mut u8, x: &u8) {
+    *acc |= *x;
 }
 
-/// Column-then-row max-allreduce: every rank is in exactly one column and
+/// Column-then-row OR-allreduce: every rank is in exactly one column and
 /// one row, and every row spans all columns, so the second reduce leaves
-/// the global maximum on all `p` ranks.
+/// every flag raised anywhere on all `p` ranks.
 fn agree<C: Communicator>(gc: &GridComms<C>, local: u8) -> u8 {
     let mut buf = vec![local];
-    gc.col.allreduce(&mut buf, max_combine);
-    gc.row.allreduce(&mut buf, max_combine);
+    gc.col.allreduce(&mut buf, or_combine);
+    gc.row.allreduce(&mut buf, or_combine);
     buf[0]
 }
 
 /// Per-rank numerical-health state threaded through the fault-tolerant
-/// drivers: its presence turns on the replica fingerprint cross-check
-/// (whenever `c ≥ 2`), and it carries the fault plan's `corrupt` events,
-/// the seeded corruptions that test it.
+/// drivers: its presence turns on the checkpoint digest (module docs, step
+/// 2), it counts the digests that failed, and it carries the fault plan's
+/// `corrupt` events, the seeded corruptions that test it.
 ///
 /// One instance lives per rank for the whole run (each corruption must fire
-/// exactly once, across steps *and* retry attempts), so it holds interior
-/// [`Cell`] state and is deliberately `!Sync` — construct it inside the
-/// per-rank closure.
+/// exactly once, across steps, retry attempts *and* shrinks), so it holds
+/// interior [`Cell`] state and is deliberately `!Sync` — construct it
+/// inside the per-rank closure.
 pub struct HealthMonitor {
-    /// Each seeded corruption `(world rank, evaluation epoch)` with whether
-    /// it has fired: one mantissa bit of the first checkpointed particle
-    /// flips silently, and the cross-check must catch it within one step.
-    corrupt: Vec<((usize, u64), Cell<bool>)>,
+    /// The evaluation epoch of each seeded corruption aimed at this rank,
+    /// with whether it has fired: one mantissa bit of the first
+    /// checkpointed particle flips silently, and the digest must catch it
+    /// before the attempt.
+    corrupt: Vec<(u64, Cell<bool>)>,
+    /// Attempts on which some rank's checkpoint failed its digest.
+    mismatches: Cell<u64>,
 }
 
 impl HealthMonitor {
-    /// A monitor carrying the `corrupt` events of `plan`.
-    pub fn new(plan: &FaultPlan) -> HealthMonitor {
-        let corrupt = plan.events.iter().filter(|e| e.kind == FaultKind::Corrupt);
+    /// The monitor of launch rank `rank`, carrying the `corrupt` events of
+    /// `plan` aimed at it. The launch rank is the one a rank keeps when the
+    /// world shrinks, so a seeded fault lands on the rank the plan names.
+    pub fn new(plan: &FaultPlan, rank: usize) -> HealthMonitor {
+        let corrupt =
+            (plan.events.iter()).filter(|e| e.kind == FaultKind::Corrupt && e.rank == rank);
         HealthMonitor {
-            corrupt: corrupt
-                .map(|e| ((e.rank, e.step as u64), Cell::new(false)))
-                .collect(),
+            corrupt: corrupt.map(|e| (e.step as u64, Cell::new(false))).collect(),
+            mismatches: Cell::new(0),
         }
     }
 
-    /// Fire a seeded corruption aimed at this (rank, epoch) that has not
-    /// fired yet, and count it on `comm`'s recorders. Corrupts the
+    /// Attempts on which a checkpoint anywhere in the world failed its
+    /// digest. The count rides the agreement, so every rank that took part
+    /// in those attempts holds the same number.
+    pub fn fingerprint_mismatches(&self) -> u64 {
+        self.mismatches.get()
+    }
+
+    /// Fire a seeded corruption aimed at `epoch` that has not fired yet,
+    /// and count it on `comm`'s recorders. Corrupts the
     /// *checkpoint*, not the working copy: real silent corruption survives
-    /// local retries, and so must the injected kind — only the
-    /// cross-check's re-seed can clear it.
-    fn maybe_corrupt<C: Communicator>(
-        &self,
-        comm: &C,
-        world_rank: usize,
-        epoch: u64,
-        input: &mut [Particle],
-    ) {
+    /// local retries, and so must the injected kind — only a re-seed can
+    /// clear it.
+    fn maybe_corrupt<C: Communicator>(&self, comm: &C, epoch: u64, input: &mut [Particle]) {
         let mut unfired = self.corrupt.iter().filter(|(_, fired)| !fired.get());
-        let Some((_, fired)) = unfired.find(|(at, _)| *at == (world_rank, epoch)) else {
+        let Some((_, fired)) = unfired.find(|(at, _)| *at == epoch) else {
             return;
         };
         fired.set(true);
@@ -315,57 +323,23 @@ impl HealthMonitor {
             FaultKind::Corrupt.count_fired(&comm.metrics(), &comm.timeline(), epoch);
         }
     }
+}
 
-    /// The cross-check: allgather every replica's state fingerprint down
-    /// the column and majority-vote (ties break to the lowest row, which
-    /// matches the broadcast root's copy). A rank in the minority returns
-    /// [`CommError::StateCorrupt`] so the recovery loop can treat the
-    /// divergence as its own fault class.
-    ///
-    /// Limitations, by construction: corruption on the broadcast root
-    /// *before* the team broadcast replicates to every row and is
-    /// invisible here (all copies agree), and at `c = 2` a corrupted row
-    /// 0 wins the tiebreak — the mismatch is still *detected* and
-    /// reported, but the repair converges on row 0's copy.
-    fn crosscheck<C: Communicator>(
-        &self,
-        gc: &GridComms<C>,
-        st: &[Particle],
-        world_rank: usize,
-        epoch: u64,
-    ) -> Result<(), CommError> {
-        if gc.grid.c() < 2 {
-            return Ok(());
-        }
-        gc.col.set_phase(Phase::Recovery);
-        let fp = state_fingerprint(st);
-        let all = gc.col.allgather(&[fp]);
-        // Majority fingerprint; ties break to the lowest row.
-        let mut majority = fp;
-        let mut best = 0usize;
-        for row in &all {
-            let count = all.iter().filter(|other| other[0] == row[0]).count();
-            if count > best {
-                best = count;
-                majority = row[0];
-            }
-        }
-        if fp == majority {
-            return Ok(());
-        }
-        let err = CommError::StateCorrupt {
-            rank: world_rank,
-            expected: majority,
-            got: fp,
-        };
-        let tl = gc.col.timeline();
-        tl.event(EventKind::ReplicaMismatch, Some(epoch), &err.to_string());
-        gc.col
-            .metrics()
+/// Whether the checkpoint `input` still hashes to `digest`, the fingerprint
+/// it was captured with. A checkpoint that does not is recorded on the rank
+/// that holds it: a `replica_mismatch` flight event and the
+/// `health_fingerprint_mismatch_total` counter.
+fn digest_holds<C: Communicator>(comm: &C, input: &[Particle], digest: u64, epoch: u64) -> bool {
+    let got = state_fingerprint(input);
+    if got != digest {
+        let detail = format!("checkpoint hashes to {got:016x}, captured as {digest:016x}");
+        comm.timeline()
+            .event(EventKind::ReplicaMismatch, Some(epoch), &detail);
+        comm.metrics()
             .counter("health_fingerprint_mismatch_total", None)
             .inc();
-        Err(err)
     }
+    got == digest
 }
 
 /// The lowest row of the column whose `flagged` is false on its member, or
@@ -401,9 +375,12 @@ fn recovery_loop<C: Communicator>(
     // if) the run degraded. Every recorded event carries `epoch` (the
     // timestep) as its step coordinate.
     let tl = gc.col.timeline();
-    // The checkpoint: the replicated post-broadcast input. A transient
-    // retry restores it locally; a dead rank gets it back from a teammate.
+    // The checkpoint: the replicated post-broadcast input, and under a
+    // monitor its digest. A transient retry restores it locally; a lost
+    // copy gets it back from a teammate.
     let mut input = st.clone();
+    let digest_of = |input: &[Particle]| health.map(|_| state_fingerprint(input));
+    let mut digest = digest_of(&input);
     tl.event(
         EventKind::Checkpoint,
         Some(epoch),
@@ -423,31 +400,26 @@ fn recovery_loop<C: Communicator>(
     let started = Instant::now();
     let mut attempts = 0usize;
     let mut had_fault = false;
-    let mut fp_mismatches = 0usize;
     loop {
         attempts += 1;
         let deadline = policy.deadline(attempts);
         if let Some(h) = health {
-            h.maybe_corrupt(&gc.col, world_rank, epoch, &mut input);
+            h.maybe_corrupt(&gc.col, epoch, &mut input);
         }
+        let intact = digest.is_none_or(|d| digest_holds(&gc.col, &input, d, epoch));
         st.clone_from(&input);
         let tag_base = epoch * EPOCH_TAG_STRIDE + (attempts as u64 - 1) * ATTEMPT_TAG_STRIDE;
-        // The cross-check runs on the restored checkpoint before the
-        // pipeline touches the wire: a diverged replica is caught before
-        // it can contaminate an entire evaluation.
-        let outcome = match health.map_or(Ok(()), |h| h.crosscheck(gc, st, world_rank, epoch)) {
-            Ok(()) => attempt(st, tag_base, deadline),
-            Err(e) => Err(e),
+        let mut local = match attempt(st, tag_base, deadline) {
+            Ok(()) => 0,
+            Err(CommError::PeerDead { .. }) => COPY_LOST,
+            Err(_) => TRANSIENT,
         };
-        let local = match outcome {
-            Ok(()) => STATUS_OK,
-            Err(CommError::PeerDead { .. }) => STATUS_DEAD,
-            Err(CommError::StateCorrupt { .. }) => STATUS_CORRUPT,
-            Err(_) => STATUS_TRANSIENT,
-        };
-        let self_dead = local == STATUS_DEAD;
-        let self_corrupt = local == STATUS_CORRUPT;
-        if local != STATUS_OK {
+        let self_dead = local == COPY_LOST;
+        if !intact {
+            local |= COPY_LOST | DIGEST_FAILED;
+        }
+        let self_lost = local & COPY_LOST != 0;
+        if local != 0 {
             counters.detected.inc();
             tl.event(
                 EventKind::RecoveryAttempt,
@@ -456,8 +428,8 @@ fn recovery_loop<C: Communicator>(
                     "attempt {attempts} failed locally: {} (deadline {}ms)",
                     if self_dead {
                         "rank dead"
-                    } else if self_corrupt {
-                        "replica corrupt"
+                    } else if !intact {
+                        "checkpoint fails its digest"
                     } else {
                         "transient"
                     },
@@ -465,37 +437,38 @@ fn recovery_loop<C: Communicator>(
                 ),
             );
         }
-        if self_dead {
-            // The crash loses everything the rank held in memory; the
-            // replacement process starts blank.
+        if self_lost {
+            // A crash loses everything the rank held in memory, and a
+            // failed digest everything its checkpoint held: either way
+            // the copy starts blank.
             st.clear();
             input.clear();
         }
         gc.col.set_phase(Phase::Recovery);
         let status = agree(gc, local);
-        if status == STATUS_OK {
+        if let Some(h) = health.filter(|_| status & DIGEST_FAILED != 0) {
+            h.mismatches.set(h.mismatches.get() + 1);
+        }
+        if status == 0 {
             if had_fault {
                 counters.recovered.inc();
             }
             return Ok(RecoveryReport {
                 attempts,
                 recovered: had_fault,
-                fingerprint_mismatches: fp_mismatches,
                 ..RecoveryReport::default()
             });
         }
         had_fault = true;
-        if status == STATUS_CORRUPT {
-            fp_mismatches += 1;
-        }
-        if status == STATUS_DEAD {
-            // Which row of this column survives, if any?
-            let src_row = lowest_clear_row(gc, self_dead);
-            let column_lost = src_row.is_none();
+        // The one repair rule: every lost copy, dead or digest-failed, is
+        // re-seeded from the lowest usable row of its column.
+        let mut src_row = None;
+        if status & COPY_LOST != 0 {
+            src_row = lowest_clear_row(gc, self_lost);
             // Share per-column verdicts across the row: every row spans
             // all teams, so each rank learns the full dead-team set and
             // the verdict is globally agreed.
-            let lost_map = gc.row.allgather(&[u8::from(column_lost)]);
+            let lost_map = gc.row.allgather(&[u8::from(src_row.is_none())]);
             let dead_teams: Vec<usize> = lost_map
                 .iter()
                 .enumerate()
@@ -503,7 +476,7 @@ fn recovery_loop<C: Communicator>(
                 .map(|(t, _)| t)
                 .collect();
             if dead_teams.len() == gc.grid.teams() {
-                // Every column lost every replica: nothing survives.
+                // Every column lost every copy: nothing survives.
                 let err = FaultError::Unrecoverable {
                     rank: world_rank,
                     c,
@@ -516,18 +489,17 @@ fn recovery_loop<C: Communicator>(
                 // Degraded mode: the lost columns cannot be re-seeded, but
                 // the survivors can agree to continue without them. Revive
                 // killed ranks (the replacement process), re-seed
-                // partially-dead surviving columns, and hand the caller
+                // partially-lost surviving columns, and hand the caller
                 // the pre-force checkpoint to shrink from.
                 gc.col.fault_revive();
                 if let Some(src_row) = src_row {
-                    reseed(&mut input, src_row, self_dead, " before shrink");
+                    reseed(&mut input, src_row, self_lost, " before shrink");
                 }
                 *st = input;
                 let err = FaultError::ColumnsLost { dead_teams, c };
                 tl.event(EventKind::RecoveryAttempt, Some(epoch), &err.to_string());
                 return Err(err);
             }
-            // All columns kept at least one replica: plain resync below.
         }
         if attempts > policy.max_retries || started.elapsed() > policy.budget {
             let err = FaultError::RetriesExhausted { attempts };
@@ -537,22 +509,10 @@ fn recovery_loop<C: Communicator>(
         }
         // The replacement process comes back up for the retry.
         gc.col.fault_revive();
-        if status == STATUS_DEAD {
-            // Re-seed dead ranks from the lowest surviving row of their
-            // column (asked again: the allgather above consumed per-attempt
-            // state).
-            let src_row =
-                lowest_clear_row(gc, self_dead).expect("agreed recoverable, so a survivor exists");
-            reseed(&mut input, src_row, self_dead, "");
-        }
-        if status == STATUS_CORRUPT {
-            // Repair the diverged replica from the lowest row in the
-            // cross-check majority (the vote is deterministic, so the
-            // corrupt flags agree down the column).
-            let src_row = lowest_clear_row(gc, self_corrupt)
-                .expect("the cross-check minority never includes every row");
-            let why = " after fingerprint mismatch";
-            reseed(&mut input, src_row, self_corrupt, why);
+        if let Some(src_row) = src_row {
+            reseed(&mut input, src_row, self_lost, "");
+            // A re-seed is a capture: the digest is of what arrived.
+            digest = digest_of(&input);
         }
         counters.retries.inc();
         let next = attempts + 1;
@@ -620,8 +580,8 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
 /// When `health` is set, the kernel harvests the summed pair potential
 /// (returned alongside the report — the rank's potential-energy partial,
 /// counting each unordered pair twice globally; 0 otherwise) and every
-/// recovery attempt starts with the replica fingerprint cross-check. With
-/// `health = None` there is no harvesting and no cross-check traffic.
+/// attempt first checks the checkpoint against its digest. With `health =
+/// None` there is no harvesting and no digest.
 #[allow(clippy::too_many_arguments)]
 pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
     gc: &GridComms<C>,
@@ -850,7 +810,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let monitor = HealthMonitor::new(plan);
+            let monitor = HealthMonitor::new(plan, world.rank());
             let (law, boundary) = (law(), Boundary::Reflective);
             let health = Some(&monitor);
             ca_all_pairs_forces_ft(&gc, &mut st, &law, &domain, boundary, &policy, 0, health)

@@ -429,9 +429,10 @@ where
     /// world-wide into the timeline's energy/momentum series, non-finite
     /// sentinels scan forces and integrated state (aborting into a
     /// postmortem with the blamed rank/particle/field on first trigger),
-    /// and every recovery attempt cross-checks replica state fingerprints
-    /// down each column (a diverged replica is re-seeded from its column
-    /// majority and counted in [`HealthReport::fingerprint_mismatches`]).
+    /// and every recovery attempt checks each rank's checkpoint against
+    /// the fingerprint it was captured with (a copy that fails is
+    /// re-seeded from its column's lowest usable row, as a dead rank's is,
+    /// and counted in [`HealthReport::fingerprint_mismatches`]).
     pub fn health(mut self, health: &'a HealthConfig) -> Self {
         self.health = Some(health);
         self
@@ -875,7 +876,7 @@ impl<'a> Recovering<'a> {
             ckpt,
             health,
             rank: world.rank(),
-            monitor: health.map(|_| HealthMonitor::new(plan)),
+            monitor: health.map(|_| HealthMonitor::new(plan, world.rank())),
             blame: None,
             report: HealthReport::default(),
         }
@@ -907,7 +908,6 @@ impl Evaluation for Recovering<'_> {
             epoch,
             monitor,
         )?;
-        self.report.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
         // Post-reduction sentinel pass: apply the plan's NaN (a step's
         // evaluation succeeds once, so it fires once) and scan the freshly
         // reduced force accumulators on leaders.
@@ -975,7 +975,11 @@ impl Evaluation for Recovering<'_> {
     }
 
     fn health_report(&self) -> Option<HealthReport> {
-        self.health.map(|_| self.report)
+        let monitor = self.monitor.as_ref()?;
+        Some(HealthReport {
+            fingerprint_mismatches: monitor.fingerprint_mismatches(),
+            ..self.report
+        })
     }
 }
 

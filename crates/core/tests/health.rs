@@ -1,13 +1,13 @@
 //! Numerical-health integration tests: clean CA runs must report clean
 //! invariants with energy/momentum series landing in the timeline, a
 //! planned NaN must abort every rank with the injected (rank, step) blamed
-//! in the flight recorder, a planned replica corruption must be caught by
-//! the fingerprint cross-check and repaired from a clean row, and one plan
-//! holding a kill and a NaN must do both.
+//! in the flight recorder, a planned corruption must fail the copy's own
+//! digest and be repaired like a dead rank's copy, and one plan holding a
+//! kill and a NaN must do both.
 
 use ca_nbody::recovery::{FaultError, RetryPolicy};
 use ca_nbody::sim::{Method, Run, RunResult, SimConfig};
-use nbody_comm::{EventKind, FaultPlan, RunTimeline};
+use nbody_comm::{EventKind, FaultKind, FaultPlan, RunTimeline};
 use nbody_physics::{
     init, Boundary, Cutoff, Domain, ForceLaw, Gravity, Integrator, Particle, VelocityVerlet,
 };
@@ -153,38 +153,60 @@ fn injected_nan_is_blamed_at_the_seeded_rank_and_step() {
     }
 }
 
+/// A corrupted copy fails its own digest, at any `c`, and is repaired by
+/// the rule that repairs a dead rank's: from the lowest usable row of its
+/// column, or, when the column has none, by the agreed shrink.
 #[test]
-fn corrupted_replica_is_caught_and_repaired_by_the_cross_check() {
+fn a_copy_that_fails_its_digest_is_repaired_like_a_dead_ranks() {
     let cfg = cfg(6);
     let initial = init::uniform(48, &cfg.domain, 7);
-    // p=8, c=2: rank 4 is (team 0, row 1), a replica of leader rank 0.
-    let (res, timeline) = health_run(
-        &cfg,
-        Method::CaAllPairs { c: 2 },
-        8,
-        &FaultPlan::parse("corrupt:4@2").unwrap(),
-        &RetryPolicy::with_timeout_ms(200),
-        &HealthConfig::enabled(),
-        &initial,
-    );
-    let (run, report) = res.expect("cross-check repairs the corrupt replica");
-    assert!(run.recovered, "repair counts as a recovery");
-    assert!(
-        report.fingerprint_mismatches >= 1,
-        "the mismatch is counted: {report:?}"
-    );
-    assert_eq!(report.sentinel_events, 0);
-    // The corrupted rank's flight recorder names the disagreement.
-    let rt = &timeline.ranks[4];
-    assert!(
-        rt.events
-            .iter()
-            .any(|e| e.kind == EventKind::ReplicaMismatch),
-        "rank 4 records the fingerprint mismatch"
-    );
-    // The run still finishes with clean physics afterwards.
-    assert!(report.max_momentum_norm < 1e-12);
-    assert_eq!(run.particles.len(), 48);
+    let (policy, health) = (RetryPolicy::with_timeout_ms(200), HealthConfig::enabled());
+    let ca = |c| Method::CaAllPairs { c };
+    // (case, method, p, plan, particles lost). At p=8, c=2 rank 4 is
+    // (team 0, row 1) and rank 0 its row 0; at p=9, c=3 ranks 0 and 1 are
+    // row 0 of teams 0 and 1, and the kill fires in the corrupt step.
+    let cases = [
+        ("c=2, row 1", ca(2), 8, "corrupt:4@2", 0),
+        ("c=2, row 0", ca(2), 8, "corrupt:0@2", 0),
+        ("c=3, row 0 + kill", ca(3), 9, "corrupt:0@0,kill:1@1", 0),
+        ("c=1", ca(1), 4, "corrupt:1@1", 48 / 4),
+    ];
+    for (case, method, p, spec, lost) in cases {
+        let plan = FaultPlan::parse(spec).unwrap();
+        let out = Run::new(&cfg, method, p)
+            .trace()
+            .faults(&plan, &policy)
+            .health(&health)
+            .execute(&initial);
+        let run = out.result.unwrap_or_else(|e| panic!("{case}: {e}"));
+        let report = run.health.expect("health runs always produce a report");
+        assert!(report.fingerprint_mismatches >= 1, "{case}: {report:?}");
+        assert_eq!(report.sentinel_events, 0, "{case}");
+        // The corrupted rank's flight recorder names the failed digest.
+        let corrupted = plan.events.iter().find(|e| e.kind == FaultKind::Corrupt);
+        let events = &out.artifacts.timeline.ranks[corrupted.unwrap().rank].events;
+        assert!(
+            events.iter().any(|e| e.kind == EventKind::ReplicaMismatch),
+            "{case}: the corrupted rank records the mismatch"
+        );
+        if plan.events.len() == 1 {
+            // The corrupted rank runs its attempt, so no peer waits out a
+            // receive deadline and records a fault of its own.
+            let detected = out
+                .artifacts
+                .metrics
+                .sum_counter("fault_detected_total", None);
+            assert_eq!(detected, 1, "{case}");
+        }
+        if lost == 0 {
+            let clean = Run::new(&cfg, method, p).execute(&initial).result.unwrap();
+            assert!(run.recovered && run.shrinks.is_empty(), "{case}");
+            assert_eq!(run.particles, clean.particles, "{case}: bit-identical");
+        } else {
+            let shrunk = (run.shrinks.len(), run.lost_particles);
+            assert_eq!(shrunk, (1, lost), "{case}: the column's only copy is lost");
+        }
+    }
 }
 
 #[test]

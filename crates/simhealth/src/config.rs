@@ -1,13 +1,12 @@
 //! Health-monitor configuration.
 
-/// How often the health layer checks. Every monitor runs, the replica
-/// fingerprint cross-check whenever the schedule replicates state
-/// (`c ≥ 2`). What a run injects to exercise them is its fault plan's
-/// business (`nan` and `corrupt` events).
+/// How often the health layer checks. Every monitor runs, the checkpoint
+/// digest at any `c`. What a run injects to exercise them is its fault
+/// plan's business (`nan` and `corrupt` events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Check cadence in steps: invariants are reduced and the sentinels
-    /// scan on steps where `step % every == 0` (the cross-check runs on
+    /// scan on steps where `step % every == 0` (the digest is checked on
     /// every recovery attempt). `1` checks every step; larger values trade
     /// detection latency for overhead.
     pub every: u64,

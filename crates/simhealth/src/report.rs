@@ -18,7 +18,7 @@ pub struct HealthReport {
     pub max_momentum_norm: f64,
     /// Non-finite sentinel triggers (any rank, any phase).
     pub sentinel_events: u64,
-    /// Replica fingerprint mismatches detected by the cross-check.
+    /// Attempts on which a checkpoint failed its fingerprint digest.
     pub fingerprint_mismatches: u64,
 }
 

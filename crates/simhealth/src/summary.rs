@@ -223,7 +223,8 @@ mod tests {
                 t_secs: 0.1,
                 kind: EventKind::ReplicaMismatch,
                 step: Some(4),
-                detail: "rank 4 fingerprint deadbeef vs majority cafe".into(),
+                detail: "checkpoint hashes to 00000000deadbeef, captured as 000000000000cafe"
+                    .into(),
             },
         ];
         let tl = tl_with(|_| -4.0, events, Some("numerical fault"));

@@ -39,7 +39,7 @@ pub enum EventKind {
     /// A health sentinel caught a NaN/Inf in simulation state; the detail
     /// carries the blamed (phase, particle index, field).
     NonFinite,
-    /// A replica's state fingerprint disagreed with its column majority.
+    /// A rank's recovery checkpoint failed its fingerprint digest.
     ReplicaMismatch,
 }
 

@@ -249,14 +249,15 @@ fn kill_all(ranks: impl Iterator<Item = usize>) -> FaultPlan {
 
 /// `chaos`: sweep fault schedules over a small execution.
 ///
-/// Six fixed passes, each introduced where it runs, all against the same
+/// Seven fixed passes, each introduced where it runs, all against the same
 /// fault-free trajectory: benign schedules, a kill of every rank at every
-/// pipeline step, `--kills=N` at once, a whole column, a `c = 1` kill, and
-/// every rank. Recovery overhead of the kill sweep (worst attempt count,
-/// resync bytes per kill relative to one replicated block) is gated
-/// against the ceilings of `--baseline=<json>`, default
-/// `bench_results/chaos_baseline.json`. With `seconds=N`, seeded random
-/// plans follow until `N` seconds have passed on their own clock.
+/// pipeline step, `--kills=N` at once, a whole column, a `c = 1` kill,
+/// every rank, and a `corrupt` of every rank. Recovery overhead of the
+/// kill sweep (worst attempt count, resync bytes per kill relative to one
+/// replicated block) is gated against the ceilings of
+/// `--baseline=<json>`, default `bench_results/chaos_baseline.json`. With
+/// `seconds=N`, seeded random plans follow until `N` seconds have passed
+/// on their own clock.
 pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
     // Every planned fault fires once, so a retry's longer deadline can
     // spare a timeout but never add an attempt: the attempt ceilings hold.
@@ -409,10 +410,36 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         sweep.runs
     );
 
+    // `corrupt`: each rank's checkpoint in turn fails its digest at
+    // timestep 0, then one beside a kill in another column. Every lost copy
+    // is re-seeded from a usable row of its column, so each schedule must
+    // end bit-identical, caught by the digest and without a shrink.
+    let corrupt_at = |rank: usize| format!("corrupt:{rank}@0");
+    let mut specs: Vec<String> = (0..p).map(corrupt_at).collect();
+    specs.push(format!("kill:{}@0,{}", 1 % teams, corrupt_at(0)));
+    for spec in &specs {
+        let plan = FaultPlan::parse(spec).expect("a valid corrupt plan");
+        let name = spec.replace([':', '@', ','], "_");
+        let Some((res, metrics)) = sweep.schedule(spec, &name, method, &plan) else {
+            continue;
+        };
+        let caught = res.health.is_some_and(|h| h.fingerprint_mismatches > 0);
+        let fired = metrics.sum_counter("fault_injected_corrupt", None) > 0;
+        if fired && !(caught && res.recovered && res.shrinks.is_empty()) {
+            sweep.fail(
+                spec,
+                "a corrupt copy must fail its digest and be repaired in place",
+            );
+        }
+    }
+    println!(
+        "  corrupt: {} schedules, one per rank and one beside a kill",
+        specs.len()
+    );
+
     // Seeded random plans of the four wire kinds, seeds advancing from
     // `seed`, until `seconds` have passed on this phase's own clock or five
-    // failures give enough to diagnose. No `corrupt`: at c = 2 a corrupted
-    // row 0 is a 1-1 tie that repairs toward the bad copy (DESIGN §12.5).
+    // failures give enough to diagnose.
     let mut seeded = 0usize;
     if seconds > 0.0 {
         println!("seeded plans: {seconds:.0}s budget, {EVENTS} events/plan, base seed {seed}");
@@ -444,6 +471,7 @@ pub fn chaos(opts: &mut Opts, _: &[String]) -> Result<ExitCode, Failure> {
         .put("seeded_runs", seeded)
         .put("kills_fired", kills_fired)
         .put("kills", kills)
+        .put("corrupt_runs", specs.len())
         .put("shrinks", sweep.shrinks)
         .put("max_attempts", worst_attempts)
         .put("recovery_bytes_factor", worst_bytes_factor)

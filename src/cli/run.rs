@@ -23,7 +23,7 @@
 //! switches `run`/`verify` to the fault-tolerant CA drivers. The wire
 //! kinds `kill | drop | dup | delay` strike a pipeline step (0 = skew) of
 //! the first evaluation that reaches it; `nan` poisons a force after
-//! timestep `step`'s reduction and `corrupt` flips a replica bit at its
+//! timestep `step`'s reduction and `corrupt` flips a checkpoint bit at its
 //! start (both turn the health monitors on, and a `nan` must land on a
 //! step they check); `crash@S` exits the process with code 137 right after
 //! global step `S`'s checkpoint is durable, so it needs `--checkpoint-dir`.

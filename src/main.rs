@@ -31,8 +31,8 @@
 //! whose value does not parse, or that the subcommand (given the others)
 //! never reads, is a start-up error: a line on stderr naming it, exit 2,
 //! nothing run or written; so is a subcommand not in the list above (the
-//! usage line, exit 2). Exit 1 is every later failure. `chaos` and `soak`
-//! take `run`'s grammar with their own defaults; the modules under `cli/`
+//! usage line, exit 2). Exit 1 is every later failure. `chaos` takes
+//! `run`'s grammar with its own defaults; the modules under `cli/`
 //! document their subcommands.
 //!
 //! Every subcommand ends with a single-line JSON summary on stdout for

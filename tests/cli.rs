@@ -1557,9 +1557,10 @@ fn injected_nan_aborts_with_blame_and_unhealthy_bundle() {
 
 #[test]
 fn corrupted_replica_detection_fails_the_default_health_gate() {
-    // p=8, c=2: rank 4 is team 0's replica. The cross-check repairs it,
-    // the run completes recovered, and the committed zero-mismatch
-    // baseline turns the detection into a non-zero exit.
+    // p=8, c=2: rank 4 is team 0's replica. Its checkpoint fails its
+    // digest and is re-seeded from row 0, the run completes recovered, and
+    // the committed zero-mismatch baseline turns the detection into a
+    // non-zero exit.
     let dir = std::env::temp_dir().join("ca_nbody_cli_health_corrupt_test");
     std::fs::create_dir_all(&dir).unwrap();
     let tl = dir.join("run.json").display().to_string();
@@ -1584,6 +1585,22 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
     assert!(stdout.contains("1 fingerprint mismatch"), "{stdout}");
     assert!(stdout.contains("UNHEALTHY"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
+
+    // At c = 1 the copy that fails its digest is its column's only one:
+    // the agreed shrink drops it, the gate fails all the same, and verify
+    // has no full-world trajectory to call OK.
+    for cmd in ["run", "verify"] {
+        let out = sh(&format!("{cmd} n=256 p=4 c=1 steps=3 --faults=corrupt:1@1"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stdout}");
+        let mismatch = stdout.contains("\"health_fingerprint_mismatches\":1");
+        assert!(mismatch, "{cmd}: {stdout}");
+        assert!(
+            stdout.contains("\"health_gate\":\"fail\""),
+            "{cmd}: {stdout}"
+        );
+        assert!(!stdout.contains("VERIFY OK"), "{cmd}: {stdout}");
+    }
 }
 
 #[test]
