@@ -120,5 +120,7 @@ check "code names a ROADMAP item by what it says, not by its number: the numbers
     none 'ROADMAP (item )?[0-9]' crates src tests examples
 check "a copy is judged by its own digest, not by a vote of the copies: no majority or tie-break in recovery, no StateCorrupt error" \
     none -i 'majority|tie-?break|StateCorrupt|crosscheck' crates/core/src/recovery.rs crates/comm/src
+check "cell_order sorts a freshly dealt block by counting its cells, not by a comparison sort that caches a key per particle" \
+    none 'sort_by_cached_key' crates/core/src/kernel.rs
 
 exit "$broken"

@@ -190,7 +190,8 @@ type Span = (usize, usize);
 /// span per row of cells; in any other order the runs are more and shorter.
 /// A block spread over more than [`CELLS_PER_SOURCE`] cells per source is
 /// indexed by coarser cells, and a source that is not finite sits in a slot
-/// of its own that every pair walks.
+/// of its own that every pair walks. A call against another block indexes
+/// only the sources in the strip its targets can reach ([`Cells::strip`]).
 #[derive(Default)]
 struct Cells {
     /// Sources in the block.
@@ -202,7 +203,7 @@ struct Cells {
     per_unit: f64,
     origin: Vec2,
     /// The table's columns and rows, and how far from its corner the
-    /// lowest and the highest finite source are, per axis.
+    /// lowest and the highest indexed finite source may be, per axis.
     dims: [usize; 2],
     bounds: [(f64, f64); 2],
     /// `r_c` in cells, the domain extent in cells under
@@ -212,21 +213,50 @@ struct Cells {
     period: [f64; 2],
     slack: f64,
     /// `table[c]..table[c + 1]` are the runs of the table's cell `c`,
-    /// row-major, and those of slot `columns · rows` the runs of sources
-    /// that are not finite; the runs follow from `runs_at`, a `start, end`
+    /// row-major, those of slot `columns · rows` the runs of sources that
+    /// are not finite, and those of the slot after it the runs of sources
+    /// no target can reach; the runs follow from `runs_at`, a `start, end`
     /// pair each.
     table: Vec<usize>,
     runs_at: usize,
     /// How many runs of sources that are not finite there are, and whether
-    /// the runs of each row are one range of sources, as in cell order.
+    /// the runs of each row are one range of sources, each row's after the
+    /// row below's, as in cell order.
     everywhere: usize,
     ordered: bool,
-    /// The cells the last lane pair reached, and the spans of sources they
-    /// hold, in source order, and whether those leave any source out: the
-    /// next pair reuses them when it reaches the same cells.
+    /// The cells the last reach computed reached, and the spans of sources
+    /// they hold, in source order, and whether those leave any source out.
     reached: Reach,
     spans: Vec<Span>,
     culled: bool,
+    /// Per source of a call whose sources are its targets, its cell packed
+    /// as `row << 32 | column` where every pair that holds it as a target
+    /// reaches the cells next to that one and no image of them, and
+    /// `u64::MAX` where a pair may reach more (DESIGN.md §14.1).
+    places: Vec<u64>,
+    /// Per axis, the columns or rows, from and to, whose targets reach no
+    /// image: see [`Cells::interior`].
+    plain: [(i64, i64); 2],
+    /// The columns and rows, from and to, the last pair read from its
+    /// places reached when `spans` are still theirs, and [`NO_KEY`] if not.
+    key: [u32; 4],
+    /// The runs in source order, a `(start, slot)` each, as the per-source
+    /// pass finds them: scratch, never shorter than the longest block yet.
+    runs: Vec<Span>,
+    /// Where the widened ends of the last pair's shared rectangle — low
+    /// and high column, then low and high row — may lie for a pair to reach
+    /// what it reached: open intervals, empty after a pair whose targets
+    /// took a rectangle each. A pair inside them reuses `spans` without
+    /// computing a reach (DESIGN.md §14.1).
+    keeps: Keeps,
+    /// Per axis and image, where a pair's targets must reach to along it,
+    /// in cells from the table's corner, to reach an indexed source: set
+    /// when the call has a strip and no source that is not finite, so that
+    /// a pair outside them is shown nothing after a few comparisons.
+    reject: Option<Strip>,
+    /// Reaches computed and spans gathered since the refill.
+    #[cfg(test)]
+    work: Work,
 }
 
 /// The table cells a lane pair reaches, as one rectangle per image for both
@@ -235,8 +265,38 @@ struct Cells {
 /// none, and no rows where it reaches no column.
 type Reach = [u32; 24];
 
+/// No columns or rows a pair can reach: see [`Cells::key`].
+const NO_KEY: [u32; 4] = [u32::MAX; 4];
+
+/// Open intervals, one per end of a rectangle: see [`Cells::keeps`].
+type Keeps = [(f64, f64); 4];
+
+/// Per axis, closed intervals, one per image — itself, a period below, a
+/// period above — of which a value must lie in one: see [`Cells::strip`].
+type Strip = [[(f64, f64); 3]; 2];
+
+/// The intervals of an axis on which any value lies in one, and of one on
+/// which none does.
+const EVERYWHERE: [(f64, f64); 3] = [(f64::NEG_INFINITY, f64::INFINITY), NOWHERE[0], NOWHERE[0]];
+const NOWHERE: [(f64, f64); 3] = [(f64::INFINITY, f64::NEG_INFINITY); 3];
+
+/// Whether `lo..=hi` meets one of `intervals`, without a branch.
+#[inline(always)]
+fn meets(intervals: &[(f64, f64); 3], lo: f64, hi: f64) -> bool {
+    let meets = |(from, to): (f64, f64)| (from <= hi) & (lo <= to);
+    meets(intervals[0]) | meets(intervals[1]) | meets(intervals[2])
+}
+
+/// The index work of one kernel call, counted.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Work {
+    reaches: u64,
+    gathers: u64,
+}
+
 thread_local! {
-    /// The last call's [`Cells`], whose two vectors the next call under a
+    /// The last call's [`Cells`], whose vectors the next call under a
     /// cutoff law refills: a warm kernel call allocates nothing.
     static CELLS: RefCell<Cells> = RefCell::default();
 }
@@ -247,8 +307,127 @@ thread_local! {
     static PENDING: RefCell<Vec<Vec2>> = const { RefCell::new(Vec::new()) };
 }
 
+/// The lowest and the highest of the finite positions, per axis, or
+/// infinities the wrong way round when none is finite. Out of line, like
+/// the per-source passes.
+#[inline(never)]
+fn finite_box<S: KernelSource>(block: &[S]) -> (Vec2, Vec2) {
+    let inf = f64::INFINITY;
+    let (mut lo, mut hi) = (Vec2::new(inf, inf), Vec2::new(-inf, -inf));
+    for p in block.iter().map(S::pos) {
+        // A position that is not finite stands in as the box itself, and
+        // comparisons rather than `f64::min`, which would look for a NaN
+        // that cannot be there: no branch on either.
+        let (low, high) = match p.is_finite() {
+            true => (p, p),
+            false => (lo, hi),
+        };
+        lo = Vec2::new(
+            if low.x < lo.x { low.x } else { lo.x },
+            if low.y < lo.y { low.y } else { lo.y },
+        );
+        hi = Vec2::new(
+            if high.x > hi.x { high.x } else { hi.x },
+            if high.y > hi.y { high.y } else { hi.y },
+        );
+    }
+    (lo, hi)
+}
+
+/// Where a block's table lies, in locals of the per-source passes that no
+/// store of theirs can change: [`Cells::cells_from_corner`] and the slot
+/// of a cell, `nowhere` that of a source that is not finite.
+#[derive(Clone, Copy)]
+struct Frame {
+    min: Vec2,
+    per_unit: f64,
+    origin: Vec2,
+    dims: [usize; 2],
+    nowhere: usize,
+}
+
+impl Frame {
+    /// The table column and row of `u` cells from the corner: rounding may
+    /// put the lowest source a hair below zero, the highest on the table's
+    /// far edge.
+    #[inline(always)]
+    fn at(&self, u: Vec2) -> [usize; 2] {
+        let at = |u: f64, dim: usize| (u as i64).max(0).min(dim as i64 - 1) as usize;
+        [at(u.x, self.dims[0]), at(u.y, self.dims[1])]
+    }
+}
+
+// The two per-source passes stay out of line: inlined into the refill they
+// ran at about half the speed.
+
+/// Into `found`, the runs of `sources` in source order, a `(start, slot)`
+/// each, a source outside the `strip` in slot `unreached`; how many.
+#[inline(never)]
+fn runs_in_strip<S: KernelSource>(
+    sources: &[S],
+    frame: Frame,
+    strip: &Strip,
+    unreached: usize,
+    found: &mut [Span],
+) -> usize {
+    let (mut runs, mut last) = (0, usize::MAX);
+    // An axis the strip does not narrow is not asked about.
+    let [x, y] = strip.map(|s| s != EVERYWHERE);
+    for (k, s) in sources.iter().enumerate() {
+        let pos = s.pos();
+        let u = (pos - frame.min) * frame.per_unit - frame.origin;
+        let slot = if !pos.is_finite() {
+            frame.nowhere
+        } else if x && !meets(&strip[0], u.x, u.x) || y && !meets(&strip[1], u.y, u.y) {
+            unreached
+        } else {
+            let [column, row] = frame.at(u);
+            row * frame.dims[0] + column
+        };
+        // Written whatever it is, kept only where a run starts.
+        found[runs] = (k, slot);
+        runs += usize::from(slot != last);
+        last = slot;
+    }
+    runs
+}
+
+/// Into `found`, the runs of `sources` in source order, a `(start, slot)`
+/// each, and into `places` the place of each ([`Cells::places`]): a
+/// source more than `margin` from the middle of its cell on an axis has
+/// none. How many runs.
+#[inline(never)]
+fn runs_and_places<S: KernelSource>(
+    sources: &[S],
+    frame: Frame,
+    margin: f64,
+    found: &mut [Span],
+    places: &mut [u64],
+) -> usize {
+    let (mut runs, mut last) = (0, usize::MAX);
+    for ((k, s), place) in sources.iter().enumerate().zip(places) {
+        let pos = s.pos();
+        let u = (pos - frame.min) * frame.per_unit - frame.origin;
+        let [column, row] = frame.at(u);
+        let slot = match pos.is_finite() {
+            true => row * frame.dims[0] + column,
+            false => frame.nowhere,
+        };
+        found[runs] = (k, slot);
+        runs += usize::from(slot != last);
+        last = slot;
+        let off = |u: f64, c: usize| (u - c as f64 - 0.5).abs() < margin;
+        *place = match off(u.x, column) & off(u.y, row) {
+            true => (row as u64) << 32 | column as u64,
+            false => u64::MAX,
+        };
+    }
+    runs
+}
+
 impl Cells {
-    /// Forget the last call's sources and index these.
+    /// Forget the last call's sources and index all of these.
+    #[cfg(test)]
     fn refill<S: KernelSource>(
         &mut self,
         sources: &[S],
@@ -256,25 +435,29 @@ impl Cells {
         domain: &Domain,
         boundary: Boundary,
     ) {
-        // Comparisons rather than `f64::min`, which would look for a NaN
-        // that cannot be there.
-        let inf = f64::INFINITY;
-        let [mut lx, mut ly, mut hx, mut hy] = [inf, inf, -inf, -inf];
-        for p in sources.iter().map(S::pos) {
-            if p.is_finite() {
-                (lx, ly) = (
-                    if p.x < lx { p.x } else { lx },
-                    if p.y < ly { p.y } else { ly },
-                );
-                (hx, hy) = (
-                    if p.x > hx { p.x } else { hx },
-                    if p.y > hy { p.y } else { hy },
-                );
-            }
-        }
-        let (lo, hi) = (Vec2::new(lx, ly), Vec2::new(hx, hy));
-        // No pair reaches past the last row and column.
+        self.refill_for(None, sources, r_c, domain, boundary);
+    }
+
+    /// Forget the last call's sources and index these: all of them when the
+    /// sources are the targets (`None`), and otherwise those in the strip a
+    /// finite target can reach, the rest in a slot no pair walks.
+    fn refill_for<S: KernelSource>(
+        &mut self,
+        targets: Option<&[Particle]>,
+        sources: &[S],
+        r_c: f64,
+        domain: &Domain,
+        boundary: Boundary,
+    ) {
+        let (lo, hi) = finite_box(sources);
+        // No pair reaches past the last row and column, and none reuses
+        // the last call's spans.
         (self.len, self.min, self.reached) = (sources.len(), domain.min, [u32::MAX; 24]);
+        (self.keeps, self.reject, self.key) = (Keeps::default(), None, NO_KEY);
+        #[cfg(test)]
+        {
+            self.work = Work::default();
+        }
         // The cells from the lowest finite source's to the highest's, none
         // when there is no finite source, coarser while they are too many.
         let most = CELLS_PER_SOURCE * sources.len() as f64 + 16.0;
@@ -303,63 +486,167 @@ impl Cells {
         let [px, py] = self.period;
         let far = self.origin.x.abs() + self.origin.y.abs();
         self.slack = (far + px + py + self.reach + 1.0) * SLACK;
+        let strip = targets.and_then(|targets| self.strip(targets));
         // The runs in source order, a `(start, slot)` each, in the scratch;
         // then counted by slot, placed, and the counts shifted into bounds.
         let [columns, rows] = self.dims;
-        let slots = columns * rows + 1;
+        let (nowhere, unreached) = (columns * rows, columns * rows + 1);
+        let slots = columns * rows + 2;
         // A vector that has to grow takes an eighth more than this block
         // needs: the next block is a neighbour's, or this one a few
-        // migrants on.
+        // migrants on. The per-source scratch keeps its length, so that
+        // nothing is written to it twice.
         fn room<T>(v: &mut Vec<T>, len: usize) {
             v.clear();
             if v.capacity() < len {
                 v.reserve(len + len / 8);
             }
         }
-        room(&mut self.spans, sources.len());
-        let mut last = usize::MAX;
-        // Rounding may put the lowest a hair below zero, the highest on
-        // the table's far edge.
-        let at = |u: f64, dim: usize| (u as i64).max(0).min(dim as i64 - 1) as usize;
-        for (k, s) in sources.iter().enumerate() {
-            let pos = s.pos();
-            let u = self.cells_from_corner(pos);
-            let slot = match pos.is_finite() {
-                true => at(u.y, rows) * columns + at(u.x, columns),
-                false => slots - 1,
-            };
-            if slot != last {
-                self.spans.push((k, slot));
-                last = slot;
+        fn scratch<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+            if v.len() < len {
+                v.resize(len + len / 8, fill);
             }
         }
+        room(&mut self.spans, sources.len());
+        scratch(&mut self.runs, sources.len() + 1, (0, 0));
+        let frame = Frame {
+            min: self.min,
+            per_unit: self.per_unit,
+            origin: self.origin,
+            dims: self.dims,
+            nowhere,
+        };
+        // Places only where the sources are the targets.
+        let runs = if targets.is_some() {
+            let strip = strip.unwrap_or([EVERYWHERE; 2]);
+            runs_in_strip(sources, frame, &strip, unreached, &mut self.runs)
+        } else {
+            // A margin nothing is inside when no source has a place.
+            let (margin, plain) = self.interior().unwrap_or((f64::NAN, [(0, -1); 2]));
+            self.plain = plain;
+            scratch(&mut self.places, sources.len(), u64::MAX);
+            runs_and_places(sources, frame, margin, &mut self.runs, &mut self.places)
+        };
+        let found = &self.runs[..runs];
         self.runs_at = slots + 1;
-        let len = self.runs_at + 2 * self.spans.len();
+        let len = self.runs_at + 2 * found.len();
         room(&mut self.table, len);
         self.table.resize(len, 0);
-        for &(_, slot) in &self.spans {
+        for &(_, slot) in found {
             self.table[slot + 1] += 1;
         }
         for c in 1..slots {
             self.table[c] += self.table[c - 1];
         }
-        for (j, &(start, slot)) in self.spans.iter().enumerate() {
-            let end = self.spans.get(j + 1).map_or(sources.len(), |s| s.0);
+        for (j, &(start, slot)) in found.iter().enumerate() {
+            let end = found.get(j + 1).map_or(sources.len(), |s| s.0);
             let at = self.runs_at + 2 * self.table[slot];
             self.table[slot] += 1;
             self.table[at..at + 2].copy_from_slice(&[start, end]);
         }
         self.table.copy_within(0..slots, 1);
         self.table[0] = 0;
-        self.everywhere = self.table[slots] - self.table[slots - 1];
+        self.everywhere = self.table[nowhere + 1] - self.table[nowhere];
+        if self.everywhere > 0 {
+            self.reject = None;
+        }
         // Whether every row's runs, column by column, follow each other in
-        // one direction: then so do those of any columns of a row.
+        // one direction — then so do those of any columns of a row — and
+        // each row's follow the last row's.
+        let mut end = 0;
         self.ordered = (0..rows).all(|row| {
             let runs = &self.table[self.runs_at..][2 * self.table[row * columns]..];
             let runs = &runs[..2 * (self.table[(row + 1) * columns] - self.table[row * columns])];
             let next = || runs.chunks_exact(2).zip(runs.chunks_exact(2).skip(1));
-            next().all(|(a, b)| a[1] == b[0]) || next().all(|(a, b)| b[1] == a[0])
+            let (Some(first), Some(last)) = (runs.first_chunk::<2>(), runs.last_chunk::<2>())
+            else {
+                return true;
+            };
+            let one = next().all(|(a, b)| a[1] == b[0]) || next().all(|(a, b)| b[1] == a[0]);
+            let after = first[0].min(last[0]) >= end;
+            end = first[1].max(last[1]);
+            one && after
         });
+    }
+
+    /// How far a source of a block against itself must lie from its
+    /// cell's middle along each axis, in cells, for every pair of targets
+    /// holding it to reach the cells next to its own, and per axis the
+    /// cells all of whose targets reach no image: `None` when the table is
+    /// coarser than `r_c`, where a pair may reach fewer.
+    fn interior(&self) -> Option<(f64, [(i64, i64); 2])> {
+        // The widest `w` a pair of these targets can take. A pair whose
+        // targets lie in cells next to each other, each more than `w - 1`
+        // from its cell's edges, reaches from the cell below the lower to
+        // the cell above the higher on each axis, whatever its `w` in
+        // `reach..=w`; and no image while each target is more than `w`
+        // below the bounds' image a period up and above that a period down.
+        let [(lx, hx), (ly, hy)] = self.bounds;
+        let far = lx.abs().max(hx.abs()) + ly.abs().max(hy.abs());
+        let w = self.reach + far * SLACK + self.slack;
+        if !(self.reach >= 1.0 && w < 1.5) {
+            return None;
+        }
+        let cells = [0, 1].map(|axis| {
+            let ((lowest, highest), p) = (self.bounds[axis], self.period[axis]);
+            match p > 0.0 {
+                true => (cell(highest - p + w) + 1, cell(lowest + p - w) - 1),
+                false => (i64::MIN, i64::MAX),
+            }
+        });
+        Some((1.5 - w, cells))
+    }
+
+    /// Per axis, the intervals — one per image — in which a source must
+    /// lie to be within reach of a finite target of `targets`, as a pair
+    /// would widen them, the whole axis where one of them holds every
+    /// finite source, and `None` if that is so on both; the bounds narrowed
+    /// to what the intervals hold, and [`Cells::reject`] set from them. A
+    /// source outside them on either axis is one the law rejects for every
+    /// target: every source a pair's reach must show lies within its
+    /// rectangle widened by its `w` (§14.2), and the targets' box, widened
+    /// by the largest `w` a pair of them can take, holds every such
+    /// rectangle.
+    fn strip(&mut self, targets: &[Particle]) -> Option<Strip> {
+        let (lo, hi) = finite_box(targets);
+        let [lo, hi] = [lo, hi].map(|p| self.cells_from_corner(p));
+        let far = lo.x.abs().max(hi.x.abs()) + lo.y.abs().max(hi.y.abs());
+        let w = self.reach + far * SLACK + self.slack;
+        // No finite target, or a radius that is no number of cells, rules
+        // nothing out.
+        if !(lo.is_finite() && hi.is_finite() && w.is_finite()) {
+            return None;
+        }
+        let ends = [(lo.x - w, hi.x + w), (lo.y - w, hi.y + w)];
+        let (mut strip, mut reject) = ([EVERYWHERE; 2], [EVERYWHERE; 2]);
+        for axis in 0..2 {
+            let ((a, b), p) = (ends[axis], self.period[axis]);
+            let (lowest, highest) = self.bounds[axis];
+            let images = if p > 0.0 { 3 } else { 1 };
+            let mut intervals = NOWHERE;
+            for (interval, k) in intervals.iter_mut().zip([0.0, -p, p]).take(images) {
+                *interval = (a + k, b + k);
+            }
+            if intervals.iter().any(|&(a, b)| a <= lowest && highest <= b) {
+                continue;
+            }
+            // The hull of what the intervals hold of the bounds, and where a
+            // target must be, per image, to come within `w` of it.
+            let held = intervals
+                .iter()
+                .map(|&(a, b)| (a.max(lowest), b.min(highest)));
+            let held = held.filter(|(a, b)| a <= b);
+            let (lowest, highest) = held.fold(NOWHERE[0], |h, (a, b)| (h.0.min(a), h.1.max(b)));
+            self.bounds[axis] = (lowest, highest);
+            reject[axis] = NOWHERE;
+            for (interval, k) in reject[axis].iter_mut().zip([0.0, -p, p]).take(images) {
+                *interval = (lowest - k - w, highest - k + w);
+            }
+            strip[axis] = intervals;
+        }
+        let filtered = strip != [EVERYWHERE; 2];
+        self.reject = filtered.then_some(reject);
+        filtered.then_some(strip)
     }
 
     /// How many cells `p` is from the table's corner, per axis.
@@ -368,82 +655,215 @@ impl Cells {
         (p - self.min) * self.per_unit - self.origin
     }
 
+    /// [`Cells::near`] for the lane pair of targets `i` and `j` of a call
+    /// whose sources are its targets, at `pos`: read from their places
+    /// when both have one and their cells are the same or next to each
+    /// other along an axis — the three cells either side, at most three
+    /// rows of cells, the same cells for every pair in those two — and
+    /// computed as [`Cells::near`] computes them if not.
+    #[inline(always)]
+    fn near_in_block(&mut self, i: usize, j: usize, pos: Vec2x2) -> Option<(&[Span], bool)> {
+        let (a, b) = (self.places[i], self.places[j]);
+        let [x, y] = [[a as u32, b as u32], [(a >> 32) as u32, (b >> 32) as u32]];
+        let plain = |[a, b]: [u32; 2], (from, to): (i64, i64)| {
+            from <= a.min(b) as i64 && b.max(a) as i64 <= to
+        };
+        let next = |[a, b]: [u32; 2]| a.abs_diff(b);
+        let placed = a != u64::MAX && b != u64::MAX;
+        if !(placed && next(x) + next(y) <= 1 && plain(x, self.plain[0]) && plain(y, self.plain[1]))
+        {
+            return self.near(pos);
+        }
+        // The cell either side of the two, clamped to the table.
+        let around = |[a, b]: [u32; 2], dim: usize| {
+            (a.min(b).saturating_sub(1), (a.max(b) + 2).min(dim as u32))
+        };
+        let ((from, to), (bottom, top)) = (around(x, self.dims[0]), around(y, self.dims[1]));
+        if [from, to, bottom, top] != self.key {
+            self.gather_key([from, to, bottom, top]);
+        }
+        Some((&self.spans, self.culled))
+    }
+
+    /// The spans of the columns `key[0]..key[1]` of the rows
+    /// `key[2]..key[3]`, what a pair with those places reaches.
+    #[inline(never)]
+    fn gather_key(&mut self, key: [u32; 4]) {
+        let mut reached = [0; 24];
+        [reached[0], reached[1], reached[6], reached[7]] = key;
+        (self.reached, self.keeps, self.key) = (reached, Keeps::default(), key);
+        if self.ordered && self.everywhere == 0 {
+            self.gather_rows(key);
+        } else {
+            self.gather(&reached);
+        }
+    }
+
+    /// The spans of the columns `from..to` of the rows `bottom..top` of a
+    /// block in cell order with every source finite: a span per row, in
+    /// row order, which is source order.
+    #[inline(always)]
+    fn gather_rows(&mut self, [from, to, bottom, top]: [u32; 4]) {
+        #[cfg(test)]
+        {
+            self.work.gathers += 1;
+        }
+        self.spans.clear();
+        let (columns, runs) = (self.dims[0], &self.table[self.runs_at..]);
+        let (from, to) = (from as usize, to as usize);
+        let mut shown = 0;
+        for row in bottom as usize..top as usize {
+            let at = row * columns;
+            let (first, last) = (self.table[at + from], self.table[at + to]);
+            if first == last {
+                continue;
+            }
+            let (a, b) = (&runs[2 * first..], &runs[2 * last - 2..]);
+            let (start, end) = (a[0].min(b[0]), a[1].max(b[1]));
+            shown += end - start;
+            match self.spans.last_mut() {
+                Some(span) if span.1 == start => span.1 = end,
+                _ => self.spans.push((start, end)),
+            }
+        }
+        self.culled = shown < self.len;
+    }
+
     /// The spans of sources a lane pair at `pos` is shown — the runs of the
     /// cells within `r_c` of either target and of the slot of sources that
     /// are not finite — in source order, and whether they leave any source
     /// out. `None` when a target is not finite, or so far out that it is
     /// not a finite number of cells from the table: it is shown every
     /// source.
+    #[inline(always)]
     fn near(&mut self, pos: Vec2x2) -> Option<(&[Span], bool)> {
         let [t0, t1] = pos.to_lanes();
         let [u0, u1] = [t0, t1].map(|t| self.cells_from_corner(t));
         if !(u0.is_finite() && u1.is_finite()) {
             return None;
         }
+        let (lo, hi) = (u0.min(u1), u0.max(u1));
+        // The strip reject: a pair none of whose images comes near the
+        // strip along an axis reaches nothing.
+        if let Some(reject) = &self.reject {
+            if !(meets(&reject[0], lo.x, hi.x) & meets(&reject[1], lo.y, hi.y)) {
+                return Some((&[], self.len > 0));
+            }
+        }
         // The two targets share one rectangle of cells per image when they
         // are within a cell of each other on both axes, as neighbours in
-        // cell order mostly are; otherwise each has its own. Rows only for
-        // a rectangle that reaches a column: most of a neighbour block's
-        // targets reach none.
-        let mut reached = [0; 24];
-        let (lo, hi) = (u0.min(u1), u0.max(u1));
+        // cell order mostly are; otherwise each has its own. Its ends,
+        // widened by the pair's `w`, decide what it reaches: a pair whose
+        // ends lie where the last pair's kept its reach reaches the same.
         let far = lo.x.abs().max(hi.x.abs()) + lo.y.abs().max(hi.y.abs());
         let w = self.reach + far * SLACK + self.slack;
         let shared = hi.x - lo.x <= 1.0 && hi.y - lo.y <= 1.0;
+        let ends = [lo.x - w, hi.x + w, lo.y - w, hi.y + w];
+        let inside = |(lo, hi): (f64, f64), v: f64| (lo < v) & (v < hi);
+        let kept = (0..4).fold(shared, |all, k| all & inside(self.keeps[k], ends[k]));
+        if !kept {
+            self.reach(u0, u1, w, shared);
+        }
+        Some((&self.spans, self.culled))
+    }
+
+    /// The cells a pair at `u0` and `u1` cells from the corner reaches with
+    /// its `w`, in one rectangle if `shared`, and the spans they hold.
+    #[inline(never)]
+    fn reach(&mut self, u0: Vec2, u1: Vec2, w: f64, shared: bool) {
+        #[cfg(test)]
+        {
+            self.work.reaches += 1;
+        }
+        let widened = |lo: Vec2, hi: Vec2| [lo.x - w, hi.x + w, lo.y - w, hi.y + w];
+        let ends = widened(u0.min(u1), u0.max(u1));
+        // Rows only for a rectangle that reaches a column: most of a
+        // neighbour block's targets reach none.
+        let mut reached = [0; 24];
+        let mut keeps = [(f64::NEG_INFINITY, f64::INFINITY); 4];
         let rectangles = if shared {
-            &[(lo, hi)][..]
+            &[ends][..]
         } else {
-            &[(u0, u0), (u1, u1)][..]
+            &[widened(u0, u0), widened(u1, u1)][..]
         };
-        let mut any = false;
-        for (&(lo, hi), reach) in rectangles.iter().zip(reached.chunks_exact_mut(12)) {
+        for (e, reach) in rectangles.iter().zip(reached.chunks_exact_mut(12)) {
             let (columns, rows) = reach.split_at_mut(6);
-            if self.reach_along(0, lo.x, hi.x, w, columns) {
-                any |= self.reach_along(1, lo.y, hi.y, w, rows);
+            let (along, across) = keeps.split_at_mut(2);
+            if self.reach_along(0, e[0], e[1], columns, along) {
+                self.reach_along(1, e[2], e[3], rows, across);
             }
         }
-        if !any && self.everywhere == 0 {
-            return Some((&[], self.len > 0));
-        }
+        self.keeps = if shared { keeps } else { Keeps::default() };
         // Compared whole, without a branch per entry.
         let changed = reached
             .iter()
             .zip(&self.reached)
             .fold(0, |d, (a, b)| d | (a ^ b));
         if changed != 0 {
-            self.reached = reached;
+            (self.reached, self.key) = (reached, NO_KEY);
             self.gather(&reached);
         }
-        Some((&self.spans, self.culled))
     }
 
     /// Into `out`, zeroed, the table columns (`axis` 0) or rows (1) that
-    /// hold a cell within `w` of targets from `lo` to `hi` cells from the
-    /// table's corner along `axis`, per image of them; left empty where no
-    /// finite source is that near, and for the two images where there is no
-    /// period. The whole axis for an image past the largest float. Whether
-    /// any is not empty.
+    /// hold a cell within reach of a rectangle whose ends, widened, are `a`
+    /// and `b` cells from the table's corner along `axis`, per image of it;
+    /// left empty where no indexed finite source is that near, and for the
+    /// two images where there is no period. The whole axis for an image
+    /// past the largest float. Into `keep`, narrowed, the open intervals
+    /// in which `a` and `b` reach the same. Whether any is not empty.
     #[inline(always)]
-    fn reach_along(&self, axis: usize, lo: f64, hi: f64, w: f64, out: &mut [u32]) -> bool {
+    fn reach_along(
+        &self,
+        axis: usize,
+        a: f64,
+        b: f64,
+        out: &mut [u32],
+        keep: &mut [(f64, f64)],
+    ) -> bool {
         let (period, (lowest, highest)) = (self.period[axis], self.bounds[axis]);
         let last = self.dims[axis] as i64 - 1;
-        let range = |k: f64, out: &mut [u32]| {
-            let (lo, hi) = (lo + k - w, hi + k + w);
-            if hi < lowest || lo > highest {
-                return false;
+        let images = if period > 0.0 { 3 } else { 1 };
+        let mut any = false;
+        for (image, k) in [0.0, -period, period].into_iter().enumerate().take(images) {
+            let (lo, hi) = (a + k, b + k);
+            if hi < lowest {
+                keep[1].1 = if keep[1].1 < lowest - k {
+                    keep[1].1
+                } else {
+                    lowest - k
+                };
+                continue;
             }
+            if lo > highest {
+                keep[0].0 = if keep[0].0 > highest - k {
+                    keep[0].0
+                } else {
+                    highest - k
+                };
+                continue;
+            }
+            any = true;
+            let out = &mut out[2 * image..2 * image + 2];
+            if !(lo.is_finite() && hi.is_finite()) {
+                (out[0], out[1]) = (0, last as u32 + 1);
+                (keep[0], keep[1]) = ((0.0, 0.0), (0.0, 0.0));
+                continue;
+            }
+            // The cells of the ends, unclamped: what is clamped stays so.
+            let [from, to] = [lo, hi].map(cell);
+            let [from_k, to_k] = [from as f64 - k, to as f64 - k];
+            keep[0] = (
+                keep[0].0.max(from_k),
+                keep[0].1.min(from_k + 1.0).min(highest - k),
+            );
+            keep[1] = (
+                keep[1].0.max(to_k).max(lowest - k),
+                keep[1].1.min(to_k + 1.0),
+            );
             // A cast takes what lies below zero to zero.
-            let index = |v: f64| (v as i64).max(0).min(last) as u32;
-            (out[0], out[1]) = match lo.is_finite() && hi.is_finite() {
-                true => (index(lo), index(hi) + 1),
-                false => (0, last as u32 + 1),
-            };
-            true
-        };
-        let mut any = range(0.0, &mut out[..2]);
-        if period > 0.0 {
-            any |= range(-period, &mut out[2..4]);
-            any |= range(period, &mut out[4..]);
+            let index = |c: i64| c.max(0).min(last) as u32;
+            (out[0], out[1]) = (index(from), index(to) + 1);
         }
         any
     }
@@ -451,6 +871,17 @@ impl Cells {
     /// Fill the spans with the runs of every cell both targets reach, and
     /// of the slot of sources that are not finite, in source order.
     fn gather(&mut self, reached: &Reach) {
+        // A block in cell order, every source finite, and one rectangle
+        // that reaches only cells of itself: three rows for a pair inside
+        // the table, read straight from it.
+        let alone = reached[2..6].iter().chain(&reached[8..]).all(|&v| v == 0);
+        if self.ordered && self.everywhere == 0 && alone {
+            return self.gather_rows([reached[0], reached[1], reached[6], reached[7]]);
+        }
+        #[cfg(test)]
+        {
+            self.work.gathers += 1;
+        }
         self.spans.clear();
         for reach in [&reached[..12], &reached[12..]] {
             for k in (6..12).step_by(2) {
@@ -523,10 +954,78 @@ impl Cells {
 /// in odd rows — and id.
 type CellKey = (i64, i64, u64);
 
+/// [`cell_order`]'s keys of the block it is ordering and the scratch of
+/// its sort.
+#[derive(Default)]
+struct CellSort {
+    keys: Vec<CellKey>,
+    /// Per cell, where its particles go and then where they end.
+    counts: Vec<usize>,
+    /// The block's indices in their new order, and the particles in it.
+    order: Vec<usize>,
+    moved: Vec<Particle>,
+}
+
 thread_local! {
-    /// The keys of the block a rank is ordering, kept from step to step so
-    /// that ordering a block allocates nothing once it has been this long.
-    static CELL_KEYS: RefCell<Vec<CellKey>> = const { RefCell::new(Vec::new()) };
+    /// Kept from step to step, so that ordering a block allocates nothing
+    /// once one this long has been ordered.
+    static CELL_SORT: RefCell<CellSort> = RefCell::default();
+}
+
+impl CellSort {
+    /// Put `block`, whose keys are `keys`, in their order: counted into its
+    /// cells and inserted by id within each, which holds a few; or compared,
+    /// when the block spans more cells than [`CELLS_PER_SOURCE`] per
+    /// particle, as one far out or at an infinity does.
+    fn sort(&mut self, block: &mut [Particle]) {
+        let keys = &self.keys;
+        let hull = |of: fn(&CellKey) -> i64| {
+            let (lo, hi) = keys
+                .iter()
+                .map(of)
+                .fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            (lo, hi as f64 - lo as f64 + 1.0)
+        };
+        let ((bottom, rows), (left, columns)) = (hull(|k| k.0), hull(|k| k.1));
+        self.order.clear();
+        if rows * columns <= CELLS_PER_SOURCE * block.len() as f64 + 16.0 {
+            let cells = rows as usize * columns as usize;
+            let cell =
+                |k: &CellKey| (k.0 - bottom) as usize * columns as usize + (k.1 - left) as usize;
+            self.counts.clear();
+            self.counts.resize(cells + 1, 0);
+            for k in keys {
+                self.counts[cell(k) + 1] += 1;
+            }
+            for c in 1..=cells {
+                self.counts[c] += self.counts[c - 1];
+            }
+            self.order.resize(block.len(), 0);
+            for (i, k) in keys.iter().enumerate() {
+                let at = &mut self.counts[cell(k)];
+                self.order[*at] = i;
+                *at += 1;
+            }
+            let mut start = 0;
+            for &end in &self.counts[..cells] {
+                let cell = &mut self.order[start..end];
+                for i in 1..cell.len() {
+                    let mut j = i;
+                    while j > 0 && keys[cell[j - 1]].2 > keys[cell[j]].2 {
+                        cell.swap(j - 1, j);
+                        j -= 1;
+                    }
+                }
+                start = end;
+            }
+        } else {
+            self.order.extend(0..block.len());
+            self.order.sort_unstable_by_key(|&i| keys[i]);
+        }
+        self.moved.clear();
+        self.moved.extend(self.order.iter().map(|&i| block[i]));
+        block.copy_from_slice(&self.moved);
+    }
 }
 
 /// Put a block in the order the cull reads it in: by `r_c`-sized cell —
@@ -542,9 +1041,10 @@ thread_local! {
 /// The cost does: a leader's block arrives as last step's order, a few
 /// particles having drifted over a cell edge and a few migrants appended,
 /// so each key is computed once (a cast and a comparison per axis, not a
-/// libm `floor`; a comparison sort that recomputes them is the slowest way)
-/// and the displaced few are inserted where they belong. A block further
-/// out of order than `INSERT_BUDGET` moves per particle is sorted outright.
+/// libm `floor`) and the displaced few are inserted where they belong. A
+/// block that needs more than `INSERT_BUDGET` moves per particle passed,
+/// as a freshly dealt one does early on, is sorted outright: counted into
+/// its cells, by id within each.
 pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain) {
     let Some(r_c) = law.cutoff() else { return };
     let key = |p: &Particle| -> CellKey {
@@ -561,28 +1061,35 @@ pub fn cell_order<F: ForceLaw>(block: &mut [Particle], law: &F, domain: &Domain)
             p.id,
         )
     };
-    CELL_KEYS.with_borrow_mut(|keys| {
+    CELL_SORT.with_borrow_mut(|sort| {
+        let keys = &mut sort.keys;
         keys.clear();
         keys.extend(block.iter().map(key));
-        let mut budget = INSERT_BUDGET * block.len();
+        let mut moved = 0;
         for i in 1..block.len() {
             if keys[i - 1] <= keys[i] {
                 continue;
             }
             let at = keys[..i].partition_point(|k| *k < keys[i]);
-            if i - at > budget {
-                return block.sort_by_cached_key(key);
+            // Within the budget per particle passed so far, and a few more:
+            // a block nobody ordered overruns it early, before the moves
+            // spent on it grow.
+            moved += i - at;
+            if moved > INSERT_BUDGET * (i + INSERT_AHEAD) {
+                return sort.sort(block);
             }
-            budget -= i - at;
             keys[at..=i].rotate_right(1);
             block[at..=i].rotate_right(1);
         }
     });
 }
 
-/// Places, per particle of the block, that [`cell_order`]'s insertions may
-/// move particles through before it gives up and sorts.
+/// Places, per particle passed, that [`cell_order`]'s insertions may move
+/// particles through before it gives up and sorts, and the particles ahead
+/// it may spend the budget of: a step's drift and migrants stay far within
+/// it, a freshly dealt block overruns it within a hundred particles.
 const INSERT_BUDGET: usize = 8;
+const INSERT_AHEAD: usize = 64;
 
 /// The one target x source loop nest behind [`accumulate_block`],
 /// [`accumulate_sources`] and [`accumulate_block_potential`], generic over
@@ -637,11 +1144,16 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     harvest: &mut H,
 ) -> u64 {
     // The thread's `Cells` is taken for the call and handed back after it,
-    // not borrowed as `CELL_KEYS` is: the nest owns it as a local, and its
+    // not borrowed as `CELL_SORT` is: the nest owns it as a local, and its
     // copy for a law without a cutoff has no trace of it (DESIGN.md §14.1).
+    // Whether the sources are the targets, as under `Newton` they are: then
+    // a strip would hold them all, and the targets have places.
+    let mut same = R::NEWTON;
     let mut cells = law.cutoff().map(|r_c| {
         let mut cells = CELLS.take();
-        cells.refill(sources, r_c, domain, boundary);
+        same |= same_block(targets, sources);
+        let others = (!same).then_some(&*targets);
+        cells.refill_for(others, sources, r_c, domain, boundary);
         cells
     });
     // Under `Newton` every target's accumulator, where the reactions of the
@@ -696,9 +1208,12 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
         }
         // Asked of the law, not of `cells`: a constant once monomorphised,
         // so the copy for a law without a cutoff has no trace of the index.
-        let near = match law.cutoff() {
-            Some(_) => cells.as_mut().and_then(|cells| cells.near(lanes.pos)),
-            None => None,
+        let near = match (law.cutoff(), cells.as_mut()) {
+            (Some(_), Some(cells)) if same => {
+                cells.near_in_block(i, i + lanes.pair.len() - 1, lanes.pos)
+            }
+            (Some(_), Some(cells)) => cells.near(lanes.pos),
+            _ => None,
         };
         match near {
             Some((spans, culled)) => {
@@ -1244,6 +1759,95 @@ mod tests {
         assert!(coarse > 100, "{coarse}");
     }
 
+    /// The same soundness where a pair does not compute its own reach: the
+    /// lane pairs of a block in cell order, one after the other, either as
+    /// the targets of that block (read from their places, or reusing the
+    /// last pair's spans) or as the targets of a call against another
+    /// block (through its strip and its reject). Drawn as above, with
+    /// sources on cell edges and `r_c` from them in every fifth block.
+    #[test]
+    fn a_pair_shown_what_an_earlier_pair_or_its_place_reached_is_shown_enough() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let (mut passed_over, mut placed) = ([0u32; 3], 0);
+        for case in 0..600 {
+            let min = Vec2::new(1.0, -1.0) * [0.0, 1.0, 1e6, -1e-3][case % 4];
+            let mut draw = |lo: f64, hi: f64| 10f64.powf(rng.gen_range(lo..hi));
+            let ext = Vec2::new(draw(-3.0, 3.0), draw(-3.0, 3.0));
+            let r_c = ext.x.min(ext.y) * draw(-2.0, 0.0);
+            let spread = ext * draw(-2.0, 0.3);
+            let domain = Domain::new(min, min + ext);
+            let boundary = [Boundary::Open, Boundary::Reflective, Boundary::Periodic][case % 3];
+            let at = |rng: &mut StdRng, centre: Vec2, half: Vec2| {
+                let u = Vec2::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                centre + Vec2::new(half.x * u.x, half.y * u.y)
+            };
+            let law = Cutoff::new(Counting, r_c);
+            let block = |rng: &mut StdRng, first: u64, centre: Vec2| {
+                let mut block: Vec<Particle> = (0..1 + case % 100)
+                    .map(|k| Particle::at(first + k as u64, at(rng, centre, spread)))
+                    .collect();
+                if case % 5 == 0 {
+                    let snap = |v: f64, lo: f64| lo + ((v - lo) / r_c).round() * r_c;
+                    let edge = Vec2::new(snap(centre.x, min.x), snap(centre.y, min.y));
+                    for d in [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-2.0, 0.0)] {
+                        let id = first + block.len() as u64;
+                        block.push(Particle::at(id, edge + Vec2::new(d.0, d.1) * r_c));
+                    }
+                }
+                cell_order(&mut block, &law, &domain);
+                block
+            };
+            let centre = at(&mut rng, min + ext * 0.5, ext);
+            let sources = block(&mut rng, 0, centre);
+            let near = at(&mut rng, centre, spread * 2.0);
+            let targets = block(
+                &mut rng,
+                1000,
+                if case % 2 == 0 { near } else { centre + ext },
+            );
+            let mut cells = Cells::default();
+            for against_itself in [true, false] {
+                let targets = if against_itself { &sources } else { &targets };
+                let others = (!against_itself).then_some(&targets[..]);
+                cells.refill_for(others, &sources, r_c, &domain, boundary);
+                placed += cells.places.iter().filter(|&&p| p != u64::MAX).count();
+                for (pair, ts) in targets.chunks(2).enumerate() {
+                    let (i, j) = (2 * pair, 2 * pair + ts.len() - 1);
+                    let pos = Vec2x2::new(ts[0].pos, ts[ts.len() - 1].pos);
+                    let shown = match against_itself {
+                        true => cells.near_in_block(i, j, pos),
+                        false => cells.near(pos),
+                    };
+                    let Some((spans, culled)) = shown else {
+                        continue;
+                    };
+                    assert!(spans.windows(2).all(|w| w[0].1 < w[1].0), "{spans:?}");
+                    let shown =
+                        |k: usize| spans.iter().any(|&(start, end)| (start..end).contains(&k));
+                    let hidden: Vec<usize> = (0..sources.len()).filter(|&k| !shown(k)).collect();
+                    assert_eq!(culled, !hidden.is_empty(), "case {case}");
+                    passed_over[case % 3] += hidden.len() as u32;
+                    for k in hidden {
+                        let s = sources[k];
+                        for t in ts {
+                            let disp = boundary.displacement(&domain, t.pos, s.pos);
+                            let f = law.force(t, &s, disp);
+                            assert_eq!(
+                                [f.x.to_bits(), f.y.to_bits()],
+                                [0.0f64.to_bits(); 2],
+                                "case {case} {boundary:?} r_c {r_c}: {:?} <- {:?}",
+                                t.pos,
+                                s.pos
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(passed_over.iter().all(|&n| n > 10_000), "{passed_over:?}");
+        assert!(placed > 10_000, "{placed}");
+    }
+
     #[test]
     fn any_radius_a_law_may_name_is_culled_soundly() {
         // Radii `Cutoff::new` refuses but a law of its own may name: zero
@@ -1279,6 +1883,44 @@ mod tests {
             reference::accumulate_forces(&mut want, &Named(r_c), &domain, Boundary::Periodic);
             assert_eq!(block, want, "r_c {r_c}");
         }
+    }
+
+    #[test]
+    fn index_work_is_once_per_cell_on_the_benchmark_geometry() {
+        // A rank's three calls of a `cutoff1d_lj_periodic` step: its own
+        // block (a quarter slab of the 8192-particle lattice, thermalised,
+        // eight steps adrift, in cell order), the next slab's and the one
+        // across the periodic seam. Counted, not timed: the reaches a call
+        // computes and the spans it gathers. Once per lane pair, as before,
+        // was 1036 reaches and 696 gathers on the own call and 1036 reaches
+        // on each of the others.
+        let n = 8192;
+        let domain = Domain::square((n as f64).sqrt() * 1.2);
+        let law = Cutoff::new(nbody_physics::LennardJones::default(), 2.5);
+        let boundary = Boundary::Periodic;
+        let mut lattice = init::lattice(n, &domain);
+        init::thermalize(&mut lattice, 0.5, 42);
+        for p in &mut lattice {
+            p.pos = boundary
+                .apply(&domain, p.pos + p.vel * (8.0 * 0.005), p.vel)
+                .0;
+        }
+        let [own, next, seam] = [0, 1, 3].map(|team| {
+            let mut block = crate::dist::spatial_subset_1d(&lattice, &domain, 4, team);
+            cell_order(&mut block, &law, &domain);
+            block
+        });
+        let work = [&own, &next, &seam].map(|sources| {
+            let mut targets = own.clone();
+            accumulate_block(&mut targets, sources, &law, &domain, boundary);
+            CELLS.with_borrow(|cells| cells.work)
+        });
+        let pinned = [(47, 690), (78, 56), (77, 77)];
+        let work = work.map(|w| (w.reaches, w.gathers));
+        assert_eq!(
+            work, pinned,
+            "(reaches, gathers) of the own, next and seam calls"
+        );
     }
 
     #[test]

@@ -783,6 +783,9 @@ trait Evaluation {
     fn health_report(&self) -> Option<HealthReport> {
         None
     }
+
+    /// Hook after the world shrank onto its survivors.
+    fn shrunk(&mut self) {}
 }
 
 /// The failure-free evaluation: the layout's force routine — for the CA
@@ -972,6 +975,12 @@ impl Evaluation for Recovering<'_> {
             }
         }
         Ok(sampled)
+    }
+
+    /// The lost particles took their energy with them: drift is measured
+    /// afresh from the next checked step.
+    fn shrunk(&mut self) {
+        self.report.rebase();
     }
 
     fn health_report(&self) -> Option<HealthReport> {
@@ -1279,6 +1288,7 @@ where
                 c: shrunk_layout.grid.c(),
                 n: live_n,
             });
+            eval.shrunk();
             layout = shrunk_layout;
             gc = GridComms::new(&next, layout.grid);
             shrunk = Some(next);

@@ -12,7 +12,9 @@ pub struct HealthReport {
     pub energy_first: f64,
     /// Global total energy at the last checked step.
     pub energy_last: f64,
-    /// max over checked steps of |E(t) − E(0)| / |E(0)|.
+    /// max over checked steps of |E(t) − E(s)| / |E(s)|, `s` the first
+    /// checked step of `t`'s segment: the run's, or the first after the
+    /// last shrink, which dropped the energy of the particles it lost.
     pub max_rel_energy_drift: f64,
     /// max over checked steps of the total momentum norm.
     pub max_momentum_norm: f64,
@@ -20,6 +22,8 @@ pub struct HealthReport {
     pub sentinel_events: u64,
     /// Attempts on which a checkpoint failed its fingerprint digest.
     pub fingerprint_mismatches: u64,
+    /// `E(s)` of the current segment, `None` until a step of it is checked.
+    pub energy_base: Option<f64>,
 }
 
 impl HealthReport {
@@ -30,11 +34,18 @@ impl HealthReport {
         }
         self.energy_last = energy;
         self.steps_checked += 1;
-        if self.energy_first != 0.0 {
-            let drift = ((energy - self.energy_first) / self.energy_first).abs();
+        let base = *self.energy_base.get_or_insert(energy);
+        if base != 0.0 {
+            let drift = ((energy - base) / base).abs();
             self.max_rel_energy_drift = self.max_rel_energy_drift.max(drift);
         }
         self.max_momentum_norm = self.max_momentum_norm.max(momentum_norm);
+    }
+
+    /// Start a new drift segment: the world shrank, so the next checked
+    /// step's energy is the one later steps are compared with.
+    pub fn rebase(&mut self) {
+        self.energy_base = None;
     }
 
     /// Whether the run finished with no detector firing.
@@ -133,6 +144,16 @@ mod tests {
         assert_eq!(r.energy_first, -10.0);
         assert_eq!(r.energy_last, -10.1);
         assert!((r.max_rel_energy_drift - 0.02).abs() < 1e-12);
+
+        // A shrink drops particles and their energy: the next checked step
+        // is the new reference, and the worst drift is over the segments.
+        r.rebase();
+        r.record(-5.0, 1e-14);
+        r.record(-5.05, 1e-14);
+        assert_eq!((r.energy_first, r.energy_last), (-10.0, -5.05));
+        assert!((r.max_rel_energy_drift - 0.02).abs() < 1e-12);
+        r.record(-5.5, 1e-14);
+        assert!((r.max_rel_energy_drift - 0.1).abs() < 1e-12);
         assert_eq!(r.max_momentum_norm, 3e-14);
         assert!(r.is_clean());
     }

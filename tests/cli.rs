@@ -1604,6 +1604,34 @@ fn corrupted_replica_detection_fails_the_default_health_gate() {
 }
 
 #[test]
+fn a_shrink_after_step_zero_is_not_read_as_energy_drift() {
+    // At c = 1 a copy that fails its digest at step 1 is its column's only
+    // one: the world shrinks onto 3 ranks and loses a quarter of the
+    // particles with their energy. The drift is measured from the first
+    // checked step after the shrink, so only the mismatch fails the gate.
+    let out = sh("run n=256 p=4 c=1 steps=3 --faults=corrupt:1@1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("\"health_fingerprint_mismatches\":1"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"health_gate\":\"fail\""), "{stdout}");
+    let drift: f64 = stdout
+        .split("\"energy_drift_rel\":")
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no energy_drift_rel in {stdout}"));
+    assert!(
+        drift < 5e-2,
+        "drift {drift} read as the shrink's loss\n{stdout}"
+    );
+    assert!(!stderr.contains("energy drift"), "{stderr}");
+}
+
+#[test]
 fn conformance_attributes_a_corrupt_replicas_repair_to_its_plan() {
     // The repair re-runs the pipeline attempt, as a wire fault's retry
     // does: the surplus on the scheduled channels is the corrupt event's.
