@@ -122,5 +122,9 @@ check "a copy is judged by its own digest, not by a vote of the copies: no major
     none -i 'majority|tie-?break|StateCorrupt|crosscheck' crates/core/src/recovery.rs crates/comm/src
 check "cell_order sorts a freshly dealt block by counting its cells, not by a comparison sort that caches a key per particle" \
     none 'sort_by_cached_key' crates/core/src/kernel.rs
+check "a cross-block pair reuses the last pair's spans only when it reaches the same cells: no open intervals kept to skip its reach" \
+    none 'Keeps|keeps' crates/core/src/kernel.rs
+check "the r_c cell cull has one implementation, kernel.rs's Cells: no serial cell list beside it" \
+    none 'cell_list' crates/physics/src crates/bench
 
 exit "$broken"

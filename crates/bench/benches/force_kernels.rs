@@ -480,20 +480,6 @@ fn bench_serial_reference(c: &mut Criterion) {
             )
         })
     });
-
-    let cutoff_law = Cutoff::new(RepulsiveInverseSquare::default(), 0.1);
-    let mut ps2 = init::uniform(2048, &domain, 4);
-    c.bench_function("cell_list_cutoff_2048", |bench| {
-        bench.iter(|| {
-            nbody_physics::particle::reset_forces(&mut ps2);
-            nbody_physics::cell_list::accumulate_forces_cell_list(
-                black_box(&mut ps2),
-                &cutoff_law,
-                &domain,
-                Boundary::Open,
-            )
-        })
-    });
 }
 
 criterion_group!(

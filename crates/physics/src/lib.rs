@@ -10,13 +10,13 @@
 //! wire, the paper's 52 in the models), pairwise force laws
 //! including the paper's inverse-square repulsion and finite-cutoff wrappers,
 //! time integrators, boundary conditions (the paper uses reflective walls),
-//! deterministic initial-condition generators, cell lists, and — crucially —
-//! the serial O(n²) reference engines that every distributed algorithm is
-//! validated against.
+//! deterministic initial-condition generators, and — crucially — the serial
+//! O(n²) reference engines that every distributed algorithm is validated
+//! against. The `r_c` cell cull lives with the kernel that uses it
+//! (`ca_nbody::kernel`).
 
 #![warn(missing_docs)]
 
-pub mod cell_list;
 pub mod diagnostics;
 pub mod domain;
 pub mod force;

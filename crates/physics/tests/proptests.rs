@@ -1,8 +1,8 @@
 //! Property-based tests of the physics substrate.
 
 use nbody_physics::{
-    cell_list, diagnostics, init, reference, Boundary, Counting, Cutoff, Domain, Gravity,
-    LennardJones, Particle, RepulsiveInverseSquare, Vec2,
+    diagnostics, init, reference, Boundary, Counting, Cutoff, Domain, Gravity, LennardJones,
+    Particle, RepulsiveInverseSquare, Vec2,
 };
 use proptest::prelude::*;
 
@@ -60,26 +60,6 @@ proptest! {
         }
         // Components at most half the box.
         prop_assert!(disp.x.abs() <= 0.5 + 1e-12 && disp.y.abs() <= 0.5 + 1e-12);
-    }
-
-    #[test]
-    fn cell_list_always_matches_reference(
-        n in 1usize..80,
-        rc_percent in 5u32..50,
-        seed in 0u64..500,
-        periodic in any::<bool>(),
-    ) {
-        let d = Domain::unit();
-        let r_c = rc_percent as f64 / 100.0;
-        let law = Cutoff::new(Counting, r_c);
-        let boundary = if periodic { Boundary::Periodic } else { Boundary::Open };
-        let mut a = init::uniform(n, &d, seed);
-        let mut b = a.clone();
-        reference::accumulate_forces(&mut a, &law, &d, boundary);
-        cell_list::accumulate_forces_cell_list(&mut b, &law, &d, boundary);
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.force, y.force, "id={}", x.id);
-        }
     }
 
     #[test]
