@@ -127,4 +127,9 @@ check "a cross-block pair reuses the last pair's spans only when it reaches the 
 check "the r_c cell cull has one implementation, kernel.rs's Cells: no serial cell list beside it" \
     none 'cell_list' crates/physics/src crates/bench
 
+check "a clean fault-tolerant step agrees on what it already sends: the flags ride the team reduce, not an all-reduce down the column" \
+    none 'col\.allreduce' crates/core/src/recovery.rs
+check "the column-then-row agreement is gone: the leaders settle the row once and the verdict rides the team broadcast" \
+    none 'fn agree\b' crates/core/src/recovery.rs
+
 exit "$broken"

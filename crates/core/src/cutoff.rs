@@ -218,7 +218,7 @@ fn team_broadcast<C: Communicator>(gc: &GridComms<C>, st: &mut Vec<Particle>) ->
 /// Line 9: sum-reduce the partial forces onto the leader — the accumulators
 /// only, folded in the tree order a reduction of whole particles would
 /// take, so the sums are the same bits.
-pub(crate) fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle]) {
+fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle]) {
     gc.col.set_phase(Phase::Reduce);
     // A column of one has nothing to sum: skip building the buffer the
     // transport would hand straight back.

@@ -21,14 +21,17 @@
 //! The protocol wrapped around one force evaluation:
 //!
 //! 1. **Checkpoint.** The team broadcast of a fault-tolerant evaluation
-//!    carries whole particles, velocities included, where the plain drivers
-//!    broadcast 32-byte sources: this broadcast *is* the replicated
-//!    checkpoint, and a leader that dies gets its velocities back from it.
-//!    Every rank keeps an immutable copy of its post-broadcast input block
-//!    (`nc/p` particles — the same replicated working set the paper's
-//!    memory bound already charges for). The extra 32 bytes per particle
-//!    and evaluation are the protocol's second clean-path cost, next to the
-//!    agreement; skew, shift and reduce carry what the plain drivers' do.
+//!    carries 48-byte [`ParticleState`]s, velocities included, where the
+//!    plain drivers broadcast 32-byte sources: this broadcast *is* the
+//!    replicated checkpoint, and a leader that dies gets its velocities
+//!    back from it. The force accumulators are cleared before every
+//!    evaluation, so they do not travel. One header record rides in front
+//!    of the block (step 4). Every rank keeps an immutable copy of its
+//!    post-broadcast input block (`nc/p` particles — the same replicated
+//!    working set the paper's memory bound already charges for). The 16
+//!    extra bytes per particle are the protocol's second clean-path cost,
+//!    next to the agreement; skew and shift carry what the plain drivers'
+//!    do.
 //! 2. **Digest.** Under a [`HealthMonitor`] every rank also stores its
 //!    checkpoint's `state_fingerprint` when it captures it, and hashes the
 //!    checkpoint again before each attempt. A copy that no longer matches
@@ -41,11 +44,19 @@
 //!    fault plan just killed observes [`CommError::PeerDead`] on itself. A
 //!    rank whose digest failed runs its attempt too, so no peer waits out
 //!    a deadline for it.
-//! 4. **Agreement.** Every rank ORs its local attempt flags (transient,
-//!    copy lost, digest failed) with a column-then-row allreduce, so all
-//!    `p` ranks agree on what went wrong anywhere. A killed rank still
-//!    participates here — it models the *replacement* process that the
-//!    runtime would respawn in its slot.
+//! 4. **Agreement.** The flags (transient, copy lost, digest failed,
+//!    budget spent) ride the team sum-reduce that ends the attempt, one 0/1
+//!    count each behind the forces, so the leader's sum reads as the
+//!    column's OR; a lost copy adds zeros of its block's length. The
+//!    leaders OR their columns' flags in one all-reduce on row 0 before
+//!    any of them integrates. The column hears the verdict as the header of
+//!    its leader's next team broadcast, and a non-leader leaves the
+//!    evaluation only once it has read it: in the rank loop a clean verdict
+//!    waits for the next evaluation's broadcast, whose block the non-leader
+//!    keeps; a fault, the run's last step, or a step whose end talks over
+//!    the world (health check, checkpoint) gets a header-only broadcast at
+//!    once. A killed rank still participates — it models the
+//!    *replacement* process that the runtime would respawn in its slot.
 //! 5. **Resync + retry.** When a copy is lost, every column re-seeds its
 //!    checkpoints from its lowest usable row with a team broadcast — one
 //!    rule for a dead rank and a failed digest. A re-seed is a capture, so
@@ -78,13 +89,13 @@
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
-use nbody_comm::{CommError, Communicator, EventKind, FaultKind, FaultPlan, Phase};
+use nbody_comm::{sum_combine, CommError, Communicator, EventKind, FaultKind, FaultPlan, Phase};
 use nbody_metrics::Counter;
 use nbody_physics::particle::sources;
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
+use nbody_physics::{Boundary, Domain, ForceLaw, Particle, ParticleState, Vec2};
 use nbody_simhealth::state_fingerprint;
 
-use crate::cutoff::{prepare_block, shift_pipeline, team_reduce};
+use crate::cutoff::{prepare_block, shift_pipeline};
 use crate::grid::GridComms;
 use crate::link::Deadline;
 use crate::window::{TeamWindow, Window};
@@ -99,13 +110,24 @@ pub const ATTEMPT_TAG_STRIDE: u64 = 1 << 16;
 /// from an aborted attempt in step `t` from matching step `t + 1`'s tags.
 pub const EPOCH_TAG_STRIDE: u64 = 1 << 20;
 
-// Attempt flags, OR-reduced for global agreement. A copy is lost when its
-// rank died or its checkpoint failed its digest: either way it must be
-// re-seeded, not merely retried. A failed digest is flagged apart as well,
-// so every rank counts the mismatch whatever else went wrong.
+// Attempt flags. Each rides the team reduce as a 0/1 count, so a column's
+// sum reads as their OR, and the leaders OR their columns' on row 0. A copy
+// is lost when its rank died or its checkpoint failed its digest: either
+// way it must be re-seeded, not merely retried. A failed digest is flagged
+// apart as well, so every rank counts the mismatch whatever else went
+// wrong. A spent budget is one rank's clock: it fails nothing alone, but
+// with a fault it ends the retries on every rank at once.
 const TRANSIENT: u8 = 1;
 const COPY_LOST: u8 = 2;
 const DIGEST_FAILED: u8 = 4;
+const BUDGET_SPENT: u8 = 8;
+/// The flags that fail an attempt.
+const FAULT: u8 = TRANSIENT | COPY_LOST;
+/// Flags the team reduce carries, one element each.
+const FLAGS: usize = 4;
+/// Header bit of a team broadcast that opens an evaluation: the leader's
+/// block follows, and the attempt the column waited on was agreed clean.
+const OPENS: u64 = 1 << 8;
 
 /// The retry policy of the recovery protocol: one deadline rule and two
 /// caps, on the retry count and on the wall-clock time of one evaluation.
@@ -258,14 +280,110 @@ fn or_combine(acc: &mut u8, x: &u8) {
     *acc |= *x;
 }
 
-/// Column-then-row OR-allreduce: every rank is in exactly one column and
-/// one row, and every row spans all columns, so the second reduce leaves
-/// every flag raised anywhere on all `p` ranks.
-fn agree<C: Communicator>(gc: &GridComms<C>, local: u8) -> u8 {
-    let mut buf = vec![local];
-    gc.col.allreduce(&mut buf, or_combine);
-    gc.row.allreduce(&mut buf, or_combine);
-    buf[0]
+/// The leader's team broadcast: one header record, whose `id` is `word`,
+/// in front of `block`. The header has the payload's type, so the ledger
+/// counts it at the payload's width. A column of one has no one to tell.
+fn tell<C: Communicator>(gc: &GridComms<C>, phase: Phase, word: u64, block: &[Particle]) {
+    if gc.col.size() == 1 {
+        return;
+    }
+    let mut buf = Vec::with_capacity(block.len() + 1);
+    buf.push(ParticleState {
+        pos: Vec2::zero(),
+        vel: Vec2::zero(),
+        mass: 0.0,
+        id: word,
+    });
+    buf.extend(block.iter().map(ParticleState::from));
+    gc.col.set_phase(phase);
+    gc.col.bcast(0, &mut buf);
+}
+
+/// A non-leader's end of [`tell`]: the agreed status the header carries,
+/// and the block, rebuilt with cleared forces, when the broadcast
+/// [`OPENS`] an evaluation. Only a clean agreed attempt lets a leader
+/// open the next one, so such a header reads as status 0.
+fn hear<C: Communicator>(gc: &GridComms<C>, phase: Phase) -> (u8, Option<Vec<Particle>>) {
+    gc.col.set_phase(phase);
+    let mut buf: Vec<ParticleState> = Vec::new();
+    gc.col.bcast(0, &mut buf);
+    let (head, block) = buf.split_first().expect("a team broadcast has a header");
+    if head.id & OPENS == 0 {
+        return (head.id as u8, None);
+    }
+    (0, Some(block.iter().map(ParticleState::particle).collect()))
+}
+
+/// Line 9 with the attempt's flags behind the forces, one 0/1 count per
+/// flag, so the sum the leader receives reads as the column's OR. A lost
+/// copy (`st` empty) adds zeros of the block's length `n`. Leaves the
+/// summed forces on the leader and returns the column's flags there, the
+/// rank's own elsewhere.
+fn column_reduce<C: Communicator>(
+    gc: &GridComms<C>,
+    st: &mut [Particle],
+    n: usize,
+    local: u8,
+) -> u8 {
+    gc.col.set_phase(Phase::Reduce);
+    if gc.col.size() == 1 {
+        return local;
+    }
+    let mut partial: Vec<Vec2> = Vec::with_capacity(n + FLAGS);
+    if st.is_empty() {
+        partial.resize(n, Vec2::zero());
+    } else {
+        partial.extend(st.iter().map(|p| p.force));
+    }
+    partial.extend((0..FLAGS).map(|bit| Vec2::new(f64::from(local >> bit & 1), 0.0)));
+    let Some(total) = gc.col.reduce_vec(0, partial, sum_combine) else {
+        return local;
+    };
+    let (forces, flags) = total.split_at(n);
+    for (p, force) in st.iter_mut().zip(forces) {
+        p.force = *force;
+    }
+    let raised = flags.iter().enumerate().filter(|(_, count)| count.x > 0.0);
+    raised.fold(0, |acc, (bit, _)| acc | 1 << bit)
+}
+
+/// The agreement (module docs, step 4) on what the attempt's end already
+/// sends: the flags ride the team reduce, the leaders OR their columns' on
+/// row 0 before any of them integrates, and a column hears the verdict
+/// from its leader's next team broadcast. When the caller may `defer`, a
+/// clean verdict waits for the next evaluation's broadcast, which a
+/// non-leader then receives here and leaves in `next`; a fault, or a
+/// verdict that may not wait, gets a header of its own at once. Returns
+/// the agreed status, the same on every rank.
+fn settle<C: Communicator>(
+    gc: &GridComms<C>,
+    st: &mut [Particle],
+    n: usize,
+    local: u8,
+    defer: bool,
+    next: &mut Option<Vec<Particle>>,
+) -> u8 {
+    let column = column_reduce(gc, st, n, local);
+    // A verdict that may wait stands in for the next evaluation's
+    // broadcast and is counted with it; one sent at once is recovery's.
+    let phase = if defer {
+        Phase::Broadcast
+    } else {
+        Phase::Recovery
+    };
+    if !gc.is_leader() {
+        let status;
+        (status, *next) = hear(gc, phase);
+        return status;
+    }
+    gc.col.set_phase(Phase::Recovery);
+    let mut status = vec![column];
+    gc.row.allreduce(&mut status, or_combine);
+    let status = status[0];
+    if status & FAULT != 0 || !defer {
+        tell(gc, phase, u64::from(status), &[]);
+    }
+    status
 }
 
 /// Per-rank numerical-health state threaded through the fault-tolerant
@@ -354,17 +472,21 @@ fn lowest_clear_row<C: Communicator>(gc: &GridComms<C>, flagged: bool) -> Option
 ///
 /// `st` must hold the post-broadcast input block; `attempt` runs one
 /// fallible pipeline pass over `st` under the given tag offset, with the
-/// given per-receive deadline. On success `st` holds the accumulated
-/// partial forces and the caller performs the final reduction. On
-/// [`FaultError::ColumnsLost`], `st` holds the restored *pre-force*
-/// checkpoint on every surviving-column rank (empty on dead-column ranks)
-/// so the caller can redistribute and shrink.
+/// given per-receive deadline, and the team reduce ends each attempt
+/// ([`settle`], which `defer` and `next` are for). On success the leader's
+/// `st` holds the reduced forces. On [`FaultError::ColumnsLost`], `st`
+/// holds the restored *pre-force* checkpoint on every surviving-column
+/// rank (empty on dead-column ranks) so the caller can redistribute and
+/// shrink.
+#[allow(clippy::too_many_arguments)]
 fn recovery_loop<C: Communicator>(
     gc: &GridComms<C>,
     st: &mut Vec<Particle>,
     policy: &RetryPolicy,
     epoch: u64,
     health: Option<&HealthMonitor>,
+    defer: bool,
+    next: &mut Option<Vec<Particle>>,
     mut attempt: impl FnMut(&mut Vec<Particle>, u64, Duration) -> Result<(), CommError>,
 ) -> Result<RecoveryReport, FaultError> {
     let c = gc.grid.c();
@@ -437,6 +559,7 @@ fn recovery_loop<C: Communicator>(
                 ),
             );
         }
+        let n = input.len();
         if self_lost {
             // A crash loses everything the rank held in memory, and a
             // failed digest everything its checkpoint held: either way
@@ -444,12 +567,14 @@ fn recovery_loop<C: Communicator>(
             st.clear();
             input.clear();
         }
-        gc.col.set_phase(Phase::Recovery);
-        let status = agree(gc, local);
+        if started.elapsed() > policy.budget {
+            local |= BUDGET_SPENT;
+        }
+        let status = settle(gc, st, n, local, defer, next);
         if let Some(h) = health.filter(|_| status & DIGEST_FAILED != 0) {
             h.mismatches.set(h.mismatches.get() + 1);
         }
-        if status == 0 {
+        if status & FAULT == 0 {
             if had_fault {
                 counters.recovered.inc();
             }
@@ -460,6 +585,7 @@ fn recovery_loop<C: Communicator>(
             });
         }
         had_fault = true;
+        gc.col.set_phase(Phase::Recovery);
         // The one repair rule: every lost copy, dead or digest-failed, is
         // re-seeded from the lowest usable row of its column.
         let mut src_row = None;
@@ -501,7 +627,7 @@ fn recovery_loop<C: Communicator>(
                 return Err(err);
             }
         }
-        if attempts > policy.max_retries || started.elapsed() > policy.budget {
+        if attempts > policy.max_retries || status & BUDGET_SPENT != 0 {
             let err = FaultError::RetriesExhausted { attempts };
             tl.event(EventKind::RetryExhausted, Some(epoch), &err.to_string());
             tl.mark_failure(&err.to_string());
@@ -526,12 +652,16 @@ fn recovery_loop<C: Communicator>(
 
 /// Lines 2-9 of both algorithms under the recovery protocol, on blocks that
 /// are already in the order their kernel wants. Line 2 sends the leader's
-/// block down the column as whole particles, because what the replicas
+/// block down the column as [`ParticleState`]s, because what the replicas
 /// hold after it is the checkpoint [`recovery_loop`] restores from and
-/// re-seeds a dead leader with (module docs, step 1); the shift body is
-/// the loop's attempt (a fresh [`Deadline`] link each time); the sum-reduce
-/// onto the leader follows. Returns the report and the harvested pair
-/// potential (0 without `health`).
+/// re-seeds a dead leader with (module docs, step 1); a non-leader that
+/// already heard it while waiting for the previous verdict finds it in
+/// `next`. The shift body is the loop's attempt (a fresh [`Deadline`] link
+/// each time), and the sum-reduce onto the leader ends each attempt. With
+/// `defer`, a clean verdict rides the next evaluation's broadcast: the
+/// caller sets it only when that broadcast is the column's next collective.
+/// Returns the report and the harvested pair potential (0 without
+/// `health`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     gc: &GridComms<C>,
@@ -543,10 +673,16 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     policy: &RetryPolicy,
     epoch: u64,
     health: Option<&HealthMonitor>,
+    defer: bool,
+    next: &mut Option<Vec<Particle>>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
     debug_assert!(gc.is_leader() || st.is_empty());
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
+    if gc.is_leader() {
+        tell(gc, Phase::Broadcast, OPENS, st);
+    } else {
+        let block = next.take().or_else(|| hear(gc, Phase::Broadcast).1);
+        *st = block.expect("an evaluation opens with its leader's block");
+    }
     // Owned block + exchange buffer + recovery checkpoint, and the home
     // copy a clipped window keeps.
     let copies = 3 + usize::from(!window.is_periodic());
@@ -554,7 +690,7 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
         .metrics()
         .gauge_max("mem_particles_hwm", (copies * st.len()) as u64);
     let mut pe = 0.0f64;
-    let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
+    let attempt = |st: &mut Vec<Particle>, tag_base, deadline| {
         // An aborted attempt's partial harvest must not double-count.
         pe = 0.0;
         let link = Deadline { tag_base, deadline };
@@ -563,8 +699,8 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
         shift_pipeline(
             gc, window, st, exch, law, domain, boundary, &link, potential,
         )
-    })?;
-    team_reduce(gc, st);
+    };
+    let report = recovery_loop(gc, st, policy, epoch, health, defer, next, attempt)?;
     Ok((report, pe))
 }
 
@@ -575,7 +711,9 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
 ///
 /// `epoch` must be unique per force evaluation on one execution (the
 /// timestep index) — it namespaces message tags so traffic from an aborted
-/// attempt can never satisfy a later evaluation's receive.
+/// attempt can never satisfy a later evaluation's receive. Every rank hears
+/// the evaluation's verdict before it returns; only the rank loop lets a
+/// clean verdict wait for the next evaluation's broadcast.
 ///
 /// When `health` is set, the kernel harvests the summed pair potential
 /// (returned alongside the report — the rank's potential-energy partial,
@@ -594,7 +732,9 @@ pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
     let ring = TeamWindow::ring(gc.grid.teams());
-    ca_forces_ft(gc, &ring, st, law, domain, boundary, policy, epoch, health)
+    ca_forces_ft(
+        gc, &ring, st, law, domain, boundary, policy, epoch, health, false, &mut None,
+    )
 }
 
 /// Fault-tolerant [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces):
@@ -620,7 +760,9 @@ pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     health: Option<&HealthMonitor>,
 ) -> Result<(RecoveryReport, f64), FaultError> {
     prepare_block(gc, window, st, law, domain, boundary);
-    ca_forces_ft(gc, window, st, law, domain, boundary, policy, epoch, health)
+    ca_forces_ft(
+        gc, window, st, law, domain, boundary, policy, epoch, health, false, &mut None,
+    )
 }
 
 #[cfg(test)]
@@ -887,5 +1029,37 @@ mod tests {
                 "a spent budget must stop the retry loop on every rank"
             );
         }
+    }
+
+    /// The budget is read on each rank's own clock, so near its end one
+    /// rank finds it spent while its peers do not. Spent rides the
+    /// agreement as one more flag: a rank whose budget is zero (a clock
+    /// skewed past the end, made deterministic) ends the retries on all.
+    #[test]
+    fn a_budget_spent_on_one_rank_is_spent_on_all() {
+        let domain = Domain::unit();
+        let grid = ProcGrid::new_all_pairs(4, 2).unwrap();
+        let plan = FaultPlan::kill(1, 1);
+        let errs = run_ranks_chaos(4, &plan, move |world| {
+            let budget = match world.rank() {
+                0 => Duration::ZERO,
+                _ => Duration::from_secs(60),
+            };
+            let policy = RetryPolicy {
+                budget,
+                ..RetryPolicy::with_timeout_ms(300)
+            };
+            let gc = GridComms::new(world, grid);
+            let all = init::uniform(16, &domain, 5);
+            let mut st = if gc.is_leader() {
+                id_block_subset(&all, grid.teams(), gc.team())
+            } else {
+                Vec::new()
+            };
+            let (law, boundary) = (law(), Boundary::Reflective);
+            ca_all_pairs_forces_ft(&gc, &mut st, &law, &domain, boundary, &policy, 0, None)
+        });
+        let exhausted = Err(FaultError::RetriesExhausted { attempts: 1 });
+        assert_eq!(errs, vec![exhausted; 4]);
     }
 }

@@ -849,6 +849,9 @@ struct Recovering<'a> {
     /// grid has contracted by then.
     rank: usize,
     monitor: Option<HealthMonitor>,
+    /// On a non-leader, the next evaluation's block, which arrived with
+    /// this one's deferred verdict.
+    next: Option<Vec<Particle>>,
     /// This step's sentinel blame `(rank, detail)`, from the force scan
     /// until the step's reduction consumes it.
     blame: Option<(usize, String)>,
@@ -880,9 +883,26 @@ impl<'a> Recovering<'a> {
             health,
             rank: world.rank(),
             monitor: health.map(|_| HealthMonitor::new(plan, world.rank())),
+            next: None,
             blame: None,
             report: HealthReport::default(),
         }
+    }
+
+    /// What [`after_step`](Evaluation::after_step) does at the end of
+    /// `step` beyond local work: whether it runs the health reduction, and
+    /// the checkpoint it persists (sink, global step, and whether the
+    /// plan's crash follows). Either talks over the world, so a step's
+    /// force verdict waits for the next team broadcast only when this is
+    /// `(false, None)`: the one predicate `forces` and `after_step` share.
+    fn after_step_talks(&self, step: usize) -> (bool, Option<(&'a CheckpointConfig, u64, bool)>) {
+        let checks = self.health.is_some_and(|h| h.checks_step(step as u64));
+        let persists = self.ckpt.and_then(|ck| {
+            let done = ck.base_step + step as u64 + 1;
+            let crash = self.plan.aims(FaultKind::Crash, 0, done);
+            (done.is_multiple_of(ck.every as u64) || crash).then_some((ck, done, crash))
+        });
+        (checks, persists)
     }
 }
 
@@ -899,6 +919,10 @@ impl Evaluation for Recovering<'_> {
     ) -> Result<(RecoveryReport, f64), FaultError> {
         let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
         let (epoch, monitor) = (step as u64, self.monitor.as_ref());
+        let (checks, persists) = self.after_step_talks(step);
+        // The verdict may ride the next evaluation's broadcast only when
+        // that broadcast is the column's next collective.
+        let defer = step + 1 < cfg.steps && !checks && persists.is_none();
         layout.order(st, law, domain);
         let (rep, pe) = ca_forces_ft(
             gc,
@@ -910,11 +934,13 @@ impl Evaluation for Recovering<'_> {
             self.policy,
             epoch,
             monitor,
+            defer,
+            &mut self.next,
         )?;
         // Post-reduction sentinel pass: apply the plan's NaN (a step's
         // evaluation succeeds once, so it fires once) and scan the freshly
         // reduced force accumulators on leaders.
-        if self.health.is_some_and(|h| h.checks_step(epoch)) {
+        if checks {
             if self.plan.aims(FaultKind::Nan, self.rank, epoch) {
                 if let Some(q) = st.first_mut() {
                     q.force.x = f64::NAN;
@@ -950,7 +976,8 @@ impl Evaluation for Recovering<'_> {
         step: usize,
     ) -> Result<(f64, f64), FaultError> {
         let mut sampled = (0.0, 0.0);
-        if self.health.is_some_and(|h| h.checks_step(step as u64)) {
+        let (checks, persists) = self.after_step_talks(step);
+        if checks {
             let mut blame = self.blame.take();
             let mut inv = Invariants::default();
             if gc.is_leader() {
@@ -962,12 +989,8 @@ impl Evaluation for Recovering<'_> {
             }
             sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut self.report)?;
         }
-        if let Some(ck) = self.ckpt {
-            let done = ck.base_step + step as u64 + 1;
-            let crash = self.plan.aims(FaultKind::Crash, 0, done);
-            if done.is_multiple_of(ck.every as u64) || crash {
-                persist_checkpoint(cur, &gc.grid, gc.is_leader(), st, ck, done);
-            }
+        if let Some((ck, done, crash)) = persists {
+            persist_checkpoint(cur, &gc.grid, gc.is_leader(), st, ck, done);
             // The plan's crash: rank 0 hard-exits with the SIGKILL code
             // right after the bundle is durable.
             if crash && cur.rank() == 0 {
@@ -980,6 +1003,10 @@ impl Evaluation for Recovering<'_> {
     /// The lost particles took their energy with them: drift is measured
     /// afresh from the next checked step.
     fn shrunk(&mut self) {
+        debug_assert!(
+            self.next.is_none(),
+            "a shrink follows a fault, never a deferred verdict"
+        );
         self.report.rebase();
     }
 

@@ -6,10 +6,12 @@
 
 use std::time::{Duration, Instant};
 
-use ca_nbody::cutoff::row_steps;
+use ca_nbody::cutoff::{row_steps, traversal};
 use ca_nbody::dist::spatial_subset_1d;
 use ca_nbody::recovery::{ca_cutoff_forces_ft, FaultError, RecoveryReport, RetryPolicy};
-use ca_nbody::sim::{run_distributed, run_distributed_chaos, run_serial, Method, SimConfig};
+use ca_nbody::sim::{
+    run_distributed, run_distributed_chaos, run_serial, Layout, Method, Run, SimConfig,
+};
 use ca_nbody::{ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
 use nbody_comm::{run_ranks, run_ranks_chaos_with, FaultKind, FaultPlan, Lenses, MetricsSnapshot};
 use nbody_physics::{
@@ -394,6 +396,66 @@ fn a_fault_at_the_home_step_of_a_wrapping_window() {
         }
     }
     assert_eq!(metrics.sum_counter("fault_injected_drop", None), 0);
+}
+
+/// The case the leaders' round exists for: a drop on the last hop a row
+/// sends on is seen by its receiver alone, so only one column's reduce carries
+/// the flag, and the other columns hear of it only through row 0's
+/// all-reduce. Every rank must still retry exactly once, on a run whose
+/// first verdict rides the next team broadcast, and land bit-identically
+/// on the fault-free particles.
+#[test]
+fn a_drop_that_one_column_sees_is_retried_by_every_rank() {
+    let cfg = cutoff_cfg(2);
+    let initial = init::uniform(48, &cfg.domain, 29);
+    let policy = RetryPolicy::with_timeout_ms(300);
+    let table = [
+        (Method::CaAllPairs { c: 2 }, 8),
+        (Method::CaAllPairs { c: 3 }, 9),
+        (Method::Ca1dCutoff { c: 2 }, 8),
+        (Method::Ca1dCutoff { c: 3 }, 9),
+    ];
+    for (method, p) in table {
+        let layout = Layout::new(method, p, &cfg.domain, cfg.boundary, cfg.law.cutoff()).unwrap();
+        let (grid, window) = (layout.grid, layout.window);
+        let c = grid.c();
+        // The first rank, row by row, that sends at all, and the last
+        // pipeline step it sends on (the skew, where a row at `c = W`
+        // sends nothing else).
+        let last_send = |team: usize, row: usize| {
+            let hops = traversal(&window, c, team, row).enumerate();
+            let sends = hops.filter(|(_, h)| h.shift_to.is_some() || h.home_to.is_some());
+            sends.map(|(s, _)| (grid.rank_at(team, row), s)).last()
+        };
+        let (rank, step) = (0..c)
+            .flat_map(|row| (0..grid.teams()).map(move |team| (team, row)))
+            .find_map(|(team, row)| last_send(team, row))
+            .expect("some rank sends");
+        let spec = format!("drop:{rank}@{step}");
+        let ctx = format!("{method:?} p={p} {spec}");
+        let plan = FaultPlan::parse(&spec).unwrap();
+        let out = Run::new(&cfg, method, p)
+            .trace()
+            .faults(&plan, &policy)
+            .execute(&initial);
+        let got = out.result.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let want = run_distributed(&cfg, method, p, &initial).particles;
+        assert_eq!(got.particles, want, "{ctx}: recovery is bit-identical");
+        assert_eq!(got.max_attempts, 2, "{ctx}");
+        let drops = out
+            .artifacts
+            .metrics
+            .sum_counter("fault_injected_drop", None);
+        assert_eq!(drops, 1, "{ctx}: the drop fired");
+        for (r, rank) in out.artifacts.timeline.ranks.iter().enumerate() {
+            let retries = rank
+                .events
+                .iter()
+                .filter(|e| e.detail.starts_with("retry "));
+            let details: Vec<&str> = retries.map(|e| e.detail.as_str()).collect();
+            assert_eq!(details, ["retry 2 deadline=600ms"], "{ctx}: rank {r}");
+        }
+    }
 }
 
 /// Faults recurring past the retry budget surface as `RetriesExhausted`

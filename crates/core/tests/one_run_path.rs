@@ -4,22 +4,25 @@
 //! the same shift pipeline and the same rank loop, so they must land on the
 //! same particles bit for bit and put the same traffic on the wire, phase
 //! by phase and rank by rank. The recovery protocol has two clean-path
-//! costs and no third: its agreement, one column and one row all-reduce of
-//! one byte per evaluation attributed to `Phase::Recovery`, and its team
-//! broadcast, which carries whole particles (the replicated checkpoint)
-//! where the plain drivers broadcast sources — the same collectives and
-//! elements at 32 more bytes each. If either loop body forks again, one of
-//! these counts moves.
+//! costs and no third. Its agreement rides the step: the flags are more
+//! elements of the team reduce, the leaders settle the row with one
+//! all-reduce of one byte per evaluation attributed to `Phase::Recovery`,
+//! and the verdict is a header record in the next team broadcast (a
+//! broadcast of its own, also `Recovery`, only after the last step). Its
+//! team broadcast carries particle states (the replicated checkpoint)
+//! where the plain drivers broadcast sources — the same collectives at 16
+//! more bytes per element. If either loop body forks again, one of these
+//! counts moves.
 
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::sim::{
     run_distributed, run_distributed_chaos, run_plain_rank, Layout, Method, SimConfig,
 };
 use ca_nbody::window::Window;
-use nbody_comm::{run_ranks, Communicator, FaultPlan, Phase, PhaseCounters, ALL_PHASES};
+use nbody_comm::{run_ranks, CommStats, Communicator, FaultPlan, Phase, PhaseCounters, ALL_PHASES};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, ForceLaw, Particle, RepulsiveInverseSquare, SemiImplicitEuler,
-    Source,
+    init, Boundary, Cutoff, Domain, ForceLaw, Particle, ParticleState, RepulsiveInverseSquare,
+    SemiImplicitEuler, Source, Vec2,
 };
 
 const STEPS: usize = 2;
@@ -38,7 +41,7 @@ fn counts(c: &PhaseCounters) -> [u64; 7] {
 }
 
 #[test]
-fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
+fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_the_leaders_agreement() {
     let table = [
         (Method::CaAllPairs { c: 1 }, 4),
         (Method::CaAllPairs { c: 2 }, 8),
@@ -89,11 +92,15 @@ fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
                 let sent = stats.phase(Phase::Reassign).messages;
                 assert_eq!(sent, (STEPS * neighbours) as u64, "{ctx}: rank {rank}");
             }
-            // One agreement: an all-reduce (reduce + broadcast) of one byte
-            // down the column and one along the row; a communicator of one
-            // rank has nothing to agree with.
-            let agree = 2 * u64::from(c > 1) + 2 * u64::from(teams > 1);
-            let agree_messages = (teams * 2 * (c - 1) + c * 2 * (teams - 1)) as u64;
+            // The leaders' agreement: an all-reduce (reduce + broadcast)
+            // of one byte along row 0 per evaluation; a row of one has
+            // nothing to agree with. The verdict's own header-only
+            // broadcast follows the last step; a column of one has no one
+            // to tell.
+            let (steps, replicated) = (STEPS as u64, u64::from(c > 1));
+            let agree = 2 * u64::from(teams > 1);
+            let header = std::mem::size_of::<ParticleState>() as u64;
+            let agree_messages = steps * 2 * (teams as u64 - 1) + replicated * (p - teams) as u64;
             let mut recovery_messages = 0;
             for (rank, (a, b)) in plain.stats.iter().zip(&ft.stats).enumerate() {
                 for phase in ALL_PHASES {
@@ -101,10 +108,20 @@ fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
                         continue;
                     }
                     let mut want = counts(a.phase(phase));
-                    if phase == Phase::Broadcast {
-                        // collective_bytes: a particle where a source was.
-                        let wider = std::mem::size_of::<Particle>() - std::mem::size_of::<Source>();
-                        want[5] += a.phase(phase).collective_elements * wider as u64;
+                    if phase == Phase::Broadcast && c > 1 {
+                        // A particle state where a source was, and the
+                        // header in front of every evaluation's block.
+                        let wider =
+                            std::mem::size_of::<ParticleState>() - std::mem::size_of::<Source>();
+                        want[4] += steps;
+                        want[5] +=
+                            a.phase(phase).collective_elements * wider as u64 + steps * header;
+                    }
+                    if phase == Phase::Reduce && c > 1 {
+                        // One count per flag behind the forces.
+                        let flags = 4 * steps;
+                        want[4] += flags;
+                        want[5] += flags * std::mem::size_of::<Vec2>() as u64;
                     }
                     assert_eq!(want, counts(b.phase(phase)), "{ctx}: rank {rank} {phase:?}");
                 }
@@ -114,16 +131,59 @@ fn clean_fault_tolerant_run_does_the_plain_runs_work_plus_one_agreement() {
                     "{ctx}: rank {rank}: the plain run has no recovery traffic"
                 );
                 let rec = b.phase(Phase::Recovery);
-                let per_step = STEPS as u64 * agree;
+                let leader = u64::from(layout.grid.row_of(rank) == 0);
+                let collectives = leader * steps * agree + replicated;
+                let bytes = leader * steps * agree + replicated * header;
                 assert_eq!(
                     counts(rec)[..6],
-                    [0, 0, 0, per_step, per_step, per_step],
-                    "{ctx}: rank {rank}: one agreement per evaluation and nothing else"
+                    [0, 0, 0, collectives, collectives, bytes],
+                    "{ctx}: rank {rank}: the leaders' agreement, the last verdict and nothing else"
                 );
                 recovery_messages += rec.collective_messages;
             }
-            assert_eq!(recovery_messages, STEPS as u64 * agree_messages, "{ctx}");
+            assert_eq!(recovery_messages, agree_messages, "{ctx}");
         }
+    }
+}
+
+/// The benchmark's `crit_msgs_per_step` on `allpairs_ft_clean`'s grid
+/// (`p = 4`, `c = 2`): the busiest rank's point-to-point sends plus the
+/// tree messages of its collectives. A plain step sends 2 on every rank.
+/// A clean fault-tolerant step sends 2 on the non-leaders and 3 on the
+/// leaders, whose third is their row's agreement; after the last step
+/// the verdict's own broadcast adds a fourth. So `s` steps send
+/// `3(s − 1) + 4`.
+#[test]
+fn a_clean_fault_tolerant_step_sends_one_message_more_than_a_plain_one() {
+    let sent = |stats: &[CommStats]| -> Vec<u64> {
+        let per_rank = stats.iter().map(|s| {
+            let phases = ALL_PHASES.iter().map(|&ph| s.phase(ph));
+            phases.map(|c| c.messages + c.collective_messages).sum()
+        });
+        per_rank.collect()
+    };
+    let method = Method::CaAllPairs { c: 2 };
+    let (plan, policy) = (FaultPlan::empty(), RetryPolicy::default());
+    for steps in [1, 2, 5] {
+        let cfg = SimConfig {
+            law: RepulsiveInverseSquare {
+                strength: 1e-3,
+                softening: 1e-3,
+            },
+            integrator: SemiImplicitEuler,
+            domain: Domain::unit(),
+            boundary: Boundary::Reflective,
+            dt: 0.01,
+            steps,
+        };
+        let initial = init::uniform(64, &cfg.domain, 7);
+        let plain = run_distributed(&cfg, method, 4, &initial);
+        let ft = run_distributed_chaos(&cfg, method, 4, &plan, &policy, &initial)
+            .expect("no fault is scheduled");
+        let s = steps as u64;
+        assert_eq!(sent(&plain.stats), [2 * s; 4], "plain, {steps} steps");
+        let (lead, rest) = (3 * (s - 1) + 4, 2 * s);
+        assert_eq!(sent(&ft.stats), [lead, lead, rest, rest], "{steps} steps");
     }
 }
 

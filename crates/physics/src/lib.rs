@@ -33,5 +33,5 @@ pub use force::{Counting, Cutoff, ForceLaw, Gravity, LennardJones, RepulsiveInve
 pub use force_ext::{ShiftedForce, Yukawa};
 pub use integrator::{ExplicitEuler, Integrator, SemiImplicitEuler, VelocityVerlet};
 pub use lanes::{F64x2, Mask2, Vec2x2};
-pub use particle::{Particle, Source, PARTICLE_WIRE_BYTES};
+pub use particle::{Particle, ParticleState, Source, PARTICLE_WIRE_BYTES};
 pub use vec2::Vec2;

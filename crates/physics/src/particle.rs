@@ -2,7 +2,8 @@
 //!
 //! | record | bytes | fields | where it lives |
 //! |---|---|---|---|
-//! | [`Particle`] in memory | 64 | `pos`, `vel`, `force`, `mass`, `id` | every owned block; re-assignment, the fault-tolerant broadcast and its resync |
+//! | [`Particle`] in memory | 64 | `pos`, `vel`, `force`, `mass`, `id` | every owned block; re-assignment and the fault-tolerant resync |
+//! | [`ParticleState`] on the wire | 48 | `pos`, `vel`, `mass`, `id` | the fault-tolerant drivers' team broadcast, its checkpoint |
 //! | [`Source`] on the wire | 32 | `pos`, `mass`, `id` | broadcast, skew and shift of the CA drivers; what the block kernel streams |
 //! | force on the wire | 16 | one [`Vec2`] | the team reduce |
 //! | the paper's record | 52 | — | [`PARTICLE_WIRE_BYTES`]: the cost model and the network simulator only |
@@ -10,7 +11,7 @@
 //! The paper's experiments use a 52-byte particle record (§III.C: "The
 //! particles are 52 bytes in size"). Ours keeps `f64` components for
 //! numerical quality and ships each phase only what its receiver reads, so
-//! none of the three records the transport counts is 52 bytes long; the
+//! none of the four records the transport counts is 52 bytes long; the
 //! model and the simulator keep the paper's figure so their bandwidth terms
 //! match the paper's exactly.
 
@@ -24,6 +25,7 @@ pub const PARTICLE_WIRE_BYTES: usize = 52;
 
 // The sizes the module table promises.
 const _: () = assert!(std::mem::size_of::<Particle>() == 64);
+const _: () = assert!(std::mem::size_of::<ParticleState>() == 48);
 const _: () = assert!(std::mem::size_of::<Source>() == 32);
 const _: () = assert!(std::mem::size_of::<Vec2>() == 16);
 
@@ -139,6 +141,49 @@ impl From<&Particle> for Source {
     }
 }
 
+/// A particle without its force accumulator: the payload of the
+/// fault-tolerant drivers' team broadcast. The accumulator is cleared
+/// before every evaluation, so sending it would send zeros; a replica
+/// rebuilds the particle with a cleared one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
+pub struct ParticleState {
+    /// Position in simulation space.
+    pub pos: Vec2,
+    /// Velocity.
+    pub vel: Vec2,
+    /// Particle mass.
+    pub mass: f64,
+    /// The particle's [`Particle::id`].
+    pub id: u64,
+}
+
+impl ParticleState {
+    /// The particle this state describes, force accumulator cleared.
+    #[inline]
+    pub fn particle(&self) -> Particle {
+        Particle {
+            pos: self.pos,
+            vel: self.vel,
+            force: Vec2::zero(),
+            mass: self.mass,
+            id: self.id,
+        }
+    }
+}
+
+impl From<&Particle> for ParticleState {
+    #[inline]
+    fn from(p: &Particle) -> Self {
+        ParticleState {
+            pos: p.pos,
+            vel: p.vel,
+            mass: p.mass,
+            id: p.id,
+        }
+    }
+}
+
 /// The [`Source`]s of a block, in its order.
 pub fn sources(block: &[Particle]) -> Vec<Source> {
     block.iter().map(Source::from).collect()
@@ -176,6 +221,20 @@ mod tests {
         assert_eq!((s.pos, s.mass, s.id), (p.pos, 2.5, 7));
         assert_eq!(s.particle(), Particle::at(7, p.pos).with_mass(2.5));
         assert_eq!(sources(&[p, p]), [s, s]);
+    }
+
+    #[test]
+    fn a_state_keeps_all_but_the_force() {
+        let mut p = Particle::moving(7, Vec2::new(1.0, 2.0), Vec2::new(3.0, 4.0)).with_mass(2.5);
+        p.force = Vec2::new(-1.0, 0.5);
+        let back = ParticleState::from(&p).particle();
+        assert_eq!(
+            back,
+            Particle {
+                force: Vec2::zero(),
+                ..p
+            }
+        );
     }
 
     #[test]
