@@ -46,6 +46,8 @@ check "every method runs in the one timestep loop of sim.rs" \
 check "Plimpton's decompositions are Algorithm 1 at c = 1 and c = sqrt(p), not hand copies" \
     none 'particle_ring_forces|force_decomposition_forces|ForceDecompParams|ParticleRingParams|calibrate_host' \
     crates src tests examples
+check "Plimpton's spatial decomposition (§II.C) is Algorithm 2 at c = 1, not a halo copy" \
+    none 'SpatialHalo|spatial_halo|TAG_HALO' crates src tests examples
 check "errors leave through ? to the one place that prints them" \
     test "$(grep -rn 'return ExitCode::FAILURE' src | wc -l)" -le 3
 check "the method names are spelled in one match" \

@@ -17,9 +17,7 @@
 //!    it, as a rewrite of the op stream — where overlap pays (`c = 1`) and
 //!    where replication has left it little to hide.
 
-use ca_nbody::schedule::{
-    AllPairsParams, AllgatherParams, CutoffParams, MidpointParams, SpatialHaloParams,
-};
+use ca_nbody::schedule::{AllPairsParams, AllgatherParams, CutoffParams, MidpointParams};
 use ca_nbody::{Layout, Method, ProcGrid, TeamWindow, Window};
 use nbody_comm::Phase;
 use nbody_netsim::{intrepid, simulate, CollNet, Op};
@@ -155,39 +153,30 @@ fn window_constraint() {
     println!("  (c must fit inside the interaction window: the paper's c <= 2m constraint)");
 }
 
-/// The run path's own layout of a CA cutoff method on the unit box.
+/// The run path's own layout of a cutoff method on the unit box.
 fn cutoff_layout(method: Method, p: usize, r_c: f64) -> Result<Layout, String> {
     Layout::new(method, p, &Domain::unit(), Boundary::Open, Some(r_c))
 }
 
-/// §II.C/§II.D landscape, simulated: the spatial halo (no replication),
-/// the midpoint method (half import region + force return), and the CA
-/// cutoff algorithm at several replication factors, all on the same
-/// decomposed workload.
+/// §II.C/§II.D landscape, simulated: the midpoint method (half import
+/// region + force return), and the CA cutoff algorithm at several
+/// replication factors — at `c = 1` the spatial halo (§II.C) — all on the
+/// same decomposed workload.
 fn decomposition_families() {
     println!("=== Ablation 5: cutoff decomposition families (Hopper model) ===");
     let machine = nbody_netsim::hopper();
     let p = 4096;
     let n = 65536;
-    let domain = Domain::unit();
     let r_c = 0.25;
-    let sizes = vec![n / p; p];
-
-    let halo = SpatialHaloParams {
-        window: TeamWindow::from_cutoff(&domain, (p, 1), false, r_c),
-        block_sizes: sizes.clone(),
-    };
-    let t_halo = simulate(&machine, p, |r| halo.program(r)).makespan;
-    println!("  spatial halo (c=1)    : {t_halo:.6} s");
 
     let midpoint = MidpointParams {
-        window: TeamWindow::from_cutoff(&domain, (p, 1), false, r_c / 2.0),
-        block_sizes: sizes.clone(),
+        window: cutoff_layout(Method::Midpoint1d, p, r_c).unwrap().window,
+        block_sizes: vec![n / p; p],
     };
     let t_mid = simulate(&machine, p, |r| midpoint.program(r)).makespan;
     println!("  midpoint method (c=1) : {t_mid:.6} s");
 
-    for c in [2usize, 4, 8] {
+    for c in [1usize, 2, 4, 8] {
         let Ok(layout) = cutoff_layout(Method::Ca1dCutoff { c }, p, r_c) else {
             continue;
         };

@@ -419,11 +419,6 @@ impl<C: Communicator> ChaosComm<C> {
         }
     }
 
-    /// Whether this rank is currently "crashed" by a fired kill event.
-    pub fn is_dead(&self) -> bool {
-        self.state.dead.get()
-    }
-
     /// The wrapped transport.
     pub fn inner(&self) -> &C {
         &self.inner
@@ -759,7 +754,7 @@ mod tests {
             let right = (comm.rank() + 1) % p;
             let left = (comm.rank() + p - 1) % p;
             let token = comm.sendrecv(right, left, 1, &[comm.rank() as u64]);
-            assert!(!comm.is_dead());
+            assert!(!comm.state.dead.get());
             token[0]
         });
         assert_eq!(out, vec![3, 0, 1, 2]);
@@ -965,7 +960,7 @@ mod tests {
             let sub = comm.split(0, comm.rank());
             comm.set_phase(Phase::Shift);
             let died = sub.fault_step(1).is_err();
-            (died, comm.is_dead())
+            (died, comm.state.dead.get())
         });
         assert_eq!(out[0], (false, false));
         assert_eq!(out[1], (true, true));

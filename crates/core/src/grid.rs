@@ -100,12 +100,6 @@ impl ProcGrid {
         self.p / self.c
     }
 
-    /// Shift steps of the all-pairs algorithm, `p/c²`.
-    #[inline]
-    pub fn all_pairs_steps(&self) -> usize {
-        self.teams() / self.c
-    }
-
     /// Team (column) index of a world rank.
     #[inline]
     pub fn team_of(&self, world_rank: usize) -> usize {
@@ -196,19 +190,16 @@ mod tests {
         assert_eq!(g.p(), 16);
         assert_eq!(g.c(), 2);
         assert_eq!(g.teams(), 8);
-        assert_eq!(g.all_pairs_steps(), 4);
     }
 
     #[test]
     fn extreme_factors_degenerate_correctly() {
-        // c = 1: particle decomposition; one row, p teams, p shift steps.
+        // c = 1: particle decomposition; one row, p teams.
         let g = ProcGrid::new_all_pairs(8, 1).unwrap();
         assert_eq!(g.teams(), 8);
-        assert_eq!(g.all_pairs_steps(), 8);
-        // c = sqrt(p): force decomposition; one shift step.
+        // c = sqrt(p): force decomposition; sqrt(p) teams.
         let g = ProcGrid::new_all_pairs(16, 4).unwrap();
         assert_eq!(g.teams(), 4);
-        assert_eq!(g.all_pairs_steps(), 1);
     }
 
     #[test]

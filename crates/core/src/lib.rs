@@ -6,14 +6,14 @@
 //!
 //! * [`cutoff`] — Algorithm 2 (1D) and its Fig. 5 generalization (2D),
 //!   traversing interaction [`window`]s modulo the cutoff: the one shift
-//!   body of the crate.
+//!   body of the crate, and at `c = 1` Plimpton's spatial decomposition
+//!   (§II.C).
 //! * [`allpairs`] — Algorithm 1, the CA all-pairs force evaluation on a
 //!   `p/c × c` processor grid: the same body on the full team ring, and
 //!   with it Plimpton's particle (`c = 1`) and force (`c = √p`)
 //!   decompositions.
 //! * [`baselines`] — the allgather ("tree") naive variant and the
 //!   Newton's-third-law half-ring.
-//! * [`spatial`] — the non-replicating halo-exchange baseline (§II.C).
 //! * [`reassign`] — spatial re-assignment between timesteps (§IV.D).
 //! * [`grid`], [`dist`], [`kernel`] — the processor grid, particle
 //!   distributions, and the shared block force kernel.
@@ -34,7 +34,6 @@ pub mod reassign;
 pub mod recovery;
 pub mod schedule;
 pub mod sim;
-pub mod spatial;
 pub mod window;
 pub mod wire;
 

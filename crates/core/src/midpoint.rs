@@ -133,149 +133,59 @@ pub fn midpoint_forces<C: Communicator, W: Window, F: ForceLaw>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{
-        spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy,
-    };
+    use crate::dist::{spatial_subset_2d, team_grid_dims, team_of_xy};
     use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
     use nbody_physics::{init, reference, Counting, Cutoff};
 
-    /// Halo span for the midpoint method: r_c/2 coverage.
-    fn half_window_1d(domain: &Domain, teams: usize, r_c: f64) -> TeamWindow {
-        TeamWindow::from_cutoff(domain, (teams, 1), false, r_c / 2.0)
-    }
-
-    #[test]
-    fn midpoint_1d_counting_matches_serial() {
+    /// The midpoint forces of `n` particles dealt to a `tx × ty` team grid
+    /// (1-D slabs at `ty = 1`) against the serial reference, each within
+    /// `tol` of its norm: 0 is bit for bit.
+    fn matches_serial<F: ForceLaw + Sync>(
+        law: F,
+        (tx, ty): (usize, usize),
+        boundary: Boundary,
+        (n, seed): (usize, u64),
+        tol: f64,
+    ) {
         let domain = Domain::unit();
-        let n = 60;
-        let r_c = 0.2;
-        let law = Cutoff::new(Counting, r_c);
-        let mut want = init::uniform_1d(n, &domain, 15);
-        reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
-
-        for p in [2usize, 4, 8] {
-            let window = half_window_1d(&domain, p, r_c);
-            let out = run_ranks(p, |world| {
-                let all = init::uniform_1d(n, &domain, 15);
-                let mut mine = spatial_subset_1d(&all, &domain, p, world.rank());
-                midpoint_forces(
-                    world,
-                    &window,
-                    &mut mine,
-                    &law,
-                    &domain,
-                    Boundary::Open,
-                    |pos| team_of_x(&domain, p, pos.x),
-                );
-                mine
-            });
-            let mut got: Vec<Particle> = out.into_iter().flatten().collect();
-            got.sort_by_key(|q| q.id);
-            assert_eq!(got.len(), n);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.force.x, w.force.x, "p={p} id={}", g.id);
-            }
-        }
-    }
-
-    #[test]
-    fn midpoint_2d_counting_matches_serial() {
-        let domain = Domain::unit();
-        let n = 80;
-        let r_c = 0.25;
-        let law = Cutoff::new(Counting, r_c);
-        let mut want = init::uniform(n, &domain, 4);
-        reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
-
-        let p = 8;
-        let (tx, ty) = team_grid_dims(p);
-        let window = TeamWindow::from_cutoff(&domain, (tx, ty), false, r_c / 2.0);
-        let out = run_ranks(p, |world| {
-            let all = init::uniform(n, &domain, 4);
+        let all = match ty {
+            1 => init::uniform_1d(n, &domain, seed),
+            _ => init::uniform(n, &domain, seed),
+        };
+        let mut want = all.clone();
+        reference::accumulate_forces(&mut want, &law, &domain, boundary);
+        let wraps = boundary == Boundary::Periodic;
+        let half = law.cutoff().unwrap() / 2.0;
+        let window = TeamWindow::from_cutoff(&domain, (tx, ty), wraps, half);
+        let out = run_ranks(tx * ty, |world| {
             let mut mine = spatial_subset_2d(&all, &domain, tx, ty, world.rank());
-            midpoint_forces(
-                world,
-                &window,
-                &mut mine,
-                &law,
-                &domain,
-                Boundary::Open,
-                |pos| team_of_xy(&domain, tx, ty, pos.x, pos.y),
-            );
+            let owner = |pos: Vec2| team_of_xy(&domain, tx, ty, pos.x, pos.y);
+            midpoint_forces(world, &window, &mut mine, &law, &domain, boundary, owner);
             mine
         });
         let mut got: Vec<Particle> = out.into_iter().flatten().collect();
         got.sort_by_key(|q| q.id);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.force.x, w.force.x, "id={}", g.id);
-        }
-    }
-
-    #[test]
-    fn midpoint_periodic_matches_serial() {
-        let domain = Domain::unit();
-        let n = 50;
-        let r_c = 0.2;
-        let law = Cutoff::new(Counting, r_c);
-        let mut want = init::uniform_1d(n, &domain, 8);
-        reference::accumulate_forces(&mut want, &law, &domain, Boundary::Periodic);
-
-        let p = 8;
-        let window = TeamWindow::from_cutoff(&domain, (p, 1), true, r_c / 2.0);
-        let out = run_ranks(p, |world| {
-            let all = init::uniform_1d(n, &domain, 8);
-            let mut mine = spatial_subset_1d(&all, &domain, p, world.rank());
-            midpoint_forces(
-                world,
-                &window,
-                &mut mine,
-                &law,
-                &domain,
-                Boundary::Periodic,
-                |pos| team_of_x(&domain, p, pos.x),
-            );
-            mine
-        });
-        let mut got: Vec<Particle> = out.into_iter().flatten().collect();
-        got.sort_by_key(|q| q.id);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.force.x, w.force.x, "id={}", g.id);
-        }
-    }
-
-    #[test]
-    fn midpoint_physical_force_matches_serial() {
-        use nbody_physics::RepulsiveInverseSquare;
-        let domain = Domain::unit();
-        let n = 40;
-        let r_c = 0.3;
-        let law = Cutoff::new(RepulsiveInverseSquare::default(), r_c);
-        let mut want = init::uniform_1d(n, &domain, 2);
-        reference::accumulate_forces(&mut want, &law, &domain, Boundary::Open);
-
-        let p = 4;
-        let window = half_window_1d(&domain, p, r_c);
-        let out = run_ranks(p, |world| {
-            let all = init::uniform_1d(n, &domain, 2);
-            let mut mine = spatial_subset_1d(&all, &domain, p, world.rank());
-            midpoint_forces(
-                world,
-                &window,
-                &mut mine,
-                &law,
-                &domain,
-                Boundary::Open,
-                |pos| team_of_x(&domain, p, pos.x),
-            );
-            mine
-        });
-        let mut got: Vec<Particle> = out.into_iter().flatten().collect();
-        got.sort_by_key(|q| q.id);
+        assert_eq!(got.len(), n);
         for (g, w) in got.iter().zip(&want) {
             let err = (g.force - w.force).norm();
-            assert!(err <= 1e-12 * w.force.norm().max(1e-30), "id={}", g.id);
+            assert!(err <= tol * w.force.norm(), "{tx}x{ty} id={}", g.id);
         }
+    }
+
+    #[test]
+    fn midpoint_matches_serial() {
+        use nbody_physics::RepulsiveInverseSquare;
+        let open = Boundary::Open;
+        for p in [2, 4, 8] {
+            matches_serial(Cutoff::new(Counting, 0.2), (p, 1), open, (60, 15), 0.0);
+        }
+        let two_d = team_grid_dims(8);
+        matches_serial(Cutoff::new(Counting, 0.25), two_d, open, (80, 4), 0.0);
+        let periodic = Boundary::Periodic;
+        matches_serial(Cutoff::new(Counting, 0.2), (8, 1), periodic, (50, 8), 0.0);
+        let physical = Cutoff::new(RepulsiveInverseSquare::default(), 0.3);
+        matches_serial(physical, (4, 1), open, (40, 2), 1e-12);
     }
 
     #[test]
@@ -286,7 +196,7 @@ mod tests {
         let p = 32;
         let r_c = 0.25;
         let full = TeamWindow::from_cutoff(&domain, (p, 1), false, r_c);
-        let half = half_window_1d(&domain, p, r_c);
+        let half = TeamWindow::from_cutoff(&domain, (p, 1), false, r_c / 2.0);
         assert!(
             half.spans()[0] < full.spans()[0],
             "midpoint halo {} vs spatial halo {}",

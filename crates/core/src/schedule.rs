@@ -224,47 +224,6 @@ impl AllgatherParams {
     }
 }
 
-/// Parameters of the spatial halo-exchange baseline (one team per rank).
-#[derive(Debug, Clone)]
-pub struct SpatialHaloParams<W: Window> {
-    /// The interaction window (`window.teams()` ranks).
-    pub window: W,
-    /// Particles per rank region.
-    pub block_sizes: Vec<usize>,
-}
-
-impl<W: Window> SpatialHaloParams<W> {
-    /// The op stream of `rank`.
-    pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
-        let window = &self.window;
-        let me = self.block_sizes[rank];
-        let own = std::iter::once(Op::Compute {
-            interactions: block_interactions(me, me, true),
-        });
-        let sends = (1..window.len()).filter_map(move |j| {
-            window.apply(rank, j).map(|dst| Op::Send {
-                to: dst,
-                bytes: bytes_of(me),
-                phase: Phase::Shift,
-            })
-        });
-        let recvs = (1..window.len()).flat_map(move |j| {
-            let mut ops = Vec::with_capacity(2);
-            if let Some(src) = window.apply_back(rank, j) {
-                ops.push(Op::Recv {
-                    from: src,
-                    phase: Phase::Shift,
-                });
-                ops.push(Op::Compute {
-                    interactions: block_interactions(me, self.block_sizes[src], false),
-                });
-            }
-            ops
-        });
-        Box::new(own.chain(sends).chain(recvs))
-    }
-}
-
 /// Aggregate op counts of a schedule, for schedule-vs-execution checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
@@ -420,28 +379,6 @@ mod tests {
         assert_eq!(counts.collectives[Phase::Broadcast.index()], 1);
         assert_eq!(counts.interactions, 10 * 40 - 10);
     }
-
-    #[test]
-    fn spatial_halo_schedule_totals() {
-        let window = TeamWindow::clipped(&[6], &[2]);
-        let sizes = vec![7usize; 6];
-        let params = SpatialHaloParams {
-            window,
-            block_sizes: sizes.clone(),
-        };
-        let total: u64 = (0..6)
-            .map(|r| count_ops(params.program(r)).interactions)
-            .sum();
-        let mut want = 0u64;
-        for t in 0..6usize {
-            for b in 0..6usize {
-                if (t as i64 - b as i64).abs() <= 2 {
-                    want += block_interactions(sizes[t], sizes[b], t == b);
-                }
-            }
-        }
-        assert_eq!(total, want);
-    }
 }
 
 /// Parameters of the midpoint-method schedule (§II.D neutral-territory
@@ -541,15 +478,22 @@ mod midpoint_schedule_tests {
     #[test]
     fn midpoint_import_bytes_are_half_spans() {
         // The midpoint halo (span r_c/2) moves fewer bytes than the full
-        // spatial halo (span r_c) on the same decomposition.
+        // spatial halo — Algorithm 2 at `c = 1` (span r_c) — on the same
+        // decomposition.
         let domain = nbody_physics::Domain::unit();
         let r_c = 0.25;
         let teams = 16;
         let sizes = vec![8usize; teams];
-        let full = SpatialHaloParams {
-            window: TeamWindow::from_cutoff(&domain, (teams, 1), false, r_c),
-            block_sizes: sizes.clone(),
-        };
+        let method = crate::sim::Method::Ca1dCutoff { c: 1 };
+        let layout = crate::sim::Layout::new(
+            method,
+            teams,
+            &domain,
+            nbody_physics::Boundary::Reflective,
+            Some(r_c),
+        )
+        .unwrap();
+        let full = layout.schedule(sizes.clone());
         let half = MidpointParams {
             window: TeamWindow::from_cutoff(&domain, (teams, 1), false, r_c / 2.0),
             block_sizes: sizes,

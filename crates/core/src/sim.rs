@@ -54,7 +54,6 @@ use crate::probe::StepProbe;
 use crate::reassign::reassign_within;
 use crate::recovery::{ca_forces_ft, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
 use crate::schedule::{CutoffParams, ReassignModel};
-use crate::spatial::spatial_halo_forces;
 use crate::window::{TeamWindow, Window};
 
 /// Which parallel decomposition evaluates forces.
@@ -84,10 +83,6 @@ pub enum Method {
         /// Replication factor.
         c: usize,
     },
-    /// Halo-exchange spatial baseline on 1D slabs (cutoff law, `c = 1`).
-    SpatialHalo1d,
-    /// Halo-exchange spatial baseline on a 2D grid (cutoff law, `c = 1`).
-    SpatialHalo2d,
     /// The midpoint method (§II.D neutral-territory family) on 1D slabs
     /// (cutoff law, `c = 1`, half-span import region).
     Midpoint1d,
@@ -110,8 +105,6 @@ impl Method {
             self,
             Method::Ca1dCutoff { .. }
                 | Method::Ca2dCutoff { .. }
-                | Method::SpatialHalo1d
-                | Method::SpatialHalo2d
                 | Method::Midpoint1d
                 | Method::Midpoint2d
         )
@@ -610,7 +603,7 @@ fn merge_by_id(blocks: &[Vec<Particle>]) -> Vec<Particle> {
 #[derive(Debug, Clone, Copy)]
 pub struct Layout {
     /// The library's name for the method laid out (`ca-all-pairs`,
-    /// `ca-1d-cutoff`, `halo-2d`, …).
+    /// `ca-1d-cutoff`, `midpoint-2d`, …).
     pub name: &'static str,
     /// The `p/c × c` processor grid.
     pub grid: ProcGrid,
@@ -644,8 +637,6 @@ impl Layout {
             Method::NaiveAllgather => ("allgather", 1, None),
             Method::Ca1dCutoff { c } => ("ca-1d-cutoff", c, Some((false, 1.0))),
             Method::Ca2dCutoff { c } => ("ca-2d-cutoff", c, Some((true, 1.0))),
-            Method::SpatialHalo1d => ("halo-1d", 1, Some((false, 1.0))),
-            Method::SpatialHalo2d => ("halo-2d", 1, Some((true, 1.0))),
             Method::Midpoint1d => ("midpoint-1d", 1, Some((false, 0.5))),
             Method::Midpoint2d => ("midpoint-2d", 1, Some((true, 0.5))),
         };
@@ -727,8 +718,8 @@ impl Layout {
 
     /// Put a leader's block in the order its kernel wants: cell order for
     /// the CA algorithms' spatial blocks (what the cutoff cull needs), id
-    /// order after re-assignment for the halo and midpoint kernels (they sum
-    /// in block order), and id blocks as they are (their order is the
+    /// order after re-assignment for the midpoint kernel (it sums in block
+    /// order), and id blocks as they are (their order is the
     /// summation order the bit-identity oracle pins; the ROADMAP's
     /// "fixed-order oracle" item decides whether to trade it).
     fn order<F: ForceLaw>(&self, st: &mut [Particle], law: &F, domain: &Domain) {
@@ -816,9 +807,6 @@ impl Evaluation for Plain {
                 particle_ring_symmetric_forces(&gc.row, st, law, domain, boundary)
             }
             Method::NaiveAllgather => naive_allgather_forces(&gc.row, st, law, domain, boundary),
-            Method::SpatialHalo1d | Method::SpatialHalo2d => {
-                spatial_halo_forces(&gc.row, window, st, law, domain, boundary)
-            }
             Method::Midpoint1d | Method::Midpoint2d => {
                 let [tx, ty, _] = window.dims();
                 let team_of = |pos: Vec2| team_of_xy(domain, tx, ty, pos.x, pos.y);
@@ -1430,8 +1418,6 @@ mod tests {
             (Method::Ca1dCutoff { c: 2 }, 8),
             (Method::Ca2dCutoff { c: 1 }, 4),
             (Method::Ca2dCutoff { c: 2 }, 8),
-            (Method::SpatialHalo1d, 4),
-            (Method::SpatialHalo2d, 4),
         ] {
             let got = run_distributed(&cfg, method, p, &initial);
             assert_trajectories_match(&got.particles, &want, 1e-9, &format!("{method:?} p={p}"));
@@ -1698,6 +1684,6 @@ mod tests {
             dt: cfg.dt,
             steps: cfg.steps,
         };
-        check(&cutoff_cfg, Method::SpatialHalo1d, 4);
+        check(&cutoff_cfg, Method::Ca1dCutoff { c: 1 }, 4);
     }
 }

@@ -3,18 +3,14 @@
 //! runtime — same per-phase message counts, same bytes (52 B/particle),
 //! same collective counts, same total interactions. This is the link that
 //! makes simulated figures trustworthy: the CA schedule here, and the
-//! halo-exchange and midpoint baselines the ablation bars are simulated
-//! from.
+//! midpoint baseline the ablation bars are simulated from.
 
 use ca_nbody::dist::{
     id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_xy,
 };
 use ca_nbody::midpoint::midpoint_forces;
-use ca_nbody::schedule::{
-    count_ops, AllPairsParams, CutoffParams, MidpointParams, OpCounts, SpatialHaloParams,
-};
+use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, MidpointParams, OpCounts};
 use ca_nbody::sim::{run_distributed, Layout, Method, SimConfig};
-use ca_nbody::spatial::spatial_halo_forces;
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
 use nbody_comm::{run_ranks, CommStats, Communicator, Phase, ALL_PHASES};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
@@ -219,31 +215,23 @@ fn executed_phase_totals_cover_all_phases_sanely() {
     }
 }
 
-/// The baselines' twins against the baselines, per rank and per phase, on
-/// the windows `Layout` cuts for them: `SpatialHaloParams` against
-/// `spatial_halo_forces` (one block to each neighbour), `MidpointParams`
-/// against `midpoint_forces` (the half-span import, then a force return to
-/// each neighbour the import came from). Live messages equal the twin's
-/// sends; live elements equal its bytes at 52 B per particle for halo and
-/// import payloads. The force return's bytes are a modelled upper bound
-/// (one record per imported particle), so only its count is held.
+/// The midpoint baseline's twin against the baseline, per rank and per
+/// phase, on the windows `Layout` cuts for it: `MidpointParams` against
+/// `midpoint_forces` (the half-span import, then a force return to each
+/// neighbour the import came from). Live messages equal the twin's sends;
+/// live elements equal its bytes at 52 B per particle for the import. The
+/// force return's bytes are a modelled upper bound (one record per
+/// imported particle), so only its count is held.
 #[test]
 fn baseline_schedules_match_execution() {
     let domain = Domain::unit();
     let r_c = 0.2;
     let law = Cutoff::new(Counting, r_c);
-    let table = [
-        (Method::SpatialHalo1d, 8),
-        (Method::SpatialHalo2d, 16),
-        (Method::Midpoint1d, 8),
-        (Method::Midpoint2d, 16),
-    ];
     for boundary in [Boundary::Reflective, Boundary::Periodic] {
-        for (method, p) in table {
+        for (method, p) in [(Method::Midpoint1d, 8), (Method::Midpoint2d, 16)] {
             let label = format!("{method:?} p={p} {boundary:?}");
             let layout = Layout::new(method, p, &domain, boundary, Some(r_c)).unwrap();
             let (window, (tx, ty)) = (layout.window, layout.cells.unwrap());
-            let halo = matches!(method, Method::SpatialHalo1d | Method::SpatialHalo2d);
             let all = init::uniform(120, &domain, 21);
             let blocks: Vec<_> = (0..p)
                 .map(|r| spatial_subset_2d(&all, &domain, tx, ty, r))
@@ -251,31 +239,17 @@ fn baseline_schedules_match_execution() {
             let blocks = &blocks;
             let stats = run_ranks(p, |world| {
                 let mut my = blocks[world.rank()].clone();
-                if halo {
-                    spatial_halo_forces(world, &window, &mut my, &law, &domain, boundary);
-                } else {
-                    let owner =
-                        |pos: nbody_physics::Vec2| team_of_xy(&domain, tx, ty, pos.x, pos.y);
-                    midpoint_forces(world, &window, &mut my, &law, &domain, boundary, owner);
-                }
+                let owner = |pos: nbody_physics::Vec2| team_of_xy(&domain, tx, ty, pos.x, pos.y);
+                midpoint_forces(world, &window, &mut my, &law, &domain, boundary, owner);
                 world.stats()
             });
-            let block_sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
-            let twin: Vec<OpCounts> = if halo {
-                let params = SpatialHaloParams {
-                    window,
-                    block_sizes,
-                };
-                (0..p).map(|r| count_ops(params.program(r))).collect()
-            } else {
-                let params = MidpointParams {
-                    window,
-                    block_sizes,
-                };
-                (0..p).map(|r| count_ops(params.program(r))).collect()
+            let params = MidpointParams {
+                window,
+                block_sizes: blocks.iter().map(Vec::len).collect(),
             };
             let mut sent = 0;
-            for (rank, (s, sched)) in stats.iter().zip(&twin).enumerate() {
+            for (rank, s) in stats.iter().enumerate() {
+                let sched = count_ops(params.program(rank));
                 for phase in ALL_PHASES {
                     let (live, i) = (s.phase(phase), phase.index());
                     let at = format!("{label}: rank {rank} {phase:?}");
@@ -293,6 +267,47 @@ fn baseline_schedules_match_execution() {
     }
 }
 
+/// §II.C's spatial decomposition is Algorithm 2 at `c = 1`: one step of
+/// `n = 2048` on `p = 16` ranks at `r_c = 0.1` moves what the deleted
+/// halo-exchange baseline moved. The pinned totals are the halo's, measured
+/// before it was deleted: messages summed over ranks, the busiest rank's
+/// messages and the elements moved, 1-D then 2-D. Per rank they differ on
+/// clipped windows only, where the shift pipeline forwards a block through
+/// a neighbour (the 2-D corner rank sends 7 where the halo sent 6).
+#[test]
+fn algorithm_2_at_c_1_moves_what_the_halo_exchange_moved() {
+    let table = [
+        (Boundary::Reflective, [[88, 6, 7451], [168, 16, 10799]]),
+        (Boundary::Periodic, [[96, 6, 8259], [256, 16, 16414]]),
+    ];
+    let law = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 1e-3,
+    };
+    for (boundary, halo) in table {
+        let cfg = SimConfig {
+            law: Cutoff::new(law, 0.1),
+            integrator: SemiImplicitEuler,
+            domain: Domain::unit(),
+            boundary,
+            dt: 0.01,
+            steps: 1,
+        };
+        let initial = init::uniform(2048, &cfg.domain, 7);
+        let methods = [Method::Ca1dCutoff { c: 1 }, Method::Ca2dCutoff { c: 1 }];
+        for (method, want) in methods.into_iter().zip(halo) {
+            let stats = run_distributed(&cfg, method, 16, &initial).stats;
+            let messages = stats.iter().map(CommStats::total_messages);
+            let got = [
+                messages.clone().sum(),
+                messages.max().unwrap(),
+                stats.iter().map(CommStats::total_elements).sum(),
+            ];
+            assert_eq!(got, want, "{method:?} {boundary:?}");
+        }
+    }
+}
+
 /// Re-assignment on a 2-D team grid: after the force phase a leader trades
 /// with each of its neighbours once a step — eight on a wrapping 3 × 3 grid;
 /// three, five or eight on a clipped one — live as in the CA twin, and the
@@ -303,7 +318,6 @@ fn reassign_epilogue_on_a_2d_grid_reaches_up_to_eight_neighbours() {
     let table = [
         (Method::Ca2dCutoff { c: 1 }, 9),
         (Method::Ca2dCutoff { c: 2 }, 18),
-        (Method::SpatialHalo2d, 9),
         (Method::Midpoint2d, 9),
     ];
     for boundary in [Boundary::Reflective, Boundary::Periodic] {

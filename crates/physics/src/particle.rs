@@ -196,13 +196,6 @@ pub fn reset_forces(particles: &mut [Particle]) {
     }
 }
 
-/// Total wire bytes for a message of `n` particles, using the paper's
-/// 52-byte particle size.
-#[inline]
-pub const fn wire_bytes(n: usize) -> usize {
-    n * PARTICLE_WIRE_BYTES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +203,6 @@ mod tests {
     #[test]
     fn wire_size_matches_paper() {
         assert_eq!(PARTICLE_WIRE_BYTES, 52);
-        assert_eq!(wire_bytes(196_608), 196_608 * 52);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Sweep {
     fn from_opts(opts: &mut Opts) -> Result<Sweep, Failure> {
         let spec = RunSpec::from_opts(opts, &Defaults::CHAOS)?;
         if !spec.method().is_ca() {
-            let ca = "ca, ca-cutoff-1d, ca-cutoff-2d";
+            let ca = "ca, ring, force-decomp, ca-cutoff-1d, ca-cutoff-2d, halo-1d, halo-2d";
             return Err(format!("chaos: fault injection requires a CA method ({ca})").into());
         }
         let layout = spec.layout().map_err(|e| format!("chaos: {e}"))?;

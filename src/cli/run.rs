@@ -83,7 +83,7 @@ fn health_config(opts: &mut Opts) -> Result<Option<HealthConfig>, Failure> {
 }
 
 const CA_ONLY: &str = "each of --faults/--checkpoint-dir/--resume/--health requires a CA method \
-                       (ca, ca-cutoff-1d, ca-cutoff-2d)";
+                       (ca, ring, force-decomp, ca-cutoff-1d, ca-cutoff-2d, halo-1d, halo-2d)";
 
 /// `run`; as `verify`, the result is then held against the serial reference.
 pub fn execute(opts: &mut Opts, verify: bool) -> Result<ExitCode, Failure> {

@@ -124,7 +124,9 @@ pub struct RunSpec {
 /// The CLI spelling of every method, at replication `c` on `p` ranks.
 /// Plimpton's two decompositions are §III's ends of Algorithm 1: `ring` is
 /// it at `c = 1` and `force-decomp` at `c = √p` — the least `c` with
-/// `c² ≥ p`, which lays out (`c² | p`) exactly when `p` is a square.
+/// `c² ≥ p`, which lays out (`c² | p`) exactly when `p` is a square. His
+/// spatial decomposition (§II.C) is Algorithm 2 at `c = 1`: `halo-1d` and
+/// `halo-2d`.
 fn method_named(name: &str, c: usize, p: usize) -> Result<Method, String> {
     Ok(match name {
         "ca" => Method::CaAllPairs { c },
@@ -136,8 +138,8 @@ fn method_named(name: &str, c: usize, p: usize) -> Result<Method, String> {
         },
         "ca-cutoff-1d" => Method::Ca1dCutoff { c },
         "ca-cutoff-2d" => Method::Ca2dCutoff { c },
-        "halo-1d" => Method::SpatialHalo1d,
-        "halo-2d" => Method::SpatialHalo2d,
+        "halo-1d" => Method::Ca1dCutoff { c: 1 },
+        "halo-2d" => Method::Ca2dCutoff { c: 1 },
         "midpoint-1d" => Method::Midpoint1d,
         "midpoint-2d" => Method::Midpoint2d,
         other => return Err(format!("unknown method '{other}'")),

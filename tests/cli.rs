@@ -144,9 +144,15 @@ fn verify_covers_every_law_variant() {
 }
 
 #[test]
-fn force_decomp_requires_square_p() {
-    // §III as code: `ring` is Algorithm 1 at c = 1, `force-decomp` at c = √p.
-    for (method, p) in [("ring", "p=6"), ("force-decomp", "p=9")] {
+fn plimptons_decompositions_are_the_ca_algorithms() {
+    // §III as code: `ring` is Algorithm 1 at c = 1, `force-decomp` at c = √p;
+    // §II.C's spatial halo is Algorithm 2 at c = 1.
+    for (method, p, variant) in [
+        ("ring", "p=6", "CaAllPairs"),
+        ("force-decomp", "p=9", "CaAllPairs"),
+        ("halo-1d", "p=4", "Ca1dCutoff"),
+        ("halo-2d", "p=4", "Ca2dCutoff"),
+    ] {
         let out = cli()
             .args(["verify", &format!("method={method}"), "n=32", p, "steps=2"])
             .output()
@@ -156,7 +162,7 @@ fn force_decomp_requires_square_p() {
             out.status.success() && stdout.contains("VERIFY OK"),
             "{method}: {stdout}"
         );
-        assert!(stdout.contains("CaAllPairs"), "{method}: {stdout}");
+        assert!(stdout.contains(variant), "{method}: {stdout}");
     }
     // No √p: the usual one-line layout error, not a panic per rank.
     let out = cli()
@@ -600,7 +606,7 @@ fn run_survives_unreplicated_kill_by_shrinking() {
 
 #[test]
 fn faults_flag_rejects_bad_specs_and_non_ca_methods() {
-    let out = sh("run n=32 p=4 method=halo-1d --faults=drop:1@1");
+    let out = sh("run n=32 p=4 method=midpoint-1d --faults=drop:1@1");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("requires a CA method"), "{stderr}");
@@ -1403,7 +1409,7 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
     // A method with no schedule twin: one line says so, and the rest of
     // the analysis stands (exit 0).
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_badmethod_test");
-    for method in ["method=halo-1d", "method=allgather"] {
+    for method in ["method=midpoint-1d", "method=allgather"] {
         let run = traced(&dir, "run.json", &["n=32", "p=4", method, "steps=1"]);
         let stdout = succeeded(&analyzed(&run, &[]));
         let line = stdout.lines().find(|l| l.starts_with("no schedule twin: "));

@@ -111,8 +111,7 @@ fn cutoff_methods_match_serial() {
         (Method::Ca1dCutoff { c: 3 }, 9),
         (Method::Ca2dCutoff { c: 1 }, 6),
         (Method::Ca2dCutoff { c: 2 }, 12),
-        (Method::SpatialHalo1d, 8),
-        (Method::SpatialHalo2d, 6),
+        (Method::Ca1dCutoff { c: 1 }, 8),
     ] {
         check(&cfg, &initial, method, p, 1e-9);
     }
@@ -226,8 +225,7 @@ fn cutoff_methods_match_serial_periodic() {
         (Method::Ca1dCutoff { c: 2 }, 12),
         (Method::Ca2dCutoff { c: 1 }, 9),
         (Method::Ca2dCutoff { c: 2 }, 8),
-        (Method::SpatialHalo1d, 8),
-        (Method::SpatialHalo2d, 9),
+        (Method::Ca1dCutoff { c: 1 }, 8),
     ] {
         check(&cfg, &initial, method, p, 1e-9);
     }

@@ -170,7 +170,7 @@ fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_i
         .position(|p| p.pos.x < 0.15)
         .expect("a particle in the first slab");
     initial[fast].vel = Vec2::new(45.0, 0.0);
-    for method in [Method::Ca1dCutoff { c: 1 }, Method::SpatialHalo1d] {
+    for method in [Method::Ca1dCutoff { c: 1 }, Method::Midpoint1d] {
         let started = std::time::Instant::now();
         let run = std::panic::catch_unwind(|| run_distributed(&cfg, method, 5, &initial));
         let payload = run.expect_err("the run must not finish");
