@@ -39,6 +39,21 @@ waits() {
          /\.recv\(\)/ { printf "recv:%s ", f }' "$1"
 }
 
+# calls FN_PATTERN FILE...: for every line of FILEs' code before its test
+# module that matches the extended regex, comments skipped, the fn it is in.
+calls() {
+    local pattern=$1
+    shift
+    for f in "$@"; do
+        awk -v pat="$pattern" '/^#\[cfg\(test\)\]$/ { t = 1; next }
+             t && /^mod / { exit }
+             { t = 0 }
+             /^ *\/\// { next }
+             /^ *(pub(\([a-z]+\))? )?fn / { f = $0; sub(/^ *(pub(\([a-z]+\))? )?fn /, "", f); sub(/[<(].*/, "", f) }
+             $0 ~ pat { print f }' "$f"
+    done
+}
+
 check "the routing rule (j_new) is spelled in one file, cutoff::traversal" \
     test "$(grep -rl 'j_new' crates/core/src | wc -l)" -eq 1
 check "every method runs in the one timestep loop of sim.rs" \
@@ -133,5 +148,11 @@ check "a clean fault-tolerant step agrees on what it already sends: the flags ri
     none 'col\.allreduce' crates/core/src/recovery.rs
 check "the column-then-row agreement is gone: the leaders settle the row once and the verdict rides the team broadcast" \
     none 'fn agree\b' crates/core/src/recovery.rs
+
+check "what a shift step sends, the pipeline sends: every link.send( is in cutoff::shift_pipeline, the one shift body" \
+    test "$(calls 'link\.send\(' crates/core/src/*.rs | sort -u)" = "shift_pipeline"
+check "the half window has one predicate, cutoff::walked_window: defined once, and no other code builds a half window" \
+    test "$(grep -rn 'fn walked_window' crates src | wc -l)" -eq 1 -a \
+    "$(calls '\.half\(\)' $(find crates/*/src src -name '*.rs') | sort | uniq -c | tr -s ' ')" = " 1 walked_window"
 
 exit "$broken"

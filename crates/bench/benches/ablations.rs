@@ -140,7 +140,7 @@ fn window_constraint() {
                 continue;
             }
         };
-        let params = layout.schedule(vec![n / teams; teams]);
+        let params = layout.schedule(vec![n / teams; teams], false);
         let rep = simulate(&intrepid(), p, |r| params.program(r));
         println!(
             "{:>6} {:>8} {:>8} {:>14.6}",
@@ -181,7 +181,7 @@ fn decomposition_families() {
             continue;
         };
         let teams = layout.grid.teams();
-        let params = layout.schedule(vec![n / teams; teams]);
+        let params = layout.schedule(vec![n / teams; teams], false);
         let t = simulate(&machine, p, |r| params.program(r)).makespan;
         println!("  CA cutoff c={c:<2}        : {t:.6} s");
     }
@@ -214,7 +214,7 @@ fn dimensionality() {
         // 1D: teams slabs. 2D: the near-square grid of teams.
         for (dim, method) in [(1, Method::Ca1dCutoff { c }), (2, Method::Ca2dCutoff { c })] {
             if let Ok(layout) = cutoff_layout(method, p, rc) {
-                report_dim(&machine, dim, c, &layout.schedule(sizes.clone()));
+                report_dim(&machine, dim, c, &layout.schedule(sizes.clone(), false));
             }
         }
 

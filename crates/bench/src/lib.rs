@@ -149,7 +149,8 @@ pub fn run_cutoff_point(
         sampled_block_sizes_2d(n, tx, ty)
     };
     // The twin knows whom the leaders re-assign with; what moves is modelled.
-    let mut params = layout.schedule(sizes);
+    // No law: the paper's full window, which the figures reproduce.
+    let mut params = layout.schedule(sizes, false);
     params
         .reassign
         .as_mut()

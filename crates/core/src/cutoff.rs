@@ -51,23 +51,38 @@
 //! [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces) is
 //! `shift_pipeline` on that window (DESIGN.md §15.1).
 //!
+//! **The half window.** Under a law with a cutoff that promises
+//! `f_ji = −f_ij` the body walks the half of its window
+//! ([`walked_window`]), Plimpton's half-ring on any window: a rank asks
+//! each pair of its targets and another team's block once, the block's
+//! buffer gathers the reactions `−f` as it goes, and where its path ends
+//! the reactions go home to the block's team in one return message, which
+//! the home rank adds to its partial forces before line 9.
+//!
 //! Each phase ships what its receiver reads (DESIGN.md §16): lines 2-6 move
-//! blocks of [`Source`]s — position, mass, id — and line 9 sums bare force
-//! vectors. Velocities never leave the leader.
+//! blocks of [`Source`]s — position, mass, id — a buffer that has gathered
+//! reactions carries them beside its sources, a return is the bare force
+//! vectors, and line 9 sums bare force vectors. Velocities never leave the
+//! leader.
 
 use nbody_comm::{sum_combine, Communicator, Phase};
 use nbody_physics::particle::sources;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2};
 
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block_potential, accumulate_sources, cell_order, ComputeMeter};
+use crate::kernel::{
+    accumulate_across, accumulate_block_potential, accumulate_sources, cell_order,
+    symmetric_cutoff, ComputeMeter,
+};
 use crate::link::{Link, Strict};
-use crate::window::Window;
+use crate::window::{TeamWindow, Window};
 
 /// Tag for the skew message (line 4).
 pub const TAG_SKEW: u64 = 0x10;
 /// Base tag for shift step `s` (line 6): `TAG_SHIFT + s`.
 pub const TAG_SHIFT: u64 = 0x1000;
+/// Base tag for the reactions returned at step `s`: `TAG_RETURN + s`.
+pub const TAG_RETURN: u64 = 0x3000;
 
 /// Errors from invalid cutoff configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +150,41 @@ pub fn row_steps(window_len: usize, c: usize, k: usize) -> usize {
     (window_len + c - k - 1) / c
 }
 
+/// **The window the shift body walks** on `window` under replication `c`,
+/// for a law that promises `newton` ([`symmetric_cutoff`]): its
+/// [`half`](TeamWindow::half) when the law asks each pair once for both of
+/// its ordered pairs, `c` leaves the half room to shift (`c <` its length)
+/// and the busiest rank sends no more messages on it than the busiest rank
+/// on `window`. A rank that idled on `window` may send more: a row's return
+/// is one message where its path went home for free, and a clipped grid's
+/// edge teams return what would leave the grid. Otherwise `window` itself:
+/// the paper's full window, which the figure sweeps' twins, built with no
+/// law, keep. The run's body and its schedule twin both ask this, so ledger
+/// and twin agree.
+pub fn walked_window(window: TeamWindow, c: usize, newton: bool) -> TeamWindow {
+    let half = window.half();
+    let busiest = |w: TeamWindow| {
+        let sends = |(team, row)| -> usize {
+            let hops = traversal(w, c, team, row);
+            hops.map(|h| {
+                [h.shift_to, h.home_to, h.return_to]
+                    .iter()
+                    .flatten()
+                    .count()
+            })
+            .sum()
+        };
+        let ranks = (0..c).flat_map(|row| (0..w.teams()).map(move |team| (team, row)));
+        ranks.map(sends).max()
+    };
+    match newton && c < half.len() && busiest(half) <= busiest(window) {
+        true => half,
+        false => window,
+    }
+}
+
 /// One force evaluation of the CA cutoff algorithm (Algorithm 2 on a 1-axis
-/// [`TeamWindow`](crate::window::TeamWindow); its Fig. 5 generalization on
+/// [`TeamWindow`]; its Fig. 5 generalization on
 /// more axes).
 ///
 /// On entry, each team leader's `st` holds the particles of its *spatial*
@@ -242,7 +290,7 @@ fn team_reduce<C: Communicator>(gc: &GridComms<C>, st: &mut [Particle]) {
 /// receives nothing, and the rank updates from the copy it holds (except
 /// on Algorithm 1's full ring, see [`traversal`]). So is a hop that stays
 /// on the block it holds (`c = W`): the rank updates from its buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hop {
     /// Team the buffer held before the hop moves to; `None` when no block
     /// is held, its path leaves the team grid here, or the move would
@@ -256,11 +304,21 @@ pub struct Hop {
     /// or its home when that holder is off the grid; `None` when the block
     /// is this team's own.
     pub recv_from: Option<usize>,
+    /// Whether the incoming buffer carries the reactions its earlier
+    /// holders gathered (half windows only).
+    pub carried: bool,
     /// Block held after the hop — the one the next hop's `shift_to` moves;
     /// `None` when the new position is off the grid.
     pub block: Option<usize>,
     /// Whether line 7 runs on `block`.
     pub update: bool,
+    /// Team the reactions the held buffer gathered go home to, because its
+    /// path ends here: at its home, off the grid, or after the row's last
+    /// shift (half windows only).
+    pub return_to: Option<usize>,
+    /// Team the reactions gathered on this team's own block come back
+    /// from (half windows only).
+    pub return_from: Option<usize>,
 }
 
 /// **The routing rule of Algorithms 1 and 2**, for the row-`row` processor
@@ -291,28 +349,79 @@ pub struct Hop {
 /// row but row 0 of Plimpton's force decomposition (`c = √p` on the ring)
 /// and of a cutoff run at `c = 2m + 1`.
 ///
+/// On a [half window](TeamWindow::half) a rank that updates from another
+/// team's block also gathers the reactions on it, and the row's copy of a
+/// block carries what its holders gathered from hop to hop. Where the copy's
+/// path ends — at its home, where the home's own copy takes over; off the
+/// grid; or after the row's last shift, in one more item — its holder
+/// returns the reactions to the block's team instead of shifting. A copy
+/// that gathered nothing returns nothing, and at a mirror position only the
+/// lower team asks ([`TeamWindow::asks`]).
+///
 /// The run executes these hops (the shift body, under either link) and the
 /// schedule twin ([`CutoffParams::program`]) maps the same hops to
 /// simulator ops, so who sends which block to whom has this one statement.
 ///
 /// [`CutoffParams::program`]: crate::schedule::CutoffParams::program
-pub fn traversal<W: Window>(
-    window: &W,
+pub fn traversal(
+    window: TeamWindow,
     c: usize,
     team: usize,
     row: usize,
-) -> impl Iterator<Item = Hop> + '_ {
+) -> impl Iterator<Item = Hop> {
     let w = window.len();
     // The full ring ships a row its own block home while the benchmark pins
     // `p/c²` shifts per all-pairs rank-step; remove this exception with
     // that pin (the ROADMAP's "restate the two schedule pins").
-    let ships_home = window.is_periodic() && w == window.teams();
+    let half = window.is_half();
+    let ships_home = !half && window.is_periodic() && w == window.teams();
+    let steps = row_steps(w, c, row);
+    let position = move |s: usize| (row + s * c) % w;
+    // Whether the row's copy of block `b`, as held after step `s`, carries
+    // reactions: a holder asked about it since the copy left its home.
+    let gathered = move |b: usize, s: usize| {
+        (1..=s).rev().try_for_each(|u| {
+            let j = position(u);
+            let holder = window.apply(b, j).filter(|_| j != 0).ok_or(false)?;
+            match window.asks(holder, j) {
+                true => Err(true),
+                // A copy that arrived from its home is a fresh one.
+                false => window.apply(b, position(u - 1)).map(|_| ()).ok_or(false),
+            }
+        }) == Err(true)
+    };
+    // Whether the path of the copy of `b` held after step `s − 1` ends at
+    // step `s`, its reactions going home.
+    let ends = move |b: usize, s: usize| {
+        gathered(b, s - 1)
+            && (s > steps || position(s) == 0 || window.apply(b, position(s)).is_none())
+    };
+    // One more item where a half window's row ends away from home.
+    let last = steps + usize::from(half && position(steps) != 0);
     // Position and block before the hop: every row starts on its own block.
     let mut at = (0, Some(team));
-    (0..=row_steps(w, c, row)).map(move |s| {
-        let j_new = (row + s * c) % w;
+    (0..=last).map(move |s| {
+        let (j_prev, held) = at;
+        let returns = match half && s > 0 {
+            false => Hop::default(),
+            true => Hop {
+                return_to: held.filter(|&b| ends(b, s)),
+                return_from: window
+                    .apply(team, j_prev)
+                    .filter(|_| j_prev != 0 && ends(team, s)),
+                ..Hop::default()
+            },
+        };
+        if s > steps {
+            return Hop {
+                block: held,
+                ..returns
+            };
+        }
+        let j_new = position(s);
         let block = window.apply_back(team, j_new);
-        let (j_prev, held) = std::mem::replace(&mut at, (j_new, block));
+        at = (j_new, block);
+        let update = s > 0 && block.is_some() && window.asks(team, j_new);
         // Landing on its own block, a rank moves nothing: it has held that
         // block since line 2. Every rank of the row lands on its own at
         // this step, so every send it would have taken carries a block to
@@ -322,11 +431,9 @@ pub fn traversal<W: Window>(
         let home = block == Some(team);
         if (home && (s == 0 || !ships_home)) || (!home && j_new == j_prev) {
             return Hop {
-                shift_to: None,
-                home_to: None,
-                recv_from: None,
                 block,
-                update: s > 0 && block.is_some(),
+                update,
+                ..returns
             };
         }
         Hop {
@@ -338,22 +445,27 @@ pub fn traversal<W: Window>(
                 Some(_) => None,
             },
             recv_from: block.map(|b| window.apply(b, j_prev).unwrap_or(b)),
+            carried: half && block.is_some_and(|b| s > 0 && gathered(b, s - 1)),
             block,
-            update: s > 0 && block.is_some(),
+            update,
+            ..returns
         }
     })
 }
 
-/// Lines 3-8 of both algorithms: walk [`traversal`] with the targets `st`
-/// and the exchange buffer `exch`, this rank's copy of its team's block as
-/// [`Source`]s (line 3; the plain entry passes the broadcast buffer
-/// itself). The buffer is moved into every send and replaced by the one
-/// received. The one body behind every `ca_*_forces*` entry: [`Strict`]
-/// link in the plain ones, one [`Deadline`](crate::link::Deadline) link per
-/// recovery attempt in the fault-tolerant ones (so the home copy is rebuilt
-/// from the checkpointed state on every retry). With `potential` set, the
-/// kernel also harvests the summed pair potential into it (the health
-/// monitors' potential-energy partial).
+/// Lines 3-8 of both algorithms: walk [`traversal`] of the
+/// [`walked_window`] with the targets `st` and the exchange buffer `exch`,
+/// this rank's copy of its team's block as [`Source`]s (line 3; the plain
+/// entry passes the broadcast buffer itself). The buffer is moved into
+/// every send and replaced by the one received, with the reactions it
+/// gathered on a half window; the reactions returned to this rank are added
+/// to its targets' forces. The one body behind every `ca_*_forces*` entry:
+/// [`Strict`] link in the plain ones, one
+/// [`Deadline`](crate::link::Deadline) link per recovery attempt in the
+/// fault-tolerant ones (so the home copy is rebuilt from the checkpointed
+/// state on every retry). With `potential` set, the kernel also harvests
+/// the summed pair potential into it (the health monitors'
+/// potential-energy partial).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
@@ -366,6 +478,7 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     link: &L,
     mut potential: Option<&mut f64>,
 ) -> Result<(), L::Error> {
+    let window = walked_window(window.team_window(), gc.grid.c(), symmetric_cutoff(law));
     // `home` is the immutable copy used to re-inject this team's block when
     // a traversal wraps across the domain boundary; a periodic window has
     // no boundary to wrap across and keeps none.
@@ -381,6 +494,9 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
         "mem_particles_hwm",
         (st.len() + exch.len() + home.len()) as u64,
     );
+    // The reactions the held buffer has gathered, one per source, if it
+    // has gathered any: an empty block gathers an empty vector.
+    let mut reactions: Option<Vec<Vec2>> = None;
 
     // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
     // the trace carry the step, so an analyzer can place every wait in the
@@ -400,16 +516,37 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
         tr.set_step(Some(s as u32));
         link.step(&gc.col, s)?;
         if let Some(holder) = hop.shift_to {
-            link.send(&gc.row, holder, tag, std::mem::take(&mut exch));
+            let buffer = std::mem::take(&mut exch);
+            match reactions.take() {
+                None => link.send(&gc.row, holder, tag, buffer),
+                Some(gathered) => {
+                    let carried: Vec<(Source, Vec2)> = buffer.into_iter().zip(gathered).collect();
+                    link.send(&gc.row, holder, tag, carried);
+                }
+            }
         }
         if let Some(needy) = hop.home_to {
             link.send(&gc.row, needy, tag, home.clone());
         }
+        if let Some(team) = hop.return_to {
+            let gathered = reactions.take().expect("a path ends where it gathered");
+            link.send(&gc.row, team, TAG_RETURN + s as u64, gathered);
+        }
         match (hop.recv_from, hop.block) {
-            (Some(src), _) => exch = link.recv(&gc.row, src, tag)?,
+            (Some(src), _) if hop.carried => {
+                let carried: Vec<(Source, Vec2)> = link.recv(&gc.row, src, tag)?;
+                let gathered;
+                (exch, gathered) = carried.into_iter().unzip();
+                reactions = Some(gathered);
+            }
+            (Some(src), _) => {
+                exch = link.recv(&gc.row, src, tag)?;
+                reactions = None;
+            }
             // The new position is off the grid: this rank idles.
             (None, None) => exch = Vec::new(),
-            // Row 0's skew, or a stay: the buffer already holds the block.
+            // Row 0's skew, a stay, or the item after a half window's last
+            // shift: the buffer already holds the block.
             (None, Some(b)) if s == 0 || b != gc.team() => {}
             // Home: the block is the team's own, and `st` holds its ids,
             // positions and masses in the broadcast's order. The buffer is
@@ -421,12 +558,29 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
                 exch.extend(st.iter().map(Source::from));
             }
         }
-        // Line 7, once per window position.
+        // Line 7, once per window position; another team's block gathers
+        // its reactions on a half window.
         if hop.update {
+            let across = window.is_half() && hop.block != Some(gc.team());
+            let len = exch.len();
+            let reactions =
+                across.then(|| &mut reactions.get_or_insert_with(|| vec![Vec2::zero(); len])[..]);
             gc.col.set_phase(Phase::Other);
             meter.time(st.len(), exch.len(), || {
-                update(st, &exch, law, domain, boundary, &mut potential)
+                update(st, &exch, law, domain, boundary, &mut potential, reactions)
             });
+        }
+        if let Some(holder) = hop.return_from {
+            gc.col.set_phase(Phase::Shift);
+            let returned: Vec<Vec2> = link.recv(&gc.row, holder, TAG_RETURN + s as u64)?;
+            debug_assert_eq!(
+                returned.len(),
+                st.len(),
+                "a return is the block it went out as"
+            );
+            for (p, f) in st.iter_mut().zip(returned) {
+                p.force += f;
+            }
         }
     }
     tr.set_step(None);
@@ -434,8 +588,9 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
 }
 
 /// Line 7: update `st` from the block in `exch`, additionally harvesting
-/// the pair potential when an accumulator rides along. Returns the kernel's
-/// evaluation count.
+/// the pair potential when an accumulator rides along, and asking each
+/// pair once for both ways when `reactions` takes the block's reactions.
+/// Returns the kernel's evaluation count.
 fn update<F: ForceLaw>(
     st: &mut [Particle],
     exch: &[Source],
@@ -443,14 +598,24 @@ fn update<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
     potential: &mut Option<&mut f64>,
+    reactions: Option<&mut [Vec2]>,
 ) -> u64 {
-    match potential {
-        Some(pe) => {
+    match (reactions, potential) {
+        (Some(reactions), pe) => accumulate_across(
+            st,
+            exch,
+            law,
+            domain,
+            boundary,
+            reactions,
+            pe.as_deref_mut(),
+        ),
+        (None, Some(pe)) => {
             let (evals, dpe) = accumulate_block_potential(st, exch, law, domain, boundary);
             **pe += dpe;
             evals
         }
-        None => accumulate_sources(st, exch, law, domain, boundary),
+        (None, None) => accumulate_sources(st, exch, law, domain, boundary),
     }
 }
 

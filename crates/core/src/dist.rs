@@ -87,11 +87,7 @@ pub fn spatial_subset_1d(
     teams: usize,
     b: usize,
 ) -> Vec<Particle> {
-    particles
-        .iter()
-        .filter(|p| team_of_x(domain, teams, p.pos.x) == b)
-        .copied()
-        .collect()
+    deal(particles, teams, |p| team_of_x(domain, teams, p.pos.x) == b)
 }
 
 /// Select the particles of team `b` under the 2D spatial decomposition.
@@ -102,11 +98,18 @@ pub fn spatial_subset_2d(
     ty: usize,
     b: usize,
 ) -> Vec<Particle> {
-    particles
-        .iter()
-        .filter(|p| team_of_xy(domain, tx, ty, p.pos.x, p.pos.y) == b)
-        .copied()
-        .collect()
+    deal(particles, tx * ty, |p| {
+        team_of_xy(domain, tx, ty, p.pos.x, p.pos.y) == b
+    })
+}
+
+/// The particles `mine` picks, in one scan, into a block reserved once at
+/// an even share of `teams`: a block no larger is allocated once, a larger
+/// one grows once more, where collecting grew it by doubling from nothing.
+fn deal(particles: &[Particle], teams: usize, mine: impl Fn(&Particle) -> bool) -> Vec<Particle> {
+    let mut block = Vec::with_capacity(particles.len() / teams.max(1));
+    block.extend(particles.iter().filter(|p| mine(p)).copied());
+    block
 }
 
 #[cfg(test)]

@@ -107,15 +107,19 @@ impl Harvest for PotentialSum {
 /// like [`Harvest`], so that the copies of the nest that never meet a pair
 /// twice carry no trace of it: [`OneWay`] is the nest as it was.
 trait Reaction {
-    /// Whether each unordered pair is asked once, its reaction added to the
-    /// source's pending accumulator.
-    const NEWTON: bool;
+    /// Whether each pair asked stands for both of its ordered pairs, its
+    /// reaction subtracted into the source's pending accumulator.
+    const REACTS: bool;
+
+    /// Whether the sources are the targets, in their order: each unordered
+    /// pair is then met twice and asked by its lower index.
+    const DIAGONAL: bool;
 
     /// The pending accumulators of the sources `run`, where their
     /// reactions go, or none.
     #[inline(always)]
     fn slots(pending: &mut [Vec2], run: Range<usize>) -> &mut [Vec2] {
-        if Self::NEWTON {
+        if Self::REACTS {
             &mut pending[run]
         } else {
             &mut []
@@ -127,7 +131,8 @@ trait Reaction {
 struct OneWay;
 
 impl Reaction for OneWay {
-    const NEWTON: bool = false;
+    const REACTS: bool = false;
+    const DIAGONAL: bool = false;
 }
 
 /// Newton's third law on a block against itself: the sources are the
@@ -136,7 +141,27 @@ impl Reaction for OneWay {
 struct Newton;
 
 impl Reaction for Newton {
-    const NEWTON: bool = true;
+    const REACTS: bool = true;
+    const DIAGONAL: bool = true;
+}
+
+/// Newton's third law across two blocks: every reached source is walked,
+/// and its reaction goes to a per-source accumulator that starts at zero
+/// and is added to the caller's once the call is done. Under the same
+/// promise as [`Newton`].
+struct Across;
+
+impl Reaction for Across {
+    const REACTS: bool = true;
+    const DIAGONAL: bool = false;
+}
+
+/// Whether a law lets the kernel ask a pair once for both of its ordered
+/// pairs: it has a cutoff and promises `f_ji = −f_ij` (DESIGN.md §14.8).
+/// The cutoff half of the gate leaves the all-pairs runs, whose bits the
+/// scalar loop's oracle pins, on the loop they were.
+pub fn symmetric_cutoff<F: ForceLaw>(law: &F) -> bool {
+    law.cutoff().is_some() && law.is_symmetric()
 }
 
 /// Whether `sources` are `targets`: the same ids in the same order.
@@ -291,8 +316,9 @@ thread_local! {
 }
 
 thread_local! {
-    /// The last [`Newton`] call's pending accumulators, which the next one
-    /// refills: a warm diagonal call allocates nothing either.
+    /// The last [`Newton`] or [`Across`] call's pending accumulators, which
+    /// the next one refills: a warm call that reacts allocates nothing
+    /// either.
     static PENDING: RefCell<Vec<Vec2>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -1084,6 +1110,12 @@ const INSERT_AHEAD: usize = 64;
 /// `−f_ij` is not `f_ji` by bits (the rounding of a strength product), and
 /// in the sign of a zero. The targets themselves are walked as they always
 /// were, so the copies of the nest under [`OneWay`] are the loop they were.
+///
+/// Under [`Across`] every pair walks what it always walked, each source's
+/// `−f` going to its pending accumulator, which starts at `+0.0`: a source
+/// gathers its reactions in target order, and `reactions` then adds them
+/// once, source by source. Subtracting a passed-over pair's `+0.0` would
+/// change no accumulator, so the cull needs no stand-in there.
 fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     targets: &mut [Particle],
     sources: &[S],
@@ -1091,13 +1123,14 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     domain: &Domain,
     boundary: Boundary,
     harvest: &mut H,
+    reactions: &mut [Vec2],
 ) -> u64 {
     // The thread's `Cells` is taken for the call and handed back after it,
     // not borrowed as `CELL_SORT` is: the nest owns it as a local, and its
     // copy for a law without a cutoff has no trace of it (DESIGN.md §14.1).
     // Whether the sources are the targets, as under `Newton` they are: then
     // a strip would hold them all, and the targets have places.
-    let mut same = R::NEWTON;
+    let mut same = R::DIAGONAL;
     let mut cells = law.cutoff().map(|r_c| {
         let mut cells = CELLS.take();
         same |= same_block(targets, sources);
@@ -1106,25 +1139,29 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
         cells
     });
     // Under `Newton` every target's accumulator, where the reactions of the
-    // sources before it gather until its pair loads it.
-    let mut pending = if R::NEWTON {
+    // sources before it gather until its pair loads it; under `Across`
+    // every source's reactions, from zero.
+    let mut pending = if R::REACTS {
         let mut pending = PENDING.take();
         pending.clear();
-        pending.extend(targets.iter().map(|t| t.force));
+        match R::DIAGONAL {
+            true => pending.extend(targets.iter().map(|t| t.force)),
+            false => pending.resize(sources.len(), Vec2::zero()),
+        }
         pending
     } else {
         Vec::new()
     };
     // A block against itself under `Newton` never meets its self pairs:
     // they are counted here.
-    let mut skipped: u64 = if R::NEWTON { targets.len() as u64 } else { 0 };
+    let mut skipped: u64 = if R::DIAGONAL { targets.len() as u64 } else { 0 };
     // By value: the walk's copy is its own, kept in registers.
     let place = (*domain, boundary);
     for (pair_index, pair) in targets.chunks_mut(2).enumerate() {
         // Where the pair sits in the block, and the first source it walks:
         // under `Newton` the one after it.
         let i = 2 * pair_index;
-        let from = if R::NEWTON { i + pair.len() } else { 0 };
+        let from = if R::DIAGONAL { i + pair.len() } else { 0 };
         // Local copies: the inner loop reads positions, masses and ids from
         // values nothing else can alias. The padding lane of an odd tail
         // duplicates lane 0 and is only ever carried, never evaluated.
@@ -1135,12 +1172,12 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
             t1,
             pos: Vec2x2::new(t0.pos, t1.pos),
         };
-        let mut acc = if R::NEWTON {
+        let mut acc = if R::DIAGONAL {
             Vec2x2::new(pending[i], pending[i + lanes.pair.len() - 1])
         } else {
             Vec2x2::new(t0.force, t1.force)
         };
-        if R::NEWTON && lanes.pair.len() == 2 {
+        if R::DIAGONAL && lanes.pair.len() == 2 {
             // The pair's own interaction, before either lane's later
             // sources: `f` to lane 0, `−f` to lane 1.
             let shown = sources[i + 1].shown();
@@ -1194,11 +1231,19 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     if let Some(cells) = cells {
         CELLS.set(cells);
     }
-    if R::NEWTON {
+    if R::REACTS {
+        if !R::DIAGONAL {
+            for (r, p) in reactions.iter_mut().zip(&pending) {
+                *r += *p;
+            }
+        }
         PENDING.set(pending);
     }
+    // A pair asked across two blocks answers both of its ordered pairs.
+    let ways = 1 + u64::from(R::REACTS && !R::DIAGONAL);
     (targets.len() as u64)
         .saturating_mul(sources.len() as u64)
+        .saturating_mul(ways)
         .saturating_sub(skipped)
 }
 
@@ -1212,8 +1257,8 @@ struct Lanes<'a> {
 
 /// The body of [`nest`], a lane pair against a run of consecutive sources,
 /// each displacement formed pair by pair as `Boundary::displacement` forms
-/// it. Under [`Newton`] `slots` are the sources' pending accumulators, one
-/// per source, and take the reactions.
+/// it. Under [`Newton`] and [`Across`] `slots` are the sources' pending
+/// accumulators, one per source, and take the reactions.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
@@ -1233,7 +1278,7 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
 ) -> Vec2x2 {
     let full = pair.len() == 2;
     // Checked once here rather than per source.
-    let slots = &mut slots[..if R::NEWTON { sources.len() } else { 0 }];
+    let slots = &mut slots[..if R::REACTS { sources.len() } else { 0 }];
     for (k, s) in sources.iter().enumerate() {
         if !full || t0.id == s.id() || t1.id == s.id() {
             // This path's `shown` is its own: a scalar `force` the compiler
@@ -1244,15 +1289,15 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
             let mut lanes = acc.to_lanes();
             for (t, a) in pair.iter().zip(&mut lanes) {
                 if t.id == s.id {
-                    // Under `Newton` both ordered pairs.
-                    *skipped += 1 + u64::from(R::NEWTON);
+                    // Where the pair reacts, both ordered pairs.
+                    *skipped += 1 + u64::from(R::REACTS);
                     continue;
                 }
                 let disp = boundary.displacement(&domain, t.pos, s.pos);
                 let f = law.force(t, s, disp);
                 *a += f;
                 harvest.pair(law, t, s, disp);
-                if R::NEWTON {
+                if R::REACTS {
                     slots[k] -= f;
                     harvest.pair(law, s, t, -disp);
                 }
@@ -1268,7 +1313,7 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
         let [d0, d1] = disp.to_lanes();
         harvest.pair(law, t0, s, d0);
         harvest.pair(law, t1, s, d1);
-        if R::NEWTON {
+        if R::REACTS {
             // Lane 0's reaction first: the slot adds its terms in source
             // order too.
             let [f0, f1] = f.to_lanes();
@@ -1280,11 +1325,12 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
     acc
 }
 
-/// The nest under the [`Reaction`] the call allows: [`Newton`] when the
-/// sources are the targets ([`same_block`]) and the law has a cutoff and
-/// promises symmetry, [`OneWay`] otherwise. Under a law without a cutoff
-/// every ordered pair is asked for itself, which gives the scalar loop's
-/// bits that the all-pairs drivers' oracle pins (DESIGN.md §14.9).
+/// The nest under the [`Reaction`] the call allows: [`Across`] when the
+/// caller takes the `reactions` of the sources, [`Newton`] when the
+/// sources are the targets ([`same_block`]) under a [`symmetric_cutoff`]
+/// law, [`OneWay`] otherwise. Under a law without a cutoff every ordered
+/// pair is asked for itself, which gives the scalar loop's bits that the
+/// all-pairs drivers' oracle pins (DESIGN.md §14.9).
 fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     targets: &mut [Particle],
     sources: &[S],
@@ -1292,11 +1338,18 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     domain: &Domain,
     boundary: Boundary,
     harvest: &mut H,
+    reactions: Option<&mut [Vec2]>,
 ) -> u64 {
-    if law.cutoff().is_some() && law.is_symmetric() && same_block(targets, sources) {
-        nest::<S, F, H, Newton>(targets, sources, law, domain, boundary, harvest)
-    } else {
-        nest::<S, F, H, OneWay>(targets, sources, law, domain, boundary, harvest)
+    let (t, s) = (targets, sources);
+    match reactions {
+        Some(reactions) => {
+            debug_assert!(symmetric_cutoff(law) && reactions.len() == s.len());
+            nest::<S, F, H, Across>(t, s, law, domain, boundary, harvest, reactions)
+        }
+        None if symmetric_cutoff(law) && same_block(t, s) => {
+            nest::<S, F, H, Newton>(t, s, law, domain, boundary, harvest, &mut [])
+        }
+        None => nest::<S, F, H, OneWay>(t, s, law, domain, boundary, harvest, &mut []),
     }
 }
 
@@ -1327,7 +1380,15 @@ pub fn accumulate_block<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> u64 {
-    accumulate(targets, sources, law, domain, boundary, &mut NoHarvest)
+    accumulate(
+        targets,
+        sources,
+        law,
+        domain,
+        boundary,
+        &mut NoHarvest,
+        None,
+    )
 }
 
 /// [`accumulate_block`] over a block of any [`KernelSource`] — the compact
@@ -1343,7 +1404,51 @@ pub fn accumulate_sources<S: KernelSource, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> u64 {
-    accumulate(targets, sources, law, domain, boundary, &mut NoHarvest)
+    accumulate(
+        targets,
+        sources,
+        law,
+        domain,
+        boundary,
+        &mut NoHarvest,
+        None,
+    )
+}
+
+/// [`accumulate_sources`] asking each pair once for both of its ordered
+/// pairs, under a law that promises it ([`symmetric_cutoff`]) and on two
+/// different blocks: every target adds `f` as `accumulate_sources` would,
+/// in the same order and so to the same bits, and `reactions[k]` gains
+/// source `k`'s `−f` summed over the targets in their order. With
+/// `potential` set, every answered ordered pair's potential is added to
+/// it, as [`accumulate_block_potential`] adds them. Returns both ordered
+/// pairs of every answered pair: `2 · targets · sources`.
+pub fn accumulate_across<S: KernelSource, F: ForceLaw>(
+    targets: &mut [Particle],
+    sources: &[S],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    reactions: &mut [Vec2],
+    potential: Option<&mut f64>,
+) -> u64 {
+    match potential {
+        Some(pe) => {
+            let (answered, dpe) =
+                harvested(targets, sources, law, domain, boundary, Some(reactions));
+            *pe += dpe;
+            answered
+        }
+        None => accumulate(
+            targets,
+            sources,
+            law,
+            domain,
+            boundary,
+            &mut NoHarvest,
+            Some(reactions),
+        ),
+    }
 }
 
 /// [`accumulate_sources`], additionally harvesting the summed pair potential
@@ -1367,8 +1472,29 @@ pub fn accumulate_block_potential<S: KernelSource, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> (u64, f64) {
+    harvested(targets, sources, law, domain, boundary, None)
+}
+
+/// The pairs answered and the potential harvested, under the reaction the
+/// caller asks for.
+fn harvested<S: KernelSource, F: ForceLaw>(
+    targets: &mut [Particle],
+    sources: &[S],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    reactions: Option<&mut [Vec2]>,
+) -> (u64, f64) {
     let mut harvest = PotentialSum::default();
-    let answered = accumulate(targets, sources, law, domain, boundary, &mut harvest);
+    let answered = accumulate(
+        targets,
+        sources,
+        law,
+        domain,
+        boundary,
+        &mut harvest,
+        reactions,
+    );
     let culled = answered.saturating_sub(harvest.pairs);
     if culled > 0 {
         // A displacement beyond every cutoff: the cull only rules out pairs
@@ -1831,6 +1957,24 @@ mod tests {
         assert_eq!(
             work, pinned,
             "(asks, reaches, gathers) of the own, next and seam calls"
+        );
+        let mut targets = own.clone();
+        let mut reactions = vec![Vec2::zero(); next.len()];
+        let counted = CountAsks(law, AtomicU64::new(0));
+        accumulate_across(
+            &mut targets,
+            &next,
+            &counted,
+            &domain,
+            boundary,
+            &mut reactions,
+            None,
+        );
+        let w = CELLS.with_borrow(|cells| cells.work);
+        let across = (counted.1.into_inner(), w.reaches, w.gathers);
+        assert_eq!(
+            across, pinned[1],
+            "(asks, reaches, gathers) of the cross call"
         );
     }
 

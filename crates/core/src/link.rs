@@ -15,12 +15,13 @@
 use std::convert::Infallible;
 use std::time::Duration;
 
-use nbody_comm::{CommError, Communicator};
-use nbody_physics::Source;
+use nbody_comm::{CommData, CommError, Communicator};
 
 /// How a shift pipeline announces its steps and moves exchange buffers
-/// along the row communicator. A buffer is a block of [`Source`]s and
-/// changes hands whole: `send` takes it, `recv` returns the sender's.
+/// along the row communicator. A buffer is a block of sources — with the
+/// reactions it gathered, on a half window — or a block's returned
+/// reactions, and changes hands whole: `send` takes it, `recv` returns the
+/// sender's.
 pub(crate) trait Link {
     /// What a step or a receive can fail with.
     type Error;
@@ -30,15 +31,15 @@ pub(crate) trait Link {
     fn step<C: Communicator>(&self, comm: &C, s: usize) -> Result<(), Self::Error>;
 
     /// Buffered send of an exchange buffer to row rank `dst`.
-    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: Vec<Source>);
+    fn send<C: Communicator, T: CommData>(&self, row: &C, dst: usize, tag: u64, data: Vec<T>);
 
     /// Receive the exchange buffer row rank `src` sent under `tag`.
-    fn recv<C: Communicator>(
+    fn recv<C: Communicator, T: CommData>(
         &self,
         row: &C,
         src: usize,
         tag: u64,
-    ) -> Result<Vec<Source>, Self::Error>;
+    ) -> Result<Vec<T>, Self::Error>;
 }
 
 /// The failure-free link of the paper's algorithms.
@@ -65,17 +66,17 @@ impl Link for Strict {
     }
 
     #[inline]
-    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: Vec<Source>) {
+    fn send<C: Communicator, T: CommData>(&self, row: &C, dst: usize, tag: u64, data: Vec<T>) {
         row.send_vec(dst, tag, data);
     }
 
     #[inline]
-    fn recv<C: Communicator>(
+    fn recv<C: Communicator, T: CommData>(
         &self,
         row: &C,
         src: usize,
         tag: u64,
-    ) -> Result<Vec<Source>, Infallible> {
+    ) -> Result<Vec<T>, Infallible> {
         Ok(row.recv(src, tag))
     }
 }
@@ -95,16 +96,16 @@ impl Link for Deadline {
         comm.fault_step(s)
     }
 
-    fn send<C: Communicator>(&self, row: &C, dst: usize, tag: u64, data: Vec<Source>) {
+    fn send<C: Communicator, T: CommData>(&self, row: &C, dst: usize, tag: u64, data: Vec<T>) {
         row.send_vec(dst, tag + self.tag_base, data);
     }
 
-    fn recv<C: Communicator>(
+    fn recv<C: Communicator, T: CommData>(
         &self,
         row: &C,
         src: usize,
         tag: u64,
-    ) -> Result<Vec<Source>, CommError> {
+    ) -> Result<Vec<T>, CommError> {
         row.try_recv_timeout(src, tag + self.tag_base, self.deadline)
     }
 }

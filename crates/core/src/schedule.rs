@@ -21,6 +21,7 @@ use nbody_comm::{Phase, PHASE_COUNT};
 use nbody_netsim::{CollNet, Op, TeamSpec};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 
+use crate::cutoff::{traversal, walked_window};
 use crate::dist::block_range;
 use crate::grid::ProcGrid;
 use crate::kernel::block_interactions;
@@ -93,6 +94,12 @@ pub struct CutoffParams<W: Window> {
     pub coll_net: CollNet,
     /// Optional re-assignment traffic appended after the force phase.
     pub reassign: Option<ReassignModel>,
+    /// Whether the run's law asks each pair once for both of its ordered
+    /// pairs ([`symmetric_cutoff`](crate::kernel::symmetric_cutoff)): the
+    /// twin then walks the window the shift body walks
+    /// ([`walked_window`]). `false`, the
+    /// paper's full window, for a twin built with no law.
+    pub newton: bool,
 }
 
 impl<W: Window> CutoffParams<W> {
@@ -108,16 +115,19 @@ impl<W: Window> CutoffParams<W> {
             block_sizes,
             coll_net: CollNet::Torus,
             reassign: None,
+            newton: false,
         }
     }
 
-    /// The op stream of `rank`: the hops of the one
-    /// [`traversal`](crate::cutoff::traversal) the shift body executes,
-    /// between the team collectives. A hop emits at most four ops from a
-    /// fixed array — no heap allocation per step, which Fig. 2/3 at
-    /// p = 24,576 would pay `p/c²` times per rank.
+    /// The op stream of `rank`: the hops of the one [`traversal`] the
+    /// shift body executes, between the team collectives. A hop emits at
+    /// most six ops from a fixed array — no heap allocation per step,
+    /// which Fig. 2/3 at p = 24,576 would pay `p/c²` times per rank. A
+    /// return carries one element per particle of the block, as the shift
+    /// did.
     pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
         let grid = self.grid;
+        let window = walked_window(self.window.team_window(), grid.c(), self.newton);
         let teams = grid.teams();
         let c = grid.c();
         let t = grid.team_of(rank);
@@ -135,7 +145,7 @@ impl<W: Window> CutoffParams<W> {
 
         // The block a hop's shift moves is the one the hop before left.
         let mut held = Some(t);
-        let hops = crate::cutoff::traversal(&self.window, c, t, k).enumerate();
+        let hops = traversal(window, c, t, k).enumerate();
         let body = hops.flat_map(move |(s, hop)| {
             let phase = if s == 0 { Phase::Skew } else { Phase::Shift };
             let send = |to: usize, block: usize| Op::Send {
@@ -146,14 +156,29 @@ impl<W: Window> CutoffParams<W> {
             let sent = std::mem::replace(&mut held, hop.block);
             let shift = hop.shift_to.zip(sent).map(|(to, b)| send(to, b));
             let home_route = hop.home_to.map(|to| send(to, t));
-            let recv = hop.recv_from.map(|from| Op::Recv {
-                from: grid.rank_at(from, k),
-                phase,
-            });
+            let returned = hop.return_to.zip(sent).map(|(to, b)| send(to, b));
+            let recv = |from: Option<usize>| {
+                from.map(|from| Op::Recv {
+                    from: grid.rank_at(from, k),
+                    phase,
+                })
+            };
+            // A pair asked across two blocks answers both ordered pairs.
+            let ways = 1 + u64::from(window.is_half() && hop.block != Some(t));
             let compute = hop.block.filter(|_| hop.update).map(|b| Op::Compute {
-                interactions: block_interactions(self.block_sizes[t], self.block_sizes[b], b == t),
+                interactions: ways
+                    * block_interactions(self.block_sizes[t], self.block_sizes[b], b == t),
             });
-            [shift, home_route, recv, compute].into_iter().flatten()
+            [
+                shift,
+                home_route,
+                returned,
+                recv(hop.recv_from),
+                compute,
+                recv(hop.return_from),
+            ]
+            .into_iter()
+            .flatten()
         });
 
         let mut epilogue: Vec<Op> = Vec::new();
@@ -493,7 +518,7 @@ mod midpoint_schedule_tests {
             Some(r_c),
         )
         .unwrap();
-        let full = layout.schedule(sizes.clone());
+        let full = layout.schedule(sizes.clone(), false);
         let half = MidpointParams {
             window: TeamWindow::from_cutoff(&domain, (teams, 1), false, r_c / 2.0),
             block_sizes: sizes,

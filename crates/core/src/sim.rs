@@ -688,13 +688,17 @@ impl Layout {
     }
 
     /// The schedule twin of one timestep's communication on this layout,
-    /// given the particles each team owns: a force evaluation and, where
-    /// leaders re-assign, the neighbour exchange after it (as many messages
-    /// as the run sends; their payload is the caller's to model). Panics on
-    /// a method that is not one of the CA algorithms.
-    pub fn schedule(&self, block_sizes: Vec<usize>) -> CutoffParams<TeamWindow> {
+    /// given the particles each team owns and whether the run's law asks
+    /// each pair once for both ways (`newton`,
+    /// [`symmetric_cutoff`](crate::kernel::symmetric_cutoff); `false` for a
+    /// twin with no law): a force evaluation and, where leaders re-assign,
+    /// the neighbour exchange after it (as many messages as the run sends;
+    /// their payload is the caller's to model). Panics on a method that is
+    /// not one of the CA algorithms.
+    pub fn schedule(&self, block_sizes: Vec<usize>, newton: bool) -> CutoffParams<TeamWindow> {
         assert!(self.method.is_ca(), "{}", self.method.not_ca());
         let mut params = CutoffParams::new(self.grid, self.window, block_sizes);
+        params.newton = newton;
         params.reassign = self
             .neighbourhood()
             .map(|hood| ReassignModel { hood, bytes: 0 });

@@ -31,6 +31,13 @@
 //!   the width is capped at one visit per team. At the cap, a wrapping
 //!   1-axis window is the all-pairs traversal: [`TeamWindow::ring`] is
 //!   Algorithm 1's addressing, `apply(t, j) = (t + j) mod teams`.
+//! * **Half** windows ([`TeamWindow::half`]) keep the zero offset and the
+//!   offsets that are lexicographically positive — the highest axis first —
+//!   in the full window's order: each unordered pair of teams once, for a
+//!   law that answers both ways from one ask (DESIGN.md §14.8). On a
+//!   wrapping axis at an even cap the antipodal offset is its own mirror;
+//!   it stays, and only the lower team of each such pair asks about it
+//!   ([`TeamWindow::asks`]).
 
 use nbody_physics::Domain;
 
@@ -60,6 +67,10 @@ pub trait Window: Clone + Send + Sync {
     fn is_periodic(&self) -> bool {
         false
     }
+
+    /// The [`TeamWindow`] this window is: what the shift body derives the
+    /// window it walks from.
+    fn team_window(&self) -> TeamWindow;
 }
 
 /// Signed offset of position `j` on an axis of width `w`:
@@ -72,6 +83,26 @@ fn signed_offset(j: usize, w: usize) -> i64 {
     } else {
         j as i64 - w as i64
     }
+}
+
+/// Whether position `j` of a width-`w` axis is its own mirror: the zero
+/// offset, or the antipodal offset of an even (wrapping, capped) width.
+#[inline]
+fn self_mirror(j: usize, w: usize) -> bool {
+    (w - j) % w == j
+}
+
+/// Positions of a half window over the axes whose widths are `widths`,
+/// given a lower sub-window of `full` positions of which `half` are in its
+/// half: each axis keeps its mirror positions over the lower half and its
+/// `(w − 1)/2` positive positions over the whole lower window.
+fn half_len(widths: &[usize]) -> usize {
+    let (mut full, mut half) = (1, 1);
+    for &w in widths {
+        half = half * (1 + usize::from(w % 2 == 0)) + full * ((w - 1) / 2);
+        full *= w;
+    }
+    half
 }
 
 /// The window over a grid of up to three axes of teams (module docs): the
@@ -90,6 +121,8 @@ pub struct TeamWindow {
     /// Window positions along each axis (1 on unused axes).
     widths: [usize; 3],
     wraps: bool,
+    /// Whether the positions are the half window's ([`TeamWindow::half`]).
+    half: bool,
 }
 
 impl TeamWindow {
@@ -102,6 +135,7 @@ impl TeamWindow {
             dims: [1; 3],
             widths: [1; 3],
             wraps,
+            half: false,
         };
         for (i, (&d, &m)) in dims.iter().zip(spans).enumerate() {
             assert!(d > 0, "an axis needs at least one team");
@@ -113,8 +147,79 @@ impl TeamWindow {
             } else {
                 2 * m.min(d - 1) + 1
             };
+            // The invariant `moved` wraps by: every offset is shorter than
+            // its axis, `⌊w/2⌋ < d`.
+            assert!(
+                w.widths[i] / 2 < d,
+                "an offset must be shorter than its axis"
+            );
         }
         w
+    }
+
+    /// The half of this window: its zero offset and its lexicographically
+    /// positive offsets (the highest axis decides first), in this window's
+    /// order, and the mirror positions of an even wrapping width, which
+    /// only the lower team of each pair asks about ([`TeamWindow::asks`]).
+    /// In 1-D that is positions `0..=m`, `0..=w/2` at an even cap: a prefix
+    /// of the full order. Every unordered pair of teams the full window
+    /// reaches is reached once, by one of its two teams.
+    pub fn half(self) -> Self {
+        TeamWindow { half: true, ..self }
+    }
+
+    /// Whether this is a half window.
+    pub fn is_half(&self) -> bool {
+        self.half
+    }
+
+    /// Whether `team` asks about the pairs it meets at position `j`:
+    /// everywhere but at a mirror position of a half window, where only the
+    /// lower team of the pair does.
+    pub fn asks(&self, team: usize, j: usize) -> bool {
+        if !self.half {
+            return true;
+        }
+        let at = self.position(j);
+        let coordinates = self.coordinates(at).into_iter().zip(self.widths);
+        let mirror = at != 0 && coordinates.into_iter().all(|(j, w)| self_mirror(j, w));
+        !mirror || self.apply_back(team, j).is_some_and(|b| team < b)
+    }
+
+    /// Position `j` of this window as a position of the full window: `j`
+    /// itself unless this is a half window. Per axis from the highest, a
+    /// half window holds the mirror position 0 over the lower axes' half,
+    /// the positive positions over the whole lower window each and, at an
+    /// even width, the antipodal position over the lower half again.
+    fn position(&self, j: usize) -> usize {
+        if !self.half {
+            return j;
+        }
+        let (mut h, mut at) = (j, 0);
+        for axis in (0..3).rev() {
+            let (w, lower) = (self.widths[axis], &self.widths[..axis]);
+            let (full, half) = (lower.iter().product::<usize>(), half_len(lower));
+            let positive = (w - 1) / 2;
+            if h < half {
+                continue;
+            }
+            h -= half;
+            if h < positive * full {
+                return at + (1 + h / full) * full + h % full;
+            }
+            h -= positive * full;
+            at += w / 2 * full;
+        }
+        at
+    }
+
+    /// The per-axis positions of full position `j`, x first.
+    fn coordinates(&self, mut j: usize) -> [usize; 3] {
+        self.widths.map(|w| {
+            let at = j % w;
+            j /= w;
+            at
+        })
     }
 
     /// Clipped window over `dims` teams per axis, spanning `spans[i]` teams
@@ -176,19 +281,23 @@ impl TeamWindow {
     /// Splits `j` and `team` x-fastest, moves each coordinate by its axis
     /// offset — wrapped or bounds-checked — and recombines row-major.
     fn moved(&self, team: usize, j: usize, sign: i64) -> Option<usize> {
-        let (mut team, mut j, mut stride, mut to) = (team, j, 1, 0);
+        let (mut team, mut j, mut stride, mut to) = (team, self.position(j), 1, 0);
         for (&d, &w) in self.dims.iter().zip(&self.widths) {
             // A unit axis contributes coordinate 0 at stride 1.
             if d == 1 {
                 continue;
             }
-            let at = (team % d) as i64 + sign * signed_offset(j % w, w);
-            let at = if self.wraps {
-                at.rem_euclid(d as i64)
-            } else if (0..d as i64).contains(&at) {
+            // Within one axis length of the axis, by the constructor's
+            // invariant: one step round it wraps.
+            let (at, len) = ((team % d) as i64 + sign * signed_offset(j % w, w), d as i64);
+            let at = if (0..len).contains(&at) {
                 at
-            } else {
+            } else if !self.wraps {
                 return None;
+            } else if at < 0 {
+                at + len
+            } else {
+                at - len
             };
             to += at as usize * stride;
             (team, j, stride) = (team / d, j / w, stride * d);
@@ -199,7 +308,10 @@ impl TeamWindow {
 
 impl Window for TeamWindow {
     fn len(&self) -> usize {
-        self.widths.iter().product()
+        match self.half {
+            true => half_len(&self.widths),
+            false => self.widths.iter().product(),
+        }
     }
 
     fn teams(&self) -> usize {
@@ -216,6 +328,10 @@ impl Window for TeamWindow {
 
     fn is_periodic(&self) -> bool {
         self.wraps
+    }
+
+    fn team_window(&self) -> TeamWindow {
+        *self
     }
 }
 
@@ -251,6 +367,10 @@ impl Window for Window1dPeriodic {
 
     fn is_periodic(&self) -> bool {
         self.0.is_periodic()
+    }
+
+    fn team_window(&self) -> TeamWindow {
+        self.0
     }
 }
 
@@ -383,6 +503,59 @@ mod tests {
         assert_eq!(w.apply(0, 0), Some(0));
         let w2 = TeamWindow::clipped(&[1, 1], &[2, 2]);
         assert_eq!(w2.len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod half_tests {
+    use super::*;
+
+    /// The half window's positions are the full window's zero offset and
+    /// positive offsets, in its order: a prefix in 1-D, `0..=w/2` at an even
+    /// cap whose antipodal offset only the lower team asks about, and the
+    /// positive rows after row 0's positive half in 2-D.
+    #[test]
+    fn half_positions_are_the_positive_offsets_in_order() {
+        let offsets = |w: TeamWindow, t: usize| -> Vec<Option<usize>> {
+            (0..w.len()).map(|j| w.apply_back(t, j)).collect()
+        };
+        let odd = TeamWindow::wrapping(&[9], &[2]);
+        assert_eq!(odd.half().len(), 3);
+        assert_eq!(offsets(odd.half(), 4), offsets(odd, 4)[..3].to_vec());
+        let even = TeamWindow::ring(4);
+        assert_eq!(even.half().len(), 3);
+        assert_eq!(offsets(even.half(), 0), [Some(0), Some(3), Some(2)]);
+        let asks: Vec<bool> = (0..4).map(|t| even.half().asks(t, 2)).collect();
+        assert_eq!(asks, [true, true, false, false], "the lower of 0-2 and 1-3");
+        // 3 x 3 wrapping: (0,0), (1,0), then the row oy = 1 whole.
+        let grid = TeamWindow::wrapping(&[3, 3], &[1, 1]).half();
+        assert_eq!(grid.len(), 5);
+        let want = [4, 3, 1, 0, 2].map(Some);
+        assert_eq!(offsets(grid, 4), want, "team (1, 1) less each offset");
+        assert!((0..9).all(|t| (0..5).all(|j| grid.asks(t, j))));
+    }
+
+    /// `|offset| < dim` holds on every axis of every constructor, which is
+    /// what lets `moved` wrap with one comparison.
+    #[test]
+    fn every_offset_is_shorter_than_its_axis() {
+        for d in 1..7 {
+            for m in 0..8 {
+                for w in [
+                    TeamWindow::clipped(&[d], &[m]),
+                    TeamWindow::wrapping(&[d], &[m]),
+                ] {
+                    for w in [w, w.half()] {
+                        for t in 0..d {
+                            for j in 0..w.len() {
+                                let far = |u: Option<usize>| u.is_none_or(|u| u.abs_diff(t) < d);
+                                assert!(far(w.apply(t, j)) && far(w.apply_back(t, j)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -47,6 +47,10 @@ pub struct WireScheduleSpec {
     pub boundary: Boundary,
     /// Cutoff radius, required by the cutoff methods.
     pub cutoff: Option<f64>,
+    /// Whether the run's law asks each pair once for both ways
+    /// ([`symmetric_cutoff`](crate::kernel::symmetric_cutoff)), which
+    /// decides the window its shift body walks.
+    pub newton: bool,
     /// The world's agreed shrinks, as the run's bundle recorded them.
     pub shrinks: Vec<Shrink>,
 }
@@ -128,12 +132,26 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
         let Some(next) = next.filter(|(_, l)| fits && launched && l.grid.c() == shrink.c) else {
             return Err(format!("{shrink:?} is not a shrink this run can make"));
         };
-        add_sends(&layout, n, &ranks, step - from + 1, &mut channels);
-        add_sends(&layout, n, &ranks, 1, &mut cut);
+        add_sends(
+            &layout,
+            n,
+            &ranks,
+            step - from + 1,
+            spec.newton,
+            &mut channels,
+        );
+        add_sends(&layout, n, &ranks, 1, spec.newton, &mut cut);
         (method, layout) = next;
         (ranks, n, from) = (shrink.survivors.clone(), shrink.n, step);
     }
-    add_sends(&layout, n, &ranks, spec.steps as u64 - from, &mut channels);
+    add_sends(
+        &layout,
+        n,
+        &ranks,
+        spec.steps as u64 - from,
+        spec.newton,
+        &mut channels,
+    );
     let layout = launch;
     let mut detail = format!(
         "{}{} n={} p={} c={} steps={}",
@@ -167,19 +185,21 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
     })
 }
 
-/// Add `steps` timesteps of `layout`'s schedule on `n` particles to
-/// `into`, its rank `i` being launch rank `ranks[i]`.
+/// Add `steps` timesteps of `layout`'s schedule on `n` particles, under a
+/// law that promises `newton` or not, to `into`, its rank `i` being launch
+/// rank `ranks[i]`.
 fn add_sends(
     layout: &Layout,
     n: usize,
     ranks: &[u32],
     steps: u64,
+    newton: bool,
     into: &mut BTreeMap<Channel, Sends>,
 ) {
     if steps == 0 {
         return;
     }
-    let params = layout.schedule(id_block_sizes(n, layout.grid.teams()));
+    let params = layout.schedule(id_block_sizes(n, layout.grid.teams()), newton);
     for (rank, &src) in ranks.iter().enumerate() {
         for op in params.program(rank) {
             if let Op::Send { to, bytes, phase } = op {
@@ -480,6 +500,7 @@ mod tests {
             domain: Domain::unit(),
             boundary: Boundary::Reflective,
             cutoff: None,
+            newton: false,
             shrinks: Vec::new(),
         }
     }

@@ -6,8 +6,9 @@
 
 use std::time::{Duration, Instant};
 
-use ca_nbody::cutoff::{row_steps, traversal};
+use ca_nbody::cutoff::{row_steps, traversal, walked_window};
 use ca_nbody::dist::spatial_subset_1d;
+use ca_nbody::kernel::symmetric_cutoff;
 use ca_nbody::recovery::{ca_cutoff_forces_ft, FaultError, RecoveryReport, RetryPolicy};
 use ca_nbody::sim::{
     run_distributed, run_distributed_chaos, run_serial, Layout, Method, Run, SimConfig,
@@ -15,7 +16,8 @@ use ca_nbody::sim::{
 use ca_nbody::{ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
 use nbody_comm::{run_ranks, run_ranks_chaos_with, FaultKind, FaultPlan, Lenses, MetricsSnapshot};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, ForceLaw, Particle, RepulsiveInverseSquare, SemiImplicitEuler,
+    init, Boundary, Cutoff, Domain, ForceLaw, OneWay, Particle, RepulsiveInverseSquare,
+    SemiImplicitEuler,
 };
 use proptest::prelude::*;
 
@@ -302,25 +304,43 @@ fn cutoff_c1_kill_shrinks_and_tracks_serial_reference() {
 /// One force evaluation of the fault-tolerant cutoff driver on a wrapping
 /// window (`p/c` slabs, `r_c = 0.2`) under `plan`, next to the plain
 /// driver's: per rank the ft result with the leader's block, the plain
-/// leader's block, and the merged metrics.
+/// leader's block, and the merged metrics. `newton` keeps the law's promise
+/// of `f_ji = −f_ij` and with it the half window; without it the drivers
+/// walk the paper's full window.
 #[allow(clippy::type_complexity)]
 fn wrapping_cutoff_ft(
     p: usize,
     c: usize,
     plan: &FaultPlan,
+    newton: bool,
+) -> (
+    Vec<Result<(RecoveryReport, Vec<Particle>), FaultError>>,
+    Vec<Vec<Particle>>,
+    MetricsSnapshot,
+) {
+    let repulsive = RepulsiveInverseSquare {
+        strength: 1e-3,
+        softening: 1e-3,
+    };
+    match newton {
+        true => law_cutoff_ft(p, c, plan, Cutoff::new(repulsive, 0.2)),
+        false => law_cutoff_ft(p, c, plan, OneWay(Cutoff::new(repulsive, 0.2))),
+    }
+}
+
+/// [`wrapping_cutoff_ft`] under `law`.
+#[allow(clippy::type_complexity)]
+fn law_cutoff_ft<F: ForceLaw>(
+    p: usize,
+    c: usize,
+    plan: &FaultPlan,
+    law: F,
 ) -> (
     Vec<Result<(RecoveryReport, Vec<Particle>), FaultError>>,
     Vec<Vec<Particle>>,
     MetricsSnapshot,
 ) {
     let (domain, boundary) = (Domain::unit(), Boundary::Periodic);
-    let law = Cutoff::new(
-        RepulsiveInverseSquare {
-            strength: 1e-3,
-            softening: 1e-3,
-        },
-        0.2,
-    );
     let grid = ProcGrid::new(p, c).unwrap();
     let window = TeamWindow::from_cutoff(&domain, (grid.teams(), 1), true, 0.2);
     assert!(window.len() < grid.teams(), "a cutoff window, not the ring");
@@ -354,16 +374,17 @@ fn wrapping_cutoff_ft(
     (ft, plain, artifacts.metrics)
 }
 
-/// The step that brings a row home moves no message, but it is still a
-/// pipeline step: a kill aimed at it fires, and a drop aimed at it finds
-/// nothing to drop.
+/// The step that brings a row home moves no message on the paper's full
+/// window, but it is still a pipeline step: a kill aimed at it fires, and
+/// a drop aimed at it finds nothing to drop. On the half window that step
+/// carries the row's return, and a drop aimed at it is retried.
 #[test]
 fn a_fault_at_the_home_step_of_a_wrapping_window() {
     // p = 12, c = 2: 6 slabs, W = 5, and row 1 reaches position
     // (1 + 2·2) mod 5 = 0, its own block, on its last step.
     let grid = ProcGrid::new(12, 2).unwrap();
     let (rank, home) = (grid.rank_at(1, 1), row_steps(5, 2, 1));
-    let (ft, plain, _) = wrapping_cutoff_ft(12, 2, &FaultPlan::kill(rank, home));
+    let (ft, plain, _) = wrapping_cutoff_ft(12, 2, &FaultPlan::kill(rank, home), false);
     for (r, (got, want)) in ft.into_iter().zip(&plain).enumerate() {
         let (report, st) = got.unwrap_or_else(|e| panic!("kill:{rank}@{home} at c=2: {e}"));
         assert!(report.recovered, "rank {r}");
@@ -375,7 +396,7 @@ fn a_fault_at_the_home_step_of_a_wrapping_window() {
 
     // c = 1: W = 3 on 4 slabs, row 0 comes home on step 3. Killing the
     // column's only replica there is the agreed verdict, on every rank.
-    let (ft, _, _) = wrapping_cutoff_ft(4, 1, &FaultPlan::kill(2, row_steps(3, 1, 0)));
+    let (ft, _, _) = wrapping_cutoff_ft(4, 1, &FaultPlan::kill(2, row_steps(3, 1, 0)), false);
     for got in ft {
         let err = got.map(|_| ()).unwrap_err();
         let lost = FaultError::ColumnsLost {
@@ -387,7 +408,7 @@ fn a_fault_at_the_home_step_of_a_wrapping_window() {
 
     // The home step sends nothing, so a drop aimed at it never fires.
     let plan = FaultPlan::parse(&format!("drop:{rank}@{home}")).unwrap();
-    let (ft, plain, metrics) = wrapping_cutoff_ft(12, 2, &plan);
+    let (ft, plain, metrics) = wrapping_cutoff_ft(12, 2, &plan, false);
     for (r, (got, want)) in ft.into_iter().zip(&plain).enumerate() {
         let (report, st) = got.expect("nothing was dropped");
         assert_eq!(report.attempts, 1, "rank {r}");
@@ -396,6 +417,95 @@ fn a_fault_at_the_home_step_of_a_wrapping_window() {
         }
     }
     assert_eq!(metrics.sum_counter("fault_injected_drop", None), 0);
+
+    // The half window, W = 3: row 1 comes home on step 1 having updated
+    // no other team's block, so that step still sends nothing; row 0
+    // returns what its buffer gathered on step 3, after its last shift.
+    let drop_at = |rank: usize, step: usize| {
+        let plan = FaultPlan::parse(&format!("drop:{rank}@{step}")).unwrap();
+        let (ft, plain, metrics) = wrapping_cutoff_ft(12, 2, &plan, true);
+        let attempts = ft
+            .into_iter()
+            .zip(&plain)
+            .enumerate()
+            .map(|(r, (got, want))| {
+                let (report, st) = got.unwrap_or_else(|e| panic!("drop:{rank}@{step}: {e}"));
+                if grid.row_of(r) == 0 {
+                    assert_eq!(&st, want, "rank {r}: bit-identical");
+                }
+                report.attempts
+            });
+        let attempts: Vec<usize> = attempts.collect();
+        (attempts, metrics.sum_counter("fault_injected_drop", None))
+    };
+    assert_eq!(drop_at(rank, 1), (vec![1; 12], 0));
+    assert_eq!(drop_at(grid.rank_at(1, 0), 3), (vec![2; 12], 1));
+}
+
+/// A return lost on the wire is a receive that times out like any other:
+/// a drop aimed at a step where a rank sends nothing but a return (on the
+/// half window of a symmetric law, periodic, `c = 2`) is retried once by
+/// every rank and the run lands on the fault-free particles bit for bit.
+/// The 2-D grid takes `p = 16`: on the 2 × 2 grid of `p = 8` the busiest
+/// rank would send more on the half window, which the drivers then keep
+/// full (`cutoff::walked_window`).
+#[test]
+fn a_dropped_return_is_retried_by_every_rank() {
+    let cfg = SimConfig {
+        law: Cutoff::new(RepulsiveInverseSquare::default(), 0.3),
+        boundary: Boundary::Periodic,
+        ..cutoff_cfg(2)
+    };
+    let policy = RetryPolicy::with_timeout_ms(300);
+    for (method, p, r_c) in [
+        (Method::Ca1dCutoff { c: 2 }, 8, 0.3),
+        (Method::Ca2dCutoff { c: 2 }, 16, 0.15),
+    ] {
+        let cfg = SimConfig {
+            law: Cutoff::new(RepulsiveInverseSquare::default(), r_c),
+            ..cfg
+        };
+        let initial = init::uniform(64, &cfg.domain, 31);
+        let layout = Layout::new(method, p, &cfg.domain, cfg.boundary, Some(r_c)).unwrap();
+        let (grid, c) = (layout.grid, layout.grid.c());
+        let window = walked_window(layout.window, c, symmetric_cutoff(&cfg.law));
+        assert!(window.is_half(), "{method:?} p={p}: the half window");
+        // The first rank and step, row by row, that sends a return alone.
+        let (rank, step) = (0..c)
+            .flat_map(|row| (0..grid.teams()).map(move |team| (team, row)))
+            .find_map(|(team, row)| {
+                let mut hops = traversal(window, c, team, row).enumerate();
+                hops.find(|(_, h)| {
+                    h.return_to.is_some() && h.shift_to.is_none() && h.home_to.is_none()
+                })
+                .map(|(s, _)| (grid.rank_at(team, row), s))
+            })
+            .expect("some rank returns alone");
+        let spec = format!("drop:{rank}@{step}");
+        let ctx = format!("{method:?} p={p} {spec}");
+        let plan = FaultPlan::parse(&spec).unwrap();
+        let out = Run::new(&cfg, method, p)
+            .trace()
+            .faults(&plan, &policy)
+            .execute(&initial);
+        let got = out.result.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let want = run_distributed(&cfg, method, p, &initial).particles;
+        assert_eq!(got.particles, want, "{ctx}: recovery is bit-identical");
+        assert_eq!(got.max_attempts, 2, "{ctx}");
+        let drops = out
+            .artifacts
+            .metrics
+            .sum_counter("fault_injected_drop", None);
+        assert_eq!(drops, 1, "{ctx}: the drop fired");
+        for (r, rank) in out.artifacts.timeline.ranks.iter().enumerate() {
+            let retries = rank
+                .events
+                .iter()
+                .filter(|e| e.detail.starts_with("retry "));
+            let details: Vec<&str> = retries.map(|e| e.detail.as_str()).collect();
+            assert_eq!(details, ["retry 2 deadline=600ms"], "{ctx}: rank {r}");
+        }
+    }
 }
 
 /// The case the leaders' round exists for: a drop on the last hop a row
@@ -417,14 +527,17 @@ fn a_drop_that_one_column_sees_is_retried_by_every_rank() {
     ];
     for (method, p) in table {
         let layout = Layout::new(method, p, &cfg.domain, cfg.boundary, cfg.law.cutoff()).unwrap();
-        let (grid, window) = (layout.grid, layout.window);
+        let grid = layout.grid;
         let c = grid.c();
+        let window = walked_window(layout.window, c, symmetric_cutoff(&cfg.law));
         // The first rank, row by row, that sends at all, and the last
         // pipeline step it sends on (the skew, where a row at `c = W`
         // sends nothing else).
         let last_send = |team: usize, row: usize| {
-            let hops = traversal(&window, c, team, row).enumerate();
-            let sends = hops.filter(|(_, h)| h.shift_to.is_some() || h.home_to.is_some());
+            let hops = traversal(window, c, team, row).enumerate();
+            let sends = hops.filter(|(_, h)| {
+                h.shift_to.is_some() || h.home_to.is_some() || h.return_to.is_some()
+            });
             sends.map(|(s, _)| (grid.rank_at(team, row), s)).last()
         };
         let (rank, step) = (0..c)

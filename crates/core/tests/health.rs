@@ -9,7 +9,7 @@ use ca_nbody::recovery::{FaultError, RetryPolicy};
 use ca_nbody::sim::{Method, Run, RunResult, SimConfig};
 use nbody_comm::{EventKind, FaultKind, FaultPlan, RunTimeline};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, ForceLaw, Gravity, Integrator, Particle, VelocityVerlet,
+    init, Boundary, Cutoff, Domain, ForceLaw, Gravity, Integrator, OneWay, Particle, VelocityVerlet,
 };
 use nbody_simhealth::{HealthConfig, HealthReport};
 
@@ -363,5 +363,60 @@ fn health_on_cutoff_runs_land_on_the_plain_runs_particles() {
             bits(&monitored.particles) == bits(&plain.particles),
             "{method:?} p={p}: health-on vs plain"
         );
+    }
+}
+
+#[test]
+fn health_on_the_half_window_harvests_each_cross_pair_both_ways() {
+    // A symmetric cutoff law walks the half window: each cross-block pair
+    // is asked once and harvested both ways, so the energy series is the
+    // full window's (the same law without its promise, `OneWay`) but for
+    // the rounding of sums taken in another order — within 1e-12 of |E|
+    // at every checked step, where a pair harvested once would be off by
+    // a part in a few.
+    let law = Cutoff::new(
+        Gravity {
+            g: 1e-4,
+            softening: 0.05,
+        },
+        0.15,
+    );
+    fn config<F: ForceLaw>(law: F) -> SimConfig<F, VelocityVerlet> {
+        SimConfig {
+            law,
+            integrator: VelocityVerlet,
+            domain: Domain::unit(),
+            boundary: Boundary::Periodic,
+            dt: 1e-3,
+            steps: 4,
+        }
+    }
+    let (cfg, full_cfg) = (config(law), config(OneWay(law)));
+    let initial = init::uniform(256, &Domain::unit(), 5);
+    let health = HealthConfig::enabled();
+    for (method, p) in [
+        (Method::Ca1dCutoff { c: 1 }, 4),
+        (Method::Ca2dCutoff { c: 1 }, 4),
+        (Method::Ca2dCutoff { c: 2 }, 16),
+    ] {
+        let half = Run::new(&cfg, method, p)
+            .health(&health)
+            .trace()
+            .execute(&initial);
+        let full = Run::new(&full_cfg, method, p)
+            .health(&health)
+            .trace()
+            .execute(&initial);
+        let [half, full] = [half, full].map(|out| {
+            assert!(out.result.expect("a clean run").health.unwrap().is_clean());
+            out.artifacts.timeline.energy_series().values
+        });
+        assert_eq!(half.len(), 4, "{method:?}: one point per step");
+        for (a, b) in half.iter().zip(&full) {
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs(),
+                "{method:?} p={p}: {a} against {b}"
+            );
+        }
     }
 }

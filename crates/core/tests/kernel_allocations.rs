@@ -1,8 +1,10 @@
 //! A warm cutoff kernel call allocates nothing, counted, not timed: on the
 //! `cutoff1d_lj_periodic` benchmark geometry a rank's three kernel calls of
 //! a step — its own block, the next slab's and the slab across the periodic
-//! seam — and the first step's `cell_order` of a freshly dealt slab refill
-//! thread-local scratch once it has grown to their size.
+//! seam — the half window's call on the next slab that asks each pair once
+//! for both ways, into the block's return buffer, and the first step's
+//! `cell_order` of a freshly dealt slab refill thread-local scratch once it
+//! has grown to their size.
 //!
 //! The counting allocator sees every thread of this test binary, so the
 //! file holds this one test.
@@ -11,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use ca_nbody::dist::spatial_subset_1d;
-use ca_nbody::kernel::{accumulate_block, cell_order};
-use nbody_physics::{init, Boundary, Cutoff, Domain, LennardJones, Particle};
+use ca_nbody::kernel::{accumulate_across, accumulate_block, cell_order};
+use nbody_physics::{init, Boundary, Cutoff, Domain, LennardJones, Particle, Vec2};
 
 /// Counts allocations and growths while `COUNTING` is set.
 struct Counted;
@@ -75,19 +77,22 @@ fn warm_cutoff_kernel_calls_and_a_first_cell_order_allocate_nothing() {
         cell_order(&mut block, &law, &domain);
         block
     });
-    let step = |targets: &mut [Particle], ordered: &mut [Particle]| {
+    let step = |targets: &mut [Particle], ordered: &mut [Particle], returned: &mut [Vec2]| {
         for sources in [&own, &next, &seam] {
             targets.copy_from_slice(&own);
             accumulate_block(targets, sources, &law, &domain, boundary);
         }
+        returned.fill(Vec2::zero());
+        accumulate_across(targets, &next, &law, &domain, boundary, returned, None);
         ordered.copy_from_slice(&dealt);
         cell_order(ordered, &law, &domain);
     };
     let (mut targets, mut ordered) = (own.clone(), dealt.clone());
-    step(&mut targets, &mut ordered);
+    let mut returned = vec![Vec2::zero(); next.len()];
+    step(&mut targets, &mut ordered, &mut returned);
 
     COUNTING.store(true, Ordering::Relaxed);
-    step(&mut targets, &mut ordered);
+    step(&mut targets, &mut ordered, &mut returned);
     COUNTING.store(false, Ordering::Relaxed);
 
     assert_eq!(
@@ -97,5 +102,6 @@ fn warm_cutoff_kernel_calls_and_a_first_cell_order_allocate_nothing() {
     );
     // Not vacuous: the calls found forces, and the dealt slab did move.
     assert!(targets.iter().any(|t| t.force.x != 0.0));
+    assert!(returned.iter().any(|r| r.x != 0.0));
     assert!(ordered.iter().zip(&dealt).any(|(a, b)| a.id != b.id));
 }

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
+use ca_nbody::kernel::symmetric_cutoff;
 use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts};
 use ca_nbody::sim::{run_distributed, Layout, Method, SimConfig};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
@@ -234,7 +235,10 @@ fn reassign_live_sends_equal_the_twins_per_rank() {
 
             let layout = Layout::new(method, p, &cfg.domain, boundary, Some(0.15)).unwrap();
             let teams = layout.grid.teams();
-            let params = layout.schedule(vec![initial.len() / teams; teams]);
+            let params = layout.schedule(
+                vec![initial.len() / teams; teams],
+                symmetric_cutoff(&cfg.law),
+            );
             let sim = replayed(p, |r| params.program(r), &label);
             // The twin's blocks are placeholders: re-assignment moves the
             // live ones, so only the messages are held to it.

@@ -7,12 +7,17 @@
 //! sort's scratch (about 165 page faults a call on the benchmark's
 //! cutoff configuration).
 //!
+//! The deal that gives a leader its block reserves it once at an even
+//! share: at most two allocations per block, where collecting it grew it
+//! by doubling (a dozen on this configuration).
+//!
 //! The counting allocator sees every thread of this test binary, so the
 //! file holds this one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use ca_nbody::dist::{spatial_subset_1d, spatial_subset_2d};
 use ca_nbody::sim::{run_distributed, Method, SimConfig};
 use nbody_physics::{init, Boundary, Cutoff, Domain, LennardJones, Particle, SemiImplicitEuler};
 
@@ -93,4 +98,22 @@ fn a_run_with_no_step_allocates_the_whole_set_once_the_output() {
         1,
         "allocations of at least n particles: the output and nothing else"
     );
+
+    // Every allocation of the deal, per leader's block, on slabs and on
+    // the 2-D grid.
+    LARGE.store(1, Ordering::Relaxed);
+    for (tx, ty) in [(4, 1), (2, 2), (4, 2)] {
+        for team in 0..tx * ty {
+            LARGE_ALLOCS.store(0, Ordering::Relaxed);
+            COUNTING.store(true, Ordering::Relaxed);
+            let block = match ty {
+                1 => spatial_subset_1d(&initial, &domain, tx, team),
+                _ => spatial_subset_2d(&initial, &domain, tx, ty, team),
+            };
+            COUNTING.store(false, Ordering::Relaxed);
+            assert!(!block.is_empty());
+            let allocs = LARGE_ALLOCS.load(Ordering::Relaxed);
+            assert!(allocs <= 2, "{tx} x {ty} team {team}: {allocs} allocations");
+        }
+    }
 }

@@ -4,11 +4,14 @@
 //! and a chaos run's discrepancies must all be attributed to the fault
 //! plan.
 
+use ca_nbody::kernel::symmetric_cutoff;
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::sim::{run_distributed, Method, Run, SimConfig};
 use ca_nbody::wire::{check, expected_schedule, WireScheduleSpec};
 use nbody_comm::{match_events, FaultPlan, Phase};
-use nbody_physics::{init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler};
+use nbody_physics::{
+    init, Boundary, Cutoff, Domain, ForceLaw, RepulsiveInverseSquare, SemiImplicitEuler,
+};
 
 fn all_pairs_cfg(steps: usize) -> SimConfig<RepulsiveInverseSquare, SemiImplicitEuler> {
     SimConfig {
@@ -41,7 +44,12 @@ fn cutoff_cfg(steps: usize) -> SimConfig<Cutoff<RepulsiveInverseSquare>, SemiImp
     }
 }
 
-fn spec_for<F, I>(cfg: &SimConfig<F, I>, method: Method, n: usize, p: usize) -> WireScheduleSpec {
+fn spec_for<F: ForceLaw, I>(
+    cfg: &SimConfig<F, I>,
+    method: Method,
+    n: usize,
+    p: usize,
+) -> WireScheduleSpec {
     WireScheduleSpec {
         method,
         n,
@@ -50,6 +58,7 @@ fn spec_for<F, I>(cfg: &SimConfig<F, I>, method: Method, n: usize, p: usize) -> 
         domain: cfg.domain,
         boundary: cfg.boundary,
         cutoff: None,
+        newton: symmetric_cutoff(&cfg.law),
         shrinks: Vec::new(),
     }
 }

@@ -9,6 +9,7 @@
 //!   injects at every boundary crossing).
 
 use crate::force::ForceLaw;
+use crate::lanes::Vec2x2;
 use crate::particle::Particle;
 use crate::vec2::Vec2;
 
@@ -144,6 +145,38 @@ impl<F: ForceLaw> ForceLaw for ShiftedForce<F> {
     // range test, renormalization, and the shift subtraction.
     fn flops_per_interaction(&self) -> u64 {
         2 * self.inner.flops_per_interaction() + 12
+    }
+}
+
+/// A law without its promise of Newton's third law: `F` asked about every
+/// ordered pair for itself, as the paper's algorithms ask (§III.C declines
+/// `f_ij = −f_ji`). Forces, potentials and cutoff are `F`'s to the bit; only
+/// [`is_symmetric`](ForceLaw::is_symmetric) says `false`, so the drivers
+/// walk the paper's full window and the schedule it pins.
+#[derive(Debug, Clone, Copy)]
+pub struct OneWay<F>(pub F);
+
+impl<F: ForceLaw> ForceLaw for OneWay<F> {
+    #[inline]
+    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
+        self.0.force(target, source, disp)
+    }
+
+    #[inline]
+    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
+        self.0.force_x2(targets, source, disp)
+    }
+
+    fn potential(&self, target: &Particle, source: &Particle, disp: Vec2) -> f64 {
+        self.0.potential(target, source, disp)
+    }
+
+    fn cutoff(&self) -> Option<f64> {
+        self.0.cutoff()
+    }
+
+    fn flops_per_interaction(&self) -> u64 {
+        self.0.flops_per_interaction()
     }
 }
 

@@ -30,7 +30,7 @@ pub mod vec2;
 
 pub use domain::{Boundary, Domain};
 pub use force::{Counting, Cutoff, ForceLaw, Gravity, LennardJones, RepulsiveInverseSquare};
-pub use force_ext::{ShiftedForce, Yukawa};
+pub use force_ext::{OneWay, ShiftedForce, Yukawa};
 pub use integrator::{ExplicitEuler, Integrator, SemiImplicitEuler, VelocityVerlet};
 pub use lanes::{F64x2, Mask2, Vec2x2};
 pub use particle::{Particle, ParticleState, Source, PARTICLE_WIRE_BYTES};

@@ -7,6 +7,7 @@
 //! expected wire schedule are derived from the same fields, so the options
 //! that produced an artifact reproduce it.
 
+use ca_nbody::kernel::symmetric_cutoff;
 use ca_nbody::{Layout, Method, SimConfig, WireScheduleSpec};
 use nbody_durable::RunFingerprint;
 use nbody_physics::{
@@ -323,6 +324,7 @@ impl RunSpec {
             domain: self.domain(),
             boundary: self.boundary,
             cutoff: self.r_c(),
+            newton: symmetric_cutoff(&self.config().law),
             shrinks: Vec::new(),
         }
     }

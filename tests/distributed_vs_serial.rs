@@ -483,3 +483,127 @@ fn symmetric_half_ring_matches_serial_trajectories() {
         check(&cfg, &initial, Method::ParticleRingSymmetric, p, 1e-9);
     }
 }
+
+/// `s.id − t.id` along x: antisymmetric by construction and integer-valued,
+/// so every sum of it is exact whatever the order — the law the half
+/// window's reactions must land on the serial bits under.
+#[derive(Debug, Clone, Copy)]
+struct IdDifference;
+
+impl ForceLaw for IdDifference {
+    fn force(&self, target: &Particle, source: &Particle, _disp: Vec2) -> Vec2 {
+        Vec2::new(source.id as f64 - target.id as f64, 0.0)
+    }
+
+    fn is_symmetric(&self) -> bool {
+        true
+    }
+}
+
+/// The half window asks each cross-block pair once and sends the reactions
+/// home; under an exact law the result is the serial loop's, bit for bit:
+/// 1-D and 2-D, clipped and periodic, `c` = 1, 2, 3 — on the half window
+/// wherever `walked_window` takes it, on the full one elsewhere.
+#[test]
+fn an_exact_law_on_the_half_window_lands_on_the_serial_bits() {
+    use ca_nbody::cutoff::walked_window;
+    use ca_nbody::sim::Layout;
+    let r_c = 0.3;
+    let mut halves = 0;
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        let cfg = SimConfig {
+            law: Cutoff::new(IdDifference, r_c),
+            integrator: SemiImplicitEuler,
+            domain: Domain::unit(),
+            boundary,
+            dt: 1e-7,
+            steps: 2,
+        };
+        let initial = init::uniform(60, &cfg.domain, 17);
+        let want = run_serial(&cfg, &initial);
+        let table = [
+            (Method::Ca1dCutoff { c: 1 }, 6),
+            (Method::Ca1dCutoff { c: 2 }, 12),
+            (Method::Ca1dCutoff { c: 3 }, 18),
+            (Method::Ca2dCutoff { c: 1 }, 8),
+            (Method::Ca2dCutoff { c: 2 }, 16),
+            (Method::Ca2dCutoff { c: 3 }, 18),
+        ];
+        for (method, p) in table {
+            let layout = Layout::new(method, p, &cfg.domain, boundary, Some(r_c)).unwrap();
+            halves += usize::from(walked_window(layout.window, layout.grid.c(), true).is_half());
+            let got = run_distributed(&cfg, method, p, &initial);
+            assert_eq!(got.particles, want, "{method:?} p={p} {boundary:?}");
+        }
+    }
+    assert!(halves >= 6, "{halves} of 12 rows walk the half window");
+}
+
+/// Lennard-Jones on the half window, one force evaluation, held to a
+/// test-side reference that sums each target's sources in ascending id
+/// order under the minimum image: the drivers add the same terms in
+/// another order, and a reaction `−f_ij` for `f_ji`, so each component may
+/// differ by the rounding of a sum of `k` terms, at most `(k + 2)·ε` times
+/// the sum of their magnitudes (`k` the target's neighbours within `r_c`).
+#[test]
+fn lennard_jones_on_the_half_window_is_the_ordered_sum_to_rounding() {
+    use ca_nbody::cutoff::walked_window;
+    use ca_nbody::dist::spatial_subset_2d;
+    use ca_nbody::{ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
+    let law = Cutoff::new(LennardJones::default(), 2.5);
+    // 64 particles put 1-D slabs of four within 2.5 of two neighbours each
+    // way: the capped ring of four, whose half window takes `c = 2`.
+    for (n, p, c, dims) in [
+        (512, 4, 1, (4, 1)),
+        (64, 8, 2, (4, 1)),
+        (512, 8, 1, (4, 2)),
+        (512, 16, 2, (4, 2)),
+    ] {
+        let domain = Domain::square((n as f64).sqrt() * 1.2);
+        let mut all = init::lattice(n, &domain);
+        init::thermalize(&mut all, 0.5, 42);
+        for p in &mut all {
+            p.pos = Boundary::Periodic
+                .apply(&domain, p.pos + p.vel * 0.04, p.vel)
+                .0;
+        }
+        let grid = ProcGrid::new(p, c).unwrap();
+        let window = TeamWindow::from_cutoff(&domain, dims, true, 2.5);
+        assert!(
+            walked_window(window, c, true).is_half(),
+            "p={p} c={c} {dims:?}"
+        );
+        let out = nbody_comm::run_ranks(p, |world| {
+            let gc = GridComms::new(world, grid);
+            let mut st = match gc.is_leader() {
+                true => spatial_subset_2d(&all, &domain, dims.0, dims.1, gc.team()),
+                false => Vec::new(),
+            };
+            ca_cutoff_forces(&gc, &window, &mut st, &law, &domain, Boundary::Periodic);
+            if gc.is_leader() {
+                st
+            } else {
+                Vec::new()
+            }
+        });
+        let mut got: Vec<Particle> = out.into_iter().flatten().collect();
+        got.sort_by_key(|q| q.id);
+        let mut by_id = all.clone();
+        by_id.sort_by_key(|q| q.id);
+        assert_eq!(got.len(), n);
+        for (g, t) in got.iter().zip(&by_id) {
+            let (mut sum, mut size, mut k) = (Vec2::zero(), Vec2::zero(), 0);
+            for s in by_id.iter().filter(|s| s.id != t.id) {
+                let disp = Boundary::Periodic.displacement(&domain, t.pos, s.pos);
+                let f = law.force(t, s, disp);
+                sum += f;
+                size += Vec2::new(f.x.abs(), f.y.abs());
+                k += usize::from(f != Vec2::zero());
+            }
+            let bound = (k + 2) as f64 * f64::EPSILON;
+            let ctx = format!("p={p} c={c} {dims:?} id={}", t.id);
+            assert!((g.force.x - sum.x).abs() <= bound * size.x, "{ctx}: x");
+            assert!((g.force.y - sum.y).abs() <= bound * size.y, "{ctx}: y");
+        }
+    }
+}

@@ -30,8 +30,8 @@ use ca_nbody::kernel::{
 };
 use nbody_physics::particle::sources as compact;
 use nbody_physics::{
-    init, Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
-    RepulsiveInverseSquare, ShiftedForce, Vec2, Vec2x2, Yukawa,
+    init, Boundary, Counting, Cutoff, Domain, ForceLaw, Gravity, LennardJones, OneWay, Particle,
+    RepulsiveInverseSquare, ShiftedForce, Vec2, Yukawa,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -398,6 +398,14 @@ fn check_all_laws(
         b,
     )?;
     check_law("counting", Counting, t, s, d, b)?;
+    check_law(
+        "oneway<cutoff<repulsive>>",
+        OneWay(Cutoff::new(soft, 0.25)),
+        t,
+        s,
+        d,
+        b,
+    )?;
     check_exact(t, s, d, b)
 }
 
@@ -1284,24 +1292,6 @@ fn a_nan_or_infinite_position_is_never_ruled_out() {
             accumulate_block(&mut got, &poisoned, &lj, &domain, Boundary::Periodic);
             assert!(got.iter().all(|g| !g.force.is_finite()), "{bad_pos:?}");
         }
-    }
-}
-
-/// The law it wraps with its symmetry unsaid: the kernel asks about every
-/// ordered pair of a block against itself, as it did before the symmetric
-/// case.
-#[derive(Clone, Copy)]
-struct OneWay<F>(F);
-
-impl<F: ForceLaw> ForceLaw for OneWay<F> {
-    fn force(&self, target: &Particle, source: &Particle, disp: Vec2) -> Vec2 {
-        self.0.force(target, source, disp)
-    }
-    fn force_x2(&self, targets: [&Particle; 2], source: &Particle, disp: Vec2x2) -> Vec2x2 {
-        self.0.force_x2(targets, source, disp)
-    }
-    fn cutoff(&self) -> Option<f64> {
-        self.0.cutoff()
     }
 }
 

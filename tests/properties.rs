@@ -269,7 +269,7 @@ proptest! {
         };
         prop_assume!(c <= window.len());
         let (teams, w) = (window.teams(), window.len());
-        let hops = |t: usize, k: usize| traversal(&window, c, t, k).collect::<Vec<Hop>>();
+        let hops = |t: usize, k: usize| traversal(window, c, t, k).collect::<Vec<Hop>>();
         for t in 0..teams {
             let mut updated = Vec::new();
             for k in 0..c {
@@ -324,6 +324,98 @@ proptest! {
         // pin goes (the ROADMAP's "restate the two schedule pins").
         prop_assert_eq!(sent_home, if ring { teams } else { 0 }, "ring={}", ring);
         prop_assert_eq!(sent_to_self, if ring && c == w { teams } else { 0 }, "ring={}", ring);
+    }
+
+    /// The half window ([`TeamWindow::half`]) as data: every unordered
+    /// pair of teams the full window reaches is updated exactly once — an
+    /// antipodal pair once, not once from each side — every shift,
+    /// re-injection and return meets exactly one receive, block for block
+    /// and with the reactions it carries, each row returns exactly the
+    /// blocks it updated, and the busiest rank sends no more messages than
+    /// the full window's busiest. Clipped and wrapping, one to three axes, even and odd caps,
+    /// every `c` the predicate admits.
+    #[test]
+    fn half_window_traversal_updates_each_pair_once_and_returns_what_it_updated(
+        dims in (1usize..7, 1usize..4, 1usize..3),
+        spans in (0usize..4, 0usize..3, 0usize..2),
+        kind in 0usize..3,
+        c in 1usize..5,
+    ) {
+        use ca_nbody::cutoff::{traversal, walked_window, Hop};
+        use std::collections::BTreeSet;
+        let (dims, spans) = ([dims.0, dims.1, dims.2], [spans.0, spans.1, spans.2]);
+        let full = match kind {
+            0 => TeamWindow::clipped(&dims, &spans),
+            1 => TeamWindow::wrapping(&dims, &spans),
+            _ => TeamWindow::ring(dims[0] * dims[1]),
+        };
+        prop_assume!(c <= full.len());
+        let window = walked_window(full, c, true);
+        prop_assume!(window.is_half());
+        prop_assert_eq!(walked_window(full, c, false), full, "no promise, the paper's window");
+        let teams = window.teams();
+        let hops = |w: TeamWindow, t: usize, k: usize| traversal(w, c, t, k).collect::<Vec<Hop>>();
+        // Every unordered pair of the full window, and who updates it.
+        let want: BTreeSet<(usize, usize)> = (0..teams)
+            .flat_map(|t| (0..full.len()).filter_map(move |j| full.apply_back(t, j).map(|b| (t.min(b), t.max(b)))))
+            .collect();
+        let (mut pairs, mut busiest) = (Vec::new(), (0, 0));
+        for k in 0..c {
+            let rows: Vec<Vec<Hop>> = (0..teams).map(|t| hops(window, t, k)).collect();
+            let (mut updated, mut returned) = (BTreeSet::new(), BTreeSet::new());
+            for (t, row) in rows.iter().enumerate() {
+                for hop in row.iter().filter(|h| h.update) {
+                    let b = hop.block.unwrap();
+                    pairs.push((t.min(b), t.max(b)));
+                    if b != t {
+                        updated.insert(b);
+                    }
+                }
+            }
+            let steps = rows.iter().map(Vec::len).max().unwrap();
+            for s in 0..steps {
+                // (from, to, block, carries): one receive per message.
+                let (mut sent, mut received) = (Vec::new(), Vec::new());
+                let (mut gave, mut got) = (Vec::new(), Vec::new());
+                for (t, row) in rows.iter().enumerate() {
+                    let Some(hop) = row.get(s) else { continue };
+                    let held = if s == 0 { Some(t) } else { row[s - 1].block };
+                    // What the held buffer carries: it arrived carrying, or
+                    // this rank asked about it.
+                    let carries = s > 0 && (row[s - 1].carried || row[s - 1].update && held != Some(t));
+                    sent.extend(hop.shift_to.map(|to| (t, to, held.unwrap(), carries)));
+                    sent.extend(hop.home_to.map(|to| (t, to, t, false)));
+                    received.extend(hop.recv_from.map(|from| (from, t, hop.block.unwrap(), hop.carried)));
+                    if let Some(to) = hop.return_to {
+                        prop_assert!(carries, "k={} s={}: {} returns what it never gathered", k, s, t);
+                        prop_assert_eq!(Some(to), held, "a return goes to its block's team");
+                        gave.push((t, to));
+                        returned.insert(to);
+                    }
+                    got.extend(hop.return_from.map(|from| (from, t)));
+                }
+                sent.sort_unstable();
+                received.sort_unstable();
+                prop_assert_eq!(sent, received, "k={} s={}", k, s);
+                gave.sort_unstable();
+                got.sort_unstable();
+                prop_assert_eq!(gave, got, "k={} s={}: returns", k, s);
+            }
+            prop_assert_eq!(&updated, &returned, "k={}: a row returns the blocks it updated", k);
+            let sends = |row: &[Hop]| {
+                row.iter()
+                    .map(|h| [h.shift_to, h.home_to, h.return_to].iter().flatten().count())
+                    .sum::<usize>()
+            };
+            for (t, row) in rows.iter().enumerate() {
+                busiest.0 = busiest.0.max(sends(row));
+                busiest.1 = busiest.1.max(sends(&hops(full, t, k)));
+            }
+        }
+        // The busiest rank sends no more messages than on the full window.
+        prop_assert!(busiest.0 <= busiest.1, "busiest rank: {} sends on the half window, {} on the full", busiest.0, busiest.1);
+        pairs.sort_unstable();
+        prop_assert_eq!(pairs, want.into_iter().collect::<Vec<_>>(), "each pair once");
     }
 
     #[test]
