@@ -63,6 +63,8 @@ check "Plimpton's decompositions are Algorithm 1 at c = 1 and c = sqrt(p), not h
     crates src tests examples
 check "Plimpton's spatial decomposition (§II.C) is Algorithm 2 at c = 1, not a halo copy" \
     none 'SpatialHalo|spatial_halo|TAG_HALO' crates src tests examples
+check "Plimpton's half-ring is Algorithm 1 at c = 1 on the half ring, not a hand copy of the shift body" \
+    none 'particle_ring_symmetric|TAG_RING' crates src tests examples
 check "errors leave through ? to the one place that prints them" \
     test "$(grep -rn 'return ExitCode::FAILURE' src | wc -l)" -le 3
 check "the method names are spelled in one match" \

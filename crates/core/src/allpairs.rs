@@ -35,7 +35,10 @@
 //! the rank that holds it: row 0 ships its block home, and every other row
 //! updates from the block its skew brought and sends nothing more. A rank
 //! then sends one skew or one shift a step besides the collectives, Eq. 5's
-//! `p/c² + O(log c)`.
+//! `p/c² + O(log c)`. At `c = 1` on the half of the ring
+//! ([`Method::ParticleRingSymmetric`](crate::sim::Method::ParticleRingSymmetric))
+//! it is his half-ring, the Newton's-third-law saving §III.C declines: a
+//! block travels `⌊p/2⌋` hops and its reactions go home in one return.
 
 use nbody_comm::Communicator;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};

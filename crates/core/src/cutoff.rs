@@ -57,7 +57,10 @@
 //! each pair of its targets and another team's block once, the block's
 //! buffer gathers the reactions `−f` as it goes, and where its path ends
 //! the reactions go home to the block's team in one return message, which
-//! the home rank adds to its partial forces before line 9.
+//! the home rank adds to its partial forces before line 9. Plimpton's own
+//! half-ring is this body at `c = 1` on the half of the full ring, whatever
+//! the law's range
+//! ([`Method::ParticleRingSymmetric`](crate::sim::Method::ParticleRingSymmetric)).
 //!
 //! Each phase ships what its receiver reads (DESIGN.md §16): lines 2-6 move
 //! blocks of [`Source`]s — position, mass, id — a buffer that has gathered
@@ -70,10 +73,7 @@ use nbody_physics::particle::sources;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2};
 
 use crate::grid::GridComms;
-use crate::kernel::{
-    accumulate_across, accumulate_block_potential, accumulate_sources, cell_order,
-    symmetric_cutoff, ComputeMeter,
-};
+use crate::kernel::{cell_order, symmetric_cutoff, update, ComputeMeter};
 use crate::link::{Link, Strict};
 use crate::window::{TeamWindow, Window};
 
@@ -336,10 +336,11 @@ pub struct Hop {
 /// line 2 and updates from that copy, at the same step and so in the same
 /// accumulation order. A row at `c = 1` therefore sends `W − 1 = 2m` shifts,
 /// the paper's count. Algorithm 1's full ring (a wrapping window with
-/// `W = teams`) is the exception for now and ships the block home, because
-/// the benchmark pins `p/c²` shifts per rank-step on all-pairs runs; the
-/// exception goes when that pin becomes the twin's count (the ROADMAP's
-/// "restate the two schedule pins" step of thawing `benchmark/`).
+/// `W = teams`) of more than one team is the exception for now and ships
+/// the block home, because the benchmark pins `p/c²` shifts per rank-step
+/// on all-pairs runs; the exception goes when that pin becomes the twin's
+/// count (the ROADMAP's "restate the two schedule pins" step of thawing
+/// `benchmark/`). A ring of one team would ship its block to itself.
 ///
 /// At `c = W` a shift step moves a buffer `c` positions around a window of
 /// `W` and so back to the rank that holds it. Row 0's step is its home hop.
@@ -372,9 +373,10 @@ pub fn traversal(
     let w = window.len();
     // The full ring ships a row its own block home while the benchmark pins
     // `p/c²` shifts per all-pairs rank-step; remove this exception with
-    // that pin (the ROADMAP's "restate the two schedule pins").
+    // that pin (the ROADMAP's "restate the two schedule pins"). A ring of
+    // one team has no other rank to ship through.
     let half = window.is_half();
-    let ships_home = !half && window.is_periodic() && w == window.teams();
+    let ships_home = !half && window.is_periodic() && w == window.teams() && w > 1;
     let steps = row_steps(w, c, row);
     let position = move |s: usize| (row + s * c) % w;
     // Whether the row's copy of block `b`, as held after step `s`, carries
@@ -465,7 +467,9 @@ pub fn traversal(
 /// fault-tolerant ones (so the home copy is rebuilt from the checkpointed
 /// state on every retry). With `potential` set, the kernel also harvests
 /// the summed pair potential into it (the health monitors'
-/// potential-energy partial).
+/// potential-energy partial). Panics on a half window — the half ring of
+/// [`Method::ParticleRingSymmetric`](crate::sim::Method::ParticleRingSymmetric)
+/// included — under a law that does not promise `f_ji = −f_ij`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
@@ -479,6 +483,10 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     mut potential: Option<&mut f64>,
 ) -> Result<(), L::Error> {
     let window = walked_window(window.team_window(), gc.grid.c(), symmetric_cutoff(law));
+    assert!(
+        !window.is_half() || law.is_symmetric(),
+        "the half window asks each pair once for both ways: it requires a symmetric force law"
+    );
     // `home` is the immutable copy used to re-inject this team's block when
     // a traversal wraps across the domain boundary; a periodic window has
     // no boundary to wrap across and keeps none.
@@ -566,8 +574,9 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
             let reactions =
                 across.then(|| &mut reactions.get_or_insert_with(|| vec![Vec2::zero(); len])[..]);
             gc.col.set_phase(Phase::Other);
+            let potential = potential.as_deref_mut();
             meter.time(st.len(), exch.len(), || {
-                update(st, &exch, law, domain, boundary, &mut potential, reactions)
+                update(st, &exch, law, domain, boundary, reactions, potential)
             });
         }
         if let Some(holder) = hop.return_from {
@@ -585,38 +594,6 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     }
     tr.set_step(None);
     Ok(())
-}
-
-/// Line 7: update `st` from the block in `exch`, additionally harvesting
-/// the pair potential when an accumulator rides along, and asking each
-/// pair once for both ways when `reactions` takes the block's reactions.
-/// Returns the kernel's evaluation count.
-fn update<F: ForceLaw>(
-    st: &mut [Particle],
-    exch: &[Source],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    potential: &mut Option<&mut f64>,
-    reactions: Option<&mut [Vec2]>,
-) -> u64 {
-    match (reactions, potential) {
-        (Some(reactions), pe) => accumulate_across(
-            st,
-            exch,
-            law,
-            domain,
-            boundary,
-            reactions,
-            pe.as_deref_mut(),
-        ),
-        (None, Some(pe)) => {
-            let (evals, dpe) = accumulate_block_potential(st, exch, law, domain, boundary);
-            **pe += dpe;
-            evals
-        }
-        (None, None) => accumulate_sources(st, exch, law, domain, boundary),
-    }
 }
 
 #[cfg(test)]

@@ -147,8 +147,8 @@ impl Reaction for Newton {
 
 /// Newton's third law across two blocks: every reached source is walked,
 /// and its reaction goes to a per-source accumulator that starts at zero
-/// and is added to the caller's once the call is done. Under the same
-/// promise as [`Newton`].
+/// and is added to the caller's once the call is done. Under the promise of
+/// `f_ji = −f_ij` alone: without a cutoff every source is reached.
 struct Across;
 
 impl Reaction for Across {
@@ -1067,7 +1067,7 @@ const INSERT_BUDGET: usize = 8;
 const INSERT_AHEAD: usize = 64;
 
 /// The one target x source loop nest behind [`accumulate_block`],
-/// [`accumulate_sources`] and [`accumulate_block_potential`], generic over
+/// [`accumulate_sources`] and [`update`], generic over
 /// the source element ([`KernelSource`]) so that each block layout gets its
 /// own copy of the same nest and none pays for the other, and over the
 /// [`Reaction`] [`accumulate`] picks for the call.
@@ -1328,9 +1328,10 @@ fn walk<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
 /// The nest under the [`Reaction`] the call allows: [`Across`] when the
 /// caller takes the `reactions` of the sources, [`Newton`] when the
 /// sources are the targets ([`same_block`]) under a [`symmetric_cutoff`]
-/// law, [`OneWay`] otherwise. Under a law without a cutoff every ordered
-/// pair is asked for itself, which gives the scalar loop's bits that the
-/// all-pairs drivers' oracle pins (DESIGN.md §14.9).
+/// law, [`OneWay`] otherwise. Under a law without a cutoff a block against
+/// itself asks every ordered pair for itself, which gives the scalar loop's
+/// bits that the all-pairs drivers' oracle pins (DESIGN.md §14.9); only a
+/// caller that takes the reactions, the half ring, asks a pair once.
 fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     targets: &mut [Particle],
     sources: &[S],
@@ -1343,7 +1344,7 @@ fn accumulate<S: KernelSource, F: ForceLaw, H: Harvest>(
     let (t, s) = (targets, sources);
     match reactions {
         Some(reactions) => {
-            debug_assert!(symmetric_cutoff(law) && reactions.len() == s.len());
+            debug_assert!(law.is_symmetric() && reactions.len() == s.len());
             nest::<S, F, H, Across>(t, s, law, domain, boundary, harvest, reactions)
         }
         None if symmetric_cutoff(law) && same_block(t, s) => {
@@ -1415,95 +1416,55 @@ pub fn accumulate_sources<S: KernelSource, F: ForceLaw>(
     )
 }
 
-/// [`accumulate_sources`] asking each pair once for both of its ordered
-/// pairs, under a law that promises it ([`symmetric_cutoff`]) and on two
-/// different blocks: every target adds `f` as `accumulate_sources` would,
-/// in the same order and so to the same bits, and `reactions[k]` gains
-/// source `k`'s `−f` summed over the targets in their order. With
-/// `potential` set, every answered ordered pair's potential is added to
-/// it, as [`accumulate_block_potential`] adds them. Returns both ordered
-/// pairs of every answered pair: `2 · targets · sources`.
-pub fn accumulate_across<S: KernelSource, F: ForceLaw>(
-    targets: &mut [Particle],
-    sources: &[S],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    reactions: &mut [Vec2],
-    potential: Option<&mut f64>,
-) -> u64 {
-    match potential {
-        Some(pe) => {
-            let (answered, dpe) =
-                harvested(targets, sources, law, domain, boundary, Some(reactions));
-            *pe += dpe;
-            answered
-        }
-        None => accumulate(
-            targets,
-            sources,
-            law,
-            domain,
-            boundary,
-            &mut NoHarvest,
-            Some(reactions),
-        ),
-    }
-}
-
-/// [`accumulate_sources`], additionally harvesting the summed pair potential
-/// of every answered ordered pair — the health monitors' potential-energy
-/// partial. Because the CA schedules answer every *ordered* pair exactly
-/// once globally, the world-reduced sum of these partials counts each
-/// unordered pair twice; the driver halves it. A pair asked once for both
-/// of its ordered pairs is harvested twice, once each way.
+/// Line 7 of both algorithms: [`accumulate_sources`], and whatever rides
+/// along with it.
 ///
-/// The same loop nest as [`accumulate_sources`] under a different harvest
-/// policy: forces and count are bit-identical, and plain (health-off) runs
-/// pay nothing for the potential — it is not free for laws like
-/// Lennard-Jones. The cull rules out the same pairs: each of them is beyond
-/// `r_c`, where a law with a cutoff promises one potential
-/// ([`ForceLaw::cutoff`], `Cutoff`'s tail energy), so the law is asked it
-/// once per call and it is added once for all of them.
-pub fn accumulate_block_potential<S: KernelSource, F: ForceLaw>(
-    targets: &mut [Particle],
-    sources: &[S],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-) -> (u64, f64) {
-    harvested(targets, sources, law, domain, boundary, None)
-}
-
-/// The pairs answered and the potential harvested, under the reaction the
-/// caller asks for.
-fn harvested<S: KernelSource, F: ForceLaw>(
+/// * With `reactions`, each pair is asked once for both of its ordered
+///   pairs, under a law that promises `f_ji = −f_ij`
+///   ([`ForceLaw::is_symmetric`]) and on two different blocks: every target
+///   adds `f` as `accumulate_sources` would, in the same order and so to
+///   the same bits, and `reactions[k]` gains source `k`'s `−f` summed over
+///   the targets in their order. The call then answers both ordered pairs
+///   of every pair: `2 · targets · sources`.
+/// * With `potential`, the summed pair potential of every answered ordered
+///   pair is added to it — the health monitors' potential-energy partial.
+///   Because the CA schedules answer every *ordered* pair exactly once
+///   globally, the world-reduced sum of these partials counts each
+///   unordered pair twice; the driver halves it. A pair asked once for both
+///   of its ordered pairs is harvested twice, once each way. The cull rules
+///   out the same pairs as without it: each of them is beyond `r_c`, where
+///   a law with a cutoff promises one potential ([`ForceLaw::cutoff`],
+///   `Cutoff`'s tail energy), so the law is asked it once per call and it
+///   is added once for all of them.
+///
+/// Each combination is the one nest under its own policies, so a call
+/// with neither pays nothing for them — the potential is not free for laws
+/// like Lennard-Jones. Returns the pairs answered.
+pub fn update<S: KernelSource, F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[S],
     law: &F,
     domain: &Domain,
     boundary: Boundary,
     reactions: Option<&mut [Vec2]>,
-) -> (u64, f64) {
+    potential: Option<&mut f64>,
+) -> u64 {
+    let (t, s) = (targets, sources);
+    let Some(potential) = potential else {
+        return accumulate(t, s, law, domain, boundary, &mut NoHarvest, reactions);
+    };
     let mut harvest = PotentialSum::default();
-    let answered = accumulate(
-        targets,
-        sources,
-        law,
-        domain,
-        boundary,
-        &mut harvest,
-        reactions,
-    );
+    let answered = accumulate(t, s, law, domain, boundary, &mut harvest, reactions);
     let culled = answered.saturating_sub(harvest.pairs);
     if culled > 0 {
         // A displacement beyond every cutoff: the cull only rules out pairs
         // of a law that has one, and a block that holds them.
-        let shown = sources[0].shown();
+        let shown = s[0].shown();
         let far = Vec2::new(f64::INFINITY, 0.0);
-        harvest.sum += culled as f64 * law.potential(&targets[0], shown.borrow(), far);
+        harvest.sum += culled as f64 * law.potential(&t[0], shown.borrow(), far);
     }
-    (answered, harvest.sum)
+    *potential += harvest.sum;
+    answered
 }
 
 /// Number of pairs `accumulate_block` answers for the given block sizes
@@ -1613,8 +1574,16 @@ mod tests {
         let sources = a.clone();
 
         let evals_plain = accumulate_block(&mut a, &sources, &law, &domain, Boundary::Open);
-        let (evals, pe) =
-            accumulate_block_potential(&mut b, &sources, &law, &domain, Boundary::Open);
+        let mut pe = 0.0;
+        let evals = update(
+            &mut b,
+            &sources,
+            &law,
+            &domain,
+            Boundary::Open,
+            None,
+            Some(&mut pe),
+        );
         assert_eq!(a, b, "forces must be bit-identical to the plain kernel");
         assert_eq!(evals, evals_plain);
 
@@ -1961,13 +1930,14 @@ mod tests {
         let mut targets = own.clone();
         let mut reactions = vec![Vec2::zero(); next.len()];
         let counted = CountAsks(law, AtomicU64::new(0));
-        accumulate_across(
+        let reactions = Some(&mut reactions[..]);
+        update(
             &mut targets,
             &next,
             &counted,
             &domain,
             boundary,
-            &mut reactions,
+            reactions,
             None,
         );
         let w = CELLS.with_borrow(|cells| cells.work);

@@ -11,9 +11,9 @@
 //! * [`allpairs`] — Algorithm 1, the CA all-pairs force evaluation on a
 //!   `p/c × c` processor grid: the same body on the full team ring, and
 //!   with it Plimpton's particle (`c = 1`) and force (`c = √p`)
-//!   decompositions.
-//! * [`baselines`] — the allgather ("tree") naive variant and the
-//!   Newton's-third-law half-ring.
+//!   decompositions; on the half ring at `c = 1`, his Newton's-third-law
+//!   half-ring.
+//! * [`baselines`] — the allgather ("tree") naive variant.
 //! * [`reassign`] — spatial re-assignment between timesteps (§IV.D).
 //! * [`grid`], [`dist`], [`kernel`] — the processor grid, particle
 //!   distributions, and the shared block force kernel.
@@ -41,10 +41,7 @@ pub use allpairs::ca_all_pairs_forces;
 pub use cutoff::{ca_cutoff_forces, CutoffError};
 pub use grid::{GridComms, GridError, ProcGrid};
 pub use probe::StepProbe;
-pub use recovery::{
-    ca_all_pairs_forces_ft, ca_cutoff_forces_ft, FaultError, HealthMonitor, RecoveryReport,
-    RetryPolicy,
-};
+pub use recovery::{ca_cutoff_forces_ft, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
 pub use sim::{
     run_distributed, run_distributed_chaos, run_plain_rank, run_serial, ChaosRunResult,
     CheckpointConfig, Layout, Method, Run, RunOutput, RunResult, SimConfig,

@@ -12,11 +12,11 @@
 //! (`recovery_loop`), its [`RetryPolicy`], the [`HealthMonitor`] that rides
 //! on it, and the verdicts ([`FaultError`], [`RecoveryReport`]). The
 //! skew/shift pipeline it retries is not copied here: the fault-tolerant
-//! entries ([`ca_all_pairs_forces_ft`], [`ca_cutoff_forces_ft`]) hand the
-//! one shift body (`cutoff::shift_pipeline`) and their window — the full
-//! team ring for all-pairs — to the loop as its attempt, under a deadline
-//! link (`link::Deadline`) where the plain drivers run it under the strict
-//! one.
+//! entry (`ca_forces_ft`, and [`ca_cutoff_forces_ft`] around it) hands the
+//! one shift body (`cutoff::shift_pipeline`) and the layout's window — the
+//! full team ring for all-pairs — to the loop as its attempt, under a
+//! deadline link (`link::Deadline`) where the plain drivers run it under
+//! the strict one.
 //!
 //! The protocol wrapped around one force evaluation:
 //!
@@ -98,7 +98,7 @@ use nbody_simhealth::state_fingerprint;
 use crate::cutoff::{prepare_block, shift_pipeline};
 use crate::grid::GridComms;
 use crate::link::Deadline;
-use crate::window::{TeamWindow, Window};
+use crate::window::Window;
 
 /// Tag distance between retry attempts of one evaluation. Attempt `a` of
 /// evaluation epoch `e` offsets every pipeline tag by
@@ -704,10 +704,10 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
     Ok((report, pe))
 }
 
-/// Fault-tolerant [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces):
-/// identical result (bit-for-bit, even across recoveries), but the shift
-/// pipeline detects failed peers by timeout and runs the recovery protocol
-/// described in the module docs.
+/// Fault-tolerant [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces):
+/// identical result (bit-for-bit, even across recoveries), but the
+/// window-modulo pipeline detects failed peers by timeout and runs the
+/// recovery protocol described in the module docs.
 ///
 /// `epoch` must be unique per force evaluation on one execution (the
 /// timestep index) — it namespaces message tags so traffic from an aborted
@@ -715,34 +715,12 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
 /// the evaluation's verdict before it returns; only the rank loop lets a
 /// clean verdict wait for the next evaluation's broadcast.
 ///
-/// When `health` is set, the kernel harvests the summed pair potential
-/// (returned alongside the report — the rank's potential-energy partial,
-/// counting each unordered pair twice globally; 0 otherwise) and every
-/// attempt first checks the checkpoint against its digest. With `health =
-/// None` there is no harvesting and no digest.
-#[allow(clippy::too_many_arguments)]
-pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
-    gc: &GridComms<C>,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
-    health: Option<&HealthMonitor>,
-) -> Result<(RecoveryReport, f64), FaultError> {
-    let ring = TeamWindow::ring(gc.grid.teams());
-    ca_forces_ft(
-        gc, &ring, st, law, domain, boundary, policy, epoch, health, false, &mut None,
-    )
-}
-
-/// Fault-tolerant [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces):
-/// the window-modulo pipeline with deadline-bounded receives and the
-/// recovery protocol. See [`ca_all_pairs_forces_ft`] for the contract
-/// (`epoch` uniqueness is per-execution, shared with the all-pairs driver);
-/// the harvested potential covers exactly the in-window pairs the cutoff
-/// schedule evaluates.
+/// When `health` is set, the kernel harvests the summed pair potential of
+/// exactly the in-window pairs the schedule evaluates (returned alongside
+/// the report — the rank's potential-energy partial, counting each
+/// unordered pair twice globally; 0 otherwise) and every attempt first
+/// checks the checkpoint against its digest. With `health = None` there is
+/// no harvesting and no digest.
 ///
 /// Note that rows perform different step counts here
 /// ([`row_steps`](crate::cutoff::row_steps)), so a kill scheduled at step
@@ -770,6 +748,7 @@ mod tests {
     use super::*;
     use crate::dist::id_block_subset;
     use crate::grid::ProcGrid;
+    use crate::window::TeamWindow;
     use nbody_comm::{run_ranks, run_ranks_chaos, run_ranks_chaos_with, Lenses};
     use nbody_physics::{init, RepulsiveInverseSquare};
 
@@ -778,6 +757,31 @@ mod tests {
             strength: 1e-3,
             softening: 1e-3,
         }
+    }
+
+    /// One fault-tolerant evaluation of Algorithm 1 (the team ring) at
+    /// epoch 0, in the unit box between walls.
+    fn ring_ft<C: Communicator>(
+        gc: &GridComms<C>,
+        st: &mut Vec<Particle>,
+        policy: &RetryPolicy,
+        health: Option<&HealthMonitor>,
+    ) -> Result<(RecoveryReport, f64), FaultError> {
+        let ring = TeamWindow::ring(gc.grid.teams());
+        let (domain, boundary) = (Domain::unit(), Boundary::Reflective);
+        ca_forces_ft(
+            gc,
+            &ring,
+            st,
+            &law(),
+            &domain,
+            boundary,
+            policy,
+            0,
+            health,
+            false,
+            &mut None,
+        )
     }
 
     /// Fault-free ft run on a plain (strict-matching) transport: the ft
@@ -793,17 +797,8 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let (rep, _) = ca_all_pairs_forces_ft(
-                &gc,
-                &mut st,
-                &law(),
-                &domain,
-                Boundary::Reflective,
-                &RetryPolicy::default(),
-                0,
-                None,
-            )
-            .expect("fault-free run cannot fail");
+            let (rep, _) = ring_ft(&gc, &mut st, &RetryPolicy::default(), None)
+                .expect("fault-free run cannot fail");
             assert_eq!(
                 rep,
                 RecoveryReport {
@@ -878,17 +873,8 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let (rep, _) = ca_all_pairs_forces_ft(
-                &gc,
-                &mut st,
-                &law(),
-                &domain,
-                Boundary::Reflective,
-                &RetryPolicy::with_timeout_ms(500),
-                0,
-                None,
-            )
-            .expect("c=2 must recover from a single kill");
+            let (rep, _) = ring_ft(&gc, &mut st, &RetryPolicy::with_timeout_ms(500), None)
+                .expect("c=2 must recover from a single kill");
             assert!(rep.recovered);
             assert_eq!(rep.attempts, 2);
             if gc.is_leader() {
@@ -915,16 +901,7 @@ mod tests {
             let gc = GridComms::new(world, grid);
             let all = init::uniform(16, &domain, 5);
             let mut st = id_block_subset(&all, 4, gc.team());
-            ca_all_pairs_forces_ft(
-                &gc,
-                &mut st,
-                &law(),
-                &domain,
-                Boundary::Reflective,
-                &RetryPolicy::with_timeout_ms(300),
-                0,
-                None,
-            )
+            ring_ft(&gc, &mut st, &RetryPolicy::with_timeout_ms(300), None)
         });
         for err in errs {
             assert_eq!(
@@ -953,10 +930,7 @@ mod tests {
                 Vec::new()
             };
             let monitor = HealthMonitor::new(plan, world.rank());
-            let (law, boundary) = (law(), Boundary::Reflective);
-            let health = Some(&monitor);
-            ca_all_pairs_forces_ft(&gc, &mut st, &law, &domain, boundary, &policy, 0, health)
-                .expect("c=2 recovers from one fault")
+            ring_ft(&gc, &mut st, &policy, Some(&monitor)).expect("c=2 recovers from one fault")
         });
         let events = artifacts.timeline.ranks.into_iter().flat_map(|r| r.events);
         let retries = events.filter(|e| e.detail.starts_with("retry "));
@@ -1011,16 +985,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            ca_all_pairs_forces_ft(
-                &gc,
-                &mut st,
-                &law(),
-                &domain,
-                Boundary::Reflective,
-                &policy,
-                0,
-                None,
-            )
+            ring_ft(&gc, &mut st, &policy, None)
         });
         for err in errs {
             assert_eq!(
@@ -1056,8 +1021,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let (law, boundary) = (law(), Boundary::Reflective);
-            ca_all_pairs_forces_ft(&gc, &mut st, &law, &domain, boundary, &policy, 0, None)
+            ring_ft(&gc, &mut st, &policy, None)
         });
         let exhausted = Err(FaultError::RetriesExhausted { attempts: 1 });
         assert_eq!(errs, vec![exhausted; 4]);

@@ -44,8 +44,8 @@ use nbody_physics::particle::reset_forces;
 use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle, Vec2};
 use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invariants};
 
-use crate::baselines::{naive_allgather_forces, particle_ring_symmetric_forces};
-use crate::cutoff::{ca_forces, row_steps, validate_cutoff};
+use crate::baselines::naive_allgather_forces;
+use crate::cutoff::{ca_forces, row_steps, validate_cutoff, walked_window};
 use crate::dist::{id_block_subset, spatial_subset_2d, team_grid_dims, team_of_xy};
 use crate::grid::{GridComms, ProcGrid};
 use crate::kernel::cell_order;
@@ -67,8 +67,9 @@ pub enum Method {
         c: usize,
     },
     /// Half-ring particle decomposition exploiting Newton's third law —
-    /// the symmetry optimization the paper declines (§III.C); requires a
-    /// symmetric force law.
+    /// the symmetry optimization the paper declines (§III.C): Algorithm 1
+    /// at `c = 1` on the half of the team ring. Requires a symmetric force
+    /// law.
     ParticleRingSymmetric,
     /// The allgather-based naive variant (`tree` bars of Fig. 2c/2d).
     NaiveAllgather,
@@ -110,12 +111,16 @@ impl Method {
         )
     }
 
-    /// Whether the method is one of the paper's CA algorithms — the ones
-    /// with a fault-tolerant driver, checkpoints and health monitors.
+    /// Whether the method runs the shift body of the paper's CA
+    /// algorithms — the ones with a fault-tolerant driver, checkpoints and
+    /// health monitors.
     pub fn is_ca(&self) -> bool {
         matches!(
             self,
-            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
+            Method::CaAllPairs { .. }
+                | Method::ParticleRingSymmetric
+                | Method::Ca1dCutoff { .. }
+                | Method::Ca2dCutoff { .. }
         )
     }
 
@@ -144,13 +149,14 @@ impl Method {
         })
     }
 
-    /// Why a method without replication has none of what replication buys.
+    /// Why a method that runs no shift body has none of what the CA
+    /// drivers around it provide.
     pub(crate) fn not_ca(&self) -> String {
         format!(
-            "{self:?} is not a CA method: it replicates nothing, so it has no \
+            "{self:?} is not a CA method: it does not run the shift body, so it has no \
              communication-schedule twin and no fault-tolerant driver (fault tolerance, \
              checkpoints, health monitors and conformance checking support ca-all-pairs, \
-             ca-1d-cutoff and ca-2d-cutoff)"
+             ring-symmetric, ca-1d-cutoff and ca-2d-cutoff)"
         )
     }
 }
@@ -614,7 +620,7 @@ pub struct Layout {
     /// midpoint method's `r_c / 2` — cuts out of the team grid, clipped or
     /// wrapping under periodic boundaries; for id blocks the full team ring
     /// (which wraps whatever the boundary: the ring orders block ids, not
-    /// space).
+    /// space), and its half for the half-ring.
     pub window: TeamWindow,
     /// Picks the force routine and the block order.
     method: Method,
@@ -642,11 +648,17 @@ impl Layout {
         };
         let Some((two_d, reach)) = spatial else {
             let grid = ProcGrid::new_all_pairs(p, c).map_err(|e| e.to_string())?;
+            let ring = TeamWindow::ring(grid.teams());
+            let window = match method {
+                // Newton's third law on the ring: the half, where it has room.
+                Method::ParticleRingSymmetric => walked_window(ring, c, true),
+                _ => ring,
+            };
             return Ok(Layout {
                 name,
                 grid,
                 cells: None,
-                window: TeamWindow::ring(grid.teams()),
+                window,
                 method,
             });
         };
@@ -801,15 +813,13 @@ impl Evaluation for Plain {
         let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
         let window = &layout.window;
         layout.order(st, law, domain);
-        // The methods that replicate nothing are one team per rank: their
-        // world is the row.
+        // The methods that do not run the shift body are one team per rank:
+        // their world is the row.
         match layout.method {
-            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. } => {
-                ca_forces(gc, window, st, law, domain, boundary)
-            }
-            Method::ParticleRingSymmetric => {
-                particle_ring_symmetric_forces(&gc.row, st, law, domain, boundary)
-            }
+            Method::CaAllPairs { .. }
+            | Method::ParticleRingSymmetric
+            | Method::Ca1dCutoff { .. }
+            | Method::Ca2dCutoff { .. } => ca_forces(gc, window, st, law, domain, boundary),
             Method::NaiveAllgather => naive_allgather_forces(&gc.row, st, law, domain, boundary),
             Method::Midpoint1d | Method::Midpoint2d => {
                 let [tx, ty, _] = window.dims();

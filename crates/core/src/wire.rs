@@ -96,16 +96,17 @@ pub struct ExpectedSchedule {
 /// Derive the per-channel sends of `spec`: the sends of the schedule of
 /// the run's own [`Layout`], once per timestep.
 ///
-/// * Layouts that never re-assign (id blocks — [`Method::CaAllPairs`]) get
-///   element checking: the distribution is static, so every skew/shift
-///   payload is predicted exactly.
+/// * Layouts that never re-assign (id blocks — [`Method::CaAllPairs`] and
+///   [`Method::ParticleRingSymmetric`]) get element checking: the
+///   distribution is static, so every skew/shift payload is predicted
+///   exactly.
 /// * Layouts that do ([`Method::Ca1dCutoff`] / [`Method::Ca2dCutoff`]) get
 ///   count-only checking (`size_checked = false`) — re-assignment drifts
 ///   the per-team block sizes between steps, but the window structure (who
 ///   talks to whom, how many times) is static, re-assignment's own
 ///   neighbour exchange included. Any placeholder sizes work then; the
 ///   id-block ones are used.
-/// * Methods that replicate nothing have no CA schedule twin and return
+/// * Methods that run no shift body have no CA schedule twin and return
 ///   `Err`.
 ///
 /// Each recorded shrink ends the layout before it: its steps up to the

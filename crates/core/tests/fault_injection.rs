@@ -84,9 +84,17 @@ fn drops_recover_bit_identically_at_every_c() {
     let cfg = all_pairs_cfg(2);
     let initial = init::uniform(24, &cfg.domain, 13);
     // Note: step 0 is the skew, where only rows k > 0 send — aim the
-    // skew drop at rank 6 (team 2, row 1), not a row-0 rank.
-    for (c, rank, step) in [(1usize, 3usize, 1usize), (2, 5, 1), (2, 6, 0)] {
-        let method = Method::CaAllPairs { c };
+    // skew drop at rank 6 (team 2, row 1), not a row-0 rank. The half ring
+    // at p = 8 sends its return, and nothing else, at step 5.
+    let ring = |c| Method::CaAllPairs { c };
+    let table = [
+        (ring(1), 3, 1),
+        (ring(2), 5, 1),
+        (ring(2), 6, 0),
+        (Method::ParticleRingSymmetric, 3, 1),
+        (Method::ParticleRingSymmetric, 3, 5),
+    ];
+    for (method, rank, step) in table {
         let want = run_distributed(&cfg, method, 8, &initial).particles;
         let plan = FaultPlan::parse(&format!("drop:{rank}@{step}")).unwrap();
         let got = run_distributed_chaos(
@@ -98,7 +106,7 @@ fn drops_recover_bit_identically_at_every_c() {
             &initial,
         )
         .expect("drops are always recoverable");
-        assert_eq!(got.particles, want, "c={c} rank={rank} step={step}");
+        assert_eq!(got.particles, want, "{method:?} rank={rank} step={step}");
         assert!(got.recovered, "a drop must be detected and retried");
         assert_eq!(got.max_attempts, 2);
     }
@@ -170,45 +178,41 @@ fn cutoff_kill_recovers_bit_identically() {
 /// Losing a `c = 1` column no longer fails the run: the survivors agree
 /// on the dead team, shrink the world onto themselves, and finish the
 /// trajectory — bit-identical to a plain distributed run on the surviving
-/// subset (the block drops before the failed step's forces ever act).
+/// subset (the block drops before the failed step's forces ever act). The
+/// half ring is Algorithm 1 at `c = 1` and shrinks the same way.
 #[test]
 fn c1_kill_shrinks_onto_survivors_and_completes() {
     let cfg = all_pairs_cfg(3);
     let initial = init::uniform(24, &cfg.domain, 5);
     let policy = RetryPolicy::with_timeout_ms(300);
-    let start = Instant::now();
-    let got = run_distributed_chaos(
-        &cfg,
-        Method::CaAllPairs { c: 1 },
-        4,
-        &FaultPlan::kill(2, 1),
-        &policy,
-        &initial,
-    )
-    .expect("a c=1 kill degrades to a shrink, not a failure");
-    // Degradation cascades through a bounded number of timeouts; far
-    // below the blocking-collective deadline a deadlock would hit.
-    assert!(
-        start.elapsed() < Duration::from_secs(20),
-        "shrink took {:?}",
-        start.elapsed()
-    );
-    assert_eq!(got.shrinks, 1);
-    assert_eq!(got.final_ranks, 3);
-    assert_eq!(got.lost_particles, 6, "team 2 of 4 owned ids 12..18");
-    assert!(got.metrics.sum_counter("world_shrunk_total", None) >= 1);
-    // Recomposed reference: drop team 2's id-block from the initial set
-    // and run the whole trajectory plain on the 3 survivors.
-    let survivors: Vec<_> = initial
-        .iter()
-        .filter(|q| !(12u64..18).contains(&q.id))
-        .cloned()
-        .collect();
-    let want = run_distributed(&cfg, Method::CaAllPairs { c: 1 }, 3, &survivors).particles;
-    assert_eq!(
-        got.particles, want,
-        "shrunken trajectory must be bit-identical to the recomposed run"
-    );
+    for method in [Method::CaAllPairs { c: 1 }, Method::ParticleRingSymmetric] {
+        let start = Instant::now();
+        let got = run_distributed_chaos(&cfg, method, 4, &FaultPlan::kill(2, 1), &policy, &initial)
+            .expect("a c=1 kill degrades to a shrink, not a failure");
+        // Degradation cascades through a bounded number of timeouts; far
+        // below the blocking-collective deadline a deadlock would hit.
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "{method:?}: shrink took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(got.shrinks, 1, "{method:?}");
+        assert_eq!(got.final_ranks, 3, "{method:?}");
+        assert_eq!(got.lost_particles, 6, "team 2 of 4 owned ids 12..18");
+        assert!(got.metrics.sum_counter("world_shrunk_total", None) >= 1);
+        // Recomposed reference: drop team 2's id-block from the initial set
+        // and run the whole trajectory plain on the 3 survivors.
+        let survivors: Vec<_> = initial
+            .iter()
+            .filter(|q| !(12u64..18).contains(&q.id))
+            .cloned()
+            .collect();
+        let want = run_distributed(&cfg, method, 3, &survivors).particles;
+        assert_eq!(
+            got.particles, want,
+            "{method:?}: shrunken trajectory must be bit-identical to the recomposed run"
+        );
+    }
 }
 
 /// Both replicas of one column dying together exhausts replica recovery

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use ca_nbody::dist::spatial_subset_1d;
-use ca_nbody::kernel::{accumulate_across, accumulate_block, cell_order};
+use ca_nbody::kernel::{accumulate_block, cell_order, update};
 use nbody_physics::{init, Boundary, Cutoff, Domain, LennardJones, Particle, Vec2};
 
 /// Counts allocations and growths while `COUNTING` is set.
@@ -83,7 +83,15 @@ fn warm_cutoff_kernel_calls_and_a_first_cell_order_allocate_nothing() {
             accumulate_block(targets, sources, &law, &domain, boundary);
         }
         returned.fill(Vec2::zero());
-        accumulate_across(targets, &next, &law, &domain, boundary, returned, None);
+        update(
+            targets,
+            &next,
+            &law,
+            &domain,
+            boundary,
+            Some(returned),
+            None,
+        );
         ordered.copy_from_slice(&dealt);
         cell_order(ordered, &law, &domain);
     };

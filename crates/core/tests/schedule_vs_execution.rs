@@ -6,7 +6,7 @@
 //! midpoint baseline the ablation bars are simulated from.
 
 use ca_nbody::dist::{
-    id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_xy,
+    block_range, id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_xy,
 };
 use ca_nbody::kernel::symmetric_cutoff;
 use ca_nbody::midpoint::midpoint_forces;
@@ -46,38 +46,49 @@ fn assert_counts_match(rank: usize, stats: &CommStats, sched: &OpCounts, label: 
 #[test]
 fn all_pairs_schedule_matches_execution() {
     let domain = Domain::unit();
+    let law = RepulsiveInverseSquare::default();
+    let cfg = SimConfig {
+        law,
+        integrator: SemiImplicitEuler,
+        domain,
+        boundary: Boundary::Open,
+        dt: 0.01,
+        steps: 1,
+    };
     // (6, 1, 25) is Plimpton's particle-decomposition ring and (9, 3, 21)
-    // his force decomposition: §III's two ends of Algorithm 1.
-    for (p, c, n) in [
-        (4, 1, 16),
-        (6, 1, 25),
-        (4, 2, 16),
-        (8, 2, 24),
-        (16, 4, 33),
-        (9, 3, 21),
+    // his force decomposition: §III's two ends of Algorithm 1. His
+    // half-ring is Algorithm 1 at c = 1 on the half of the ring.
+    let ring = |c| Method::CaAllPairs { c };
+    for (method, p, n) in [
+        (ring(1), 4, 16),
+        (ring(1), 6, 25),
+        (ring(2), 4, 16),
+        (ring(2), 8, 24),
+        (ring(4), 16, 33),
+        (ring(3), 9, 21),
+        (Method::ParticleRingSymmetric, 8, 24),
     ] {
-        let grid = ProcGrid::new_all_pairs(p, c).unwrap();
-        let stats = run_ranks(p, |world| {
-            let gc = GridComms::new(world, grid);
-            let all = init::uniform(n, &domain, 31);
-            let mut st = if gc.is_leader() {
-                id_block_subset(&all, grid.teams(), gc.team())
-            } else {
-                Vec::new()
-            };
-            ca_all_pairs_forces(&gc, &mut st, &Counting, &domain, Boundary::Open);
-            world.stats()
-        });
-        let params = AllPairsParams::new(p, c, n);
+        let layout = Layout::new(method, p, &domain, Boundary::Open, None).unwrap();
+        let (grid, c) = (layout.grid, layout.grid.c());
+        let stats = run_distributed(&cfg, method, p, &init::uniform(n, &domain, 31)).stats;
+        let sizes = (0..grid.teams()).map(|b| block_range(n, grid.teams(), b).len());
+        let twin = layout.schedule(sizes.collect(), symmetric_cutoff(&law));
+        let label = format!("{method:?} p={p} n={n}");
         for (rank, s) in stats.iter().enumerate() {
-            let sched = count_ops(params.program(rank));
-            assert_counts_match(rank, s, &sched, &format!("all-pairs p={p} c={c} n={n}"));
+            let sched = count_ops(twin.program(rank));
+            assert_counts_match(rank, s, &sched, &label);
             // Independent of the traversal both sides walk: p/c² shifts,
             // except on the rows k ≥ 1 of the force decomposition (c² = p),
-            // whose one shift step stays on the block the skew brought.
+            // whose one shift step stays on the block the skew brought. The
+            // half ring shifts a block p/2 teams on, then returns it.
             let stays = c * c == p && grid.row_of(rank) > 0;
-            let want = if stays { 0 } else { p / (c * c) };
-            assert_eq!(s.phase(Phase::Shift).messages, want as u64, "rank {rank}");
+            let want = match method {
+                Method::ParticleRingSymmetric => p / 2 + 1,
+                _ if stays => 0,
+                _ => p / (c * c),
+            };
+            let shifts = s.phase(Phase::Shift).messages;
+            assert_eq!(shifts, want as u64, "{label}: rank {rank}");
         }
     }
 }

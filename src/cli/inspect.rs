@@ -27,7 +27,7 @@
 //! `bench_results/machine_calibration.json`, else a quick in-process
 //! calibration) into per-rank roofline points, gated by
 //! `--roofline-baseline` (fails if the best rank falls below the recorded
-//! floor minus its tolerance). A method that replicates nothing has no
+//! floor minus its tolerance). A method that runs no shift body has no
 //! schedule twin and `ca-cutoff-2d` no closed-form bound: a line says so.
 //!
 //! The exit code is 1 on an UNHEALTHY bundle, a FAIL verdict (an

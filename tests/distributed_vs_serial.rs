@@ -9,8 +9,8 @@ use ca_nbody::{
 };
 use nbody_comm::FaultPlan;
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, ExplicitEuler, ForceLaw, Gravity, Integrator, LennardJones,
-    Particle, RepulsiveInverseSquare, SemiImplicitEuler, Vec2, VelocityVerlet,
+    init, Boundary, Counting, Cutoff, Domain, ExplicitEuler, ForceLaw, Gravity, Integrator,
+    LennardJones, Particle, RepulsiveInverseSquare, SemiImplicitEuler, Vec2, VelocityVerlet,
 };
 
 fn max_deviation(a: &[Particle], b: &[Particle]) -> f64 {
@@ -479,9 +479,37 @@ fn symmetric_half_ring_matches_serial_trajectories() {
         steps: 8,
     };
     let initial = init::uniform(30, &cfg.domain, 44);
-    for p in [2usize, 4, 5, 8] {
+    // One evaluation, particle by particle: a pair asked once gives `f` to
+    // one side and `−f` to the other, so the sums differ from the serial
+    // loop's in order only.
+    let one = SimConfig { steps: 1, ..cfg };
+    let want = run_serial(&one, &initial);
+    for p in [1usize, 2, 3, 4, 5, 7, 8] {
         check(&cfg, &initial, Method::ParticleRingSymmetric, p, 1e-9);
+        let got = run_distributed(&one, Method::ParticleRingSymmetric, p, &initial).particles;
+        for (g, w) in got.iter().zip(&want) {
+            let err = (g.force - w.force).norm();
+            let bound = 1e-12 * w.force.norm().max(1e-30);
+            assert!(err <= bound, "p={p} id={}: {err:.3e}", g.id);
+        }
     }
+}
+
+/// The half ring answers `f_ji` with `−f_ij`: a law that does not promise
+/// it is refused before any pair is asked.
+#[test]
+#[should_panic(expected = "symmetric force law")]
+fn the_half_ring_refuses_a_law_without_symmetry() {
+    let cfg = SimConfig {
+        law: Counting,
+        integrator: SemiImplicitEuler,
+        domain: Domain::unit(),
+        boundary: Boundary::Reflective,
+        dt: 0.01,
+        steps: 1,
+    };
+    let initial = init::uniform(8, &cfg.domain, 1);
+    run_distributed(&cfg, Method::ParticleRingSymmetric, 2, &initial);
 }
 
 /// `s.id − t.id` along x: antisymmetric by construction and integer-valued,

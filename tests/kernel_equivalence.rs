@@ -25,8 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ca_nbody::dist::spatial_subset_1d;
 use ca_nbody::kernel::{
-    accumulate_block, accumulate_block_potential, accumulate_sources, block_interactions,
-    cell_order,
+    accumulate_block, accumulate_sources, block_interactions, cell_order, update,
 };
 use nbody_physics::particle::sources as compact;
 use nbody_physics::{
@@ -252,8 +251,16 @@ fn check_law<F: ForceLaw + Copy>(
     }
 
     let mut harvested = targets.to_vec();
-    let (pe_evals, pe) =
-        accumulate_block_potential(&mut harvested, sources, &law, domain, boundary);
+    let mut pe = 0.0;
+    let pe_evals = update(
+        &mut harvested,
+        sources,
+        &law,
+        domain,
+        boundary,
+        None,
+        Some(&mut pe),
+    );
     if pe_evals != want_evals {
         return Err(ctx("potential variant changed the count"));
     }
@@ -279,8 +286,17 @@ fn check_law<F: ForceLaw + Copy>(
         return Err(ctx("compact sources changed the forces"));
     }
     let mut from_wire = targets.to_vec();
-    let (wire_evals, wire_pe) =
-        accumulate_block_potential(&mut from_wire, &wire, &law, domain, boundary);
+    let mut wire_pe = 0.0;
+    let potential = Some(&mut wire_pe);
+    let wire_evals = update(
+        &mut from_wire,
+        &wire,
+        &law,
+        domain,
+        boundary,
+        None,
+        potential,
+    );
     let same_pe = wire_pe.to_bits() == pe.to_bits() || (wire_pe.is_nan() && pe.is_nan());
     if wire_evals != want_evals || !same_pe {
         return Err(ctx(&format!(
