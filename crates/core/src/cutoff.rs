@@ -68,12 +68,15 @@
 //! vectors, and line 9 sums bare force vectors. Velocities never leave the
 //! leader.
 
+use std::cell::RefCell;
+
 use nbody_comm::{sum_combine, Communicator, Phase};
 use nbody_physics::particle::sources;
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle, Source, Vec2};
 
+use crate::dist::team_at;
 use crate::grid::GridComms;
-use crate::kernel::{cell_order, symmetric_cutoff, update, ComputeMeter};
+use crate::kernel::{cell_order, symmetric_cutoff, update, ComputeMeter, SLACK};
 use crate::link::{Link, Strict};
 use crate::window::{TeamWindow, Window};
 
@@ -455,14 +458,202 @@ pub fn traversal(
     })
 }
 
+/// The teams that update from the copy of `block` that leaves its home in
+/// row `row` at step `s` of [`traversal`] — by the skew, a shift or a
+/// clipped window's home re-injection: the copy's holder at each step from
+/// `s` on, for as long as the copy goes on (until its path comes home,
+/// leaves the grid or the row's shifts end), wherever that holder asks
+/// about the pairs it meets. A copy the full ring ships home is read by
+/// nobody: the home updates from the block it kept.
+pub(crate) fn readers(
+    window: TeamWindow,
+    c: usize,
+    block: usize,
+    row: usize,
+    s: usize,
+) -> impl Iterator<Item = usize> {
+    let w = window.len();
+    (s..=row_steps(w, c, row))
+        .map(move |u| (u, (row + u * c) % w))
+        .take_while(|&(_, j)| j != 0)
+        .map_while(move |(u, j)| window.apply(block, j).map(|holder| (u, j, holder)))
+        .filter(move |&(u, j, holder)| u > 0 && window.asks(holder, j))
+        .map(|(_, _, holder)| holder)
+}
+
+/// Where the teams of a [spatial](TeamWindow::is_spatial) window live, and
+/// how far into another team's region a source can reach: what every copy
+/// of a block that leaves home is cut to (DESIGN.md §15.1). Team `t` owns
+/// the cell `(t mod tx, t / tx)` of the domain's `tx × ty` split, an edge
+/// cell of a clipped axis everything beyond it too, and a periodic axis
+/// its cell modulo the period ([`team_at`]).
+///
+/// A source is kept for a reader when it is nearer its cell than `r_c`
+/// widened by [`SLACK`] of every length in play — `r_c`, the domain's
+/// corner and extent — far above the rounding of a displacement, as the
+/// kernel's cull widens its reach (§14.2); a source that is not finite is
+/// always kept. Every pair the law answers with a force has its source kept
+/// while every finite target lies in its team's region: the invariant
+/// [`Regions::stray`] checks.
+pub(crate) struct Regions {
+    domain: Domain,
+    boundary: Boundary,
+    dims: (usize, usize),
+    /// A cell's width and height.
+    cell: Vec2,
+    /// `r_c` widened, squared.
+    reach_sq: f64,
+}
+
+impl Regions {
+    /// The regions of `window`'s teams under `law`: `None` unless the
+    /// window is spatial and the law has a cutoff — copies then go whole.
+    pub(crate) fn of<F: ForceLaw>(
+        window: &TeamWindow,
+        law: &F,
+        domain: &Domain,
+        boundary: Boundary,
+    ) -> Option<Regions> {
+        let r_c = law.cutoff().filter(|_| window.is_spatial())?.abs();
+        let [tx, ty, _] = window.dims();
+        let ext = domain.extent();
+        let lengths = domain.min.x.abs() + domain.min.y.abs() + ext.x + ext.y;
+        let reach = r_c + (r_c + 2.0 * lengths) * SLACK;
+        Some(Regions {
+            domain: *domain,
+            boundary,
+            dims: (tx, ty),
+            cell: Vec2::new(ext.x / tx as f64, ext.y / ty as f64),
+            reach_sq: reach * reach,
+        })
+    }
+
+    /// The first finite particle of `block` that `team` does not own
+    /// ([`team_at`]), if there is one.
+    pub(crate) fn stray<'a>(&self, team: usize, block: &'a [Particle]) -> Option<&'a Particle> {
+        block
+            .iter()
+            .filter(|p| p.pos.is_finite())
+            .find(|p| team_at(&self.domain, self.dims, self.boundary, p.pos) != team)
+    }
+
+    /// How far `v` lies from cell `at` of an axis of `teams` cells of width
+    /// `width` from `lo`, of which the edge cells reach on outward unless
+    /// the axis is periodic with period `length`.
+    fn gap(&self, v: f64, at: usize, teams: usize, lo: f64, width: f64, length: f64) -> f64 {
+        if teams == 1 {
+            return 0.0;
+        }
+        let from = lo + at as f64 * width;
+        if self.boundary == Boundary::Periodic {
+            // How far past the cell's start, once round the period.
+            let mut t = v - from;
+            if !(0.0..length).contains(&t) {
+                t = t.rem_euclid(length);
+            }
+            return match t <= width {
+                true => 0.0,
+                false => (t - width).min(length - t),
+            };
+        }
+        let below = if at == 0 { 0.0 } else { from - v };
+        let above = if at + 1 == teams {
+            0.0
+        } else {
+            v - (from + width)
+        };
+        below.max(above).max(0.0)
+    }
+
+    /// Whether a source at `pos` is in reach of `team`'s region.
+    fn reaches(&self, team: usize, pos: Vec2) -> bool {
+        let ((tx, ty), d) = (self.dims, &self.domain);
+        let ext = d.extent();
+        let gx = self.gap(pos.x, team % tx, tx, d.min.x, self.cell.x, ext.x);
+        let gy = self.gap(pos.y, team / tx, ty, d.min.y, self.cell.y, ext.y);
+        gx * gx + gy * gy < self.reach_sq
+    }
+
+    /// The copy of `block` its `readers` need, into `copy`: the sources in
+    /// reach of one of their regions, in block order, then the [`tally`] of
+    /// the whole block. `kept` is set to the indices of those sources in
+    /// `block`, by which the reactions they gather come back.
+    fn cut(
+        &self,
+        block: &[Source],
+        readers: &[usize],
+        kept: &mut Vec<usize>,
+        mut copy: Vec<Source>,
+    ) -> Vec<Source> {
+        kept.clear();
+        kept.reserve(block.len());
+        kept.extend((0..block.len()).filter(|&k| {
+            let pos = block[k].pos;
+            !pos.is_finite() || readers.iter().any(|&team| self.reaches(team, pos))
+        }));
+        copy.clear();
+        copy.reserve_exact(kept.len() + 1);
+        copy.extend(kept.iter().map(|&k| block[k]));
+        copy.push(tally(block.len()));
+        copy
+    }
+}
+
+/// The last element of a copy cut from a block: no source, but the length
+/// of the whole block in its id, by which each holder charges the pairs of
+/// the sources left at home ([`left_at_home`]).
+fn tally(whole: usize) -> Source {
+    Source {
+        pos: Vec2::zero(),
+        mass: 0.0,
+        id: whole as u64,
+    }
+}
+
+/// The pairs of `targets` with the `absent` sources a cut copy left at
+/// home, each beyond `r_c` of every target: answered as the kernel's cull
+/// answers pairs, so counted — both ordered pairs of one asked `across` —
+/// and, with `potential`, charged the potential the law promises beyond
+/// `r_c`, whoever the pair is.
+fn left_at_home<F: ForceLaw>(
+    targets: &[Particle],
+    absent: usize,
+    across: bool,
+    law: &F,
+    potential: Option<&mut f64>,
+) -> u64 {
+    let pairs = (targets.len() * absent) as u64 * (1 + u64::from(across));
+    if let (Some(potential), Some(t), true) = (potential, targets.first(), pairs > 0) {
+        let far = Vec2::new(f64::INFINITY, 0.0);
+        *potential += pairs as f64 * law.potential(t, t, far);
+    }
+    pairs
+}
+
+/// What the shift body keeps on a rank's thread from one evaluation for
+/// the next: the readers of a copy and the indices of the block the last
+/// cut copy carried, and the vectors that arrived and are free to be sent
+/// on — the last buffer held, for the next cut copy; the last carried one,
+/// to carry the next; the last return, to gather the next reactions in. A
+/// warm evaluation then allocates little but the transport's envelopes.
+#[derive(Default)]
+struct Scratch {
+    reading: Vec<usize>,
+    kept: Vec<usize>,
+    spare: Vec<Source>,
+    carrier: Vec<(Source, Vec2)>,
+    gathered: Vec<Vec2>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// Lines 3-8 of both algorithms: walk [`traversal`] of the
-/// [`walked_window`] with the targets `st` and the exchange buffer `exch`,
-/// this rank's copy of its team's block as [`Source`]s (line 3; the plain
-/// entry passes the broadcast buffer itself). The buffer is moved into
-/// every send and replaced by the one received, with the reactions it
-/// gathered on a half window; the reactions returned to this rank are added
-/// to its targets' forces. The one body behind every `ca_*_forces*` entry:
-/// [`Strict`] link in the plain ones, one
+/// [`walked_window`] with the targets `st` and `own`, this rank's copy of
+/// its team's block as [`Source`]s (line 3; the plain entry passes the
+/// broadcast buffer itself). The one body behind every `ca_*_forces*`
+/// entry: [`Strict`] link in the plain ones, one
 /// [`Deadline`](crate::link::Deadline) link per recovery attempt in the
 /// fault-tolerant ones (so the home copy is rebuilt from the checkpointed
 /// state on every retry). With `potential` set, the kernel also harvests
@@ -470,41 +661,84 @@ pub fn traversal(
 /// potential-energy partial). Panics on a half window — the half ring of
 /// [`Method::ParticleRingSymmetric`](crate::sim::Method::ParticleRingSymmetric)
 /// included — under a law that does not promise `f_ji = −f_ij`.
+///
+/// The held buffer is moved into every send and replaced by the one
+/// received, with the reactions it gathered on a half window; the
+/// reactions returned to this rank are added to its targets' forces.
+///
+/// On a spatial window under a law with a cutoff ([`Regions`]) `own` stays
+/// home: each copy that leaves — the skew, a shift from home, a clipped
+/// window's re-injection — is cut to the sources its [`readers`] reach and
+/// ends with the [`tally`] of the whole block, holders forward it as it
+/// came, and a return carries the reactions of the sources it carried,
+/// which this rank adds back through the indices it cut them by. Elsewhere
+/// the block itself leaves, whole, and a clipped window keeps an immutable
+/// copy to re-inject. A cut is exact while every finite target lies in its
+/// team's region, which the body checks on every copy a failed digest has
+/// not already condemned ([`Link::vouched`]), and panics naming the first
+/// that does not.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     gc: &GridComms<C>,
     window: &W,
     st: &mut [Particle],
-    mut exch: Vec<Source>,
+    own: Vec<Source>,
     law: &F,
     domain: &Domain,
     boundary: Boundary,
     link: &L,
     mut potential: Option<&mut f64>,
 ) -> Result<(), L::Error> {
-    let window = walked_window(window.team_window(), gc.grid.c(), symmetric_cutoff(law));
+    let (team, row, c) = (gc.team(), gc.row_index(), gc.grid.c());
+    let window = walked_window(window.team_window(), c, symmetric_cutoff(law));
     assert!(
         !window.is_half() || law.is_symmetric(),
         "the half window asks each pair once for both ways: it requires a symmetric force law"
     );
-    // `home` is the immutable copy used to re-inject this team's block when
-    // a traversal wraps across the domain boundary; a periodic window has
-    // no boundary to wrap across and keeps none.
-    let home: Vec<Source> = if window.is_periodic() {
-        Vec::new()
-    } else {
-        exch.clone()
+    let regions = Regions::of(&window, law, domain, boundary);
+    if let Some(regions) = regions.as_ref().filter(|_| link.vouched()) {
+        if let Some(p) = regions.stray(team, st) {
+            panic!(
+                "particle {} at ({}, {}) is not in team {team}'s region: a cut copy is exact \
+                 only when every block is re-assigned right before its force evaluation",
+                p.id, p.pos.x, p.pos.y
+            );
+        }
+    }
+    // `exch` is the held buffer. Where copies are cut, this team's block
+    // stays in `own`; where they are not, it leaves as the held buffer,
+    // and `home` is the immutable copy that re-injects it when a traversal
+    // wraps across the domain boundary — a periodic window has no boundary
+    // to wrap across and keeps none.
+    let cut = regions.is_some();
+    let (own, mut exch) = match cut {
+        true => (own, Vec::new()),
+        false => (Vec::new(), own),
+    };
+    let home: Vec<Source> = match window.is_periodic() || cut {
+        true => Vec::new(),
+        false => exch.clone(),
     };
     // The paper's M = cn/p replicated working set (owned block + exchange
     // buffer + home copy): the memory the Eq. 2/3 bounds are evaluated
-    // against.
-    gc.col.metrics().gauge_max(
-        "mem_particles_hwm",
-        (st.len() + exch.len() + home.len()) as u64,
-    );
-    // The reactions the held buffer has gathered, one per source, if it
-    // has gathered any: an empty block gathers an empty vector.
-    let mut reactions: Option<Vec<Vec2>> = None;
+    // against. Where copies are cut the exchange buffer is another team's
+    // copy as it arrives, so the mark is taken again at every receive.
+    let kept_home = (st.len() + own.len() + home.len()) as u64;
+    let memory = gc.col.metrics();
+    memory.gauge_max("mem_particles_hwm", kept_home + exch.len() as u64);
+    // The block the held buffer is a copy of, and the length of that whole
+    // block (a cut copy's tally).
+    let (mut held, mut whole) = (Some(team), exch.len());
+    // The reactions the held buffer has gathered, one per source, while
+    // `gathering`: the vector stays for the next buffer unless it is sent.
+    let Scratch {
+        mut reading,
+        mut kept,
+        mut spare,
+        mut carrier,
+        mut gathered,
+    } = SCRATCH.take();
+    let mut gathering = false;
 
     // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
     // the trace carry the step, so an analyzer can place every wait in the
@@ -513,8 +747,14 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
     // FLOP/byte accounting for the roofline audit; aborted attempts still
     // count — the work was really done.
     let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
+    // A copy cut for the readers of its path from step `s`.
+    let mut cut_for = |regions: &Regions, s: usize, kept: &mut Vec<usize>| {
+        reading.clear();
+        reading.extend(readers(window, c, team, row, s));
+        regions.cut(&own, &reading, kept, std::mem::take(&mut spare))
+    };
 
-    let hops = traversal(window, gc.grid.c(), gc.team(), gc.row_index());
+    let hops = traversal(window, c, team, row);
     for (s, hop) in hops.enumerate() {
         let (phase, tag) = match s {
             0 => (Phase::Skew, TAG_SKEW),
@@ -523,39 +763,68 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
         gc.col.set_phase(phase);
         tr.set_step(Some(s as u32));
         link.step(&gc.col, s)?;
+        let sent = std::mem::replace(&mut held, hop.block);
         if let Some(holder) = hop.shift_to {
-            let buffer = std::mem::take(&mut exch);
-            match reactions.take() {
-                None => link.send(&gc.row, holder, tag, buffer),
-                Some(gathered) => {
-                    let carried: Vec<(Source, Vec2)> = buffer.into_iter().zip(gathered).collect();
+            match &regions {
+                Some(regions) if sent == Some(team) => {
+                    link.send(&gc.row, holder, tag, cut_for(regions, s, &mut kept));
+                }
+                _ if gathering => {
+                    // The sources and their reactions in one message; both
+                    // vectors stay for the next buffer.
+                    let mut carried = std::mem::take(&mut carrier);
+                    carried.clear();
+                    carried.extend(exch.iter().copied().zip(gathered.iter().copied()));
+                    if cut {
+                        carried.push((tally(whole), Vec2::zero()));
+                    }
+                    exch.clear();
+                    gathered.clear();
+                    gathering = false;
                     link.send(&gc.row, holder, tag, carried);
+                }
+                _ => {
+                    let mut buffer = std::mem::take(&mut exch);
+                    if cut {
+                        buffer.push(tally(whole));
+                    }
+                    link.send(&gc.row, holder, tag, buffer);
                 }
             }
         }
         if let Some(needy) = hop.home_to {
-            link.send(&gc.row, needy, tag, home.clone());
+            let copy = match &regions {
+                Some(regions) => cut_for(regions, s, &mut kept),
+                None => home.clone(),
+            };
+            link.send(&gc.row, needy, tag, copy);
         }
-        if let Some(team) = hop.return_to {
-            let gathered = reactions.take().expect("a path ends where it gathered");
-            link.send(&gc.row, team, TAG_RETURN + s as u64, gathered);
+        if let Some(to) = hop.return_to {
+            assert!(gathering, "a path ends where it gathered");
+            gathering = false;
+            let gathered = std::mem::take(&mut gathered);
+            link.send(&gc.row, to, TAG_RETURN + s as u64, gathered);
         }
         match (hop.recv_from, hop.block) {
             (Some(src), _) if hop.carried => {
                 let carried: Vec<(Source, Vec2)> = link.recv(&gc.row, src, tag)?;
-                let gathered;
-                (exch, gathered) = carried.into_iter().unzip();
-                reactions = Some(gathered);
+                exch.clear();
+                exch.extend(carried.iter().map(|&(source, _)| source));
+                gathered.clear();
+                gathered.extend(carried.iter().map(|&(_, reaction)| reaction));
+                gathering = true;
+                carrier = carried;
             }
             (Some(src), _) => {
                 exch = link.recv(&gc.row, src, tag)?;
-                reactions = None;
+                gathering = false;
             }
             // The new position is off the grid: this rank idles.
-            (None, None) => exch = Vec::new(),
+            (None, None) => exch.clear(),
             // Row 0's skew, a stay, or the item after a half window's last
-            // shift: the buffer already holds the block.
-            (None, Some(b)) if s == 0 || b != gc.team() => {}
+            // shift: the buffer already holds the block. A cut window's
+            // own block never left.
+            (None, Some(b)) if s == 0 || b != team || cut => {}
             // Home: the block is the team's own, and `st` holds its ids,
             // positions and masses in the broadcast's order. The buffer is
             // another team's block: grow it to this one's size exactly, not
@@ -566,40 +835,83 @@ pub(crate) fn shift_pipeline<C: Communicator, W: Window, F: ForceLaw, L: Link>(
                 exch.extend(st.iter().map(Source::from));
             }
         }
+        if cut && hop.recv_from.is_some() {
+            let tally = exch.pop().expect("a cut copy ends with its tally");
+            whole = tally.id as usize;
+            if hop.carried {
+                gathered.pop();
+            }
+            memory.gauge_max("mem_particles_hwm", kept_home + exch.len() as u64);
+        }
         // Line 7, once per window position; another team's block gathers
         // its reactions on a half window.
         if hop.update {
-            let across = window.is_half() && hop.block != Some(gc.team());
-            let len = exch.len();
-            let reactions =
-                across.then(|| &mut reactions.get_or_insert_with(|| vec![Vec2::zero(); len])[..]);
+            let mine = hop.block == Some(team);
+            let (sources, absent) = match (cut, mine) {
+                (true, true) => (&own, 0),
+                (true, false) => (&exch, whole - exch.len()),
+                (false, _) => (&exch, 0),
+            };
+            let across = window.is_half() && !mine;
+            if across && !gathering {
+                gathered.clear();
+                gathered.resize(sources.len(), Vec2::zero());
+                gathering = true;
+            }
+            let reactions = across.then_some(&mut gathered[..]);
             gc.col.set_phase(Phase::Other);
-            let potential = potential.as_deref_mut();
-            meter.time(st.len(), exch.len(), || {
-                update(st, &exch, law, domain, boundary, reactions, potential)
+            let mut potential = potential.as_deref_mut();
+            meter.time(st.len(), sources.len(), || {
+                let pe = potential.as_deref_mut();
+                let answered = update(st, sources, law, domain, boundary, reactions, pe);
+                answered + left_at_home(st, absent, across, law, potential)
             });
         }
         if let Some(holder) = hop.return_from {
             gc.col.set_phase(Phase::Shift);
             let returned: Vec<Vec2> = link.recv(&gc.row, holder, TAG_RETURN + s as u64)?;
-            debug_assert_eq!(
-                returned.len(),
-                st.len(),
-                "a return is the block it went out as"
-            );
-            for (p, f) in st.iter_mut().zip(returned) {
-                p.force += f;
+            if cut {
+                debug_assert_eq!(
+                    returned.len(),
+                    kept.len(),
+                    "a return is the copy it went out as"
+                );
+                for (&k, &f) in kept.iter().zip(&returned) {
+                    st[k].force += f;
+                }
+            } else {
+                debug_assert_eq!(
+                    returned.len(),
+                    st.len(),
+                    "a return is the block it went out as"
+                );
+                for (p, &f) in st.iter_mut().zip(&returned) {
+                    p.force += f;
+                }
+            }
+            if !gathering && gathered.capacity() < returned.capacity() {
+                gathered = returned;
             }
         }
     }
     tr.set_step(None);
+    if cut && spare.capacity() < exch.capacity() {
+        spare = exch;
+    }
+    SCRATCH.set(Scratch {
+        reading,
+        kept,
+        spare,
+        carrier,
+        gathered,
+    });
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{spatial_subset_1d, spatial_subset_2d, team_grid_dims};
+    use crate::dist::{spatial_subset, spatial_subset_1d, team_grid_dims};
     use crate::grid::ProcGrid;
     use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
@@ -725,7 +1037,7 @@ mod tests {
                 let gc = GridComms::new(world, grid);
                 let all = init::uniform(n, &domain, 13);
                 let mut st = if gc.is_leader() {
-                    spatial_subset_2d(&all, &domain, tx, ty, gc.team())
+                    spatial_subset(&all, &domain, (tx, ty), Boundary::Open, gc.team())
                 } else {
                     Vec::new()
                 };
@@ -781,6 +1093,127 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.force.x, w.force.x, "id={}", g.id);
         }
+    }
+
+    /// [`readers`] names, for each copy that leaves home, exactly the
+    /// teams whose hops update from it before it comes home, leaves the
+    /// grid or is replaced: every window shape, full and half, every `c`.
+    #[test]
+    fn the_readers_of_a_copy_are_the_teams_that_update_from_it() {
+        use std::collections::BTreeSet;
+        let windows = [
+            TeamWindow::clipped(&[7], &[2]),
+            TeamWindow::wrapping(&[7], &[2]),
+            TeamWindow::wrapping(&[4], &[2]),
+            TeamWindow::clipped(&[4, 3], &[1, 1]),
+            TeamWindow::wrapping(&[4, 3], &[1, 1]),
+            TeamWindow::wrapping(&[2, 2], &[1, 1]),
+        ];
+        let mut checked = 0;
+        for window in windows.into_iter().flat_map(|w| [w, w.half()]) {
+            let teams = window.teams();
+            for c in 1..=window.len() {
+                for row in 0..c {
+                    let hops: Vec<Vec<Hop>> = (0..teams)
+                        .map(|t| traversal(window, c, t, row).collect())
+                        .collect();
+                    // Per block, the step its copy in flight left home at.
+                    let mut left: Vec<Option<usize>> = vec![None; teams];
+                    let mut read: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); teams];
+                    let mut copies = Vec::new();
+                    let last = hops[0].len();
+                    for s in 0..last {
+                        for b in 0..teams {
+                            let held = match s {
+                                0 => Some(b),
+                                _ => hops[b][s - 1].block,
+                            };
+                            let hop = hops[b][s];
+                            let leaves = hop.home_to.is_some()
+                                || (hop.shift_to.is_some() && held == Some(b));
+                            if leaves {
+                                if let Some(from) = left[b] {
+                                    copies.push((b, from, std::mem::take(&mut read[b])));
+                                }
+                                left[b] = Some(s);
+                            }
+                        }
+                        for (h, hops) in hops.iter().enumerate() {
+                            match hops[s] {
+                                Hop {
+                                    update: true,
+                                    block: Some(b),
+                                    ..
+                                } if b != h => {
+                                    assert!(left[b].is_some(), "{window:?} c={c}: {b} never left");
+                                    read[b].insert(h);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                    for b in 0..teams {
+                        if let Some(from) = left[b] {
+                            copies.push((b, from, std::mem::take(&mut read[b])));
+                        }
+                    }
+                    for (b, from, read) in copies {
+                        let named: BTreeSet<usize> = readers(window, c, b, row, from).collect();
+                        assert_eq!(
+                            named, read,
+                            "{window:?} c={c} row {row}: block {b} from {from}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 500, "{checked}");
+    }
+
+    /// The shift body keeps the indices of one cut copy (`kept`) to add a
+    /// return back by: on every half window [`walked_window`] takes, a
+    /// return answers the one copy with readers that left home since the
+    /// last, and no copy of the block leaves while that one is out.
+    #[test]
+    fn a_return_answers_the_last_copy_that_left_home() {
+        let mut returns = 0;
+        for (n, ny) in (1..=9).flat_map(|n| (1..=3).map(move |ny| (n, ny))) {
+            for (m, my) in (1..=4).flat_map(|m| (1..=2).map(move |my| (m, my))) {
+                for wraps in [false, true] {
+                    let full = match wraps {
+                        true => TeamWindow::wrapping(&[n, ny], &[m, my]),
+                        false => TeamWindow::clipped(&[n, ny], &[m, my]),
+                    };
+                    for c in 1..=full.len() {
+                        let window = walked_window(full, c, true);
+                        if !window.is_half() {
+                            continue;
+                        }
+                        for (row, team) in (0..c).flat_map(|r| (0..n * ny).map(move |t| (r, t))) {
+                            let mut held = Some(team);
+                            let mut out = 0;
+                            for (s, hop) in traversal(window, c, team, row).enumerate() {
+                                let sent = std::mem::replace(&mut held, hop.block);
+                                let leaves = hop.home_to.is_some()
+                                    || (hop.shift_to.is_some() && sent == Some(team));
+                                if leaves {
+                                    let ctx = format!("{full:?} c={c} row {row} team {team}");
+                                    assert_eq!(out, 0, "{ctx}: a copy leaves at {s}");
+                                    let read = readers(window, c, team, row, s).next();
+                                    out += usize::from(read.is_some());
+                                }
+                                if hop.return_from.is_some() {
+                                    assert_eq!(out, 1, "{full:?} c={c} row {row} team {team}");
+                                    (out, returns) = (0, returns + 1);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(returns > 10_000, "{returns}");
     }
 
     #[test]
@@ -851,6 +1284,61 @@ mod tests {
                 "c={c}: {max_shift} shift msgs > bound {bound}"
             );
         }
+    }
+
+    /// A cut copy is exact only while every target is in its team's region:
+    /// a block with a particle out of place stops the run naming it, unless
+    /// the copy failed its digest, whose attempt is thrown away whatever it
+    /// computes — a corrupt checkpoint must reach its repair, not a panic.
+    #[test]
+    fn a_target_out_of_its_region_is_named_unless_its_copy_is_condemned() {
+        use crate::link::Deadline;
+        let domain = Domain::unit();
+        let r_c = 0.1;
+        let grid = ProcGrid::new(4, 1).unwrap();
+        let window = TeamWindow::from_cutoff(&domain, (4, 1), false, r_c);
+        let law = Cutoff::new(Counting, r_c);
+        let all = init::uniform_1d(40, &domain, 3);
+        let blocks = |team: usize| {
+            let mut st = spatial_subset_1d(&all, &domain, 4, team);
+            if team == 1 {
+                st[0].pos.x = 0.9;
+            }
+            st
+        };
+        let condemned = run_ranks(4, |world| {
+            let gc = GridComms::new(world, grid);
+            let mut st = blocks(gc.team());
+            let link = Deadline {
+                tag_base: 0,
+                deadline: std::time::Duration::from_secs(5),
+                intact: false,
+            };
+            let own = sources(&st);
+            shift_pipeline(
+                &gc,
+                &window,
+                &mut st,
+                own,
+                &law,
+                &domain,
+                Boundary::Open,
+                &link,
+                None,
+            )
+            .is_ok()
+        });
+        assert_eq!(condemned, [true; 4]);
+        let vouched = std::panic::catch_unwind(|| {
+            run_ranks(4, |world| {
+                let gc = GridComms::new(world, grid);
+                let mut st = blocks(gc.team());
+                ca_cutoff_forces(&gc, &window, &mut st, &law, &domain, Boundary::Open);
+            })
+        });
+        let said = vouched.expect_err("a stray target stops the run");
+        let said = said.downcast_ref::<String>().expect("a formatted panic");
+        assert!(said.contains("is not in team 1's region"), "{said}");
     }
 
     #[test]

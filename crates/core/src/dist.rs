@@ -5,7 +5,7 @@
 //! divide them *spatially* (Algorithm 2): each team owns the particles in a
 //! slab (1D) or rectangle (2D) of the simulation domain.
 
-use nbody_physics::{Domain, Particle};
+use nbody_physics::{Boundary, Domain, Particle, Vec2};
 
 /// Index range of team `b`'s block in an id-ordered distribution of `n`
 /// particles over `teams` blocks: balanced contiguous blocks whose sizes
@@ -73,6 +73,57 @@ pub fn team_of_xy(domain: &Domain, tx: usize, ty: usize, x: f64, y: f64) -> usiz
     cy * tx + cx
 }
 
+/// The team owning `pos` on the `tx × ty` spatial decomposition of a run
+/// under `boundary`: [`team_of_xy`] of the position, each coordinate on a
+/// periodic axis wrapped into the domain first when it lies outside it —
+/// a position a drift carried past an edge belongs to the team across it,
+/// not to the edge team a clamp would pick. Clipped decompositions clamp:
+/// their edge teams own everything beyond. A 1-D decomposition reads no
+/// `y`. The one rule the drivers deal, re-assign and check their blocks by.
+#[inline]
+pub fn team_at(domain: &Domain, (tx, ty): (usize, usize), boundary: Boundary, pos: Vec2) -> usize {
+    let periodic = boundary == Boundary::Periodic;
+    let (min, max) = (domain.min, domain.max);
+    let x = match periodic && !(min.x..max.x).contains(&pos.x) {
+        true => wrapped(domain, pos).x,
+        false => pos.x,
+    };
+    let y = match periodic && ty > 1 && !(min.y..max.y).contains(&pos.y) {
+        true => wrapped(domain, pos).y,
+        false => pos.y,
+    };
+    team_of_xy(domain, tx, ty, x, y)
+}
+
+/// `pos` wrapped into the periodic `domain`, each axis on its own: off the
+/// deal's path, which meets positions inside the domain.
+#[cold]
+#[inline(never)]
+fn wrapped(domain: &Domain, pos: Vec2) -> Vec2 {
+    Boundary::Periodic.apply(domain, pos, Vec2::zero()).0
+}
+
+/// Select the particles of team `b` of a `tx × ty` spatial decomposition
+/// under `boundary`, by [`team_at`]. The 1-D decomposition, `ty = 1`, gets
+/// a loop of its own, which reads no `y`.
+pub fn spatial_subset(
+    particles: &[Particle],
+    domain: &Domain,
+    dims: (usize, usize),
+    boundary: Boundary,
+    b: usize,
+) -> Vec<Particle> {
+    let teams = dims.0 * dims.1;
+    match dims {
+        (tx, 1) => deal(particles, teams, |p| {
+            team_at(domain, (tx, 1), boundary, p.pos) == b
+        }),
+        _ => deal(particles, teams, |p| {
+            team_at(domain, dims, boundary, p.pos) == b
+        }),
+    }
+}
+
 /// Select (by clone) the particles of team `b` under the id-block
 /// distribution. Assumes `particles` is the full id-ordered population —
 /// the deterministic-generation convention used by the drivers.
@@ -90,19 +141,6 @@ pub fn spatial_subset_1d(
     deal(particles, teams, |p| team_of_x(domain, teams, p.pos.x) == b)
 }
 
-/// Select the particles of team `b` under the 2D spatial decomposition.
-pub fn spatial_subset_2d(
-    particles: &[Particle],
-    domain: &Domain,
-    tx: usize,
-    ty: usize,
-    b: usize,
-) -> Vec<Particle> {
-    deal(particles, tx * ty, |p| {
-        team_of_xy(domain, tx, ty, p.pos.x, p.pos.y) == b
-    })
-}
-
 /// The particles `mine` picks, in one scan, into a block reserved once at
 /// an even share of `teams`: a block no larger is allocated once, a larger
 /// one grows once more, where collecting grew it by doubling from nothing.
@@ -115,7 +153,7 @@ fn deal(particles: &[Particle], teams: usize, mine: impl Fn(&Particle) -> bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_physics::{init, Vec2};
+    use nbody_physics::init;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -198,7 +236,7 @@ mod tests {
 
         let (tx, ty) = team_grid_dims(6);
         let total2: usize = (0..6)
-            .map(|b| spatial_subset_2d(&ps, &d, tx, ty, b).len())
+            .map(|b| spatial_subset(&ps, &d, (tx, ty), Boundary::Open, b).len())
             .sum();
         assert_eq!(total2, 200);
     }
@@ -218,6 +256,36 @@ mod tests {
         // Exactly on the max edge clamps into the last team.
         assert_eq!(team_of_x(&d, 8, 1.0), 7);
         assert_eq!(team_of_xy(&d, 4, 4, 1.0, 1.0), 15);
+    }
+
+    /// A position a drift carried past an edge: a periodic decomposition
+    /// owns it across the seam, a clipped one at the edge; inside the
+    /// domain both are `team_of_xy`'s, bit for bit the same position.
+    #[test]
+    fn team_at_wraps_across_a_periodic_seam_and_clamps_at_a_wall() {
+        let d = Domain::new(Vec2::new(-1.0, 0.5), Vec2::new(3.0, 2.5));
+        let cases = [
+            (Vec2::new(-1.25, 1.0), 3, 0),
+            (Vec2::new(3.25, 1.0), 0, 3),
+            (Vec2::new(0.5, 2.75), 1, 5),
+            (Vec2::new(-1.5, 0.25), 7, 0),
+        ];
+        for (pos, periodic, clipped) in cases {
+            assert_eq!(
+                team_at(&d, (4, 2), Boundary::Periodic, pos),
+                periodic,
+                "{pos:?}"
+            );
+            for wall in [Boundary::Open, Boundary::Reflective] {
+                assert_eq!(team_at(&d, (4, 2), wall, pos), clipped, "{pos:?}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..1000 {
+            let pos = Vec2::new(rng.gen_range(-1.0..3.0), rng.gen_range(0.5..2.5));
+            let want = team_of_xy(&d, 4, 2, pos.x, pos.y);
+            assert_eq!(team_at(&d, (4, 2), Boundary::Periodic, pos), want);
+        }
     }
 
     /// Truncation is floored division once clamped: against the formula

@@ -194,7 +194,7 @@ fn cell_of(pos: Vec2, min: Vec2, side: f64) -> [i64; 2] {
 /// operations between a position and its cell (DESIGN.md §14.2). It also
 /// pays for a law whose own range test rounds differently from
 /// `Vec2::norm_sq`, e.g. through a fused multiply-add.
-const SLACK: f64 = 1e-9;
+pub(crate) const SLACK: f64 = 1e-9;
 
 /// Cells per source, and a few more, that a block's table may have: a block
 /// spread wider than that is indexed by coarser cells.
@@ -675,9 +675,12 @@ impl Cells {
     /// when both have one and their cells are the same or next to each
     /// other along an axis — the three cells either side, at most three
     /// rows of cells, the same cells for every pair in those two — and
-    /// computed as [`Cells::near`] computes them if not.
+    /// computed as [`Cells::near`] computes them if not. The last field
+    /// says which: a pair read from its places lies inside
+    /// [`Cells::plain`] and reaches no image, so every source it is shown
+    /// is nearer than half a period.
     #[inline(always)]
-    fn near_in_block(&mut self, i: usize, j: usize, pos: Vec2x2) -> Option<(&[Span], bool)> {
+    fn near_in_block(&mut self, i: usize, j: usize, pos: Vec2x2) -> Option<(&[Span], bool, bool)> {
         let (a, b) = (self.places[i], self.places[j]);
         let [x, y] = [[a as u32, b as u32], [(a >> 32) as u32, (b >> 32) as u32]];
         let plain = |[a, b]: [u32; 2], (from, to): (i64, i64)| {
@@ -687,7 +690,7 @@ impl Cells {
         let placed = a != u64::MAX && b != u64::MAX;
         if !(placed && next(x) + next(y) <= 1 && plain(x, self.plain[0]) && plain(y, self.plain[1]))
         {
-            return self.near(pos);
+            return self.near(pos).map(|(spans, culled)| (spans, culled, false));
         }
         // The cell either side of the two, clamped to the table.
         let around = |[a, b]: [u32; 2], dim: usize| {
@@ -697,7 +700,7 @@ impl Cells {
         if [from, to, bottom, top] != self.key {
             self.gather_key([from, to, bottom, top]);
         }
-        Some((&self.spans, self.culled))
+        Some((&self.spans, self.culled, true))
     }
 
     /// The spans of the columns `key[0]..key[1]` of the rows
@@ -1198,11 +1201,18 @@ fn nest<S: KernelSource, F: ForceLaw, H: Harvest, R: Reaction>(
             (Some(_), Some(cells)) if same => {
                 cells.near_in_block(i, i + lanes.pair.len() - 1, lanes.pos)
             }
-            (Some(_), Some(cells)) => cells.near(lanes.pos),
+            (Some(_), Some(cells)) => cells.near(lanes.pos).map(|(s, culled)| (s, culled, false)),
             _ => None,
         };
         match near {
-            Some((spans, culled)) => {
+            Some((spans, culled, plain)) => {
+                // A pair that reaches no image is shown sources nearer than
+                // half a period, from which the minimum image would take
+                // `+0.0`: the plain displacement is the same bits.
+                let place = match plain {
+                    true => (*domain, Boundary::Open),
+                    false => place,
+                };
                 for &(start, end) in spans {
                     let run = start.max(from)..end;
                     if run.is_empty() {
@@ -1796,11 +1806,29 @@ mod tests {
                     let pos = Vec2x2::new(ts[0].pos, ts[ts.len() - 1].pos);
                     let shown = match against_itself {
                         true => cells.near_in_block(i, j, pos),
-                        false => cells.near(pos),
+                        false => cells.near(pos).map(|(s, culled)| (s, culled, false)),
                     };
-                    let Some((spans, culled)) = shown else {
+                    let Some((spans, culled, plain)) = shown else {
                         continue;
                     };
+                    // Read from places: the walk takes the plain
+                    // displacement, which must be the minimum image's bits.
+                    for &(start, end) in spans.iter().filter(|_| plain) {
+                        for (s, t) in sources[start..end]
+                            .iter()
+                            .flat_map(|s| ts.iter().map(move |t| (s, t)))
+                        {
+                            let [a, b] = [boundary, Boundary::Open]
+                                .map(|b| b.displacement(&domain, t.pos, s.pos));
+                            assert_eq!(
+                                [a.x.to_bits(), a.y.to_bits()],
+                                [b.x.to_bits(), b.y.to_bits()],
+                                "case {case} {boundary:?} r_c {r_c}: {:?} <- {:?}",
+                                t.pos,
+                                s.pos
+                            );
+                        }
+                    }
                     assert!(spans.windows(2).all(|w| w[0].1 < w[1].0), "{spans:?}");
                     let shown =
                         |k: usize| spans.iter().any(|&(start, end)| (start..end).contains(&k));

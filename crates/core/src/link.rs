@@ -40,6 +40,13 @@ pub(crate) trait Link {
         src: usize,
         tag: u64,
     ) -> Result<Vec<T>, Self::Error>;
+
+    /// Whether the block the pipeline runs on is vouched for: every block
+    /// but a checkpoint that failed its digest, whose attempt the recovery
+    /// protocol throws away whatever it computes.
+    fn vouched(&self) -> bool {
+        true
+    }
 }
 
 /// The failure-free link of the paper's algorithms.
@@ -87,6 +94,8 @@ impl Link for Strict {
 pub(crate) struct Deadline {
     pub(crate) tag_base: u64,
     pub(crate) deadline: Duration,
+    /// Whether the attempt's checkpoint holds its digest.
+    pub(crate) intact: bool,
 }
 
 impl Link for Deadline {
@@ -107,5 +116,9 @@ impl Link for Deadline {
         tag: u64,
     ) -> Result<Vec<T>, CommError> {
         row.try_recv_timeout(src, tag + self.tag_base, self.deadline)
+    }
+
+    fn vouched(&self) -> bool {
+        self.intact
     }
 }

@@ -133,7 +133,7 @@ pub fn midpoint_forces<C: Communicator, W: Window, F: ForceLaw>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{spatial_subset_2d, team_grid_dims, team_of_xy};
+    use crate::dist::{spatial_subset, team_grid_dims, team_of_xy};
     use crate::window::TeamWindow;
     use nbody_comm::run_ranks;
     use nbody_physics::{init, reference, Counting, Cutoff};
@@ -159,7 +159,7 @@ mod tests {
         let half = law.cutoff().unwrap() / 2.0;
         let window = TeamWindow::from_cutoff(&domain, (tx, ty), wraps, half);
         let out = run_ranks(tx * ty, |world| {
-            let mut mine = spatial_subset_2d(&all, &domain, tx, ty, world.rank());
+            let mut mine = spatial_subset(&all, &domain, (tx, ty), boundary, world.rank());
             let owner = |pos: Vec2| team_of_xy(&domain, tx, ty, pos.x, pos.y);
             midpoint_forces(world, &window, &mut mine, &law, &domain, boundary, owner);
             mine

@@ -472,8 +472,9 @@ fn lowest_clear_row<C: Communicator>(gc: &GridComms<C>, flagged: bool) -> Option
 ///
 /// `st` must hold the post-broadcast input block; `attempt` runs one
 /// fallible pipeline pass over `st` under the given tag offset, with the
-/// given per-receive deadline, and the team reduce ends each attempt
-/// ([`settle`], which `defer` and `next` are for). On success the leader's
+/// given per-receive deadline, told whether the checkpoint held its
+/// digest, and the team reduce ends each attempt ([`settle`], which
+/// `defer` and `next` are for). On success the leader's
 /// `st` holds the reduced forces. On [`FaultError::ColumnsLost`], `st`
 /// holds the restored *pre-force* checkpoint on every surviving-column
 /// rank (empty on dead-column ranks) so the caller can redistribute and
@@ -487,7 +488,7 @@ fn recovery_loop<C: Communicator>(
     health: Option<&HealthMonitor>,
     defer: bool,
     next: &mut Option<Vec<Particle>>,
-    mut attempt: impl FnMut(&mut Vec<Particle>, u64, Duration) -> Result<(), CommError>,
+    mut attempt: impl FnMut(&mut Vec<Particle>, u64, Duration, bool) -> Result<(), CommError>,
 ) -> Result<RecoveryReport, FaultError> {
     let c = gc.grid.c();
     let world_rank = gc.grid.rank_at(gc.team(), gc.row_index());
@@ -531,7 +532,7 @@ fn recovery_loop<C: Communicator>(
         let intact = digest.is_none_or(|d| digest_holds(&gc.col, &input, d, epoch));
         st.clone_from(&input);
         let tag_base = epoch * EPOCH_TAG_STRIDE + (attempts as u64 - 1) * ATTEMPT_TAG_STRIDE;
-        let mut local = match attempt(st, tag_base, deadline) {
+        let mut local = match attempt(st, tag_base, deadline, intact) {
             Ok(()) => 0,
             Err(CommError::PeerDead { .. }) => COPY_LOST,
             Err(_) => TRANSIENT,
@@ -690,10 +691,14 @@ pub(crate) fn ca_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
         .metrics()
         .gauge_max("mem_particles_hwm", (copies * st.len()) as u64);
     let mut pe = 0.0f64;
-    let attempt = |st: &mut Vec<Particle>, tag_base, deadline| {
+    let attempt = |st: &mut Vec<Particle>, tag_base, deadline, intact| {
         // An aborted attempt's partial harvest must not double-count.
         pe = 0.0;
-        let link = Deadline { tag_base, deadline };
+        let link = Deadline {
+            tag_base,
+            deadline,
+            intact,
+        };
         let potential = health.map(|_| &mut pe);
         let exch = sources(st);
         shift_pipeline(

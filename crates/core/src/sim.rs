@@ -19,7 +19,7 @@
 //!   rank for the methods that replicate nothing), how a leader cuts its
 //!   block out of a full particle set and orders it, which [`TeamWindow`]
 //!   the method walks (the full team ring for all-pairs), whether leaders
-//!   re-assign after integrating, and — [`Method::shrunk_onto`] — which
+//!   re-assign right before each force evaluation, and — [`Method::shrunk_onto`] — which
 //!   layout a degraded run continues on. It is built once, on the caller's
 //!   thread;
 //! * the **evaluation** (`Evaluation`): `Plain` runs the layout's force
@@ -46,7 +46,7 @@ use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invar
 
 use crate::baselines::naive_allgather_forces;
 use crate::cutoff::{ca_forces, row_steps, validate_cutoff, walked_window};
-use crate::dist::{id_block_subset, spatial_subset_2d, team_grid_dims, team_of_xy};
+use crate::dist::{id_block_subset, spatial_subset, team_at, team_grid_dims, team_of_xy};
 use crate::grid::{GridComms, ProcGrid};
 use crate::kernel::cell_order;
 use crate::midpoint::midpoint_forces;
@@ -691,9 +691,9 @@ impl Layout {
         row_steps(self.window.len(), self.grid.c(), 0)
     }
 
-    /// Whom a leader re-assigns with after integrating: the nearest
-    /// neighbours of its cell, across the seam iff the force window wraps.
-    /// `None` on id blocks, which never drift.
+    /// Whom a leader re-assigns with right before each force evaluation:
+    /// the nearest neighbours of its cell, across the seam iff the force
+    /// window wraps. `None` on id blocks, which never drift.
     pub fn neighbourhood(&self) -> Option<TeamWindow> {
         let wraps = self.window.is_periodic();
         self.cells.map(|dims| TeamWindow::neighbours(dims, wraps))
@@ -704,7 +704,8 @@ impl Layout {
     /// each pair once for both ways (`newton`,
     /// [`symmetric_cutoff`](crate::kernel::symmetric_cutoff); `false` for a
     /// twin with no law): a force evaluation and, where leaders re-assign,
-    /// the neighbour exchange after it (as many messages as the run sends;
+    /// the neighbour exchange after it (as many messages as the run sends,
+    /// which makes its exchange right before the next evaluation instead;
     /// their payload is the caller's to model). Panics on a method that is
     /// not one of the CA algorithms.
     pub fn schedule(&self, block_sizes: Vec<usize>, newton: bool) -> CutoffParams<TeamWindow> {
@@ -718,17 +719,19 @@ impl Layout {
     }
 
     /// The block this rank owns out of the full set `all`: its team's id
-    /// block or spatial region on leaders, nothing elsewhere.
+    /// block or spatial region ([`team_at`]) on leaders, nothing
+    /// elsewhere.
     fn block<C: Communicator>(
         &self,
         gc: &GridComms<C>,
         all: &[Particle],
         domain: &Domain,
+        boundary: Boundary,
     ) -> Vec<Particle> {
         match self.cells {
             _ if !gc.is_leader() => Vec::new(),
             None => id_block_subset(all, self.grid.teams(), gc.team()),
-            Some((tx, ty)) => spatial_subset_2d(all, domain, tx, ty, gc.team()),
+            Some(dims) => spatial_subset(all, domain, dims, boundary, gc.team()),
         }
     }
 
@@ -1263,13 +1266,27 @@ where
     let mut launch: Vec<u32> = (0..world.size() as u32).collect();
     let mut shrinks: Vec<Shrink> = Vec::new();
     let mut gc = GridComms::new(world, layout.grid);
-    let mut st = layout.block(&gc, initial, domain);
+    let mut st = layout.block(&gc, initial, domain, cfg.boundary);
     for step in 0..cfg.steps {
         let _step_g = tr.driver_span("step", step);
         if gc.is_leader() {
-            let _g = tr.driver_span("integrate", step);
-            cfg.integrator.pre_force(&mut st, cfg.dt);
-            reset_forces(&mut st);
+            {
+                let _g = tr.driver_span("integrate", step);
+                cfg.integrator.pre_force(&mut st, cfg.dt);
+                reset_forces(&mut st);
+            }
+            if let Some(hood) = layout.neighbourhood() {
+                // Right before the force evaluation, after whatever moved
+                // the particles since the last one: every block is then its
+                // team's region, which a cut copy needs (`cutoff::Regions`).
+                let _g = tr.driver_span("reassign", step);
+                let [tx, ty, _] = hood.dims();
+                let team_of = |q: &Particle| team_at(domain, (tx, ty), cfg.boundary, q.pos);
+                // A particle that outran its neighbourhood ends the run, and
+                // the transport takes the other ranks down with this message.
+                reassign_within(&gc.row, &hood, &mut st, team_of)
+                    .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            }
         }
         let pe_partial = loop {
             let r = {
@@ -1321,24 +1338,12 @@ where
             layout = shrunk_layout;
             gc = GridComms::new(&next, layout.grid);
             shrunk = Some(next);
-            st = layout.block(&gc, &full, domain);
+            st = layout.block(&gc, &full, domain, cfg.boundary);
         };
         if gc.is_leader() {
-            {
-                let _g = tr.driver_span("integrate", step);
-                cfg.integrator
-                    .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-            }
-            if let Some(hood) = layout.neighbourhood() {
-                // Keep the spatial decomposition valid for the next step.
-                let _g = tr.driver_span("reassign", step);
-                let [tx, ty, _] = hood.dims();
-                let team_of = |q: &Particle| team_of_xy(domain, tx, ty, q.pos.x, q.pos.y);
-                // A particle that outran its neighbourhood ends the run, and
-                // the transport takes the other ranks down with this message.
-                reassign_within(&gc.row, &hood, &mut st, team_of)
-                    .unwrap_or_else(|e| panic!("step {step}: {e}"));
-            }
+            let _g = tr.driver_span("integrate", step);
+            cfg.integrator
+                .post_force(&mut st, cfg.dt, domain, cfg.boundary);
         } else {
             st.clear();
         }

@@ -123,6 +123,9 @@ pub struct TeamWindow {
     wraps: bool,
     /// Whether the positions are the half window's ([`TeamWindow::half`]).
     half: bool,
+    /// Whether each team owns its cell of a split of the domain
+    /// ([`TeamWindow::is_spatial`]).
+    spatial: bool,
 }
 
 impl TeamWindow {
@@ -136,6 +139,7 @@ impl TeamWindow {
             widths: [1; 3],
             wraps,
             half: false,
+            spatial: false,
         };
         for (i, (&d, &m)) in dims.iter().zip(spans).enumerate() {
             assert!(d > 0, "an axis needs at least one team");
@@ -171,6 +175,15 @@ impl TeamWindow {
     /// Whether this is a half window.
     pub fn is_half(&self) -> bool {
         self.half
+    }
+
+    /// Whether the window was cut out of space ([`TeamWindow::from_cutoff`]):
+    /// team `t` owns cell `(t mod tx, t / tx)` of the domain's `tx × ty`
+    /// split, the edge cells of a clipped grid reaching on outward, so a
+    /// copy of a block need carry only the sources its readers' cells reach
+    /// (`cutoff::Regions`). The ring orders id blocks and is not.
+    pub fn is_spatial(&self) -> bool {
+        self.spatial
     }
 
     /// Whether `team` asks about the pairs it meets at position `j`:
@@ -245,7 +258,10 @@ impl TeamWindow {
         assert!(r_c > 0.0);
         let span = |length: f64, teams: usize| (r_c / (length / teams as f64)).floor() as usize + 1;
         let spans = [span(domain.length_x(), tx), span(domain.length_y(), ty)];
-        Self::new(&[tx, ty], &spans, wraps)
+        TeamWindow {
+            spatial: true,
+            ..Self::new(&[tx, ty], &spans, wraps)
+        }
     }
 
     /// The full ring of `teams` teams: the wrapping 1-axis window at its

@@ -113,7 +113,9 @@ pub struct ExpectedSchedule {
 /// shrink's are predicted whole, the shrink's own step on it goes to
 /// [`ExpectedSchedule::cut`] (and into `channels`), and the survivors'
 /// layout, at the recorded replication and particle count, takes over
-/// from that step, which they evaluate again.
+/// from that step, which they evaluate again. A step re-assigns before
+/// its evaluation, so the launch layout made that step's re-assignment in
+/// full and the survivors, dealt their blocks afresh, make none in it.
 pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, String> {
     if !spec.method.is_ca() {
         return Err(spec.method.not_ca());
@@ -121,6 +123,9 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
     let (domain, boundary, cutoff) = (&spec.domain, spec.boundary, spec.cutoff);
     let launch = Layout::new(spec.method, spec.p, domain, boundary, cutoff)?;
     let (mut method, mut layout, mut n) = (spec.method, launch, spec.n);
+    // Whether the current layout's first step follows a fresh deal, and
+    // so re-assigns nothing.
+    let mut dealt = false;
     let mut ranks: Vec<u32> = (0..spec.p as u32).collect();
     let (mut channels, mut cut) = (BTreeMap::new(), BTreeMap::new());
     let mut from = 0;
@@ -133,26 +138,14 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
         let Some(next) = next.filter(|(_, l)| fits && launched && l.grid.c() == shrink.c) else {
             return Err(format!("{shrink:?} is not a shrink this run can make"));
         };
-        add_sends(
-            &layout,
-            n,
-            &ranks,
-            step - from + 1,
-            spec.newton,
-            &mut channels,
-        );
-        add_sends(&layout, n, &ranks, 1, spec.newton, &mut cut);
-        (method, layout) = next;
+        let steps = step - from + 1;
+        add_sends(&layout, n, &ranks, steps, dealt, spec.newton, &mut channels);
+        add_sends(&layout, n, &ranks, 1, false, spec.newton, &mut cut);
+        (method, layout, dealt) = (next.0, next.1, true);
         (ranks, n, from) = (shrink.survivors.clone(), shrink.n, step);
     }
-    add_sends(
-        &layout,
-        n,
-        &ranks,
-        spec.steps as u64 - from,
-        spec.newton,
-        &mut channels,
-    );
+    let steps = spec.steps as u64 - from;
+    add_sends(&layout, n, &ranks, steps, dealt, spec.newton, &mut channels);
     let layout = launch;
     let mut detail = format!(
         "{}{} n={} p={} c={} steps={}",
@@ -188,12 +181,14 @@ pub fn expected_schedule(spec: &WireScheduleSpec) -> Result<ExpectedSchedule, St
 
 /// Add `steps` timesteps of `layout`'s schedule on `n` particles, under a
 /// law that promises `newton` or not, to `into`, its rank `i` being launch
-/// rank `ranks[i]`.
+/// rank `ranks[i]`; the first step without its re-assignment when it
+/// follows a fresh deal (`dealt`).
 fn add_sends(
     layout: &Layout,
     n: usize,
     ranks: &[u32],
     steps: u64,
+    dealt: bool,
     newton: bool,
     into: &mut BTreeMap<Channel, Sends>,
 ) {
@@ -204,10 +199,11 @@ fn add_sends(
     for (rank, &src) in ranks.iter().enumerate() {
         for op in params.program(rank) {
             if let Op::Send { to, bytes, phase } = op {
+                let times = steps - u64::from(dealt && phase == Phase::Reassign);
                 let dst = ranks[to];
                 let sends = into.entry(Channel { src, dst, phase }).or_default();
-                sends.messages += steps;
-                sends.elements += steps * (bytes / PARTICLE_WIRE_BYTES as u64);
+                sends.messages += times;
+                sends.elements += times * (bytes / PARTICLE_WIRE_BYTES as u64);
             }
         }
     }

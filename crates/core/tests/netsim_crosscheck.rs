@@ -53,12 +53,16 @@ fn replayed<I: Iterator<Item = Op>>(
 }
 
 /// Assert exact per-rank per-phase agreement between a live execution's
-/// counters and the simulated schedule's ops.
+/// counters and the simulated schedule's ops. Where the run `cut` the
+/// copies of its blocks (`cutoff::Regions`) and the twin shipped them
+/// whole, a Skew or Shift phase is held to the twin's elements as a
+/// ceiling, one tally element a message over it at most.
 fn assert_exact_agreement(
     p: usize,
     stats: &[CommStats],
     metrics: &MetricsSnapshot,
     sim: &[OpCounts],
+    cut: bool,
     label: &str,
 ) {
     assert_eq!(sim.len(), p, "{label}");
@@ -81,11 +85,19 @@ fn assert_exact_agreement(
             // The DES accounts bandwidth at the paper's 52-byte record; the
             // live counters record the phase's own element. Both must
             // derive from the same element count.
-            assert_eq!(
-                live_elems * PARTICLE_WIRE_BYTES as u64,
-                des_bytes,
-                "{label}: rank {rank} {phase:?}: wire bytes"
-            );
+            if cut && matches!(phase, Phase::Skew | Phase::Shift) {
+                assert!(
+                    live_elems * PARTICLE_WIRE_BYTES as u64
+                        <= des_bytes + live_msgs * PARTICLE_WIRE_BYTES as u64,
+                    "{label}: rank {rank} {phase:?}: {live_elems} elements against {des_bytes} B"
+                );
+            } else {
+                assert_eq!(
+                    live_elems * PARTICLE_WIRE_BYTES as u64,
+                    des_bytes,
+                    "{label}: rank {rank} {phase:?}: wire bytes"
+                );
+            }
             assert_eq!(
                 live_bytes,
                 live_elems * element_bytes(phase),
@@ -169,11 +181,14 @@ fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
         let params = AllPairsParams::new(p, c, n);
         let label = format!("all-pairs p={p} c={c} n={n}");
         let sim = replayed(p, |r| params.program(r), &label);
-        assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, &label);
+        assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, false, &label);
         assert_channels_agree(&stats, |r| params.program(r), 1, true, &label);
     }
 }
 
+/// The cutoff run's copies are cut to what their readers reach and the
+/// twin ships whole blocks: messages and collectives agree exactly, and
+/// the Skew and Shift elements are at most the twin's and a tally each.
 #[test]
 fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
     let domain = Domain::unit();
@@ -201,8 +216,8 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
         let params = CutoffParams::new(grid, window, block_sizes);
         let label = format!("cutoff1d p={p} c={c} rc={r_c}");
         let sim = replayed(p, |r| params.program(r), &label);
-        assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, &label);
-        assert_channels_agree(&stats, |r| params.program(r), 1, true, &label);
+        assert_exact_agreement(p, &stats, &artifacts.metrics, &sim, true, &label);
+        assert_channels_agree(&stats, |r| params.program(r), 1, false, &label);
     }
 }
 

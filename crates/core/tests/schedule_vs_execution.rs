@@ -6,7 +6,7 @@
 //! midpoint baseline the ablation bars are simulated from.
 
 use ca_nbody::dist::{
-    block_range, id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_xy,
+    block_range, id_block_subset, spatial_subset, spatial_subset_1d, team_grid_dims, team_of_xy,
 };
 use ca_nbody::kernel::symmetric_cutoff;
 use ca_nbody::midpoint::midpoint_forces;
@@ -21,8 +21,11 @@ use nbody_physics::{
 };
 
 /// Compare one rank's executed stats against its schedule's op counts for
-/// the force phases (Broadcast, Skew, Shift, Reduce).
-fn assert_counts_match(rank: usize, stats: &CommStats, sched: &OpCounts, label: &str) {
+/// the force phases (Broadcast, Skew, Shift, Reduce). Where the run `cut`
+/// the copies of its blocks to what their readers reach
+/// (`cutoff::Regions`), the twin, which ships whole blocks, is a ceiling on
+/// the Skew and Shift elements, one tally element a message over it.
+fn assert_counts_match(rank: usize, stats: &CommStats, sched: &OpCounts, cut: bool, label: &str) {
     for phase in [Phase::Broadcast, Phase::Skew, Phase::Shift, Phase::Reduce] {
         let got = stats.phase(phase);
         let idx = phase.index();
@@ -31,11 +34,19 @@ fn assert_counts_match(rank: usize, stats: &CommStats, sched: &OpCounts, label: 
             "{label}: rank {rank} phase {phase}: executed {} msgs, schedule {}",
             got.messages, sched.sends[idx]
         );
-        assert_eq!(
-            got.elements * PARTICLE_WIRE_BYTES as u64,
-            sched.send_bytes[idx],
-            "{label}: rank {rank} phase {phase}: bytes mismatch"
-        );
+        let bytes = got.elements * PARTICLE_WIRE_BYTES as u64;
+        if cut && matches!(phase, Phase::Skew | Phase::Shift) {
+            let ceiling = sched.send_bytes[idx] + got.messages * PARTICLE_WIRE_BYTES as u64;
+            assert!(
+                bytes <= ceiling,
+                "{label}: rank {rank} phase {phase}: {bytes} B over {ceiling}"
+            );
+        } else {
+            assert_eq!(
+                bytes, sched.send_bytes[idx],
+                "{label}: rank {rank} phase {phase}: bytes mismatch"
+            );
+        }
         assert_eq!(
             got.collectives, sched.collectives[idx],
             "{label}: rank {rank} phase {phase}: collective count mismatch"
@@ -76,7 +87,7 @@ fn all_pairs_schedule_matches_execution() {
         let label = format!("{method:?} p={p} n={n}");
         for (rank, s) in stats.iter().enumerate() {
             let sched = count_ops(twin.program(rank));
-            assert_counts_match(rank, s, &sched, &label);
+            assert_counts_match(rank, s, &sched, false, &label);
             // Independent of the traversal both sides walk: p/c² shifts,
             // except on the rows k ≥ 1 of the force decomposition (c² = p),
             // whose one shift step stays on the block the skew brought. The
@@ -133,7 +144,7 @@ fn cutoff_1d_schedule_matches_execution() {
         let label = format!("cutoff1d p={p} c={c} rc={r_c} {boundary:?}");
         for (rank, s) in stats.iter().enumerate() {
             let sched = count_ops(params.program(rank));
-            assert_counts_match(rank, s, &sched, &label);
+            assert_counts_match(rank, s, &sched, true, &label);
             // Independent of the traversal both sides walk: on a wrapping
             // window at c = 1 a rank shifts to every position but its own,
             // W − 1 = 2m messages.
@@ -159,14 +170,14 @@ fn cutoff_2d_schedule_matches_execution() {
         let law = Cutoff::new(Counting, r_c);
         let all = init::uniform(n, &domain, 13);
         let block_sizes: Vec<usize> = (0..grid.teams())
-            .map(|t| spatial_subset_2d(&all, &domain, tx, ty, t).len())
+            .map(|t| spatial_subset(&all, &domain, (tx, ty), Boundary::Open, t).len())
             .collect();
 
         let all_ref = &all;
         let stats = run_ranks(p, |world| {
             let gc = GridComms::new(world, grid);
             let mut st = if gc.is_leader() {
-                spatial_subset_2d(all_ref, &domain, tx, ty, gc.team())
+                spatial_subset(all_ref, &domain, (tx, ty), Boundary::Open, gc.team())
             } else {
                 Vec::new()
             };
@@ -176,7 +187,8 @@ fn cutoff_2d_schedule_matches_execution() {
         let params = CutoffParams::new(grid, window, block_sizes);
         for (rank, s) in stats.iter().enumerate() {
             let sched = count_ops(params.program(rank));
-            assert_counts_match(rank, s, &sched, &format!("cutoff2d p={p} c={c} rc={r_c}"));
+            let label = format!("cutoff2d p={p} c={c} rc={r_c}");
+            assert_counts_match(rank, s, &sched, true, &label);
         }
     }
 }
@@ -247,7 +259,7 @@ fn baseline_schedules_match_execution() {
             let (window, (tx, ty)) = (layout.window, layout.cells.unwrap());
             let all = init::uniform(120, &domain, 21);
             let blocks: Vec<_> = (0..p)
-                .map(|r| spatial_subset_2d(&all, &domain, tx, ty, r))
+                .map(|r| spatial_subset(&all, &domain, (tx, ty), boundary, r))
                 .collect();
             let blocks = &blocks;
             let stats = run_ranks(p, |world| {
@@ -281,27 +293,28 @@ fn baseline_schedules_match_execution() {
 }
 
 /// §II.C's spatial decomposition is Algorithm 2 at `c = 1`: one step of
-/// `n = 2048` on `p = 16` ranks at `r_c = 0.1` moves what the deleted
-/// halo-exchange baseline moved. The pinned totals are the halo's, measured
-/// before it was deleted: messages summed over ranks, the busiest rank's
-/// messages and the elements moved, 1-D then 2-D. Per rank they differ on
-/// clipped windows only, where the shift pipeline forwards a block through
-/// a neighbour (the 2-D corner rank sends 7 where the halo sent 6). That is
-/// the paper's full window, under a law without the promise of
-/// `f_ji = −f_ij`; under the law itself the half window moves fewer
-/// elements in fewer messages, and fewer on its busiest rank.
+/// `n = 2048` on `p = 16` ranks at `r_c = 0.1` sends the messages the
+/// deleted halo-exchange baseline sent, and like the halo each copy carries
+/// only the sources its readers reach. Pinned: messages summed over ranks,
+/// the busiest rank's messages and the elements moved, 1-D then 2-D. The
+/// message counts are the halo's, measured before it was deleted; per rank
+/// they differ on clipped windows only, where the shift pipeline forwards a
+/// block through a neighbour (the 2-D corner rank sends 7 where the halo
+/// sent 6). That is the paper's full window, under a law without the
+/// promise of `f_ji = −f_ij`; under the law itself the half window moves
+/// fewer elements in fewer messages, and fewer on its busiest rank.
 #[test]
 fn algorithm_2_at_c_1_moves_what_the_halo_exchange_moved() {
     let table = [
         (
             Boundary::Reflective,
-            [[88, 6, 7451], [168, 16, 10799]],
-            [[74, 5, 5671], [144, 13, 7787]],
+            [[88, 6, 7446], [168, 16, 7711]],
+            [[74, 5, 5637], [144, 13, 4395]],
         ),
         (
             Boundary::Periodic,
-            [[96, 6, 8259], [256, 16, 16414]],
-            [[80, 5, 6211], [208, 13, 10270]],
+            [[96, 6, 8256], [256, 16, 15920]],
+            [[80, 5, 6176], [208, 13, 6764]],
         ),
     ];
     let law = Cutoff::new(

@@ -9,14 +9,17 @@
 //! carries has not. And the cutoff rows' Shift column lost the hop that
 //! carried each row's own block home: a row now updates from the copy it
 //! holds (`cutoff::traversal`): one message fewer per team and timestep.
-//! The all-pairs rows, whose ring still ships it, are unchanged.
+//! The all-pairs rows, whose ring still ships it, are unchanged. And the
+//! cutoff rows' Skew and Shift elements are what a copy of a block cut to
+//! the sources its readers reach carries, and a tally element each
+//! (`cutoff::Regions`): no more than the whole blocks, often far fewer, in
+//! the same messages.
 //!
 //! Those pins are the paper's full window, under a law that does not
 //! promise `f_ji = −f_ij` ([`OneWay`]). Under the symmetric law itself the
 //! cutoff rows walk the half window: a Shift message then carries sources
 //! (32 B), sources with the reactions they gathered (48 B) or a return of
-//! bare reactions (16 B), in fewer Shift messages and elements
-//! ([`HALF`]).
+//! bare reactions (16 B), in fewer Shift messages ([`HALF`]).
 
 use ca_nbody::sim::{run_distributed, Method, SimConfig};
 use nbody_comm::Phase;
@@ -71,7 +74,7 @@ const PINNED: [(Method, usize, Totals); 6] = [
         [
             [0; 5],
             [0; 5],
-            [20, 193, 0, 0, 0],
+            [20, 213, 0, 0, 0],
             [0; 5],
             [REASSIGN_1D, 2, 0, 0, 0],
         ],
@@ -81,8 +84,8 @@ const PINNED: [(Method, usize, Totals); 6] = [
         8,
         [
             [0, 0, 16, 160, 8],
-            [6, 62, 0, 0, 0],
-            [20, 193, 0, 0, 0],
+            [6, 6, 0, 0, 0],
+            [20, 145, 0, 0, 0],
             [0, 0, 16, 160, 8],
             [REASSIGN_1D, 2, 0, 0, 0],
         ],
@@ -93,7 +96,7 @@ const PINNED: [(Method, usize, Totals); 6] = [
         [
             [0; 5],
             [0; 5],
-            [24, 240, 0, 0, 0],
+            [24, 122, 0, 0, 0],
             [0; 5],
             [REASSIGN_2D, 1, 0, 0, 0],
         ],
@@ -103,8 +106,8 @@ const PINNED: [(Method, usize, Totals); 6] = [
         8,
         [
             [0, 0, 16, 160, 8],
-            [4, 41, 0, 0, 0],
-            [24, 240, 0, 0, 0],
+            [4, 10, 0, 0, 0],
+            [24, 117, 0, 0, 0],
             [0, 0, 16, 160, 8],
             [REASSIGN_2D, 1, 0, 0, 0],
         ],
@@ -118,17 +121,17 @@ const PINNED: [(Method, usize, Totals); 6] = [
 /// The clipped 2 × 2 grid at `c = 2` keeps the full window
 /// (`cutoff::walked_window`): its busiest rank would send more on the half.
 const HALF: [(Method, usize, [[u64; 3]; 2]); 4] = [
-    (Method::Ca1dCutoff { c: 1 }, 4, [[0, 0, 0], [16, 165, 4944]]),
+    (Method::Ca1dCutoff { c: 1 }, 4, [[0, 0, 0], [16, 175, 5328]]),
     (
         Method::Ca1dCutoff { c: 2 },
         8,
-        [[6, 62, 1984], [16, 165, 4944]],
+        [[6, 6, 192], [16, 175, 5328]],
     ),
-    (Method::Ca2dCutoff { c: 1 }, 4, [[0, 0, 0], [20, 216, 6192]]),
+    (Method::Ca2dCutoff { c: 1 }, 4, [[0, 0, 0], [20, 98, 3040]]),
     (
         Method::Ca2dCutoff { c: 2 },
         8,
-        [[4, 41, 1312], [24, 240, 7680]],
+        [[4, 10, 320], [24, 117, 3744]],
     ),
 ];
 
@@ -191,9 +194,11 @@ fn every_phase_carries_its_own_element_in_the_same_messages_as_before() {
 
 /// The half window on the wire: every phase but Skew and Shift moves what
 /// the full window moved, and those two move what [`HALF`] pins — fewer
-/// Shift messages and elements than [`PINNED`]'s, a buffer that gathered
-/// reactions carrying 48 B a particle and a return 16 B. The physics is the
-/// same but for the rounding of the reactions' sums.
+/// Shift messages than [`PINNED`]'s, a buffer that gathered reactions
+/// carrying 48 B a particle and a return 16 B. Not always fewer elements:
+/// cut to what its readers reach, a full window's copy that visits a team
+/// two slabs off carries almost nothing. The physics is the same but for
+/// the rounding of the reactions' sums.
 #[test]
 fn the_half_window_moves_fewer_shift_messages_and_elements() {
     let (cfg, initial) = config(law());
@@ -226,7 +231,7 @@ fn the_half_window_moves_fewer_shift_messages_and_elements() {
         };
         let (half, whole) = (shift(&run.stats), shift(&full.stats));
         let kept = pinned[1][2] == 32 * pinned[1][1];
-        let fewer = half[0] <= whole[0] && half[1] < whole[1];
+        let fewer = half[0] < whole[0];
         assert!(
             kept && half == whole || fewer,
             "{ctx}: {half:?} against {whole:?}"

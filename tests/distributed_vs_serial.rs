@@ -567,6 +567,70 @@ fn an_exact_law_on_the_half_window_lands_on_the_serial_bits() {
     assert!(halves >= 6, "{halves} of 12 rows walk the half window");
 }
 
+/// Every copy of a block that leaves home is cut to the sources within
+/// `r_c` of its readers' regions (`cutoff::Regions`), which is exact only
+/// while every target is in its team's region when forces are evaluated.
+/// Velocity Verlet moves positions before the force, so the drivers must
+/// re-assign right before it, by the position wrapped into a periodic
+/// domain. On a dyadic lattice whose spacing divides `r_c` and the cell
+/// edges, with velocities that carry particles across edges and out of the
+/// domain, pairs exactly `r_c` apart straddle every edge: a cut one slack
+/// too narrow, or a block one drift out of date, loses a pair the law
+/// answers. 1-D and 2-D, clipped and periodic, `c` = 1, 2, 3, on cells
+/// wider than `r_c`, where the copies do get cut.
+#[test]
+fn cut_copies_under_velocity_verlet_land_on_the_serial_bits() {
+    use nbody_comm::Phase;
+    let (r_c, side) = (0.125, 16);
+    let initial: Vec<Particle> = (0..side * side)
+        .map(|id| {
+            let pos = Vec2::new((id % side) as f64, (id / side) as f64) / side as f64;
+            // -32, 0 or 32 per axis: a drift of half a spacing a step.
+            let step = |k: usize| 32.0 * ((k % 3) as f64 - 1.0);
+            Particle::moving(id as u64, pos, Vec2::new(step(id), step(id / 3)))
+        })
+        .collect();
+    for boundary in [Boundary::Reflective, Boundary::Periodic] {
+        let cfg = SimConfig {
+            law: Cutoff::new(IdDifference, r_c),
+            integrator: VelocityVerlet,
+            domain: Domain::unit(),
+            boundary,
+            dt: 1.0 / 1024.0,
+            steps: 3,
+        };
+        let want = run_serial(&cfg, &initial);
+        let table = [
+            (Method::Ca1dCutoff { c: 1 }, 4),
+            (Method::Ca1dCutoff { c: 2 }, 8),
+            (Method::Ca1dCutoff { c: 3 }, 12),
+            (Method::Ca2dCutoff { c: 1 }, 4),
+            (Method::Ca2dCutoff { c: 2 }, 8),
+            (Method::Ca2dCutoff { c: 3 }, 12),
+            (Method::Ca2dCutoff { c: 2 }, 16),
+        ];
+        for (method, p) in table {
+            let got = run_distributed(&cfg, method, p, &initial);
+            assert_eq!(got.particles, want, "{method:?} p={p} {boundary:?}");
+            // Cut: the copies and returns carry fewer sources than the
+            // blocks they were cut from would have.
+            let teams = p / method.replication();
+            let [messages, elements] = got.stats.iter().fold([0, 0], |[m, e], s| {
+                let [skew, shift] = [Phase::Skew, Phase::Shift].map(|phase| s.phase(phase));
+                [
+                    m + skew.messages + shift.messages,
+                    e + skew.elements + shift.elements,
+                ]
+            });
+            let whole = messages * (initial.len() / teams) as u64;
+            assert!(
+                elements < whole,
+                "{method:?} p={p} {boundary:?}: {elements} of {whole}"
+            );
+        }
+    }
+}
+
 /// Lennard-Jones on the half window, one force evaluation, held to a
 /// test-side reference that sums each target's sources in ascending id
 /// order under the minimum image: the drivers add the same terms in
@@ -576,7 +640,7 @@ fn an_exact_law_on_the_half_window_lands_on_the_serial_bits() {
 #[test]
 fn lennard_jones_on_the_half_window_is_the_ordered_sum_to_rounding() {
     use ca_nbody::cutoff::walked_window;
-    use ca_nbody::dist::spatial_subset_2d;
+    use ca_nbody::dist::spatial_subset;
     use ca_nbody::{ca_cutoff_forces, GridComms, ProcGrid, TeamWindow};
     let law = Cutoff::new(LennardJones::default(), 2.5);
     // 64 particles put 1-D slabs of four within 2.5 of two neighbours each
@@ -604,7 +668,7 @@ fn lennard_jones_on_the_half_window_is_the_ordered_sum_to_rounding() {
         let out = nbody_comm::run_ranks(p, |world| {
             let gc = GridComms::new(world, grid);
             let mut st = match gc.is_leader() {
-                true => spatial_subset_2d(&all, &domain, dims.0, dims.1, gc.team()),
+                true => spatial_subset(&all, &domain, dims, Boundary::Open, gc.team()),
                 false => Vec::new(),
             };
             ca_cutoff_forces(&gc, &window, &mut st, &law, &domain, Boundary::Periodic);

@@ -149,9 +149,11 @@ fn clustered_load_survives_long_cutoff_run() {
 
 /// The contract re-assignment enforces: a particle crosses one cell per
 /// step at most. One that does not is never dropped, mis-homed or sent: its
-/// leader stops the run naming it (and the step), and that message — not a
-/// waiting peer's time-out, which the bound above would put 20 s away — is
-/// what the run fails with, on the CA path and on a baseline's.
+/// leader stops the run naming it (and the step whose evaluation the
+/// re-assignment precedes: step 0 moved it, step 1 finds it), and that
+/// message — not a waiting peer's time-out, which the bound above would
+/// put 20 s away — is what the run fails with, on the CA path and on a
+/// baseline's.
 #[test]
 fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_it() {
     bound_recv_timeouts();
@@ -175,7 +177,7 @@ fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_i
         let run = std::panic::catch_unwind(|| run_distributed(&cfg, method, 5, &initial));
         let payload = run.expect_err("the run must not finish");
         let said = payload.downcast_ref::<String>().expect("a formatted panic");
-        let names = format!("step 0: particle {fast} left team 0 for team 2,");
+        let names = format!("step 1: particle {fast} left team 0 for team 2,");
         assert!(said.starts_with(&names), "{method:?}: {said}");
         assert!(
             started.elapsed().as_secs() < 10,
