@@ -124,7 +124,7 @@ check "analyze audits the bundle the run wrote: no subcommand defaults of its ow
     none 'Defaults::AUDIT|fn send_table' src
 check "one fault sweep, chaos, judges every schedule once: soak is chaos seconds=N, and a seeded plan's fault count is no option" \
     none '\("soak", |Defaults::SOAK|opts\.get\("events"' src
-check "a team lookup truncates and clamps: no libm floor per particle in the deal, the re-assignment or the midpoint baseline" \
+check "a team lookup truncates and clamps: no libm floor per particle in the deal or the re-assignment" \
     none '\.floor\(' crates/core/src/dist.rs
 check "the gather orders by merging the ranks' id-sorted blocks (merge_by_id), not by sorting every particle" \
     none 'sort_by_key\(\|q\| q\.id\)' crates/core/src/sim.rs
@@ -156,5 +156,7 @@ check "what a shift step sends, the pipeline sends: every link.send( is in cutof
 check "the half window has one predicate, cutoff::walked_window: defined once, and no other code builds a half window" \
     test "$(grep -rn 'fn walked_window' crates src | wc -l)" -eq 1 -a \
     "$(calls '\.half\(\)' $(find crates/*/src src -name '*.rs') | sort | uniq -c | tr -s ' ')" = " 1 walked_window"
+check "the midpoint baseline is gone: Algorithm 2 at c = 1 asks each pair once and ships only what its readers reach, so no second spatial method, twin or force-return record beside it" \
+    none 'midpoint_forces|MidpointParams|Midpoint1d|Midpoint2d|FORCE_RECORD_BYTES' crates src tests examples
 
 exit "$broken"

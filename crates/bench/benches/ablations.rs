@@ -17,7 +17,7 @@
 //!    it, as a rewrite of the op stream — where overlap pays (`c = 1`) and
 //!    where replication has left it little to hide.
 
-use ca_nbody::schedule::{AllPairsParams, AllgatherParams, CutoffParams, MidpointParams};
+use ca_nbody::schedule::{AllPairsParams, AllgatherParams, CutoffParams};
 use ca_nbody::{Layout, Method, ProcGrid, TeamWindow, Window};
 use nbody_comm::Phase;
 use nbody_netsim::{intrepid, simulate, CollNet, Op};
@@ -158,23 +158,15 @@ fn cutoff_layout(method: Method, p: usize, r_c: f64) -> Result<Layout, String> {
     Layout::new(method, p, &Domain::unit(), Boundary::Open, Some(r_c))
 }
 
-/// §II.C/§II.D landscape, simulated: the midpoint method (half import
-/// region + force return), and the CA cutoff algorithm at several
-/// replication factors — at `c = 1` the spatial halo (§II.C) — all on the
-/// same decomposed workload.
+/// §II.C/§IV landscape, simulated: the CA cutoff algorithm at several
+/// replication factors — at `c = 1` the spatial halo (§II.C) — on the same
+/// decomposed workload.
 fn decomposition_families() {
     println!("=== Ablation 5: cutoff decomposition families (Hopper model) ===");
     let machine = nbody_netsim::hopper();
     let p = 4096;
     let n = 65536;
     let r_c = 0.25;
-
-    let midpoint = MidpointParams {
-        window: cutoff_layout(Method::Midpoint1d, p, r_c).unwrap().window,
-        block_sizes: vec![n / p; p],
-    };
-    let t_mid = simulate(&machine, p, |r| midpoint.program(r)).makespan;
-    println!("  midpoint method (c=1) : {t_mid:.6} s");
 
     for c in [1usize, 2, 4, 8] {
         let Ok(layout) = cutoff_layout(Method::Ca1dCutoff { c }, p, r_c) else {
@@ -185,10 +177,6 @@ fn decomposition_families() {
         let t = simulate(&machine, p, |r| params.program(r)).makespan;
         println!("  CA cutoff c={c:<2}        : {t:.6} s");
     }
-    println!(
-        "  (the NT-family midpoint method shrinks the import region; the CA \
-         algorithm instead spends memory on replication — §II.D vs §IV)"
-    );
 }
 
 /// §IV.C: communication across dimensionalities. Same p, same rc fraction;

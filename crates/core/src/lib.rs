@@ -28,7 +28,6 @@ pub mod dist;
 pub mod grid;
 pub mod kernel;
 mod link;
-pub mod midpoint;
 pub mod probe;
 pub mod reassign;
 pub mod recovery;

@@ -405,130 +405,3 @@ mod tests {
         assert_eq!(counts.interactions, 10 * 40 - 10);
     }
 }
-
-/// Parameters of the midpoint-method schedule (§II.D neutral-territory
-/// family): import halo of span `r_c/2`, the midpoint-owned force
-/// evaluations, and a force-return round. Compute is costed as a
-/// cell-list implementation would pay — only the in-range force
-/// evaluations this rank owns (`me · k̄`), not the naive O(pool²) scan of
-/// the executable reference (`midpoint_forces`), which favors simplicity.
-/// Return payloads are modeled as one force record (24 bytes) per
-/// imported particle — an upper bound.
-#[derive(Debug, Clone)]
-pub struct MidpointParams<W: Window> {
-    /// The halo window (must span `r_c / 2`; one rank per team).
-    pub window: W,
-    /// Particles per rank region.
-    pub block_sizes: Vec<usize>,
-}
-
-/// Bytes per returned force contribution (id + 2 components).
-pub const FORCE_RECORD_BYTES: u64 = 24;
-
-impl<W: Window> MidpointParams<W> {
-    /// The op stream of `rank`.
-    pub fn program(&self, rank: usize) -> Box<dyn Iterator<Item = Op> + '_> {
-        let window = &self.window;
-        let me = self.block_sizes[rank];
-
-        let import_sends = (1..window.len()).filter_map(move |j| {
-            window.apply(rank, j).map(|dst| Op::Send {
-                to: dst,
-                bytes: bytes_of(me),
-                phase: Phase::Shift,
-            })
-        });
-        let import_recvs = (1..window.len()).filter_map(move |j| {
-            window.apply_back(rank, j).map(|src| Op::Recv {
-                from: src,
-                phase: Phase::Shift,
-            })
-        });
-        // Owned force evaluations: for uniform density, a rank's share is
-        // me x (neighbors within the full r_c reach) — the half-span halo
-        // holds half of them, so double the imported count.
-        let halo: usize = (1..window.len())
-            .filter_map(|j| window.apply_back(rank, j))
-            .map(|src| self.block_sizes[src])
-            .sum();
-        let scan = std::iter::once(Op::Compute {
-            interactions: block_interactions(me, 2 * halo + me, false),
-        });
-        // Force return: one record per imported particle, per neighbor.
-        let return_sends = (1..window.len()).filter_map(move |j| {
-            window.apply_back(rank, j).map(|dst| Op::Send {
-                to: dst,
-                bytes: self.block_sizes[dst] as u64 * FORCE_RECORD_BYTES,
-                phase: Phase::Reduce,
-            })
-        });
-        let return_recvs = (1..window.len()).filter_map(move |j| {
-            window.apply(rank, j).map(|src| Op::Recv {
-                from: src,
-                phase: Phase::Reduce,
-            })
-        });
-        Box::new(
-            import_sends
-                .chain(import_recvs)
-                .chain(scan)
-                .chain(return_sends)
-                .chain(return_recvs),
-        )
-    }
-}
-
-#[cfg(test)]
-mod midpoint_schedule_tests {
-    use super::*;
-    use crate::window::TeamWindow;
-
-    #[test]
-    fn midpoint_message_counts_match_halo_structure() {
-        let window = TeamWindow::clipped(&[8], &[1]); // span 1 each side
-        let params = MidpointParams {
-            window,
-            block_sizes: vec![5; 8],
-        };
-        // Interior rank: 2 import sends + 2 return sends.
-        let counts = count_ops(params.program(4));
-        assert_eq!(counts.sends[Phase::Shift.index()], 2);
-        assert_eq!(counts.sends[Phase::Reduce.index()], 2);
-        // Edge rank: 1 each.
-        let counts = count_ops(params.program(0));
-        assert_eq!(counts.sends[Phase::Shift.index()], 1);
-        assert_eq!(counts.sends[Phase::Reduce.index()], 1);
-    }
-
-    #[test]
-    fn midpoint_import_bytes_are_half_spans() {
-        // The midpoint halo (span r_c/2) moves fewer bytes than the full
-        // spatial halo — Algorithm 2 at `c = 1` (span r_c) — on the same
-        // decomposition.
-        let domain = nbody_physics::Domain::unit();
-        let r_c = 0.25;
-        let teams = 16;
-        let sizes = vec![8usize; teams];
-        let method = crate::sim::Method::Ca1dCutoff { c: 1 };
-        let layout = crate::sim::Layout::new(
-            method,
-            teams,
-            &domain,
-            nbody_physics::Boundary::Reflective,
-            Some(r_c),
-        )
-        .unwrap();
-        let full = layout.schedule(sizes.clone(), false);
-        let half = MidpointParams {
-            window: TeamWindow::from_cutoff(&domain, (teams, 1), false, r_c / 2.0),
-            block_sizes: sizes,
-        };
-        let rank = teams / 2;
-        let full_bytes = count_ops(full.program(rank)).send_bytes[Phase::Shift.index()];
-        let half_bytes = count_ops(half.program(rank)).send_bytes[Phase::Shift.index()];
-        assert!(
-            half_bytes < full_bytes,
-            "midpoint import {half_bytes} vs spatial {full_bytes}"
-        );
-    }
-}

@@ -41,15 +41,14 @@ use nbody_comm::{
 };
 use nbody_durable::{write_atomic, CheckpointBundle, ColumnBlock};
 use nbody_physics::particle::reset_forces;
-use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle, Vec2};
+use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle};
 use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invariants};
 
 use crate::baselines::naive_allgather_forces;
 use crate::cutoff::{ca_forces, row_steps, validate_cutoff, walked_window};
-use crate::dist::{id_block_subset, spatial_subset, team_at, team_grid_dims, team_of_xy};
+use crate::dist::{id_block_subset, spatial_subset, team_at, team_grid_dims};
 use crate::grid::{GridComms, ProcGrid};
 use crate::kernel::cell_order;
-use crate::midpoint::midpoint_forces;
 use crate::probe::StepProbe;
 use crate::reassign::reassign_within;
 use crate::recovery::{ca_forces_ft, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
@@ -84,11 +83,6 @@ pub enum Method {
         /// Replication factor.
         c: usize,
     },
-    /// The midpoint method (§II.D neutral-territory family) on 1D slabs
-    /// (cutoff law, `c = 1`, half-span import region).
-    Midpoint1d,
-    /// The midpoint method on a 2D grid.
-    Midpoint2d,
 }
 
 impl Method {
@@ -102,13 +96,7 @@ impl Method {
 
     /// Whether the method needs a force law with a finite cutoff.
     pub fn needs_cutoff(&self) -> bool {
-        matches!(
-            self,
-            Method::Ca1dCutoff { .. }
-                | Method::Ca2dCutoff { .. }
-                | Method::Midpoint1d
-                | Method::Midpoint2d
-        )
+        matches!(self, Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. })
     }
 
     /// Whether the method runs the shift body of the paper's CA
@@ -609,20 +597,19 @@ fn merge_by_id(blocks: &[Vec<Particle>]) -> Vec<Particle> {
 #[derive(Debug, Clone, Copy)]
 pub struct Layout {
     /// The library's name for the method laid out (`ca-all-pairs`,
-    /// `ca-1d-cutoff`, `midpoint-2d`, …).
+    /// `ca-1d-cutoff`, `ca-2d-cutoff`, …).
     pub name: &'static str,
     /// The `p/c × c` processor grid.
     pub grid: ProcGrid,
     /// `tx × ty` team grid of the spatial decompositions (a 1-D
     /// decomposition is the `ty = 1` grid); `None` for id blocks.
     pub cells: Option<(usize, usize)>,
-    /// The window the method walks: the one its reach — `r_c`, or the
-    /// midpoint method's `r_c / 2` — cuts out of the team grid, clipped or
-    /// wrapping under periodic boundaries; for id blocks the full team ring
-    /// (which wraps whatever the boundary: the ring orders block ids, not
-    /// space), and its half for the half-ring.
+    /// The window the method walks: the one `r_c` cuts out of the team
+    /// grid, clipped or wrapping under periodic boundaries; for id blocks
+    /// the full team ring (which wraps whatever the boundary: the ring
+    /// orders block ids, not space), and its half for the half-ring.
     pub window: TeamWindow,
-    /// Picks the force routine and the block order.
+    /// Picks the force routine, and whether the layout has a schedule twin.
     method: Method,
 }
 
@@ -635,18 +622,15 @@ impl Layout {
         boundary: Boundary,
         r_c: Option<f64>,
     ) -> Result<Layout, String> {
-        // Replication, and for the spatial methods whether the team grid is
-        // 2-D and how much of `r_c` a rank must see.
+        // Replication, and for the spatial methods whether the team grid is 2-D.
         let (name, c, spatial) = match method {
             Method::CaAllPairs { c } => ("ca-all-pairs", c, None),
             Method::ParticleRingSymmetric => ("ring-symmetric", 1, None),
             Method::NaiveAllgather => ("allgather", 1, None),
-            Method::Ca1dCutoff { c } => ("ca-1d-cutoff", c, Some((false, 1.0))),
-            Method::Ca2dCutoff { c } => ("ca-2d-cutoff", c, Some((true, 1.0))),
-            Method::Midpoint1d => ("midpoint-1d", 1, Some((false, 0.5))),
-            Method::Midpoint2d => ("midpoint-2d", 1, Some((true, 0.5))),
+            Method::Ca1dCutoff { c } => ("ca-1d-cutoff", c, Some(false)),
+            Method::Ca2dCutoff { c } => ("ca-2d-cutoff", c, Some(true)),
         };
-        let Some((two_d, reach)) = spatial else {
+        let Some(two_d) = spatial else {
             let grid = ProcGrid::new_all_pairs(p, c).map_err(|e| e.to_string())?;
             let ring = TeamWindow::ring(grid.teams());
             let window = match method {
@@ -674,7 +658,7 @@ impl Layout {
         // Periodic boundaries take a wrapping window; the paper's
         // non-periodic setting a clipped one.
         let wraps = boundary == Boundary::Periodic;
-        let window = TeamWindow::from_cutoff(domain, dims, wraps, reach * r_c);
+        let window = TeamWindow::from_cutoff(domain, dims, wraps, r_c);
         validate_cutoff(&window, teams, c).map_err(|e| e.to_string())?;
         Ok(Layout {
             name,
@@ -736,16 +720,13 @@ impl Layout {
     }
 
     /// Put a leader's block in the order its kernel wants: cell order for
-    /// the CA algorithms' spatial blocks (what the cutoff cull needs), id
-    /// order after re-assignment for the midpoint kernel (it sums in block
-    /// order), and id blocks as they are (their order is the
-    /// summation order the bit-identity oracle pins; the ROADMAP's
-    /// "fixed-order oracle" item decides whether to trade it).
+    /// spatial blocks (what the cutoff cull needs), and id blocks as they
+    /// are (their order is the summation order the bit-identity oracle
+    /// pins; the ROADMAP's "fixed-order oracle" item decides whether to
+    /// trade it).
     fn order<F: ForceLaw>(&self, st: &mut [Particle], law: &F, domain: &Domain) {
-        match (self.cells, self.method.is_ca()) {
-            (Some(_), true) => cell_order(st, law, domain),
-            (Some(_), false) => st.sort_unstable_by_key(|q| q.id),
-            (None, _) => {}
+        if self.cells.is_some() {
+            cell_order(st, law, domain);
         }
     }
 }
@@ -816,19 +797,14 @@ impl Evaluation for Plain {
         let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
         let window = &layout.window;
         layout.order(st, law, domain);
-        // The methods that do not run the shift body are one team per rank:
-        // their world is the row.
+        // The one method that does not run the shift body is one team per
+        // rank: its world is the row.
         match layout.method {
             Method::CaAllPairs { .. }
             | Method::ParticleRingSymmetric
             | Method::Ca1dCutoff { .. }
             | Method::Ca2dCutoff { .. } => ca_forces(gc, window, st, law, domain, boundary),
             Method::NaiveAllgather => naive_allgather_forces(&gc.row, st, law, domain, boundary),
-            Method::Midpoint1d | Method::Midpoint2d => {
-                let [tx, ty, _] = window.dims();
-                let team_of = |pos: Vec2| team_of_xy(domain, tx, ty, pos.x, pos.y);
-                midpoint_forces(&gc.row, window, st, law, domain, boundary, team_of)
-            }
         }
         Ok((RecoveryReport::default(), 0.0))
     }

@@ -199,8 +199,6 @@ fn the_rank_loop_on_the_callers_ranks_is_run_distributed() {
         (Method::NaiveAllgather, 4),
         (Method::Ca1dCutoff { c: 2 }, 8),
         (Method::Ca2dCutoff { c: 1 }, 4),
-        (Method::Midpoint1d, 4),
-        (Method::Midpoint2d, 4),
     ];
     let bits = |ps: &[Particle]| -> Vec<(u64, [u64; 7])> {
         ps.iter()

@@ -2,15 +2,13 @@
 //! must match what the executable algorithms actually do on the threaded
 //! runtime — same per-phase message counts, same bytes (52 B/particle),
 //! same collective counts, same total interactions. This is the link that
-//! makes simulated figures trustworthy: the CA schedule here, and the
-//! midpoint baseline the ablation bars are simulated from.
+//! makes the simulated figures and ablation bars trustworthy.
 
 use ca_nbody::dist::{
-    block_range, id_block_subset, spatial_subset, spatial_subset_1d, team_grid_dims, team_of_xy,
+    block_range, id_block_subset, spatial_subset, spatial_subset_1d, team_grid_dims,
 };
 use ca_nbody::kernel::symmetric_cutoff;
-use ca_nbody::midpoint::midpoint_forces;
-use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, MidpointParams, OpCounts};
+use ca_nbody::schedule::{count_ops, AllPairsParams, CutoffParams, OpCounts};
 use ca_nbody::sim::{run_distributed, Layout, Method, SimConfig};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, TeamWindow, Window};
 use nbody_comm::{run_ranks, CommStats, Communicator, Phase, ALL_PHASES};
@@ -240,58 +238,6 @@ fn executed_phase_totals_cover_all_phases_sanely() {
     }
 }
 
-/// The midpoint baseline's twin against the baseline, per rank and per
-/// phase, on the windows `Layout` cuts for it: `MidpointParams` against
-/// `midpoint_forces` (the half-span import, then a force return to each
-/// neighbour the import came from). Live messages equal the twin's sends;
-/// live elements equal its bytes at 52 B per particle for the import. The
-/// force return's bytes are a modelled upper bound (one record per
-/// imported particle), so only its count is held.
-#[test]
-fn baseline_schedules_match_execution() {
-    let domain = Domain::unit();
-    let r_c = 0.2;
-    let law = Cutoff::new(Counting, r_c);
-    for boundary in [Boundary::Reflective, Boundary::Periodic] {
-        for (method, p) in [(Method::Midpoint1d, 8), (Method::Midpoint2d, 16)] {
-            let label = format!("{method:?} p={p} {boundary:?}");
-            let layout = Layout::new(method, p, &domain, boundary, Some(r_c)).unwrap();
-            let (window, (tx, ty)) = (layout.window, layout.cells.unwrap());
-            let all = init::uniform(120, &domain, 21);
-            let blocks: Vec<_> = (0..p)
-                .map(|r| spatial_subset(&all, &domain, (tx, ty), boundary, r))
-                .collect();
-            let blocks = &blocks;
-            let stats = run_ranks(p, |world| {
-                let mut my = blocks[world.rank()].clone();
-                let owner = |pos: nbody_physics::Vec2| team_of_xy(&domain, tx, ty, pos.x, pos.y);
-                midpoint_forces(world, &window, &mut my, &law, &domain, boundary, owner);
-                world.stats()
-            });
-            let params = MidpointParams {
-                window,
-                block_sizes: blocks.iter().map(Vec::len).collect(),
-            };
-            let mut sent = 0;
-            for (rank, s) in stats.iter().enumerate() {
-                let sched = count_ops(params.program(rank));
-                for phase in ALL_PHASES {
-                    let (live, i) = (s.phase(phase), phase.index());
-                    let at = format!("{label}: rank {rank} {phase:?}");
-                    assert_eq!(live.messages, sched.sends[i], "{at}: messages");
-                    assert_eq!(live.collectives, sched.collectives[i], "{at}: collectives");
-                    if phase != Phase::Reduce {
-                        let bytes = live.elements * PARTICLE_WIRE_BYTES as u64;
-                        assert_eq!(bytes, sched.send_bytes[i], "{at}: bytes");
-                    }
-                }
-                sent += s.total_messages();
-            }
-            assert!(sent > 0, "{label}: the baseline talks");
-        }
-    }
-}
-
 /// §II.C's spatial decomposition is Algorithm 2 at `c = 1`: one step of
 /// `n = 2048` on `p = 16` ranks at `r_c = 0.1` sends the messages the
 /// deleted halo-exchange baseline sent, and like the halo each copy carries
@@ -363,15 +309,13 @@ fn moved<F: ForceLaw>(
 
 /// Re-assignment on a 2-D team grid: after the force phase a leader trades
 /// with each of its neighbours once a step — eight on a wrapping 3 × 3 grid;
-/// three, five or eight on a clipped one — live as in the CA twin, and the
-/// baselines' arm re-assigns through the same neighbourhood.
+/// three, five or eight on a clipped one — live as in the CA twin.
 #[test]
 fn reassign_epilogue_on_a_2d_grid_reaches_up_to_eight_neighbours() {
     let steps = 2;
     let table = [
         (Method::Ca2dCutoff { c: 1 }, 9),
         (Method::Ca2dCutoff { c: 2 }, 18),
-        (Method::Midpoint2d, 9),
     ];
     for boundary in [Boundary::Reflective, Boundary::Periodic] {
         for (method, p) in table {
@@ -389,26 +333,22 @@ fn reassign_epilogue_on_a_2d_grid_reaches_up_to_eight_neighbours() {
             let layout = Layout::new(method, p, &cfg.domain, boundary, Some(0.15)).unwrap();
             let hood = layout.neighbourhood().expect("spatial blocks re-assign");
             let teams = layout.grid.teams();
-            let twin = method.is_ca().then(|| {
-                layout.schedule(
-                    vec![initial.len() / teams; teams],
-                    symmetric_cutoff(&cfg.law),
-                )
-            });
+            let twin = layout.schedule(
+                vec![initial.len() / teams; teams],
+                symmetric_cutoff(&cfg.law),
+            );
             let mut per_leader = Vec::new();
             for (rank, stats) in live.stats.iter().enumerate() {
                 let leader = layout.grid.row_of(rank) == 0;
                 let team = layout.grid.team_of(rank);
                 let neighbours = (1..hood.len()).filter_map(|j| hood.apply(team, j)).count();
                 let per_step = if leader { neighbours as u64 } else { 0 };
-                if let Some(twin) = &twin {
-                    let sched = count_ops(twin.program(rank));
-                    assert_eq!(
-                        sched.sends[Phase::Reassign.index()],
-                        per_step,
-                        "{label}: rank {rank}"
-                    );
-                }
+                let sched = count_ops(twin.program(rank));
+                assert_eq!(
+                    sched.sends[Phase::Reassign.index()],
+                    per_step,
+                    "{label}: rank {rank}"
+                );
                 let sent = stats.phase(Phase::Reassign).messages;
                 assert_eq!(sent, steps as u64 * per_step, "{label}: rank {rank}");
                 if leader {

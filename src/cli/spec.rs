@@ -141,8 +141,6 @@ fn method_named(name: &str, c: usize, p: usize) -> Result<Method, String> {
         "ca-cutoff-2d" => Method::Ca2dCutoff { c },
         "halo-1d" => Method::Ca1dCutoff { c: 1 },
         "halo-2d" => Method::Ca2dCutoff { c: 1 },
-        "midpoint-1d" => Method::Midpoint1d,
-        "midpoint-2d" => Method::Midpoint2d,
         other => return Err(format!("unknown method '{other}'")),
     })
 }
@@ -335,7 +333,7 @@ mod tests {
     use super::*;
 
     /// Every method name `method_named` knows.
-    const METHODS: [&str; 11] = [
+    const METHODS: [&str; 9] = [
         "ca",
         "ring",
         "ring-symmetric",
@@ -345,8 +343,6 @@ mod tests {
         "ca-cutoff-2d",
         "halo-1d",
         "halo-2d",
-        "midpoint-1d",
-        "midpoint-2d",
     ];
 
     fn spec(args: &[&str], d: &Defaults) -> Result<RunSpec, Failure> {

@@ -88,8 +88,6 @@ fn verify_covers_every_method() {
         "ca-cutoff-2d",
         "halo-1d",
         "halo-2d",
-        "midpoint-1d",
-        "midpoint-2d",
     ] {
         let out = cli()
             .args([
@@ -455,7 +453,9 @@ fn audit_rejects_invalid_replication_factor() {
 fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
     // c does not divide p; c does not divide p on a cutoff method; c exceeds
     // the window. Each used to panic on every rank thread (exit 101). A
-    // cutoff radius that is not positive used to panic once.
+    // cutoff radius that is not positive used to panic once. The midpoint
+    // baseline's names are retired: Algorithm 2 at `c = 1` asks each pair
+    // once and ships only what its readers reach.
     for (args, why) in [
         (&["run", "n=64", "p=4", "c=3"][..], "must divide p=4"),
         (
@@ -489,6 +489,14 @@ fn an_invalid_layout_or_setting_is_one_line_not_a_panic() {
         (
             &["verify", "method=halo-1d", "n=64", "p=4", "cutoff=0"],
             "cutoff=0",
+        ),
+        (
+            &["run", "method=midpoint-1d", "n=64", "p=4"],
+            "unknown method 'midpoint-1d'",
+        ),
+        (
+            &["run", "method=midpoint-2d", "n=64", "p=4"],
+            "unknown method 'midpoint-2d'",
         ),
     ] {
         let out = ran(args);
@@ -606,7 +614,7 @@ fn run_survives_unreplicated_kill_by_shrinking() {
 
 #[test]
 fn faults_flag_rejects_bad_specs_and_non_ca_methods() {
-    let out = sh("run n=32 p=4 method=midpoint-1d --faults=drop:1@1");
+    let out = sh("run n=32 p=4 method=allgather --faults=drop:1@1");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("requires a CA method"), "{stderr}");
@@ -1409,20 +1417,19 @@ fn conformance_rejects_bad_inputs_with_one_line_errors() {
     // A method with no schedule twin: one line says so, and the rest of
     // the analysis stands (exit 0).
     let dir = std::env::temp_dir().join("ca_nbody_cli_wire_badmethod_test");
-    for method in ["method=midpoint-1d", "method=allgather"] {
-        let run = traced(&dir, "run.json", &["n=32", "p=4", method, "steps=1"]);
-        let stdout = succeeded(&analyzed(&run, &[]));
-        let line = stdout.lines().find(|l| l.starts_with("no schedule twin: "));
-        let line = line.unwrap_or_else(|| panic!("{method}: {stdout}"));
-        assert!(line.contains("no communication-schedule twin"), "{line}");
-        assert!(stdout.contains("per-phase wall-clock"), "{stdout}");
-        assert!(!stdout.contains("optimality audit"), "{stdout}");
-        let doc = summary(&stdout);
-        assert!(
-            doc.get("verdict").is_none() && doc.get("pass").is_none(),
-            "{doc}"
-        );
-    }
+    let args = ["n=32", "p=4", "method=allgather", "steps=1"];
+    let run = traced(&dir, "run.json", &args);
+    let stdout = succeeded(&analyzed(&run, &[]));
+    let line = stdout.lines().find(|l| l.starts_with("no schedule twin: "));
+    let line = line.unwrap_or_else(|| panic!("{stdout}"));
+    assert!(line.contains("no communication-schedule twin"), "{line}");
+    assert!(stdout.contains("per-phase wall-clock"), "{stdout}");
+    assert!(!stdout.contains("optimality audit"), "{stdout}");
+    let doc = summary(&stdout);
+    assert!(
+        doc.get("verdict").is_none() && doc.get("pass").is_none(),
+        "{doc}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -437,35 +437,6 @@ fn periodic_cutoff_counts_wrap_pairs_exactly() {
 }
 
 #[test]
-fn midpoint_method_matches_serial_both_boundaries() {
-    for boundary in [Boundary::Reflective, Boundary::Periodic] {
-        let cfg = SimConfig {
-            law: Cutoff::new(
-                RepulsiveInverseSquare {
-                    strength: 2e-3,
-                    softening: 1e-3,
-                },
-                0.25,
-            ),
-            integrator: SemiImplicitEuler,
-            domain: Domain::unit(),
-            boundary,
-            dt: 0.01,
-            steps: 5,
-        };
-        let initial = init::uniform(44, &cfg.domain, 19);
-        for (method, p) in [
-            (Method::Midpoint1d, 6),
-            (Method::Midpoint1d, 8),
-            (Method::Midpoint2d, 8),
-            (Method::Midpoint2d, 9),
-        ] {
-            check(&cfg, &initial, method, p, 1e-9);
-        }
-    }
-}
-
-#[test]
 fn symmetric_half_ring_matches_serial_trajectories() {
     let cfg = SimConfig {
         law: RepulsiveInverseSquare {

@@ -44,7 +44,7 @@ fn fifty_step_cutoff_with_heavy_migration() {
     for (method, p) in [
         (Method::Ca1dCutoff { c: 2 }, 8),
         (Method::Ca2dCutoff { c: 2 }, 8),
-        (Method::Midpoint1d, 6),
+        (Method::Ca1dCutoff { c: 1 }, 6),
     ] {
         let got = run_distributed(&cfg, method, p, &initial);
         assert_eq!(got.particles.len(), 48, "{method:?}");
@@ -152,8 +152,7 @@ fn clustered_load_survives_long_cutoff_run() {
 /// leader stops the run naming it (and the step whose evaluation the
 /// re-assignment precedes: step 0 moved it, step 1 finds it), and that
 /// message — not a waiting peer's time-out, which the bound above would
-/// put 20 s away — is what the run fails with, on the CA path and on a
-/// baseline's.
+/// put 20 s away — is what the run fails with.
 #[test]
 fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_it() {
     bound_recv_timeouts();
@@ -172,16 +171,15 @@ fn a_particle_that_outruns_its_neighbourhood_ends_the_run_with_an_error_naming_i
         .position(|p| p.pos.x < 0.15)
         .expect("a particle in the first slab");
     initial[fast].vel = Vec2::new(45.0, 0.0);
-    for method in [Method::Ca1dCutoff { c: 1 }, Method::Midpoint1d] {
-        let started = std::time::Instant::now();
-        let run = std::panic::catch_unwind(|| run_distributed(&cfg, method, 5, &initial));
-        let payload = run.expect_err("the run must not finish");
-        let said = payload.downcast_ref::<String>().expect("a formatted panic");
-        let names = format!("step 1: particle {fast} left team 0 for team 2,");
-        assert!(said.starts_with(&names), "{method:?}: {said}");
-        assert!(
-            started.elapsed().as_secs() < 10,
-            "{method:?}: nobody waited out a deadline"
-        );
-    }
+    let started = std::time::Instant::now();
+    let method = Method::Ca1dCutoff { c: 1 };
+    let run = std::panic::catch_unwind(|| run_distributed(&cfg, method, 5, &initial));
+    let payload = run.expect_err("the run must not finish");
+    let said = payload.downcast_ref::<String>().expect("a formatted panic");
+    let names = format!("step 1: particle {fast} left team 0 for team 2,");
+    assert!(said.starts_with(&names), "{said}");
+    assert!(
+        started.elapsed().as_secs() < 10,
+        "nobody waited out a deadline"
+    );
 }
